@@ -13,9 +13,8 @@
 //!
 //! ```text
 //! cargo run --release -p pcsi-bench --bin report -- bench
-//!     # run the hot-path events/sec suite and write BENCH_<pr>.json
-//!     # ($BENCH_PR names the pr, default "dev"; $BENCH_BASELINE points
-//!     # at a prior snapshot to embed and compute the speedup ratio)
+//!     # run the virtual-time snapshot experiments and write
+//!     # BENCH_<pr>.json ($BENCH_PR names the pr, default "dev")
 //! cargo run --release -p pcsi-bench --bin report -- bench-check <file>
 //!     # validate a snapshot against the current schema; exits nonzero
 //!     # on drift
@@ -30,8 +29,8 @@
 use std::time::Duration;
 
 use pcsi_bench::experiments::{
-    capability, consistency, crossover, efficiency, flexibility, hotpath, mutability, pipeline,
-    recovery, rest_vs_nfs, shard_scaling, stages, streaming, table1, ycsb, DEFAULT_SEED,
+    capability, consistency, crossover, efficiency, flexibility, mutability, pipeline, recovery,
+    rest_vs_nfs, stages, streaming, table1, ycsb, DEFAULT_SEED,
 };
 use pcsi_bench::reportfmt::{ns, Table};
 use pcsi_bench::{snapshot, trend};
@@ -46,7 +45,7 @@ fn main() {
         }
         return;
     }
-    // The perf suite is opt-in: it burns real wall-clock by design.
+    // The snapshot run is opt-in: it writes a file.
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
     if args.iter().any(|a| a == "bench") {
         report_bench();
@@ -206,11 +205,10 @@ fn report_pipeline() {
     let reports = pipeline::run(DEFAULT_SEED, 2, 8);
     let mut t = Table::new(&["strategy", "mean", "p99", "net bytes/req"]);
     for r in &reports {
-        let s = r.latency.summary();
         t.row(&[
             r.strategy.label().into(),
-            ns(s.mean),
-            ns(s.p99 as f64),
+            ns(r.latency.mean() as f64),
+            ns(r.latency.quantile(0.99) as f64),
             format!("{}", r.network_bytes_per_req),
         ]);
     }
@@ -584,99 +582,29 @@ fn print_streaming(r: &streaming::StreamingResult) {
 }
 
 fn report_bench() {
-    println!("## Hot-path events/sec suite (perf snapshot)\n");
-    let suite = hotpath::run_suite(DEFAULT_SEED);
-    let mut t = Table::new(&["experiment", "wall", "events", "events/sec"]);
-    for e in &suite.experiments {
+    println!("## Perf snapshot (virtual time; host cost is `benchmark/`'s job)\n");
+    let results = snapshot::Results::run(DEFAULT_SEED);
+    streaming::shape_holds(&results.streaming)
+        .expect("streaming claims must hold in the snapshot run");
+    let mut t = Table::new(&["block", "metric", "value", "unit", "better", "trend"]);
+    for m in snapshot::METRICS {
         t.row(&[
-            e.name.into(),
-            format!("{:.1}ms", e.wall_ms()),
-            e.events.to_string(),
-            format!("{:.0}", e.events_per_sec()),
+            m.block.into(),
+            m.key.into(),
+            format!("{:.3}", m.value(&results)),
+            m.unit.into(),
+            m.better.label().into(),
+            if m.tracked { "gated" } else { "" }.into(),
         ]);
     }
     print!("{}", t.render());
-    println!(
-        "\nheadline (driver_sweep): {:.0} events/sec; buffer pool {} hits / {} misses",
-        suite.headline_events_per_sec(),
-        suite.pool_hits,
-        suite.pool_misses
-    );
-
-    println!(
-        "\n## Shard scaling (ring {} -> {} under live load)\n",
-        shard_scaling::RING_BEFORE,
-        shard_scaling::RING_AFTER
-    );
-    let shard = shard_scaling::run(DEFAULT_SEED);
-    let mut t = Table::new(&["window", "ring", "ops/sec", "p99"]);
-    t.row(&[
-        "before".into(),
-        shard.nodes_before.to_string(),
-        format!("{:.0}", shard.tput_before),
-        format!("{:.0}us", shard.p99_before_us),
-    ]);
-    t.row(&[
-        "migration".into(),
-        format!("{}->{}", shard.nodes_before, shard.nodes_after),
-        "-".into(),
-        format!("{:.0}us", shard.p99_migration_us),
-    ]);
-    t.row(&[
-        "after".into(),
-        shard.nodes_after.to_string(),
-        format!("{:.0}", shard.tput_after),
-        format!("{:.0}us", shard.p99_after_us),
-    ]);
-    print!("{}", t.render());
-    println!(
-        "\nscale-out gain: {:.2}x aggregate throughput; {} objects migrated",
-        shard.ratio(),
-        shard.objects_moved
-    );
-
-    println!("\n## Diurnal autoscale comparison (reactive vs predictive)\n");
-    let autoscale = efficiency::run_diurnal_pair(DEFAULT_SEED, Duration::from_secs(180));
-    println!(
-        "cold-start rate: {:.4} -> {:.4} ({:.1}x); mean CPU util {:.3} -> {:.3}; SLO {:.4} -> {:.4}",
-        autoscale.0.cold_start_rate(),
-        autoscale.1.cold_start_rate(),
-        autoscale.0.cold_start_rate() / autoscale.1.cold_start_rate().max(1e-12),
-        autoscale.0.mean_cpu_util,
-        autoscale.1.mean_cpu_util,
-        autoscale.0.slo_attainment,
-        autoscale.1.slo_attainment,
-    );
-
-    println!("\n## Streaming: PCSI push vs SSE\n");
-    let stream = streaming::run_all(DEFAULT_SEED);
-    print_streaming(&stream);
-    streaming::shape_holds(&stream).expect("streaming claims must hold in the snapshot run");
 
     let pr = std::env::var("BENCH_PR").unwrap_or_else(|_| "dev".into());
-    let baseline = std::env::var("BENCH_BASELINE").ok().map(|path| {
-        std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read BENCH_BASELINE {path}: {e}"))
-    });
-    let json = snapshot::render(
-        &suite,
-        Some(&shard),
-        Some(&autoscale),
-        Some(&stream),
-        &pr,
-        baseline.as_deref(),
-    );
+    let json = snapshot::render(&results, &pr, DEFAULT_SEED);
     snapshot::validate(&json).expect("emitted snapshot must conform to its own schema");
     let path = format!("BENCH_{pr}.json");
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("wrote {path}");
-    if let Some(ratio) = snapshot::parse(&json)
-        .ok()
-        .and_then(|doc| doc.get("ratio_events_per_sec").and_then(|r| r.as_num()))
-    {
-        println!("speedup vs baseline: {ratio:.2}x events/sec");
-    }
-    println!();
+    println!("\nwrote {path}\n");
 }
 
 fn report_trend() {
@@ -738,7 +666,7 @@ fn bench_check(path: Option<&str>) {
         std::process::exit(2);
     });
     match snapshot::validate(&text) {
-        Ok(()) => println!("bench-check: {path} conforms to {}", snapshot::SCHEMA),
+        Ok(_) => println!("bench-check: {path} conforms to {}", snapshot::SCHEMA),
         Err(e) => {
             eprintln!("bench-check: schema drift in {path}: {e}");
             std::process::exit(1);

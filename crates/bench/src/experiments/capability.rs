@@ -16,9 +16,9 @@ use pcsi_cloud::rest::RestGateway;
 use pcsi_cloud::CloudBuilder;
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency, Rights};
+use pcsi_metrics::Histogram;
 use pcsi_net::NodeId;
 use pcsi_proto::sign::Credentials;
-use pcsi_sim::metrics::Histogram;
 use pcsi_sim::Sim;
 
 /// E8 results.
@@ -132,9 +132,9 @@ pub fn run(seed: u64, ops: u32) -> Results {
         let _ = kept;
 
         Results {
-            raw_read_ns: raw.mean(),
-            pcsi_read_ns: pcsi.mean(),
-            rest_read_ns: rest_h.mean(),
+            raw_read_ns: raw.mean() as f64,
+            pcsi_read_ns: pcsi.mean() as f64,
+            rest_read_ns: rest_h.mean() as f64,
             gc_objects: before,
             gc_reclaimed: reclaimed,
         }

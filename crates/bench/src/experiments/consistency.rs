@@ -9,8 +9,8 @@ use bytes::Bytes;
 use pcsi_cloud::CloudBuilder;
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency};
+use pcsi_metrics::Histogram;
 use pcsi_net::NodeId;
-use pcsi_sim::metrics::Histogram;
 use pcsi_sim::Sim;
 use pcsi_store::{MediaTier, StoreConfig};
 
@@ -88,8 +88,8 @@ pub fn run_cell(seed: u64, n_replicas: usize, consistency: Consistency, rounds: 
         Cell {
             n_replicas,
             consistency,
-            write_ns: writes.mean(),
-            read_ns: reads.mean(),
+            write_ns: writes.mean() as f64,
+            read_ns: reads.mean() as f64,
             stale_fraction: stale as f64 / total as f64,
             repaired: cloud
                 .store

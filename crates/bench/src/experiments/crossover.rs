@@ -14,9 +14,9 @@ use pcsi_cloud::rest::RestGateway;
 use pcsi_cloud::CloudBuilder;
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency};
+use pcsi_metrics::Histogram;
 use pcsi_net::{NetworkGeneration, NodeId};
 use pcsi_proto::sign::Credentials;
-use pcsi_sim::metrics::Histogram;
 use pcsi_sim::Sim;
 use pcsi_trace::Sampling;
 
@@ -91,7 +91,7 @@ pub fn run(seed: u64, ops: u32) -> Vec<Point> {
                 rc.kv_get("t", "k").await.unwrap();
                 resth.record_duration(h.now() - t0);
             }
-            (pcsi.mean(), resth.mean())
+            (pcsi.mean() as f64, resth.mean() as f64)
         });
         let rtt_ns = generation.rtt().as_nanos() as f64;
         out.push(Point {

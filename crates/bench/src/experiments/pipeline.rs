@@ -62,9 +62,9 @@ pub fn sweep(seed: u64, requests: u64) -> Vec<SweepPoint> {
             let reports = run_with_upload(seed, 1, requests, upload);
             SweepPoint {
                 upload_bytes: upload,
-                naive_ns: reports[0].latency.mean(),
-                colocated_ns: reports[1].latency.mean(),
-                monolithic_ns: reports[2].latency.mean(),
+                naive_ns: reports[0].latency.mean() as f64,
+                colocated_ns: reports[1].latency.mean() as f64,
+                monolithic_ns: reports[2].latency.mean() as f64,
             }
         })
         .collect()
@@ -73,9 +73,9 @@ pub fn sweep(seed: u64, requests: u64) -> Vec<SweepPoint> {
 /// The §4.1 shape claims, machine-checkable.
 pub fn shape_holds(reports: &[PipelineReport]) -> Result<(), String> {
     assert_eq!(reports[0].strategy, Strategy::NaiveRemote);
-    let naive = reports[0].latency.mean();
-    let colocated = reports[1].latency.mean();
-    let monolithic = reports[2].latency.mean();
+    let naive = reports[0].latency.mean() as f64;
+    let colocated = reports[1].latency.mean() as f64;
+    let monolithic = reports[2].latency.mean() as f64;
     if colocated > monolithic * 1.25 {
         return Err(format!(
             "colocated ({colocated:.0}) not within 25% of monolithic ({monolithic:.0})"
@@ -112,7 +112,7 @@ pub fn variant_latencies(seed: u64, requests: u64) -> Vec<(String, f64)> {
                 .run(Strategy::Colocated, 2, requests, UPLOAD, variant)
                 .await
                 .expect("run");
-            out.push((variant.to_owned(), report.latency.mean()));
+            out.push((variant.to_owned(), report.latency.mean() as f64));
         }
         out
     })

@@ -14,8 +14,8 @@ use bytes::Bytes;
 use pcsi_cloud::CloudBuilder;
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency};
+use pcsi_metrics::Histogram;
 use pcsi_net::{MessageFaults, NodeId};
-use pcsi_sim::metrics::Histogram;
 use pcsi_sim::Sim;
 use pcsi_store::{RetryPolicy, RetryStats, StoreConfig};
 
@@ -99,8 +99,8 @@ pub fn run_cell(seed: u64, label: &'static str, drop: f64, rounds: u32) -> Cell 
         Cell {
             label,
             drop,
-            write_ns: writes.mean(),
-            read_ns: reads.mean(),
+            write_ns: writes.mean() as f64,
+            read_ns: reads.mean() as f64,
             client_errors,
             retry: cloud.store.retry_stats(),
         }

@@ -35,9 +35,9 @@ use pcsi_cloud::sse::{SseHub, SsePublisher, SseSubscriber};
 use pcsi_cloud::{Cloud, CloudBuilder};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, PcsiError, Rights};
+use pcsi_metrics::Histogram;
 use pcsi_net::NetworkGeneration;
 use pcsi_proto::sign::Credentials;
-use pcsi_sim::metrics::Histogram;
 use pcsi_sim::{Sim, SimHandle};
 
 /// Subscriber count for the fan-out measurement.
@@ -181,7 +181,7 @@ async fn pcsi_mean(
             c.await;
         }
     }
-    hist.mean()
+    hist.mean() as f64
 }
 
 /// Appends with retry on backpressure/transient transfer faults — the
@@ -265,7 +265,7 @@ async fn sse_mean(
             c.await;
         }
     }
-    hist.mean()
+    hist.mean() as f64
 }
 
 /// Outcome of the metrics-delta streaming scenario.

@@ -15,9 +15,9 @@ use pcsi_cloud::workload::ZipfKeys;
 use pcsi_cloud::CloudBuilder;
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency, Reference};
+use pcsi_metrics::Histogram;
 use pcsi_net::NodeId;
 use pcsi_proto::sign::Credentials;
-use pcsi_sim::metrics::Histogram;
 use pcsi_sim::Sim;
 
 /// Number of keys in the table.
@@ -146,8 +146,8 @@ pub fn run(seed: u64, ops: u32) -> Vec<Cell> {
                 rest_hist.record_duration(h.now() - t0);
             }
             (
-                (pcsi_hist.mean(), pcsi_hist.quantile(0.99) as f64),
-                (rest_hist.mean(), rest_hist.quantile(0.99) as f64),
+                (pcsi_hist.mean() as f64, pcsi_hist.quantile(0.99) as f64),
+                (rest_hist.mean() as f64, rest_hist.quantile(0.99) as f64),
             )
         });
         out.push(Cell {
@@ -212,7 +212,7 @@ pub fn run_immutable(seed: u64, ops: u32) -> ImmutableCell {
         let stats1 = cloud.store.cache_stats();
         let msgs1 = cloud.fabric.message_count();
         ImmutableCell {
-            mean_ns: hist.mean(),
+            mean_ns: hist.mean() as f64,
             hits: stats1.hits - stats0.hits,
             misses: stats1.misses - stats0.misses,
             fabric_calls_per_read: (msgs1 - msgs0) as f64 / f64::from(ops),

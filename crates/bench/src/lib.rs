@@ -4,10 +4,9 @@
 //! One module per table/figure/claim of the paper (see `DESIGN.md`'s
 //! experiment index). Each experiment is a pure function of a seed that
 //! runs a deterministic simulation and returns structured results; the
-//! `report` binary renders them next to the paper's numbers, and the
-//! criterion benches in `benches/` re-measure the same operations —
-//! wall-clock for the real protocol code, virtual-time (via
-//! `iter_custom`) for the simulated systems.
+//! `report` binary renders them next to the paper's numbers and pins the
+//! virtual-time ones in per-PR `BENCH_<pr>.json` snapshots. Host cost is
+//! measured elsewhere, by the repo benchmark under `benchmark/`.
 //!
 //! | module | artifact |
 //! |--------|----------|
@@ -20,7 +19,12 @@
 //! | [`experiments::consistency`] | §3.3 — the consistency menu (E7) |
 //! | [`experiments::capability`] | §3.2 — stateful refs vs per-request auth (E8) |
 //! | [`experiments::crossover`] | §2.1 — overhead share as networks speed up (E9) |
-//! | [`experiments::hotpath`] | hot-path events/sec suite → `BENCH_<pr>.json` |
+//! | [`experiments::ycsb`] | supporting — YCSB-style KV mixes on both interfaces |
+//! | [`experiments::recovery`] | supporting — client fault recovery under message loss |
+//! | [`experiments::shard_scaling`] | ring scale-out under live load |
+//! | [`experiments::streaming`] | PCSI push vs SSE across network generations (E10) |
+//! | [`snapshot`] | the metric table behind `BENCH_<pr>.json`: render, `bench-check` |
+//! | [`trend`] | trajectory table and 20 % gate over the committed snapshots |
 
 pub mod experiments;
 pub mod reportfmt;

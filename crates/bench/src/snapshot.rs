@@ -1,678 +1,305 @@
 //! Per-PR performance snapshots (`BENCH_<pr>.json`).
 //!
-//! The report binary's `bench` artifact runs the hot-path microbench
-//! suite ([`crate::experiments::hotpath`]) and writes one JSON snapshot
-//! per PR so the repository carries a perf trajectory, not just a
-//! current number. The schema is versioned ([`SCHEMA`]); CI's
-//! `bench-smoke` job re-validates every emitted file with
-//! [`validate`] and fails on drift, so a snapshot written by one PR
-//! stays machine-readable for all later ones.
+//! The report binary's `bench` artifact runs the deterministic
+//! virtual-time experiments in [`Results`] and writes one JSON snapshot
+//! per PR, so the repository carries a trajectory of the numbers the
+//! simulator itself produces (the same on any machine), beside the
+//! paper's Table 1. Host cost is not measured here: that is the job of
+//! the repo benchmark under `benchmark/`.
 //!
-//! The workspace has no serde (all dependencies are vendored), so this
-//! module hand-rolls both directions: a small escaping writer and a
-//! strict recursive-descent JSON reader sufficient for the snapshot
-//! grammar.
+//! One table, [`METRICS`], declares every number a snapshot holds below
+//! its Table 1 block: where it sits in the document, its unit, which way
+//! is better, whether [`crate::trend`] tracks it, the first PR whose
+//! snapshot carries it, and how to read it off a [`Results`]. [`render`],
+//! [`validate`], the trend extraction and the report section all walk
+//! that table, on the `pcsi_proto::json` codec.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::experiments::efficiency::DiurnalResult;
-use crate::experiments::hotpath::SuiteResult;
-use crate::experiments::shard_scaling::ShardScalingResult;
+use pcsi_net::NetworkGeneration::{Dc2005, Dc2021, FastEmerging};
+use pcsi_proto::{json, Value};
+
+use crate::experiments::efficiency::{self, DiurnalResult};
+use crate::experiments::shard_scaling::{self, ShardScalingResult};
 use crate::experiments::streaming::{self, StreamingResult};
+use crate::experiments::table1;
+
+use self::Better::{Higher, Lower, Neither};
 
 /// Schema identifier embedded in (and required of) every snapshot.
 pub const SCHEMA: &str = "pcsi-bench-snapshot/v1";
 
-/// A parsed JSON value (the subset the snapshot grammar needs).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number; parsed as f64 (snapshot numbers all fit).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object. Keys are sorted (BTreeMap) — good enough here, the
-    /// snapshot grammar never depends on member order.
-    Obj(BTreeMap<String, Json>),
+/// The Table 1 block: one number (ns) per [`table1::Row`], keyed by the
+/// row's own label. Its measured rows are the capture machine's, so
+/// nothing in it is tracked.
+const TABLE1: &str = "table1_ns";
+
+/// Everything a snapshot is rendered from.
+#[derive(Debug, Clone)]
+pub struct Results {
+    /// Table 1 (E1).
+    pub table1: Vec<table1::Row>,
+    /// Ring scale-out under live load.
+    pub shard: ShardScalingResult,
+    /// Diurnal run, `(reactive, predictive)` autoscaling.
+    pub autoscale: (DiurnalResult, DiurnalResult),
+    /// PCSI push vs SSE (E10).
+    pub streaming: StreamingResult,
 }
 
-impl Json {
-    /// Member lookup on an object, `None` otherwise.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The f64 value of a number node.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value of a string node.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
+impl Results {
+    /// Runs every snapshot experiment at its committed size.
+    pub fn run(seed: u64) -> Self {
+        Results {
+            table1: table1::run(seed),
+            shard: shard_scaling::run(seed),
+            autoscale: efficiency::run_diurnal_pair(seed, std::time::Duration::from_secs(180)),
+            streaming: streaming::run_all(seed),
         }
     }
 }
 
-/// Renders the suite result as a schema-conformant snapshot document.
-///
-/// `shard` is the horizontal-scaling experiment's outcome
-/// ([`crate::experiments::shard_scaling`]); when present the snapshot
-/// carries a `shard_scaling` block proving the measured scale-out gain
-/// and migration-window tail inside the committed artifact itself.
-///
-/// `autoscale` is the diurnal reactive-vs-predictive comparison
-/// ([`crate::experiments::efficiency::run_diurnal_pair`]); when present
-/// the snapshot carries an `autoscale` block proving the measured
-/// cold-start reduction and utilization lift inside the artifact.
-///
-/// `streaming` is the push-vs-SSE streaming comparison
-/// ([`crate::experiments::streaming::run_all`]); when present the
-/// snapshot carries a `streaming` block with the per-generation
-/// per-event latencies, fan-out means, metrics-delta wire savings, and
-/// token-serving TTFT — and [`validate`] additionally enforces the
-/// headline claim (PCSI beats SSE per event on the fast network)
-/// against the emitted numbers.
-///
-/// `baseline` is a previously emitted snapshot (the pre-change tree,
-/// same harness); when present its headline events/sec is embedded and
-/// the speedup ratio computed, which is how a PR proves its measured
-/// improvement inside the committed artifact itself.
-pub fn render(
-    suite: &SuiteResult,
-    shard: Option<&ShardScalingResult>,
-    autoscale: Option<&(DiurnalResult, DiurnalResult)>,
-    streaming: Option<&StreamingResult>,
+/// Which way a metric improves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Larger is better (throughput, ratios).
+    Higher,
+    /// Smaller is better (latencies, cold starts).
+    Lower,
+    /// An echoed setting or a count with no good direction.
+    Neither,
+}
+
+impl Better {
+    /// The word the report section prints.
+    pub fn label(self) -> &'static str {
+        match self {
+            Better::Higher => "higher",
+            Better::Lower => "lower",
+            Better::Neither => "-",
+        }
+    }
+}
+
+/// One number of the snapshot, at `snapshot.<block>.<key>`.
+pub struct Metric {
+    /// Object under `snapshot`.
+    pub block: &'static str,
+    /// Member of that object.
+    pub key: &'static str,
+    /// Unit of the value.
+    pub unit: &'static str,
+    /// Which way is an improvement.
+    pub better: Better,
+    /// Whether [`crate::trend`] shows and gates it. Only virtual-time
+    /// values may be: the same code yields the same number anywhere.
+    pub tracked: bool,
+    /// First PR whose committed snapshot carries it; older snapshots may
+    /// lack it, every other snapshot must have it.
+    pub since: u64,
+    get: fn(&Results) -> f64,
+}
+
+impl Metric {
+    /// `<block>.<key>`, the name trend columns and messages use.
+    pub fn path(&self) -> String {
+        format!("{}.{}", self.block, self.key)
+    }
+
+    /// The value `r` gives this metric.
+    pub fn value(&self, r: &Results) -> f64 {
+        (self.get)(r)
+    }
+
+    fn node<'a>(&self, doc: &'a Value) -> Option<&'a Value> {
+        doc.get("snapshot")?.get(self.block)?.get(self.key)
+    }
+
+    /// The value a parsed snapshot holds for this metric.
+    pub fn read(&self, doc: &Value) -> Option<f64> {
+        self.node(doc)?.as_f64()
+    }
+}
+
+const fn m(
+    block: &'static str,
+    key: &'static str,
+    unit: &'static str,
+    better: Better,
+    tracked: bool,
+    since: u64,
+    get: fn(&Results) -> f64,
+) -> Metric {
+    Metric {
+        block,
+        key,
+        unit,
+        better,
+        tracked,
+        since,
+        get,
+    }
+}
+
+/// Reactive over predictive cold-start rate.
+fn cold_start_ratio(r: &Results) -> f64 {
+    r.autoscale.0.cold_start_rate() / r.autoscale.1.cold_start_rate().max(1e-12)
+}
+
+/// The metric table, in report order.
+#[rustfmt::skip]
+pub const METRICS: &[Metric] = &[
+    // block           key                           unit         better   tracked since value
+    m("shard_scaling", "nodes_before",               "count",     Neither, false, 7, |r| r.shard.nodes_before as f64),
+    m("shard_scaling", "nodes_after",                "count",     Neither, false, 7, |r| r.shard.nodes_after as f64),
+    m("shard_scaling", "tput_before",                "ops/sim_s", Higher,  false, 7, |r| r.shard.tput_before),
+    m("shard_scaling", "tput_after",                 "ops/sim_s", Higher,  false, 7, |r| r.shard.tput_after),
+    m("shard_scaling", "ratio",                      "x",         Higher,  true,  7, |r| r.shard.ratio()),
+    m("shard_scaling", "p99_before_us",              "sim_us",    Lower,   false, 7, |r| r.shard.p99_before_us),
+    m("shard_scaling", "p99_migration_us",           "sim_us",    Lower,   false, 7, |r| r.shard.p99_migration_us),
+    m("shard_scaling", "p99_after_us",               "sim_us",    Lower,   false, 7, |r| r.shard.p99_after_us),
+    m("shard_scaling", "objects_moved",              "count",     Neither, false, 7, |r| r.shard.objects_moved as f64),
+    m("autoscale",     "reactive_cold_start_rate",   "fraction",  Lower,   false, 8, |r| r.autoscale.0.cold_start_rate()),
+    m("autoscale",     "predictive_cold_start_rate", "fraction",  Lower,   false, 8, |r| r.autoscale.1.cold_start_rate()),
+    m("autoscale",     "cold_start_ratio",           "x",         Higher,  true,  8, cold_start_ratio),
+    m("autoscale",     "reactive_mean_cpu_util",     "fraction",  Higher,  false, 8, |r| r.autoscale.0.mean_cpu_util),
+    m("autoscale",     "predictive_mean_cpu_util",   "fraction",  Higher,  false, 8, |r| r.autoscale.1.mean_cpu_util),
+    m("autoscale",     "reactive_slo_attainment",    "fraction",  Higher,  false, 8, |r| r.autoscale.0.slo_attainment),
+    m("autoscale",     "predictive_slo_attainment",  "fraction",  Higher,  false, 8, |r| r.autoscale.1.slo_attainment),
+    m("autoscale",     "prewarms",                   "count",     Neither, false, 8, |r| r.autoscale.1.prewarms as f64),
+    m("autoscale",     "preemptions",                "count",     Neither, false, 8, |r| r.autoscale.1.preemptions as f64),
+    m("autoscale",     "rebalances",                 "count",     Neither, false, 8, |r| r.autoscale.1.rebalances as f64),
+    m("streaming",     "fan_out",                    "count",     Neither, false, 9, |_| streaming::FAN_OUT as f64),
+    m("streaming",     "dc2005_rtt_ns",              "sim_ns",    Neither, false, 9, |r| r.streaming.point(Dc2005).rtt_ns),
+    m("streaming",     "dc2005_pcsi_event_ns",       "sim_ns",    Lower,   false, 9, |r| r.streaming.point(Dc2005).pcsi_event_ns),
+    m("streaming",     "dc2005_sse_event_ns",        "sim_ns",    Lower,   false, 9, |r| r.streaming.point(Dc2005).sse_event_ns),
+    m("streaming",     "dc2005_pcsi_fanout_ns",      "sim_ns",    Lower,   false, 9, |r| r.streaming.point(Dc2005).pcsi_fanout_ns),
+    m("streaming",     "dc2005_sse_fanout_ns",       "sim_ns",    Lower,   false, 9, |r| r.streaming.point(Dc2005).sse_fanout_ns),
+    m("streaming",     "dc2021_rtt_ns",              "sim_ns",    Neither, false, 9, |r| r.streaming.point(Dc2021).rtt_ns),
+    m("streaming",     "dc2021_pcsi_event_ns",       "sim_ns",    Lower,   false, 9, |r| r.streaming.point(Dc2021).pcsi_event_ns),
+    m("streaming",     "dc2021_sse_event_ns",        "sim_ns",    Lower,   false, 9, |r| r.streaming.point(Dc2021).sse_event_ns),
+    m("streaming",     "dc2021_pcsi_fanout_ns",      "sim_ns",    Lower,   false, 9, |r| r.streaming.point(Dc2021).pcsi_fanout_ns),
+    m("streaming",     "dc2021_sse_fanout_ns",       "sim_ns",    Lower,   false, 9, |r| r.streaming.point(Dc2021).sse_fanout_ns),
+    m("streaming",     "fast_rtt_ns",                "sim_ns",    Neither, false, 9, |r| r.streaming.point(FastEmerging).rtt_ns),
+    m("streaming",     "fast_pcsi_event_ns",         "sim_ns",    Lower,   true,  9, |r| r.streaming.point(FastEmerging).pcsi_event_ns),
+    m("streaming",     "fast_sse_event_ns",          "sim_ns",    Lower,   false, 9, |r| r.streaming.point(FastEmerging).sse_event_ns),
+    m("streaming",     "fast_pcsi_fanout_ns",        "sim_ns",    Lower,   false, 9, |r| r.streaming.point(FastEmerging).pcsi_fanout_ns),
+    m("streaming",     "fast_sse_fanout_ns",         "sim_ns",    Lower,   false, 9, |r| r.streaming.point(FastEmerging).sse_fanout_ns),
+    m("streaming",     "metrics_delta_bytes",        "B",         Lower,   false, 9, |r| r.streaming.delta.mean_delta_bytes),
+    m("streaming",     "metrics_full_bytes",         "B",         Neither, false, 9, |r| r.streaming.delta.mean_full_bytes),
+    m("streaming",     "delta_compression",          "x",         Higher,  false, 9, |r| r.streaming.delta.compression()),
+    m("streaming",     "ttft_pcsi_ns",               "sim_ns",    Lower,   true,  9, |r| r.streaming.tokens.pcsi_ttft_ns),
+    m("streaming",     "ttft_sse_ns",                "sim_ns",    Lower,   false, 9, |r| r.streaming.tokens.sse_ttft_ns),
+    m("streaming",     "total_pcsi_ns",              "sim_ns",    Lower,   false, 9, |r| r.streaming.tokens.pcsi_total_ns),
+    m("streaming",     "total_sse_ns",               "sim_ns",    Lower,   false, 9, |r| r.streaming.tokens.sse_total_ns),
+];
+
+/// Renders `r` as a schema-conformant snapshot document.
+pub fn render(r: &Results, pr: &str, seed: u64) -> String {
+    let table1 = r.table1.iter().map(|row| (row.label.as_str(), row.ours_ns));
+    document(table1, |metric| metric.value(r), pr, seed)
+}
+
+/// The document holding `table1`'s `(label, ns)` rows and `value` of
+/// every [`METRICS`] row.
+fn document<'a>(
+    table1: impl Iterator<Item = (&'a str, f64)>,
+    value: impl Fn(&Metric) -> f64,
     pr: &str,
-    baseline: Option<&str>,
+    seed: u64,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": {},", quote(SCHEMA));
-    let _ = writeln!(out, "  \"pr\": {},", quote(pr));
-    let _ = writeln!(out, "  \"seed\": {},", suite.seed);
-    out.push_str("  \"snapshot\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"events_per_sec\": {},",
-        num(suite.headline_events_per_sec())
-    );
-    out.push_str("    \"experiments\": {\n");
-    for (i, e) in suite.experiments.iter().enumerate() {
-        let comma = if i + 1 == suite.experiments.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            out,
-            "      {}: {{\"wall_ms\": {}, \"events\": {}, \"events_per_sec\": {}}}{}",
-            quote(e.name),
-            num(e.wall_ms()),
-            e.events,
-            num(e.events_per_sec()),
-            comma
-        );
+    let mut blocks: BTreeMap<&str, BTreeMap<String, Value>> = BTreeMap::new();
+    for (label, ns) in table1 {
+        let block = blocks.entry(TABLE1).or_default();
+        block.insert(label.to_owned(), Value::F64(ns));
     }
-    out.push_str("    },\n");
-    out.push_str("    \"table1_ns\": {\n");
-    for (i, (label, ns)) in suite.table1_ns.iter().enumerate() {
-        let comma = if i + 1 == suite.table1_ns.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(out, "      {}: {}{}", quote(label), num(*ns), comma);
+    for metric in METRICS {
+        let block = blocks.entry(metric.block).or_default();
+        block.insert(metric.key.to_owned(), Value::F64(value(metric)));
     }
-    out.push_str("    },\n");
-    let _ = write!(
-        out,
-        "    \"alloc\": {{\"pool_hits\": {}, \"pool_misses\": {}}}",
-        suite.pool_hits, suite.pool_misses
-    );
-    if let Some(s) = shard {
-        out.push_str(",\n    \"shard_scaling\": {\n");
-        let _ = writeln!(out, "      \"nodes_before\": {},", s.nodes_before);
-        let _ = writeln!(out, "      \"nodes_after\": {},", s.nodes_after);
-        let _ = writeln!(out, "      \"tput_before\": {},", num(s.tput_before));
-        let _ = writeln!(out, "      \"tput_after\": {},", num(s.tput_after));
-        let _ = writeln!(out, "      \"ratio\": {},", num(s.ratio()));
-        let _ = writeln!(out, "      \"p99_before_us\": {},", num(s.p99_before_us));
-        let _ = writeln!(
-            out,
-            "      \"p99_migration_us\": {},",
-            num(s.p99_migration_us)
-        );
-        let _ = writeln!(out, "      \"p99_after_us\": {},", num(s.p99_after_us));
-        let _ = writeln!(out, "      \"objects_moved\": {}", s.objects_moved);
-        out.push_str("    }");
-    }
-    if let Some((reactive, predictive)) = autoscale {
-        out.push_str(",\n    \"autoscale\": {\n");
-        let _ = writeln!(
-            out,
-            "      \"reactive_cold_start_rate\": {:.6},",
-            reactive.cold_start_rate()
-        );
-        let _ = writeln!(
-            out,
-            "      \"predictive_cold_start_rate\": {:.6},",
-            predictive.cold_start_rate()
-        );
-        let ratio = reactive.cold_start_rate() / predictive.cold_start_rate().max(1e-12);
-        let _ = writeln!(out, "      \"cold_start_ratio\": {},", num(ratio));
-        let _ = writeln!(
-            out,
-            "      \"reactive_mean_cpu_util\": {:.6},",
-            reactive.mean_cpu_util
-        );
-        let _ = writeln!(
-            out,
-            "      \"predictive_mean_cpu_util\": {:.6},",
-            predictive.mean_cpu_util
-        );
-        let _ = writeln!(
-            out,
-            "      \"reactive_slo_attainment\": {:.6},",
-            reactive.slo_attainment
-        );
-        let _ = writeln!(
-            out,
-            "      \"predictive_slo_attainment\": {:.6},",
-            predictive.slo_attainment
-        );
-        let _ = writeln!(out, "      \"prewarms\": {},", predictive.prewarms);
-        let _ = writeln!(out, "      \"preemptions\": {},", predictive.preemptions);
-        let _ = writeln!(out, "      \"rebalances\": {}", predictive.rebalances);
-        out.push_str("    }");
-    }
-    if let Some(st) = streaming {
-        out.push_str(",\n    \"streaming\": {\n");
-        let _ = writeln!(out, "      \"fan_out\": {},", streaming::FAN_OUT);
-        for p in &st.points {
-            let k = streaming::key(p.generation);
-            let _ = writeln!(out, "      \"{k}_rtt_ns\": {},", num(p.rtt_ns));
-            let _ = writeln!(
-                out,
-                "      \"{k}_pcsi_event_ns\": {},",
-                num(p.pcsi_event_ns)
-            );
-            let _ = writeln!(out, "      \"{k}_sse_event_ns\": {},", num(p.sse_event_ns));
-            let _ = writeln!(
-                out,
-                "      \"{k}_pcsi_fanout_ns\": {},",
-                num(p.pcsi_fanout_ns)
-            );
-            let _ = writeln!(
-                out,
-                "      \"{k}_sse_fanout_ns\": {},",
-                num(p.sse_fanout_ns)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "      \"metrics_delta_bytes\": {},",
-            num(st.delta.mean_delta_bytes)
-        );
-        let _ = writeln!(
-            out,
-            "      \"metrics_full_bytes\": {},",
-            num(st.delta.mean_full_bytes)
-        );
-        let _ = writeln!(
-            out,
-            "      \"delta_compression\": {},",
-            num(st.delta.compression())
-        );
-        let _ = writeln!(
-            out,
-            "      \"ttft_pcsi_ns\": {},",
-            num(st.tokens.pcsi_ttft_ns)
-        );
-        let _ = writeln!(
-            out,
-            "      \"ttft_sse_ns\": {},",
-            num(st.tokens.sse_ttft_ns)
-        );
-        let _ = writeln!(
-            out,
-            "      \"total_pcsi_ns\": {},",
-            num(st.tokens.pcsi_total_ns)
-        );
-        let _ = writeln!(
-            out,
-            "      \"total_sse_ns\": {}",
-            num(st.tokens.sse_total_ns)
-        );
-        out.push_str("    }");
-    }
-    out.push('\n');
-    out.push_str("  }");
-    if let Some(base) = baseline.and_then(extract_baseline) {
-        out.push_str(",\n");
-        let _ = writeln!(
-            out,
-            "  \"baseline\": {{\"pr\": {}, \"events_per_sec\": {}}},",
-            quote(&base.0),
-            num(base.1)
-        );
-        let ratio = if base.1 > 0.0 {
-            suite.headline_events_per_sec() / base.1
-        } else {
-            0.0
-        };
-        let _ = writeln!(out, "  \"ratio_events_per_sec\": {}", num(ratio));
-    } else {
-        out.push('\n');
-    }
-    out.push_str("}\n");
-    out
+    let doc = Value::object([
+        ("schema", Value::from(SCHEMA)),
+        ("pr", Value::from(pr)),
+        ("seed", Value::I64(seed as i64)),
+        (
+            "snapshot",
+            Value::object(blocks.into_iter().map(|(k, v)| (k, Value::Object(v)))),
+        ),
+    ]);
+    let mut text = json::encode(&doc);
+    text.push('\n');
+    text
 }
 
-/// Pulls `(pr, headline events/sec)` out of a baseline snapshot; `None`
-/// when the text is not a valid snapshot.
-fn extract_baseline(text: &str) -> Option<(String, f64)> {
-    let doc = parse(text).ok()?;
-    let pr = doc.get("pr")?.as_str()?.to_owned();
-    let eps = doc.get("snapshot")?.get("events_per_sec")?.as_num()?;
-    Some((pr, eps))
-}
-
-/// Checks that `text` is a valid snapshot under the current [`SCHEMA`].
+/// Checks that `text` is a valid snapshot under the current [`SCHEMA`]
+/// and returns the parsed document.
 ///
-/// Every structural requirement is spelled out so a drifted producer
-/// fails with a message naming the missing piece.
-pub fn validate(text: &str) -> Result<(), String> {
-    let doc = parse(text)?;
+/// Every requirement names the offending path, so a drifted producer
+/// fails with a message saying which piece is missing. Members the
+/// table does not name (earlier generations' wall-clock fields) are
+/// ignored.
+pub fn validate(text: &str) -> Result<Value, String> {
+    let doc = json::decode(text).map_err(|e| e.to_string())?;
     let schema = doc
         .get("schema")
-        .and_then(Json::as_str)
+        .and_then(Value::as_str)
         .ok_or("missing string field: schema")?;
     if schema != SCHEMA {
         return Err(format!("schema is {schema:?}, expected {SCHEMA:?}"));
     }
-    doc.get("pr")
-        .and_then(Json::as_str)
+    let pr = doc
+        .get("pr")
+        .and_then(Value::as_str)
         .ok_or("missing string field: pr")?;
     doc.get("seed")
-        .and_then(Json::as_num)
+        .and_then(Value::as_f64)
         .ok_or("missing number field: seed")?;
     let snap = doc
         .get("snapshot")
         .ok_or("missing object field: snapshot")?;
-    snap.get("events_per_sec")
-        .and_then(Json::as_num)
-        .ok_or("missing number field: snapshot.events_per_sec")?;
-    let exps = match snap.get("experiments") {
-        Some(Json::Obj(m)) if !m.is_empty() => m,
-        _ => return Err("snapshot.experiments must be a non-empty object".into()),
-    };
-    for (name, exp) in exps {
-        for field in ["wall_ms", "events", "events_per_sec"] {
-            exp.get(field).and_then(Json::as_num).ok_or(format!(
-                "missing number field: snapshot.experiments.{name}.{field}"
-            ))?;
-        }
-    }
-    match snap.get("table1_ns") {
-        Some(Json::Obj(m)) if !m.is_empty() => {
-            for (label, v) in m {
-                v.as_num()
-                    .ok_or(format!("snapshot.table1_ns[{label:?}] must be a number"))?;
+    match snap.get(TABLE1).and_then(Value::as_object) {
+        Some(rows) if !rows.is_empty() => {
+            for (label, v) in rows {
+                v.as_f64()
+                    .ok_or(format!("snapshot.{TABLE1}[{label:?}] must be a number"))?;
             }
         }
-        _ => return Err("snapshot.table1_ns must be a non-empty object".into()),
+        _ => return Err(format!("snapshot.{TABLE1} must be a non-empty object")),
     }
-    let alloc = snap
-        .get("alloc")
-        .ok_or("missing object field: snapshot.alloc")?;
-    for field in ["pool_hits", "pool_misses"] {
-        alloc
-            .get(field)
-            .and_then(Json::as_num)
-            .ok_or(format!("missing number field: snapshot.alloc.{field}"))?;
-    }
-    // The shard-scaling block is optional (older snapshots predate it),
-    // but when present must carry every measured field.
-    if let Some(shard) = snap.get("shard_scaling") {
-        for field in [
-            "nodes_before",
-            "nodes_after",
-            "tput_before",
-            "tput_after",
-            "ratio",
-            "p99_before_us",
-            "p99_migration_us",
-            "p99_after_us",
-            "objects_moved",
-        ] {
-            shard.get(field).and_then(Json::as_num).ok_or(format!(
-                "missing number field: snapshot.shard_scaling.{field}"
-            ))?;
+    // An ad-hoc snapshot (`dev`, `ci`) was written by this tree and is
+    // held to the whole table.
+    let pr_num = pr.parse::<u64>().unwrap_or(u64::MAX);
+    for metric in METRICS {
+        match metric.node(&doc) {
+            Some(v) if v.as_f64().is_some() => {}
+            None if pr_num < metric.since => {}
+            _ => return Err(format!("missing number field: snapshot.{}", metric.path())),
         }
     }
-    // The autoscale block is optional (older snapshots predate it), but
-    // when present must carry every measured field.
-    if let Some(auto) = snap.get("autoscale") {
-        for field in [
-            "reactive_cold_start_rate",
-            "predictive_cold_start_rate",
-            "cold_start_ratio",
-            "reactive_mean_cpu_util",
-            "predictive_mean_cpu_util",
-            "reactive_slo_attainment",
-            "predictive_slo_attainment",
-            "prewarms",
-            "preemptions",
-            "rebalances",
-        ] {
-            auto.get(field)
-                .and_then(Json::as_num)
-                .ok_or(format!("missing number field: snapshot.autoscale.{field}"))?;
+    // The streaming headline is enforced on the artifact itself: PCSI
+    // push beats SSE per event on the fast network.
+    let fast = |key| snap.get("streaming").and_then(|s| s.get(key)?.as_f64());
+    if let (Some(p), Some(s)) = (fast("fast_pcsi_event_ns"), fast("fast_sse_event_ns")) {
+        if p >= s {
+            return Err(format!(
+                "streaming claim violated: fast-network PCSI per-event \
+                 ({p:.0}ns) must beat SSE ({s:.0}ns)"
+            ));
         }
     }
-    // The streaming block is optional (older snapshots predate it), but
-    // when present must carry every measured field — and must uphold
-    // the headline claim: PCSI push beats SSE per-event latency on the
-    // fast network generation.
-    if let Some(stream) = snap.get("streaming") {
-        let mut fields = vec![
-            "fan_out".to_owned(),
-            "metrics_delta_bytes".to_owned(),
-            "metrics_full_bytes".to_owned(),
-            "delta_compression".to_owned(),
-            "ttft_pcsi_ns".to_owned(),
-            "ttft_sse_ns".to_owned(),
-            "total_pcsi_ns".to_owned(),
-            "total_sse_ns".to_owned(),
-        ];
-        for gen in ["dc2005", "dc2021", "fast"] {
-            for metric in [
-                "rtt_ns",
-                "pcsi_event_ns",
-                "sse_event_ns",
-                "pcsi_fanout_ns",
-                "sse_fanout_ns",
-            ] {
-                fields.push(format!("{gen}_{metric}"));
-            }
-        }
-        for field in &fields {
-            stream
-                .get(field)
-                .and_then(Json::as_num)
-                .ok_or(format!("missing number field: snapshot.streaming.{field}"))?;
-        }
-        let fast_pcsi = stream.get("fast_pcsi_event_ns").and_then(Json::as_num);
-        let fast_sse = stream.get("fast_sse_event_ns").and_then(Json::as_num);
-        if let (Some(p), Some(s)) = (fast_pcsi, fast_sse) {
-            if p >= s {
-                return Err(format!(
-                    "streaming claim violated: fast-network PCSI per-event \
-                     ({p:.0}ns) must beat SSE ({s:.0}ns)"
-                ));
-            }
-        }
-    }
-    // Baseline block is optional, but when present must be well-formed.
-    if let Some(base) = doc.get("baseline") {
-        base.get("pr")
-            .and_then(Json::as_str)
-            .ok_or("baseline.pr must be a string")?;
-        base.get("events_per_sec")
-            .and_then(Json::as_num)
-            .ok_or("baseline.events_per_sec must be a number")?;
-        doc.get("ratio_events_per_sec")
-            .and_then(Json::as_num)
-            .ok_or("ratio_events_per_sec must accompany baseline")?;
-    }
-    Ok(())
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an f64 so it round-trips through the parser (always carries
-/// a decimal point or exponent, never `NaN`/`inf` which JSON forbids).
-fn num(v: f64) -> String {
-    if !v.is_finite() {
-        return "0.0".into();
-    }
-    let s = format!("{v:.3}");
-    s
-}
-
-/// Parses a complete JSON document (trailing garbage is an error).
-pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at offset {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_number(b, pos),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at offset {}", *pos))
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(map));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        map.insert(key, value);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            _ => return Err(format!("expected ',' or '}}' at offset {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {}", *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at offset {}", *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = b.get(*pos).copied().ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        *pos += 4;
-                        // Snapshot strings never use surrogate pairs.
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    _ => return Err(format!("bad escape at offset {}", *pos)),
-                }
-            }
-            c => {
-                // Re-decode multi-byte UTF-8 starting at c.
-                if c < 0x80 {
-                    out.push(c as char);
-                } else {
-                    let start = *pos - 1;
-                    let mut end = *pos;
-                    while end < b.len() && (b[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&b[start..end]).map_err(|e| e.to_string())?;
-                    out.push_str(s);
-                    *pos = end;
-                }
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    s.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number {s:?} at offset {start}"))
+    Ok(doc)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::experiments::hotpath::ExpResult;
-    use std::time::Duration;
+    use proptest::prelude::*;
 
-    fn suite() -> SuiteResult {
-        SuiteResult {
-            seed: 7,
-            experiments: vec![
-                ExpResult::new("timer_churn", Duration::from_millis(120), 100_000),
-                ExpResult::new("driver_sweep", Duration::from_millis(800), 1_000_000),
-            ],
-            table1_ns: vec![("within-server function call".into(), 5_000.0)],
-            pool_hits: 10,
-            pool_misses: 2,
-        }
-    }
-
-    fn shard() -> ShardScalingResult {
-        ShardScalingResult {
-            nodes_before: 3,
-            nodes_after: 12,
-            tput_before: 45_000.0,
-            tput_after: 160_000.0,
-            p99_before_us: 1_500.0,
-            p99_migration_us: 4_000.0,
-            p99_after_us: 400.0,
-            objects_moved: 64,
-        }
-    }
-
-    fn diurnal() -> (DiurnalResult, DiurnalResult) {
+    /// A small hand-made [`Results`]; tests edit the fields they probe.
+    pub(crate) fn fixture() -> Results {
         use crate::experiments::efficiency::ScalePolicy;
-        let base = DiurnalResult {
+        use crate::experiments::streaming::{MetricsDeltaResult, StreamPoint, TokenServingResult};
+        let reactive = DiurnalResult {
             policy: ScalePolicy::Reactive,
             completed: 20_000,
             cold_starts: 160,
@@ -685,22 +312,15 @@ mod tests {
         };
         let predictive = DiurnalResult {
             policy: ScalePolicy::Predictive,
-            completed: 20_000,
             cold_starts: 20,
             slo_attainment: 0.999,
             mean_cpu_util: 0.35,
             prewarms: 700,
             preemptions: 2,
             rebalances: 500,
-            ..base.clone()
+            ..reactive.clone()
         };
-        (base, predictive)
-    }
-
-    fn streaming_fixture() -> StreamingResult {
-        use crate::experiments::streaming::{MetricsDeltaResult, StreamPoint, TokenServingResult};
-        use pcsi_net::NetworkGeneration;
-        let point = |generation: NetworkGeneration, pcsi: f64, sse: f64| StreamPoint {
+        let point = |generation: pcsi_net::NetworkGeneration, pcsi: f64, sse: f64| StreamPoint {
             generation,
             rtt_ns: generation.rtt().as_nanos() as f64,
             pcsi_event_ns: pcsi,
@@ -708,167 +328,198 @@ mod tests {
             pcsi_fanout_ns: pcsi * 1.4,
             sse_fanout_ns: sse * 1.4,
         };
-        StreamingResult {
-            points: vec![
-                point(NetworkGeneration::Dc2005, 600_000.0, 1_400_000.0),
-                point(NetworkGeneration::Dc2021, 130_000.0, 520_000.0),
-                point(NetworkGeneration::FastEmerging, 2_000.0, 310_000.0),
+        Results {
+            table1: vec![
+                table1::Row {
+                    label: "Socket overhead".into(),
+                    paper_ns: Some(5_000.0),
+                    ours_ns: 5_000.0,
+                    source: "modeled",
+                },
+                table1::Row {
+                    label: "sched_yield(2) on this machine".into(),
+                    paper_ns: None,
+                    ours_ns: 164.926,
+                    source: "measured (host)",
+                },
             ],
-            delta: MetricsDeltaResult {
-                ticks: 20,
-                mean_delta_bytes: 400.0,
-                mean_full_bytes: 4_000.0,
-                reconstructed: true,
+            shard: ShardScalingResult {
+                nodes_before: 3,
+                nodes_after: 12,
+                tput_before: 45_000.0,
+                tput_after: 160_000.0,
+                p99_before_us: 1_500.0,
+                p99_migration_us: 4_000.0,
+                p99_after_us: 400.0,
+                objects_moved: 64,
             },
-            tokens: TokenServingResult {
-                tokens: 32,
-                pcsi_ttft_ns: 1_200_000.0,
-                sse_ttft_ns: 1_700_000.0,
-                pcsi_total_ns: 33_000_000.0,
-                sse_total_ns: 49_000_000.0,
+            autoscale: (reactive, predictive),
+            streaming: StreamingResult {
+                points: vec![
+                    point(Dc2005, 600_000.0, 1_400_000.0),
+                    point(Dc2021, 130_000.0, 520_000.0),
+                    point(FastEmerging, 2_000.0, 310_000.0),
+                ],
+                delta: MetricsDeltaResult {
+                    ticks: 20,
+                    mean_delta_bytes: 400.0,
+                    mean_full_bytes: 4_000.0,
+                    reconstructed: true,
+                },
+                tokens: TokenServingResult {
+                    tokens: 32,
+                    pcsi_ttft_ns: 1_200_000.0,
+                    sse_ttft_ns: 1_700_000.0,
+                    pcsi_total_ns: 33_000_000.0,
+                    sse_total_ns: 49_000_000.0,
+                },
             },
         }
     }
 
-    #[test]
-    fn rendered_snapshot_validates() {
-        let text = render(&suite(), None, None, None, "6", None);
-        validate(&text).unwrap();
+    /// The committed `BENCH_<pr>.json`, byte for byte.
+    pub(crate) fn committed(pr: u64) -> String {
+        let path = format!("{}/../../BENCH_{pr}.json", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
     }
 
     #[test]
-    fn streaming_block_renders_and_validates() {
-        // Alone, and stacked behind the other optional blocks — every
-        // comma path.
-        for (shard_block, auto_block) in [
-            (None, None),
-            (Some(shard()), None),
-            (None, Some(diurnal())),
-            (Some(shard()), Some(diurnal())),
-        ] {
-            let text = render(
-                &suite(),
-                shard_block.as_ref(),
-                auto_block.as_ref(),
-                Some(&streaming_fixture()),
-                "9",
-                None,
-            );
-            validate(&text).unwrap();
-            let doc = parse(&text).unwrap();
-            let block = doc.get("snapshot").unwrap().get("streaming").unwrap();
-            assert_eq!(block.get("fan_out").unwrap().as_num(), Some(8.0));
+    fn table_paths_are_unique_and_tracked_rows_have_a_direction() {
+        let mut paths: Vec<String> = METRICS.iter().map(Metric::path).collect();
+        paths.sort();
+        paths.dedup();
+        assert_eq!(paths.len(), METRICS.len());
+        for metric in METRICS.iter().filter(|m| m.tracked) {
+            assert_ne!(metric.better, Neither, "{}", metric.path());
+        }
+    }
+
+    #[test]
+    fn rendered_snapshot_validates_and_reads_back() {
+        let r = fixture();
+        let doc = validate(&render(&r, "12", 7)).unwrap();
+        assert_eq!(doc.get("pr").and_then(Value::as_str), Some("12"));
+        assert_eq!(doc.get("seed").and_then(Value::as_i64), Some(7));
+        for metric in METRICS {
             assert_eq!(
-                block.get("fast_pcsi_event_ns").unwrap().as_num(),
-                Some(2_000.0)
+                metric.read(&doc),
+                Some(metric.value(&r)),
+                "{}",
+                metric.path()
             );
-            let comp = block.get("delta_compression").unwrap().as_num().unwrap();
-            assert!((comp - 10.0).abs() < 1e-3, "compression {comp}");
-            // A block missing a measured field is schema drift.
-            let drifted = text.replace("\"dc2021_sse_fanout_ns\"", "\"dc2021_sse_fo\"");
-            assert!(validate(&drifted)
-                .unwrap_err()
-                .contains("streaming.dc2021_sse_fanout_ns"));
         }
+        let read = |block, key| {
+            let metric = METRICS.iter().find(|m| (m.block, m.key) == (block, key));
+            metric.unwrap().read(&doc).unwrap()
+        };
+        assert_eq!(read("shard_scaling", "ratio"), 160.0 / 45.0);
+        assert_eq!(read("autoscale", "cold_start_ratio"), 8.0);
+        assert_eq!(read("streaming", "fan_out"), 8.0);
+        assert_eq!(read("streaming", "delta_compression"), 10.0);
     }
 
     #[test]
-    fn streaming_claim_is_enforced_on_the_artifact() {
-        // A snapshot whose fast-network numbers show SSE winning is
-        // rejected even though it is structurally well-formed.
-        let mut fixture = streaming_fixture();
-        fixture.points[2].pcsi_event_ns = 500_000.0;
-        let text = render(&suite(), None, None, Some(&fixture), "9", None);
-        assert!(validate(&text).unwrap_err().contains("streaming claim"));
-    }
-
-    #[test]
-    fn shard_scaling_block_renders_and_validates() {
-        let text = render(&suite(), Some(&shard()), None, None, "7", None);
-        validate(&text).unwrap();
-        let doc = parse(&text).unwrap();
-        let block = doc.get("snapshot").unwrap().get("shard_scaling").unwrap();
-        assert_eq!(block.get("nodes_after").unwrap().as_num(), Some(12.0));
-        let ratio = block.get("ratio").unwrap().as_num().unwrap();
-        assert!((ratio - 160.0 / 45.0).abs() < 1e-3, "ratio {ratio}");
-        // A block missing a measured field is schema drift.
-        let drifted = text.replace("\"p99_migration_us\"", "\"p99_mig\"");
-        assert!(validate(&drifted)
-            .unwrap_err()
-            .contains("shard_scaling.p99_migration_us"));
-    }
-
-    #[test]
-    fn autoscale_block_renders_and_validates() {
-        // With and without the shard block — both comma paths.
-        for shard_block in [None, Some(shard())] {
-            let text = render(
-                &suite(),
-                shard_block.as_ref(),
-                Some(&diurnal()),
-                None,
-                "8",
-                None,
+    fn bench_check_rejects_missing_mistyped_and_foreign_documents() {
+        let text = render(&fixture(), "dev", 7);
+        for metric in METRICS {
+            let member = format!("\"{}\":", metric.key);
+            assert_eq!(text.matches(&member).count(), 1, "{member}");
+            // Renamed away: the path is missing.
+            let missing = text.replace(&member, &format!("\"{}_x\":", metric.key));
+            assert!(
+                validate(&missing).unwrap_err().contains(&metric.path()),
+                "{}",
+                metric.path()
             );
-            validate(&text).unwrap();
-            let doc = parse(&text).unwrap();
-            let block = doc.get("snapshot").unwrap().get("autoscale").unwrap();
-            let ratio = block.get("cold_start_ratio").unwrap().as_num().unwrap();
-            assert!((ratio - 8.0).abs() < 1e-3, "ratio {ratio}");
-            assert_eq!(block.get("prewarms").unwrap().as_num(), Some(700.0));
-            // A block missing a measured field is schema drift.
-            let drifted = text.replace("\"predictive_mean_cpu_util\"", "\"util\"");
-            assert!(validate(&drifted)
-                .unwrap_err()
-                .contains("autoscale.predictive_mean_cpu_util"));
+            // Still there, but a string.
+            let mistyped = text.replace(&member, &format!("{member}\"n/a\",\"{}_x\":", metric.key));
+            assert!(
+                validate(&mistyped).unwrap_err().contains(&metric.path()),
+                "{}",
+                metric.path()
+            );
         }
-    }
-
-    #[test]
-    fn baseline_embedding_and_ratio() {
-        let base = render(&suite(), None, None, None, "base", None);
-        let text = render(
-            &suite(),
-            Some(&shard()),
-            Some(&diurnal()),
-            None,
-            "6",
-            Some(&base),
-        );
-        validate(&text).unwrap();
-        let doc = parse(&text).unwrap();
-        assert_eq!(
-            doc.get("baseline").unwrap().get("pr").unwrap().as_str(),
-            Some("base")
-        );
-        let ratio = doc.get("ratio_events_per_sec").unwrap().as_num().unwrap();
-        assert!((ratio - 1.0).abs() < 1e-9, "ratio {ratio}");
-    }
-
-    #[test]
-    fn schema_drift_is_rejected() {
-        let text = render(&suite(), None, None, None, "6", None);
-        // Wrong schema tag.
-        let drifted = text.replace(SCHEMA, "pcsi-bench-snapshot/v0");
-        assert!(validate(&drifted).unwrap_err().contains("schema"));
-        // Dropped field.
-        let drifted = text.replace("\"events_per_sec\"", "\"eps\"");
-        assert!(validate(&drifted).is_err());
-        // Not JSON at all.
+        let foreign = text.replace(SCHEMA, "pcsi-bench-snapshot/v0");
+        assert!(validate(&foreign).unwrap_err().contains("schema"));
+        let no_table1 = text.replace(TABLE1, "table1");
+        assert!(validate(&no_table1).unwrap_err().contains(TABLE1));
         assert!(validate("not json").is_err());
     }
 
     #[test]
-    fn parser_handles_nesting_escapes_and_numbers() {
-        let doc =
-            parse(r#"{"a": [1, -2.5, 1e3], "s": "x\n\"y\" A", "b": true, "n": null}"#).unwrap();
-        let arr = match doc.get("a").unwrap() {
-            Json::Arr(v) => v,
-            other => panic!("{other:?}"),
+    fn a_numbered_snapshot_may_lack_only_what_postdates_it() {
+        // PR 8 predates the streaming block (since 9), not autoscale.
+        let doc = json::decode(&render(&fixture(), "8", 7)).unwrap();
+        let without = |block: &str| {
+            let mut doc = doc.clone();
+            let Value::Object(top) = &mut doc else {
+                unreachable!()
+            };
+            let Some(Value::Object(snap)) = top.get_mut("snapshot") else {
+                unreachable!()
+            };
+            snap.remove(block).unwrap();
+            json::encode(&doc)
         };
-        assert_eq!(arr[2].as_num(), Some(1000.0));
-        assert_eq!(doc.get("s").unwrap().as_str(), Some("x\n\"y\" A"));
-        assert_eq!(doc.get("b").unwrap(), &Json::Bool(true));
-        assert!(parse(r#"{"a": 1} trailing"#).is_err());
+        validate(&without("streaming")).unwrap();
+        assert!(validate(&without("autoscale"))
+            .unwrap_err()
+            .contains("snapshot.autoscale."));
+    }
+
+    #[test]
+    fn streaming_claim_is_enforced_on_the_artifact() {
+        // SSE winning on the fast network is rejected even though the
+        // document is structurally well-formed.
+        let mut r = fixture();
+        r.streaming.points[2].pcsi_event_ns = 500_000.0;
+        let err = validate(&render(&r, "9", 7)).unwrap_err();
+        assert!(err.contains("streaming claim"), "{err}");
+    }
+
+    #[test]
+    fn committed_snapshots_still_pass_bench_check() {
+        for pr in 6..=10 {
+            let doc = validate(&committed(pr)).unwrap_or_else(|e| panic!("BENCH_{pr}: {e}"));
+            for metric in METRICS {
+                assert_eq!(
+                    metric.read(&doc).is_some(),
+                    pr >= metric.since,
+                    "BENCH_{pr} {}",
+                    metric.path()
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// Every table path, and every Table 1 label however it must be
+        /// escaped, reads back the exact `f64` that was rendered.
+        #[test]
+        fn every_path_reads_back_the_exact_f64(
+            values in proptest::collection::vec(
+                any::<f64>().prop_filter("finite", |v| v.is_finite()),
+                METRICS.len() + 2..METRICS.len() + 3,
+            ),
+            label in proptest::collection::vec(any::<char>(), 0..12),
+        ) {
+            let label: String = label.into_iter().chain("\"\\\t\u{1}é🦀".chars()).collect();
+            let table1 = [
+                ("sched_yield(2) on this machine", values[METRICS.len()]),
+                (label.as_str(), values[METRICS.len() + 1]),
+            ];
+            let drawn: BTreeMap<String, f64> =
+                METRICS.iter().map(Metric::path).zip(values.iter().copied()).collect();
+            let text = document(table1.into_iter(), |metric| drawn[&metric.path()], "dev", 7);
+            let doc = json::decode(&text).unwrap();
+            for (metric, v) in METRICS.iter().zip(&values) {
+                prop_assert_eq!(metric.read(&doc).map(f64::to_bits), Some(v.to_bits()));
+            }
+            let block = doc.get("snapshot").unwrap().get(TABLE1).unwrap();
+            for (label, v) in table1 {
+                let got = block.get(label).and_then(Value::as_f64);
+                prop_assert_eq!(got.map(f64::to_bits), Some(v.to_bits()));
+            }
+        }
     }
 }

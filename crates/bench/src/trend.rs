@@ -2,12 +2,11 @@
 //!
 //! Each PR that touches performance commits one snapshot
 //! ([`crate::snapshot`]); this module reads them *all* back and turns
-//! the pile of per-PR files into a per-metric trajectory:
+//! the pile of per-PR files into a per-metric trajectory over the rows
+//! of [`snapshot::METRICS`] marked `tracked`:
 //!
 //! * `report -- trend` renders the table — one row per snapshot, one
-//!   column per tracked metric (headline events/sec, shard scale-out
-//!   ratio, diurnal cold-start reduction, fast-network streaming
-//!   latency, token TTFT) — so the repository's perf history is
+//!   column per tracked metric — so the repository's perf history is
 //!   readable without opening a single JSON file;
 //! * `report -- bench-check --trend` is the regression gate: the
 //!   newest numeric-PR snapshot is compared against the **best prior**
@@ -17,149 +16,86 @@
 //! Only snapshots whose `pr` field parses as a number participate in
 //! the gate: those are the numbers of record (see README "Perf
 //! snapshots"). Ad-hoc snapshots (`dev`, `ci`) still show up in the
-//! table — CI runners are too noisy to gate on, but the trajectory
-//! should display what was measured.
+//! table.
 //!
-//! Metrics split by provenance. **Virtual-time** metrics (shard
-//! scale-out ratio, cold-start reduction, streaming latencies) come
-//! out of the deterministic simulator: the same code produces the same
-//! number on any machine, so a slide past tolerance can only be a real
-//! code change and the gate fails hard. **Wall-clock** metrics
-//! (events/sec) move with the hardware that captured the snapshot —
-//! the committed history already swings ±40% across machines — so
-//! they are compared and reported but never fail the gate.
+//! Every tracked metric comes out of the deterministic simulator: the
+//! same code produces the same number on any machine, so a slide past
+//! tolerance can only be a real code change and the gate fails hard.
 
 use std::path::Path;
 
+use pcsi_proto::Value;
+
 use crate::reportfmt::Table;
-use crate::snapshot::{self, Json};
+use crate::snapshot::{self, Better, Metric};
 
 /// Maximum tolerated regression of the latest snapshot against the
 /// best prior value of a metric, as a fraction (0.20 = 20%).
 pub const DEFAULT_TOLERANCE: f64 = 0.20;
 
-/// One tracked metric: where it lives in the snapshot document and
-/// which direction is an improvement.
-struct Metric {
-    /// Column header and the name used in regression messages.
-    label: &'static str,
-    /// Path below `snapshot`, e.g. `["shard_scaling", "ratio"]`.
-    path: &'static [&'static str],
-    /// `true` when larger values are better (throughput, ratios);
-    /// `false` when smaller values are better (latencies).
-    higher_is_better: bool,
-    /// `true` for metrics measured in real wall-clock time, which vary
-    /// with the capturing machine: reported, never gated. Virtual-time
-    /// metrics are machine-independent and gate hard.
-    wall_clock: bool,
+/// The tracked metrics, in table-column order. A metric only gates when
+/// both the latest and some prior snapshot carry it.
+fn tracked() -> impl Iterator<Item = &'static Metric> {
+    snapshot::METRICS.iter().filter(|m| m.tracked)
 }
 
-/// The tracked metrics, in table-column order. Every entry is optional
-/// per snapshot — older snapshots predate the newer blocks — and a
-/// metric only gates when both the latest and some prior snapshot
-/// carry it.
-const METRICS: &[Metric] = &[
-    Metric {
-        label: "events/sec",
-        path: &["events_per_sec"],
-        higher_is_better: true,
-        wall_clock: true,
-    },
-    Metric {
-        label: "shard ratio",
-        path: &["shard_scaling", "ratio"],
-        higher_is_better: true,
-        wall_clock: false,
-    },
-    Metric {
-        label: "cold-start ratio",
-        path: &["autoscale", "cold_start_ratio"],
-        higher_is_better: true,
-        wall_clock: false,
-    },
-    Metric {
-        label: "fast push ns",
-        path: &["streaming", "fast_pcsi_event_ns"],
-        higher_is_better: false,
-        wall_clock: false,
-    },
-    Metric {
-        label: "ttft ns",
-        path: &["streaming", "ttft_pcsi_ns"],
-        higher_is_better: false,
-        wall_clock: false,
-    },
-];
-
-/// One snapshot's tracked metrics, in [`METRICS`] order (`None` where
-/// the snapshot predates the metric's block).
+/// One snapshot's tracked metrics, in [`tracked`] order (`None` where
+/// the snapshot predates the metric).
 #[derive(Debug, Clone)]
 pub struct TrendRow {
     /// The snapshot's `pr` field, verbatim.
     pub pr: String,
     /// `pr` parsed as a number, when it is one — only these rows gate.
     pub pr_num: Option<u64>,
-    /// Metric values in [`METRICS`] order.
     values: Vec<Option<f64>>,
-}
-
-fn extract(doc: &Json, path: &[&str]) -> Option<f64> {
-    let mut node = doc.get("snapshot")?;
-    for key in path {
-        node = node.get(key)?;
-    }
-    node.as_num()
 }
 
 /// Parses one snapshot document into a trend row. The document must
 /// validate against the current schema — a drifted snapshot is an
 /// error, not a silent gap in the trajectory.
 pub fn parse_row(text: &str) -> Result<TrendRow, String> {
-    snapshot::validate(text)?;
-    let doc = snapshot::parse(text)?;
+    let doc = snapshot::validate(text)?;
     let pr = doc
         .get("pr")
-        .and_then(Json::as_str)
-        .ok_or("missing string field: pr")?
+        .and_then(Value::as_str)
+        .expect("validated")
         .to_owned();
     let pr_num = pr.parse::<u64>().ok();
-    let values = METRICS.iter().map(|m| extract(&doc, m.path)).collect();
+    let values = tracked().map(|m| m.read(&doc)).collect();
     Ok(TrendRow { pr, pr_num, values })
 }
 
-/// Reads every `BENCH_*.json` in `dir` into trend rows, sorted:
-/// numeric PRs ascending first, then the rest by name. Any unreadable
-/// or schema-drifted file is an error naming the file.
+/// Orders rows: numeric PRs ascending first, then the rest by name.
+fn sort(rows: &mut [TrendRow]) {
+    rows.sort_by(|a, b| {
+        (a.pr_num.is_none(), a.pr_num, &a.pr).cmp(&(b.pr_num.is_none(), b.pr_num, &b.pr))
+    });
+}
+
+/// Reads every `BENCH_*.json` in `dir` into sorted trend rows. Any
+/// unreadable or schema-drifted file is an error naming the file.
 pub fn load_dir(dir: &Path) -> Result<Vec<TrendRow>, String> {
     let mut rows = Vec::new();
     let entries = std::fs::read_dir(dir).map_err(|e| format!("cannot read {dir:?}: {e}"))?;
-    let mut names: Vec<String> = entries
+    for name in entries
         .filter_map(|e| e.ok())
         .filter_map(|e| e.file_name().into_string().ok())
         .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        .collect();
-    names.sort();
-    for name in names {
-        let path = dir.join(&name);
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {name}: {e}"))?;
-        let row = parse_row(&text).map_err(|e| format!("{name}: {e}"))?;
-        rows.push(row);
+    {
+        let text = std::fs::read_to_string(dir.join(&name))
+            .map_err(|e| format!("cannot read {name}: {e}"))?;
+        rows.push(parse_row(&text).map_err(|e| format!("{name}: {e}"))?);
     }
-    rows.sort_by(|a, b| match (a.pr_num, b.pr_num) {
-        (Some(x), Some(y)) => x.cmp(&y),
-        (Some(_), None) => std::cmp::Ordering::Less,
-        (None, Some(_)) => std::cmp::Ordering::Greater,
-        (None, None) => a.pr.cmp(&b.pr),
-    });
+    sort(&mut rows);
     Ok(rows)
 }
 
 /// Renders the trajectory table: one row per snapshot, one column per
 /// tracked metric, `—` where a snapshot predates the metric.
 pub fn render_table(rows: &[TrendRow]) -> String {
+    let labels: Vec<String> = tracked().map(Metric::path).collect();
     let mut headers = vec!["pr"];
-    headers.extend(METRICS.iter().map(|m| m.label));
+    headers.extend(labels.iter().map(String::as_str));
     let mut t = Table::new(&headers);
     for row in rows {
         let mut cells = vec![row.pr.clone()];
@@ -178,10 +114,9 @@ pub fn render_table(rows: &[TrendRow]) -> String {
 /// against the best prior numeric-PR value of each tracked metric.
 ///
 /// Returns the per-metric verdict lines on success, or the regression
-/// messages when any virtual-time metric slid more than `tolerance`
-/// (wall-clock metrics are reported but never fail — see the module
-/// docs). Fewer than two numeric-PR snapshots means there is nothing
-/// to gate yet — trivially ok.
+/// messages when any metric slid more than `tolerance`. Fewer than two
+/// numeric-PR snapshots means there is nothing to gate yet — trivially
+/// ok.
 pub fn check(rows: &[TrendRow], tolerance: f64) -> Result<Vec<String>, Vec<String>> {
     let numeric: Vec<&TrendRow> = rows.iter().filter(|r| r.pr_num.is_some()).collect();
     let Some((latest, priors)) = numeric.split_last() else {
@@ -195,19 +130,18 @@ pub fn check(rows: &[TrendRow], tolerance: f64) -> Result<Vec<String>, Vec<Strin
     }
     let mut verdicts = Vec::new();
     let mut regressions = Vec::new();
-    for (i, m) in METRICS.iter().enumerate() {
+    for (i, m) in tracked().enumerate() {
+        let label = m.path();
+        let higher_is_better = m.better == Better::Higher;
         let Some(cur) = latest.values[i] else {
-            verdicts.push(format!(
-                "{}: absent from pr {}, skipped",
-                m.label, latest.pr
-            ));
+            verdicts.push(format!("{label}: absent from pr {}, skipped", latest.pr));
             continue;
         };
         let best = priors
             .iter()
             .filter_map(|r| r.values[i].map(|v| (v, r.pr.as_str())))
             .reduce(|a, b| {
-                let a_wins = if m.higher_is_better {
+                let a_wins = if higher_is_better {
                     a.0 >= b.0
                 } else {
                     a.0 <= b.0
@@ -219,24 +153,20 @@ pub fn check(rows: &[TrendRow], tolerance: f64) -> Result<Vec<String>, Vec<Strin
                 }
             });
         let Some((best, best_pr)) = best else {
-            verdicts.push(format!(
-                "{}: no prior snapshot carries it, skipped",
-                m.label
-            ));
+            verdicts.push(format!("{label}: no prior snapshot carries it, skipped"));
             continue;
         };
         if best <= 0.0 {
-            verdicts.push(format!("{}: prior best is nonpositive, skipped", m.label));
+            verdicts.push(format!("{label}: prior best is nonpositive, skipped"));
             continue;
         }
-        let slide = if m.higher_is_better {
+        let slide = if higher_is_better {
             (best - cur) / best
         } else {
             (cur - best) / best
         };
         let line = format!(
-            "{}: pr {} at {:.3} vs best {:.3} (pr {best_pr}) — {}{:.1}%",
-            m.label,
+            "{label}: pr {} at {:.3} vs best {:.3} (pr {best_pr}) — {}{:.1}%",
             latest.pr,
             cur,
             best,
@@ -247,9 +177,7 @@ pub fn check(rows: &[TrendRow], tolerance: f64) -> Result<Vec<String>, Vec<Strin
             },
             slide.abs() * 100.0
         );
-        if m.wall_clock {
-            verdicts.push(format!("{line} (wall-clock, informational)"));
-        } else if slide > tolerance {
+        if slide > tolerance {
             regressions.push(format!(
                 "{line} — exceeds the {:.0}% tolerance",
                 tolerance * 100.0
@@ -268,76 +196,51 @@ pub fn check(rows: &[TrendRow], tolerance: f64) -> Result<Vec<String>, Vec<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::tests::{committed, fixture};
 
-    fn doc(pr: &str, eps: f64, shard_ratio: Option<f64>) -> String {
-        let shard = shard_ratio
-            .map(|r| {
-                format!(
-                    ",\n    \"shard_scaling\": {{\"nodes_before\": 3, \"nodes_after\": 12, \
-                     \"tput_before\": 1.0, \"tput_after\": 2.0, \"ratio\": {r:.3}, \
-                     \"p99_before_us\": 1.0, \"p99_migration_us\": 2.0, \"p99_after_us\": 0.5, \
-                     \"objects_moved\": 4}}"
-                )
-            })
-            .unwrap_or_default();
-        format!(
-            "{{\n  \"schema\": \"{}\",\n  \"pr\": \"{pr}\",\n  \"seed\": 7,\n  \"snapshot\": {{\n    \
-             \"events_per_sec\": {eps:.3},\n    \
-             \"experiments\": {{\"driver_sweep\": {{\"wall_ms\": 1.0, \"events\": 10, \
-             \"events_per_sec\": {eps:.3}}}}},\n    \
-             \"table1_ns\": {{\"x\": 1.0}},\n    \
-             \"alloc\": {{\"pool_hits\": 1, \"pool_misses\": 0}}{shard}\n  }}\n}}\n",
-            snapshot::SCHEMA
-        )
+    /// A rendered snapshot whose shard scale-out ratio is `ratio` and
+    /// whose fast-network push latency is `fast_ns`.
+    fn row(pr: &str, ratio: f64, fast_ns: f64) -> TrendRow {
+        let mut r = fixture();
+        r.shard.tput_after = r.shard.tput_before * ratio;
+        r.streaming.points[2].pcsi_event_ns = fast_ns;
+        parse_row(&snapshot::render(&r, pr, 7)).unwrap()
     }
 
     #[test]
     fn rows_sort_numeric_prs_first_and_ascending() {
-        let texts = [
-            doc("10", 1.0, None),
-            doc("ci", 1.0, None),
-            doc("9", 1.0, None),
+        let mut rows = vec![
+            row("10", 3.0, 2e3),
+            row("dev", 3.0, 2e3),
+            row("9", 3.0, 2e3),
+            row("ci", 3.0, 2e3),
         ];
-        let mut rows: Vec<TrendRow> = texts.iter().map(|t| parse_row(t).unwrap()).collect();
-        rows.sort_by(|a, b| match (a.pr_num, b.pr_num) {
-            (Some(x), Some(y)) => x.cmp(&y),
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (None, None) => a.pr.cmp(&b.pr),
-        });
+        sort(&mut rows);
         let order: Vec<&str> = rows.iter().map(|r| r.pr.as_str()).collect();
-        assert_eq!(order, ["9", "10", "ci"]);
+        assert_eq!(order, ["9", "10", "ci", "dev"]);
     }
 
     #[test]
     fn gate_passes_within_tolerance_and_ignores_ad_hoc_snapshots() {
         // 10% below the best prior: within the 20% gate. The "dev" row
         // with a catastrophic number must not participate.
-        let rows: Vec<TrendRow> = [
-            doc("8", 1000.0, Some(3.0)),
-            doc("9", 900.0, Some(3.1)),
-            doc("dev", 1.0, None),
-        ]
-        .iter()
-        .map(|t| parse_row(t).unwrap())
-        .collect();
+        let rows = [row("8", 3.0, 2e3), row("9", 2.7, 2e3), row("dev", 0.1, 2e3)];
         let verdicts = check(&rows, DEFAULT_TOLERANCE).unwrap();
         assert!(
-            verdicts.iter().any(|v| v.contains("events/sec")),
+            verdicts
+                .iter()
+                .any(|v| v.contains("shard_scaling.ratio") && v.contains("behind by 10.0%")),
             "{verdicts:?}"
         );
     }
 
     #[test]
-    fn gate_fails_on_a_virtual_time_regression_beyond_tolerance() {
-        let rows: Vec<TrendRow> = [doc("8", 1000.0, Some(3.0)), doc("9", 1000.0, Some(2.0))]
-            .iter()
-            .map(|t| parse_row(t).unwrap())
-            .collect();
+    fn gate_fails_on_a_regression_beyond_tolerance() {
+        let rows = [row("8", 3.0, 2e3), row("9", 2.0, 2e3)];
         let regressions = check(&rows, DEFAULT_TOLERANCE).unwrap_err();
         assert_eq!(regressions.len(), 1);
         assert!(
-            regressions[0].contains("shard ratio") && regressions[0].contains("tolerance"),
+            regressions[0].contains("shard_scaling.ratio") && regressions[0].contains("tolerance"),
             "{regressions:?}"
         );
     }
@@ -345,35 +248,11 @@ mod tests {
     #[test]
     fn gate_compares_against_the_best_prior_not_the_last() {
         // PR 8 dipped; PR 9 must still be judged against PR 7's peak.
-        let rows: Vec<TrendRow> = [
-            doc("7", 1000.0, Some(4.0)),
-            doc("8", 1000.0, Some(2.0)),
-            doc("9", 1000.0, Some(3.1)),
-        ]
-        .iter()
-        .map(|t| parse_row(t).unwrap())
-        .collect();
+        let rows = [row("7", 4.0, 2e3), row("8", 2.0, 2e3), row("9", 3.1, 2e3)];
         let regressions = check(&rows, DEFAULT_TOLERANCE).unwrap_err();
         assert!(
-            regressions[0].contains("shard ratio") && regressions[0].contains("pr 7"),
+            regressions[0].contains("shard_scaling.ratio") && regressions[0].contains("pr 7"),
             "{regressions:?}"
-        );
-    }
-
-    #[test]
-    fn wall_clock_metrics_report_but_never_fail() {
-        // A 60% events/sec collapse — the kind a slower capture machine
-        // produces — must surface in the verdict lines, not the gate.
-        let rows: Vec<TrendRow> = [doc("8", 1000.0, None), doc("9", 400.0, None)]
-            .iter()
-            .map(|t| parse_row(t).unwrap())
-            .collect();
-        let verdicts = check(&rows, DEFAULT_TOLERANCE).unwrap();
-        assert!(
-            verdicts
-                .iter()
-                .any(|v| v.contains("events/sec") && v.contains("informational")),
-            "{verdicts:?}"
         );
     }
 
@@ -381,56 +260,73 @@ mod tests {
     fn lower_is_better_metrics_gate_in_the_right_direction() {
         // A streaming latency that *rose* past tolerance must fail even
         // while throughput improves.
-        let mk = |pr: &str, eps: f64, fast_ns: f64| {
-            let mut row = parse_row(&doc(pr, eps, None)).unwrap();
-            let idx = METRICS
-                .iter()
-                .position(|m| m.label == "fast push ns")
-                .unwrap();
-            row.values[idx] = Some(fast_ns);
-            row
-        };
-        let rows = vec![mk("8", 1000.0, 2000.0), mk("9", 1200.0, 2600.0)];
+        let rows = [row("8", 3.0, 2000.0), row("9", 3.6, 2600.0)];
         let regressions = check(&rows, DEFAULT_TOLERANCE).unwrap_err();
-        assert!(regressions[0].contains("fast push ns"), "{regressions:?}");
+        assert!(
+            regressions[0].contains("streaming.fast_pcsi_event_ns"),
+            "{regressions:?}"
+        );
         // And a drop in latency is an improvement, not a regression.
-        let rows = vec![mk("8", 1000.0, 2000.0), mk("9", 1200.0, 1500.0)];
+        let rows = [row("8", 3.0, 2000.0), row("9", 3.6, 1500.0)];
         assert!(check(&rows, DEFAULT_TOLERANCE).is_ok());
     }
 
     #[test]
-    fn missing_blocks_skip_rather_than_gate() {
-        // The latest snapshot lacks shard scaling; the metric skips.
-        let rows: Vec<TrendRow> = [doc("8", 1000.0, Some(3.0)), doc("9", 950.0, None)]
-            .iter()
-            .map(|t| parse_row(t).unwrap())
-            .collect();
+    fn missing_values_skip_rather_than_gate() {
+        let mut latest = row("9", 3.0, 2e3);
+        latest.values[0] = None;
+        let rows = [row("8", 3.0, 2e3), latest];
         let verdicts = check(&rows, DEFAULT_TOLERANCE).unwrap();
         assert!(
             verdicts
                 .iter()
-                .any(|v| v.contains("shard ratio") && v.contains("skipped")),
+                .any(|v| v.contains("shard_scaling.ratio") && v.contains("skipped")),
             "{verdicts:?}"
         );
     }
 
     #[test]
     fn fewer_than_two_numeric_snapshots_is_trivially_ok() {
-        let rows = vec![parse_row(&doc("ci", 1.0, None)).unwrap()];
-        assert!(check(&rows, DEFAULT_TOLERANCE).is_ok());
-        let rows = vec![parse_row(&doc("6", 1.0, None)).unwrap()];
-        assert!(check(&rows, DEFAULT_TOLERANCE).is_ok());
+        assert!(check(&[row("ci", 1.0, 2e3)], DEFAULT_TOLERANCE).is_ok());
+        assert!(check(&[row("6", 1.0, 2e3)], DEFAULT_TOLERANCE).is_ok());
     }
 
+    /// The committed history, left byte-identical on disk, reads and
+    /// gates as it did before its wall-clock fields were retired.
     #[test]
-    fn table_renders_every_row_with_gaps_dashed() {
-        let rows: Vec<TrendRow> = [doc("6", 1000.0, None), doc("7", 900.0, Some(3.1))]
-            .iter()
-            .map(|t| parse_row(t).unwrap())
+    fn committed_history_keeps_its_columns_and_verdict() {
+        let rows: Vec<TrendRow> = (6..=10)
+            .map(|pr| parse_row(&committed(pr)).unwrap())
             .collect();
+        let labels: Vec<String> = tracked().map(Metric::path).collect();
+        assert_eq!(
+            labels,
+            [
+                "shard_scaling.ratio",
+                "autoscale.cold_start_ratio",
+                "streaming.fast_pcsi_event_ns",
+                "streaming.ttft_pcsi_ns"
+            ]
+        );
+        let values: Vec<&[Option<f64>]> = rows.iter().map(|r| r.values.as_slice()).collect();
+        assert_eq!(
+            values,
+            [
+                [None, None, None, None],
+                [Some(3.132), None, None, None],
+                [Some(3.132), Some(7.636), None, None],
+                [Some(3.132), Some(7.636), Some(2057.0), Some(1141228.0)],
+                [Some(3.132), Some(7.636), Some(2057.0), Some(1141228.0)],
+            ]
+        );
         let table = render_table(&rows);
-        assert!(table.contains("| 6 "), "{table}");
-        assert!(table.contains("—"), "{table}");
-        assert!(table.contains("3.100"), "{table}");
+        assert!(table.contains("| 6  | —"), "{table}");
+        assert!(table.contains("| 10 | 3.132 "), "{table}");
+        let verdicts = check(&rows, DEFAULT_TOLERANCE).unwrap();
+        assert_eq!(verdicts.len(), 4);
+        assert!(
+            verdicts.iter().all(|v| v.contains("ahead by 0.0%")),
+            "{verdicts:?}"
+        );
     }
 }

@@ -30,13 +30,13 @@ thread_local! {
     static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Pool telemetry; process-wide so the bench harness reads one pair of
+/// Pool telemetry; process-wide so the benchmark reads one pair of
 /// counters no matter which thread ran the workload.
 static POOL_HITS: AtomicU64 = AtomicU64::new(0);
 static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Buffer-pool counters `(hits, misses)` — the allocation proxy the
-/// bench snapshots record. A hit means [`BytesMut::with_capacity`]
+/// Buffer-pool counters `(hits, misses)` — the allocation proxy
+/// `benchmark/` reports as `bytes.pool_hit_frac`. A hit means [`BytesMut::with_capacity`]
 /// reused a recycled buffer instead of allocating a fresh one.
 pub fn pool_stats() -> (u64, u64) {
     (
@@ -517,13 +517,11 @@ mod tests {
         let big = 2 * POOL_MAX_BUF;
         let mut m = BytesMut::with_capacity(big);
         m.extend_from_slice(&[1u8; 4]);
-        let ptr = m.as_ref().as_ptr();
         let (_, miss0) = pool_stats();
         drop(m.freeze());
-        let m2 = BytesMut::with_capacity(big);
+        let _m2 = BytesMut::with_capacity(big);
         let (_, miss1) = pool_stats();
         assert!(miss1 > miss0, "oversized request must allocate fresh");
-        assert_ne!(m2.as_ref().as_ptr(), ptr);
     }
 
     #[test]

@@ -32,9 +32,9 @@ use pcsi_core::api::{CreateOptions, InvokeRequest};
 use pcsi_core::{CloudInterface, Consistency, Mutability, PcsiError, Reference};
 use pcsi_faas::function::{FunctionImage, Variant, WorkModel};
 use pcsi_faas::isolation::Backend;
+use pcsi_metrics::Histogram;
 use pcsi_net::node::Resources;
 use pcsi_net::{NodeId, Transport};
-use pcsi_sim::metrics::Histogram;
 
 use crate::build::Cloud;
 use crate::kernel::KernelClient;
@@ -535,9 +535,9 @@ mod tests {
     #[test]
     fn colocated_close_to_monolithic_and_far_from_naive() {
         let reports = scenario(5);
-        let naive = reports[0].latency.mean();
-        let colocated = reports[1].latency.mean();
-        let monolithic = reports[2].latency.mean();
+        let naive = reports[0].latency.mean() as f64;
+        let colocated = reports[1].latency.mean() as f64;
+        let monolithic = reports[2].latency.mean() as f64;
         // §4.1's claim: co-located PCSI ~ monolithic.
         assert!(
             colocated < monolithic * 1.25,
@@ -580,7 +580,7 @@ mod tests {
                 .run(Strategy::Colocated, 2, 5, 1 << 20, "tpu")
                 .await
                 .unwrap();
-            (gpu.latency.mean(), tpu.latency.mean())
+            (gpu.latency.mean() as f64, tpu.latency.mean() as f64)
         });
         assert!(
             tpu_mean < gpu_mean,

@@ -359,34 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_histogram_agrees_with_sim_histogram() {
-        // RunStats moved from pcsi_sim::metrics::Histogram to the
-        // pcsi-metrics one; both are log2/32-sub-bucket HDR designs, so on
-        // a known distribution their quantiles must agree to within one
-        // bucket (relative error 1/32) and the new exact-rank
-        // `fraction_le` must agree with counting.
-        let old = pcsi_sim::metrics::Histogram::new();
-        let new = Histogram::new();
-        // 1..=10_000 uniform: p50 = 5000, p99 = 9900, p99.9 = 9990.
-        for v in 1..=10_000u64 {
-            old.record(v);
-            new.record(v);
-        }
-        for q in [0.5, 0.95, 0.99, 0.999] {
-            let a = old.quantile(q) as f64;
-            let b = new.quantile(q) as f64;
-            let exact = q * 10_000.0;
-            assert!((a - b).abs() <= exact / 32.0 + 1.0, "q={q}: {a} vs {b}");
-            assert!((b - exact).abs() <= exact / 32.0 + 1.0, "q={q}: {b}");
-        }
-        // Exactly 2500 of the 10k values are <= 2500; the bucket holding
-        // 2500 spans at most 2500/32 values.
-        let frac = new.fraction_le(2500);
-        assert!((frac - 0.25).abs() <= (2500.0 / 32.0) / 10_000.0, "{frac}");
-        assert_eq!(new.count(), old.count());
-    }
-
-    #[test]
     fn run_stats_publish_into_registry() {
         let mut sim = Sim::new(7);
         let h = sim.handle();

@@ -31,9 +31,9 @@
 //!
 //! # Histograms
 //!
-//! [`Histogram`] uses the HDR scheme shared with `pcsi_sim`: values
-//! below [`SUB_BUCKETS`] get exact unit buckets; above, a power-of-two
-//! major bucket is split into [`SUB_BUCKETS`] linear sub-buckets,
+//! [`Histogram`] uses an HDR-style scheme: values below
+//! [`SUB_BUCKETS`] get exact unit buckets; above, a power-of-two major
+//! bucket is split into [`SUB_BUCKETS`] linear sub-buckets,
 //! bounding the relative quantization error by `1/SUB_BUCKETS` ≈ 3%.
 //! Quantile queries ([`Histogram::quantile`], [`Histogram::quantiles`])
 //! return the **lower edge** of the bucket holding the target rank, so
@@ -162,9 +162,7 @@ struct HistogramInner {
 
 /// A log₂-bucketed histogram over `u64` values (typically nanoseconds).
 ///
-/// O(1) record, O(buckets) quantile, ~3% bounded relative error. Shares
-/// the bucketing scheme of `pcsi_sim::metrics::Histogram`, so migrated
-/// quantiles agree bucket for bucket.
+/// O(1) record, O(buckets) quantile, ~3% bounded relative error.
 #[derive(Clone, Debug)]
 pub struct Histogram {
     inner: Rc<HistogramInner>,
@@ -1003,6 +1001,16 @@ mod tests {
         let q = h.quantile(0.5);
         let err = (v as f64 - q as f64).abs() / v as f64;
         assert!(err <= 1.0 / SUB_BUCKETS as f64, "error {err}");
+    }
+
+    #[test]
+    fn histogram_huge_values_do_not_panic() {
+        let h = Histogram::new();
+        h.record(u64::MAX);
+        h.record(0);
+        assert_eq!(h.count(), 2);
+        assert_eq!((h.min(), h.max()), (0, u64::MAX));
+        assert!(h.quantile(1.0) > u64::MAX / 2);
     }
 
     #[test]

@@ -29,6 +29,12 @@ proptest! {
                 lo <= truth && (truth < hi || hi == u64::MAX),
                 "q={}: truth {} outside reported bucket [{}, {})", q, truth, lo, hi
             );
+            // The documented error bound, checked against the data
+            // rather than against `bucket_bounds`' own arithmetic.
+            prop_assert!(
+                (truth - reported) as f64 <= truth as f64 / 32.0,
+                "q={}: reported {} is more than 1/32 below truth {}", q, reported, truth
+            );
         }
     }
 

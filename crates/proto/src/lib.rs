@@ -18,8 +18,8 @@
 //!   ([`sse`]) — the REST *streaming* baseline's per-event framing.
 //!
 //! Everything here is deterministic, allocation-conscious, and free of
-//! third-party dependencies (apart from [`bytes`]) so the criterion
-//! microbenchmarks in `pcsi-bench` measure *this* code, not a library.
+//! third-party dependencies (apart from [`bytes`]) so Table 1's measured
+//! rows and the `benchmark/` probes measure *this* code, not a library.
 
 pub mod binary;
 pub mod hash;

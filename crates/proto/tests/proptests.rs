@@ -73,9 +73,21 @@ proptest! {
         let _ = binary::decode(&bytes);
     }
 
+    /// `decode` is fed files from disk (the bench snapshots) as well as
+    /// request bodies: no input may panic it.
     #[test]
-    fn json_decode_never_panics(s in ".{0,256}") {
+    fn json_decode_never_panics(
+        s in ".{0,256}",
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
         let _ = json::decode(&s);
+        // Raw bytes, as far as a `&str` can carry them.
+        let _ = json::decode(&String::from_utf8_lossy(&bytes));
+        // The same bytes folded onto JSON's own alphabet, so nesting,
+        // escapes and numbers are cut off at every possible place.
+        const DENSE: &[u8] = b"{}[]\",:\\u/-+.eE0123456789 \ntrufalsn\x01";
+        let dense: String = bytes.iter().map(|&b| DENSE[b as usize % DENSE.len()] as char).collect();
+        let _ = json::decode(&dense);
     }
 
     #[test]

@@ -294,6 +294,36 @@ impl Sim {
     }
 }
 
+/// Tasks hold [`SimHandle`]s, which hold the task table: a cycle no
+/// reference count unwinds. Dropping the `Sim` ends the simulation, so
+/// it empties the table and every future, with whatever it owns, is
+/// freed.
+impl Drop for Sim {
+    fn drop(&mut self) {
+        // A future's destructor may itself spawn; go round until one
+        // round's destructors have left nothing behind.
+        loop {
+            // Unwinding out of a poll may find the cell borrowed; then
+            // the tasks leak, as they all did before, rather than
+            // panicking twice.
+            let Ok(mut inner) = self.inner.try_borrow_mut() else {
+                return;
+            };
+            let tasks = std::mem::take(&mut inner.tasks);
+            // Ids on the free list index the table just taken.
+            inner.free.clear();
+            inner.live_tasks = 0;
+            // Futures call back into `inner` from their destructors
+            // (to spawn, to read the clock): release it first.
+            drop(inner);
+            if tasks.is_empty() {
+                return;
+            }
+            drop(tasks);
+        }
+    }
+}
+
 /// No-op waker used when polling the root join handle directly: progress is
 /// always driven by the ready queue and timers, so the root needs no wake.
 struct NoopWaker;
@@ -615,6 +645,49 @@ mod tests {
             v
         });
         assert!(observed);
+    }
+
+    #[test]
+    fn dropping_the_sim_frees_parked_tasks_and_what_their_destructors_spawn() {
+        /// Spawns one more task holding `token` when dropped.
+        struct Respawn(SimHandle, Rc<()>, u32);
+        impl Drop for Respawn {
+            fn drop(&mut self) {
+                if self.2 > 0 {
+                    let next = Respawn(self.0.clone(), Rc::clone(&self.1), self.2 - 1);
+                    self.0.spawn_detached(async move {
+                        std::future::pending::<()>().await;
+                        drop(next);
+                    });
+                }
+            }
+        }
+
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let token = Rc::new(());
+        let alive = Rc::downgrade(&token);
+        sim.block_on({
+            let h = h.clone();
+            async move {
+                // A finished task first, so the free list is not empty
+                // when the table is taken.
+                h.spawn(async {}).await;
+                let guard = Respawn(h.clone(), token, 3);
+                let h2 = h.clone();
+                h.spawn_detached(async move {
+                    loop {
+                        h2.sleep(Duration::from_millis(1)).await;
+                        let _ = &guard;
+                    }
+                });
+                h.sleep(Duration::from_millis(3)).await;
+            }
+        });
+        assert!(alive.upgrade().is_some(), "the ticker is still parked");
+        drop(sim);
+        assert!(alive.upgrade().is_none(), "every generation was dropped");
+        assert_eq!(h.live_tasks(), 0);
     }
 
     #[test]

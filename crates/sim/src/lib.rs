@@ -9,12 +9,10 @@
 //!   only advances when every runnable task is blocked,
 //! * virtual-time **timers** ([`SimHandle::sleep`], [`SimHandle::timeout`]),
 //! * waker-based **synchronization primitives** ([`sync::oneshot`],
-//!   [`sync::mpsc`], [`sync::Notify`], [`sync::Semaphore`]),
+//!   [`sync::mpsc`], [`sync::Notify`], [`sync::Semaphore`]), and
 //! * named, seeded **random-number streams** ([`rng`]) so that two runs with
 //!   the same seed produce byte-identical results regardless of the order in
-//!   which components were constructed, and
-//! * lightweight **metrics** ([`metrics::Counter`], [`metrics::Histogram`],
-//!   [`metrics::TimeSeries`]) used by the benchmark harness.
+//!   which components were constructed.
 //!
 //! The executor is intentionally *not* work-stealing or multi-threaded:
 //! determinism is a hard requirement for reproducing the paper's
@@ -37,7 +35,6 @@
 //! ```
 
 pub mod executor;
-pub mod metrics;
 pub mod rng;
 pub mod sync;
 pub mod time;

@@ -13,8 +13,8 @@ use bytes::Bytes;
 use pcsi_cloud::CloudBuilder;
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency};
+use pcsi_metrics::Histogram;
 use pcsi_net::NodeId;
-use pcsi_sim::metrics::Histogram;
 use pcsi_sim::Sim;
 
 fn main() {

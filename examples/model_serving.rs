@@ -259,18 +259,17 @@ fn main() {
             "strategy", "mean", "p99", "net bytes/req"
         );
         for r in &reports {
-            let s = r.latency.summary();
             println!(
                 "{:<34} {:>9.2} ms {:>9.2} ms {:>14}",
                 r.strategy.label(),
-                s.mean / 1e6,
-                s.p99 as f64 / 1e6,
+                r.latency.mean() as f64 / 1e6,
+                r.latency.quantile(0.99) as f64 / 1e6,
                 r.network_bytes_per_req
             );
         }
-        let naive = reports[0].latency.mean();
-        let colo = reports[1].latency.mean();
-        let mono = reports[2].latency.mean();
+        let naive = reports[0].latency.mean() as f64;
+        let colo = reports[1].latency.mean() as f64;
+        let mono = reports[2].latency.mean() as f64;
         println!(
             "\nco-located is {:.0}% of monolithic; naive is {:.1}x slower than co-located",
             100.0 * colo / mono,

@@ -425,3 +425,42 @@ fn updating_a_function_object_changes_behavior_in_place() {
         })
     });
 }
+
+/// A `Sim` going out of scope frees the cloud deployed on it. The
+/// background tasks (anti-entropy, reaper, autoscaler) hold handles
+/// back into the executor that owns them — a cycle only `Sim`'s own
+/// destructor breaks.
+#[test]
+fn dropping_the_sim_frees_the_deployed_cloud() {
+    let mut sim = Sim::new(5);
+    let h = sim.handle();
+    let token = Rc::new(());
+    let alive = Rc::downgrade(&token);
+    sim.block_on({
+        let h = h.clone();
+        async move {
+            let cloud = CloudBuilder::new()
+                .autoscale(pcsi_faas::AutoscaleConfig::enabled())
+                .build(&h);
+            let c = cloud.kernel.client(NodeId(0), "t");
+            c.create(CreateOptions::regular().with_initial(vec![1u8; 64]))
+                .await
+                .unwrap();
+            // One more background task, owning the token and the cloud.
+            let h2 = h.clone();
+            h.spawn_detached(async move {
+                loop {
+                    h2.sleep(Duration::from_millis(50)).await;
+                    let _ = (&token, &cloud);
+                }
+            });
+            // Long enough for every periodic task to have ticked.
+            h.sleep(Duration::from_millis(600)).await;
+        }
+    });
+    assert!(h.live_tasks() > 3, "background tasks are parked");
+    assert!(alive.upgrade().is_some());
+    drop(sim);
+    assert!(alive.upgrade().is_none(), "the task table was not freed");
+    assert_eq!(h.live_tasks(), 0);
+}
