@@ -122,6 +122,7 @@ async fn drive(h: SimHandle) -> ShardScalingResult {
             ring_nodes: Some(ring),
             ..StoreConfig::default()
         },
+        &pcsi_cloud::Telemetry::default(),
     );
 
     // One private object per worker: contention-free writes, so the

@@ -112,6 +112,7 @@ pub fn linearizable_read_ns(seed: u64, one_rtt: bool) -> f64 {
                 cache_bytes: 0,
                 ..StoreConfig::default()
             },
+            &pcsi_cloud::Telemetry::default(),
         );
         let id = ObjectId::from_parts(1, 1);
         let replicas = store.placement().replicas(id);

@@ -39,7 +39,7 @@ fn tracked() -> impl Iterator<Item = &'static Metric> {
     snapshot::METRICS.iter().filter(|m| m.tracked)
 }
 
-/// One snapshot's tracked metrics, in [`tracked`] order (`None` where
+/// One snapshot's tracked metrics, in tracked-table order (`None` where
 /// the snapshot predates the metric).
 #[derive(Debug, Clone)]
 pub struct TrendRow {

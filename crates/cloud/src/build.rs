@@ -1,9 +1,11 @@
 //! One-call deployment of a simulated cloud.
 //!
 //! [`CloudBuilder`] wires the substrates together in the right order:
-//! topology → fabric → replicated store → cluster state → runtime →
-//! kernel → baselines. Experiments and examples construct everything
-//! through it so configurations stay comparable.
+//! telemetry → topology → fabric → replicated store → cluster state →
+//! runtime → kernel → devices. The [`Telemetry`] (registry, tracer,
+//! journal) comes first because every later constructor takes it.
+//! Experiments and examples construct everything through the builder so
+//! configurations stay comparable.
 
 use std::time::Duration;
 
@@ -13,7 +15,7 @@ use pcsi_faas::runtime::{Runtime, RuntimeConfig};
 use pcsi_faas::scheduler::PlacementPolicy;
 use pcsi_metrics::Metrics;
 use pcsi_net::{Fabric, LatencyModel, NetworkGeneration, Topology};
-use pcsi_obs::{Obs, ObsConfig};
+use pcsi_obs::{Obs, ObsConfig, Telemetry};
 use pcsi_sim::SimHandle;
 use pcsi_store::{ReplicatedStore, StoreConfig};
 use pcsi_trace::{Sampling, Tracer};
@@ -46,7 +48,7 @@ pub const ALERTS_FIFO_CAPACITY: usize = 256;
 ///   deltas: writing `since N` arms a one-shot cursor, and the next
 ///   read returns only records with sequence numbers above `N` — how a
 ///   tailing client resends nothing.
-fn register_standard_devices(kernel: &Kernel, handle: &SimHandle) {
+fn register_standard_devices(kernel: &Kernel, handle: &SimHandle, telemetry: &Telemetry) {
     use bytes::Bytes;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -87,7 +89,7 @@ fn register_standard_devices(kernel: &Kernel, handle: &SimHandle) {
     // The class is registered even when metrics are off, so namespaces
     // (and the programs reading them) look identical either way — only
     // the snapshot's contents differ.
-    let metrics = kernel.metrics();
+    let metrics = telemetry.metrics.clone();
     kernel.register_device(
         "metrics",
         Rc::new(move |_input| match &metrics {
@@ -100,7 +102,7 @@ fn register_standard_devices(kernel: &Kernel, handle: &SimHandle) {
     // identical; only the journal's presence differs. Kernel device
     // reads carry no payload, so the delta form is seek-then-read: a
     // write of `since N` arms a one-shot cursor the next read consumes.
-    let journal = kernel.journal();
+    let journal = telemetry.journal.clone();
     let cursor: Rc<std::cell::Cell<Option<u64>>> = Rc::new(std::cell::Cell::new(None));
     kernel.register_device(
         "events",
@@ -240,7 +242,7 @@ impl CloudBuilder {
 
     /// Enables distributed tracing at the given sampling policy.
     ///
-    /// The default is [`Sampling::Off`]: no tracer is installed, no span
+    /// The default is [`Sampling::Off`]: no tracer is created, no span
     /// IDs are drawn, and every layer's instrumentation collapses to a
     /// no-op, so untraced runs are bit-for-bit identical to builds of
     /// this crate that predate tracing.
@@ -280,9 +282,11 @@ impl CloudBuilder {
     /// The default is off: no journal exists, every hook collapses to an
     /// `Option` check, no RNG stream is created and no task is spawned,
     /// so disabled runs are bit-for-bit identical to builds predating
-    /// this crate. Rule evaluation needs the metrics registry; with
-    /// [`CloudBuilder::metrics`] off the journal and devices still work
-    /// but no evaluator task runs.
+    /// this crate. Rules are evaluated against the metrics registry, so
+    /// a non-empty `config.rules` creates it whatever
+    /// [`CloudBuilder::metrics`] says; for the journal and devices
+    /// alone, leave the rules empty — with no registry no evaluator task
+    /// runs.
     pub fn observability(mut self, config: ObsConfig) -> Self {
         self.observability = Some(config);
         self
@@ -300,16 +304,42 @@ impl CloudBuilder {
 
     /// Deploys the cloud onto a simulation.
     pub fn build(self, handle: &SimHandle) -> Cloud {
+        let obs = self
+            .observability
+            .as_ref()
+            .map(|cfg| Obs::new(handle, cfg).expect("malformed SLO rule"));
+        // Rules are evaluated against the registry, so having any
+        // creates it.
+        let rules = self
+            .observability
+            .as_ref()
+            .is_some_and(|cfg| !cfg.rules.is_empty());
+        let telemetry = Telemetry {
+            metrics: (self.metrics || rules).then(Metrics::new),
+            tracer: match self.sampling {
+                Sampling::Off => None,
+                s => Some(Tracer::new(handle, s, self.trace_capacity)),
+            },
+            journal: obs.as_ref().map(Obs::journal),
+        };
+
         let latency = if self.deterministic_net {
             LatencyModel::deterministic(self.generation)
         } else {
             LatencyModel::new(self.generation)
         };
         let fabric = Fabric::new(handle.clone(), self.topology, latency);
-        let store =
-            ReplicatedStore::launch(fabric.clone(), fabric.topology().node_ids(), self.store);
+        if let Some(m) = &telemetry.metrics {
+            fabric.set_metrics(m);
+        }
+        let store = ReplicatedStore::launch(
+            fabric.clone(),
+            fabric.topology().node_ids(),
+            self.store,
+            &telemetry,
+        );
         let cluster = ClusterState::new(fabric.topology());
-        let runtime = Runtime::new(handle.clone(), cluster, self.runtime);
+        let runtime = Runtime::new(handle.clone(), cluster, self.runtime, &telemetry);
         let billing = Billing::new();
         let kernel = Kernel::new(
             fabric.clone(),
@@ -317,41 +347,18 @@ impl CloudBuilder {
             runtime.clone(),
             billing.clone(),
             self.goal,
+            &telemetry,
         );
         if let Some(capacity) = self.fifo_capacity {
             kernel.set_fifo_capacity(capacity);
         }
-        // Metrics install before device registration: the `metrics`
-        // device handler snapshots the registry it captures here.
-        let metrics = if self.metrics {
-            let m = Metrics::new();
-            kernel.set_metrics(Some(m.clone()));
-            Some(m)
-        } else {
-            None
-        };
-        // Observability installs before device registration so the
-        // `events` device handler captures the journal it will render.
-        let obs = self.observability.as_ref().map(|cfg| {
-            let o = Obs::new(handle, cfg).expect("malformed SLO rule");
-            kernel.set_journal(Some(o.journal()));
-            o
-        });
-        register_standard_devices(&kernel, handle);
-        let tracer = match self.sampling {
-            Sampling::Off => None,
-            s => {
-                let t = Tracer::new(handle, s, self.trace_capacity);
-                kernel.set_tracer(Some(t.clone()));
-                Some(t)
-            }
-        };
+        register_standard_devices(&kernel, handle, &telemetry);
         // The alerts FIFO and the evaluator task. The FIFO exists
         // whenever observability is on (uniform namespaces); the ticker
         // only runs when there is a registry to evaluate against.
         let alerts = obs.as_ref().map(|o| {
             let r = kernel.create_system_fifo(ALERTS_FIFO_CAPACITY);
-            if let Some(m) = &metrics {
+            if let Some(m) = &telemetry.metrics {
                 let interval = self.observability.as_ref().expect("obs is set").interval;
                 let (o, m, k, h, r) = (
                     o.clone(),
@@ -379,8 +386,8 @@ impl CloudBuilder {
             runtime,
             billing,
             kernel,
-            tracer,
-            metrics,
+            tracer: telemetry.tracer,
+            metrics: telemetry.metrics,
             obs,
             alerts,
         }
@@ -552,6 +559,47 @@ mod tests {
             for (k, r) in &refs {
                 assert_eq!(c.read(r, 0, 48).await.unwrap(), vec![*k; 48]);
             }
+        });
+    }
+
+    /// Rules need a registry to evaluate against, so naming any creates
+    /// it: `.observability(rules)` without `.metrics(true)` still runs
+    /// the evaluator and publishes transitions on the `alerts` FIFO.
+    #[test]
+    fn rules_alone_fire_an_alert_line() {
+        use pcsi_core::api::CreateOptions;
+        use pcsi_core::CloudInterface;
+        use pcsi_net::NodeId;
+
+        let mut sim = Sim::new(4);
+        let h = sim.handle();
+        sim.block_on(async move {
+            let cloud = CloudBuilder::new()
+                .deterministic_network()
+                .observability(ObsConfig {
+                    rules: vec![
+                        "write-p50: p50(kernel.op_ns{op=\"write\"}) < 1ns over 10ms for 1 clear 1"
+                            .into(),
+                    ],
+                    interval: Duration::from_millis(5),
+                    ..ObsConfig::default()
+                })
+                .build(&h);
+            let c = cloud.kernel.client(NodeId(0), "t");
+            let r = c
+                .create(CreateOptions::regular().with_initial(vec![0u8; 8]))
+                .await
+                .unwrap();
+            c.write(&r, 0, bytes::Bytes::from_static(b"x"))
+                .await
+                .unwrap();
+            h.sleep(Duration::from_millis(20)).await;
+            // Checked first: a pop of an empty FIFO would wait forever.
+            let log = cloud.obs.unwrap().alert_log();
+            assert!(log.contains("rule=write-p50"), "no transition: {log:?}");
+            let line = c.pop(&cloud.alerts.unwrap()).await.unwrap();
+            let line = String::from_utf8_lossy(&line);
+            assert!(line.contains("rule=write-p50"), "{line}");
         });
     }
 

@@ -30,14 +30,13 @@ use pcsi_faas::registry::{choose_variant, Goal};
 use pcsi_faas::runtime::Runtime;
 use pcsi_fs::device::{DeviceHandler, DeviceRegistry};
 use pcsi_fs::{DirEntry, Directory, FifoQueue};
-use pcsi_metrics::Metrics;
 use pcsi_net::{Fabric, NodeId, Transport};
-use pcsi_obs::{Journal, JournalExt};
+use pcsi_obs::{JournalExt, Telemetry};
 use pcsi_sim::executor::LocalBoxFuture;
 use pcsi_sim::SimTime;
 use pcsi_store::{gc, ReplicatedStore};
 use pcsi_stream::{Publisher, StreamConfig, Subscription};
-use pcsi_trace::{AttrValue, SpanHandle, TraceContext, Tracer};
+use pcsi_trace::{AttrValue, SpanHandle, TraceContext};
 
 use crate::billing::Billing;
 
@@ -60,25 +59,18 @@ struct Inner {
     /// explicit [`CreateOptions::fifo_capacity`].
     fifo_capacity: Cell<usize>,
     goal: Goal,
-    /// Optional deterministic tracer: every `CloudInterface` op opens a
-    /// root span here, and the context flows down through the store and
-    /// the FaaS runtime.
-    tracer: RefCell<Option<Tracer>>,
-    /// Optional metrics registry: every `CloudInterface` op records a
-    /// per-op count and latency histogram, and the registry is shared
-    /// with the fabric, store and runtime so one snapshot covers every
-    /// layer.
-    metrics: RefCell<Option<Metrics>>,
+    /// The deployment's telemetry, the same handles the store and the
+    /// FaaS runtime were built with. Every `CloudInterface` op opens a
+    /// root span on the tracer (the context flows down through the store
+    /// and the runtime) and records a per-op count and latency histogram
+    /// in the registry; control-plane transitions — deletes,
+    /// revocations, GC sweeps — append typed records to the journal.
+    telemetry: Telemetry,
     /// Resolved `kernel.ops`/`kernel.op_ns` series per op name, so the
     /// per-op hot path skips the registry's label-string lookup. The
     /// error counter is *not* cached: it is registered lazily on first
     /// error, keeping rendered snapshots identical to the uncached path.
     op_series: RefCell<FxHashMap<&'static str, (pcsi_metrics::Counter, pcsi_metrics::Histogram)>>,
-    /// Optional structured event journal (the observability control
-    /// plane): control-plane transitions — deletes, revocations, GC
-    /// sweeps — append typed records here, and the handle propagates to
-    /// the store and the FaaS runtime like the tracer does.
-    journal: RefCell<Option<Journal>>,
 }
 
 /// Default FIFO/socket queue bound when neither the builder knob nor
@@ -93,16 +85,24 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Assembles a kernel over deployed substrates.
+    /// Assembles a kernel over deployed substrates. `telemetry` is the
+    /// one the store and the runtime were built with, so one registry,
+    /// one trace sink and one journal cover every layer; the kernel
+    /// hands its registry on to the streaming publisher it deploys.
     pub fn new(
         fabric: Fabric,
         store: ReplicatedStore,
         runtime: Runtime,
         billing: Billing,
         goal: Goal,
+        telemetry: &Telemetry,
     ) -> Self {
         let realm = fabric.handle().rng().seed() ^ 0x5043_5349; // "PCSI"
-        let publisher = Publisher::deploy(fabric.clone(), StreamConfig::default());
+        let publisher = Publisher::deploy(
+            fabric.clone(),
+            StreamConfig::default(),
+            telemetry.metrics.clone(),
+        );
         Kernel {
             inner: Rc::new(Inner {
                 fabric,
@@ -116,10 +116,8 @@ impl Kernel {
                 publisher,
                 fifo_capacity: Cell::new(DEFAULT_FIFO_CAPACITY),
                 goal,
-                tracer: RefCell::new(None),
-                metrics: RefCell::new(None),
+                telemetry: telemetry.clone(),
                 op_series: RefCell::new(FxHashMap::default()),
-                journal: RefCell::new(None),
             }),
         }
     }
@@ -133,55 +131,6 @@ impl Kernel {
             account: account.to_owned(),
             ctx: None,
         }
-    }
-
-    /// Installs (or removes) the tracer, propagating it to the store
-    /// (clients and replicas) and the FaaS runtime so one sink holds the
-    /// whole cross-layer trace.
-    pub fn set_tracer(&self, tracer: Option<Tracer>) {
-        self.inner.store.set_tracer(tracer.clone());
-        self.inner.runtime.set_tracer(tracer.clone());
-        *self.inner.tracer.borrow_mut() = tracer;
-    }
-
-    /// The installed tracer, if any.
-    pub fn tracer(&self) -> Option<Tracer> {
-        self.inner.tracer.borrow().clone()
-    }
-
-    /// Installs (or removes) the metrics registry, propagating it to the
-    /// fabric, the store (clients and replicas) and the FaaS runtime so
-    /// one snapshot holds every layer's series. With `None` (the
-    /// default) no registry exists anywhere and instrumentation
-    /// collapses to a per-event `Option` check.
-    pub fn set_metrics(&self, metrics: Option<Metrics>) {
-        self.inner.fabric.set_metrics(metrics.as_ref());
-        self.inner.store.set_metrics(metrics.clone());
-        self.inner.runtime.set_metrics(metrics.as_ref());
-        self.inner.publisher.set_metrics(metrics.clone());
-        self.inner.op_series.borrow_mut().clear();
-        *self.inner.metrics.borrow_mut() = metrics;
-    }
-
-    /// The installed metrics registry, if any.
-    pub fn metrics(&self) -> Option<Metrics> {
-        self.inner.metrics.borrow().clone()
-    }
-
-    /// Installs (or removes) the structured event journal, propagating
-    /// it to the store (failover/migration records) and the FaaS runtime
-    /// (cold-start/preemption records). With `None` (the default) no
-    /// journal exists anywhere and every hook collapses to an `Option`
-    /// check — the same inertness contract as tracing and metrics.
-    pub fn set_journal(&self, journal: Option<Journal>) {
-        self.inner.store.set_journal(journal.clone());
-        self.inner.runtime.set_journal(journal.clone());
-        *self.inner.journal.borrow_mut() = journal;
-    }
-
-    /// The installed event journal, if any.
-    pub fn journal(&self) -> Option<Journal> {
-        self.inner.journal.borrow().clone()
     }
 
     /// Creates a provider-internal FIFO synchronously (no client, no
@@ -298,6 +247,7 @@ impl Kernel {
         let generation = entry.meta.generation;
         drop(meta);
         self.inner
+            .telemetry
             .journal
             .with(|j| j.append("kernel", "revoke", format!("id={id:?} gen={generation}")));
         Ok(Reference::mint(id, Rights::ALL, generation))
@@ -346,6 +296,7 @@ impl Kernel {
         }
         if !dead.is_empty() {
             self.inner
+                .telemetry
                 .journal
                 .with(|j| j.append("kernel", "gc", format!("collected={}", dead.len())));
         }
@@ -424,7 +375,7 @@ impl KernelClient {
     /// Opens the span for one kernel operation: a root when this client
     /// faces a user, a child when it is a function body's data plane.
     fn op_span(&self, name: &'static str) -> SpanHandle {
-        match self.inner().tracer.borrow().as_ref() {
+        match &self.inner().telemetry.tracer {
             Some(t) => match self.ctx {
                 Some(ctx) => t.child(ctx, name),
                 None => t.root(name),
@@ -434,43 +385,32 @@ impl KernelClient {
     }
 
     /// Records one completed `CloudInterface` op into the registry (if
-    /// installed): per-op count, per-op error count, latency histogram.
+    /// there is one): per-op count, per-op error count, latency histogram.
     /// When the op ran under a sampled trace, the latency histogram also
     /// retains `(trace, elapsed)` as the bucket's exemplar — the join
     /// key that lets a firing latency alert name its offending trace.
     fn record_op(&self, op: &'static str, started: SimTime, ok: bool, trace: Option<u64>) {
         let inner = self.inner();
-        let cached = {
-            let mut cache = inner.op_series.borrow_mut();
-            match cache.get(op) {
-                Some(s) => Some(s.clone()),
-                None => match inner.metrics.borrow().as_ref() {
-                    Some(m) => {
-                        let labels = [("op", op)];
-                        let s = (
-                            m.counter("kernel.ops", &labels),
-                            m.histogram("kernel.op_ns", &labels),
-                        );
-                        cache.insert(op, s.clone());
-                        Some(s)
-                    }
-                    None => None,
-                },
-            }
+        let Some(m) = &inner.telemetry.metrics else {
+            return;
         };
-        if let Some((ops, op_ns)) = cached {
-            ops.incr();
-            if !ok {
-                if let Some(m) = inner.metrics.borrow().as_ref() {
-                    m.counter("kernel.errors", &[("op", op)]).incr();
-                }
-            }
-            let elapsed = inner.fabric.handle().now() - started;
-            op_ns.record_duration(elapsed);
-            if let Some(trace) = trace {
-                let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-                op_ns.exemplar(ns, trace);
-            }
+        let labels = [("op", op)];
+        let mut series = inner.op_series.borrow_mut();
+        let (ops, op_ns) = series.entry(op).or_insert_with(|| {
+            (
+                m.counter("kernel.ops", &labels),
+                m.histogram("kernel.op_ns", &labels),
+            )
+        });
+        ops.incr();
+        if !ok {
+            m.counter("kernel.errors", &labels).incr();
+        }
+        let elapsed = inner.fabric.handle().now() - started;
+        op_ns.record_duration(elapsed);
+        if let Some(trace) = trace {
+            let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+            op_ns.exemplar(ns, trace);
         }
     }
 
@@ -626,7 +566,7 @@ impl KernelClient {
             home,
             window,
             publisher.config().transport,
-            self.kernel.metrics(),
+            self.inner().telemetry.metrics.clone(),
         )
         .await
     }
@@ -676,7 +616,7 @@ impl KernelClient {
         // Scheduling: variant choice plus placement/reservation. The
         // section is synchronous (no awaits), so the span is zero-width
         // in virtual time — it marks the decision point on the timeline.
-        let mut sched_span = match self.inner().tracer.borrow().as_ref() {
+        let mut sched_span = match &self.inner().telemetry.tracer {
             Some(t) => t.child_of(self.ctx, "faas.schedule"),
             None => SpanHandle::disabled(),
         };

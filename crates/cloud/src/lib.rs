@@ -36,4 +36,4 @@ pub use billing::Billing;
 pub use build::{Cloud, CloudBuilder, ALERTS_FIFO_CAPACITY};
 pub use graphs::{GraphExecutor, GraphRun, StageBinding};
 pub use kernel::{Kernel, KernelClient};
-pub use pcsi_obs::{Obs, ObsConfig};
+pub use pcsi_obs::{Obs, ObsConfig, Telemetry};

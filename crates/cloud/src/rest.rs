@@ -566,6 +566,7 @@ mod tests {
                 anti_entropy: None,
                 ..StoreConfig::default()
             },
+            &pcsi_obs::Telemetry::default(),
         );
         let billing = Billing::new();
         let mut keys = HashMap::new();

@@ -30,10 +30,10 @@ use std::time::Duration;
 
 use pcsi_core::api::{InvokeRequest, InvokeResponse};
 use pcsi_core::PcsiError;
-use pcsi_metrics::{Counter, Gauge, Histogram, Metrics};
+use pcsi_metrics::{Counter, Gauge, Histogram};
 use pcsi_net::node::Resources;
 use pcsi_net::NodeId;
-use pcsi_obs::{Journal, JournalExt};
+use pcsi_obs::{Journal, JournalExt, Telemetry};
 use pcsi_sim::{SimHandle, SimTime};
 use pcsi_trace::Tracer;
 
@@ -206,14 +206,14 @@ struct Inner {
     /// metrics registry can publish the live value).
     in_flight: Gauge,
     peak_in_flight: std::cell::Cell<u32>,
-    /// Latency histograms, populated only while a registry is installed.
-    hists: RefCell<Option<FaasHists>>,
+    /// Latency histograms, recorded only when metrics are on.
+    hists: Option<FaasHists>,
     /// Optional tracer: invocations record cold-start and body spans
     /// under the caller's context.
-    tracer: RefCell<Option<Tracer>>,
+    tracer: Option<Tracer>,
     /// Optional structured event journal: cold starts and preemptions
     /// record typed events. Absent means disabled.
-    journal: RefCell<Option<Journal>>,
+    journal: Option<Journal>,
 }
 
 /// Histograms recorded per invocation when metrics are enabled.
@@ -226,33 +226,56 @@ struct FaasHists {
 
 impl Runtime {
     /// Creates the runtime and starts its reaper task (plus the
-    /// pre-warmer when the autoscaler is enabled).
-    pub fn new(handle: SimHandle, cluster: ClusterState, config: RuntimeConfig) -> Self {
+    /// pre-warmer when the autoscaler is enabled). With metrics on, the
+    /// always-on counters are published as named series and the latency
+    /// histograms record; invocation spans record into the telemetry's
+    /// tracer; cold starts and preemptions append to its journal.
+    pub fn new(
+        handle: SimHandle,
+        cluster: ClusterState,
+        config: RuntimeConfig,
+        telemetry: &Telemetry,
+    ) -> Self {
         let nodes = cluster.len();
+        let mut inner = Inner {
+            handle,
+            cluster,
+            registry: RefCell::new(FunctionRegistry::new()),
+            config,
+            pools: RefCell::new(FxHashMap::default()),
+            node_epochs: RefCell::new(vec![0; nodes]),
+            scaler: RefCell::new(FxHashMap::default()),
+            booting: RefCell::new(FxHashMap::default()),
+            prewarm_edges: RefCell::new(Vec::new()),
+            invocations: Counter::new(),
+            cold_starts: Counter::new(),
+            rejections: Counter::new(),
+            failures: Counter::new(),
+            preemptions: Counter::new(),
+            prewarms: Counter::new(),
+            rebalances: Counter::new(),
+            in_flight: Gauge::new(),
+            peak_in_flight: std::cell::Cell::new(0),
+            hists: None,
+            tracer: telemetry.tracer.clone(),
+            journal: telemetry.journal.clone(),
+        };
+        if let Some(m) = &telemetry.metrics {
+            m.bind_counter("faas.invocations", &[], &inner.invocations);
+            m.bind_counter("faas.cold_starts", &[], &inner.cold_starts);
+            m.bind_counter("faas.rejections", &[], &inner.rejections);
+            m.bind_counter("faas.failures", &[], &inner.failures);
+            m.bind_counter("faas.preemptions", &[], &inner.preemptions);
+            m.bind_counter("faas.prewarms", &[], &inner.prewarms);
+            m.bind_counter("faas.rebalances", &[], &inner.rebalances);
+            m.bind_gauge("faas.in_flight", &[], &inner.in_flight);
+            inner.hists = Some(FaasHists {
+                cold_start_ns: m.histogram("faas.cold_start_ns", &[]),
+                invoke_ns: m.histogram("faas.invoke_ns", &[]),
+            });
+        }
         let rt = Runtime {
-            inner: Rc::new(Inner {
-                handle: handle.clone(),
-                cluster,
-                registry: RefCell::new(FunctionRegistry::new()),
-                config,
-                pools: RefCell::new(FxHashMap::default()),
-                node_epochs: RefCell::new(vec![0; nodes]),
-                scaler: RefCell::new(FxHashMap::default()),
-                booting: RefCell::new(FxHashMap::default()),
-                prewarm_edges: RefCell::new(Vec::new()),
-                invocations: Counter::new(),
-                cold_starts: Counter::new(),
-                rejections: Counter::new(),
-                failures: Counter::new(),
-                preemptions: Counter::new(),
-                prewarms: Counter::new(),
-                rebalances: Counter::new(),
-                in_flight: Gauge::new(),
-                peak_in_flight: std::cell::Cell::new(0),
-                hists: RefCell::new(None),
-                tracer: RefCell::new(None),
-                journal: RefCell::new(None),
-            }),
+            inner: Rc::new(inner),
         };
         rt.start_reaper();
         rt.start_autoscaler();
@@ -277,40 +300,6 @@ impl Runtime {
     ) {
         let mut edges = crate::autoscale::edges_from_graph(graph, variant_of);
         self.inner.prewarm_edges.borrow_mut().append(&mut edges);
-    }
-
-    /// Installs (or removes) the tracer invocation spans record into.
-    pub fn set_tracer(&self, tracer: Option<Tracer>) {
-        *self.inner.tracer.borrow_mut() = tracer;
-    }
-
-    /// Installs (or removes) the structured event journal. Cold starts
-    /// and preemptions record typed events into it.
-    pub fn set_journal(&self, journal: Option<Journal>) {
-        *self.inner.journal.borrow_mut() = journal;
-    }
-
-    /// Installs (or removes) the metrics registry: the runtime's
-    /// always-on counters are published as named series and the latency
-    /// histograms start recording.
-    pub fn set_metrics(&self, metrics: Option<&Metrics>) {
-        match metrics {
-            Some(m) => {
-                m.bind_counter("faas.invocations", &[], &self.inner.invocations);
-                m.bind_counter("faas.cold_starts", &[], &self.inner.cold_starts);
-                m.bind_counter("faas.rejections", &[], &self.inner.rejections);
-                m.bind_counter("faas.failures", &[], &self.inner.failures);
-                m.bind_counter("faas.preemptions", &[], &self.inner.preemptions);
-                m.bind_counter("faas.prewarms", &[], &self.inner.prewarms);
-                m.bind_counter("faas.rebalances", &[], &self.inner.rebalances);
-                m.bind_gauge("faas.in_flight", &[], &self.inner.in_flight);
-                *self.inner.hists.borrow_mut() = Some(FaasHists {
-                    cold_start_ns: m.histogram("faas.cold_start_ns", &[]),
-                    invoke_ns: m.histogram("faas.invoke_ns", &[]),
-                });
-            }
-            None => *self.inner.hists.borrow_mut() = None,
-        }
     }
 
     /// The cluster allocation state (experiments sample utilization here).
@@ -651,7 +640,7 @@ impl Runtime {
         // its cold allocation forever).
         let body = self.inner.registry.borrow().body(&image.name)?;
         let (key, node, cold_start, preemptible, epoch, demand) = lease.into_parts();
-        let span_of = |name| match self.inner.tracer.borrow().as_ref() {
+        let span_of = |name| match &self.inner.tracer {
             Some(t) => t.child_of(trace, name),
             None => pcsi_trace::SpanHandle::disabled(),
         };
@@ -666,7 +655,7 @@ impl Runtime {
                 );
             });
             let boot = variant.backend.cold_start();
-            if let Some(h) = self.inner.hists.borrow().as_ref() {
+            if let Some(h) = &self.inner.hists {
                 h.cold_start_ns.record_duration(boot);
             }
             let cold_span = span_of("faas.cold_start");
@@ -734,7 +723,7 @@ impl Runtime {
         // Latency is recorded on every outcome: error latencies (which
         // include cold-start time) count toward SLO attainment too.
         let billed = now - started;
-        if let Some(h) = self.inner.hists.borrow().as_ref() {
+        if let Some(h) = &self.inner.hists {
             h.invoke_ns.record_duration(billed);
         }
         let out = match result {
@@ -1093,7 +1082,7 @@ mod tests {
 
     fn setup_with(sim: &Sim, config: RuntimeConfig) -> Runtime {
         let cluster = ClusterState::new(&Topology::uniform(2, 2));
-        let rt = Runtime::new(sim.handle(), cluster, config);
+        let rt = Runtime::new(sim.handle(), cluster, config, &Telemetry::default());
         rt.register_body(
             "work",
             Rc::new(|ctx: FnCtx| {
@@ -1407,9 +1396,16 @@ mod tests {
     #[test]
     fn failed_invocations_record_latency_and_failures() {
         let mut sim = Sim::new(1);
-        let rt = setup(&sim);
-        let m = Metrics::new();
-        rt.set_metrics(Some(&m));
+        let m = pcsi_metrics::Metrics::new();
+        let rt = Runtime::new(
+            sim.handle(),
+            ClusterState::new(&Topology::uniform(2, 2)),
+            RuntimeConfig::default(),
+            &Telemetry {
+                metrics: Some(m.clone()),
+                ..Telemetry::default()
+            },
+        );
         rt.register_body(
             "boom",
             Rc::new(|_ctx| Box::pin(async { Err(PcsiError::FunctionFailed("kaput".into())) })),

@@ -79,6 +79,7 @@ fn run_seed(seed: u64) {
                 ..AutoscaleConfig::enabled()
             },
         },
+        &pcsi_obs::Telemetry::default(),
     );
     rt.register_body(
         "upstream",

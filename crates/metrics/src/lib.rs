@@ -11,9 +11,9 @@
 //!
 //! # The zero-cost-when-disabled discipline
 //!
-//! Same contract as `pcsi-trace`: components hold an `Option<Metrics>`
-//! (installed via a `set_metrics` method at build time) and resolve
-//! their series handles **once**, when the registry is installed. With
+//! Same contract as `pcsi-trace`: components hold the `Option<Metrics>`
+//! their constructor was handed and resolve their series handles
+//! **once**, there. With
 //! metrics disabled the per-event cost is a `None` check — no
 //! allocation, no label formatting, and the crate draws **no RNG at
 //! all**, so enabling or disabling metrics can never perturb a seeded

@@ -13,7 +13,7 @@
 //! network is where faults are observed.
 
 use fxhash::{FxHashMap, FxHashSet};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
@@ -200,9 +200,9 @@ struct FabricInner {
     dropped: Counter,
     duplicated: Counter,
     delayed: Counter,
-    /// Per-message payload-size histogram; recorded only when a metrics
-    /// registry is installed (the counters above are always-on cells).
-    msg_bytes: RefCell<Option<Histogram>>,
+    /// Per-message payload-size histogram; recorded only once a metrics
+    /// registry is bound (the counters above are always-on cells).
+    msg_bytes: OnceCell<Histogram>,
 }
 
 impl Fabric {
@@ -211,7 +211,7 @@ impl Fabric {
         let n = topology.len();
         let faults_rng = handle.rng().stream("net-faults");
         let jitter_rng = handle.rng().stream("net-jitter");
-        Fabric {
+        let fabric = Fabric {
             inner: Rc::new(FabricInner {
                 handle,
                 topology,
@@ -230,11 +230,23 @@ impl Fabric {
                 dropped: Counter::new(),
                 duplicated: Counter::new(),
                 delayed: Counter::new(),
-                msg_bytes: RefCell::new(None),
+                msg_bytes: OnceCell::new(),
                 faults_rng,
                 jitter_rng,
             }),
-        }
+        };
+        // A bound handler owns its service, which owns a clone of this
+        // fabric: a cycle no reference count unwinds. The end of the
+        // simulation empties the table, outside the borrow because a
+        // handler's destructor may unbind.
+        let weak = Rc::downgrade(&fabric.inner);
+        fabric.inner.handle.on_sim_drop(move || {
+            if let Some(inner) = weak.upgrade() {
+                let services = std::mem::take(&mut inner.state.borrow_mut().services);
+                drop(services);
+            }
+        });
+        fabric
     }
 
     /// The cluster layout.
@@ -255,20 +267,19 @@ impl Fabric {
     /// Publishes the fabric's telemetry on `metrics`: the always-on
     /// message/byte/fault counters become registered series (same cells
     /// the accessors read), and a per-message payload-size histogram
-    /// starts recording. Pass `None` to stop histogram recording; the
-    /// counters keep counting either way.
-    pub fn set_metrics(&self, metrics: Option<&Metrics>) {
-        match metrics {
-            Some(m) => {
-                m.bind_counter("fabric.messages", &[], &self.inner.messages);
-                m.bind_counter("fabric.bytes", &[], &self.inner.bytes);
-                m.bind_counter("fabric.dropped", &[], &self.inner.dropped);
-                m.bind_counter("fabric.duplicated", &[], &self.inner.duplicated);
-                m.bind_counter("fabric.delayed", &[], &self.inner.delayed);
-                *self.inner.msg_bytes.borrow_mut() = Some(m.histogram("fabric.message_bytes", &[]));
-            }
-            None => *self.inner.msg_bytes.borrow_mut() = None,
-        }
+    /// starts recording. Bound once, by whoever deploys the fabric
+    /// (`Fabric::new` has no registry argument); a second call panics.
+    pub fn set_metrics(&self, m: &Metrics) {
+        m.bind_counter("fabric.messages", &[], &self.inner.messages);
+        m.bind_counter("fabric.bytes", &[], &self.inner.bytes);
+        m.bind_counter("fabric.dropped", &[], &self.inner.dropped);
+        m.bind_counter("fabric.duplicated", &[], &self.inner.duplicated);
+        m.bind_counter("fabric.delayed", &[], &self.inner.delayed);
+        let bound = self
+            .inner
+            .msg_bytes
+            .set(m.histogram("fabric.message_bytes", &[]));
+        assert!(bound.is_ok(), "the fabric's metrics are bound once");
     }
 
     /// Total messages delivered so far.
@@ -410,7 +421,7 @@ impl Fabric {
         let h = &self.inner.handle;
         self.inner.messages.incr();
         self.inner.bytes.add(bytes as u64);
-        if let Some(h) = self.inner.msg_bytes.borrow().as_ref() {
+        if let Some(h) = self.inner.msg_bytes.get() {
             h.record(bytes as u64);
         }
 

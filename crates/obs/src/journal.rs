@@ -169,21 +169,13 @@ impl Journal {
 /// mirroring `pcsi_metrics::MetricsExt`: detail formatting inside the
 /// closure costs nothing when the journal is absent.
 pub trait JournalExt {
-    /// Runs `f` against the journal if one is installed.
+    /// Runs `f` against the journal if there is one.
     fn with(&self, f: impl FnOnce(&Journal));
 }
 
 impl JournalExt for Option<Journal> {
     fn with(&self, f: impl FnOnce(&Journal)) {
         if let Some(j) = self {
-            f(j);
-        }
-    }
-}
-
-impl JournalExt for RefCell<Option<Journal>> {
-    fn with(&self, f: impl FnOnce(&Journal)) {
-        if let Some(j) = self.borrow().as_ref() {
             f(j);
         }
     }

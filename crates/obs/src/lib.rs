@@ -25,9 +25,11 @@
 //!   a firing latency alert carries its p99 offender and
 //!   [`exemplar_trace`] joins it back to the rendered span tree.
 //!
-//! The cloud layer owns the wiring (`CloudBuilder::observability`); this
-//! crate is deliberately free of any dependency on the kernel so the
-//! store and faas layers can hold a [`Journal`] without a cycle.
+//! The cloud layer owns the wiring: `CloudBuilder::build` assembles one
+//! [`Telemetry`] (registry, tracer, journal) and hands it to every
+//! layer's constructor. This crate is deliberately free of any
+//! dependency on the kernel so the store and faas layers can take a
+//! [`Telemetry`] without a cycle.
 
 #![warn(missing_docs)]
 
@@ -45,7 +47,23 @@ use std::time::Duration;
 
 use pcsi_metrics::{Exemplar, Metrics};
 use pcsi_sim::SimHandle;
-use pcsi_trace::{render_trace, TraceId, TraceSink};
+use pcsi_trace::{render_trace, TraceId, TraceSink, Tracer};
+
+/// The telemetry handles of one deployment, handed to every layer's
+/// constructor. A `None` handle *is* the disabled state: the layer
+/// stores it as is and every hook costs one `Option` check. The handles
+/// are never swapped after construction, so a layer binds its always-on
+/// cells and resolves its histograms once, where it is built.
+/// `Telemetry::default()` turns everything off.
+#[derive(Clone, Default)]
+pub struct Telemetry {
+    /// The unified metrics registry.
+    pub metrics: Option<Metrics>,
+    /// The deterministic tracer.
+    pub tracer: Option<Tracer>,
+    /// The structured event journal.
+    pub journal: Option<Journal>,
+}
 
 /// Configuration for the observability control plane.
 #[derive(Debug, Clone)]

@@ -115,6 +115,8 @@ struct Inner {
     timers: TimerWheel,
     live_tasks: usize,
     polls: u64,
+    /// Closures [`SimHandle::on_sim_drop`] registered.
+    teardowns: Vec<Box<dyn FnOnce()>>,
 }
 
 impl Inner {
@@ -126,6 +128,7 @@ impl Inner {
             timers: TimerWheel::new(),
             live_tasks: 0,
             polls: 0,
+            teardowns: Vec::new(),
         }
     }
 }
@@ -297,7 +300,7 @@ impl Sim {
 /// Tasks hold [`SimHandle`]s, which hold the task table: a cycle no
 /// reference count unwinds. Dropping the `Sim` ends the simulation, so
 /// it empties the table and every future, with whatever it owns, is
-/// freed.
+/// freed; the [`SimHandle::on_sim_drop`] closures run first.
 impl Drop for Sim {
     fn drop(&mut self) {
         // A future's destructor may itself spawn; go round until one
@@ -309,16 +312,18 @@ impl Drop for Sim {
             let Ok(mut inner) = self.inner.try_borrow_mut() else {
                 return;
             };
+            let teardowns = std::mem::take(&mut inner.teardowns);
             let tasks = std::mem::take(&mut inner.tasks);
             // Ids on the free list index the table just taken.
             inner.free.clear();
             inner.live_tasks = 0;
-            // Futures call back into `inner` from their destructors
+            // Teardowns and futures' destructors call back into `inner`
             // (to spawn, to read the clock): release it first.
             drop(inner);
-            if tasks.is_empty() {
+            if teardowns.is_empty() && tasks.is_empty() {
                 return;
             }
+            teardowns.into_iter().for_each(|f| f());
             drop(tasks);
         }
     }
@@ -354,6 +359,14 @@ impl SimHandle {
     /// The simulation's named RNG streams.
     pub fn rng(&self) -> &RngStreams {
         &self.rng
+    }
+
+    /// Runs `f` when the [`Sim`] is dropped. For state that sits in a
+    /// reference cycle outside the task table — a service table whose
+    /// handlers own the table's owner — so the end of the simulation
+    /// frees it too.
+    pub fn on_sim_drop(&self, f: impl FnOnce() + 'static) {
+        self.inner.borrow_mut().teardowns.push(Box::new(f));
     }
 
     /// Spawns a task; the returned [`JoinHandle`] resolves to its output.

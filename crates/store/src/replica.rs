@@ -24,9 +24,10 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_core::ObjectId;
-use pcsi_metrics::{Counter, Histogram, Metrics};
+use pcsi_metrics::{Counter, Histogram};
 use pcsi_net::fabric::{CallCtx, NetError, RpcHandler};
 use pcsi_net::{Fabric, NodeId, Transport};
+use pcsi_obs::Telemetry;
 use pcsi_sim::sync::mpsc;
 use pcsi_sim::SimTime;
 use pcsi_trace::{SpanHandle, TraceContext, Tracer};
@@ -80,17 +81,26 @@ struct Inner {
     repaired: Counter,
     migrated_in: Counter,
     /// Synchronous-ack quorum sizes observed per coordination round
-    /// (this node included). Recorded only when a registry is installed.
-    quorum_acks: RefCell<Option<Histogram>>,
+    /// (this node included). Recorded only when metrics are on.
+    quorum_acks: Option<Histogram>,
     /// Optional tracer shared with the store's clients: server-side
     /// spans nest under the client attempt whose context rode the wire.
-    tracer: RefCell<Option<Tracer>>,
+    tracer: Option<Tracer>,
 }
 
 impl ReplicaNode {
-    /// Creates the replica and binds its service on the fabric.
-    pub fn start(fabric: Fabric, placement: Placement, node: NodeId, tier: MediaTier) -> Self {
-        let inner = Rc::new(Inner {
+    /// Creates the replica and binds its service on the fabric. The
+    /// protocol counters are always-on cells; with metrics on they are
+    /// published as per-node series and the quorum-ack-size histogram
+    /// records. Server-side spans record into the telemetry's tracer.
+    pub fn start(
+        fabric: Fabric,
+        placement: Placement,
+        node: NodeId,
+        tier: MediaTier,
+        telemetry: &Telemetry,
+    ) -> Self {
+        let mut inner = Inner {
             node,
             fabric: fabric.clone(),
             placement,
@@ -105,9 +115,22 @@ impl ReplicaNode {
             synced_in: Counter::new(),
             repaired: Counter::new(),
             migrated_in: Counter::new(),
-            quorum_acks: RefCell::new(None),
-            tracer: RefCell::new(None),
-        });
+            quorum_acks: None,
+            tracer: telemetry.tracer.clone(),
+        };
+        if let Some(m) = &telemetry.metrics {
+            let node = node.0.to_string();
+            let labels = [("node", node.as_str())];
+            m.bind_counter("replica.coordinated", &labels, &inner.coordinated);
+            m.bind_counter("replica.applied", &labels, &inner.applied);
+            m.bind_counter("replica.reads", &labels, &inner.reads);
+            m.bind_counter("replica.fetched", &labels, &inner.fetched);
+            m.bind_counter("replica.synced_in", &labels, &inner.synced_in);
+            m.bind_counter("replica.repaired", &labels, &inner.repaired);
+            m.bind_counter("replica.migrated_in", &labels, &inner.migrated_in);
+            inner.quorum_acks = Some(m.histogram("replica.quorum_acks", &labels));
+        }
+        let inner = Rc::new(inner);
         let handler: RpcHandler = {
             let inner = Rc::clone(&inner);
             Rc::new(move |payload, ctx| {
@@ -182,33 +205,6 @@ impl ReplicaNode {
     /// Runs one anti-entropy exchange immediately (tests).
     pub async fn anti_entropy_once(&self) {
         anti_entropy_round(&self.inner).await;
-    }
-
-    /// Installs (or removes) the tracer server-side spans record into.
-    pub fn set_tracer(&self, tracer: Option<Tracer>) {
-        *self.inner.tracer.borrow_mut() = tracer;
-    }
-
-    /// Installs (or removes) the metrics registry. The protocol counters
-    /// are always-on cells; installing publishes them as per-node series
-    /// and enables the quorum-ack-size histogram.
-    pub fn set_metrics(&self, metrics: Option<Metrics>) {
-        match metrics {
-            Some(m) => {
-                let node = self.inner.node.0.to_string();
-                let labels = [("node", node.as_str())];
-                m.bind_counter("replica.coordinated", &labels, &self.inner.coordinated);
-                m.bind_counter("replica.applied", &labels, &self.inner.applied);
-                m.bind_counter("replica.reads", &labels, &self.inner.reads);
-                m.bind_counter("replica.fetched", &labels, &self.inner.fetched);
-                m.bind_counter("replica.synced_in", &labels, &self.inner.synced_in);
-                m.bind_counter("replica.repaired", &labels, &self.inner.repaired);
-                m.bind_counter("replica.migrated_in", &labels, &self.inner.migrated_in);
-                *self.inner.quorum_acks.borrow_mut() =
-                    Some(m.histogram("replica.quorum_acks", &labels));
-            }
-            None => *self.inner.quorum_acks.borrow_mut() = None,
-        }
     }
 }
 
@@ -360,7 +356,7 @@ async fn handle(inner: Rc<Inner>, payload: Bytes, call_ctx: CallCtx) -> Bytes {
     // The store protocol carries the context in its own envelope; the
     // fabric-level context covers callers that route through `call_traced`.
     let trace_ctx = wire_ctx.or(call_ctx.trace);
-    let mut span = match inner.tracer.borrow().as_ref() {
+    let mut span = match &inner.tracer {
         Some(t) => t.child_of(trace_ctx, request_span_name(&request)),
         None => SpanHandle::disabled(),
     };
@@ -987,7 +983,7 @@ async fn replicate(
     }
     // Remaining replication continues in the background (detached tasks).
     if ok >= need {
-        if let Some(h) = inner.quorum_acks.borrow().as_ref() {
+        if let Some(h) = &inner.quorum_acks {
             h.record((ok + 1) as u64);
         }
         ReplicateOutcome::Acked

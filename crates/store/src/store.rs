@@ -33,14 +33,14 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_core::{Consistency, Mutability, ObjectId, PcsiError};
-use pcsi_metrics::{Counter, Metrics};
+use pcsi_metrics::Counter;
 use pcsi_net::fabric::NetError;
 use pcsi_net::{Fabric, NodeId};
-use pcsi_obs::{Journal, JournalExt};
+use pcsi_obs::{JournalExt, Telemetry};
 use pcsi_sim::sync::mpsc;
 use pcsi_sim::util::{join_all, Pacer};
 use pcsi_sim::SimTime;
-use pcsi_trace::{AttrValue, SpanHandle, TraceContext, Tracer};
+use pcsi_trace::{AttrValue, SpanHandle, TraceContext};
 
 use crate::cache::ObjectCache;
 use crate::engine::{MediaTier, Mutation, StoredObject};
@@ -171,51 +171,27 @@ struct StoreInner {
     caches: RefCell<FxHashMap<NodeId, ObjectCache>>,
     /// Optional per-operation observer (chaos harness history recording).
     tap: RefCell<Option<HistoryTap>>,
-    /// Optional deterministic tracer. Client operations open spans here;
-    /// the context rides the wire envelope so replica spans nest under
-    /// the client attempt that caused them.
-    tracer: RefCell<Option<Tracer>>,
     /// Store-unique [`Request::Coordinate`] id allocator. The fabric can
     /// duplicate messages and clients retry, so every coordination
     /// carries an id coordinators deduplicate on.
     next_req_id: Cell<u64>,
     /// Fault-recovery counters, aggregated across every client of this
     /// store.
-    retry_counters: RetryCounters,
+    retries: Counter,
+    failovers: Counter,
+    timeouts: Counter,
     /// Objects a migration driver is currently moving. A freeze window
     /// must belong to exactly one driver — a second drain unfreezing an
     /// object mid-snapshot would readmit writes the first driver's
     /// snapshot cannot see — so concurrent drains skip claimed objects.
     migrating: RefCell<BTreeSet<ObjectId>>,
-    /// Optional metrics registry. When installed, the always-on cells
+    /// The deployment's telemetry. With a registry, the always-on cells
     /// above (and every lazily created cache's) are published as named
-    /// series; nothing is double-counted.
-    metrics: RefCell<Option<Metrics>>,
-    /// Optional structured event journal. Failovers and object
-    /// migrations append typed records; absent means disabled and the
-    /// hooks cost one pointer check.
-    journal: RefCell<Option<Journal>>,
-}
-
-#[derive(Default)]
-struct RetryCounters {
-    retries: Counter,
-    failovers: Counter,
-    timeouts: Counter,
-}
-
-impl RetryCounters {
-    fn retry(&self) {
-        self.retries.incr();
-    }
-
-    fn failover(&self) {
-        self.failovers.incr();
-    }
-
-    fn timeout(&self) {
-        self.timeouts.incr();
-    }
+    /// series; nothing is double-counted. Client operations open spans
+    /// on the tracer, and the context rides the wire envelope so replica
+    /// spans nest under the client attempt that caused them. Failovers
+    /// and object migrations append typed records to the journal.
+    telemetry: Telemetry,
 }
 
 impl ReplicatedStore {
@@ -223,7 +199,17 @@ impl ReplicatedStore {
     /// placement ring covers [`StoreConfig::ring_nodes`] when set (a
     /// subset of `storage_nodes`; the rest are warm standbys awaiting
     /// [`ReplicatedStore::join_node`]), else all of `storage_nodes`.
-    pub fn launch(fabric: Fabric, storage_nodes: Vec<NodeId>, config: StoreConfig) -> Self {
+    ///
+    /// `telemetry` reaches every replica and every client of this store.
+    /// A registry publishes the same cells the accessors
+    /// ([`ReplicatedStore::retry_stats`], [`ReplicatedStore::cache_stats`])
+    /// read, so the two views agree by construction.
+    pub fn launch(
+        fabric: Fabric,
+        storage_nodes: Vec<NodeId>,
+        config: StoreConfig,
+        telemetry: &Telemetry,
+    ) -> Self {
         let ring = config
             .ring_nodes
             .clone()
@@ -237,28 +223,42 @@ impl ReplicatedStore {
         let placement = Placement::new(fabric.topology(), ring, config.n_replicas);
         let replicas: Vec<ReplicaNode> = storage_nodes
             .iter()
-            .map(|&node| ReplicaNode::start(fabric.clone(), placement.clone(), node, config.tier))
+            .map(|&node| {
+                ReplicaNode::start(
+                    fabric.clone(),
+                    placement.clone(),
+                    node,
+                    config.tier,
+                    telemetry,
+                )
+            })
             .collect();
         if let Some(interval) = config.anti_entropy {
             for r in &replicas {
                 r.start_anti_entropy(interval);
             }
         }
+        let inner = StoreInner {
+            fabric,
+            placement,
+            replicas,
+            config,
+            caches: RefCell::new(FxHashMap::default()),
+            tap: RefCell::new(None),
+            next_req_id: Cell::new(0),
+            retries: Counter::new(),
+            failovers: Counter::new(),
+            timeouts: Counter::new(),
+            migrating: RefCell::new(BTreeSet::new()),
+            telemetry: telemetry.clone(),
+        };
+        if let Some(m) = &telemetry.metrics {
+            m.bind_counter("store.retries", &[], &inner.retries);
+            m.bind_counter("store.failovers", &[], &inner.failovers);
+            m.bind_counter("store.timeouts", &[], &inner.timeouts);
+        }
         ReplicatedStore {
-            inner: Rc::new(StoreInner {
-                fabric,
-                placement,
-                replicas,
-                config,
-                caches: RefCell::new(FxHashMap::default()),
-                tap: RefCell::new(None),
-                tracer: RefCell::new(None),
-                next_req_id: Cell::new(0),
-                retry_counters: RetryCounters::default(),
-                migrating: RefCell::new(BTreeSet::new()),
-                metrics: RefCell::new(None),
-                journal: RefCell::new(None),
-            }),
+            inner: Rc::new(inner),
         }
     }
 
@@ -267,59 +267,6 @@ impl ReplicatedStore {
     /// it must not issue store operations itself.
     pub fn set_history_tap(&self, tap: Option<HistoryTap>) {
         *self.inner.tap.borrow_mut() = tap;
-    }
-
-    /// Installs (or removes) the tracer. Client operations open spans on
-    /// it, and every replica records server-side spans into the same
-    /// sink, nested under the client attempt via the wire context.
-    pub fn set_tracer(&self, tracer: Option<Tracer>) {
-        for r in &self.inner.replicas {
-            r.set_tracer(tracer.clone());
-        }
-        *self.inner.tracer.borrow_mut() = tracer;
-    }
-
-    /// The installed tracer, if any.
-    pub fn tracer(&self) -> Option<Tracer> {
-        self.inner.tracer.borrow().clone()
-    }
-
-    /// Installs (or removes) the metrics registry. Installing binds the
-    /// store's fault-recovery counters, every existing client cache's
-    /// counters, and each replica's protocol counters as named series —
-    /// the registry publishes the same cells the legacy accessors
-    /// ([`ReplicatedStore::retry_stats`], [`ReplicatedStore::cache_stats`])
-    /// read, so the two views agree by construction.
-    pub fn set_metrics(&self, metrics: Option<Metrics>) {
-        if let Some(m) = &metrics {
-            let c = &self.inner.retry_counters;
-            m.bind_counter("store.retries", &[], &c.retries);
-            m.bind_counter("store.failovers", &[], &c.failovers);
-            m.bind_counter("store.timeouts", &[], &c.timeouts);
-            for (node, cache) in self.inner.caches.borrow().iter() {
-                cache.publish_metrics(m, &node.0.to_string());
-            }
-        }
-        for r in &self.inner.replicas {
-            r.set_metrics(metrics.clone());
-        }
-        *self.inner.metrics.borrow_mut() = metrics;
-    }
-
-    /// The installed metrics registry, if any.
-    pub fn metrics(&self) -> Option<Metrics> {
-        self.inner.metrics.borrow().clone()
-    }
-
-    /// Installs (or removes) the structured event journal. Failovers
-    /// and migrations record typed events into it.
-    pub fn set_journal(&self, journal: Option<Journal>) {
-        *self.inner.journal.borrow_mut() = journal;
-    }
-
-    /// The installed journal, if any.
-    pub fn journal(&self) -> Option<Journal> {
-        self.inner.journal.borrow().clone()
     }
 
     fn emit_tap(&self, make: impl FnOnce() -> TapEvent) {
@@ -365,11 +312,10 @@ impl ReplicatedStore {
     /// Aggregated fault-recovery counters (retries, failovers, deadline
     /// expiries) across all clients of this store.
     pub fn retry_stats(&self) -> RetryStats {
-        let c = &self.inner.retry_counters;
         RetryStats {
-            retries: c.retries.get(),
-            failovers: c.failovers.get(),
-            timeouts: c.timeouts.get(),
+            retries: self.inner.retries.get(),
+            failovers: self.inner.failovers.get(),
+            timeouts: self.inner.timeouts.get(),
         }
     }
 
@@ -386,13 +332,13 @@ impl ReplicatedStore {
     }
 
     /// The cache for `node`, created (and published to the metrics
-    /// registry when one is installed) on first touch.
+    /// registry when there is one) on first touch.
     fn with_cache<T>(&self, node: NodeId, f: impl FnOnce(&mut ObjectCache) -> T) -> T {
         let capacity = self.inner.config.cache_bytes;
         let mut caches = self.inner.caches.borrow_mut();
         let cache = caches.entry(node).or_insert_with(|| {
             let cache = ObjectCache::new(capacity);
-            if let Some(m) = self.inner.metrics.borrow().as_ref() {
+            if let Some(m) = &self.inner.telemetry.metrics {
                 cache.publish_metrics(m, &node.0.to_string());
             }
             cache
@@ -490,7 +436,7 @@ impl ReplicatedStore {
     /// object per [`Pacer`] tick) so background data movement spreads
     /// over time instead of saturating the fabric. Failed moves retry on
     /// the next round; a round that makes no progress at all backs off,
-    /// and [`MAX_STALLED_ROUNDS`] fruitless rounds in a row surface a
+    /// and `MAX_STALLED_ROUNDS` fruitless rounds in a row surface a
     /// retryable error (e.g. a quorum of old owners stayed unreachable).
     /// Returns the number of objects moved by *this* call.
     pub async fn drain_moves(&self, pacer: Option<&Pacer>) -> Result<usize, PcsiError> {
@@ -554,7 +500,7 @@ impl ReplicatedStore {
         match &result {
             Ok(()) => {
                 self.inner.placement.complete_move(id);
-                self.inner.journal.with(|j| {
+                self.inner.telemetry.journal.with(|j| {
                     j.append(
                         "store",
                         "migration",
@@ -804,10 +750,9 @@ impl StoreClient {
 
     /// Opens the span for one client-facing store operation: a child of
     /// the bound context when one exists, else a fresh root (subject to
-    /// sampling). Disabled (zero-cost) when no tracer is installed.
+    /// sampling). Disabled (zero-cost) without a tracer.
     fn op_span(&self, name: &'static str) -> SpanHandle {
-        let tracer = self.store.inner.tracer.borrow();
-        match (tracer.as_ref(), self.ctx) {
+        match (&self.store.inner.telemetry.tracer, self.ctx) {
             (Some(t), Some(ctx)) => t.child(ctx, name),
             (Some(t), None) => t.root(name),
             (None, _) => SpanHandle::disabled(),
@@ -980,7 +925,7 @@ impl StoreClient {
         let start = handle.now();
         let per_target = policy.attempts_per_target.max(1);
         let rng = handle.rng().stream(RETRY_RNG_STREAM);
-        let counters = &self.store.inner.retry_counters;
+        let counters = &self.store.inner;
 
         let mut attempt_no = 0u32;
         let mut transport_err: Option<PcsiError> = None;
@@ -1003,14 +948,14 @@ impl StoreClient {
             }
             let target = replicas[ti];
             if ti > 0 {
-                counters.failover();
-                self.store.inner.journal.with(|j| {
+                counters.failovers.incr();
+                self.store.inner.telemetry.journal.with(|j| {
                     j.append("store", "failover", format!("id={id:?} target={ti}"));
                 });
             }
             for _ in 0..per_target {
                 if attempt_no > 0 {
-                    counters.retry();
+                    counters.retries.incr();
                     let mut delay = policy.backoff(attempt_no - 1, &rng);
                     if let Some(rem) = policy.remaining_budget(handle.now() - start) {
                         // Never sleep past the operation deadline.
@@ -1028,7 +973,7 @@ impl StoreClient {
                 // attempt_timeout of overrun.
                 let remaining = policy.remaining_budget(handle.now() - start);
                 if remaining == Some(Duration::ZERO) {
-                    counters.timeout();
+                    counters.timeouts.incr();
                     return Err(server_err.or(transport_err).unwrap_or(PcsiError::Timeout));
                 }
                 attempt_no += 1;
@@ -1092,7 +1037,7 @@ impl StoreClient {
                     Err(e) => {
                         match &e {
                             PcsiError::Timeout => {
-                                counters.timeout();
+                                counters.timeouts.incr();
                                 transport_err = Some(e);
                             }
                             PcsiError::Unreachable(_) | PcsiError::Fault(_) => {
@@ -1202,12 +1147,12 @@ impl StoreClient {
         let n_targets = self.store.placement().replication_factor();
         let max_attempts = policy.max_attempts(n_targets);
         let rng = handle.rng().stream(RETRY_RNG_STREAM);
-        let counters = &self.store.inner.retry_counters;
+        let counters = &self.store.inner;
 
         let mut last_err: Option<PcsiError> = None;
         for attempt in 0..max_attempts {
             if attempt > 0 {
-                counters.retry();
+                counters.retries.incr();
                 let mut delay = policy.backoff(attempt as u32 - 1, &rng);
                 if let Some(rem) = policy.remaining_budget(handle.now() - start) {
                     // Never sleep past the operation deadline.
@@ -1223,7 +1168,7 @@ impl StoreClient {
             // every attempt, clamp each attempt to what is left.
             let remaining = policy.remaining_budget(handle.now() - start);
             if remaining == Some(Duration::ZERO) {
-                counters.timeout();
+                counters.timeouts.incr();
                 return Err(last_err.unwrap_or(PcsiError::Timeout));
             }
             let mut att = parent.span("store.attempt");
@@ -1241,7 +1186,7 @@ impl StoreClient {
                     match raced {
                         Some(r) => r,
                         None => {
-                            counters.timeout();
+                            counters.timeouts.incr();
                             Err(PcsiError::Timeout)
                         }
                     }
@@ -1703,6 +1648,7 @@ mod tests {
                 cache_bytes: 1 << 20,
                 ..StoreConfig::default()
             },
+            &Telemetry::default(),
         );
         (fabric, store)
     }
@@ -2046,6 +1992,7 @@ mod tests {
                     cache_bytes: 0,
                     ..StoreConfig::default()
                 },
+                &Telemetry::default(),
             );
             let h = fabric.handle().clone();
             sim.block_on(async move {
@@ -2163,6 +2110,7 @@ mod tests {
                 cache_bytes: 1024,
                 ..StoreConfig::default()
             },
+            &Telemetry::default(),
         );
         sim.block_on({
             let store = store.clone();
@@ -2358,6 +2306,7 @@ mod tests {
                 },
                 ring_nodes: None,
             },
+            &Telemetry::default(),
         );
         sim.block_on({
             let store = store.clone();
@@ -2427,6 +2376,7 @@ mod tests {
                 retry: RetryPolicy::none(),
                 ring_nodes: None,
             },
+            &Telemetry::default(),
         );
         sim.block_on({
             let store = store.clone();
@@ -2552,6 +2502,7 @@ mod tests {
                 },
                 ring_nodes: None,
             },
+            &Telemetry::default(),
         );
         sim.block_on({
             let store = store.clone();
@@ -2665,6 +2616,7 @@ mod tests {
                 },
                 ring_nodes: None,
             },
+            &Telemetry::default(),
         );
         sim.block_on({
             let store = store.clone();
@@ -2769,6 +2721,7 @@ mod tests {
                 ring_nodes: Some(all[..8].to_vec()),
                 ..StoreConfig::default()
             },
+            &Telemetry::default(),
         );
         (fabric, store)
     }
@@ -2882,6 +2835,7 @@ mod tests {
                 retry: RetryPolicy::none(),
                 ..StoreConfig::default()
             },
+            &Telemetry::default(),
         );
         sim.block_on({
             let store = store.clone();

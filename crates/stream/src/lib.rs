@@ -19,7 +19,7 @@
 //!
 //! ## Exactly-once inside the window
 //!
-//! Pushes ride [`Fabric::call`], which can drop or duplicate under
+//! Pushes ride [`pcsi_net::Fabric::call`], which can drop or duplicate under
 //! injected faults. The owner retries dropped pushes (frames are seq-
 //! numbered, so retries are idempotent) and the consumer drops frames it
 //! has already accepted, so a subscriber observes each seq exactly once

@@ -2,7 +2,7 @@
 //! bounded buffers, and the credit-gated pump that pushes frames
 //! through the fabric.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
@@ -84,7 +84,6 @@ struct ObjectStream {
 /// Lazily-resolved metric series. Registration happens on first
 /// streaming activity, so workloads that never stream render snapshots
 /// byte-identical to before this crate existed.
-#[derive(Clone)]
 struct StreamSeries {
     subscriptions: Counter,
     frames: Counter,
@@ -99,8 +98,8 @@ struct Inner {
     subs: RefCell<FxHashMap<u64, Rc<SubState>>>,
     objects: RefCell<FxHashMap<ObjectId, Rc<ObjectStream>>>,
     next_sub: Cell<u64>,
-    metrics: RefCell<Option<Metrics>>,
-    series: RefCell<Option<StreamSeries>>,
+    metrics: Option<Metrics>,
+    series: OnceCell<StreamSeries>,
 }
 
 /// The owner half of the streaming layer. One per kernel; cheap to
@@ -112,8 +111,10 @@ pub struct Publisher {
 
 impl Publisher {
     /// Creates a publisher and binds its control service on every node
-    /// of the fabric's topology (any node can home an object).
-    pub fn deploy(fabric: Fabric, config: StreamConfig) -> Self {
+    /// of the fabric's topology (any node can home an object). With a
+    /// registry, the `stream.*` series register on the first streaming
+    /// activity.
+    pub fn deploy(fabric: Fabric, config: StreamConfig, metrics: Option<Metrics>) -> Self {
         let p = Publisher {
             inner: Rc::new(Inner {
                 fabric: fabric.clone(),
@@ -121,8 +122,8 @@ impl Publisher {
                 subs: RefCell::new(FxHashMap::default()),
                 objects: RefCell::new(FxHashMap::default()),
                 next_sub: Cell::new(0),
-                metrics: RefCell::new(None),
-                series: RefCell::new(None),
+                metrics,
+                series: OnceCell::new(),
             }),
         };
         for node in fabric.topology().node_ids() {
@@ -142,13 +143,6 @@ impl Publisher {
     /// Streaming tuning knobs.
     pub fn config(&self) -> &StreamConfig {
         &self.inner.config
-    }
-
-    /// Installs (or removes) the metrics registry. Series stay
-    /// unregistered until the first streaming activity.
-    pub fn set_metrics(&self, metrics: Option<Metrics>) {
-        *self.inner.series.borrow_mut() = None;
-        *self.inner.metrics.borrow_mut() = metrics;
     }
 
     /// Allocates a subscription id for a consumer on `node`. Allocation
@@ -265,20 +259,15 @@ impl Publisher {
             .sum()
     }
 
-    fn series(&self) -> Option<StreamSeries> {
-        if let Some(s) = self.inner.series.borrow().as_ref() {
-            return Some(s.clone());
-        }
-        let m = self.inner.metrics.borrow().clone()?;
-        let s = StreamSeries {
+    fn series(&self) -> Option<&StreamSeries> {
+        let m = self.inner.metrics.as_ref()?;
+        Some(self.inner.series.get_or_init(|| StreamSeries {
             subscriptions: m.counter("stream.subscriptions", &[]),
             frames: m.counter("stream.frames", &[]),
             bytes: m.counter("stream.bytes", &[]),
             credit_stalls: m.counter("stream.credit_stalls", &[]),
             closes: m.counter("stream.closes", &[]),
-        };
-        *self.inner.series.borrow_mut() = Some(s.clone());
-        Some(s)
+        }))
     }
 
     /// Decodes and applies one control frame (runs on the object's home

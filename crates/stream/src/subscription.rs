@@ -1,7 +1,7 @@
 //! Consumer-side streaming: the per-subscription push endpoint, seq
 //! dedup, the bounded receive buffer, and credit replenishment.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -60,7 +60,8 @@ struct SubInner {
     /// Dedup-dropped duplicate deliveries (fault observability).
     duplicates: Cell<u64>,
     metrics: Option<Metrics>,
-    latency_series: RefCell<Option<Histogram>>,
+    /// Registered on the first delivery, like the publisher's series.
+    latency_series: OnceCell<Histogram>,
 }
 
 impl SubInner {
@@ -171,7 +172,7 @@ impl Subscription {
             close_reason: Cell::new(None),
             duplicates: Cell::new(0),
             metrics,
-            latency_series: RefCell::new(None),
+            latency_series: OnceCell::new(),
         });
         let handler = {
             let inner = Rc::clone(&inner);
@@ -319,19 +320,12 @@ impl Subscription {
     }
 
     fn record_latency(&self, latency: Duration) {
-        let cached = self.inner.latency_series.borrow().clone();
-        let series = match cached {
-            Some(h) => h,
-            None => {
-                let Some(m) = self.inner.metrics.as_ref() else {
-                    return;
-                };
-                let h = m.histogram("stream.frame_latency_ns", &[]);
-                *self.inner.latency_series.borrow_mut() = Some(h.clone());
-                h
-            }
-        };
-        series.record_duration(latency);
+        if let Some(m) = &self.inner.metrics {
+            self.inner
+                .latency_series
+                .get_or_init(|| m.histogram("stream.frame_latency_ns", &[]))
+                .record_duration(latency);
+        }
     }
 
     /// The subscription id.

@@ -20,7 +20,7 @@ fn setup(seed: u64) -> (Sim, Fabric, Publisher) {
         Topology::uniform(2, 2),
         LatencyModel::deterministic(NetworkGeneration::Dc2021),
     );
-    let publisher = Publisher::deploy(fabric.clone(), StreamConfig::default());
+    let publisher = Publisher::deploy(fabric.clone(), StreamConfig::default(), None);
     (sim, fabric, publisher)
 }
 

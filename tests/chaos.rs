@@ -132,6 +132,7 @@ fn one_rtt_reads_stay_fresh_and_repair_stale_replicas() {
                     retry: RetryPolicy::none(),
                     ring_nodes: None,
                 },
+                &pcsi_obs::Telemetry::default(),
             );
             let id = ObjectId::from_parts(9, 1);
             let replicas = store.placement().replicas(id);

@@ -28,10 +28,67 @@ fn run(seed: u64) -> Fingerprint {
     run_with(seed, None, false).0
 }
 
-/// Like [`run`], but optionally attaches an explicit tracer to the
-/// kernel (the builder would skip attaching one for `Sampling::Off`)
-/// and also returns how many trace ids the tracer drew, plus — with
-/// `metrics` on — the rendered end-of-run metrics snapshot.
+/// The default deployment assembled through the layer constructors
+/// `CloudBuilder::build` calls, with a tracer in the telemetry whatever
+/// its sampling (the builder makes none for `Sampling::Off`).
+fn deploy_traced(
+    h: &pcsi_sim::SimHandle,
+    sampling: pcsi_trace::Sampling,
+    metrics: bool,
+) -> pcsi_cloud::Cloud {
+    use pcsi_net::{Fabric, LatencyModel, NetworkGeneration, Topology};
+
+    let telemetry = pcsi_obs::Telemetry {
+        metrics: metrics.then(pcsi_metrics::Metrics::new),
+        tracer: Some(pcsi_trace::Tracer::new(h, sampling, 16384)),
+        journal: None,
+    };
+    let fabric = Fabric::new(
+        h.clone(),
+        Topology::heterogeneous(2, 4),
+        LatencyModel::new(NetworkGeneration::Dc2021),
+    );
+    if let Some(m) = &telemetry.metrics {
+        fabric.set_metrics(m);
+    }
+    let store = pcsi_store::ReplicatedStore::launch(
+        fabric.clone(),
+        fabric.topology().node_ids(),
+        pcsi_store::StoreConfig::default(),
+        &telemetry,
+    );
+    let runtime = pcsi_faas::runtime::Runtime::new(
+        h.clone(),
+        pcsi_faas::cluster::ClusterState::new(fabric.topology()),
+        pcsi_faas::runtime::RuntimeConfig::default(),
+        &telemetry,
+    );
+    let billing = pcsi_cloud::billing::Billing::new();
+    let kernel = pcsi_cloud::kernel::Kernel::new(
+        fabric.clone(),
+        store.clone(),
+        runtime.clone(),
+        billing.clone(),
+        pcsi_faas::registry::Goal::Balanced,
+        &telemetry,
+    );
+    pcsi_cloud::Cloud {
+        fabric,
+        store,
+        runtime,
+        billing,
+        kernel,
+        tracer: telemetry.tracer,
+        metrics: telemetry.metrics,
+        obs: None,
+        alerts: None,
+    }
+}
+
+/// Like [`run`], but optionally deploys with an explicit tracer (see
+/// [`deploy_traced`]) and also returns how many trace ids the tracer
+/// drew, plus — with `metrics` on — the rendered end-of-run metrics
+/// snapshot.
 fn run_with(
     seed: u64,
     sampling: Option<pcsi_trace::Sampling>,
@@ -40,12 +97,11 @@ fn run_with(
     let mut sim = Sim::new(seed);
     let h = sim.handle();
     let (fingerprint, id_draws, snapshot) = sim.block_on(async move {
-        let cloud = CloudBuilder::new().metrics(metrics).build(&h);
-        let tracer = sampling.map(|s| {
-            let t = pcsi_trace::Tracer::new(&h, s, 16384);
-            cloud.kernel.set_tracer(Some(t.clone()));
-            t
-        });
+        let cloud = match sampling {
+            None => CloudBuilder::new().metrics(metrics).build(&h),
+            Some(s) => deploy_traced(&h, s, metrics),
+        };
+        let tracer = cloud.tracer.clone();
         cloud.kernel.register_body(
             "mix",
             Rc::new(|ctx| {
@@ -625,7 +681,7 @@ const GOLDEN_MIXED: (u64, u64, u64, u64, u64, &str) = (
     "5.979504589381e-4|cache 0/1705/0|retry 0/0/0",
 );
 // The scenario/metrics goldens were re-captured on the autoscaler PR:
-// `Runtime::set_metrics` now always binds the `faas.failures`,
+// the runtime now always binds the `faas.failures`,
 // `faas.preemptions`, `faas.prewarms`, and `faas.rebalances` counter
 // series, which appear (at zero) in every rendered metrics snapshot
 // embedded in scenario reports. No schedule, RNG draw, or wire byte

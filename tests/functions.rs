@@ -464,3 +464,138 @@ fn dropping_the_sim_frees_the_deployed_cloud() {
     assert!(alive.upgrade().is_none(), "the task table was not freed");
     assert_eq!(h.live_tasks(), 0);
 }
+
+/// The handlers a cloud binds on its fabric own their services, which
+/// own the fabric: a cycle outside the task table, which the end of the
+/// simulation breaks too. Once the `Sim` and the last `Cloud` handle
+/// are gone, nothing a device handler or a fabric handler captured is
+/// still allocated.
+#[test]
+fn dropping_the_sim_frees_what_handlers_captured() {
+    let mut sim = Sim::new(5);
+    let h = sim.handle();
+    let (device_token, bind_token) = (Rc::new(()), Rc::new(()));
+    let alive = [Rc::downgrade(&device_token), Rc::downgrade(&bind_token)];
+    let cloud = sim.block_on({
+        let h = h.clone();
+        async move {
+            let cloud = CloudBuilder::new().build(&h);
+            cloud.kernel.register_device(
+                "token",
+                Rc::new(move |_input| {
+                    let _ = &device_token;
+                    Ok(Bytes::new())
+                }),
+            );
+            cloud.fabric.bind(
+                NodeId(0),
+                "token",
+                Rc::new(move |payload, _ctx| {
+                    let _ = &bind_token;
+                    Box::pin(async move { Ok(payload) })
+                }),
+            );
+            let c = cloud.kernel.client(NodeId(0), "t");
+            c.create(CreateOptions::regular().with_initial(vec![1u8; 64]))
+                .await
+                .unwrap();
+            cloud
+        }
+    });
+    drop(sim);
+    assert!(alive[0].upgrade().is_some(), "the handle owns the kernel");
+    drop(cloud);
+    assert!(
+        alive.iter().all(|t| t.upgrade().is_none()),
+        "the cloud outlived its simulation"
+    );
+}
+
+/// One registry, one trace sink and one journal, reached by every
+/// layer: each constructor on the path from `CloudBuilder::build` down
+/// has to forward the telemetry it was handed, and the one that forgets
+/// fails here by name.
+#[test]
+fn one_telemetry_reaches_every_layer() {
+    let mut sim = Sim::new(77);
+    let h = sim.handle();
+    sim.block_on(async move {
+        let cloud = CloudBuilder::new()
+            .deterministic_network()
+            .metrics(true)
+            .tracing(pcsi_trace::Sampling::Always)
+            .observability(pcsi_cloud::ObsConfig::default())
+            .build(&h);
+        cloud
+            .kernel
+            .register_body("echo", Rc::new(|ctx| Box::pin(async move { Ok(ctx.body) })));
+        let c = cloud.kernel.client(NodeId(0), "t");
+        let lin = c
+            .create(
+                CreateOptions::regular()
+                    .with_consistency(pcsi_core::Consistency::Linearizable)
+                    .with_initial(vec![0u8; 8]),
+            )
+            .await
+            .unwrap();
+        c.write(&lin, 0, Bytes::from_static(b"x")).await.unwrap();
+        c.read(&lin, 0, 8).await.unwrap();
+        let image = FunctionImage::simple("echo", WorkModel::fixed(Duration::from_micros(50)), 1);
+        let f = publish(&c, &image).await.unwrap();
+        c.invoke(&f, InvokeRequest::with_body(vec![1u8]))
+            .await
+            .unwrap();
+        let fifo = c.create(CreateOptions::fifo()).await.unwrap();
+        let sub = cloud
+            .kernel
+            .client(NodeId(5), "t")
+            .subscribe(&fifo, 8)
+            .await
+            .unwrap();
+        c.append(&fifo, Bytes::from_static(b"ev")).await.unwrap();
+        sub.next().await.unwrap();
+        cloud.kernel.revoke(lin.id()).unwrap();
+
+        let snapshot = cloud.metrics.as_ref().unwrap().render();
+        // `stream.frames` is the publisher's: subscriptions are handed the
+        // registry per call and would cover for it.
+        for layer in [
+            "fabric.",
+            "store.",
+            "replica.",
+            "kernel.",
+            "faas.",
+            "stream.frames",
+        ] {
+            assert!(
+                snapshot.lines().any(|l| l
+                    .split_whitespace()
+                    .nth(1)
+                    .is_some_and(|name| name.starts_with(layer))),
+                "no {layer}* series in the registry:\n{snapshot}"
+            );
+        }
+
+        // The invocation's trace: the kernel op, the store client reading
+        // the image, the replicas serving it, the runtime running it.
+        let spans = cloud.tracer.as_ref().unwrap().sink().snapshot();
+        let trace = spans
+            .iter()
+            .find(|s| s.name == "kernel.invoke")
+            .expect("the kernel recorded no span")
+            .trace;
+        for layer in ["kernel.", "store.", "replica.", "faas."] {
+            assert!(
+                spans
+                    .iter()
+                    .any(|s| s.trace == trace && s.name.starts_with(layer)),
+                "no {layer}* span under the invocation's trace"
+            );
+        }
+
+        let journal = cloud.obs.as_ref().unwrap().journal().render();
+        for layer in ["layer=kernel", "layer=faas"] {
+            assert!(journal.contains(layer), "no {layer} record:\n{journal}");
+        }
+    });
+}
