@@ -104,14 +104,18 @@ impl Sha256 {
     /// Completes the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len * 8;
-        self.update(&[0x80]);
-        // `update` mutated total_len; padding length math uses buffer_len.
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
+        // Pad in the block buffer itself: 0x80, zeros, then the length in
+        // the last eight bytes — of a second block when fewer than nine
+        // bytes are free in this one.
+        let mut block = self.buffer;
+        block[self.buffer_len] = 0x80;
+        block[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            self.compress(&block);
+            block = [0; 64];
         }
-        self.total_len = 0; // Prevent the length bytes from recounting.
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -185,14 +189,12 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
         key_block[..key.len()].copy_from_slice(key);
     }
     let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
+    inner.update(&key_block.map(|b| b ^ 0x36));
     inner.update(message);
     let inner_digest = inner.finalize();
 
     let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
+    outer.update(&key_block.map(|b| b ^ 0x5c));
     outer.update(&inner_digest);
     outer.finalize()
 }
@@ -268,6 +270,35 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha256::digest(&data), "split {split}");
+        }
+    }
+
+    /// The padding `finalize` replaced, kept as the oracle: one `update`
+    /// call per padding byte.
+    fn finalize_bytewise(mut h: Sha256) -> Digest {
+        let bit_len = h.total_len * 8;
+        h.update(&[0x80]);
+        while h.buffer_len != 56 {
+            h.update(&[0x00]);
+        }
+        h.update(&bit_len.to_be_bytes());
+        assert_eq!(h.buffer_len, 0);
+        let mut out = [0u8; DIGEST_LEN];
+        for (i, word) in h.state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// Every buffer fill level, so both sides of the one-block /
+    /// two-block padding boundary (55 | 56 bytes buffered) are crossed.
+    #[test]
+    fn sha256_padding_matches_bytewise_padding_at_every_length() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(200).collect();
+        for len in 0..=data.len() {
+            let mut h = Sha256::new();
+            h.update(&data[..len]);
+            assert_eq!(h.clone().finalize(), finalize_bytewise(h), "len {len}");
         }
     }
 

@@ -10,9 +10,10 @@
 //! Entries remember the [`Tag`] the bytes were served under, so cached
 //! reads report the same version information a replica read would.
 
-use fxhash::FxHashMap;
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
+use fxhash::FxHashMap;
 use pcsi_core::{Mutability, ObjectId};
 use pcsi_metrics::{Counter, Metrics};
 
@@ -57,6 +58,9 @@ pub struct ObjectCache {
     capacity_bytes: usize,
     used_bytes: usize,
     entries: FxHashMap<ObjectId, (Entry, u64)>,
+    /// Every entry's last-use stamp → its id. Stamps are unique, so the
+    /// first key is the LRU victim, found without scanning `entries`.
+    by_stamp: BTreeMap<u64, ObjectId>,
     clock: u64,
     hits: Counter,
     misses: Counter,
@@ -114,6 +118,8 @@ impl ObjectCache {
         let clock = self.clock;
         let result = match self.entries.get_mut(&id) {
             Some((entry, stamp)) => {
+                self.by_stamp.remove(stamp);
+                self.by_stamp.insert(clock, id);
                 *stamp = clock;
                 let data = entry.data();
                 let end = offset.saturating_add(len);
@@ -175,29 +181,27 @@ impl ObjectCache {
         if new_len > self.capacity_bytes {
             return; // Larger than the whole cache.
         }
-        if let Some((old, _)) = self.entries.remove(&id) {
-            self.used_bytes -= old.data().len();
-        }
+        self.invalidate(id);
         self.used_bytes += new_len;
         self.clock += 1;
         self.entries.insert(id, (entry, self.clock));
+        self.by_stamp.insert(self.clock, id);
         self.evict_to_fit();
     }
 
     /// Drops an object (used when a deletion is observed).
     pub fn invalidate(&mut self, id: ObjectId) {
-        if let Some((old, _)) = self.entries.remove(&id) {
+        if let Some((old, stamp)) = self.entries.remove(&id) {
             self.used_bytes -= old.data().len();
+            self.by_stamp.remove(&stamp);
         }
     }
 
     fn evict_to_fit(&mut self) {
         while self.used_bytes > self.capacity_bytes {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(id, _)| *id)
+            let (_, &victim) = self
+                .by_stamp
+                .first_key_value()
                 .expect("over budget implies non-empty");
             self.invalidate(victim);
             self.evictions.incr();
@@ -208,6 +212,7 @@ impl ObjectCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcsi_sim::rng::DetRng;
 
     fn oid(n: u64) -> ObjectId {
         ObjectId::from_parts(6, n)
@@ -456,5 +461,68 @@ mod tests {
             Bytes::from_static(b"bb"),
         );
         assert_eq!(c.used_bytes(), 2);
+    }
+
+    /// The eviction the `by_stamp` index replaced, kept as the oracle:
+    /// a `min_by_key` over every entry per victim.
+    fn evict_to_fit_by_scan(c: &mut ObjectCache, capacity_bytes: usize) {
+        while c.used_bytes > capacity_bytes {
+            let victim = c
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(id, _)| *id)
+                .expect("over budget implies non-empty");
+            c.invalidate(victim);
+            c.evictions.incr();
+        }
+    }
+
+    #[test]
+    fn evicts_the_victims_the_scan_evicted() {
+        const CAPACITY: usize = 4096;
+        let mut new = ObjectCache::new(CAPACITY);
+        // The oracle never evicts on its own; the scan does it after
+        // every admit, at the real capacity. Both see the same calls, so
+        // their clocks and stamps agree.
+        let mut old = ObjectCache::new(usize::MAX);
+        let rng = DetRng::seeded(16);
+        for step in 0..20_000 {
+            let id = oid(rng.gen_range(0..1_500));
+            match rng.gen_range(0..8) {
+                // Hits (and prefix misses) refresh the entry's stamp.
+                0..=3 => {
+                    let len = rng.gen_range(1..13);
+                    assert_eq!(new.get(id, 0, len), old.get(id, 0, len), "step {step}");
+                }
+                4 => {
+                    new.invalidate(id);
+                    old.invalidate(id);
+                }
+                // Admits of 4..=12 bytes: in-place replacement, prefix
+                // growth, and — once full — one or two evictions each.
+                n => {
+                    let mutability = if n == 5 {
+                        Mutability::AppendOnly
+                    } else {
+                        Mutability::Immutable
+                    };
+                    let data = Bytes::from(vec![step as u8; rng.gen_range(4..13) as usize]);
+                    new.admit(id, mutability, tag(step), data.clone());
+                    old.admit(id, mutability, tag(step), data);
+                    evict_to_fit_by_scan(&mut old, CAPACITY);
+                }
+            }
+            assert_eq!(new.used_bytes(), old.used_bytes(), "step {step}");
+            assert_eq!(new.by_stamp.len(), new.entries.len());
+            assert_eq!(new.entries.len(), old.entries.len());
+            assert!(new.entries.keys().all(|id| old.entries.contains_key(id)));
+        }
+        assert_eq!(new.evictions(), old.evictions());
+        assert!(
+            new.evictions() > 3_000,
+            "only {} evictions",
+            new.evictions()
+        );
     }
 }

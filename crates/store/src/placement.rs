@@ -13,8 +13,8 @@
 //! replica set changed to its old owners until a background migration
 //! calls [`Placement::complete_move`]. All clones of a `Placement` share
 //! one ring (`Rc` inner), so replicas, clients, and the kernel observe a
-//! topology change at the same instant; the memo cache is epoch-tagged so
-//! a stale entry can never be served across a change.
+//! topology change at the same instant. Nothing derived from the ring is
+//! remembered between lookups, so nothing can go stale across a change.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -25,10 +25,6 @@ use pcsi_net::{NodeId, Topology};
 
 /// Virtual nodes contributed to the ring by each member.
 pub const VNODES_PER_NODE: u32 = 64;
-
-/// Upper bound on memoized replica sets; the cache resets when full so a
-/// scan over a huge keyspace cannot grow it without bound.
-const CACHE_MAX: usize = 4096;
 
 /// An object pinned to its pre-change replica set while data moves.
 #[derive(Debug, Clone)]
@@ -46,12 +42,11 @@ struct RingState {
     epoch: u64,
     /// Current ring members with their racks, sorted by node id.
     members: Vec<(NodeId, u32)>,
+    /// Distinct racks among `members`: the most replicas the
+    /// rack-distinct pass of [`RingState::select`] can pick.
+    n_racks: usize,
     /// Sorted vnode points: (point, node, rack).
     ring: Vec<(u64, NodeId, u32)>,
-    /// Epoch-tagged memo of ring-derived replica sets. Entries from an
-    /// older epoch are ignored (and overwritten), so a topology change
-    /// invalidates the cache without touching every entry.
-    cache: FxHashMap<ObjectId, (u64, Vec<NodeId>)>,
     /// In-flight migrations: object -> pinned old owners.
     moves: FxHashMap<ObjectId, MoveState>,
 }
@@ -66,47 +61,44 @@ impl RingState {
         }
         // NodeId tiebreak on equal points for full determinism.
         self.ring.sort_unstable_by_key(|a| (a.0, a.1));
+        let mut racks: Vec<u32> = self.members.iter().map(|&(_, rack)| rack).collect();
+        racks.sort_unstable();
+        racks.dedup();
+        self.n_racks = racks.len();
     }
 
-    /// The ring-derived replica set (ignores move pins).
-    fn select(&self, id: ObjectId, n_replicas: usize) -> Vec<NodeId> {
+    /// The ring-derived replica set (ignores move pins), primary first:
+    /// the first node seen of each rack on a clockwise walk from the
+    /// object's point, then — only when racks < replicas — the remaining
+    /// nodes in first-appearance order. Both are tests on the vnodes
+    /// already walked, so a lookup keeps no state, allocates nothing and
+    /// ends at its last pick: a handful of vnodes, not the ring.
+    fn select(&self, id: ObjectId, n_replicas: usize) -> impl Iterator<Item = NodeId> + '_ {
         debug_assert!(n_replicas <= self.members.len());
-        let len = self.ring.len();
         let h = object_point(id);
-        let start = self.ring.partition_point(|&(p, _, _)| p < h) % len;
-        // Candidate nodes in clockwise first-appearance order.
-        let mut cands: Vec<(NodeId, u32)> = Vec::with_capacity(self.members.len());
-        let mut i = start;
-        while cands.len() < self.members.len() {
-            let (_, n, rack) = self.ring[i];
-            if !cands.iter().any(|&(c, _)| c == n) {
-                cands.push((n, rack));
-            }
-            i = (i + 1) % len;
-        }
+        let ring = self.ring.as_slice();
+        let start = ring.partition_point(|&(p, _, _)| p < h);
+        let walk = move || ring[start..].iter().chain(&ring[..start]);
+        let distinct = n_replicas.min(self.n_racks);
+        let rack_firsts = walk()
+            .enumerate()
+            .filter(move |&(i, v)| walk().take(i).all(|seen| seen.2 != v.2))
+            .take(distinct);
+        let fill = walk()
+            .enumerate()
+            .filter(move |&(i, v)| {
+                walk().take(i).all(|seen| seen.1 != v.1) && walk().take(i).any(|seen| seen.2 == v.2)
+            })
+            .take(n_replicas - distinct);
+        rack_firsts.chain(fill).map(|(_, v)| v.1)
+    }
 
-        let mut chosen: Vec<NodeId> = Vec::with_capacity(n_replicas);
-        let mut used_racks: Vec<u32> = Vec::new();
-        // Pass 1: distinct racks in candidate order.
-        for &(n, rack) in &cands {
-            if chosen.len() == n_replicas {
-                break;
-            }
-            if !used_racks.contains(&rack) {
-                chosen.push(n);
-                used_racks.push(rack);
-            }
-        }
-        // Pass 2: fill from the remainder.
-        for &(n, _) in &cands {
-            if chosen.len() == n_replicas {
-                break;
-            }
-            if !chosen.contains(&n) {
-                chosen.push(n);
-            }
-        }
-        chosen
+    /// The *effective* replica set, primary first: the pinned old owners
+    /// mid-migration, the ring walk otherwise.
+    fn effective(&self, id: ObjectId, n_replicas: usize) -> impl Iterator<Item = NodeId> + '_ {
+        let pinned = self.moves.get(&id).map_or(&[][..], |mv| &mv.old);
+        let from_ring = if pinned.is_empty() { n_replicas } else { 0 };
+        pinned.iter().copied().chain(self.select(id, from_ring))
     }
 }
 
@@ -147,8 +139,8 @@ impl Placement {
         let mut state = RingState {
             epoch: 1,
             members,
+            n_racks: 0,
             ring: Vec::new(),
-            cache: FxHashMap::default(),
             moves: FxHashMap::default(),
         };
         state.rebuild_ring();
@@ -209,33 +201,10 @@ impl Placement {
     /// assert_eq!(set, p.replicas(ObjectId::from_parts(1, 42)));
     /// ```
     pub fn replicas(&self, id: ObjectId) -> Vec<NodeId> {
-        self.with_replicas(id, <[NodeId]>::to_vec)
-    }
-
-    /// Runs `f` on the (memoized) effective replica set without cloning it.
-    fn with_replicas<R>(&self, id: ObjectId, f: impl FnOnce(&[NodeId]) -> R) -> R {
-        {
-            let st = self.inner.state.borrow();
-            if let Some(mv) = st.moves.get(&id) {
-                return f(&mv.old);
-            }
-            if let Some((epoch, set)) = st.cache.get(&id) {
-                if *epoch == st.epoch {
-                    return f(set);
-                }
-            }
-        }
-        let chosen = {
-            let mut st = self.inner.state.borrow_mut();
-            let chosen = st.select(id, self.inner.n_replicas);
-            if st.cache.len() >= CACHE_MAX {
-                st.cache.clear();
-            }
-            let epoch = st.epoch;
-            st.cache.insert(id, (epoch, chosen.clone()));
-            chosen
-        };
-        f(&chosen)
+        let st = self.inner.state.borrow();
+        let mut replicas = Vec::with_capacity(self.inner.n_replicas);
+        replicas.extend(st.effective(id, self.inner.n_replicas));
+        replicas
     }
 
     /// The ring-derived *target* replica set, ignoring move pins.
@@ -245,27 +214,30 @@ impl Placement {
     /// [`Placement::replicas`].
     pub fn ring_replicas(&self, id: ObjectId) -> Vec<NodeId> {
         let st = self.inner.state.borrow();
-        st.select(id, self.inner.n_replicas)
+        st.select(id, self.inner.n_replicas).collect()
     }
 
     /// True when `node` is in the effective replica set of `id` (no
     /// clone; replica-side membership checks run per request).
     pub fn is_replica(&self, id: ObjectId, node: NodeId) -> bool {
-        self.with_replicas(id, |set| set.contains(&node))
+        let st = self.inner.state.borrow();
+        let mut set = st.effective(id, self.inner.n_replicas);
+        set.any(|n| n == node)
     }
 
     /// The primary (mutation serializer) for an object.
     pub fn primary(&self, id: ObjectId) -> NodeId {
-        self.with_replicas(id, |set| set[0])
+        let st = self.inner.state.borrow();
+        let mut set = st.effective(id, self.inner.n_replicas);
+        set.next().expect("replica set non-empty")
     }
 
     /// The replica of `id` closest to `from` (used by eventual reads).
     pub fn closest_replica(&self, topology: &Topology, id: ObjectId, from: NodeId) -> NodeId {
-        self.with_replicas(id, |set| {
-            *set.iter()
-                .min_by_key(|&&r| (topology.hop_class(from, r), r))
-                .expect("replica set non-empty")
-        })
+        let st = self.inner.state.borrow();
+        let set = st.effective(id, self.inner.n_replicas);
+        set.min_by_key(|&r| (topology.hop_class(from, r), r))
+            .expect("replica set non-empty")
     }
 
     /// Adds `node` to the ring, bumps the epoch, and pins every object in
@@ -291,13 +263,12 @@ impl Placement {
         let n_replicas = self.inner.n_replicas;
         let old_sets: Vec<(ObjectId, Vec<NodeId>)> = objects
             .iter()
-            .map(|&id| (id, st.select(id, n_replicas)))
+            .map(|&id| (id, st.select(id, n_replicas).collect()))
             .collect();
         st.members.push((node, rack));
         st.members.sort_unstable_by_key(|&(n, _)| n);
         st.rebuild_ring();
         st.epoch += 1;
-        st.cache.clear();
         Self::pin_changed(&mut st, old_sets, n_replicas)
     }
 
@@ -323,12 +294,11 @@ impl Placement {
         );
         let old_sets: Vec<(ObjectId, Vec<NodeId>)> = objects
             .iter()
-            .map(|&id| (id, st.select(id, n_replicas)))
+            .map(|&id| (id, st.select(id, n_replicas).collect()))
             .collect();
         st.members.retain(|&(n, _)| n != node);
         st.rebuild_ring();
         st.epoch += 1;
-        st.cache.clear();
         Self::pin_changed(&mut st, old_sets, n_replicas)
     }
 
@@ -344,7 +314,7 @@ impl Placement {
             if st.moves.contains_key(&id) {
                 continue;
             }
-            if st.select(id, n_replicas) != old {
+            if !st.select(id, n_replicas).eq(old.iter().copied()) {
                 st.moves.insert(id, MoveState { old, frozen: false });
                 pinned.push(id);
             }
@@ -424,9 +394,82 @@ fn splitmix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn oid(n: u64) -> ObjectId {
         ObjectId::from_parts(4, n)
+    }
+
+    /// The replica-set computation `RingState::select` replaced, kept as
+    /// the oracle: walk until every member has appeared, then pick
+    /// rack-distinct candidates and fill from the rest.
+    fn select_full_walk(st: &RingState, id: ObjectId, n_replicas: usize) -> Vec<NodeId> {
+        let len = st.ring.len();
+        let h = object_point(id);
+        let start = st.ring.partition_point(|&(p, _, _)| p < h) % len;
+        let mut cands: Vec<(NodeId, u32)> = Vec::with_capacity(st.members.len());
+        let mut i = start;
+        while cands.len() < st.members.len() {
+            let (_, n, rack) = st.ring[i];
+            if !cands.iter().any(|&(c, _)| c == n) {
+                cands.push((n, rack));
+            }
+            i = (i + 1) % len;
+        }
+        let mut chosen: Vec<NodeId> = Vec::with_capacity(n_replicas);
+        let mut used_racks: Vec<u32> = Vec::new();
+        for &(n, rack) in &cands {
+            if chosen.len() == n_replicas {
+                break;
+            }
+            if !used_racks.contains(&rack) {
+                chosen.push(n);
+                used_racks.push(rack);
+            }
+        }
+        for &(n, _) in &cands {
+            if chosen.len() == n_replicas {
+                break;
+            }
+            if !chosen.contains(&n) {
+                chosen.push(n);
+            }
+        }
+        chosen
+    }
+
+    proptest! {
+        /// The early-stopping walk picks exactly what the full walk did:
+        /// any topology (including racks < replicas), before a join,
+        /// after it, and after a leave.
+        #[test]
+        fn select_matches_the_full_walk(
+            racks in 1u32..7,
+            per_rack in 1u32..7,
+            n_replicas in 1usize..6,
+            spare in any::<usize>(),
+            leaver in any::<usize>(),
+            realm in any::<u64>(),
+        ) {
+            let topo = Topology::uniform(racks, per_rack);
+            let mut nodes = topo.node_ids();
+            prop_assume!(n_replicas < nodes.len());
+            let spare = nodes.remove(spare % nodes.len());
+            let p = Placement::new(&topo, nodes.clone(), n_replicas);
+            let check = |p: &Placement| {
+                let st = p.inner.state.borrow();
+                for serial in 0..1_000 {
+                    let id = ObjectId::from_parts(realm, serial);
+                    let new: Vec<NodeId> = st.select(id, n_replicas).collect();
+                    assert_eq!(new, select_full_walk(&st, id, n_replicas), "{id:?}");
+                }
+            };
+            check(&p);
+            p.begin_join(&topo, spare, &[]);
+            check(&p);
+            p.begin_leave(nodes[leaver % nodes.len()], &[]);
+            check(&p);
+        }
     }
 
     #[test]
@@ -475,18 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_sets_match_fresh_computation() {
-        let topo = Topology::uniform(4, 4);
-        let p = Placement::new(&topo, topo.node_ids(), 3);
-        // Overflow the cache so both the hit path and the reset path run.
-        for round in 0..2 {
-            for i in 0..(CACHE_MAX as u64 + 10) {
-                assert_eq!(p.replicas(oid(i)), p.ring_replicas(oid(i)), "round {round}");
-            }
-        }
-    }
-
-    #[test]
     fn majority_math() {
         let topo = Topology::uniform(2, 3);
         for (n, maj) in [(1, 1), (2, 2), (3, 2), (5, 3)] {
@@ -528,17 +559,16 @@ mod tests {
         assert!(clone.is_member(nodes[11]));
     }
 
-    /// Regression: a replica set memoized before a join must not be served
-    /// afterwards — the epoch tag invalidates it, pins route to the old
-    /// owners mid-move, and completion routes to the new owner set.
+    /// A replica set looked up before a join is not served afterwards:
+    /// pins route to the old owners mid-move, and completion routes to
+    /// the new owner set, through every clone.
     #[test]
-    fn memo_cache_invalidated_on_join() {
+    fn join_reroutes_through_every_clone() {
         let topo = Topology::uniform(4, 3);
         let nodes = topo.node_ids();
         let p = Placement::new(&topo, nodes[..11].to_vec(), 3);
         let clone = p.clone();
         let ids: Vec<ObjectId> = (0..500).map(oid).collect();
-        // Warm the clone's memo cache with pre-join replica sets.
         let before: Vec<Vec<NodeId>> = ids.iter().map(|&id| clone.replicas(id)).collect();
         let moved = p.begin_join(&topo, nodes[11], &ids);
         assert!(!moved.is_empty(), "join relocated nothing");
@@ -548,7 +578,7 @@ mod tests {
                 assert_eq!(clone.replicas(id), before[i]);
                 assert_eq!(p.move_old_set(id).unwrap(), before[i]);
                 p.complete_move(id);
-                // Flipped: the stale memo entry must not resurface.
+                // Flipped: the pre-join set must not resurface.
                 assert_eq!(clone.replicas(id), p.ring_replicas(id));
                 assert_ne!(clone.replicas(id), before[i]);
             } else {

@@ -16,9 +16,9 @@
 //! the original replication message was lost to a crash or partition.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use fxhash::FxHashMap;
+use fxhash::{FxHashMap, FxHashSet};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -54,15 +54,8 @@ struct Inner {
     fabric: Fabric,
     placement: Placement,
     engine: RefCell<StorageEngine>,
-    /// Coordinate dedup table: `req_id` → the recorded **success**
-    /// response, or `None` while the original execution is still in
-    /// flight. The fabric delivers at-least-once (duplicate injection)
-    /// and clients retry, so a re-delivered coordination must replay the
-    /// response rather than order the mutation a second time. Failed
-    /// coordinations are *removed* so a retry re-executes. Bounded at
-    /// [`SEEN_COORDINATES_CAP`] completed entries, oldest `req_id`
-    /// evicted first (in-flight claims are never evicted).
-    seen_coordinates: RefCell<BTreeMap<u64, Option<Response>>>,
+    /// The coordinate dedup table. See [`SeenCoordinates`].
+    seen_coordinates: RefCell<SeenCoordinates>,
     /// Which client requests the local state provably contains — the
     /// exactly-once ledger. See [`ReqLedger`].
     ledger: RefCell<ReqLedger>,
@@ -105,7 +98,7 @@ impl ReplicaNode {
             fabric: fabric.clone(),
             placement,
             engine: RefCell::new(StorageEngine::new(tier)),
-            seen_coordinates: RefCell::new(BTreeMap::new()),
+            seen_coordinates: RefCell::default(),
             ledger: RefCell::new(ReqLedger::default()),
             io_free_at: Cell::new(SimTime::ZERO),
             coordinated: Counter::new(),
@@ -214,6 +207,55 @@ impl ReplicaNode {
 /// honestly instead of re-ordering.
 const SEEN_COORDINATES_CAP: usize = 4096;
 
+/// Coordinate dedup table: which `req_id`s are executing right now, and
+/// the tag of the **success** response of those that completed. The fabric
+/// delivers at-least-once (duplicate injection) and clients retry, so a
+/// re-delivered coordination must replay the response rather than order
+/// the mutation a second time. Failed coordinations are *forgotten* so a
+/// retry re-executes. `completed` is bounded at [`SEEN_COORDINATES_CAP`],
+/// oldest `req_id` evicted first; an in-flight claim lives in its own set
+/// and is never evicted — dropping one would let a concurrent duplicate
+/// re-execute the coordination while the original still runs.
+#[derive(Default)]
+struct SeenCoordinates {
+    in_flight: FxHashSet<u64>,
+    completed: BTreeMap<u64, Tag>,
+}
+
+/// What a [`Request::Coordinate`] arrival finds in the dedup table.
+#[derive(Debug, PartialEq)]
+enum Claim {
+    /// First arrival: the caller now owns the execution.
+    Claimed,
+    /// The original is still executing; wait for it.
+    InFlight,
+    /// The original succeeded: [`Response::Coordinated`] at this tag.
+    Replay(Tag),
+}
+
+impl SeenCoordinates {
+    fn claim(&mut self, req_id: u64) -> Claim {
+        if let Some(&tag) = self.completed.get(&req_id) {
+            Claim::Replay(tag)
+        } else if self.in_flight.insert(req_id) {
+            Claim::Claimed
+        } else {
+            Claim::InFlight
+        }
+    }
+
+    /// Releases the claim on `req_id`, recording `resp` if it succeeded.
+    fn finish(&mut self, req_id: u64, resp: &Response) {
+        self.in_flight.remove(&req_id);
+        if let Response::Coordinated { tag } = resp {
+            self.completed.insert(req_id, *tag);
+            if self.completed.len() > SEEN_COORDINATES_CAP {
+                self.completed.pop_first();
+            }
+        }
+    }
+}
+
 /// Ledger entries kept per object. A single client request retries for
 /// at most one operation's deadline, so the dedup window only needs to
 /// cover the requests that can still be in flight — not all history.
@@ -247,6 +289,16 @@ const LEDGER_OBJECTS: usize = 4096;
 #[derive(Default)]
 struct ReqLedger {
     by_object: FxHashMap<ObjectId, Vec<(u64, Tag)>>,
+    /// `(newest req_id, object)` for every tracked object. Client
+    /// req_ids are allocated monotonically, so the first key is the
+    /// object idle longest — found without scanning `by_object`, and
+    /// unique, so eviction never depends on hash-map iteration order.
+    by_idleness: BTreeSet<(u64, ObjectId)>,
+}
+
+/// The idleness key of an object's records (see [`ReqLedger`]).
+fn newest_req(reqs: &[(u64, Tag)]) -> u64 {
+    reqs.iter().map(|&(r, _)| r).max().unwrap_or(0)
 }
 
 impl ReqLedger {
@@ -263,6 +315,7 @@ impl ReqLedger {
     /// Records that the current state line contains `req_id` at `tag`.
     fn record(&mut self, id: ObjectId, req_id: u64, tag: Tag) {
         let reqs = self.by_object.entry(id).or_default();
+        self.by_idleness.remove(&(newest_req(reqs), id));
         match reqs.iter_mut().find(|(r, _)| *r == req_id) {
             // A replay at the recorded tag is idempotent; a catch-up
             // re-order moved the request to a newer tag on this line.
@@ -274,6 +327,7 @@ impl ReqLedger {
             // oldest — the one least likely to still be retried.
             reqs.remove(0);
         }
+        self.by_idleness.insert((newest_req(reqs), id));
         self.evict_idle_objects();
     }
 
@@ -283,9 +337,11 @@ impl ReqLedger {
         if reqs.len() > LEDGER_PER_OBJECT {
             reqs.drain(..reqs.len() - LEDGER_PER_OBJECT);
         }
-        if reqs.is_empty() {
-            self.by_object.remove(&id);
-        } else {
+        if let Some(old) = self.by_object.remove(&id) {
+            self.by_idleness.remove(&(newest_req(&old), id));
+        }
+        if !reqs.is_empty() {
+            self.by_idleness.insert((newest_req(&reqs), id));
             self.by_object.insert(id, reqs);
         }
         self.evict_idle_objects();
@@ -298,20 +354,8 @@ impl ReqLedger {
 
     fn evict_idle_objects(&mut self) {
         while self.by_object.len() > LEDGER_OBJECTS {
-            // Client req_ids are allocated monotonically, so the object
-            // whose newest record is smallest has been idle longest.
-            // The (req, id) key is unique, keeping eviction independent
-            // of HashMap iteration order.
-            let idle = self
-                .by_object
-                .iter()
-                .map(|(&id, reqs)| (reqs.iter().map(|&(r, _)| r).max().unwrap_or(0), id))
-                .min()
-                .map(|(_, id)| id);
-            match idle {
-                Some(id) => self.by_object.remove(&id),
-                None => break,
-            };
+            let (_, idle) = self.by_idleness.pop_first().expect("one key per object");
+            self.by_object.remove(&idle);
         }
     }
 }
@@ -645,43 +689,17 @@ async fn coordinate_dedup(
     ctx: Option<TraceContext>,
 ) -> Response {
     loop {
-        let claimed = {
-            let mut seen = inner.seen_coordinates.borrow_mut();
-            match seen.get(&req_id) {
-                Some(Some(resp)) => return resp.clone(),
-                Some(None) => false,
-                None => {
-                    seen.insert(req_id, None);
-                    true
-                }
+        let claim = inner.seen_coordinates.borrow_mut().claim(req_id);
+        match claim {
+            Claim::Claimed => break,
+            Claim::Replay(tag) => return Response::Coordinated { tag },
+            Claim::InFlight => {
+                inner.fabric.handle().sleep(Duration::from_micros(50)).await;
             }
-        };
-        if claimed {
-            break;
         }
-        inner.fabric.handle().sleep(Duration::from_micros(50)).await;
     }
     let resp = coordinate(inner, id, mutation, sync_replicas, req_id, expires_ns, ctx).await;
-    {
-        let mut seen = inner.seen_coordinates.borrow_mut();
-        if matches!(resp, Response::Coordinated { .. }) {
-            seen.insert(req_id, Some(resp.clone()));
-        } else {
-            seen.remove(&req_id);
-        }
-        // Bound the table: drop the oldest *completed* entries (never an
-        // in-flight claim — removing one would let a concurrent duplicate
-        // re-execute the coordination while the original still runs).
-        let completed = seen.values().filter(|v| v.is_some()).count();
-        for _ in SEEN_COORDINATES_CAP..completed {
-            let oldest = seen
-                .iter()
-                .find(|(_, v)| v.is_some())
-                .map(|(&r, _)| r)
-                .expect("completed count > 0");
-            seen.remove(&oldest);
-        }
-    }
+    inner.seen_coordinates.borrow_mut().finish(req_id, &resp);
     resp
 }
 
@@ -1102,7 +1120,7 @@ async fn anti_entropy_round(inner: &Rc<Inner>) {
 
     for (id, peer_tag) in entries {
         // Only track objects this node replicates.
-        if !inner.placement.replicas(id).contains(&inner.node) {
+        if !effective_member(inner, id) {
             continue;
         }
         let local_tag = inner.engine.borrow().tag_of(id);
@@ -1157,6 +1175,7 @@ pub async fn remote_tag(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcsi_sim::rng::DetRng;
 
     fn id(n: u64) -> ObjectId {
         ObjectId::from_parts(7, n)
@@ -1224,5 +1243,157 @@ mod tests {
         for n in 3..6 {
             assert_eq!(l.lookup(id(n), n + 100), Some(tag(1, 0)));
         }
+    }
+
+    /// The dedup table [`SeenCoordinates`] replaced, kept as the oracle:
+    /// one map (`None` = in flight) whose completed entries are counted
+    /// by walking it after every coordination.
+    #[derive(Default)]
+    struct WalkedTable(BTreeMap<u64, Option<Response>>);
+
+    impl WalkedTable {
+        fn claim(&mut self, req_id: u64) -> Claim {
+            match self.0.get(&req_id) {
+                Some(Some(Response::Coordinated { tag })) => Claim::Replay(*tag),
+                Some(Some(other)) => panic!("recorded a failure: {other:?}"),
+                Some(None) => Claim::InFlight,
+                None => {
+                    self.0.insert(req_id, None);
+                    Claim::Claimed
+                }
+            }
+        }
+
+        fn finish(&mut self, req_id: u64, resp: &Response) {
+            let seen = &mut self.0;
+            if matches!(resp, Response::Coordinated { .. }) {
+                seen.insert(req_id, Some(resp.clone()));
+            } else {
+                seen.remove(&req_id);
+            }
+            let completed = seen.values().filter(|v| v.is_some()).count();
+            for _ in SEEN_COORDINATES_CAP..completed {
+                let oldest = seen
+                    .iter()
+                    .find(|(_, v)| v.is_some())
+                    .map(|(&r, _)| r)
+                    .expect("completed count > 0");
+                seen.remove(&oldest);
+            }
+        }
+    }
+
+    #[test]
+    fn seen_coordinates_keeps_what_the_walked_table_kept() {
+        let (mut new, mut old) = (SeenCoordinates::default(), WalkedTable::default());
+        let rng = DetRng::seeded(14);
+        let mut running: Vec<u64> = Vec::new();
+        let (mut completions, mut steps) = (0, 0);
+        let mut next_req = 1u64;
+        while completions < 3 * SEEN_COORDINATES_CAP {
+            // Arrivals: mostly fresh requests, some duplicates of old
+            // ones (completed, evicted or still running).
+            let req_id = if rng.u64().is_multiple_of(4) {
+                rng.gen_range(1..next_req + 1)
+            } else {
+                next_req += 1;
+                next_req
+            };
+            let claim = new.claim(req_id);
+            assert_eq!(claim, old.claim(req_id), "req {req_id}");
+            if claim == Claim::Claimed {
+                running.push(req_id);
+            }
+            // Departures: keep a few dozen claims in flight, finish a
+            // random one, one in five as a failure.
+            if running.len() > rng.gen_range(0..48) as usize {
+                let req_id = running.swap_remove(rng.gen_range(0..running.len() as u64) as usize);
+                let resp = if rng.u64().is_multiple_of(5) {
+                    Response::Err(WireError::Other("quorum".into()))
+                } else {
+                    completions += 1;
+                    Response::Coordinated {
+                        tag: tag(req_id, 0),
+                    }
+                };
+                new.finish(req_id, &resp);
+                old.finish(req_id, &resp);
+            }
+            assert!(new.completed.len() <= SEEN_COORDINATES_CAP);
+            steps += 1;
+            // Every step: same size, same next victim. Periodically (and
+            // on any doubt): the same surviving keys.
+            let same_size = new.in_flight.len() + new.completed.len() == old.0.len();
+            let oldest = old.0.iter().find(|(_, v)| v.is_some()).map(|(r, _)| r);
+            if steps % 64 == 0 || !same_size || new.completed.keys().next() != oldest {
+                let mut survivors: Vec<u64> = new.in_flight.iter().copied().collect();
+                survivors.extend(new.completed.keys());
+                survivors.sort_unstable();
+                assert!(survivors.iter().eq(old.0.keys()), "after req {req_id}");
+            }
+        }
+        assert_eq!(new.completed.len(), SEEN_COORDINATES_CAP);
+        assert!(!running.is_empty(), "no in-flight claim at the end");
+    }
+
+    /// The ledger victim search the `by_idleness` index replaced, kept
+    /// as the oracle: rescan every object's records per eviction.
+    fn evict_idle_objects_by_scan(by_object: &mut FxHashMap<ObjectId, Vec<(u64, Tag)>>) {
+        while by_object.len() > LEDGER_OBJECTS {
+            let idle = by_object
+                .iter()
+                .map(|(&id, reqs)| (reqs.iter().map(|&(r, _)| r).max().unwrap_or(0), id))
+                .min()
+                .map(|(_, id)| id)
+                .expect("non-empty");
+            by_object.remove(&idle);
+        }
+    }
+
+    #[test]
+    fn ledger_evicts_the_victims_the_scan_evicted() {
+        let mut new = ReqLedger::default();
+        let mut old: FxHashMap<ObjectId, Vec<(u64, Tag)>> = FxHashMap::default();
+        let rng = DetRng::seeded(15);
+        let objects = 3 * LEDGER_OBJECTS as u64;
+        for step in 1..=(4 * objects) {
+            // Skewed towards recently introduced objects, so old ones go
+            // idle; req_ids mostly grow, with retries of older ones.
+            // One step in eight hits a hot object, overflowing its records.
+            let object = match rng.gen_range(0..8) {
+                0 => id(objects + rng.gen_range(0..16)),
+                _ => id((step / 2).saturating_sub(rng.gen_range(0..6_000)) % objects),
+            };
+            let req_id = step.saturating_sub(rng.gen_range(0..64));
+            if rng.u64().is_multiple_of(16) {
+                // A full-state install: shipped records, sometimes none.
+                let shipped: Vec<(u64, Tag)> = (0..rng.gen_range(0..3))
+                    .map(|i| (req_id + i, tag(step, 1)))
+                    .collect();
+                new.replace(object, shipped.clone());
+                if shipped.is_empty() {
+                    old.remove(&object);
+                } else {
+                    old.insert(object, shipped);
+                }
+            } else {
+                new.record(object, req_id, tag(step, 0));
+                let reqs = old.entry(object).or_default();
+                match reqs.iter_mut().find(|(r, _)| *r == req_id) {
+                    Some(entry) => entry.1 = entry.1.max(tag(step, 0)),
+                    None => reqs.push((req_id, tag(step, 0))),
+                }
+                if reqs.len() > LEDGER_PER_OBJECT {
+                    reqs.remove(0);
+                }
+            }
+            evict_idle_objects_by_scan(&mut old);
+            assert_eq!(new.by_object.len(), new.by_idleness.len());
+            if step % 64 == 0 || new.by_object.len() != old.len() {
+                assert!(new.by_object == old, "diverged at step {step}");
+            }
+        }
+        assert!(new.by_object == old);
+        assert_eq!(old.len(), LEDGER_OBJECTS);
     }
 }
