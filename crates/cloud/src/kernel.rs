@@ -16,6 +16,7 @@
 
 use fxhash::FxHashMap;
 use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -384,6 +385,30 @@ impl KernelClient {
         }
     }
 
+    /// Runs one kernel operation: opens its `kernel.<op>` span, hands
+    /// `body` a client whose work (and store calls) nests under that
+    /// span, then records the op's series and closes the span. `name`
+    /// is the span name; the part after `kernel.` is the `op` label.
+    async fn op<T, Fut>(
+        &self,
+        name: &'static str,
+        body: impl FnOnce(KernelClient) -> Fut,
+    ) -> Result<T, PcsiError>
+    where
+        Fut: Future<Output = Result<T, PcsiError>>,
+    {
+        let mut span = self.op_span(name);
+        let started = self.inner().fabric.handle().now();
+        let result = body(self.with_ctx(span.ctx())).await;
+        let trace = span.ctx().map(|c| c.trace.0);
+        self.record_op(&name["kernel.".len()..], started, result.is_ok(), trace);
+        if let Err(e) = &result {
+            span.attr_with("error", || AttrValue::Text(e.to_string()));
+        }
+        span.finish();
+        result
+    }
+
     /// Records one completed `CloudInterface` op into the registry (if
     /// there is one): per-op count, per-op error count, latency histogram.
     /// When the op ran under a sampled trace, the latency histogram also
@@ -528,21 +553,11 @@ impl KernelClient {
     /// While an object has subscribers it is in push mode: appends fan
     /// out instead of queueing for [`CloudInterface::pop`].
     pub async fn subscribe(&self, r: &Reference, window: u32) -> Result<Subscription, PcsiError> {
-        let span = self.op_span("kernel.subscribe");
-        let started = self.inner().fabric.handle().now();
-        let this = self.with_ctx(span.ctx());
-        let result = this.subscribe_impl(r, window).await;
-        self.record_op(
-            "subscribe",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.subscribe", |this| this.subscribe_impl(r, window))
+            .await
     }
 
-    async fn subscribe_impl(&self, r: &Reference, window: u32) -> Result<Subscription, PcsiError> {
+    async fn subscribe_impl(self, r: &Reference, window: u32) -> Result<Subscription, PcsiError> {
         let meta = self.kernel.check(r, Rights::READ)?;
         if !matches!(meta.kind, ObjectKind::Fifo | ObjectKind::Socket) {
             return Err(PcsiError::WrongKind {
@@ -579,22 +594,12 @@ impl KernelClient {
         req: InvokeRequest,
         goal: Goal,
     ) -> Result<InvokeResponse, PcsiError> {
-        let span = self.op_span("kernel.invoke");
-        let started = self.inner().fabric.handle().now();
-        let this = self.with_ctx(span.ctx());
-        let result = this.invoke_goal_impl(f, req, goal).await;
-        self.record_op(
-            "invoke",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.invoke", |this| this.invoke_goal_impl(f, req, goal))
+            .await
     }
 
     async fn invoke_goal_impl(
-        &self,
+        self,
         f: &Reference,
         req: InvokeRequest,
         goal: Goal,
@@ -695,192 +700,66 @@ impl KernelClient {
     }
 }
 
-/// Stamps the error attribute (if any) and closes an op span.
-fn finish_op<T>(mut span: SpanHandle, result: &Result<T, PcsiError>) {
-    if let Err(e) = result {
-        span.attr_with("error", || AttrValue::Text(e.to_string()));
-    }
-    span.finish();
-}
-
 impl CloudInterface for KernelClient {
     async fn create(&self, opts: CreateOptions) -> Result<Reference, PcsiError> {
-        let span = self.op_span("kernel.create");
-        let started = self.inner().fabric.handle().now();
-        let this = self.with_ctx(span.ctx());
-        let result = this.create_impl(opts).await;
-        self.record_op(
-            "create",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.create", |this| this.create_impl(opts))
+            .await
     }
 
     async fn read(&self, r: &Reference, offset: u64, len: u64) -> Result<Bytes, PcsiError> {
-        let span = self.op_span("kernel.read");
-        let started = self.inner().fabric.handle().now();
-        let this = self.with_ctx(span.ctx());
-        let result = this.read_impl(r, offset, len).await;
-        self.record_op(
-            "read",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.read", |this| this.read_impl(r, offset, len))
+            .await
     }
 
     async fn write(&self, r: &Reference, offset: u64, data: Bytes) -> Result<(), PcsiError> {
-        let span = self.op_span("kernel.write");
-        let started = self.inner().fabric.handle().now();
-        let this = self.with_ctx(span.ctx());
-        let result = this.write_impl(r, offset, data).await;
-        self.record_op(
-            "write",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.write", |this| this.write_impl(r, offset, data))
+            .await
     }
 
     async fn append(&self, r: &Reference, data: Bytes) -> Result<u64, PcsiError> {
-        let span = self.op_span("kernel.append");
-        let started = self.inner().fabric.handle().now();
-        let this = self.with_ctx(span.ctx());
-        let result = this.append_impl(r, data).await;
-        self.record_op(
-            "append",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.append", |this| this.append_impl(r, data))
+            .await
     }
 
     async fn pop(&self, r: &Reference) -> Result<Bytes, PcsiError> {
-        let span = self.op_span("kernel.pop");
-        let started = self.inner().fabric.handle().now();
-        let this = self.with_ctx(span.ctx());
-        let result = this.pop_impl(r).await;
-        self.record_op(
-            "pop",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.pop", |this| this.pop_impl(r)).await
     }
 
     async fn stat(&self, r: &Reference) -> Result<ObjectMeta, PcsiError> {
-        let span = self.op_span("kernel.stat");
-        let started = self.inner().fabric.handle().now();
-        let result = self.kernel.check(r, Rights::READ);
-        self.record_op(
-            "stat",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.stat", |this| async move {
+            this.kernel.check(r, Rights::READ)
+        })
+        .await
     }
 
     async fn set_mutability(&self, r: &Reference, to: Mutability) -> Result<(), PcsiError> {
-        let span = self.op_span("kernel.set_mutability");
-        let started = self.inner().fabric.handle().now();
-        let this = self.with_ctx(span.ctx());
-        let result = this.set_mutability_impl(r, to).await;
-        self.record_op(
-            "set_mutability",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.set_mutability", |this| {
+            this.set_mutability_impl(r, to)
+        })
+        .await
     }
 
     async fn delete(&self, r: &Reference) -> Result<(), PcsiError> {
-        let span = self.op_span("kernel.delete");
-        let started = self.inner().fabric.handle().now();
-        let this = self.with_ctx(span.ctx());
-        let result = this.delete_impl(r).await;
-        self.record_op(
-            "delete",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.delete", |this| this.delete_impl(r)).await
     }
 
     async fn link(&self, dir: &Reference, name: &str, target: &Reference) -> Result<(), PcsiError> {
-        let span = self.op_span("kernel.link");
-        let started = self.inner().fabric.handle().now();
-        let this = self.with_ctx(span.ctx());
-        let result = this.link_impl(dir, name, target).await;
-        self.record_op(
-            "link",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.link", |this| this.link_impl(dir, name, target))
+            .await
     }
 
     async fn unlink(&self, dir: &Reference, name: &str) -> Result<(), PcsiError> {
-        let span = self.op_span("kernel.unlink");
-        let started = self.inner().fabric.handle().now();
-        let this = self.with_ctx(span.ctx());
-        let result = this.unlink_impl(dir, name).await;
-        self.record_op(
-            "unlink",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.unlink", |this| this.unlink_impl(dir, name))
+            .await
     }
 
     async fn lookup(&self, dir: &Reference, path: &str) -> Result<Reference, PcsiError> {
-        let span = self.op_span("kernel.lookup");
-        let started = self.inner().fabric.handle().now();
-        let this = self.with_ctx(span.ctx());
-        let result = this.lookup_impl(dir, path).await;
-        self.record_op(
-            "lookup",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.lookup", |this| this.lookup_impl(dir, path))
+            .await
     }
 
     async fn list(&self, dir: &Reference) -> Result<Vec<String>, PcsiError> {
-        let span = self.op_span("kernel.list");
-        let started = self.inner().fabric.handle().now();
-        let this = self.with_ctx(span.ctx());
-        let result = this.list_impl(dir).await;
-        self.record_op(
-            "list",
-            started,
-            result.is_ok(),
-            span.ctx().map(|c| c.trace.0),
-        );
-        finish_op(span, &result);
-        result
+        self.op("kernel.list", |this| this.list_impl(dir)).await
     }
 
     async fn invoke(&self, f: &Reference, req: InvokeRequest) -> Result<InvokeResponse, PcsiError> {
@@ -888,11 +767,11 @@ impl CloudInterface for KernelClient {
     }
 }
 
-/// Operation bodies, factored out of the `CloudInterface` impl so every
-/// op can run under the span its wrapper just opened (via
-/// [`KernelClient::with_ctx`]).
+/// Operation bodies. Each takes the client by value: [`KernelClient::op`]
+/// hands it the clone that runs under the span just opened, and the
+/// body's future owns it.
 impl KernelClient {
-    async fn create_impl(&self, opts: CreateOptions) -> Result<Reference, PcsiError> {
+    async fn create_impl(self, opts: CreateOptions) -> Result<Reference, PcsiError> {
         if !matches!(opts.kind, ObjectKind::Regular | ObjectKind::Function)
             && !opts.initial.is_empty()
         {
@@ -949,7 +828,7 @@ impl KernelClient {
         Ok(Reference::mint(id, Rights::ALL, 0))
     }
 
-    async fn read_impl(&self, r: &Reference, offset: u64, len: u64) -> Result<Bytes, PcsiError> {
+    async fn read_impl(self, r: &Reference, offset: u64, len: u64) -> Result<Bytes, PcsiError> {
         let meta = self.kernel.check(r, Rights::READ)?;
         match &meta.kind {
             ObjectKind::Regular | ObjectKind::Function | ObjectKind::Directory => {
@@ -969,7 +848,7 @@ impl KernelClient {
         }
     }
 
-    async fn write_impl(&self, r: &Reference, offset: u64, data: Bytes) -> Result<(), PcsiError> {
+    async fn write_impl(self, r: &Reference, offset: u64, data: Bytes) -> Result<(), PcsiError> {
         let meta = self.kernel.check(r, Rights::WRITE)?;
         match &meta.kind {
             ObjectKind::Regular | ObjectKind::Function => {
@@ -1012,7 +891,7 @@ impl KernelClient {
         }
     }
 
-    async fn append_impl(&self, r: &Reference, data: Bytes) -> Result<u64, PcsiError> {
+    async fn append_impl(self, r: &Reference, data: Bytes) -> Result<u64, PcsiError> {
         let meta = self.kernel.check(r, Rights::APPEND)?;
         match &meta.kind {
             ObjectKind::Regular | ObjectKind::Function => {
@@ -1071,7 +950,7 @@ impl KernelClient {
         }
     }
 
-    async fn pop_impl(&self, r: &Reference) -> Result<Bytes, PcsiError> {
+    async fn pop_impl(self, r: &Reference) -> Result<Bytes, PcsiError> {
         let meta = self.kernel.check(r, Rights::READ)?;
         if !matches!(meta.kind, ObjectKind::Fifo | ObjectKind::Socket) {
             return Err(PcsiError::WrongKind {
@@ -1101,7 +980,7 @@ impl KernelClient {
         Ok(msg)
     }
 
-    async fn set_mutability_impl(&self, r: &Reference, to: Mutability) -> Result<(), PcsiError> {
+    async fn set_mutability_impl(self, r: &Reference, to: Mutability) -> Result<(), PcsiError> {
         let meta = self.kernel.check(r, Rights::MANAGE)?;
         // Validate the Figure-1 transition before touching the store.
         meta.mutability.transition_to(to)?;
@@ -1117,7 +996,7 @@ impl KernelClient {
         Ok(())
     }
 
-    async fn delete_impl(&self, r: &Reference) -> Result<(), PcsiError> {
+    async fn delete_impl(self, r: &Reference) -> Result<(), PcsiError> {
         let meta = self.kernel.check(r, Rights::MANAGE)?;
         if matches!(
             meta.kind,
@@ -1138,7 +1017,7 @@ impl KernelClient {
     }
 
     async fn link_impl(
-        &self,
+        self,
         dir: &Reference,
         name: &str,
         target: &Reference,
@@ -1151,14 +1030,14 @@ impl KernelClient {
         self.store_dir(dir.id(), &d).await
     }
 
-    async fn unlink_impl(&self, dir: &Reference, name: &str) -> Result<(), PcsiError> {
+    async fn unlink_impl(self, dir: &Reference, name: &str) -> Result<(), PcsiError> {
         let dmeta = self.kernel.check(dir, Rights::WRITE)?;
         let mut d = self.load_dir(dir.id(), &dmeta).await?;
         d.unlink(name)?;
         self.store_dir(dir.id(), &d).await
     }
 
-    async fn lookup_impl(&self, dir: &Reference, path: &str) -> Result<Reference, PcsiError> {
+    async fn lookup_impl(self, dir: &Reference, path: &str) -> Result<Reference, PcsiError> {
         let segments = pcsi_fs::path::split(path)?;
         let mut current = dir.clone();
         for seg in &segments {
@@ -1180,7 +1059,7 @@ impl KernelClient {
         Ok(current)
     }
 
-    async fn list_impl(&self, dir: &Reference) -> Result<Vec<String>, PcsiError> {
+    async fn list_impl(self, dir: &Reference) -> Result<Vec<String>, PcsiError> {
         let meta = self.kernel.check(dir, Rights::READ)?;
         let d = self.load_dir(dir.id(), &meta).await?;
         Ok(d.names())

@@ -46,6 +46,8 @@ pub mod cache;
 pub mod engine;
 pub mod gc;
 pub mod placement;
+mod quorum;
+mod recovery;
 pub mod replica;
 pub mod retry;
 pub mod store;

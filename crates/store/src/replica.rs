@@ -23,17 +23,17 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use pcsi_core::ObjectId;
+use pcsi_core::{ObjectId, PcsiError};
 use pcsi_metrics::{Counter, Histogram};
-use pcsi_net::fabric::{CallCtx, NetError, RpcHandler};
+use pcsi_net::fabric::{CallCtx, RpcHandler};
 use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_obs::Telemetry;
-use pcsi_sim::sync::mpsc;
 use pcsi_sim::SimTime;
 use pcsi_trace::{SpanHandle, TraceContext, Tracer};
 
 use crate::engine::{MediaTier, Mutation, StorageEngine, StoredObject};
 use crate::placement::Placement;
+use crate::quorum::{gather, rpc};
 use crate::version::Tag;
 use crate::wire::{self, Request, Response, WireError};
 
@@ -875,7 +875,7 @@ async fn coordinate(
                 // next round re-orders fresh; on failure the record
                 // stays and the next round replays instead — never a
                 // second local apply on a line that already has one.
-                catch_up(inner, id, holder).await;
+                let _ = catch_up(inner, id, holder).await;
             }
             ReplicateOutcome::Failed { got } => {
                 last_got = got;
@@ -934,8 +934,6 @@ async fn replicate(
     replay: bool,
     ctx: Option<TraceContext>,
 ) -> ReplicateOutcome {
-    let total = peers.len();
-    let (tx, mut rx) = mpsc::channel::<Result<(), Option<(Tag, NodeId)>>>();
     // The Apply frame is identical for every peer: encode (and clone the
     // mutation into it) exactly once, then share the frozen bytes.
     let frame = wire::encode_request_traced(
@@ -947,14 +945,11 @@ async fn replicate(
         },
         ctx,
     );
-    for &peer in peers {
-        let tx = tx.clone();
-        let task_inner = inner.clone();
-        let from = inner.node;
-        let req = frame.clone();
-        inner.fabric.handle().spawn_detached(async move {
-            let fabric = task_inner.fabric.clone();
-            let outcome = match apply_on(&fabric, from, peer, req).await {
+    let task_inner = Rc::clone(inner);
+    let classify = move |peer, reply| {
+        let inner = Rc::clone(&task_inner);
+        async move {
+            match reply {
                 Ok(Response::Applied) => Ok(()),
                 Ok(Response::AlreadyApplied { tag: recorded }) if recorded >= tag => Ok(()),
                 Ok(Response::AlreadyApplied { .. }) => {
@@ -964,53 +959,38 @@ async fn replicate(
                     // brought up to (at least) the ordered tag — see
                     // the ack rules above. Push the local state, which
                     // contains the ordered apply.
-                    push_state_to(&task_inner, id, peer).await
+                    push_state_to(&inner, id, peer).await
                 }
                 Ok(Response::Stale { newest }) if replay && newest == tag => Ok(()),
                 Ok(Response::Stale { newest }) => Err(Some((newest, peer))),
                 _ => Err(None),
-            };
-            let _ = tx.send(outcome);
-        });
-    }
-    drop(tx);
-
-    let mut ok = 0usize;
-    let mut failed = 0usize;
-    let mut stale: Option<(Tag, NodeId)> = None;
-    while ok < need {
-        let outcome = match rx.recv().await {
-            Some(o) => o,
-            None => break,
-        };
-        match outcome {
-            Ok(()) => ok += 1,
-            Err(evidence) => {
-                if let Some((newest, holder)) = evidence {
-                    match &stale {
-                        Some((t, _)) if *t >= newest => {}
-                        _ => stale = Some((newest, holder)),
-                    }
-                }
-                failed += 1;
-                if total - failed < need {
-                    break;
-                }
             }
         }
+    };
+    let peers = peers.iter().copied();
+    // Replication past `need` continues in the background (detached tasks).
+    let short = match gather(&inner.fabric, inner.node, peers, frame, need, classify).await {
+        Ok(acks) => {
+            if let Some(h) = &inner.quorum_acks {
+                h.record((acks.len() + 1) as u64);
+            }
+            return ReplicateOutcome::Acked;
+        }
+        Err(short) => short,
+    };
+    // The newest `Stale` evidence that arrived before the round was lost
+    // names the catch-up source (the first reporter wins a tie).
+    let mut stale: Option<(Tag, NodeId)> = None;
+    for (newest, holder) in short.nacks.into_iter().flatten() {
+        if stale.is_none_or(|(t, _)| t < newest) {
+            stale = Some((newest, holder));
+        }
     }
-    // Remaining replication continues in the background (detached tasks).
-    if ok >= need {
-        if let Some(h) = &inner.quorum_acks {
-            h.record((ok + 1) as u64);
-        }
-        ReplicateOutcome::Acked
-    } else if let Some((newest, holder)) = stale {
-        ReplicateOutcome::Stale { newest, holder }
-    } else {
-        ReplicateOutcome::Failed {
-            got: (ok + 1) as u32,
-        }
+    match stale {
+        Some((newest, holder)) => ReplicateOutcome::Stale { newest, holder },
+        None => ReplicateOutcome::Failed {
+            got: (short.got + 1) as u32,
+        },
     }
 }
 
@@ -1042,47 +1022,25 @@ async fn push_state_to(
     };
     let reqs = inner.ledger.borrow().snapshot(id);
     let frame = wire::encode_request(&Request::Push { id, object, reqs });
-    match apply_on(&inner.fabric, inner.node, peer, frame).await {
+    match rpc(&inner.fabric, inner.node, peer, frame, None).await {
         Ok(Response::Applied) => Ok(()),
         _ => Err(None),
     }
 }
 
 /// Pulls the newest state of `id` from `holder` into the local engine
-/// (best effort — the caller's tag floor guarantees progress even when
-/// this fails).
-async fn catch_up(inner: &Rc<Inner>, id: ObjectId, holder: NodeId) {
-    let raw = match inner
-        .fabric
-        .call(
-            inner.node,
-            holder,
-            STORE_SERVICE,
-            STORE_TRANSPORT,
-            wire::encode_request(&Request::Fetch { id }),
-        )
-        .await
-    {
-        Ok(raw) => raw,
-        Err(_) => return,
-    };
-    if let Ok(Response::Object { object, reqs }) = wire::decode_response(&raw) {
+/// (best effort — a coordinator's tag floor guarantees progress even
+/// when this fails). `Err` means the fetch itself failed, not that
+/// `holder` had nothing to give.
+async fn catch_up(inner: &Rc<Inner>, id: ObjectId, holder: NodeId) -> Result<(), PcsiError> {
+    let frame = wire::encode_request(&Request::Fetch { id });
+    let reply = rpc(&inner.fabric, inner.node, holder, frame, None).await?;
+    if let Response::Object { object, reqs } = reply {
         charge_io(inner, object.data.len()).await;
         install_state(inner, id, object, reqs);
         inner.synced_in.incr();
     }
-}
-
-async fn apply_on(
-    fabric: &Fabric,
-    from: NodeId,
-    peer: NodeId,
-    req: Bytes,
-) -> Result<Response, NetError> {
-    let raw = fabric
-        .call(from, peer, STORE_SERVICE, STORE_TRANSPORT, req)
-        .await?;
-    wire::decode_response(&raw).map_err(|e| NetError::Remote(e.to_string()))
+    Ok(())
 }
 
 /// One pull-based anti-entropy exchange with a random peer.
@@ -1099,23 +1057,12 @@ async fn anti_entropy_round(inner: &Rc<Inner>) {
     let rng = inner.fabric.handle().rng().stream("anti-entropy-peer");
     let peer = *rng.choice(&peers);
 
-    let raw = match inner
-        .fabric
-        .call(
-            inner.node,
-            peer,
-            STORE_SERVICE,
-            STORE_TRANSPORT,
-            wire::encode_request(&Request::Inventory),
-        )
-        .await
-    {
-        Ok(raw) => raw,
-        Err(_) => return, // Peer down or partitioned; try next round.
-    };
-    let entries = match wire::decode_response(&raw) {
-        Ok(Response::InventoryIs { entries }) => entries,
-        _ => return,
+    let frame = wire::encode_request(&Request::Inventory);
+    // Peer down or partitioned: try next round.
+    let Ok(Response::InventoryIs { entries }) =
+        rpc(&inner.fabric, inner.node, peer, frame, None).await
+    else {
+        return;
     };
 
     for (id, peer_tag) in entries {
@@ -1127,48 +1074,9 @@ async fn anti_entropy_round(inner: &Rc<Inner>) {
         if peer_tag <= local_tag {
             continue;
         }
-        let raw = match inner
-            .fabric
-            .call(
-                inner.node,
-                peer,
-                STORE_SERVICE,
-                STORE_TRANSPORT,
-                wire::encode_request(&Request::Fetch { id }),
-            )
-            .await
-        {
-            Ok(raw) => raw,
-            Err(_) => return,
-        };
-        if let Ok(Response::Object { object, reqs }) = wire::decode_response(&raw) {
-            charge_io(inner, object.data.len()).await;
-            install_state(inner, id, object, reqs);
-            inner.synced_in.incr();
+        if catch_up(inner, id, peer).await.is_err() {
+            return;
         }
-    }
-}
-
-/// Convenience: the tag a replica holds for `id`, fetched over the fabric.
-pub async fn remote_tag(
-    fabric: &Fabric,
-    from: NodeId,
-    replica: NodeId,
-    id: ObjectId,
-) -> Result<Tag, NetError> {
-    let raw = fabric
-        .call(
-            from,
-            replica,
-            STORE_SERVICE,
-            STORE_TRANSPORT,
-            wire::encode_request(&Request::TagOf { id }),
-        )
-        .await?;
-    match wire::decode_response(&raw) {
-        Ok(Response::TagIs { tag }) => Ok(tag),
-        Ok(other) => Err(NetError::Remote(format!("unexpected response {other:?}"))),
-        Err(e) => Err(NetError::Remote(e.to_string())),
     }
 }
 

@@ -34,10 +34,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use pcsi_core::{Consistency, Mutability, ObjectId, PcsiError};
 use pcsi_metrics::Counter;
-use pcsi_net::fabric::NetError;
 use pcsi_net::{Fabric, NodeId};
 use pcsi_obs::{JournalExt, Telemetry};
-use pcsi_sim::sync::mpsc;
 use pcsi_sim::util::{join_all, Pacer};
 use pcsi_sim::SimTime;
 use pcsi_trace::{AttrValue, SpanHandle, TraceContext};
@@ -45,8 +43,10 @@ use pcsi_trace::{AttrValue, SpanHandle, TraceContext};
 use crate::cache::ObjectCache;
 use crate::engine::{MediaTier, Mutation, StoredObject};
 use crate::placement::Placement;
-use crate::replica::{ReplicaNode, STORE_SERVICE, STORE_TRANSPORT};
-use crate::retry::{RetryPolicy, RetryStats, RETRY_RNG_STREAM};
+use crate::quorum::{self, rpc};
+use crate::recovery::{Attempt, Recovery};
+use crate::replica::ReplicaNode;
+use crate::retry::{RetryPolicy, RetryStats};
 use crate::version::Tag;
 use crate::wire::{self, Request, Response};
 
@@ -443,6 +443,8 @@ impl ReplicatedStore {
         let handle = self.inner.fabric.handle().clone();
         let mut moved = 0usize;
         let mut stalled_rounds = 0u32;
+        // The most recent failed move, kept so a stalled drain can say why.
+        let mut last_err: Option<(ObjectId, PcsiError)> = None;
         loop {
             let pending = self.inner.placement.pending_moves();
             if pending.is_empty() {
@@ -461,7 +463,7 @@ impl ReplicatedStore {
                     // Already moved (or claimed by a concurrent drain).
                     Ok(false) => {}
                     // Retryable: the next round tries again.
-                    Err(_) => {}
+                    Err(e) => last_err = Some((id, e)),
                 }
             }
             if progressed {
@@ -469,9 +471,19 @@ impl ReplicatedStore {
             } else {
                 stalled_rounds += 1;
                 if stalled_rounds >= MAX_STALLED_ROUNDS {
-                    return Err(PcsiError::Fault(format!(
-                        "shard migration stalled: {} moves pending after {stalled_rounds} fruitless rounds",
+                    let cause = match &last_err {
+                        Some((id, e)) => format!("last error, on {id:?}: {e}"),
+                        None => "every pending move is claimed by another drain".to_owned(),
+                    };
+                    let stalled = format!(
+                        "{} moves pending after {stalled_rounds} fruitless rounds; {cause}",
                         self.inner.placement.pending_moves().len(),
+                    );
+                    self.inner.telemetry.journal.with(|j| {
+                        j.append("store", "migration_stalled", stalled.clone());
+                    });
+                    return Err(PcsiError::Fault(format!(
+                        "shard migration stalled: {stalled}"
                     )));
                 }
                 handle.sleep(DRAIN_RETRY_DELAY).await;
@@ -545,23 +557,11 @@ impl ReplicatedStore {
         // reachable minorities too. TagOf runs *before* Fetch on each
         // node so a `reported > live` surplus can only mean a tombstone
         // (writes are frozen; anti-entropy can only raise the live tag).
+        let fabric = &self.inner.fabric;
         let replies = join_all(old.iter().map(|&n| {
-            let fabric = self.inner.fabric.clone();
-            let tag_frame = tag_frame.clone();
-            let fetch_frame = fetch_frame.clone();
-            async move {
-                let tag = call_store_raw(
-                    fabric.clone(),
-                    from,
-                    n,
-                    tag_frame,
-                    Some(MIGRATE_RPC_TIMEOUT),
-                )
-                .await;
-                let state =
-                    call_store_raw(fabric, from, n, fetch_frame, Some(MIGRATE_RPC_TIMEOUT)).await;
-                (tag, state)
-            }
+            let tag = rpc(fabric, from, n, tag_frame.clone(), MIGRATE_RPC_TIMEOUT);
+            let state = rpc(fabric, from, n, fetch_frame.clone(), MIGRATE_RPC_TIMEOUT);
+            async move { (tag.await, state.await) }
         }))
         .await;
         let mut heard = 0usize;
@@ -640,15 +640,12 @@ impl ReplicatedStore {
                 reqs: reqs.clone(),
                 tombstone: deleted,
             });
-            let installs =
-                join_all(targets.iter().map(|&n| {
-                    let fabric = self.inner.fabric.clone();
-                    let frame = frame.clone();
-                    async move {
-                        call_store_raw(fabric, from, n, frame, Some(MIGRATE_RPC_TIMEOUT)).await
-                    }
-                }))
-                .await;
+            let installs = join_all(
+                targets
+                    .iter()
+                    .map(|&n| rpc(fabric, from, n, frame.clone(), MIGRATE_RPC_TIMEOUT)),
+            )
+            .await;
             let mut acks = 0usize;
             let mut newer: Option<Tag> = None;
             let mut raced_epoch = false;
@@ -690,7 +687,7 @@ impl ReplicatedStore {
 
 /// Per-RPC deadline for migration traffic (snapshot fetches and sealed
 /// installs). Short: a failed move just retries on the next drain round.
-const MIGRATE_RPC_TIMEOUT: Duration = Duration::from_millis(20);
+const MIGRATE_RPC_TIMEOUT: Option<Duration> = Some(Duration::from_millis(20));
 
 /// Seal-raise rounds per install attempt. Each round seals above the
 /// newest tag any receiver reported, so two is enough for every
@@ -712,6 +709,26 @@ struct Served {
     mutability: Mutability,
     stable_len: u64,
     data: Bytes,
+}
+
+impl Served {
+    /// The read a [`Response::Data`] carries; any other reply is handed back.
+    fn from_data(resp: Response) -> Result<Served, Response> {
+        match resp {
+            Response::Data {
+                tag,
+                mutability,
+                stable_len,
+                data,
+            } => Ok(Served {
+                tag,
+                mutability,
+                stable_len,
+                data,
+            }),
+            other => Err(other),
+        }
+    }
 }
 
 /// One reply in a one-RTT quorum read.
@@ -837,26 +854,6 @@ impl StoreClient {
         self.mutate_with_acks(id, mutation, acks).await
     }
 
-    /// Sends one typed request to a replica and decodes the reply,
-    /// mapping transport failures and wire-level errors to [`PcsiError`].
-    /// `ctx` (when sampled) rides the wire so replica spans nest under
-    /// the client span that caused them.
-    async fn call_store(
-        &self,
-        to: NodeId,
-        req: &Request,
-        ctx: Option<TraceContext>,
-    ) -> Result<Response, PcsiError> {
-        call_store_raw(
-            self.store.inner.fabric.clone(),
-            self.origin,
-            to,
-            wire::encode_request_traced(req, ctx),
-            None,
-        )
-        .await
-    }
-
     async fn mutate_with_acks(
         &self,
         id: ObjectId,
@@ -873,20 +870,13 @@ impl StoreClient {
         let invoke = self.store.inner.fabric.handle().now();
         let req_id = self.store.inner.next_req_id.get() + 1;
         self.store.inner.next_req_id.set(req_id);
-        let req = Request::Coordinate {
-            id,
-            mutation,
-            sync_replicas,
-            req_id,
-            // Stamped per attempt by `coordinate_with_recovery` when the
-            // policy carries an attempt deadline.
-            expires_ns: 0,
-        };
         let mut span = self.op_span("store.mutate");
         span.attr("op", op);
         span.attr_with("object", || AttrValue::Text(format!("{id:?}")));
         span.attr("acks", u64::from(sync_replicas));
-        let result = self.coordinate_with_recovery(id, &req, &span).await;
+        let result = self
+            .coordinate(id, &mutation, sync_replicas, req_id, &span)
+            .await;
         if result.is_err() {
             span.attr("error", "true");
         }
@@ -904,155 +894,76 @@ impl StoreClient {
         result
     }
 
-    /// Drives one coordination to completion under the configured
-    /// [`RetryPolicy`]: every attempt races the per-attempt deadline,
-    /// retryable failures are retried after seeded-jitter backoff, and
-    /// once the per-target budget is exhausted the request fails over to
-    /// the next replica in placement order (any replica may coordinate;
+    /// The recovery driver for this client's operation under `parent`.
+    fn recovery<'a>(&'a self, parent: &'a SpanHandle) -> Recovery<'a> {
+        let inner = &self.store.inner;
+        Recovery {
+            handle: inner.fabric.handle(),
+            policy: &inner.config.retry,
+            retries: &inner.retries,
+            timeouts: &inner.timeouts,
+            parent,
+        }
+    }
+
+    /// Drives one coordination to completion: the failover steps walk
+    /// the replica set in placement order (any replica may coordinate;
     /// `req_id` dedup and stale-tag rejection keep the order single).
-    ///
-    /// The error finally surfaced prefers a server-reported verdict
-    /// (e.g. genuine [`PcsiError::QuorumUnavailable`]) over the
-    /// transport-level `Unreachable`/`Timeout` noise of the last attempt.
-    async fn coordinate_with_recovery(
+    async fn coordinate(
         &self,
         id: ObjectId,
-        req: &Request,
+        mutation: &Mutation,
+        sync_replicas: u32,
+        req_id: u64,
         parent: &SpanHandle,
     ) -> Result<Tag, PcsiError> {
-        let policy = self.store.inner.config.retry.clone();
-        let handle = self.store.inner.fabric.handle().clone();
-        let start = handle.now();
-        let per_target = policy.attempts_per_target.max(1);
-        let rng = handle.rng().stream(RETRY_RNG_STREAM);
-        let counters = &self.store.inner;
-
-        let mut attempt_no = 0u32;
-        let mut transport_err: Option<PcsiError> = None;
-        let mut server_err: Option<PcsiError> = None;
-        // When tracing is unsampled every attempt sends the identical
-        // untraced frame, so encode it once and share it across retries
-        // and failovers. Sampled attempts still encode per-span: their
-        // trace context differs on every attempt.
-        let mut untraced_frame: Option<Bytes> = None;
-        let mut ti = 0usize;
-        loop {
+        let inner = &self.store.inner;
+        let next_target = |step: usize| {
             // Re-resolve placement at every failover step: a topology
             // change (join/decommission) mid-operation must steer the
             // remaining attempts at the object's *current* owners, not
             // the set in force when the operation started.
-            let replicas = self.store.placement().replicas(id);
-            let n_targets = if policy.failover { replicas.len() } else { 1 };
-            if ti >= n_targets {
-                break;
-            }
-            let target = replicas[ti];
-            if ti > 0 {
-                counters.failovers.incr();
-                self.store.inner.telemetry.journal.with(|j| {
-                    j.append("store", "failover", format!("id={id:?} target={ti}"));
+            let target = *self.store.placement().replicas(id).get(step)?;
+            if step > 0 {
+                inner.failovers.incr();
+                inner.telemetry.journal.with(|j| {
+                    j.append("store", "failover", format!("id={id:?} target={step}"));
                 });
             }
-            for _ in 0..per_target {
-                if attempt_no > 0 {
-                    counters.retries.incr();
-                    let mut delay = policy.backoff(attempt_no - 1, &rng);
-                    if let Some(rem) = policy.remaining_budget(handle.now() - start) {
-                        // Never sleep past the operation deadline.
-                        delay = delay.min(rem);
-                    }
-                    if !delay.is_zero() {
-                        let backoff_span = parent.span("store.backoff");
-                        handle.sleep(delay).await;
-                        backoff_span.finish();
-                    }
-                }
-                // Check the budget before *every* attempt (the first
-                // included) and clamp the attempt's deadline to what is
-                // left: an exhausted budget must not buy one more full
-                // attempt_timeout of overrun.
-                let remaining = policy.remaining_budget(handle.now() - start);
-                if remaining == Some(Duration::ZERO) {
-                    counters.timeouts.incr();
-                    return Err(server_err.or(transport_err).unwrap_or(PcsiError::Timeout));
-                }
-                attempt_no += 1;
-                let mut att = parent.span("store.attempt");
-                att.attr("target", u64::from(target.0));
-                if ti > 0 {
-                    att.attr("failover", ti as u64);
-                }
-                let deadline = policy.attempt_deadline(remaining);
-                // Stamp the attempt's absolute expiry into the request:
-                // the coordinator refuses to order past it, so an
-                // abandoned attempt can never mint a fresh tag after
-                // this client has moved on (and possibly acknowledged
-                // the operation through another coordinator). The stamp
-                // differs per attempt, so stamped frames bypass the
-                // shared untraced-frame cache.
-                let stamped = match (deadline, req) {
-                    (
-                        Some(d),
-                        Request::Coordinate {
-                            id,
-                            mutation,
-                            sync_replicas,
-                            req_id,
-                            ..
-                        },
-                    ) => Some(Request::Coordinate {
-                        id: *id,
-                        mutation: mutation.clone(),
-                        sync_replicas: *sync_replicas,
-                        req_id: *req_id,
-                        expires_ns: (handle.now() + d).as_nanos(),
-                    }),
-                    _ => None,
-                };
-                let frame = match (&stamped, att.ctx()) {
-                    (Some(s), ctx) => wire::encode_request_traced(s, ctx),
-                    (None, ctx @ Some(_)) => wire::encode_request_traced(req, ctx),
-                    (None, None) => untraced_frame
-                        .get_or_insert_with(|| wire::encode_request(req))
-                        .clone(),
-                };
-                let outcome = call_store_raw(
-                    self.store.inner.fabric.clone(),
-                    self.origin,
-                    target,
-                    frame,
-                    deadline,
-                )
-                .await;
-                if let Err(e) = &outcome {
-                    att.attr_with("error", || AttrValue::Text(e.to_string()));
-                }
-                att.finish();
-                match outcome {
-                    Ok(Response::Coordinated { tag }) => return Ok(tag),
-                    Ok(other) => {
-                        return Err(PcsiError::Fault(format!("unexpected response {other:?}")))
-                    }
-                    Err(e) if !e.is_retryable() => return Err(e),
-                    Err(e) => {
-                        match &e {
-                            PcsiError::Timeout => {
-                                counters.timeouts.incr();
-                                transport_err = Some(e);
-                            }
-                            PcsiError::Unreachable(_) | PcsiError::Fault(_) => {
-                                transport_err = Some(e)
-                            }
-                            // Retryable verdicts computed *by* a replica
-                            // (quorum math, admission control).
-                            _ => server_err = Some(e),
-                        }
-                    }
+            Some(target)
+        };
+        let attempt = |a: Attempt<'_, NodeId>| {
+            a.span.attr("target", u64::from(a.target.0));
+            if a.step > 0 {
+                a.span.attr("failover", a.step as u64);
+            }
+            // Stamp the attempt's absolute expiry into the request: the
+            // coordinator refuses to order past it, so an abandoned
+            // attempt can never mint a fresh tag after this client has
+            // moved on (and possibly acknowledged the operation through
+            // another coordinator).
+            let expires_ns = a
+                .deadline
+                .map_or(0, |d| (inner.fabric.handle().now() + d).as_nanos());
+            let frame = wire::encode_request_traced(
+                &Request::Coordinate {
+                    id,
+                    mutation: mutation.clone(),
+                    sync_replicas,
+                    req_id,
+                    expires_ns,
+                },
+                a.span.ctx(),
+            );
+            let call = rpc(&inner.fabric, self.origin, *a.target, frame, None);
+            async move {
+                match call.await? {
+                    Response::Coordinated { tag } => Ok(tag),
+                    other => Err(PcsiError::Fault(format!("unexpected response {other:?}"))),
                 }
             }
-            ti += 1;
-        }
-        Err(server_err.or(transport_err).unwrap_or(PcsiError::Timeout))
+        };
+        self.recovery(parent).run(next_target, attempt).await
     }
 
     /// Reads a byte range at the requested consistency level.
@@ -1118,8 +1029,21 @@ impl StoreClient {
             cache_span.finish();
             return Ok((tag, data));
         }
+        // Reads are idempotent, so an abandoned attempt needs no further
+        // care; the steps only bound how long the read keeps trying (an
+        // eventual read rotates its target per attempt by itself).
+        let steps = self.store.placement().replication_factor();
         let served = self
-            .read_with_recovery(id, offset, len, consistency, parent)
+            .recovery(parent)
+            .run(
+                |step| (step < steps).then_some(()),
+                |a| {
+                    a.span.attr("attempt", u64::from(a.attempt));
+                    let (attempt, ctx) = (a.attempt as usize, a.span.ctx());
+                    self.clone()
+                        .read_attempt(id, offset, len, consistency, attempt, ctx)
+                },
+            )
             .await?;
         if offset == 0 {
             self.store.cache_admit(self.origin, id, &served);
@@ -1127,90 +1051,10 @@ impl StoreClient {
         Ok((served.tag, served.data))
     }
 
-    /// Drives read attempts under the configured [`RetryPolicy`]: each
-    /// attempt races the per-attempt deadline, retryable failures back
-    /// off with seeded jitter, and eventual reads rotate through the
-    /// replica set so a crashed closest replica doesn't surface to the
-    /// caller while any replica is alive. Reads are idempotent, so an
-    /// abandoned attempt needs no further care.
-    async fn read_with_recovery(
-        &self,
-        id: ObjectId,
-        offset: u64,
-        len: u64,
-        consistency: Consistency,
-        parent: &SpanHandle,
-    ) -> Result<Served, PcsiError> {
-        let policy = self.store.inner.config.retry.clone();
-        let handle = self.store.inner.fabric.handle().clone();
-        let start = handle.now();
-        let n_targets = self.store.placement().replication_factor();
-        let max_attempts = policy.max_attempts(n_targets);
-        let rng = handle.rng().stream(RETRY_RNG_STREAM);
-        let counters = &self.store.inner;
-
-        let mut last_err: Option<PcsiError> = None;
-        for attempt in 0..max_attempts {
-            if attempt > 0 {
-                counters.retries.incr();
-                let mut delay = policy.backoff(attempt as u32 - 1, &rng);
-                if let Some(rem) = policy.remaining_budget(handle.now() - start) {
-                    // Never sleep past the operation deadline.
-                    delay = delay.min(rem);
-                }
-                if !delay.is_zero() {
-                    let backoff_span = parent.span("store.backoff");
-                    handle.sleep(delay).await;
-                    backoff_span.finish();
-                }
-            }
-            // Same budget discipline as the write path: check before
-            // every attempt, clamp each attempt to what is left.
-            let remaining = policy.remaining_budget(handle.now() - start);
-            if remaining == Some(Duration::ZERO) {
-                counters.timeouts.incr();
-                return Err(last_err.unwrap_or(PcsiError::Timeout));
-            }
-            let mut att = parent.span("store.attempt");
-            att.attr("attempt", attempt as u64);
-            let ctx = att.ctx();
-            let result = match policy.attempt_deadline(remaining) {
-                Some(d) => {
-                    let client = self.clone();
-                    let raced = pcsi_sim::util::deadline(&handle, d, async move {
-                        client
-                            .read_attempt(id, offset, len, consistency, attempt, ctx)
-                            .await
-                    })
-                    .await;
-                    match raced {
-                        Some(r) => r,
-                        None => {
-                            counters.timeouts.incr();
-                            Err(PcsiError::Timeout)
-                        }
-                    }
-                }
-                None => {
-                    self.read_attempt(id, offset, len, consistency, attempt, ctx)
-                        .await
-                }
-            };
-            if let Err(e) = &result {
-                att.attr_with("error", || AttrValue::Text(e.to_string()));
-            }
-            att.finish();
-            match result {
-                Ok(served) => return Ok(served),
-                Err(e) if !e.is_retryable() => return Err(e),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.unwrap_or(PcsiError::Timeout))
-    }
-
+    /// One read attempt. Takes the client by value so the future owns it
+    /// and the driver can race it on a task of its own.
     async fn read_attempt(
-        &self,
+        self,
         id: ObjectId,
         offset: u64,
         len: u64,
@@ -1243,7 +1087,14 @@ impl StoreClient {
                     // read from the newest replica. Same write-back rule
                     // as the one-RTT path: a tag seen at fewer than a
                     // majority must be made durable before serving it.
-                    let (replies, need) = self.tag_quorum(id, ctx).await?;
+                    let need = self.store.placement().majority();
+                    let frame = wire::encode_request_traced(&Request::TagOf { id }, ctx);
+                    let replies = self
+                        .gather(id, &[], frame, need, |node, reply| match reply {
+                            Ok(Response::TagIs { tag }) => Ok((node, tag)),
+                            _ => Err(()),
+                        })
+                        .await?;
                     let &(newest_node, newest_tag) = replies
                         .iter()
                         .max_by_key(|(_, t)| *t)
@@ -1290,12 +1141,7 @@ impl StoreClient {
         inline_limit: u64,
         ctx: Option<TraceContext>,
     ) -> Result<Served, PcsiError> {
-        let replicas = self.store.placement().replicas(id);
         let need = self.store.placement().majority();
-        let total = replicas.len();
-        let (tx, mut rx) = mpsc::channel::<Option<QuorumReply>>();
-        // One encode for the whole quorum: every replica receives the
-        // identical frame, so each send just bumps the refcount.
         let frame = wire::encode_request_traced(
             &Request::ReadWithTag {
                 id,
@@ -1305,62 +1151,16 @@ impl StoreClient {
             },
             ctx,
         );
-        for node in replicas {
-            let tx = tx.clone();
-            let fabric = self.store.inner.fabric.clone();
-            let origin = self.origin;
-            let req = frame.clone();
-            self.store.inner.fabric.handle().spawn_detached(async move {
-                let outcome = match call_store_raw(fabric, origin, node, req, None).await {
-                    Ok(Response::Data {
-                        tag,
-                        mutability,
-                        stable_len,
-                        data,
-                    }) => Some(QuorumReply {
-                        node,
-                        tag,
-                        served: Some(Served {
-                            tag,
-                            mutability,
-                            stable_len,
-                            data,
-                        }),
-                    }),
-                    Ok(Response::TagIs { tag }) => Some(QuorumReply {
-                        node,
-                        tag,
-                        served: None,
-                    }),
-                    _ => None,
+        let mut replies = self
+            .gather(id, &[], frame, need, |node, reply| {
+                let (tag, served) = match reply.map(Served::from_data) {
+                    Ok(Ok(served)) => (served.tag, Some(served)),
+                    Ok(Err(Response::TagIs { tag })) => (tag, None),
+                    _ => return Err(()),
                 };
-                let _ = tx.send(outcome);
-            });
-        }
-        drop(tx);
-
-        let mut replies: Vec<QuorumReply> = Vec::with_capacity(total);
-        let mut failed = 0usize;
-        while replies.len() < need {
-            match rx.recv().await {
-                Some(Some(reply)) => replies.push(reply),
-                Some(None) => {
-                    failed += 1;
-                    if total - failed < need {
-                        return Err(PcsiError::QuorumUnavailable {
-                            needed: need,
-                            got: replies.len(),
-                        });
-                    }
-                }
-                None => {
-                    return Err(PcsiError::QuorumUnavailable {
-                        needed: need,
-                        got: replies.len(),
-                    });
-                }
-            }
-        }
+                Ok(QuorumReply { node, tag, served })
+            })
+            .await?;
 
         // Newest tag wins; on a tie prefer a reply that carried bytes.
         let mut best = 0usize;
@@ -1409,15 +1209,8 @@ impl StoreClient {
         ctx: Option<TraceContext>,
     ) -> Result<(), PcsiError> {
         let fetch = wire::encode_request_traced(&Request::Fetch { id }, ctx);
-        let (object, reqs) = match call_store_raw(
-            self.store.inner.fabric.clone(),
-            self.origin,
-            source,
-            fetch,
-            None,
-        )
-        .await
-        {
+        let fabric = &self.store.inner.fabric;
+        let (object, reqs) = match rpc(fabric, self.origin, source, fetch, None).await {
             Ok(Response::Object { object, reqs }) => (object, reqs),
             // The object vanished between the read and the fetch —
             // a racing delete; surface it as such.
@@ -1429,108 +1222,44 @@ impl StoreClient {
                 })
             }
         };
-        let targets: Vec<NodeId> = self
+        // Encode the push once — it embeds the full object payload, so
+        // re-encoding (and deep-cloning the object) per peer would cost
+        // O(replicas × object size).
+        let push = wire::encode_request_traced(&Request::Push { id, object, reqs }, ctx);
+        self.gather(id, known, push, need_acks, |_, reply| match reply {
+            Ok(Response::Applied) => Ok(()),
+            _ => Err(()),
+        })
+        .await?;
+        Ok(())
+    }
+
+    /// One quorum round from this client: `frame` goes to every replica
+    /// of `id` outside `skip`, in placement order, and the first `need`
+    /// replies `ack` accepts come back — or the quorum failure.
+    async fn gather<A: 'static>(
+        &self,
+        id: ObjectId,
+        skip: &[NodeId],
+        frame: Bytes,
+        need: usize,
+        ack: impl Fn(NodeId, Result<Response, PcsiError>) -> Result<A, ()> + 'static,
+    ) -> Result<Vec<A>, PcsiError> {
+        let targets = self
             .store
             .placement()
             .replicas(id)
             .into_iter()
-            .filter(|n| !known.contains(n))
-            .collect();
-        let total = targets.len();
-        let (tx, mut rx) = mpsc::channel::<bool>();
-        // Encode the push once — it embeds the full object payload, so
-        // re-encoding (and deep-cloning the object) per peer would cost
-        // O(replicas × object size).
-        let frame = wire::encode_request_traced(&Request::Push { id, object, reqs }, ctx);
-        for node in targets {
-            let tx = tx.clone();
-            let fabric = self.store.inner.fabric.clone();
-            let origin = self.origin;
-            let push = frame.clone();
-            self.store.inner.fabric.handle().spawn_detached(async move {
-                let ok = matches!(
-                    call_store_raw(fabric, origin, node, push, None).await,
-                    Ok(Response::Applied)
-                );
-                let _ = tx.send(ok);
-            });
-        }
-        drop(tx);
-        let mut ok = 0usize;
-        let mut failed = 0usize;
-        while ok < need_acks {
-            match rx.recv().await {
-                Some(true) => ok += 1,
-                Some(false) => {
-                    failed += 1;
-                    if total - failed < need_acks {
-                        return Err(PcsiError::QuorumUnavailable {
-                            needed: need_acks,
-                            got: ok,
-                        });
-                    }
-                }
-                None => {
-                    return Err(PcsiError::QuorumUnavailable {
-                        needed: need_acks,
-                        got: ok,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Queries all replicas for their tag and returns the first majority
-    /// of `(node, tag)` replies plus the majority size.
-    async fn tag_quorum(
-        &self,
-        id: ObjectId,
-        ctx: Option<TraceContext>,
-    ) -> Result<(Vec<(NodeId, Tag)>, usize), PcsiError> {
-        let replicas = self.store.placement().replicas(id);
-        let need = self.store.placement().majority();
-        let total = replicas.len();
-        let (tx, mut rx) = mpsc::channel::<Option<(NodeId, Tag)>>();
-        let frame = wire::encode_request_traced(&Request::TagOf { id }, ctx);
-        for node in replicas {
-            let tx = tx.clone();
-            let fabric = self.store.inner.fabric.clone();
-            let origin = self.origin;
-            let req = frame.clone();
-            self.store.inner.fabric.handle().spawn_detached(async move {
-                let outcome = match call_store_raw(fabric, origin, node, req, None).await {
-                    Ok(Response::TagIs { tag }) => Some((node, tag)),
-                    _ => None,
-                };
-                let _ = tx.send(outcome);
-            });
-        }
-        drop(tx);
-
-        let mut replies: Vec<(NodeId, Tag)> = Vec::with_capacity(need);
-        let mut failed = 0usize;
-        while replies.len() < need {
-            match rx.recv().await {
-                Some(Some(reply)) => replies.push(reply),
-                Some(None) => {
-                    failed += 1;
-                    if total - failed < need {
-                        return Err(PcsiError::QuorumUnavailable {
-                            needed: need,
-                            got: replies.len(),
-                        });
-                    }
-                }
-                None => {
-                    return Err(PcsiError::QuorumUnavailable {
-                        needed: need,
-                        got: replies.len(),
-                    })
-                }
-            }
-        }
-        Ok((replies, need))
+            .filter(|n| !skip.contains(n));
+        let fabric = &self.store.inner.fabric;
+        quorum::gather(fabric, self.origin, targets, frame, need, move |n, r| {
+            std::future::ready(ack(n, r))
+        })
+        .await
+        .map_err(|short| PcsiError::QuorumUnavailable {
+            needed: need,
+            got: short.got,
+        })
     }
 
     async fn read_from(
@@ -1541,23 +1270,10 @@ impl StoreClient {
         len: u64,
         ctx: Option<TraceContext>,
     ) -> Result<Served, PcsiError> {
-        match self
-            .call_store(replica, &Request::Read { id, offset, len }, ctx)
-            .await?
-        {
-            Response::Data {
-                tag,
-                mutability,
-                stable_len,
-                data,
-            } => Ok(Served {
-                tag,
-                mutability,
-                stable_len,
-                data,
-            }),
-            other => Err(PcsiError::Fault(format!("unexpected response {other:?}"))),
-        }
+        let frame = wire::encode_request_traced(&Request::Read { id, offset, len }, ctx);
+        let fabric = &self.store.inner.fabric;
+        Served::from_data(rpc(fabric, self.origin, replica, frame, None).await?)
+            .map_err(|other| PcsiError::Fault(format!("unexpected response {other:?}")))
     }
 
     /// Fetches the whole object at the requested consistency.
@@ -1570,55 +1286,10 @@ impl StoreClient {
     }
 }
 
-/// One encoded request/response round trip over the fabric, decoded and
-/// error-mapped, optionally raced against a per-attempt `deadline`. A
-/// free function (rather than a `StoreClient` method) so the spawned
-/// fan-out tasks of quorum reads and read repair can use it.
-async fn call_store_raw(
-    fabric: Fabric,
-    from: NodeId,
-    to: NodeId,
-    req: Bytes,
-    deadline: Option<Duration>,
-) -> Result<Response, PcsiError> {
-    let raw = match deadline {
-        Some(d) => {
-            fabric
-                .call_with_deadline(from, to, STORE_SERVICE, STORE_TRANSPORT, req, d)
-                .await
-        }
-        None => {
-            fabric
-                .call(from, to, STORE_SERVICE, STORE_TRANSPORT, req)
-                .await
-        }
-    }
-    .map_err(net_to_pcsi)?;
-    match wire::decode_response(&raw) {
-        Ok(Response::Err(e)) => Err(e.into_pcsi()),
-        Ok(resp) => Ok(resp),
-        Err(e) => Err(PcsiError::BadPayload(e.to_string())),
-    }
-}
-
-/// Honest transport-error taxonomy. A single failed RPC says nothing
-/// about the quorum as a whole, so it must *not* masquerade as
-/// [`PcsiError::QuorumUnavailable`] — that variant is reserved for
-/// genuine quorum math. Unreachable peers and expired deadlines map to
-/// their own retryable variants.
-fn net_to_pcsi(e: NetError) -> PcsiError {
-    match &e {
-        NetError::NodeDown(_) | NetError::Partitioned(_, _) | NetError::Dropped(_, _) => {
-            PcsiError::Unreachable(e.to_string())
-        }
-        NetError::DeadlineExceeded => PcsiError::Timeout,
-        _ => PcsiError::Fault(e.to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replica::{STORE_SERVICE, STORE_TRANSPORT};
     use pcsi_net::{LatencyModel, NetworkGeneration, Topology};
     use pcsi_sim::Sim;
 
@@ -2703,6 +2374,10 @@ mod tests {
     /// 9 storage nodes with an 8-node initial ring: `NodeId(8)` runs a
     /// replica engine but holds no data until joined.
     fn deploy_with_standby(sim: &Sim) -> (Fabric, ReplicatedStore) {
+        deploy_with_standby_observed(sim, &Telemetry::default())
+    }
+
+    fn deploy_with_standby_observed(sim: &Sim, telemetry: &Telemetry) -> (Fabric, ReplicatedStore) {
         let fabric = Fabric::new(
             sim.handle(),
             Topology::uniform(3, 3),
@@ -2721,7 +2396,7 @@ mod tests {
                 ring_nodes: Some(all[..8].to_vec()),
                 ..StoreConfig::default()
             },
-            &Telemetry::default(),
+            telemetry,
         );
         (fabric, store)
     }
@@ -2769,6 +2444,48 @@ mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn a_stalled_drain_says_why_and_journals_it() {
+        let mut sim = Sim::new(42);
+        let telemetry = Telemetry {
+            journal: Some(pcsi_obs::Journal::new(&sim.handle(), 64)),
+            ..Telemetry::default()
+        };
+        let (fabric, store) = deploy_with_standby_observed(&sim, &telemetry);
+        let stalled = sim.block_on({
+            let store = store.clone();
+            async move {
+                let spare = NodeId(8);
+                let c = store.client(NodeId(0));
+                for n in 0..50u64 {
+                    let data = Bytes::from(vec![n as u8; 64]);
+                    c.put(oid(n), data, Mutability::Mutable, Consistency::Linearizable)
+                        .await
+                        .unwrap();
+                }
+                // The joiner never gets to talk to the old owners, so the
+                // objects it is to pull as first new owner cannot move.
+                let others: Vec<NodeId> = (0..8).map(NodeId).collect();
+                fabric.partition(&[spare], &others);
+                store.join_node(spare).await
+            }
+        });
+        let msg = stalled.expect_err("the drain must give up").to_string();
+        assert!(msg.contains("shard migration stalled"), "{msg}");
+        assert!(msg.contains("quorum unavailable: needed 2, got 0"), "{msg}");
+        assert!(!store.placement().pending_moves().is_empty());
+        // One record, on the failure path only, carrying the same cause.
+        let journal = telemetry.journal.expect("built above");
+        let records: Vec<_> = journal
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == "migration_stalled")
+            .collect();
+        assert_eq!(records.len(), 1, "{}", journal.render());
+        assert_eq!(records[0].layer, "store");
+        assert!(msg.ends_with(&records[0].detail), "{msg}");
     }
 
     #[test]
