@@ -43,8 +43,10 @@
 //! fail only when no majority is reachable for the whole retry budget.
 
 pub mod cache;
+mod client;
 pub mod engine;
 pub mod gc;
+mod migrate;
 pub mod placement;
 mod quorum;
 mod recovery;

@@ -1,25 +1,8 @@
-//! The client-facing replicated store.
+//! The deployed store: configuration, launch and the per-node caches.
 //!
 //! [`ReplicatedStore`] launches one [`ReplicaNode`] per storage node and
-//! hands out per-origin [`StoreClient`]s. A client maps the PCSI
-//! consistency menu onto the replication machinery:
-//!
-//! | operation            | `Linearizable`                          | `Eventual`              |
-//! |----------------------|-----------------------------------------|-------------------------|
-//! | mutation             | primary + sync majority                 | primary only, async rest|
-//! | read                 | one-RTT quorum read (newest of majority)| closest replica         |
-//!
-//! Mutations always pass through the object's primary, which gives every
-//! object a total mutation order regardless of consistency level (the
-//! menu controls *acknowledgement* and *read* behaviour, not ordering).
-//!
-//! Linearizable reads fan the read itself to every replica and take the
-//! newest tag among the first majority of replies — one fabric round
-//! trip, correct because any write-majority intersects any read-majority.
-//! Payloads above [`StoreConfig::inline_read_max`] degrade to a tag
-//! report plus a directed read (the former two-phase path). A quorum read
-//! that observes divergent tags pushes the newest state to the stale
-//! replicas in the background (read repair).
+//! hands out per-origin [`StoreClient`]s (the read and write paths live
+//! in `client.rs`, live rebalancing in `migrate.rs`).
 //!
 //! Each client node also keeps a mutability-aware [`ObjectCache`]:
 //! `IMMUTABLE` objects and the stable prefixes of `APPEND_ONLY` objects
@@ -32,23 +15,20 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use pcsi_core::{Consistency, Mutability, ObjectId, PcsiError};
+use pcsi_core::{Consistency, Mutability, ObjectId};
 use pcsi_metrics::Counter;
 use pcsi_net::{Fabric, NodeId};
-use pcsi_obs::{JournalExt, Telemetry};
-use pcsi_sim::util::{join_all, Pacer};
+use pcsi_obs::Telemetry;
 use pcsi_sim::SimTime;
-use pcsi_trace::{AttrValue, SpanHandle, TraceContext};
 
 use crate::cache::ObjectCache;
-use crate::engine::{MediaTier, Mutation, StoredObject};
+use crate::client::Served;
+pub use crate::client::StoreClient;
+use crate::engine::MediaTier;
 use crate::placement::Placement;
-use crate::quorum::{self, rpc};
-use crate::recovery::{Attempt, Recovery};
 use crate::replica::ReplicaNode;
 use crate::retry::{RetryPolicy, RetryStats};
 use crate::version::Tag;
-use crate::wire::{self, Request, Response};
 
 /// Store deployment configuration.
 #[derive(Debug, Clone)]
@@ -158,40 +138,40 @@ pub type HistoryTap = Rc<dyn Fn(&TapEvent)>;
 /// The deployed storage system.
 #[derive(Clone)]
 pub struct ReplicatedStore {
-    inner: Rc<StoreInner>,
+    pub(crate) inner: Rc<StoreInner>,
 }
 
-struct StoreInner {
-    fabric: Fabric,
-    placement: Placement,
-    replicas: Vec<ReplicaNode>,
-    config: StoreConfig,
+pub(crate) struct StoreInner {
+    pub(crate) fabric: Fabric,
+    pub(crate) placement: Placement,
+    pub(crate) replicas: Vec<ReplicaNode>,
+    pub(crate) config: StoreConfig,
     /// One mutability-aware cache per client node, created lazily.
     /// Clients are handed out per call, so the cache state lives here.
-    caches: RefCell<FxHashMap<NodeId, ObjectCache>>,
+    pub(crate) caches: RefCell<FxHashMap<NodeId, ObjectCache>>,
     /// Optional per-operation observer (chaos harness history recording).
-    tap: RefCell<Option<HistoryTap>>,
+    pub(crate) tap: RefCell<Option<HistoryTap>>,
     /// Store-unique [`Request::Coordinate`] id allocator. The fabric can
     /// duplicate messages and clients retry, so every coordination
     /// carries an id coordinators deduplicate on.
-    next_req_id: Cell<u64>,
+    pub(crate) next_req_id: Cell<u64>,
     /// Fault-recovery counters, aggregated across every client of this
     /// store.
-    retries: Counter,
-    failovers: Counter,
-    timeouts: Counter,
+    pub(crate) retries: Counter,
+    pub(crate) failovers: Counter,
+    pub(crate) timeouts: Counter,
     /// Objects a migration driver is currently moving. A freeze window
     /// must belong to exactly one driver — a second drain unfreezing an
     /// object mid-snapshot would readmit writes the first driver's
     /// snapshot cannot see — so concurrent drains skip claimed objects.
-    migrating: RefCell<BTreeSet<ObjectId>>,
+    pub(crate) migrating: RefCell<BTreeSet<ObjectId>>,
     /// The deployment's telemetry. With a registry, the always-on cells
     /// above (and every lazily created cache's) are published as named
     /// series; nothing is double-counted. Client operations open spans
     /// on the tracer, and the context rides the wire envelope so replica
     /// spans nest under the client attempt that caused them. Failovers
     /// and object migrations append typed records to the journal.
-    telemetry: Telemetry,
+    pub(crate) telemetry: Telemetry,
 }
 
 impl ReplicatedStore {
@@ -269,7 +249,7 @@ impl ReplicatedStore {
         *self.inner.tap.borrow_mut() = tap;
     }
 
-    fn emit_tap(&self, make: impl FnOnce() -> TapEvent) {
+    pub(crate) fn emit_tap(&self, make: impl FnOnce() -> TapEvent) {
         // Clone the Rc out of the cell first so the observer runs with
         // no borrow held.
         let tap = self.inner.tap.borrow().clone();
@@ -346,14 +326,20 @@ impl ReplicatedStore {
         f(cache)
     }
 
-    fn cache_get(&self, node: NodeId, id: ObjectId, offset: u64, len: u64) -> Option<(Tag, Bytes)> {
+    pub(crate) fn cache_get(
+        &self,
+        node: NodeId,
+        id: ObjectId,
+        offset: u64,
+        len: u64,
+    ) -> Option<(Tag, Bytes)> {
         if self.inner.config.cache_bytes == 0 {
             return None;
         }
         self.with_cache(node, |cache| cache.get(id, offset, len))
     }
 
-    fn cache_admit(&self, node: NodeId, id: ObjectId, served: &Served) {
+    pub(crate) fn cache_admit(&self, node: NodeId, id: ObjectId, served: &Served) {
         if self.inner.config.cache_bytes == 0 {
             return;
         }
@@ -372,925 +358,17 @@ impl ReplicatedStore {
             cache.admit(id, served.mutability, served.tag, served.data.clone())
         });
     }
-
-    // ---- live rebalancing ----------------------------------------------
-
-    /// Every object id any replica engine currently stores (sorted,
-    /// deduplicated) — the work list scanned at a topology change.
-    pub fn all_object_ids(&self) -> Vec<ObjectId> {
-        let mut ids: Vec<ObjectId> = Vec::new();
-        for r in &self.inner.replicas {
-            ids.extend(
-                r.with_engine(|e| e.inventory())
-                    .into_iter()
-                    .map(|(id, _)| id),
-            );
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Admits `node` into the placement ring and pins every object whose
-    /// replica set changes to its old owners; returns the pinned ids.
-    /// Reads and writes keep routing to the old owners until
-    /// [`ReplicatedStore::drain_moves`] migrates the data. `node` must be
-    /// a storage node (a warm standby launched outside the initial ring,
-    /// see [`StoreConfig::ring_nodes`]).
-    pub fn begin_join(&self, node: NodeId) -> Vec<ObjectId> {
-        assert!(
-            self.replica_on(node).is_some(),
-            "cannot join {node:?}: no replica engine runs there"
-        );
-        let ids = self.all_object_ids();
-        self.inner
-            .placement
-            .begin_join(self.inner.fabric.topology(), node, &ids)
-    }
-
-    /// Removes `node` from the placement ring and pins every object whose
-    /// replica set changes; returns the pinned ids. The departing node
-    /// keeps serving its pinned objects until they migrate, so call
-    /// [`ReplicatedStore::drain_moves`] before taking it down.
-    pub fn begin_decommission(&self, node: NodeId) -> Vec<ObjectId> {
-        let ids = self.all_object_ids();
-        self.inner.placement.begin_leave(node, &ids)
-    }
-
-    /// Joins `node` and migrates every affected object before returning
-    /// the number of objects moved.
-    pub async fn join_node(&self, node: NodeId) -> Result<usize, PcsiError> {
-        self.begin_join(node);
-        self.drain_moves(None).await
-    }
-
-    /// Decommissions `node` and migrates every affected object off it
-    /// before returning the number of objects moved. The node is safe to
-    /// take down once this returns.
-    pub async fn decommission_node(&self, node: NodeId) -> Result<usize, PcsiError> {
-        self.begin_decommission(node);
-        self.drain_moves(None).await
-    }
-
-    /// Migrates every pending move to completion, optionally paced (one
-    /// object per [`Pacer`] tick) so background data movement spreads
-    /// over time instead of saturating the fabric. Failed moves retry on
-    /// the next round; a round that makes no progress at all backs off,
-    /// and `MAX_STALLED_ROUNDS` fruitless rounds in a row surface a
-    /// retryable error (e.g. a quorum of old owners stayed unreachable).
-    /// Returns the number of objects moved by *this* call.
-    pub async fn drain_moves(&self, pacer: Option<&Pacer>) -> Result<usize, PcsiError> {
-        let handle = self.inner.fabric.handle().clone();
-        let mut moved = 0usize;
-        let mut stalled_rounds = 0u32;
-        // The most recent failed move, kept so a stalled drain can say why.
-        let mut last_err: Option<(ObjectId, PcsiError)> = None;
-        loop {
-            let pending = self.inner.placement.pending_moves();
-            if pending.is_empty() {
-                return Ok(moved);
-            }
-            let mut progressed = false;
-            for id in pending {
-                if let Some(p) = pacer {
-                    p.tick().await;
-                }
-                match self.migrate_object(id).await {
-                    Ok(true) => {
-                        moved += 1;
-                        progressed = true;
-                    }
-                    // Already moved (or claimed by a concurrent drain).
-                    Ok(false) => {}
-                    // Retryable: the next round tries again.
-                    Err(e) => last_err = Some((id, e)),
-                }
-            }
-            if progressed {
-                stalled_rounds = 0;
-            } else {
-                stalled_rounds += 1;
-                if stalled_rounds >= MAX_STALLED_ROUNDS {
-                    let cause = match &last_err {
-                        Some((id, e)) => format!("last error, on {id:?}: {e}"),
-                        None => "every pending move is claimed by another drain".to_owned(),
-                    };
-                    let stalled = format!(
-                        "{} moves pending after {stalled_rounds} fruitless rounds; {cause}",
-                        self.inner.placement.pending_moves().len(),
-                    );
-                    self.inner.telemetry.journal.with(|j| {
-                        j.append("store", "migration_stalled", stalled.clone());
-                    });
-                    return Err(PcsiError::Fault(format!(
-                        "shard migration stalled: {stalled}"
-                    )));
-                }
-                handle.sleep(DRAIN_RETRY_DELAY).await;
-            }
-        }
-    }
-
-    /// Migrates one pinned object: freezes writes, snapshots a majority
-    /// of the old owners, installs a sealed copy on a majority of the
-    /// new owners, and flips routing. `Ok(false)` when the object is not
-    /// (or no longer) pinned, or another drain already claimed it. On
-    /// error the freeze lifts and the pin stays — writes resume on the
-    /// old owners and the move retries later.
-    pub async fn migrate_object(&self, id: ObjectId) -> Result<bool, PcsiError> {
-        // Claim before freezing (no await between): a second drain
-        // unfreezing this object mid-snapshot would readmit writes the
-        // first drain's snapshot cannot see.
-        let Some(old) = self.inner.placement.move_old_set(id) else {
-            return Ok(false);
-        };
-        if !self.inner.migrating.borrow_mut().insert(id) {
-            return Ok(false);
-        }
-        self.inner.placement.freeze(id);
-        let result = self.migrate_frozen(id, &old).await;
-        match &result {
-            Ok(()) => {
-                self.inner.placement.complete_move(id);
-                self.inner.telemetry.journal.with(|j| {
-                    j.append(
-                        "store",
-                        "migration",
-                        format!("id={id:?} old_owners={}", old.len()),
-                    );
-                });
-            }
-            Err(_) => self.inner.placement.unfreeze(id),
-        }
-        self.inner.migrating.borrow_mut().remove(&id);
-        result.map(|()| true)
-    }
-
-    /// The move itself, run with `id` frozen.
-    ///
-    /// Exactly-once survives the move because the request ledger travels
-    /// with the bytes: a client retrying a pre-move write replays against
-    /// the new owners and is answered `AlreadyApplied` at its recorded
-    /// tag instead of being applied twice.
-    ///
-    /// The installed copy is *sealed* one sequence number above the
-    /// newest tag any reachable old owner reported (writer `u32::MAX`
-    /// wins ties), so an uncommitted line a failed coordination left
-    /// behind orders below the moved state and anti-entropy cannot
-    /// resurrect lost-race bytes over it. A receiver holding an even
-    /// newer tag answers [`Response::Stale`] and the driver re-seals
-    /// above that.
-    ///
-    /// A committed delete survives the move the same way: an old owner
-    /// whose tombstone tag exceeds every live tag turns the move into a
-    /// tombstone install, so the delete cannot be undone by a stale
-    /// minority holder feeding anti-entropy after the flip.
-    async fn migrate_frozen(&self, id: ObjectId, old: &[NodeId]) -> Result<(), PcsiError> {
-        let majority = self.inner.placement.majority();
-        // The object's first new owner pulls: the transfer is charged
-        // from the network position of the node that will own the data.
-        let from = self.inner.placement.ring_replicas(id)[0];
-        let tag_frame = wire::encode_request(&Request::TagOf { id });
-        let fetch_frame = wire::encode_request(&Request::Fetch { id });
-        // Snapshot every reachable old owner — a majority must answer,
-        // and asking all of them lets the seal cover zombie tags on
-        // reachable minorities too. TagOf runs *before* Fetch on each
-        // node so a `reported > live` surplus can only mean a tombstone
-        // (writes are frozen; anti-entropy can only raise the live tag).
-        let fabric = &self.inner.fabric;
-        let replies = join_all(old.iter().map(|&n| {
-            let tag = rpc(fabric, from, n, tag_frame.clone(), MIGRATE_RPC_TIMEOUT);
-            let state = rpc(fabric, from, n, fetch_frame.clone(), MIGRATE_RPC_TIMEOUT);
-            async move { (tag.await, state.await) }
-        }))
-        .await;
-        let mut heard = 0usize;
-        let mut best: Option<(StoredObject, Vec<(u64, Tag)>)> = None;
-        // Newest tag seen anywhere reachable (zombies and tombstones
-        // included) — the seal floor.
-        let mut max_seen = Tag::ZERO;
-        // Newest committed-delete tag among the old owners.
-        let mut tombstone = Tag::ZERO;
-        for (tag, state) in replies {
-            let reported = match tag {
-                Ok(Response::TagIs { tag }) => tag,
-                _ => continue,
-            };
-            let live = match state {
-                Ok(Response::Object { object, reqs }) => {
-                    let t = object.tag;
-                    if best.as_ref().is_none_or(|(b, _)| t > b.tag) {
-                        best = Some((object, reqs));
-                    }
-                    t
-                }
-                Ok(Response::Absent) => Tag::ZERO,
-                _ => continue,
-            };
-            heard += 1;
-            max_seen = max_seen.max(reported).max(live);
-            if reported > live {
-                tombstone = tombstone.max(reported);
-            }
-        }
-        if heard < majority {
-            return Err(PcsiError::QuorumUnavailable {
-                needed: majority,
-                got: heard,
-            });
-        }
-        let best_tag = best.as_ref().map_or(Tag::ZERO, |(b, _)| b.tag);
-        let deleted = tombstone > best_tag;
-        if best.is_none() && !deleted {
-            // Never written on any reachable old owner: nothing to move.
-            return Ok(());
-        }
-        let (snapshot, reqs) = best.unwrap_or_else(|| {
-            (
-                StoredObject {
-                    data: Bytes::new(),
-                    tag: Tag::ZERO,
-                    mutability: Mutability::Mutable,
-                    stable_len: 0,
-                },
-                Vec::new(),
-            )
-        });
-        let mut seal_seq = max_seen.seq + 1;
-        for _ in 0..MAX_SEAL_ROUNDS {
-            let epoch = self.inner.placement.epoch();
-            let targets = self.inner.placement.ring_replicas(id);
-            let sealed = StoredObject {
-                data: if deleted {
-                    Bytes::new()
-                } else {
-                    snapshot.data.clone()
-                },
-                tag: Tag {
-                    seq: seal_seq,
-                    writer: u32::MAX,
-                },
-                mutability: snapshot.mutability,
-                stable_len: if deleted { 0 } else { snapshot.stable_len },
-            };
-            let frame = wire::encode_request(&Request::Migrate {
-                epoch,
-                id,
-                object: sealed,
-                reqs: reqs.clone(),
-                tombstone: deleted,
-            });
-            let installs = join_all(
-                targets
-                    .iter()
-                    .map(|&n| rpc(fabric, from, n, frame.clone(), MIGRATE_RPC_TIMEOUT)),
-            )
-            .await;
-            let mut acks = 0usize;
-            let mut newer: Option<Tag> = None;
-            let mut raced_epoch = false;
-            for reply in installs {
-                match reply {
-                    Ok(Response::Applied) => acks += 1,
-                    Ok(Response::Stale { newest }) => {
-                        newer = Some(newer.map_or(newest, |z| z.max(newest)));
-                    }
-                    Ok(Response::WrongEpoch { .. }) => raced_epoch = true,
-                    _ => {}
-                }
-            }
-            if acks >= majority {
-                return Ok(());
-            }
-            if raced_epoch {
-                // A further topology change landed mid-install; the
-                // retry recomputes its targets under the new epoch.
-                return Err(PcsiError::Fault(format!(
-                    "migration of {id:?} raced a topology change"
-                )));
-            }
-            match newer {
-                Some(t) if t.seq >= seal_seq => seal_seq = t.seq + 1,
-                _ => {
-                    return Err(PcsiError::QuorumUnavailable {
-                        needed: majority,
-                        got: acks,
-                    });
-                }
-            }
-        }
-        Err(PcsiError::Fault(format!(
-            "migration of {id:?} kept losing seal races"
-        )))
-    }
-}
-
-/// Per-RPC deadline for migration traffic (snapshot fetches and sealed
-/// installs). Short: a failed move just retries on the next drain round.
-const MIGRATE_RPC_TIMEOUT: Option<Duration> = Some(Duration::from_millis(20));
-
-/// Seal-raise rounds per install attempt. Each round seals above the
-/// newest tag any receiver reported, so two is enough for every
-/// quiescent race; more only lose to a live writer, which means the
-/// epoch raced anyway.
-const MAX_SEAL_ROUNDS: u32 = 4;
-
-/// Consecutive fruitless drain rounds tolerated before the drain reports
-/// the migration stalled.
-const MAX_STALLED_ROUNDS: u32 = 512;
-
-/// Back-off between fruitless drain rounds.
-const DRAIN_RETRY_DELAY: Duration = Duration::from_millis(2);
-
-/// A read as served by a replica (or the cache): payload plus the
-/// metadata that drives caching decisions.
-struct Served {
-    tag: Tag,
-    mutability: Mutability,
-    stable_len: u64,
-    data: Bytes,
-}
-
-impl Served {
-    /// The read a [`Response::Data`] carries; any other reply is handed back.
-    fn from_data(resp: Response) -> Result<Served, Response> {
-        match resp {
-            Response::Data {
-                tag,
-                mutability,
-                stable_len,
-                data,
-            } => Ok(Served {
-                tag,
-                mutability,
-                stable_len,
-                data,
-            }),
-            other => Err(other),
-        }
-    }
-}
-
-/// One reply in a one-RTT quorum read.
-struct QuorumReply {
-    node: NodeId,
-    tag: Tag,
-    /// `None` when the replica answered with a bare tag report (payload
-    /// above the inline limit, or object absent).
-    served: Option<Served>,
-}
-
-/// A store client bound to an origin node (the node whose network position
-/// the operations are charged from).
-#[derive(Clone)]
-pub struct StoreClient {
-    store: ReplicatedStore,
-    origin: NodeId,
-    /// Incoming trace context: operation spans become children of it.
-    /// Without one (a bare client) each operation opens a root span.
-    ctx: Option<TraceContext>,
-}
-
-impl StoreClient {
-    /// The origin node.
-    pub fn origin(&self) -> NodeId {
-        self.origin
-    }
-
-    /// Binds this client's operations to an incoming trace context, so
-    /// store spans nest under the caller (e.g. a kernel op or a REST
-    /// gateway request) instead of opening their own roots.
-    pub fn traced(mut self, ctx: Option<TraceContext>) -> StoreClient {
-        self.ctx = ctx;
-        self
-    }
-
-    /// Opens the span for one client-facing store operation: a child of
-    /// the bound context when one exists, else a fresh root (subject to
-    /// sampling). Disabled (zero-cost) without a tracer.
-    fn op_span(&self, name: &'static str) -> SpanHandle {
-        match (&self.store.inner.telemetry.tracer, self.ctx) {
-            (Some(t), Some(ctx)) => t.child(ctx, name),
-            (Some(t), None) => t.root(name),
-            (None, _) => SpanHandle::disabled(),
-        }
-    }
-
-    /// Creates or replaces an object.
-    pub async fn put(
-        &self,
-        id: ObjectId,
-        data: Bytes,
-        mutability: Mutability,
-        consistency: Consistency,
-    ) -> Result<Tag, PcsiError> {
-        self.mutate(id, Mutation::PutFull { data, mutability }, consistency)
-            .await
-    }
-
-    /// Overwrites a byte range.
-    pub async fn write_at(
-        &self,
-        id: ObjectId,
-        offset: u64,
-        data: Bytes,
-        consistency: Consistency,
-    ) -> Result<Tag, PcsiError> {
-        self.mutate(id, Mutation::WriteAt { offset, data }, consistency)
-            .await
-    }
-
-    /// Appends bytes.
-    pub async fn append(
-        &self,
-        id: ObjectId,
-        data: Bytes,
-        consistency: Consistency,
-    ) -> Result<Tag, PcsiError> {
-        self.mutate(id, Mutation::Append { data }, consistency)
-            .await
-    }
-
-    /// Applies a mutability transition.
-    pub async fn set_mutability(
-        &self,
-        id: ObjectId,
-        to: Mutability,
-        consistency: Consistency,
-    ) -> Result<Tag, PcsiError> {
-        self.mutate(id, Mutation::SetMutability { to }, consistency)
-            .await
-    }
-
-    /// Deletes an object. Deletes are always replicated synchronously to
-    /// the full replica set that is reachable (tombstones guard the rest).
-    pub async fn delete(&self, id: ObjectId) -> Result<Tag, PcsiError> {
-        let n = self.store.placement().replication_factor() as u32;
-        let result = self.mutate_with_acks(id, Mutation::Delete, n).await;
-        // Invalidate caches on success — and on *ambiguous* failure: a
-        // timeout or unreachable peer may hide a tombstone that was
-        // applied server-side with the ack lost in flight, and a cache
-        // still serving the deleted object's "immutable" bytes would
-        // never learn otherwise. Only a definitive server-side rejection
-        // proves the delete had no effect.
-        let ambiguous = matches!(&result, Err(e) if e.is_retryable());
-        if result.is_ok() || ambiguous {
-            self.store.invalidate_cached(id);
-        }
-        result
-    }
-
-    /// Routes a mutation through the object's primary.
-    pub async fn mutate(
-        &self,
-        id: ObjectId,
-        mutation: Mutation,
-        consistency: Consistency,
-    ) -> Result<Tag, PcsiError> {
-        let acks = match consistency {
-            Consistency::Linearizable => self.store.placement().majority() as u32,
-            Consistency::Eventual => 1,
-        };
-        self.mutate_with_acks(id, mutation, acks).await
-    }
-
-    async fn mutate_with_acks(
-        &self,
-        id: ObjectId,
-        mutation: Mutation,
-        sync_replicas: u32,
-    ) -> Result<Tag, PcsiError> {
-        let (op, payload) = match &mutation {
-            Mutation::PutFull { data, .. } => ("put", data.clone()),
-            Mutation::WriteAt { data, .. } => ("write_at", data.clone()),
-            Mutation::Append { data } => ("append", data.clone()),
-            Mutation::SetMutability { .. } => ("set_mutability", Bytes::new()),
-            Mutation::Delete => ("delete", Bytes::new()),
-        };
-        let invoke = self.store.inner.fabric.handle().now();
-        let req_id = self.store.inner.next_req_id.get() + 1;
-        self.store.inner.next_req_id.set(req_id);
-        let mut span = self.op_span("store.mutate");
-        span.attr("op", op);
-        span.attr_with("object", || AttrValue::Text(format!("{id:?}")));
-        span.attr("acks", u64::from(sync_replicas));
-        let result = self
-            .coordinate(id, &mutation, sync_replicas, req_id, &span)
-            .await;
-        if result.is_err() {
-            span.attr("error", "true");
-        }
-        span.finish();
-        self.store.emit_tap(|| TapEvent::Mutate {
-            origin: self.origin,
-            id,
-            op,
-            payload,
-            sync_replicas,
-            invoke,
-            response: self.store.inner.fabric.handle().now(),
-            outcome: result.as_ref().map(|&t| t).map_err(|e| e.to_string()),
-        });
-        result
-    }
-
-    /// The recovery driver for this client's operation under `parent`.
-    fn recovery<'a>(&'a self, parent: &'a SpanHandle) -> Recovery<'a> {
-        let inner = &self.store.inner;
-        Recovery {
-            handle: inner.fabric.handle(),
-            policy: &inner.config.retry,
-            retries: &inner.retries,
-            timeouts: &inner.timeouts,
-            parent,
-        }
-    }
-
-    /// Drives one coordination to completion: the failover steps walk
-    /// the replica set in placement order (any replica may coordinate;
-    /// `req_id` dedup and stale-tag rejection keep the order single).
-    async fn coordinate(
-        &self,
-        id: ObjectId,
-        mutation: &Mutation,
-        sync_replicas: u32,
-        req_id: u64,
-        parent: &SpanHandle,
-    ) -> Result<Tag, PcsiError> {
-        let inner = &self.store.inner;
-        let next_target = |step: usize| {
-            // Re-resolve placement at every failover step: a topology
-            // change (join/decommission) mid-operation must steer the
-            // remaining attempts at the object's *current* owners, not
-            // the set in force when the operation started.
-            let target = *self.store.placement().replicas(id).get(step)?;
-            if step > 0 {
-                inner.failovers.incr();
-                inner.telemetry.journal.with(|j| {
-                    j.append("store", "failover", format!("id={id:?} target={step}"));
-                });
-            }
-            Some(target)
-        };
-        let attempt = |a: Attempt<'_, NodeId>| {
-            a.span.attr("target", u64::from(a.target.0));
-            if a.step > 0 {
-                a.span.attr("failover", a.step as u64);
-            }
-            // Stamp the attempt's absolute expiry into the request: the
-            // coordinator refuses to order past it, so an abandoned
-            // attempt can never mint a fresh tag after this client has
-            // moved on (and possibly acknowledged the operation through
-            // another coordinator).
-            let expires_ns = a
-                .deadline
-                .map_or(0, |d| (inner.fabric.handle().now() + d).as_nanos());
-            let frame = wire::encode_request_traced(
-                &Request::Coordinate {
-                    id,
-                    mutation: mutation.clone(),
-                    sync_replicas,
-                    req_id,
-                    expires_ns,
-                },
-                a.span.ctx(),
-            );
-            let call = rpc(&inner.fabric, self.origin, *a.target, frame, None);
-            async move {
-                match call.await? {
-                    Response::Coordinated { tag } => Ok(tag),
-                    other => Err(PcsiError::Fault(format!("unexpected response {other:?}"))),
-                }
-            }
-        };
-        self.recovery(parent).run(next_target, attempt).await
-    }
-
-    /// Reads a byte range at the requested consistency level.
-    ///
-    /// Returns the served `(tag, data)`; the tag lets callers measure
-    /// staleness (experiment E7).
-    ///
-    /// The read first consults the origin node's mutability-aware cache:
-    /// immutable bytes and stable append-only prefixes are served locally
-    /// at DRAM cost with zero fabric traffic, which is sound at *any*
-    /// consistency level because such bytes can never change.
-    pub async fn read(
-        &self,
-        id: ObjectId,
-        offset: u64,
-        len: u64,
-        consistency: Consistency,
-    ) -> Result<(Tag, Bytes), PcsiError> {
-        let invoke = self.store.inner.fabric.handle().now();
-        let mut span = self.op_span("store.read");
-        span.attr(
-            "consistency",
-            match consistency {
-                Consistency::Linearizable => "linearizable",
-                Consistency::Eventual => "eventual",
-            },
-        );
-        span.attr_with("object", || AttrValue::Text(format!("{id:?}")));
-        let result = self.read_inner(id, offset, len, consistency, &span).await;
-        if result.is_err() {
-            span.attr("error", "true");
-        }
-        span.finish();
-        self.store.emit_tap(|| TapEvent::Read {
-            origin: self.origin,
-            id,
-            consistency,
-            offset,
-            len,
-            invoke,
-            response: self.store.inner.fabric.handle().now(),
-            outcome: match &result {
-                Ok((tag, data)) => Ok((*tag, data.clone())),
-                Err(e) => Err(e.to_string()),
-            },
-        });
-        result
-    }
-
-    async fn read_inner(
-        &self,
-        id: ObjectId,
-        offset: u64,
-        len: u64,
-        consistency: Consistency,
-        parent: &SpanHandle,
-    ) -> Result<(Tag, Bytes), PcsiError> {
-        if let Some((tag, data)) = self.store.cache_get(self.origin, id, offset, len) {
-            let mut cache_span = parent.span("store.cache");
-            cache_span.attr("hit", "true");
-            let t = MediaTier::Dram.io_time(data.len());
-            self.store.inner.fabric.handle().sleep(t).await;
-            cache_span.finish();
-            return Ok((tag, data));
-        }
-        // Reads are idempotent, so an abandoned attempt needs no further
-        // care; the steps only bound how long the read keeps trying (an
-        // eventual read rotates its target per attempt by itself).
-        let steps = self.store.placement().replication_factor();
-        let served = self
-            .recovery(parent)
-            .run(
-                |step| (step < steps).then_some(()),
-                |a| {
-                    a.span.attr("attempt", u64::from(a.attempt));
-                    let (attempt, ctx) = (a.attempt as usize, a.span.ctx());
-                    self.clone()
-                        .read_attempt(id, offset, len, consistency, attempt, ctx)
-                },
-            )
-            .await?;
-        if offset == 0 {
-            self.store.cache_admit(self.origin, id, &served);
-        }
-        Ok((served.tag, served.data))
-    }
-
-    /// One read attempt. Takes the client by value so the future owns it
-    /// and the driver can race it on a task of its own.
-    async fn read_attempt(
-        self,
-        id: ObjectId,
-        offset: u64,
-        len: u64,
-        consistency: Consistency,
-        attempt: usize,
-        ctx: Option<TraceContext>,
-    ) -> Result<Served, PcsiError> {
-        match consistency {
-            Consistency::Eventual => {
-                let replicas = self.store.placement().replicas(id);
-                let closest = self.store.placement().closest_replica(
-                    self.store.inner.fabric.topology(),
-                    id,
-                    self.origin,
-                );
-                // First try the closest replica; on retry rotate through
-                // the rest of the set (any replica serves eventual reads).
-                let target = if attempt == 0 || !self.store.inner.config.retry.failover {
-                    closest
-                } else {
-                    let base = replicas.iter().position(|&n| n == closest).unwrap_or(0);
-                    replicas[(base + attempt) % replicas.len()]
-                };
-                self.read_from(target, id, offset, len, ctx).await
-            }
-            Consistency::Linearizable => {
-                let inline_limit = self.store.inner.config.inline_read_max;
-                if inline_limit == 0 {
-                    // Two-phase path: version quorum, then a directed
-                    // read from the newest replica. Same write-back rule
-                    // as the one-RTT path: a tag seen at fewer than a
-                    // majority must be made durable before serving it.
-                    let need = self.store.placement().majority();
-                    let frame = wire::encode_request_traced(&Request::TagOf { id }, ctx);
-                    let replies = self
-                        .gather(id, &[], frame, need, |node, reply| match reply {
-                            Ok(Response::TagIs { tag }) => Ok((node, tag)),
-                            _ => Err(()),
-                        })
-                        .await?;
-                    let &(newest_node, newest_tag) = replies
-                        .iter()
-                        .max_by_key(|(_, t)| *t)
-                        .expect("quorum met implies at least one reply");
-                    if newest_tag == Tag::ZERO {
-                        return Err(PcsiError::NotFound(id));
-                    }
-                    let known: Vec<NodeId> = replies
-                        .iter()
-                        .filter(|(_, t)| *t == newest_tag)
-                        .map(|(n, _)| *n)
-                        .collect();
-                    if known.len() < need {
-                        self.write_back(id, newest_node, &known, need - known.len(), ctx)
-                            .await?;
-                    }
-                    self.read_from(newest_node, id, offset, len, ctx).await
-                } else {
-                    self.read_one_rtt(id, offset, len, inline_limit, ctx).await
-                }
-            }
-        }
-    }
-
-    /// One-RTT linearizable read: fan the read itself to every replica
-    /// and take the newest tag among the first majority of replies. Any
-    /// write-majority intersects any read-majority, so the newest tag
-    /// seen is at least the last acknowledged write's. Replies above the
-    /// inline limit degrade to a tag report, after which the newest
-    /// replica is read directly (matching the old two-phase cost).
-    ///
-    /// When the quorum replies *disagree*, the newest value is known to
-    /// be at fewer than a majority — a concurrent write may still be in
-    /// flight. Returning it immediately would let a later read miss it
-    /// (the classic regular-but-not-atomic register anomaly), so the
-    /// read first **writes back**: it pushes the newest state until a
-    /// majority durably holds it (ABD's second phase). The agreeing
-    /// fast path stays one round trip.
-    async fn read_one_rtt(
-        &self,
-        id: ObjectId,
-        offset: u64,
-        len: u64,
-        inline_limit: u64,
-        ctx: Option<TraceContext>,
-    ) -> Result<Served, PcsiError> {
-        let need = self.store.placement().majority();
-        let frame = wire::encode_request_traced(
-            &Request::ReadWithTag {
-                id,
-                offset,
-                len,
-                inline_limit,
-            },
-            ctx,
-        );
-        let mut replies = self
-            .gather(id, &[], frame, need, |node, reply| {
-                let (tag, served) = match reply.map(Served::from_data) {
-                    Ok(Ok(served)) => (served.tag, Some(served)),
-                    Ok(Err(Response::TagIs { tag })) => (tag, None),
-                    _ => return Err(()),
-                };
-                Ok(QuorumReply { node, tag, served })
-            })
-            .await?;
-
-        // Newest tag wins; on a tie prefer a reply that carried bytes.
-        let mut best = 0usize;
-        for i in 1..replies.len() {
-            let (a, b) = (&replies[best], &replies[i]);
-            if b.tag > a.tag || (b.tag == a.tag && b.served.is_some() && a.served.is_none()) {
-                best = i;
-            }
-        }
-        let best_tag = replies[best].tag;
-        if best_tag == Tag::ZERO {
-            return Err(PcsiError::NotFound(id));
-        }
-        let holders = replies.iter().filter(|r| r.tag == best_tag).count();
-        if holders < need {
-            let known: Vec<NodeId> = replies
-                .iter()
-                .filter(|r| r.tag == best_tag)
-                .map(|r| r.node)
-                .collect();
-            self.write_back(id, replies[best].node, &known, need - holders, ctx)
-                .await?;
-        }
-        let best_node = replies[best].node;
-        match replies.swap_remove(best).served {
-            Some(served) => Ok(served),
-            // Payload above the inline limit (or a tombstone): read the
-            // newest replica directly.
-            None => self.read_from(best_node, id, offset, len, ctx).await,
-        }
-    }
-
-    /// ABD write-back (doubles as read repair): fetches the newest state
-    /// from `source` and pushes it to every replica not already known to
-    /// hold it, returning once `need_acks` pushes succeeded — at which
-    /// point a majority durably holds the value and any later read
-    /// quorum must observe it. `sync_in` tag checks on the receivers
-    /// make stale or duplicate pushes harmless; the remaining pushes
-    /// finish detached.
-    async fn write_back(
-        &self,
-        id: ObjectId,
-        source: NodeId,
-        known: &[NodeId],
-        need_acks: usize,
-        ctx: Option<TraceContext>,
-    ) -> Result<(), PcsiError> {
-        let fetch = wire::encode_request_traced(&Request::Fetch { id }, ctx);
-        let fabric = &self.store.inner.fabric;
-        let (object, reqs) = match rpc(fabric, self.origin, source, fetch, None).await {
-            Ok(Response::Object { object, reqs }) => (object, reqs),
-            // The object vanished between the read and the fetch —
-            // a racing delete; surface it as such.
-            Ok(Response::Absent) => return Err(PcsiError::NotFound(id)),
-            _ => {
-                return Err(PcsiError::QuorumUnavailable {
-                    needed: need_acks,
-                    got: 0,
-                })
-            }
-        };
-        // Encode the push once — it embeds the full object payload, so
-        // re-encoding (and deep-cloning the object) per peer would cost
-        // O(replicas × object size).
-        let push = wire::encode_request_traced(&Request::Push { id, object, reqs }, ctx);
-        self.gather(id, known, push, need_acks, |_, reply| match reply {
-            Ok(Response::Applied) => Ok(()),
-            _ => Err(()),
-        })
-        .await?;
-        Ok(())
-    }
-
-    /// One quorum round from this client: `frame` goes to every replica
-    /// of `id` outside `skip`, in placement order, and the first `need`
-    /// replies `ack` accepts come back — or the quorum failure.
-    async fn gather<A: 'static>(
-        &self,
-        id: ObjectId,
-        skip: &[NodeId],
-        frame: Bytes,
-        need: usize,
-        ack: impl Fn(NodeId, Result<Response, PcsiError>) -> Result<A, ()> + 'static,
-    ) -> Result<Vec<A>, PcsiError> {
-        let targets = self
-            .store
-            .placement()
-            .replicas(id)
-            .into_iter()
-            .filter(|n| !skip.contains(n));
-        let fabric = &self.store.inner.fabric;
-        quorum::gather(fabric, self.origin, targets, frame, need, move |n, r| {
-            std::future::ready(ack(n, r))
-        })
-        .await
-        .map_err(|short| PcsiError::QuorumUnavailable {
-            needed: need,
-            got: short.got,
-        })
-    }
-
-    async fn read_from(
-        &self,
-        replica: NodeId,
-        id: ObjectId,
-        offset: u64,
-        len: u64,
-        ctx: Option<TraceContext>,
-    ) -> Result<Served, PcsiError> {
-        let frame = wire::encode_request_traced(&Request::Read { id, offset, len }, ctx);
-        let fabric = &self.store.inner.fabric;
-        Served::from_data(rpc(fabric, self.origin, replica, frame, None).await?)
-            .map_err(|other| PcsiError::Fault(format!("unexpected response {other:?}")))
-    }
-
-    /// Fetches the whole object at the requested consistency.
-    pub async fn read_all(
-        &self,
-        id: ObjectId,
-        consistency: Consistency,
-    ) -> Result<(Tag, Bytes), PcsiError> {
-        self.read(id, 0, u64::MAX, consistency).await
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Mutation;
     use crate::replica::{STORE_SERVICE, STORE_TRANSPORT};
+    use crate::wire::{self, Request, Response};
+    use pcsi_core::PcsiError;
     use pcsi_net::{LatencyModel, NetworkGeneration, Topology};
+    use pcsi_sim::util::Pacer;
     use pcsi_sim::Sim;
 
     fn oid(n: u64) -> ObjectId {
