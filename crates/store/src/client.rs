@@ -574,7 +574,7 @@ impl StoreClient {
         skip: &[NodeId],
         frame: Bytes,
         need: usize,
-        ack: impl Fn(NodeId, Result<Response, PcsiError>) -> Result<A, ()> + 'static,
+        ack: impl Fn(NodeId, Result<Response, PcsiError>) -> Result<A, ()> + Clone + 'static,
     ) -> Result<Vec<A>, PcsiError> {
         let targets = self
             .store

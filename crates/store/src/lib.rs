@@ -12,16 +12,21 @@
 //!   node, speaking a compact binary protocol ([`wire`]) over the fabric,
 //! * [`placement::Placement`] — rendezvous-hashed replica sets spread
 //!   across racks (fault domains),
-//! * [`store::ReplicatedStore`] — the client facade: mutations are
-//!   serialized by each object's primary and replicated synchronously to a
-//!   majority (linearizable) or asynchronously (eventual); linearizable
-//!   reads are **one fabric round trip** — the read fans to all replicas
-//!   and the newest tag among the first majority of replies wins (sound
-//!   because write- and read-majorities intersect), with payloads above
-//!   [`store::StoreConfig::inline_read_max`] falling back to a tag quorum
-//!   plus a directed read; quorum reads that observe divergent tags
-//!   **read-repair** the stale replicas in the background; eventual reads
+//! * [`store::ReplicatedStore`] — the deployed store: launches the
+//!   replicas, owns the per-node caches, the recovery counters and the
+//!   history tap, and hands out per-origin clients,
+//! * [`store::StoreClient`] (`client.rs`) — the read and write paths:
+//!   mutations are serialized by each object's primary and replicated
+//!   synchronously to a majority (linearizable) or asynchronously
+//!   (eventual); linearizable reads are **one fabric round trip**, with
+//!   payloads above [`store::StoreConfig::inline_read_max`] falling back
+//!   to a tag quorum plus a directed read; quorum reads that observe
+//!   divergent tags **read-repair** the stale replicas; eventual reads
 //!   hit the closest replica,
+//! * `quorum.rs` — the one RPC round trip and the one quorum gather
+//!   (frame to N replicas, go on at `need` acks) everything above shares,
+//! * `recovery.rs` — the one driver executing the [`retry`] policy,
+//! * `migrate.rs` — live rebalancing: join, decommission, paced drain,
 //! * [`cache::ObjectCache`] — node-local caching integrated into every
 //!   [`store::StoreClient`] read, exploiting the Figure-1 mutability
 //!   lattice: `IMMUTABLE` objects cache whole, `APPEND_ONLY` objects
@@ -35,8 +40,8 @@
 //!
 //! Failure handling scope: replica crashes and partitions are tolerated on
 //! the read path (any majority / any replica) and masked on the write path
-//! by the client-side fault-recovery layer ([`retry`]): per-attempt
-//! deadlines, bounded seeded-jitter retries, and failover of the
+//! by the client-side fault-recovery driver: per-attempt deadlines,
+//! bounded seeded-jitter retries, and failover of the
 //! coordination to the next replica in placement order (safe because
 //! coordinations are deduplicated by `req_id` and stale-tag applies are
 //! rejected, so any write majority still enforces a single order). Writes

@@ -121,12 +121,11 @@ impl ReplicatedStore {
                         "{} moves pending after {stalled_rounds} fruitless rounds; {cause}",
                         self.inner.placement.pending_moves().len(),
                     );
+                    let err = PcsiError::Fault(format!("shard migration stalled: {stalled}"));
                     self.inner.telemetry.journal.with(|j| {
-                        j.append("store", "migration_stalled", stalled.clone());
+                        j.append("store", "migration_stalled", stalled);
                     });
-                    return Err(PcsiError::Fault(format!(
-                        "shard migration stalled: {stalled}"
-                    )));
+                    return Err(err);
                 }
                 handle.sleep(DRAIN_RETRY_DELAY).await;
             }

@@ -3,7 +3,6 @@
 //! go on at `need` acks" round is a [`gather`].
 
 use std::future::Future;
-use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -87,8 +86,8 @@ pub(crate) struct Shortfall<N> {
 ///
 /// One detached task is spawned per target, in the order `targets`
 /// yields them (callers pass placement order). Each does one [`rpc`],
-/// then `classify(node, reply)` decides ack (`Ok`) or not (`Err`) — and
-/// may itself await. Tasks still in flight at the return finish
+/// then its own clone of `classify` decides ack (`Ok`) or not (`Err`)
+/// from `(node, reply)` — and may itself await. Tasks still in flight at the return finish
 /// detached: their effects land, their verdicts are dropped.
 pub(crate) async fn gather<A, N, C, Fut>(
     fabric: &Fabric,
@@ -101,15 +100,14 @@ pub(crate) async fn gather<A, N, C, Fut>(
 where
     A: 'static,
     N: 'static,
-    C: Fn(NodeId, Result<Response, PcsiError>) -> Fut + 'static,
+    C: FnOnce(NodeId, Result<Response, PcsiError>) -> Fut + Clone + 'static,
     Fut: Future<Output = Result<A, N>> + 'static,
 {
     let (tx, mut rx) = mpsc::channel::<Result<A, N>>();
-    let classify = Rc::new(classify);
     let mut total = 0;
     for node in targets {
         total += 1;
-        let (tx, classify) = (tx.clone(), Rc::clone(&classify));
+        let (tx, classify) = (tx.clone(), classify.clone());
         // One encode for the whole round: each send bumps a refcount.
         let call = rpc(fabric, from, node, frame.clone(), None);
         fabric.handle().spawn_detached(async move {

@@ -946,25 +946,22 @@ async fn replicate(
         ctx,
     );
     let task_inner = Rc::clone(inner);
-    let classify = move |peer, reply| {
-        let inner = Rc::clone(&task_inner);
-        async move {
-            match reply {
-                Ok(Response::Applied) => Ok(()),
-                Ok(Response::AlreadyApplied { tag: recorded }) if recorded >= tag => Ok(()),
-                Ok(Response::AlreadyApplied { .. }) => {
-                    // The peer holds this request on an older line. Its
-                    // dedup refusal is correct, but before this reply
-                    // may count toward the quorum the peer must be
-                    // brought up to (at least) the ordered tag — see
-                    // the ack rules above. Push the local state, which
-                    // contains the ordered apply.
-                    push_state_to(&inner, id, peer).await
-                }
-                Ok(Response::Stale { newest }) if replay && newest == tag => Ok(()),
-                Ok(Response::Stale { newest }) => Err(Some((newest, peer))),
-                _ => Err(None),
+    let classify = move |peer, reply| async move {
+        match reply {
+            Ok(Response::Applied) => Ok(()),
+            Ok(Response::AlreadyApplied { tag: recorded }) if recorded >= tag => Ok(()),
+            Ok(Response::AlreadyApplied { .. }) => {
+                // The peer holds this request on an older line. Its
+                // dedup refusal is correct, but before this reply
+                // may count toward the quorum the peer must be
+                // brought up to (at least) the ordered tag — see
+                // the ack rules above. Push the local state, which
+                // contains the ordered apply.
+                push_state_to(&task_inner, id, peer).await
             }
+            Ok(Response::Stale { newest }) if replay && newest == tag => Ok(()),
+            Ok(Response::Stale { newest }) => Err(Some((newest, peer))),
+            _ => Err(None),
         }
     };
     let peers = peers.iter().copied();
