@@ -39,7 +39,7 @@ use pcsi_sim::{Sim, SimHandle};
 use pcsi_store::{RetryPolicy, StoreConfig};
 use pcsi_trace::Sampling;
 
-use crate::scenario::{fnv1a, log_fault};
+use crate::scenario::log_fault;
 
 /// The two rules the scenario installs, in declaration order.
 const RULES: [&str; 2] = [
@@ -123,7 +123,7 @@ impl ObsScenarioReport {
     /// FNV-1a of [`ObsScenarioReport::render`]; two runs of the same
     /// seed must fingerprint identically.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(&self.render())
+        pcsi_metrics::fingerprint(&self.render())
     }
 }
 

@@ -35,7 +35,7 @@ use pcsi_net::{MessageFaults, NodeId};
 use pcsi_sim::{Sim, SimHandle};
 use pcsi_stream::{CloseReason, Subscription};
 
-use crate::scenario::{fnv1a, log_fault};
+use crate::scenario::log_fault;
 
 /// Shape of one streaming chaos run. The seed controls every random
 /// choice (consumer nodes, windows, pacing, kill timing); the config
@@ -150,7 +150,7 @@ impl StreamScenarioReport {
     /// FNV-1a of [`StreamScenarioReport::render`]; two runs of the same
     /// seed must fingerprint identically.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(&self.render())
+        pcsi_metrics::fingerprint(&self.render())
     }
 }
 

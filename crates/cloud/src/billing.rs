@@ -6,9 +6,9 @@
 //! a RESTful web service interface on to the customer." The ledger here
 //! makes that mechanism explicit: every request is charged the *compute
 //! time the provider spent on it* (gateway parsing, marshaling, signature
-//! checks, storage I/O) at resource rates, plus flat per-request and
-//! per-byte components. The REST path simply burns more provider CPU per
-//! operation — the 60× emerges rather than being hard-coded.
+//! checks, storage I/O) at resource rates, plus a flat per-request fee.
+//! The REST path simply burns more provider CPU per operation — the 60×
+//! emerges rather than being hard-coded.
 //!
 //! Prices are 2021-era public-cloud approximations, all in one place so
 //! calibration is auditable.
@@ -21,30 +21,10 @@ use std::time::Duration;
 use pcsi_faas::registry::CostModel;
 use pcsi_net::node::Resources;
 
-/// Price sheet beyond raw resource-seconds.
-#[derive(Debug, Clone, Copy)]
-pub struct PriceSheet {
-    /// Resource-second rates (CPU/GPU/TPU/memory).
-    pub resources: CostModel,
-    /// Flat request-routing fee per million API requests (front-door
-    /// load balancer + metering), USD.
-    pub per_million_requests: f64,
-    /// Storage at rest, USD per GiB-month (≈ S3 standard).
-    pub storage_gib_month: f64,
-    /// Cross-rack egress, USD per GiB (intra-region replication rate).
-    pub transfer_gib: f64,
-}
-
-impl Default for PriceSheet {
-    fn default() -> Self {
-        PriceSheet {
-            resources: CostModel::default(),
-            per_million_requests: 0.20,
-            storage_gib_month: 0.023,
-            transfer_gib: 0.01,
-        }
-    }
-}
+/// Flat request-routing fee per million API requests (front-door load
+/// balancer + metering), USD. Resource-seconds are priced by
+/// [`CostModel::default`].
+const USD_PER_MILLION_REQUESTS: f64 = 0.20;
 
 /// One tenant's accumulated charges, by category (USD).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -53,16 +33,12 @@ pub struct Invoice {
     pub compute: f64,
     /// Flat request fees.
     pub requests: f64,
-    /// Storage at rest.
-    pub storage: f64,
-    /// Data transfer.
-    pub transfer: f64,
 }
 
 impl Invoice {
     /// Grand total.
     pub fn total(&self) -> f64 {
-        self.compute + self.requests + self.storage + self.transfer
+        self.compute + self.requests
     }
 }
 
@@ -74,7 +50,6 @@ pub struct Billing {
 
 #[derive(Default)]
 struct Inner {
-    prices: Option<PriceSheet>,
     ledgers: BTreeMap<String, Invoice>,
     request_counts: BTreeMap<String, u64>,
 }
@@ -85,26 +60,15 @@ impl Billing {
         Self::default()
     }
 
-    /// A meter with custom prices.
-    pub fn with_prices(prices: PriceSheet) -> Self {
-        let b = Billing::new();
-        b.inner.borrow_mut().prices = Some(prices);
-        b
-    }
-
-    fn prices(&self) -> PriceSheet {
-        self.inner.borrow().prices.unwrap_or_default()
-    }
-
     /// Charges `account` for holding `demand` for `d`.
-    pub fn charge_compute(&self, account: &str, demand: &Resources, d: Duration) {
-        let usd = self.prices().resources.charge(demand, d);
+    pub(crate) fn charge_compute(&self, account: &str, demand: &Resources, d: Duration) {
+        let usd = CostModel::default().charge(demand, d);
         self.entry(account, |inv| inv.compute += usd);
     }
 
     /// Charges one flat-rate API request.
-    pub fn charge_request(&self, account: &str) {
-        let usd = self.prices().per_million_requests / 1e6;
+    pub(crate) fn charge_request(&self, account: &str) {
+        let usd = USD_PER_MILLION_REQUESTS / 1e6;
         self.entry(account, |inv| inv.requests += usd);
         *self
             .inner
@@ -112,19 +76,6 @@ impl Billing {
             .request_counts
             .entry(account.to_owned())
             .or_insert(0) += 1;
-    }
-
-    /// Charges storage-at-rest: `gib` held for `d`.
-    pub fn charge_storage(&self, account: &str, gib: f64, d: Duration) {
-        let month = 30.0 * 24.0 * 3600.0;
-        let usd = self.prices().storage_gib_month * gib * (d.as_secs_f64() / month);
-        self.entry(account, |inv| inv.storage += usd);
-    }
-
-    /// Charges data transfer of `bytes`.
-    pub fn charge_transfer(&self, account: &str, bytes: u64) {
-        let usd = self.prices().transfer_gib * (bytes as f64 / (1u64 << 30) as f64);
-        self.entry(account, |inv| inv.transfer += usd);
     }
 
     fn entry(&self, account: &str, f: impl FnOnce(&mut Invoice)) {
@@ -151,22 +102,6 @@ impl Billing {
             .copied()
             .unwrap_or(0)
     }
-
-    /// USD per million requests, the unit §2.1 uses.
-    ///
-    /// Returns `None` until at least one request was metered.
-    pub fn usd_per_million(&self, account: &str) -> Option<f64> {
-        let n = self.request_count(account);
-        if n == 0 {
-            return None;
-        }
-        Some(self.invoice(account).total() / n as f64 * 1e6)
-    }
-
-    /// All accounts with charges, sorted.
-    pub fn accounts(&self) -> Vec<String> {
-        self.inner.borrow().ledgers.keys().cloned().collect()
-    }
 }
 
 #[cfg(test)]
@@ -190,22 +125,8 @@ mod tests {
         }
         assert_eq!(b.request_count("t1"), 1000);
         // Flat component alone: 0.20 USD/M.
-        let per_m = b.usd_per_million("t1").unwrap();
+        let per_m = b.invoice("t1").total() / 1000.0 * 1e6;
         assert!((per_m - 0.20).abs() < 1e-9, "{per_m}");
-        assert_eq!(b.usd_per_million("nobody"), None);
-    }
-
-    #[test]
-    fn storage_and_transfer() {
-        let b = Billing::new();
-        // 1 GiB for one month = 0.023 USD.
-        b.charge_storage("t1", 1.0, Duration::from_secs(30 * 24 * 3600));
-        // 1 GiB transferred = 0.01 USD.
-        b.charge_transfer("t1", 1 << 30);
-        let inv = b.invoice("t1");
-        assert!((inv.storage - 0.023).abs() < 1e-9);
-        assert!((inv.transfer - 0.01).abs() < 1e-9);
-        assert!((inv.total() - 0.033).abs() < 1e-9);
     }
 
     #[test]
@@ -214,7 +135,6 @@ mod tests {
         let b2 = b.clone();
         b.charge_request("a");
         b2.charge_request("b");
-        assert_eq!(b.accounts(), vec!["a", "b"]);
         assert_eq!(b.request_count("a"), 1);
         assert_eq!(b.request_count("b"), 1);
     }

@@ -27,7 +27,7 @@ use crate::kernel::Kernel;
 /// subscriber the queue keeps the newest `ALERTS_FIFO_CAPACITY` lines
 /// (oldest evicted — the kernel never blocks on its own control
 /// stream); with subscribers the stream layer's credit flow applies.
-pub const ALERTS_FIFO_CAPACITY: usize = 256;
+pub(crate) const ALERTS_FIFO_CAPACITY: usize = 256;
 
 /// Registers the standard device classes every namespace can expect
 /// (§3.2's "device interfaces to system services").
@@ -136,11 +136,9 @@ pub struct CloudBuilder {
     deterministic_net: bool,
     store: StoreConfig,
     runtime: RuntimeConfig,
-    goal: Goal,
     sampling: Sampling,
     trace_capacity: usize,
     metrics: bool,
-    fifo_capacity: Option<usize>,
     observability: Option<ObsConfig>,
 }
 
@@ -152,11 +150,9 @@ impl Default for CloudBuilder {
             deterministic_net: false,
             store: StoreConfig::default(),
             runtime: RuntimeConfig::default(),
-            goal: Goal::Balanced,
             sampling: Sampling::Off,
             trace_capacity: 16384,
             metrics: false,
-            fifo_capacity: None,
             observability: None,
         }
     }
@@ -196,47 +192,35 @@ impl CloudBuilder {
     /// Restricts the initial storage placement ring to `nodes`
     /// (shorthand over [`CloudBuilder::store`]). Replica engines still
     /// launch on every node, so the excluded ones are warm standbys a
-    /// later [`Cloud::join_storage_node`] can admit without restarts.
+    /// later [`ReplicatedStore::join_node`] can admit without restarts.
     pub fn storage_ring(mut self, nodes: Vec<pcsi_net::NodeId>) -> Self {
         self.store.ring_nodes = Some(nodes);
         self
     }
 
-    /// Sets the runtime configuration.
-    pub fn runtime(mut self, c: RuntimeConfig) -> Self {
-        self.runtime = c;
-        self
-    }
-
-    /// Sets the placement policy (shorthand over [`CloudBuilder::runtime`]).
+    /// Sets the FaaS runtime's placement policy.
     pub fn placement(mut self, p: PlacementPolicy) -> Self {
         self.runtime.policy = p;
         self
     }
 
-    /// Sets the instance keep-alive window.
+    /// Sets the FaaS runtime's instance keep-alive window.
     pub fn keep_alive(mut self, d: Duration) -> Self {
         self.runtime.keep_alive = d;
         self
     }
 
-    /// Enables (or tunes) the predictive warm-pool autoscaler
-    /// (shorthand over [`CloudBuilder::runtime`]). Off by default.
+    /// Enables (or tunes) the FaaS runtime's predictive warm-pool
+    /// autoscaler. Off by default.
     pub fn autoscale(mut self, c: pcsi_faas::AutoscaleConfig) -> Self {
         self.runtime.autoscale = c;
         self
     }
 
     /// Lets provisioned placements evict scavenged warm instances when
-    /// the cluster is full (shorthand over [`CloudBuilder::runtime`]).
+    /// the cluster is full.
     pub fn preemption(mut self, enabled: bool) -> Self {
         self.runtime.preemption = enabled;
-        self
-    }
-
-    /// Sets the kernel's default variant-selection goal.
-    pub fn goal(mut self, g: Goal) -> Self {
-        self.goal = g;
         self
     }
 
@@ -292,16 +276,6 @@ impl CloudBuilder {
         self
     }
 
-    /// Sets the default FIFO/socket queue bound for objects created
-    /// without an explicit [`pcsi_core::api::CreateOptions::fifo_capacity`].
-    /// Appends beyond the bound fail with a retryable
-    /// [`pcsi_core::PcsiError::Overloaded`] instead of growing without
-    /// limit. Defaults to [`crate::kernel::DEFAULT_FIFO_CAPACITY`].
-    pub fn fifo_capacity(mut self, capacity: usize) -> Self {
-        self.fifo_capacity = Some(capacity);
-        self
-    }
-
     /// Deploys the cloud onto a simulation.
     pub fn build(self, handle: &SimHandle) -> Cloud {
         let obs = self
@@ -346,12 +320,9 @@ impl CloudBuilder {
             store.clone(),
             runtime.clone(),
             billing.clone(),
-            self.goal,
+            Goal::Balanced,
             &telemetry,
         );
-        if let Some(capacity) = self.fifo_capacity {
-            kernel.set_fifo_capacity(capacity);
-        }
         register_standard_devices(&kernel, handle, &telemetry);
         // The alerts FIFO and the evaluator task. The FIFO exists
         // whenever observability is on (uniform namespaces); the ticker
@@ -416,32 +387,6 @@ pub struct Cloud {
     /// A reference to the `alerts` FIFO (subscribe to tail alert
     /// transitions), when observability is enabled.
     pub alerts: Option<pcsi_core::Reference>,
-}
-
-impl Cloud {
-    /// Admits a warm-standby node into the storage ring and migrates
-    /// every affected shard onto it; returns the number of objects
-    /// moved. Kernel traffic needs no coordination with the change:
-    /// clients re-resolve placement on every attempt, so operations in
-    /// flight during the move retry against the object's current
-    /// owners.
-    pub async fn join_storage_node(
-        &self,
-        node: pcsi_net::NodeId,
-    ) -> Result<usize, pcsi_core::PcsiError> {
-        self.store.join_node(node).await
-    }
-
-    /// Removes a node from the storage ring and migrates every shard it
-    /// owned off it; returns the number of objects moved. Once this
-    /// returns the node serves no placement role and is safe to take
-    /// down.
-    pub async fn decommission_storage_node(
-        &self,
-        node: pcsi_net::NodeId,
-    ) -> Result<usize, pcsi_core::PcsiError> {
-        self.store.decommission_node(node).await
-    }
 }
 
 #[cfg(test)]
@@ -545,7 +490,7 @@ mod tests {
 
             // Admit the spare node mid-flight and keep the data readable
             // through the kernel both during and after the migration.
-            let moved = cloud.join_storage_node(spare).await.unwrap();
+            let moved = cloud.store.join_node(spare).await.unwrap();
             assert!(moved > 0, "a 6th node must attract some shards");
             assert!(cloud.store.placement().is_member(spare));
             for (k, r) in &refs {
@@ -553,7 +498,7 @@ mod tests {
             }
 
             // And back out again: decommission restores a spare-free ring.
-            let moved_back = cloud.decommission_storage_node(spare).await.unwrap();
+            let moved_back = cloud.store.decommission_node(spare).await.unwrap();
             assert!(moved_back > 0);
             assert!(!cloud.store.placement().is_member(spare));
             for (k, r) in &refs {

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use bytes::{Bytes, BytesMut};
 use pcsi_core::api::InvokeRequest;
-use pcsi_core::{CloudInterface, ObjectKind, PcsiError, Reference, Rights};
+use pcsi_core::{CloudInterface, ObjectKind, PcsiError, Reference};
 use pcsi_faas::function::FunctionImage;
 use pcsi_faas::graph::TaskGraph;
 use pcsi_faas::registry::choose_variant;
@@ -45,7 +45,7 @@ pub struct StageOutcome {
     /// Node the stage executed on.
     pub node: NodeId,
     /// The stage's response body.
-    pub body: Bytes,
+    pub(crate) body: Bytes,
     /// Whether the invocation paid a cold start.
     pub cold_start: bool,
 }
@@ -67,12 +67,6 @@ pub struct GraphExecutor {
 }
 
 impl GraphExecutor {
-    /// Creates an executor; `functions` maps stage function names to the
-    /// function objects to invoke (each needs `INVOKE` + `READ`).
-    pub fn new(client: KernelClient, functions: HashMap<String, Reference>) -> Self {
-        GraphExecutor { client, functions }
-    }
-
     /// Resolves the graph's function names from a namespace directory
     /// (each stage name looked up as a path) and builds an executor.
     pub async fn from_namespace(
@@ -253,12 +247,6 @@ impl GraphExecutor {
             None => self.client.clone(),
         }
     }
-
-    /// A read+invoke attenuated reference suitable for handing a function
-    /// object to this executor.
-    pub fn invocable(r: &Reference) -> Result<Reference, PcsiError> {
-        r.attenuate(Rights::READ | Rights::INVOKE)
-    }
 }
 
 #[cfg(test)]
@@ -317,7 +305,7 @@ mod tests {
                 functions.insert(name.to_owned(), publish(&client, &image).await.unwrap());
             }
             let graph = TaskGraph::linear(&["a", "b", "c"]);
-            let exec = GraphExecutor::new(client, functions);
+            let exec = GraphExecutor { client, functions };
             let mut bindings = HashMap::new();
             bindings.insert(
                 0,
@@ -366,7 +354,7 @@ mod tests {
             let l = graph.add_stage("left", None, vec![s]);
             let r = graph.add_stage("right", None, vec![s]);
             let _j = graph.add_stage("join", None, vec![l, r]);
-            let exec = GraphExecutor::new(client, functions);
+            let exec = GraphExecutor { client, functions };
             exec.execute(&graph, &HashMap::new()).await.unwrap()
         });
         assert_eq!(out.outputs.len(), 1);
@@ -398,7 +386,10 @@ mod tests {
             let sink = client.create(CreateOptions::regular()).await.unwrap();
 
             let graph = TaskGraph::linear(&["persist"]);
-            let exec = GraphExecutor::new(client.clone(), functions);
+            let exec = GraphExecutor {
+                client: client.clone(),
+                functions,
+            };
             let mut bindings = HashMap::new();
             bindings.insert(
                 0,
@@ -422,7 +413,10 @@ mod tests {
             let cloud = CloudBuilder::new().deterministic_network().build(&h);
             let client = cloud.kernel.client(NodeId(0), "t");
             let graph = TaskGraph::linear(&["ghost"]);
-            let exec = GraphExecutor::new(client, HashMap::new());
+            let exec = GraphExecutor {
+                client,
+                functions: HashMap::new(),
+            };
             exec.execute(&graph, &HashMap::new()).await.unwrap_err()
         });
         assert!(matches!(err, PcsiError::NameNotFound(_)));

@@ -15,7 +15,7 @@
 //! the scheduler picked — data locality is visible to them too.
 
 use fxhash::FxHashMap;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::future::Future;
 use std::rc::Rc;
 
@@ -56,9 +56,6 @@ struct Inner {
     devices: RefCell<DeviceRegistry>,
     /// Cross-node push fan-out for subscribed FIFOs/sockets.
     publisher: Publisher,
-    /// Queue bound applied to FIFO/socket objects created without an
-    /// explicit [`CreateOptions::fifo_capacity`].
-    fifo_capacity: Cell<usize>,
     goal: Goal,
     /// The deployment's telemetry, the same handles the store and the
     /// FaaS runtime were built with. Every `CloudInterface` op opens a
@@ -74,10 +71,10 @@ struct Inner {
     op_series: RefCell<FxHashMap<&'static str, (pcsi_metrics::Counter, pcsi_metrics::Histogram)>>,
 }
 
-/// Default FIFO/socket queue bound when neither the builder knob nor
-/// [`CreateOptions::fifo_capacity`] overrides it. Appends beyond it
-/// fail with a retryable [`PcsiError::Overloaded`].
-pub const DEFAULT_FIFO_CAPACITY: usize = 1024;
+/// FIFO/socket queue bound for objects created without an explicit
+/// [`CreateOptions::fifo_capacity`]. Appends beyond it fail with a
+/// retryable [`PcsiError::Overloaded`].
+const DEFAULT_FIFO_CAPACITY: usize = 1024;
 
 /// The provider kernel. Cheap to clone.
 #[derive(Clone)]
@@ -115,7 +112,6 @@ impl Kernel {
                 fifos: RefCell::new(FxHashMap::default()),
                 devices: RefCell::new(DeviceRegistry::new()),
                 publisher,
-                fifo_capacity: Cell::new(DEFAULT_FIFO_CAPACITY),
                 goal,
                 telemetry: telemetry.clone(),
                 op_series: RefCell::new(FxHashMap::default()),
@@ -140,7 +136,7 @@ impl Kernel {
     /// any workload task runs. The returned reference is a perfectly
     /// ordinary FIFO reference — clients `subscribe()` / `pop` it like
     /// any PR 9 stream.
-    pub fn create_system_fifo(&self, capacity: usize) -> Reference {
+    pub(crate) fn create_system_fifo(&self, capacity: usize) -> Reference {
         let id = self.inner.alloc.borrow_mut().alloc();
         let now = self.inner.fabric.handle().now().as_nanos();
         let meta = ObjectMeta::new(
@@ -162,7 +158,7 @@ impl Kernel {
     /// the payload queues for poppers, and when the queue is full the
     /// *oldest* entry is evicted — a control-plane stream is a ring of
     /// recent history, not a backpressure source for the kernel itself.
-    pub fn append_system_fifo(&self, r: &Reference, data: Bytes) -> Result<(), PcsiError> {
+    pub(crate) fn append_system_fifo(&self, r: &Reference, data: Bytes) -> Result<(), PcsiError> {
         let fifo = self
             .inner
             .fifos
@@ -198,39 +194,18 @@ impl Kernel {
     }
 
     /// The FaaS runtime (experiments read its stats).
-    pub fn runtime(&self) -> &Runtime {
+    pub(crate) fn runtime(&self) -> &Runtime {
         &self.inner.runtime
     }
 
-    /// The billing meter.
-    pub fn billing(&self) -> &Billing {
-        &self.inner.billing
-    }
-
-    /// The store (tests and GC sweeps).
-    pub fn store(&self) -> &ReplicatedStore {
-        &self.inner.store
-    }
-
     /// The datacenter fabric (graph executors charge cross-group hops).
-    pub fn fabric(&self) -> &Fabric {
+    pub(crate) fn fabric(&self) -> &Fabric {
         &self.inner.fabric
     }
 
     /// The streaming publisher (owner-side subscription state).
     pub fn publisher(&self) -> &Publisher {
         &self.inner.publisher
-    }
-
-    /// Overrides the default FIFO/socket queue bound for objects
-    /// created without an explicit per-object capacity.
-    pub fn set_fifo_capacity(&self, capacity: usize) {
-        self.inner.fifo_capacity.set(capacity.max(1));
-    }
-
-    /// The default FIFO/socket queue bound.
-    pub fn fifo_capacity(&self) -> usize {
-        self.inner.fifo_capacity.get()
     }
 
     /// Number of live (metadata-tracked) objects.
@@ -340,17 +315,17 @@ pub struct KernelClient {
 
 impl KernelClient {
     /// The node this client's operations originate from.
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.node
     }
 
     /// The billing account.
-    pub fn account(&self) -> &str {
+    pub(crate) fn account(&self) -> &str {
         &self.account
     }
 
     /// The kernel behind this client.
-    pub fn kernel(&self) -> &Kernel {
+    pub(crate) fn kernel(&self) -> &Kernel {
         &self.kernel
     }
 
@@ -678,7 +653,7 @@ impl KernelClient {
             ctx: self.ctx,
         });
         let (resp, ran_on) = runtime
-            .run_lease_traced(lease, &image, &variant, req, body_client, self.ctx)
+            .run_lease(lease, &image, &variant, req, body_client, self.ctx)
             .await?;
 
         // Response hop back.
@@ -810,10 +785,7 @@ impl KernelClient {
             ObjectKind::Fifo | ObjectKind::Socket => {
                 // Queues are always bounded: an unconsumed backlog turns
                 // into retryable backpressure, never unbounded memory.
-                let capacity = opts
-                    .fifo_capacity
-                    .unwrap_or_else(|| self.inner().fifo_capacity.get())
-                    .max(1);
+                let capacity = opts.fifo_capacity.unwrap_or(DEFAULT_FIFO_CAPACITY).max(1);
                 self.inner()
                     .fifos
                     .borrow_mut()

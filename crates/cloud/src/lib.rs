@@ -33,7 +33,7 @@ pub mod sse;
 pub mod workload;
 
 pub use billing::Billing;
-pub use build::{Cloud, CloudBuilder, ALERTS_FIFO_CAPACITY};
+pub use build::{Cloud, CloudBuilder};
 pub use graphs::{GraphExecutor, GraphRun, StageBinding};
 pub use kernel::{Kernel, KernelClient};
 pub use pcsi_obs::{Obs, ObsConfig, Telemetry};

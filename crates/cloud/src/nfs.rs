@@ -6,7 +6,7 @@
 //! structural difference is statefulness: an NFS client authenticates
 //! once at mount time, gets a session, and then exchanges lean binary
 //! messages referencing file handles — no HTTP, no JSON, no per-request
-//! signature. Per operation the server burns ~[`NFS_OP_CPU`] of CPU
+//! signature. Per operation the server burns ~`NFS_OP_CPU` of CPU
 //! versus the REST gateway's ~180 µs (see `crate::rest`).
 //!
 //! The server is a single node with local NVMe (an appliance, not a
@@ -31,13 +31,13 @@ use pcsi_trace::{SpanHandle, Tracer};
 use crate::billing::Billing;
 
 /// Server CPU per NFS operation (binary protocol decode + handle lookup).
-pub const NFS_OP_CPU: Duration = Duration::from_micros(3);
+pub(crate) const NFS_OP_CPU: Duration = Duration::from_micros(3);
 
 /// Mount-time CPU (one-time credential verification).
-pub const MOUNT_CPU: Duration = Duration::from_micros(200);
+pub(crate) const MOUNT_CPU: Duration = Duration::from_micros(200);
 
 /// A file handle (stateful: meaningful only within a session).
-pub type FileHandle = u64;
+pub(crate) type FileHandle = u64;
 
 /// NFS protocol operations (compact binary encoding).
 #[derive(Debug, Clone, PartialEq)]
@@ -331,11 +331,6 @@ impl NfsServer {
     /// server-side latency (`nfs.op_ns{op=…}`).
     pub fn set_metrics(&self, metrics: Option<Metrics>) {
         *self.metrics.borrow_mut() = metrics;
-    }
-
-    /// The server's node.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Mounts from `from`, returning a session-scoped client.

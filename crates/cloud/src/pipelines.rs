@@ -40,12 +40,12 @@ use crate::build::Cloud;
 use crate::kernel::KernelClient;
 
 /// PCIe 3.0 x16 effective bandwidth for host↔GPU copies.
-pub const PCIE_BPS: u64 = 16_000_000_000;
+pub(crate) const PCIE_BPS: u64 = 16_000_000_000;
 /// Fixed `cudaMemcpy` launch overhead.
-pub const CUDA_LAUNCH: Duration = Duration::from_micros(10);
+pub(crate) const CUDA_LAUNCH: Duration = Duration::from_micros(10);
 
 /// Time for one host↔GPU copy of `bytes`.
-pub fn cuda_memcpy(bytes: usize) -> Duration {
+pub(crate) fn cuda_memcpy(bytes: usize) -> Duration {
     CUDA_LAUNCH + Duration::from_nanos((bytes as u64).saturating_mul(1_000_000_000) / PCIE_BPS)
 }
 
@@ -83,16 +83,16 @@ mod work {
     use super::*;
 
     /// HTTP parse + decode of the upload (~0.5 ns of CPU work per byte).
-    pub fn ingest(bytes: usize) -> Duration {
+    pub(crate) fn ingest(bytes: usize) -> Duration {
         Duration::from_millis(1) + Duration::from_nanos((bytes / 2) as u64)
     }
 
     /// Neural-network inference (reference CPU implementation; the GPU
     /// variant divides this by its speedup).
-    pub const INFER: Duration = Duration::from_millis(100);
+    pub(crate) const INFER: Duration = Duration::from_millis(100);
 
     /// Response post-processing.
-    pub const POST: Duration = Duration::from_micros(500);
+    pub(crate) const POST: Duration = Duration::from_micros(500);
 }
 
 /// Outcome of one pipeline run.
@@ -104,8 +104,6 @@ pub struct PipelineReport {
     pub latency: Histogram,
     /// Network payload bytes moved per request (averaged over the run).
     pub network_bytes_per_req: u64,
-    /// Requests measured (after warmup).
-    pub requests: u64,
 }
 
 /// A deployed model-serving application.
@@ -266,11 +264,6 @@ impl ModelServing {
         })
     }
 
-    /// The inference image (E6 swaps variants on it).
-    pub fn infer_image(&self) -> &FunctionImage {
-        &self.infer
-    }
-
     /// Adds an inference variant (e.g. [`tpu_variant`]) — the application
     /// code is otherwise unchanged, which is the §4.3 point.
     pub fn add_infer_variant(&mut self, v: Variant) {
@@ -303,7 +296,6 @@ impl ModelServing {
             strategy,
             latency,
             network_bytes_per_req: moved / (warmup + requests).max(1),
-            requests,
         })
     }
 

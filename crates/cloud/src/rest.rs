@@ -42,22 +42,22 @@ use pcsi_trace::{SpanHandle, TraceContext, Tracer};
 use crate::billing::Billing;
 
 /// HTTP framing CPU per request.
-pub const HTTP_CPU: Duration = Duration::from_micros(50);
+pub(crate) const HTTP_CPU: Duration = Duration::from_micros(50);
 /// JSON marshaling CPU: fixed part.
-pub const MARSHAL_CPU_FIXED: Duration = Duration::from_micros(10);
+pub(crate) const MARSHAL_CPU_FIXED: Duration = Duration::from_micros(10);
 /// JSON marshaling CPU: per byte.
-pub const MARSHAL_CPU_PER_BYTE: Duration = Duration::from_nanos(40);
+pub(crate) const MARSHAL_CPU_PER_BYTE: Duration = Duration::from_nanos(40);
 /// Signature verification CPU: fixed part.
-pub const AUTH_CPU_FIXED: Duration = Duration::from_micros(15);
+pub(crate) const AUTH_CPU_FIXED: Duration = Duration::from_micros(15);
 /// Signature verification CPU: per byte.
-pub const AUTH_CPU_PER_BYTE: Duration = Duration::from_nanos(5);
+pub(crate) const AUTH_CPU_PER_BYTE: Duration = Duration::from_nanos(5);
 /// Load-balancer forwarding CPU per request.
-pub const LB_CPU: Duration = Duration::from_micros(10);
+pub(crate) const LB_CPU: Duration = Duration::from_micros(10);
 /// Routing, metering, logging CPU per request.
-pub const ROUTING_CPU: Duration = Duration::from_micros(30);
+pub(crate) const ROUTING_CPU: Duration = Duration::from_micros(30);
 
 /// Signature scope used by the simulated region.
-pub fn scope() -> Scope {
+pub(crate) fn scope() -> Scope {
     Scope::new("sim-west-1", "storage")
 }
 
@@ -70,7 +70,7 @@ pub(crate) fn auth_cpu(bytes: usize) -> Duration {
 }
 
 /// Total modeled provider CPU for one REST data-plane request.
-pub fn request_cpu(body_bytes: usize) -> Duration {
+pub(crate) fn request_cpu(body_bytes: usize) -> Duration {
     HTTP_CPU + marshal_cpu(body_bytes) + auth_cpu(body_bytes) + LB_CPU + ROUTING_CPU
 }
 
@@ -83,7 +83,6 @@ pub struct RestGateway {
 struct Inner {
     fabric: Fabric,
     lb_node: NodeId,
-    gateway_node: NodeId,
     tracer: Rc<RefCell<Option<Tracer>>>,
     metrics: Rc<RefCell<Option<Metrics>>>,
 }
@@ -93,7 +92,7 @@ struct Inner {
 /// The REST namespace is flat strings; ids are a stable 128-bit hash of
 /// the path (so REST objects and kernel objects never collide: the REST
 /// realm has the top bit set).
-pub fn path_object_id(path: &str) -> ObjectId {
+pub(crate) fn path_object_id(path: &str) -> ObjectId {
     let mut h1: u64 = 0xCBF2_9CE4_8422_2325;
     let mut h2: u64 = 0x8422_2325_CBF2_9CE4;
     for &b in path.as_bytes() {
@@ -192,7 +191,6 @@ impl RestGateway {
             inner: Rc::new(Inner {
                 fabric,
                 lb_node,
-                gateway_node,
                 tracer,
                 metrics,
             }),
@@ -210,16 +208,6 @@ impl RestGateway {
     /// gateway-side latency (`rest.request_ns{method=…}`).
     pub fn set_metrics(&self, metrics: Option<Metrics>) {
         *self.inner.metrics.borrow_mut() = metrics;
-    }
-
-    /// The load balancer's node (clients connect here).
-    pub fn lb_node(&self) -> NodeId {
-        self.inner.lb_node
-    }
-
-    /// The gateway's node.
-    pub fn gateway_node(&self) -> NodeId {
-        self.inner.gateway_node
     }
 
     /// A client bound to `from` with `creds`.
@@ -523,25 +511,6 @@ impl RestClient {
             .and_then(json::base64_decode)
             .ok_or_else(|| RestError::Net("item missing value".into()))
     }
-
-    /// `PUT /objects/{bucket}/{key}` with raw bytes.
-    pub async fn object_put(&self, bucket: &str, key: &str, data: &[u8]) -> Result<(), RestError> {
-        let req =
-            Request::new(Method::Put, format!("/objects/{bucket}/{key}")).with_body(data.to_vec());
-        self.send(req).await.map(|_| ())
-    }
-
-    /// `GET /objects/{bucket}/{key}`.
-    pub async fn object_get(&self, bucket: &str, key: &str) -> Result<Vec<u8>, RestError> {
-        let req = Request::new(Method::Get, format!("/objects/{bucket}/{key}"));
-        Ok(self.send(req).await?.body.to_vec())
-    }
-
-    /// `DELETE /kv/{table}/{key}`.
-    pub async fn kv_delete(&self, table: &str, key: &str) -> Result<(), RestError> {
-        let req = Request::new(Method::Delete, format!("/kv/{table}/{key}"));
-        self.send(req).await.map(|_| ())
-    }
 }
 
 #[cfg(test)]
@@ -599,10 +568,14 @@ mod tests {
         sim.block_on(async move {
             let c = gw.client(NodeId(0), Credentials::new("AK1", b"secret1".to_vec()));
             let blob: Vec<u8> = (0..=255).collect();
-            c.object_put("bkt", "blob", &blob).await.unwrap();
-            assert_eq!(c.object_get("bkt", "blob").await.unwrap(), blob);
+            let put = Request::new(Method::Put, "/objects/bkt/blob").with_body(blob.clone());
+            c.send(put).await.unwrap();
+            let got = c.send(Request::new(Method::Get, "/objects/bkt/blob")).await;
+            assert_eq!(got.unwrap().body.to_vec(), blob);
             c.kv_put("t", "k", b"v").await.unwrap();
-            c.kv_delete("t", "k").await.unwrap();
+            c.send(Request::new(Method::Delete, "/kv/t/k"))
+                .await
+                .unwrap();
             let err = c.kv_get("t", "k").await.unwrap_err();
             assert!(matches!(err, RestError::Http { status: 404, .. }), "{err}");
         });

@@ -37,14 +37,14 @@ use crate::rest::{
 };
 
 /// Events a stream retains for `Last-Event-ID` replay.
-pub const REPLAY_BUFFER: usize = 256;
+pub(crate) const REPLAY_BUFFER: usize = 256;
 
 /// Fabric service name of the hub endpoint.
-pub const SSE_SERVICE: &str = "sse-hub";
+pub(crate) const SSE_SERVICE: &str = "sse-hub";
 
 /// Header carrying the subscriber's push endpoint (stands in for the
 /// long-lived TCP connection a real SSE client holds open).
-pub const ENDPOINT_HEADER: &str = "x-sse-endpoint";
+pub(crate) const ENDPOINT_HEADER: &str = "x-sse-endpoint";
 
 fn conn_service(conn: u64) -> String {
     format!("sse-conn:{conn:016x}")
@@ -124,32 +124,6 @@ impl SseHub {
         };
         fabric.bind(hub_node, SSE_SERVICE, handler);
         hub
-    }
-
-    /// The hub's node.
-    pub fn hub_node(&self) -> NodeId {
-        self.inner.hub_node
-    }
-
-    /// Live connections on `stream` (tests and bench assertions).
-    pub fn connection_count(&self, stream: &str) -> usize {
-        self.inner
-            .streams
-            .borrow()
-            .get(stream)
-            .map_or(0, |s| s.conns.len())
-    }
-
-    /// Frames queued at the hub across all connections — the unbounded
-    /// "TCP send queue" a slow SSE subscriber grows.
-    pub fn queued_frames(&self) -> usize {
-        self.inner
-            .streams
-            .borrow()
-            .values()
-            .flat_map(|s| s.conns.iter())
-            .map(|(_, c)| c.borrow().pending.len())
-            .sum()
     }
 
     async fn handle(&self, payload: Bytes) -> Response {
@@ -355,7 +329,7 @@ impl SseHub {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SseEvent {
     /// The hub-assigned event id (`Last-Event-ID` reconnect cursor).
-    pub id: u64,
+    pub(crate) id: u64,
     /// The event payload.
     pub data: Bytes,
 }
@@ -484,18 +458,14 @@ impl SseSubscriber {
     /// fresh signed `GET` with `Last-Event-ID`, so the hub replays what
     /// the buffer still holds. Events older than the replay window are
     /// lost — SSE's delivery guarantee is only as deep as the buffer.
-    pub async fn reconnect(&self) -> Result<(), RestError> {
+    #[cfg(test)]
+    pub(crate) async fn reconnect(&self) -> Result<(), RestError> {
         // Drop the old hub-side connection first (its queue dies with
         // the socket).
         let request = Request::new(Method::Delete, format!("/streams/{}", self.stream))
             .with_header(ENDPOINT_HEADER, &self.service);
         let _ = self.send(request).await;
         self.send_connect().await
-    }
-
-    /// The last event id seen (the reconnect cursor).
-    pub fn last_event_id(&self) -> u64 {
-        self.last_id.get()
     }
 
     /// Closes the connection: tells the hub, unbinds the endpoint, and
@@ -574,6 +544,23 @@ mod tests {
     use pcsi_sim::Sim;
     use std::time::Duration;
 
+    /// Live connections on `stream`.
+    fn connection_count(hub: &SseHub, stream: &str) -> usize {
+        let streams = hub.inner.streams.borrow();
+        streams.get(stream).map_or(0, |s| s.conns.len())
+    }
+
+    /// Frames queued at the hub across all connections — the unbounded
+    /// "TCP send queue" a slow SSE subscriber grows.
+    fn queued_frames(hub: &SseHub) -> usize {
+        let streams = hub.inner.streams.borrow();
+        streams
+            .values()
+            .flat_map(|s| s.conns.iter())
+            .map(|(_, c)| c.borrow().pending.len())
+            .sum()
+    }
+
     fn deploy(sim: &Sim) -> (SseHub, Billing) {
         let fabric = Fabric::new(
             sim.handle(),
@@ -621,7 +608,7 @@ mod tests {
             }
             a.disconnect().await;
             b.disconnect().await;
-            assert_eq!(hub.connection_count("logs"), 0);
+            assert_eq!(connection_count(&hub, "logs"), 0);
             // Each request billed: 2 connects + 3 publishes + 2 disconnects.
             assert_eq!(billing.request_count("AK1"), 7);
         });
@@ -703,8 +690,8 @@ mod tests {
             let publisher = SsePublisher::new(&hub, NodeId(5), creds());
             publisher.publish("s", b"x").await.unwrap();
             h.sleep(Duration::from_millis(5)).await;
-            assert_eq!(hub.connection_count("s"), 0);
-            assert_eq!(hub.queued_frames(), 0);
+            assert_eq!(connection_count(&hub, "s"), 0);
+            assert_eq!(queued_frames(&hub), 0);
         });
     }
 }

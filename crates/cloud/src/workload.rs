@@ -9,7 +9,7 @@ use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
-use pcsi_metrics::{Counter, Histogram, Metrics};
+use pcsi_metrics::{Counter, Histogram};
 use pcsi_sim::executor::LocalBoxFuture;
 use pcsi_sim::{DetRng, SimHandle, SimTime};
 
@@ -43,7 +43,7 @@ pub enum RateShape {
 
 impl RateShape {
     /// Instantaneous rate at `t` (requests per second, ≥ 0).
-    pub fn rate_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn rate_at(&self, t: SimTime) -> f64 {
         match *self {
             RateShape::Steady { rps } => rps,
             RateShape::OnOff {
@@ -68,30 +68,12 @@ impl RateShape {
             }
         }
     }
-
-    /// Peak rate over any time (capacity-planning input).
-    pub fn peak(&self) -> f64 {
-        match *self {
-            RateShape::Steady { rps } => rps,
-            RateShape::OnOff {
-                burst_rps,
-                idle_rps,
-                ..
-            } => burst_rps.max(idle_rps),
-            RateShape::Diurnal {
-                base_rps,
-                amplitude_rps,
-                ..
-            } => base_rps + amplitude_rps,
-        }
-    }
 }
 
 /// Outcome statistics of one open-loop run.
 ///
 /// Built on [`pcsi_metrics`] primitives, so a run's latency distribution
-/// answers exact quantile queries ([`Histogram::quantiles`]) and the whole
-/// struct can be published into a registry with [`RunStats::publish`].
+/// answers exact quantile queries ([`Histogram::quantiles`]).
 #[derive(Debug)]
 pub struct RunStats {
     /// Per-request latency (ns).
@@ -101,7 +83,7 @@ pub struct RunStats {
     /// Requests that completed successfully.
     pub ok: Counter,
     /// Requests that failed.
-    pub failed: Counter,
+    pub(crate) failed: Counter,
 }
 
 impl RunStats {
@@ -124,16 +106,6 @@ impl RunStats {
         let slo_ns = u64::try_from(slo.as_nanos()).unwrap_or(u64::MAX);
         let within = self.latency.fraction_le(slo_ns) * self.latency.count() as f64;
         within / self.issued.get() as f64
-    }
-
-    /// Publishes this run's series into `metrics` under the given
-    /// `workload` label, so they appear in rendered snapshots.
-    pub fn publish(&self, metrics: &Metrics, workload: &str) {
-        let labels = [("workload", workload)];
-        metrics.bind_counter("workload.issued", &labels, &self.issued);
-        metrics.bind_counter("workload.ok", &labels, &self.ok);
-        metrics.bind_counter("workload.failed", &labels, &self.failed);
-        metrics.bind_histogram("workload.latency_ns", &labels, &self.latency);
     }
 }
 
@@ -212,18 +184,6 @@ impl ZipfKeys {
     pub fn next_key(&self) -> u64 {
         self.rng.zipf_from(&self.params)
     }
-
-    /// Formats a sampled key as a storage key string.
-    pub fn next_key_name(&self) -> String {
-        format!("key-{:08}", self.next_key())
-    }
-}
-
-/// Synthesizes a payload of `len` deterministic pseudo-random bytes.
-pub fn payload(rng: &DetRng, len: usize) -> Vec<u8> {
-    let mut buf = vec![0u8; len];
-    rng.fill_bytes(&mut buf);
-    buf
 }
 
 /// Boxes a request closure's future (helper to keep call sites tidy).
@@ -273,7 +233,6 @@ mod tests {
         assert_eq!(shape.rate_at(SimTime::from_secs(3)), 100.0);
         assert_eq!(shape.rate_at(SimTime::from_secs(13)), 1.0);
         assert_eq!(shape.rate_at(SimTime::from_secs(23)), 100.0);
-        assert_eq!(shape.peak(), 100.0);
     }
 
     #[test]
@@ -287,7 +246,6 @@ mod tests {
         let three_quarter = shape.rate_at(SimTime::from_secs(75));
         assert!((quarter - 150.0).abs() < 1.0, "{quarter}");
         assert!((three_quarter - 50.0).abs() < 1.0, "{three_quarter}");
-        assert_eq!(shape.peak(), 150.0);
     }
 
     #[test]
@@ -359,31 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_publish_into_registry() {
-        let mut sim = Sim::new(7);
-        let h = sim.handle();
-        let stats = sim.block_on({
-            let h = h.clone();
-            async move {
-                let rng = h.rng().stream("wl");
-                drive_open_loop(
-                    &h,
-                    &rng,
-                    RateShape::Steady { rps: 500.0 },
-                    Duration::from_secs(2),
-                    |_i| boxed(async { Ok(()) }),
-                )
-                .await
-            }
-        });
-        let m = Metrics::new();
-        stats.publish(&m, "steady");
-        let rendered = m.render();
-        assert!(rendered.contains("workload.issued{workload=\"steady\"}"));
-        assert!(rendered.contains("workload.latency_ns{workload=\"steady\"}"));
-    }
-
-    #[test]
     fn zipf_keys_skew() {
         let z = ZipfKeys::new(DetRng::seeded(1), 1000, 0.99);
         let mut head = 0;
@@ -394,14 +327,5 @@ mod tests {
         }
         // With theta=.99 the top-10 keys draw a large share.
         assert!(head > 2_000, "head {head}");
-        assert!(z.next_key_name().starts_with("key-"));
-    }
-
-    #[test]
-    fn payload_deterministic_per_stream() {
-        let a = payload(&DetRng::seeded(5), 64);
-        let b = payload(&DetRng::seeded(5), 64);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 64);
     }
 }

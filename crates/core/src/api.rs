@@ -83,12 +83,6 @@ impl CreateOptions {
         }
     }
 
-    /// Sets the kind, builder-style.
-    pub fn with_kind(mut self, kind: ObjectKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
     /// Sets the mutability level, builder-style.
     pub fn with_mutability(mut self, m: Mutability) -> Self {
         self.mutability = m;

@@ -33,20 +33,6 @@ impl Consistency {
             Consistency::Eventual => "EVENTUAL",
         }
     }
-
-    /// Parses the canonical spelling.
-    pub fn parse(s: &str) -> Option<Consistency> {
-        Some(match s {
-            "LINEARIZABLE" => Consistency::Linearizable,
-            "EVENTUAL" => Consistency::Eventual,
-            _ => return None,
-        })
-    }
-
-    /// True for the strong level.
-    pub fn is_strong(self) -> bool {
-        matches!(self, Consistency::Linearizable)
-    }
 }
 
 impl fmt::Display for Consistency {
@@ -62,22 +48,11 @@ mod tests {
     #[test]
     fn default_is_eventual() {
         assert_eq!(Consistency::default(), Consistency::Eventual);
-        assert!(!Consistency::default().is_strong());
-    }
-
-    #[test]
-    fn parse_roundtrip() {
-        for c in Consistency::ALL {
-            assert_eq!(Consistency::parse(c.as_str()), Some(c));
-        }
-        assert_eq!(Consistency::parse("CAUSAL"), None);
     }
 
     #[test]
     fn menu_has_exactly_two_items() {
         // The paper's design point: a strong one and a weak one, no more.
         assert_eq!(Consistency::ALL.len(), 2);
-        assert!(Consistency::Linearizable.is_strong());
-        assert!(!Consistency::Eventual.is_strong());
     }
 }

@@ -49,11 +49,6 @@ impl ObjectId {
     pub fn from_u128(v: u128) -> ObjectId {
         ObjectId(v)
     }
-
-    /// True for the nil id.
-    pub fn is_nil(self) -> bool {
-        self.0 == 0
-    }
 }
 
 /// SplitMix64 finalizer.
@@ -74,16 +69,6 @@ impl fmt::Debug for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Short form for logs: realm dot low-32 of the mixed serial.
         write!(f, "oid:{:x}.{:08x}", (self.0 >> 64) as u64, self.0 as u32)
-    }
-}
-
-/// Identifies a tenant (an isolation domain for billing and namespaces).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TenantId(pub u32);
-
-impl fmt::Display for TenantId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "tenant-{}", self.0)
     }
 }
 
@@ -109,11 +94,6 @@ impl IdAllocator {
         self.next_serial += 1;
         id
     }
-
-    /// Number of ids handed out so far.
-    pub fn allocated(&self) -> u64 {
-        self.next_serial - 1
-    }
 }
 
 #[cfg(test)]
@@ -127,10 +107,9 @@ mod tests {
         let mut seen = HashSet::new();
         for _ in 0..10_000 {
             let id = alloc.alloc();
-            assert!(!id.is_nil());
+            assert_ne!(id, ObjectId::NIL);
             assert!(seen.insert(id), "duplicate id {id}");
         }
-        assert_eq!(alloc.allocated(), 10_000);
     }
 
     #[test]

@@ -97,16 +97,6 @@ impl Mutability {
         matches!(self, Mutability::Mutable | Mutability::AppendOnly)
     }
 
-    /// True if the *entire* object content is stable and may be cached
-    /// indefinitely anywhere.
-    ///
-    /// An `APPEND_ONLY` object's written prefix is also stable — the
-    /// storage layer exploits that separately (see
-    /// `pcsi-store::cache`) — but the object as a whole is not.
-    pub fn fully_cacheable(self) -> bool {
-        matches!(self, Mutability::Immutable)
-    }
-
     /// The canonical paper spelling (`MUTABLE`, `APPEND_ONLY`, ...).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -115,17 +105,6 @@ impl Mutability {
             Mutability::AppendOnly => "APPEND_ONLY",
             Mutability::Immutable => "IMMUTABLE",
         }
-    }
-
-    /// Parses the canonical spelling.
-    pub fn parse(s: &str) -> Option<Mutability> {
-        Some(match s {
-            "MUTABLE" => Mutability::Mutable,
-            "FIXED_SIZE" => Mutability::FixedSize,
-            "APPEND_ONLY" => Mutability::AppendOnly,
-            "IMMUTABLE" => Mutability::Immutable,
-            _ => return None,
-        })
     }
 
     /// The full 4×4 transition matrix, `matrix[from][to]`, in the order of
@@ -226,15 +205,5 @@ mod tests {
         assert!(Mutability::AppendOnly.allows_append());
         assert!(!Mutability::Immutable.allows_write());
         assert!(!Mutability::Immutable.allows_append());
-        assert!(Mutability::Immutable.fully_cacheable());
-        assert!(!Mutability::AppendOnly.fully_cacheable());
-    }
-
-    #[test]
-    fn parse_roundtrip() {
-        for m in Mutability::ALL {
-            assert_eq!(Mutability::parse(m.as_str()), Some(m));
-        }
-        assert_eq!(Mutability::parse("FROZEN"), None);
     }
 }

@@ -43,11 +43,6 @@ impl ObjectKind {
             ObjectKind::Function => "function",
         }
     }
-
-    /// True if byte-granularity reads/writes apply to this kind.
-    pub fn is_byte_addressable(&self) -> bool {
-        matches!(self, ObjectKind::Regular | ObjectKind::Function)
-    }
 }
 
 impl fmt::Display for ObjectKind {
@@ -73,7 +68,7 @@ pub struct ObjectMeta {
     /// Monotone version counter, bumped by every mutation.
     pub version: u64,
     /// Creation time, nanoseconds of simulated time.
-    pub created_at_ns: u64,
+    pub(crate) created_at_ns: u64,
     /// Revocation generation (references from older generations are dead).
     pub generation: u32,
 }
@@ -110,14 +105,6 @@ mod tests {
             "device(metrics)"
         );
         assert_eq!(ObjectKind::Fifo.to_string(), "fifo");
-    }
-
-    #[test]
-    fn byte_addressability() {
-        assert!(ObjectKind::Regular.is_byte_addressable());
-        assert!(ObjectKind::Function.is_byte_addressable());
-        assert!(!ObjectKind::Directory.is_byte_addressable());
-        assert!(!ObjectKind::Fifo.is_byte_addressable());
     }
 
     #[test]

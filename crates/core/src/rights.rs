@@ -52,11 +52,6 @@ impl Rights {
         other.contains(self)
     }
 
-    /// True if no rights are present.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
     /// Intersection of two rights sets.
     pub fn intersect(self, other: Rights) -> Rights {
         Rights(self.0 & other.0)
@@ -154,11 +149,5 @@ mod tests {
     fn debug_formatting() {
         assert_eq!(format!("{:?}", Rights::NONE), "NONE");
         assert_eq!(format!("{:?}", Rights::READ | Rights::GRANT), "READ|GRANT");
-    }
-
-    #[test]
-    fn empty_detection() {
-        assert!(Rights::NONE.is_empty());
-        assert!(!Rights::READ.is_empty());
     }
 }

@@ -33,20 +33,21 @@ pub struct AutoscaleConfig {
     /// trailing traffic. A key idle for a full window resets to zero so
     /// pools drain at quiescence.
     pub window: Duration,
-    /// Multiplier over the predicted steady-state concurrency (covers
-    /// estimator lag on rising ramps).
-    pub headroom: f64,
-    /// Hard cap on the warm-pool target per (function, variant).
-    pub max_pool: usize,
-    /// Boot + steal budget per scan (keeps one scan from monopolizing
-    /// the cluster).
-    pub max_actions_per_scan: usize,
-    /// Nodes above this utilization get idle instances drained away by
-    /// the work-stealing rebalance pass.
-    pub steal_high: f64,
-    /// Stolen instances only land on nodes below this utilization.
-    pub steal_low: f64,
 }
+
+/// Multiplier over the predicted steady-state concurrency (covers
+/// estimator lag on rising ramps).
+const HEADROOM: f64 = 1.5;
+/// Hard cap on the warm-pool target per (function, variant).
+const MAX_POOL: usize = 32;
+/// Boot + steal budget per scan (keeps one scan from monopolizing the
+/// cluster).
+pub(crate) const MAX_ACTIONS_PER_SCAN: usize = 16;
+/// Nodes above this utilization get idle instances drained away by the
+/// work-stealing rebalance pass.
+pub(crate) const STEAL_HIGH: f64 = 0.90;
+/// Stolen instances only land on nodes below this utilization.
+pub(crate) const STEAL_LOW: f64 = 0.60;
 
 impl Default for AutoscaleConfig {
     fn default() -> Self {
@@ -54,11 +55,6 @@ impl Default for AutoscaleConfig {
             enabled: false,
             interval: Duration::from_millis(250),
             window: Duration::from_secs(5),
-            headroom: 1.5,
-            max_pool: 32,
-            max_actions_per_scan: 16,
-            steal_high: 0.90,
-            steal_low: 0.60,
         }
     }
 }
@@ -129,15 +125,15 @@ impl RateEstimator {
         self.pending = 0;
     }
 
-    /// Current warm-pool target for a backend under these knobs.
-    pub(crate) fn target(&self, backend: Backend, headroom: f64, max_pool: usize) -> usize {
+    /// Current warm-pool target for a backend.
+    pub(crate) fn target(&self, backend: Backend) -> usize {
         backend
             .prewarm_depth(
                 self.rate_per_sec,
                 Duration::from_secs_f64(self.service_secs),
-                headroom,
+                HEADROOM,
             )
-            .min(max_pool)
+            .min(MAX_POOL)
     }
 
     /// The smoothed arrival rate (tests / diagnostics).
@@ -151,19 +147,19 @@ impl RateEstimator {
 /// phantom arrival for `function`/`variant`, so downstream pools warm up
 /// before the pipeline's first stage even finishes.
 #[derive(Debug, Clone)]
-pub struct PrewarmEdge {
+pub(crate) struct PrewarmEdge {
     /// Function whose arrivals predict downstream traffic.
-    pub upstream: String,
+    pub(crate) upstream: String,
     /// Downstream function to pre-warm.
-    pub function: String,
+    pub(crate) function: String,
     /// Variant (and thus backend + demand) to boot for it.
-    pub variant: Variant,
+    pub(crate) variant: Variant,
 }
 
 /// Derives pre-warm edges from a task graph: one edge per (stage,
 /// consumer) pair, with `variant_of` naming the variant each downstream
 /// stage will run as (stages it returns `None` for are skipped).
-pub fn edges_from_graph(
+pub(crate) fn edges_from_graph(
     graph: &TaskGraph,
     variant_of: impl Fn(&StageSpec) -> Option<Variant>,
 ) -> Vec<PrewarmEdge> {
@@ -217,10 +213,7 @@ mod tests {
             est.tick(dt, cfg.alpha(), cfg.idle_limit());
         }
         assert_eq!(est.rate(), 0.0, "a full idle window must zero the rate");
-        assert_eq!(
-            est.target(Backend::Container, cfg.headroom, cfg.max_pool),
-            0
-        );
+        assert_eq!(est.target(Backend::Container), 0);
     }
 
     #[test]
@@ -235,10 +228,18 @@ mod tests {
             }
             est.tick(dt, cfg.alpha(), cfg.idle_limit());
         }
-        let container = est.target(Backend::Container, cfg.headroom, cfg.max_pool);
-        let wasm = est.target(Backend::Wasm, cfg.headroom, cfg.max_pool);
+        let container = est.target(Backend::Container);
+        let wasm = est.target(Backend::Wasm);
         assert!(container > wasm, "container {container} vs wasm {wasm}");
-        assert!(est.target(Backend::Container, cfg.headroom, 3) <= 3);
+        assert!(container < MAX_POOL, "200 rps must sit under the cap");
+        // Forty times the rate would want far more than the cap allows.
+        for _ in 0..80 {
+            for _ in 0..2_000 {
+                est.record_arrival();
+            }
+            est.tick(dt, cfg.alpha(), cfg.idle_limit());
+        }
+        assert_eq!(est.target(Backend::Container), MAX_POOL);
     }
 
     #[test]

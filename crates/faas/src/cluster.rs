@@ -39,18 +39,8 @@ impl ClusterState {
     }
 
     /// Number of nodes tracked.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.borrow().capacity.len()
-    }
-
-    /// Never true (topologies are non-empty).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Installed capacity of a node.
-    pub fn capacity(&self, node: NodeId) -> Resources {
-        self.inner.borrow().capacity[node.0 as usize]
     }
 
     /// Currently allocated resources on a node.
@@ -59,7 +49,7 @@ impl ClusterState {
     }
 
     /// Free resources on a node.
-    pub fn free(&self, node: NodeId) -> Resources {
+    pub(crate) fn free(&self, node: NodeId) -> Resources {
         let inner = self.inner.borrow();
         let mut f = inner.capacity[node.0 as usize];
         let a = inner.allocated[node.0 as usize];
@@ -69,18 +59,18 @@ impl ClusterState {
     }
 
     /// The rack a node lives in.
-    pub fn rack(&self, node: NodeId) -> u32 {
+    pub(crate) fn rack(&self, node: NodeId) -> u32 {
         self.inner.borrow().racks[node.0 as usize]
     }
 
     /// True if `demand` currently fits on `node`.
-    pub fn fits(&self, node: NodeId, demand: &Resources) -> bool {
+    pub(crate) fn fits(&self, node: NodeId, demand: &Resources) -> bool {
         self.free(node).fits(demand)
     }
 
     /// Reserves `demand` on `node`; `false` (and no change) if it does
     /// not fit.
-    pub fn try_allocate(&self, node: NodeId, demand: &Resources) -> bool {
+    pub(crate) fn try_allocate(&self, node: NodeId, demand: &Resources) -> bool {
         let mut inner = self.inner.borrow_mut();
         let idx = node.0 as usize;
         let mut free = inner.capacity[idx];
@@ -97,13 +87,13 @@ impl ClusterState {
     /// # Panics
     ///
     /// Panics if releasing more than allocated (double-free bug).
-    pub fn release(&self, node: NodeId, demand: &Resources) {
+    pub(crate) fn release(&self, node: NodeId, demand: &Resources) {
         let mut inner = self.inner.borrow_mut();
         inner.allocated[node.0 as usize].take(demand);
     }
 
     /// Utilization of one node in `[0, 1]` (max across dimensions).
-    pub fn node_utilization(&self, node: NodeId) -> f64 {
+    pub(crate) fn node_utilization(&self, node: NodeId) -> f64 {
         let inner = self.inner.borrow();
         inner.allocated[node.0 as usize].utilization_of(&inner.capacity[node.0 as usize])
     }

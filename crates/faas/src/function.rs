@@ -4,7 +4,7 @@
 //! work model, and one or more implementation [`Variant`]s. The actual
 //! executable logic — since a simulator cannot run guest machine code —
 //! is a host closure registered under the image name in
-//! [`crate::registry::FunctionRegistry`]; the image object carries
+//! `crate::registry::FunctionRegistry`; the image object carries
 //! everything the scheduler and optimizer need.
 //!
 //! Bodies receive a [`FnCtx`]: the pass-by-value request body, the
@@ -29,9 +29,9 @@ use crate::isolation::Backend;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkModel {
     /// Work independent of payload size.
-    pub fixed: Duration,
+    pub(crate) fixed: Duration,
     /// Work per payload byte.
-    pub per_byte: Duration,
+    pub(crate) per_byte: Duration,
 }
 
 impl WorkModel {
@@ -44,7 +44,7 @@ impl WorkModel {
     }
 
     /// Total abstract work for a payload of `bytes`.
-    pub fn work(&self, bytes: usize) -> Duration {
+    pub(crate) fn work(&self, bytes: usize) -> Duration {
         self.fixed
             + self
                 .per_byte
@@ -100,7 +100,7 @@ impl Variant {
     }
 
     /// Wall-clock execution time for `work` on this variant.
-    pub fn exec_time(&self, work: Duration) -> Duration {
+    pub(crate) fn exec_time(&self, work: Duration) -> Duration {
         work.div_f64(self.speedup.max(1e-9))
     }
 }
@@ -288,7 +288,7 @@ pub struct FnCtx {
     /// Simulation handle (clock/sleep for modeled compute).
     pub handle: SimHandle,
     /// Speedup of the variant this body runs on.
-    pub speedup: f64,
+    pub(crate) speedup: f64,
 }
 
 impl FnCtx {

@@ -23,14 +23,6 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// All backends.
-    pub const ALL: [Backend; 4] = [
-        Backend::Container,
-        Backend::MicroVm,
-        Backend::Wasm,
-        Backend::Unikernel,
-    ];
-
     /// Cost of crossing the isolation boundary once (Table 1 rows
     /// "Linux system call" / "KVM Hypervisor call" / "WebAssembly call").
     pub fn call_overhead(self) -> Duration {
@@ -43,7 +35,7 @@ impl Backend {
 
     /// Time to bring a fresh instance up (image pull amortized away;
     /// boot + runtime init).
-    pub fn cold_start(self) -> Duration {
+    pub(crate) fn cold_start(self) -> Duration {
         match self {
             Backend::Container => Duration::from_millis(250),
             Backend::MicroVm => Duration::from_millis(125),
@@ -63,7 +55,12 @@ impl Backend {
     ///
     /// Pure integer/float arithmetic over the arguments — deterministic,
     /// no clock or RNG involved.
-    pub fn prewarm_depth(self, rate_per_sec: f64, service: Duration, headroom: f64) -> usize {
+    pub(crate) fn prewarm_depth(
+        self,
+        rate_per_sec: f64,
+        service: Duration,
+        headroom: f64,
+    ) -> usize {
         if rate_per_sec <= 0.0 {
             return 0;
         }
@@ -79,21 +76,18 @@ impl Backend {
             depth.ceil() as usize
         }
     }
-
-    /// Table-1-style row label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::Container => "container (syscall boundary)",
-            Backend::MicroVm => "microVM (hypervisor boundary)",
-            Backend::Wasm => "WebAssembly sandbox",
-            Backend::Unikernel => "unikernel (hypervisor boundary)",
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const ALL: [Backend; 4] = [
+        Backend::Container,
+        Backend::MicroVm,
+        Backend::Wasm,
+        Backend::Unikernel,
+    ];
 
     #[test]
     fn table1_call_overheads() {
@@ -107,7 +101,7 @@ mod tests {
 
     #[test]
     fn wasm_is_cheapest_boundary_and_fastest_boot() {
-        for b in Backend::ALL {
+        for b in ALL {
             assert!(Backend::Wasm.call_overhead() <= b.call_overhead());
             assert!(Backend::Wasm.cold_start() <= b.cold_start());
         }
@@ -133,7 +127,7 @@ mod tests {
     #[test]
     fn cold_starts_dwarf_call_overheads() {
         // The asymmetry that makes warm pools worth modeling.
-        for b in Backend::ALL {
+        for b in ALL {
             assert!(b.cold_start() > b.call_overhead() * 1000, "{b:?}");
         }
     }

@@ -13,7 +13,7 @@
 //!   implementation [`function::Variant`]s (CPU / GPU / TPU / Wasm), the
 //!   "multiple implementations of the same function ... allowing an
 //!   optimizer to choose dynamically among them" (§3.1),
-//! * [`registry::FunctionRegistry`] — host-side function bodies plus the
+//! * `registry::FunctionRegistry` — host-side function bodies plus the
 //!   INFaaS-style variant optimizer ([`registry::Goal`]),
 //! * [`cluster::ClusterState`] — cluster-wide resource accounting,
 //! * [`scheduler`] — placement policies (naive, locality/co-location,
@@ -45,6 +45,6 @@ pub use cluster::ClusterState;
 pub use function::{DataPlane, FnCtx, FunctionImage, Variant, WorkModel};
 pub use graph::TaskGraph;
 pub use isolation::Backend;
-pub use registry::{FunctionRegistry, Goal};
+pub use registry::Goal;
 pub use runtime::Runtime;
 pub use scheduler::PlacementPolicy;

@@ -34,13 +34,13 @@ pub enum Goal {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// USD per CPU-core-second.
-    pub cpu_core_s: f64,
+    pub(crate) cpu_core_s: f64,
     /// USD per GPU-second.
-    pub gpu_s: f64,
+    pub(crate) gpu_s: f64,
     /// USD per TPU-second.
-    pub tpu_s: f64,
+    pub(crate) tpu_s: f64,
     /// USD per GiB-second of memory.
-    pub mem_gib_s: f64,
+    pub(crate) mem_gib_s: f64,
 }
 
 impl Default for CostModel {
@@ -184,23 +184,23 @@ fn ordered(v: f64) -> u64 {
 
 /// The host-side body table: image name → executable closure.
 #[derive(Clone, Default)]
-pub struct FunctionRegistry {
+pub(crate) struct FunctionRegistry {
     bodies: FxHashMap<String, FunctionBody>,
 }
 
 impl FunctionRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Registers (or replaces) the body for `name`.
-    pub fn register(&mut self, name: &str, body: FunctionBody) {
+    pub(crate) fn register(&mut self, name: &str, body: FunctionBody) {
         self.bodies.insert(name.to_owned(), body);
     }
 
     /// Looks a body up.
-    pub fn body(&self, name: &str) -> Result<FunctionBody, PcsiError> {
+    pub(crate) fn body(&self, name: &str) -> Result<FunctionBody, PcsiError> {
         self.bodies
             .get(name)
             .cloned()
@@ -208,7 +208,7 @@ impl FunctionRegistry {
     }
 
     /// Registered names, sorted.
-    pub fn names(&self) -> Vec<String> {
+    pub(crate) fn names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.bodies.keys().cloned().collect();
         v.sort_unstable();
         v

@@ -37,7 +37,9 @@ use pcsi_obs::{Journal, JournalExt, Telemetry};
 use pcsi_sim::{SimHandle, SimTime};
 use pcsi_trace::Tracer;
 
-use crate::autoscale::{AutoscaleConfig, PrewarmEdge, RateEstimator};
+use crate::autoscale::{
+    AutoscaleConfig, PrewarmEdge, RateEstimator, MAX_ACTIONS_PER_SCAN, STEAL_HIGH, STEAL_LOW,
+};
 use crate::cluster::ClusterState;
 use crate::function::{DataPlane, FnCtx, FunctionImage, Variant};
 use crate::graph::{StageSpec, TaskGraph};
@@ -92,7 +94,7 @@ struct KeyState {
     target: usize,
 }
 
-/// A reserved instance slot (see [`Runtime::reserve`]).
+/// A reserved instance slot (see [`Runtime::reserve_placed`]).
 ///
 /// Holding a lease means either a warm instance was taken out of the
 /// pool or resources were allocated for a cold boot; `run_lease` turns it
@@ -123,12 +125,6 @@ impl Lease {
     /// True if running this lease will pay a cold start.
     pub fn is_cold(&self) -> bool {
         self.cold_start
-    }
-
-    /// True if the slot was scavenged (the instance can be preempted
-    /// once it returns to the warm pool).
-    pub fn is_preemptible(&self) -> bool {
-        self.preemptible
     }
 
     /// Disarms the drop guard and decomposes the lease; the caller takes
@@ -402,7 +398,7 @@ impl Runtime {
         hint: Option<NodeId>,
     ) -> Result<(InvokeResponse, NodeId), PcsiError> {
         let lease = self.reserve_placed(image, variant, hint)?;
-        self.run_lease(lease, image, variant, req, data).await
+        self.run_lease(lease, image, variant, req, data, None).await
     }
 
     /// Invokes a specific variant on a specific node (graph executors use
@@ -417,7 +413,7 @@ impl Runtime {
     ) -> Result<(InvokeResponse, NodeId), PcsiError> {
         self.note_arrival(image, variant);
         let lease = self.reserve_classed(image, variant, node, false)?;
-        self.run_lease(lease, image, variant, req, data).await
+        self.run_lease(lease, image, variant, req, data, None).await
     }
 
     /// Reserves an instance slot on `node` **synchronously**: a warm
@@ -425,21 +421,12 @@ impl Runtime {
     /// cold boot. Because no `await` separates the placement decision
     /// from the reservation, callers that place-then-reserve in one
     /// synchronous section cannot race each other onto the same slot.
+    /// `preemptible` is the capacity class for a cold boot: warm
+    /// instances keep the class they were born with.
     ///
     /// The lease is normally passed to [`Runtime::run_lease`] (which
     /// releases it into the warm pool afterwards); a dropped lease
     /// releases its allocation back to the cluster instead.
-    pub fn reserve(
-        &self,
-        image: &FunctionImage,
-        variant: &Variant,
-        node: NodeId,
-    ) -> Result<Lease, PcsiError> {
-        self.reserve_classed(image, variant, node, false)
-    }
-
-    /// [`Runtime::reserve`] with a capacity class for cold boots: warm
-    /// instances keep the class they were born with.
     fn reserve_classed(
         &self,
         image: &FunctionImage,
@@ -611,22 +598,10 @@ impl Runtime {
             .record_arrival();
     }
 
-    /// Runs an invocation on a reserved lease.
+    /// Runs an invocation on a reserved lease. With an incoming trace
+    /// context the cold-start wait and the body execution record as child
+    /// spans.
     pub async fn run_lease(
-        &self,
-        lease: Lease,
-        image: &FunctionImage,
-        variant: &Variant,
-        req: InvokeRequest,
-        data: Rc<dyn DataPlane>,
-    ) -> Result<(InvokeResponse, NodeId), PcsiError> {
-        self.run_lease_traced(lease, image, variant, req, data, None)
-            .await
-    }
-
-    /// [`Runtime::run_lease`] with an incoming trace context: the
-    /// cold-start wait and the body execution record as child spans.
-    pub async fn run_lease_traced(
         &self,
         lease: Lease,
         image: &FunctionImage,
@@ -830,9 +805,7 @@ impl Runtime {
                     for key in keys {
                         let st = scaler.get_mut(&key).expect("key just listed");
                         st.est.tick(dt, alpha, idle_limit);
-                        let target = st
-                            .est
-                            .target(st.variant.backend, cfg.headroom, cfg.max_pool);
+                        let target = st.est.target(st.variant.backend);
                         st.target = target;
                         if target > 0 {
                             plans.push((key, st.variant.clone(), target));
@@ -840,7 +813,7 @@ impl Runtime {
                     }
                 }
                 for (key, variant, target) in plans {
-                    if actions >= cfg.max_actions_per_scan {
+                    if actions >= MAX_ACTIONS_PER_SCAN {
                         break;
                     }
                     let have = {
@@ -854,7 +827,7 @@ impl Runtime {
                         warm + booting
                     };
                     for _ in have..target {
-                        if actions >= cfg.max_actions_per_scan
+                        if actions >= MAX_ACTIONS_PER_SCAN
                             || !Self::prewarm_one(&inner, &key, &variant)
                         {
                             break;
@@ -862,7 +835,7 @@ impl Runtime {
                         actions += 1;
                     }
                 }
-                Self::rebalance_pass(&inner, &cfg, &mut actions);
+                Self::rebalance_pass(&inner, &mut actions);
             }
         });
     }
@@ -923,8 +896,8 @@ impl Runtime {
     /// high watermark onto the least-utilized node below the low
     /// watermark, one at a time until watermarks hold or the action
     /// budget runs out. The moved instance re-boots on its new node.
-    fn rebalance_pass(inner: &Rc<Inner>, cfg: &AutoscaleConfig, actions: &mut usize) {
-        while *actions < cfg.max_actions_per_scan {
+    fn rebalance_pass(inner: &Rc<Inner>, actions: &mut usize) {
+        while *actions < MAX_ACTIONS_PER_SCAN {
             // Newest-idle instance on any overloaded node (deterministic
             // tie-break on key then node, independent of map order).
             let mut cand: Option<(SimTime, PoolKey, NodeId)> = None;
@@ -932,7 +905,7 @@ impl Runtime {
                 let pools = inner.pools.borrow();
                 for (key, pool) in pools.iter() {
                     for w in pool {
-                        if inner.cluster.node_utilization(w.node) <= cfg.steal_high {
+                        if inner.cluster.node_utilization(w.node) <= STEAL_HIGH {
                             continue;
                         }
                         let better = match &cand {
@@ -965,7 +938,7 @@ impl Runtime {
                 .into_iter()
                 .filter(|&n| {
                     n != node
-                        && inner.cluster.node_utilization(n) < cfg.steal_low
+                        && inner.cluster.node_utilization(n) < STEAL_LOW
                         && inner.cluster.fits(n, &victim.demand)
                 })
                 .min_by(|a, b| {

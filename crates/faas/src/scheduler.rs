@@ -42,14 +42,14 @@ pub struct PlacementRequest {
 
 /// A placement decision together with its capacity class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placed {
+pub(crate) struct Placed {
     /// The chosen node.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// True if the slot was scavenged from consolidated spare capacity
     /// rather than provisioned intentionally: the instance should be
     /// tagged preemptible so a provisioned placement that later finds no
     /// room can reclaim it (§4.2).
-    pub scavenged: bool,
+    pub(crate) scavenged: bool,
 }
 
 /// Picks a node under `policy`; `None` if nothing fits.
@@ -67,7 +67,7 @@ pub fn place(
 /// placements (the `Scavenge` policy, or `Locality` falling through to
 /// its consolidating step 4) are marked `scavenged` so the runtime can
 /// tag the instance preemptible.
-pub fn place_classed(
+pub(crate) fn place_classed(
     cluster: &ClusterState,
     policy: PlacementPolicy,
     req: &PlacementRequest,
@@ -262,7 +262,8 @@ mod tests {
 
     #[test]
     fn gpu_demand_only_lands_on_gpu_nodes() {
-        let c = ClusterState::new(&Topology::heterogeneous(2, 2));
+        let topology = Topology::heterogeneous(2, 2);
+        let c = ClusterState::new(&topology);
         let gpu_req = PlacementRequest {
             demand: Resources {
                 cpu: 1,
@@ -279,7 +280,10 @@ mod tests {
             PlacementPolicy::Locality,
         ] {
             let n = place(&c, policy, &gpu_req).unwrap();
-            assert!(c.capacity(n).gpu > 0, "{policy:?} placed GPU work on {n}");
+            assert!(
+                topology.spec(n).capacity.gpu > 0,
+                "{policy:?} placed GPU work on {n}"
+            );
         }
     }
 }

@@ -51,11 +51,16 @@ impl DataPlane for NoData {
     }
 }
 
+/// 16 seeds unless `FAAS_SEEDS` says otherwise; a value that is set but
+/// is not a count panics, so a typo cannot shrink a sweep silently.
 fn seed_count() -> u64 {
-    std::env::var("FAAS_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16)
+    match std::env::var("FAAS_SEEDS") {
+        Err(_) => 16,
+        Ok(s) => s
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("FAAS_SEEDS={s:?} is not a seed count")),
+    }
 }
 
 /// One full scenario on one seed; panics (with the seed in the message)

@@ -39,7 +39,7 @@ impl DeviceRegistry {
     }
 
     /// Registered class names, sorted.
-    pub fn classes(&self) -> Vec<String> {
+    pub(crate) fn classes(&self) -> Vec<String> {
         let mut v: Vec<String> = self.handlers.keys().cloned().collect();
         v.sort_unstable();
         v

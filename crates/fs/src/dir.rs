@@ -73,7 +73,7 @@ impl Directory {
 
     /// Validates an entry name: non-empty, no `/`, not `.` or `..`, and
     /// at most 255 bytes.
-    pub fn validate_name(name: &str) -> Result<(), PcsiError> {
+    pub(crate) fn validate_name(name: &str) -> Result<(), PcsiError> {
         if name.is_empty() || name == "." || name == ".." {
             return Err(PcsiError::BadPayload(format!(
                 "invalid directory entry name {name:?}"
@@ -128,16 +128,6 @@ impl Directory {
     /// Iterates `(name, entry)` in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &DirEntry)> {
         self.entries.iter().map(|(n, e)| (n.as_str(), e))
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if there are no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Ids of all non-whiteout targets (GC edge set).
@@ -232,7 +222,7 @@ mod tests {
         assert_eq!(d.get("a").unwrap().id, oid(2));
         d.unlink("a").unwrap();
         assert!(matches!(d.unlink("a"), Err(PcsiError::NameNotFound(_))));
-        assert!(d.is_empty());
+        assert!(d.names().is_empty());
     }
 
     #[test]
@@ -303,6 +293,5 @@ mod tests {
             d.link(name, DirEntry::new(oid(1), Rights::READ)).unwrap();
         }
         assert_eq!(d.names(), vec!["alpha", "mid", "zeta"]);
-        assert_eq!(d.len(), 3);
     }
 }

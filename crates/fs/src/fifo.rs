@@ -160,16 +160,6 @@ impl FifoQueue {
         }
     }
 
-    /// True once [`FifoQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.borrow().closed
-    }
-
-    /// The capacity bound, or `None` for unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.state.borrow().capacity
-    }
-
     /// Queued message count.
     pub fn len(&self) -> usize {
         self.state.borrow().queue.len()
@@ -301,7 +291,6 @@ mod tests {
         f.push(Bytes::from_static(b"last")).unwrap();
         f.close();
         assert!(f.push(Bytes::from_static(b"x")).is_err());
-        assert!(f.is_closed());
         assert_eq!(f.try_pop().unwrap(), Bytes::from_static(b"last"));
         assert!(f.try_pop().is_none());
     }

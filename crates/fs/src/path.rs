@@ -51,18 +51,6 @@ pub fn join(segments: &[String]) -> String {
     segments.join("/")
 }
 
-/// Splits a path into `(parent_segments, leaf)`; errors if the path has
-/// no leaf (empty after normalization).
-pub fn split_parent(path: &str) -> Result<(Vec<String>, String), PcsiError> {
-    let mut segs = split(path)?;
-    match segs.pop() {
-        Some(leaf) => Ok((segs, leaf)),
-        None => Err(PcsiError::BadPayload(format!(
-            "path {path:?} has no leaf component"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,18 +70,6 @@ mod tests {
         assert!(split("").unwrap().is_empty());
         assert!(split(".").unwrap().is_empty());
         assert!(split("///").unwrap().is_empty());
-    }
-
-    #[test]
-    fn parent_split() {
-        let (parent, leaf) = split_parent("a/b/c").unwrap();
-        assert_eq!(parent, vec!["a", "b"]);
-        assert_eq!(leaf, "c");
-        let (parent, leaf) = split_parent("solo").unwrap();
-        assert!(parent.is_empty());
-        assert_eq!(leaf, "solo");
-        assert!(split_parent("").is_err());
-        assert!(split_parent("./").is_err());
     }
 
     #[test]

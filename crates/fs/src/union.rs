@@ -33,20 +33,6 @@ impl UnionDir {
         }
     }
 
-    /// Number of layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// The top (writable) layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the union has no layers.
-    pub fn top(&self) -> &Directory {
-        self.layers.first().expect("union has no layers")
-    }
-
     /// Resolves `name` through the layers.
     ///
     /// Returns `None` if absent or hidden by a whiteout.
@@ -194,7 +180,7 @@ mod tests {
         u.unlink("scratch").unwrap();
         assert!(u.get("scratch").is_none());
         // No whiteout needed: nothing below to hide.
-        assert!(u.top().get("scratch").is_none());
+        assert!(u.into_top().get("scratch").is_none());
     }
 
     #[test]

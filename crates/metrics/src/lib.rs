@@ -3,7 +3,7 @@
 //! A [`Metrics`] registry holds typed families of [`Counter`]s,
 //! [`Gauge`]s and log₂-bucketed [`Histogram`]s, each family fanned out
 //! into label-distinguished series with **bounded cardinality**
-//! ([`MAX_SERIES_PER_FAMILY`]). A registry renders to a stable text
+//! (`MAX_SERIES_PER_FAMILY`). A registry renders to a stable text
 //! [`Metrics::render`] snapshot — families sorted by name, series sorted
 //! by canonical label string, every value an integer — so the same
 //! sequence of recordings produces byte-identical output and a
@@ -18,8 +18,7 @@
 //! allocation, no label formatting, and the crate draws **no RNG at
 //! all**, so enabling or disabling metrics can never perturb a seeded
 //! simulation. Label values that exist only per event are formatted
-//! inside the enabled branch (see [`MetricsExt::with`], the
-//! closure-deferred form), never eagerly.
+//! inside the enabled branch, never eagerly.
 //!
 //! Handles are plain `Rc<Cell>`s, so a component may also create them
 //! *detached* (e.g. [`Counter::new`]) and keep counting whether or not a
@@ -32,8 +31,8 @@
 //! # Histograms
 //!
 //! [`Histogram`] uses an HDR-style scheme: values below
-//! [`SUB_BUCKETS`] get exact unit buckets; above, a power-of-two major
-//! bucket is split into [`SUB_BUCKETS`] linear sub-buckets,
+//! `SUB_BUCKETS` get exact unit buckets; above, a power-of-two major
+//! bucket is split into `SUB_BUCKETS` linear sub-buckets,
 //! bounding the relative quantization error by `1/SUB_BUCKETS` ≈ 3%.
 //! Quantile queries ([`Histogram::quantile`], [`Histogram::quantiles`])
 //! return the **lower edge** of the bucket holding the target rank, so
@@ -49,7 +48,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 /// Linear sub-buckets per power-of-two bucket (relative error ≤ 1/32).
-pub const SUB_BUCKETS: usize = 32;
+pub(crate) const SUB_BUCKETS: usize = 32;
 const SUB_BITS: u32 = 5;
 const N_BUCKETS: usize = 64 * SUB_BUCKETS;
 
@@ -58,14 +57,14 @@ const N_BUCKETS: usize = 64 * SUB_BUCKETS;
 /// A metrics pipeline must not let an unbounded label (object ids, peer
 /// addresses) exhaust memory; past this bound new label sets record into
 /// a detached cell and the family counts them in its `dropped` line.
-pub const MAX_SERIES_PER_FAMILY: usize = 64;
+pub(crate) const MAX_SERIES_PER_FAMILY: usize = 64;
 
 /// The self-monitoring family counting label sets refused by the
 /// cardinality bound, one series per overflowing family
 /// (`metrics.dropped_series{family="<name>"}`). Registered lazily on the
 /// first drop so drop-free snapshots are byte-identical to snapshots
 /// rendered before this family existed.
-pub const DROPPED_SERIES_FAMILY: &str = "metrics.dropped_series";
+pub(crate) const DROPPED_SERIES_FAMILY: &str = "metrics.dropped_series";
 
 /// A monotone event counter (`Rc<Cell<u64>>`; clone to share).
 #[derive(Clone, Debug, Default)]
@@ -107,11 +106,6 @@ impl Gauge {
         Self::default()
     }
 
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.value.set(v);
-    }
-
     /// Adds `n` (may be negative).
     pub fn add(&self, n: i64) {
         self.value.set(self.value.get() + n);
@@ -129,7 +123,7 @@ impl Gauge {
 /// bucket", so only the hot tail of buckets needs representation; the
 /// bound keeps a histogram's footprint independent of how many distinct
 /// buckets a long run touches.
-pub const MAX_EXEMPLARS: usize = 64;
+pub(crate) const MAX_EXEMPLARS: usize = 64;
 
 /// One retained `(trace, value)` sample for a histogram bucket — the
 /// join key from a metric back into the `TraceSink` (see `pcsi-obs`).
@@ -280,7 +274,7 @@ impl Histogram {
     }
 
     /// Smallest recorded value (0 if empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.inner.count.get() == 0 {
             0
         } else {
@@ -289,7 +283,7 @@ impl Histogram {
     }
 
     /// Largest recorded value.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.inner.max.get()
     }
 
@@ -339,7 +333,7 @@ impl Histogram {
     /// tracing being enabled *and* the surrounding span being sampled —
     /// [`Histogram::record`] itself never stores exemplars, so runs
     /// without tracing are byte-identical to runs before exemplars
-    /// existed. When more than [`MAX_EXEMPLARS`] buckets hold exemplars
+    /// existed. When more than `MAX_EXEMPLARS` buckets hold exemplars
     /// the one with the oldest sequence number is evicted
     /// (deterministic: ties cannot occur, seq is unique per histogram).
     pub fn exemplar(&self, value: u64, trace: u64) {
@@ -364,7 +358,8 @@ impl Histogram {
     }
 
     /// All retained exemplars, ordered by bucket (ascending value).
-    pub fn exemplars(&self) -> Vec<Exemplar> {
+    #[cfg(test)]
+    pub(crate) fn exemplars(&self) -> Vec<Exemplar> {
         self.inner.exemplars.borrow().values().copied().collect()
     }
 
@@ -394,20 +389,6 @@ impl Histogram {
             p999: self.quantile(0.999),
             max: self.max(),
         }
-    }
-
-    /// Removes all recorded values.
-    pub fn reset(&self) {
-        self.inner
-            .buckets
-            .borrow_mut()
-            .iter_mut()
-            .for_each(|b| *b = 0);
-        self.inner.count.set(0);
-        self.inner.sum.set(0);
-        self.inner.min.set(u64::MAX);
-        self.inner.max.set(0);
-        self.inner.exemplars.borrow_mut().clear();
     }
 }
 
@@ -539,7 +520,8 @@ impl Metrics {
     }
 
     /// Gets or creates the gauge series `name{labels}`.
-    pub fn gauge(&self, name: &'static str, labels: &[(&str, &str)]) -> Gauge {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, name: &'static str, labels: &[(&str, &str)]) -> Gauge {
         match self.get_or_insert(name, labels, || Series::Gauge(Gauge::new())) {
             Series::Gauge(g) => g,
             other => panic!("metric family {name:?} is a {}, not a gauge", other.kind()),
@@ -567,11 +549,6 @@ impl Metrics {
     /// Publishes an existing gauge cell as `name{labels}`.
     pub fn bind_gauge(&self, name: &'static str, labels: &[(&str, &str)], gauge: &Gauge) {
         self.get_or_insert(name, labels, || Series::Gauge(gauge.clone()));
-    }
-
-    /// Publishes an existing histogram as `name{labels}`.
-    pub fn bind_histogram(&self, name: &'static str, labels: &[(&str, &str)], histo: &Histogram) {
-        self.get_or_insert(name, labels, || Series::Histogram(histo.clone()));
     }
 
     /// Read-only series lookup by runtime name (no `&'static` needed and
@@ -648,12 +625,6 @@ impl Metrics {
             ));
         }
         out
-    }
-
-    /// FNV-1a fingerprint of [`Metrics::render`] — the value determinism
-    /// tests pin per seed.
-    pub fn fingerprint(&self) -> u64 {
-        fingerprint(&self.render())
     }
 }
 
@@ -756,22 +727,6 @@ pub fn apply_delta(prev: &str, delta: &str) -> String {
     out
 }
 
-/// The closure-deferred call-site sugar for `Option<Metrics>` holders:
-/// `metrics.with(|m| …)` runs only when enabled, so label formatting and
-/// handle lookups inside the closure cost nothing when disabled.
-pub trait MetricsExt {
-    /// Runs `f` against the registry if metrics are enabled.
-    fn with(&self, f: impl FnOnce(&Metrics));
-}
-
-impl MetricsExt for Option<Metrics> {
-    fn with(&self, f: impl FnOnce(&Metrics)) {
-        if let Some(m) = self {
-            f(m);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -786,7 +741,7 @@ mod tests {
         assert_eq!(a.get(), 3);
 
         let g = m.gauge("x.depth", &[]);
-        g.set(5);
+        g.add(5);
         g.add(-2);
         assert_eq!(m.gauge("x.depth", &[]).get(), 3);
     }
@@ -907,8 +862,6 @@ mod tests {
         assert_eq!(h.exemplar_ge(0).unwrap().trace, 0xcccc);
         assert_eq!(h.exemplar_ge(200).unwrap().trace, 0xcccc);
         assert!(h.exemplar_ge(10_000).is_none());
-        h.reset();
-        assert!(h.exemplars().is_empty());
     }
 
     #[test]
@@ -986,11 +939,6 @@ mod tests {
         let f = h.fraction_le(500);
         assert!((0.45..=0.55).contains(&f), "fraction_le(500) = {f}");
         assert_eq!(h.fraction_le(u64::MAX), 1.0);
-
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.fraction_le(1), 1.0);
     }
 
     #[test]
@@ -1036,20 +984,10 @@ mod tests {
     }
 
     #[test]
-    fn with_runs_only_when_enabled() {
-        let none: Option<Metrics> = None;
-        none.with(|_| panic!("must not run disabled"));
-        let some = Some(Metrics::new());
-        let mut ran = false;
-        some.with(|_| ran = true);
-        assert!(ran);
-    }
-
-    #[test]
     fn delta_of_identical_snapshots_is_empty() {
         let m = Metrics::new();
         m.counter("a.ops", &[]).add(3);
-        m.gauge("b.depth", &[]).set(7);
+        m.gauge("b.depth", &[]).add(7);
         let snap = m.render();
         assert_eq!(delta(&snap, &snap), "");
         assert_eq!(apply_delta(&snap, ""), snap);
@@ -1060,7 +998,7 @@ mod tests {
         let m = Metrics::new();
         let hot = m.counter("a.hot", &[("node", "0")]);
         m.counter("a.cold", &[]).add(9);
-        m.gauge("b.depth", &[]).set(1);
+        m.gauge("b.depth", &[]).add(1);
         let prev = m.render();
         hot.add(5);
         let cur = m.render();

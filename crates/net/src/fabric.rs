@@ -36,7 +36,7 @@ pub const RDMA_OVERHEAD: Duration = Duration::from_nanos(300);
 /// How long a sender waits before declaring a silently-lost message dead.
 /// Dropped messages surface as [`NetError::Dropped`] after this timeout,
 /// so callers observe loss as latency, the way a real RTO behaves.
-pub const RETRANSMIT_TIMEOUT: Duration = Duration::from_millis(2);
+pub(crate) const RETRANSMIT_TIMEOUT: Duration = Duration::from_millis(2);
 
 /// Seeded message-level fault probabilities for a link (or the whole
 /// fabric). Layered *under* the crash/partition API: crashes and
@@ -45,7 +45,7 @@ pub const RETRANSMIT_TIMEOUT: Duration = Duration::from_millis(2);
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MessageFaults {
     /// Probability a message is silently lost. The sender burns
-    /// [`RETRANSMIT_TIMEOUT`] and then observes [`NetError::Dropped`].
+    /// `RETRANSMIT_TIMEOUT` and then observes [`NetError::Dropped`].
     pub drop: f64,
     /// Probability an RPC request is delivered (and executed) twice.
     /// Models at-least-once delivery; handlers must be idempotent.
@@ -66,7 +66,7 @@ impl MessageFaults {
     };
 
     /// True when any probability is non-zero (i.e. RNG draws are needed).
-    pub fn active(&self) -> bool {
+    pub(crate) fn active(&self) -> bool {
         self.drop > 0.0 || self.duplicate > 0.0 || self.delay_spike > 0.0
     }
 }
@@ -90,7 +90,7 @@ pub enum Transport {
 
 impl Transport {
     /// Per-endpoint processing overhead.
-    pub fn endpoint_overhead(self) -> Duration {
+    pub(crate) fn endpoint_overhead(self) -> Duration {
         match self {
             Transport::Tcp => SOCKET_OVERHEAD,
             Transport::Rdma => RDMA_OVERHEAD,
@@ -107,8 +107,6 @@ pub enum NetError {
     Partitioned(NodeId, NodeId),
     /// No service with that name is bound on the destination.
     NoService(String),
-    /// The peer closed the connection.
-    Closed,
     /// The message was silently lost; the sender gave up after the
     /// retransmission timeout.
     Dropped(NodeId, NodeId),
@@ -125,7 +123,6 @@ impl fmt::Display for NetError {
             NetError::NodeDown(n) => write!(f, "node {n} is down"),
             NetError::Partitioned(a, b) => write!(f, "network partition between {a} and {b}"),
             NetError::NoService(s) => write!(f, "no service {s:?} bound"),
-            NetError::Closed => f.write_str("connection closed"),
             NetError::Dropped(a, b) => write!(f, "message from {a} to {b} dropped"),
             NetError::Remote(m) => write!(f, "remote error: {m}"),
             NetError::DeadlineExceeded => f.write_str("call deadline exceeded"),
@@ -598,52 +595,6 @@ impl Fabric {
         .await;
         raced.unwrap_or(Err(NetError::DeadlineExceeded))
     }
-
-    /// [`Fabric::call_traced`] raced against a deadline; the same
-    /// ambiguity caveats as [`Fabric::call_with_deadline`] apply.
-    #[allow(clippy::too_many_arguments)]
-    pub async fn call_with_deadline_traced(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        service: &str,
-        transport: Transport,
-        payload: Bytes,
-        deadline: Duration,
-        trace: Option<pcsi_trace::TraceContext>,
-    ) -> Result<Bytes, NetError> {
-        let fabric = self.clone();
-        let service = service.to_owned();
-        let raced = pcsi_sim::util::deadline(&self.inner.handle, deadline, async move {
-            fabric
-                .call_traced(from, to, &service, transport, payload, trace)
-                .await
-        })
-        .await;
-        raced.unwrap_or(Err(NetError::DeadlineExceeded))
-    }
-
-    /// Opens a connection (TCP handshake: 1.5 RTT); subsequent round trips
-    /// on the connection skip the handshake, modeling connection reuse.
-    pub async fn connect(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        service: &str,
-    ) -> Result<Connection, NetError> {
-        self.check_reachable(from, to)?;
-        let hop = self.inner.topology.hop_class(from, to);
-        let one_way = self.inner.latency.base_one_way(hop);
-        // SYN, SYN-ACK, ACK piggybacked on first data: 1.5 RTT ≈ 3 one-way.
-        self.inner.handle.sleep(one_way * 3).await;
-        Ok(Connection {
-            fabric: self.clone(),
-            from,
-            to,
-            service: service.to_owned(),
-            open: std::cell::Cell::new(true),
-        })
-    }
 }
 
 fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -651,38 +602,6 @@ fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
         (a, b)
     } else {
         (b, a)
-    }
-}
-
-/// An established TCP-like connection to a service.
-pub struct Connection {
-    fabric: Fabric,
-    from: NodeId,
-    to: NodeId,
-    service: String,
-    open: std::cell::Cell<bool>,
-}
-
-impl Connection {
-    /// The remote node.
-    pub fn peer(&self) -> NodeId {
-        self.to
-    }
-
-    /// Sends a request and awaits the response on this connection.
-    pub async fn roundtrip(&self, payload: Bytes) -> Result<Bytes, NetError> {
-        if !self.open.get() {
-            return Err(NetError::Closed);
-        }
-        self.fabric
-            .call(self.from, self.to, &self.service, Transport::Tcp, payload)
-            .await
-    }
-
-    /// Closes the connection; further round trips fail with
-    /// [`NetError::Closed`].
-    pub fn close(&self) {
-        self.open.set(false);
     }
 }
 
@@ -1165,24 +1084,5 @@ mod tests {
             }
         });
         assert_eq!(err, NetError::NoService("ghost".into()));
-    }
-
-    #[test]
-    fn connection_reuse_and_close() {
-        let mut sim = Sim::new(1);
-        let fabric = build(&sim, NetworkGeneration::Dc2021);
-        fabric.bind(NodeId(2), "svc", echo_handler());
-        let (first, closed) = sim.block_on({
-            let fabric = fabric.clone();
-            async move {
-                let conn = fabric.connect(NodeId(0), NodeId(2), "svc").await.unwrap();
-                let first = conn.roundtrip(Bytes::from_static(b"a")).await;
-                conn.close();
-                let closed = conn.roundtrip(Bytes::from_static(b"b")).await;
-                (first, closed)
-            }
-        });
-        assert!(first.is_ok());
-        assert_eq!(closed.unwrap_err(), NetError::Closed);
     }
 }

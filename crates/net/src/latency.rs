@@ -43,7 +43,7 @@ impl NetworkGeneration {
     }
 
     /// NIC line rate in bytes per second.
-    pub fn bandwidth_bps(self) -> u64 {
+    pub(crate) fn bandwidth_bps(self) -> u64 {
         match self {
             NetworkGeneration::Dc2005 => 1_000_000_000 / 8,
             NetworkGeneration::Dc2021 => 25_000_000_000 / 8,
@@ -97,7 +97,7 @@ impl LatencyModel {
     /// Cross-rack is RTT/2 by definition; in-rack traffic skips the spine
     /// (0.4×); local delivery models a kernel loopback at 1% of the
     /// cross-rack time, floored at 200 ns.
-    pub fn base_one_way(&self, hop: HopClass) -> Duration {
+    pub(crate) fn base_one_way(&self, hop: HopClass) -> Duration {
         let cross = self.generation.rtt() / 2;
         match hop {
             HopClass::CrossRack => cross,
@@ -107,13 +107,13 @@ impl LatencyModel {
     }
 
     /// Serialization (wire) time for a payload at line rate.
-    pub fn serialization(&self, bytes: usize) -> Duration {
+    pub(crate) fn serialization(&self, bytes: usize) -> Duration {
         let bps = self.generation.bandwidth_bps();
         Duration::from_nanos((bytes as u64).saturating_mul(1_000_000_000) / bps)
     }
 
     /// One-way delay with jitter for a message of `bytes` over `hop`.
-    pub fn one_way(&self, hop: HopClass, bytes: usize, rng: &DetRng) -> Duration {
+    pub(crate) fn one_way(&self, hop: HopClass, bytes: usize, rng: &DetRng) -> Duration {
         let base = self.base_one_way(hop);
         let jittered = if self.jitter_sigma > 0.0 {
             base.mul_f64(rng.lognormal(1.0, self.jitter_sigma))

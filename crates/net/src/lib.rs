@@ -27,5 +27,5 @@ pub mod topology;
 
 pub use fabric::{Fabric, MessageFaults, NetError, Transport};
 pub use latency::{LatencyModel, NetworkGeneration};
-pub use node::{NodeId, NodeSpec, ResourceKind};
+pub use node::{NodeId, NodeSpec};
 pub use topology::Topology;

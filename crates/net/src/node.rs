@@ -17,30 +17,7 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Classes of schedulable resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ResourceKind {
-    /// General-purpose CPU cores.
-    Cpu,
-    /// GPU devices.
-    Gpu,
-    /// TPU-style matrix accelerators (§4.3's "latest accelerator").
-    Tpu,
-    /// Memory, in GiB.
-    MemGib,
-}
-
-impl ResourceKind {
-    /// All resource kinds.
-    pub const ALL: [ResourceKind; 4] = [
-        ResourceKind::Cpu,
-        ResourceKind::Gpu,
-        ResourceKind::Tpu,
-        ResourceKind::MemGib,
-    ];
-}
-
-/// A resource vector: capacities or demands per [`ResourceKind`].
+/// A resource vector: capacities or demands per resource class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Resources {
     /// CPU cores.
@@ -130,7 +107,7 @@ pub struct NodeSpec {
 
 impl NodeSpec {
     /// A standard compute node: 32 cores, 128 GiB.
-    pub fn compute(rack: u32) -> Self {
+    pub(crate) fn compute(rack: u32) -> Self {
         NodeSpec {
             rack,
             capacity: Resources::cpu(32, 128),
@@ -138,7 +115,7 @@ impl NodeSpec {
     }
 
     /// A GPU node: 16 cores, 4 GPUs, 256 GiB.
-    pub fn gpu(rack: u32) -> Self {
+    pub(crate) fn gpu(rack: u32) -> Self {
         NodeSpec {
             rack,
             capacity: Resources {
@@ -152,7 +129,7 @@ impl NodeSpec {
 
     /// A TPU-pod node: 8 cores, 4 TPUs, 128 GiB (§4.3's specialized
     /// hardware platform).
-    pub fn tpu(rack: u32) -> Self {
+    pub(crate) fn tpu(rack: u32) -> Self {
         NodeSpec {
             rack,
             capacity: Resources {
@@ -162,11 +139,6 @@ impl NodeSpec {
                 mem_gib: 128,
             },
         }
-    }
-
-    /// True if the node has any accelerator.
-    pub fn has_accelerator(&self) -> bool {
-        self.capacity.gpu > 0 || self.capacity.tpu > 0
     }
 }
 
@@ -220,13 +192,6 @@ mod tests {
         assert!((used.utilization_of(&cap) - 1.0).abs() < 1e-12);
         let light = Resources::cpu(1, 1);
         assert!((light.utilization_of(&cap) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accelerator_detection() {
-        assert!(!NodeSpec::compute(0).has_accelerator());
-        assert!(NodeSpec::gpu(0).has_accelerator());
-        assert!(NodeSpec::tpu(0).has_accelerator());
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `nodes` is empty.
-    pub fn new(nodes: Vec<NodeSpec>) -> Self {
+    pub(crate) fn new(nodes: Vec<NodeSpec>) -> Self {
         assert!(!nodes.is_empty(), "topology needs at least one node");
         Topology { nodes }
     }
@@ -125,11 +125,6 @@ impl Topology {
             .map(|(id, _)| id)
             .collect()
     }
-
-    /// Number of distinct racks.
-    pub fn rack_count(&self) -> u32 {
-        self.nodes.iter().map(|s| s.rack).max().unwrap_or(0) + 1
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +135,6 @@ mod tests {
     fn uniform_layout() {
         let t = Topology::uniform(3, 4);
         assert_eq!(t.len(), 12);
-        assert_eq!(t.rack_count(), 3);
         assert_eq!(t.spec(NodeId(0)).rack, 0);
         assert_eq!(t.spec(NodeId(11)).rack, 2);
     }

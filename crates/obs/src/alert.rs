@@ -27,17 +27,6 @@ pub enum AlertState {
     Firing,
 }
 
-impl AlertState {
-    /// Lower-case stable name used in rendered transition lines.
-    pub fn name(self) -> &'static str {
-        match self {
-            AlertState::Ok => "ok",
-            AlertState::Pending => "pending",
-            AlertState::Firing => "firing",
-        }
-    }
-}
-
 /// A state-machine transition emitted by [`AlertMachine::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -53,7 +42,7 @@ pub enum Phase {
 
 impl Phase {
     /// Lower-case stable name used in rendered transition lines.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Phase::Pending => "pending",
             Phase::Firing => "firing",

@@ -23,12 +23,12 @@ use pcsi_sim::{DetRng, SimHandle};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Monotone per-journal sequence number (0-based, never reused).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Virtual time of the append, nanoseconds.
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     /// Seeded id from the `"obs-events"` stream — stable per seed, and
     /// usable as a correlation key across renders.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Which subsystem appended the record.
     pub layer: &'static str,
     /// The record type within the layer.
@@ -39,7 +39,7 @@ pub struct Event {
 
 impl Event {
     /// The one-line byte-stable rendering of this record.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let Event {
             seq,
             t_ns,
@@ -156,12 +156,6 @@ impl Journal {
             out.push('\n');
         }
         out
-    }
-
-    /// FNV-1a fingerprint of [`Journal::render`] (workspace constants) —
-    /// the value determinism tests pin per seed.
-    pub fn fingerprint(&self) -> u64 {
-        pcsi_metrics::fingerprint(&self.render())
     }
 }
 

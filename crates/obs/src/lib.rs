@@ -39,7 +39,7 @@ mod slo;
 
 pub use alert::{AlertMachine, AlertState, Phase};
 pub use journal::{Event, Journal, JournalExt};
-pub use slo::{AlertTransition, RuleKind, Selector, SloEngine, SloRule, WindowDiff};
+pub use slo::{AlertTransition, SloEngine, SloRule, WindowDiff};
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -147,16 +147,6 @@ impl Obs {
         lines
     }
 
-    /// Completed evaluation ticks.
-    pub fn ticks(&self) -> u64 {
-        self.inner.engine.borrow().ticks()
-    }
-
-    /// Current state of rule `name`.
-    pub fn state_of(&self, name: &str) -> Option<AlertState> {
-        self.inner.engine.borrow().state_of(name)
-    }
-
     /// The full alert transition log, one rendered line per transition,
     /// newline-terminated (empty string if nothing ever transitioned).
     pub fn alert_log(&self) -> String {
@@ -167,11 +157,6 @@ impl Obs {
         let mut out = log.join("\n");
         out.push('\n');
         out
-    }
-
-    /// FNV-1a fingerprint of [`Obs::alert_log`].
-    pub fn alert_log_fingerprint(&self) -> u64 {
-        pcsi_metrics::fingerprint(&self.alert_log())
     }
 }
 
@@ -209,13 +194,11 @@ mod tests {
         let lines = obs.tick(&m, 1_000_000_000);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("rule=burn phase=firing"), "{lines:?}");
-        assert_eq!(obs.state_of("burn"), Some(AlertState::Firing));
         assert!(obs
             .journal()
             .render()
             .contains("layer=obs kind=alert rule=burn phase=firing"));
         assert_eq!(obs.alert_log(), format!("{}\n", lines[0]));
-        assert_ne!(obs.alert_log_fingerprint(), pcsi_metrics::fingerprint(""));
     }
 
     #[test]

@@ -31,15 +31,15 @@ use std::time::Duration;
 
 use pcsi_metrics::{Exemplar, Metrics};
 
-use crate::alert::{AlertMachine, AlertState, Phase};
+use crate::alert::{AlertMachine, Phase};
 
 /// A series selector: family name plus an exact label set.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Selector {
+pub(crate) struct Selector {
     /// Metric family name.
-    pub family: String,
+    pub(crate) family: String,
     /// Exact label set (sorted on parse; must match the series).
-    pub labels: Vec<(String, String)>,
+    pub(crate) labels: Vec<(String, String)>,
 }
 
 impl Selector {
@@ -76,25 +76,11 @@ impl Selector {
             .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect()
     }
-
-    /// Round-trips the selector back to its grammar form
-    /// (`fam{k="v"}`), labels sorted.
-    pub fn render(&self) -> String {
-        if self.labels.is_empty() {
-            return self.family.clone();
-        }
-        let body: Vec<String> = self
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{v}\""))
-            .collect();
-        format!("{}{{{}}}", self.family, body.join(","))
-    }
 }
 
 /// What a rule watches.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RuleKind {
+pub(crate) enum RuleKind {
     /// `pQ(hist) < threshold over window`.
     Latency {
         /// Histogram series to watch.
@@ -129,13 +115,13 @@ pub enum RuleKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SloRule {
     /// Rule name (stable identifier in transitions and FIFO lines).
-    pub name: String,
+    pub(crate) name: String,
     /// What the rule watches.
-    pub kind: RuleKind,
+    pub(crate) kind: RuleKind,
     /// Consecutive breached ticks before firing.
-    pub for_ticks: u32,
+    pub(crate) for_ticks: u32,
     /// Consecutive clean ticks before resolving.
-    pub clear_ticks: u32,
+    pub(crate) clear_ticks: u32,
 }
 
 fn parse_duration(tok: &str) -> Result<Duration, String> {
@@ -388,17 +374,17 @@ struct RuleRuntime {
 #[derive(Debug, Clone)]
 pub struct AlertTransition {
     /// Evaluation tick (1-based).
-    pub tick: u64,
+    pub(crate) tick: u64,
     /// Virtual time of the tick, nanoseconds.
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     /// Rule name.
-    pub rule: String,
+    pub(crate) rule: String,
     /// Which lifecycle edge this is.
-    pub phase: Phase,
+    pub(crate) phase: Phase,
     /// Integer-rendered evidence (`ok=..`, `fast=..`, ...).
-    pub detail: String,
+    pub(crate) detail: String,
     /// The histogram exemplar at/above the threshold, if one exists.
-    pub exemplar: Option<Exemplar>,
+    pub(crate) exemplar: Option<Exemplar>,
 }
 
 impl AlertTransition {
@@ -465,19 +451,6 @@ impl SloEngine {
             })
             .collect();
         SloEngine { rules, tick: 0 }
-    }
-
-    /// Number of completed evaluation ticks.
-    pub fn ticks(&self) -> u64 {
-        self.tick
-    }
-
-    /// Current state of rule `name`, if it exists.
-    pub fn state_of(&self, name: &str) -> Option<AlertState> {
-        self.rules
-            .iter()
-            .find(|r| r.rule.name == name)
-            .map(|r| r.machine.state())
     }
 
     /// Evaluates every rule against the registry at virtual time

@@ -89,11 +89,16 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// 64 cases unless `PROPTEST_CASES` says otherwise; a value that is set
+/// but is not a count panics, so a typo cannot shrink a sweep silently.
 fn case_count() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
+    match std::env::var("PROPTEST_CASES") {
+        Err(_) => 64,
+        Ok(v) => v
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("PROPTEST_CASES={v:?} is not a case count")),
+    }
 }
 
 /// Runs `body` against `cases` sampled inputs; panics on the first

@@ -37,7 +37,7 @@ const TAG_ARRAY: u8 = 0x07;
 const TAG_OBJECT: u8 = 0x08;
 
 /// Maximum nesting depth accepted by the decoder.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// Decoding errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +50,7 @@ pub enum DecodeError {
     BadUtf8,
     /// Varint longer than 10 bytes.
     BadVarint,
-    /// Nesting exceeded [`MAX_DEPTH`].
+    /// Nesting exceeded `MAX_DEPTH`.
     TooDeep,
     /// Bytes remained after the root value.
     TrailingBytes(usize),

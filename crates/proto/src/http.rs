@@ -41,7 +41,7 @@ impl Method {
     }
 
     /// Parses a wire spelling.
-    pub fn parse(s: &str) -> Option<Method> {
+    pub(crate) fn parse(s: &str) -> Option<Method> {
         Some(match s {
             "GET" => Method::Get,
             "POST" => Method::Post,
@@ -71,7 +71,7 @@ pub struct Headers {
 
 impl Headers {
     /// Creates an empty collection.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -89,18 +89,8 @@ impl Headers {
     }
 
     /// Iterates `(name, value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
-    }
-
-    /// Number of header lines.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no headers are present.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -196,7 +186,7 @@ pub struct Response {
     /// Status code (200, 404, ...).
     pub status: u16,
     /// Header lines.
-    pub headers: Headers,
+    pub(crate) headers: Headers,
     /// Message body.
     pub body: Bytes,
 }
@@ -360,7 +350,7 @@ fn extract_body(headers: &Headers, input: &[u8], start: usize) -> Result<Bytes, 
 }
 
 /// Canonical reason phrases for the status codes the baselines emit.
-pub fn reason_phrase(status: u16) -> &'static str {
+pub(crate) fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         201 => "Created",

@@ -13,15 +13,15 @@ use std::fmt;
 use crate::value::Value;
 
 /// Maximum nesting depth accepted by the parser (stack-safety guard).
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A JSON parse error with a byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset of the error in the input.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for ParseError {
@@ -53,7 +53,7 @@ pub fn encode(value: &Value) -> String {
 }
 
 /// Encodes `value` into an existing buffer (saves allocation on hot paths).
-pub fn encode_into(value: &Value, out: &mut String) {
+pub(crate) fn encode_into(value: &Value, out: &mut String) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
@@ -166,8 +166,8 @@ fn encode_string(s: &str, out: &mut String) {
 /// ```
 /// use pcsi_proto::{json, Value};
 ///
-/// let v = json::decode(r#"{"n": [1, 2.5, "three", null, true]}"#).unwrap();
-/// assert_eq!(v.get("n").unwrap().at(2).unwrap().as_str(), Some("three"));
+/// let v = json::decode(r#"{"n": [1, 2.5, null, true], "s": "three"}"#).unwrap();
+/// assert_eq!(v.get("s").unwrap().as_str(), Some("three"));
 /// ```
 pub fn decode(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {

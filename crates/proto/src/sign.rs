@@ -19,11 +19,11 @@ use crate::hash::{ct_eq, hex, hmac_sha256, Digest, Sha256};
 use crate::http::Request;
 
 /// Name of the header carrying the signature.
-pub const SIGNATURE_HEADER: &str = "x-pcsi-signature";
+pub(crate) const SIGNATURE_HEADER: &str = "x-pcsi-signature";
 /// Name of the header carrying the access key id.
 pub const KEY_ID_HEADER: &str = "x-pcsi-key-id";
 /// Name of the header carrying the request date (epoch seconds).
-pub const DATE_HEADER: &str = "x-pcsi-date";
+pub(crate) const DATE_HEADER: &str = "x-pcsi-date";
 
 /// A caller's long-lived secret credential.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +31,7 @@ pub struct Credentials {
     /// Public key identifier sent with each request.
     pub key_id: String,
     /// Secret used to derive signing keys; never sent on the wire.
-    pub secret: Vec<u8>,
+    pub(crate) secret: Vec<u8>,
 }
 
 impl Credentials {
@@ -48,9 +48,9 @@ impl Credentials {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scope {
     /// Deployment region (e.g. `us-west-2`).
-    pub region: String,
+    pub(crate) region: String,
     /// Service name (e.g. `kv`, `objects`).
-    pub service: String,
+    pub(crate) service: String,
 }
 
 impl Scope {

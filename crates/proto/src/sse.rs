@@ -198,11 +198,6 @@ pub fn encode_chunk(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The terminal chunk ending a chunked response (`0\r\n\r\n`).
-pub fn last_chunk() -> &'static [u8] {
-    b"0\r\n\r\n"
-}
-
 /// Parses one chunk from the start of `input`.
 ///
 /// Returns the payload and the bytes consumed; the terminal chunk
@@ -318,7 +313,7 @@ mod tests {
 
     #[test]
     fn terminal_chunk_is_empty() {
-        let (body, used) = decode_chunk(last_chunk()).unwrap();
+        let (body, used) = decode_chunk(b"0\r\n\r\n").unwrap();
         assert!(body.is_empty());
         assert_eq!(used, 5);
     }

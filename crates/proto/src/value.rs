@@ -64,14 +64,6 @@ impl Value {
         }
     }
 
-    /// Index lookup on arrays; `None` for other variants.
-    pub fn at(&self, idx: usize) -> Option<&Value> {
-        match self {
-            Value::Array(v) => v.get(idx),
-            _ => None,
-        }
-    }
-
     /// Returns the integer if this is `I64`.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
@@ -93,14 +85,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Returns the bytes if this is `Bytes`.
-    pub fn as_bytes(&self) -> Option<&Bytes> {
-        match self {
-            Value::Bytes(b) => Some(b),
             _ => None,
         }
     }
@@ -129,23 +113,9 @@ impl Value {
         }
     }
 
-    /// A short name for the variant, used in error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::I64(_) => "i64",
-            Value::F64(_) => "f64",
-            Value::Str(_) => "string",
-            Value::Bytes(_) => "bytes",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-
     /// Approximate in-memory payload size in bytes, used by the simulator to
     /// charge serialization and transmission time.
-    pub fn payload_size(&self) -> usize {
+    pub(crate) fn payload_size(&self) -> usize {
         match self {
             Value::Null => 1,
             Value::Bool(_) => 1,
@@ -230,10 +200,9 @@ mod tests {
         assert_eq!(v.get("i").unwrap().as_i64(), Some(5));
         assert_eq!(v.get("f").unwrap().as_f64(), Some(1.5));
         assert_eq!(v.get("s").unwrap().as_str(), Some("hi"));
-        assert_eq!(v.get("a").unwrap().at(0), Some(&Value::Null));
+        assert_eq!(v.get("a"), Some(&Value::array([Value::Null])));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Value::Null.get("x"), None);
-        assert_eq!(Value::Null.at(0), None);
     }
 
     #[test]
@@ -250,13 +219,6 @@ mod tests {
         assert_eq!(big.payload_size(), 1024);
         let obj = Value::object([("k", big)]);
         assert!(obj.payload_size() > 1024);
-    }
-
-    #[test]
-    fn kind_names() {
-        assert_eq!(Value::Null.kind(), "null");
-        assert_eq!(Value::Bool(true).kind(), "bool");
-        assert_eq!(Value::Array(vec![]).kind(), "array");
     }
 
     #[test]

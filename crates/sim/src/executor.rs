@@ -29,19 +29,6 @@ pub type LocalBoxFuture<T> = Pin<Box<dyn Future<Output = T> + 'static>>;
 
 type TaskId = usize;
 
-/// The error returned by [`SimHandle::timeout`] when the deadline fires
-/// before the inner future resolves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimeoutError;
-
-impl fmt::Display for TimeoutError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("simulated operation timed out")
-    }
-}
-
-impl std::error::Error for TimeoutError {}
-
 /// The multi-producer ready queue shared between the executor and wakers.
 ///
 /// Wakers may be invoked from inside a task poll (while the executor's
@@ -429,45 +416,6 @@ impl SimHandle {
             deadline: at,
         }
     }
-
-    /// Runs `fut` with a virtual-time deadline.
-    ///
-    /// Resolves to `Err(TimeoutError)` if the deadline fires first; the
-    /// inner future is dropped (cancelled) in that case.
-    pub async fn timeout<T>(
-        &self,
-        d: Duration,
-        fut: impl Future<Output = T>,
-    ) -> Result<T, TimeoutError> {
-        let sleep = self.sleep(d);
-        let mut sleep = std::pin::pin!(sleep);
-        let mut fut = std::pin::pin!(fut);
-        std::future::poll_fn(move |cx| {
-            if let Poll::Ready(v) = fut.as_mut().poll(cx) {
-                return Poll::Ready(Ok(v));
-            }
-            match sleep.as_mut().poll(cx) {
-                Poll::Ready(()) => Poll::Ready(Err(TimeoutError)),
-                Poll::Pending => Poll::Pending,
-            }
-        })
-        .await
-    }
-
-    /// Yields once, letting every other runnable task at this instant run.
-    pub async fn yield_now(&self) {
-        let mut yielded = false;
-        std::future::poll_fn(move |cx| {
-            if yielded {
-                Poll::Ready(())
-            } else {
-                yielded = true;
-                cx.waker().wake_by_ref();
-                Poll::Pending
-            }
-        })
-        .await
-    }
 }
 
 impl fmt::Debug for SimHandle {
@@ -597,40 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn timeout_fires_on_slow_future() {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let r = sim.block_on(async move {
-            let slow = {
-                let h = h.clone();
-                async move {
-                    h.sleep(Duration::from_millis(10)).await;
-                    5
-                }
-            };
-            h.timeout(Duration::from_millis(1), slow).await
-        });
-        assert_eq!(r, Err(TimeoutError));
-    }
-
-    #[test]
-    fn timeout_passes_fast_future() {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let r = sim.block_on(async move {
-            let fast = {
-                let h = h.clone();
-                async move {
-                    h.sleep(Duration::from_micros(1)).await;
-                    5
-                }
-            };
-            h.timeout(Duration::from_millis(1), fast).await
-        });
-        assert_eq!(r, Ok(5));
-    }
-
-    #[test]
     #[should_panic(expected = "deadlock")]
     fn deadlock_is_detected() {
         let mut sim = Sim::new(1);
@@ -728,27 +642,6 @@ mod tests {
         };
         assert_eq!(run(99), run(99));
         assert_ne!(run(99).0, run(100).0);
-    }
-
-    #[test]
-    fn yield_now_lets_peers_run() {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let log = sim.block_on(async move {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let j = {
-                let log = Rc::clone(&log);
-                h.spawn(async move {
-                    log.borrow_mut().push("peer");
-                })
-            };
-            log.borrow_mut().push("main-before");
-            h.yield_now().await;
-            j.await;
-            log.borrow_mut().push("main-after");
-            Rc::try_unwrap(log).unwrap().into_inner()
-        });
-        assert_eq!(log, vec!["main-before", "peer", "main-after"]);
     }
 
     #[test]

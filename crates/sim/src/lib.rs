@@ -7,9 +7,9 @@
 //! * a single-threaded, deterministic **async executor** driven by a virtual
 //!   clock ([`Sim`], [`SimHandle`]) — tasks are ordinary Rust futures, time
 //!   only advances when every runnable task is blocked,
-//! * virtual-time **timers** ([`SimHandle::sleep`], [`SimHandle::timeout`]),
-//! * waker-based **synchronization primitives** ([`sync::oneshot`],
-//!   [`sync::mpsc`], [`sync::Notify`], [`sync::Semaphore`]), and
+//! * virtual-time **timers** ([`SimHandle::sleep`],
+//!   [`SimHandle::sleep_until`], [`util::deadline`]),
+//! * a waker-based **channel** ([`sync::mpsc`]), and
 //! * named, seeded **random-number streams** ([`rng`]) so that two runs with
 //!   the same seed produce byte-identical results regardless of the order in
 //!   which components were constructed.
@@ -31,7 +31,7 @@
 //!     h.sleep(Duration::from_millis(5)).await;
 //!     h.now()
 //! });
-//! assert_eq!(out, SimTime::from_millis(5));
+//! assert_eq!(out, SimTime::from_nanos(5_000_000));
 //! ```
 
 pub mod executor;
@@ -41,6 +41,6 @@ pub mod time;
 pub mod util;
 mod wheel;
 
-pub use executor::{JoinHandle, LocalBoxFuture, Sim, SimHandle, TimeoutError};
+pub use executor::{JoinHandle, LocalBoxFuture, Sim, SimHandle};
 pub use rng::{DetRng, RngStreams, ZipfParams};
 pub use time::SimTime;

@@ -157,22 +157,11 @@ impl DetRng {
     }
 
     /// Zipf-distributed rank in `[0, n)` with skew `theta` (0 = uniform,
-    /// ~0.99 is the YCSB default). Uses the classic rejection-inversion-free
-    /// CDF method with precomputed normalization done per call in `O(1)`
-    /// via the Gray et al. approximation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `theta < 0`.
-    pub fn zipf(&self, n: u64, theta: f64) -> u64 {
-        self.zipf_from(&ZipfParams::new(n, theta))
-    }
-
-    /// Like [`DetRng::zipf`], but with the distribution constants
-    /// precomputed once in a [`ZipfParams`]. A draw is then one uniform
-    /// sample plus a single `powf` — the right shape for per-request
-    /// samplers in hot workload loops. Draw-for-draw identical to
-    /// [`DetRng::zipf`] with the same `(n, theta)`.
+    /// ~0.99 is the YCSB default), by the rejection-inversion-free CDF
+    /// method of Gray et al. The distribution constants are precomputed
+    /// once in a [`ZipfParams`], so a draw is one uniform sample plus a
+    /// single `powf` — the right shape for per-request samplers in hot
+    /// workload loops.
     pub fn zipf_from(&self, p: &ZipfParams) -> u64 {
         if p.theta == 0.0 {
             return self.gen_range(0..p.n);
@@ -197,14 +186,6 @@ impl DetRng {
     pub fn choice<'a, T>(&self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "choice() needs a non-empty slice");
         &items[self.gen_range(0..items.len() as u64) as usize]
-    }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.gen_range(0..(i as u64 + 1)) as usize;
-            items.swap(i, j);
-        }
     }
 
     /// Fills `buf` with pseudo-random bytes.
@@ -357,8 +338,9 @@ mod tests {
         let r = DetRng::seeded(4);
         let n = 1_000u64;
         let mut counts = vec![0u32; n as usize];
+        let skewed = ZipfParams::new(n, 0.99);
         for _ in 0..50_000 {
-            let k = r.zipf(n, 0.99);
+            let k = r.zipf_from(&skewed);
             assert!(k < n);
             counts[k as usize] += 1;
         }
@@ -366,9 +348,10 @@ mod tests {
         assert!(counts[0] > 20 * counts[100].max(1));
         // And theta = 0 degrades to uniform-ish.
         let r2 = DetRng::seeded(4);
+        let uniform = ZipfParams::new(n, 0.0);
         let mut head = 0;
         for _ in 0..10_000 {
-            if r2.zipf(n, 0.0) == 0 {
+            if r2.zipf_from(&uniform) == 0 {
                 head += 1;
             }
         }
@@ -380,17 +363,6 @@ mod tests {
         let r = DetRng::seeded(5);
         let hits = (0..10_000).filter(|_| r.bool(0.25)).count();
         assert!((2_200..2_800).contains(&hits), "hits = {hits}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let r = DetRng::seeded(6);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

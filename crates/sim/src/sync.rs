@@ -5,327 +5,4 @@
 //! they would work under any single-threaded executor.
 
 pub mod mpsc;
-pub mod oneshot;
-
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
-use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
-
-/// A level-triggered notification cell (a simplified `tokio::sync::Notify`).
-///
-/// `notify_one` wakes one waiter (or stores a permit if none are waiting);
-/// `notify_all` wakes every current waiter.
-///
-/// # Examples
-///
-/// ```
-/// use pcsi_sim::{Sim, sync::Notify};
-/// use std::rc::Rc;
-///
-/// let mut sim = Sim::new(0);
-/// let h = sim.handle();
-/// sim.block_on(async move {
-///     let n = Rc::new(Notify::new());
-///     let waiter = {
-///         let n = Rc::clone(&n);
-///         h.spawn(async move { n.notified().await; 7 })
-///     };
-///     n.notify_one();
-///     assert_eq!(waiter.await, 7);
-/// });
-/// ```
-#[derive(Default)]
-pub struct Notify {
-    state: RefCell<NotifyState>,
-}
-
-#[derive(Default)]
-struct NotifyState {
-    permits: usize,
-    waiters: VecDeque<Rc<RefCell<Waiter>>>,
-}
-
-/// Per-waiter cell shared between the [`Notified`] future and the queue.
-#[derive(Default)]
-struct Waiter {
-    done: bool,
-    cancelled: bool,
-    waker: Option<Waker>,
-}
-
-impl Notify {
-    /// Creates an empty notifier.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wakes one waiter, or banks a permit for the next `notified().await`.
-    pub fn notify_one(&self) {
-        let mut s = self.state.borrow_mut();
-        // Skip waiters whose future was dropped; they must not consume the
-        // notification.
-        while let Some(cell) = s.waiters.pop_front() {
-            let mut w = cell.borrow_mut();
-            if w.cancelled {
-                continue;
-            }
-            w.done = true;
-            if let Some(waker) = w.waker.take() {
-                waker.wake();
-            }
-            return;
-        }
-        s.permits += 1;
-    }
-
-    /// Wakes all current waiters (does not bank permits).
-    pub fn notify_all(&self) {
-        let mut s = self.state.borrow_mut();
-        for cell in s.waiters.drain(..) {
-            let mut w = cell.borrow_mut();
-            if w.cancelled {
-                continue;
-            }
-            w.done = true;
-            if let Some(waker) = w.waker.take() {
-                waker.wake();
-            }
-        }
-    }
-
-    /// Waits for a notification.
-    pub fn notified(&self) -> Notified<'_> {
-        Notified {
-            notify: self,
-            waiter: None,
-        }
-    }
-}
-
-/// Future returned by [`Notify::notified`].
-pub struct Notified<'a> {
-    notify: &'a Notify,
-    waiter: Option<Rc<RefCell<Waiter>>>,
-}
-
-impl Future for Notified<'_> {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if let Some(cell) = &self.waiter {
-            let mut w = cell.borrow_mut();
-            if w.done {
-                return Poll::Ready(());
-            }
-            // Spurious poll: refresh the waker.
-            w.waker = Some(cx.waker().clone());
-            return Poll::Pending;
-        }
-        let mut s = self.notify.state.borrow_mut();
-        if s.permits > 0 {
-            s.permits -= 1;
-            return Poll::Ready(());
-        }
-        let cell = Rc::new(RefCell::new(Waiter {
-            done: false,
-            cancelled: false,
-            waker: Some(cx.waker().clone()),
-        }));
-        s.waiters.push_back(Rc::clone(&cell));
-        drop(s);
-        self.waiter = Some(cell);
-        Poll::Pending
-    }
-}
-
-impl Drop for Notified<'_> {
-    fn drop(&mut self) {
-        if let Some(cell) = &self.waiter {
-            cell.borrow_mut().cancelled = true;
-        }
-    }
-}
-
-/// An async counting semaphore with FIFO fairness.
-///
-/// Used to model bounded resources (server worker pools, GPU slots).
-pub struct Semaphore {
-    state: Rc<RefCell<SemState>>,
-}
-
-struct SemState {
-    permits: usize,
-    waiters: VecDeque<Waker>,
-}
-
-impl Semaphore {
-    /// Creates a semaphore with `permits` initial permits.
-    pub fn new(permits: usize) -> Rc<Self> {
-        Rc::new(Semaphore {
-            state: Rc::new(RefCell::new(SemState {
-                permits,
-                waiters: VecDeque::new(),
-            })),
-        })
-    }
-
-    /// Currently available permits.
-    pub fn available(&self) -> usize {
-        self.state.borrow().permits
-    }
-
-    /// Acquires one permit, waiting if none are available.
-    ///
-    /// The permit is released when the returned guard is dropped.
-    pub async fn acquire(self: &Rc<Self>) -> SemaphorePermit {
-        let state = Rc::clone(&self.state);
-        std::future::poll_fn(move |cx| {
-            let mut s = state.borrow_mut();
-            if s.permits > 0 {
-                s.permits -= 1;
-                Poll::Ready(())
-            } else {
-                s.waiters.push_back(cx.waker().clone());
-                Poll::Pending
-            }
-        })
-        .await;
-        SemaphorePermit {
-            state: Rc::clone(&self.state),
-        }
-    }
-
-    /// Tries to acquire a permit without waiting.
-    pub fn try_acquire(self: &Rc<Self>) -> Option<SemaphorePermit> {
-        let mut s = self.state.borrow_mut();
-        if s.permits > 0 {
-            s.permits -= 1;
-            Some(SemaphorePermit {
-                state: Rc::clone(&self.state),
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Adds permits (capacity growth, e.g. scaling a worker pool up).
-    pub fn add_permits(&self, n: usize) {
-        let mut s = self.state.borrow_mut();
-        s.permits += n;
-        for _ in 0..n {
-            match s.waiters.pop_front() {
-                Some(w) => w.wake(),
-                None => break,
-            }
-        }
-    }
-}
-
-/// RAII permit returned by [`Semaphore::acquire`].
-pub struct SemaphorePermit {
-    state: Rc<RefCell<SemState>>,
-}
-
-impl Drop for SemaphorePermit {
-    fn drop(&mut self) {
-        let mut s = self.state.borrow_mut();
-        s.permits += 1;
-        if let Some(w) = s.waiters.pop_front() {
-            w.wake();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::Sim;
-    use std::time::Duration;
-
-    #[test]
-    fn notify_banks_a_permit() {
-        let mut sim = Sim::new(0);
-        sim.block_on(async {
-            let n = Notify::new();
-            n.notify_one();
-            n.notified().await; // must not hang
-        });
-    }
-
-    #[test]
-    fn notify_all_wakes_everyone() {
-        let mut sim = Sim::new(0);
-        let h = sim.handle();
-        let count = sim.block_on(async move {
-            let n = Rc::new(Notify::new());
-            let mut joins = Vec::new();
-            for _ in 0..5 {
-                let n = Rc::clone(&n);
-                joins.push(h.spawn(async move {
-                    n.notified().await;
-                    1u32
-                }));
-            }
-            h.yield_now().await;
-            n.notify_all();
-            let mut total = 0;
-            for j in joins {
-                total += j.await;
-            }
-            total
-        });
-        assert_eq!(count, 5);
-    }
-
-    #[test]
-    fn semaphore_limits_concurrency() {
-        let mut sim = Sim::new(0);
-        let h = sim.handle();
-        let max_seen = sim.block_on(async move {
-            let sem = Semaphore::new(3);
-            let active = Rc::new(RefCell::new((0usize, 0usize))); // (cur, max)
-            let mut joins = Vec::new();
-            for _ in 0..10 {
-                let sem = Rc::clone(&sem);
-                let active = Rc::clone(&active);
-                let h2 = h.clone();
-                joins.push(h.spawn(async move {
-                    let _p = sem.acquire().await;
-                    {
-                        let mut a = active.borrow_mut();
-                        a.0 += 1;
-                        a.1 = a.1.max(a.0);
-                    }
-                    h2.sleep(Duration::from_micros(10)).await;
-                    active.borrow_mut().0 -= 1;
-                }));
-            }
-            for j in joins {
-                j.await;
-            }
-            let m = active.borrow().1;
-            m
-        });
-        assert_eq!(max_seen, 3);
-    }
-
-    #[test]
-    fn try_acquire_and_add_permits() {
-        let mut sim = Sim::new(0);
-        sim.block_on(async {
-            let sem = Semaphore::new(1);
-            let p = sem.try_acquire();
-            assert!(p.is_some());
-            assert!(sem.try_acquire().is_none());
-            drop(p);
-            assert!(sem.try_acquire().is_some());
-            sem.add_permits(2);
-            // The second try_acquire permit was a temporary, dropped at the
-            // end of its statement, so all 1 + 2 permits are back.
-            assert_eq!(sem.available(), 3);
-        });
-    }
-}
+pub(crate) mod oneshot;

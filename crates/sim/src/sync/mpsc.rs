@@ -78,11 +78,6 @@ impl<T> Sender<T> {
         }
         Ok(())
     }
-
-    /// True if the receiver half has been dropped.
-    pub fn is_closed(&self) -> bool {
-        !self.shared.borrow().rx_alive
-    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -116,21 +111,6 @@ impl<T> Receiver<T> {
     /// queue is drained.
     pub fn recv(&mut self) -> Recv<'_, T> {
         Recv { rx: self }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&mut self) -> Option<T> {
-        self.shared.borrow_mut().queue.pop_front()
-    }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.shared.borrow().queue.len()
-    }
-
-    /// True if no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -218,19 +198,6 @@ mod tests {
     fn send_fails_after_receiver_drop() {
         let (tx, rx) = channel::<u8>();
         drop(rx);
-        assert!(tx.is_closed());
         assert_eq!(tx.send(1), Err(SendError(1)));
-    }
-
-    #[test]
-    fn len_and_try_recv() {
-        let (tx, mut rx) = channel();
-        assert!(rx.is_empty());
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(rx.len(), 2);
-        assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(rx.try_recv(), Some(2));
-        assert_eq!(rx.try_recv(), None);
     }
 }

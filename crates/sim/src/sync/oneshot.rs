@@ -1,6 +1,6 @@
 //! Single-value, single-use channel.
 //!
-//! The building block for RPC response delivery and [`crate::JoinHandle`].
+//! The building block for [`crate::JoinHandle`].
 
 use std::cell::RefCell;
 use std::fmt;
@@ -11,7 +11,7 @@ use std::task::{Context, Poll, Waker};
 
 /// Error returned when the counterpart endpoint was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Closed;
+pub(crate) struct Closed;
 
 impl fmt::Display for Closed {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -29,22 +29,7 @@ struct Shared<T> {
 }
 
 /// Creates a connected sender/receiver pair.
-///
-/// # Examples
-///
-/// ```
-/// use pcsi_sim::{Sim, sync::oneshot};
-///
-/// let mut sim = Sim::new(0);
-/// let h = sim.handle();
-/// let got = sim.block_on(async move {
-///     let (tx, rx) = oneshot::channel();
-///     h.spawn(async move { let _ = tx.send(99); });
-///     rx.await.unwrap()
-/// });
-/// assert_eq!(got, 99);
-/// ```
-pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
+pub(crate) fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Rc::new(RefCell::new(Shared {
         value: None,
         waker: None,
@@ -60,13 +45,13 @@ pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
 }
 
 /// The sending half; consumed by [`Sender::send`].
-pub struct Sender<T> {
+pub(crate) struct Sender<T> {
     shared: Rc<RefCell<Shared<T>>>,
 }
 
 impl<T> Sender<T> {
     /// Delivers `value`; returns it back if the receiver is gone.
-    pub fn send(self, value: T) -> Result<(), T> {
+    pub(crate) fn send(self, value: T) -> Result<(), T> {
         let mut s = self.shared.borrow_mut();
         if !s.rx_alive {
             return Err(value);
@@ -76,11 +61,6 @@ impl<T> Sender<T> {
             w.wake();
         }
         Ok(())
-    }
-
-    /// True if the receiver half has been dropped.
-    pub fn is_closed(&self) -> bool {
-        !self.shared.borrow().rx_alive
     }
 }
 
@@ -96,15 +76,8 @@ impl<T> Drop for Sender<T> {
 }
 
 /// The receiving half; awaiting it yields the sent value.
-pub struct Receiver<T> {
+pub(crate) struct Receiver<T> {
     shared: Rc<RefCell<Shared<T>>>,
-}
-
-impl<T> Receiver<T> {
-    /// Non-blocking take, if the value already arrived.
-    pub fn try_recv(&mut self) -> Option<T> {
-        self.shared.borrow_mut().value.take()
-    }
 }
 
 impl<T> Future for Receiver<T> {
@@ -166,15 +139,6 @@ mod tests {
     fn dropped_receiver_rejects_send() {
         let (tx, rx) = channel::<u32>();
         drop(rx);
-        assert!(tx.is_closed());
         assert_eq!(tx.send(1), Err(1));
-    }
-
-    #[test]
-    fn try_recv_before_and_after() {
-        let (tx, mut rx) = channel::<u32>();
-        assert_eq!(rx.try_recv(), None);
-        tx.send(3).unwrap();
-        assert_eq!(rx.try_recv(), Some(3));
     }
 }

@@ -37,12 +37,14 @@ impl SimTime {
     }
 
     /// Creates an instant `us` microseconds after simulation start.
-    pub const fn from_micros(us: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn from_micros(us: u64) -> Self {
         SimTime(us * 1_000)
     }
 
     /// Creates an instant `ms` milliseconds after simulation start.
-    pub const fn from_millis(ms: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000_000)
     }
 
@@ -56,16 +58,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the elapsed time as fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
-    /// Returns the elapsed time as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Returns the elapsed time as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -76,12 +68,6 @@ impl SimTime {
     /// Returns [`Duration::ZERO`] if `earlier` is in the future.
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
         Duration::from_nanos(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: Duration) -> Option<SimTime> {
-        let ns = u64::try_from(d.as_nanos()).ok()?;
-        self.0.checked_add(ns).map(SimTime)
     }
 }
 
@@ -133,14 +119,7 @@ impl fmt::Display for SimTime {
 }
 
 /// Formats a nanosecond count with a human-friendly unit.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(pcsi_sim::time::format_nanos(1_500), "1.500us");
-/// assert_eq!(pcsi_sim::time::format_nanos(250), "250ns");
-/// ```
-pub fn format_nanos(ns: u64) -> String {
+fn format_nanos(ns: u64) -> String {
     if ns < 1_000 {
         format!("{ns}ns")
     } else if ns < 1_000_000 {
@@ -191,17 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_add_detects_overflow() {
-        assert!(SimTime::from_nanos(u64::MAX)
-            .checked_add(Duration::from_nanos(1))
-            .is_none());
-        assert_eq!(
-            SimTime::ZERO.checked_add(Duration::from_nanos(3)),
-            Some(SimTime::from_nanos(3))
-        );
-    }
-
-    #[test]
     fn display_picks_unit() {
         assert_eq!(SimTime::from_nanos(17).to_string(), "17ns");
         assert_eq!(SimTime::from_micros(50).to_string(), "50.000us");
@@ -212,8 +180,6 @@ mod tests {
     #[test]
     fn float_views() {
         let t = SimTime::from_nanos(1_500_000);
-        assert!((t.as_millis_f64() - 1.5).abs() < 1e-12);
-        assert!((t.as_micros_f64() - 1500.0).abs() < 1e-9);
         assert!((t.as_secs_f64() - 0.0015).abs() < 1e-12);
     }
 }

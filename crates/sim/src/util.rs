@@ -1,7 +1,7 @@
 //! Small future combinators the simulator code needs.
 //!
 //! The simulation deliberately avoids external async runtimes, so the few
-//! combinators used by protocol code (`join_all`, quorum-style `first_k`)
+//! combinators used by protocol code (`join_all`, `deadline`, `Pacer`)
 //! live here.
 
 use std::cell::Cell;
@@ -150,45 +150,6 @@ impl<T> Future for JoinAll<T> {
     }
 }
 
-/// Spawns all `futures` and resolves with the first `k` results in
-/// completion order; the stragglers keep running detached.
-///
-/// This is the quorum-wait primitive: issue N replica requests, act on the
-/// first R responses, let the rest land in the background (read repair).
-///
-/// # Panics
-///
-/// Panics if `k` exceeds the number of futures.
-pub async fn first_k<T: 'static>(
-    handle: &SimHandle,
-    futures: Vec<LocalBoxFuture<T>>,
-    k: usize,
-) -> Vec<T> {
-    assert!(
-        k <= futures.len(),
-        "first_k: k = {k} > {} futures",
-        futures.len()
-    );
-    let (tx, mut rx) = mpsc::channel();
-    for fut in futures {
-        let tx = tx.clone();
-        // Results travel over the channel; no JoinHandle needed.
-        handle.spawn_detached(async move {
-            // The receiver may already have its k results; ignore failure.
-            let _ = tx.send(fut.await);
-        });
-    }
-    drop(tx);
-    let mut out = Vec::with_capacity(k);
-    while out.len() < k {
-        match rx.recv().await {
-            Some(v) => out.push(v),
-            None => unreachable!("senders vanished before k results"),
-        }
-    }
-    out
-}
-
 /// Races `fut` against a timer: `Some(output)` if the future completes
 /// within `dur`, `None` otherwise.
 ///
@@ -253,39 +214,6 @@ mod tests {
             join_all(futs).await
         });
         assert_eq!(out, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn first_k_returns_fastest() {
-        let mut sim = Sim::new(0);
-        let h = sim.handle();
-        let out = sim.block_on(async move {
-            let futs: Vec<LocalBoxFuture<u64>> = [300u64, 100, 200, 50]
-                .into_iter()
-                .map(|d| {
-                    let h = h.clone();
-                    Box::pin(async move {
-                        h.sleep(Duration::from_nanos(d)).await;
-                        d
-                    }) as LocalBoxFuture<u64>
-                })
-                .collect();
-            first_k(&h, futs, 2).await
-        });
-        assert_eq!(out, vec![50, 100]);
-    }
-
-    #[test]
-    fn first_k_all() {
-        let mut sim = Sim::new(0);
-        let h = sim.handle();
-        let out = sim.block_on(async move {
-            let futs: Vec<LocalBoxFuture<u32>> = (0..3)
-                .map(|i: u32| Box::pin(async move { i }) as LocalBoxFuture<u32>)
-                .collect();
-            first_k(&h, futs, 3).await
-        });
-        assert_eq!(out.len(), 3);
     }
 
     #[test]
@@ -365,15 +293,5 @@ mod tests {
             }
         });
         assert_eq!(times, vec![0, 10_000, 60_000, 70_000]);
-    }
-
-    #[test]
-    #[should_panic(expected = "first_k")]
-    fn first_k_rejects_bad_k() {
-        let mut sim = Sim::new(0);
-        let h = sim.handle();
-        sim.block_on(async move {
-            let _ = first_k::<u32>(&h, Vec::new(), 1).await;
-        });
     }
 }

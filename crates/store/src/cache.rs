@@ -54,7 +54,7 @@ impl Entry {
 
 /// An LRU byte-budgeted cache for one node.
 #[derive(Debug, Default)]
-pub struct ObjectCache {
+pub(crate) struct ObjectCache {
     capacity_bytes: usize,
     used_bytes: usize,
     entries: FxHashMap<ObjectId, (Entry, u64)>,
@@ -69,30 +69,25 @@ pub struct ObjectCache {
 
 impl ObjectCache {
     /// A cache holding at most `capacity_bytes` of payload.
-    pub fn new(capacity_bytes: usize) -> Self {
+    pub(crate) fn new(capacity_bytes: usize) -> Self {
         ObjectCache {
             capacity_bytes,
             ..ObjectCache::default()
         }
     }
 
-    /// Bytes currently cached.
-    pub fn used_bytes(&self) -> usize {
-        self.used_bytes
-    }
-
     /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.get()
     }
 
     /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.get()
     }
 
     /// Entries evicted to stay within budget so far.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.get()
     }
 
@@ -113,7 +108,7 @@ impl ObjectCache {
     /// reads clamp like the store does). For a `Prefix` entry only ranges
     /// that end inside the stable prefix are servable — a read past the
     /// prefix might observe newer appends, so it must go to a replica.
-    pub fn get(&mut self, id: ObjectId, offset: u64, len: u64) -> Option<(Tag, Bytes)> {
+    pub(crate) fn get(&mut self, id: ObjectId, offset: u64, len: u64) -> Option<(Tag, Bytes)> {
         self.clock += 1;
         let clock = self.clock;
         let result = match self.entries.get_mut(&id) {
@@ -163,7 +158,7 @@ impl ObjectCache {
     ///
     /// `data` must start at offset 0 (partial-range fills are not cached —
     /// keeping the index simple is worth more than partial hits here).
-    pub fn admit(&mut self, id: ObjectId, mutability: Mutability, tag: Tag, data: Bytes) {
+    pub(crate) fn admit(&mut self, id: ObjectId, mutability: Mutability, tag: Tag, data: Bytes) {
         let entry = match mutability {
             Mutability::Immutable => Entry::Full { data, tag },
             Mutability::AppendOnly => {
@@ -190,7 +185,7 @@ impl ObjectCache {
     }
 
     /// Drops an object (used when a deletion is observed).
-    pub fn invalidate(&mut self, id: ObjectId) {
+    pub(crate) fn invalidate(&mut self, id: ObjectId) {
         if let Some((old, stamp)) = self.entries.remove(&id) {
             self.used_bytes -= old.data().len();
             self.by_stamp.remove(&stamp);
@@ -256,7 +251,7 @@ mod tests {
         );
         assert!(c.get(oid(1), 0, 1).is_none());
         assert!(c.get(oid(2), 0, 1).is_none());
-        assert_eq!(c.used_bytes(), 0);
+        assert_eq!(c.used_bytes, 0);
     }
 
     #[test]
@@ -314,7 +309,7 @@ mod tests {
             tag(1),
             Bytes::from_static(b"cccc"),
         );
-        assert!(c.used_bytes() <= 10);
+        assert!(c.used_bytes <= 10);
         assert!(c.get(oid(2), 0, 1).is_none(), "LRU entry should be gone");
         assert!(c.get(oid(1), 0, 1).is_some());
         assert!(c.get(oid(3), 0, 1).is_some());
@@ -330,7 +325,7 @@ mod tests {
             tag(1),
             Bytes::from_static(b"too big"),
         );
-        assert_eq!(c.used_bytes(), 0);
+        assert_eq!(c.used_bytes, 0);
         assert!(c.get(oid(1), 0, 1).is_none());
         assert_eq!(c.evictions(), 0);
     }
@@ -346,7 +341,7 @@ mod tests {
         );
         c.invalidate(oid(1));
         assert!(c.get(oid(1), 0, 1).is_none());
-        assert_eq!(c.used_bytes(), 0);
+        assert_eq!(c.used_bytes, 0);
         // Invalidating a missing id is a no-op.
         c.invalidate(oid(9));
     }
@@ -384,7 +379,7 @@ mod tests {
     fn zero_length_prefix_serves_only_empty_reads() {
         let mut c = ObjectCache::new(64);
         c.admit(oid(1), Mutability::AppendOnly, tag(1), Bytes::new());
-        assert_eq!(c.used_bytes(), 0);
+        assert_eq!(c.used_bytes, 0);
         // A zero-length read inside the (empty) prefix is a hit; any
         // non-empty read must go to a replica.
         let (t, data) = c.get(oid(1), 0, 0).unwrap();
@@ -427,7 +422,7 @@ mod tests {
             Bytes::from_static(b"cccccccc"),
         );
         assert_eq!(c.evictions(), 2);
-        assert_eq!(c.used_bytes(), 8);
+        assert_eq!(c.used_bytes, 8);
         // Replacing an entry in place is not an eviction...
         c.admit(
             oid(3),
@@ -460,7 +455,7 @@ mod tests {
             tag(2),
             Bytes::from_static(b"bb"),
         );
-        assert_eq!(c.used_bytes(), 2);
+        assert_eq!(c.used_bytes, 2);
     }
 
     /// The eviction the `by_stamp` index replaced, kept as the oracle:
@@ -513,7 +508,7 @@ mod tests {
                     evict_to_fit_by_scan(&mut old, CAPACITY);
                 }
             }
-            assert_eq!(new.used_bytes(), old.used_bytes(), "step {step}");
+            assert_eq!(new.used_bytes, old.used_bytes, "step {step}");
             assert_eq!(new.by_stamp.len(), new.entries.len());
             assert_eq!(new.entries.len(), old.entries.len());
             assert!(new.entries.keys().all(|id| old.entries.contains_key(id)));

@@ -83,11 +83,6 @@ pub struct StoreClient {
 }
 
 impl StoreClient {
-    /// The origin node.
-    pub fn origin(&self) -> NodeId {
-        self.origin
-    }
-
     /// Binds this client's operations to an incoming trace context, so
     /// store spans nest under the caller (e.g. a kernel op or a REST
     /// gateway request) instead of opening their own roots.
@@ -172,7 +167,7 @@ impl StoreClient {
     }
 
     /// Routes a mutation through the object's primary.
-    pub async fn mutate(
+    pub(crate) async fn mutate(
         &self,
         id: ObjectId,
         mutation: Mutation,

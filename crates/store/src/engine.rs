@@ -28,7 +28,7 @@ pub enum MediaTier {
 
 impl MediaTier {
     /// Fixed per-operation access latency.
-    pub fn access_latency(self) -> Duration {
+    pub(crate) fn access_latency(self) -> Duration {
         match self {
             MediaTier::Dram => Duration::from_nanos(100),
             MediaTier::Nvme => Duration::from_micros(20),
@@ -37,7 +37,7 @@ impl MediaTier {
     }
 
     /// Sustained bandwidth in bytes/second.
-    pub fn bandwidth_bps(self) -> u64 {
+    pub(crate) fn bandwidth_bps(self) -> u64 {
         match self {
             MediaTier::Dram => 50_000_000_000,
             MediaTier::Nvme => 2_000_000_000,
@@ -71,7 +71,7 @@ pub struct StoredObject {
 
 impl StoredObject {
     /// A fresh object.
-    pub fn new(data: Bytes, tag: Tag, mutability: Mutability) -> Self {
+    pub(crate) fn new(data: Bytes, tag: Tag, mutability: Mutability) -> Self {
         let stable_len = data.len() as u64;
         StoredObject {
             data,
@@ -117,7 +117,7 @@ pub enum Mutation {
 /// Upper bound on a single object's size. Writes that would grow an
 /// object past this are rejected before the engine tries to allocate, so
 /// a hostile `WriteAt` offset cannot turn into a multi-gigabyte resize.
-pub const MAX_OBJECT_BYTES: u64 = 1 << 32;
+pub(crate) const MAX_OBJECT_BYTES: u64 = 1 << 32;
 
 /// A node-local object store; all methods are synchronous state changes,
 /// timing is charged by the caller via [`MediaTier::io_time`].
@@ -148,11 +148,6 @@ impl StorageEngine {
         self.tier
     }
 
-    /// Number of objects held.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Total payload bytes held.
     pub fn bytes_stored(&self) -> u64 {
         self.bytes_stored
@@ -177,7 +172,7 @@ impl StorageEngine {
     /// quorums order the delete after the states it superseded and a
     /// recreate gets a tag above the tombstone instead of being silently
     /// swallowed by it.
-    pub fn tag_of(&self, id: ObjectId) -> Tag {
+    pub(crate) fn tag_of(&self, id: ObjectId) -> Tag {
         let live = self.objects.get(&id).map(|o| o.tag).unwrap_or(Tag::ZERO);
         let dead = self.tombstones.get(&id).copied().unwrap_or(Tag::ZERO);
         live.max(dead)
@@ -292,7 +287,7 @@ impl StorageEngine {
     }
 
     /// Removes an object without tag checks (GC path).
-    pub fn evict(&mut self, id: ObjectId) {
+    pub(crate) fn evict(&mut self, id: ObjectId) {
         self.account_remove(id);
         self.objects.remove(&id);
     }
@@ -301,7 +296,7 @@ impl StorageEngine {
     /// newest tag. Returns whether the incoming state was installed —
     /// callers tracking per-object request ledgers must swap theirs in
     /// exactly when the state they describe is.
-    pub fn sync_in(&mut self, id: ObjectId, incoming: StoredObject) -> bool {
+    pub(crate) fn sync_in(&mut self, id: ObjectId, incoming: StoredObject) -> bool {
         if let Some(&death) = self.tombstones.get(&id) {
             if incoming.tag <= death {
                 return false;
@@ -530,7 +525,7 @@ mod tests {
         e.apply(id(1), Tag { seq: 2, writer: 0 }, &Mutation::Delete)
             .unwrap();
         assert_eq!(e.bytes_stored(), 3);
-        assert_eq!(e.object_count(), 1);
+        assert_eq!(e.ids().len(), 1);
         assert!(e.read(id(1), 0, 1).is_err());
     }
 

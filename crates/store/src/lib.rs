@@ -27,7 +27,7 @@
 //!   (frame to N replicas, go on at `need` acks) everything above shares,
 //! * `recovery.rs` — the one driver executing the [`retry`] policy,
 //! * `migrate.rs` — live rebalancing: join, decommission, paced drain,
-//! * [`cache::ObjectCache`] — node-local caching integrated into every
+//! * `cache::ObjectCache` — node-local caching integrated into every
 //!   [`store::StoreClient`] read, exploiting the Figure-1 mutability
 //!   lattice: `IMMUTABLE` objects cache whole, `APPEND_ONLY` objects
 //!   cache their stable prefix, mutable objects don't cache; hits are
@@ -47,7 +47,7 @@
 //! rejected, so any write majority still enforces a single order). Writes
 //! fail only when no majority is reachable for the whole retry budget.
 
-pub mod cache;
+mod cache;
 mod client;
 pub mod engine;
 pub mod gc;
@@ -65,5 +65,5 @@ pub use engine::{MediaTier, StorageEngine, StoredObject};
 pub use placement::Placement;
 pub use replica::ReplicaNode;
 pub use retry::{RetryPolicy, RetryStats};
-pub use store::{CacheStats, HistoryTap, ReplicatedStore, StoreClient, StoreConfig, TapEvent};
+pub use store::{CacheStats, ReplicatedStore, StoreClient, StoreConfig, TapEvent};
 pub use version::{Tag, VersionVector};

@@ -19,7 +19,7 @@ use crate::wire::{self, Request, Response};
 impl ReplicatedStore {
     /// Every object id any replica engine currently stores (sorted,
     /// deduplicated) — the work list scanned at a topology change.
-    pub fn all_object_ids(&self) -> Vec<ObjectId> {
+    pub(crate) fn all_object_ids(&self) -> Vec<ObjectId> {
         let mut ids: Vec<ObjectId> = Vec::new();
         for r in &self.inner.replicas {
             ids.extend(
@@ -54,7 +54,7 @@ impl ReplicatedStore {
     /// replica set changes; returns the pinned ids. The departing node
     /// keeps serving its pinned objects until they migrate, so call
     /// [`ReplicatedStore::drain_moves`] before taking it down.
-    pub fn begin_decommission(&self, node: NodeId) -> Vec<ObjectId> {
+    pub(crate) fn begin_decommission(&self, node: NodeId) -> Vec<ObjectId> {
         let ids = self.all_object_ids();
         self.inner.placement.begin_leave(node, &ids)
     }
@@ -138,7 +138,7 @@ impl ReplicatedStore {
     /// (or no longer) pinned, or another drain already claimed it. On
     /// error the freeze lifts and the pin stays — writes resume on the
     /// old owners and the move retries later.
-    pub async fn migrate_object(&self, id: ObjectId) -> Result<bool, PcsiError> {
+    pub(crate) async fn migrate_object(&self, id: ObjectId) -> Result<bool, PcsiError> {
         // Claim before freezing (no await between): a second drain
         // unfreezing this object mid-snapshot would readmit writes the
         // first drain's snapshot cannot see.

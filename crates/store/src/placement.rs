@@ -1,6 +1,6 @@
 //! Replica placement: consistent hashing over virtual nodes.
 //!
-//! Each ring member contributes [`VNODES_PER_NODE`] points on a 64-bit
+//! Each ring member contributes `VNODES_PER_NODE` points on a 64-bit
 //! hash ring. An object's candidate order is the distinct-node order of a
 //! clockwise walk from the object's own hash point; the replica set is
 //! drawn from that order preferring distinct racks, so a rack failure
@@ -24,7 +24,7 @@ use pcsi_core::ObjectId;
 use pcsi_net::{NodeId, Topology};
 
 /// Virtual nodes contributed to the ring by each member.
-pub const VNODES_PER_NODE: u32 = 64;
+pub(crate) const VNODES_PER_NODE: u32 = 64;
 
 /// An object pinned to its pre-change replica set while data moves.
 #[derive(Debug, Clone)]
@@ -153,12 +153,12 @@ impl Placement {
     }
 
     /// Replication factor.
-    pub fn replication_factor(&self) -> usize {
+    pub(crate) fn replication_factor(&self) -> usize {
         self.inner.n_replicas
     }
 
     /// Majority quorum size (`floor(n/2) + 1`).
-    pub fn majority(&self) -> usize {
+    pub(crate) fn majority(&self) -> usize {
         self.inner.n_replicas / 2 + 1
     }
 
@@ -212,7 +212,7 @@ impl Placement {
     /// During a migration this is where the data is headed; once
     /// [`Placement::complete_move`] runs it coincides with
     /// [`Placement::replicas`].
-    pub fn ring_replicas(&self, id: ObjectId) -> Vec<NodeId> {
+    pub(crate) fn ring_replicas(&self, id: ObjectId) -> Vec<NodeId> {
         let st = self.inner.state.borrow();
         st.select(id, self.inner.n_replicas).collect()
     }
@@ -332,7 +332,7 @@ impl Placement {
     }
 
     /// The pinned old replica set of an object mid-migration.
-    pub fn move_old_set(&self, id: ObjectId) -> Option<Vec<NodeId>> {
+    pub(crate) fn move_old_set(&self, id: ObjectId) -> Option<Vec<NodeId>> {
         let st = self.inner.state.borrow();
         st.moves.get(&id).map(|mv| mv.old.clone())
     }
@@ -343,7 +343,7 @@ impl Placement {
     /// # Panics
     ///
     /// Panics if the object has no pending move.
-    pub fn freeze(&self, id: ObjectId) {
+    pub(crate) fn freeze(&self, id: ObjectId) {
         let mut st = self.inner.state.borrow_mut();
         st.moves
             .get_mut(&id)
@@ -352,7 +352,7 @@ impl Placement {
     }
 
     /// Re-admits writes for a mid-move object (no-op if the move is gone).
-    pub fn unfreeze(&self, id: ObjectId) {
+    pub(crate) fn unfreeze(&self, id: ObjectId) {
         let mut st = self.inner.state.borrow_mut();
         if let Some(mv) = st.moves.get_mut(&id) {
             mv.frozen = false;
@@ -360,7 +360,7 @@ impl Placement {
     }
 
     /// True while a migration holds the object's write path shut.
-    pub fn is_frozen(&self, id: ObjectId) -> bool {
+    pub(crate) fn is_frozen(&self, id: ObjectId) -> bool {
         let st = self.inner.state.borrow();
         st.moves.get(&id).is_some_and(|mv| mv.frozen)
     }

@@ -76,8 +76,8 @@ fn decided(total: usize, need: usize, ok: usize, failed: usize) -> Option<bool> 
 /// A gather that fell short: how many acks it had, and the non-acks that
 /// arrived (in arrival order) before `need` went out of reach.
 pub(crate) struct Shortfall<N> {
-    pub got: usize,
-    pub nacks: Vec<N>,
+    pub(crate) got: usize,
+    pub(crate) nacks: Vec<N>,
 }
 
 /// Sends `frame` from `from` to every node of `targets` and returns the

@@ -19,29 +19,29 @@ use crate::retry::{RetryPolicy, RETRY_RNG_STREAM};
 /// What the driver hands the caller for one attempt.
 pub(crate) struct Attempt<'a, S> {
     /// Failover step (0 = the first-choice target).
-    pub step: usize,
+    pub(crate) step: usize,
     /// Attempt number across all steps, 0-based.
-    pub attempt: u32,
+    pub(crate) attempt: u32,
     /// What the caller's `next_step` returned for this step.
-    pub target: &'a S,
+    pub(crate) target: &'a S,
     /// What the driver races the attempt against: the per-attempt
     /// timeout clamped to the remaining budget.
-    pub deadline: Option<Duration>,
+    pub(crate) deadline: Option<Duration>,
     /// The open `store.attempt` span: takes the caller's attributes and
     /// is the trace context of what it sends.
-    pub span: &'a mut SpanHandle,
+    pub(crate) span: &'a mut SpanHandle,
 }
 
 /// The environment one recovered operation runs in.
 pub(crate) struct Recovery<'a> {
-    pub handle: &'a SimHandle,
-    pub policy: &'a RetryPolicy,
+    pub(crate) handle: &'a SimHandle,
+    pub(crate) policy: &'a RetryPolicy,
     /// Counts attempts re-sent after a retryable failure.
-    pub retries: &'a Counter,
+    pub(crate) retries: &'a Counter,
     /// Counts attempts (or whole operations) abandoned by a deadline.
-    pub timeouts: &'a Counter,
+    pub(crate) timeouts: &'a Counter,
     /// The operation span that backoff and attempt spans nest under.
-    pub parent: &'a SpanHandle,
+    pub(crate) parent: &'a SpanHandle,
 }
 
 impl Recovery<'_> {

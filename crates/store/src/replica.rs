@@ -38,10 +38,10 @@ use crate::version::Tag;
 use crate::wire::{self, Request, Response, WireError};
 
 /// Service name replicas bind on the fabric.
-pub const STORE_SERVICE: &str = "pcsi-store";
+pub(crate) const STORE_SERVICE: &str = "pcsi-store";
 
 /// Transport used for intra-store traffic (kernel-bypass).
-pub const STORE_TRANSPORT: Transport = Transport::Rdma;
+pub(crate) const STORE_TRANSPORT: Transport = Transport::Rdma;
 
 /// A storage replica bound to one node.
 #[derive(Clone)]
@@ -86,7 +86,7 @@ impl ReplicaNode {
     /// protocol counters are always-on cells; with metrics on they are
     /// published as per-node series and the quorum-ack-size histogram
     /// records. Server-side spans record into the telemetry's tracer.
-    pub fn start(
+    pub(crate) fn start(
         fabric: Fabric,
         placement: Placement,
         node: NodeId,
@@ -136,13 +136,8 @@ impl ReplicaNode {
     }
 
     /// The node this replica runs on.
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.inner.node
-    }
-
-    /// Objects currently held (tests/GC).
-    pub fn object_count(&self) -> usize {
-        self.inner.engine.borrow().object_count()
     }
 
     /// Direct engine access for GC sweeps and white-box tests.
@@ -155,24 +150,9 @@ impl ReplicaNode {
         self.inner.coordinated.get()
     }
 
-    /// Reads served locally.
-    pub fn reads_served(&self) -> u64 {
-        self.inner.reads.get()
-    }
-
-    /// Objects pulled in by anti-entropy.
-    pub fn synced_in_count(&self) -> u64 {
-        self.inner.synced_in.get()
-    }
-
     /// Objects installed by read-repair pushes.
     pub fn repaired_count(&self) -> u64 {
         self.inner.repaired.get()
-    }
-
-    /// Sealed snapshots installed by shard migration.
-    pub fn migrated_in_count(&self) -> u64 {
-        self.inner.migrated_in.get()
     }
 
     /// Full-object fetches served (anti-entropy pulls, write-back reads).
@@ -182,7 +162,7 @@ impl ReplicaNode {
 
     /// Spawns the periodic anti-entropy task (runs for the simulation's
     /// lifetime). `interval` is jittered ±20% per round to avoid lockstep.
-    pub fn start_anti_entropy(&self, interval: Duration) {
+    pub(crate) fn start_anti_entropy(&self, interval: Duration) {
         let inner = Rc::clone(&self.inner);
         let h = self.inner.fabric.handle().clone();
         h.clone().spawn(async move {

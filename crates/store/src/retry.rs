@@ -27,7 +27,7 @@ use pcsi_sim::rng::DetRng;
 /// Name of the RNG stream backoff jitter is drawn from. A dedicated
 /// stream keeps retry scheduling from perturbing every other seeded
 /// decision in the simulation.
-pub const RETRY_RNG_STREAM: &str = "store-retry";
+pub(crate) const RETRY_RNG_STREAM: &str = "store-retry";
 
 /// Bounds on the client's fault-recovery effort.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,20 +88,9 @@ impl RetryPolicy {
         }
     }
 
-    /// Total attempt budget for an operation against `n_targets`
-    /// failover candidates.
-    pub fn max_attempts(&self, n_targets: usize) -> usize {
-        let per = self.attempts_per_target.max(1) as usize;
-        if self.failover {
-            per * n_targets.max(1)
-        } else {
-            per
-        }
-    }
-
     /// The capped exponential delay before retry number `retry`
     /// (0-based), without jitter.
-    pub fn backoff_cap(&self, retry: u32) -> Duration {
+    pub(crate) fn backoff_cap(&self, retry: u32) -> Duration {
         let factor = 1u32.checked_shl(retry).unwrap_or(u32::MAX);
         self.base_backoff
             .checked_mul(factor)
@@ -111,7 +100,7 @@ impl RetryPolicy {
 
     /// The jittered sleep before retry number `retry` (0-based), drawn
     /// uniformly from `[cap * (1 - jitter), cap]` using `rng`.
-    pub fn backoff(&self, retry: u32, rng: &DetRng) -> Duration {
+    pub(crate) fn backoff(&self, retry: u32, rng: &DetRng) -> Duration {
         let cap = self.backoff_cap(retry);
         if cap.is_zero() || self.jitter <= 0.0 {
             return cap;
@@ -122,7 +111,7 @@ impl RetryPolicy {
 
     /// Operation budget left after `elapsed` time spent; `None` when no
     /// overall deadline is configured, `Some(ZERO)` when exhausted.
-    pub fn remaining_budget(&self, elapsed: Duration) -> Option<Duration> {
+    pub(crate) fn remaining_budget(&self, elapsed: Duration) -> Option<Duration> {
         self.op_deadline.map(|b| b.saturating_sub(elapsed))
     }
 
@@ -130,7 +119,7 @@ impl RetryPolicy {
     /// timeout clamped to the remaining operation budget. Without the
     /// clamp, an attempt started just inside the budget could overrun
     /// `op_deadline` by nearly a full `attempt_timeout`.
-    pub fn attempt_deadline(&self, remaining: Option<Duration>) -> Option<Duration> {
+    pub(crate) fn attempt_deadline(&self, remaining: Option<Duration>) -> Option<Duration> {
         match (self.attempt_timeout, remaining) {
             (Some(a), Some(r)) => Some(a.min(r)),
             (Some(a), None) => Some(a),
@@ -206,7 +195,6 @@ mod tests {
     #[test]
     fn none_policy_is_single_shot() {
         let p = RetryPolicy::none();
-        assert_eq!(p.max_attempts(3), 1);
         assert_eq!(p.attempt_timeout, None);
         assert_eq!(p.op_deadline, None);
         let rng = DetRng::seeded(0);
@@ -247,16 +235,5 @@ mod tests {
         let none = RetryPolicy::none();
         assert_eq!(none.remaining_budget(Duration::from_secs(9)), None);
         assert_eq!(none.attempt_deadline(None), None);
-    }
-
-    #[test]
-    fn attempt_budget_scales_with_failover_targets() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.max_attempts(3), 9);
-        let no_failover = RetryPolicy {
-            failover: false,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(no_failover.max_attempts(3), 3);
     }
 }

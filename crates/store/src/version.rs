@@ -25,7 +25,7 @@ pub struct Tag {
 
 impl Tag {
     /// The zero tag (object never written).
-    pub const ZERO: Tag = Tag { seq: 0, writer: 0 };
+    pub(crate) const ZERO: Tag = Tag { seq: 0, writer: 0 };
 
     /// The successor tag minted by `writer`.
     pub fn next(self, writer: u32) -> Tag {
@@ -74,7 +74,7 @@ impl VersionVector {
     }
 
     /// Highest sequence seen from `writer`.
-    pub fn get(&self, writer: u32) -> u64 {
+    pub(crate) fn get(&self, writer: u32) -> u64 {
         self.marks.get(&writer).copied().unwrap_or(0)
     }
 
@@ -83,27 +83,12 @@ impl VersionVector {
         other.marks.iter().all(|(w, s)| self.get(*w) >= *s)
     }
 
-    /// True if neither vector dominates the other.
-    pub fn concurrent_with(&self, other: &VersionVector) -> bool {
-        !self.dominates(other) && !other.dominates(self)
-    }
-
     /// Pointwise maximum (merge after sync).
     pub fn merge(&mut self, other: &VersionVector) {
         for (w, s) in &other.marks {
             let e = self.marks.entry(*w).or_insert(0);
             *e = (*e).max(*s);
         }
-    }
-
-    /// Number of writers tracked.
-    pub fn len(&self) -> usize {
-        self.marks.len()
-    }
-
-    /// True if nothing has been observed.
-    pub fn is_empty(&self) -> bool {
-        self.marks.is_empty()
     }
 }
 
@@ -138,7 +123,7 @@ mod tests {
         b.observe(Tag { seq: 1, writer: 1 });
         assert!(a.dominates(&b));
         b.observe(Tag { seq: 4, writer: 2 });
-        assert!(a.concurrent_with(&b));
+        assert!(!a.dominates(&b) && !b.dominates(&a));
         a.merge(&b);
         assert!(a.dominates(&b));
         assert_eq!(a.get(1), 2);
@@ -152,7 +137,5 @@ mod tests {
         v.observe(Tag { seq: 1, writer: 1 });
         assert!(v.dominates(&empty));
         assert!(empty.dominates(&empty));
-        assert!(empty.is_empty());
-        assert_eq!(v.len(), 1);
     }
 }

@@ -160,7 +160,7 @@ pub enum Response {
     },
     /// Tag report.
     TagIs {
-        /// Newest local tag ([`Tag::ZERO`] when absent).
+        /// Newest local tag (`Tag::ZERO` when absent).
         tag: Tag,
     },
     /// Full object state.
@@ -244,7 +244,7 @@ pub enum WireError {
 
 impl WireError {
     /// Converts a [`PcsiError`] for transmission.
-    pub fn from_pcsi(e: &PcsiError) -> WireError {
+    pub(crate) fn from_pcsi(e: &PcsiError) -> WireError {
         match e {
             PcsiError::NotFound(id) => WireError::NotFound(*id),
             PcsiError::MutabilityViolation { id, level, op } => WireError::MutabilityViolation {

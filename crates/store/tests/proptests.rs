@@ -2,6 +2,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use pcsi_core::{Mutability, ObjectId};
 use pcsi_net::Topology;
@@ -240,6 +241,28 @@ fn arb_stream_reply() -> impl Strategy<Value = StreamReply> {
 }
 
 /// Applies a scripted history to a fresh engine, tagging writes 1..n.
+/// Feeds `buf` to every store-wire decoder. Returning at all is the
+/// no-panic half; the other half is that an accepted frame has no
+/// trailing bytes: its re-encoding is exactly as long as the input.
+fn decode_all_consuming_everything(buf: &Bytes) -> Result<(), TestCaseError> {
+    if let Ok(req) = decode_request(buf) {
+        prop_assert_eq!(encode_request(&req).len(), buf.len());
+    }
+    if let Ok((req, ctx)) = decode_request_traced(buf) {
+        prop_assert_eq!(encode_request_traced(&req, ctx).len(), buf.len());
+    }
+    if let Ok(resp) = decode_response(buf) {
+        prop_assert_eq!(encode_response(&resp).len(), buf.len());
+    }
+    if let Ok(frame) = decode_stream_frame(buf) {
+        prop_assert_eq!(encode_stream_frame(&frame).len(), buf.len());
+    }
+    if let Ok(reply) = decode_stream_reply(buf) {
+        prop_assert_eq!(encode_stream_reply(&reply).len(), buf.len());
+    }
+    Ok(())
+}
+
 fn apply_history(ops: &[(u64, Mutation)]) -> StorageEngine {
     let mut e = StorageEngine::new(MediaTier::Dram);
     for (i, (obj, m)) in ops.iter().enumerate() {
@@ -446,6 +469,43 @@ proptest! {
         let mut extended = wire.to_vec();
         extended.push(junk);
         prop_assert!(decode_stream_frame(&Bytes::from(extended)).is_err());
+    }
+
+    /// Arbitrary bytes — what a confused or hostile peer can put on the
+    /// store service — never panic any of the five decoders, and
+    /// whatever does decode accounts for every input byte.
+    #[test]
+    fn wire_decoders_are_total_on_arbitrary_bytes(
+        raw in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        decode_all_consuming_everything(&Bytes::from(raw))?;
+    }
+
+    /// One corrupted byte anywhere in a valid frame of any of the five
+    /// kinds: every decoder still returns, and a frame that still
+    /// decodes (as anything) is consumed whole.
+    #[test]
+    fn wire_decoders_survive_single_byte_corruption(
+        req in arb_request(),
+        ctx in arb_trace_ctx(),
+        resp in arb_response(),
+        frame in arb_stream_frame(),
+        reply in arb_stream_reply(),
+        at in any::<u64>(),
+        to in any::<u8>(),
+    ) {
+        for wire in [
+            encode_request(&req),
+            encode_request_traced(&req, ctx),
+            encode_response(&resp),
+            encode_stream_frame(&frame),
+            encode_stream_reply(&reply),
+        ] {
+            let mut bytes = wire.to_vec();
+            let at = (at % bytes.len() as u64) as usize;
+            bytes[at] = to;
+            decode_all_consuming_everything(&Bytes::from(bytes))?;
+        }
     }
 
     /// Placement: deterministic, correct cardinality, no duplicates, and

@@ -39,7 +39,7 @@ use pcsi_net::Transport;
 pub mod publisher;
 pub mod subscription;
 
-pub use publisher::{Publisher, STREAM_SERVICE};
+pub use publisher::Publisher;
 pub use subscription::{StreamEvent, Subscription};
 
 // Re-exported so kernel-level callers see one streaming vocabulary.
@@ -53,7 +53,7 @@ pub struct StreamConfig {
     pub default_window: u32,
     /// How many times a dropped push is retried before the owner
     /// declares the subscriber lost and cancels the subscription.
-    pub max_retries: u32,
+    pub(crate) max_retries: u32,
     /// Transport pushes and control frames ride on. Streams are part of
     /// the provider's internal data plane, so they default to RDMA like
     /// FIFO transfers.
@@ -82,6 +82,6 @@ impl Default for StreamConfig {
 /// Fabric service name for one subscription's push channel, bound on
 /// the consumer node. Keeping the subscription id in the *name* (not in
 /// push frames) is what makes fan-out encode-once.
-pub fn sub_service(sub: u64) -> String {
+pub(crate) fn sub_service(sub: u64) -> String {
     format!("stream-sub:{sub:016x}")
 }

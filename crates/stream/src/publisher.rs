@@ -22,7 +22,7 @@ use crate::{sub_service, StreamConfig};
 
 /// Fabric service (bound on every node) that accepts subscribe, grant
 /// and close frames for objects homed there.
-pub const STREAM_SERVICE: &str = "pcsi-stream";
+pub(crate) const STREAM_SERVICE: &str = "pcsi-stream";
 
 /// Pause between retransmits of a dropped push.
 const RETRY_BACKOFF: Duration = Duration::from_micros(200);

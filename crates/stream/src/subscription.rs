@@ -37,7 +37,6 @@ pub struct StreamEvent {
 struct SubInner {
     fabric: Fabric,
     sub: u64,
-    object: ObjectId,
     /// The consumer's node (where the push service is bound).
     node: NodeId,
     /// The object's home node (where control frames go).
@@ -157,7 +156,6 @@ impl Subscription {
         let inner = Rc::new(SubInner {
             fabric: fabric.clone(),
             sub,
-            object,
             node,
             home,
             service: sub_service(sub),
@@ -326,16 +324,6 @@ impl Subscription {
                 .get_or_init(|| m.histogram("stream.frame_latency_ns", &[]))
                 .record_duration(latency);
         }
-    }
-
-    /// The subscription id.
-    pub fn id(&self) -> u64 {
-        self.inner.sub
-    }
-
-    /// The streamed object.
-    pub fn object(&self) -> ObjectId {
-        self.inner.object
     }
 
     /// The credit window (also the receive-buffer bound).

@@ -45,7 +45,7 @@ use pcsi_sim::{SimHandle, SimTime};
 /// Name of the RNG stream trace/span ids (and ratio-sampling decisions)
 /// are drawn from. Dedicated, so tracing can never perturb the draws any
 /// other component sees.
-pub const TRACE_RNG_STREAM: &str = "trace-ids";
+pub(crate) const TRACE_RNG_STREAM: &str = "trace-ids";
 
 /// Identifies one end-to-end trace (one root span and its descendants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -106,9 +106,8 @@ pub enum Sampling {
 }
 
 /// One attribute value. `U64` and `Str` record without allocating;
-/// `Text` is for values that genuinely need formatting (build it behind
-/// [`SpanHandle::is_sampled`] or via [`SpanHandle::attr_with`] so an
-/// untraced run never formats).
+/// `Text` is for values that genuinely need formatting (build it via
+/// [`SpanHandle::attr_with`] so an untraced run never formats).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
     /// An integer attribute.
@@ -176,7 +175,7 @@ pub struct Span {
 
 impl Span {
     /// Span duration in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
+    pub(crate) fn duration_ns(&self) -> u64 {
         self.end.saturating_since(self.start).as_nanos() as u64
     }
 }
@@ -198,7 +197,7 @@ pub struct TraceSink {
 
 impl TraceSink {
     /// Creates a sink holding at most `capacity` spans.
-    pub fn new(capacity: usize) -> TraceSink {
+    pub(crate) fn new(capacity: usize) -> TraceSink {
         TraceSink {
             inner: Rc::new(SinkInner {
                 spans: RefCell::new(VecDeque::new()),
@@ -230,30 +229,9 @@ impl TraceSink {
         self.inner.spans.borrow_mut().drain(..).collect()
     }
 
-    /// Spans belonging to one trace, in completion order.
-    pub fn trace(&self, trace: TraceId) -> Vec<Span> {
-        self.inner
-            .spans
-            .borrow()
-            .iter()
-            .filter(|s| s.trace == trace)
-            .cloned()
-            .collect()
-    }
-
     /// Number of spans evicted by the capacity bound.
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.get()
-    }
-
-    /// Number of spans currently held.
-    pub fn len(&self) -> usize {
-        self.inner.spans.borrow().len()
-    }
-
-    /// True when no spans are held.
-    pub fn is_empty(&self) -> bool {
-        self.inner.spans.borrow().is_empty()
     }
 }
 
@@ -288,11 +266,6 @@ impl Tracer {
                 id_draws: Cell::new(0),
             }),
         }
-    }
-
-    /// The sampling mode this tracer was built with.
-    pub fn sampling(&self) -> Sampling {
-        self.inner.sampling
     }
 
     /// The sink finished spans are recorded into.
@@ -400,11 +373,6 @@ impl SpanHandle {
     /// A handle that records nothing.
     pub fn disabled() -> SpanHandle {
         SpanHandle(None)
-    }
-
-    /// True when this span is actually recording.
-    pub fn is_sampled(&self) -> bool {
-        self.0.is_some()
     }
 
     /// The propagation context pointing at this span, for handing to
@@ -747,7 +715,7 @@ mod tests {
             let mut hits = 0;
             for _ in 0..200 {
                 let s = t.root("op");
-                if s.is_sampled() {
+                if s.ctx().is_some() {
                     hits += 1;
                 }
                 s.finish();
@@ -755,7 +723,7 @@ mod tests {
             hits
         });
         assert!((60..140).contains(&sampled), "sampled {sampled}");
-        assert_eq!(tracer.sink().len(), sampled);
+        assert_eq!(tracer.sink().snapshot().len(), sampled);
         // Unsampled roots hand out no context: nothing to propagate.
         let mut sim2 = Sim::new(11);
         let h2 = sim2.handle();
@@ -777,7 +745,7 @@ mod tests {
                 t.root("op").finish();
             }
         });
-        assert_eq!(tracer.sink().len(), 8);
+        assert_eq!(tracer.sink().snapshot().len(), 8);
         assert_eq!(tracer.sink().dropped(), 12);
     }
 

@@ -277,33 +277,34 @@ fn bounded_fifo_appends_hit_retryable_backpressure() {
 }
 
 #[test]
-fn builder_fifo_capacity_applies_to_unannotated_creates() {
-    let mut sim = Sim::new(15);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new()
-            .deterministic_network()
-            .fifo_capacity(1)
-            .build(&h);
-        let c = cloud.kernel.client(NodeId(0), "tenant-a");
-        let fifo = c.create(CreateOptions::fifo()).await.unwrap();
-        c.append(&fifo, Bytes::from_static(b"only")).await.unwrap();
-        assert!(matches!(
-            c.append(&fifo, Bytes::from_static(b"over")).await,
-            Err(PcsiError::Overloaded(_))
-        ));
-        // An explicit per-object capacity still wins over the default.
-        let wide = c
-            .create(CreateOptions::fifo().with_fifo_capacity(8))
-            .await
-            .unwrap();
-        for i in 0..8u8 {
-            c.append(&wide, Bytes::from(vec![i])).await.unwrap();
-        }
-        assert!(matches!(
-            c.append(&wide, Bytes::from_static(b"over")).await,
-            Err(PcsiError::Overloaded(_))
-        ));
+fn per_object_fifo_capacity_overrides_the_default_bound() {
+    with_cloud(15, |cloud| {
+        Box::pin(async move {
+            let c = cloud.kernel.client(NodeId(0), "tenant-a");
+            let narrow = c
+                .create(CreateOptions::fifo().with_fifo_capacity(1))
+                .await
+                .unwrap();
+            c.append(&narrow, Bytes::from_static(b"only"))
+                .await
+                .unwrap();
+            assert!(matches!(
+                c.append(&narrow, Bytes::from_static(b"over")).await,
+                Err(PcsiError::Overloaded(_))
+            ));
+            // An unannotated create is still bounded, at the kernel's
+            // default of 1024 — not unbounded, and not its neighbour's 1.
+            let wide = c.create(CreateOptions::fifo()).await.unwrap();
+            for i in 0..1024u32 {
+                c.append(&wide, Bytes::from(i.to_le_bytes().to_vec()))
+                    .await
+                    .unwrap();
+            }
+            assert!(matches!(
+                c.append(&wide, Bytes::from_static(b"over")).await,
+                Err(PcsiError::Overloaded(_))
+            ));
+        })
     });
 }
 
