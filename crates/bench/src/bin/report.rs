@@ -5,16 +5,20 @@
 //! cargo run --release -p pcsi-bench --bin report -- table1  # one artifact
 //! ```
 //!
-//! Artifact names: `table1`, `rest-vs-nfs`, `mutability`, `pipeline`,
-//! `efficiency`, `flexibility`, `consistency`, `capability`, `crossover`,
-//! `ycsb`, `recovery`, `streaming`.
+//! Artifacts are the rows of [`ARTIFACTS`]; any other name prints them
+//! and exits 2. Everything but Table 1's `measured (host)` rows is
+//! deterministic and pinned by `crates/bench/REPORT.txt`; re-bless with
+//! `report | grep -v 'measured (host)' > crates/bench/REPORT.txt`.
 //!
 //! Perf-snapshot modes (opt-in, not part of the default run):
 //!
 //! ```text
 //! cargo run --release -p pcsi-bench --bin report -- bench
 //!     # run the virtual-time snapshot experiments and write
-//!     # BENCH_<pr>.json ($BENCH_PR names the pr, default "dev")
+//!     # BENCH_<pr>.json ($BENCH_PR names the pr, default "dev"); unless
+//!     # <pr> is a number, exit 1 when a simulated number differs from
+//!     # the newest numbered BENCH_<n>.json here (the `pin:` line names
+//!     # the file and says whether the run was gated)
 //! cargo run --release -p pcsi-bench --bin report -- bench-check <file>
 //!     # validate a snapshot against the current schema; exits nonzero
 //!     # on drift
@@ -35,6 +39,24 @@ use pcsi_bench::experiments::{
 use pcsi_bench::reportfmt::{ns, Table};
 use pcsi_bench::{snapshot, trend};
 
+/// The paper artifacts in report order: the name one is asked for by,
+/// its section heading, and what prints the section.
+#[rustfmt::skip]
+const ARTIFACTS: &[(&str, &str, fn())] = &[
+    ("table1",      "Table 1 — representative latency of various operations (E1)",      report_table1),
+    ("rest-vs-nfs", "§2.1 — 1 KB fetch: NFS vs DynamoDB-style REST (E2)",               report_rest_vs_nfs),
+    ("mutability",  "Figure 1 — object mutability transitions (E3)",                    report_mutability),
+    ("pipeline",    "Figure 2 / §4.1 — model-serving placement strategies (E4)",        report_pipeline),
+    ("efficiency",  "§4.2 — scavenged pay-per-use vs peak-provisioned fleet (E5)",      report_efficiency),
+    ("flexibility", "§4.3 — flexibility: accelerator swap + variant optimizer (E6)",    report_flexibility),
+    ("consistency", "§3.3 — the two-item consistency menu (E7)",                        report_consistency),
+    ("capability",  "§3.2 — stateful references vs per-request auth; GC (E8)",          report_capability),
+    ("crossover",   "§2.1 — interface overhead vs network generation (E9)",             report_crossover),
+    ("ycsb",        "supporting — YCSB-style KV mixes on both interfaces",              report_ycsb),
+    ("recovery",    "supporting — client fault recovery under message loss",            report_recovery),
+    ("streaming",   "E10 — streaming: PCSI push vs SSE across network generations",     report_streaming),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("bench-check") {
@@ -45,66 +67,56 @@ fn main() {
         }
         return;
     }
-    // The snapshot run is opt-in: it writes a file.
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
-    if args.iter().any(|a| a == "bench") {
-        report_bench();
-        if args.len() == 1 {
-            return;
-        }
+    let asked = |name: &str| args.iter().any(|a| a == name);
+    let artifact = |name: &str| ARTIFACTS.iter().any(|(artifact, ..)| *artifact == name);
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| !artifact(a) && !["bench", "trend"].contains(&a.as_str()))
+    {
+        let names: Vec<&str> = ARTIFACTS.iter().map(|(name, ..)| *name).collect();
+        eprintln!(
+            "report: no artifact named {unknown:?}; there are {}, and the modes bench, trend, bench-check",
+            names.join(", ")
+        );
+        std::process::exit(2);
     }
-    // Trend reads committed files rather than running experiments, so
-    // like `bench` it only runs when asked for by name.
-    if args.iter().any(|a| a == "trend") {
+    // The snapshot run writes a file and trend reads committed ones
+    // rather than running experiments, so both run only when asked for
+    // by name.
+    if asked("bench") {
+        report_bench();
+    }
+    if asked("trend") {
         report_trend();
-        if args.len() == 1 {
-            return;
-        }
+    }
+    let sections: Vec<_> = ARTIFACTS
+        .iter()
+        .filter(|(name, ..)| args.is_empty() || asked(name))
+        .collect();
+    if sections.is_empty() {
+        return;
     }
 
     println!("The RESTless Cloud (HotOS '21) — reproduction report");
     println!("seed = {DEFAULT_SEED:#x}; all simulated numbers are deterministic.\n");
+    for (_, title, print) in sections {
+        println!("## {title}\n");
+        print();
+    }
+}
 
-    if want("table1") {
-        report_table1();
-    }
-    if want("rest-vs-nfs") {
-        report_rest_vs_nfs();
-    }
-    if want("mutability") {
-        report_mutability();
-    }
-    if want("pipeline") {
-        report_pipeline();
-    }
-    if want("efficiency") {
-        report_efficiency();
-    }
-    if want("flexibility") {
-        report_flexibility();
-    }
-    if want("consistency") {
-        report_consistency();
-    }
-    if want("capability") {
-        report_capability();
-    }
-    if want("crossover") {
-        report_crossover();
-    }
-    if want("ycsb") {
-        report_ycsb();
-    }
-    if want("recovery") {
-        report_recovery();
-    }
-    if want("streaming") {
-        report_streaming();
+/// A section's verdict. A claim in words closes a table and is set off
+/// from it by a blank line; a bare verdict closes a paragraph.
+fn shape_check(result: Result<(), String>, claim: &str) {
+    let lead = if claim.is_empty() { "" } else { "\n" };
+    match result {
+        Ok(()) if claim.is_empty() => println!("shape check: PASS\n"),
+        Ok(()) => println!("\nshape check: PASS ({claim})\n"),
+        Err(e) => println!("{lead}shape check: FAIL — {e}\n"),
     }
 }
 
 fn report_table1() {
-    println!("## Table 1 — representative latency of various operations (E1)\n");
     let rows = table1::run(DEFAULT_SEED);
     let mut t = Table::new(&["operation", "paper", "ours", "source"]);
     for r in &rows {
@@ -116,14 +128,10 @@ fn report_table1() {
         ]);
     }
     print!("{}", t.render());
-    match table1::shape_holds(&rows) {
-        Ok(()) => println!("\nshape check: PASS (orderings of Table 1 hold)\n"),
-        Err(e) => println!("\nshape check: FAIL — {e}\n"),
-    }
+    shape_check(table1::shape_holds(&rows), "orderings of Table 1 hold");
 }
 
 fn report_rest_vs_nfs() {
-    println!("## §2.1 — 1 KB fetch: NFS vs DynamoDB-style REST (E2)\n");
     let r = rest_vs_nfs::run(DEFAULT_SEED, 500);
     let mut t = Table::new(&[
         "interface",
@@ -177,20 +185,15 @@ fn report_rest_vs_nfs() {
 }
 
 fn report_mutability() {
-    println!("## Figure 1 — object mutability transitions (E3)\n");
     let (labels, m) = mutability::matrix();
     let mut t = Table::new(&["from \\ to", labels[0], labels[1], labels[2], labels[3]]);
-    for (i, from) in labels.iter().enumerate() {
-        let cells: Vec<String> = (0..4)
-            .map(|j| if m[i][j] { "yes".into() } else { "–".into() })
-            .collect();
-        t.row(&[
-            from.to_string(),
-            cells[0].clone(),
-            cells[1].clone(),
-            cells[2].clone(),
-            cells[3].clone(),
-        ]);
+    for (from, to) in labels.iter().zip(&m) {
+        let mut row = vec![from.to_string()];
+        row.extend(
+            to.iter()
+                .map(|&ok| if ok { "yes" } else { "–" }.to_string()),
+        );
+        t.row(&row);
     }
     print!("{}", t.render());
     println!("\narrows (excluding self-loops):");
@@ -201,7 +204,6 @@ fn report_mutability() {
 }
 
 fn report_pipeline() {
-    println!("## Figure 2 / §4.1 — model-serving placement strategies (E4)\n");
     let reports = pipeline::run(DEFAULT_SEED, 2, 8);
     let mut t = Table::new(&["strategy", "mean", "p99", "net bytes/req"]);
     for r in &reports {
@@ -213,10 +215,10 @@ fn report_pipeline() {
         ]);
     }
     print!("{}", t.render());
-    match pipeline::shape_holds(&reports) {
-        Ok(()) => println!("\nshape check: PASS (colocated ~ monolithic; naive >= 1.8x)\n"),
-        Err(e) => println!("\nshape check: FAIL — {e}\n"),
-    }
+    shape_check(
+        pipeline::shape_holds(&reports),
+        "colocated ~ monolithic; naive >= 1.8x",
+    );
 
     println!("### upload-size sweep: the disaggregation penalty\n");
     let mut t = Table::new(&["upload", "naive", "colocated", "monolithic", "penalty"]);
@@ -234,7 +236,6 @@ fn report_pipeline() {
 }
 
 fn report_efficiency() {
-    println!("## §4.2 — scavenged pay-per-use vs peak-provisioned fleet (E5)\n");
     let (s, d) = efficiency::run(DEFAULT_SEED, 200.0, Duration::from_secs(30));
     let mut t = Table::new(&[
         "mode",
@@ -267,10 +268,7 @@ fn report_efficiency() {
         s.efficiency / d.efficiency
     );
     println!("cold-start tail — \"good enough\" SLOs absorb it (§4.2).");
-    match efficiency::shape_holds(&s, &d) {
-        Ok(()) => println!("shape check: PASS\n"),
-        Err(e) => println!("shape check: FAIL — {e}\n"),
-    }
+    shape_check(efficiency::shape_holds(&s, &d), "");
 
     println!("### burstiness sweep: when does scavenging pay?\n");
     let mut t = Table::new(&["burst rps", "cost advantage", "scavenged SLO"]);
@@ -314,14 +312,10 @@ fn report_efficiency() {
         p.mean_cpu_util / r.mean_cpu_util.max(1e-12)
     );
     println!("cluster utilization, with equal-or-better SLO attainment.");
-    match efficiency::diurnal_shape_holds(&r, &p) {
-        Ok(()) => println!("shape check: PASS\n"),
-        Err(e) => println!("shape check: FAIL — {e}\n"),
-    }
+    shape_check(efficiency::diurnal_shape_holds(&r, &p), "");
 }
 
 fn report_flexibility() {
-    println!("## §4.3 — flexibility: accelerator swap + variant optimizer (E6)\n");
     println!("### same pipeline, different inference variant (zero app changes)\n");
     let mut t = Table::new(&["inference variant", "pipeline mean latency"]);
     for (name, mean) in pipeline::variant_latencies(DEFAULT_SEED, 5) {
@@ -351,7 +345,6 @@ fn report_flexibility() {
 }
 
 fn report_consistency() {
-    println!("## §3.3 — the two-item consistency menu (E7)\n");
     let cells = consistency::run(DEFAULT_SEED, 60);
     let mut t = Table::new(&[
         "N",
@@ -372,16 +365,13 @@ fn report_consistency() {
         ]);
     }
     print!("{}", t.render());
-    match consistency::shape_holds(&cells) {
-        Ok(()) => {
-            println!("\nshape check: PASS (strong: never stale, dearer; weak: cheap, stale)\n")
-        }
-        Err(e) => println!("\nshape check: FAIL — {e}\n"),
-    }
+    shape_check(
+        consistency::shape_holds(&cells),
+        "strong: never stale, dearer; weak: cheap, stale",
+    );
 }
 
 fn report_capability() {
-    println!("## §3.2 — stateful references vs per-request auth; GC (E8)\n");
     let r = capability::run(DEFAULT_SEED, 300);
     let mut t = Table::new(&["path", "1 KB read mean", "interface tax"]);
     t.row(&["raw replicated store".into(), ns(r.raw_read_ns), "—".into()]);
@@ -400,14 +390,10 @@ fn report_capability() {
         "\nGC: {} live objects, {} unreachable reclaimed by one mark-and-sweep.",
         r.gc_objects, r.gc_reclaimed
     );
-    match capability::shape_holds(&r) {
-        Ok(()) => println!("shape check: PASS\n"),
-        Err(e) => println!("shape check: FAIL — {e}\n"),
-    }
+    shape_check(capability::shape_holds(&r), "");
 }
 
 fn report_ycsb() {
-    println!("## supporting — YCSB-style KV mixes on both interfaces\n");
     let cells = ycsb::run(DEFAULT_SEED, 200);
     let mut t = Table::new(&["mix", "interface", "mean", "p99"]);
     for c in &cells {
@@ -419,10 +405,7 @@ fn report_ycsb() {
         ]);
     }
     print!("{}", t.render());
-    match ycsb::shape_holds(&cells) {
-        Ok(()) => println!("\nshape check: PASS (the REST tax holds on every mix)\n"),
-        Err(e) => println!("\nshape check: FAIL — {e}\n"),
-    }
+    shape_check(ycsb::shape_holds(&cells), "the REST tax holds on every mix");
 
     println!("### mix C over IMMUTABLE objects — the mutability-aware cache\n");
     let cell = ycsb::run_immutable(DEFAULT_SEED, 300);
@@ -444,14 +427,13 @@ fn report_ycsb() {
         format!("{:.2}", cell.fabric_calls_per_read),
     ]);
     print!("{}", t.render());
-    match ycsb::immutable_shape_holds(&cell) {
-        Ok(()) => println!("\nshape check: PASS (immutable working set served node-locally)\n"),
-        Err(e) => println!("\nshape check: FAIL — {e}\n"),
-    }
+    shape_check(
+        ycsb::immutable_shape_holds(&cell),
+        "immutable working set served node-locally",
+    );
 }
 
 fn report_recovery() {
-    println!("## supporting — client fault recovery under message loss\n");
     let cells = recovery::run(DEFAULT_SEED, 200);
     let mut t = Table::new(&[
         "fabric",
@@ -474,16 +456,13 @@ fn report_recovery() {
         ]);
     }
     print!("{}", t.render());
-    match recovery::shape_holds(&cells) {
-        Ok(()) => {
-            println!("\nshape check: PASS (drops cost latency, never a client-visible error)\n")
-        }
-        Err(e) => println!("\nshape check: FAIL — {e}\n"),
-    }
+    shape_check(
+        recovery::shape_holds(&cells),
+        "drops cost latency, never a client-visible error",
+    );
 }
 
 fn report_crossover() {
-    println!("## §2.1 — interface overhead vs network generation (E9)\n");
     let points = crossover::run(DEFAULT_SEED, 100);
     let mut t = Table::new(&["network", "RTT", "interface", "1 KB fetch", "x RTT"]);
     for p in &points {
@@ -496,12 +475,10 @@ fn report_crossover() {
         ]);
     }
     print!("{}", t.render());
-    match crossover::shape_holds(&points) {
-        Ok(()) => println!(
-            "\nshape check: PASS (REST flattens at its CPU floor; PCSI rides the hardware)\n"
-        ),
-        Err(e) => println!("\nshape check: FAIL — {e}\n"),
-    }
+    shape_check(
+        crossover::shape_holds(&points),
+        "REST flattens at its CPU floor; PCSI rides the hardware",
+    );
 
     println!("### trace-derived stage shares of one signed-REST 1 KB GET\n");
     let bps = crossover::breakdowns(DEFAULT_SEED);
@@ -516,27 +493,14 @@ fn report_crossover() {
         ]);
     }
     print!("{}", t.render());
-    match crossover::breakdown_shape_holds(&bps) {
-        Ok(()) => println!(
-            "\nshape check: PASS (protocol share: minority at 1 ms RTT, dominant at 1 us RTT)\n"
-        ),
-        Err(e) => println!("\nshape check: FAIL — {e}\n"),
-    }
+    shape_check(
+        crossover::breakdown_shape_holds(&bps),
+        "protocol share: minority at 1 ms RTT, dominant at 1 us RTT",
+    );
 }
 
 fn report_streaming() {
-    println!("## E10 — streaming: PCSI push vs SSE across network generations\n");
     let r = streaming::run_all(DEFAULT_SEED);
-    print_streaming(&r);
-    match streaming::shape_holds(&r) {
-        Ok(()) => println!(
-            "\nshape check: PASS (PCSI push beats SSE per event on the fast network;\ndeltas reconstruct; PCSI TTFT <= SSE TTFT)\n"
-        ),
-        Err(e) => println!("\nshape check: FAIL — {e}\n"),
-    }
-}
-
-fn print_streaming(r: &streaming::StreamingResult) {
     let mut t = Table::new(&[
         "network",
         "RTT",
@@ -579,10 +543,23 @@ fn print_streaming(r: &streaming::StreamingResult) {
         ns(r.tokens.pcsi_total_ns),
         ns(r.tokens.sse_total_ns),
     );
+    shape_check(
+        streaming::shape_holds(&r),
+        "PCSI push beats SSE per event on the fast network;\ndeltas reconstruct; PCSI TTFT <= SSE TTFT",
+    );
 }
 
 fn report_bench() {
     println!("## Perf snapshot (virtual time; host cost is `benchmark/`'s job)\n");
+    // Every simulated number is the same on any machine, so the newest
+    // numbered snapshot here pins all of them exactly (an unnumbered
+    // `BENCH_dev.json` left by an earlier run is never the pin and is not
+    // even read). A numbered run is how a deliberate change records its
+    // new numbers; any other run that moved one fails.
+    let pr = std::env::var("BENCH_PR").unwrap_or_else(|_| "dev".into());
+    let numbered = |pr: &str| pr.parse::<u64>().is_ok();
+    let pin = committed_snapshots("bench", numbered).pop();
+
     let results = snapshot::Results::run(DEFAULT_SEED);
     streaming::shape_holds(&results.streaming)
         .expect("streaming claims must hold in the snapshot run");
@@ -599,20 +576,45 @@ fn report_bench() {
     }
     print!("{}", t.render());
 
-    let pr = std::env::var("BENCH_PR").unwrap_or_else(|_| "dev".into());
     let json = snapshot::render(&results, &pr, DEFAULT_SEED);
     snapshot::validate(&json).expect("emitted snapshot must conform to its own schema");
     let path = format!("BENCH_{pr}.json");
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("\nwrote {path}\n");
+
+    let Some(pin) = pin else { return };
+    let moved = snapshot::drift(&results, &pin.doc);
+    for line in &moved {
+        println!("  {line}");
+    }
+    let (n, gated) = (moved.len(), !numbered(&pr));
+    let verdict = if gated {
+        "not a number, gated"
+    } else {
+        "a number, not gated"
+    };
+    println!(
+        "pin: {n} simulated numbers moved from BENCH_{}.json (BENCH_PR={pr}: {verdict})\n",
+        pin.pr
+    );
+    if n > 0 && gated {
+        std::process::exit(1);
+    }
+}
+
+/// The `BENCH_<pr>.json` in the current directory whose `pr` passes
+/// `keep`, oldest numbered one first; exits 2 naming `mode` when one is
+/// unreadable or off-schema.
+fn committed_snapshots(mode: &str, keep: impl Fn(&str) -> bool) -> Vec<trend::TrendRow> {
+    trend::load_dir(std::path::Path::new("."), keep).unwrap_or_else(|e| {
+        eprintln!("{mode}: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn report_trend() {
     println!("## Perf trajectory (committed BENCH_*.json snapshots)\n");
-    let rows = trend::load_dir(std::path::Path::new(".")).unwrap_or_else(|e| {
-        eprintln!("trend: {e}");
-        std::process::exit(2);
-    });
+    let rows = committed_snapshots("trend", |_| true);
     if rows.is_empty() {
         println!("no BENCH_*.json snapshots found\n");
         return;
@@ -636,10 +638,7 @@ fn report_trend() {
 }
 
 fn trend_gate() {
-    let rows = trend::load_dir(std::path::Path::new(".")).unwrap_or_else(|e| {
-        eprintln!("bench-check --trend: {e}");
-        std::process::exit(2);
-    });
+    let rows = committed_snapshots("bench-check --trend", |_| true);
     match trend::check(&rows, trend::DEFAULT_TOLERANCE) {
         Ok(verdicts) => {
             for v in verdicts {

@@ -10,16 +10,10 @@
 //! costs beyond the raw storage fetch — for the PCSI capability path vs
 //! the signed-REST path; plus a GC run over a realistic object graph.
 
-use std::collections::HashMap;
-
-use pcsi_cloud::rest::RestGateway;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency, Rights};
-use pcsi_metrics::Histogram;
 use pcsi_net::NodeId;
-use pcsi_proto::sign::Credentials;
-use pcsi_sim::Sim;
 
 /// E8 results.
 #[derive(Debug, Clone)]
@@ -50,10 +44,9 @@ impl Results {
 
 /// Runs the measurement with `ops` reads per interface.
 pub fn run(seed: u64, ops: u32) -> Results {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new().deterministic_network().build(&h);
+    let builder = CloudBuilder::new().deterministic_network();
+    Lab::run(seed, builder, move |lab| async move {
+        let cloud = &lab.cloud;
         let payload = vec![0xC4u8; 1024];
         let client_node = NodeId(0);
 
@@ -68,46 +61,22 @@ pub fn run(seed: u64, ops: u32) -> Results {
             .await
             .unwrap();
         let read_ref = obj.attenuate(Rights::READ).unwrap();
-        let pcsi = Histogram::new();
-        for _ in 0..ops {
-            let t0 = h.now();
-            kc.read(&read_ref, 0, 1024).await.unwrap();
-            pcsi.record_duration(h.now() - t0);
-        }
+        let pcsi = lab.time(ops, |_| kc.read(&read_ref, 0, 1024)).await;
 
         // Raw store read of the *same object* (identical replica
         // placement), bypassing the interface entirely — the floor the
         // interface taxes are measured against.
         let store_client = cloud.store.client(client_node);
-        let raw = Histogram::new();
-        for _ in 0..ops {
-            let t0 = h.now();
-            store_client
-                .read(obj.id(), 0, 1024, Consistency::Eventual)
-                .await
-                .unwrap();
-            raw.record_duration(h.now() - t0);
-        }
+        let raw = lab
+            .time(ops, |_| {
+                store_client.read(obj.id(), 0, 1024, Consistency::Eventual)
+            })
+            .await;
 
         // REST: every request re-authenticates.
-        let mut keys = HashMap::new();
-        keys.insert("AK1".to_owned(), Credentials::new("AK1", b"k".to_vec()));
-        let rest = RestGateway::deploy(
-            cloud.fabric.clone(),
-            cloud.store.clone(),
-            cloud.billing.clone(),
-            NodeId(1),
-            NodeId(5),
-            keys,
-        );
-        let rc = rest.client(client_node, Credentials::new("AK1", b"k".to_vec()));
+        let rc = lab.rest().client(client_node, Lab::credential());
         rc.kv_put("e8", "obj", &payload).await.unwrap();
-        let rest_h = Histogram::new();
-        for _ in 0..ops {
-            let t0 = h.now();
-            rc.kv_get("e8", "obj").await.unwrap();
-            rest_h.record_duration(h.now() - t0);
-        }
+        let rest_h = lab.time(ops, |_| rc.kv_get("e8", "obj")).await;
 
         // GC scenario: a tenant tree plus ephemeral intermediates whose
         // references were dropped.

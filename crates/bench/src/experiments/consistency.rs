@@ -6,12 +6,11 @@
 //! expose exactly these two points and hide the quorum machinery.
 
 use bytes::Bytes;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency};
 use pcsi_metrics::Histogram;
 use pcsi_net::NodeId;
-use pcsi_sim::Sim;
 use pcsi_store::{MediaTier, StoreConfig};
 
 /// One sweep cell.
@@ -33,20 +32,17 @@ pub struct Cell {
 
 /// Runs one cell with `rounds` write-then-read-everywhere iterations.
 pub fn run_cell(seed: u64, n_replicas: usize, consistency: Consistency, rounds: u32) -> Cell {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move {
-        // Jittered network (still seed-deterministic): replication races
-        // need timing variation to surface staleness, exactly as in a
-        // real fabric.
-        let cloud = CloudBuilder::new()
-            .store(StoreConfig {
-                n_replicas,
-                tier: MediaTier::Nvme,
-                anti_entropy: Some(std::time::Duration::from_millis(100)),
-                ..StoreConfig::default()
-            })
-            .build(&h);
+    // Jittered network (still seed-deterministic): replication races
+    // need timing variation to surface staleness, exactly as in a real
+    // fabric.
+    let builder = CloudBuilder::new().store(StoreConfig {
+        n_replicas,
+        tier: MediaTier::Nvme,
+        anti_entropy: Some(std::time::Duration::from_millis(100)),
+        ..StoreConfig::default()
+    });
+    Lab::run(seed, builder, move |lab| async move {
+        let cloud = &lab.cloud;
         let writer = cloud.kernel.client(NodeId(0), "e7");
         let obj = writer
             .create(
@@ -67,18 +63,14 @@ pub fn run_cell(seed: u64, n_replicas: usize, consistency: Consistency, rounds: 
         let reader_nodes = cloud.store.placement().replicas(obj.id());
 
         for round in 1..=rounds {
-            let t0 = h.now();
-            writer
-                .write(&obj, 0, Bytes::from(vec![(round % 251) as u8; 1024]))
+            let fill = Bytes::from(vec![(round % 251) as u8; 1024]);
+            lab.timed(&writes, writer.write(&obj, 0, fill))
                 .await
                 .unwrap();
-            writes.record_duration(h.now() - t0);
 
             for &node in reader_nodes.iter() {
                 let reader = cloud.kernel.client(node, "e7");
-                let t1 = h.now();
-                let data = reader.read(&obj, 0, 1).await.unwrap();
-                reads.record_duration(h.now() - t1);
+                let data = lab.timed(&reads, reader.read(&obj, 0, 1)).await.unwrap();
                 total += 1;
                 if data[0] != (round % 251) as u8 {
                     stale += 1;

@@ -8,16 +8,10 @@
 //! barely improves — protocol CPU dominates — while the PCSI path tracks
 //! the hardware. That divergence is the paper's opening argument.
 
-use std::collections::HashMap;
-
-use pcsi_cloud::rest::RestGateway;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency};
-use pcsi_metrics::Histogram;
 use pcsi_net::{NetworkGeneration, NodeId};
-use pcsi_proto::sign::Credentials;
-use pcsi_sim::Sim;
 use pcsi_trace::Sampling;
 
 use super::stages::{self, StageBreakdown};
@@ -48,16 +42,13 @@ impl Point {
 pub fn run(seed: u64, ops: u32) -> Vec<Point> {
     let mut out = Vec::new();
     for generation in NetworkGeneration::ALL {
-        let mut sim = Sim::new(seed);
-        let h = sim.handle();
-        let (pcsi_ns, rest_ns) = sim.block_on(async move {
-            let cloud = CloudBuilder::new()
-                .network(generation)
-                .deterministic_network()
-                .build(&h);
+        let builder = CloudBuilder::new()
+            .network(generation)
+            .deterministic_network();
+        let (pcsi_ns, rest_ns) = Lab::run(seed, builder, move |lab| async move {
             let payload = vec![9u8; 1024];
 
-            let kc = cloud.kernel.client(NodeId(0), "e9");
+            let kc = lab.cloud.kernel.client(NodeId(0), "e9");
             let obj = kc
                 .create(
                     CreateOptions::regular()
@@ -66,32 +57,12 @@ pub fn run(seed: u64, ops: u32) -> Vec<Point> {
                 )
                 .await
                 .unwrap();
-            let pcsi = Histogram::new();
-            for _ in 0..ops {
-                let t0 = h.now();
-                kc.read(&obj, 0, 1024).await.unwrap();
-                pcsi.record_duration(h.now() - t0);
-            }
+            let pcsi = lab.time(ops, |_| kc.read(&obj, 0, 1024)).await;
 
-            let mut keys = HashMap::new();
-            keys.insert("AK1".to_owned(), Credentials::new("AK1", b"k".to_vec()));
-            let rest = RestGateway::deploy(
-                cloud.fabric.clone(),
-                cloud.store.clone(),
-                cloud.billing.clone(),
-                NodeId(1),
-                NodeId(5),
-                keys,
-            );
-            let rc = rest.client(NodeId(0), Credentials::new("AK1", b"k".to_vec()));
+            let rc = lab.rest().client(NodeId(0), Lab::credential());
             rc.kv_put("t", "k", &payload).await.unwrap();
-            let resth = Histogram::new();
-            for _ in 0..ops {
-                let t0 = h.now();
-                rc.kv_get("t", "k").await.unwrap();
-                resth.record_duration(h.now() - t0);
-            }
-            (pcsi.mean() as f64, resth.mean() as f64)
+            let rest = lab.time(ops, |_| rc.kv_get("t", "k")).await;
+            (pcsi.mean() as f64, rest.mean() as f64)
         });
         let rtt_ns = generation.rtt().as_nanos() as f64;
         out.push(Point {
@@ -130,18 +101,15 @@ pub struct BreakdownPoint {
 pub fn breakdowns(seed: u64) -> Vec<BreakdownPoint> {
     let mut out = Vec::new();
     for generation in NetworkGeneration::ALL {
-        let mut sim = Sim::new(seed);
-        let h = sim.handle();
-        let (rest_stages, pcsi_stages) = sim.block_on(async move {
-            let cloud = CloudBuilder::new()
-                .network(generation)
-                .deterministic_network()
-                .tracing(Sampling::Always)
-                .build(&h);
-            let tracer = cloud.tracer.clone().expect("tracing enabled");
+        let builder = CloudBuilder::new()
+            .network(generation)
+            .deterministic_network()
+            .tracing(Sampling::Always);
+        let (rest_stages, pcsi_stages) = Lab::run(seed, builder, |lab| async move {
+            let tracer = lab.cloud.tracer.clone().expect("tracing enabled");
             let payload = vec![9u8; 1024];
 
-            let kc = cloud.kernel.client(NodeId(0), "e9");
+            let kc = lab.cloud.kernel.client(NodeId(0), "e9");
             let obj = kc
                 .create(
                     CreateOptions::regular()
@@ -154,18 +122,7 @@ pub fn breakdowns(seed: u64) -> Vec<BreakdownPoint> {
             kc.read(&obj, 0, 1024).await.unwrap();
             kc.read(&obj, 0, 1024).await.unwrap();
 
-            let mut keys = HashMap::new();
-            keys.insert("AK1".to_owned(), Credentials::new("AK1", b"k".to_vec()));
-            let rest = RestGateway::deploy(
-                cloud.fabric.clone(),
-                cloud.store.clone(),
-                cloud.billing.clone(),
-                NodeId(1),
-                NodeId(5),
-                keys,
-            );
-            rest.set_tracer(Some(tracer.clone()));
-            let rc = rest.client(NodeId(0), Credentials::new("AK1", b"k".to_vec()));
+            let rc = lab.rest().client(NodeId(0), Lab::credential());
             rc.kv_put("t", "k", &payload).await.unwrap();
             rc.kv_get("t", "k").await.unwrap();
             rc.kv_get("t", "k").await.unwrap();

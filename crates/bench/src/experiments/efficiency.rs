@@ -18,9 +18,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_cloud::workload::{boxed, drive_open_loop, RateShape, RunStats};
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::{CreateOptions, InvokeRequest};
-use pcsi_core::{CloudInterface, Consistency, Mutability, ObjectKind};
+use pcsi_core::CloudInterface;
 use pcsi_faas::autoscale::AutoscaleConfig;
 use pcsi_faas::function::{FunctionImage, Variant, WorkModel};
 use pcsi_faas::registry::CostModel;
@@ -28,7 +28,6 @@ use pcsi_faas::scheduler::PlacementPolicy;
 use pcsi_faas::TaskGraph;
 use pcsi_net::node::Resources;
 use pcsi_net::NodeId;
-use pcsi_sim::Sim;
 
 /// Per-invocation work and footprint of the benchmark function.
 pub const WORK: Duration = Duration::from_millis(20);
@@ -92,17 +91,13 @@ pub const SLO: Duration = Duration::from_millis(300);
 
 /// Runs one mode.
 pub fn run_mode(seed: u64, mode: Mode, burst_rps: f64, run_for: Duration) -> ModeResult {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let (policy, keep_alive) = match mode {
-            Mode::Scavenged => (PlacementPolicy::Scavenge, Duration::from_secs(3)),
-            Mode::Dedicated => (PlacementPolicy::LoadBalance, Duration::from_secs(100_000)),
-        };
-        let cloud = CloudBuilder::new()
-            .placement(policy)
-            .keep_alive(keep_alive)
-            .build(&h);
+    let (policy, keep_alive) = match mode {
+        Mode::Scavenged => (PlacementPolicy::Scavenge, Duration::from_secs(3)),
+        Mode::Dedicated => (PlacementPolicy::LoadBalance, Duration::from_secs(100_000)),
+    };
+    let builder = CloudBuilder::new().placement(policy).keep_alive(keep_alive);
+    Lab::run(seed, builder, move |lab| async move {
+        let (cloud, h) = (&lab.cloud, &lab.h);
         cloud.kernel.register_body(
             "svc",
             Rc::new(|ctx| {
@@ -115,13 +110,7 @@ pub fn run_mode(seed: u64, mode: Mode, burst_rps: f64, run_for: Duration) -> Mod
         let client = cloud.kernel.client(NodeId(0), "svc-acct");
         let image = FunctionImage::simple("svc", WorkModel::fixed(WORK), CORES);
         let f = client
-            .create(CreateOptions {
-                kind: ObjectKind::Function,
-                mutability: Mutability::Mutable,
-                consistency: Consistency::Linearizable,
-                initial: image.encode(),
-                fifo_capacity: None,
-            })
+            .create(CreateOptions::function(image.encode()))
             .await
             .unwrap();
 
@@ -149,7 +138,7 @@ pub fn run_mode(seed: u64, mode: Mode, burst_rps: f64, run_for: Duration) -> Mod
 
         let rng = h.rng().stream("efficiency-driver");
         let t_start = h.now();
-        let stats = drive_open_loop(&h, &rng, shape(burst_rps), run_for, {
+        let stats = drive_open_loop(h, &rng, shape(burst_rps), run_for, {
             let client = client.clone();
             let f = f.clone();
             move |_| {
@@ -303,8 +292,6 @@ pub struct DiurnalResult {
     pub completed: u64,
     /// Cold starts paid across all tenants.
     pub cold_starts: u64,
-    /// Worst per-tenant p99 (ns).
-    pub p99_ns: u64,
     /// Fraction of issued requests (all tenants) inside [`DIURNAL_SLO`].
     pub slo_attainment: f64,
     /// Time-averaged [`pcsi_faas::ClusterState::mean_cpu_utilization`].
@@ -368,22 +355,20 @@ fn tenant_shapes() -> [(&'static str, RateShape); 3] {
 /// the reaper drain every pool each simulated "night", so the reactive
 /// policy pays a fresh wave of cold boots every "morning".
 pub fn run_diurnal(seed: u64, policy: ScalePolicy, run_for: Duration) -> DiurnalResult {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let mut builder = CloudBuilder::new()
-            .placement(PlacementPolicy::Scavenge)
-            .keep_alive(Duration::from_secs(3));
-        if policy == ScalePolicy::Predictive {
-            builder = builder
-                .autoscale(AutoscaleConfig {
-                    interval: Duration::from_millis(100),
-                    window: Duration::from_secs(2),
-                    ..AutoscaleConfig::enabled()
-                })
-                .preemption(true);
-        }
-        let cloud = builder.build(&h);
+    let mut builder = CloudBuilder::new()
+        .placement(PlacementPolicy::Scavenge)
+        .keep_alive(Duration::from_secs(3));
+    if policy == ScalePolicy::Predictive {
+        builder = builder
+            .autoscale(AutoscaleConfig {
+                interval: Duration::from_millis(100),
+                window: Duration::from_secs(2),
+                ..AutoscaleConfig::enabled()
+            })
+            .preemption(true);
+    }
+    Lab::run(seed, builder, move |lab| async move {
+        let (cloud, h) = (&lab.cloud, &lab.h);
         for (name, work) in [
             ("web", Duration::from_millis(150)),
             ("api", Duration::from_millis(80)),
@@ -405,13 +390,7 @@ pub fn run_diurnal(seed: u64, policy: ScalePolicy, run_for: Duration) -> Diurnal
             let client = client.clone();
             async move {
                 client
-                    .create(CreateOptions {
-                        kind: ObjectKind::Function,
-                        mutability: Mutability::Mutable,
-                        consistency: Consistency::Linearizable,
-                        initial: image.encode(),
-                        fifo_capacity: None,
-                    })
+                    .create(CreateOptions::function(image.encode()))
                     .await
                     .unwrap()
             }
@@ -526,11 +505,6 @@ pub fn run_diurnal(seed: u64, policy: ScalePolicy, run_for: Duration) -> Diurnal
             policy,
             completed: stats.iter().map(|s| s.ok.get()).sum(),
             cold_starts: cloud.runtime.cold_starts(),
-            p99_ns: stats
-                .iter()
-                .map(|s| s.latency.quantile(0.99))
-                .max()
-                .unwrap_or(0),
             slo_attainment: within / issued.max(1) as f64,
             mean_cpu_util: sum / n.max(1) as f64,
             prewarms: cloud.runtime.prewarms(),

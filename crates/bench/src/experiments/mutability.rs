@@ -8,12 +8,7 @@ use pcsi_core::Mutability;
 
 /// The rendered matrix: `(level labels, matrix[from][to])`.
 pub fn matrix() -> ([&'static str; 4], [[bool; 4]; 4]) {
-    let labels = [
-        Mutability::ALL[0].as_str(),
-        Mutability::ALL[1].as_str(),
-        Mutability::ALL[2].as_str(),
-        Mutability::ALL[3].as_str(),
-    ];
+    let labels = Mutability::ALL.map(Mutability::as_str);
     (labels, Mutability::transition_matrix())
 }
 

@@ -2,9 +2,8 @@
 //! pipeline, plus an upload-size sweep showing when disaggregation bites.
 
 use pcsi_cloud::pipelines::{compare_strategies, ModelServing, PipelineReport, Strategy};
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_net::NodeId;
-use pcsi_sim::Sim;
 
 /// Standard E4 parameters: 64 MiB weights, 32 MiB uploads.
 pub const WEIGHTS: usize = 64 << 20;
@@ -23,11 +22,9 @@ pub fn run_with_upload(
     requests: u64,
     upload: usize,
 ) -> Vec<PipelineReport> {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new().deterministic_network().build(&h);
-        compare_strategies(&cloud, NodeId(0), WEIGHTS, upload, warmup, requests)
+    let builder = CloudBuilder::new().deterministic_network();
+    Lab::run(seed, builder, move |lab| async move {
+        compare_strategies(&lab.cloud, NodeId(0), WEIGHTS, upload, warmup, requests)
             .await
             .expect("pipeline run")
     })
@@ -98,11 +95,9 @@ pub use pcsi_cloud::pipelines::tpu_variant;
 /// E6 helper placed here to share the deployment: mean latency per
 /// inference variant under co-location.
 pub fn variant_latencies(seed: u64, requests: u64) -> Vec<(String, f64)> {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new().deterministic_network().build(&h);
-        let mut app = ModelServing::deploy(&cloud, NodeId(0), WEIGHTS)
+    let builder = CloudBuilder::new().deterministic_network();
+    Lab::run(seed, builder, move |lab| async move {
+        let mut app = ModelServing::deploy(&lab.cloud, NodeId(0), WEIGHTS)
             .await
             .expect("deploy");
         app.add_infer_variant(tpu_variant(40.0));

@@ -8,15 +8,12 @@
 //! contract: a dropped message costs latency, never a client-visible
 //! error — the deadline/retry/failover layer masks it.
 
-use std::time::Duration;
-
 use bytes::Bytes;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency};
 use pcsi_metrics::Histogram;
 use pcsi_net::{MessageFaults, NodeId};
-use pcsi_sim::Sim;
 use pcsi_store::{RetryPolicy, RetryStats, StoreConfig};
 
 /// One cell: the workload outcome at a given drop rate.
@@ -38,33 +35,20 @@ pub struct Cell {
 
 /// Runs `rounds` write-then-read iterations at the given drop rate.
 pub fn run_cell(seed: u64, label: &'static str, drop: f64, rounds: u32) -> Cell {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new()
-            .store(StoreConfig {
-                // Tight per-attempt deadline (below the fabric's 2 ms
-                // retransmit timeout) so a lost message surfaces as a
-                // fast client-side timeout instead of a slow transport
-                // error, plus retry/failover budget to mask it.
-                retry: RetryPolicy {
-                    attempt_timeout: Some(Duration::from_micros(1500)),
-                    op_deadline: Some(Duration::from_millis(50)),
-                    attempts_per_target: 4,
-                    failover: true,
-                    base_backoff: Duration::from_micros(100),
-                    max_backoff: Duration::from_millis(2),
-                    jitter: 0.5,
-                },
-                ..StoreConfig::default()
-            })
-            .build(&h);
+    // Tight per-attempt deadline (below the fabric's 2 ms retransmit
+    // timeout) so a lost message surfaces as a fast client-side timeout
+    // instead of a slow transport error, plus retry/failover budget to
+    // mask it.
+    let builder = CloudBuilder::new().store(StoreConfig {
+        retry: RetryPolicy::tight(),
+        ..StoreConfig::default()
+    });
+    Lab::run(seed, builder, move |lab| async move {
+        let cloud = &lab.cloud;
         if drop > 0.0 {
             cloud.fabric.set_message_faults(MessageFaults {
                 drop,
-                duplicate: 0.0,
-                delay_spike: 0.0,
-                spike: Duration::ZERO,
+                ..MessageFaults::NONE
             });
         }
         let client = cloud.kernel.client(NodeId(0), "recovery");
@@ -81,20 +65,17 @@ pub fn run_cell(seed: u64, label: &'static str, drop: f64, rounds: u32) -> Cell 
         let reads = Histogram::new();
         let mut client_errors = 0u64;
         for round in 0..rounds {
-            let t0 = h.now();
-            if client
-                .write(&obj, 0, Bytes::from(vec![(round % 251) as u8; 64]))
+            let fill = Bytes::from(vec![(round % 251) as u8; 64]);
+            if lab
+                .timed(&writes, client.write(&obj, 0, fill))
                 .await
                 .is_err()
             {
                 client_errors += 1;
             }
-            writes.record_duration(h.now() - t0);
-            let t1 = h.now();
-            if client.read(&obj, 0, 64).await.is_err() {
+            if lab.timed(&reads, client.read(&obj, 0, 64)).await.is_err() {
                 client_errors += 1;
             }
-            reads.record_duration(h.now() - t1);
         }
         Cell {
             label,

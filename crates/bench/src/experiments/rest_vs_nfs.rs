@@ -9,18 +9,13 @@
 //! values differ (our simulated 2021 fabric is faster than the authors'
 //! WAN-adjacent testbed); ratios are the claim.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
-use pcsi_cloud::nfs::NfsServer;
-use pcsi_cloud::rest::RestGateway;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency};
 use pcsi_metrics::{Histogram, Quantiles};
 use pcsi_net::NodeId;
-use pcsi_proto::sign::Credentials;
-use pcsi_sim::Sim;
 use pcsi_trace::Sampling;
 
 use super::stages::{self, StageBreakdown};
@@ -32,8 +27,6 @@ pub struct InterfaceResult {
     pub label: &'static str,
     /// Mean fetch latency (ns).
     pub mean_ns: f64,
-    /// p99 fetch latency (ns).
-    pub p99_ns: f64,
     /// Full latency quantile snapshot (p50/p95/p99/p999 from the
     /// histogram the run recorded).
     pub latency: Quantiles,
@@ -66,114 +59,85 @@ impl Results {
 
 /// Runs `fetches` 1 KB GETs on each interface.
 pub fn run(seed: u64, fetches: u32) -> Results {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new().metrics(true).build(&h);
-        let billing = cloud.billing.clone();
-        let mut keys = HashMap::new();
-        keys.insert("AK1".to_owned(), Credentials::new("AK1", b"k".to_vec()));
-        let rest = RestGateway::deploy(
-            cloud.fabric.clone(),
-            cloud.store.clone(),
-            billing.clone(),
-            NodeId(1),
-            NodeId(5),
-            keys,
-        );
-        rest.set_metrics(cloud.metrics.clone());
-        let nfs = NfsServer::deploy(
-            cloud.fabric.clone(),
-            billing.clone(),
-            NodeId(6),
-            b"nfs-secret",
-        );
-        nfs.set_metrics(cloud.metrics.clone());
-        let payload = vec![0x5Au8; 1024];
-        let client_node = NodeId(0);
+    Lab::run(
+        seed,
+        CloudBuilder::new().metrics(true),
+        move |lab| async move {
+            let billing = lab.cloud.billing.clone();
+            let payload = vec![0x5Au8; 1024];
+            let client_node = NodeId(0);
 
-        // --- NFS ---
-        let mount = nfs.mount(client_node, b"nfs-secret", "nfs").await.unwrap();
-        let fh = mount.lookup("bench-1k", true).await.unwrap();
-        mount.write(fh, 0, &payload).await.unwrap();
-        let nfs_hist = Histogram::new();
-        for _ in 0..fetches {
-            let t0 = h.now();
-            mount.read(fh, 0, 1024).await.unwrap();
-            nfs_hist.record_duration(h.now() - t0);
-        }
+            // --- NFS ---
+            let mount = lab
+                .nfs()
+                .mount(client_node, Lab::NFS_SECRET, "nfs")
+                .await
+                .unwrap();
+            let fh = mount.lookup("bench-1k", true).await.unwrap();
+            mount.write(fh, 0, &payload).await.unwrap();
+            let nfs_hist = lab.time(fetches, |_| mount.read(fh, 0, 1024)).await;
 
-        // --- REST ---
-        let rc = rest.client(client_node, Credentials::new("AK1", b"k".to_vec()));
-        rc.kv_put("bench", "obj-1k", &payload).await.unwrap();
-        let rest_hist = Histogram::new();
-        let rest_reqs_before = billing.request_count("AK1");
-        let rest_cost_before = billing.invoice("AK1").compute;
-        for _ in 0..fetches {
-            let t0 = h.now();
-            rc.kv_get("bench", "obj-1k").await.unwrap();
-            rest_hist.record_duration(h.now() - t0);
-        }
-        let rest_reqs = billing.request_count("AK1") - rest_reqs_before;
-        // Compute-metered provider cost only: the flat API-metering fee
-        // (0.20 USD/M, REST-only) is reported separately by the report
-        // binary; the paper's 60x is about work per request.
-        let rest_cost = billing.invoice("AK1").compute - rest_cost_before;
+            // --- REST ---
+            let rc = lab.rest().client(client_node, Lab::credential());
+            rc.kv_put("bench", "obj-1k", &payload).await.unwrap();
+            let rest_reqs_before = billing.request_count("AK1");
+            let rest_cost_before = billing.invoice("AK1").compute;
+            let rest_hist = lab.time(fetches, |_| rc.kv_get("bench", "obj-1k")).await;
+            let rest_reqs = billing.request_count("AK1") - rest_reqs_before;
+            // Compute-metered provider cost only: the flat API-metering fee
+            // (0.20 USD/M, REST-only) is reported separately by the report
+            // binary; the paper's 60x is about work per request.
+            let rest_cost = billing.invoice("AK1").compute - rest_cost_before;
 
-        // --- PCSI-native ---
-        let kc = cloud.kernel.client(client_node, "pcsi");
-        let obj = kc
-            .create(
-                CreateOptions::regular()
-                    .with_consistency(Consistency::Eventual)
-                    .with_initial(payload.clone()),
-            )
-            .await
-            .unwrap();
-        let pcsi_hist = Histogram::new();
-        for _ in 0..fetches {
-            let t0 = h.now();
-            kc.read(&obj, 0, 1024).await.unwrap();
-            pcsi_hist.record_duration(h.now() - t0);
-        }
+            // --- PCSI-native ---
+            let kc = lab.cloud.kernel.client(client_node, "pcsi");
+            let obj = kc
+                .create(
+                    CreateOptions::regular()
+                        .with_consistency(Consistency::Eventual)
+                        .with_initial(payload.clone()),
+                )
+                .await
+                .unwrap();
+            let pcsi_hist = lab.time(fetches, |_| kc.read(&obj, 0, 1024)).await;
 
-        // Cost accounting. NFS: per-op compute metered at the server.
-        // PCSI: we meter the replica-side CPU analogously (binary decode +
-        // handle work ~ the same 3 us class as NFS; charge it explicitly
-        // so the comparison is apples-to-apples).
-        let nfs_cost = billing.invoice("nfs").compute;
-        let pcsi_per_op = Duration::from_micros(2); // Capability table hit + dispatch.
-        let pcsi_cost = pcsi_per_op.as_secs_f64() * (0.048 / 3600.0) * f64::from(fetches);
+            // Cost accounting. NFS: per-op compute metered at the server.
+            // PCSI: we meter the replica-side CPU analogously (binary decode +
+            // handle work ~ the same 3 us class as NFS; charge it explicitly
+            // so the comparison is apples-to-apples).
+            let nfs_cost = billing.invoice("nfs").compute;
+            let pcsi_per_op = Duration::from_micros(2); // Capability table hit + dispatch.
+            let pcsi_cost = pcsi_per_op.as_secs_f64() * (0.048 / 3600.0) * f64::from(fetches);
 
-        let per_m = |total: f64, n: f64| total / n * 1e6;
-        let result = |label, hist: &Histogram, usd_per_million| {
-            let q = hist.quantiles();
-            InterfaceResult {
-                label,
-                mean_ns: q.mean as f64,
-                p99_ns: q.p99 as f64,
-                latency: q,
-                usd_per_million,
+            let per_m = |total: f64, n: f64| total / n * 1e6;
+            let result = |label, hist: &Histogram, usd_per_million| {
+                let q = hist.quantiles();
+                InterfaceResult {
+                    label,
+                    mean_ns: q.mean as f64,
+                    latency: q,
+                    usd_per_million,
+                }
+            };
+            Results {
+                nfs: result(
+                    "NFS-like stateful protocol",
+                    &nfs_hist,
+                    per_m(nfs_cost, f64::from(fetches + 2)),
+                ),
+                rest: result(
+                    "DynamoDB-like REST",
+                    &rest_hist,
+                    per_m(rest_cost, rest_reqs as f64),
+                ),
+                pcsi: result(
+                    "PCSI-native (reference + binary)",
+                    &pcsi_hist,
+                    per_m(pcsi_cost, f64::from(fetches)),
+                ),
             }
-        };
-        Results {
-            nfs: result(
-                "NFS-like stateful protocol",
-                &nfs_hist,
-                per_m(nfs_cost, f64::from(fetches + 2)),
-            ),
-            rest: result(
-                "DynamoDB-like REST",
-                &rest_hist,
-                per_m(rest_cost, rest_reqs as f64),
-            ),
-            pcsi: result(
-                "PCSI-native (reference + binary)",
-                &pcsi_hist,
-                per_m(pcsi_cost, f64::from(fetches)),
-            ),
-        }
-    })
+        },
+    )
 }
 
 /// Trace-derived stage splits of one warm 1 KB GET per interface.
@@ -192,44 +156,27 @@ pub struct StageResults {
 /// span-level explanation of [`Results`]' latency ratio: the REST path
 /// carries ~60× the protocol CPU of the NFS path.
 pub fn stage_breakdown(seed: u64) -> StageResults {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new().tracing(Sampling::Always).build(&h);
-        let tracer = cloud.tracer.clone().expect("tracing enabled");
-        let billing = cloud.billing.clone();
-        let mut keys = HashMap::new();
-        keys.insert("AK1".to_owned(), Credentials::new("AK1", b"k".to_vec()));
-        let rest = RestGateway::deploy(
-            cloud.fabric.clone(),
-            cloud.store.clone(),
-            billing.clone(),
-            NodeId(1),
-            NodeId(5),
-            keys,
-        );
-        rest.set_tracer(Some(tracer.clone()));
-        let nfs = NfsServer::deploy(
-            cloud.fabric.clone(),
-            billing.clone(),
-            NodeId(6),
-            b"nfs-secret",
-        );
-        nfs.set_tracer(Some(tracer.clone()));
+    let builder = CloudBuilder::new().tracing(Sampling::Always);
+    Lab::run(seed, builder, |lab| async move {
+        let tracer = lab.cloud.tracer.clone().expect("tracing enabled");
         let payload = vec![0x5Au8; 1024];
         let client_node = NodeId(0);
 
-        let mount = nfs.mount(client_node, b"nfs-secret", "nfs").await.unwrap();
+        let mount = lab
+            .nfs()
+            .mount(client_node, Lab::NFS_SECRET, "nfs")
+            .await
+            .unwrap();
         let fh = mount.lookup("bench-1k", true).await.unwrap();
         mount.write(fh, 0, &payload).await.unwrap();
         mount.read(fh, 0, 1024).await.unwrap();
 
-        let rc = rest.client(client_node, Credentials::new("AK1", b"k".to_vec()));
+        let rc = lab.rest().client(client_node, Lab::credential());
         rc.kv_put("bench", "obj-1k", &payload).await.unwrap();
         rc.kv_get("bench", "obj-1k").await.unwrap();
         rc.kv_get("bench", "obj-1k").await.unwrap();
 
-        let kc = cloud.kernel.client(client_node, "pcsi");
+        let kc = lab.cloud.kernel.client(client_node, "pcsi");
         let obj = kc
             .create(
                 CreateOptions::regular()
@@ -287,6 +234,6 @@ mod tests {
         let a = run(7, 50);
         let b = run(7, 50);
         assert_eq!(a.rest.mean_ns, b.rest.mean_ns);
-        assert_eq!(a.nfs.p99_ns, b.nfs.p99_ns);
+        assert_eq!(a.nfs.latency, b.nfs.latency);
     }
 }

@@ -39,8 +39,6 @@ pub fn classify(name: &str) -> &'static str {
 /// Per-stage self-time totals for one trace.
 #[derive(Debug, Clone)]
 pub struct StageBreakdown {
-    /// The trace the totals were computed over.
-    pub trace: TraceId,
     /// `(category, self-time ns)` in first-seen order.
     pub totals: Vec<(&'static str, u64)>,
 }
@@ -49,7 +47,6 @@ impl StageBreakdown {
     /// Computes the breakdown of `trace` using [`classify`].
     pub fn of(spans: &[Span], trace: TraceId) -> StageBreakdown {
         StageBreakdown {
-            trace,
             totals: self_time_breakdown(spans, trace, &classify),
         }
     }

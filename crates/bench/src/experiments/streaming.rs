@@ -26,19 +26,17 @@
 //!   token and full-stream time are compared across the two transports
 //!   with identical compute, so only the delivery path differs.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use pcsi_cloud::sse::{SseHub, SsePublisher, SseSubscriber};
-use pcsi_cloud::{Cloud, CloudBuilder};
+use pcsi_cloud::sse::{SsePublisher, SseSubscriber};
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, PcsiError, Rights};
 use pcsi_metrics::Histogram;
 use pcsi_net::NetworkGeneration;
-use pcsi_proto::sign::Credentials;
-use pcsi_sim::{Sim, SimHandle};
+use pcsi_sim::SimHandle;
 
 /// Subscriber count for the fan-out measurement.
 pub const FAN_OUT: usize = 8;
@@ -82,20 +80,17 @@ impl StreamPoint {
 pub fn run(seed: u64, events: u32) -> Vec<StreamPoint> {
     let mut out = Vec::new();
     for generation in NetworkGeneration::ALL {
-        let mut sim = Sim::new(seed);
-        let h = sim.handle();
-        let point = sim.block_on(async move {
-            let cloud = CloudBuilder::new()
-                .network(generation)
-                .deterministic_network()
-                .build(&h);
+        let builder = CloudBuilder::new()
+            .network(generation)
+            .deterministic_network();
+        let point = Lab::run(seed, builder, move |lab| async move {
             // Pace publishes a few RTTs apart so each event's latency is
             // delivery time, not queueing behind its predecessors.
             let pace = generation.rtt().max(Duration::from_micros(20)) * 4;
-            let pcsi_event_ns = pcsi_mean(&h, &cloud, 1, events, pace, "e10-p1").await;
-            let pcsi_fanout_ns = pcsi_mean(&h, &cloud, FAN_OUT, events, pace, "e10-pn").await;
-            let sse_event_ns = sse_mean(&h, &cloud, 1, events, pace, "e10-s1").await;
-            let sse_fanout_ns = sse_mean(&h, &cloud, FAN_OUT, events, pace, "e10-sn").await;
+            let pcsi_event_ns = pcsi_mean(&lab, 1, events, pace, "e10-p1").await;
+            let pcsi_fanout_ns = pcsi_mean(&lab, FAN_OUT, events, pace, "e10-pn").await;
+            let sse_event_ns = sse_mean(&lab, 1, events, pace, "e10-s1").await;
+            let sse_fanout_ns = sse_mean(&lab, FAN_OUT, events, pace, "e10-sn").await;
             StreamPoint {
                 generation,
                 rtt_ns: generation.rtt().as_nanos() as f64,
@@ -131,14 +126,8 @@ const ROUNDS: usize = 4;
 
 /// Mean per-event latency over [`ROUNDS`] × `events` publishes to
 /// `subscribers` kernel subscriptions on distinct consumer nodes.
-async fn pcsi_mean(
-    h: &SimHandle,
-    cloud: &Cloud,
-    subscribers: usize,
-    events: u32,
-    pace: Duration,
-    tag: &str,
-) -> f64 {
+async fn pcsi_mean(lab: &Lab, subscribers: usize, events: u32, pace: Duration, tag: &str) -> f64 {
+    let (cloud, h) = (&lab.cloud, &lab.h);
     let nodes = cloud.fabric.topology().node_ids();
     let producer = cloud.kernel.client(nodes[0], tag);
     let hist = Rc::new(Histogram::new());
@@ -204,29 +193,17 @@ async fn append_retrying(
     }
 }
 
-fn creds() -> Credentials {
-    Credentials::new("AK1", b"k".to_vec())
-}
-
 /// Mean per-event latency over [`ROUNDS`] × `events` publishes to
 /// `subscribers` SSE connections on distinct consumer nodes. The hub
 /// rotates across nodes round-by-round, mirroring the placement draws
 /// the FIFO side samples.
-async fn sse_mean(
-    h: &SimHandle,
-    cloud: &Cloud,
-    subscribers: usize,
-    events: u32,
-    pace: Duration,
-    stream: &str,
-) -> f64 {
-    let nodes = cloud.fabric.topology().node_ids();
+async fn sse_mean(lab: &Lab, subscribers: usize, events: u32, pace: Duration, stream: &str) -> f64 {
+    let h = &lab.h;
+    let nodes = lab.cloud.fabric.topology().node_ids();
     let hist = Rc::new(Histogram::new());
     for round in 0..ROUNDS {
-        let mut keys = HashMap::new();
-        keys.insert("AK1".to_owned(), creds());
         let hub_node = nodes[1 + (round % (nodes.len() - 1))];
-        let hub = SseHub::deploy(cloud.fabric.clone(), cloud.billing.clone(), hub_node, keys);
+        let hub = lab.sse(hub_node);
         // Mirror the PCSI side: consumers never sit on the hub or the
         // producer, so every delivery crosses the fabric.
         let pool: Vec<_> = nodes
@@ -238,7 +215,7 @@ async fn sse_mean(
         let mut consumers = Vec::new();
         for i in 0..subscribers {
             let node = pool[(i + round) % pool.len()];
-            let sub = SseSubscriber::connect(&hub, node, creds(), &stream)
+            let sub = SseSubscriber::connect(&hub, node, Lab::credential(), &stream)
                 .await
                 .expect("sse connect");
             let hist = Rc::clone(&hist);
@@ -252,7 +229,7 @@ async fn sse_mean(
                 sub.disconnect().await;
             }));
         }
-        let publisher = SsePublisher::new(&hub, nodes[0], creds());
+        let publisher = SsePublisher::new(&hub, nodes[0], Lab::credential());
         for i in 0..events {
             let payload = stamp(h, i);
             publisher
@@ -271,8 +248,6 @@ async fn sse_mean(
 /// Outcome of the metrics-delta streaming scenario.
 #[derive(Debug, Clone)]
 pub struct MetricsDeltaResult {
-    /// Snapshot ticks streamed.
-    pub ticks: u32,
     /// Mean wire bytes per published delta frame.
     pub mean_delta_bytes: f64,
     /// Mean bytes of the full snapshot at each tick — what naive
@@ -293,13 +268,9 @@ impl MetricsDeltaResult {
 /// Streams the deployment's own metrics registry as line-diffs through
 /// a FIFO subscription; the consumer reconstructs every snapshot.
 pub fn metrics_delta(seed: u64, ticks: u32) -> MetricsDeltaResult {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new()
-            .deterministic_network()
-            .metrics(true)
-            .build(&h);
+    let builder = CloudBuilder::new().deterministic_network().metrics(true);
+    Lab::run(seed, builder, move |lab| async move {
+        let (cloud, h) = (&lab.cloud, &lab.h);
         let metrics = cloud.metrics.clone().expect("metrics enabled");
         let nodes = cloud.fabric.topology().node_ids();
 
@@ -347,14 +318,13 @@ pub fn metrics_delta(seed: u64, ticks: u32) -> MetricsDeltaResult {
             let frame = pcsi_metrics::delta(&prev, &cur);
             delta_bytes += frame.len() as u64;
             full_bytes += cur.len() as u64;
-            append_retrying(&h, &producer, &fifo, Bytes::from(frame)).await;
+            append_retrying(h, &producer, &fifo, Bytes::from(frame)).await;
             prev = cur;
             h.sleep(Duration::from_millis(1)).await;
         }
         producer.delete(&fifo).await.expect("delete");
         let reconstructed = consumer.await == prev;
         MetricsDeltaResult {
-            ticks,
             mean_delta_bytes: delta_bytes as f64 / f64::from(ticks.max(1)),
             mean_full_bytes: full_bytes as f64 / f64::from(ticks.max(1)),
             reconstructed,
@@ -382,13 +352,11 @@ pub struct TokenServingResult {
 /// so TTFT and total-time differences are pure delivery overhead.
 pub fn token_serving(seed: u64, tokens: u32) -> TokenServingResult {
     const TOKEN_COMPUTE: Duration = Duration::from_millis(1);
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new()
-            .network(NetworkGeneration::Dc2021)
-            .deterministic_network()
-            .build(&h);
+    let builder = CloudBuilder::new()
+        .network(NetworkGeneration::Dc2021)
+        .deterministic_network();
+    Lab::run(seed, builder, move |lab| async move {
+        let (cloud, h) = (&lab.cloud, &lab.h);
         let nodes = cloud.fabric.topology().node_ids();
 
         // PCSI: the server streams tokens into a FIFO the client tails.
@@ -423,13 +391,11 @@ pub fn token_serving(seed: u64, tokens: u32) -> TokenServingResult {
         producer.await;
 
         // SSE: same compute cadence, delivery via the hub.
-        let mut keys = HashMap::new();
-        keys.insert("AK1".to_owned(), creds());
-        let hub = SseHub::deploy(cloud.fabric.clone(), cloud.billing.clone(), nodes[1], keys);
-        let sub = SseSubscriber::connect(&hub, nodes[4], creds(), "model")
+        let hub = lab.sse(nodes[1]);
+        let sub = SseSubscriber::connect(&hub, nodes[4], Lab::credential(), "model")
             .await
             .expect("sse connect");
-        let publisher = SsePublisher::new(&hub, nodes[0], creds());
+        let publisher = SsePublisher::new(&hub, nodes[0], Lab::credential());
         let t_start = h.now();
         let h2 = h.clone();
         let producer = h.spawn(async move {

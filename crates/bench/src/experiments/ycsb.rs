@@ -7,18 +7,13 @@
 //! from E2/E8 holds across mixes and skew, which is the generalization
 //! the §2.1 argument needs.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
-use pcsi_cloud::rest::RestGateway;
 use pcsi_cloud::workload::ZipfKeys;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency, Reference};
-use pcsi_metrics::Histogram;
 use pcsi_net::NodeId;
 use pcsi_proto::sign::Credentials;
-use pcsi_sim::Sim;
 
 /// Number of keys in the table.
 pub const KEYS: u64 = 200;
@@ -76,15 +71,13 @@ pub struct Cell {
 pub fn run(seed: u64, ops: u32) -> Vec<Cell> {
     let mut out = Vec::new();
     for mix in Mix::ALL {
-        let mut sim = Sim::new(seed);
-        let h = sim.handle();
-        let (pcsi, rest) = sim.block_on(async move {
-            let cloud = CloudBuilder::new().build(&h);
+        let (pcsi, rest) = Lab::run(seed, CloudBuilder::new(), move |lab| async move {
+            let h = &lab.h;
             let value = vec![0x42u8; VALUE];
 
             // PCSI: one object per key, eventual consistency (the
             // DynamoDB-default equivalent), references bound once.
-            let kc = cloud.kernel.client(NodeId(0), "ycsb");
+            let kc = lab.cloud.kernel.client(NodeId(0), "ycsb");
             let mut refs: Vec<Reference> = Vec::with_capacity(KEYS as usize);
             for _ in 0..KEYS {
                 refs.push(
@@ -100,51 +93,45 @@ pub fn run(seed: u64, ops: u32) -> Vec<Cell> {
 
             let zipf = ZipfKeys::new(h.rng().stream("ycsb-keys"), KEYS, 0.99);
             let coin = h.rng().stream("ycsb-mix");
-            let pcsi_hist = Histogram::new();
-            for _ in 0..ops {
-                let key = zipf.next_key() as usize;
-                let is_read = coin.bool(mix.read_fraction());
-                let t0 = h.now();
-                if is_read {
-                    kc.read(&refs[key], 0, VALUE as u64).await.unwrap();
-                } else {
-                    kc.write(&refs[key], 0, Bytes::from(value.clone()))
-                        .await
-                        .unwrap();
-                }
-                pcsi_hist.record_duration(h.now() - t0);
-            }
+            let pcsi_hist = lab
+                .time(ops, |_| {
+                    let obj = &refs[zipf.next_key() as usize];
+                    let is_read = coin.bool(mix.read_fraction());
+                    let (kc, value) = (&kc, &value);
+                    async move {
+                        if is_read {
+                            kc.read(obj, 0, VALUE as u64).await.map(drop)
+                        } else {
+                            kc.write(obj, 0, Bytes::from(value.clone())).await.map(drop)
+                        }
+                    }
+                })
+                .await;
 
-            // REST on the same store.
-            let mut keys = HashMap::new();
-            keys.insert("AK".to_owned(), Credentials::new("AK", b"k".to_vec()));
-            let rest = RestGateway::deploy(
-                cloud.fabric.clone(),
-                cloud.store.clone(),
-                cloud.billing.clone(),
-                NodeId(1),
-                NodeId(5),
-                keys,
-            );
-            let rc = rest.client(NodeId(0), Credentials::new("AK", b"k".to_vec()));
+            // REST on the same store. The key id is on the wire, so this
+            // experiment keeps the two-letter one its numbers were
+            // published with.
+            let creds = Credentials::new("AK", b"k".to_vec());
+            let rc = lab.rest_as(&creds).client(NodeId(0), creds);
             for k in 0..KEYS {
                 rc.kv_put("ycsb", &format!("k{k}"), &value).await.unwrap();
             }
             let zipf = ZipfKeys::new(h.rng().stream("ycsb-keys-rest"), KEYS, 0.99);
             let coin = h.rng().stream("ycsb-mix-rest");
-            let rest_hist = Histogram::new();
-            for _ in 0..ops {
-                let key = zipf.next_key();
-                let name = format!("k{key}");
-                let is_read = coin.bool(mix.read_fraction());
-                let t0 = h.now();
-                if is_read {
-                    rc.kv_get("ycsb", &name).await.unwrap();
-                } else {
-                    rc.kv_put("ycsb", &name, &value).await.unwrap();
-                }
-                rest_hist.record_duration(h.now() - t0);
-            }
+            let rest_hist = lab
+                .time(ops, |_| {
+                    let name = format!("k{}", zipf.next_key());
+                    let is_read = coin.bool(mix.read_fraction());
+                    let (rc, value) = (&rc, &value);
+                    async move {
+                        if is_read {
+                            rc.kv_get("ycsb", &name).await.map(drop)
+                        } else {
+                            rc.kv_put("ycsb", &name, value).await
+                        }
+                    }
+                })
+                .await;
             (
                 (pcsi_hist.mean() as f64, pcsi_hist.quantile(0.99) as f64),
                 (rest_hist.mean() as f64, rest_hist.quantile(0.99) as f64),
@@ -184,10 +171,8 @@ pub struct ImmutableCell {
 /// Runs a read-only Zipf workload against immutable objects and reports
 /// cache efficacy alongside latency.
 pub fn run_immutable(seed: u64, ops: u32) -> ImmutableCell {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new().build(&h);
+    Lab::run(seed, CloudBuilder::new(), move |lab| async move {
+        let cloud = &lab.cloud;
         let value = vec![0x42u8; VALUE];
         let kc = cloud.kernel.client(NodeId(0), "ycsb-im");
         let mut refs: Vec<Reference> = Vec::with_capacity(KEYS as usize);
@@ -199,16 +184,14 @@ pub fn run_immutable(seed: u64, ops: u32) -> ImmutableCell {
             );
         }
 
-        let zipf = ZipfKeys::new(h.rng().stream("ycsb-keys-im"), KEYS, 0.99);
-        let hist = Histogram::new();
+        let zipf = ZipfKeys::new(lab.h.rng().stream("ycsb-keys-im"), KEYS, 0.99);
         let stats0 = cloud.store.cache_stats();
         let msgs0 = cloud.fabric.message_count();
-        for _ in 0..ops {
-            let key = zipf.next_key() as usize;
-            let t0 = h.now();
-            kc.read(&refs[key], 0, VALUE as u64).await.unwrap();
-            hist.record_duration(h.now() - t0);
-        }
+        let hist = lab
+            .time(ops, |_| {
+                kc.read(&refs[zipf.next_key() as usize], 0, VALUE as u64)
+            })
+            .await;
         let stats1 = cloud.store.cache_stats();
         let msgs1 = cloud.fabric.message_count();
         ImmutableCell {

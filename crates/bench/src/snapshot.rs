@@ -231,6 +231,34 @@ fn document<'a>(
     text
 }
 
+/// Where `r` departs from the snapshot document `pinned`, one line per
+/// number. Every [`METRICS`] row and every Table 1 row the simulator or
+/// the model produced is the same `f64` on any machine, so it is held to
+/// exact equality; `measured (host)` rows are the capture machine's and
+/// are not compared.
+pub fn drift(r: &Results, pinned: &Value) -> Vec<String> {
+    let table1 = r
+        .table1
+        .iter()
+        .filter(|row| row.source != "measured (host)")
+        .map(|row| {
+            let block = pinned.get("snapshot").and_then(|s| s.get(TABLE1));
+            let there = block.and_then(|b| b.get(&row.label)?.as_f64());
+            (format!("{TABLE1}[{:?}]", row.label), row.ours_ns, there)
+        });
+    let metrics = METRICS
+        .iter()
+        .map(|metric| (metric.path(), metric.value(r), metric.read(pinned)));
+    table1
+        .chain(metrics)
+        .filter(|(_, here, there)| Some(*here) != *there)
+        .map(|(path, here, there)| match there {
+            Some(there) => format!("{path}: {here} here, {there} pinned"),
+            None => format!("{path}: {here} here, absent from the pin"),
+        })
+        .collect()
+}
+
 /// Checks that `text` is a valid snapshot under the current [`SCHEMA`]
 /// and returns the parsed document.
 ///
@@ -303,7 +331,6 @@ pub(crate) mod tests {
             policy: ScalePolicy::Reactive,
             completed: 20_000,
             cold_starts: 160,
-            p99_ns: 150_000_000,
             slo_attainment: 0.994,
             mean_cpu_util: 0.18,
             prewarms: 0,
@@ -361,7 +388,6 @@ pub(crate) mod tests {
                     point(FastEmerging, 2_000.0, 310_000.0),
                 ],
                 delta: MetricsDeltaResult {
-                    ticks: 20,
                     mean_delta_bytes: 400.0,
                     mean_full_bytes: 4_000.0,
                     reconstructed: true,
@@ -416,6 +442,30 @@ pub(crate) mod tests {
         assert_eq!(read("autoscale", "cold_start_ratio"), 8.0);
         assert_eq!(read("streaming", "fan_out"), 8.0);
         assert_eq!(read("streaming", "delta_compression"), 10.0);
+    }
+
+    #[test]
+    fn drift_holds_simulated_rows_to_the_exact_f64_and_exempts_host_rows() {
+        let pinned = fixture();
+        let doc = json::decode(&render(&pinned, "12", 7)).unwrap();
+        assert_eq!(drift(&pinned, &doc), Vec::<String>::new());
+
+        // The host-measured row may move; a modeled row and a metric by
+        // one ulp may not, and each is named.
+        let mut r = pinned.clone();
+        r.table1[1].ours_ns *= 2.0;
+        assert_eq!(drift(&r, &doc), Vec::<String>::new());
+        r.table1[0].ours_ns = f64::from_bits(5_000.0_f64.to_bits() + 1);
+        r.shard.p99_after_us = f64::from_bits(400.0_f64.to_bits() - 1);
+        let moved = drift(&r, &doc);
+        assert_eq!(moved.len(), 2, "{moved:?}");
+        assert!(moved[0].starts_with("table1_ns[\"Socket overhead\"]: 5000.000000000001 here"));
+        assert!(moved[1].starts_with("shard_scaling.p99_after_us: 399.99999999999994 here"));
+
+        // A pin that predates a row does not vouch for it.
+        let old = json::decode(&render(&pinned, "8", 7).replace("\"fan_out\":", "\"fan_out_x\":"));
+        let moved = drift(&pinned, &old.unwrap());
+        assert_eq!(moved, ["streaming.fan_out: 8 here, absent from the pin"]);
     }
 
     #[test]

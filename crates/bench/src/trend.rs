@@ -47,6 +47,8 @@ pub struct TrendRow {
     pub pr: String,
     /// `pr` parsed as a number, when it is one — only these rows gate.
     pub pr_num: Option<u64>,
+    /// The whole validated document.
+    pub doc: Value,
     values: Vec<Option<f64>>,
 }
 
@@ -62,7 +64,12 @@ pub fn parse_row(text: &str) -> Result<TrendRow, String> {
         .to_owned();
     let pr_num = pr.parse::<u64>().ok();
     let values = tracked().map(|m| m.read(&doc)).collect();
-    Ok(TrendRow { pr, pr_num, values })
+    Ok(TrendRow {
+        pr,
+        pr_num,
+        doc,
+        values,
+    })
 }
 
 /// Orders rows: numeric PRs ascending first, then the rest by name.
@@ -72,15 +79,20 @@ fn sort(rows: &mut [TrendRow]) {
     });
 }
 
-/// Reads every `BENCH_*.json` in `dir` into sorted trend rows. Any
-/// unreadable or schema-drifted file is an error naming the file.
-pub fn load_dir(dir: &Path) -> Result<Vec<TrendRow>, String> {
+/// Reads every `BENCH_<pr>.json` in `dir` whose file-name `pr` passes
+/// `keep` into sorted trend rows. Any unreadable or schema-drifted file
+/// among them is an error naming the file.
+pub fn load_dir(dir: &Path, keep: impl Fn(&str) -> bool) -> Result<Vec<TrendRow>, String> {
     let mut rows = Vec::new();
     let entries = std::fs::read_dir(dir).map_err(|e| format!("cannot read {dir:?}: {e}"))?;
     for name in entries
         .filter_map(|e| e.ok())
         .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        .filter(|n| {
+            n.strip_prefix("BENCH_")
+                .and_then(|n| n.strip_suffix(".json"))
+                .is_some_and(&keep)
+        })
     {
         let text = std::fs::read_to_string(dir.join(&name))
             .map_err(|e| format!("cannot read {name}: {e}"))?;

@@ -19,7 +19,11 @@
 //! * [`stream`] does the same for the streaming layer: cross-node FIFO
 //!   subscriptions under message drops and silent subscriber death,
 //!   checking exactly-once in-order delivery within the credit window
-//!   and bounded buffer memory on both sides.
+//!   and bounded buffer memory on both sides,
+//! * [`obs`] does it for the observability control plane: a primary
+//!   kill plus a drop spike must raise exactly the expected alerts,
+//! * [`report`] is what all three return — one [`Report`] with one
+//!   `render` and one `fingerprint` — and the fault injector they drive.
 //!
 //! Everything runs inside the deterministic simulator, so any failing
 //! seed reproduces byte-identically: `run_scenario(seed, cfg)` twice
@@ -30,11 +34,13 @@
 pub mod checker;
 pub mod history;
 pub mod obs;
+pub mod report;
 pub mod scenario;
 pub mod stream;
 
 pub use checker::{check_converged, check_linearizable, check_reads_observe_writes, Violation};
 pub use history::{decode_value, encode_value, Op, OpKind, Recorder};
-pub use obs::{run_obs_scenario, ObsScenarioReport};
-pub use scenario::{run_scenario, sweep_seeds, FaultPlan, ScenarioConfig, ScenarioReport};
-pub use stream::{run_stream_scenario, StreamScenarioConfig, StreamScenarioReport};
+pub use obs::run_obs_scenario;
+pub use report::Report;
+pub use scenario::{run_scenario, sweep_seeds, FaultPlan, ScenarioConfig};
+pub use stream::{run_stream_scenario, StreamScenarioConfig};

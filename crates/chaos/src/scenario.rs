@@ -10,25 +10,25 @@
 //! Everything — the fault schedule, the worker interleaving, the
 //! network jitter — derives from the one seed, so a failing seed
 //! reproduces byte-identically: re-running it yields the same
-//! [`ScenarioReport::render`] output, byte for byte.
+//! [`Report::render`] output, byte for byte.
 
 use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency, ObjectId};
 use pcsi_metrics::Metrics;
-use pcsi_net::{Fabric, MessageFaults, NodeId, Topology};
+use pcsi_net::{MessageFaults, NodeId, Topology};
 use pcsi_sim::rng::DetRng;
 use pcsi_sim::util::Pacer;
-use pcsi_sim::{Sim, SimHandle};
-use pcsi_store::{ReplicatedStore, RetryPolicy, RetryStats, StoreConfig};
+use pcsi_store::{ReplicatedStore, RetryPolicy, StoreConfig};
 use pcsi_trace::{render_trace, AttrValue, Sampling};
 
-use crate::checker::{check_converged, check_linearizable, check_reads_observe_writes, Violation};
+use crate::checker::{check_converged, check_linearizable, check_reads_observe_writes};
 use crate::history::{encode_value, Op, Recorder};
+use crate::report::{net_line, Faults, Report};
 
 /// What kind of faults the seeded schedule injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +50,10 @@ pub enum FaultPlan {
     /// below the fabric's retransmit timeout), so this schedule is the
     /// one the client fault-recovery layer must fully mask: a single
     /// dropped message, or a dead primary with a live majority, must
-    /// never surface as a client-visible error.
+    /// never surface as a client-visible error. Workers run on any
+    /// node, the crashing primary included; an operation whose own
+    /// client node was down at some point of it is the one kind of
+    /// failure `client-errors` does not count under this plan.
     Drops,
     /// Live rebalancing under fire: the deployment starts with one
     /// storage node held out of the placement ring, and mid-run the
@@ -105,88 +108,6 @@ impl Default for ScenarioConfig {
     }
 }
 
-/// Everything one scenario produced, sufficient to reproduce and
-/// explain a failure.
-#[derive(Debug)]
-pub struct ScenarioReport {
-    /// The seed that drove the run.
-    pub seed: u64,
-    /// The fault plan that was in force.
-    pub plan: FaultPlan,
-    /// The fault schedule as executed, one line per event.
-    pub faults: Vec<String>,
-    /// The recorded operation history, in completion order.
-    pub ops: Vec<Op>,
-    /// Checker verdicts; empty means the run upheld the contract.
-    pub violations: Vec<Violation>,
-    /// Message-fault counters: (dropped, duplicated, delayed).
-    pub net_faults: (u64, u64, u64),
-    /// Operation failures the client workers actually observed. The
-    /// fault-recovery layer should mask transient faults, so under
-    /// [`FaultPlan::Drops`] this must be zero.
-    pub client_errors: u64,
-    /// Aggregate client fault-recovery counters for the run.
-    pub retry: RetryStats,
-    /// With tracing on and a checker violation found: the rendered span
-    /// tree of a traced operation on the first violating object.
-    pub violation_trace: Option<String>,
-    /// The deployment's rendered metrics snapshot at the end of the run
-    /// (every layer's counters and latency histograms) — the aggregate
-    /// view a human reads next to the op-level history.
-    pub metrics_snapshot: String,
-}
-
-impl ScenarioReport {
-    /// True when no checker found a violation.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Stable, complete rendering: seed, fault schedule, history,
-    /// verdict. Identical seeds and configs produce identical bytes.
-    pub fn render(&self) -> String {
-        let mut out = format!("chaos scenario seed={} plan={:?}\n", self.seed, self.plan);
-        for f in &self.faults {
-            out.push_str("fault ");
-            out.push_str(f);
-            out.push('\n');
-        }
-        out.push_str(&format!("ops {}\n", self.ops.len()));
-        for op in &self.ops {
-            out.push_str("op ");
-            out.push_str(&op.render());
-            out.push('\n');
-        }
-        out.push_str(&format!(
-            "net dropped={} duplicated={} delayed={}\n",
-            self.net_faults.0, self.net_faults.1, self.net_faults.2
-        ));
-        out.push_str(&format!(
-            "recovery retries={} failovers={} timeouts={} client-errors={}\n",
-            self.retry.retries, self.retry.failovers, self.retry.timeouts, self.client_errors
-        ));
-        if self.violations.is_empty() {
-            out.push_str("verdict ok\n");
-        } else {
-            for v in &self.violations {
-                out.push_str(&format!("violation {v}\n"));
-            }
-            if let Some(trace) = &self.violation_trace {
-                out.push_str("trace of an operation on the violating object:\n");
-                out.push_str(trace);
-            }
-        }
-        out.push_str(&self.metrics_snapshot);
-        out
-    }
-
-    /// FNV-1a of [`ScenarioReport::render`]; two runs of the same seed
-    /// must fingerprint identically.
-    pub fn fingerprint(&self) -> u64 {
-        pcsi_metrics::fingerprint(&self.render())
-    }
-}
-
 /// The seeds a sweep test should run: `base..base + n`, where `n` is
 /// the `CHAOS_SEEDS` environment variable if set (CI cranks it up),
 /// else `default_n`.
@@ -213,53 +134,14 @@ fn sweep_width(chaos_seeds: Option<&str>, default_n: usize) -> usize {
     }
 }
 
-/// Runs one seeded scenario end to end and returns its report.
-pub fn run_scenario(seed: u64, cfg: &ScenarioConfig) -> ScenarioReport {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    let plan = cfg.plan;
+/// Runs one seeded scenario end to end and returns its report. The
+/// body's `recovery … client-errors=` counts the operation failures the
+/// workers actually observed: the fault-recovery layer should mask
+/// transient faults, so under [`FaultPlan::Drops`] it must be zero.
+pub fn run_scenario(seed: u64, cfg: &ScenarioConfig) -> Report {
     let cfg = cfg.clone();
-    let outcome = sim.block_on(async move { drive(h, &cfg).await });
-    ScenarioReport {
-        seed,
-        plan,
-        faults: outcome.faults,
-        ops: outcome.ops,
-        violations: outcome.violations,
-        net_faults: outcome.net_faults,
-        client_errors: outcome.client_errors,
-        retry: outcome.retry,
-        violation_trace: outcome.violation_trace,
-        metrics_snapshot: outcome.metrics_snapshot,
-    }
-}
-
-struct DriveOutcome {
-    faults: Vec<String>,
-    ops: Vec<Op>,
-    violations: Vec<Violation>,
-    net_faults: (u64, u64, u64),
-    client_errors: u64,
-    retry: RetryStats,
-    violation_trace: Option<String>,
-    metrics_snapshot: String,
-}
-
-async fn drive(h: SimHandle, cfg: &ScenarioConfig) -> DriveOutcome {
     let retry = if matches!(cfg.plan, FaultPlan::Drops | FaultPlan::Rebalance) {
-        // Per-attempt deadline below the fabric's 2 ms retransmit
-        // timeout so dropped messages surface as client-side timeouts
-        // (exercising `PcsiError::Timeout`), with enough retry and
-        // failover budget that a live majority is always found.
-        RetryPolicy {
-            attempt_timeout: Some(Duration::from_micros(1500)),
-            op_deadline: Some(Duration::from_millis(50)),
-            attempts_per_target: 4,
-            failover: true,
-            base_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_millis(2),
-            jitter: 0.5,
-        }
+        RetryPolicy::tight()
     } else {
         RetryPolicy::default()
     };
@@ -268,7 +150,7 @@ async fn drive(h: SimHandle, cfg: &ScenarioConfig) -> DriveOutcome {
     // (The builder's default topology, restated here for the node list.)
     let all_nodes = Topology::heterogeneous(2, 4).node_ids();
     let spare = (cfg.plan == FaultPlan::Rebalance).then(|| *all_nodes.last().unwrap());
-    let cloud = CloudBuilder::new()
+    let builder = CloudBuilder::new()
         .tracing(cfg.sampling)
         .metrics(true)
         .store(StoreConfig {
@@ -278,8 +160,12 @@ async fn drive(h: SimHandle, cfg: &ScenarioConfig) -> DriveOutcome {
             retry,
             ring_nodes: spare.map(|s| all_nodes.iter().copied().filter(|&n| n != s).collect()),
             ..StoreConfig::default()
-        })
-        .build(&h);
+        });
+    Lab::run(seed, builder, move |lab| drive(lab, seed, cfg, spare))
+}
+
+async fn drive(lab: Lab, seed: u64, cfg: ScenarioConfig, spare: Option<NodeId>) -> Report {
+    let (cloud, h) = (&lab.cloud, &lab.h);
     let store = cloud.store.clone();
     let fabric = cloud.fabric.clone();
     let nodes = fabric.topology().node_ids();
@@ -316,27 +202,25 @@ async fn drive(h: SimHandle, cfg: &ScenarioConfig) -> DriveOutcome {
 
     // The fault driver runs until the workers are done, then heals
     // everything it broke.
-    let fault_log: Rc<std::cell::RefCell<Vec<String>>> = Rc::default();
+    let faults = Faults::new(h, &fabric);
     let stop = Rc::new(Cell::new(false));
     let driver = {
-        let fabric = fabric.clone();
         let store2 = store.clone();
-        let h2 = h.clone();
-        let log = fault_log.clone();
+        let faults = faults.clone();
         let stop = stop.clone();
         let plan = cfg.plan;
         let nodes = nodes.clone();
         let inject = cfg.inject_stale_reads;
         h.spawn(async move {
             if inject {
-                drive_targeted_partitions(&h2, &fabric, laggard, &log, &stop).await;
+                drive_targeted_partitions(&faults, laggard, &stop).await;
             } else if plan == FaultPlan::Drops {
-                drive_drops(&h2, &fabric, primary, &log, &stop).await;
+                drive_drops(&faults, primary, &stop).await;
             } else if plan == FaultPlan::Rebalance {
                 let spare = spare.expect("rebalance plan always picks a spare");
-                drive_rebalance(&h2, &fabric, &store2, spare, &log, &stop).await;
+                drive_rebalance(&store2, &faults, spare, &stop).await;
             } else {
-                drive_faults(&h2, &fabric, plan, &nodes, &log, &stop).await;
+                drive_faults(&faults, plan, &nodes, &stop).await;
             }
         })
     };
@@ -354,10 +238,13 @@ async fn drive(h: SimHandle, cfg: &ScenarioConfig) -> DriveOutcome {
         let ops_per_worker = cfg.ops_per_worker;
         let inject = cfg.inject_stale_reads;
         let errs = client_errors.clone();
+        let faults = faults.clone();
+        let drops = cfg.plan == FaultPlan::Drops;
         workers.push(h.spawn(async move {
             for i in 0..ops_per_worker {
                 h2.sleep(Duration::from_nanos(rng.gen_range(100_000..900_000)))
                     .await;
+                let flips = faults.flips(node);
                 // In injection mode every worker hammers the target
                 // register so the stale window is guaranteed traffic.
                 let obj = if inject {
@@ -371,7 +258,16 @@ async fn drive(h: SimHandle, cfg: &ScenarioConfig) -> DriveOutcome {
                 } else {
                     client.read(obj, 0, 8).await.is_err()
                 };
-                if failed {
+                // A client on a crashed machine is down with it. The
+                // simulator keeps its task running, and each attempt it
+                // makes fails on the spot at its own dead NIC, spending
+                // the attempt budget long before the deadline; a real
+                // client would have died with nobody left to see the
+                // error. The drop schedule's zero-error contract is about
+                // clients that stayed up, so it leaves out an operation
+                // whose own node was down at any point of it.
+                let client_died = flips % 2 == 1 || faults.flips(node) != flips;
+                if failed && !(drops && client_died) {
                     errs.set(errs.get() + 1);
                 }
             }
@@ -435,6 +331,7 @@ async fn drive(h: SimHandle, cfg: &ScenarioConfig) -> DriveOutcome {
 
     // With tracing on, attach the span tree of a traced store operation
     // on the first violating object — the timeline a human debugs from.
+    let mut tail = String::new();
     let violation_trace = violations.first().and_then(|v| {
         let tracer = cloud.tracer.as_ref()?;
         let spans = tracer.sink().snapshot();
@@ -447,46 +344,49 @@ async fn drive(h: SimHandle, cfg: &ScenarioConfig) -> DriveOutcome {
         })?;
         Some(render_trace(&spans, trace))
     });
-
-    let net = (
-        fabric.messages_dropped(),
-        fabric.messages_duplicated(),
-        fabric.messages_delayed(),
-    );
-    let faults = fault_log.borrow().clone();
-    DriveOutcome {
-        faults,
-        ops,
-        violations,
-        net_faults: net,
-        client_errors: client_errors.get(),
-        retry: store.retry_stats(),
-        violation_trace,
-        metrics_snapshot: cloud
+    if let Some(trace) = violation_trace {
+        tail.push_str("trace of an operation on the violating object:\n");
+        tail.push_str(&trace);
+    }
+    // The aggregate view a human reads next to the op-level history:
+    // every layer's counters and latency histograms at the end of the run.
+    tail.push_str(
+        &cloud
             .metrics
             .as_ref()
             .map(Metrics::render)
             .unwrap_or_default(),
-    }
-}
+    );
 
-pub(crate) fn log_fault(h: &SimHandle, log: &Rc<std::cell::RefCell<Vec<String>>>, what: String) {
-    log.borrow_mut()
-        .push(format!("t={}ns {what}", h.now().as_nanos()));
+    let mut body = format!("ops {}\n", ops.len());
+    for op in &ops {
+        body.push_str(&format!("op {}\n", op.render()));
+    }
+    body.push_str(&net_line(&fabric));
+    let retry = store.retry_stats();
+    body.push_str(&format!(
+        "recovery retries={} failovers={} timeouts={} client-errors={}\n",
+        retry.retries,
+        retry.failovers,
+        retry.timeouts,
+        client_errors.get()
+    ));
+    Report {
+        title: format!("chaos scenario seed={seed} plan={:?}", cfg.plan),
+        seed,
+        faults: faults.log(),
+        body,
+        violations: violations.iter().map(ToString::to_string).collect(),
+        tail,
+    }
 }
 
 /// The general seeded fault schedule: every ~0.8–3 ms pick an action
 /// for the plan, keeping at most one node crashed and one partitioned
 /// at a time (so linearizable quorums usually stay available). On
 /// stop, everything heals.
-async fn drive_faults(
-    h: &SimHandle,
-    fabric: &Fabric,
-    plan: FaultPlan,
-    nodes: &[NodeId],
-    log: &Rc<std::cell::RefCell<Vec<String>>>,
-    stop: &Rc<Cell<bool>>,
-) {
+async fn drive_faults(faults: &Faults, plan: FaultPlan, nodes: &[NodeId], stop: &Rc<Cell<bool>>) {
+    let (h, fabric) = (&faults.h, &faults.fabric);
     let rng = h.rng().stream("chaos-fault-schedule");
     let mut downed: Option<NodeId> = None;
     let mut partitioned = false;
@@ -508,66 +408,46 @@ async fn drive_faults(
         };
         match action {
             0 => match downed.take() {
-                Some(node) => {
-                    fabric.set_node_down(node, false);
-                    log_fault(h, log, format!("restart {node}"));
-                }
+                Some(node) => faults.restart(node),
                 None => {
                     let node = pick(&rng, nodes);
-                    fabric.set_node_down(node, true);
+                    faults.crash(node);
                     downed = Some(node);
-                    log_fault(h, log, format!("crash {node}"));
                 }
             },
             1 => {
                 if partitioned {
-                    fabric.heal_partitions();
-                    partitioned = false;
-                    log_fault(h, log, "heal-partitions".to_owned());
+                    faults.heal_partitions();
                 } else {
-                    let isolated = pick(&rng, nodes);
-                    let rest: Vec<NodeId> =
-                        nodes.iter().copied().filter(|&n| n != isolated).collect();
-                    fabric.partition(&[isolated], &rest);
-                    partitioned = true;
-                    log_fault(h, log, format!("isolate {isolated}"));
+                    faults.isolate(pick(&rng, nodes));
                 }
+                partitioned = !partitioned;
             }
             _ => {
                 if faults_on {
                     fabric.clear_message_faults();
-                    faults_on = false;
-                    log_fault(h, log, "clear-message-faults".to_owned());
+                    faults.note("clear-message-faults");
                 } else {
-                    let faults = MessageFaults {
+                    let mix = MessageFaults {
                         drop: 0.02 + 0.06 * rng.f64(),
                         duplicate: 0.05,
                         delay_spike: 0.10,
                         spike: Duration::from_micros(200 + rng.gen_range(0..400)),
                     };
-                    fabric.set_message_faults(faults);
-                    faults_on = true;
-                    log_fault(
-                        h,
-                        log,
-                        format!(
-                            "message-faults drop={:.3} dup={:.3} spike={:.3}/{}us",
-                            faults.drop,
-                            faults.duplicate,
-                            faults.delay_spike,
-                            faults.spike.as_micros()
-                        ),
-                    );
+                    fabric.set_message_faults(mix);
+                    faults.note(format_args!(
+                        "message-faults drop={:.3} dup={:.3} spike={:.3}/{}us",
+                        mix.drop,
+                        mix.duplicate,
+                        mix.delay_spike,
+                        mix.spike.as_micros()
+                    ));
                 }
+                faults_on = !faults_on;
             }
         }
     }
-    if let Some(node) = downed {
-        fabric.set_node_down(node, false);
-    }
-    fabric.heal_partitions();
-    fabric.clear_message_faults();
-    log_fault(h, log, "heal-all".to_owned());
+    faults.heal_all();
 }
 
 /// The drop schedule: 5% of all fabric messages vanish for the entire
@@ -578,37 +458,22 @@ async fn drive_faults(
 /// (deadlines, retries, failover) exists to mask. On stop the drops
 /// clear and the primary restarts, so quiescence runs on a healthy
 /// fabric.
-async fn drive_drops(
-    h: &SimHandle,
-    fabric: &Fabric,
-    primary: NodeId,
-    log: &Rc<std::cell::RefCell<Vec<String>>>,
-    stop: &Rc<Cell<bool>>,
-) {
+async fn drive_drops(faults: &Faults, primary: NodeId, stop: &Rc<Cell<bool>>) {
+    let h = &faults.h;
     let rng = h.rng().stream("chaos-fault-schedule");
-    fabric.set_message_faults(MessageFaults {
-        drop: 0.05,
-        duplicate: 0.0,
-        delay_spike: 0.0,
-        spike: Duration::ZERO,
-    });
-    log_fault(h, log, "message-faults drop=0.050".to_owned());
+    faults.drops(0.05);
     while !stop.get() {
         h.sleep(Duration::from_nanos(rng.gen_range(1_500_000..3_000_000)))
             .await;
         if stop.get() {
             break;
         }
-        fabric.set_node_down(primary, true);
-        log_fault(h, log, format!("crash {primary}"));
+        faults.crash(primary);
         h.sleep(Duration::from_nanos(rng.gen_range(1_000_000..2_500_000)))
             .await;
-        fabric.set_node_down(primary, false);
-        log_fault(h, log, format!("restart {primary}"));
+        faults.restart(primary);
     }
-    fabric.set_node_down(primary, false);
-    fabric.clear_message_faults();
-    log_fault(h, log, "heal-all".to_owned());
+    faults.heal_all();
 }
 
 /// The rebalance schedule: 5% fabric-wide drops for the whole run;
@@ -620,35 +485,27 @@ async fn drive_drops(
 /// workers finish, the faults heal and the drain runs to completion on
 /// the healthy fabric, so the checkers see a fully flipped epoch.
 async fn drive_rebalance(
-    h: &SimHandle,
-    fabric: &Fabric,
     store: &ReplicatedStore,
+    faults: &Faults,
     spare: NodeId,
-    log: &Rc<std::cell::RefCell<Vec<String>>>,
     stop: &Rc<Cell<bool>>,
 ) {
+    let (h, fabric) = (&faults.h, &faults.fabric);
     let rng = h.rng().stream("chaos-fault-schedule");
-    fabric.set_message_faults(MessageFaults {
-        drop: 0.05,
-        duplicate: 0.0,
-        delay_spike: 0.0,
-        spike: Duration::ZERO,
-    });
-    log_fault(h, log, "message-faults drop=0.050".to_owned());
+    faults.drops(0.05);
     h.sleep(Duration::from_nanos(rng.gen_range(1_000_000..2_000_000)))
         .await;
 
     let pinned = store.begin_join(spare).len();
-    log_fault(h, log, format!("join {spare} pinned={pinned}"));
+    faults.note(format_args!("join {spare} pinned={pinned}"));
 
     // Crash/restart one storage node at a time while shards move. The
     // spare is spared: it must stay up to receive its data, and with at
     // most one other node down a majority of every 3-replica set stays
     // reachable.
     let killer = {
-        let fabric = fabric.clone();
+        let faults = faults.clone();
         let h2 = h.clone();
-        let log = log.clone();
         let stop = stop.clone();
         let rng = h.rng().stream("chaos-rebalance-killer");
         let candidates: Vec<NodeId> = fabric
@@ -665,12 +522,10 @@ async fn drive_rebalance(
                     break;
                 }
                 let victim = pick(&rng, &candidates);
-                fabric.set_node_down(victim, true);
-                log_fault(&h2, &log, format!("crash {victim}"));
+                faults.crash(victim);
                 h2.sleep(Duration::from_nanos(rng.gen_range(600_000..1_500_000)))
                     .await;
-                fabric.set_node_down(victim, false);
-                log_fault(&h2, &log, format!("restart {victim}"));
+                faults.restart(victim);
             }
         })
     };
@@ -686,8 +541,7 @@ async fn drive_rebalance(
         h.sleep(Duration::from_micros(250)).await;
     }
     killer.await;
-    fabric.clear_message_faults();
-    log_fault(h, log, "heal-all".to_owned());
+    faults.heal_all();
 
     // Finish any moves the faulty window left behind, on a healthy
     // fabric, so quiescence and the checkers run against the new ring.
@@ -696,46 +550,31 @@ async fn drive_rebalance(
             h.sleep(Duration::from_millis(1)).await;
         }
     }
-    log_fault(
-        h,
-        log,
-        format!("drain-complete epoch={}", store.placement().epoch()),
-    );
+    faults.note(format_args!(
+        "drain-complete epoch={}",
+        store.placement().epoch()
+    ));
 }
 
 /// The injection schedule: repeatedly partition exactly `laggard`
 /// away so its local replica of the target register goes stale while
 /// majority writes proceed — the window the freshness saboteur reads
 /// in.
-async fn drive_targeted_partitions(
-    h: &SimHandle,
-    fabric: &Fabric,
-    laggard: NodeId,
-    log: &Rc<std::cell::RefCell<Vec<String>>>,
-    stop: &Rc<Cell<bool>>,
-) {
+async fn drive_targeted_partitions(faults: &Faults, laggard: NodeId, stop: &Rc<Cell<bool>>) {
+    let h = &faults.h;
     let rng = h.rng().stream("chaos-fault-schedule");
-    let rest: Vec<NodeId> = fabric
-        .topology()
-        .node_ids()
-        .into_iter()
-        .filter(|&n| n != laggard)
-        .collect();
     while !stop.get() {
         h.sleep(Duration::from_nanos(rng.gen_range(400_000..1_200_000)))
             .await;
         if stop.get() {
             break;
         }
-        fabric.partition(&[laggard], &rest);
-        log_fault(h, log, format!("isolate {laggard}"));
+        faults.isolate(laggard);
         h.sleep(Duration::from_nanos(rng.gen_range(2_000_000..5_000_000)))
             .await;
-        fabric.heal_partitions();
-        log_fault(h, log, "heal-partitions".to_owned());
+        faults.heal_partitions();
     }
-    fabric.heal_partitions();
-    log_fault(h, log, "heal-all".to_owned());
+    faults.heal_all();
 }
 
 fn pick(rng: &DetRng, nodes: &[NodeId]) -> NodeId {

@@ -21,21 +21,19 @@
 //!   liveness probe) instead of backpressuring the producer forever.
 //!
 //! Everything derives from the one seed; a failing seed reproduces
-//! byte-identically through [`StreamScenarioReport::render`].
+//! byte-identically through [`Report::render`].
 
-use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, PcsiError, Rights};
 use pcsi_net::{MessageFaults, NodeId};
-use pcsi_sim::{Sim, SimHandle};
 use pcsi_stream::{CloseReason, Subscription};
 
-use crate::scenario::log_fault;
+use crate::report::{net_line, Faults, Report};
 
 /// Shape of one streaming chaos run. The seed controls every random
 /// choice (consumer nodes, windows, pacing, kill timing); the config
@@ -63,110 +61,24 @@ impl Default for StreamScenarioConfig {
     }
 }
 
-/// What one subscription saw, rendered into the report.
-#[derive(Debug)]
-pub struct StreamSubOutcome {
-    /// Consumer node.
-    pub node: NodeId,
-    /// Credit window (also the buffer bound the run asserts).
-    pub window: u32,
-    /// Events consumed.
-    pub delivered: u64,
-    /// Receive-buffer high-water mark, in frames.
-    pub peak_buffered: usize,
-    /// Duplicate deliveries the seq dedup discarded (retransmits after
-    /// dropped replies, liveness probes).
-    pub duplicates: u64,
-    /// True for the subscriber the schedule killed mid-stream.
-    pub killed: bool,
-    /// Terminal close reason, as rendered text.
-    pub close: String,
-}
-
-/// Everything one streaming run produced, sufficient to reproduce and
-/// explain a failure.
-#[derive(Debug)]
-pub struct StreamScenarioReport {
-    /// The seed that drove the run.
-    pub seed: u64,
-    /// Events the producer successfully appended.
-    pub published: u64,
-    /// Times the producer hit `Overloaded` and retried — credit
-    /// backpressure (or a not-yet-reaped dead subscriber) at work.
-    pub producer_stalls: u64,
-    /// The fault schedule as executed, one line per event.
-    pub faults: Vec<String>,
-    /// Per-subscription outcomes, in subscription order.
-    pub subs: Vec<StreamSubOutcome>,
-    /// Contract violations; empty means the run upheld the contract.
-    pub violations: Vec<String>,
-    /// Message-fault counters: (dropped, duplicated, delayed).
-    pub net_faults: (u64, u64, u64),
-    /// The deployment's rendered metrics snapshot (includes the
-    /// `stream.*` counters and the per-frame latency histogram).
-    pub metrics_snapshot: String,
-}
-
-impl StreamScenarioReport {
-    /// True when no check found a violation.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Stable, complete rendering; identical seeds and configs produce
-    /// identical bytes.
-    pub fn render(&self) -> String {
-        let mut out = format!("stream scenario seed={}\n", self.seed);
-        for f in &self.faults {
-            out.push_str("fault ");
-            out.push_str(f);
-            out.push('\n');
-        }
-        out.push_str(&format!(
-            "published {} stalls {}\n",
-            self.published, self.producer_stalls
-        ));
-        for (i, s) in self.subs.iter().enumerate() {
-            out.push_str(&format!(
-                "sub {i} node={} window={} delivered={} peak={} dups={} killed={} close={}\n",
-                s.node, s.window, s.delivered, s.peak_buffered, s.duplicates, s.killed, s.close
-            ));
-        }
-        out.push_str(&format!(
-            "net dropped={} duplicated={} delayed={}\n",
-            self.net_faults.0, self.net_faults.1, self.net_faults.2
-        ));
-        if self.violations.is_empty() {
-            out.push_str("verdict ok\n");
-        } else {
-            for v in &self.violations {
-                out.push_str(&format!("violation {v}\n"));
-            }
-        }
-        out.push_str(&self.metrics_snapshot);
-        out
-    }
-
-    /// FNV-1a of [`StreamScenarioReport::render`]; two runs of the same
-    /// seed must fingerprint identically.
-    pub fn fingerprint(&self) -> u64 {
-        pcsi_metrics::fingerprint(&self.render())
-    }
-}
-
-/// Runs one seeded streaming scenario end to end.
-pub fn run_stream_scenario(seed: u64, cfg: &StreamScenarioConfig) -> StreamScenarioReport {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
+/// Runs one seeded streaming scenario end to end. The body reports the
+/// producer (`published N stalls M`: appends that landed, and times it
+/// hit `Overloaded` — credit backpressure, or a dead subscriber not yet
+/// reaped) and one `sub …` line per subscription: consumer node, credit
+/// window (also the buffer bound the run asserts), events consumed,
+/// receive-buffer high-water mark, duplicates the seq dedup discarded,
+/// whether the schedule killed it, and its terminal close reason.
+pub fn run_stream_scenario(seed: u64, cfg: &StreamScenarioConfig) -> Report {
     let cfg = cfg.clone();
-    sim.block_on(async move { drive_stream(h, seed, &cfg).await })
+    let builder = CloudBuilder::new().metrics(true);
+    Lab::run(seed, builder, move |lab| drive_stream(lab, seed, cfg))
 }
 
-async fn drive_stream(h: SimHandle, seed: u64, cfg: &StreamScenarioConfig) -> StreamScenarioReport {
-    let cloud = CloudBuilder::new().metrics(true).build(&h);
+async fn drive_stream(lab: Lab, seed: u64, cfg: StreamScenarioConfig) -> Report {
+    let (cloud, h) = (&lab.cloud, &lab.h);
     let fabric = cloud.fabric.clone();
     let nodes = fabric.topology().node_ids();
-    let fault_log: Rc<RefCell<Vec<String>>> = Rc::default();
+    let faults = Faults::new(h, &fabric);
     let mut violations: Vec<String> = Vec::new();
 
     // The streamed FIFO, owned by a producer on the first node; the
@@ -223,11 +135,10 @@ async fn drive_stream(h: SimHandle, seed: u64, cfg: &StreamScenarioConfig) -> St
         delay_spike: 0.10,
         spike: Duration::from_micros(300),
     });
-    log_fault(
-        &h,
-        &fault_log,
-        format!("message-faults drop={:.3} spike=0.100/300us", cfg.drop),
-    );
+    faults.note(format_args!(
+        "message-faults drop={:.3} spike=0.100/300us",
+        cfg.drop
+    ));
 
     // The producer appends through the kernel with Overloaded-retry;
     // halfway through, one subscriber dies silently.
@@ -240,11 +151,7 @@ async fn drive_stream(h: SimHandle, seed: u64, cfg: &StreamScenarioConfig) -> St
         if Some(i) == kill_at {
             let (node, sub) = &subs[killed_idx.expect("kill_at implies killed_idx")];
             sub.kill();
-            log_fault(
-                &h,
-                &fault_log,
-                format!("kill subscriber {} on {node}", subs.len() - 1),
-            );
+            faults.note(format_args!("kill subscriber {} on {node}", subs.len() - 1));
         }
         let payload = Bytes::from(format!("event {i} from seed {seed}"));
         loop {
@@ -277,14 +184,13 @@ async fn drive_stream(h: SimHandle, seed: u64, cfg: &StreamScenarioConfig) -> St
     // Heal, then close the stream: deleting the FIFO queues a close
     // frame behind the in-flight pushes, so survivors drain everything
     // before they see the end.
-    fabric.clear_message_faults();
-    log_fault(&h, &fault_log, "heal-all".to_owned());
+    faults.heal_all();
     producer
         .delete(&fifo)
         .await
         .expect("delete on healed fabric");
 
-    let mut outcomes = Vec::new();
+    let mut body = format!("published {published} stalls {stalls}\n");
     for (i, consumer) in consumers.into_iter().enumerate() {
         let seqs = consumer.await;
         let (node, sub) = &subs[i];
@@ -317,20 +223,19 @@ async fn drive_stream(h: SimHandle, seed: u64, cfg: &StreamScenarioConfig) -> St
         if !sub.is_closed() {
             violations.push(format!("sub {i}: still open after object delete"));
         }
-        outcomes.push(StreamSubOutcome {
-            node: *node,
-            window: sub.window(),
-            delivered: sub.consumed(),
-            peak_buffered: sub.peak_buffered(),
-            duplicates: sub.duplicates(),
-            killed,
-            close: match sub.close_reason() {
-                Some(CloseReason::Cancelled) => "cancelled".to_owned(),
-                Some(CloseReason::ObjectClosed) => "object-closed".to_owned(),
-                Some(CloseReason::SubscriberLost) => "subscriber-lost".to_owned(),
-                None => "open".to_owned(),
-            },
-        });
+        let close = match sub.close_reason() {
+            Some(CloseReason::Cancelled) => "cancelled",
+            Some(CloseReason::ObjectClosed) => "object-closed",
+            Some(CloseReason::SubscriberLost) => "subscriber-lost",
+            None => "open",
+        };
+        body.push_str(&format!(
+            "sub {i} node={node} window={} delivered={} peak={} dups={} killed={killed} close={close}\n",
+            sub.window(),
+            sub.consumed(),
+            sub.peak_buffered(),
+            sub.duplicates(),
+        ));
     }
 
     // The owner must end fully drained: no live subscriptions on the
@@ -347,20 +252,16 @@ async fn drive_stream(h: SimHandle, seed: u64, cfg: &StreamScenarioConfig) -> St
         ));
     }
 
-    let faults = fault_log.borrow().clone();
-    StreamScenarioReport {
+    body.push_str(&net_line(&fabric));
+    Report {
+        title: format!("stream scenario seed={seed}"),
         seed,
-        published,
-        producer_stalls: stalls,
-        faults,
-        subs: outcomes,
+        faults: faults.log(),
+        body,
         violations,
-        net_faults: (
-            fabric.messages_dropped(),
-            fabric.messages_duplicated(),
-            fabric.messages_delayed(),
-        ),
-        metrics_snapshot: cloud
+        // Includes the `stream.*` counters and the per-frame latency
+        // histogram.
+        tail: cloud
             .metrics
             .as_ref()
             .map(pcsi_metrics::Metrics::render)

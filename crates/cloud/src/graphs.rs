@@ -254,22 +254,13 @@ mod tests {
     use super::*;
     use crate::build::CloudBuilder;
     use pcsi_core::api::CreateOptions;
-    use pcsi_core::{Consistency, Mutability};
     use pcsi_faas::function::WorkModel;
     use pcsi_sim::Sim;
     use std::rc::Rc;
     use std::time::Duration;
 
     async fn publish(client: &KernelClient, image: &FunctionImage) -> Result<Reference, PcsiError> {
-        client
-            .create(CreateOptions {
-                kind: ObjectKind::Function,
-                mutability: Mutability::Mutable,
-                consistency: Consistency::Linearizable,
-                initial: image.encode(),
-                fifo_capacity: None,
-            })
-            .await
+        client.create(CreateOptions::function(image.encode())).await
     }
 
     fn body_str(b: &Bytes) -> String {

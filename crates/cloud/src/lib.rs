@@ -18,14 +18,16 @@
 //! Plus the shared measurement machinery: [`billing::Billing`]
 //! (pay-per-use ledgers with 2021-calibrated prices),
 //! [`workload`] (Poisson / bursty / diurnal open-loop generators, Zipf
-//! keys), [`build::CloudBuilder`] (one-call deployment), and
-//! [`pipelines`] (the Figure-2 model-serving pipeline under three
-//! placement strategies).
+//! keys), [`build::CloudBuilder`] (one-call deployment), [`lab::Lab`]
+//! (the fixture every experiment, chaos scenario and integration test
+//! runs a deployment through), and [`pipelines`] (the Figure-2
+//! model-serving pipeline under three placement strategies).
 
 pub mod billing;
 pub mod build;
 pub mod graphs;
 pub mod kernel;
+pub mod lab;
 pub mod nfs;
 pub mod pipelines;
 pub mod rest;
@@ -36,4 +38,5 @@ pub use billing::Billing;
 pub use build::{Cloud, CloudBuilder};
 pub use graphs::{GraphExecutor, GraphRun, StageBinding};
 pub use kernel::{Kernel, KernelClient};
+pub use lab::Lab;
 pub use pcsi_obs::{Obs, ObsConfig, Telemetry};

@@ -721,6 +721,50 @@ mod tests {
         (server, billing)
     }
 
+    proptest::proptest! {
+        /// Frames come from the peer: whatever a client puts on the `nfs`
+        /// service and whatever comes back. Arbitrary bytes, and a valid
+        /// frame of every kind with any one byte changed, decode or are
+        /// refused — never panic — and what decodes is the whole frame.
+        #[test]
+        fn frame_decode_never_panics(
+            raw in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..128),
+            at in proptest::prelude::any::<u64>(),
+            to in proptest::prelude::any::<u8>(),
+        ) {
+            let ops = [
+                NfsOp::Mount { secret: b"nfs-secret".to_vec() },
+                NfsOp::Lookup { session: 7, name: "data.bin".into(), create: true },
+                NfsOp::Read { session: 7, handle: 3, offset: 16, len: 1024 },
+                NfsOp::Write { session: 7, handle: 3, offset: 0, data: Bytes::from_static(b"hello") },
+            ];
+            let replies = [
+                NfsReply::Mounted { session: 7 },
+                NfsReply::Handle { handle: 3 },
+                NfsReply::Data { data: Bytes::from_static(b"hello") },
+                NfsReply::Written { new_size: 5 },
+                NfsReply::Error { code: E_NOENT, message: "no such file".into() },
+            ];
+            let valid = ops.iter().map(encode_op).chain(replies.iter().map(encode_reply));
+            let corrupted = valid.map(|frame| {
+                let mut bytes = frame.to_vec();
+                let at = (at % bytes.len() as u64) as usize;
+                bytes[at] = to;
+                bytes
+            });
+            for bytes in corrupted.chain([raw]) {
+                // (A boolean decodes from any nonzero byte, so only the
+                // length is the same.)
+                if let Some(op) = decode_op(&bytes) {
+                    proptest::prop_assert_eq!(encode_op(&op).len(), bytes.len());
+                }
+                if let Some(reply) = decode_reply(&bytes) {
+                    proptest::prop_assert_eq!(encode_reply(&reply).len(), bytes.len());
+                }
+            }
+        }
+    }
+
     #[test]
     fn mount_lookup_write_read() {
         let mut sim = Sim::new(13);

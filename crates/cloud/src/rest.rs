@@ -82,7 +82,7 @@ pub struct RestGateway {
 
 struct Inner {
     fabric: Fabric,
-    lb_node: NodeId,
+    door: FrontDoor,
     tracer: Rc<RefCell<Option<Tracer>>>,
     metrics: Rc<RefCell<Option<Metrics>>>,
 }
@@ -190,7 +190,11 @@ impl RestGateway {
         RestGateway {
             inner: Rc::new(Inner {
                 fabric,
-                lb_node,
+                door: FrontDoor {
+                    node: lb_node,
+                    service: "rest-lb",
+                    host: "api.sim-west-1.pcsi.cloud",
+                },
                 tracer,
                 metrics,
             }),
@@ -216,7 +220,6 @@ impl RestGateway {
             gateway: self.clone(),
             from,
             creds,
-            epoch_s: RefCell::new(1_700_000_000),
         }
     }
 }
@@ -427,65 +430,90 @@ impl std::fmt::Display for RestError {
 
 impl std::error::Error for RestError {}
 
+/// Where a signed request goes: the front door's node, its fabric
+/// service and the `host` header it answers to.
+pub(crate) struct FrontDoor {
+    pub(crate) node: NodeId,
+    pub(crate) service: &'static str,
+    pub(crate) host: &'static str,
+}
+
+/// One signed HTTP round trip from `from` through `door`: host header,
+/// signature, the client's own marshal and framing CPU (its machine's
+/// time, not billed), the fabric call, and a non-2xx status turned into
+/// [`RestError::Http`]. `span` parents the `rest.sign` / `rest.marshal`
+/// / `rest.transport` stages and its context rides the request; SSE
+/// passes a disabled one and sends no context bytes.
+pub(crate) async fn signed_round_trip(
+    fabric: &Fabric,
+    from: NodeId,
+    door: &FrontDoor,
+    creds: &Credentials,
+    mut request: Request,
+    span: &SpanHandle,
+) -> Result<Response, RestError> {
+    let h = fabric.handle();
+    let now_s = h.now().as_secs_f64() as u64 + 1_700_000_000;
+    request.headers.insert("host", door.host);
+    let sign_span = span.span("rest.sign");
+    sign_request(&mut request, creds, &scope(), now_s);
+    sign_span.finish();
+    let marshal_span = span.span("rest.marshal");
+    h.sleep(marshal_cpu(request.body.len()) + HTTP_CPU / 2)
+        .await;
+    let wire = Bytes::from(request.encode());
+    marshal_span.finish();
+    let transport_span = span.span("rest.transport");
+    let raw = fabric
+        .call_traced(
+            from,
+            door.node,
+            door.service,
+            Transport::Tcp,
+            wire,
+            transport_span.ctx(),
+        )
+        .await
+        .map_err(|e| RestError::Net(e.to_string()))?;
+    transport_span.finish();
+    let response =
+        Response::decode(&raw).map_err(|e| RestError::Net(format!("bad response: {e}")))?;
+    if response.is_success() {
+        Ok(response)
+    } else {
+        Err(RestError::Http {
+            status: response.status,
+            body: String::from_utf8_lossy(&response.body).into_owned(),
+        })
+    }
+}
+
 /// A REST client with credentials.
 pub struct RestClient {
     gateway: RestGateway,
     from: NodeId,
     creds: Credentials,
-    epoch_s: RefCell<u64>,
 }
 
 impl RestClient {
-    async fn send(&self, mut request: Request) -> Result<Response, RestError> {
-        let h = self.gateway.inner.fabric.handle();
-        let mut span = match self.gateway.inner.tracer.borrow().as_ref() {
+    async fn send(&self, request: Request) -> Result<Response, RestError> {
+        let inner = &self.gateway.inner;
+        let mut span = match inner.tracer.borrow().as_ref() {
             Some(t) => t.root("rest.request"),
             None => SpanHandle::disabled(),
         };
         span.attr_with("target", || {
             pcsi_trace::AttrValue::Text(request.target.clone())
         });
-        let now_s = h.now().as_secs_f64() as u64 + 1_700_000_000;
-        *self.epoch_s.borrow_mut() = now_s;
-        request.headers.insert("host", "api.sim-west-1.pcsi.cloud");
-        let sign_span = span.span("rest.sign");
-        sign_request(&mut request, &self.creds, &scope(), now_s);
-        sign_span.finish();
-        // Client-side marshal/framing cost is charged to the client's own
-        // machine time (not billed).
-        let marshal_span = span.span("rest.marshal");
-        h.sleep(marshal_cpu(request.body.len()) + HTTP_CPU / 2)
-            .await;
-        let wire = Bytes::from(request.encode());
-        marshal_span.finish();
-        let transport_span = span.span("rest.transport");
-        let raw = self
-            .gateway
-            .inner
-            .fabric
-            .call_traced(
-                self.from,
-                self.gateway.inner.lb_node,
-                "rest-lb",
-                Transport::Tcp,
-                wire,
-                transport_span.ctx(),
-            )
-            .await
-            .map_err(|e| RestError::Net(e.to_string()))?;
-        transport_span.finish();
-        let response =
-            Response::decode(&raw).map_err(|e| RestError::Net(format!("bad response: {e}")))?;
-        span.attr("status", u64::from(response.status));
-        span.finish();
-        if response.is_success() {
-            Ok(response)
-        } else {
-            Err(RestError::Http {
-                status: response.status,
-                body: String::from_utf8_lossy(&response.body).into_owned(),
-            })
+        let (fabric, door) = (&inner.fabric, &inner.door);
+        let result = signed_round_trip(fabric, self.from, door, &self.creds, request, &span).await;
+        match &result {
+            Ok(response) => span.attr("status", u64::from(response.status)),
+            Err(RestError::Http { status, .. }) => span.attr("status", u64::from(*status)),
+            Err(RestError::Net(_)) => {}
         }
+        span.finish();
+        result
     }
 
     /// `PUT /kv/{table}/{key}` with a JSON-wrapped value.

@@ -28,12 +28,14 @@ use pcsi_fs::FifoQueue;
 use pcsi_net::fabric::RpcHandler;
 use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_proto::http::{Method, Request, Response};
-use pcsi_proto::sign::{sign_request, verify_request, Credentials};
+use pcsi_proto::sign::{verify_request, Credentials};
 use pcsi_proto::sse::{self, Event};
+use pcsi_trace::SpanHandle;
 
 use crate::billing::Billing;
 use crate::rest::{
-    auth_cpu, error_json, marshal_cpu, request_cpu, scope, RestError, HTTP_CPU, LB_CPU, ROUTING_CPU,
+    auth_cpu, error_json, marshal_cpu, request_cpu, scope, signed_round_trip, FrontDoor, RestError,
+    HTTP_CPU, LB_CPU, ROUTING_CPU,
 };
 
 /// Events a stream retains for `Last-Event-ID` replay.
@@ -80,7 +82,7 @@ impl Default for StreamState {
 struct Inner {
     fabric: Fabric,
     billing: Billing,
-    hub_node: NodeId,
+    door: FrontDoor,
     keys: Rc<HashMap<String, Credentials>>,
     streams: RefCell<HashMap<String, StreamState>>,
     next_conn: Cell<u64>,
@@ -106,7 +108,11 @@ impl SseHub {
             inner: Rc::new(Inner {
                 fabric: fabric.clone(),
                 billing,
-                hub_node,
+                door: FrontDoor {
+                    node: hub_node,
+                    service: SSE_SERVICE,
+                    host: "streams.sim-west-1.pcsi.cloud",
+                },
                 keys: Rc::new(keys),
                 streams: RefCell::new(HashMap::new()),
                 next_conn: Cell::new(1),
@@ -124,6 +130,18 @@ impl SseHub {
         };
         fabric.bind(hub_node, SSE_SERVICE, handler);
         hub
+    }
+
+    /// A signed request from `from` to the hub (untraced: the SSE
+    /// baseline carries no spans).
+    async fn round_trip(
+        &self,
+        from: NodeId,
+        creds: &Credentials,
+        request: Request,
+    ) -> Result<Response, RestError> {
+        let (inner, span) = (&self.inner, SpanHandle::disabled());
+        signed_round_trip(&inner.fabric, from, &inner.door, creds, request, &span).await
     }
 
     async fn handle(&self, payload: Bytes) -> Response {
@@ -231,7 +249,7 @@ impl SseHub {
                     let sent = hub
                         .inner
                         .fabric
-                        .call(hub.inner.hub_node, node, &service, Transport::Tcp, frame)
+                        .call(hub.inner.door.node, node, &service, Transport::Tcp, frame)
                         .await
                         .is_ok();
                     let mut c = conn.borrow_mut();
@@ -394,41 +412,10 @@ impl SseSubscriber {
             .with_header(ENDPOINT_HEADER, &self.service)
             .with_header("x-sse-node", &self.node.0.to_string())
             .with_header("last-event-id", &self.last_id.get().to_string());
-        self.send(request).await.map(|_| ())
-    }
-
-    async fn send(&self, mut request: Request) -> Result<Response, RestError> {
-        let h = self.hub.inner.fabric.handle().clone();
-        request
-            .headers
-            .insert("host", "streams.sim-west-1.pcsi.cloud");
-        let now_s = h.now().as_secs_f64() as u64 + 1_700_000_000;
-        sign_request(&mut request, &self.creds, &scope(), now_s);
-        h.sleep(marshal_cpu(request.body.len()) + HTTP_CPU / 2)
-            .await;
-        let raw = self
-            .hub
-            .inner
-            .fabric
-            .call(
-                self.node,
-                self.hub.inner.hub_node,
-                SSE_SERVICE,
-                Transport::Tcp,
-                Bytes::from(request.encode()),
-            )
+        self.hub
+            .round_trip(self.node, &self.creds, request)
             .await
-            .map_err(|e| RestError::Net(e.to_string()))?;
-        let response =
-            Response::decode(&raw).map_err(|e| RestError::Net(format!("bad response: {e}")))?;
-        if response.is_success() {
-            Ok(response)
-        } else {
-            Err(RestError::Http {
-                status: response.status,
-                body: String::from_utf8_lossy(&response.body).into_owned(),
-            })
-        }
+            .map(|_| ())
     }
 
     /// The next event, paying the client-side chunk + SSE parse. `None`
@@ -464,7 +451,7 @@ impl SseSubscriber {
         // the socket).
         let request = Request::new(Method::Delete, format!("/streams/{}", self.stream))
             .with_header(ENDPOINT_HEADER, &self.service);
-        let _ = self.send(request).await;
+        let _ = self.hub.round_trip(self.node, &self.creds, request).await;
         self.send_connect().await
     }
 
@@ -473,7 +460,7 @@ impl SseSubscriber {
     pub async fn disconnect(&self) {
         let request = Request::new(Method::Delete, format!("/streams/{}", self.stream))
             .with_header(ENDPOINT_HEADER, &self.service);
-        let _ = self.send(request).await;
+        let _ = self.hub.round_trip(self.node, &self.creds, request).await;
         self.hub.inner.fabric.unbind(self.node, &self.service);
         self.queue.close();
     }
@@ -498,37 +485,9 @@ impl SsePublisher {
 
     /// Publishes one event, returning its hub-assigned id.
     pub async fn publish(&self, stream: &str, payload: &[u8]) -> Result<u64, RestError> {
-        let h = self.hub.inner.fabric.handle().clone();
-        let mut request =
+        let request =
             Request::new(Method::Post, format!("/streams/{stream}")).with_body(payload.to_vec());
-        request
-            .headers
-            .insert("host", "streams.sim-west-1.pcsi.cloud");
-        let now_s = h.now().as_secs_f64() as u64 + 1_700_000_000;
-        sign_request(&mut request, &self.creds, &scope(), now_s);
-        h.sleep(marshal_cpu(request.body.len()) + HTTP_CPU / 2)
-            .await;
-        let raw = self
-            .hub
-            .inner
-            .fabric
-            .call(
-                self.from,
-                self.hub.inner.hub_node,
-                SSE_SERVICE,
-                Transport::Tcp,
-                Bytes::from(request.encode()),
-            )
-            .await
-            .map_err(|e| RestError::Net(e.to_string()))?;
-        let response =
-            Response::decode(&raw).map_err(|e| RestError::Net(format!("bad response: {e}")))?;
-        if !response.is_success() {
-            return Err(RestError::Http {
-                status: response.status,
-                body: String::from_utf8_lossy(&response.body).into_owned(),
-            });
-        }
+        let response = self.hub.round_trip(self.from, &self.creds, request).await?;
         let text = String::from_utf8_lossy(&response.body);
         text.trim_start_matches("{\"id\":")
             .trim_end_matches('}')

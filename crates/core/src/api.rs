@@ -83,6 +83,18 @@ impl CreateOptions {
         }
     }
 
+    /// A function whose `image_bytes` are its encoded image: mutable
+    /// (updating the object redeploys the function) and linearizable.
+    pub fn function(image_bytes: impl Into<Bytes>) -> Self {
+        CreateOptions {
+            kind: ObjectKind::Function,
+            mutability: Mutability::Mutable,
+            consistency: Consistency::Linearizable,
+            initial: image_bytes.into(),
+            fifo_capacity: None,
+        }
+    }
+
     /// Sets the mutability level, builder-style.
     pub fn with_mutability(mut self, m: Mutability) -> Self {
         self.mutability = m;

@@ -333,6 +333,30 @@ mod tests {
         assert_eq!(v.exec_time(work), Duration::from_millis(4));
     }
 
+    proptest::proptest! {
+        /// A function object's `initial` bytes are whatever the creating
+        /// client sent. Arbitrary bytes, and a valid image with any one
+        /// byte changed, decode or are refused — never panic — and what
+        /// decodes is the whole input: it encodes back to the same bytes.
+        #[test]
+        fn image_decode_never_panics(
+            raw in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
+            at in proptest::prelude::any::<u64>(),
+            to in proptest::prelude::any::<u8>(),
+        ) {
+            let mut image = FunctionImage::simple("nn-serve", WorkModel::fixed(Duration::from_millis(3)), 4);
+            image.variants.push(Variant::wasm(1));
+            let mut corrupted = image.encode().to_vec();
+            let at = (at % corrupted.len() as u64) as usize;
+            corrupted[at] = to;
+            for bytes in [raw, corrupted] {
+                if let Ok(decoded) = FunctionImage::decode(&bytes) {
+                    proptest::prop_assert_eq!(&decoded.encode()[..], &bytes[..]);
+                }
+            }
+        }
+    }
+
     #[test]
     fn image_encode_decode_roundtrip() {
         let img = FunctionImage {

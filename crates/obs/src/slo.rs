@@ -50,6 +50,7 @@ impl Selector {
             Some(open) => {
                 let close = spec
                     .rfind('}')
+                    .filter(|&close| close > open)
                     .ok_or_else(|| format!("selector {spec:?}: unclosed '{{'"))?;
                 let mut labels = Vec::new();
                 let body = &spec[open + 1..close];
@@ -138,10 +139,10 @@ fn parse_duration(tok: &str) -> Result<Duration, String> {
             if num.is_empty() || !num.bytes().all(|b| b.is_ascii_digit()) {
                 continue;
             }
-            let n: u64 = num
-                .parse()
-                .map_err(|_| format!("duration {tok:?}: bad number"))?;
-            return Ok(Duration::from_nanos(n * scale));
+            let ns = num.parse::<u64>().ok().and_then(|n| n.checked_mul(scale));
+            return ns
+                .map(Duration::from_nanos)
+                .ok_or_else(|| format!("duration {tok:?}: too long"));
         }
     }
     Err(format!("duration {tok:?}: expected <digits>(ns|us|ms|s|m)"))
@@ -162,18 +163,13 @@ fn parse_decimal(s: &str, what: &str) -> Result<(u64, u64), String> {
     if frac.len() > 6 {
         return Err(format!("{what} {s:?}: more than 6 decimal places"));
     }
+    // All digits, so the only way these fail is a value past `u64`.
     let den = 10u64.pow(frac.len() as u32);
-    let int_v: u64 = if int.is_empty() {
-        0
-    } else {
-        int.parse().unwrap()
-    };
-    let frac_v: u64 = if frac.is_empty() {
-        0
-    } else {
-        frac.parse().unwrap()
-    };
-    Ok((int_v * den + frac_v, den))
+    let digits = |d: &str| format!("0{d}").parse::<u64>().ok();
+    let num = digits(int)
+        .and_then(|int_v| int_v.checked_mul(den))
+        .and_then(|scaled| scaled.checked_add(digits(frac)?));
+    Ok((num.ok_or_else(|| format!("{what} {s:?}: too large"))?, den))
 }
 
 impl SloRule {
@@ -218,11 +214,15 @@ impl SloRule {
                             .strip_suffix('%')
                             .ok_or_else(|| format!("rule {name}: budget must end in %"))?;
                         let (num, den) = parse_decimal(pct, "budget")?;
-                        budget_ppm = Some(num * 10_000 / den);
+                        let ppm = num.checked_mul(10_000).map(|n| n / den);
+                        budget_ppm =
+                            Some(ppm.ok_or_else(|| format!("rule {name}: budget too large"))?);
                     }
                     "rate" => {
                         let (num, den) = parse_decimal(val, "rate")?;
-                        rate_milli = Some(num * 1_000 / den);
+                        let milli = num.checked_mul(1_000).map(|n| n / den);
+                        rate_milli =
+                            Some(milli.ok_or_else(|| format!("rule {name}: rate too large"))?);
                     }
                     "fast" => fast = Some(parse_duration(val)?),
                     "slow" => slow = Some(parse_duration(val)?),
@@ -330,7 +330,8 @@ pub struct WindowDiff {
 impl WindowDiff {
     /// A window of `window` ticks (minimum 1).
     pub fn new(window: usize) -> Self {
-        let mut samples = VecDeque::with_capacity(window.max(1) + 1);
+        // Grown as ticks arrive: a rule may ask for a window of centuries.
+        let mut samples = VecDeque::new();
         samples.push_back(0);
         WindowDiff {
             window: window.max(1),
@@ -342,7 +343,7 @@ impl WindowDiff {
     /// delta. Saturates on regressions (a reset cumulative series).
     pub fn push(&mut self, cumulative: u64) -> u64 {
         self.samples.push_back(cumulative);
-        if self.samples.len() > self.window + 1 {
+        if self.samples.len() - 1 > self.window {
             self.samples.pop_front();
         }
         cumulative.saturating_sub(*self.samples.front().unwrap())
@@ -522,9 +523,11 @@ impl SloEngine {
                     // burn = (err/total)/budget; breach when burn ≥ rate
                     // over both windows: err·10⁹ ≥ rate_milli·budget_ppm·total.
                     let burns = |e: u64, t: u64| {
-                        t > 0
-                            && (e as u128) * 1_000_000_000
-                                >= (*rate_milli as u128) * (*budget_ppm as u128) * (t as u128)
+                        // Only an absurd rate × budget can overflow; it
+                        // then never burns.
+                        let need =
+                            (*rate_milli as u128 * *budget_ppm as u128).checked_mul(t as u128);
+                        t > 0 && need.is_some_and(|need| (e as u128) * 1_000_000_000 >= need)
                     };
                     let breached = burns(ef, tf) && burns(es, ts);
                     let detail = format!(

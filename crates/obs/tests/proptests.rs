@@ -11,6 +11,58 @@ use pcsi_obs::{AlertMachine, AlertState, SloEngine, SloRule, WindowDiff};
 use pcsi_sim::DetRng;
 
 proptest! {
+    /// Rule text arrives through `ObsConfig::rules`, a deployment's
+    /// configuration. Arbitrary strings, rules assembled from the
+    /// grammar's own pieces (heads, selectors and clauses in any order,
+    /// with numbers at the edge of `u64` and braces the wrong way round)
+    /// and a valid rule of each form with any one byte changed parse or
+    /// are refused with a message — never panic.
+    #[test]
+    fn rule_parse_never_panics(
+        s in ".{0,160}",
+        picks in proptest::collection::vec(any::<u8>(), 2..12),
+        at in any::<u64>(),
+        to in any::<u8>(),
+    ) {
+        let _ = SloRule::parse(&s);
+
+        const MAX: &str = "18446744073709551615";
+        let heads = ["p99", "p99.9", "p.5", "p", "p0", "p100", "burn", "q", &format!("p{MAX}.999999")];
+        let selectors = ["h", "h{op=\"w\"}", "a / b", "a{x=\"1\"} / b", "a}b{c", "{}", "}{", "/", "h{op}", ""];
+        let clauses = [
+            "<", "over", "for", "clear", "budget", "fast", "slow", "rate", "1s", "2ms", "0ns", "3",
+            "1%", "0.5%", "0%", "1.5", "x", "é", MAX,
+            &format!("{MAX}ns"),
+            &format!("{MAX}m"), &format!("{MAX}%"), &format!("{MAX}.5"), &format!("9{MAX}"),
+        ];
+        let pick = |pool: &[&str], byte: u8| pool[byte as usize % pool.len()].to_owned();
+        let mut rule = format!("r: {}({})", pick(&heads, picks[0]), pick(&selectors, picks[1]));
+        for &byte in &picks[2..] {
+            rule.push(' ');
+            rule.push_str(&pick(&clauses, byte));
+        }
+        // What parses also evaluates: one tick over series at the edge
+        // of `u64`.
+        if let Ok(rule) = SloRule::parse(&rule) {
+            let m = Metrics::new();
+            for family in ["h", "a", "b"] {
+                m.counter(family, &[]).add(u64::MAX);
+            }
+            SloEngine::new(vec![rule], Duration::from_millis(5)).tick(&m, 5_000_000);
+        }
+
+        for valid in [
+            "w: p99.9(kernel.op_ns{op=\"write\",t=\"a\"}) < 2ms over 15ms for 2 clear 3",
+            "f: burn(store.failovers / kernel.ops{op=\"write\"}) budget 0.5% fast 10ms slow 25ms rate 1.5 for 2",
+        ] {
+            prop_assert!(SloRule::parse(valid).is_ok());
+            let mut corrupted = valid.as_bytes().to_vec();
+            let at = (at % corrupted.len() as u64) as usize;
+            corrupted[at] = to;
+            let _ = SloRule::parse(&String::from_utf8_lossy(&corrupted));
+        }
+    }
+
     /// Window accounting never double-counts across tick boundaries:
     /// for any increment sequence and window size, the windowed delta
     /// at tick t equals the sum of exactly the last `min(W, t+1)`

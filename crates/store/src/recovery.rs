@@ -354,6 +354,25 @@ mod tests {
     }
 
     #[test]
+    fn failures_that_come_back_at_once_spend_the_attempts_not_the_deadline() {
+        // Attempts bound an operation as well as time does. What chaos
+        // seed 3557359728 (plan `Drops`) does to a client on the crashing
+        // primary: while its own node is down each attempt fails on the
+        // spot, three targets × four attempts are gone after the backoffs
+        // between them, and the operation fails with most of its 50 ms
+        // unspent and a majority alive.
+        let p = RetryPolicy::tight();
+        let backoffs: Duration = reference_backoffs(&p, 11).iter().sum();
+        let got = run(p, &vec![unreachable(); 12]);
+        assert_eq!(got.result, Err(PcsiError::Unreachable("peer".into())));
+        assert_eq!(got.seen.len(), 12);
+        assert_eq!(got.seen[11].0, 2, "the last attempt is on the third target");
+        assert_eq!(got.took, ATTEMPT * 12 + backoffs);
+        assert!(got.took < Duration::from_millis(20), "took {:?}", got.took);
+        assert_eq!((got.retries, got.timeouts, got.draws), (11, 0, 11));
+    }
+
+    #[test]
     fn without_failover_only_the_first_step_runs() {
         let p = RetryPolicy {
             failover: false,

@@ -35,24 +35,24 @@ pub struct RetryPolicy {
     /// Deadline raced against each individual RPC attempt; `None`
     /// disables per-attempt deadlines (the attempt then runs until the
     /// transport itself gives up).
-    pub attempt_timeout: Option<Duration>,
+    pub(crate) attempt_timeout: Option<Duration>,
     /// Overall budget for one client operation across all attempts and
     /// failovers; `None` disables the overall deadline.
-    pub op_deadline: Option<Duration>,
+    pub(crate) op_deadline: Option<Duration>,
     /// Attempts against each target before failing over (minimum 1).
-    pub attempts_per_target: u32,
+    pub(crate) attempts_per_target: u32,
     /// Whether mutations may fail over to the next replica in placement
     /// order after the per-target budget is exhausted (reads always
     /// retry; this additionally rotates the eventual-read target).
-    pub failover: bool,
+    pub(crate) failover: bool,
     /// Backoff before the first retry; doubles per subsequent retry.
-    pub base_backoff: Duration,
+    pub(crate) base_backoff: Duration,
     /// Backoff ceiling.
-    pub max_backoff: Duration,
+    pub(crate) max_backoff: Duration,
     /// Jitter fraction in `[0, 1]`: the actual sleep is drawn uniformly
     /// from `[d * (1 - jitter), d]` where `d` is the capped exponential
     /// delay.
-    pub jitter: f64,
+    pub(crate) jitter: f64,
 }
 
 impl Default for RetryPolicy {
@@ -85,6 +85,21 @@ impl RetryPolicy {
             base_backoff: Duration::ZERO,
             max_backoff: Duration::ZERO,
             jitter: 0.0,
+        }
+    }
+
+    /// The fault-injection policy: a per-attempt deadline below the
+    /// fabric's 2 ms retransmit timeout, so a lost message surfaces as a
+    /// fast client-side timeout rather than a slow transport error, with
+    /// enough retry and failover budget inside a 50 ms operation deadline
+    /// that a live majority is always found.
+    pub fn tight() -> Self {
+        RetryPolicy {
+            attempt_timeout: Some(Duration::from_micros(1500)),
+            op_deadline: Some(Duration::from_millis(50)),
+            attempts_per_target: 4,
+            max_backoff: Duration::from_millis(2),
+            ..RetryPolicy::default()
         }
     }
 

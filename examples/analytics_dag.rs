@@ -18,7 +18,7 @@ use bytes::Bytes;
 use pcsi_cloud::graphs::{GraphExecutor, StageBinding};
 use pcsi_cloud::CloudBuilder;
 use pcsi_core::api::CreateOptions;
-use pcsi_core::{CloudInterface, Consistency, Mutability, ObjectKind, Rights};
+use pcsi_core::{CloudInterface, Rights};
 use pcsi_faas::function::{FunctionImage, WorkModel};
 use pcsi_faas::graph::TaskGraph;
 use pcsi_net::NodeId;
@@ -105,13 +105,7 @@ fn main() {
             let image =
                 FunctionImage::simple(name, WorkModel::fixed(Duration::from_micros(200)), cores);
             let f = client
-                .create(CreateOptions {
-                    kind: ObjectKind::Function,
-                    mutability: Mutability::Mutable,
-                    consistency: Consistency::Linearizable,
-                    initial: image.encode(),
-                    fifo_capacity: None,
-                })
+                .create(CreateOptions::function(image.encode()))
                 .await
                 .unwrap();
             client.link(&root, name, &f).await.unwrap();

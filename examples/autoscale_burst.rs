@@ -19,7 +19,7 @@ use bytes::Bytes;
 use pcsi_cloud::workload::{boxed, drive_open_loop, RateShape};
 use pcsi_cloud::CloudBuilder;
 use pcsi_core::api::{CreateOptions, InvokeRequest};
-use pcsi_core::{CloudInterface, Consistency, Mutability, ObjectKind};
+use pcsi_core::CloudInterface;
 use pcsi_faas::function::{FunctionImage, WorkModel};
 use pcsi_faas::registry::CostModel;
 use pcsi_faas::AutoscaleConfig;
@@ -71,13 +71,7 @@ fn run(predictive: bool) -> Outcome {
             2,
         );
         let f = client
-            .create(CreateOptions {
-                kind: ObjectKind::Function,
-                mutability: Mutability::Mutable,
-                consistency: Consistency::Linearizable,
-                initial: image.encode(),
-                fifo_capacity: None,
-            })
+            .create(CreateOptions::function(image.encode()))
             .await
             .unwrap();
 

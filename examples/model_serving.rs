@@ -133,13 +133,7 @@ fn main() {
                 FunctionImage::simple(name, WorkModel::fixed(Duration::from_millis(1)), cores);
             async move {
                 client
-                    .create(CreateOptions {
-                        kind: ObjectKind::Function,
-                        mutability: Mutability::Mutable,
-                        consistency: Consistency::Linearizable,
-                        initial: image.encode(),
-                        fifo_capacity: None,
-                    })
+                    .create(CreateOptions::function(image.encode()))
                     .await
                     .unwrap()
             }

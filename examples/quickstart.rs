@@ -131,13 +131,7 @@ fn main() {
         );
         let image = FunctionImage::simple("greet", WorkModel::fixed(Duration::from_millis(2)), 1);
         let f = client
-            .create(CreateOptions {
-                kind: pcsi_core::ObjectKind::Function,
-                mutability: Mutability::Mutable,
-                consistency: Consistency::Linearizable,
-                initial: image.encode(),
-                fifo_capacity: None,
-            })
+            .create(CreateOptions::function(image.encode()))
             .await
             .unwrap();
         let name = client

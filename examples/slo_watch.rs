@@ -34,7 +34,7 @@ fn main() {
             .metrics(true)
             .observability(ObsConfig {
                 rules: vec![
-                    "write-p90: p90(kernel.op_ns{op=\"write\"}) < 2ms over 15ms for 2 clear 3"
+                    "write-p99: p99(kernel.op_ns{op=\"write\"}) < 2ms over 15ms for 2 clear 3"
                         .into(),
                     "failover-burn: burn(store.failovers / kernel.ops{op=\"write\"}) budget 5% \
                      fast 10ms slow 25ms rate 1 for 2 clear 3"
@@ -44,15 +44,7 @@ fn main() {
                 ..ObsConfig::default()
             })
             .store(StoreConfig {
-                retry: RetryPolicy {
-                    attempt_timeout: Some(Duration::from_micros(1500)),
-                    op_deadline: Some(Duration::from_millis(50)),
-                    attempts_per_target: 4,
-                    failover: true,
-                    base_backoff: Duration::from_micros(100),
-                    max_backoff: Duration::from_millis(2),
-                    jitter: 0.5,
-                },
+                retry: RetryPolicy::tight(),
                 ..StoreConfig::default()
             })
             .build(&h);
@@ -170,7 +162,7 @@ fn main() {
             .and_then(|hist| hist.exemplar_ge(2_000_000))
             .expect("the incident produced a >2ms write");
         println!(
-            "== p90 offender: trace {:016x}, {:.2}ms write",
+            "== p99 offender: trace {:016x}, {:.2}ms write",
             ex.trace,
             ex.value as f64 / 1e6
         );

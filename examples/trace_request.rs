@@ -9,37 +9,15 @@
 //!
 //! Run with: `cargo run --example trace_request`
 
-use std::collections::HashMap;
-
-use pcsi_cloud::rest::RestGateway;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_net::NodeId;
-use pcsi_proto::sign::Credentials;
-use pcsi_sim::Sim;
 use pcsi_trace::{critical_path, render_trace, trace_duration_ns, Sampling};
 
 fn main() {
-    let mut sim = Sim::new(2026);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new().tracing(Sampling::Always).build(&h);
-        let tracer = cloud.tracer.clone().expect("tracing enabled");
-        let mut keys = HashMap::new();
-        keys.insert(
-            "AK1".to_owned(),
-            Credentials::new("AK1", b"secret".to_vec()),
-        );
-        let rest = RestGateway::deploy(
-            cloud.fabric.clone(),
-            cloud.store.clone(),
-            cloud.billing.clone(),
-            NodeId(1),
-            NodeId(5),
-            keys,
-        );
-        rest.set_tracer(Some(tracer.clone()));
-
-        let client = rest.client(NodeId(0), Credentials::new("AK1", b"secret".to_vec()));
+    let builder = CloudBuilder::new().tracing(Sampling::Always);
+    Lab::run(2026, builder, |lab| async move {
+        let tracer = lab.cloud.tracer.clone().expect("tracing enabled");
+        let client = lab.rest().client(NodeId(0), Lab::credential());
         let payload = vec![0x5Au8; 1024];
         client.kv_put("bench", "obj-1k", &payload).await.unwrap();
         // One warm-up so the GET below hits steady-state caches.

@@ -274,13 +274,7 @@ fn invocations_fail_over_when_a_warm_node_crashes() {
         let client = cloud.kernel.client(NodeId(0), "chaos");
         let image = FunctionImage::simple("svc", WorkModel::fixed(Duration::from_millis(1)), 2);
         let f = client
-            .create(CreateOptions {
-                kind: pcsi_core::ObjectKind::Function,
-                mutability: pcsi_core::Mutability::Mutable,
-                consistency: Consistency::Linearizable,
-                initial: image.encode(),
-                fifo_capacity: None,
-            })
+            .create(CreateOptions::function(image.encode()))
             .await
             .unwrap();
 

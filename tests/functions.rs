@@ -12,7 +12,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use pcsi_cloud::CloudBuilder;
 use pcsi_core::api::{CreateOptions, InvokeRequest};
-use pcsi_core::{CloudInterface, ObjectKind, PcsiError, Reference, Rights};
+use pcsi_core::{CloudInterface, PcsiError, Reference, Rights};
 use pcsi_faas::function::{FunctionImage, Variant, WorkModel};
 use pcsi_faas::isolation::Backend;
 use pcsi_faas::registry::Goal;
@@ -38,14 +38,7 @@ async fn publish(
     c: &pcsi_cloud::KernelClient,
     image: &FunctionImage,
 ) -> Result<Reference, PcsiError> {
-    c.create(CreateOptions {
-        kind: ObjectKind::Function,
-        mutability: pcsi_core::Mutability::Mutable,
-        consistency: pcsi_core::Consistency::Linearizable,
-        initial: image.encode(),
-        fifo_capacity: None,
-    })
-    .await
+    c.create(CreateOptions::function(image.encode())).await
 }
 
 #[test]
