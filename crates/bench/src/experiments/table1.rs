@@ -256,7 +256,7 @@ pub fn run(seed: u64) -> Vec<Row> {
         .unwrap();
     });
     rows.push(Row {
-        label: "Request signing + verification (HMAC-SHA256)".into(),
+        label: "Request signing + verification (HMAC-SHA256, date-scoped key cached)".into(),
         paper_ns: None,
         ours_ns: auth,
         source: "measured (host)",

@@ -19,6 +19,10 @@
 //! | load-balancer forwarding | 10 µs/request | L7 proxy cost |
 //! | routing/metering/logging | 30 µs/request | typical service-mesh overhead |
 //!
+//! The host work behind the signature row is what the row says: both
+//! sides keep the date-scoped signing key (`pcsi_proto::sign`), so a
+//! request costs its canonicalization and the two passes of one HMAC.
+//!
 //! The NFS baseline (`crate::nfs`) performs the same storage work behind
 //! a 3 µs/op binary protocol — the per-operation provider-CPU ratio
 //! (~60×) is where the paper's 0.003 vs 0.18 USD/M cost gap comes from.
@@ -297,8 +301,7 @@ async fn handle_request(
                 let marshal_span = span.span("rest.marshal");
                 h.sleep(marshal_cpu(request.body.len())).await;
                 marshal_span.finish();
-                let body_text = String::from_utf8_lossy(&request.body).into_owned();
-                match json::decode(&body_text) {
+                match json::decode(&String::from_utf8_lossy(&request.body)) {
                     Ok(item) => {
                         let value = item
                             .get("value")
@@ -531,9 +534,8 @@ impl RestClient {
     pub async fn kv_get(&self, table: &str, key: &str) -> Result<Vec<u8>, RestError> {
         let req = Request::new(Method::Get, format!("/kv/{table}/{key}"));
         let resp = self.send(req).await?;
-        let text = String::from_utf8_lossy(&resp.body).into_owned();
-        let item =
-            json::decode(&text).map_err(|e| RestError::Net(format!("bad item JSON: {e}")))?;
+        let item = json::decode(&String::from_utf8_lossy(&resp.body))
+            .map_err(|e| RestError::Net(format!("bad item JSON: {e}")))?;
         item.get("value")
             .and_then(Value::as_str)
             .and_then(json::base64_decode)

@@ -165,23 +165,57 @@ impl Sha256 {
     }
 }
 
-/// HMAC-SHA256 per RFC 2104.
-pub(crate) fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    let mut key_block = [0u8; 64];
+/// Pads `key` to one SHA-256 block (RFC 2104: a longer key is hashed
+/// first).
+fn hmac_key_block(key: &[u8]) -> [u8; 64] {
+    let mut block = [0u8; 64];
     if key.len() > 64 {
-        key_block[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
+        block[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
     } else {
-        key_block[..key.len()].copy_from_slice(key);
+        block[..key.len()].copy_from_slice(key);
     }
-    let mut inner = Sha256::new();
-    inner.update(&key_block.map(|b| b ^ 0x36));
-    inner.update(message);
-    let inner_digest = inner.finalize();
+    block
+}
 
-    let mut outer = Sha256::new();
-    outer.update(&key_block.map(|b| b ^ 0x5c));
-    outer.update(&inner_digest);
-    outer.finalize()
+/// An HMAC-SHA256 key (RFC 2104) with both pad blocks already absorbed.
+///
+/// Half of a short message's HMAC is hashing the two key pads; a key
+/// that authenticates many messages pays that once, in [`HmacKey::new`],
+/// and [`HmacKey::mac`] resumes from the two saved states.
+#[derive(Clone)]
+pub(crate) struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    pub(crate) fn new(key: &[u8]) -> Self {
+        let block = hmac_key_block(key);
+        let mut inner = Sha256::new();
+        inner.update(&block.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&block.map(|b| b ^ 0x5c));
+        HmacKey { inner, outer }
+    }
+
+    /// The MAC of `message` under this key.
+    pub(crate) fn mac(&self, message: &[u8]) -> Digest {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+/// The textbook HMAC, `H((K ^ opad) || H((K ^ ipad) || m))` over
+/// concatenated buffers: the oracle [`HmacKey`] is tested against.
+#[cfg(test)]
+pub(crate) fn hmac_sha256_from_scratch(key: &[u8], message: &[u8]) -> Digest {
+    let block = hmac_key_block(key);
+    let inner = [&block.map(|b| b ^ 0x36)[..], message].concat();
+    let outer = [&block.map(|b| b ^ 0x5c)[..], &Sha256::digest(&inner)[..]].concat();
+    Sha256::digest(&outer)
 }
 
 /// Lowercase hex encoding.
@@ -287,34 +321,84 @@ mod tests {
         }
     }
 
-    /// RFC 4231 test cases 1, 2 and 3.
-    #[test]
-    fn hmac_known_vectors() {
-        assert_eq!(
-            hex(&hmac_sha256(&[0x0b; 20], b"Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        assert_eq!(
-            hex(&hmac_sha256(b"Jefe", b"what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-        assert_eq!(
-            hex(&hmac_sha256(&[0xaa; 20], &[0xdd; 50])),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-        );
+    /// RFC 4231 test cases 1, 2, 3, 6 and 7 as `(key, message, mac)`;
+    /// 6 and 7 share their 131-byte key, which is hashed first.
+    fn rfc4231() -> Vec<(Vec<u8>, Vec<u8>, &'static str)> {
+        vec![
+            (
+                vec![0x0b; 20],
+                b"Hi There".to_vec(),
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe".to_vec(),
+                b"what do ya want for nothing?".to_vec(),
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                vec![0xaa; 20],
+                vec![0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                vec![0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(),
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                vec![0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger \
+                  than block-size data. The key needs to be hashed before being \
+                  used by the HMAC algorithm."
+                    .to_vec(),
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ]
     }
 
     #[test]
-    fn hmac_long_key_is_hashed() {
-        // RFC 4231 test case 6: 131-byte key.
-        let key = [0xaa; 131];
-        assert_eq!(
-            hex(&hmac_sha256(
-                &key,
-                b"Test Using Larger Than Block-Size Key - Hash Key First"
-            )),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+    fn hmac_known_vectors() {
+        for (key, message, mac) in rfc4231() {
+            assert_eq!(hex(&HmacKey::new(&key).mac(&message)), mac);
+            assert_eq!(hex(&hmac_sha256_from_scratch(&key, &message)), mac);
+        }
+    }
+
+    /// One `HmacKey` per distinct key, built up front and then used for
+    /// every vector's message, twice over: a `mac` call must leave
+    /// nothing behind for the next one.
+    #[test]
+    fn hmac_key_is_reusable_across_messages() {
+        let vectors = rfc4231();
+        let keys: Vec<HmacKey> = vectors.iter().map(|(k, ..)| HmacKey::new(k)).collect();
+        for _ in 0..2 {
+            for (key, (raw, ..)) in keys.iter().zip(&vectors) {
+                for (_, message, _) in &vectors {
+                    assert_eq!(key.mac(message), hmac_sha256_from_scratch(raw, message));
+                }
+            }
+            for (key, (_, message, mac)) in keys.iter().zip(&vectors) {
+                assert_eq!(hex(&key.mac(message)), *mac);
+            }
+        }
+    }
+
+    /// Key lengths on both sides of the block size (a 65-byte key is
+    /// hashed, a 64-byte one is not) against message lengths on both
+    /// sides of the padding boundary.
+    #[test]
+    fn hmac_key_matches_from_scratch_at_every_boundary() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(200).collect();
+        for key_len in [0, 1, 31, 32, 63, 64, 65, 131, 200] {
+            let key = HmacKey::new(&data[..key_len]);
+            for msg_len in [0, 1, 31, 32, 54, 55, 56, 63, 64, 65, 119, 120, 200] {
+                assert_eq!(
+                    key.mac(&data[..msg_len]),
+                    hmac_sha256_from_scratch(&data[..key_len], &data[..msg_len]),
+                    "key {key_len} message {msg_len}"
+                );
+            }
+        }
     }
 
     #[test]

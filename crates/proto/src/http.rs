@@ -62,8 +62,9 @@ impl fmt::Display for Method {
 
 /// An ordered, case-insensitive header collection.
 ///
-/// Order is preserved because request signing hashes headers in insertion
-/// order; lookups fold ASCII case per RFC 9110.
+/// Order is preserved as on the wire and duplicates are kept; lookups
+/// fold ASCII case per RFC 9110. Request signing does not depend on the
+/// order: it sorts the canonical header lines before hashing them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Headers {
     entries: Vec<(String, String)>,

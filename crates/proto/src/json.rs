@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::hash::hex;
 use crate::value::Value;
 
 /// Maximum nesting depth accepted by the parser (stack-safety guard).
@@ -65,6 +66,7 @@ pub(crate) fn encode_into(value: &Value, out: &mut String) {
         Value::F64(v) => encode_f64(*v, out),
         Value::Str(s) => encode_string(s, out),
         Value::Bytes(b) => {
+            grow_for(out, b.len().div_ceil(3) * 4 + 2);
             out.push('"');
             base64_encode_into(b, out);
             out.push('"');
@@ -137,22 +139,64 @@ fn encode_f64(v: f64, out: &mut String) {
     }
 }
 
-fn encode_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Length of the run of bytes at the front of `bytes` that a JSON string
+/// carries as they are: everything up to the first `"`, `\` or control
+/// character. All of those are ASCII, so a run of a `str` ends on a
+/// character boundary.
+fn plain_run(bytes: &[u8]) -> usize {
+    fn special(b: u8) -> bool {
+        b < 0x20 || b == b'"' || b == b'\\'
+    }
+    // Whole blocks first, each tested without an early exit so that the
+    // compiler can test its bytes side by side.
+    let mut run = 0;
+    for block in bytes.chunks_exact(32) {
+        if block.iter().fold(false, |hit, &b| hit | special(b)) {
+            break;
         }
+        run += block.len();
+    }
+    let rest = &bytes[run..];
+    run + rest.iter().position(|&b| special(b)).unwrap_or(rest.len())
+}
+
+/// Makes room for `additional` bytes in one step, at the capacity that
+/// doubling would have stopped at. An exact fit would be outgrown by
+/// the very next `}` and double then, to nearly twice the size — and
+/// these buffers are recycled (`bytes`' pool) into whatever holds the
+/// next stored value.
+fn grow_for(out: &mut String, additional: usize) {
+    let needed = out.len() + additional;
+    if needed > out.capacity() {
+        out.reserve(needed.next_power_of_two() - out.len());
+    }
+}
+
+/// Writes `s` quoted and escaped, copying each plain run whole.
+fn encode_string(s: &str, out: &mut String) {
+    grow_for(out, s.len() + 2);
+    out.push('"');
+    let mut rest = s;
+    loop {
+        let run = plain_run(rest.as_bytes());
+        out.push_str(&rest[..run]);
+        let Some(&special) = rest.as_bytes().get(run) else {
+            break;
+        };
+        match special {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            b => {
+                out.push_str("\\u00");
+                out.push_str(&hex(&[b]));
+            }
+        }
+        rest = &rest[run + 1..];
     }
     out.push('"');
 }
@@ -298,12 +342,7 @@ impl<'a> Parser<'a> {
         loop {
             let start = self.pos;
             // Fast path: copy a run of plain bytes at once.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
+            self.pos += plain_run(&self.bytes[start..]);
             if self.pos > start {
                 let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
                     .map_err(|_| self.err("invalid UTF-8 in string"))?;
@@ -423,53 +462,75 @@ pub fn base64_encode(data: &[u8]) -> String {
 }
 
 fn base64_encode_into(data: &[u8], out: &mut String) {
-    for chunk in data.chunks(3) {
-        let b = [
-            chunk[0],
-            chunk.get(1).copied().unwrap_or(0),
-            chunk.get(2).copied().unwrap_or(0),
-        ];
-        let n = (u32::from(b[0]) << 16) | (u32::from(b[1]) << 8) | u32::from(b[2]);
-        out.push(B64_ALPHABET[(n >> 18) as usize & 63] as char);
-        out.push(B64_ALPHABET[(n >> 12) as usize & 63] as char);
-        if chunk.len() > 1 {
-            out.push(B64_ALPHABET[(n >> 6) as usize & 63] as char);
+    fn sextet(n: u32, shift: u32) -> u8 {
+        B64_ALPHABET[(n >> shift) as usize & 63]
+    }
+    // 48 bytes in, 64 characters out per block: whole triples in every
+    // block but the last, which alone can end in one or two odd bytes.
+    let mut buf = [0u8; 64];
+    for block in data.chunks(48) {
+        let triples = block.chunks_exact(3);
+        let odd = triples.remainder();
+        let mut len = 0;
+        for (t, quad) in triples.zip(buf.chunks_exact_mut(4)) {
+            let n = (u32::from(t[0]) << 16) | (u32::from(t[1]) << 8) | u32::from(t[2]);
+            quad.copy_from_slice(&[sextet(n, 18), sextet(n, 12), sextet(n, 6), sextet(n, 0)]);
+            len += 4;
         }
-        if chunk.len() > 2 {
-            out.push(B64_ALPHABET[n as usize & 63] as char);
+        if let Some(&a) = odd.first() {
+            let b = odd.get(1).copied();
+            let n = (u32::from(a) << 16) | (u32::from(b.unwrap_or(0)) << 8);
+            buf[len..len + 3].copy_from_slice(&[sextet(n, 18), sextet(n, 12), sextet(n, 6)]);
+            len += if b.is_some() { 3 } else { 2 };
         }
+        out.push_str(std::str::from_utf8(&buf[..len]).expect("the base64 alphabet is ASCII"));
     }
 }
 
+/// `B64_ALPHABET` inverted: a byte's six-bit value, or `B64_INVALID`.
+const B64_REVERSE: [u8; 256] = {
+    let mut table = [B64_INVALID; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[B64_ALPHABET[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+const B64_INVALID: u8 = 0xFF;
+
 /// Decodes unpadded base64url; `None` on invalid input.
 pub fn base64_decode(text: &str) -> Option<Vec<u8>> {
-    fn val(b: u8) -> Option<u32> {
-        match b {
-            b'A'..=b'Z' => Some(u32::from(b - b'A')),
-            b'a'..=b'z' => Some(u32::from(b - b'a') + 26),
-            b'0'..=b'9' => Some(u32::from(b - b'0') + 52),
-            b'-' => Some(62),
-            b'_' => Some(63),
-            _ => None,
+    /// The characters' six-bit values, packed big-endian.
+    fn sextets(chars: &[u8]) -> Option<u32> {
+        let mut n = 0;
+        for &c in chars {
+            let v = B64_REVERSE[usize::from(c)];
+            if v == B64_INVALID {
+                return None;
+            }
+            n = (n << 6) | u32::from(v);
         }
+        Some(n)
     }
     let bytes = text.as_bytes();
     if bytes.len() % 4 == 1 {
         return None;
     }
-    let mut out = Vec::with_capacity(bytes.len() * 3 / 4);
-    for chunk in bytes.chunks(4) {
-        let mut n = 0u32;
-        for &b in chunk {
-            n = (n << 6) | val(b)?;
-        }
-        n <<= 6 * (4 - chunk.len());
-        out.push((n >> 16) as u8);
-        if chunk.len() > 2 {
-            out.push((n >> 8) as u8);
-        }
-        if chunk.len() > 3 {
-            out.push(n as u8);
+    // Four characters carry three bytes, and a tail of two or three
+    // carries one or two: the length is known before the content.
+    let mut out = vec![0u8; bytes.len() * 3 / 4];
+    let quads = bytes.chunks_exact(4);
+    let tail = quads.remainder();
+    let (triples, carried) = out.split_at_mut(quads.len() * 3);
+    for (quad, triple) in quads.zip(triples.chunks_exact_mut(3)) {
+        let n = sextets(quad)?;
+        triple.copy_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8]);
+    }
+    if !tail.is_empty() {
+        let n = sextets(tail)? << (6 * (4 - tail.len()));
+        for (byte, shift) in carried.iter_mut().zip([16, 8]) {
+            *byte = (n >> shift) as u8;
         }
     }
     Some(out)
@@ -604,5 +665,187 @@ mod tests {
     fn duplicate_keys_last_wins() {
         let v = decode(r#"{"a":1,"a":2}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_i64(), Some(2));
+    }
+
+    /// The encoder `encode_string` replaced, kept as its oracle: one
+    /// `String::push` per `char`.
+    fn encode_string_per_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// The base64 routines `base64_encode_into` and `base64_decode`
+    /// replaced, kept as their oracles: one `push` per output unit and a
+    /// `match` per input byte.
+    fn base64_encode_per_push(data: &[u8]) -> String {
+        let mut out = String::new();
+        for chunk in data.chunks(3) {
+            let b = [
+                chunk[0],
+                chunk.get(1).copied().unwrap_or(0),
+                chunk.get(2).copied().unwrap_or(0),
+            ];
+            let n = (u32::from(b[0]) << 16) | (u32::from(b[1]) << 8) | u32::from(b[2]);
+            out.push(B64_ALPHABET[(n >> 18) as usize & 63] as char);
+            out.push(B64_ALPHABET[(n >> 12) as usize & 63] as char);
+            if chunk.len() > 1 {
+                out.push(B64_ALPHABET[(n >> 6) as usize & 63] as char);
+            }
+            if chunk.len() > 2 {
+                out.push(B64_ALPHABET[n as usize & 63] as char);
+            }
+        }
+        out
+    }
+
+    fn base64_decode_per_push(text: &str) -> Option<Vec<u8>> {
+        fn val(b: u8) -> Option<u32> {
+            match b {
+                b'A'..=b'Z' => Some(u32::from(b - b'A')),
+                b'a'..=b'z' => Some(u32::from(b - b'a') + 26),
+                b'0'..=b'9' => Some(u32::from(b - b'0') + 52),
+                b'-' => Some(62),
+                b'_' => Some(63),
+                _ => None,
+            }
+        }
+        let bytes = text.as_bytes();
+        if bytes.len() % 4 == 1 {
+            return None;
+        }
+        let mut out = Vec::new();
+        for chunk in bytes.chunks(4) {
+            let mut n = 0u32;
+            for &b in chunk {
+                n = (n << 6) | val(b)?;
+            }
+            n <<= 6 * (4 - chunk.len());
+            out.push((n >> 16) as u8);
+            if chunk.len() > 2 {
+                out.push((n >> 8) as u8);
+            }
+            if chunk.len() > 3 {
+                out.push(n as u8);
+            }
+        }
+        Some(out)
+    }
+
+    fn assert_encodes_as_per_char(s: &str) {
+        // A non-empty buffer, so a run copied to the wrong place shows.
+        let (mut got, mut want) = (String::from("[1,"), String::from("[1,"));
+        encode_string(s, &mut got);
+        encode_string_per_char(s, &mut want);
+        assert_eq!(got, want, "input {s:?}");
+        assert_eq!(decode(&got[3..]).unwrap(), Value::Str(s.into()));
+    }
+
+    /// Every character that needs an escape, alone, doubled (an empty
+    /// run between two escapes), between one-byte runs, and directly
+    /// against two-, three- and four-byte UTF-8 on both sides.
+    #[test]
+    fn every_escape_matches_the_per_char_encoder_in_every_position() {
+        assert_encodes_as_per_char("");
+        assert_encodes_as_per_char("plain é 🦀");
+        for c in (0u8..0x20).chain([b'"', b'\\', 0x7F]).map(char::from) {
+            for s in [
+                format!("{c}"),
+                format!("{c}{c}"),
+                format!("a{c}b{c}c"),
+                format!("é{c}€{c}🦀"),
+                format!("{c}🦀{c}"),
+            ] {
+                assert_encodes_as_per_char(&s);
+            }
+        }
+    }
+
+    /// 258 = five whole 48-byte blocks plus a block that ends in every
+    /// remainder; each length is checked against the old encoder, the
+    /// old decoder and itself.
+    #[test]
+    fn base64_matches_the_per_push_routines_at_every_length() {
+        let data: Vec<u8> = (0..=258u32).map(|i| (i * 131 % 256) as u8).collect();
+        for len in 0..=258 {
+            let enc = base64_encode(&data[..len]);
+            assert_eq!(enc, base64_encode_per_push(&data[..len]), "len {len}");
+            assert_eq!(base64_decode(&enc).as_deref(), Some(&data[..len]));
+            assert_eq!(base64_decode_per_push(&enc).as_deref(), Some(&data[..len]));
+            // Appended to what a buffer already holds, as `encode` does.
+            let mut out = String::from("\"");
+            base64_encode_into(&data[..len], &mut out);
+            assert_eq!(out[1..], enc, "len {len}");
+        }
+    }
+
+    /// A byte outside the alphabet (ASCII or the first byte of a
+    /// two-byte character) at every position of a valid encoding of
+    /// every tail shape: `None`, as before, never a panic.
+    #[test]
+    fn base64_rejects_an_invalid_byte_at_every_position() {
+        let data: Vec<u8> = (0..99u8).collect();
+        for len in [96, 97, 98, 99] {
+            let valid = base64_encode(&data[..len]);
+            for at in 0..valid.len() {
+                for bad in ["=", "+", "/", " ", "\u{0}", "\u{7f}", "é"] {
+                    let text = format!("{}{bad}{}", &valid[..at], &valid[at + 1..]);
+                    assert_eq!(base64_decode(&text), None, "len {len} at {at} {bad:?}");
+                    assert_eq!(base64_decode_per_push(&text), None);
+                }
+            }
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Strings dense in control characters, quotes, backslashes
+            /// and multi-byte characters, so runs are mostly empty or
+            /// one character long.
+            #[test]
+            fn encode_string_equals_the_per_char_encoder(
+                dense in "[\u{0}-\u{1f}\"\\\\aé€🦀]{0,32}",
+                any in ".{0,64}",
+            ) {
+                assert_encodes_as_per_char(&dense);
+                assert_encodes_as_per_char(&any);
+            }
+
+            /// Arbitrary text, valid or not: the decoders agree, and a
+            /// decoded value never outgrows three bytes per four
+            /// characters (the capacity it was given).
+            #[test]
+            fn base64_decode_equals_the_per_push_decoder(
+                text in "[A-Za-z0-9_=+/ é-]{0,48}",
+                any in ".{0,48}",
+                data in proptest::collection::vec(any::<u8>(), 0..300),
+            ) {
+                for text in [text, any, base64_encode(&data)] {
+                    let got = base64_decode(&text);
+                    prop_assert_eq!(&got, &base64_decode_per_push(&text));
+                    if let Some(bytes) = got {
+                        prop_assert!(bytes.len() <= text.len() * 3 / 4);
+                    }
+                }
+                prop_assert_eq!(base64_encode(&data), base64_encode_per_push(&data));
+            }
+        }
     }
 }
