@@ -481,42 +481,15 @@ impl KernelClient {
     /// in a higher layer hides the name in all lower ones. Once a segment
     /// resolves in some layer, deeper segments resolve within that
     /// subtree only (overlayfs semantics for non-merged subdirectories).
+    /// A one-layer union is [`CloudInterface::lookup`], and is recorded
+    /// as the same `lookup` op.
     pub async fn lookup_union(
         &self,
         layers: &[Reference],
         path: &str,
     ) -> Result<Reference, PcsiError> {
-        let segments = pcsi_fs::path::split(path)?;
-        let mut current: Vec<Reference> = layers.to_vec();
-        if current.is_empty() {
-            return Err(PcsiError::BadPayload("union lookup needs layers".into()));
-        }
-        let mut resolved = current[0].clone();
-        for seg in &segments {
-            let mut found: Option<Reference> = None;
-            for layer in &current {
-                let meta = self.kernel.check(layer, Rights::READ)?;
-                let dir = self.load_dir(layer.id(), &meta).await?;
-                match dir.get(seg) {
-                    Some(e) if e.whiteout => break, // Hidden below this layer.
-                    Some(e) => {
-                        let gen = {
-                            let meta = self.inner().meta.borrow();
-                            meta.get(&e.id)
-                                .ok_or(PcsiError::NotFound(e.id))?
-                                .meta
-                                .generation
-                        };
-                        found = Some(Reference::mint(e.id, e.rights, gen));
-                        break;
-                    }
-                    None => continue,
-                }
-            }
-            resolved = found.ok_or_else(|| PcsiError::NameNotFound(seg.clone()))?;
-            current = vec![resolved.clone()];
-        }
-        Ok(resolved)
+        self.op("kernel.lookup", |this| this.resolve(layers, path))
+            .await
     }
 
     /// Opens a cross-node subscription on a FIFO or socket object: the
@@ -729,8 +702,10 @@ impl CloudInterface for KernelClient {
     }
 
     async fn lookup(&self, dir: &Reference, path: &str) -> Result<Reference, PcsiError> {
-        self.op("kernel.lookup", |this| this.lookup_impl(dir, path))
-            .await
+        self.op("kernel.lookup", |this| {
+            this.resolve(std::slice::from_ref(dir), path)
+        })
+        .await
     }
 
     async fn list(&self, dir: &Reference) -> Result<Vec<String>, PcsiError> {
@@ -1009,26 +984,42 @@ impl KernelClient {
         self.store_dir(dir.id(), &d).await
     }
 
-    async fn lookup_impl(self, dir: &Reference, path: &str) -> Result<Reference, PcsiError> {
+    /// The one name resolver: `path` through `layers`, topmost first.
+    /// The first segment is searched down the stack — the first layer
+    /// holding the name decides, and a whiteout there hides it below —
+    /// and every later segment in the one directory the previous one
+    /// resolved to.
+    async fn resolve(self, layers: &[Reference], path: &str) -> Result<Reference, PcsiError> {
         let segments = pcsi_fs::path::split(path)?;
-        let mut current = dir.clone();
-        for seg in &segments {
-            let meta = self.kernel.check(&current, Rights::READ)?;
-            let d = self.load_dir(current.id(), &meta).await?;
-            let entry = d
-                .get(seg)
-                .filter(|e| !e.whiteout)
-                .ok_or_else(|| PcsiError::NameNotFound(seg.clone()))?;
-            let gen = {
-                let meta = self.inner().meta.borrow();
-                meta.get(&entry.id)
-                    .ok_or(PcsiError::NotFound(entry.id))?
-                    .meta
-                    .generation
+        let mut resolved = layers
+            .first()
+            .cloned()
+            .ok_or_else(|| PcsiError::BadPayload("union lookup needs layers".into()))?;
+        for (depth, seg) in segments.iter().enumerate() {
+            let stack = match depth {
+                0 => layers,
+                _ => std::slice::from_ref(&resolved),
             };
-            current = Reference::mint(entry.id, entry.rights, gen);
+            let mut found = None;
+            for layer in stack {
+                let meta = self.kernel.check(layer, Rights::READ)?;
+                let dir = self.load_dir(layer.id(), &meta).await?;
+                let Some(entry) = dir.get(seg) else { continue };
+                if !entry.whiteout {
+                    let gen = {
+                        let meta = self.inner().meta.borrow();
+                        meta.get(&entry.id)
+                            .ok_or(PcsiError::NotFound(entry.id))?
+                            .meta
+                            .generation
+                    };
+                    found = Some(Reference::mint(entry.id, entry.rights, gen));
+                }
+                break;
+            }
+            resolved = found.ok_or_else(|| PcsiError::NameNotFound(seg.clone()))?;
         }
-        Ok(current)
+        Ok(resolved)
     }
 
     async fn list_impl(self, dir: &Reference) -> Result<Vec<String>, PcsiError> {

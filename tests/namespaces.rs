@@ -10,6 +10,7 @@ use pcsi_core::{CloudInterface, PcsiError, Rights};
 use pcsi_fs::{DirEntry, Directory, UnionDir};
 use pcsi_net::NodeId;
 use pcsi_sim::Sim;
+use proptest::prelude::*;
 
 fn with_cloud<T: 'static>(
     seed: u64,
@@ -19,7 +20,10 @@ fn with_cloud<T: 'static>(
     let mut sim = Sim::new(seed);
     let h = sim.handle();
     sim.block_on(async move {
-        let cloud = CloudBuilder::new().deterministic_network().build(&h);
+        let cloud = CloudBuilder::new()
+            .deterministic_network()
+            .metrics(true)
+            .build(&h);
         f(cloud).await
     })
 }
@@ -283,8 +287,104 @@ fn kernel_union_lookup_layers_namespaces() {
             );
             // Empty layer list is rejected.
             assert!(c.lookup_union(&[], "x").await.is_err());
+
+            // A union lookup is a `lookup` op like any other: all four
+            // above were counted, the two that failed as errors.
+            let count = |family| {
+                let metrics = cloud.metrics.as_ref().unwrap();
+                let series = metrics.find_counter(family, &[("op", "lookup")]);
+                series.map(|c| c.get())
+            };
+            assert_eq!(count("kernel.ops"), Some(4));
+            assert_eq!(count("kernel.errors"), Some(2));
         })
     });
+}
+
+/// The names the differential test links and looks up.
+const NAMES: [&str; 5] = ["bin", "etc", "lib", "tmp", "var"];
+
+/// What one layer holds under one name.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Absent,
+    Entry,
+    Whiteout,
+}
+
+/// A stack of 1–4 layers, topmost first: one [`Slot`] per name of
+/// [`NAMES`] per layer, so shadowing and whiteouts at every depth occur.
+fn arb_stack() -> impl Strategy<Value = Vec<Vec<Slot>>> {
+    let slot = prop_oneof![Just(Slot::Absent), Just(Slot::Entry), Just(Slot::Whiteout)];
+    let layer = proptest::collection::vec(slot, NAMES.len()..NAMES.len() + 1);
+    proptest::collection::vec(layer, 1..5)
+}
+
+proptest! {
+    /// The kernel's resolver against `pcsi_fs::UnionDir`, §3.2's union
+    /// semantics as a pure data structure: over the same layers, every
+    /// name resolves to the object the model names, and is
+    /// `NameNotFound` exactly where the model has nothing visible.
+    #[test]
+    fn kernel_union_lookup_agrees_with_the_union_model(stack in arb_stack()) {
+        let verdicts = with_cloud(40, |cloud| {
+            Box::pin(async move {
+                let c = cloud.kernel.client(NodeId(0), "t");
+                let mut layers = Vec::new();
+                let mut model = Vec::new();
+                for slots in &stack {
+                    let dir = c.create(CreateOptions::directory()).await.unwrap();
+                    let mut expect = Directory::new();
+                    for (name, slot) in NAMES.iter().zip(slots) {
+                        match slot {
+                            Slot::Absent => {}
+                            Slot::Entry => {
+                                let target = c.create(CreateOptions::regular()).await.unwrap();
+                                c.link(&dir, name, &target).await.unwrap();
+                                let entry = DirEntry::new(target.id(), target.rights());
+                                expect.link(name, entry).unwrap();
+                            }
+                            Slot::Whiteout => expect.relink(name, DirEntry::whiteout()).unwrap(),
+                        }
+                    }
+                    // The kernel has no whiteout verb: platform layers
+                    // get theirs by editing the stored directory.
+                    let bytes = c.read(&dir, 0, u64::MAX).await.unwrap();
+                    let mut stored = Directory::decode(&bytes).unwrap();
+                    for (name, _) in expect.iter().filter(|(_, e)| e.whiteout) {
+                        stored.relink(name, DirEntry::whiteout()).unwrap();
+                    }
+                    cloud
+                        .store
+                        .client(NodeId(0))
+                        .put(
+                            dir.id(),
+                            stored.encode(),
+                            pcsi_core::Mutability::Mutable,
+                            pcsi_core::Consistency::Linearizable,
+                        )
+                        .await
+                        .unwrap();
+                    layers.push(dir);
+                    model.push(expect);
+                }
+                let model = UnionDir::new(model);
+                let mut verdicts = Vec::new();
+                for name in NAMES {
+                    let got = c.lookup_union(&layers, name).await;
+                    verdicts.push((name, got, model.get(name).map(|e| e.id)));
+                }
+                verdicts
+            })
+        });
+        for (name, got, expected) in verdicts {
+            match (got, expected) {
+                (Ok(r), Some(id)) => prop_assert_eq!(r.id(), id, "{}", name),
+                (Err(PcsiError::NameNotFound(n)), None) => prop_assert_eq!(n, name),
+                (got, expected) => prop_assert!(false, "{name}: {got:?}, model {expected:?}"),
+            }
+        }
+    }
 }
 
 #[test]
