@@ -298,8 +298,6 @@ pub struct DiurnalResult {
     pub mean_cpu_util: f64,
     /// Predictive boots issued by the autoscaler.
     pub prewarms: u64,
-    /// Scavenged instances evicted for provisioned demand.
-    pub preemptions: u64,
     /// Work-stealing moves between nodes.
     pub rebalances: u64,
 }
@@ -508,7 +506,6 @@ pub fn run_diurnal(seed: u64, policy: ScalePolicy, run_for: Duration) -> Diurnal
             slo_attainment: within / issued.max(1) as f64,
             mean_cpu_util: sum / n.max(1) as f64,
             prewarms: cloud.runtime.prewarms(),
-            preemptions: cloud.runtime.preemptions(),
             rebalances: cloud.runtime.rebalances(),
         }
     })

@@ -16,5 +16,5 @@ pub mod table1;
 pub mod ycsb;
 
 /// The default seed every experiment uses unless told otherwise — keeps
-/// the report and the snapshots byte-for-byte reproducible.
+/// the report byte-for-byte reproducible.
 pub const DEFAULT_SEED: u64 = 0x5245_5354; // "REST"

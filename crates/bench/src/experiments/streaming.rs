@@ -41,15 +41,6 @@ use pcsi_sim::SimHandle;
 /// Subscriber count for the fan-out measurement.
 pub const FAN_OUT: usize = 8;
 
-/// Snapshot key for one generation (`streaming.<key>_*` fields).
-pub fn key(generation: NetworkGeneration) -> &'static str {
-    match generation {
-        NetworkGeneration::Dc2005 => "dc2005",
-        NetworkGeneration::Dc2021 => "dc2021",
-        NetworkGeneration::FastEmerging => "fast",
-    }
-}
-
 /// Per-event delivery latency at one network generation, both
 /// transports, 1 subscriber and [`FAN_OUT`] subscribers.
 #[derive(Debug, Clone)]
@@ -428,7 +419,7 @@ pub fn token_serving(seed: u64, tokens: u32) -> TokenServingResult {
     })
 }
 
-/// The full E10 bundle the report and snapshot carry.
+/// The full E10 bundle the report prints.
 #[derive(Debug, Clone)]
 pub struct StreamingResult {
     /// Per-generation latency points.
@@ -482,7 +473,7 @@ pub fn shape_holds(r: &StreamingResult) -> Result<(), String> {
         if p.pcsi_fanout_ns < 0.5 * p.pcsi_event_ns {
             return Err(format!(
                 "{}: fan-out mean below half the 1-sub mean is implausible",
-                key(p.generation)
+                p.generation.label()
             ));
         }
     }
@@ -537,7 +528,7 @@ mod tests {
             assert!(
                 p.pcsi_fanout_ns < 10.0 * p.pcsi_event_ns,
                 "{}: fan-out {:.0}ns vs single {:.0}ns",
-                key(p.generation),
+                p.generation.label(),
                 p.pcsi_fanout_ns,
                 p.pcsi_event_ns
             );

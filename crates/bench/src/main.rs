@@ -1,105 +1,84 @@
-//! Regenerates every table and figure of "The RESTless Cloud".
+//! # pcsi-bench — the experiment harness and its `report` binary
+//!
+//! Regenerates every table and figure of "The RESTless Cloud". One module
+//! per table / figure / claim (see `DESIGN.md`'s experiment index): each
+//! experiment is a pure function of a seed that runs a deterministic
+//! simulation and returns structured results, and this binary renders
+//! them next to the paper's numbers. Host cost is measured elsewhere, by
+//! the repo benchmark under `benchmark/`.
 //!
 //! ```text
 //! cargo run --release -p pcsi-bench --bin report            # everything
 //! cargo run --release -p pcsi-bench --bin report -- table1  # one artifact
 //! ```
 //!
-//! Artifacts are the rows of [`ARTIFACTS`]; any other name prints them
-//! and exits 2. Everything but Table 1's `measured (host)` rows is
-//! deterministic and pinned by `crates/bench/REPORT.txt`; re-bless with
+//! Artifacts are the rows of [`ARTIFACTS`]; any other argument prints
+//! them and exits 2. Everything but Table 1's `measured (host)` rows is
+//! deterministic and pinned, to the nanosecond, by
+//! `crates/bench/REPORT.txt`; re-bless with
 //! `report | grep -v 'measured (host)' > crates/bench/REPORT.txt`.
 //!
-//! Perf-snapshot modes (opt-in, not part of the default run):
-//!
-//! ```text
-//! cargo run --release -p pcsi-bench --bin report -- bench
-//!     # run the virtual-time snapshot experiments and write
-//!     # BENCH_<pr>.json ($BENCH_PR names the pr, default "dev"); unless
-//!     # <pr> is a number, exit 1 when a simulated number differs from
-//!     # the newest numbered BENCH_<n>.json here (the `pin:` line names
-//!     # the file and says whether the run was gated)
-//! cargo run --release -p pcsi-bench --bin report -- bench-check <file>
-//!     # validate a snapshot against the current schema; exits nonzero
-//!     # on drift
-//! cargo run --release -p pcsi-bench --bin report -- trend
-//!     # render the perf trajectory across every BENCH_*.json here
-//! cargo run --release -p pcsi-bench --bin report -- bench-check --trend
-//!     # regression gate: the newest numeric-PR snapshot must not sit
-//!     # more than 20% behind the best prior value of any tracked
-//!     # metric; exits nonzero when it does
-//! ```
+//! | module | artifact |
+//! |--------|----------|
+//! | [`experiments::table1`] | Table 1 — representative operation latencies |
+//! | [`experiments::rest_vs_nfs`] | §2.1 — NFS vs DynamoDB-style fetch (E2) |
+//! | [`experiments::mutability`] | Figure 1 — transition matrix (E3) |
+//! | [`experiments::pipeline`] | Figure 2 / §4.1 — placement strategies (E4) |
+//! | [`experiments::efficiency`] | §4.2 — scavenged vs provisioned (E5) |
+//! | [`experiments::flexibility`] | §4.3 — variant swap + optimizer (E6) |
+//! | [`experiments::consistency`] | §3.3 — the consistency menu (E7) |
+//! | [`experiments::capability`] | §3.2 — stateful refs vs per-request auth (E8) |
+//! | [`experiments::crossover`] | §2.1 — overhead share as networks speed up (E9) |
+//! | [`experiments::ycsb`] | supporting — YCSB-style KV mixes on both interfaces |
+//! | [`experiments::recovery`] | supporting — client fault recovery under message loss |
+//! | [`experiments::shard_scaling`] | supporting — ring scale-out under live load |
+//! | [`experiments::streaming`] | PCSI push vs SSE across network generations (E10) |
+
+mod experiments;
+mod reportfmt;
 
 use std::time::Duration;
 
-use pcsi_bench::experiments::{
+use experiments::{
     capability, consistency, crossover, efficiency, flexibility, mutability, pipeline, recovery,
-    rest_vs_nfs, stages, streaming, table1, ycsb, DEFAULT_SEED,
+    rest_vs_nfs, shard_scaling, stages, streaming, table1, ycsb, DEFAULT_SEED,
 };
-use pcsi_bench::reportfmt::{ns, Table};
-use pcsi_bench::{snapshot, trend};
+use reportfmt::{ns, Table};
 
 /// The paper artifacts in report order: the name one is asked for by,
 /// its section heading, and what prints the section.
 #[rustfmt::skip]
 const ARTIFACTS: &[(&str, &str, fn())] = &[
-    ("table1",      "Table 1 — representative latency of various operations (E1)",      report_table1),
-    ("rest-vs-nfs", "§2.1 — 1 KB fetch: NFS vs DynamoDB-style REST (E2)",               report_rest_vs_nfs),
-    ("mutability",  "Figure 1 — object mutability transitions (E3)",                    report_mutability),
-    ("pipeline",    "Figure 2 / §4.1 — model-serving placement strategies (E4)",        report_pipeline),
-    ("efficiency",  "§4.2 — scavenged pay-per-use vs peak-provisioned fleet (E5)",      report_efficiency),
-    ("flexibility", "§4.3 — flexibility: accelerator swap + variant optimizer (E6)",    report_flexibility),
-    ("consistency", "§3.3 — the two-item consistency menu (E7)",                        report_consistency),
-    ("capability",  "§3.2 — stateful references vs per-request auth; GC (E8)",          report_capability),
-    ("crossover",   "§2.1 — interface overhead vs network generation (E9)",             report_crossover),
-    ("ycsb",        "supporting — YCSB-style KV mixes on both interfaces",              report_ycsb),
-    ("recovery",    "supporting — client fault recovery under message loss",            report_recovery),
-    ("streaming",   "E10 — streaming: PCSI push vs SSE across network generations",     report_streaming),
+    ("table1",        "Table 1 — representative latency of various operations (E1)",   report_table1),
+    ("rest-vs-nfs",   "§2.1 — 1 KB fetch: NFS vs DynamoDB-style REST (E2)",            report_rest_vs_nfs),
+    ("mutability",    "Figure 1 — object mutability transitions (E3)",                 report_mutability),
+    ("pipeline",      "Figure 2 / §4.1 — model-serving placement strategies (E4)",     report_pipeline),
+    ("efficiency",    "§4.2 — scavenged pay-per-use vs peak-provisioned fleet (E5)",   report_efficiency),
+    ("flexibility",   "§4.3 — flexibility: accelerator swap + variant optimizer (E6)", report_flexibility),
+    ("consistency",   "§3.3 — the two-item consistency menu (E7)",                     report_consistency),
+    ("capability",    "§3.2 — stateful references vs per-request auth; GC (E8)",       report_capability),
+    ("crossover",     "§2.1 — interface overhead vs network generation (E9)",          report_crossover),
+    ("ycsb",          "supporting — YCSB-style KV mixes on both interfaces",           report_ycsb),
+    ("recovery",      "supporting — client fault recovery under message loss",         report_recovery),
+    ("shard-scaling", "supporting — ring scale-out under live load",                   report_shard_scaling),
+    ("streaming",     "E10 — streaming: PCSI push vs SSE across network generations",  report_streaming),
 ];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench-check") {
-        if args.get(1).map(String::as_str) == Some("--trend") {
-            trend_gate();
-        } else {
-            bench_check(args.get(1).map(String::as_str));
-        }
-        return;
-    }
-    let asked = |name: &str| args.iter().any(|a| a == name);
-    let artifact = |name: &str| ARTIFACTS.iter().any(|(artifact, ..)| *artifact == name);
-    if let Some(unknown) = args
-        .iter()
-        .find(|a| !artifact(a) && !["bench", "trend"].contains(&a.as_str()))
-    {
+    let asked = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
+    if let Some(unknown) = args.iter().find(|a| !ARTIFACTS.iter().any(|x| x.0 == **a)) {
         let names: Vec<&str> = ARTIFACTS.iter().map(|(name, ..)| *name).collect();
         eprintln!(
-            "report: no artifact named {unknown:?}; there are {}, and the modes bench, trend, bench-check",
+            "report: no artifact named {unknown:?}; there are {}",
             names.join(", ")
         );
         std::process::exit(2);
     }
-    // The snapshot run writes a file and trend reads committed ones
-    // rather than running experiments, so both run only when asked for
-    // by name.
-    if asked("bench") {
-        report_bench();
-    }
-    if asked("trend") {
-        report_trend();
-    }
-    let sections: Vec<_> = ARTIFACTS
-        .iter()
-        .filter(|(name, ..)| args.is_empty() || asked(name))
-        .collect();
-    if sections.is_empty() {
-        return;
-    }
 
     println!("The RESTless Cloud (HotOS '21) — reproduction report");
     println!("seed = {DEFAULT_SEED:#x}; all simulated numbers are deterministic.\n");
-    for (_, title, print) in sections {
+    for (_, title, print) in ARTIFACTS.iter().filter(|(name, ..)| asked(name)) {
         println!("## {title}\n");
         print();
     }
@@ -462,6 +441,26 @@ fn report_recovery() {
     );
 }
 
+fn report_shard_scaling() {
+    let r = shard_scaling::run(DEFAULT_SEED);
+    let mut t = Table::new(&["ring nodes", "ops/sim s", "p99"]);
+    for (nodes, ops_per_s, p99_ns) in [
+        (shard_scaling::RING_BEFORE, r.tput_before, r.p99_before_ns),
+        (shard_scaling::RING_AFTER, r.tput_after, r.p99_after_ns),
+    ] {
+        t.row(&[format!("{nodes}"), format!("{ops_per_s:.0}"), ns(p99_ns)]);
+    }
+    print!("{}", t.render());
+    println!(
+        "\n{} objects migrated under that load, at a window p99 of {}; the full ring\n\
+         carries {:.2}x the throughput.",
+        r.objects_moved,
+        ns(r.p99_migration_ns),
+        r.ratio()
+    );
+    shape_check(shard_scaling::shape_holds(&r), "");
+}
+
 fn report_crossover() {
     let points = crossover::run(DEFAULT_SEED, 100);
     let mut t = Table::new(&["network", "RTT", "interface", "1 KB fetch", "x RTT"]);
@@ -547,128 +546,4 @@ fn report_streaming() {
         streaming::shape_holds(&r),
         "PCSI push beats SSE per event on the fast network;\ndeltas reconstruct; PCSI TTFT <= SSE TTFT",
     );
-}
-
-fn report_bench() {
-    println!("## Perf snapshot (virtual time; host cost is `benchmark/`'s job)\n");
-    // Every simulated number is the same on any machine, so the newest
-    // numbered snapshot here pins all of them exactly (an unnumbered
-    // `BENCH_dev.json` left by an earlier run is never the pin and is not
-    // even read). A numbered run is how a deliberate change records its
-    // new numbers; any other run that moved one fails.
-    let pr = std::env::var("BENCH_PR").unwrap_or_else(|_| "dev".into());
-    let numbered = |pr: &str| pr.parse::<u64>().is_ok();
-    let pin = committed_snapshots("bench", numbered).pop();
-
-    let results = snapshot::Results::run(DEFAULT_SEED);
-    streaming::shape_holds(&results.streaming)
-        .expect("streaming claims must hold in the snapshot run");
-    let mut t = Table::new(&["block", "metric", "value", "unit", "better", "trend"]);
-    for m in snapshot::METRICS {
-        t.row(&[
-            m.block.into(),
-            m.key.into(),
-            format!("{:.3}", m.value(&results)),
-            m.unit.into(),
-            m.better.label().into(),
-            if m.tracked { "gated" } else { "" }.into(),
-        ]);
-    }
-    print!("{}", t.render());
-
-    let json = snapshot::render(&results, &pr, DEFAULT_SEED);
-    snapshot::validate(&json).expect("emitted snapshot must conform to its own schema");
-    let path = format!("BENCH_{pr}.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("\nwrote {path}\n");
-
-    let Some(pin) = pin else { return };
-    let moved = snapshot::drift(&results, &pin.doc);
-    for line in &moved {
-        println!("  {line}");
-    }
-    let (n, gated) = (moved.len(), !numbered(&pr));
-    let verdict = if gated {
-        "not a number, gated"
-    } else {
-        "a number, not gated"
-    };
-    println!(
-        "pin: {n} simulated numbers moved from BENCH_{}.json (BENCH_PR={pr}: {verdict})\n",
-        pin.pr
-    );
-    if n > 0 && gated {
-        std::process::exit(1);
-    }
-}
-
-/// The `BENCH_<pr>.json` in the current directory whose `pr` passes
-/// `keep`, oldest numbered one first; exits 2 naming `mode` when one is
-/// unreadable or off-schema.
-fn committed_snapshots(mode: &str, keep: impl Fn(&str) -> bool) -> Vec<trend::TrendRow> {
-    trend::load_dir(std::path::Path::new("."), keep).unwrap_or_else(|e| {
-        eprintln!("{mode}: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn report_trend() {
-    println!("## Perf trajectory (committed BENCH_*.json snapshots)\n");
-    let rows = committed_snapshots("trend", |_| true);
-    if rows.is_empty() {
-        println!("no BENCH_*.json snapshots found\n");
-        return;
-    }
-    print!("{}", trend::render_table(&rows));
-    println!();
-    match trend::check(&rows, trend::DEFAULT_TOLERANCE) {
-        Ok(verdicts) => {
-            for v in verdicts {
-                println!("  {v}");
-            }
-            println!("\ntrend gate: PASS\n");
-        }
-        Err(regressions) => {
-            for r in regressions {
-                println!("  {r}");
-            }
-            println!("\ntrend gate: FAIL (informational here; `bench-check --trend` enforces)\n");
-        }
-    }
-}
-
-fn trend_gate() {
-    let rows = committed_snapshots("bench-check --trend", |_| true);
-    match trend::check(&rows, trend::DEFAULT_TOLERANCE) {
-        Ok(verdicts) => {
-            for v in verdicts {
-                println!("bench-check --trend: {v}");
-            }
-            println!("bench-check --trend: PASS");
-        }
-        Err(regressions) => {
-            for r in regressions {
-                eprintln!("bench-check --trend: {r}");
-            }
-            std::process::exit(1);
-        }
-    }
-}
-
-fn bench_check(path: Option<&str>) {
-    let path = path.unwrap_or_else(|| {
-        eprintln!("usage: report bench-check <BENCH_*.json>");
-        std::process::exit(2);
-    });
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench-check: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    match snapshot::validate(&text) {
-        Ok(_) => println!("bench-check: {path} conforms to {}", snapshot::SCHEMA),
-        Err(e) => {
-            eprintln!("bench-check: schema drift in {path}: {e}");
-            std::process::exit(1);
-        }
-    }
 }
