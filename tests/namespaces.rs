@@ -4,9 +4,9 @@
 //! names convey attenuated rights; union layering composes namespaces.
 
 use bytes::Bytes;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{Cloud, CloudBuilder};
 use pcsi_core::api::CreateOptions;
-use pcsi_core::{CloudInterface, PcsiError, Rights};
+use pcsi_core::{CloudInterface, Consistency, Mutability, PcsiError, Reference, Rights};
 use pcsi_fs::{DirEntry, Directory, UnionDir};
 use pcsi_net::NodeId;
 use pcsi_sim::Sim;
@@ -26,6 +26,28 @@ fn with_cloud<T: 'static>(
             .build(&h);
         f(cloud).await
     })
+}
+
+/// Hides `names` in the directory `dir`. The kernel link API has no
+/// whiteout verb: platform layers get theirs by editing the stored
+/// directory, a regular stored object underneath.
+async fn write_whiteouts(cloud: &Cloud, dir: &Reference, names: &[&str]) {
+    let c = cloud.kernel.client(NodeId(0), "t");
+    let bytes = c.read(dir, 0, u64::MAX).await.unwrap();
+    let mut d = Directory::decode(&bytes).unwrap();
+    for name in names {
+        d.relink(name, DirEntry::whiteout()).unwrap();
+    }
+    let store = cloud.store.client(NodeId(0));
+    store
+        .put(
+            dir.id(),
+            d.encode(),
+            Mutability::Mutable,
+            Consistency::Linearizable,
+        )
+        .await
+        .unwrap();
 }
 
 #[test]
@@ -209,7 +231,7 @@ fn union_namespace_over_shared_base_image() {
             let overlay = c.create(CreateOptions::directory()).await.unwrap();
             let top = ns.into_top();
             for (name, entry) in top.iter() {
-                let target = pcsi_core::Reference::mint(entry.id, Rights::ALL, 0);
+                let target = Reference::mint(entry.id, Rights::ALL, 0);
                 if !entry.whiteout {
                     c.link(&overlay, name, &target).await.unwrap();
                 }
@@ -247,24 +269,7 @@ fn kernel_union_lookup_layers_namespaces() {
                 .await
                 .unwrap();
             c.link(&overlay, "config", &cfg_v2).await.unwrap();
-            // Whiteout "lib" in the overlay: write the raw entry by
-            // editing the stored directory (the kernel link API has no
-            // whiteout verb; platform layers are built this way).
-            let bytes = c.read(&overlay, 0, u64::MAX).await.unwrap();
-            let mut d = Directory::decode(&bytes).unwrap();
-            d.relink("lib", DirEntry::whiteout()).unwrap();
-            // Persist via a fresh write (directories are regular stored
-            // objects underneath).
-            let store = cloud.store.client(NodeId(0));
-            store
-                .put(
-                    overlay.id(),
-                    d.encode(),
-                    pcsi_core::Mutability::Mutable,
-                    pcsi_core::Consistency::Linearizable,
-                )
-                .await
-                .unwrap();
+            write_whiteouts(&cloud, &overlay, &["lib"]).await;
 
             // Overlay wins for config, hides lib, base serves the rest.
             let got = c
@@ -335,6 +340,7 @@ proptest! {
                 for slots in &stack {
                     let dir = c.create(CreateOptions::directory()).await.unwrap();
                     let mut expect = Directory::new();
+                    let mut hidden = Vec::new();
                     for (name, slot) in NAMES.iter().zip(slots) {
                         match slot {
                             Slot::Absent => {}
@@ -344,27 +350,13 @@ proptest! {
                                 let entry = DirEntry::new(target.id(), target.rights());
                                 expect.link(name, entry).unwrap();
                             }
-                            Slot::Whiteout => expect.relink(name, DirEntry::whiteout()).unwrap(),
+                            Slot::Whiteout => {
+                                hidden.push(*name);
+                                expect.relink(name, DirEntry::whiteout()).unwrap();
+                            }
                         }
                     }
-                    // The kernel has no whiteout verb: platform layers
-                    // get theirs by editing the stored directory.
-                    let bytes = c.read(&dir, 0, u64::MAX).await.unwrap();
-                    let mut stored = Directory::decode(&bytes).unwrap();
-                    for (name, _) in expect.iter().filter(|(_, e)| e.whiteout) {
-                        stored.relink(name, DirEntry::whiteout()).unwrap();
-                    }
-                    cloud
-                        .store
-                        .client(NodeId(0))
-                        .put(
-                            dir.id(),
-                            stored.encode(),
-                            pcsi_core::Mutability::Mutable,
-                            pcsi_core::Consistency::Linearizable,
-                        )
-                        .await
-                        .unwrap();
+                    write_whiteouts(&cloud, &dir, &hidden).await;
                     layers.push(dir);
                     model.push(expect);
                 }
