@@ -19,11 +19,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use pcsi_core::{Mutability, ObjectId, PcsiError};
 use pcsi_metrics::Metrics;
 use pcsi_net::fabric::RpcHandler;
 use pcsi_net::{Fabric, NodeId, Transport};
+use pcsi_proto::binary::{DecodeError, Prefix::U32 as LEN, Reader, Writer};
 use pcsi_store::engine::{MediaTier, Mutation, StorageEngine};
 use pcsi_store::version::Tag;
 use pcsi_trace::{SpanHandle, Tracer};
@@ -82,23 +83,21 @@ const E_NOENT: u8 = 3;
 const E_IO: u8 = 4;
 
 fn encode_op(op: &NfsOp) -> Bytes {
-    let mut b = BytesMut::with_capacity(64);
+    let mut w = Writer::with_capacity(64);
     match op {
         NfsOp::Mount { secret } => {
-            b.extend_from_slice(&[0]);
-            b.extend_from_slice(&(secret.len() as u32).to_le_bytes());
-            b.extend_from_slice(secret);
+            w.u8(0);
+            w.bytes(LEN, secret);
         }
         NfsOp::Lookup {
             session,
             name,
             create,
         } => {
-            b.extend_from_slice(&[1]);
-            b.extend_from_slice(&session.to_le_bytes());
-            b.extend_from_slice(&[u8::from(*create)]);
-            b.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            b.extend_from_slice(name.as_bytes());
+            w.u8(1);
+            w.u64(*session);
+            w.u8(u8::from(*create));
+            w.str(LEN, name);
         }
         NfsOp::Read {
             session,
@@ -106,11 +105,11 @@ fn encode_op(op: &NfsOp) -> Bytes {
             offset,
             len,
         } => {
-            b.extend_from_slice(&[2]);
-            b.extend_from_slice(&session.to_le_bytes());
-            b.extend_from_slice(&handle.to_le_bytes());
-            b.extend_from_slice(&offset.to_le_bytes());
-            b.extend_from_slice(&len.to_le_bytes());
+            w.u8(2);
+            w.u64(*session);
+            w.u64(*handle);
+            w.u64(*offset);
+            w.u64(*len);
         }
         NfsOp::Write {
             session,
@@ -118,44 +117,21 @@ fn encode_op(op: &NfsOp) -> Bytes {
             offset,
             data,
         } => {
-            b.extend_from_slice(&[3]);
-            b.extend_from_slice(&session.to_le_bytes());
-            b.extend_from_slice(&handle.to_le_bytes());
-            b.extend_from_slice(&offset.to_le_bytes());
-            b.extend_from_slice(&(data.len() as u32).to_le_bytes());
-            b.extend_from_slice(data);
+            w.u8(3);
+            w.u64(*session);
+            w.u64(*handle);
+            w.u64(*offset);
+            w.bytes(LEN, data);
         }
     }
-    b.freeze()
+    w.finish()
 }
 
-struct Rd<'a>(&'a [u8], usize);
-
-impl<'a> Rd<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.0.len() - self.1 < n {
-            return None;
-        }
-        let s = &self.0[self.1..self.1 + n];
-        self.1 += n;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-}
-
-fn decode_op(buf: &[u8]) -> Option<NfsOp> {
-    let mut r = Rd(buf, 0);
+fn decode_op(buf: &[u8]) -> Result<NfsOp, DecodeError> {
+    let mut r = Reader::over(buf);
     let op = match r.u8()? {
         0 => {
-            let n = r.u32()? as usize;
+            let n = r.count(LEN, 1)?;
             NfsOp::Mount {
                 secret: r.take(n)?.to_vec(),
             }
@@ -163,10 +139,9 @@ fn decode_op(buf: &[u8]) -> Option<NfsOp> {
         1 => {
             let session = r.u64()?;
             let create = r.u8()? != 0;
-            let n = r.u32()? as usize;
             NfsOp::Lookup {
                 session,
-                name: String::from_utf8(r.take(n)?.to_vec()).ok()?,
+                name: r.str(LEN)?,
                 create,
             }
         }
@@ -176,75 +151,63 @@ fn decode_op(buf: &[u8]) -> Option<NfsOp> {
             offset: r.u64()?,
             len: r.u64()?,
         },
-        3 => {
-            let session = r.u64()?;
-            let handle = r.u64()?;
-            let offset = r.u64()?;
-            let n = r.u32()? as usize;
-            NfsOp::Write {
-                session,
-                handle,
-                offset,
-                data: Bytes::copy_from_slice(r.take(n)?),
-            }
-        }
-        _ => return None,
+        3 => NfsOp::Write {
+            session: r.u64()?,
+            handle: r.u64()?,
+            offset: r.u64()?,
+            data: r.bytes(LEN)?,
+        },
+        b => return Err(DecodeError::BadTag(b)),
     };
-    (r.1 == buf.len()).then_some(op)
+    r.finish()?;
+    Ok(op)
 }
 
 fn encode_reply(reply: &NfsReply) -> Bytes {
-    let mut b = BytesMut::with_capacity(32);
+    let mut w = Writer::with_capacity(32);
     match reply {
         NfsReply::Mounted { session } => {
-            b.extend_from_slice(&[0]);
-            b.extend_from_slice(&session.to_le_bytes());
+            w.u8(0);
+            w.u64(*session);
         }
         NfsReply::Handle { handle } => {
-            b.extend_from_slice(&[1]);
-            b.extend_from_slice(&handle.to_le_bytes());
+            w.u8(1);
+            w.u64(*handle);
         }
         NfsReply::Data { data } => {
-            b.extend_from_slice(&[2]);
-            b.extend_from_slice(&(data.len() as u32).to_le_bytes());
-            b.extend_from_slice(data);
+            w.u8(2);
+            w.bytes(LEN, data);
         }
         NfsReply::Written { new_size } => {
-            b.extend_from_slice(&[3]);
-            b.extend_from_slice(&new_size.to_le_bytes());
+            w.u8(3);
+            w.u64(*new_size);
         }
         NfsReply::Error { code, message } => {
-            b.extend_from_slice(&[4, *code]);
-            b.extend_from_slice(&(message.len() as u32).to_le_bytes());
-            b.extend_from_slice(message.as_bytes());
+            w.u8(4);
+            w.u8(*code);
+            w.str(LEN, message);
         }
     }
-    b.freeze()
+    w.finish()
 }
 
-fn decode_reply(buf: &[u8]) -> Option<NfsReply> {
-    let mut r = Rd(buf, 0);
+fn decode_reply(buf: &[u8]) -> Result<NfsReply, DecodeError> {
+    let mut r = Reader::over(buf);
     let reply = match r.u8()? {
         0 => NfsReply::Mounted { session: r.u64()? },
         1 => NfsReply::Handle { handle: r.u64()? },
-        2 => {
-            let n = r.u32()? as usize;
-            NfsReply::Data {
-                data: Bytes::copy_from_slice(r.take(n)?),
-            }
-        }
+        2 => NfsReply::Data {
+            data: r.bytes(LEN)?,
+        },
         3 => NfsReply::Written { new_size: r.u64()? },
-        4 => {
-            let code = r.u8()?;
-            let n = r.u32()? as usize;
-            NfsReply::Error {
-                code,
-                message: String::from_utf8(r.take(n)?.to_vec()).ok()?,
-            }
-        }
-        _ => return None,
+        4 => NfsReply::Error {
+            code: r.u8()?,
+            message: r.str(LEN)?,
+        },
+        b => return Err(DecodeError::BadTag(b)),
     };
-    (r.1 == buf.len()).then_some(reply)
+    r.finish()?;
+    Ok(reply)
 }
 
 struct ServerState {
@@ -395,7 +358,7 @@ impl NfsServer {
             .map_err(|e| PcsiError::Fault(e.to_string()))?;
         transport_span.finish();
         span.finish();
-        decode_reply(&raw).ok_or_else(|| PcsiError::BadPayload("bad NFS reply".into()))
+        decode_reply(&raw).map_err(|_| PcsiError::BadPayload("bad NFS reply".into()))
     }
 }
 
@@ -421,7 +384,7 @@ async fn serve(
 ) -> NfsReply {
     let h = fabric.handle();
     let started = h.now();
-    let Some(op) = decode_op(&payload) else {
+    let Ok(op) = decode_op(&payload) else {
         let reply = NfsReply::Error {
             code: E_IO,
             message: "malformed request".into(),
@@ -755,10 +718,10 @@ mod tests {
             for bytes in corrupted.chain([raw]) {
                 // (A boolean decodes from any nonzero byte, so only the
                 // length is the same.)
-                if let Some(op) = decode_op(&bytes) {
+                if let Ok(op) = decode_op(&bytes) {
                     proptest::prop_assert_eq!(encode_op(&op).len(), bytes.len());
                 }
-                if let Some(reply) = decode_reply(&bytes) {
+                if let Ok(reply) = decode_reply(&bytes) {
                     proptest::prop_assert_eq!(encode_reply(&reply).len(), bytes.len());
                 }
             }
@@ -859,9 +822,39 @@ mod tests {
         for r in replies {
             assert_eq!(decode_reply(&encode_reply(&r)).unwrap(), r, "{r:?}");
         }
-        assert!(decode_op(&[]).is_none());
-        assert!(decode_op(&[9]).is_none());
-        assert!(decode_reply(&[9]).is_none());
+        assert!(decode_op(&[]).is_err());
+        assert!(decode_op(&[9]).is_err());
+        assert!(decode_reply(&[9]).is_err());
+    }
+
+    /// The frames as the parent of the shared cursor wrote them, and the
+    /// same frames with their length field claiming 4 GiB.
+    #[test]
+    fn frames_encode_to_the_pinned_bytes_and_forged_lengths_are_refused() {
+        use pcsi_proto::hash::hex;
+
+        let write = encode_op(&NfsOp::Write {
+            session: 7,
+            handle: 3,
+            offset: 16,
+            data: Bytes::from_static(b"hello"),
+        });
+        assert_eq!(
+            hex(&write),
+            "030700000000000000030000000000000010000000000000000500000068656c6c6f"
+        );
+        let error = encode_reply(&NfsReply::Error {
+            code: E_NOENT,
+            message: "no such file".into(),
+        });
+        assert_eq!(hex(&error), "04030c0000006e6f20737563682066696c65");
+
+        let mut forged = write.to_vec();
+        forged[25..29].fill(0xFF);
+        assert_eq!(decode_op(&forged), Err(DecodeError::Truncated));
+        let mut forged = error.to_vec();
+        forged[2..6].fill(0xFF);
+        assert_eq!(decode_reply(&forged), Err(DecodeError::Truncated));
     }
 
     #[test]

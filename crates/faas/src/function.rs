@@ -19,6 +19,7 @@ use bytes::Bytes;
 use pcsi_core::api::{InvokeRequest, InvokeResponse};
 use pcsi_core::{PcsiError, Reference};
 use pcsi_net::node::Resources;
+use pcsi_proto::binary::{DecodeError, Prefix, Reader, Writer};
 use pcsi_sim::executor::LocalBoxFuture;
 use pcsi_sim::SimHandle;
 
@@ -134,114 +135,74 @@ impl FunctionImage {
     /// Serializes the image metadata (stored as the function object's
     /// contents, making functions data-layer objects).
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(128);
-        push_str(&mut out, &self.name);
-        out.extend_from_slice(&(self.work.fixed.as_nanos() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.work.per_byte.as_nanos() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.variants.len() as u32).to_le_bytes());
+        let mut w = Writer::with_capacity(128);
+        w.str(Prefix::U16, &self.name);
+        w.u64(self.work.fixed.as_nanos() as u64);
+        w.u64(self.work.per_byte.as_nanos() as u64);
+        w.count(Prefix::U32, self.variants.len());
         for v in &self.variants {
-            push_str(&mut out, &v.name);
-            out.push(match v.backend {
+            w.str(Prefix::U16, &v.name);
+            w.u8(match v.backend {
                 Backend::Container => 0,
                 Backend::MicroVm => 1,
                 Backend::Wasm => 2,
                 Backend::Unikernel => 3,
             });
             for r in [v.demand.cpu, v.demand.gpu, v.demand.tpu, v.demand.mem_gib] {
-                out.extend_from_slice(&r.to_le_bytes());
+                w.u32(r);
             }
-            out.extend_from_slice(&v.speedup.to_le_bytes());
+            w.f64(v.speedup);
         }
-        Bytes::from(out)
+        w.finish()
     }
 
     /// Decodes image metadata written by [`FunctionImage::encode`].
     pub fn decode(bytes: &[u8]) -> Result<FunctionImage, PcsiError> {
-        let mut pos = 0usize;
-        let name = read_str(bytes, &mut pos)?;
-        let fixed = Duration::from_nanos(read_u64(bytes, &mut pos)?);
-        let per_byte = Duration::from_nanos(read_u64(bytes, &mut pos)?);
-        let n = read_u32(bytes, &mut pos)? as usize;
-        let mut variants = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            let vname = read_str(bytes, &mut pos)?;
-            let backend = match read_u8(bytes, &mut pos)? {
-                0 => Backend::Container,
-                1 => Backend::MicroVm,
-                2 => Backend::Wasm,
-                3 => Backend::Unikernel,
-                b => {
-                    return Err(PcsiError::BadPayload(format!(
-                        "bad backend byte {b} in function image"
-                    )))
-                }
-            };
-            let cpu = read_u32(bytes, &mut pos)?;
-            let gpu = read_u32(bytes, &mut pos)?;
-            let tpu = read_u32(bytes, &mut pos)?;
-            let mem_gib = read_u32(bytes, &mut pos)?;
-            let speedup =
-                f64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().expect("8-byte slice"));
-            variants.push(Variant {
-                name: vname,
-                backend,
-                demand: Resources {
-                    cpu,
-                    gpu,
-                    tpu,
-                    mem_gib,
-                },
-                speedup,
-            });
-        }
-        if pos != bytes.len() {
-            return Err(PcsiError::BadPayload(
-                "trailing bytes in function image".into(),
-            ));
-        }
-        if variants.is_empty() {
+        let image =
+            Self::read(bytes).map_err(|e| PcsiError::BadPayload(format!("function image: {e}")))?;
+        if image.variants.is_empty() {
             return Err(PcsiError::BadPayload(
                 "function image has no variants".into(),
             ));
         }
+        Ok(image)
+    }
+
+    fn read(bytes: &[u8]) -> Result<FunctionImage, DecodeError> {
+        let mut r = Reader::over(bytes);
+        let name = r.str(Prefix::U16)?;
+        let fixed = Duration::from_nanos(r.u64()?);
+        let per_byte = Duration::from_nanos(r.u64()?);
+        // A variant is at least an empty name, a backend byte, four
+        // `u32` resources and an `f64`.
+        let n = r.count(Prefix::U32, 2 + 1 + 16 + 8)?;
+        let mut variants = Vec::with_capacity(n);
+        for _ in 0..n {
+            variants.push(Variant {
+                name: r.str(Prefix::U16)?,
+                backend: match r.u8()? {
+                    0 => Backend::Container,
+                    1 => Backend::MicroVm,
+                    2 => Backend::Wasm,
+                    3 => Backend::Unikernel,
+                    b => return Err(DecodeError::BadTag(b)),
+                },
+                demand: Resources {
+                    cpu: r.u32()?,
+                    gpu: r.u32()?,
+                    tpu: r.u32()?,
+                    mem_gib: r.u32()?,
+                },
+                speedup: r.f64()?,
+            });
+        }
+        r.finish()?;
         Ok(FunctionImage {
             name,
             work: WorkModel { fixed, per_byte },
             variants,
         })
     }
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], PcsiError> {
-    if bytes.len() - *pos < n {
-        return Err(PcsiError::BadPayload("truncated function image".into()));
-    }
-    let s = &bytes[*pos..*pos + n];
-    *pos += n;
-    Ok(s)
-}
-
-fn read_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, PcsiError> {
-    Ok(take(bytes, pos, 1)?[0])
-}
-
-fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, PcsiError> {
-    Ok(u32::from_le_bytes(take(bytes, pos, 4)?.try_into().unwrap()))
-}
-
-fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, PcsiError> {
-    Ok(u64::from_le_bytes(take(bytes, pos, 8)?.try_into().unwrap()))
-}
-
-fn read_str(bytes: &[u8], pos: &mut usize) -> Result<String, PcsiError> {
-    let len = u16::from_le_bytes(take(bytes, pos, 2)?.try_into().unwrap()) as usize;
-    String::from_utf8(take(bytes, pos, len)?.to_vec())
-        .map_err(|_| PcsiError::BadPayload("bad UTF-8 in function image".into()))
 }
 
 /// The state-layer capability handed to running function bodies.
@@ -390,6 +351,26 @@ mod tests {
         assert_eq!(decoded, img);
         assert_eq!(decoded.variant("gpu").unwrap().speedup, 12.0);
         assert!(decoded.variant("none").is_none());
+    }
+
+    /// The stored bytes of a two-variant image as the parent of the
+    /// shared cursor wrote them, and the same bytes claiming 2^32 - 1
+    /// variants.
+    #[test]
+    fn an_image_encodes_to_the_pinned_bytes_and_a_forged_count_is_refused() {
+        let mut image =
+            FunctionImage::simple("nn-serve", WorkModel::fixed(Duration::from_millis(3)), 4);
+        image.variants.push(Variant::wasm(1));
+        let wire = image.encode();
+        assert_eq!(
+            pcsi_proto::hash::hex(&wire),
+            "08006e6e2d7365727665c0c62d00000000000000000000000000020000000300637075000400000000\
+             0000000000000008000000000000000000f03f04007761736d02010000000000000000000000010000\
+             00000000000000f03f"
+        );
+        let mut forged = wire.to_vec();
+        forged[26..30].fill(0xFF);
+        assert!(FunctionImage::decode(&forged).is_err());
     }
 
     #[test]

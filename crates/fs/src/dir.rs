@@ -12,8 +12,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use pcsi_core::{ObjectId, PcsiError, Rights};
+use pcsi_proto::binary::{DecodeError, Prefix, Reader, Writer};
 
 /// One directory entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,53 +145,36 @@ impl Directory {
     /// Format per entry: `u16 name_len | name | u128 id | u8 rights |
     /// u8 flags`, preceded by a `u32` entry count.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.entries.len() * 32);
-        buf.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        let mut w = Writer::with_capacity(16 + self.entries.len() * 32);
+        w.count(Prefix::U32, self.entries.len());
         for (name, e) in &self.entries {
-            buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            buf.extend_from_slice(name.as_bytes());
-            buf.extend_from_slice(&e.id.as_u128().to_le_bytes());
-            buf.extend_from_slice(&[e.rights.bits(), u8::from(e.whiteout)]);
+            w.str(Prefix::U16, name);
+            w.u128(e.id.as_u128());
+            w.u8(e.rights.bits());
+            w.u8(u8::from(e.whiteout));
         }
-        buf.freeze()
+        w.finish()
     }
 
     /// Deserializes from bytes produced by [`Directory::encode`].
     pub fn decode(bytes: &[u8]) -> Result<Directory, PcsiError> {
-        fn bad(msg: &str) -> PcsiError {
-            PcsiError::BadPayload(format!("directory decode: {msg}"))
-        }
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], PcsiError> {
-            if bytes.len() - *pos < n {
-                return Err(bad("truncated"));
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
+        Self::read(bytes).map_err(|e| PcsiError::BadPayload(format!("directory decode: {e}")))
+    }
+
+    fn read(bytes: &[u8]) -> Result<Directory, DecodeError> {
+        let mut r = Reader::over(bytes);
         let mut entries = BTreeMap::new();
-        for _ in 0..count {
-            let name_len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-            let name = std::str::from_utf8(take(&mut pos, name_len)?)
-                .map_err(|_| bad("name not UTF-8"))?
-                .to_owned();
-            let id =
-                ObjectId::from_u128(u128::from_le_bytes(take(&mut pos, 16)?.try_into().unwrap()));
-            let meta = take(&mut pos, 2)?;
-            entries.insert(
-                name,
-                DirEntry {
-                    id,
-                    rights: Rights::from_bits(meta[0]),
-                    whiteout: meta[1] != 0,
-                },
-            );
+        // An entry is at least an empty name, the id and the two flags.
+        for _ in 0..r.count(Prefix::U32, 2 + 16 + 2)? {
+            let name = r.str(Prefix::U16)?;
+            let entry = DirEntry {
+                id: ObjectId::from_u128(r.u128()?),
+                rights: Rights::from_bits(r.u8()?),
+                whiteout: r.u8()? != 0,
+            };
+            entries.insert(name, entry);
         }
-        if pos != bytes.len() {
-            return Err(bad("trailing bytes"));
-        }
+        r.finish()?;
         Ok(Directory { entries })
     }
 }
@@ -256,6 +240,32 @@ mod tests {
         let decoded = Directory::decode(&d.encode()).unwrap();
         assert_eq!(decoded, d);
         assert!(decoded.get("hidden").unwrap().whiteout);
+    }
+
+    /// The stored bytes of a three-entry directory, one a whiteout, as
+    /// the parent of the shared cursor wrote them; and the same bytes
+    /// claiming 2^32 - 1 entries.
+    #[test]
+    fn a_directory_encodes_to_the_pinned_bytes_and_a_forged_count_is_refused() {
+        let mut d = Directory::new();
+        d.link("weights", DirEntry::new(oid(1), Rights::READ))
+            .unwrap();
+        d.link(
+            "uploads",
+            DirEntry::new(oid(2), Rights::READ | Rights::APPEND),
+        )
+        .unwrap();
+        d.relink("hidden", DirEntry::whiteout()).unwrap();
+        let wire = d.encode();
+        assert_eq!(
+            pcsi_proto::hash::hex(&wire),
+            "03000000060068696464656e000000000000000000000000000000000001070075706c6f616473bf48\
+             0c5d89f0566008000000000000000500070077656967687473777ffec2f7784af60800000000000000\
+             0100"
+        );
+        let mut forged = wire.to_vec();
+        forged[..4].fill(0xFF);
+        assert!(Directory::decode(&forged).is_err());
     }
 
     #[test]

@@ -1,13 +1,19 @@
-//! The PCSI-native compact binary codec.
+//! The PCSI-native compact binary codec, and the one frame cursor.
 //!
 //! The paper argues providers need "a non-REST implementation of their
-//! existing APIs". This codec is the data-plane half of that argument: a
-//! length-prefixed, tag-byte binary encoding of [`Value`] that carries
-//! bytes verbatim (no base64), needs no quoting or escaping, and decodes
-//! without scanning. Benchmarked head-to-head against [`crate::json`] in
-//! the Table-1 experiment.
+//! existing APIs". This module is the data-plane half of that argument:
+//! a [`Writer`] / [`Reader`] pair — fixed-width little-endian integers,
+//! varints, length-prefixed bytes and strings carried verbatim (no
+//! base64, no quoting, no scanning) — that every binary protocol in the
+//! workspace is written over: the replication frames
+//! (`pcsi_store::wire`), the streaming frames (`pcsi_stream::frame`),
+//! the NFS baseline's ops, stored function images and directories, and
+//! the self-describing [`Value`] encoding below. One cursor means one
+//! truncation check, one rule for a declared count ([`Reader::count`])
+//! and one trailing-bytes check ([`Reader::finish`]) for all of them.
 //!
-//! Wire grammar (all integers little-endian):
+//! [`Value`] wire grammar (all integers little-endian), benchmarked head
+//! to head against [`crate::json`]:
 //!
 //! ```text
 //! value   := tag payload
@@ -39,12 +45,15 @@ const TAG_OBJECT: u8 = 0x08;
 /// Maximum nesting depth accepted by the decoder.
 pub(crate) const MAX_DEPTH: usize = 128;
 
-/// Decoding errors.
+/// Decoding errors: what [`Reader`] reports, plus the two a protocol
+/// adds on top of it (an unknown discriminant, a [`Value`] nested too
+/// deep). Each protocol maps this into the error type it returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
-    /// Input ended mid-value.
+    /// Input ended mid-field, or a declared length or count exceeds the
+    /// bytes that are left.
     Truncated,
-    /// Unknown tag byte.
+    /// Unknown tag (discriminant) byte.
     BadTag(u8),
     /// String payload was not UTF-8.
     BadUtf8,
@@ -52,24 +61,228 @@ pub enum DecodeError {
     BadVarint,
     /// Nesting exceeded `MAX_DEPTH`.
     TooDeep,
-    /// Bytes remained after the root value.
+    /// Bytes remained after the frame.
     TrailingBytes(usize),
 }
 
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DecodeError::Truncated => f.write_str("truncated binary value"),
+            DecodeError::Truncated => f.write_str("truncated binary frame"),
             DecodeError::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
             DecodeError::BadUtf8 => f.write_str("invalid UTF-8 in string"),
             DecodeError::BadVarint => f.write_str("malformed varint"),
             DecodeError::TooDeep => f.write_str("nesting too deep"),
-            DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
+            DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
+
+/// How a length or a count is written ahead of what it counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Prefix {
+    /// Two bytes, little-endian.
+    U16,
+    /// Four bytes, little-endian.
+    U32,
+    /// LEB128, one to ten bytes.
+    Varint,
+}
+
+/// Builds one frame in a pooled buffer.
+pub struct Writer {
+    buf: BytesMut,
+}
+
+impl Writer {
+    /// An empty frame with room for `cap` bytes.
+    pub fn with_capacity(cap: usize) -> Self {
+        Writer {
+            buf: BytesMut::with_capacity(cap),
+        }
+    }
+
+    /// Appends `b` as it is.
+    #[inline]
+    pub fn raw(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
+    /// Appends `v` as a LEB128 varint.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.u8(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.u8(v as u8);
+    }
+
+    /// Appends a length or count `n`. A fixed-width prefix keeps the low
+    /// bytes of an `n` it cannot hold.
+    #[inline]
+    pub fn count(&mut self, prefix: Prefix, n: usize) {
+        match prefix {
+            Prefix::U16 => self.u16(n as u16),
+            Prefix::U32 => self.u32(n as u32),
+            Prefix::Varint => self.varint(n as u64),
+        }
+    }
+
+    /// Appends `b` behind its length.
+    #[inline]
+    pub fn bytes(&mut self, prefix: Prefix, b: &[u8]) {
+        self.count(prefix, b.len());
+        self.raw(b);
+    }
+
+    /// Appends `s` behind its length in bytes.
+    #[inline]
+    pub fn str(&mut self, prefix: Prefix, s: &str) {
+        self.bytes(prefix, s.as_bytes());
+    }
+
+    /// The finished frame.
+    pub fn finish(self) -> Bytes {
+        self.buf.freeze()
+    }
+}
+
+/// Bounds-checked cursor over a received frame.
+///
+/// Over a `&Bytes` frame ([`Reader::new`]) the payload fields that
+/// [`Reader::bytes`] returns are zero-copy [`Bytes::slice`] views sharing
+/// the frame's backing buffer — decoding a 1 MiB `PutFull` moves no
+/// payload bytes. Over a plain slice ([`Reader::over`]) they are copies.
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    frame: Option<&'a Bytes>,
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `frame`.
+    pub fn new(frame: &'a Bytes) -> Self {
+        Reader {
+            buf: frame,
+            pos: 0,
+            frame: Some(frame),
+        }
+    }
+
+    /// A cursor at the start of a borrowed slice.
+    pub fn over(buf: &'a [u8]) -> Self {
+        Reader {
+            buf,
+            pos: 0,
+            frame: None,
+        }
+    }
+
+    /// Bytes not yet read.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// The next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if self.remaining() < n {
+            return Err(DecodeError::Truncated);
+        }
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    /// A LEB128 varint.
+    pub fn varint(&mut self) -> Result<u64, DecodeError> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            value |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return Ok(value);
+            }
+        }
+        Err(DecodeError::BadVarint)
+    }
+
+    /// A declared length or count of items that take at least `min_item`
+    /// bytes each on the wire. A count the remaining bytes cannot hold is
+    /// refused here, so what a caller reserves for it is bounded by the
+    /// input's length, whatever the frame claims.
+    #[inline]
+    pub fn count(&mut self, prefix: Prefix, min_item: usize) -> Result<usize, DecodeError> {
+        let n = match prefix {
+            Prefix::U16 => u64::from(self.u16()?),
+            Prefix::U32 => u64::from(self.u32()?),
+            Prefix::Varint => self.varint()?,
+        };
+        if n.saturating_mul(min_item as u64) > self.remaining() as u64 {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(n as usize)
+    }
+
+    /// A length-prefixed payload: a view of the frame when there is one,
+    /// a copy otherwise.
+    #[inline]
+    pub fn bytes(&mut self, prefix: Prefix) -> Result<Bytes, DecodeError> {
+        let len = self.count(prefix, 1)?;
+        let start = self.pos;
+        let raw = self.take(len)?;
+        Ok(match self.frame {
+            Some(frame) => frame.slice(start..start + len),
+            None => Bytes::copy_from_slice(raw),
+        })
+    }
+
+    /// A length-prefixed UTF-8 string, copied once from the frame.
+    pub fn str(&mut self, prefix: Prefix) -> Result<String, DecodeError> {
+        let len = self.count(prefix, 1)?;
+        std::str::from_utf8(self.take(len)?)
+            .map(str::to_owned)
+            .map_err(|_| DecodeError::BadUtf8)
+    }
+
+    /// Ends the frame: anything left unread is an error.
+    #[inline]
+    pub fn finish(self) -> Result<(), DecodeError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(DecodeError::TrailingBytes(n)),
+        }
+    }
+}
+
+/// The fixed-width little-endian fields, one writer and one reader each.
+macro_rules! fixed_width {
+    ($($ty:ident),*) => {
+        impl Writer {$(
+            #[doc = concat!("Appends a little-endian `", stringify!($ty), "`.")]
+            #[inline]
+            pub fn $ty(&mut self, v: $ty) {
+                self.raw(&v.to_le_bytes());
+            }
+        )*}
+        impl Reader<'_> {$(
+            #[doc = concat!("A little-endian `", stringify!($ty), "`.")]
+            #[inline]
+            pub fn $ty(&mut self) -> Result<$ty, DecodeError> {
+                Ok($ty::from_le_bytes(self.array()?))
+            }
+        )*}
+    };
+}
+fixed_width!(u8, u16, u32, u64, u128, i64, f64);
 
 /// Encodes `value` to its binary form.
 ///
@@ -83,52 +296,45 @@ impl std::error::Error for DecodeError {}
 /// assert_eq!(binary::decode(&wire).unwrap(), v);
 /// ```
 pub fn encode(value: &Value) -> Bytes {
-    let mut buf = BytesMut::with_capacity(estimate(value));
-    encode_into(value, &mut buf);
-    buf.freeze()
+    let mut w = Writer::with_capacity(value.payload_size() + 16);
+    write_value(&mut w, value);
+    w.finish()
 }
 
-fn estimate(value: &Value) -> usize {
-    value.payload_size() + 16
-}
-
-fn encode_into(value: &Value, out: &mut BytesMut) {
+fn write_value(w: &mut Writer, value: &Value) {
     match value {
-        Value::Null => out.extend_from_slice(&[TAG_NULL]),
-        Value::Bool(false) => out.extend_from_slice(&[TAG_FALSE]),
-        Value::Bool(true) => out.extend_from_slice(&[TAG_TRUE]),
+        Value::Null => w.u8(TAG_NULL),
+        Value::Bool(false) => w.u8(TAG_FALSE),
+        Value::Bool(true) => w.u8(TAG_TRUE),
         Value::I64(v) => {
-            out.extend_from_slice(&[TAG_I64]);
-            out.extend_from_slice(&v.to_le_bytes());
+            w.u8(TAG_I64);
+            w.i64(*v);
         }
         Value::F64(v) => {
-            out.extend_from_slice(&[TAG_F64]);
-            out.extend_from_slice(&v.to_le_bytes());
+            w.u8(TAG_F64);
+            w.f64(*v);
         }
         Value::Str(s) => {
-            out.extend_from_slice(&[TAG_STR]);
-            put_varint(s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
+            w.u8(TAG_STR);
+            w.str(Prefix::Varint, s);
         }
         Value::Bytes(b) => {
-            out.extend_from_slice(&[TAG_BYTES]);
-            put_varint(b.len() as u64, out);
-            out.extend_from_slice(b);
+            w.u8(TAG_BYTES);
+            w.bytes(Prefix::Varint, b);
         }
         Value::Array(items) => {
-            out.extend_from_slice(&[TAG_ARRAY]);
-            put_varint(items.len() as u64, out);
+            w.u8(TAG_ARRAY);
+            w.count(Prefix::Varint, items.len());
             for item in items {
-                encode_into(item, out);
+                write_value(w, item);
             }
         }
         Value::Object(map) => {
-            out.extend_from_slice(&[TAG_OBJECT]);
-            put_varint(map.len() as u64, out);
+            w.u8(TAG_OBJECT);
+            w.count(Prefix::Varint, map.len());
             for (k, v) in map {
-                put_varint(k.len() as u64, out);
-                out.extend_from_slice(k.as_bytes());
-                encode_into(v, out);
+                w.str(Prefix::Varint, k);
+                write_value(w, v);
             }
         }
     }
@@ -136,109 +342,43 @@ fn encode_into(value: &Value, out: &mut BytesMut) {
 
 /// Decodes a binary value; the entire input must be consumed.
 pub fn decode(input: &[u8]) -> Result<Value, DecodeError> {
-    let mut cursor = Cursor { buf: input, pos: 0 };
-    let v = cursor.value(0)?;
-    if cursor.pos != input.len() {
-        return Err(DecodeError::TrailingBytes(input.len() - cursor.pos));
-    }
+    let mut r = Reader::over(input);
+    let v = read_value(&mut r, 0)?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn byte(&mut self) -> Result<u8, DecodeError> {
-        let b = *self.buf.get(self.pos).ok_or(DecodeError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
+fn read_value(r: &mut Reader, depth: usize) -> Result<Value, DecodeError> {
+    if depth > MAX_DEPTH {
+        return Err(DecodeError::TooDeep);
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.buf.len() - self.pos < n {
-            return Err(DecodeError::Truncated);
+    Ok(match r.u8()? {
+        TAG_NULL => Value::Null,
+        TAG_FALSE => Value::Bool(false),
+        TAG_TRUE => Value::Bool(true),
+        TAG_I64 => Value::I64(r.i64()?),
+        TAG_F64 => Value::F64(r.f64()?),
+        TAG_STR => Value::Str(r.str(Prefix::Varint)?),
+        TAG_BYTES => Value::Bytes(r.bytes(Prefix::Varint)?),
+        TAG_ARRAY => {
+            // Grown as items arrive, not reserved from the count: every
+            // level of nesting could claim the whole remaining input.
+            let mut items = Vec::new();
+            for _ in 0..r.count(Prefix::Varint, 1)? {
+                items.push(read_value(r, depth + 1)?);
+            }
+            Value::Array(items)
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn varint(&mut self) -> Result<u64, DecodeError> {
-        let mut value = 0u64;
-        for shift in (0..64).step_by(7) {
-            let b = self.byte()?;
-            value |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                return Ok(value);
+        TAG_OBJECT => {
+            let mut map = BTreeMap::new();
+            for _ in 0..r.count(Prefix::Varint, 2)? {
+                let key = r.str(Prefix::Varint)?;
+                map.insert(key, read_value(r, depth + 1)?);
             }
+            Value::Object(map)
         }
-        Err(DecodeError::BadVarint)
-    }
-
-    fn string(&mut self) -> Result<String, DecodeError> {
-        let len = self.varint()? as usize;
-        let raw = self.take(len)?;
-        std::str::from_utf8(raw)
-            .map(str::to_owned)
-            .map_err(|_| DecodeError::BadUtf8)
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value, DecodeError> {
-        if depth > MAX_DEPTH {
-            return Err(DecodeError::TooDeep);
-        }
-        match self.byte()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_FALSE => Ok(Value::Bool(false)),
-            TAG_TRUE => Ok(Value::Bool(true)),
-            TAG_I64 => {
-                let raw = self.take(8)?;
-                Ok(Value::I64(i64::from_le_bytes(raw.try_into().unwrap())))
-            }
-            TAG_F64 => {
-                let raw = self.take(8)?;
-                Ok(Value::F64(f64::from_le_bytes(raw.try_into().unwrap())))
-            }
-            TAG_STR => Ok(Value::Str(self.string()?)),
-            TAG_BYTES => {
-                let len = self.varint()? as usize;
-                Ok(Value::Bytes(Bytes::copy_from_slice(self.take(len)?)))
-            }
-            TAG_ARRAY => {
-                let count = self.varint()? as usize;
-                let mut items = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    items.push(self.value(depth + 1)?);
-                }
-                Ok(Value::Array(items))
-            }
-            TAG_OBJECT => {
-                let count = self.varint()? as usize;
-                let mut map = BTreeMap::new();
-                for _ in 0..count {
-                    let key = self.string()?;
-                    let val = self.value(depth + 1)?;
-                    map.insert(key, val);
-                }
-                Ok(Value::Object(map))
-            }
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-}
-
-fn put_varint(mut v: u64, out: &mut BytesMut) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.extend_from_slice(&[byte]);
-            return;
-        }
-        out.extend_from_slice(&[byte | 0x80]);
-    }
+        t => return Err(DecodeError::BadTag(t)),
+    })
 }
 
 #[cfg(test)]
@@ -298,6 +438,29 @@ mod tests {
         let json = crate::json::encode(&v);
         assert!(json.len() > 1300, "JSON length {}", json.len());
         assert!(wire[3..].iter().all(|&b| b == 0xAB));
+    }
+
+    /// The bytes of a nested value as the parent of the shared cursor
+    /// wrote them: moving the codec onto it changed no frame.
+    #[test]
+    fn a_nested_value_encodes_to_the_pinned_bytes() {
+        let v = Value::object([
+            ("xs", Value::array([Value::I64(-2), Value::from("two")])),
+            ("blob", Value::Bytes(Bytes::from_static(&[0, 255]))),
+            (
+                "meta",
+                Value::object([
+                    ("ok", Value::Bool(true)),
+                    ("half", Value::F64(0.5)),
+                    ("none", Value::Null),
+                ]),
+            ),
+        ]);
+        assert_eq!(
+            crate::hash::hex(&encode(&v)),
+            "080304626c6f62060200ff046d65746108030468616c6604000000000000e03f046e6f6e6500026f6b\
+             02027873070203feffffffffffffff050374776f"
+        );
     }
 
     #[test]
@@ -360,9 +523,9 @@ mod tests {
     #[test]
     fn huge_declared_array_fails_cleanly() {
         // Claims 2^32 elements but provides none: must error, not OOM.
-        let mut buf = BytesMut::new();
-        buf.extend_from_slice(&[TAG_ARRAY]);
-        put_varint(1 << 32, &mut buf);
-        assert_eq!(decode(&buf), Err(DecodeError::Truncated));
+        let mut w = Writer::with_capacity(8);
+        w.u8(TAG_ARRAY);
+        w.varint(1 << 32);
+        assert_eq!(decode(&w.finish()), Err(DecodeError::Truncated));
     }
 }

@@ -219,7 +219,7 @@ pub(crate) fn hmac_sha256_from_scratch(key: &[u8], message: &[u8]) -> Digest {
 }
 
 /// Lowercase hex encoding.
-pub(crate) fn hex(data: &[u8]) -> String {
+pub fn hex(data: &[u8]) -> String {
     const TABLE: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(data.len() * 2);
     for &b in data {

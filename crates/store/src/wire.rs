@@ -1,16 +1,24 @@
 //! The storage replication protocol codec.
 //!
-//! Replica traffic is encoded with a compact hand-rolled binary format
-//! (fixed-width ids and tags, varint-free u32 lengths) rather than the
-//! JSON/HTTP stack — this *is* the "non-REST implementation of existing
-//! APIs" the paper says providers need at minimum (§2.1). Keeping it
-//! byte-accurate also makes message sizes feed the fabric's bandwidth
-//! model honestly.
+//! Replica traffic is encoded with a compact binary format (fixed-width
+//! ids and tags, varint-free u32 lengths) rather than the JSON/HTTP
+//! stack — this *is* the "non-REST implementation of existing APIs" the
+//! paper says providers need at minimum (§2.1). Keeping it byte-accurate
+//! also makes message sizes feed the fabric's bandwidth model honestly.
+//!
+//! This module owns the frames — [`Request`], [`Response`],
+//! [`WireError`] and the store's field types (ids, tags, mutations, full
+//! replica states). The bytes are read and written by the workspace's
+//! one frame cursor, [`pcsi_proto::binary`]: frames are built in pooled
+//! buffers and payload fields decode as zero-copy views of the received
+//! frame. The streaming protocol's frames live in `pcsi_stream::frame`,
+//! over the same cursor.
 
 use std::fmt;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use pcsi_core::{Mutability, ObjectId, PcsiError};
+use pcsi_proto::binary::{DecodeError, Prefix::U32 as LEN, Reader, Writer};
 use pcsi_trace::TraceContext;
 
 use crate::engine::{Mutation, StoredObject};
@@ -308,226 +316,136 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-// ---- primitive writers/readers ------------------------------------------
-
-struct Writer {
-    buf: BytesMut,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer {
-            buf: BytesMut::with_capacity(64),
-        }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.extend_from_slice(&[v]);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn id(&mut self, id: ObjectId) {
-        self.buf.extend_from_slice(&id.as_u128().to_le_bytes());
-    }
-
-    fn tag(&mut self, t: Tag) {
-        self.u64(t.seq);
-        self.u32(t.writer);
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-
-    fn reqs(&mut self, reqs: &[(u64, Tag)]) {
-        self.u32(reqs.len() as u32);
-        for &(req_id, tag) in reqs {
-            self.u64(req_id);
-            self.tag(tag);
-        }
-    }
-
-    fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-
-    fn mutability(&mut self, m: Mutability) {
-        self.u8(match m {
-            Mutability::Mutable => 0,
-            Mutability::FixedSize => 1,
-            Mutability::AppendOnly => 2,
-            Mutability::Immutable => 3,
-        });
-    }
-
-    fn mutation(&mut self, m: &Mutation) {
-        match m {
-            Mutation::PutFull { data, mutability } => {
-                self.u8(0);
-                self.mutability(*mutability);
-                self.bytes(data);
-            }
-            Mutation::WriteAt { offset, data } => {
-                self.u8(1);
-                self.u64(*offset);
-                self.bytes(data);
-            }
-            Mutation::Append { data } => {
-                self.u8(2);
-                self.bytes(data);
-            }
-            Mutation::SetMutability { to } => {
-                self.u8(3);
-                self.mutability(*to);
-            }
-            Mutation::Delete => self.u8(4),
-        }
-    }
-
-    fn finish(self) -> Bytes {
-        self.buf.freeze()
+impl From<DecodeError> for CodecError {
+    fn from(e: DecodeError) -> Self {
+        CodecError(e.to_string())
     }
 }
 
-/// Borrowing decoder over a received frame.
-///
-/// Holds the frame as `&Bytes` (not `&[u8]`) so that payload fields can
-/// be returned as zero-copy [`Bytes::slice`] views sharing the frame's
-/// backing buffer: decoding a 1 MiB `PutFull` moves no payload bytes.
-struct Reader<'a> {
-    frame: &'a Bytes,
-    pos: usize,
+// ---- the store's field types over the shared cursor ----------------------
+
+fn frame() -> Writer {
+    Writer::with_capacity(64)
 }
 
-impl<'a> Reader<'a> {
-    fn new(frame: &'a Bytes) -> Self {
-        Reader { frame, pos: 0 }
-    }
+fn write_id(w: &mut Writer, id: ObjectId) {
+    w.u128(id.as_u128());
+}
 
-    fn err(&self, what: &str) -> CodecError {
-        CodecError(format!("truncated {what} at offset {}", self.pos))
-    }
+fn write_tag(w: &mut Writer, t: Tag) {
+    w.u64(t.seq);
+    w.u32(t.writer);
+}
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CodecError> {
-        if self.frame.len() - self.pos < n {
-            return Err(self.err(what));
+fn write_mutability(w: &mut Writer, m: Mutability) {
+    w.u8(match m {
+        Mutability::Mutable => 0,
+        Mutability::FixedSize => 1,
+        Mutability::AppendOnly => 2,
+        Mutability::Immutable => 3,
+    });
+}
+
+fn write_mutation(w: &mut Writer, m: &Mutation) {
+    match m {
+        Mutation::PutFull { data, mutability } => {
+            w.u8(0);
+            write_mutability(w, *mutability);
+            w.bytes(LEN, data);
         }
-        let s = &self.frame[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1, "u8")?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4, "u32")?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8, "u64")?.try_into().unwrap()))
-    }
-
-    fn id(&mut self) -> Result<ObjectId, CodecError> {
-        Ok(ObjectId::from_u128(u128::from_le_bytes(
-            self.take(16, "object id")?.try_into().unwrap(),
-        )))
-    }
-
-    fn tag(&mut self) -> Result<Tag, CodecError> {
-        Ok(Tag {
-            seq: self.u64()?,
-            writer: self.u32()?,
-        })
-    }
-
-    fn bytes(&mut self) -> Result<Bytes, CodecError> {
-        let len = self.u32()? as usize;
-        if self.frame.len() - self.pos < len {
-            return Err(self.err("bytes"));
+        Mutation::WriteAt { offset, data } => {
+            w.u8(1);
+            w.u64(*offset);
+            w.bytes(LEN, data);
         }
-        // Zero-copy: a view into the received frame, not a fresh
-        // allocation. The payload keeps the frame's backing buffer
-        // alive, which is the right trade in a simulator where frames
-        // are dropped as soon as the request completes.
-        let view = self.frame.slice(self.pos..self.pos + len);
-        self.pos += len;
-        Ok(view)
-    }
-
-    fn reqs(&mut self) -> Result<Vec<(u64, Tag)>, CodecError> {
-        let n = self.u32()? as usize;
-        let mut reqs = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            reqs.push((self.u64()?, self.tag()?));
+        Mutation::Append { data } => {
+            w.u8(2);
+            w.bytes(LEN, data);
         }
-        Ok(reqs)
+        Mutation::SetMutability { to } => {
+            w.u8(3);
+            write_mutability(w, *to);
+        }
+        Mutation::Delete => w.u8(4),
     }
+}
 
-    fn str(&mut self) -> Result<String, CodecError> {
-        // Straight from the borrowed frame bytes to the owned String —
-        // the old path went frame -> Bytes -> Vec -> String, copying
-        // the text twice.
-        let len = self.u32()? as usize;
-        let raw = self.take(len, "string")?;
-        std::str::from_utf8(raw)
-            .map(str::to_owned)
-            .map_err(|_| CodecError("bad utf8".into()))
+/// A full replica state and the request ledger that travels with it.
+fn write_state(w: &mut Writer, object: &StoredObject, reqs: &[(u64, Tag)]) {
+    write_tag(w, object.tag);
+    write_mutability(w, object.mutability);
+    w.u64(object.stable_len);
+    w.bytes(LEN, &object.data);
+    w.count(LEN, reqs.len());
+    for &(req_id, tag) in reqs {
+        w.u64(req_id);
+        write_tag(w, tag);
     }
+}
 
-    fn mutability(&mut self) -> Result<Mutability, CodecError> {
-        Ok(match self.u8()? {
-            0 => Mutability::Mutable,
-            1 => Mutability::FixedSize,
-            2 => Mutability::AppendOnly,
-            3 => Mutability::Immutable,
-            b => return Err(CodecError(format!("bad mutability byte {b}"))),
-        })
-    }
+fn read_id(r: &mut Reader) -> Result<ObjectId, CodecError> {
+    Ok(ObjectId::from_u128(r.u128()?))
+}
 
-    fn mutation(&mut self) -> Result<Mutation, CodecError> {
-        Ok(match self.u8()? {
-            0 => {
-                let mutability = self.mutability()?;
-                Mutation::PutFull {
-                    data: self.bytes()?,
-                    mutability,
-                }
+fn read_tag(r: &mut Reader) -> Result<Tag, CodecError> {
+    Ok(Tag {
+        seq: r.u64()?,
+        writer: r.u32()?,
+    })
+}
+
+fn read_mutability(r: &mut Reader) -> Result<Mutability, CodecError> {
+    Ok(match r.u8()? {
+        0 => Mutability::Mutable,
+        1 => Mutability::FixedSize,
+        2 => Mutability::AppendOnly,
+        3 => Mutability::Immutable,
+        b => return Err(CodecError(format!("bad mutability byte {b}"))),
+    })
+}
+
+fn read_mutation(r: &mut Reader) -> Result<Mutation, CodecError> {
+    Ok(match r.u8()? {
+        0 => {
+            let mutability = read_mutability(r)?;
+            Mutation::PutFull {
+                data: r.bytes(LEN)?,
+                mutability,
             }
-            1 => Mutation::WriteAt {
-                offset: self.u64()?,
-                data: self.bytes()?,
-            },
-            2 => Mutation::Append {
-                data: self.bytes()?,
-            },
-            3 => Mutation::SetMutability {
-                to: self.mutability()?,
-            },
-            4 => Mutation::Delete,
-            b => return Err(CodecError(format!("bad mutation kind {b}"))),
-        })
-    }
-
-    fn done(&self) -> Result<(), CodecError> {
-        if self.pos == self.frame.len() {
-            Ok(())
-        } else {
-            Err(CodecError(format!(
-                "{} trailing bytes",
-                self.frame.len() - self.pos
-            )))
         }
+        1 => Mutation::WriteAt {
+            offset: r.u64()?,
+            data: r.bytes(LEN)?,
+        },
+        2 => Mutation::Append {
+            data: r.bytes(LEN)?,
+        },
+        3 => Mutation::SetMutability {
+            to: read_mutability(r)?,
+        },
+        4 => Mutation::Delete,
+        b => return Err(CodecError(format!("bad mutation kind {b}"))),
+    })
+}
+
+fn read_state(r: &mut Reader) -> Result<(StoredObject, Vec<(u64, Tag)>), CodecError> {
+    let tag = read_tag(r)?;
+    let mutability = read_mutability(r)?;
+    let stable_len = r.u64()?;
+    let data = r.bytes(LEN)?;
+    // A ledger entry is a `u64` request id and a 12-byte tag.
+    let n = r.count(LEN, 20)?;
+    let mut reqs = Vec::with_capacity(n);
+    for _ in 0..n {
+        reqs.push((r.u64()?, read_tag(r)?));
     }
+    let object = StoredObject {
+        data,
+        tag,
+        mutability,
+        stable_len,
+    };
+    Ok((object, reqs))
 }
 
 // ---- request ----
@@ -539,9 +457,7 @@ const TRACE_EXT_FLAG: u8 = 1;
 
 /// Encodes a request.
 pub fn encode_request(req: &Request) -> Bytes {
-    let mut w = Writer::new();
-    write_request(&mut w, req);
-    w.finish()
+    encode_request_traced(req, None)
 }
 
 /// Encodes a request with an optional trailing trace-context extension:
@@ -550,11 +466,11 @@ pub fn encode_request(req: &Request) -> Bytes {
 /// frames and untraced frames are the same bytes — and a traced frame
 /// honestly pays its extra wire bytes in virtual time.
 pub fn encode_request_traced(req: &Request, ctx: Option<TraceContext>) -> Bytes {
-    let mut w = Writer::new();
+    let mut w = frame();
     write_request(&mut w, req);
     if let Some(ctx) = ctx {
         w.u8(TRACE_EXT_FLAG);
-        w.buf.extend_from_slice(&ctx.encode());
+        w.raw(&ctx.encode());
     }
     w.finish()
 }
@@ -569,11 +485,11 @@ fn write_request(w: &mut Writer, req: &Request) {
             expires_ns,
         } => {
             w.u8(0);
-            w.id(*id);
+            write_id(w, *id);
             w.u32(*sync_replicas);
             w.u64(*req_id);
             w.u64(*expires_ns);
-            w.mutation(mutation);
+            write_mutation(w, mutation);
         }
         Request::Apply {
             id,
@@ -582,24 +498,24 @@ fn write_request(w: &mut Writer, req: &Request) {
             req_id,
         } => {
             w.u8(1);
-            w.id(*id);
-            w.tag(*tag);
+            write_id(w, *id);
+            write_tag(w, *tag);
             w.u64(*req_id);
-            w.mutation(mutation);
+            write_mutation(w, mutation);
         }
         Request::Read { id, offset, len } => {
             w.u8(2);
-            w.id(*id);
+            write_id(w, *id);
             w.u64(*offset);
             w.u64(*len);
         }
         Request::TagOf { id } => {
             w.u8(3);
-            w.id(*id);
+            write_id(w, *id);
         }
         Request::Fetch { id } => {
             w.u8(4);
-            w.id(*id);
+            write_id(w, *id);
         }
         Request::Inventory => w.u8(5),
         Request::ReadWithTag {
@@ -609,19 +525,15 @@ fn write_request(w: &mut Writer, req: &Request) {
             inline_limit,
         } => {
             w.u8(6);
-            w.id(*id);
+            write_id(w, *id);
             w.u64(*offset);
             w.u64(*len);
             w.u64(*inline_limit);
         }
         Request::Push { id, object, reqs } => {
             w.u8(7);
-            w.id(*id);
-            w.tag(object.tag);
-            w.mutability(object.mutability);
-            w.u64(object.stable_len);
-            w.bytes(&object.data);
-            w.reqs(reqs);
+            write_id(w, *id);
+            write_state(w, object, reqs);
         }
         Request::Migrate {
             epoch,
@@ -633,12 +545,8 @@ fn write_request(w: &mut Writer, req: &Request) {
             w.u8(8);
             w.u64(*epoch);
             w.u8(u8::from(*tombstone));
-            w.id(*id);
-            w.tag(object.tag);
-            w.mutability(object.mutability);
-            w.u64(object.stable_len);
-            w.bytes(&object.data);
-            w.reqs(reqs);
+            write_id(w, *id);
+            write_state(w, object, reqs);
         }
     }
 }
@@ -648,7 +556,7 @@ fn write_request(w: &mut Writer, req: &Request) {
 pub fn decode_request(buf: &Bytes) -> Result<Request, CodecError> {
     let mut r = Reader::new(buf);
     let req = read_request(&mut r)?;
-    r.done()?;
+    r.finish()?;
     Ok(req)
 }
 
@@ -659,72 +567,58 @@ pub fn decode_request(buf: &Bytes) -> Result<Request, CodecError> {
 pub fn decode_request_traced(buf: &Bytes) -> Result<(Request, Option<TraceContext>), CodecError> {
     let mut r = Reader::new(buf);
     let req = read_request(&mut r)?;
-    if r.pos == r.frame.len() {
+    if r.remaining() == 0 {
         return Ok((req, None));
     }
     match r.u8()? {
         TRACE_EXT_FLAG => {}
         b => return Err(CodecError(format!("bad trace extension flag {b}"))),
     }
-    let raw = r.take(TraceContext::WIRE_LEN, "trace context")?;
-    let ctx =
-        TraceContext::decode(raw).ok_or_else(|| CodecError("short trace extension".to_string()))?;
-    r.done()?;
+    let ctx = TraceContext::decode(r.take(TraceContext::WIRE_LEN)?)
+        .ok_or_else(|| CodecError("short trace extension".to_string()))?;
+    r.finish()?;
     Ok((req, Some(ctx)))
 }
 
 fn read_request(r: &mut Reader) -> Result<Request, CodecError> {
     let req = match r.u8()? {
         0 => {
-            let id = r.id()?;
+            let id = read_id(r)?;
             let sync_replicas = r.u32()?;
             let req_id = r.u64()?;
             let expires_ns = r.u64()?;
             Request::Coordinate {
                 id,
-                mutation: r.mutation()?,
+                mutation: read_mutation(r)?,
                 sync_replicas,
                 req_id,
                 expires_ns,
             }
         }
         1 => Request::Apply {
-            id: r.id()?,
-            tag: r.tag()?,
+            id: read_id(r)?,
+            tag: read_tag(r)?,
             req_id: r.u64()?,
-            mutation: r.mutation()?,
+            mutation: read_mutation(r)?,
         },
         2 => Request::Read {
-            id: r.id()?,
+            id: read_id(r)?,
             offset: r.u64()?,
             len: r.u64()?,
         },
-        3 => Request::TagOf { id: r.id()? },
-        4 => Request::Fetch { id: r.id()? },
+        3 => Request::TagOf { id: read_id(r)? },
+        4 => Request::Fetch { id: read_id(r)? },
         5 => Request::Inventory,
         6 => Request::ReadWithTag {
-            id: r.id()?,
+            id: read_id(r)?,
             offset: r.u64()?,
             len: r.u64()?,
             inline_limit: r.u64()?,
         },
         7 => {
-            let id = r.id()?;
-            let tag = r.tag()?;
-            let mutability = r.mutability()?;
-            let stable_len = r.u64()?;
-            let data = r.bytes()?;
-            let reqs = r.reqs()?;
-            Request::Push {
-                id,
-                object: StoredObject {
-                    data,
-                    tag,
-                    mutability,
-                    stable_len,
-                },
-                reqs,
-            }
+            let id = read_id(r)?;
+            let (object, reqs) = read_state(r)?;
+            Request::Push { id, object, reqs }
         }
         8 => {
             let epoch = r.u64()?;
@@ -733,21 +627,12 @@ fn read_request(r: &mut Reader) -> Result<Request, CodecError> {
                 1 => true,
                 b => return Err(CodecError(format!("bad tombstone flag {b}"))),
             };
-            let id = r.id()?;
-            let tag = r.tag()?;
-            let mutability = r.mutability()?;
-            let stable_len = r.u64()?;
-            let data = r.bytes()?;
-            let reqs = r.reqs()?;
+            let id = read_id(r)?;
+            let (object, reqs) = read_state(r)?;
             Request::Migrate {
                 epoch,
                 id,
-                object: StoredObject {
-                    data,
-                    tag,
-                    mutability,
-                    stable_len,
-                },
+                object,
                 reqs,
                 tombstone,
             }
@@ -761,11 +646,11 @@ fn read_request(r: &mut Reader) -> Result<Request, CodecError> {
 
 /// Encodes a response.
 pub fn encode_response(resp: &Response) -> Bytes {
-    let mut w = Writer::new();
+    let mut w = frame();
     match resp {
         Response::Coordinated { tag } => {
             w.u8(0);
-            w.tag(*tag);
+            write_tag(&mut w, *tag);
         }
         Response::Applied => w.u8(1),
         Response::Data {
@@ -775,39 +660,35 @@ pub fn encode_response(resp: &Response) -> Bytes {
             data,
         } => {
             w.u8(2);
-            w.tag(*tag);
-            w.mutability(*mutability);
+            write_tag(&mut w, *tag);
+            write_mutability(&mut w, *mutability);
             w.u64(*stable_len);
-            w.bytes(data);
+            w.bytes(LEN, data);
         }
         Response::TagIs { tag } => {
             w.u8(3);
-            w.tag(*tag);
+            write_tag(&mut w, *tag);
         }
         Response::Object { object, reqs } => {
             w.u8(4);
-            w.tag(object.tag);
-            w.mutability(object.mutability);
-            w.u64(object.stable_len);
-            w.bytes(&object.data);
-            w.reqs(reqs);
+            write_state(&mut w, object, reqs);
         }
         Response::Absent => w.u8(5),
         Response::InventoryIs { entries } => {
             w.u8(6);
-            w.u32(entries.len() as u32);
+            w.count(LEN, entries.len());
             for (id, tag) in entries {
-                w.id(*id);
-                w.tag(*tag);
+                write_id(&mut w, *id);
+                write_tag(&mut w, *tag);
             }
         }
         Response::Stale { newest } => {
             w.u8(8);
-            w.tag(*newest);
+            write_tag(&mut w, *newest);
         }
         Response::AlreadyApplied { tag } => {
             w.u8(9);
-            w.tag(*tag);
+            write_tag(&mut w, *tag);
         }
         Response::WrongEpoch { current } => {
             w.u8(10);
@@ -825,18 +706,18 @@ fn write_wire_error(w: &mut Writer, e: &WireError) {
     match e {
         WireError::NotFound(id) => {
             w.u8(0);
-            w.id(*id);
+            write_id(w, *id);
         }
         WireError::MutabilityViolation { id, level, op } => {
             w.u8(1);
-            w.id(*id);
-            w.mutability(*level);
-            w.str(op);
+            write_id(w, *id);
+            write_mutability(w, *level);
+            w.str(LEN, op);
         }
         WireError::InvalidTransition { from, to } => {
             w.u8(2);
-            w.mutability(*from);
-            w.mutability(*to);
+            write_mutability(w, *from);
+            write_mutability(w, *to);
         }
         WireError::QuorumUnavailable { needed, got } => {
             w.u8(3);
@@ -845,28 +726,28 @@ fn write_wire_error(w: &mut Writer, e: &WireError) {
         }
         WireError::Other(msg) => {
             w.u8(4);
-            w.str(msg);
+            w.str(LEN, msg);
         }
     }
 }
 
 fn read_wire_error(r: &mut Reader) -> Result<WireError, CodecError> {
     Ok(match r.u8()? {
-        0 => WireError::NotFound(r.id()?),
+        0 => WireError::NotFound(read_id(r)?),
         1 => WireError::MutabilityViolation {
-            id: r.id()?,
-            level: r.mutability()?,
-            op: r.str()?,
+            id: read_id(r)?,
+            level: read_mutability(r)?,
+            op: r.str(LEN)?,
         },
         2 => WireError::InvalidTransition {
-            from: r.mutability()?,
-            to: r.mutability()?,
+            from: read_mutability(r)?,
+            to: read_mutability(r)?,
         },
         3 => WireError::QuorumUnavailable {
             needed: r.u32()?,
             got: r.u32()?,
         },
-        4 => WireError::Other(r.str()?),
+        4 => WireError::Other(r.str(LEN)?),
         b => return Err(CodecError(format!("bad error code {b}"))),
     })
 }
@@ -876,224 +757,45 @@ fn read_wire_error(r: &mut Reader) -> Result<WireError, CodecError> {
 pub fn decode_response(buf: &Bytes) -> Result<Response, CodecError> {
     let mut r = Reader::new(buf);
     let resp = match r.u8()? {
-        0 => Response::Coordinated { tag: r.tag()? },
+        0 => Response::Coordinated {
+            tag: read_tag(&mut r)?,
+        },
         1 => Response::Applied,
         2 => Response::Data {
-            tag: r.tag()?,
-            mutability: r.mutability()?,
+            tag: read_tag(&mut r)?,
+            mutability: read_mutability(&mut r)?,
             stable_len: r.u64()?,
-            data: r.bytes()?,
+            data: r.bytes(LEN)?,
         },
-        3 => Response::TagIs { tag: r.tag()? },
+        3 => Response::TagIs {
+            tag: read_tag(&mut r)?,
+        },
         4 => {
-            let tag = r.tag()?;
-            let mutability = r.mutability()?;
-            let stable_len = r.u64()?;
-            let data = r.bytes()?;
-            let reqs = r.reqs()?;
-            Response::Object {
-                object: StoredObject {
-                    data,
-                    tag,
-                    mutability,
-                    stable_len,
-                },
-                reqs,
-            }
+            let (object, reqs) = read_state(&mut r)?;
+            Response::Object { object, reqs }
         }
         5 => Response::Absent,
         6 => {
-            let n = r.u32()? as usize;
-            let mut entries = Vec::with_capacity(n.min(4096));
+            // An inventory entry is a 16-byte id and a 12-byte tag.
+            let n = r.count(LEN, 28)?;
+            let mut entries = Vec::with_capacity(n);
             for _ in 0..n {
-                entries.push((r.id()?, r.tag()?));
+                entries.push((read_id(&mut r)?, read_tag(&mut r)?));
             }
             Response::InventoryIs { entries }
         }
         7 => Response::Err(read_wire_error(&mut r)?),
-        8 => Response::Stale { newest: r.tag()? },
-        9 => Response::AlreadyApplied { tag: r.tag()? },
+        8 => Response::Stale {
+            newest: read_tag(&mut r)?,
+        },
+        9 => Response::AlreadyApplied {
+            tag: read_tag(&mut r)?,
+        },
         10 => Response::WrongEpoch { current: r.u64()? },
         b => return Err(CodecError(format!("bad response op {b}"))),
     };
-    r.done()?;
+    r.finish()?;
     Ok(resp)
-}
-
-// ---- streaming subscription frames --------------------------------------
-
-/// Why a subscription ended, carried in [`StreamFrame::Close`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CloseReason {
-    /// The subscriber cancelled voluntarily.
-    Cancelled,
-    /// The streamed object was closed or deleted at the owner.
-    ObjectClosed,
-    /// The owner gave up on an unreachable subscriber.
-    SubscriberLost,
-}
-
-/// Frames of the cross-node subscription protocol (PCSI streaming).
-///
-/// These share the store codec's writer/reader (and therefore the
-/// pooled `BytesMut` buffers and zero-copy payload views) but travel on
-/// their own fabric services, so their op-code space is independent of
-/// [`Request`]/[`Response`].
-///
-/// [`StreamFrame::Push`] deliberately does **not** carry a subscription
-/// id: per-subscription routing rides the fabric service name, so one
-/// encoded push frame is byte-identical for every subscriber of the
-/// same event and fan-out is `Bytes::clone` per peer, not re-encoding.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamFrame {
-    /// Consumer → owner: open a subscription on a FIFO/socket object.
-    Subscribe {
-        /// The streamed object.
-        id: ObjectId,
-        /// Subscription id, allocated by the consumer (unique per
-        /// consumer node).
-        sub: u64,
-        /// Initial credit window: the owner may push this many frames
-        /// before stalling for a [`StreamFrame::Grant`].
-        window: u32,
-    },
-    /// Consumer → owner: report consumption, replenishing credits.
-    ///
-    /// Carries the **cumulative** consumed count rather than an
-    /// increment, so a grant retransmitted after a dropped reply (or
-    /// fault-duplicated in flight) is idempotent: the owner takes the
-    /// max, and credits can never inflate past what the consumer
-    /// actually drained. Incremental grants double-apply under exactly
-    /// those faults and let the owner overrun the consumer's buffer.
-    Grant {
-        /// Target subscription.
-        sub: u64,
-        /// Total frames the consumer has consumed since subscribing.
-        consumed: u64,
-    },
-    /// Owner → consumer: one streamed event.
-    Push {
-        /// Event sequence number (contiguous per subscription).
-        seq: u64,
-        /// Virtual-time nanoseconds when the producer appended the
-        /// event — the consumer derives per-frame latency from it.
-        ts_ns: u64,
-        /// The event payload.
-        payload: Bytes,
-    },
-    /// Either direction: the subscription is over.
-    Close {
-        /// Target subscription.
-        sub: u64,
-        /// Why it ended.
-        reason: CloseReason,
-    },
-}
-
-/// Acknowledgement for subscribe/grant/push/close deliveries.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamReply {
-    /// Accepted.
-    Ok,
-    /// Rejected (unknown object, wrong kind, unknown subscription...).
-    Err(WireError),
-}
-
-/// Encodes a stream frame.
-pub fn encode_stream_frame(frame: &StreamFrame) -> Bytes {
-    let mut w = Writer::new();
-    match frame {
-        StreamFrame::Subscribe { id, sub, window } => {
-            w.u8(0);
-            w.id(*id);
-            w.u64(*sub);
-            w.u32(*window);
-        }
-        StreamFrame::Grant { sub, consumed } => {
-            w.u8(1);
-            w.u64(*sub);
-            w.u64(*consumed);
-        }
-        StreamFrame::Push {
-            seq,
-            ts_ns,
-            payload,
-        } => {
-            w.u8(2);
-            w.u64(*seq);
-            w.u64(*ts_ns);
-            w.bytes(payload);
-        }
-        StreamFrame::Close { sub, reason } => {
-            w.u8(3);
-            w.u64(*sub);
-            w.u8(match reason {
-                CloseReason::Cancelled => 0,
-                CloseReason::ObjectClosed => 1,
-                CloseReason::SubscriberLost => 2,
-            });
-        }
-    }
-    w.finish()
-}
-
-/// Decodes a stream frame. The push payload comes back as a zero-copy
-/// view of `buf`'s backing buffer.
-pub fn decode_stream_frame(buf: &Bytes) -> Result<StreamFrame, CodecError> {
-    let mut r = Reader::new(buf);
-    let frame = match r.u8()? {
-        0 => StreamFrame::Subscribe {
-            id: r.id()?,
-            sub: r.u64()?,
-            window: r.u32()?,
-        },
-        1 => StreamFrame::Grant {
-            sub: r.u64()?,
-            consumed: r.u64()?,
-        },
-        2 => StreamFrame::Push {
-            seq: r.u64()?,
-            ts_ns: r.u64()?,
-            payload: r.bytes()?,
-        },
-        3 => StreamFrame::Close {
-            sub: r.u64()?,
-            reason: match r.u8()? {
-                0 => CloseReason::Cancelled,
-                1 => CloseReason::ObjectClosed,
-                2 => CloseReason::SubscriberLost,
-                b => return Err(CodecError(format!("bad close reason {b}"))),
-            },
-        },
-        b => return Err(CodecError(format!("bad stream frame op {b}"))),
-    };
-    r.done()?;
-    Ok(frame)
-}
-
-/// Encodes a stream reply.
-pub fn encode_stream_reply(reply: &StreamReply) -> Bytes {
-    let mut w = Writer::new();
-    match reply {
-        StreamReply::Ok => w.u8(0),
-        StreamReply::Err(e) => {
-            w.u8(1);
-            write_wire_error(&mut w, e);
-        }
-    }
-    w.finish()
-}
-
-/// Decodes a stream reply.
-pub fn decode_stream_reply(buf: &Bytes) -> Result<StreamReply, CodecError> {
-    let mut r = Reader::new(buf);
-    let reply = match r.u8()? {
-        0 => StreamReply::Ok,
-        1 => StreamReply::Err(read_wire_error(&mut r)?),
-        b => return Err(CodecError(format!("bad stream reply op {b}"))),
-    };
-    r.done()?;
-    Ok(reply)
 }
 
 #[cfg(test)]
@@ -1388,129 +1090,43 @@ mod tests {
         assert!(decode_response(&Bytes::new()).is_err());
     }
 
+    /// The bytes these frames had before the codec moved onto the shared
+    /// cursor: a replica built from the parent commit reads them still.
     #[test]
-    fn stream_frames_roundtrip() {
-        let frames = vec![
-            StreamFrame::Subscribe {
-                id: oid(7),
-                sub: 0x0001_0000_0000_002a,
-                window: 16,
-            },
-            StreamFrame::Grant {
-                sub: 9,
-                consumed: 8,
-            },
-            StreamFrame::Push {
-                seq: 41,
-                ts_ns: 123_456_789,
-                payload: Bytes::from_static(b"2026-08-08 event"),
-            },
-            StreamFrame::Push {
-                seq: 0,
-                ts_ns: 0,
-                payload: Bytes::new(),
-            },
-            StreamFrame::Close {
-                sub: 9,
-                reason: CloseReason::Cancelled,
-            },
-            StreamFrame::Close {
-                sub: 10,
-                reason: CloseReason::ObjectClosed,
-            },
-            StreamFrame::Close {
-                sub: 11,
-                reason: CloseReason::SubscriberLost,
-            },
-        ];
-        for f in frames {
-            let wire = encode_stream_frame(&f);
-            assert_eq!(decode_stream_frame(&wire).unwrap(), f, "{f:?}");
-        }
-    }
+    fn frames_encode_to_the_pinned_bytes() {
+        use pcsi_proto::hash::hex;
+        use pcsi_trace::{SpanId, TraceId};
 
-    #[test]
-    fn stream_replies_roundtrip() {
-        let replies = vec![
-            StreamReply::Ok,
-            StreamReply::Err(WireError::NotFound(oid(3))),
-            StreamReply::Err(WireError::Other("no such subscription".into())),
-        ];
-        for rep in replies {
-            let wire = encode_stream_reply(&rep);
-            assert_eq!(decode_stream_reply(&wire).unwrap(), rep, "{rep:?}");
-        }
-    }
-
-    #[test]
-    fn stream_frame_truncation_detected() {
-        let frames = vec![
-            StreamFrame::Subscribe {
-                id: oid(7),
-                sub: 1,
-                window: 4,
+        let req = Request::Coordinate {
+            id: oid(1),
+            mutation: Mutation::PutFull {
+                data: Bytes::from_static(b"hello"),
+                mutability: Mutability::AppendOnly,
             },
-            StreamFrame::Push {
-                seq: 2,
-                ts_ns: 3,
-                payload: Bytes::from_static(b"payload"),
-            },
-            StreamFrame::Close {
-                sub: 1,
-                reason: CloseReason::SubscriberLost,
-            },
-        ];
-        for f in frames {
-            let wire = encode_stream_frame(&f);
-            for cut in 0..wire.len() {
-                assert!(
-                    decode_stream_frame(&wire.slice(..cut)).is_err(),
-                    "{f:?} cut at {cut}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stream_frame_junk_rejected() {
-        // Unknown frame op.
-        assert!(decode_stream_frame(&Bytes::from_static(&[99])).is_err());
-        // Unknown close reason.
-        let mut close = encode_stream_frame(&StreamFrame::Close {
-            sub: 1,
-            reason: CloseReason::Cancelled,
-        })
-        .to_vec();
-        *close.last_mut().unwrap() = 77;
-        assert!(decode_stream_frame(&Bytes::from(close)).is_err());
-        // Trailing bytes.
-        let mut wire = encode_stream_frame(&StreamFrame::Grant {
-            sub: 1,
-            consumed: 1,
-        })
-        .to_vec();
-        wire.push(0);
-        assert!(decode_stream_frame(&Bytes::from(wire)).is_err());
-        // Replies: bad op and trailing bytes.
-        assert!(decode_stream_reply(&Bytes::from_static(&[9])).is_err());
-        let mut rep = encode_stream_reply(&StreamReply::Ok).to_vec();
-        rep.push(0);
-        assert!(decode_stream_reply(&Bytes::from(rep)).is_err());
-    }
-
-    #[test]
-    fn push_payload_is_zero_copy() {
-        let wire = encode_stream_frame(&StreamFrame::Push {
-            seq: 1,
-            ts_ns: 2,
-            payload: Bytes::from_static(b"shared-view"),
-        });
-        let StreamFrame::Push { payload, .. } = decode_stream_frame(&wire).unwrap() else {
-            panic!("wrong frame");
+            sync_replicas: 2,
+            req_id: 7,
+            expires_ns: 9,
         };
-        // The decoded payload must view the wire buffer, not copy it.
-        let wire_ptr = wire.as_ptr() as usize;
-        let payload_ptr = payload.as_ptr() as usize;
-        assert!(payload_ptr >= wire_ptr && payload_ptr < wire_ptr + wire.len());
+        let plain = "00e2b7bfde784a30220200000000000000020000000700000000000000\
+                     090000000000000000020500000068656c6c6f";
+        assert_eq!(hex(&encode_request(&req)), plain);
+        let ctx = TraceContext {
+            trace: TraceId(0xDEAD_BEEF),
+            parent: SpanId(0x1234_5678),
+        };
+        assert_eq!(
+            hex(&encode_request_traced(&req, Some(ctx))),
+            format!("{plain}01efbeadde000000007856341200000000")
+        );
+        let resp = Response::Data {
+            tag: Tag { seq: 4, writer: 1 },
+            mutability: Mutability::Immutable,
+            stable_len: 3,
+            data: Bytes::from_static(b"abc"),
+        };
+        assert_eq!(
+            hex(&encode_response(&resp)),
+            "0204000000000000000100000003030000000000000003000000616263"
+        );
     }
 }

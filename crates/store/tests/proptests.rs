@@ -9,10 +9,8 @@ use pcsi_net::Topology;
 use pcsi_store::engine::{MediaTier, Mutation, StorageEngine, StoredObject};
 use pcsi_store::version::{Tag, VersionVector};
 use pcsi_store::wire::{
-    decode_request, decode_request_traced, decode_response, decode_stream_frame,
-    decode_stream_reply, encode_request, encode_request_traced, encode_response,
-    encode_stream_frame, encode_stream_reply, CloseReason, Request, Response, StreamFrame,
-    StreamReply, WireError,
+    decode_request, decode_request_traced, decode_response, encode_request, encode_request_traced,
+    encode_response, Request, Response, WireError,
 };
 use pcsi_store::Placement;
 use pcsi_trace::{SpanId, TraceContext, TraceId};
@@ -210,37 +208,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
     ]
 }
 
-/// Every [`StreamFrame`] variant.
-fn arb_stream_frame() -> impl Strategy<Value = StreamFrame> {
-    let reason = prop_oneof![
-        Just(CloseReason::Cancelled),
-        Just(CloseReason::ObjectClosed),
-        Just(CloseReason::SubscriberLost),
-    ];
-    prop_oneof![
-        (arb_id(), any::<u64>(), any::<u32>())
-            .prop_map(|(id, sub, window)| StreamFrame::Subscribe { id, sub, window }),
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(sub, consumed)| StreamFrame::Grant { sub, consumed }),
-        (any::<u64>(), any::<u64>(), arb_bytes()).prop_map(|(seq, ts_ns, payload)| {
-            StreamFrame::Push {
-                seq,
-                ts_ns,
-                payload,
-            }
-        }),
-        (any::<u64>(), reason).prop_map(|(sub, reason)| StreamFrame::Close { sub, reason }),
-    ]
-}
-
-fn arb_stream_reply() -> impl Strategy<Value = StreamReply> {
-    prop_oneof![
-        Just(StreamReply::Ok),
-        arb_wire_error().prop_map(StreamReply::Err),
-    ]
-}
-
-/// Applies a scripted history to a fresh engine, tagging writes 1..n.
 /// Feeds `buf` to every store-wire decoder. Returning at all is the
 /// no-panic half; the other half is that an accepted frame has no
 /// trailing bytes: its re-encoding is exactly as long as the input.
@@ -254,15 +221,10 @@ fn decode_all_consuming_everything(buf: &Bytes) -> Result<(), TestCaseError> {
     if let Ok(resp) = decode_response(buf) {
         prop_assert_eq!(encode_response(&resp).len(), buf.len());
     }
-    if let Ok(frame) = decode_stream_frame(buf) {
-        prop_assert_eq!(encode_stream_frame(&frame).len(), buf.len());
-    }
-    if let Ok(reply) = decode_stream_reply(buf) {
-        prop_assert_eq!(encode_stream_reply(&reply).len(), buf.len());
-    }
     Ok(())
 }
 
+/// Applies a scripted history to a fresh engine, tagging writes 1..n.
 fn apply_history(ops: &[(u64, Mutation)]) -> StorageEngine {
     let mut e = StorageEngine::new(MediaTier::Dram);
     for (i, (obj, m)) in ops.iter().enumerate() {
@@ -441,38 +403,8 @@ proptest! {
         prop_assert!(decode_response(&Bytes::from(wire)).is_err());
     }
 
-    /// Stream frames round-trip exactly through the wire codec.
-    #[test]
-    fn wire_stream_frames_roundtrip(frame in arb_stream_frame()) {
-        let wire = encode_stream_frame(&frame);
-        prop_assert_eq!(decode_stream_frame(&wire).unwrap(), frame);
-    }
-
-    /// Stream replies round-trip exactly through the wire codec.
-    #[test]
-    fn wire_stream_replies_roundtrip(reply in arb_stream_reply()) {
-        let wire = encode_stream_reply(&reply);
-        prop_assert_eq!(decode_stream_reply(&wire).unwrap(), reply);
-    }
-
-    /// Every proper prefix of a stream frame fails to decode, and
-    /// trailing garbage is rejected.
-    #[test]
-    fn wire_stream_frame_truncation_always_detected(
-        frame in arb_stream_frame(),
-        junk in any::<u8>(),
-    ) {
-        let wire = encode_stream_frame(&frame);
-        for cut in 0..wire.len() {
-            prop_assert!(decode_stream_frame(&wire.slice(..cut)).is_err(), "cut {} decoded", cut);
-        }
-        let mut extended = wire.to_vec();
-        extended.push(junk);
-        prop_assert!(decode_stream_frame(&Bytes::from(extended)).is_err());
-    }
-
     /// Arbitrary bytes — what a confused or hostile peer can put on the
-    /// store service — never panic any of the five decoders, and
+    /// store service — never panic any of the three decoders, and
     /// whatever does decode accounts for every input byte.
     #[test]
     fn wire_decoders_are_total_on_arbitrary_bytes(
@@ -481,7 +413,7 @@ proptest! {
         decode_all_consuming_everything(&Bytes::from(raw))?;
     }
 
-    /// One corrupted byte anywhere in a valid frame of any of the five
+    /// One corrupted byte anywhere in a valid frame of any of the three
     /// kinds: every decoder still returns, and a frame that still
     /// decodes (as anything) is consumed whole.
     #[test]
@@ -489,8 +421,6 @@ proptest! {
         req in arb_request(),
         ctx in arb_trace_ctx(),
         resp in arb_response(),
-        frame in arb_stream_frame(),
-        reply in arb_stream_reply(),
         at in any::<u64>(),
         to in any::<u8>(),
     ) {
@@ -498,8 +428,6 @@ proptest! {
             encode_request(&req),
             encode_request_traced(&req, ctx),
             encode_response(&resp),
-            encode_stream_frame(&frame),
-            encode_stream_reply(&reply),
         ] {
             let mut bytes = wire.to_vec();
             let at = (at % bytes.len() as u64) as usize;

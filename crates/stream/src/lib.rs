@@ -36,6 +36,7 @@
 
 use pcsi_net::Transport;
 
+pub mod frame;
 pub mod publisher;
 pub mod subscription;
 
@@ -43,8 +44,8 @@ pub use publisher::Publisher;
 pub use subscription::{StreamEvent, Subscription};
 
 // Re-exported so kernel-level callers see one streaming vocabulary.
+pub use frame::CloseReason;
 pub use pcsi_core::PcsiError;
-pub use pcsi_store::wire::CloseReason;
 
 /// Tuning knobs for the streaming layer.
 #[derive(Debug, Clone, Copy)]

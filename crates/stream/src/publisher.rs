@@ -13,11 +13,11 @@ use pcsi_core::{ObjectId, PcsiError};
 use pcsi_metrics::{Counter, Metrics};
 use pcsi_net::fabric::{CallCtx, NetError};
 use pcsi_net::{Fabric, NodeId};
-use pcsi_store::wire::{
-    decode_stream_frame, decode_stream_reply, encode_stream_frame, encode_stream_reply,
-    CloseReason, StreamFrame, StreamReply, WireError,
-};
 
+use crate::frame::{
+    decode_stream_frame, decode_stream_reply, encode_stream_frame, encode_stream_reply,
+    CloseReason, StreamFrame, StreamReply,
+};
 use crate::{sub_service, StreamConfig};
 
 /// Fabric service (bound on every node) that accepts subscribe, grant
@@ -282,10 +282,10 @@ impl Publisher {
                 self.remove_sub(sub);
                 StreamReply::Ok
             }
-            Ok(StreamFrame::Push { .. }) => StreamReply::Err(WireError::Other(
-                "push frames flow owner→consumer only".into(),
-            )),
-            Err(e) => StreamReply::Err(WireError::Other(e.to_string())),
+            Ok(StreamFrame::Push { .. }) => {
+                StreamReply::Err("push frames flow owner→consumer only".into())
+            }
+            Err(e) => StreamReply::Err(e.to_string()),
         };
         encode_stream_reply(&reply)
     }
@@ -304,9 +304,7 @@ impl Publisher {
             window
         };
         if self.inner.subs.borrow().contains_key(&sub) {
-            return StreamReply::Err(WireError::Other(format!(
-                "subscription {sub:#x} already exists"
-            )));
+            return StreamReply::Err(format!("subscription {sub:#x} already exists"));
         }
         let state = Rc::new(SubState {
             sub,
@@ -340,7 +338,7 @@ impl Publisher {
 
     fn grant(&self, sub: u64, consumed: u64) -> StreamReply {
         let Some(state) = self.inner.subs.borrow().get(&sub).cloned() else {
-            return StreamReply::Err(WireError::Other(format!("no subscription {sub:#x}")));
+            return StreamReply::Err(format!("no subscription {sub:#x}"));
         };
         // Monotone: a stale, reordered, or retransmitted report can
         // only be ignored, never double-counted.

@@ -10,11 +10,11 @@ use pcsi_core::{ObjectId, PcsiError};
 use pcsi_fs::FifoQueue;
 use pcsi_metrics::{Histogram, Metrics};
 use pcsi_net::{Fabric, NetError, NodeId, Transport};
-use pcsi_store::wire::{
-    decode_stream_frame, decode_stream_reply, encode_stream_frame, encode_stream_reply,
-    CloseReason, StreamFrame, StreamReply, WireError,
-};
 
+use crate::frame::{
+    decode_stream_frame, decode_stream_reply, encode_stream_frame, encode_stream_reply,
+    CloseReason, StreamFrame, StreamReply,
+};
 use crate::{publisher::STREAM_SERVICE, sub_service};
 
 /// Retries for lost control frames (grants, closes).
@@ -69,7 +69,7 @@ impl SubInner {
         let reply = match decode_stream_frame(frame) {
             Ok(StreamFrame::Push { seq, .. }) => {
                 if self.closed.get() {
-                    StreamReply::Err(WireError::Other("subscription closed".into()))
+                    StreamReply::Err("subscription closed".into())
                 } else {
                     match self.expected.get() {
                         // A retransmit or fault-duplicated delivery of a
@@ -82,9 +82,9 @@ impl SubInner {
                         // The pump is sequential, so a skipped seq can
                         // only mean protocol breakage. Refuse: the owner
                         // kills the stream rather than delivering a gap.
-                        Some(e) if seq > e => StreamReply::Err(WireError::Other(format!(
-                            "seq gap: expected {e}, got {seq}"
-                        ))),
+                        Some(e) if seq > e => {
+                            StreamReply::Err(format!("seq gap: expected {e}, got {seq}"))
+                        }
                         _ => match self.buffer.push(frame.clone()) {
                             Ok(()) => {
                                 self.expected.set(Some(seq + 1));
@@ -93,9 +93,7 @@ impl SubInner {
                             }
                             // Over-window push: the owner spent credits
                             // we never granted. Protocol breakage.
-                            Err(_) => StreamReply::Err(WireError::Other(
-                                "push exceeded the credit window".into(),
-                            )),
+                            Err(_) => StreamReply::Err("push exceeded the credit window".into()),
                         },
                     }
                 }
@@ -104,10 +102,8 @@ impl SubInner {
                 self.shutdown(reason);
                 StreamReply::Ok
             }
-            Ok(_) => StreamReply::Err(WireError::Other(
-                "only push/close frames flow to consumers".into(),
-            )),
-            Err(e) => StreamReply::Err(WireError::Other(e.to_string())),
+            Ok(_) => StreamReply::Err("only push/close frames flow to consumers".into()),
+            Err(e) => StreamReply::Err(e.to_string()),
         };
         encode_stream_reply(&reply)
     }
@@ -196,7 +192,7 @@ impl Subscription {
                 Ok(StreamReply::Ok) => Ok(Subscription { inner }),
                 Ok(StreamReply::Err(e)) => {
                     fabric.unbind(node, &inner.service);
-                    Err(e.into_pcsi())
+                    Err(PcsiError::Fault(e))
                 }
                 Err(e) => {
                     fabric.unbind(node, &inner.service);
