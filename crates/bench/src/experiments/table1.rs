@@ -85,9 +85,10 @@ pub fn simulated_rtt(generation: NetworkGeneration, seed: u64) -> f64 {
 
 /// Mean simulated latency (ns) of a linearizable 1 KiB read against a
 /// 3-replica store, from a client that is *not* co-located with any
-/// replica. `one_rtt` selects the fan-out read path (`ReadWithTag` to all
-/// replicas, newest tag among the first majority wins); otherwise the
-/// read pays the legacy two-phase tag-quorum-then-directed-read protocol.
+/// replica. The read fans `ReadWithTag` out to all replicas and the
+/// newest tag among the first majority wins; with `one_rtt` the replies
+/// carry the bytes, otherwise (`inline_read_max: 0`) they carry tags
+/// only and the read pays a second, directed round trip.
 /// Client caching is disabled so the number isolates protocol cost.
 pub fn linearizable_read_ns(seed: u64, one_rtt: bool) -> f64 {
     use pcsi_core::{Consistency, Mutability, ObjectId};
@@ -173,7 +174,7 @@ pub fn run(seed: u64) -> Vec<Row> {
         });
     }
 
-    // Linearizable store reads: the legacy two-phase protocol vs. the
+    // Linearizable store reads: tag quorum plus a directed read vs. the
     // one-RTT quorum read (not in the paper's table; it quantifies this
     // repository's own fast path against the same fabric model).
     rows.push(Row {

@@ -16,7 +16,7 @@
 //! newest tag among the first majority of replies — one fabric round
 //! trip, correct because any write-majority intersects any read-majority.
 //! Payloads above [`crate::StoreConfig::inline_read_max`] degrade to a tag
-//! report plus a directed read (the former two-phase path). A quorum read
+//! report plus a directed read (a second round trip). A quorum read
 //! that observes divergent tags pushes the newest state to the stale
 //! replicas in the background (read repair).
 
@@ -408,39 +408,7 @@ impl StoreClient {
             }
             Consistency::Linearizable => {
                 let inline_limit = self.store.inner.config.inline_read_max;
-                if inline_limit == 0 {
-                    // Two-phase path: version quorum, then a directed
-                    // read from the newest replica. Same write-back rule
-                    // as the one-RTT path: a tag seen at fewer than a
-                    // majority must be made durable before serving it.
-                    let need = self.store.placement().majority();
-                    let frame = wire::encode_request_traced(&Request::TagOf { id }, ctx);
-                    let replies = self
-                        .gather(id, &[], frame, need, |node, reply| match reply {
-                            Ok(Response::TagIs { tag }) => Ok((node, tag)),
-                            _ => Err(()),
-                        })
-                        .await?;
-                    let &(newest_node, newest_tag) = replies
-                        .iter()
-                        .max_by_key(|(_, t)| *t)
-                        .expect("quorum met implies at least one reply");
-                    if newest_tag == Tag::ZERO {
-                        return Err(PcsiError::NotFound(id));
-                    }
-                    let known: Vec<NodeId> = replies
-                        .iter()
-                        .filter(|(_, t)| *t == newest_tag)
-                        .map(|(n, _)| *n)
-                        .collect();
-                    if known.len() < need {
-                        self.write_back(id, newest_node, &known, need - known.len(), ctx)
-                            .await?;
-                    }
-                    self.read_from(newest_node, id, offset, len, ctx).await
-                } else {
-                    self.read_one_rtt(id, offset, len, inline_limit, ctx).await
-                }
+                self.read_one_rtt(id, offset, len, inline_limit, ctx).await
             }
         }
     }
@@ -450,7 +418,7 @@ impl StoreClient {
     /// write-majority intersects any read-majority, so the newest tag
     /// seen is at least the last acknowledged write's. Replies above the
     /// inline limit degrade to a tag report, after which the newest
-    /// replica is read directly (matching the old two-phase cost).
+    /// replica is read directly: two round trips.
     ///
     /// When the quorum replies *disagree*, the newest value is known to
     /// be at fewer than a majority — a concurrent write may still be in

@@ -597,7 +597,7 @@ fn migrate_install(
 /// absent object answers [`Response::TagIs`] with [`Tag::ZERO`] so the
 /// reply still counts toward the quorum, and payloads larger than
 /// `inline_limit` degrade to a bare tag report (the client then issues a
-/// directed read to the newest replica, as the two-phase path would).
+/// directed read to the newest replica).
 async fn read_local(
     inner: &Rc<Inner>,
     id: ObjectId,

@@ -41,9 +41,9 @@ pub struct StoreConfig {
     /// drive rounds manually).
     pub anti_entropy: Option<Duration>,
     /// Largest payload (bytes) replicas inline into a one-RTT quorum
-    /// read reply. Larger objects fall back to the two-phase path (tag
-    /// quorum, then a directed read from the newest replica). `0`
-    /// disables the one-RTT path entirely and always uses two phases.
+    /// read reply. Above it every replica answers with its tag alone and
+    /// the client reads the newest one directly: a second round trip.
+    /// At `0` every non-empty read takes both.
     pub inline_read_max: u64,
     /// Byte budget of each node-local client cache; `0` disables
     /// client-side caching.
