@@ -6,21 +6,25 @@
 //!   message across the simulated fabric at each generation (validating
 //!   that the model reproduces its calibration),
 //! * **measured (host)** — the real wire-protocol implementations in
-//!   `pcsi-proto`, timed on the machine running the experiment (expect
-//!   these to be *faster* than the paper's 2021 production stacks — the
-//!   ordering and growth, not the absolutes, are the claim),
+//!   `pcsi-proto` and `pcsi-store::wire`, timed on the machine running
+//!   the experiment (expect these to be *faster* than the paper's 2021
+//!   production stacks — the ordering and growth, not the absolutes, are
+//!   the claim),
 //! * **modeled** — isolation-boundary costs taken from the paper/vendor
 //!   documentation and used as constants by the FaaS runtime.
 
 use std::time::Instant;
 
 use bytes::Bytes;
+use pcsi_core::{Consistency, Mutability, ObjectId};
 use pcsi_faas::isolation::Backend;
 use pcsi_net::{Fabric, LatencyModel, NetworkGeneration, NodeId, Topology, Transport};
 use pcsi_proto::http::{Method, Request, Response};
 use pcsi_proto::sign::{sign_request, verify_request, Credentials, Scope};
-use pcsi_proto::{binary, json, Value};
+use pcsi_proto::{json, Value};
 use pcsi_sim::Sim;
+use pcsi_store::engine::Mutation;
+use pcsi_store::{wire, MediaTier, ReplicatedStore, StoreConfig, Tag};
 
 /// One Table-1 row.
 #[derive(Debug, Clone)]
@@ -35,8 +39,9 @@ pub struct Row {
     pub source: &'static str,
 }
 
-/// Times `op` on the host, amortized over enough iterations to be stable.
-pub fn measure_host(mut op: impl FnMut()) -> f64 {
+/// A `measured (host)` row: `op` timed on the host, amortized over enough
+/// iterations to be stable.
+fn host_row(label: impl Into<String>, paper_ns: Option<f64>, mut op: impl FnMut()) -> Row {
     // Warmup.
     for _ in 0..64 {
         op();
@@ -52,7 +57,12 @@ pub fn measure_host(mut op: impl FnMut()) -> f64 {
         let per = t0.elapsed().as_secs_f64() * 1e9 / f64::from(iters);
         best = best.min(per);
     }
-    best
+    Row {
+        label: label.into(),
+        paper_ns,
+        ours_ns: best,
+        source: "measured (host)",
+    }
 }
 
 /// Measures one cross-rack RTT on the simulated fabric at `generation`.
@@ -91,9 +101,6 @@ pub fn simulated_rtt(generation: NetworkGeneration, seed: u64) -> f64 {
 /// only and the read pays a second, directed round trip.
 /// Client caching is disabled so the number isolates protocol cost.
 pub fn linearizable_read_ns(seed: u64, one_rtt: bool) -> f64 {
-    use pcsi_core::{Consistency, Mutability, ObjectId};
-    use pcsi_store::{MediaTier, ReplicatedStore, StoreConfig};
-
     let mut sim = Sim::new(seed);
     let h = sim.handle();
     sim.block_on(async move {
@@ -177,52 +184,61 @@ pub fn run(seed: u64) -> Vec<Row> {
     // Linearizable store reads: tag quorum plus a directed read vs. the
     // one-RTT quorum read (not in the paper's table; it quantifies this
     // repository's own fast path against the same fabric model).
-    rows.push(Row {
-        label: "Linearizable read, two-phase (1 KiB, sim)".into(),
-        paper_ns: None,
-        ours_ns: linearizable_read_ns(seed, false),
-        source: "simulated",
-    });
-    rows.push(Row {
-        label: "Linearizable read, one-RTT (1 KiB, sim)".into(),
-        paper_ns: None,
-        ours_ns: linearizable_read_ns(seed, true),
-        source: "simulated",
-    });
+    for (label, one_rtt) in [("two-phase", false), ("one-RTT", true)] {
+        rows.push(Row {
+            label: format!("Linearizable read, {label} (1 KiB, sim)"),
+            paper_ns: None,
+            ours_ns: linearizable_read_ns(seed, one_rtt),
+            source: "simulated",
+        });
+    }
 
     // Object marshaling of a ~1 KB item: JSON encode + decode (the REST
     // path does both per request).
     let item = sample_item();
-    let encoded = json::encode(&item);
-    let marshal = measure_host(|| {
+    let label = format!("Object marshaling ({} B JSON)", json::encode(&item).len());
+    rows.push(host_row(label, Some(50_000.0), || {
         let text = json::encode(std::hint::black_box(&item));
         let back = json::decode(std::hint::black_box(&text)).unwrap();
         std::hint::black_box(back);
-    });
-    rows.push(Row {
-        label: format!("Object marshaling ({} B JSON)", encoded.len()),
-        paper_ns: Some(50_000.0),
-        ours_ns: marshal,
-        source: "measured (host)",
-    });
+    }));
 
     // The PCSI-native binary codec, for contrast (not in the paper's
-    // table; it is the paper's *proposal*).
-    let bin = measure_host(|| {
-        let wire = binary::encode(std::hint::black_box(&item));
-        let back = binary::decode(std::hint::black_box(&wire)).unwrap();
-        std::hint::black_box(back);
-    });
-    rows.push(Row {
-        label: "Object marshaling (PCSI binary codec)".into(),
-        paper_ns: None,
-        ours_ns: bin,
-        source: "measured (host)",
-    });
+    // table; it is the paper's *proposal*): what replicas exchange for a
+    // 1 KiB value — the `Coordinate` that puts it and the `Data` reply
+    // that reads it back, each framed and parsed by the store's wire.
+    let data = Bytes::from(vec![0xABu8; 1024]);
+    let put = wire::Request::Coordinate {
+        id: ObjectId::from_parts(1, 1),
+        mutation: Mutation::PutFull {
+            data: data.clone(),
+            mutability: Mutability::Mutable,
+        },
+        sync_replicas: 2,
+        req_id: 42,
+        expires_ns: 0,
+    };
+    let got = wire::Response::Data {
+        tag: Tag { seq: 9, writer: 1 },
+        mutability: Mutability::Mutable,
+        stable_len: 1024,
+        data,
+    };
+    rows.push(host_row(
+        "Object marshaling (PCSI binary codec)",
+        None,
+        || {
+            let frame = wire::encode_request(std::hint::black_box(&put));
+            std::hint::black_box(wire::decode_request(&frame).unwrap());
+            let frame = wire::encode_response(std::hint::black_box(&got));
+            std::hint::black_box(wire::decode_response(&frame).unwrap());
+        },
+    ));
 
     // HTTP protocol: frame + parse a request and a response.
     let body = Bytes::from(json::encode(&item).into_bytes());
-    let http = measure_host(|| {
+    let label = "HTTP protocol (frame + parse, req + resp)";
+    rows.push(host_row(label, Some(50_000.0), || {
         let req = Request::new(Method::Put, "/kv/users/user-000042")
             .with_header("host", "api.pcsi.cloud")
             .with_body(body.clone());
@@ -232,18 +248,13 @@ pub fn run(seed: u64) -> Vec<Row> {
         let rwire = resp.encode();
         let rparsed = Response::decode(std::hint::black_box(&rwire)).unwrap();
         std::hint::black_box((parsed, rparsed));
-    });
-    rows.push(Row {
-        label: "HTTP protocol (frame + parse, req + resp)".into(),
-        paper_ns: Some(50_000.0),
-        ours_ns: http,
-        source: "measured (host)",
-    });
+    }));
 
     // Request signature: sign + verify (the stateless auth tax).
     let creds = Credentials::new("AK", b"secret".to_vec());
     let scope = Scope::new("w", "kv");
-    let auth = measure_host(|| {
+    let label = "Request signing + verification (HMAC-SHA256, date-scoped key cached)";
+    rows.push(host_row(label, None, || {
         let mut req = Request::new(Method::Get, "/kv/users/user-000042")
             .with_header("host", "api.pcsi.cloud");
         sign_request(&mut req, &creds, &scope, 1_700_000_000);
@@ -255,13 +266,7 @@ pub fn run(seed: u64) -> Vec<Row> {
             300,
         )
         .unwrap();
-    });
-    rows.push(Row {
-        label: "Request signing + verification (HMAC-SHA256, date-scoped key cached)".into(),
-        paper_ns: None,
-        ours_ns: auth,
-        source: "measured (host)",
-    });
+    }));
 
     // Socket overhead: the per-endpoint constant charged by the fabric.
     rows.push(Row {
@@ -293,15 +298,9 @@ pub fn run(seed: u64) -> Vec<Row> {
     }
 
     // A real syscall on the host, as a sanity anchor for the 500 ns row.
-    let syscall = measure_host(|| {
+    rows.push(host_row("sched_yield(2) on this machine", None, || {
         std::thread::yield_now(); // sched_yield(2).
-    });
-    rows.push(Row {
-        label: "sched_yield(2) on this machine".into(),
-        paper_ns: None,
-        ours_ns: syscall,
-        source: "measured (host)",
-    });
+    }));
 
     rows
 }
@@ -375,10 +374,11 @@ mod tests {
     }
 
     #[test]
-    fn measure_host_is_sane() {
-        let x = measure_host(|| {
+    fn host_row_is_sane() {
+        let x = host_row("add", None, || {
             std::hint::black_box(1 + 1);
-        });
+        })
+        .ours_ns;
         assert!(x < 1_000.0, "trivial op measured at {x} ns");
     }
 }
