@@ -4,16 +4,14 @@
 //! existing APIs". This module is the data-plane half of that argument:
 //! a [`Writer`] / [`Reader`] pair — fixed-width little-endian integers,
 //! varints, length-prefixed bytes and strings carried verbatim (no
-//! base64, no quoting, no scanning) — that every binary protocol in the
-//! workspace is written over: the replication frames
-//! (`pcsi_store::wire`), the streaming frames (`pcsi_stream::frame`),
-//! the NFS baseline's ops, stored function images and directories, and
-//! the self-describing [`Value`] encoding below. One cursor means one
-//! truncation check, one rule for a declared count ([`Reader::count`])
-//! and one trailing-bytes check ([`Reader::finish`]) for all of them.
+//! base64, no quoting, no scanning) — under every binary protocol in the
+//! workspace: replication frames (`pcsi_store::wire`), streaming frames
+//! (`pcsi_stream::frame`), the NFS baseline's ops, stored function
+//! images and directories, and the [`Value`] encoding below. One cursor
+//! means one truncation check, one rule for a declared count
+//! ([`Reader::count`]) and one trailing-bytes check ([`Reader::finish`]).
 //!
-//! [`Value`] wire grammar (all integers little-endian), benchmarked head
-//! to head against [`crate::json`]:
+//! [`Value`] wire grammar (all integers little-endian):
 //!
 //! ```text
 //! value   := tag payload

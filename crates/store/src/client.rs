@@ -406,10 +406,7 @@ impl StoreClient {
                 };
                 self.read_from(target, id, offset, len, ctx).await
             }
-            Consistency::Linearizable => {
-                let inline_limit = self.store.inner.config.inline_read_max;
-                self.read_one_rtt(id, offset, len, inline_limit, ctx).await
-            }
+            Consistency::Linearizable => self.read_one_rtt(id, offset, len, ctx).await,
         }
     }
 
@@ -432,7 +429,6 @@ impl StoreClient {
         id: ObjectId,
         offset: u64,
         len: u64,
-        inline_limit: u64,
         ctx: Option<TraceContext>,
     ) -> Result<Served, PcsiError> {
         let need = self.store.placement().majority();
@@ -441,7 +437,7 @@ impl StoreClient {
                 id,
                 offset,
                 len,
-                inline_limit,
+                inline_limit: self.store.inner.config.inline_read_max,
             },
             ctx,
         );

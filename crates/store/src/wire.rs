@@ -581,7 +581,7 @@ pub fn decode_request_traced(buf: &Bytes) -> Result<(Request, Option<TraceContex
 }
 
 fn read_request(r: &mut Reader) -> Result<Request, CodecError> {
-    let req = match r.u8()? {
+    Ok(match r.u8()? {
         0 => {
             let id = read_id(r)?;
             let sync_replicas = r.u32()?;
@@ -638,8 +638,7 @@ fn read_request(r: &mut Reader) -> Result<Request, CodecError> {
             }
         }
         b => return Err(CodecError(format!("bad request op {b}"))),
-    };
-    Ok(req)
+    })
 }
 
 // ---- response ----

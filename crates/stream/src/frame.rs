@@ -1,10 +1,8 @@
-//! Frames of the cross-node subscription protocol.
-//!
-//! Written over the workspace's one frame cursor
-//! ([`pcsi_proto::binary`]), so push frames are built in pooled buffers
-//! and a decoded payload is a zero-copy view of the received frame. The
-//! frames travel on their own fabric services; their op codes are their
-//! own.
+//! Frames of the cross-node subscription protocol, over the workspace's
+//! one frame cursor ([`pcsi_proto::binary`]): push frames are built in
+//! pooled buffers and a decoded payload is a zero-copy view of the
+//! received frame. They travel on their own fabric services, so their
+//! op codes are their own.
 
 use bytes::Bytes;
 use pcsi_core::ObjectId;
@@ -83,10 +81,9 @@ pub enum StreamReply {
     Err(String),
 }
 
-/// The byte between a rejection's op and its message. These replies
-/// once shared the store wire's five-way error encoding and only ever
-/// used its free-text case, code 4; the byte stays so the frames do not
-/// change.
+/// Follows a rejection's op byte: the store wire's code for a free-text
+/// error, the only kind these replies carry. It stays so reply frames
+/// are the bytes peers already speak.
 const ERR_TEXT: u8 = 4;
 
 /// Encodes a stream frame.
