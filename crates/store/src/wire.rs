@@ -324,10 +324,6 @@ impl From<DecodeError> for CodecError {
 
 // ---- the store's field types over the shared cursor ----------------------
 
-fn frame() -> Writer {
-    Writer::with_capacity(64)
-}
-
 fn write_id(w: &mut Writer, id: ObjectId) {
     w.u128(id.as_u128());
 }
@@ -466,7 +462,7 @@ pub fn encode_request(req: &Request) -> Bytes {
 /// frames and untraced frames are the same bytes — and a traced frame
 /// honestly pays its extra wire bytes in virtual time.
 pub fn encode_request_traced(req: &Request, ctx: Option<TraceContext>) -> Bytes {
-    let mut w = frame();
+    let mut w = Writer::with_capacity(64);
     write_request(&mut w, req);
     if let Some(ctx) = ctx {
         w.u8(TRACE_EXT_FLAG);
@@ -645,7 +641,7 @@ fn read_request(r: &mut Reader) -> Result<Request, CodecError> {
 
 /// Encodes a response.
 pub fn encode_response(resp: &Response) -> Bytes {
-    let mut w = frame();
+    let mut w = Writer::with_capacity(64);
     match resp {
         Response::Coordinated { tag } => {
             w.u8(0);
