@@ -100,7 +100,9 @@ pub fn variant_latencies(seed: u64, requests: u64) -> Vec<(String, f64)> {
         let mut app = ModelServing::deploy(&lab.cloud, NodeId(0), WEIGHTS)
             .await
             .expect("deploy");
-        app.add_infer_variant(tpu_variant(40.0));
+        app.add_infer_variant(tpu_variant(40.0))
+            .await
+            .expect("publish the tpu variant");
         let mut out = Vec::new();
         for variant in ["cpu", "gpu", "tpu"] {
             let report = app
@@ -122,6 +124,13 @@ mod tests {
     fn headline_shape_holds() {
         let reports = run(DEFAULT_SEED, 2, 5);
         shape_holds(&reports).unwrap();
+        // Not one seed's luck (object ids, hence store placement, follow
+        // the seed). 16 MiB uploads: large enough that the naive penalty
+        // clears 1.8x, small enough for a debug build.
+        for seed in DEFAULT_SEED..DEFAULT_SEED + 8 {
+            let reports = run_with_upload(seed, 1, 2, 16 << 20);
+            shape_holds(&reports).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        }
     }
 
     #[test]

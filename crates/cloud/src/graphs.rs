@@ -8,23 +8,31 @@
 //! groups (one node per connected component when a node fits the group's
 //! combined demand), and executes stages in topological order.
 //!
+//! A stage is an invocation like any other: the kernel admits it
+//! (`KernelClient::load_function` — rights, kind, image) and runs it
+//! (`KernelClient::invoke_stage` — schedule, run, bill, one
+//! `kernel.invoke` op). All the executor adds is the plan: which node
+//! each stage is pinned to and where its request bytes come from.
+//!
 //! Dataflow contract: a stage's pass-by-value response body is delivered
 //! as the request body of each consumer (multiple producers concatenate
-//! in dependency order). Larger state flows through explicit object
-//! references declared per stage, exactly like a hand-written pipeline.
+//! in dependency order). Bodies cross the fabric where they actually
+//! move: the submitter's bytes to the stage they are bound to, a
+//! producer's to a consumer on another node, a final stage's back to the
+//! submitter. Larger state flows through explicit object references
+//! declared per stage, exactly like a hand-written pipeline.
 
 use std::collections::HashMap;
 
 use bytes::{Bytes, BytesMut};
 use pcsi_core::api::InvokeRequest;
-use pcsi_core::{CloudInterface, ObjectKind, PcsiError, Reference};
+use pcsi_core::{CloudInterface, PcsiError, Reference};
 use pcsi_faas::function::FunctionImage;
 use pcsi_faas::graph::TaskGraph;
-use pcsi_faas::registry::choose_variant;
 use pcsi_faas::scheduler::{place, PlacementPolicy, PlacementRequest};
-use pcsi_net::{NodeId, Transport};
+use pcsi_net::NodeId;
 
-use crate::kernel::KernelClient;
+use crate::kernel::{KernelClient, Route};
 
 /// Per-stage execution inputs beyond the graph structure.
 #[derive(Debug, Clone, Default)]
@@ -85,62 +93,49 @@ impl GraphExecutor {
         Ok(GraphExecutor { client, functions })
     }
 
-    /// Loads and decodes a stage's function image.
-    async fn image(&self, name: &str) -> Result<FunctionImage, PcsiError> {
-        let f = self
-            .functions
-            .get(name)
-            .ok_or_else(|| PcsiError::NameNotFound(format!("function {name:?}")))?;
-        let meta = self.client.stat(f).await?;
-        if meta.kind != ObjectKind::Function {
-            return Err(PcsiError::WrongKind {
-                id: f.id(),
-                expected: "function",
-                actual: meta.kind.name(),
-            });
-        }
-        let bytes = self.client.read(f, 0, u64::MAX).await?;
-        FunctionImage::decode(&bytes)
-    }
-
     /// Plans one node per co-location group.
     ///
-    /// For each group the planner sums the chosen variants' demands
-    /// (stages of one request pipeline overlap when pipelined) and picks
-    /// a node that fits via the scavenging policy; a group that fits
-    /// nowhere falls back to per-stage placement (`None` entries).
-    async fn plan(
-        &self,
-        graph: &TaskGraph,
-        images: &HashMap<usize, FunctionImage>,
-    ) -> Result<Vec<Option<NodeId>>, PcsiError> {
-        let runtime = self.client.kernel().runtime();
+    /// A node already holding a warm instance of every stage of the group
+    /// needs no new capacity, so the group stays there. Otherwise the
+    /// planner sums the stages' demands (stages of one request pipeline
+    /// overlap when pipelined) and picks a node that fits via the
+    /// scavenging policy; a group that fits nowhere falls back to
+    /// per-stage placement (`None` entries). A stage is planned as the
+    /// variant it names, else as its image's first.
+    fn plan(&self, graph: &TaskGraph, images: &[FunctionImage]) -> Vec<Option<NodeId>> {
+        let runtime = self.client.runtime();
+        let variant_of = |s: usize| {
+            let named = graph.stages()[s].variant.as_deref();
+            named
+                .and_then(|v| images[s].variant(v))
+                .unwrap_or(&images[s].variants[0])
+        };
+        let warm_on = |s: usize| runtime.warm_nodes(&images[s].name, &variant_of(s).name);
         let mut node_of_stage: Vec<Option<NodeId>> = vec![None; graph.len()];
         for group in graph.colocation_groups() {
-            let demand = graph.group_demand(&group, |s| {
-                let image = &images[&s];
-                let variant_name = graph.stages()[s].variant.as_deref();
-                let variant = variant_name
-                    .and_then(|v| image.variant(v))
-                    .unwrap_or(&image.variants[0]);
-                variant.demand
+            let warm: Vec<Vec<NodeId>> = group.iter().map(|&s| warm_on(s)).collect();
+            let settled = warm[0]
+                .iter()
+                .copied()
+                .filter(|n| warm[1..].iter().all(|nodes| nodes.contains(n)))
+                .min();
+            let node = settled.or_else(|| {
+                place(
+                    runtime.cluster(),
+                    PlacementPolicy::Scavenge,
+                    &PlacementRequest {
+                        demand: graph.group_demand(&group, |s| variant_of(s).demand),
+                        ..Default::default()
+                    },
+                )
             });
-            let node = place(
-                runtime.cluster(),
-                PlacementPolicy::Scavenge,
-                &PlacementRequest {
-                    demand,
-                    prefer_node: None,
-                    warm_nodes: Vec::new(),
-                },
-            );
             if let Some(node) = node {
                 for &s in &group {
                     node_of_stage[s] = Some(node);
                 }
             }
         }
-        Ok(node_of_stage)
+        node_of_stage
     }
 
     /// Executes `graph` with `bindings` (missing stages get defaults).
@@ -150,77 +145,68 @@ impl GraphExecutor {
         bindings: &HashMap<usize, StageBinding>,
     ) -> Result<GraphRun, PcsiError> {
         let order = graph.topo_order()?;
+        let submitter = self.client.node();
 
-        // Load every image once.
-        let mut images: HashMap<usize, FunctionImage> = HashMap::new();
-        for &s in &order {
-            let image = self.image(&graph.stages()[s].function).await?;
-            images.insert(s, image);
+        // Admit every stage before anything runs: one image per stage,
+        // loaded once.
+        let mut images = Vec::with_capacity(graph.len());
+        for spec in graph.stages() {
+            let f = self
+                .functions
+                .get(&spec.function)
+                .ok_or_else(|| PcsiError::NameNotFound(format!("function {:?}", spec.function)))?;
+            images.push(self.client.load_function(f).await?);
         }
-        let placement = self.plan(graph, &images).await?;
-
-        let runtime = self.client.kernel().runtime().clone();
+        let placement = self.plan(graph, &images);
 
         let mut outcomes: Vec<Option<StageOutcome>> = vec![None; graph.len()];
         for &s in &order {
             let spec = &graph.stages()[s];
-            let image = &images[&s];
-            let variant = match &spec.variant {
-                Some(name) => image
-                    .variant(name)
-                    .ok_or_else(|| PcsiError::NoViableVariant(name.clone()))?
-                    .clone(),
-                None => {
-                    let warm = |v: &str| !runtime.warm_nodes(&image.name, v).is_empty();
-                    choose_variant(image, 0, pcsi_faas::registry::Goal::Balanced, warm)?.clone()
-                }
+            let binding = bindings.get(&s).cloned().unwrap_or_default();
+            let produced = |dep: &usize| {
+                outcomes[*dep]
+                    .as_ref()
+                    .expect("topological order guarantees producers ran")
             };
 
             // Assemble the dataflow body: binding bytes, then producer
-            // bodies in dependency order.
-            let binding = bindings.get(&s).cloned().unwrap_or_default();
-            let mut body = BytesMut::from(&binding.body[..]);
-            for &dep in &spec.deps {
-                let produced = &outcomes[dep]
-                    .as_ref()
-                    .expect("topological order guarantees producers ran")
-                    .body;
-                body.extend_from_slice(produced);
-            }
-            let body = body.freeze();
-
-            // Node: the plan's group node if it fits the variant, else
-            // runtime placement biased toward the group node.
-            let hint = placement[s];
-            let req = InvokeRequest {
-                body: body.clone(),
-                inputs: binding.inputs.clone(),
-                outputs: binding.outputs.clone(),
-            };
-            let data = std::rc::Rc::new(self.client_for(hint));
-            let (resp, node) = match hint {
-                Some(node) => runtime.invoke_on(image, &variant, node, req, data).await?,
-                None => {
-                    runtime
-                        .invoke_variant(image, &variant, req, data, None)
-                        .await?
-                }
-            };
-
-            // Cross-group body movement is charged to the fabric.
-            for consumer in graph.consumers(s) {
-                if placement[consumer] != placement[s] {
-                    let to = placement[consumer].unwrap_or(node);
-                    if to != node {
-                        self.client
-                            .kernel()
-                            .fabric()
-                            .transfer(node, to, resp.body.len().max(64), Transport::Rdma)
-                            .await
-                            .map_err(|e| PcsiError::Fault(e.to_string()))?;
+            // bodies in dependency order. A lone producer's body is
+            // handed on as it is — no copy of a large intermediate.
+            let body = match (&spec.deps[..], binding.body.is_empty()) {
+                ([only], true) => produced(only).body.clone(),
+                (deps, _) => {
+                    let mut body = BytesMut::from(&binding.body[..]);
+                    for dep in deps {
+                        body.extend_from_slice(&produced(dep).body);
                     }
+                    body.freeze()
                 }
+            };
+            // Where those bytes sit now: the submitter holds the binding
+            // body (and sends the bare request to a stage with no
+            // producer), each producer's node holds what it returned.
+            let mut sources = Vec::with_capacity(spec.deps.len() + 1);
+            if spec.deps.is_empty() || !binding.body.is_empty() {
+                sources.push((submitter, binding.body.len()));
             }
+            sources.extend(
+                spec.deps
+                    .iter()
+                    .map(|d| (produced(d).node, produced(d).body.len())),
+            );
+
+            let route = Route {
+                variant: spec.variant.as_deref(),
+                pin: placement[s],
+                sources: &sources,
+                reply_to: graph.consumers(s).is_empty().then_some(submitter),
+            };
+            let req = InvokeRequest {
+                body,
+                inputs: binding.inputs,
+                outputs: binding.outputs,
+            };
+            let (resp, node) = self.client.invoke_stage(&images[s], route, req).await?;
             outcomes[s] = Some(StageOutcome {
                 stage: s,
                 node,
@@ -229,23 +215,13 @@ impl GraphExecutor {
             });
         }
 
-        let stages: Vec<StageOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("all stages executed"))
-            .collect();
+        let stages: Vec<StageOutcome> = outcomes.into_iter().flatten().collect();
         let outputs = stages
             .iter()
             .filter(|o| graph.consumers(o.stage).is_empty())
             .map(|o| o.body.clone())
             .collect();
         Ok(GraphRun { stages, outputs })
-    }
-
-    fn client_for(&self, node: Option<NodeId>) -> KernelClient {
-        match node {
-            Some(n) => self.client.kernel().client(n, self.client.account()),
-            None => self.client.clone(),
-        }
     }
 }
 
@@ -436,5 +412,131 @@ mod tests {
             exec.execute(&graph, &HashMap::new()).await.unwrap()
         });
         assert_eq!(&out.outputs[0][..], b"hi");
+    }
+
+    /// Publishes `names` as one-core functions echoing their name, linked
+    /// under a fresh directory with `rights`.
+    async fn namespace(
+        cloud: &crate::build::Cloud,
+        client: &KernelClient,
+        names: &[&str],
+        cores: u32,
+        rights: pcsi_core::Rights,
+    ) -> Reference {
+        let root = client.create(CreateOptions::directory()).await.unwrap();
+        for name in names {
+            let tag = Bytes::from(name.as_bytes().to_vec());
+            cloud.kernel.register_body(
+                name,
+                Rc::new(move |_ctx| {
+                    let tag = tag.clone();
+                    Box::pin(async move { Ok(tag) })
+                }),
+            );
+            let image = FunctionImage::simple(name, WorkModel::fixed(Duration::ZERO), cores);
+            let f = publish(client, &image).await.unwrap();
+            let entry = f.attenuate(rights).unwrap();
+            client.link(&root, name, &entry).await.unwrap();
+        }
+        root
+    }
+
+    /// The executor is not a way around the capability check: a name that
+    /// conveys no INVOKE right runs nothing (it ran before PR 22, when
+    /// the executor read the image itself and called the runtime).
+    #[test]
+    fn a_stage_needs_invoke_rights() {
+        use pcsi_core::Rights;
+        let mut sim = Sim::new(66);
+        let h = sim.handle();
+        let (err, ran) = sim.block_on(async move {
+            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+            let client = cloud.kernel.client(NodeId(0), "t");
+            let readable = Rights::READ | Rights::GRANT;
+            let root = namespace(&cloud, &client, &["a", "b"], 1, readable).await;
+            let graph = TaskGraph::linear(&["a", "b"]);
+            let exec = GraphExecutor::from_namespace(client, &root, &graph)
+                .await
+                .unwrap();
+            let err = exec.execute(&graph, &HashMap::new()).await.unwrap_err();
+            (err, cloud.runtime.invocations())
+        });
+        assert!(
+            matches!(
+                err,
+                PcsiError::AccessDenied {
+                    needed: pcsi_core::Rights::INVOKE,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(ran, 0, "no stage may run before every stage is admitted");
+    }
+
+    /// A stage is a kernel invocation: billed to the submitter's account
+    /// and counted as one `invoke` op (neither happened before PR 22).
+    #[test]
+    fn a_graph_run_is_billed_and_counted() {
+        let mut sim = Sim::new(67);
+        let h = sim.handle();
+        let (billed, ops, out) = sim.block_on(async move {
+            let cloud = CloudBuilder::new()
+                .deterministic_network()
+                .metrics(true)
+                .build(&h);
+            let client = cloud.kernel.client(NodeId(0), "tenant");
+            let all = pcsi_core::Rights::ALL;
+            let root = namespace(&cloud, &client, &["a", "b", "c"], 1, all).await;
+            let graph = TaskGraph::linear(&["a", "b", "c"]);
+            let exec = GraphExecutor::from_namespace(client, &root, &graph)
+                .await
+                .unwrap();
+            let before = cloud.billing.request_count("tenant");
+            let out = exec.execute(&graph, &HashMap::new()).await.unwrap();
+            let ops = cloud
+                .metrics
+                .as_ref()
+                .unwrap()
+                .find_counter("kernel.ops", &[("op", "invoke")])
+                .map(|c| c.get());
+            (cloud.billing.request_count("tenant") - before, ops, out)
+        });
+        assert_eq!(billed, 3);
+        assert_eq!(ops, Some(3));
+        assert_eq!(&out.outputs[0][..], b"c");
+    }
+
+    /// A group whose stages are all warm on one node stays there even
+    /// when that node could not fit the group a second time: the plan
+    /// asks for no capacity the warm instances already hold. (E4's
+    /// script pinned its node by hand and so never met this: on the
+    /// 8-core TPU nodes every request moved on and booted cold.)
+    #[test]
+    fn a_warm_group_stays_on_its_node() {
+        let mut sim = Sim::new(68);
+        let h = sim.handle();
+        let runs = sim.block_on(async move {
+            let cloud = CloudBuilder::new()
+                .deterministic_network()
+                .topology(pcsi_net::Topology::uniform(1, 3))
+                .build(&h);
+            let client = cloud.kernel.client(NodeId(0), "t");
+            // Two 12-core stages: 24 of a node's 32 cores, so a second
+            // copy of the group fits on no node that holds the first.
+            let all = pcsi_core::Rights::ALL;
+            let root = namespace(&cloud, &client, &["a", "b"], 12, all).await;
+            let graph = TaskGraph::linear(&["a", "b"]);
+            let exec = GraphExecutor::from_namespace(client, &root, &graph)
+                .await
+                .unwrap();
+            let first = exec.execute(&graph, &HashMap::new()).await.unwrap();
+            let second = exec.execute(&graph, &HashMap::new()).await.unwrap();
+            [first, second]
+        });
+        let nodes = |r: &GraphRun| r.stages.iter().map(|s| s.node).collect::<Vec<_>>();
+        assert_eq!(nodes(&runs[0]), nodes(&runs[1]));
+        assert!(runs[0].stages.iter().all(|s| s.cold_start));
+        assert!(runs[1].stages.iter().all(|s| !s.cold_start));
     }
 }

@@ -193,16 +193,6 @@ impl Kernel {
         self.inner.devices.borrow_mut().register(class, handler);
     }
 
-    /// The FaaS runtime (experiments read its stats).
-    pub(crate) fn runtime(&self) -> &Runtime {
-        &self.inner.runtime
-    }
-
-    /// The datacenter fabric (graph executors charge cross-group hops).
-    pub(crate) fn fabric(&self) -> &Fabric {
-        &self.inner.fabric
-    }
-
     /// The streaming publisher (owner-side subscription state).
     pub fn publisher(&self) -> &Publisher {
         &self.inner.publisher
@@ -319,14 +309,10 @@ impl KernelClient {
         self.node
     }
 
-    /// The billing account.
-    pub(crate) fn account(&self) -> &str {
-        &self.account
-    }
-
-    /// The kernel behind this client.
-    pub(crate) fn kernel(&self) -> &Kernel {
-        &self.kernel
+    /// The FaaS runtime (graph planning reads its warm pools and cluster
+    /// state).
+    pub(crate) fn runtime(&self) -> &Runtime {
+        &self.inner().runtime
     }
 
     fn inner(&self) -> &Inner {
@@ -535,23 +521,52 @@ impl KernelClient {
     }
 
     /// Invokes with an explicit optimizer goal (the `CloudInterface`
-    /// method uses the kernel default).
+    /// method uses the kernel default): the optimizer picks the variant,
+    /// the instance is placed near this client's node, and the request
+    /// and response bodies cross the fabric between the two.
     pub async fn invoke_goal(
         &self,
         f: &Reference,
         req: InvokeRequest,
         goal: Goal,
     ) -> Result<InvokeResponse, PcsiError> {
-        self.op("kernel.invoke", |this| this.invoke_goal_impl(f, req, goal))
-            .await
+        self.op("kernel.invoke", |this| async move {
+            let image = this.load_function(f).await?;
+            let route = Route {
+                variant: None,
+                pin: None,
+                sources: &[(this.node, req.body.len())],
+                reply_to: Some(this.node),
+            };
+            let (resp, _) = this.run_function(&image, goal, route, req).await?;
+            Ok(resp)
+        })
+        .await
     }
 
-    async fn invoke_goal_impl(
-        self,
-        f: &Reference,
+    /// Invokes one stage of a task graph under the kernel's default goal:
+    /// the same `kernel.invoke` op as [`KernelClient::invoke_goal`], on an
+    /// image [`KernelClient::load_function`] already admitted, routed as
+    /// the graph's plan says. Returns the response and the node it ran on.
+    pub(crate) async fn invoke_stage(
+        &self,
+        image: &FunctionImage,
+        route: Route<'_>,
         req: InvokeRequest,
-        goal: Goal,
-    ) -> Result<InvokeResponse, PcsiError> {
+    ) -> Result<(InvokeResponse, NodeId), PcsiError> {
+        let goal = self.inner().goal;
+        self.op("kernel.invoke", |this| {
+            this.run_function(image, goal, route, req)
+        })
+        .await
+    }
+
+    /// Admission, the first half of every invocation: the reference must
+    /// carry the invoke right and name a function object, whose image is
+    /// read and decoded. A graph executor calls this for every stage
+    /// before it plans, so a stage the caller may not invoke fails the
+    /// whole submission before anything runs.
+    pub(crate) async fn load_function(&self, f: &Reference) -> Result<FunctionImage, PcsiError> {
         let meta = self.kernel.check(f, Rights::INVOKE)?;
         if meta.kind != ObjectKind::Function {
             return Err(PcsiError::WrongKind {
@@ -561,8 +576,20 @@ impl KernelClient {
             });
         }
         let image_bytes = self.read_raw(f.id(), &meta).await?;
-        let image = FunctionImage::decode(&image_bytes)?;
+        FunctionImage::decode(&image_bytes)
+    }
 
+    /// Execution, the second half of every invocation and the only route
+    /// from this crate to the runtime: schedule (`faas.schedule` span),
+    /// pull the request's bytes onto the chosen node, run the lease, send
+    /// the response where `route` says, bill the account.
+    async fn run_function(
+        self,
+        image: &FunctionImage,
+        goal: Goal,
+        route: Route<'_>,
+        req: InvokeRequest,
+    ) -> Result<(InvokeResponse, NodeId), PcsiError> {
         let runtime = &self.inner().runtime;
         let warm = |v: &str| !runtime.warm_nodes(&image.name, v).is_empty();
 
@@ -573,30 +600,35 @@ impl KernelClient {
             Some(t) => t.child_of(self.ctx, "faas.schedule"),
             None => SpanHandle::disabled(),
         };
-        let variant = match choose_variant(&image, req.body.len(), goal, warm) {
-            Ok(v) => v.clone(),
-            Err(e) => {
-                sched_span.attr_with("error", || AttrValue::Text(e.to_string()));
-                sched_span.finish();
-                return Err(e);
-            }
-        };
         // Warm instances are always preferred (their resources are pinned
         // and they skip the boot); the placement policy governs where new
         // instances go. Placement and reservation share one synchronous
         // section, so concurrent invocations cannot race each other onto
         // a single slot and spuriously overload a node. (The runtime's
         // policy is the kernel's policy — both come from the builder.)
-        let lease = match runtime.reserve_placed(&image, &variant, Some(self.node)) {
-            Ok(l) => l,
+        let scheduled = (|| -> Result<_, PcsiError> {
+            let variant = match route.variant {
+                Some(name) => image
+                    .variant(name)
+                    .ok_or_else(|| PcsiError::NoViableVariant(name.to_owned()))?,
+                None => choose_variant(image, req.body.len(), goal, warm)?,
+            };
+            let lease = match route.pin {
+                Some(node) => runtime.reserve_on(image, variant, node),
+                None => runtime.reserve_placed(image, variant, Some(self.node)),
+            };
+            let lease = lease.map_err(|e| match e {
+                PcsiError::Overloaded(_) => PcsiError::Overloaded(format!(
+                    "no capacity for {}/{}",
+                    image.name, variant.name
+                )),
+                other => other,
+            })?;
+            Ok((variant.clone(), lease))
+        })();
+        let (variant, lease) = match scheduled {
+            Ok(scheduled) => scheduled,
             Err(e) => {
-                let e = match e {
-                    PcsiError::Overloaded(_) => PcsiError::Overloaded(format!(
-                        "no capacity for {}/{}",
-                        image.name, variant.name
-                    )),
-                    other => other,
-                };
                 sched_span.attr_with("error", || AttrValue::Text(e.to_string()));
                 sched_span.finish();
                 return Err(e);
@@ -607,14 +639,11 @@ impl KernelClient {
         sched_span.attr("cold", if lease.is_cold() { "true" } else { "false" });
         sched_span.finish();
 
-        // Dispatch hop: request body travels to the chosen node (the slot
-        // is already held, so awaiting here is safe).
-        if node != self.node {
-            self.inner()
-                .fabric
-                .transfer(self.node, node, req.body.len().max(64), Transport::Rdma)
-                .await
-                .map_err(|e| PcsiError::Fault(e.to_string()))?;
+        // Dispatch hops: each part of the request travels from where it
+        // sits to the chosen node (the slot is already held, so awaiting
+        // here is safe).
+        for &(from, len) in route.sources {
+            self.hop(from, node, len).await?;
         }
 
         // The body's data plane originates from the execution node; its
@@ -626,16 +655,12 @@ impl KernelClient {
             ctx: self.ctx,
         });
         let (resp, ran_on) = runtime
-            .run_lease(lease, &image, &variant, req, body_client, self.ctx)
+            .run_lease(lease, image, &variant, req, body_client, self.ctx)
             .await?;
 
-        // Response hop back.
-        if ran_on != self.node {
-            self.inner()
-                .fabric
-                .transfer(ran_on, self.node, resp.body.len().max(64), Transport::Rdma)
-                .await
-                .map_err(|e| PcsiError::Fault(e.to_string()))?;
+        // Response hop.
+        if let Some(to) = route.reply_to {
+            self.hop(ran_on, to, resp.body.len()).await?;
         }
 
         self.inner().billing.charge_request(&self.account);
@@ -644,8 +669,38 @@ impl KernelClient {
             &variant.demand,
             std::time::Duration::from_nanos(resp.billed_ns),
         );
-        Ok(resp)
+        Ok((resp, ran_on))
     }
+
+    /// Moves an invocation body of `len` bytes between two nodes; free
+    /// when they are one node.
+    async fn hop(&self, from: NodeId, to: NodeId, len: usize) -> Result<(), PcsiError> {
+        if from != to {
+            self.inner()
+                .fabric
+                .transfer(from, to, len.max(64), Transport::Rdma)
+                .await
+                .map_err(|e| PcsiError::Fault(e.to_string()))?;
+        }
+        Ok(())
+    }
+}
+
+/// Where one invocation runs and how its bytes travel — what differs
+/// between a client's `invoke` and a stage of a task graph.
+pub(crate) struct Route<'a> {
+    /// The variant the caller names; `None` lets the optimizer choose
+    /// for the goal.
+    pub(crate) variant: Option<&'a str>,
+    /// The node a graph plan pins the instance to; `None` places it near
+    /// the caller.
+    pub(crate) pin: Option<NodeId>,
+    /// The request body's parts as `(node holding it, bytes)`: each part
+    /// not already on the execution node crosses the fabric to it.
+    pub(crate) sources: &'a [(NodeId, usize)],
+    /// Where the response body is sent; `None` leaves it on the execution
+    /// node, for the consuming stage's own dispatch to fetch.
+    pub(crate) reply_to: Option<NodeId>,
 }
 
 impl CloudInterface for KernelClient {
@@ -865,13 +920,7 @@ impl KernelClient {
                 // FIFO messages traverse the fabric to the queue's home
                 // (placement primary), so distance matters.
                 let home = self.inner().store.placement().primary(r.id());
-                if home != self.node {
-                    self.inner()
-                        .fabric
-                        .transfer(self.node, home, data.len().max(64), Transport::Rdma)
-                        .await
-                        .map_err(|e| PcsiError::Fault(e.to_string()))?;
-                }
+                self.hop(self.node, home, data.len()).await?;
                 // A subscribed queue is in push mode: the event fans out
                 // to subscribers instead of accumulating for poppers,
                 // and backpressure comes from the slowest credit window.
@@ -915,13 +964,7 @@ impl KernelClient {
             .ok_or(PcsiError::NotFound(r.id()))?;
         let msg = fifo.pop().await?;
         let home = self.inner().store.placement().primary(r.id());
-        if home != self.node {
-            self.inner()
-                .fabric
-                .transfer(home, self.node, msg.len().max(64), Transport::Rdma)
-                .await
-                .map_err(|e| PcsiError::Fault(e.to_string()))?;
-        }
+        self.hop(home, self.node, msg.len()).await?;
         self.kernel
             .update_meta(r.id(), |m| m.size = m.size.saturating_sub(1));
         Ok(msg)

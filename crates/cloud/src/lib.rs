@@ -21,7 +21,8 @@
 //! keys), [`build::CloudBuilder`] (one-call deployment), [`lab::Lab`]
 //! (the fixture every experiment, chaos scenario and integration test
 //! runs a deployment through), and [`pipelines`] (the Figure-2
-//! model-serving pipeline under three placement strategies).
+//! model-serving pipeline, submitted as separate invocations, as one
+//! task graph through [`graphs`], and as one fused function).
 
 pub mod billing;
 pub mod build;

@@ -1,42 +1,51 @@
-//! The Figure-2 model-serving pipeline under three placement strategies.
+//! The Figure-2 model-serving pipeline, submitted three ways.
 //!
 //! Figure 2: an HTTP-ingest function streams an image upload to a file, a
 //! GPU-enabled prediction function consumes the file plus widely
 //! replicated model weights, and a post-processing function completes the
 //! HTTP response through a FIFO.
 //!
-//! §4.1 describes the two implementations this module compares, plus the
-//! server baseline:
+//! [`ModelServing::deploy`] publishes the stages (and the fused server)
+//! as function objects under one namespace directory. §4.1's two
+//! implementations and the server baseline then differ only in **what
+//! the application submits** — never in a node this module picks:
 //!
 //! * [`Strategy::NaiveRemote`] — "send intermediate data from the
 //!   preprocessing function to remote storage before pulling it onto a
-//!   remote GPU": every stage lands wherever load balancing puts it, and
-//!   intermediates round-trip through the replicated store.
-//! * [`Strategy::Colocated`] — the task graph tells the scheduler the
-//!   stages compose, so the CPU stages run *on the GPU node* and
-//!   intermediate "data movement is reduced to a single `cudaMemcpy`".
-//! * [`Strategy::Monolithic`] — the classical dedicated server: one fused
-//!   process on the GPU node. The paper's claim is that co-located PCSI
-//!   "would achieve performance similar to a monolithic server-based
+//!   remote GPU": three unrelated `invoke`s, each placed on its own, the
+//!   intermediates handed over through store objects named in `inputs` /
+//!   `outputs`.
+//! * [`Strategy::Colocated`] — the same functions as one [`TaskGraph`]
+//!   through [`GraphExecutor`]: the graph says the stages compose, so its
+//!   planner finds the one node that fits them all (one with the
+//!   accelerator the inference variant demands), intermediates pass by
+//!   value, and "data movement is reduced to a single `cudaMemcpy`".
+//! * [`Strategy::Monolithic`] — the classical dedicated server, one
+//!   `invoke` of the fused function. The paper's claim is that co-located
+//!   PCSI "would achieve performance similar to a monolithic server-based
 //!   service" — E4 measures exactly that gap.
 //!
-//! Stage *compute* always runs through the FaaS runtime (isolation
-//! overheads, warm pools, variant speedups included); the *data path*
-//! between stages is what the strategy controls, and is charged through
-//! the fabric, the store, or the PCIe copy model below.
+//! The system charges everything (compute and isolation in the runtime,
+//! bodies and store traffic on the fabric, image loads in the kernel)
+//! but the PCIe copy: a modelled constant, charged by the body that
+//! feeds the accelerator.
 
+use std::collections::HashMap;
+use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_core::api::{CreateOptions, InvokeRequest};
-use pcsi_core::{CloudInterface, Consistency, Mutability, PcsiError, Reference};
-use pcsi_faas::function::{FunctionImage, Variant, WorkModel};
+use pcsi_core::{CloudInterface, Consistency, PcsiError, Reference};
+use pcsi_faas::function::{FnCtx, FunctionImage, Variant, WorkModel};
+use pcsi_faas::graph::TaskGraph;
 use pcsi_faas::isolation::Backend;
 use pcsi_metrics::Histogram;
 use pcsi_net::node::Resources;
-use pcsi_net::{NodeId, Transport};
+use pcsi_net::NodeId;
 
 use crate::build::Cloud;
+use crate::graphs::{GraphExecutor, StageBinding};
 use crate::kernel::KernelClient;
 
 /// PCIe 3.0 x16 effective bandwidth for host↔GPU copies.
@@ -49,25 +58,18 @@ pub(crate) fn cuda_memcpy(bytes: usize) -> Duration {
     CUDA_LAUNCH + Duration::from_nanos((bytes as u64).saturating_mul(1_000_000_000) / PCIE_BPS)
 }
 
-/// Placement/data-path strategy for the pipeline.
+/// What the application submits per request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// Spread stages, intermediates through the replicated store.
+    /// Three separate invocations, intermediates through the store.
     NaiveRemote,
-    /// Graph-aware: all stages on one GPU node, intermediates by PCIe/DRAM.
+    /// Graph-aware: one task graph, intermediates by value.
     Colocated,
     /// One fused server process on the GPU node.
     Monolithic,
 }
 
 impl Strategy {
-    /// All strategies, in E4 presentation order.
-    pub const ALL: [Strategy; 3] = [
-        Strategy::NaiveRemote,
-        Strategy::Colocated,
-        Strategy::Monolithic,
-    ];
-
     /// Row label for the report.
     pub fn label(self) -> &'static str {
         match self {
@@ -95,6 +97,86 @@ mod work {
     pub(crate) const POST: Duration = Duration::from_micros(500);
 }
 
+/// The prediction the inference stage returns (1 KiB).
+const PREDICTION: &[u8] = &[0u8; 1024];
+
+/// A stage's intermediate input: the store object the application named
+/// at `inputs[at]`, else the bytes passed by value.
+async fn handed_in(ctx: &FnCtx, at: usize) -> Result<Bytes, PcsiError> {
+    match ctx.inputs.get(at) {
+        Some(obj) => ctx.data.read(obj, 0, u64::MAX).await,
+        None => Ok(ctx.body.clone()),
+    }
+}
+
+/// A stage's intermediate output: written to the store object the
+/// application named at `outputs[0]`, else returned by value.
+async fn handed_on(ctx: &FnCtx, out: Bytes) -> Result<Bytes, PcsiError> {
+    match ctx.outputs.first() {
+        Some(obj) => ctx.data.write(obj, 0, out).await.map(|()| Bytes::new()),
+        None => Ok(out),
+    }
+}
+
+// The bodies charge their stage's abstract work and move their own data.
+
+async fn ingest(ctx: FnCtx) -> Result<Bytes, PcsiError> {
+    ctx.compute(work::ingest(ctx.body.len())).await;
+    handed_on(&ctx, ctx.body.clone()).await
+}
+
+/// `inputs[0]` is the weights, `inputs[1]` the upload if it was staged.
+async fn infer(ctx: FnCtx) -> Result<Bytes, PcsiError> {
+    let upload = handed_in(&ctx, 1).await?;
+    // "Data movement is reduced to a single cudaMemcpy".
+    ctx.handle.sleep(cuda_memcpy(upload.len())).await;
+    // Hits the node cache after the first pull — immutability makes that
+    // sound.
+    ctx.data.read(&ctx.inputs[0], 0, u64::MAX).await?;
+    ctx.compute(work::INFER).await;
+    // Result copy back from the device.
+    ctx.handle.sleep(cuda_memcpy(PREDICTION.len())).await;
+    handed_on(&ctx, Bytes::from_static(PREDICTION)).await
+}
+
+async fn post(ctx: FnCtx) -> Result<Bytes, PcsiError> {
+    let prediction = handed_in(&ctx, 0).await?;
+    ctx.compute(work::POST).await;
+    Ok(prediction)
+}
+
+/// The fused server: the upload by value, the weights resident.
+async fn monolith(ctx: FnCtx) -> Result<Bytes, PcsiError> {
+    // CPU-rate parts ignore the accelerator speedup; only the NN
+    // benefits from the GPU.
+    ctx.handle.sleep(work::ingest(ctx.body.len())).await;
+    ctx.compute(work::INFER).await;
+    ctx.handle.sleep(work::POST).await;
+    Ok(Bytes::from_static(PREDICTION))
+}
+
+/// An inference variant on one accelerator (`"gpu"` or `"tpu"`).
+fn accelerated(kind: &str, cpu: u32, speedup: f64) -> Variant {
+    let mut demand = Resources::cpu(cpu, 16);
+    match kind {
+        "tpu" => demand.tpu = 1,
+        _ => demand.gpu = 1,
+    }
+    Variant {
+        name: kind.to_owned(),
+        backend: Backend::MicroVm,
+        demand,
+        speedup,
+    }
+}
+
+/// A TPU variant of the inference stage (§4.3's accelerator swap).
+pub fn tpu_variant(speedup: f64) -> Variant {
+    accelerated("tpu", 2, speedup)
+}
+
+type Bindings = HashMap<usize, StageBinding>;
+
 /// Outcome of one pipeline run.
 #[derive(Debug)]
 pub struct PipelineReport {
@@ -110,168 +192,93 @@ pub struct PipelineReport {
 pub struct ModelServing {
     cloud: Cloud,
     client: KernelClient,
+    /// The namespace directory the functions are linked under by name.
+    root: Reference,
+    /// The function objects: the three stages in order, then the server.
+    fns: Vec<Reference>,
     weights: Reference,
-    ingest: FunctionImage,
+    /// The inference image as published, kept so a variant can be added.
     infer: FunctionImage,
-    post: FunctionImage,
-    monolith: FunctionImage,
-    gpu_nodes: Vec<NodeId>,
-    cpu_nodes: Vec<NodeId>,
-}
-
-fn gpu_variant(name: &str, speedup: f64) -> Variant {
-    Variant {
-        name: name.to_owned(),
-        backend: Backend::MicroVm,
-        demand: Resources {
-            cpu: 2,
-            gpu: 1,
-            tpu: 0,
-            mem_gib: 16,
-        },
-        speedup,
-    }
-}
-
-/// A TPU variant of the inference stage (§4.3's accelerator swap).
-pub fn tpu_variant(speedup: f64) -> Variant {
-    Variant {
-        name: "tpu".to_owned(),
-        backend: Backend::MicroVm,
-        demand: Resources {
-            cpu: 2,
-            gpu: 0,
-            tpu: 1,
-            mem_gib: 16,
-        },
-        speedup,
-    }
 }
 
 impl ModelServing {
     /// Deploys the application: stores the weights (immutable, so every
-    /// node's cache may hold them), builds the function images, registers
-    /// compute-only bodies.
+    /// node's cache may hold them), registers the bodies, publishes the
+    /// function objects and links them by name under one directory.
     ///
     /// `edge` is the node standing in for the front door the user's TCP
-    /// connection terminates at.
+    /// connection terminates at; every request is submitted from it.
     pub async fn deploy(
         cloud: &Cloud,
         edge: NodeId,
         weights_bytes: usize,
     ) -> Result<ModelServing, PcsiError> {
         let client = cloud.kernel.client(edge, "model-serving");
-        let weights = client
-            .create(CreateOptions {
-                kind: pcsi_core::ObjectKind::Regular,
-                mutability: Mutability::Immutable,
-                consistency: Consistency::Linearizable,
-                initial: Bytes::from(vec![0x57u8; weights_bytes]), // 'W'.
-                fifo_capacity: None,
-            })
-            .await?;
+        let weights = CreateOptions::immutable(vec![0x57u8; weights_bytes]) // 'W'.
+            .with_consistency(Consistency::Linearizable);
+        let weights = client.create(weights).await?;
 
-        // Bodies charge the stage's abstract work; the driver owns the
-        // data path (see the module docs).
         let kernel = &cloud.kernel;
-        kernel.register_body(
-            "ms-ingest",
-            std::rc::Rc::new(|ctx| {
-                Box::pin(async move {
-                    let n = body_len(&ctx.body);
-                    ctx.compute(work::ingest(n)).await;
-                    Ok(Bytes::new())
-                })
-            }),
-        );
-        kernel.register_body(
-            "ms-infer",
-            std::rc::Rc::new(|ctx| {
-                Box::pin(async move {
-                    ctx.compute(work::INFER).await;
-                    Ok(Bytes::from_static(b"prediction"))
-                })
-            }),
-        );
-        kernel.register_body(
-            "ms-post",
-            std::rc::Rc::new(|ctx| {
-                Box::pin(async move {
-                    ctx.compute(work::POST).await;
-                    Ok(ctx.body)
-                })
-            }),
-        );
-        kernel.register_body(
-            "ms-monolith",
-            std::rc::Rc::new(|ctx| {
-                Box::pin(async move {
-                    let n = body_len(&ctx.body);
-                    // CPU-rate parts ignore the accelerator speedup; only
-                    // the NN benefits from the GPU.
-                    ctx.handle.sleep(work::ingest(n)).await;
-                    ctx.compute(work::INFER).await;
-                    ctx.handle.sleep(work::POST).await;
-                    Ok(Bytes::from_static(b"prediction"))
-                })
-            }),
-        );
+        kernel.register_body("ms-ingest", Rc::new(|ctx| Box::pin(ingest(ctx))));
+        kernel.register_body("ms-infer", Rc::new(|ctx| Box::pin(infer(ctx))));
+        kernel.register_body("ms-post", Rc::new(|ctx| Box::pin(post(ctx))));
+        kernel.register_body("ms-monolith", Rc::new(|ctx| Box::pin(monolith(ctx))));
 
-        let ingest = FunctionImage {
-            name: "ms-ingest".into(),
-            work: WorkModel::fixed(work::ingest(0)),
-            variants: vec![Variant::cpu(2)],
-        };
-        let infer = FunctionImage {
-            name: "ms-infer".into(),
-            work: WorkModel::fixed(work::INFER),
-            variants: vec![Variant::cpu(8), gpu_variant("gpu", 12.0)],
-        };
-        let post = FunctionImage {
-            name: "ms-post".into(),
-            work: WorkModel::fixed(work::POST),
-            variants: vec![Variant::cpu(1)],
-        };
-        let monolith = FunctionImage {
-            name: "ms-monolith".into(),
-            work: WorkModel::fixed(work::INFER),
-            variants: vec![{
-                let mut v = gpu_variant("gpu", 12.0);
-                // The dedicated server owns the whole machine slice.
-                v.demand.cpu = 8;
-                v
-            }],
-        };
+        let image = |name, work, cores| FunctionImage::simple(name, WorkModel::fixed(work), cores);
+        let mut infer = image("ms-infer", work::INFER, 8);
+        infer.variants.push(accelerated("gpu", 2, 12.0));
+        // The dedicated server owns the whole machine slice.
+        let mut server = image("ms-monolith", work::INFER, 8);
+        server.variants = vec![accelerated("gpu", 8, 12.0)];
+        let ingest = image("ms-ingest", work::ingest(0), 2);
+        let post = image("ms-post", work::POST, 1);
+        let images = [ingest, infer.clone(), post, server];
 
-        let topo = cloud.fabric.topology();
-        let gpu_nodes = topo.nodes_where(|s| s.capacity.gpu > 0);
-        let cpu_nodes = topo.nodes_where(|s| s.capacity.gpu == 0 && s.capacity.tpu == 0);
-        if gpu_nodes.is_empty() || cpu_nodes.is_empty() {
-            return Err(PcsiError::Fault(
-                "model serving needs both CPU and GPU nodes".into(),
-            ));
+        let root = client.create(CreateOptions::directory()).await?;
+        let mut fns = Vec::new();
+        for image in &images {
+            let f = CreateOptions::function(image.encode());
+            let f = client.create(f).await?;
+            client.link(&root, &image.name, &f).await?;
+            fns.push(f);
         }
         Ok(ModelServing {
             cloud: cloud.clone(),
             client,
+            root,
+            fns,
             weights,
-            ingest,
             infer,
-            post,
-            monolith,
-            gpu_nodes,
-            cpu_nodes,
         })
     }
 
-    /// Adds an inference variant (e.g. [`tpu_variant`]) — the application
-    /// code is otherwise unchanged, which is the §4.3 point.
-    pub fn add_infer_variant(&mut self, v: Variant) {
+    /// Adds an inference variant (e.g. [`tpu_variant`]) by rewriting the
+    /// function object in place — the application code is otherwise
+    /// unchanged, which is the §4.3 point.
+    pub async fn add_infer_variant(&mut self, v: Variant) -> Result<(), PcsiError> {
         self.infer.variants.push(v);
+        let image = self.infer.encode();
+        self.client.write(&self.fns[1], 0, image).await
+    }
+
+    /// What the graph-aware application submits: the Figure-2 graph, its
+    /// inference stage naming `infer_variant`, the upload bound to the
+    /// first stage by value and the weights to the second by reference.
+    fn figure2(&self, infer_variant: &str, upload: Bytes) -> (TaskGraph, Bindings) {
+        let mut graph = TaskGraph::new();
+        let ingest = graph.add_stage("ms-ingest", None, vec![]);
+        let infer = graph.add_stage("ms-infer", Some(infer_variant), vec![ingest]);
+        graph.add_stage("ms-post", None, vec![infer]);
+        let mut bindings = Bindings::new();
+        bindings.entry(ingest).or_default().body = upload;
+        bindings.entry(infer).or_default().inputs = vec![self.weights.clone()];
+        (graph, bindings)
     }
 
     /// Runs `warmup + requests` sequential requests under `strategy`,
-    /// measuring the post-warmup ones.
+    /// measuring the post-warmup ones. `infer_variant` is what the
+    /// submitted graph names for its inference stage; a bare `invoke`
+    /// cannot name one and leaves the choice to the optimizer.
     pub async fn run(
         &self,
         strategy: Strategy,
@@ -280,13 +287,24 @@ impl ModelServing {
         upload_bytes: usize,
         infer_variant: &str,
     ) -> Result<PipelineReport, PcsiError> {
+        let upload = Bytes::from(vec![0x55u8; upload_bytes]);
+        // Names are resolved once, as a long-running front end would.
+        let (graph, bindings) = self.figure2(infer_variant, upload.clone());
+        let exec = GraphExecutor::from_namespace(self.client.clone(), &self.root, &graph).await?;
+
         let latency = Histogram::new();
         let h = self.cloud.fabric.handle().clone();
         let bytes_before = self.cloud.fabric.bytes_moved();
         for i in 0..(warmup + requests) {
             let t0 = h.now();
-            self.serve_one(strategy, upload_bytes, infer_variant, i)
-                .await?;
+            match strategy {
+                Strategy::NaiveRemote => self.serve_naive(upload.clone()).await?,
+                Strategy::Colocated => exec.execute(&graph, &bindings).await.map(drop)?,
+                Strategy::Monolithic => {
+                    let req = InvokeRequest::with_body(upload.clone());
+                    self.client.invoke(&self.fns[3], req).await.map(drop)?
+                }
+            }
             if i >= warmup {
                 latency.record_duration(h.now() - t0);
             }
@@ -299,189 +317,28 @@ impl ModelServing {
         })
     }
 
-    async fn serve_one(
-        &self,
-        strategy: Strategy,
-        upload_bytes: usize,
-        infer_variant: &str,
-        seq: u64,
-    ) -> Result<(), PcsiError> {
-        let edge = self.client.node();
-        let fabric = &self.cloud.fabric;
-        let runtime = &self.cloud.runtime;
-        let infer_v = self
-            .infer
-            .variant(infer_variant)
-            .ok_or_else(|| PcsiError::NoViableVariant(infer_variant.to_owned()))?
-            .clone();
-        // Pick the accelerator node hosting this variant's hardware.
-        let accel_nodes: Vec<NodeId> = if infer_v.demand.tpu > 0 {
-            self.cloud
-                .fabric
-                .topology()
-                .nodes_where(|s| s.capacity.tpu > 0)
-        } else if infer_v.demand.gpu > 0 {
-            self.gpu_nodes.clone()
-        } else {
-            self.cpu_nodes.clone()
-        };
-        // Pin the accelerator node for the whole run: rotating would
-        // re-pay cold starts and weight pulls on every request and mask
-        // the data-path difference the experiment isolates.
-        let _ = seq;
-        let accel = accel_nodes[0];
-        let body = Bytes::from((upload_bytes as u64).to_le_bytes().to_vec());
-        let data = std::rc::Rc::new(self.client.clone());
-
-        match strategy {
-            Strategy::Monolithic => {
-                // Ingress straight to the server; one fused invocation.
-                transfer(fabric, edge, accel, upload_bytes).await?;
-                let v = self.monolith.variants[0].clone();
-                runtime
-                    .invoke_on(&self.monolith, &v, accel, req(body), data)
-                    .await?;
-                transfer(fabric, accel, edge, 1024).await?;
-            }
-            Strategy::Colocated => {
-                // All stages on the accelerator node (the task graph says
-                // they compose): ingress once, then PCIe/DRAM handoffs.
-                transfer(fabric, edge, accel, upload_bytes).await?;
-                let vi = self.ingest.variants[0].clone();
-                runtime
-                    .invoke_on(&self.ingest, &vi, accel, req(body.clone()), data.clone())
-                    .await?;
-                // "Data movement is reduced to a single cudaMemcpy".
-                fabric.handle().sleep(cuda_memcpy(upload_bytes)).await;
-                self.read_weights(accel).await?;
-                runtime
-                    .invoke_on(
-                        &self.infer,
-                        &infer_v,
-                        accel,
-                        req(body.clone()),
-                        data.clone(),
-                    )
-                    .await?;
-                // Result copy back from the device.
-                fabric.handle().sleep(cuda_memcpy(1024)).await;
-                let vp = self.post.variants[0].clone();
-                runtime
-                    .invoke_on(&self.post, &vp, accel, req(body), data)
-                    .await?;
-                transfer(fabric, accel, edge, 1024).await?;
-            }
-            Strategy::NaiveRemote => {
-                // Stages land wherever; intermediates round-trip through
-                // the replicated store.
-                // Fixed CPU nodes (warm after the first request): the
-                // naive penalty must come from data movement, not from
-                // instance churn.
-                let ingest_node = self.cpu_nodes[0];
-                let post_node = self.cpu_nodes[1 % self.cpu_nodes.len()];
-
-                transfer(fabric, edge, ingest_node, upload_bytes).await?;
-                let vi = self.ingest.variants[0].clone();
-                runtime
-                    .invoke_on(
-                        &self.ingest,
-                        &vi,
-                        ingest_node,
-                        req(body.clone()),
-                        data.clone(),
-                    )
-                    .await?;
-                // Upload file to remote storage (eventual, per Figure 2's
-                // uploads archive)...
-                let upload_obj = self
-                    .client_at(ingest_node)
-                    .create(
-                        CreateOptions::regular()
-                            // Strong consistency: the GPU stage must see
-                            // the upload immediately from another node.
-                            .with_consistency(Consistency::Linearizable)
-                            .with_initial(Bytes::from(vec![0x55u8; upload_bytes])),
-                    )
-                    .await?;
-                // ...pulled onto the GPU node.
-                let (_m, _d) = {
-                    let c = self.client_at(accel);
-                    let d = CloudInterface::read(&c, &upload_obj, 0, u64::MAX).await?;
-                    ((), d)
-                };
-                fabric.handle().sleep(cuda_memcpy(upload_bytes)).await;
-                self.read_weights(accel).await?;
-                runtime
-                    .invoke_on(
-                        &self.infer,
-                        &infer_v,
-                        accel,
-                        req(body.clone()),
-                        data.clone(),
-                    )
-                    .await?;
-                fabric.handle().sleep(cuda_memcpy(1024)).await;
-                // Result object to storage, read by the post stage.
-                let result_obj = self
-                    .client_at(accel)
-                    .create(
-                        CreateOptions::regular()
-                            .with_consistency(Consistency::Linearizable)
-                            .with_initial(Bytes::from(vec![0u8; 1024])),
-                    )
-                    .await?;
-                let c = self.client_at(post_node);
-                CloudInterface::read(&c, &result_obj, 0, u64::MAX).await?;
-                let vp = self.post.variants[0].clone();
-                runtime
-                    .invoke_on(&self.post, &vp, post_node, req(body), data)
-                    .await?;
-                transfer(fabric, post_node, edge, 1024).await?;
-                // Ephemeral intermediates are deleted (GC would otherwise
-                // reclaim them; deleting keeps the store small during
-                // long benchmark runs).
-                self.client_at(ingest_node).delete(&upload_obj).await?;
-                self.client_at(accel).delete(&result_obj).await?;
-            }
-        }
-        Ok(())
+    /// One request as three unrelated invocations: the application
+    /// stages the upload and the prediction in store objects it creates
+    /// for the request and names in `inputs` / `outputs`.
+    async fn serve_naive(&self, upload: Bytes) -> Result<(), PcsiError> {
+        let (c, fns) = (&self.client, &self.fns);
+        // Strong consistency: the next stage must see the object
+        // immediately from another node.
+        let scratch = || CreateOptions::regular().with_consistency(Consistency::Linearizable);
+        let (staged, prediction) = (c.create(scratch()).await?, c.create(scratch()).await?);
+        let ingest = InvokeRequest::with_body(upload).output(staged.clone());
+        c.invoke(&fns[0], ingest).await?;
+        let infer = InvokeRequest::default().input(self.weights.clone());
+        let infer = infer.input(staged.clone()).output(prediction.clone());
+        c.invoke(&fns[1], infer).await?;
+        let post = InvokeRequest::default().input(prediction.clone());
+        c.invoke(&fns[2], post).await?;
+        // Ephemeral intermediates are deleted (GC would otherwise
+        // reclaim them; deleting keeps the store small during long
+        // benchmark runs).
+        c.delete(&staged).await?;
+        c.delete(&prediction).await
     }
-
-    /// Reads the model weights at `node` (hits the node cache after the
-    /// first pull — immutability makes that sound).
-    async fn read_weights(&self, node: NodeId) -> Result<(), PcsiError> {
-        let c = self.client_at(node);
-        CloudInterface::read(&c, &self.weights, 0, u64::MAX).await?;
-        Ok(())
-    }
-
-    fn client_at(&self, node: NodeId) -> KernelClient {
-        self.cloud.kernel.client(node, "model-serving")
-    }
-}
-
-fn req(body: Bytes) -> InvokeRequest {
-    InvokeRequest::with_body(body)
-}
-
-fn body_len(body: &Bytes) -> usize {
-    body.as_ref()
-        .try_into()
-        .map(u64::from_le_bytes)
-        .unwrap_or(0) as usize
-}
-
-async fn transfer(
-    fabric: &pcsi_net::Fabric,
-    from: NodeId,
-    to: NodeId,
-    bytes: usize,
-) -> Result<(), PcsiError> {
-    fabric
-        .transfer(from, to, bytes, Transport::Tcp)
-        .await
-        .map(|_| ())
-        .map_err(|e| PcsiError::Fault(e.to_string()))
 }
 
 /// Convenience for experiments: deploy on a cloud and run all three
@@ -496,11 +353,14 @@ pub async fn compare_strategies(
 ) -> Result<Vec<PipelineReport>, PcsiError> {
     let app = ModelServing::deploy(cloud, edge, weights_bytes).await?;
     let mut out = Vec::new();
-    for strategy in Strategy::ALL {
-        out.push(
-            app.run(strategy, warmup, requests, upload_bytes, "gpu")
-                .await?,
-        );
+    // E4 presentation order.
+    for strategy in [
+        Strategy::NaiveRemote,
+        Strategy::Colocated,
+        Strategy::Monolithic,
+    ] {
+        let report = app.run(strategy, warmup, requests, upload_bytes, "gpu");
+        out.push(report.await?);
     }
     Ok(out)
 }
@@ -567,7 +427,7 @@ mod tests {
                 .await
                 .unwrap();
             // §4.3: drop in a TPU variant; nothing else changes.
-            app.add_infer_variant(tpu_variant(40.0));
+            app.add_infer_variant(tpu_variant(40.0)).await.unwrap();
             let tpu = app
                 .run(Strategy::Colocated, 2, 5, 1 << 20, "tpu")
                 .await
@@ -578,5 +438,38 @@ mod tests {
             tpu_mean < gpu_mean,
             "tpu {tpu_mean} should beat gpu {gpu_mean}"
         );
+    }
+
+    /// The experiment cannot regress into a script: the planner, not this
+    /// module, puts the graph-aware run's three stages on one node, and
+    /// that node holds the accelerator the named variant demands.
+    #[test]
+    fn the_planner_finds_the_accelerator_node() {
+        let mut sim = Sim::new(23);
+        let h = sim.handle();
+        sim.block_on(async move {
+            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+            let mut app = ModelServing::deploy(&cloud, NodeId(0), 16 << 20)
+                .await
+                .unwrap();
+            app.add_infer_variant(tpu_variant(40.0)).await.unwrap();
+            for variant in ["gpu", "tpu"] {
+                let upload = Bytes::from(vec![0x55u8; 1 << 20]);
+                let (graph, bindings) = app.figure2(variant, upload);
+                let exec = GraphExecutor::from_namespace(app.client.clone(), &app.root, &graph)
+                    .await
+                    .unwrap();
+                let run = exec.execute(&graph, &bindings).await.unwrap();
+                assert_eq!(run.stages.len(), 3);
+                let node = run.stages[0].node;
+                assert!(run.stages.iter().all(|s| s.node == node), "{run:?}");
+                let capacity = cloud.fabric.topology().spec(node).capacity;
+                let accelerators = match variant {
+                    "gpu" => capacity.gpu,
+                    _ => capacity.tpu,
+                };
+                assert!(accelerators > 0, "{variant} ran on {node} ({capacity:?})");
+            }
+        });
     }
 }

@@ -4,7 +4,7 @@
 //! graphs, which opens up optimization opportunities such as pipelining
 //! or physical co-location." A [`TaskGraph`] names its stages (function
 //! images) and their data dependencies. The structure is declarative —
-//! execution lives in the kernel (`pcsi-cloud::pipelines`) — but the
+//! execution lives in the kernel (`pcsi-cloud::graphs`) — but the
 //! analyses the scheduler needs are here: validation, topological order,
 //! and co-location grouping.
 

@@ -385,35 +385,23 @@ impl Runtime {
             };
             choose_variant(image, req.body.len(), goal, warm)?.clone()
         };
-        self.invoke_variant(image, &variant, req, data, hint).await
+        let lease = self.reserve_placed(image, &variant, hint)?;
+        self.run_lease(lease, image, &variant, req, data, None)
+            .await
     }
 
-    /// Invokes a specific variant with placement.
-    pub async fn invoke_variant(
-        &self,
-        image: &FunctionImage,
-        variant: &Variant,
-        req: InvokeRequest,
-        data: Rc<dyn DataPlane>,
-        hint: Option<NodeId>,
-    ) -> Result<(InvokeResponse, NodeId), PcsiError> {
-        let lease = self.reserve_placed(image, variant, hint)?;
-        self.run_lease(lease, image, variant, req, data, None).await
-    }
-
-    /// Invokes a specific variant on a specific node (graph executors use
-    /// this for explicit co-location).
-    pub async fn invoke_on(
+    /// Reserves an instance slot of `variant` on `node` and nowhere else
+    /// (a graph plan's co-location): the node's warm instance if it has
+    /// one, else a cold boot there. Counts as an arrival for the
+    /// autoscaler like [`Runtime::reserve_placed`].
+    pub fn reserve_on(
         &self,
         image: &FunctionImage,
         variant: &Variant,
         node: NodeId,
-        req: InvokeRequest,
-        data: Rc<dyn DataPlane>,
-    ) -> Result<(InvokeResponse, NodeId), PcsiError> {
+    ) -> Result<Lease, PcsiError> {
         self.note_arrival(image, variant);
-        let lease = self.reserve_classed(image, variant, node, false)?;
-        self.run_lease(lease, image, variant, req, data, None).await
+        self.reserve_classed(image, variant, node, false)
     }
 
     /// Reserves an instance slot on `node` **synchronously**: a warm
@@ -1223,8 +1211,9 @@ mod tests {
             async move {
                 let img = image();
                 let variant = img.variant("cpu").unwrap().clone();
+                let lease = rt.reserve_on(&img, &variant, NodeId(3)).unwrap();
                 let (_, node) = rt
-                    .invoke_on(&img, &variant, NodeId(3), request(), Rc::new(NoData))
+                    .run_lease(lease, &img, &variant, request(), Rc::new(NoData), None)
                     .await
                     .unwrap();
                 node

@@ -174,7 +174,10 @@ fn run_seed(seed: u64) {
                                 );
                                 let node = NodeId(rng.gen_range(0..4) as u32);
                                 let variant = img.variant("cpu").unwrap().clone();
-                                let _ = rt.invoke_on(&img, &variant, node, req, data).await;
+                                if let Ok(lease) = rt.reserve_on(&img, &variant, node) {
+                                    let _ =
+                                        rt.run_lease(lease, &img, &variant, req, data, None).await;
+                                }
                             }
                         }
                     }

@@ -117,14 +117,6 @@ impl Topology {
             HopClass::CrossRack
         }
     }
-
-    /// Nodes whose spec satisfies `pred`.
-    pub fn nodes_where(&self, pred: impl Fn(&NodeSpec) -> bool) -> Vec<NodeId> {
-        self.iter()
-            .filter(|(_, s)| pred(s))
-            .map(|(id, _)| id)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -151,14 +143,15 @@ mod tests {
     fn heterogeneous_pools() {
         let t = Topology::heterogeneous(2, 3);
         assert_eq!(t.len(), 2 * 3 + 3 + 3);
-        let gpus = t.nodes_where(|s| s.capacity.gpu > 0);
-        let tpus = t.nodes_where(|s| s.capacity.tpu > 0);
+        let with = |has: fn(&NodeSpec) -> bool| -> Vec<&NodeSpec> {
+            t.iter().map(|(_, s)| s).filter(|s| has(s)).collect()
+        };
+        let gpus = with(|s| s.capacity.gpu > 0);
+        let tpus = with(|s| s.capacity.tpu > 0);
         assert_eq!(gpus.len(), 3);
         assert_eq!(tpus.len(), 3);
         // Accelerator racks are distinct racks.
-        let gpu_rack = t.spec(gpus[0]).rack;
-        let tpu_rack = t.spec(tpus[0]).rack;
-        assert_ne!(gpu_rack, tpu_rack);
+        assert_ne!(gpus[0].rack, tpus[0].rack);
     }
 
     #[test]

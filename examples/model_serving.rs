@@ -13,7 +13,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use pcsi_cloud::pipelines::{compare_strategies, Strategy};
+use pcsi_cloud::pipelines::compare_strategies;
 use pcsi_cloud::CloudBuilder;
 use pcsi_core::api::{CreateOptions, InvokeRequest};
 use pcsi_core::{CloudInterface, Consistency, Mutability, ObjectKind, Rights};
@@ -269,6 +269,5 @@ fn main() {
             100.0 * colo / mono,
             naive / colo
         );
-        let _ = Strategy::ALL;
     });
 }
