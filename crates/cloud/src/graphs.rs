@@ -442,8 +442,7 @@ mod tests {
     }
 
     /// The executor is not a way around the capability check: a name that
-    /// conveys no INVOKE right runs nothing (it ran before PR 22, when
-    /// the executor read the image itself and called the runtime).
+    /// conveys no INVOKE right fails the submission, and nothing runs.
     #[test]
     fn a_stage_needs_invoke_rights() {
         use pcsi_core::Rights;
@@ -475,7 +474,7 @@ mod tests {
     }
 
     /// A stage is a kernel invocation: billed to the submitter's account
-    /// and counted as one `invoke` op (neither happened before PR 22).
+    /// and counted as one `invoke` op.
     #[test]
     fn a_graph_run_is_billed_and_counted() {
         let mut sim = Sim::new(67);
@@ -509,9 +508,8 @@ mod tests {
 
     /// A group whose stages are all warm on one node stays there even
     /// when that node could not fit the group a second time: the plan
-    /// asks for no capacity the warm instances already hold. (E4's
-    /// script pinned its node by hand and so never met this: on the
-    /// 8-core TPU nodes every request moved on and booted cold.)
+    /// asks for no capacity the warm instances already hold. (E4 on
+    /// the 8-core TPU nodes is such a case: 5 cores warm, 5 more asked.)
     #[test]
     fn a_warm_group_stays_on_its_node() {
         let mut sim = Sim::new(68);
