@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Deterministic chaos testing for the RESTless cloud.
 //!
 //! The paper's consistency menu (§2.1) is a contract: `Linearizable`

@@ -432,8 +432,8 @@ impl KernelClient {
         }
     }
 
-    /// Loads and decodes a directory object.
-    async fn load_dir(&self, id: ObjectId, meta: &ObjectMeta) -> Result<Directory, PcsiError> {
+    /// The stored bytes of a directory object.
+    async fn read_dir(&self, id: ObjectId, meta: &ObjectMeta) -> Result<Bytes, PcsiError> {
         if meta.kind != ObjectKind::Directory {
             return Err(PcsiError::WrongKind {
                 id,
@@ -441,8 +441,12 @@ impl KernelClient {
                 actual: meta.kind.name(),
             });
         }
-        let bytes = self.read_raw(id, meta).await?;
-        Directory::decode(&bytes)
+        self.read_raw(id, meta).await
+    }
+
+    /// Loads and decodes a directory object.
+    async fn load_dir(&self, id: ObjectId, meta: &ObjectMeta) -> Result<Directory, PcsiError> {
+        Directory::decode(&self.read_dir(id, meta).await?)
     }
 
     /// Persists a directory object (directories are linearizable).
@@ -1046,8 +1050,10 @@ impl KernelClient {
             let mut found = None;
             for layer in stack {
                 let meta = self.kernel.check(layer, Rights::READ)?;
-                let dir = self.load_dir(layer.id(), &meta).await?;
-                let Some(entry) = dir.get(seg) else { continue };
+                let dir = self.read_dir(layer.id(), &meta).await?;
+                let Some(entry) = Directory::find(&dir, seg)? else {
+                    continue;
+                };
                 if !entry.whiteout {
                     let gen = {
                         let meta = self.inner().meta.borrow();

@@ -51,7 +51,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// A decoder by name; `true` when it accepted the input.
 type Decoder = (&'static str, fn(&Bytes) -> bool);
 
-const DECODERS: [Decoder; 8] = [
+const DECODERS: [Decoder; 9] = [
     ("store request", |b| wire::decode_request(b).is_ok()),
     ("store traced request", |b| {
         wire::decode_request_traced(b).is_ok()
@@ -61,6 +61,7 @@ const DECODERS: [Decoder; 8] = [
     ("stream reply", |b| frame::decode_stream_reply(b).is_ok()),
     ("function image", |b| FunctionImage::decode(b).is_ok()),
     ("directory", |b| Directory::decode(b).is_ok()),
+    ("directory find", |b| Directory::find(b, "a").is_ok()),
     ("value", |b| binary::decode(b).is_ok()),
 ];
 
@@ -132,6 +133,7 @@ fn frames() -> Vec<(&'static str, Bytes, Vec<usize>)> {
         // [name_len 2]["f"][fixed 8][per_byte 8] | count.
         ("function image", image.encode(), vec![19]),
         ("directory", dir.encode(), vec![0]),
+        ("directory find", dir.encode(), vec![0]),
     ]
 }
 

@@ -158,25 +158,53 @@ impl Directory {
 
     /// Deserializes from bytes produced by [`Directory::encode`].
     pub fn decode(bytes: &[u8]) -> Result<Directory, PcsiError> {
-        Self::read(bytes).map_err(|e| PcsiError::BadPayload(format!("directory decode: {e}")))
+        Self::read(bytes).map_err(bad_frame)
     }
 
     fn read(bytes: &[u8]) -> Result<Directory, DecodeError> {
-        let mut r = Reader::over(bytes);
         let mut entries = BTreeMap::new();
+        Self::scan(bytes, |name, entry| {
+            entries.insert(name.to_owned(), entry);
+        })?;
+        Ok(Directory { entries })
+    }
+
+    /// The entry `name` has in the encoded directory `bytes`: what
+    /// `decode(bytes)?.get(name)` returns, error for error, read off the
+    /// frame without building the map. The whole frame is validated, and
+    /// of two entries under one name the later one counts, as it does in
+    /// the map.
+    pub fn find(bytes: &[u8], name: &str) -> Result<Option<DirEntry>, PcsiError> {
+        let mut found = None;
+        Self::scan(bytes, |entry_name, entry| {
+            if entry_name == name {
+                found = Some(entry);
+            }
+        })
+        .map_err(bad_frame)?;
+        Ok(found)
+    }
+
+    /// Walks the entries of an encoded directory in frame order.
+    fn scan(bytes: &[u8], mut visit: impl FnMut(&str, DirEntry)) -> Result<(), DecodeError> {
+        let mut r = Reader::over(bytes);
         // An entry is at least an empty name, the id and the two flags.
         for _ in 0..r.count(Prefix::U32, 2 + 16 + 2)? {
-            let name = r.str(Prefix::U16)?;
+            let len = r.count(Prefix::U16, 1)?;
+            let name = std::str::from_utf8(r.take(len)?).map_err(|_| DecodeError::BadUtf8)?;
             let entry = DirEntry {
                 id: ObjectId::from_u128(r.u128()?),
                 rights: Rights::from_bits(r.u8()?),
                 whiteout: r.u8()? != 0,
             };
-            entries.insert(name, entry);
+            visit(name, entry);
         }
-        r.finish()?;
-        Ok(Directory { entries })
+        r.finish()
     }
+}
+
+fn bad_frame(e: DecodeError) -> PcsiError {
+    PcsiError::BadPayload(format!("directory decode: {e}"))
 }
 
 impl fmt::Display for Directory {
@@ -275,11 +303,40 @@ mod tests {
         let wire = d.encode();
         for cut in 1..wire.len() {
             assert!(Directory::decode(&wire[..cut]).is_err(), "cut {cut}");
+            assert!(Directory::find(&wire[..cut], "a").is_err(), "cut {cut}");
         }
         let mut extra = wire.to_vec();
         extra.push(0);
         assert!(Directory::decode(&extra).is_err());
+        // The name is found before the stray byte is: refused all the same.
+        assert!(Directory::find(&extra, "a").is_err());
         assert!(Directory::decode(&[]).is_err());
+    }
+
+    #[test]
+    fn find_reads_one_entry_and_the_later_of_two_wins() {
+        let mut d = Directory::new();
+        d.link("a", DirEntry::new(oid(1), Rights::READ)).unwrap();
+        d.relink("gone", DirEntry::whiteout()).unwrap();
+        let wire = d.encode();
+        assert_eq!(Directory::find(&wire, "a").unwrap(), d.get("a").copied());
+        assert!(Directory::find(&wire, "gone").unwrap().unwrap().whiteout);
+        assert_eq!(Directory::find(&wire, "b").unwrap(), None);
+
+        // `encode` never repeats a name; a frame that does decodes to
+        // the map's last insert.
+        let mut w = Writer::with_capacity(64);
+        w.count(Prefix::U32, 2);
+        for (id, rights) in [(oid(1), Rights::READ), (oid(2), Rights::ALL)] {
+            w.str(Prefix::U16, "a");
+            w.u128(id.as_u128());
+            w.u8(rights.bits());
+            w.u8(0);
+        }
+        let twice = w.finish();
+        let later = DirEntry::new(oid(2), Rights::ALL);
+        assert_eq!(Directory::find(&twice, "a").unwrap(), Some(later));
+        assert_eq!(Directory::decode(&twice).unwrap().get("a"), Some(&later));
     }
 
     #[test]

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # pcsi-fs — "everything is a file" (§3.2)
 //!

@@ -22,6 +22,43 @@ fn arb_entry() -> impl Strategy<Value = DirEntry> {
     })
 }
 
+/// An encoded directory as anyone could have written it: names drawn
+/// from a small pool so they repeat, names that are not UTF-8, then
+/// possibly cut short or followed by stray bytes.
+fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
+    use pcsi_proto::binary::{Prefix, Writer};
+
+    let pooled = || "[ab]{1,2}".prop_map(String::into_bytes);
+    let name = prop_oneof![
+        pooled(),
+        pooled(),
+        pooled(),
+        pooled(),
+        pooled(),
+        arb_name().prop_map(String::into_bytes),
+        Just(Vec::new()),
+        Just(vec![0xC3, 0x28]),
+    ];
+    let entries = proptest::collection::vec((name, arb_entry()), 0..8);
+    (entries, 0usize..8, any::<u16>()).prop_map(|(entries, damage, at)| {
+        let mut w = Writer::with_capacity(64);
+        w.count(Prefix::U32, entries.len());
+        for (name, e) in &entries {
+            w.bytes(Prefix::U16, name);
+            w.u128(e.id.as_u128());
+            w.u8(e.rights.bits());
+            w.u8(u8::from(e.whiteout));
+        }
+        let mut frame = w.finish().to_vec();
+        match damage {
+            0 => frame.truncate(at as usize % (frame.len() + 1)),
+            1 => frame.extend_from_slice(&at.to_le_bytes()),
+            _ => {}
+        }
+        frame
+    })
+}
+
 fn arb_dir() -> impl Strategy<Value = Directory> {
     proptest::collection::btree_map(arb_name(), arb_entry(), 0..12).prop_map(|m| {
         let mut d = Directory::new();
@@ -42,6 +79,18 @@ proptest! {
     #[test]
     fn directory_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = Directory::decode(&bytes);
+    }
+
+    /// `find` reads one entry off the frame; `decode` + `get` is what it
+    /// stands in for. Same entry, same refusal, on frames whole, cut
+    /// short, overlong, with repeated names and with bad UTF-8.
+    #[test]
+    fn find_is_decode_then_get(
+        frame in arb_frame(),
+        name in prop_oneof!["[ab]{1,2}", "[ab]{1,2}", "[ab]{1,2}", arb_name()],
+    ) {
+        let by_map = Directory::decode(&frame).map(|d| d.get(&name).copied());
+        prop_assert_eq!(Directory::find(&frame, &name), by_map);
     }
 
     #[test]

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Deterministic metrics for the simulated cloud.
 //!
 //! A [`Metrics`] registry holds typed families of [`Counter`]s,

@@ -15,17 +15,20 @@
 use fxhash::{FxHashMap, FxHashSet};
 use std::cell::{OnceCell, RefCell};
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_metrics::{Counter, Histogram, Metrics};
 use pcsi_sim::executor::LocalBoxFuture;
-use pcsi_sim::{SimHandle, SimTime};
+use pcsi_sim::{SimHandle, SimTime, TimerEvent};
 
 use crate::latency::LatencyModel;
 use crate::node::NodeId;
-use crate::topology::Topology;
+use crate::topology::{HopClass, Topology};
 
 /// Table 1: "Socket overhead — 5,000 ns", charged per TCP-like endpoint.
 pub const SOCKET_OVERHEAD: Duration = Duration::from_nanos(5_000);
@@ -165,6 +168,10 @@ struct State {
     /// `deliver` makes zero fault-RNG draws, so enabling the machinery
     /// costs nothing for fault-free runs.
     faults_armed: bool,
+    /// Messages in flight, by slab slot: a slot is taken when a message
+    /// first has to wait and is the token of the events that move it.
+    hops: Vec<Option<Hop>>,
+    free_hops: Vec<usize>,
 }
 
 impl State {
@@ -172,6 +179,77 @@ impl State {
         self.faults_armed =
             self.default_faults.active() || self.link_faults.values().any(MessageFaults::active);
     }
+
+    fn park(&mut self, hop: Hop) -> usize {
+        match self.free_hops.pop() {
+            Some(slot) => {
+                self.hops[slot] = Some(hop);
+                slot
+            }
+            None => {
+                self.hops.push(Some(hop));
+                self.hops.len() - 1
+            }
+        }
+    }
+
+    fn hop(&mut self, slot: usize) -> &mut Hop {
+        self.hops[slot]
+            .as_mut()
+            .expect("a message in flight holds its slot")
+    }
+
+    fn release(&mut self, slot: usize) {
+        self.hops[slot] = None;
+        self.free_hops.push(slot);
+    }
+}
+
+/// The message a delivery moves.
+#[derive(Clone, Copy)]
+struct Message {
+    from: NodeId,
+    to: NodeId,
+    bytes: usize,
+    transport: Transport,
+}
+
+/// What a message does next, once the wait before it is over.
+#[derive(Clone, Copy)]
+enum Stage {
+    /// Reachability, the counters, the fault draws.
+    Start,
+    /// The sender's endpoint overhead.
+    Send,
+    /// The sender's NIC queue: serialize behind what is queued.
+    Egress,
+    /// The wire, with its jitter draw.
+    Propagate,
+    /// Reachability again, then the receiver's endpoint overhead.
+    Receive,
+    /// Delivered.
+    Arrive,
+    /// Lost: the sender has sat out the retransmission timeout.
+    GiveUp,
+}
+
+/// Where [`FabricInner::advance`] left a message.
+enum Step {
+    /// Nothing happens before this instant; then the stage runs.
+    Wait(SimTime, Stage),
+    Done(Result<(), NetError>),
+}
+
+/// One message in flight.
+struct Hop {
+    msg: Message,
+    /// What the pending event does.
+    next: Stage,
+    /// The task awaiting the delivery; `None` once it has dropped the
+    /// future, and the message then stops at its next stage.
+    waiter: Option<Waker>,
+    /// Set on arrival or failure, for the woken task to collect.
+    outcome: Option<Result<(), NetError>>,
 }
 
 /// The shared message fabric. Cheap to clone.
@@ -221,6 +299,8 @@ impl Fabric {
                     default_faults: MessageFaults::NONE,
                     link_faults: FxHashMap::default(),
                     faults_armed: false,
+                    hops: Vec::new(),
+                    free_hops: Vec::new(),
                 }),
                 messages: Counter::new(),
                 bytes: Counter::new(),
@@ -377,104 +457,34 @@ impl Fabric {
         self.inner.delayed.get()
     }
 
-    /// The fault probabilities in force on the link `from -> to`, or
-    /// `NONE` when no fault is armed anywhere (the common case; no RNG
-    /// draws happen then).
-    fn faults_for(&self, from: NodeId, to: NodeId) -> MessageFaults {
-        let s = self.inner.state.borrow();
-        if !s.faults_armed || from == to {
-            return MessageFaults::NONE;
-        }
-        s.link_faults
-            .get(&ordered(from, to))
-            .copied()
-            .unwrap_or(s.default_faults)
-    }
-
-    fn check_reachable(&self, from: NodeId, to: NodeId) -> Result<(), NetError> {
-        let s = self.inner.state.borrow();
-        if s.down.contains(&to) {
-            return Err(NetError::NodeDown(to));
-        }
-        if s.down.contains(&from) {
-            return Err(NetError::NodeDown(from));
-        }
-        if s.blocked.contains(&ordered(from, to)) {
-            return Err(NetError::Partitioned(from, to));
-        }
-        Ok(())
-    }
-
-    /// Delivers one message worth of delay: transport overhead, egress
-    /// queueing, propagation. Local messages skip the NIC entirely.
-    async fn deliver(
+    /// One message's worth of delay — transport overhead, egress
+    /// queueing, propagation — or the fault that ends it. Local messages
+    /// skip the NIC entirely. The awaiting task is polled twice: to
+    /// start the message and to collect its outcome.
+    fn deliver(
         &self,
         from: NodeId,
         to: NodeId,
         bytes: usize,
         transport: Transport,
-    ) -> Result<(), NetError> {
-        self.check_reachable(from, to)?;
-        let h = &self.inner.handle;
-        self.inner.messages.incr();
-        self.inner.bytes.add(bytes as u64);
-        if let Some(h) = self.inner.msg_bytes.get() {
-            h.record(bytes as u64);
+    ) -> Delivery<'_> {
+        Delivery {
+            fabric: &self.inner,
+            msg: Message {
+                from,
+                to,
+                bytes,
+                transport,
+            },
+            slot: None,
         }
+    }
 
-        let hop = self.inner.topology.hop_class(from, to);
-        if hop == crate::topology::HopClass::Local {
-            // Same machine: no NIC, no propagation; charge endpoint
-            // overhead once (loopback still crosses the socket layer).
-            // Loopback never loses messages, so faults are skipped too.
-            h.sleep(transport.endpoint_overhead()).await;
-            return Ok(());
-        }
-
-        // Seeded message faults: drop (sender burns the RTO and errors)
-        // and delay spike (extra one-way latency). The draws come from
-        // the deterministic "net-faults" stream; when no fault is armed
-        // no draw happens at all, so fault-free runs are byte-identical
-        // to runs on a fabric without the machinery.
-        let faults = self.faults_for(from, to);
-        if faults.active() {
-            let rng = &self.inner.faults_rng;
-            if faults.drop > 0.0 && rng.bool(faults.drop) {
-                self.inner.dropped.incr();
-                h.sleep(transport.endpoint_overhead() + RETRANSMIT_TIMEOUT)
-                    .await;
-                return Err(NetError::Dropped(from, to));
-            }
-            if faults.delay_spike > 0.0 && rng.bool(faults.delay_spike) {
-                self.inner.delayed.incr();
-                h.sleep(faults.spike).await;
-            }
-        }
-
-        // Sender-side endpoint overhead.
-        h.sleep(transport.endpoint_overhead()).await;
-
-        // Egress NIC queue: serialize after everything already queued.
-        let ser = self.inner.latency.serialization(bytes);
-        let tx_done = {
-            let mut s = self.inner.state.borrow_mut();
-            let busy = s.egress_busy_until[from.0 as usize].max(h.now());
-            let done = busy + ser;
-            s.egress_busy_until[from.0 as usize] = done;
-            done
-        };
-        h.sleep_until(tx_done).await;
-
-        // Propagation with jitter (serialization already charged above).
-        let prop = self.inner.latency.one_way(hop, 0, &self.inner.jitter_rng);
-        h.sleep(prop).await;
-
-        // Receiver may have died while the message was in flight.
-        self.check_reachable(from, to)?;
-
-        // Receiver-side endpoint overhead.
-        h.sleep(transport.endpoint_overhead()).await;
-        Ok(())
+    /// Messages that hold a slab slot.
+    #[cfg(test)]
+    fn hops_in_flight(&self) -> usize {
+        let s = self.inner.state.borrow();
+        s.hops.len() - s.free_hops.len()
     }
 
     /// Moves `bytes` from `from` to `to`, returning the transfer time.
@@ -532,7 +542,7 @@ impl Fabric {
         // second response discarded — at-least-once delivery. The coin
         // is flipped before the first delivery so the draw sequence does
         // not depend on handler behavior.
-        let faults = self.faults_for(from, to);
+        let faults = self.inner.faults_for(from, to);
         let duplicate = faults.duplicate > 0.0 && self.inner.faults_rng.bool(faults.duplicate);
 
         self.deliver(from, to, req_len, transport).await?;
@@ -597,6 +607,222 @@ impl Fabric {
     }
 }
 
+impl FabricInner {
+    /// The fault probabilities in force on the link `from -> to`, or
+    /// `NONE` when no fault is armed anywhere (the common case; no RNG
+    /// draws happen then).
+    fn faults_for(&self, from: NodeId, to: NodeId) -> MessageFaults {
+        let s = self.state.borrow();
+        if !s.faults_armed || from == to {
+            return MessageFaults::NONE;
+        }
+        s.link_faults
+            .get(&ordered(from, to))
+            .copied()
+            .unwrap_or(s.default_faults)
+    }
+
+    fn check_reachable(&self, from: NodeId, to: NodeId) -> Result<(), NetError> {
+        let s = self.state.borrow();
+        if s.down.contains(&to) {
+            return Err(NetError::NodeDown(to));
+        }
+        if s.down.contains(&from) {
+            return Err(NetError::NodeDown(from));
+        }
+        if s.blocked.contains(&ordered(from, to)) {
+            return Err(NetError::Partitioned(from, to));
+        }
+        Ok(())
+    }
+
+    /// Runs `msg` forward from `stage` until it has to wait or is done.
+    /// Each stage touches the shared state — counters, the egress
+    /// queue, the RNG streams, reachability — at the instant the wait
+    /// before it ends, and a wait of zero length runs straight on.
+    fn advance(&self, msg: Message, mut stage: Stage) -> Step {
+        let Message {
+            from,
+            to,
+            bytes,
+            transport,
+        } = msg;
+        loop {
+            let now = self.handle.now();
+            let (until, next) = match stage {
+                Stage::Start => {
+                    if let Err(e) = self.check_reachable(from, to) {
+                        return Step::Done(Err(e));
+                    }
+                    self.messages.incr();
+                    self.bytes.add(bytes as u64);
+                    if let Some(h) = self.msg_bytes.get() {
+                        h.record(bytes as u64);
+                    }
+                    if self.topology.hop_class(from, to) == HopClass::Local {
+                        // Same machine: no NIC, no propagation; charge
+                        // endpoint overhead once (loopback still crosses
+                        // the socket layer). Loopback never loses
+                        // messages, so faults are skipped too.
+                        (now + transport.endpoint_overhead(), Stage::Arrive)
+                    } else {
+                        self.draw_faults(msg, now)
+                    }
+                }
+                Stage::Send => (now + transport.endpoint_overhead(), Stage::Egress),
+                Stage::Egress => {
+                    let ser = self.latency.serialization(bytes);
+                    let mut s = self.state.borrow_mut();
+                    let busy = &mut s.egress_busy_until[from.0 as usize];
+                    *busy = (*busy).max(now) + ser;
+                    (*busy, Stage::Propagate)
+                }
+                Stage::Propagate => {
+                    // Serialization was charged at the egress queue.
+                    let hop = self.topology.hop_class(from, to);
+                    let prop = self.latency.one_way(hop, 0, &self.jitter_rng);
+                    (now + prop, Stage::Receive)
+                }
+                Stage::Receive => {
+                    // The receiver may have died while the message was
+                    // in flight.
+                    if let Err(e) = self.check_reachable(from, to) {
+                        return Step::Done(Err(e));
+                    }
+                    (now + transport.endpoint_overhead(), Stage::Arrive)
+                }
+                Stage::Arrive => return Step::Done(Ok(())),
+                Stage::GiveUp => return Step::Done(Err(NetError::Dropped(from, to))),
+            };
+            if until > now {
+                return Step::Wait(until, next);
+            }
+            stage = next;
+        }
+    }
+
+    /// Seeded message faults: drop (the sender burns the RTO and errors)
+    /// and delay spike (extra one-way latency). The draws come from the
+    /// deterministic "net-faults" stream; when no fault is armed no draw
+    /// happens at all, so fault-free runs are byte-identical to runs on
+    /// a fabric without the machinery.
+    fn draw_faults(&self, msg: Message, now: SimTime) -> (SimTime, Stage) {
+        let faults = self.faults_for(msg.from, msg.to);
+        if faults.active() {
+            let rng = &self.faults_rng;
+            if faults.drop > 0.0 && rng.bool(faults.drop) {
+                self.dropped.incr();
+                let rto = msg.transport.endpoint_overhead() + RETRANSMIT_TIMEOUT;
+                return (now + rto, Stage::GiveUp);
+            }
+            if faults.delay_spike > 0.0 && rng.bool(faults.delay_spike) {
+                self.delayed.incr();
+                return (now + faults.spike, Stage::Send);
+            }
+        }
+        (now, Stage::Send)
+    }
+}
+
+/// A message's timer: moves the hop in slot `token` on from the stage it
+/// was waiting for.
+impl TimerEvent for FabricInner {
+    fn fire(self: Rc<Self>, token: u64) {
+        let slot = token as usize;
+        let (msg, stage) = {
+            let mut s = self.state.borrow_mut();
+            let hop = s.hop(slot);
+            if hop.waiter.is_none() {
+                s.release(slot);
+                return;
+            }
+            (hop.msg, hop.next)
+        };
+        match self.advance(msg, stage) {
+            Step::Wait(until, next) => {
+                self.state.borrow_mut().hop(slot).next = next;
+                self.handle.schedule(until, Rc::clone(&self) as _, token);
+            }
+            Step::Done(outcome) => {
+                let waiter = {
+                    let mut s = self.state.borrow_mut();
+                    let hop = s.hop(slot);
+                    hop.outcome = Some(outcome);
+                    hop.waiter.take()
+                };
+                if let Some(waiter) = waiter {
+                    waiter.wake();
+                }
+            }
+        }
+    }
+}
+
+/// Future of [`Fabric::deliver`]. Lazy: the message starts at the first
+/// poll.
+struct Delivery<'a> {
+    fabric: &'a Rc<FabricInner>,
+    msg: Message,
+    /// The hop's slab slot while the message is in flight.
+    slot: Option<usize>,
+}
+
+impl Future for Delivery<'_> {
+    type Output = Result<(), NetError>;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let fabric = self.fabric;
+        let Some(slot) = self.slot else {
+            return match fabric.advance(self.msg, Stage::Start) {
+                Step::Done(outcome) => Poll::Ready(outcome),
+                Step::Wait(until, next) => {
+                    let slot = fabric.state.borrow_mut().park(Hop {
+                        msg: self.msg,
+                        next,
+                        waiter: Some(cx.waker().clone()),
+                        outcome: None,
+                    });
+                    self.slot = Some(slot);
+                    fabric
+                        .handle
+                        .schedule(until, Rc::clone(fabric) as _, slot as u64);
+                    Poll::Pending
+                }
+            };
+        };
+        let mut s = fabric.state.borrow_mut();
+        let hop = s.hop(slot);
+        match hop.outcome.take() {
+            Some(outcome) => {
+                s.release(slot);
+                self.slot = None;
+                Poll::Ready(outcome)
+            }
+            None => {
+                // Woken for something else the task awaits.
+                if !hop.waiter.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
+                    hop.waiter = Some(cx.waker().clone());
+                }
+                Poll::Pending
+            }
+        }
+    }
+}
+
+impl Drop for Delivery<'_> {
+    fn drop(&mut self) {
+        let Some(slot) = self.slot else { return };
+        let mut s = self.fabric.state.borrow_mut();
+        let hop = s.hop(slot);
+        if hop.outcome.is_some() {
+            s.release(slot);
+        } else {
+            // The pending event finds no waiter and frees the slot.
+            hop.waiter = None;
+        }
+    }
+}
+
 fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     if a <= b {
         (a, b)
@@ -610,6 +836,7 @@ mod tests {
     use super::*;
     use crate::latency::NetworkGeneration;
     use pcsi_sim::Sim;
+    use proptest::strategy::Strategy as _;
 
     fn echo_handler() -> RpcHandler {
         Rc::new(|payload, _ctx| Box::pin(async move { Ok(payload) }))
@@ -621,6 +848,420 @@ mod tests {
             Topology::uniform(2, 2),
             LatencyModel::deterministic(generation),
         )
+    }
+
+    /// The delivery this fabric had before a message became a chain of
+    /// timer events: the same stages, each a `sleep` of the calling
+    /// task. The oracle the state machine is held to.
+    impl Fabric {
+        async fn deliver_oracle(
+            &self,
+            from: NodeId,
+            to: NodeId,
+            bytes: usize,
+            transport: Transport,
+        ) -> Result<(), NetError> {
+            self.inner.check_reachable(from, to)?;
+            let h = &self.inner.handle;
+            self.inner.messages.incr();
+            self.inner.bytes.add(bytes as u64);
+            if let Some(h) = self.inner.msg_bytes.get() {
+                h.record(bytes as u64);
+            }
+
+            let hop = self.inner.topology.hop_class(from, to);
+            if hop == HopClass::Local {
+                // Same machine: no NIC, no propagation; charge endpoint
+                // overhead once (loopback still crosses the socket layer).
+                // Loopback never loses messages, so faults are skipped too.
+                h.sleep(transport.endpoint_overhead()).await;
+                return Ok(());
+            }
+
+            // Seeded message faults: drop (sender burns the RTO and errors)
+            // and delay spike (extra one-way latency). The draws come from
+            // the deterministic "net-faults" stream; when no fault is armed
+            // no draw happens at all, so fault-free runs are byte-identical
+            // to runs on a fabric without the machinery.
+            let faults = self.inner.faults_for(from, to);
+            if faults.active() {
+                let rng = &self.inner.faults_rng;
+                if faults.drop > 0.0 && rng.bool(faults.drop) {
+                    self.inner.dropped.incr();
+                    h.sleep(transport.endpoint_overhead() + RETRANSMIT_TIMEOUT)
+                        .await;
+                    return Err(NetError::Dropped(from, to));
+                }
+                if faults.delay_spike > 0.0 && rng.bool(faults.delay_spike) {
+                    self.inner.delayed.incr();
+                    h.sleep(faults.spike).await;
+                }
+            }
+
+            // Sender-side endpoint overhead.
+            h.sleep(transport.endpoint_overhead()).await;
+
+            // Egress NIC queue: serialize after everything already queued.
+            let ser = self.inner.latency.serialization(bytes);
+            let tx_done = {
+                let mut s = self.inner.state.borrow_mut();
+                let busy = s.egress_busy_until[from.0 as usize].max(h.now());
+                let done = busy + ser;
+                s.egress_busy_until[from.0 as usize] = done;
+                done
+            };
+            h.sleep_until(tx_done).await;
+
+            // Propagation with jitter (serialization already charged above).
+            let prop = self.inner.latency.one_way(hop, 0, &self.inner.jitter_rng);
+            h.sleep(prop).await;
+
+            // Receiver may have died while the message was in flight.
+            self.inner.check_reachable(from, to)?;
+
+            // Receiver-side endpoint overhead.
+            h.sleep(transport.endpoint_overhead()).await;
+            Ok(())
+        }
+    }
+
+    /// One generated message: when it starts, its endpoints, its size,
+    /// its transport, and the size of the reply that follows it back
+    /// (if any). Driven the way `call_traced` drives a request: the
+    /// duplicate coin first, the detached second copy after arrival.
+    type Msg = (u64, u32, u32, usize, bool, Option<usize>);
+    /// One generated flip of the fabric's fault state: when, which
+    /// kind, two nodes, a probability and a spike length.
+    type Flip = (u64, u8, u32, u32, f64, u64);
+
+    /// What a schedule leaves behind: per message the instant it
+    /// finished and how (the detached duplicates apart), then the
+    /// message / byte / dropped / delayed counters, the egress queues,
+    /// the next draw of both RNG streams and the end of time.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        finished: Vec<(u64, Result<(), NetError>)>,
+        duplicates: Vec<(u64, Result<(), NetError>)>,
+        counters: [u64; 4],
+        egress_busy_until: Vec<SimTime>,
+        next_draws: (u64, u64),
+        end: u64,
+    }
+
+    fn run_schedule(seed: u64, msgs: &[Msg], flips: &[Flip], oracle: bool) -> (Outcome, u64) {
+        async fn deliver(
+            f: &Fabric,
+            oracle: bool,
+            from: NodeId,
+            to: NodeId,
+            bytes: usize,
+            transport: Transport,
+        ) -> Result<(), NetError> {
+            if oracle {
+                f.deliver_oracle(from, to, bytes, transport).await
+            } else {
+                f.deliver(from, to, bytes, transport).await
+            }
+        }
+
+        let mut sim = Sim::new(seed);
+        let h = sim.handle();
+        let fabric = Fabric::new(
+            sim.handle(),
+            Topology::uniform(2, 2),
+            LatencyModel::new(NetworkGeneration::Dc2021),
+        );
+        let (finished, duplicates) = sim.block_on({
+            let fabric = fabric.clone();
+            let (msgs, flips) = (msgs.to_vec(), flips.to_vec());
+            async move {
+                for (at, kind, a, b, p, spike) in flips {
+                    let (fabric, h2) = (fabric.clone(), h.clone());
+                    let (a, b) = (NodeId(a), NodeId(b));
+                    h.spawn_detached(async move {
+                        h2.sleep_until(SimTime::from_nanos(at)).await;
+                        let faults = |drop, duplicate, delay_spike| MessageFaults {
+                            drop,
+                            duplicate,
+                            delay_spike,
+                            spike: Duration::from_nanos(spike),
+                        };
+                        match kind {
+                            0 => fabric.set_node_down(a, true),
+                            1 => fabric.set_node_down(a, false),
+                            2 => fabric.partition(&[a], &[b]),
+                            3 => fabric.heal_partitions(),
+                            4 => fabric.set_link_faults(a, b, faults(p, 0.0, 0.0)),
+                            5 => fabric.set_link_faults(a, b, faults(0.0, p, 0.0)),
+                            6 => fabric.set_link_faults(a, b, faults(0.0, 0.0, p)),
+                            7 => fabric.set_message_faults(faults(p / 2.0, p / 2.0, p)),
+                            _ => fabric.clear_message_faults(),
+                        }
+                    });
+                }
+                let duplicates = Rc::new(RefCell::new(Vec::new()));
+                let mut joins = Vec::new();
+                for (at, from, to, bytes, rdma, reply) in msgs {
+                    let (fabric, h2) = (fabric.clone(), h.clone());
+                    let duplicates = Rc::clone(&duplicates);
+                    let (from, to) = (NodeId(from), NodeId(to));
+                    let transport = if rdma {
+                        Transport::Rdma
+                    } else {
+                        Transport::Tcp
+                    };
+                    joins.push(h.spawn(async move {
+                        h2.sleep_until(SimTime::from_nanos(at)).await;
+                        let faults = fabric.inner.faults_for(from, to);
+                        let duplicate = faults.duplicate > 0.0
+                            && fabric.inner.faults_rng.bool(faults.duplicate);
+                        let mut out = deliver(&fabric, oracle, from, to, bytes, transport).await;
+                        if out.is_ok() && duplicate {
+                            let (fabric, h3) = (fabric.clone(), h2.clone());
+                            h2.spawn_detached(async move {
+                                let out =
+                                    deliver(&fabric, oracle, from, to, bytes, transport).await;
+                                duplicates.borrow_mut().push((h3.now().as_nanos(), out));
+                            });
+                        }
+                        if let (Ok(()), Some(reply)) = (&out, reply) {
+                            out = deliver(&fabric, oracle, to, from, reply, transport).await;
+                        }
+                        (h2.now().as_nanos(), out)
+                    }));
+                }
+                let mut finished = Vec::new();
+                for join in joins {
+                    finished.push(join.await);
+                }
+                // Past any duplicate's spike and retransmission timeout.
+                h.sleep(Duration::from_millis(20)).await;
+                let duplicates = duplicates.take();
+                (finished, duplicates)
+            }
+        });
+        if !oracle {
+            assert_eq!(fabric.hops_in_flight(), 0, "a slab slot leaked");
+        }
+        let inner = &fabric.inner;
+        let outcome = Outcome {
+            finished,
+            duplicates,
+            counters: [
+                inner.messages.get(),
+                inner.bytes.get(),
+                inner.dropped.get(),
+                inner.delayed.get(),
+            ],
+            egress_busy_until: inner.state.borrow().egress_busy_until.clone(),
+            next_draws: (inner.faults_rng.u64(), inner.jitter_rng.u64()),
+            end: sim.handle().now().as_nanos(),
+        };
+        (outcome, sim.poll_count())
+    }
+
+    proptest::proptest! {
+        /// The state machine against the code it replaced: overlapping
+        /// messages over every hop class and both transports, jitter
+        /// on, faults armed per link and fabric-wide, nodes and
+        /// partitions flipped mid-flight. Every message finishes at the
+        /// same instant with the same result, every counter, egress
+        /// queue and RNG stream ends in the same state, and no schedule
+        /// costs more polls than it did.
+        #[test]
+        fn the_state_machine_delivers_exactly_what_the_sleeping_task_did(
+            seed in proptest::prelude::any::<u64>(),
+            msgs in proptest::collection::vec(
+                (
+                    0u64..400_000,
+                    0u32..4,
+                    0u32..4,
+                    proptest::prop_oneof![
+                        proptest::strategy::Just(0usize),
+                        1usize..2_000,
+                        50_000usize..400_000,
+                    ],
+                    proptest::prelude::any::<bool>(),
+                    proptest::prop_oneof![
+                        proptest::strategy::Just(None),
+                        (0usize..100_000).prop_map(Some),
+                    ],
+                ),
+                1..65,
+            ),
+            flips in proptest::collection::vec(
+                (0u64..600_000, 0u8..9, 0u32..4, 0u32..4, 0.0f64..1.0, 0u64..300_000),
+                0..10,
+            ),
+        ) {
+            let (new, new_polls) = run_schedule(seed, &msgs, &flips, false);
+            let (old, old_polls) = run_schedule(seed, &msgs, &flips, true);
+            proptest::prop_assert_eq!(&new, &old);
+            proptest::prop_assert!(new_polls <= old_polls, "{new_polls} > {old_polls}");
+        }
+    }
+
+    /// The fault kinds of `pcsi_chaos::FaultPlan` that are the fabric's
+    /// to inject, each flipped on and off under sixteen clients calling
+    /// with a deadline short enough to abandon calls mid-hop: once the
+    /// faults are healed and the stragglers have run out, no message
+    /// holds a slab slot.
+    #[test]
+    fn no_hop_outlives_quiescence_under_any_fault_plan() {
+        /// Turns a plan's fault on or off.
+        type Toggle = fn(&Fabric, bool);
+        let plans: [(&str, Toggle); 5] = [
+            ("None", |_, _| {}),
+            ("CrashRestart", |f, on| f.set_node_down(NodeId(2), on)),
+            ("PartitionHeal", |f, on| match on {
+                true => f.partition(&[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]),
+                false => f.heal_partitions(),
+            }),
+            ("MessageFaults", |f, on| match on {
+                true => f.set_message_faults(MessageFaults {
+                    drop: 0.1,
+                    duplicate: 0.3,
+                    delay_spike: 0.3,
+                    spike: Duration::from_micros(400),
+                }),
+                false => f.clear_message_faults(),
+            }),
+            ("Drops", |f, on| match on {
+                true => f.set_link_faults(
+                    NodeId(0),
+                    NodeId(2),
+                    MessageFaults {
+                        drop: 0.5,
+                        ..MessageFaults::NONE
+                    },
+                ),
+                false => f.clear_message_faults(),
+            }),
+        ];
+        for (plan, flip) in plans {
+            let mut sim = Sim::new(0xC0FFEE);
+            let fabric = Fabric::new(
+                sim.handle(),
+                Topology::uniform(2, 2),
+                LatencyModel::new(NetworkGeneration::Dc2021),
+            );
+            for node in 0..4 {
+                fabric.bind(NodeId(node), "echo", echo_handler());
+            }
+            let h = sim.handle();
+            let in_flight_mid_run = sim.block_on({
+                let fabric = fabric.clone();
+                async move {
+                    let clients: Vec<_> = (0..16u32)
+                        .map(|c| {
+                            let fabric = fabric.clone();
+                            h.spawn(async move {
+                                for i in 0..24 {
+                                    let to = NodeId((c + i) % 4);
+                                    let payload = Bytes::from(vec![0u8; 64 << (i % 8)]);
+                                    let _ = fabric
+                                        .call_with_deadline(
+                                            NodeId(c % 4),
+                                            to,
+                                            "echo",
+                                            Transport::Tcp,
+                                            payload,
+                                            Duration::from_micros(150 + 20 * u64::from(c)),
+                                        )
+                                        .await;
+                                }
+                            })
+                        })
+                        .collect();
+                    let mut seen = 0;
+                    for round in 0..12 {
+                        h.sleep(Duration::from_micros(333)).await;
+                        flip(&fabric, round % 2 == 0);
+                        seen = seen.max(fabric.hops_in_flight());
+                    }
+                    flip(&fabric, false);
+                    for client in clients {
+                        client.await;
+                    }
+                    h.sleep(Duration::from_millis(20)).await;
+                    seen
+                }
+            });
+            assert!(in_flight_mid_run > 0, "{plan}: nothing was in flight");
+            assert_eq!(fabric.hops_in_flight(), 0, "{plan}");
+        }
+    }
+
+    #[test]
+    fn a_delivery_dropped_mid_hop_stops_at_its_next_stage_and_frees_its_slot() {
+        let mut sim = Sim::new(1);
+        let fabric = build(&sim, NetworkGeneration::Dc2021);
+        let h = sim.handle();
+        sim.block_on({
+            let fabric = fabric.clone();
+            async move {
+                let mut delivery =
+                    Box::pin(fabric.deliver(NodeId(0), NodeId(2), 4096, Transport::Tcp));
+                std::future::poll_fn(|cx| {
+                    assert!(delivery.as_mut().poll(cx).is_pending());
+                    Poll::Ready(())
+                })
+                .await;
+                assert_eq!(fabric.hops_in_flight(), 1);
+                // In the sender's endpoint overhead.
+                h.sleep(Duration::from_micros(1)).await;
+                drop(delivery);
+                h.sleep(Duration::from_millis(1)).await;
+            }
+        });
+        assert_eq!(fabric.hops_in_flight(), 0);
+        assert_eq!(fabric.message_count(), 1, "counted when it started");
+        // It never reached the egress queue.
+        let s = fabric.inner.state.borrow();
+        assert_eq!(s.egress_busy_until[0], SimTime::ZERO);
+    }
+
+    #[test]
+    fn dropping_the_sim_frees_a_fabric_with_deliveries_in_flight() {
+        let mut sim = Sim::new(1);
+        let fabric = build(&sim, NetworkGeneration::Dc2021);
+        fabric.bind(NodeId(2), "echo", echo_handler());
+        let h = sim.handle();
+        sim.block_on({
+            let fabric = fabric.clone();
+            async move {
+                for to in 1..4 {
+                    let fabric = fabric.clone();
+                    h.spawn_detached(async move {
+                        let _ = fabric
+                            .transfer(NodeId(0), NodeId(to), 1 << 20, Transport::Tcp)
+                            .await;
+                    });
+                }
+                let racing = fabric.clone();
+                h.spawn_detached(async move {
+                    let _ = racing
+                        .call_with_deadline(
+                            NodeId(1),
+                            NodeId(2),
+                            "echo",
+                            Transport::Tcp,
+                            Bytes::from_static(b"x"),
+                            Duration::from_millis(250),
+                        )
+                        .await;
+                });
+                h.sleep(Duration::from_micros(7)).await;
+            }
+        });
+        assert_eq!(fabric.hops_in_flight(), 4);
+        // The wheel holds the fabric through four events and a
+        // deadline's expiry, the task table through five futures.
+        let alive = Rc::downgrade(&fabric.inner);
+        drop(fabric);
+        assert!(alive.upgrade().is_some());
+        drop(sim);
+        assert!(alive.upgrade().is_none());
     }
 
     #[test]

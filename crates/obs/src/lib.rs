@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # pcsi-obs — the deterministic observability control plane
 //!
 //! Passive observability (PR 4/5) renders what already happened: trace

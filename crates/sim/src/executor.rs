@@ -22,7 +22,7 @@ use std::time::Duration;
 use crate::rng::RngStreams;
 use crate::sync::oneshot;
 use crate::time::SimTime;
-use crate::wheel::TimerWheel;
+use crate::wheel::{Fire, TimerEvent, TimerWheel};
 
 /// A non-`Send` boxed future, the unit of spawning in the simulator.
 pub type LocalBoxFuture<T> = Pin<Box<dyn Future<Output = T> + 'static>>;
@@ -59,10 +59,13 @@ impl ReadyQueue {
     }
 }
 
-/// Per-task waker: pushes the task id onto the shared ready queue.
+/// Per-slot waker: pushes the slot's id onto the shared ready queue.
 ///
 /// The `queued` flag collapses redundant wakes between polls so a task woken
-/// by several channels in one instant is polled once.
+/// by several channels in one instant is polled once. The waker belongs to
+/// the slot, not to one task: a wake left behind by a finished tenant and
+/// the spawn of the next one share the flag, so the newcomer is polled
+/// once for the two.
 struct TaskWaker {
     id: TaskId,
     // Strong reference: the queue holds only task ids (never wakers), so
@@ -84,17 +87,22 @@ impl Wake for TaskWaker {
     }
 }
 
-struct Task {
-    future: LocalBoxFuture<()>,
+/// One entry of the task table. It outlives its tenants: a finished
+/// task leaves the slot on the free list with its waker in place, and
+/// the next spawn moves in without allocating one.
+struct Slot {
+    /// The tenant; `None` between tenants.
+    future: Option<LocalBoxFuture<()>>,
     waker: Arc<TaskWaker>,
-    /// The `waker` pre-wrapped as a `Waker`, built once at spawn so each
+    /// The `waker` pre-wrapped as a `Waker`, built once per slot so each
     /// poll borrows it instead of cloning and dropping an `Arc`.
     waker_obj: Waker,
 }
 
 struct Inner {
     now: SimTime,
-    tasks: Vec<Option<Task>>,
+    /// A slot is out of the table (`None`) only while it is polled.
+    tasks: Vec<Option<Slot>>,
     free: Vec<TaskId>,
     /// Pending timers, fired in `(deadline, seq)` order. The wheel's
     /// anchor tracks `now` exactly: it advances only when a timer pops,
@@ -225,57 +233,59 @@ impl Sim {
         self.scratch = batch;
     }
 
-    /// Advances the clock to the earliest timer and wakes it.
+    /// Advances the clock to the earliest timer and fires it: wakes the
+    /// sleeping task, or runs the event.
     ///
     /// Returns `false` if no timers are pending.
     fn advance_to_next_timer(&mut self) -> bool {
-        let waker = {
+        let fire = {
             let mut inner = self.inner.borrow_mut();
             match inner.timers.pop() {
-                Some((deadline_ns, waker)) => {
+                Some((deadline_ns, fire)) => {
                     let deadline = SimTime::from_nanos(deadline_ns);
                     debug_assert!(deadline >= inner.now, "timer in the past");
                     inner.now = deadline.max(inner.now);
-                    waker
+                    fire
                 }
                 None => return false,
             }
         };
-        waker.wake();
+        // Outside the borrow: an event reads the clock and schedules.
+        fire.fire();
         true
     }
 
     fn poll_task(&mut self, id: TaskId) {
-        // Take the future out so the task can re-borrow `inner` (to spawn,
+        // Take the slot out so the task can re-borrow `inner` (to spawn,
         // register timers, ...) while being polled.
-        let task = {
+        let mut slot = {
             let mut inner = self.inner.borrow_mut();
             inner.polls += 1;
-            match inner.tasks.get_mut(id).and_then(Option::take) {
-                Some(t) => t,
-                // Already completed; a stale wake.
-                None => return,
-            }
+            inner.tasks[id]
+                .take()
+                .expect("one task is polled at a time")
         };
-        task.waker.queued.store(false, Ordering::Release);
+        slot.waker.queued.store(false, Ordering::Release);
 
-        let mut cx = Context::from_waker(&task.waker_obj);
-        let mut future = task.future;
-        match future.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                let mut inner = self.inner.borrow_mut();
-                inner.free.push(id);
-                inner.live_tasks -= 1;
+        // No tenant: a wake that outlived the task it was meant for.
+        let finished = slot.future.take().and_then(|mut future| {
+            let mut cx = Context::from_waker(&slot.waker_obj);
+            match future.as_mut().poll(&mut cx) {
+                Poll::Ready(()) => Some(future),
+                Poll::Pending => {
+                    slot.future = Some(future);
+                    None
+                }
             }
-            Poll::Pending => {
-                let mut inner = self.inner.borrow_mut();
-                inner.tasks[id] = Some(Task {
-                    future,
-                    waker: task.waker,
-                    waker_obj: task.waker_obj,
-                });
-            }
+        });
+        let mut inner = self.inner.borrow_mut();
+        inner.tasks[id] = Some(slot);
+        if finished.is_some() {
+            inner.free.push(id);
+            inner.live_tasks -= 1;
         }
+        // The finished future's destructor may spawn: release first.
+        drop(inner);
     }
 
     /// Total number of task polls performed so far (a determinism probe).
@@ -284,10 +294,12 @@ impl Sim {
     }
 }
 
-/// Tasks hold [`SimHandle`]s, which hold the task table: a cycle no
-/// reference count unwinds. Dropping the `Sim` ends the simulation, so
-/// it empties the table and every future, with whatever it owns, is
-/// freed; the [`SimHandle::on_sim_drop`] closures run first.
+/// Tasks hold [`SimHandle`]s, which hold the task table, and a scheduled
+/// [`TimerEvent`] holds its object, which as a rule holds a handle too:
+/// cycles no reference count unwinds. Dropping the `Sim` ends the
+/// simulation, so it empties the table and the timer wheel, and every
+/// future and event, with whatever it owns, is freed; the
+/// [`SimHandle::on_sim_drop`] closures run first.
 impl Drop for Sim {
     fn drop(&mut self) {
         // A future's destructor may itself spawn; go round until one
@@ -301,17 +313,19 @@ impl Drop for Sim {
             };
             let teardowns = std::mem::take(&mut inner.teardowns);
             let tasks = std::mem::take(&mut inner.tasks);
+            let timers = std::mem::replace(&mut inner.timers, TimerWheel::new());
             // Ids on the free list index the table just taken.
             inner.free.clear();
             inner.live_tasks = 0;
             // Teardowns and futures' destructors call back into `inner`
             // (to spawn, to read the clock): release it first.
             drop(inner);
-            if teardowns.is_empty() && tasks.is_empty() {
+            if teardowns.is_empty() && tasks.is_empty() && timers.is_empty() {
                 return;
             }
             teardowns.into_iter().for_each(|f| f());
             drop(tasks);
+            drop(timers);
         }
     }
 }
@@ -377,27 +391,41 @@ impl SimHandle {
 
     fn spawn_boxed(&self, wrapped: LocalBoxFuture<()>) {
         let mut inner = self.inner.borrow_mut();
-        let id = match inner.free.pop() {
-            Some(id) => id,
-            None => {
-                inner.tasks.push(None);
-                inner.tasks.len() - 1
-            }
-        };
+        inner.live_tasks += 1;
+        if let Some(id) = inner.free.pop() {
+            let slot = inner.tasks[id].as_mut().expect("a free slot is at rest");
+            slot.future = Some(wrapped);
+            // Already queued by a wake meant for the last tenant: that
+            // entry, further up the queue, is this task's first poll.
+            slot.waker.wake_by_ref();
+            return;
+        }
+        let id = inner.tasks.len();
         let waker = Arc::new(TaskWaker {
             id,
             ready: Arc::clone(&self.ready),
             queued: AtomicBool::new(true),
         });
         let waker_obj = Waker::from(Arc::clone(&waker));
-        inner.tasks[id] = Some(Task {
-            future: wrapped,
+        inner.tasks.push(Some(Slot {
+            future: Some(wrapped),
             waker,
             waker_obj,
-        });
-        inner.live_tasks += 1;
+        }));
         drop(inner);
         self.ready.push(id);
+    }
+
+    /// Fires `event` with `token` at the instant `at`, in registration
+    /// order among the timers and events of that instant. An `at` that
+    /// is not in the future means now: the event fires once the tasks
+    /// that are runnable now have run, before the clock moves.
+    pub fn schedule(&self, at: SimTime, event: Rc<dyn TimerEvent>, token: u64) {
+        let mut inner = self.inner.borrow_mut();
+        let at = at.max(inner.now);
+        inner
+            .timers
+            .insert(at.as_nanos(), Fire::Event(event, token));
     }
 
     /// Returns a future that completes `d` later in virtual time.
@@ -448,7 +476,7 @@ impl Future for Sleep {
             // spurious wake and the deadline check above absorbs it.
             inner
                 .timers
-                .insert(self.deadline.as_nanos(), cx.waker().clone());
+                .insert(self.deadline.as_nanos(), Fire::Wake(cx.waker().clone()));
             Poll::Pending
         }
     }
@@ -615,6 +643,114 @@ mod tests {
         drop(sim);
         assert!(alive.upgrade().is_none(), "every generation was dropped");
         assert_eq!(h.live_tasks(), 0);
+    }
+
+    #[test]
+    fn dropping_the_sim_frees_scheduled_events_and_unexpired_deadlines() {
+        /// An event that owns a handle, as a fabric in flight does: the
+        /// wheel holds it, it holds the wheel.
+        struct Holds(#[allow(dead_code)] SimHandle, #[allow(dead_code)] Rc<()>);
+        impl TimerEvent for Holds {
+            fn fire(self: Rc<Self>, _token: u64) {}
+        }
+
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let (in_event, in_future) = (Rc::new(()), Rc::new(()));
+        let alive = [Rc::downgrade(&in_event), Rc::downgrade(&in_future)];
+        sim.block_on({
+            let h = h.clone();
+            async move {
+                let far = h.now() + Duration::from_secs(3_600);
+                h.schedule(far, Rc::new(Holds(h.clone(), in_event)), 0);
+                // A deadline a long way from expiring, around a future
+                // that never finishes: an event in the wheel, a task in
+                // the table, a channel between them.
+                let h2 = h.clone();
+                h.spawn_detached(async move {
+                    let never = async move {
+                        std::future::pending::<()>().await;
+                        drop(in_future);
+                    };
+                    crate::util::deadline(&h2, Duration::from_secs(60), never).await;
+                });
+                h.sleep(Duration::from_millis(1)).await;
+            }
+        });
+        assert!(alive.iter().all(|w| w.upgrade().is_some()), "both pending");
+        drop(sim);
+        assert!(alive.iter().all(|w| w.upgrade().is_none()));
+        drop(h);
+    }
+
+    /// Appends its token to a log when fired.
+    struct Note(Rc<RefCell<Vec<u64>>>);
+    impl TimerEvent for Note {
+        fn fire(self: Rc<Self>, token: u64) {
+            self.0.borrow_mut().push(token);
+        }
+    }
+
+    #[test]
+    fn an_event_scheduled_for_now_fires_after_the_runnable_tasks_and_before_the_clock_moves() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let note = Rc::new(Note(Rc::clone(&log)));
+        sim.block_on({
+            let log = Rc::clone(&log);
+            async move {
+                h.sleep(Duration::from_nanos(40)).await;
+                h.schedule(h.now(), note.clone(), 1);
+                // An instant already past means now, too.
+                h.schedule(SimTime::from_nanos(3), note.clone(), 2);
+                h.schedule(h.now() + Duration::from_nanos(1), note, 4);
+                let log2 = Rc::clone(&log);
+                // Spawned after the events were scheduled, run before.
+                h.spawn_detached(async move { log2.borrow_mut().push(0) });
+                log.borrow_mut().push(10);
+                // Parks the root on a timer registered behind the two
+                // events of this instant.
+                h.sleep(Duration::from_nanos(1)).await;
+                log.borrow_mut().push(3);
+            }
+        });
+        assert_eq!(*log.borrow(), vec![10, 0, 1, 2, 4, 3]);
+    }
+
+    #[test]
+    fn a_task_spawned_into_a_slot_with_a_stale_wake_queued_is_polled_once() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let polls = Rc::new(RefCell::new(0u32));
+        sim.block_on({
+            let polls = Rc::clone(&polls);
+            async move {
+                // The first tenant leaves a clone of its waker behind.
+                let left_behind = Rc::new(RefCell::new(None));
+                let stash = Rc::clone(&left_behind);
+                h.spawn(std::future::poll_fn(move |cx| {
+                    *stash.borrow_mut() = Some(cx.waker().clone());
+                    Poll::Ready(())
+                }))
+                .await;
+                let stale = left_behind.take().expect("the first tenant ran");
+                // The spawn takes the slot just freed; the stale wake
+                // lands between the spawn and the tenant's first poll.
+                let counter = Rc::clone(&polls);
+                h.spawn_detached(std::future::poll_fn(move |_| {
+                    *counter.borrow_mut() += 1;
+                    Poll::<()>::Pending
+                }));
+                stale.wake_by_ref();
+                h.sleep(Duration::from_nanos(1)).await;
+                assert_eq!(*polls.borrow(), 1, "the spawn and the wake are one poll");
+                // A wake while the tenant is parked still reaches it.
+                stale.wake();
+                h.sleep(Duration::from_nanos(1)).await;
+                assert_eq!(*polls.borrow(), 2);
+            }
+        });
     }
 
     #[test]

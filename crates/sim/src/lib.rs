@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # pcsi-sim — deterministic discrete-event simulation kernel
 //!
@@ -8,7 +9,9 @@
 //!   clock ([`Sim`], [`SimHandle`]) — tasks are ordinary Rust futures, time
 //!   only advances when every runnable task is blocked,
 //! * virtual-time **timers** ([`SimHandle::sleep`],
-//!   [`SimHandle::sleep_until`], [`util::deadline`]),
+//!   [`SimHandle::sleep_until`], [`util::deadline`]) and **events**
+//!   that run at an instant without a task being polled for them
+//!   ([`SimHandle::schedule`], [`TimerEvent`]),
 //! * a waker-based **channel** ([`sync::mpsc`]), and
 //! * named, seeded **random-number streams** ([`rng`]) so that two runs with
 //!   the same seed produce byte-identical results regardless of the order in
@@ -44,3 +47,4 @@ mod wheel;
 pub use executor::{JoinHandle, LocalBoxFuture, Sim, SimHandle};
 pub use rng::{DetRng, RngStreams, ZipfParams};
 pub use time::SimTime;
+pub use wheel::TimerEvent;

@@ -5,14 +5,16 @@
 //! live here.
 
 use std::cell::Cell;
-use std::future::Future;
-use std::pin::Pin;
+use std::future::{poll_fn, Future};
+use std::pin::{pin, Pin};
+use std::rc::Rc;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
 use crate::executor::{LocalBoxFuture, SimHandle};
 use crate::sync::mpsc;
 use crate::time::SimTime;
+use crate::wheel::TimerEvent;
 
 /// Deterministic virtual-time rate gate.
 ///
@@ -163,23 +165,37 @@ pub async fn deadline<T: 'static>(
     fut: impl Future<Output = T> + 'static,
 ) -> Option<T> {
     let (tx, mut rx) = mpsc::channel();
-    {
-        let tx = tx.clone();
-        // Both racers report through the channel; no JoinHandle needed.
-        handle.spawn_detached(async move {
-            let _ = tx.send(Some(fut.await));
-        });
-    }
-    {
-        let h = handle.clone();
-        handle.spawn_detached(async move {
-            h.sleep(dur).await;
-            let _ = tx.send(None);
-        });
-    }
+    let h = handle.clone();
+    // The future reports through the channel; no JoinHandle needed.
+    handle.spawn_detached(async move {
+        let mut fut = pin!(fut);
+        let first = poll_fn(|cx| Poll::Ready(fut.as_mut().poll(cx))).await;
+        let out = match first {
+            Poll::Ready(out) => out,
+            Poll::Pending => {
+                // Registered after the first poll, so behind any timer
+                // that poll registered: a future done in exactly `dur`
+                // by such a timer wins the tie, by a later one loses it.
+                let expiry = Rc::new(Expiry(tx.clone()));
+                h.schedule(h.now() + dur, expiry, 0);
+                fut.await
+            }
+        };
+        let _ = tx.send(Some(out));
+    });
     match rx.recv().await {
         Some(first) => first,
-        None => unreachable!("deadline: both racers vanished"),
+        None => unreachable!("deadline: the future vanished"),
+    }
+}
+
+/// The timer's side of a [`deadline`] race: `None` down the channel.
+struct Expiry<T>(mpsc::Sender<Option<T>>);
+
+impl<T> TimerEvent for Expiry<T> {
+    fn fire(self: Rc<Self>, _token: u64) {
+        // The receiver is gone if the future won.
+        let _ = self.0.send(None);
     }
 }
 
@@ -244,6 +260,38 @@ mod tests {
             .await
         });
         assert_eq!(out, None);
+    }
+
+    /// When and with what `deadline` returns, for a future that
+    /// finishes before the timer, after it, and at the same instant —
+    /// on the timer its first poll registered (the future wins the tie)
+    /// and on a later one (the timer does).
+    #[test]
+    fn deadline_returns_at_the_instant_the_winner_finishes() {
+        let mut sim = Sim::new(0);
+        let h = sim.handle();
+        let got = sim.block_on(async move {
+            let mut got = Vec::new();
+            for naps in [&[10u64][..], &[100], &[30], &[10, 20]] {
+                let inner = h.clone();
+                let start = h.now();
+                let out = deadline(&h, Duration::from_micros(30), async move {
+                    for &nap in naps {
+                        inner.sleep(Duration::from_micros(nap)).await;
+                    }
+                    naps.len()
+                })
+                .await;
+                got.push((out, (h.now() - start).as_micros()));
+                // Let the loser finish before the next round.
+                h.sleep(Duration::from_micros(200)).await;
+            }
+            got
+        });
+        assert_eq!(
+            got,
+            vec![(Some(1), 10), (None, 30), (Some(1), 30), (None, 30)]
+        );
     }
 
     #[test]

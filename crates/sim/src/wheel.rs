@@ -37,6 +37,7 @@
 //! order without any comparison or sort.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 use std::task::Waker;
 
 /// Bits per level (64 slots).
@@ -47,10 +48,41 @@ const LEVELS: usize = 6;
 const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
+/// Something that happens at an instant of virtual time without a task
+/// being polled for it: one stage of a message's trip through the
+/// fabric, the expiry of a deadline. Scheduled with
+/// [`SimHandle::schedule`](crate::SimHandle::schedule); events and
+/// sleeping tasks share one queue and fire in
+/// `(instant, registration order)`.
+pub trait TimerEvent {
+    /// Runs at the scheduled instant, between two drains of the ready
+    /// queue, with the `token` the event was scheduled with (which of
+    /// the object's pending events this is). It may wake tasks and
+    /// schedule further events.
+    fn fire(self: Rc<Self>, token: u64);
+}
+
+/// What a pending timer does when it is due.
+pub(crate) enum Fire {
+    /// Wakes a sleeping task.
+    Wake(Waker),
+    /// Runs an event with its token.
+    Event(Rc<dyn TimerEvent>, u64),
+}
+
+impl Fire {
+    pub(crate) fn fire(self) {
+        match self {
+            Fire::Wake(waker) => waker.wake(),
+            Fire::Event(event, token) => event.fire(token),
+        }
+    }
+}
+
 /// One pending timer.
 struct Entry {
     deadline: u64,
-    waker: Waker,
+    fire: Fire,
 }
 
 /// A hierarchical timer wheel firing in deadline order, with ties
@@ -65,7 +97,7 @@ pub(crate) struct TimerWheel {
     occupied: [u64; LEVELS],
     /// Deadlines beyond the wheel's `2^36` ns horizon, keyed by
     /// deadline; each bucket is in registration order.
-    overflow: BTreeMap<u64, VecDeque<Waker>>,
+    overflow: BTreeMap<u64, VecDeque<Fire>>,
     len: usize,
     /// Spare buffer swapped into a slot being cascaded, so steady-state
     /// cascades recycle one allocation instead of freeing and
@@ -85,19 +117,18 @@ impl TimerWheel {
         }
     }
 
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Registers a waker to fire at `deadline`. `deadline` must not be
+    /// Registers a timer to fire at `deadline`. `deadline` must not be
     /// in the past (the executor never moves `now` above the anchor).
-    pub(crate) fn insert(&mut self, deadline: u64, waker: Waker) {
+    pub(crate) fn insert(&mut self, deadline: u64, fire: Fire) {
         debug_assert!(deadline >= self.anchor, "timer registered in the past");
         if (deadline ^ self.anchor) >> WHEEL_BITS != 0 {
-            self.overflow.entry(deadline).or_default().push_back(waker);
+            self.overflow.entry(deadline).or_default().push_back(fire);
         } else {
-            self.file(Entry { deadline, waker });
+            self.file(Entry { deadline, fire });
         }
         self.len += 1;
     }
@@ -117,7 +148,7 @@ impl TimerWheel {
 
     /// Removes and returns the earliest pending timer (registration
     /// order among equals), advancing the anchor to its deadline.
-    pub(crate) fn pop(&mut self) -> Option<(u64, Waker)> {
+    pub(crate) fn pop(&mut self) -> Option<(u64, Fire)> {
         if self.len == 0 {
             return None;
         }
@@ -142,8 +173,8 @@ impl TimerWheel {
                     break;
                 }
                 let bucket = self.overflow.remove(&k).expect("checked first key");
-                for waker in bucket {
-                    self.file(Entry { deadline: k, waker });
+                for fire in bucket {
+                    self.file(Entry { deadline: k, fire });
                 }
             }
 
@@ -161,7 +192,7 @@ impl TimerWheel {
                 }
                 self.anchor = e.deadline;
                 self.len -= 1;
-                return Some((e.deadline, e.waker));
+                return Some((e.deadline, e.fire));
             }
             // Cascade: advance the anchor to the slot's window base and
             // re-file its entries one or more levels down.
@@ -190,8 +221,8 @@ mod tests {
         fn wake(self: Arc<Self>) {}
     }
 
-    fn noop() -> Waker {
-        Waker::from(Arc::new(Noop))
+    fn noop() -> Fire {
+        Fire::Wake(Waker::from(Arc::new(Noop)))
     }
 
     /// A waker that records its id when woken, so tests can observe
@@ -206,20 +237,28 @@ mod tests {
         }
     }
 
-    fn rec(id: u64, log: &Arc<Mutex<Vec<u64>>>) -> Waker {
-        Waker::from(Arc::new(Rec {
+    fn rec(id: u64, log: &Arc<Mutex<Vec<u64>>>) -> Fire {
+        Fire::Wake(Waker::from(Arc::new(Rec {
             id,
             log: Arc::clone(log),
-        }))
+        })))
     }
 
-    /// Pops everything, waking each timer; returns the deadlines in
+    /// An event that records its token when fired.
+    struct RecEvent(Arc<Mutex<Vec<u64>>>);
+    impl TimerEvent for RecEvent {
+        fn fire(self: Rc<Self>, token: u64) {
+            self.0.lock().unwrap().push(token);
+        }
+    }
+
+    /// Pops everything, firing each timer; returns the deadlines in
     /// fire order.
     fn drain(wheel: &mut TimerWheel) -> Vec<u64> {
         let mut deadlines = Vec::new();
         while let Some((d, w)) = wheel.pop() {
             deadlines.push(d);
-            w.wake();
+            w.fire();
         }
         deadlines
     }
@@ -271,6 +310,34 @@ mod tests {
     }
 
     #[test]
+    fn wakers_and_events_of_one_deadline_fire_in_registration_order_across_a_cascade() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let event = Rc::new(RecEvent(Arc::clone(&log)));
+        let mut w = TimerWheel::new();
+        // Level 3 from the anchor at zero: the slot cascades three
+        // times on its way down, behind a nearer timer that fires first.
+        let d = (1 << 20) + 0x2a5;
+        for id in 0..6u64 {
+            if id % 2 == 0 {
+                w.insert(d, rec(id, &log));
+            } else {
+                w.insert(d, Fire::Event(event.clone(), id));
+            }
+        }
+        w.insert(d - 1, Fire::Event(event.clone(), 100));
+        w.insert(7, rec(200, &log));
+        // Registered once the anchor has moved into the deadline's
+        // level-1 window: filed straight there, behind the six that
+        // cascade into it.
+        let (first, fire) = w.pop().expect("nearest timer");
+        assert_eq!(first, 7);
+        fire.fire();
+        w.insert(d, Fire::Event(event, 6));
+        assert_eq!(drain(&mut w), vec![d - 1, d, d, d, d, d, d, d]);
+        assert_eq!(*log.lock().unwrap(), vec![200, 100, 0, 1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
     fn interleaved_insert_pop_keeps_order() {
         // Pop a few, insert nearer deadlines (always >= anchor), pop
         // again — the wheel must merge them in order.
@@ -302,7 +369,7 @@ mod tests {
         w.insert(5, rec(1, &log));
         let (dl, wk) = w.pop().expect("nearest timer");
         assert_eq!(dl, 5);
-        wk.wake();
+        wk.fire();
         // Anchor (5) is still below `d`'s horizon window, so this
         // second registration also lands in overflow, behind the first.
         w.insert(d, rec(2, &log));

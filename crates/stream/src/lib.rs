@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Cross-node streaming for FIFO and socket objects.
 //!
 //! The paper's universal storage interface makes queues and sockets
