@@ -634,6 +634,11 @@ fn fingerprints_match_the_golden_values() {
 ///   and `faas.rebalances` series (at zero) into every rendered
 ///   snapshot. No schedule, RNG draw, or wire byte moved — only the
 ///   snapshot text.
+/// * Both rows' poll fields were re-captured in PR 23 (`mixed` 53,553 →
+///   23,987, `autoscaled` 23,828 → 11,315): a message's hops and a
+///   deadline's expiry became timer events, so the task that awaits
+///   them is polled once per message, not once per stage. Messages,
+///   bytes, virtual time and every other field stayed.
 /// * `stream` dates from the streaming PR that introduced the scenario:
 ///   drops plus a mid-stream subscriber kill over one FIFO's fan-out.
 /// * `obs` was re-captured in PR 17, which moved the scenario's latency
@@ -645,11 +650,11 @@ fn fingerprints_match_the_golden_values() {
 const GOLDENS: &[(&str, &str)] = &[
     (
         "mixed",
-        r#"(3043445277, 8882, 53553, 454768, 620, 247463936, "5.979504589381e-4|cache 0/1705/0|retry 0/0/0")"#,
+        r#"(3043445277, 8882, 23987, 454768, 620, 247463936, "5.979504589381e-4|cache 0/1705/0|retry 0/0/0")"#,
     ),
     (
         "autoscaled",
-        r#"(4001897051, 23828, 462, 251658240, "cold 48 prewarm 3 preempt 0 steal 5 fail 0")"#,
+        r#"(4001897051, 11315, 462, 251658240, "cold 48 prewarm 3 preempt 0 steal 5 fail 0")"#,
     ),
     ("chaos", "0x6215d2ff8d01ad26"),
     ("drops", "0x27b4f910079ce5ca"),
