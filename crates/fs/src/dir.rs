@@ -158,14 +158,11 @@ impl Directory {
 
     /// Deserializes from bytes produced by [`Directory::encode`].
     pub fn decode(bytes: &[u8]) -> Result<Directory, PcsiError> {
-        Self::read(bytes).map_err(bad_frame)
-    }
-
-    fn read(bytes: &[u8]) -> Result<Directory, DecodeError> {
         let mut entries = BTreeMap::new();
         Self::scan(bytes, |name, entry| {
             entries.insert(name.to_owned(), entry);
-        })?;
+        })
+        .map_err(bad_frame)?;
         Ok(Directory { entries })
     }
 

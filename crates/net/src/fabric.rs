@@ -170,7 +170,8 @@ struct State {
     faults_armed: bool,
     /// Messages in flight, by slab slot: a slot is taken when a message
     /// first has to wait and is the token of the events that move it.
-    hops: Vec<Option<Hop>>,
+    /// The slots on `free_hops` hold whatever their last message left.
+    hops: Vec<Hop>,
     free_hops: Vec<usize>,
 }
 
@@ -183,25 +184,14 @@ impl State {
     fn park(&mut self, hop: Hop) -> usize {
         match self.free_hops.pop() {
             Some(slot) => {
-                self.hops[slot] = Some(hop);
+                self.hops[slot] = hop;
                 slot
             }
             None => {
-                self.hops.push(Some(hop));
+                self.hops.push(hop);
                 self.hops.len() - 1
             }
         }
-    }
-
-    fn hop(&mut self, slot: usize) -> &mut Hop {
-        self.hops[slot]
-            .as_mut()
-            .expect("a message in flight holds its slot")
-    }
-
-    fn release(&mut self, slot: usize) {
-        self.hops[slot] = None;
-        self.free_hops.push(slot);
     }
 }
 
@@ -731,22 +721,22 @@ impl TimerEvent for FabricInner {
         let slot = token as usize;
         let (msg, stage) = {
             let mut s = self.state.borrow_mut();
-            let hop = s.hop(slot);
+            let hop = &mut s.hops[slot];
             if hop.waiter.is_none() {
-                s.release(slot);
+                s.free_hops.push(slot);
                 return;
             }
             (hop.msg, hop.next)
         };
         match self.advance(msg, stage) {
             Step::Wait(until, next) => {
-                self.state.borrow_mut().hop(slot).next = next;
+                self.state.borrow_mut().hops[slot].next = next;
                 self.handle.schedule(until, Rc::clone(&self) as _, token);
             }
             Step::Done(outcome) => {
                 let waiter = {
                     let mut s = self.state.borrow_mut();
-                    let hop = s.hop(slot);
+                    let hop = &mut s.hops[slot];
                     hop.outcome = Some(outcome);
                     hop.waiter.take()
                 };
@@ -791,10 +781,10 @@ impl Future for Delivery<'_> {
             };
         };
         let mut s = fabric.state.borrow_mut();
-        let hop = s.hop(slot);
+        let hop = &mut s.hops[slot];
         match hop.outcome.take() {
             Some(outcome) => {
-                s.release(slot);
+                s.free_hops.push(slot);
                 self.slot = None;
                 Poll::Ready(outcome)
             }
@@ -813,9 +803,9 @@ impl Drop for Delivery<'_> {
     fn drop(&mut self) {
         let Some(slot) = self.slot else { return };
         let mut s = self.fabric.state.borrow_mut();
-        let hop = s.hop(slot);
+        let hop = &mut s.hops[slot];
         if hop.outcome.is_some() {
-            s.release(slot);
+            s.free_hops.push(slot);
         } else {
             // The pending event finds no waiter and frees the slot.
             hop.waiter = None;

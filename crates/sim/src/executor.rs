@@ -395,8 +395,9 @@ impl SimHandle {
         if let Some(id) = inner.free.pop() {
             let slot = inner.tasks[id].as_mut().expect("a free slot is at rest");
             slot.future = Some(wrapped);
-            // Already queued by a wake meant for the last tenant: that
-            // entry, further up the queue, is this task's first poll.
+            // Queues the slot, unless a wake meant for the last tenant
+            // already has: that entry, further up the queue, is then
+            // this task's first poll.
             slot.waker.wake_by_ref();
             return;
         }
