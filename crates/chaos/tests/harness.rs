@@ -97,6 +97,39 @@ fn drop_faults_are_fully_masked_by_client_recovery() {
     );
 }
 
+/// OPEN BUG, pinned — ROADMAP item 1(a)'s first half. The linearizable
+/// menu item is not linearizable under `Drops` at these four seeds: no
+/// client sees an error, yet the checker rejects one object's history (a
+/// write is read back, a later write completes, later reads return the
+/// earlier value again). Nobody has root-caused it. Until item 1 does,
+/// this is the most schedule-sensitive pin the tree has: a change that
+/// claims to move no message, timer or RNG draw must leave all four
+/// verdicts, op counts included, exactly here. Item 1's fix turns this
+/// assertion round (`report.ok()`, and the seeds join the sweep above).
+#[test]
+fn open_bug_item_1_drops_histories_that_do_not_linearize() {
+    let cfg = ScenarioConfig {
+        plan: FaultPlan::Drops,
+        ..ScenarioConfig::default()
+    };
+    for (seed, ops) in [
+        (3557361263u64, 27),
+        (3557361289, 31),
+        (3557361790, 29),
+        (3557361805, 24),
+    ] {
+        let report = run_scenario(seed, &cfg);
+        assert!(!report.ok(), "seed {seed} linearizes now: item 1 is fixed?");
+        assert_eq!(report.count("client-errors"), 0, "seed {seed}");
+        let verdict = format!("history of {ops} ops is not linearizable");
+        assert!(
+            report.violations.len() == 1 && report.violations[0].contains(&verdict),
+            "seed {seed}: expected one violation saying {verdict:?}:\n{}",
+            report.render()
+        );
+    }
+}
+
 #[test]
 fn rebalance_sweep_survives_kills_and_drops_during_migration() {
     // Live rebalancing under fire: the spare node joins mid-run, shards

@@ -586,3 +586,266 @@ fn far_clients_pay_more_latency_than_near_ones() {
         })
     });
 }
+
+/// The thirteen operations that take a reference (`create` mints one).
+#[derive(Clone, Copy, Debug)]
+enum MatrixOp {
+    Read,
+    Write,
+    Append,
+    Pop,
+    Stat,
+    SetMutability,
+    Delete,
+    Link,
+    Unlink,
+    Lookup,
+    List,
+    Invoke,
+    Subscribe,
+}
+
+/// What one cell of the matrix came to: `Ok`, or the error's variant
+/// (a kind refusal with both of its texts).
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Ok,
+    AccessDenied,
+    InvalidReference,
+    NotFound,
+    WrongKind {
+        expected: &'static str,
+        actual: &'static str,
+    },
+    Other(String),
+}
+
+fn outcome<T>(result: Result<T, PcsiError>) -> Outcome {
+    match result {
+        Ok(_) => Outcome::Ok,
+        Err(PcsiError::AccessDenied { .. }) => Outcome::AccessDenied,
+        Err(PcsiError::InvalidReference(_)) => Outcome::InvalidReference,
+        Err(PcsiError::NotFound(_)) => Outcome::NotFound,
+        Err(PcsiError::WrongKind {
+            expected, actual, ..
+        }) => Outcome::WrongKind { expected, actual },
+        Err(other) => Outcome::Other(other.to_string()),
+    }
+}
+
+const QUEUES: &[&str] = &["fifo", "socket"];
+const DIRECTORY: &[&str] = &["directory"];
+const KINDS: [&str; 6] = [
+    "regular",
+    "function",
+    "directory",
+    "fifo",
+    "socket",
+    "device",
+];
+
+/// The specification the kernel is held to: per op, the right it needs,
+/// the kinds it serves (`None`: all six) and what its refusal says it
+/// wanted. Written from `CloudInterface`'s documentation and the error
+/// texts, not from the kernel's own table.
+const MATRIX: [(MatrixOp, Rights, Option<&[&str]>, &str); 13] = [
+    (
+        MatrixOp::Read,
+        Rights::READ,
+        Some(&["regular", "function", "directory", "device"]),
+        "byte object (use pop for FIFOs)",
+    ),
+    (
+        MatrixOp::Write,
+        Rights::WRITE,
+        Some(&["regular", "function", "socket", "device"]),
+        "writable object",
+    ),
+    (
+        MatrixOp::Append,
+        Rights::APPEND,
+        Some(&["regular", "function", "fifo", "socket"]),
+        "appendable object",
+    ),
+    (MatrixOp::Pop, Rights::READ, Some(QUEUES), "fifo or socket"),
+    (MatrixOp::Stat, Rights::READ, None, ""),
+    (MatrixOp::SetMutability, Rights::MANAGE, None, ""),
+    (MatrixOp::Delete, Rights::MANAGE, None, ""),
+    (MatrixOp::Link, Rights::WRITE, Some(DIRECTORY), "directory"),
+    (
+        MatrixOp::Unlink,
+        Rights::WRITE,
+        Some(DIRECTORY),
+        "directory",
+    ),
+    (MatrixOp::Lookup, Rights::READ, Some(DIRECTORY), "directory"),
+    (MatrixOp::List, Rights::READ, Some(DIRECTORY), "directory"),
+    (
+        MatrixOp::Invoke,
+        Rights::INVOKE,
+        Some(&["function"]),
+        "function",
+    ),
+    (
+        MatrixOp::Subscribe,
+        Rights::READ,
+        Some(QUEUES),
+        "fifo or socket",
+    ),
+];
+
+/// How the caller's reference stands when the op is issued.
+#[derive(Clone, Copy, Debug)]
+enum Standing {
+    /// Every right held.
+    Held,
+    /// Every right but the one the op needs.
+    Attenuated,
+    /// Minted before a `revoke`.
+    Revoked,
+    /// The object is gone.
+    Deleted,
+}
+
+#[test]
+fn every_op_on_every_kind_admits_or_refuses_as_the_table_says() {
+    with_cloud(18, |cloud| {
+        Box::pin(async move {
+            cloud
+                .kernel
+                .register_device("null", std::rc::Rc::new(|_input: Bytes| Ok(Bytes::new())));
+            cloud.kernel.register_body(
+                "noop",
+                std::rc::Rc::new(|_ctx| Box::pin(async { Ok(Bytes::new()) })),
+            );
+            let image = pcsi_faas::function::FunctionImage::simple(
+                "noop",
+                pcsi_faas::function::WorkModel::fixed(Duration::from_micros(10)),
+                1,
+            )
+            .encode();
+            let c = cloud.kernel.client(NodeId(0), "tenant-a");
+            let target = c.create(CreateOptions::regular()).await.unwrap();
+
+            let mut cells = 0;
+            for (op, right, serves, expected) in MATRIX {
+                for kind in KINDS {
+                    for standing in [
+                        Standing::Held,
+                        Standing::Attenuated,
+                        Standing::Revoked,
+                        Standing::Deleted,
+                    ] {
+                        // A fresh object per cell, ready for the op to
+                        // succeed: a queue holds a message, a directory
+                        // the name `n`.
+                        let opts = match kind {
+                            "regular" => CreateOptions::regular().with_initial(&b"data"[..]),
+                            "function" => CreateOptions::function(image.clone()),
+                            "directory" => CreateOptions::directory(),
+                            "fifo" => CreateOptions::fifo(),
+                            "socket" => CreateOptions {
+                                kind: ObjectKind::Socket,
+                                ..CreateOptions::fifo()
+                            },
+                            _ => CreateOptions {
+                                kind: ObjectKind::Device("null".into()),
+                                ..CreateOptions::immutable(Bytes::new())
+                            },
+                        };
+                        let full = c.create(opts).await.unwrap();
+                        if QUEUES.contains(&kind) {
+                            c.append(&full, Bytes::from_static(b"m")).await.unwrap();
+                        }
+                        if kind == "directory" && !matches!(op, MatrixOp::Link) {
+                            c.link(&full, "n", &target).await.unwrap();
+                        }
+                        let r = match standing {
+                            Standing::Held => full,
+                            Standing::Attenuated => full
+                                .attenuate(Rights::from_bits(Rights::ALL.bits() & !right.bits()))
+                                .unwrap(),
+                            Standing::Revoked => {
+                                cloud.kernel.revoke(full.id()).unwrap();
+                                full
+                            }
+                            Standing::Deleted => {
+                                c.delete(&full).await.unwrap();
+                                full
+                            }
+                        };
+
+                        let got = match op {
+                            MatrixOp::Read => outcome(c.read(&r, 0, 16).await),
+                            MatrixOp::Write => {
+                                outcome(c.write(&r, 0, Bytes::from_static(b"w")).await)
+                            }
+                            MatrixOp::Append => {
+                                outcome(c.append(&r, Bytes::from_static(b"a")).await)
+                            }
+                            MatrixOp::Pop => outcome(c.pop(&r).await),
+                            MatrixOp::Stat => outcome(c.stat(&r).await),
+                            MatrixOp::SetMutability => {
+                                outcome(c.set_mutability(&r, Mutability::Immutable).await)
+                            }
+                            MatrixOp::Delete => outcome(c.delete(&r).await),
+                            MatrixOp::Link => outcome(c.link(&r, "n", &target).await),
+                            MatrixOp::Unlink => outcome(c.unlink(&r, "n").await),
+                            MatrixOp::Lookup => outcome(c.lookup(&r, "n").await),
+                            MatrixOp::List => outcome(c.list(&r).await),
+                            MatrixOp::Invoke => outcome(
+                                c.invoke(&r, pcsi_core::api::InvokeRequest::default()).await,
+                            ),
+                            MatrixOp::Subscribe => {
+                                let sub = c.subscribe(&r, 4).await;
+                                if let Ok(sub) = &sub {
+                                    sub.cancel();
+                                }
+                                outcome(sub)
+                            }
+                        };
+                        // Admission runs found → generation → right →
+                        // kind, so a reference that does not stand is
+                        // refused the same way whatever it names.
+                        let want = match standing {
+                            Standing::Deleted => Outcome::NotFound,
+                            Standing::Revoked => Outcome::InvalidReference,
+                            Standing::Attenuated => Outcome::AccessDenied,
+                            Standing::Held if serves.is_none_or(|s| s.contains(&kind)) => {
+                                Outcome::Ok
+                            }
+                            Standing::Held => Outcome::WrongKind {
+                                expected,
+                                actual: kind,
+                            },
+                        };
+                        assert_eq!(got, want, "{op:?} on a {kind}, reference {standing:?}");
+                        cells += 1;
+                    }
+                }
+            }
+            assert_eq!(cells, 13 * 6 * 4);
+
+            // `link` admits a second reference: the target must stand and
+            // carry GRANT, whatever it names.
+            let dir = c.create(CreateOptions::directory()).await.unwrap();
+            let no_grant = target
+                .attenuate(Rights::from_bits(
+                    Rights::ALL.bits() & !Rights::GRANT.bits(),
+                ))
+                .unwrap();
+            assert_eq!(
+                outcome(c.link(&dir, "a", &no_grant).await),
+                Outcome::AccessDenied
+            );
+            let gone = c.create(CreateOptions::fifo()).await.unwrap();
+            c.delete(&gone).await.unwrap();
+            assert_eq!(outcome(c.link(&dir, "b", &gone).await), Outcome::NotFound);
+            cloud.kernel.revoke(target.id()).unwrap();
+            assert_eq!(
+                outcome(c.link(&dir, "c", &target).await),
+                Outcome::InvalidReference
+            );
+        })
+    });
+}
