@@ -36,13 +36,109 @@ use pcsi_obs::{JournalExt, Telemetry};
 use pcsi_sim::executor::LocalBoxFuture;
 use pcsi_sim::SimTime;
 use pcsi_store::{gc, ReplicatedStore};
-use pcsi_stream::{Publisher, StreamConfig, Subscription};
-use pcsi_trace::{AttrValue, SpanHandle, TraceContext};
+use pcsi_stream::{Publisher, Subscription};
+use pcsi_trace::{AttrValue, TraceContext};
 
 use crate::billing::Billing;
 
-struct MetaEntry {
+/// One row of the op table: what an operation is called, and what it
+/// asks of the reference it is handed.
+struct OpRow {
+    /// The span every call opens.
+    span: &'static str,
+    /// The `op` label of `kernel.ops` / `kernel.op_ns` / `kernel.errors`.
+    label: &'static str,
+    right: Rights,
+    /// [`ObjectKind::name`]s served; empty serves every kind.
+    kinds: &'static [&'static str],
+    /// What a refused kind is told the operation needs.
+    expected: &'static str,
+}
+
+/// The fourteen kernel operations: `CloudInterface`'s thirteen and
+/// `subscribe`. The discriminant indexes [`OPS`].
+#[derive(Clone, Copy)]
+enum Op {
+    Create,
+    Read,
+    Write,
+    Append,
+    Pop,
+    Stat,
+    SetMutability,
+    Delete,
+    Link,
+    Unlink,
+    Lookup,
+    List,
+    Invoke,
+    Subscribe,
+}
+
+impl Op {
+    fn row(self) -> &'static OpRow {
+        &OPS[self as usize]
+    }
+}
+
+macro_rules! op_row {
+    ($label:literal, $right:ident, [$($kind:literal),*], $expected:literal) => {
+        OpRow {
+            span: concat!("kernel.", $label),
+            label: $label,
+            right: Rights::$right,
+            kinds: &[$($kind),*],
+            expected: $expected,
+        }
+    };
+}
+
+/// The op table, in [`Op`]'s order: right × kind × op in one place
+/// (DESIGN §4.11 prints it; a test holds the two together). `create`
+/// takes no reference and `lookup` admits layer by layer as it resolves;
+/// every other op is admitted against its row before its body runs.
+static OPS: [OpRow; 14] = [
+    op_row!("create", NONE, [], ""),
+    op_row!(
+        "read",
+        READ,
+        ["regular", "function", "directory", "device"],
+        "byte object (use pop for FIFOs)"
+    ),
+    op_row!(
+        "write",
+        WRITE,
+        ["regular", "function", "socket", "device"],
+        "writable object"
+    ),
+    op_row!(
+        "append",
+        APPEND,
+        ["regular", "function", "fifo", "socket"],
+        "appendable object"
+    ),
+    op_row!("pop", READ, ["fifo", "socket"], "fifo or socket"),
+    op_row!("stat", READ, [], ""),
+    op_row!("set_mutability", MANAGE, [], ""),
+    op_row!("delete", MANAGE, [], ""),
+    op_row!("link", WRITE, ["directory"], "directory"),
+    op_row!("unlink", WRITE, ["directory"], "directory"),
+    op_row!("lookup", READ, ["directory"], "directory"),
+    op_row!("list", READ, ["directory"], "directory"),
+    op_row!("invoke", INVOKE, ["function"], "function"),
+    op_row!("subscribe", READ, ["fifo", "socket"], "fifo or socket"),
+];
+
+/// `link`'s row for its second reference: publishing a name delegates
+/// the target, whatever it is, so the caller must hold GRANT on it.
+static LINK_TARGET: OpRow = op_row!("link", GRANT, [], "");
+
+/// One entry of the object table. `queue` is `Some` exactly for FIFOs
+/// and sockets ([`Kernel::insert`] is the only place entries are made).
+#[derive(Clone)]
+struct Object {
     meta: ObjectMeta,
+    queue: Option<FifoQueue>,
 }
 
 struct Inner {
@@ -51,8 +147,7 @@ struct Inner {
     runtime: Runtime,
     billing: Billing,
     alloc: RefCell<IdAllocator>,
-    meta: RefCell<FxHashMap<ObjectId, MetaEntry>>,
-    fifos: RefCell<FxHashMap<ObjectId, FifoQueue>>,
+    objects: RefCell<FxHashMap<ObjectId, Object>>,
     devices: RefCell<DeviceRegistry>,
     /// Cross-node push fan-out for subscribed FIFOs/sockets.
     publisher: Publisher,
@@ -64,11 +159,12 @@ struct Inner {
     /// in the registry; control-plane transitions — deletes,
     /// revocations, GC sweeps — append typed records to the journal.
     telemetry: Telemetry,
-    /// Resolved `kernel.ops`/`kernel.op_ns` series per op name, so the
-    /// per-op hot path skips the registry's label-string lookup. The
-    /// error counter is *not* cached: it is registered lazily on first
-    /// error, keeping rendered snapshots identical to the uncached path.
-    op_series: RefCell<FxHashMap<&'static str, (pcsi_metrics::Counter, pcsi_metrics::Histogram)>>,
+    /// Resolved `kernel.ops`/`kernel.op_ns` series per [`Op`], filled on
+    /// the op's first use, so the per-op hot path skips the registry's
+    /// label-string lookup. The error counter is *not* cached: it is
+    /// registered lazily on first error, keeping rendered snapshots
+    /// identical to the uncached path.
+    op_series: RefCell<[Option<(pcsi_metrics::Counter, pcsi_metrics::Histogram)>; 14]>,
 }
 
 /// FIFO/socket queue bound for objects created without an explicit
@@ -96,11 +192,7 @@ impl Kernel {
         telemetry: &Telemetry,
     ) -> Self {
         let realm = fabric.handle().rng().seed() ^ 0x5043_5349; // "PCSI"
-        let publisher = Publisher::deploy(
-            fabric.clone(),
-            StreamConfig::default(),
-            telemetry.metrics.clone(),
-        );
+        let publisher = Publisher::deploy(fabric.clone(), telemetry.metrics.clone());
         Kernel {
             inner: Rc::new(Inner {
                 fabric,
@@ -108,13 +200,12 @@ impl Kernel {
                 runtime,
                 billing,
                 alloc: RefCell::new(IdAllocator::new(realm)),
-                meta: RefCell::new(FxHashMap::default()),
-                fifos: RefCell::new(FxHashMap::default()),
+                objects: RefCell::new(FxHashMap::default()),
                 devices: RefCell::new(DeviceRegistry::new()),
                 publisher,
                 goal,
                 telemetry: telemetry.clone(),
-                op_series: RefCell::new(FxHashMap::default()),
+                op_series: RefCell::default(),
             }),
         }
     }
@@ -125,9 +216,22 @@ impl Kernel {
         KernelClient {
             kernel: self.clone(),
             node,
-            account: account.to_owned(),
+            account: account.into(),
             ctx: None,
         }
+    }
+
+    /// Enters a new object in the table — with its queue, bounded by
+    /// `capacity` (default [`DEFAULT_FIFO_CAPACITY`]), when it is a FIFO
+    /// or socket: an unconsumed backlog turns into retryable
+    /// backpressure, never unbounded memory — and mints the first
+    /// reference to it.
+    fn insert(&self, id: ObjectId, meta: ObjectMeta, capacity: Option<usize>) -> Reference {
+        let queue = matches!(meta.kind, ObjectKind::Fifo | ObjectKind::Socket)
+            .then(|| FifoQueue::bounded(capacity.unwrap_or(DEFAULT_FIFO_CAPACITY).max(1)));
+        let object = Object { meta, queue };
+        self.inner.objects.borrow_mut().insert(id, object);
+        Reference::mint(id, Rights::ALL, 0)
     }
 
     /// Creates a provider-internal FIFO synchronously (no client, no
@@ -145,42 +249,55 @@ impl Kernel {
             Consistency::Linearizable,
             now,
         );
-        self.inner
-            .fifos
-            .borrow_mut()
-            .insert(id, FifoQueue::bounded(capacity.max(1)));
-        self.inner.meta.borrow_mut().insert(id, MetaEntry { meta });
-        Reference::mint(id, Rights::ALL, 0)
+        self.insert(id, meta, Some(capacity))
     }
 
-    /// Appends to a provider-internal FIFO synchronously. Subscribed
-    /// queues push to their subscribers (credit-controlled); otherwise
-    /// the payload queues for poppers, and when the queue is full the
-    /// *oldest* entry is evicted — a control-plane stream is a ring of
-    /// recent history, not a backpressure source for the kernel itself.
+    /// Appends to a provider-internal FIFO synchronously: [`Kernel::enqueue`]
+    /// at the queue itself, and when the queue is full the *oldest* entry
+    /// is evicted — a control-plane stream is a ring of recent history,
+    /// not a backpressure source for the kernel itself.
     pub(crate) fn append_system_fifo(&self, r: &Reference, data: Bytes) -> Result<(), PcsiError> {
-        let fifo = self
+        let queue = self
             .inner
-            .fifos
+            .objects
             .borrow()
             .get(&r.id())
-            .cloned()
-            .ok_or(PcsiError::NotFound(r.id()))?;
-        if self.inner.publisher.has_subscribers(r.id()) {
+            .and_then(|o| o.queue.clone());
+        let queue = queue.ok_or(PcsiError::NotFound(r.id()))?;
+        self.enqueue(r.id(), &queue, data, true).map(drop)
+    }
+
+    /// One message arrives at the home of queue `id`. A subscribed queue
+    /// is in push mode: the event fans out to subscribers instead of
+    /// accumulating for poppers, and backpressure comes from the slowest
+    /// credit window. Otherwise it queues; a full queue refuses it with a
+    /// retryable [`PcsiError::Overloaded`], or with `evict_oldest` makes
+    /// room. Returns the message's sequence number.
+    fn enqueue(
+        &self,
+        id: ObjectId,
+        queue: &FifoQueue,
+        data: Bytes,
+        evict_oldest: bool,
+    ) -> Result<u64, PcsiError> {
+        let seq = if self.inner.publisher.has_subscribers(id) {
             let ts = self.inner.fabric.handle().now().as_nanos();
-            self.inner.publisher.publish(r.id(), data, ts)?;
-            self.update_meta(r.id(), |m| m.version += 1);
-            return Ok(());
-        }
-        if let Some(back) = fifo.try_push(data)? {
-            fifo.try_pop();
-            fifo.try_push(back)?;
-        }
-        self.update_meta(r.id(), |m| {
-            m.size += 1;
+            self.inner.publisher.publish(id, data, ts)?
+        } else {
+            let seq = queue.total_pushed();
+            if !evict_oldest {
+                queue.push(data)?;
+            } else if let Some(back) = queue.try_push(data)? {
+                queue.try_pop();
+                queue.try_push(back)?;
+            }
+            seq
+        };
+        self.update_meta(id, |m| {
+            m.size = queue.len() as u64;
             m.version += 1;
         });
-        Ok(())
+        Ok(seq)
     }
 
     /// Registers a host body for a function image name.
@@ -200,18 +317,18 @@ impl Kernel {
 
     /// Number of live (metadata-tracked) objects.
     pub fn live_objects(&self) -> usize {
-        self.inner.meta.borrow().len()
+        self.inner.objects.borrow().len()
     }
 
     /// Revokes every outstanding reference to `id` by bumping its
     /// generation; the holder of a newer reference must be re-issued one
     /// through a namespace or delegation.
     pub fn revoke(&self, id: ObjectId) -> Result<Reference, PcsiError> {
-        let mut meta = self.inner.meta.borrow_mut();
-        let entry = meta.get_mut(&id).ok_or(PcsiError::NotFound(id))?;
-        entry.meta.generation += 1;
-        let generation = entry.meta.generation;
-        drop(meta);
+        let mut objects = self.inner.objects.borrow_mut();
+        let object = objects.get_mut(&id).ok_or(PcsiError::NotFound(id))?;
+        object.meta.generation += 1;
+        let generation = object.meta.generation;
+        drop(objects);
         self.inner
             .telemetry
             .journal
@@ -227,9 +344,9 @@ impl Kernel {
     pub fn run_gc(&self, roots: &[Reference]) -> usize {
         let edges = |id: ObjectId| -> Vec<ObjectId> {
             let is_dir = {
-                let meta = self.inner.meta.borrow();
+                let objects = self.inner.objects.borrow();
                 matches!(
-                    meta.get(&id).map(|e| &e.meta.kind),
+                    objects.get(&id).map(|o| &o.meta.kind),
                     Some(ObjectKind::Directory)
                 )
             };
@@ -247,17 +364,11 @@ impl Kernel {
             }
             Vec::new()
         };
-        let all: Vec<ObjectId> = self.inner.meta.borrow().keys().copied().collect();
+        let all: Vec<ObjectId> = self.inner.objects.borrow().keys().copied().collect();
         let dead = gc::mark(roots.iter().map(Reference::id), edges, all);
         gc::sweep(&self.inner.store, &dead);
-        let mut meta = self.inner.meta.borrow_mut();
-        let mut fifos = self.inner.fifos.borrow_mut();
         for id in &dead {
-            meta.remove(id);
-            if let Some(fifo) = fifos.remove(id) {
-                fifo.close();
-                self.inner.publisher.close_object(*id);
-            }
+            self.remove(*id);
             self.inner.store.invalidate_cached(*id);
         }
         if !dead.is_empty() {
@@ -269,24 +380,47 @@ impl Kernel {
         dead.len()
     }
 
-    fn check(&self, r: &Reference, needed: Rights) -> Result<ObjectMeta, PcsiError> {
-        let meta = self.inner.meta.borrow();
-        let entry = meta.get(&r.id()).ok_or(PcsiError::NotFound(r.id()))?;
-        if entry.meta.generation != r.generation() {
+    /// Drops `id` from the table. A queue closes with it: blocked poppers
+    /// wake to see the close, and cross-node subscriptions end after
+    /// their buffered frames drain.
+    fn remove(&self, id: ObjectId) {
+        let removed = self.inner.objects.borrow_mut().remove(&id);
+        if let Some(queue) = removed.and_then(|o| o.queue) {
+            queue.close();
+            self.inner.publisher.close_object(id);
+        }
+    }
+
+    /// The one admission, a local table lookup: the object exists, the
+    /// reference was minted in its current generation and carries the
+    /// right, and the object is of a kind the operation serves — refused
+    /// in that order. What comes back is the entry as admitted.
+    fn admit(&self, r: &Reference, needs: &OpRow) -> Result<Object, PcsiError> {
+        let objects = self.inner.objects.borrow();
+        let object = objects.get(&r.id()).ok_or(PcsiError::NotFound(r.id()))?;
+        if object.meta.generation != r.generation() {
             return Err(PcsiError::InvalidReference(format!(
                 "reference to {:?} was revoked (generation {} != {})",
                 r.id(),
                 r.generation(),
-                entry.meta.generation
+                object.meta.generation
             )));
         }
-        r.require(needed)?;
-        Ok(entry.meta.clone())
+        r.require(needs.right)?;
+        let kind = object.meta.kind.name();
+        if !needs.kinds.is_empty() && !needs.kinds.contains(&kind) {
+            return Err(PcsiError::WrongKind {
+                id: r.id(),
+                expected: needs.expected,
+                actual: kind,
+            });
+        }
+        Ok(object.clone())
     }
 
     fn update_meta(&self, id: ObjectId, f: impl FnOnce(&mut ObjectMeta)) {
-        if let Some(entry) = self.inner.meta.borrow_mut().get_mut(&id) {
-            f(&mut entry.meta);
+        if let Some(object) = self.inner.objects.borrow_mut().get_mut(&id) {
+            f(&mut object.meta);
         }
     }
 }
@@ -296,7 +430,7 @@ impl Kernel {
 pub struct KernelClient {
     kernel: Kernel,
     node: NodeId,
-    account: String,
+    account: Rc<str>,
     /// Trace context operations run under: `None` for user-facing
     /// clients (each op opens a root span), `Some` for clients handed to
     /// function bodies (ops nest under the invocation).
@@ -327,42 +461,29 @@ impl KernelClient {
     /// used to nest an op's work under the span just opened for it.
     fn with_ctx(&self, ctx: Option<TraceContext>) -> KernelClient {
         KernelClient {
-            kernel: self.kernel.clone(),
-            node: self.node,
-            account: self.account.clone(),
             ctx: ctx.or(self.ctx),
+            ..self.clone()
         }
     }
 
-    /// Opens the span for one kernel operation: a root when this client
-    /// faces a user, a child when it is a function body's data plane.
-    fn op_span(&self, name: &'static str) -> SpanHandle {
-        match &self.inner().telemetry.tracer {
-            Some(t) => match self.ctx {
-                Some(ctx) => t.child(ctx, name),
-                None => t.root(name),
-            },
-            None => SpanHandle::disabled(),
-        }
-    }
-
-    /// Runs one kernel operation: opens its `kernel.<op>` span, hands
-    /// `body` a client whose work (and store calls) nests under that
-    /// span, then records the op's series and closes the span. `name`
-    /// is the span name; the part after `kernel.` is the `op` label.
+    /// Runs one kernel operation: opens its span — a root when this
+    /// client faces a user, a child when it is a function body's data
+    /// plane — hands `body` a client whose work (and store calls) nests
+    /// under that span, then records the op's series and closes the span.
     async fn op<T, Fut>(
         &self,
-        name: &'static str,
+        op: Op,
         body: impl FnOnce(KernelClient) -> Fut,
     ) -> Result<T, PcsiError>
     where
         Fut: Future<Output = Result<T, PcsiError>>,
     {
-        let mut span = self.op_span(name);
+        let tracer = &self.inner().telemetry.tracer;
+        let mut span = pcsi_trace::child_or_root(tracer, self.ctx, op.row().span);
         let started = self.inner().fabric.handle().now();
         let result = body(self.with_ctx(span.ctx())).await;
         let trace = span.ctx().map(|c| c.trace.0);
-        self.record_op(&name["kernel.".len()..], started, result.is_ok(), trace);
+        self.record_op(op, started, result.is_ok(), trace);
         if let Err(e) = &result {
             span.attr_with("error", || AttrValue::Text(e.to_string()));
         }
@@ -370,19 +491,38 @@ impl KernelClient {
         result
     }
 
+    /// [`KernelClient::op`] on a reference: `r` is admitted against the
+    /// op's row first (inside the span, so a refusal is recorded like any
+    /// other failure) and `body` gets the object it names.
+    async fn op_on<T, Fut>(
+        &self,
+        op: Op,
+        r: &Reference,
+        body: impl FnOnce(KernelClient, Object) -> Fut,
+    ) -> Result<T, PcsiError>
+    where
+        Fut: Future<Output = Result<T, PcsiError>>,
+    {
+        self.op(op, |this| async move {
+            let object = this.kernel.admit(r, op.row())?;
+            body(this, object).await
+        })
+        .await
+    }
+
     /// Records one completed `CloudInterface` op into the registry (if
     /// there is one): per-op count, per-op error count, latency histogram.
     /// When the op ran under a sampled trace, the latency histogram also
     /// retains `(trace, elapsed)` as the bucket's exemplar — the join
     /// key that lets a firing latency alert name its offending trace.
-    fn record_op(&self, op: &'static str, started: SimTime, ok: bool, trace: Option<u64>) {
+    fn record_op(&self, op: Op, started: SimTime, ok: bool, trace: Option<u64>) {
         let inner = self.inner();
         let Some(m) = &inner.telemetry.metrics else {
             return;
         };
-        let labels = [("op", op)];
+        let labels = [("op", op.row().label)];
         let mut series = inner.op_series.borrow_mut();
-        let (ops, op_ns) = series.entry(op).or_insert_with(|| {
+        let (ops, op_ns) = series[op as usize].get_or_insert_with(|| {
             (
                 m.counter("kernel.ops", &labels),
                 m.histogram("kernel.op_ns", &labels),
@@ -405,10 +545,8 @@ impl KernelClient {
     /// immutable bytes and stable append-only prefixes happens inside the
     /// store client, which also knows the authoritative mutability.
     async fn read_raw(&self, id: ObjectId, meta: &ObjectMeta) -> Result<Bytes, PcsiError> {
-        let (_tag, data) = self
-            .read_with_fallback(id, 0, u64::MAX, meta.consistency)
-            .await?;
-        Ok(data)
+        self.read_with_fallback(id, 0, u64::MAX, meta.consistency)
+            .await
     }
 
     /// Store read honoring the consistency menu, with one escape hatch:
@@ -421,32 +559,21 @@ impl KernelClient {
         offset: u64,
         len: u64,
         consistency: Consistency,
-    ) -> Result<(pcsi_store::Tag, Bytes), PcsiError> {
-        match self.store_client().read(id, offset, len, consistency).await {
+    ) -> Result<Bytes, PcsiError> {
+        let read = match self.store_client().read(id, offset, len, consistency).await {
             Err(PcsiError::NotFound(_)) if consistency == Consistency::Eventual => {
                 self.store_client()
                     .read(id, offset, len, Consistency::Linearizable)
                     .await
             }
             other => other,
-        }
+        };
+        Ok(read?.1)
     }
 
-    /// The stored bytes of a directory object.
-    async fn read_dir(&self, id: ObjectId, meta: &ObjectMeta) -> Result<Bytes, PcsiError> {
-        if meta.kind != ObjectKind::Directory {
-            return Err(PcsiError::WrongKind {
-                id,
-                expected: "directory",
-                actual: meta.kind.name(),
-            });
-        }
-        self.read_raw(id, meta).await
-    }
-
-    /// Loads and decodes a directory object.
+    /// Loads and decodes an admitted directory object.
     async fn load_dir(&self, id: ObjectId, meta: &ObjectMeta) -> Result<Directory, PcsiError> {
-        Directory::decode(&self.read_dir(id, meta).await?)
+        Directory::decode(&self.read_raw(id, meta).await?)
     }
 
     /// Persists a directory object (directories are linearizable).
@@ -478,8 +605,7 @@ impl KernelClient {
         layers: &[Reference],
         path: &str,
     ) -> Result<Reference, PcsiError> {
-        self.op("kernel.lookup", |this| this.resolve(layers, path))
-            .await
+        self.op(Op::Lookup, |this| this.resolve(layers, path)).await
     }
 
     /// Opens a cross-node subscription on a FIFO or socket object: the
@@ -491,36 +617,23 @@ impl KernelClient {
     /// While an object has subscribers it is in push mode: appends fan
     /// out instead of queueing for [`CloudInterface::pop`].
     pub async fn subscribe(&self, r: &Reference, window: u32) -> Result<Subscription, PcsiError> {
-        self.op("kernel.subscribe", |this| this.subscribe_impl(r, window))
+        self.op_on(Op::Subscribe, r, |this, _| async move {
+            let inner = this.inner();
+            let window = match window {
+                0 => pcsi_stream::DEFAULT_WINDOW,
+                w => w,
+            };
+            Subscription::open(
+                inner.fabric.clone(),
+                inner.publisher.alloc_sub(this.node),
+                this.node,
+                r.id(),
+                inner.store.placement().primary(r.id()),
+                window,
+                inner.telemetry.metrics.clone(),
+            )
             .await
-    }
-
-    async fn subscribe_impl(self, r: &Reference, window: u32) -> Result<Subscription, PcsiError> {
-        let meta = self.kernel.check(r, Rights::READ)?;
-        if !matches!(meta.kind, ObjectKind::Fifo | ObjectKind::Socket) {
-            return Err(PcsiError::WrongKind {
-                id: r.id(),
-                expected: "fifo or socket",
-                actual: meta.kind.name(),
-            });
-        }
-        let publisher = self.inner().publisher.clone();
-        let window = if window == 0 {
-            publisher.config().default_window
-        } else {
-            window
-        };
-        let home = self.inner().store.placement().primary(r.id());
-        Subscription::open(
-            self.inner().fabric.clone(),
-            publisher.alloc_sub(self.node),
-            self.node,
-            r.id(),
-            home,
-            window,
-            publisher.config().transport,
-            self.inner().telemetry.metrics.clone(),
-        )
+        })
         .await
     }
 
@@ -534,7 +647,7 @@ impl KernelClient {
         req: InvokeRequest,
         goal: Goal,
     ) -> Result<InvokeResponse, PcsiError> {
-        self.op("kernel.invoke", |this| async move {
+        self.op(Op::Invoke, |this| async move {
             let image = this.load_function(f).await?;
             let route = Route {
                 variant: None,
@@ -559,7 +672,7 @@ impl KernelClient {
         req: InvokeRequest,
     ) -> Result<(InvokeResponse, NodeId), PcsiError> {
         let goal = self.inner().goal;
-        self.op("kernel.invoke", |this| {
+        self.op(Op::Invoke, |this| {
             this.run_function(image, goal, route, req)
         })
         .await
@@ -571,16 +684,8 @@ impl KernelClient {
     /// before it plans, so a stage the caller may not invoke fails the
     /// whole submission before anything runs.
     pub(crate) async fn load_function(&self, f: &Reference) -> Result<FunctionImage, PcsiError> {
-        let meta = self.kernel.check(f, Rights::INVOKE)?;
-        if meta.kind != ObjectKind::Function {
-            return Err(PcsiError::WrongKind {
-                id: f.id(),
-                expected: "function",
-                actual: meta.kind.name(),
-            });
-        }
-        let image_bytes = self.read_raw(f.id(), &meta).await?;
-        FunctionImage::decode(&image_bytes)
+        let function = self.kernel.admit(f, Op::Invoke.row())?;
+        FunctionImage::decode(&self.read_raw(f.id(), &function.meta).await?)
     }
 
     /// Execution, the second half of every invocation and the only route
@@ -600,10 +705,8 @@ impl KernelClient {
         // Scheduling: variant choice plus placement/reservation. The
         // section is synchronous (no awaits), so the span is zero-width
         // in virtual time — it marks the decision point on the timeline.
-        let mut sched_span = match &self.inner().telemetry.tracer {
-            Some(t) => t.child_of(self.ctx, "faas.schedule"),
-            None => SpanHandle::disabled(),
-        };
+        let tracer = &self.inner().telemetry.tracer;
+        let mut sched_span = pcsi_trace::child_of(tracer, self.ctx, "faas.schedule");
         // Warm instances are always preferred (their resources are pinned
         // and they skip the boot); the placement policy governs where new
         // instances go. Placement and reservation share one synchronous
@@ -653,10 +756,8 @@ impl KernelClient {
         // The body's data plane originates from the execution node; its
         // data-plane ops trace as children of this invocation.
         let body_client: Rc<dyn DataPlane> = Rc::new(KernelClient {
-            kernel: self.kernel.clone(),
             node,
-            account: self.account.clone(),
-            ctx: self.ctx,
+            ..self.clone()
         });
         let (resp, ran_on) = runtime
             .run_lease(lease, image, &variant, req, body_client, self.ctx)
@@ -709,66 +810,151 @@ pub(crate) struct Route<'a> {
 
 impl CloudInterface for KernelClient {
     async fn create(&self, opts: CreateOptions) -> Result<Reference, PcsiError> {
-        self.op("kernel.create", |this| this.create_impl(opts))
-            .await
+        self.op(Op::Create, |this| this.create_impl(opts)).await
     }
 
     async fn read(&self, r: &Reference, offset: u64, len: u64) -> Result<Bytes, PcsiError> {
-        self.op("kernel.read", |this| this.read_impl(r, offset, len))
-            .await
-    }
-
-    async fn write(&self, r: &Reference, offset: u64, data: Bytes) -> Result<(), PcsiError> {
-        self.op("kernel.write", |this| this.write_impl(r, offset, data))
-            .await
-    }
-
-    async fn append(&self, r: &Reference, data: Bytes) -> Result<u64, PcsiError> {
-        self.op("kernel.append", |this| this.append_impl(r, data))
-            .await
-    }
-
-    async fn pop(&self, r: &Reference) -> Result<Bytes, PcsiError> {
-        self.op("kernel.pop", |this| this.pop_impl(r)).await
-    }
-
-    async fn stat(&self, r: &Reference) -> Result<ObjectMeta, PcsiError> {
-        self.op("kernel.stat", |this| async move {
-            this.kernel.check(r, Rights::READ)
+        self.op_on(Op::Read, r, |this, object| async move {
+            match &object.meta.kind {
+                ObjectKind::Device(class) => {
+                    this.inner().devices.borrow().dispatch(class, Bytes::new())
+                }
+                _ => {
+                    this.read_with_fallback(r.id(), offset, len, object.meta.consistency)
+                        .await
+                }
+            }
         })
         .await
     }
 
+    async fn write(&self, r: &Reference, offset: u64, data: Bytes) -> Result<(), PcsiError> {
+        self.op_on(Op::Write, r, |this, object| async move {
+            match (&object.queue, &object.meta.kind) {
+                (Some(queue), _) => this.enqueue(r.id(), queue, data).await.map(drop),
+                (None, ObjectKind::Device(class)) => {
+                    this.inner().devices.borrow().dispatch(class, data)?;
+                    Ok(())
+                }
+                (None, _) => {
+                    // Saturate rather than wrap: the store rejects absurd
+                    // ranges itself, and metadata must not panic first.
+                    let end = offset.saturating_add(data.len() as u64);
+                    this.store_client()
+                        .write_at(r.id(), offset, data, object.meta.consistency)
+                        .await?;
+                    this.kernel.update_meta(r.id(), |m| {
+                        m.size = m.size.max(end);
+                        m.version += 1;
+                    });
+                    Ok(())
+                }
+            }
+        })
+        .await
+    }
+
+    async fn append(&self, r: &Reference, data: Bytes) -> Result<u64, PcsiError> {
+        self.op_on(Op::Append, r, |this, object| async move {
+            if let Some(queue) = &object.queue {
+                return this.enqueue(r.id(), queue, data).await;
+            }
+            let len = data.len() as u64;
+            this.store_client()
+                .append(r.id(), data, object.meta.consistency)
+                .await?;
+            let mut at = 0;
+            this.kernel.update_meta(r.id(), |m| {
+                at = m.size;
+                m.size += len;
+                m.version += 1;
+            });
+            Ok(at)
+        })
+        .await
+    }
+
+    async fn pop(&self, r: &Reference) -> Result<Bytes, PcsiError> {
+        self.op_on(Op::Pop, r, |this, object| async move {
+            // The row admits only kinds that are made with a queue.
+            let queue = object.queue.ok_or(PcsiError::NotFound(r.id()))?;
+            let msg = queue.pop().await?;
+            let home = this.inner().store.placement().primary(r.id());
+            this.hop(home, this.node, msg.len()).await?;
+            this.kernel
+                .update_meta(r.id(), |m| m.size = queue.len() as u64);
+            Ok(msg)
+        })
+        .await
+    }
+
+    async fn stat(&self, r: &Reference) -> Result<ObjectMeta, PcsiError> {
+        self.op_on(Op::Stat, r, |_, object| async { Ok(object.meta) })
+            .await
+    }
+
     async fn set_mutability(&self, r: &Reference, to: Mutability) -> Result<(), PcsiError> {
-        self.op("kernel.set_mutability", |this| {
-            this.set_mutability_impl(r, to)
+        self.op_on(Op::SetMutability, r, |this, object| async move {
+            let meta = object.meta;
+            // Validate the Figure-1 transition before touching the store.
+            meta.mutability.transition_to(to)?;
+            if matches!(meta.kind, ObjectKind::Regular | ObjectKind::Function) {
+                this.store_client()
+                    .set_mutability(r.id(), to, meta.consistency)
+                    .await?;
+            }
+            this.kernel.update_meta(r.id(), |m| {
+                m.mutability = to;
+                m.version += 1;
+            });
+            Ok(())
         })
         .await
     }
 
     async fn delete(&self, r: &Reference) -> Result<(), PcsiError> {
-        self.op("kernel.delete", |this| this.delete_impl(r)).await
-    }
-
-    async fn link(&self, dir: &Reference, name: &str, target: &Reference) -> Result<(), PcsiError> {
-        self.op("kernel.link", |this| this.link_impl(dir, name, target))
-            .await
-    }
-
-    async fn unlink(&self, dir: &Reference, name: &str) -> Result<(), PcsiError> {
-        self.op("kernel.unlink", |this| this.unlink_impl(dir, name))
-            .await
-    }
-
-    async fn lookup(&self, dir: &Reference, path: &str) -> Result<Reference, PcsiError> {
-        self.op("kernel.lookup", |this| {
-            this.resolve(std::slice::from_ref(dir), path)
+        self.op_on(Op::Delete, r, |this, object| async move {
+            if matches!(
+                object.meta.kind,
+                ObjectKind::Regular | ObjectKind::Function | ObjectKind::Directory
+            ) {
+                // The store-level delete also drops node-local cached copies.
+                this.store_client().delete(r.id()).await?;
+            }
+            this.kernel.remove(r.id());
+            Ok(())
         })
         .await
     }
 
+    async fn link(&self, dir: &Reference, name: &str, target: &Reference) -> Result<(), PcsiError> {
+        self.op_on(Op::Link, dir, |this, object| async move {
+            this.kernel.admit(target, &LINK_TARGET)?;
+            let mut d = this.load_dir(dir.id(), &object.meta).await?;
+            d.link(name, DirEntry::new(target.id(), target.rights()))?;
+            this.store_dir(dir.id(), &d).await
+        })
+        .await
+    }
+
+    async fn unlink(&self, dir: &Reference, name: &str) -> Result<(), PcsiError> {
+        self.op_on(Op::Unlink, dir, |this, object| async move {
+            let mut d = this.load_dir(dir.id(), &object.meta).await?;
+            d.unlink(name)?;
+            this.store_dir(dir.id(), &d).await
+        })
+        .await
+    }
+
+    async fn lookup(&self, dir: &Reference, path: &str) -> Result<Reference, PcsiError> {
+        self.lookup_union(std::slice::from_ref(dir), path).await
+    }
+
     async fn list(&self, dir: &Reference) -> Result<Vec<String>, PcsiError> {
-        self.op("kernel.list", |this| this.list_impl(dir)).await
+        self.op_on(Op::List, dir, |this, object| async move {
+            Ok(this.load_dir(dir.id(), &object.meta).await?.names())
+        })
+        .await
     }
 
     async fn invoke(&self, f: &Reference, req: InvokeRequest) -> Result<InvokeResponse, PcsiError> {
@@ -776,9 +962,9 @@ impl CloudInterface for KernelClient {
     }
 }
 
-/// Operation bodies. Each takes the client by value: [`KernelClient::op`]
-/// hands it the clone that runs under the span just opened, and the
-/// body's future owns it.
+/// What the operations above share. `create_impl` and `resolve` take the
+/// client by value: [`KernelClient::op`] hands them the clone that runs
+/// under the span just opened, and the body's future owns it.
 impl KernelClient {
     async fn create_impl(self, opts: CreateOptions) -> Result<Reference, PcsiError> {
         if !matches!(opts.kind, ObjectKind::Regular | ObjectKind::Function)
@@ -797,245 +983,42 @@ impl KernelClient {
         let id = self.inner().alloc.borrow_mut().alloc();
         let now = self.inner().fabric.handle().now().as_nanos();
         let mut meta = ObjectMeta::new(opts.kind.clone(), opts.mutability, opts.consistency, now);
-        meta.size = opts.initial.len() as u64;
-
-        match &opts.kind {
-            ObjectKind::Regular | ObjectKind::Function => {
-                // Creation is always durably replicated (majority sync):
-                // an object must be readable everywhere the moment its
-                // reference exists, whatever its steady-state consistency.
-                self.store_client()
-                    .put(id, opts.initial, opts.mutability, Consistency::Linearizable)
-                    .await?;
-            }
-            ObjectKind::Directory => {
-                let dir = Directory::new();
-                let bytes = dir.encode();
-                meta.size = bytes.len() as u64;
-                self.store_client()
-                    .put(id, bytes, Mutability::Mutable, Consistency::Linearizable)
-                    .await?;
-            }
-            ObjectKind::Fifo | ObjectKind::Socket => {
-                // Queues are always bounded: an unconsumed backlog turns
-                // into retryable backpressure, never unbounded memory.
-                let capacity = opts.fifo_capacity.unwrap_or(DEFAULT_FIFO_CAPACITY).max(1);
-                self.inner()
-                    .fifos
-                    .borrow_mut()
-                    .insert(id, FifoQueue::bounded(capacity));
-            }
-            ObjectKind::Device(_) => {}
-        }
-        self.inner()
-            .meta
-            .borrow_mut()
-            .insert(id, MetaEntry { meta });
-        Ok(Reference::mint(id, Rights::ALL, 0))
-    }
-
-    async fn read_impl(self, r: &Reference, offset: u64, len: u64) -> Result<Bytes, PcsiError> {
-        let meta = self.kernel.check(r, Rights::READ)?;
-        match &meta.kind {
-            ObjectKind::Regular | ObjectKind::Function | ObjectKind::Directory => {
-                let (_tag, data) = self
-                    .read_with_fallback(r.id(), offset, len, meta.consistency)
-                    .await?;
-                Ok(data)
-            }
-            ObjectKind::Device(class) => {
-                self.inner().devices.borrow().dispatch(class, Bytes::new())
-            }
-            ObjectKind::Fifo | ObjectKind::Socket => Err(PcsiError::WrongKind {
-                id: r.id(),
-                expected: "byte object (use pop for FIFOs)",
-                actual: meta.kind.name(),
-            }),
-        }
-    }
-
-    async fn write_impl(self, r: &Reference, offset: u64, data: Bytes) -> Result<(), PcsiError> {
-        let meta = self.kernel.check(r, Rights::WRITE)?;
-        match &meta.kind {
-            ObjectKind::Regular | ObjectKind::Function => {
-                // Saturate rather than wrap: the store rejects absurd
-                // ranges itself, and metadata must not panic first.
-                let end = offset.saturating_add(data.len() as u64);
-                self.store_client()
-                    .write_at(r.id(), offset, data, meta.consistency)
-                    .await?;
-                self.kernel.update_meta(r.id(), |m| {
-                    m.size = m.size.max(end);
-                    m.version += 1;
-                });
-                Ok(())
-            }
-            ObjectKind::Device(class) => {
-                self.inner().devices.borrow().dispatch(class, data)?;
-                Ok(())
-            }
-            ObjectKind::Socket => {
-                let fifo = self
-                    .inner()
-                    .fifos
-                    .borrow()
-                    .get(&r.id())
-                    .cloned()
-                    .ok_or(PcsiError::NotFound(r.id()))?;
-                if self.inner().publisher.has_subscribers(r.id()) {
-                    let ts = self.inner().fabric.handle().now().as_nanos();
-                    self.inner().publisher.publish(r.id(), data, ts)?;
-                    return Ok(());
-                }
-                fifo.push(data)
-            }
-            other => Err(PcsiError::WrongKind {
-                id: r.id(),
-                expected: "writable object",
-                actual: other.name(),
-            }),
-        }
-    }
-
-    async fn append_impl(self, r: &Reference, data: Bytes) -> Result<u64, PcsiError> {
-        let meta = self.kernel.check(r, Rights::APPEND)?;
-        match &meta.kind {
-            ObjectKind::Regular | ObjectKind::Function => {
-                let len = data.len() as u64;
-                self.store_client()
-                    .append(r.id(), data, meta.consistency)
-                    .await?;
-                let mut at = 0;
-                self.kernel.update_meta(r.id(), |m| {
-                    at = m.size;
-                    m.size += len;
-                    m.version += 1;
-                });
-                Ok(at)
-            }
-            ObjectKind::Fifo | ObjectKind::Socket => {
-                let fifo = self
-                    .inner()
-                    .fifos
-                    .borrow()
-                    .get(&r.id())
-                    .cloned()
-                    .ok_or(PcsiError::NotFound(r.id()))?;
-                // FIFO messages traverse the fabric to the queue's home
-                // (placement primary), so distance matters.
-                let home = self.inner().store.placement().primary(r.id());
-                self.hop(self.node, home, data.len()).await?;
-                // A subscribed queue is in push mode: the event fans out
-                // to subscribers instead of accumulating for poppers,
-                // and backpressure comes from the slowest credit window.
-                if self.inner().publisher.has_subscribers(r.id()) {
-                    let ts = self.inner().fabric.handle().now().as_nanos();
-                    let seq = self.inner().publisher.publish(r.id(), data, ts)?;
-                    self.kernel.update_meta(r.id(), |m| m.version += 1);
-                    return Ok(seq);
-                }
-                let at = fifo.total_pushed();
-                fifo.push(data)?;
-                self.kernel.update_meta(r.id(), |m| {
-                    m.size += 1;
-                    m.version += 1;
-                });
-                Ok(at)
-            }
-            other => Err(PcsiError::WrongKind {
-                id: r.id(),
-                expected: "appendable object",
-                actual: other.name(),
-            }),
-        }
-    }
-
-    async fn pop_impl(self, r: &Reference) -> Result<Bytes, PcsiError> {
-        let meta = self.kernel.check(r, Rights::READ)?;
-        if !matches!(meta.kind, ObjectKind::Fifo | ObjectKind::Socket) {
-            return Err(PcsiError::WrongKind {
-                id: r.id(),
-                expected: "fifo or socket",
-                actual: meta.kind.name(),
-            });
-        }
-        let fifo = self
-            .inner()
-            .fifos
-            .borrow()
-            .get(&r.id())
-            .cloned()
-            .ok_or(PcsiError::NotFound(r.id()))?;
-        let msg = fifo.pop().await?;
-        let home = self.inner().store.placement().primary(r.id());
-        self.hop(home, self.node, msg.len()).await?;
-        self.kernel
-            .update_meta(r.id(), |m| m.size = m.size.saturating_sub(1));
-        Ok(msg)
-    }
-
-    async fn set_mutability_impl(self, r: &Reference, to: Mutability) -> Result<(), PcsiError> {
-        let meta = self.kernel.check(r, Rights::MANAGE)?;
-        // Validate the Figure-1 transition before touching the store.
-        meta.mutability.transition_to(to)?;
-        if matches!(meta.kind, ObjectKind::Regular | ObjectKind::Function) {
+        let stored = match &opts.kind {
+            ObjectKind::Regular | ObjectKind::Function => Some((opts.initial, opts.mutability)),
+            ObjectKind::Directory => Some((Directory::new().encode(), Mutability::Mutable)),
+            ObjectKind::Fifo | ObjectKind::Socket | ObjectKind::Device(_) => None,
+        };
+        if let Some((bytes, mutability)) = stored {
+            meta.size = bytes.len() as u64;
+            // Creation is always durably replicated (majority sync): an
+            // object must be readable everywhere the moment its reference
+            // exists, whatever its steady-state consistency.
             self.store_client()
-                .set_mutability(r.id(), to, meta.consistency)
+                .put(id, bytes, mutability, Consistency::Linearizable)
                 .await?;
         }
-        self.kernel.update_meta(r.id(), |m| {
-            m.mutability = to;
-            m.version += 1;
-        });
-        Ok(())
+        Ok(self.kernel.insert(id, meta, opts.fifo_capacity))
     }
 
-    async fn delete_impl(self, r: &Reference) -> Result<(), PcsiError> {
-        let meta = self.kernel.check(r, Rights::MANAGE)?;
-        if matches!(
-            meta.kind,
-            ObjectKind::Regular | ObjectKind::Function | ObjectKind::Directory
-        ) {
-            // The store-level delete also drops node-local cached copies.
-            self.store_client().delete(r.id()).await?;
-        }
-        self.inner().meta.borrow_mut().remove(&r.id());
-        if let Some(fifo) = self.inner().fifos.borrow_mut().remove(&r.id()) {
-            // Wake blocked poppers (they see the queue close) and end
-            // any cross-node subscriptions after their buffered frames
-            // drain.
-            fifo.close();
-            self.inner().publisher.close_object(r.id());
-        }
-        Ok(())
-    }
-
-    async fn link_impl(
-        self,
-        dir: &Reference,
-        name: &str,
-        target: &Reference,
-    ) -> Result<(), PcsiError> {
-        let dmeta = self.kernel.check(dir, Rights::WRITE)?;
-        // Publishing a name delegates the target: GRANT required.
-        self.kernel.check(target, Rights::GRANT)?;
-        let mut d = self.load_dir(dir.id(), &dmeta).await?;
-        d.link(name, DirEntry::new(target.id(), target.rights()))?;
-        self.store_dir(dir.id(), &d).await
-    }
-
-    async fn unlink_impl(self, dir: &Reference, name: &str) -> Result<(), PcsiError> {
-        let dmeta = self.kernel.check(dir, Rights::WRITE)?;
-        let mut d = self.load_dir(dir.id(), &dmeta).await?;
-        d.unlink(name)?;
-        self.store_dir(dir.id(), &d).await
+    /// One message from this client to queue `id`: it crosses the fabric
+    /// to the queue's home (the placement primary), so distance matters,
+    /// and is enqueued there — refused when the queue is full.
+    async fn enqueue(
+        &self,
+        id: ObjectId,
+        queue: &FifoQueue,
+        data: Bytes,
+    ) -> Result<u64, PcsiError> {
+        let home = self.inner().store.placement().primary(id);
+        self.hop(self.node, home, data.len()).await?;
+        self.kernel.enqueue(id, queue, data, false)
     }
 
     /// The one name resolver: `path` through `layers`, topmost first.
     /// The first segment is searched down the stack — the first layer
     /// holding the name decides, and a whiteout there hides it below —
     /// and every later segment in the one directory the previous one
-    /// resolved to.
+    /// resolved to. Each layer is admitted as it is reached.
     async fn resolve(self, layers: &[Reference], path: &str) -> Result<Reference, PcsiError> {
         let segments = pcsi_fs::path::split(path)?;
         let mut resolved = layers
@@ -1049,15 +1032,16 @@ impl KernelClient {
             };
             let mut found = None;
             for layer in stack {
-                let meta = self.kernel.check(layer, Rights::READ)?;
-                let dir = self.read_dir(layer.id(), &meta).await?;
+                let object = self.kernel.admit(layer, Op::Lookup.row())?;
+                let dir = self.read_raw(layer.id(), &object.meta).await?;
                 let Some(entry) = Directory::find(&dir, seg)? else {
                     continue;
                 };
                 if !entry.whiteout {
                     let gen = {
-                        let meta = self.inner().meta.borrow();
-                        meta.get(&entry.id)
+                        let objects = self.inner().objects.borrow();
+                        objects
+                            .get(&entry.id)
                             .ok_or(PcsiError::NotFound(entry.id))?
                             .meta
                             .generation
@@ -1069,12 +1053,6 @@ impl KernelClient {
             resolved = found.ok_or_else(|| PcsiError::NameNotFound(seg.clone()))?;
         }
         Ok(resolved)
-    }
-
-    async fn list_impl(self, dir: &Reference) -> Result<Vec<String>, PcsiError> {
-        let meta = self.kernel.check(dir, Rights::READ)?;
-        let d = self.load_dir(dir.id(), &meta).await?;
-        Ok(d.names())
     }
 }
 
@@ -1121,5 +1099,60 @@ impl DataPlane for KernelClient {
         let this = self.clone();
         let f = f.clone();
         Box::pin(async move { CloudInterface::invoke(&this, &f, req).await })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::CloudBuilder;
+    use pcsi_sim::Sim;
+
+    /// DESIGN §4.11's table is this module's [`OPS`], row for row.
+    #[test]
+    fn design_prints_the_op_table() {
+        let design = include_str!("../../../DESIGN.md");
+        for (row, note) in OPS
+            .iter()
+            .map(|r| (r, ""))
+            .chain([(&LINK_TARGET, " (target)")])
+        {
+            let kinds = match row.kinds {
+                [] => "any".to_owned(),
+                kinds => kinds.join(", "),
+            };
+            let line = format!(
+                "| `{}`{note} | {:?} | {kinds} | {} |",
+                row.label, row.right, row.expected
+            );
+            assert!(design.contains(&line), "DESIGN.md lacks the row\n{line}");
+            assert_eq!(row.span, format!("kernel.{}", row.label));
+        }
+    }
+
+    /// Regression: a full system FIFO popped one entry and pushed one but
+    /// still counted `size += 1`, so `stat(alerts).size` climbed past the
+    /// ring's capacity.
+    #[test]
+    fn a_full_system_fifo_stays_at_its_capacity() {
+        let mut sim = Sim::new(7);
+        let h = sim.handle();
+        sim.block_on(async move {
+            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+            let ring = cloud.kernel.create_system_fifo(4);
+            for i in 0..300u32 {
+                let line = Bytes::from(i.to_le_bytes().to_vec());
+                cloud.kernel.append_system_fifo(&ring, line).unwrap();
+            }
+            let c = cloud.kernel.client(NodeId(0), "ops");
+            let meta = c.stat(&ring).await.unwrap();
+            assert_eq!((meta.size, meta.version), (4, 300));
+            // The ring holds the newest four.
+            for want in 296..300u32 {
+                let got = CloudInterface::pop(&c, &ring).await.unwrap();
+                assert_eq!(&got[..], want.to_le_bytes());
+            }
+            assert_eq!(c.stat(&ring).await.unwrap().size, 0);
+        });
     }
 }

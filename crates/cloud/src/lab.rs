@@ -17,6 +17,7 @@ use std::future::Future;
 
 use pcsi_metrics::Histogram;
 use pcsi_net::NodeId;
+use pcsi_obs::Telemetry;
 use pcsi_proto::sign::Credentials;
 use pcsi_sim::{Sim, SimHandle};
 
@@ -104,15 +105,17 @@ impl Lab {
     pub fn nfs(&self) -> &NfsServer {
         self.nfs.get_or_init(|| {
             let cloud = &self.cloud;
-            let server = NfsServer::deploy(
+            NfsServer::deploy(
                 cloud.fabric.clone(),
                 cloud.billing.clone(),
                 NodeId(6),
                 Lab::NFS_SECRET,
-            );
-            server.set_tracer(cloud.tracer.clone());
-            server.set_metrics(cloud.metrics.clone());
-            server
+                &Telemetry {
+                    metrics: cloud.metrics.clone(),
+                    tracer: cloud.tracer.clone(),
+                    journal: None,
+                },
+            )
         })
     }
 

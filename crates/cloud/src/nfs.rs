@@ -24,6 +24,7 @@ use pcsi_core::{Mutability, ObjectId, PcsiError};
 use pcsi_metrics::Metrics;
 use pcsi_net::fabric::RpcHandler;
 use pcsi_net::{Fabric, NodeId, Transport};
+use pcsi_obs::Telemetry;
 use pcsi_proto::binary::{DecodeError, Prefix::U32 as LEN, Reader, Writer};
 use pcsi_store::engine::{MediaTier, Mutation, StorageEngine};
 use pcsi_store::version::Tag;
@@ -227,14 +228,22 @@ pub struct NfsServer {
     fabric: Fabric,
     node: NodeId,
     state: Rc<RefCell<ServerState>>,
-    tracer: Rc<RefCell<Option<Tracer>>>,
-    metrics: Rc<RefCell<Option<Metrics>>>,
+    tracer: Option<Tracer>,
 }
 
 impl NfsServer {
     /// Deploys the server on `node` with local NVMe and one authorized
-    /// secret.
-    pub fn deploy(fabric: Fabric, billing: Billing, node: NodeId, secret: &[u8]) -> Self {
+    /// secret. With a registry in `telemetry` the server counts every
+    /// operation (`nfs.ops{op=…}` / `nfs.errors{op=…}`) and records
+    /// server-side latency (`nfs.op_ns{op=…}`); with a tracer, client
+    /// and server open spans.
+    pub fn deploy(
+        fabric: Fabric,
+        billing: Billing,
+        node: NodeId,
+        secret: &[u8],
+        telemetry: &Telemetry,
+    ) -> Self {
         let state = Rc::new(RefCell::new(ServerState {
             engine: StorageEngine::new(MediaTier::Nvme),
             sessions: FxHashMap::default(),
@@ -245,26 +254,19 @@ impl NfsServer {
             next_file: 1,
             next_tag: 1,
         }));
-        let tracer: Rc<RefCell<Option<Tracer>>> = Rc::new(RefCell::new(None));
-        let metrics: Rc<RefCell<Option<Metrics>>> = Rc::new(RefCell::new(None));
         let handler: RpcHandler = {
             let state = Rc::clone(&state);
             let fabric2 = fabric.clone();
             let secret = secret.to_vec();
-            let tracer = Rc::clone(&tracer);
-            let metrics = Rc::clone(&metrics);
+            let (tracer, metrics) = (telemetry.tracer.clone(), telemetry.metrics.clone());
             Rc::new(move |payload, ctx| {
                 let state = Rc::clone(&state);
                 let fabric2 = fabric2.clone();
                 let billing = billing.clone();
                 let secret = secret.clone();
-                let tracer = tracer.borrow().clone();
-                let metrics = metrics.borrow().clone();
+                let (tracer, metrics) = (tracer.clone(), metrics.clone());
                 Box::pin(async move {
-                    let span = match &tracer {
-                        Some(t) => t.child_of(ctx.trace, "nfs.server"),
-                        None => SpanHandle::disabled(),
-                    };
+                    let span = pcsi_trace::child_of(&tracer, ctx.trace, "nfs.server");
                     let reply = serve(
                         &fabric2, &billing, &state, &secret, payload, &span, &metrics,
                     )
@@ -279,21 +281,8 @@ impl NfsServer {
             fabric,
             node,
             state,
-            tracer,
-            metrics,
+            tracer: telemetry.tracer.clone(),
         }
-    }
-
-    /// Installs (or clears) the tracer used by client and server spans.
-    pub fn set_tracer(&self, tracer: Option<Tracer>) {
-        *self.tracer.borrow_mut() = tracer;
-    }
-
-    /// Installs (or clears) the metrics registry: the server then counts
-    /// every operation (`nfs.ops{op=…}` / `nfs.errors{op=…}`) and records
-    /// server-side latency (`nfs.op_ns{op=…}`).
-    pub fn set_metrics(&self, metrics: Option<Metrics>) {
-        *self.metrics.borrow_mut() = metrics;
     }
 
     /// Mounts from `from`, returning a session-scoped client.
@@ -339,10 +328,7 @@ impl NfsServer {
     }
 
     async fn call(&self, from: NodeId, op: &NfsOp) -> Result<NfsReply, PcsiError> {
-        let span = match self.tracer.borrow().as_ref() {
-            Some(t) => t.root("nfs.request"),
-            None => SpanHandle::disabled(),
-        };
+        let span = pcsi_trace::child_or_root(&self.tracer, None, "nfs.request");
         let transport_span = span.span("nfs.transport");
         let raw = self
             .fabric
@@ -680,7 +666,13 @@ mod tests {
             LatencyModel::deterministic(NetworkGeneration::Dc2021),
         );
         let billing = Billing::new();
-        let server = NfsServer::deploy(fabric, billing.clone(), NodeId(3), b"nfs-secret");
+        let server = NfsServer::deploy(
+            fabric,
+            billing.clone(),
+            NodeId(3),
+            b"nfs-secret",
+            &Telemetry::default(),
+        );
         (server, billing)
     }
 

@@ -165,10 +165,7 @@ impl RestGateway {
                 let fabric = fabric.clone();
                 let tracer = tracer.borrow().clone();
                 Box::pin(async move {
-                    let span = match (&tracer, ctx.trace) {
-                        (Some(t), Some(c)) => t.child(c, "rest.lb"),
-                        _ => SpanHandle::disabled(),
-                    };
+                    let span = pcsi_trace::child_of(&tracer, ctx.trace, "rest.lb");
                     fabric.handle().sleep(LB_CPU).await;
                     // The forward hop is a nested transport span so the
                     // balancer span's self time is purely its CPU.
@@ -242,10 +239,7 @@ async fn handle_request(
 ) -> Response {
     let h = fabric.handle();
     let started = h.now();
-    let mut span = match &tracer {
-        Some(t) => t.child_of(trace, "rest.gateway"),
-        None => SpanHandle::disabled(),
-    };
+    let mut span = pcsi_trace::child_of(&tracer, trace, "rest.gateway");
 
     // 1. HTTP parse (+ later format): framing CPU.
     let parse_span = span.span("rest.http_parse");
@@ -501,10 +495,7 @@ pub struct RestClient {
 impl RestClient {
     async fn send(&self, request: Request) -> Result<Response, RestError> {
         let inner = &self.gateway.inner;
-        let mut span = match inner.tracer.borrow().as_ref() {
-            Some(t) => t.root("rest.request"),
-            None => SpanHandle::disabled(),
-        };
+        let mut span = pcsi_trace::child_or_root(&inner.tracer.borrow(), None, "rest.request");
         span.attr_with("target", || {
             pcsi_trace::AttrValue::Text(request.target.clone())
         });

@@ -501,7 +501,6 @@ impl Runtime {
                 &PlacementRequest {
                     demand,
                     prefer_node: hint,
-                    warm_nodes: Vec::new(),
                 },
             );
             if placed.is_some() {
@@ -603,10 +602,7 @@ impl Runtime {
         // its cold allocation forever).
         let body = self.inner.registry.borrow().body(&image.name)?;
         let (key, node, cold_start, preemptible, epoch, demand) = lease.into_parts();
-        let span_of = |name| match &self.inner.tracer {
-            Some(t) => t.child_of(trace, name),
-            None => pcsi_trace::SpanHandle::disabled(),
-        };
+        let span_of = |name| pcsi_trace::child_of(&self.inner.tracer, trace, name);
         let started = self.inner.handle.now();
         if cold_start {
             self.inner.cold_starts.incr();
@@ -839,7 +835,6 @@ impl Runtime {
             &PlacementRequest {
                 demand: variant.demand,
                 prefer_node: None,
-                warm_nodes: Vec::new(),
             },
         );
         let Some(placed) = placed else { return false };

@@ -22,8 +22,9 @@ pub enum PlacementPolicy {
     /// Most-utilized node that still fits (bin packing: consolidates load
     /// onto few nodes, harvesting stranded capacity — §4.2's scavenging).
     Scavenge,
-    /// Prefer warm instances, then the co-location hint, then the hint's
-    /// rack, then fall back to scavenging (§4.1's data-aware placement).
+    /// Prefer the co-location hint, then the hint's rack, then fall
+    /// back to scavenging (§4.1's data-aware placement). Warm instances
+    /// never get here: the runtime reserves one before it places.
     #[default]
     Locality,
 }
@@ -36,8 +37,6 @@ pub struct PlacementRequest {
     /// Node the caller would like to co-locate with (e.g. where the
     /// upstream stage or the input data lives).
     pub prefer_node: Option<NodeId>,
-    /// Nodes that already hold a warm instance of this variant.
-    pub warm_nodes: Vec<NodeId>,
 }
 
 /// A placement decision together with its capacity class.
@@ -65,7 +64,7 @@ pub fn place(
 
 /// [`place`] plus the capacity class of the decision: scavenge-style
 /// placements (the `Scavenge` policy, or `Locality` falling through to
-/// its consolidating step 4) are marked `scavenged` so the runtime can
+/// its consolidating last step) are marked `scavenged` so the runtime can
 /// tag the instance preemptible.
 pub(crate) fn place_classed(
     cluster: &ClusterState,
@@ -103,16 +102,12 @@ pub(crate) fn place_classed(
                 scavenged: true,
             }),
         PlacementPolicy::Locality => {
-            // 1. A warm node that still fits.
-            if let Some(n) = req.warm_nodes.iter().copied().filter(fits).min() {
-                return provisioned(Some(n));
-            }
-            // 2. The co-location hint itself.
+            // 1. The co-location hint itself.
             if let Some(hint) = req.prefer_node {
                 if cluster.fits(hint, &req.demand) {
                     return provisioned(Some(hint));
                 }
-                // 3. Any node in the hint's rack.
+                // 2. Any node in the hint's rack.
                 let rack = cluster.rack(hint);
                 if let Some(n) = candidates
                     .iter()
@@ -123,16 +118,8 @@ pub(crate) fn place_classed(
                     return provisioned(Some(n));
                 }
             }
-            // 4. Consolidating fallback — a scavenged slot.
-            place_classed(
-                cluster,
-                PlacementPolicy::Scavenge,
-                &PlacementRequest {
-                    demand: req.demand,
-                    prefer_node: None,
-                    warm_nodes: Vec::new(),
-                },
-            )
+            // 3. Consolidating fallback — a scavenged slot.
+            place_classed(cluster, PlacementPolicy::Scavenge, req)
         }
     }
 }
@@ -203,15 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn locality_prefers_warm_then_hint_then_rack() {
+    fn locality_prefers_hint_then_rack() {
         let c = cluster();
-        // Warm instance on node 4 wins outright.
         let mut r = req(4);
-        r.warm_nodes = vec![NodeId(4)];
         r.prefer_node = Some(NodeId(1));
-        assert_eq!(place(&c, PlacementPolicy::Locality, &r), Some(NodeId(4)));
-        // No warm: the hint wins.
-        r.warm_nodes.clear();
         assert_eq!(place(&c, PlacementPolicy::Locality, &r), Some(NodeId(1)));
         // Hint full: same rack (nodes 0..3 are rack 0).
         c.try_allocate(NodeId(1), &Resources::cpu(32, 0));
@@ -231,16 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_node_that_no_longer_fits_is_skipped() {
-        let c = cluster();
-        c.try_allocate(NodeId(4), &Resources::cpu(32, 0));
-        let mut r = req(4);
-        r.warm_nodes = vec![NodeId(4)];
-        let got = place(&c, PlacementPolicy::Locality, &r).unwrap();
-        assert_ne!(got, NodeId(4));
-    }
-
-    #[test]
     fn scavenge_paths_are_classed_preemptible() {
         let c = cluster();
         // Direct scavenging is always a scavenged slot.
@@ -255,7 +227,7 @@ mod tests {
         r.prefer_node = Some(NodeId(1));
         let p = place_classed(&c, PlacementPolicy::Locality, &r).unwrap();
         assert_eq!((p.node, p.scavenged), (NodeId(1), false));
-        // ... but the step-4 consolidating fallback is scavenged.
+        // ... but the consolidating fallback is scavenged.
         let p = place_classed(&c, PlacementPolicy::Locality, &req(4)).unwrap();
         assert!(p.scavenged);
     }

@@ -115,9 +115,6 @@ pub enum NetError {
     Dropped(NodeId, NodeId),
     /// Application-level failure surfaced through the RPC layer.
     Remote(String),
-    /// The caller's deadline elapsed before the call completed. The call
-    /// itself keeps running detached, so the outcome is ambiguous.
-    DeadlineExceeded,
 }
 
 impl fmt::Display for NetError {
@@ -128,7 +125,6 @@ impl fmt::Display for NetError {
             NetError::NoService(s) => write!(f, "no service {s:?} bound"),
             NetError::Dropped(a, b) => write!(f, "message from {a} to {b} dropped"),
             NetError::Remote(m) => write!(f, "remote error: {m}"),
-            NetError::DeadlineExceeded => f.write_str("call deadline exceeded"),
         }
     }
 }
@@ -571,30 +567,6 @@ impl Fabric {
         self.deliver(to, from, resp_len, transport).await?;
         Ok(response)
     }
-
-    /// Like [`Fabric::call`], but gives up after `deadline` with
-    /// [`NetError::DeadlineExceeded`].
-    ///
-    /// The abandoned call keeps running detached: the handler may still
-    /// execute and its effects may still land. Callers must treat a
-    /// deadline error as *ambiguous* and retry only idempotent requests.
-    pub async fn call_with_deadline(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        service: &str,
-        transport: Transport,
-        payload: Bytes,
-        deadline: Duration,
-    ) -> Result<Bytes, NetError> {
-        let fabric = self.clone();
-        let service = service.to_owned();
-        let raced = pcsi_sim::util::deadline(&self.inner.handle, deadline, async move {
-            fabric.call(from, to, &service, transport, payload).await
-        })
-        .await;
-        raced.unwrap_or(Err(NetError::DeadlineExceeded))
-    }
 }
 
 impl FabricInner {
@@ -830,6 +802,20 @@ mod tests {
 
     fn echo_handler() -> RpcHandler {
         Rc::new(|payload, _ctx| Box::pin(async move { Ok(payload) }))
+    }
+
+    /// A TCP call to `echo`, given up on after `within` — the way the
+    /// store's migration races its RPCs.
+    async fn echo_within(
+        fabric: &Fabric,
+        from: NodeId,
+        to: NodeId,
+        payload: Bytes,
+        within: Duration,
+    ) -> Option<Result<Bytes, NetError>> {
+        let racing = fabric.clone();
+        let call = async move { racing.call(from, to, "echo", Transport::Tcp, payload).await };
+        pcsi_sim::util::deadline(fabric.handle(), within, call).await
     }
 
     fn build(sim: &Sim, generation: NetworkGeneration) -> Fabric {
@@ -1149,16 +1135,10 @@ mod tests {
                                 for i in 0..24 {
                                     let to = NodeId((c + i) % 4);
                                     let payload = Bytes::from(vec![0u8; 64 << (i % 8)]);
-                                    let _ = fabric
-                                        .call_with_deadline(
-                                            NodeId(c % 4),
-                                            to,
-                                            "echo",
-                                            Transport::Tcp,
-                                            payload,
-                                            Duration::from_micros(150 + 20 * u64::from(c)),
-                                        )
-                                        .await;
+                                    let within = Duration::from_micros(150 + 20 * u64::from(c));
+                                    let _ =
+                                        echo_within(&fabric, NodeId(c % 4), to, payload, within)
+                                            .await;
                                 }
                             })
                         })
@@ -1230,16 +1210,8 @@ mod tests {
                 }
                 let racing = fabric.clone();
                 h.spawn_detached(async move {
-                    let _ = racing
-                        .call_with_deadline(
-                            NodeId(1),
-                            NodeId(2),
-                            "echo",
-                            Transport::Tcp,
-                            Bytes::from_static(b"x"),
-                            Duration::from_millis(250),
-                        )
-                        .await;
+                    let (payload, within) = (Bytes::from_static(b"x"), Duration::from_millis(250));
+                    let _ = echo_within(&racing, NodeId(1), NodeId(2), payload, within).await;
                 });
                 h.sleep(Duration::from_micros(7)).await;
             }
@@ -1665,7 +1637,7 @@ mod tests {
     }
 
     #[test]
-    fn call_with_deadline_times_out_and_passes_through() {
+    fn a_call_raced_against_a_deadline_times_out_or_passes_through() {
         let mut sim = Sim::new(3);
         let fabric = build(&sim, NetworkGeneration::Dc2021);
         fabric.bind(NodeId(2), "echo", echo_handler());
@@ -1673,32 +1645,16 @@ mod tests {
             let fabric = fabric.clone();
             async move {
                 // A generous deadline: the call completes normally.
-                let fast = fabric
-                    .call_with_deadline(
-                        NodeId(0),
-                        NodeId(2),
-                        "echo",
-                        Transport::Tcp,
-                        Bytes::from_static(b"hi"),
-                        Duration::from_millis(10),
-                    )
-                    .await;
+                let hi = Bytes::from_static(b"hi");
+                let within = |d| echo_within(&fabric, NodeId(0), NodeId(2), hi.clone(), d);
+                let fast = within(Duration::from_millis(10)).await;
                 // A deadline shorter than one endpoint overhead: times out.
-                let slow = fabric
-                    .call_with_deadline(
-                        NodeId(0),
-                        NodeId(2),
-                        "echo",
-                        Transport::Tcp,
-                        Bytes::from_static(b"hi"),
-                        Duration::from_nanos(100),
-                    )
-                    .await;
+                let slow = within(Duration::from_nanos(100)).await;
                 (fast, slow)
             }
         });
-        assert_eq!(fast.unwrap(), Bytes::from_static(b"hi"));
-        assert_eq!(slow.unwrap_err(), NetError::DeadlineExceeded);
+        assert_eq!(fast, Some(Ok(Bytes::from_static(b"hi"))));
+        assert_eq!(slow, None);
     }
 
     #[test]

@@ -95,11 +95,7 @@ impl StoreClient {
     /// the bound context when one exists, else a fresh root (subject to
     /// sampling). Disabled (zero-cost) without a tracer.
     fn op_span(&self, name: &'static str) -> SpanHandle {
-        match (&self.store.inner.telemetry.tracer, self.ctx) {
-            (Some(t), Some(ctx)) => t.child(ctx, name),
-            (Some(t), None) => t.root(name),
-            (None, _) => SpanHandle::disabled(),
-        }
+        pcsi_trace::child_or_root(&self.store.inner.telemetry.tracer, self.ctx, name)
     }
 
     /// Creates or replaces an object.
@@ -281,7 +277,7 @@ impl StoreClient {
                 },
                 a.span.ctx(),
             );
-            let call = rpc(&inner.fabric, self.origin, *a.target, frame, None);
+            let call = rpc(&inner.fabric, self.origin, *a.target, frame);
             async move {
                 match call.await? {
                     Response::Coordinated { tag } => Ok(tag),
@@ -500,7 +496,7 @@ impl StoreClient {
     ) -> Result<(), PcsiError> {
         let fetch = wire::encode_request_traced(&Request::Fetch { id }, ctx);
         let fabric = &self.store.inner.fabric;
-        let (object, reqs) = match rpc(fabric, self.origin, source, fetch, None).await {
+        let (object, reqs) = match rpc(fabric, self.origin, source, fetch).await {
             Ok(Response::Object { object, reqs }) => (object, reqs),
             // The object vanished between the read and the fetch —
             // a racing delete; surface it as such.
@@ -562,7 +558,7 @@ impl StoreClient {
     ) -> Result<Served, PcsiError> {
         let frame = wire::encode_request_traced(&Request::Read { id, offset, len }, ctx);
         let fabric = &self.store.inner.fabric;
-        Served::from_data(rpc(fabric, self.origin, replica, frame, None).await?)
+        Served::from_data(rpc(fabric, self.origin, replica, frame).await?)
             .map_err(|other| PcsiError::Fault(format!("unexpected response {other:?}")))
     }
 

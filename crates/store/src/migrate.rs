@@ -2,13 +2,14 @@
 //! old owners, and a drain migrates them — freeze, snapshot, sealed
 //! install, flip — while reads and writes keep being served.
 
+use std::future::Future;
 use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_core::{Mutability, ObjectId, PcsiError};
-use pcsi_net::NodeId;
+use pcsi_net::{Fabric, NodeId};
 use pcsi_obs::JournalExt;
-use pcsi_sim::util::{join_all, Pacer};
+use pcsi_sim::util::{deadline, join_all, Pacer};
 
 use crate::engine::StoredObject;
 use crate::quorum::rpc;
@@ -200,8 +201,8 @@ impl ReplicatedStore {
         // (writes are frozen; anti-entropy can only raise the live tag).
         let fabric = &self.inner.fabric;
         let replies = join_all(old.iter().map(|&n| {
-            let tag = rpc(fabric, from, n, tag_frame.clone(), MIGRATE_RPC_TIMEOUT);
-            let state = rpc(fabric, from, n, fetch_frame.clone(), MIGRATE_RPC_TIMEOUT);
+            let tag = timed_rpc(fabric, from, n, tag_frame.clone());
+            let state = timed_rpc(fabric, from, n, fetch_frame.clone());
             async move { (tag.await, state.await) }
         }))
         .await;
@@ -284,7 +285,7 @@ impl ReplicatedStore {
             let installs = join_all(
                 targets
                     .iter()
-                    .map(|&n| rpc(fabric, from, n, frame.clone(), MIGRATE_RPC_TIMEOUT)),
+                    .map(|&n| timed_rpc(fabric, from, n, frame.clone())),
             )
             .await;
             let mut acks = 0usize;
@@ -328,7 +329,23 @@ impl ReplicatedStore {
 
 /// Per-RPC deadline for migration traffic (snapshot fetches and sealed
 /// installs). Short: a failed move just retries on the next drain round.
-const MIGRATE_RPC_TIMEOUT: Option<Duration> = Some(Duration::from_millis(20));
+const MIGRATE_RPC_TIMEOUT: Duration = Duration::from_millis(20);
+
+/// One migration [`rpc`], given up on after [`MIGRATE_RPC_TIMEOUT`]. The
+/// abandoned call keeps running detached and may still land, which the
+/// seal's tag order makes harmless.
+fn timed_rpc(
+    fabric: &Fabric,
+    from: NodeId,
+    to: NodeId,
+    frame: Bytes,
+) -> impl Future<Output = Result<Response, PcsiError>> + 'static {
+    let (handle, call) = (fabric.handle().clone(), rpc(fabric, from, to, frame));
+    async move {
+        let raced = deadline(&handle, MIGRATE_RPC_TIMEOUT, call).await;
+        raced.unwrap_or(Err(PcsiError::Timeout))
+    }
+}
 
 /// Seal-raise rounds per install attempt. Each round seals above the
 /// newest tag any receiver reported, so two is enough for every

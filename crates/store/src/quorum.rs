@@ -3,7 +3,6 @@
 //! go on at `need` acks" round is a [`gather`].
 
 use std::future::Future;
-use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_core::PcsiError;
@@ -15,7 +14,7 @@ use crate::replica::{STORE_SERVICE, STORE_TRANSPORT};
 use crate::wire::{self, Response};
 
 /// One encoded request/response round trip over the fabric, decoded and
-/// error-mapped, optionally raced against `deadline`. A wire-level
+/// error-mapped. A wire-level
 /// [`Response::Err`] surfaces as the [`PcsiError`] it carries. The future
 /// borrows nothing, so fan-out tasks can own it.
 pub(crate) fn rpc(
@@ -23,20 +22,13 @@ pub(crate) fn rpc(
     from: NodeId,
     to: NodeId,
     frame: Bytes,
-    deadline: Option<Duration>,
 ) -> impl Future<Output = Result<Response, PcsiError>> + 'static {
     let fabric = fabric.clone();
     async move {
-        let (svc, via) = (STORE_SERVICE, STORE_TRANSPORT);
-        let raw = match deadline {
-            Some(d) => {
-                fabric
-                    .call_with_deadline(from, to, svc, via, frame, d)
-                    .await
-            }
-            None => fabric.call(from, to, svc, via, frame).await,
-        }
-        .map_err(net_to_pcsi)?;
+        let raw = fabric
+            .call(from, to, STORE_SERVICE, STORE_TRANSPORT, frame)
+            .await
+            .map_err(net_to_pcsi)?;
         match wire::decode_response(&raw) {
             Ok(Response::Err(e)) => Err(e.into_pcsi()),
             Ok(resp) => Ok(resp),
@@ -48,14 +40,13 @@ pub(crate) fn rpc(
 /// Honest transport-error taxonomy. A single failed RPC says nothing
 /// about the quorum as a whole, so it must *not* masquerade as
 /// [`PcsiError::QuorumUnavailable`] — that variant is reserved for
-/// genuine quorum math. Unreachable peers and expired deadlines map to
-/// their own retryable variants.
+/// genuine quorum math. An unreachable peer maps to its own retryable
+/// variant (a deadline is the caller's, raced around the [`rpc`]).
 fn net_to_pcsi(e: NetError) -> PcsiError {
     match &e {
         NetError::NodeDown(_) | NetError::Partitioned(_, _) | NetError::Dropped(_, _) => {
             PcsiError::Unreachable(e.to_string())
         }
-        NetError::DeadlineExceeded => PcsiError::Timeout,
         _ => PcsiError::Fault(e.to_string()),
     }
 }
@@ -109,7 +100,7 @@ where
         total += 1;
         let (tx, classify) = (tx.clone(), classify.clone());
         // One encode for the whole round: each send bumps a refcount.
-        let call = rpc(fabric, from, node, frame.clone(), None);
+        let call = rpc(fabric, from, node, frame.clone());
         fabric.handle().spawn_detached(async move {
             let _ = tx.send(classify(node, call.await).await);
         });

@@ -29,7 +29,7 @@ use pcsi_net::fabric::{CallCtx, RpcHandler};
 use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_obs::Telemetry;
 use pcsi_sim::SimTime;
-use pcsi_trace::{SpanHandle, TraceContext, Tracer};
+use pcsi_trace::{TraceContext, Tracer};
 
 use crate::engine::{MediaTier, Mutation, StorageEngine, StoredObject};
 use crate::placement::Placement;
@@ -380,10 +380,7 @@ async fn handle(inner: Rc<Inner>, payload: Bytes, call_ctx: CallCtx) -> Bytes {
     // The store protocol carries the context in its own envelope; the
     // fabric-level context covers callers that route through `call_traced`.
     let trace_ctx = wire_ctx.or(call_ctx.trace);
-    let mut span = match &inner.tracer {
-        Some(t) => t.child_of(trace_ctx, request_span_name(&request)),
-        None => SpanHandle::disabled(),
-    };
+    let mut span = pcsi_trace::child_of(&inner.tracer, trace_ctx, request_span_name(&request));
     span.attr("node", u64::from(inner.node.0));
     let child_ctx = span.ctx();
     let response = match request {
@@ -999,7 +996,7 @@ async fn push_state_to(
     };
     let reqs = inner.ledger.borrow().snapshot(id);
     let frame = wire::encode_request(&Request::Push { id, object, reqs });
-    match rpc(&inner.fabric, inner.node, peer, frame, None).await {
+    match rpc(&inner.fabric, inner.node, peer, frame).await {
         Ok(Response::Applied) => Ok(()),
         _ => Err(None),
     }
@@ -1011,7 +1008,7 @@ async fn push_state_to(
 /// `holder` had nothing to give.
 async fn catch_up(inner: &Rc<Inner>, id: ObjectId, holder: NodeId) -> Result<(), PcsiError> {
     let frame = wire::encode_request(&Request::Fetch { id });
-    let reply = rpc(&inner.fabric, inner.node, holder, frame, None).await?;
+    let reply = rpc(&inner.fabric, inner.node, holder, frame).await?;
     if let Response::Object { object, reqs } = reply {
         charge_io(inner, object.data.len()).await;
         install_state(inner, id, object, reqs);
@@ -1036,8 +1033,7 @@ async fn anti_entropy_round(inner: &Rc<Inner>) {
 
     let frame = wire::encode_request(&Request::Inventory);
     // Peer down or partitioned: try next round.
-    let Ok(Response::InventoryIs { entries }) =
-        rpc(&inner.fabric, inner.node, peer, frame, None).await
+    let Ok(Response::InventoryIs { entries }) = rpc(&inner.fabric, inner.node, peer, frame).await
     else {
         return;
     };

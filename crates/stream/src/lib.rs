@@ -48,38 +48,26 @@ pub use subscription::{StreamEvent, Subscription};
 pub use frame::CloseReason;
 pub use pcsi_core::PcsiError;
 
-/// Tuning knobs for the streaming layer.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamConfig {
-    /// Credit window used when a subscriber passes `0`.
-    pub default_window: u32,
-    /// How many times a dropped push is retried before the owner
-    /// declares the subscriber lost and cancels the subscription.
-    pub(crate) max_retries: u32,
-    /// Transport pushes and control frames ride on. Streams are part of
-    /// the provider's internal data plane, so they default to RDMA like
-    /// FIFO transfers.
-    pub transport: Transport,
-    /// How often a credit-stalled subscription probes its consumer for
-    /// liveness. A subscriber that dies silently stops granting; with
-    /// zero credits the pump would otherwise never push again, never
-    /// discover the death, and backpressure the producer forever. The
-    /// probe retransmits the last pushed frame: a live consumer dedups
-    /// it by seq (a cheap ack), a dead one fails the call and the
-    /// subscription is reaped.
-    pub probe_interval: std::time::Duration,
-}
+/// Credit window used when a subscriber passes `0`.
+pub const DEFAULT_WINDOW: u32 = 32;
 
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            default_window: 32,
-            max_retries: 16,
-            transport: Transport::Rdma,
-            probe_interval: std::time::Duration::from_millis(2),
-        }
-    }
-}
+/// How many times a dropped push is retried before the owner declares
+/// the subscriber lost and cancels the subscription.
+pub(crate) const MAX_RETRIES: u32 = 16;
+
+/// Transport pushes and control frames ride on. Streams are part of the
+/// provider's internal data plane, so they ride RDMA like FIFO
+/// transfers.
+pub(crate) const TRANSPORT: Transport = Transport::Rdma;
+
+/// How often a credit-stalled subscription probes its consumer for
+/// liveness. A subscriber that dies silently stops granting; with zero
+/// credits the pump would otherwise never push again, never discover
+/// the death, and backpressure the producer forever. The probe
+/// retransmits the last pushed frame: a live consumer dedups it by seq
+/// (a cheap ack), a dead one fails the call and the subscription is
+/// reaped.
+pub const PROBE_INTERVAL: std::time::Duration = std::time::Duration::from_millis(2);
 
 /// Fabric service name for one subscription's push channel, bound on
 /// the consumer node. Keeping the subscription id in the *name* (not in

@@ -18,7 +18,7 @@ use crate::frame::{
     decode_stream_frame, decode_stream_reply, encode_stream_frame, encode_stream_reply,
     CloseReason, StreamFrame, StreamReply,
 };
-use crate::{sub_service, StreamConfig};
+use crate::{sub_service, DEFAULT_WINDOW, MAX_RETRIES, PROBE_INTERVAL, TRANSPORT};
 
 /// Fabric service (bound on every node) that accepts subscribe, grant
 /// and close frames for objects homed there.
@@ -94,7 +94,6 @@ struct StreamSeries {
 
 struct Inner {
     fabric: Fabric,
-    config: StreamConfig,
     subs: RefCell<FxHashMap<u64, Rc<SubState>>>,
     objects: RefCell<FxHashMap<ObjectId, Rc<ObjectStream>>>,
     next_sub: Cell<u64>,
@@ -114,11 +113,10 @@ impl Publisher {
     /// of the fabric's topology (any node can home an object). With a
     /// registry, the `stream.*` series register on the first streaming
     /// activity.
-    pub fn deploy(fabric: Fabric, config: StreamConfig, metrics: Option<Metrics>) -> Self {
+    pub fn deploy(fabric: Fabric, metrics: Option<Metrics>) -> Self {
         let p = Publisher {
             inner: Rc::new(Inner {
                 fabric: fabric.clone(),
-                config,
                 subs: RefCell::new(FxHashMap::default()),
                 objects: RefCell::new(FxHashMap::default()),
                 next_sub: Cell::new(0),
@@ -138,11 +136,6 @@ impl Publisher {
             );
         }
         p
-    }
-
-    /// Streaming tuning knobs.
-    pub fn config(&self) -> &StreamConfig {
-        &self.inner.config
     }
 
     /// Allocates a subscription id for a consumer on `node`. Allocation
@@ -298,11 +291,7 @@ impl Publisher {
         consumer: NodeId,
         home: NodeId,
     ) -> StreamReply {
-        let window = if window == 0 {
-            self.inner.config.default_window
-        } else {
-            window
-        };
+        let window = if window == 0 { DEFAULT_WINDOW } else { window };
         if self.inner.subs.borrow().contains_key(&sub) {
             return StreamReply::Err(format!("subscription {sub:#x} already exists"));
         }
@@ -425,7 +414,7 @@ impl Publisher {
     }
 
     /// Watches a credit-stalled subscription for silent subscriber
-    /// death. Every [`StreamConfig::probe_interval`] the last pushed
+    /// death. Every [`PROBE_INTERVAL`] the last pushed
     /// frame is retransmitted: a live consumer already accepted that
     /// seq, so its dedup path acknowledges without buffering; a dead
     /// consumer fails the call and [`Publisher::push_one`] reaps the
@@ -443,10 +432,9 @@ impl Publisher {
         let this = self.clone();
         let sub = Rc::clone(sub);
         let handle = self.inner.fabric.handle().clone();
-        let interval = self.inner.config.probe_interval;
         handle.clone().spawn_detached(async move {
             loop {
-                handle.sleep(interval).await;
+                handle.sleep(PROBE_INTERVAL).await;
                 if sub.dead.get() {
                     return;
                 }
@@ -481,7 +469,7 @@ impl Publisher {
                     sub.home,
                     sub.consumer,
                     &sub.service,
-                    self.inner.config.transport,
+                    TRANSPORT,
                     frame.wire.clone(),
                 )
                 .await;
@@ -495,9 +483,9 @@ impl Publisher {
                         return false;
                     }
                 },
-                Err(NetError::Dropped(..)) | Err(NetError::DeadlineExceeded) => {
+                Err(NetError::Dropped(..)) => {
                     attempts += 1;
-                    if attempts > self.inner.config.max_retries {
+                    if attempts > MAX_RETRIES {
                         self.remove_sub(sub.sub);
                         return false;
                     }

@@ -9,13 +9,13 @@ use bytes::Bytes;
 use pcsi_core::{ObjectId, PcsiError};
 use pcsi_fs::FifoQueue;
 use pcsi_metrics::{Histogram, Metrics};
-use pcsi_net::{Fabric, NetError, NodeId, Transport};
+use pcsi_net::{Fabric, NetError, NodeId};
 
 use crate::frame::{
     decode_stream_frame, decode_stream_reply, encode_stream_frame, encode_stream_reply,
     CloseReason, StreamFrame, StreamReply,
 };
-use crate::{publisher::STREAM_SERVICE, sub_service};
+use crate::{publisher::STREAM_SERVICE, sub_service, TRANSPORT};
 
 /// Retries for lost control frames (grants, closes).
 const CONTROL_RETRIES: u32 = 16;
@@ -42,7 +42,6 @@ struct SubInner {
     /// The object's home node (where control frames go).
     home: NodeId,
     service: String,
-    transport: Transport,
     window: u32,
     /// Received-but-unconsumed frames; bounded by the credit window, so
     /// subscriber memory cannot exceed `window` frames by construction.
@@ -135,7 +134,6 @@ impl Subscription {
     /// Opens a subscription: binds the consumer-side push service, then
     /// sends `Subscribe` to the object's home node. `window` must be at
     /// least 1 (callers resolve defaults before getting here).
-    #[allow(clippy::too_many_arguments)]
     pub async fn open(
         fabric: Fabric,
         sub: u64,
@@ -143,7 +141,6 @@ impl Subscription {
         object: ObjectId,
         home: NodeId,
         window: u32,
-        transport: Transport,
         metrics: Option<Metrics>,
     ) -> Result<Subscription, PcsiError> {
         if window == 0 {
@@ -155,7 +152,6 @@ impl Subscription {
             node,
             home,
             service: sub_service(sub),
-            transport,
             window,
             buffer: FifoQueue::bounded(window as usize),
             expected: Cell::new(None),
@@ -185,7 +181,7 @@ impl Subscription {
             window,
         });
         let outcome = fabric
-            .call(node, home, STREAM_SERVICE, transport, wire)
+            .call(node, home, STREAM_SERVICE, TRANSPORT, wire)
             .await;
         match outcome {
             Ok(reply) => match decode_stream_reply(&reply) {
@@ -294,13 +290,13 @@ impl Subscription {
                         inner.node,
                         inner.home,
                         STREAM_SERVICE,
-                        inner.transport,
+                        TRANSPORT,
                         wire.clone(),
                     )
                     .await;
                 match outcome {
                     Ok(_) => return,
-                    Err(NetError::Dropped(..)) | Err(NetError::DeadlineExceeded) => {
+                    Err(NetError::Dropped(..)) => {
                         attempts += 1;
                         if attempts > CONTROL_RETRIES {
                             return;

@@ -7,11 +7,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_core::{ObjectId, PcsiError};
-use pcsi_net::{
-    Fabric, LatencyModel, MessageFaults, NetworkGeneration, NodeId, Topology, Transport,
-};
+use pcsi_net::{Fabric, LatencyModel, MessageFaults, NetworkGeneration, NodeId, Topology};
 use pcsi_sim::Sim;
-use pcsi_stream::{Publisher, StreamConfig, Subscription};
+use pcsi_stream::{Publisher, Subscription, PROBE_INTERVAL};
 
 fn setup(seed: u64) -> (Sim, Fabric, Publisher) {
     let sim = Sim::new(seed);
@@ -20,7 +18,7 @@ fn setup(seed: u64) -> (Sim, Fabric, Publisher) {
         Topology::uniform(2, 2),
         LatencyModel::deterministic(NetworkGeneration::Dc2021),
     );
-    let publisher = Publisher::deploy(fabric.clone(), StreamConfig::default(), None);
+    let publisher = Publisher::deploy(fabric.clone(), None);
     (sim, fabric, publisher)
 }
 
@@ -33,18 +31,9 @@ fn obj() -> ObjectId {
 
 async fn open(fabric: &Fabric, publisher: &Publisher, window: u32) -> Subscription {
     let sub = publisher.alloc_sub(CONSUMER);
-    Subscription::open(
-        fabric.clone(),
-        sub,
-        CONSUMER,
-        obj(),
-        HOME,
-        window,
-        Transport::Rdma,
-        None,
-    )
-    .await
-    .expect("subscribe")
+    Subscription::open(fabric.clone(), sub, CONSUMER, obj(), HOME, window, None)
+        .await
+        .expect("subscribe")
 }
 
 #[test]
@@ -274,10 +263,7 @@ fn stalled_dead_subscriber_is_probed_and_reaped() {
             // The probe retransmission discovered the death and reaped
             // the subscription within a few probe intervals.
             let waited = Duration::from_nanos(h.now().as_nanos() - stalled_ns);
-            assert!(
-                waited <= 5 * publisher.config().probe_interval,
-                "reap took {waited:?}"
-            );
+            assert!(waited <= 5 * PROBE_INTERVAL, "reap took {waited:?}");
             assert_eq!(publisher.subscriber_count(obj()), 0);
             assert_eq!(publisher.buffered_frames(), 0);
         }
@@ -323,29 +309,11 @@ fn subscribing_twice_with_same_id_is_rejected() {
         let publisher = publisher.clone();
         async move {
             let id = publisher.alloc_sub(CONSUMER);
-            let first = Subscription::open(
-                fabric.clone(),
-                id,
-                CONSUMER,
-                obj(),
-                HOME,
-                4,
-                Transport::Rdma,
-                None,
-            )
-            .await;
+            let first =
+                Subscription::open(fabric.clone(), id, CONSUMER, obj(), HOME, 4, None).await;
             assert!(first.is_ok());
-            let second = Subscription::open(
-                fabric.clone(),
-                id,
-                NodeId(2),
-                obj(),
-                HOME,
-                4,
-                Transport::Rdma,
-                None,
-            )
-            .await;
+            let second =
+                Subscription::open(fabric.clone(), id, NodeId(2), obj(), HOME, 4, None).await;
             assert!(second.is_err(), "duplicate sub id must be refused");
         }
     });

@@ -296,7 +296,7 @@ impl Tracer {
 
     /// Opens a root span, subject to the sampling knob. Off (or an
     /// unlucky ratio draw) returns a disabled handle.
-    pub fn root(&self, name: &'static str) -> SpanHandle {
+    fn root(&self, name: &'static str) -> SpanHandle {
         let sampled = match self.inner.sampling {
             Sampling::Off => false,
             Sampling::Always => true,
@@ -313,18 +313,9 @@ impl Tracer {
     /// Opens a child span under an incoming context. The sampling
     /// decision was made at the root: a context exists only for a
     /// sampled trace, so children always record.
-    pub fn child(&self, ctx: TraceContext, name: &'static str) -> SpanHandle {
+    fn child(&self, ctx: TraceContext, name: &'static str) -> SpanHandle {
         let id = SpanId(self.draw());
         self.open(ctx.trace, id, Some(ctx.parent), name)
-    }
-
-    /// Opens a child span when a context is present, else a disabled
-    /// handle — the common shape at an RPC receiver.
-    pub fn child_of(&self, ctx: Option<TraceContext>, name: &'static str) -> SpanHandle {
-        match ctx {
-            Some(ctx) => self.child(ctx, name),
-            None => SpanHandle(None),
-        }
     }
 
     fn open(
@@ -351,6 +342,37 @@ impl std::fmt::Debug for Tracer {
         f.debug_struct("Tracer")
             .field("sampling", &self.inner.sampling)
             .finish()
+    }
+}
+
+/// Opens `name` as a child of `ctx` — the shape at an RPC receiver and
+/// at every layer below the one that opened the root. Disabled when the
+/// deployment has no tracer or the request arrived without a context
+/// (the sampling decision was made at the root, so a context means
+/// "record").
+pub fn child_of(
+    tracer: &Option<Tracer>,
+    ctx: Option<TraceContext>,
+    name: &'static str,
+) -> SpanHandle {
+    match (tracer, ctx) {
+        (Some(t), Some(ctx)) => t.child(ctx, name),
+        _ => SpanHandle(None),
+    }
+}
+
+/// Opens `name` where a request may enter the traced system: a child of
+/// `ctx` when the caller is itself traced, else a new root subject to
+/// the tracer's sampling knob. Disabled when the deployment has no
+/// tracer.
+pub fn child_or_root(
+    tracer: &Option<Tracer>,
+    ctx: Option<TraceContext>,
+    name: &'static str,
+) -> SpanHandle {
+    match (tracer, ctx) {
+        (Some(t), None) => t.root(name),
+        _ => child_of(tracer, ctx, name),
     }
 }
 

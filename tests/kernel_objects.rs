@@ -849,3 +849,63 @@ fn every_op_on_every_kind_admits_or_refuses_as_the_table_says() {
         })
     });
 }
+
+/// A socket: a FIFO in everything but its kind.
+fn a_socket() -> CreateOptions {
+    CreateOptions {
+        kind: ObjectKind::Socket,
+        ..CreateOptions::fifo()
+    }
+}
+
+#[test]
+fn a_socket_write_is_an_append_that_returns_nothing() {
+    // Regression: `write` on a socket pushed straight into the queue —
+    // no fabric hop from the caller to the queue's home, no `size` /
+    // `version` bump — so a cross-node write took zero virtual time and
+    // `stat` went on reading an empty socket.
+    with_cloud(19, |cloud| {
+        Box::pin(async move {
+            let h = cloud.fabric.handle().clone();
+            let owner = cloud.kernel.client(NodeId(0), "tenant-a");
+            let socket = owner.create(a_socket()).await.unwrap();
+            let home = cloud.store.placement().primary(socket.id());
+            let far = cloud
+                .fabric
+                .topology()
+                .node_ids()
+                .into_iter()
+                .find(|n| *n != home)
+                .unwrap();
+            let writer = cloud.kernel.client(far, "tenant-a");
+
+            let before = owner.stat(&socket).await.unwrap();
+            let t0 = h.now();
+            writer
+                .write(&socket, 0, Bytes::from_static(b"GET /"))
+                .await
+                .unwrap();
+            assert!(
+                h.now() - t0 > Duration::ZERO,
+                "the bytes crossed the fabric"
+            );
+            let after = owner.stat(&socket).await.unwrap();
+            assert_eq!((before.size, after.size), (0, 1));
+            assert_eq!(after.version, before.version + 1);
+
+            // Exactly what `append` does to its twin.
+            let twin = owner.create(a_socket()).await.unwrap();
+            owner
+                .append(&twin, Bytes::from_static(b"GET /"))
+                .await
+                .unwrap();
+            let appended = owner.stat(&twin).await.unwrap();
+            assert_eq!(
+                (appended.size, appended.version),
+                (after.size, after.version)
+            );
+            assert_eq!(&owner.pop(&socket).await.unwrap()[..], b"GET /");
+            assert_eq!(owner.stat(&socket).await.unwrap().size, 0);
+        })
+    });
+}
