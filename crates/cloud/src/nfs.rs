@@ -292,12 +292,8 @@ impl NfsServer {
         secret: &[u8],
         account: &str,
     ) -> Result<NfsClient, PcsiError> {
-        // Account is recorded server-side at session creation; the mount
-        // message itself carries only the secret.
-        self.state
-            .borrow_mut()
-            .sessions
-            .insert(0, account.to_owned()); // Placeholder replaced below.
+        // The mount message carries only the secret; the account is
+        // recorded server-side once the server has opened the session.
         let reply = self
             .call(
                 from,
@@ -309,7 +305,6 @@ impl NfsServer {
         match reply {
             NfsReply::Mounted { session } => {
                 let mut s = self.state.borrow_mut();
-                s.sessions.remove(&0);
                 s.sessions.insert(session, account.to_owned());
                 Ok(NfsClient {
                     server: self.clone(),
@@ -739,13 +734,33 @@ mod tests {
         assert!(billing.invoice("acct").compute > 0.0);
     }
 
+    /// A failed mount leaves no session behind: a client naming session
+    /// 0 is refused, not served and billed to the failed mounter.
     #[test]
     fn bad_secret_rejected_at_mount() {
         let mut sim = Sim::new(13);
-        let (server, _) = deploy(&sim);
-        let err =
-            sim.block_on(async move { server.mount(NodeId(0), b"wrong", "acct").await.err() });
-        assert!(err.is_some());
+        let (server, billing) = deploy(&sim);
+        let (err, intruder_billed) = sim.block_on(async move {
+            let owner = server
+                .mount(NodeId(0), b"nfs-secret", "owner")
+                .await
+                .unwrap();
+            let fh = owner.lookup("f", true).await.unwrap();
+            owner.write(fh, 0, b"secret bytes").await.unwrap();
+            assert!(server.mount(NodeId(1), b"wrong", "intruder").await.is_err());
+            let session_zero = NfsClient {
+                server: server.clone(),
+                from: NodeId(1),
+                session: 0,
+            };
+            let err = session_zero.read(fh, 0, 64).await.unwrap_err();
+            (err, billing.invoice("intruder").compute > 0.0)
+        });
+        assert!(
+            matches!(&err, PcsiError::Fault(m) if m == "stale session"),
+            "{err:?}"
+        );
+        assert!(!intruder_billed, "a refused read was billed");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   (DRAM / NVMe / disk) whose access times are charged to virtual time,
 //! * [`replica::ReplicaNode`] — the storage service bound on each storage
 //!   node, speaking a compact binary protocol ([`wire`]) over the fabric,
-//! * [`placement::Placement`] — rendezvous-hashed replica sets spread
-//!   across racks (fault domains),
+//! * [`placement::Placement`] — consistent hashing over virtual nodes,
+//!   replica sets spread across racks (fault domains),
 //! * [`store::ReplicatedStore`] — the deployed store: launches the
 //!   replicas, owns the per-node caches, the recovery counters and the
 //!   history tap, and hands out per-origin clients,
@@ -36,8 +36,7 @@
 //!   ([`store::CacheStats`] aggregates the counters),
 //! * [`gc::mark`] + [`gc::sweep`] — reachability garbage collection over the reference
 //!   graph (unreachable objects are reclaimed, §3.2),
-//! * [`version`] — write tags and version vectors for ordering and
-//!   anti-entropy.
+//! * [`version`] — the write [`Tag`] that orders mutations.
 //!
 //! Failure handling scope: replica crashes and partitions are tolerated on
 //! the read path (any majority / any replica) and masked on the write path
@@ -67,4 +66,4 @@ pub use placement::Placement;
 pub use replica::ReplicaNode;
 pub use retry::{RetryPolicy, RetryStats};
 pub use store::{CacheStats, ReplicatedStore, StoreClient, StoreConfig, TapEvent};
-pub use version::{Tag, VersionVector};
+pub use version::Tag;

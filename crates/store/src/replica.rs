@@ -263,9 +263,10 @@ const LEDGER_OBJECTS: usize = 4096;
 ///   tag advanced via a *different* write never applied this request.
 ///
 /// To preserve the invariant across full-state transfer, the ledger is
-/// **replaced, not merged** whenever `sync_in` installs an incoming
-/// object: the incoming records describe the incoming state line; the
-/// local records described a line that was just discarded.
+/// read with the bytes as one value ([`state_of`]) and **replaced, not
+/// merged** whenever `sync_in` installs an incoming object: the incoming
+/// records describe the incoming state line; the local records described
+/// a line that was just discarded.
 #[derive(Default)]
 struct ReqLedger {
     by_object: FxHashMap<ObjectId, Vec<(u64, Tag)>>,
@@ -283,8 +284,12 @@ fn newest_req(reqs: &[(u64, Tag)]) -> u64 {
 
 impl ReqLedger {
     /// The tag `req_id` was applied at on the current state line, if
-    /// recorded.
+    /// recorded. `req_id` 0 is a request without identity: never recorded,
+    /// never found.
     fn lookup(&self, id: ObjectId, req_id: u64) -> Option<Tag> {
+        if req_id == 0 {
+            return None;
+        }
         self.by_object
             .get(&id)?
             .iter()
@@ -294,6 +299,9 @@ impl ReqLedger {
 
     /// Records that the current state line contains `req_id` at `tag`.
     fn record(&mut self, id: ObjectId, req_id: u64, tag: Tag) {
+        if req_id == 0 {
+            return;
+        }
         let reqs = self.by_object.entry(id).or_default();
         self.by_idleness.remove(&(newest_req(reqs), id));
         match reqs.iter_mut().find(|(r, _)| *r == req_id) {
@@ -422,13 +430,9 @@ async fn handle(inner: Rc<Inner>, payload: Bytes, call_ctx: CallCtx) -> Bytes {
             // coordinator re-orders the same client request at a fresh
             // higher tag, and a replica that already applied it must not
             // apply it again (Append is not idempotent).
-            let duplicate = (req_id != 0)
-                .then(|| inner.ledger.borrow().lookup(id, req_id))
-                .flatten();
+            let duplicate = inner.ledger.borrow().lookup(id, req_id);
             if inner.placement.is_frozen(id) {
-                Response::Err(WireError::Other(format!(
-                    "{id:?} is frozen for shard migration"
-                )))
+                frozen(id)
             } else if !effective_member(&inner, id) {
                 Response::Err(WireError::Other(format!(
                     "node {} no longer replicates {id:?}",
@@ -437,29 +441,21 @@ async fn handle(inner: Rc<Inner>, payload: Bytes, call_ctx: CallCtx) -> Bytes {
             } else if let Some(recorded) = duplicate {
                 Response::AlreadyApplied { tag: recorded }
             } else {
-                let resp = {
-                    let mut engine = inner.engine.borrow_mut();
-                    let newest = engine.tag_of(id);
-                    if tag <= newest {
-                        // Refuse to ack a stale-tagged apply. A coordinator
-                        // that restarted behind the replica set would
-                        // otherwise collect acks for writes that are
-                        // invisible to every read quorum.
-                        Response::Stale { newest }
-                    } else {
-                        match engine.apply(id, tag, &mutation) {
-                            Ok(()) => Response::Applied,
-                            Err(e) => Response::Err(WireError::from_pcsi(&e)),
-                        }
-                    }
-                };
-                if matches!(resp, Response::Applied) {
+                let mut engine = inner.engine.borrow_mut();
+                let newest = engine.tag_of(id);
+                if tag <= newest {
+                    // Refuse to ack a stale-tagged apply. A coordinator
+                    // that restarted behind the replica set would
+                    // otherwise collect acks for writes that are
+                    // invisible to every read quorum.
+                    Response::Stale { newest }
+                } else if let Err(e) = engine.apply(id, tag, &mutation) {
+                    Response::Err(WireError::from_pcsi(&e))
+                } else {
                     inner.applied.incr();
-                    if req_id != 0 {
-                        inner.ledger.borrow_mut().record(id, req_id, tag);
-                    }
+                    inner.ledger.borrow_mut().record(id, req_id, tag);
+                    Response::Applied
                 }
-                resp
             }
         }
         Request::Read { id, offset, len } => {
@@ -488,18 +484,14 @@ async fn handle(inner: Rc<Inner>, payload: Bytes, call_ctx: CallCtx) -> Bytes {
         Request::TagOf { id } => Response::TagIs {
             tag: inner.engine.borrow().tag_of(id),
         },
-        Request::Fetch { id } => {
-            let obj = inner.engine.borrow().get(id).cloned();
-            match obj {
-                Some(object) => {
-                    charge_io(&inner, object.data.len()).await;
-                    inner.fetched.incr();
-                    let reqs = inner.ledger.borrow().snapshot(id);
-                    Response::Object { object, reqs }
-                }
-                None => Response::Absent,
+        Request::Fetch { id } => match state_of(&inner, id) {
+            Some((object, reqs)) => {
+                charge_io(&inner, object.data.len()).await;
+                inner.fetched.incr();
+                Response::Object { object, reqs }
             }
-        }
+            None => Response::Absent,
+        },
         Request::Inventory => Response::InventoryIs {
             entries: inner.engine.borrow().inventory(),
         },
@@ -536,6 +528,13 @@ fn stale_route(inner: &Inner, id: ObjectId) -> Response {
         "node {} no longer replicates {id:?} (epoch {})",
         inner.node,
         inner.placement.epoch()
+    )))
+}
+
+/// The retryable refusal for an object frozen mid-migration.
+fn frozen(id: ObjectId) -> Response {
+    Response::Err(WireError::Other(format!(
+        "{id:?} is frozen for shard migration"
     )))
 }
 
@@ -748,9 +747,7 @@ async fn coordinate(
         )));
     }
     if inner.placement.is_frozen(id) {
-        return Response::Err(WireError::Other(format!(
-            "{id:?} is frozen for shard migration"
-        )));
+        return frozen(id);
     }
     let replicas = inner.placement.replicas(id);
     if !replicas.contains(&inner.node) {
@@ -771,80 +768,65 @@ async fn coordinate(
     charge_io(inner, mutation_bytes(&mutation)).await;
 
     let mut floor = Tag::ZERO;
-    let mut last_got = 1u32;
+    let mut got = 1u32;
     for _round in 0..=MAX_CATCHUP_ROUNDS {
         // A request this node's current state already contains — it
         // ordered it before, applied its fan-out, or a previous round
         // of this loop applied it and the catch-up pull failed to
         // replace the line — must not be applied locally again: replay
         // replication at the recorded tag.
-        let recorded = (req_id != 0)
-            .then(|| inner.ledger.borrow().lookup(id, req_id))
-            .flatten();
-        if let Some(tag) = recorded {
-            return match replicate(inner, id, tag, &mutation, req_id, &peers, need, true, ctx).await
-            {
-                ReplicateOutcome::Acked => Response::Coordinated { tag },
-                // Peers advanced past the recorded tag on a line that
-                // does not contain this request: success here would be
-                // a lie (the write loses LWW convergence). Surface a
-                // retryable failure; the client's failover re-orders on
-                // the winning line.
-                ReplicateOutcome::Stale { .. } => Response::Err(WireError::QuorumUnavailable {
-                    needed: sync_replicas,
-                    got: 1,
-                }),
-                ReplicateOutcome::Failed { got } => Response::Err(WireError::QuorumUnavailable {
-                    needed: sync_replicas,
-                    got,
-                }),
-            };
-        }
-        // Re-check the freeze *after* every await since the entry check
-        // (the IO charge, catch-up rounds): the check below and the
-        // local apply share one borrow with no await between them, so a
-        // mutation can never be minted inside a migration's freeze
-        // window — the snapshot fetch would miss it, and its tag would
-        // survive as a zombie line above the seal.
-        if inner.placement.is_frozen(id) {
-            return Response::Err(WireError::Other(format!(
-                "{id:?} is frozen for shard migration"
-            )));
-        }
-        // Never mint a fresh tag for an attempt the client has already
-        // abandoned (its per-attempt deadline passed while this
-        // coordination sat in IO queues or catch-up rounds). The client
-        // may long since have succeeded through another coordinator and
-        // issued *later* acknowledged writes; minting now would apply
-        // this mutation at a tag above all of them on this node alone —
-        // a zombie line that quorum reads and newest-tag-wins
-        // anti-entropy would surface as a rollback of those writes.
-        if attempt_expired(inner, expires_ns) {
-            return Response::Err(WireError::Other(format!(
-                "attempt for {id:?} expired before ordering"
-            )));
-        }
-        // Order and apply locally. Charge the media time first: the tag
-        // read and the apply must not straddle an await, or two
-        // concurrent coordinations for the same object would both read
-        // the current tag and assign the *same* tag to different
-        // mutations — replicas then diverge at equal tags, which
-        // anti-entropy can never repair. `floor` keeps re-orders above
-        // any tag a peer reported via `Stale`, even when the catch-up
-        // fetch itself failed (or hit a tombstone).
-        let tag = {
-            let mut engine = inner.engine.borrow_mut();
-            let tag = engine.tag_of(id).max(floor).next(inner.node.0);
-            if let Err(e) = engine.apply(id, tag, &mutation) {
-                return Response::Err(WireError::from_pcsi(&e));
+        let recorded = inner.ledger.borrow().lookup(id, req_id);
+        let (tag, replay) = match recorded {
+            Some(tag) => (tag, true),
+            None => {
+                // Re-check the freeze *after* every await since the
+                // entry check (the IO charge, catch-up rounds): the
+                // check and the local apply share no await, so a
+                // mutation can never be minted inside a migration's
+                // freeze window — the snapshot fetch would miss it, and
+                // its tag would survive as a zombie line above the seal.
+                if inner.placement.is_frozen(id) {
+                    return frozen(id);
+                }
+                // Never mint a fresh tag for an attempt the client has
+                // already abandoned (its deadline passed in IO queues or
+                // catch-up rounds): it may have succeeded through another
+                // coordinator and issued *later* acknowledged writes, and
+                // minting now would put this mutation above all of them
+                // on this node alone — a zombie line that quorum reads
+                // and newest-tag-wins anti-entropy would surface as a
+                // rollback of those writes.
+                if attempt_expired(inner, expires_ns) {
+                    return Response::Err(WireError::Other(format!(
+                        "attempt for {id:?} expired before ordering"
+                    )));
+                }
+                // Order and apply locally. The media time was charged
+                // first: the tag read and the apply must not straddle an
+                // await, or two concurrent coordinations for the same
+                // object would both read the current tag and assign the
+                // *same* tag to different mutations — replicas then
+                // diverge at equal tags, which anti-entropy can never
+                // repair. `floor` keeps re-orders above any tag a peer
+                // reported via `Stale`, even when the catch-up fetch
+                // itself failed (or hit a tombstone).
+                let mut engine = inner.engine.borrow_mut();
+                let tag = engine.tag_of(id).max(floor).next(inner.node.0);
+                if let Err(e) = engine.apply(id, tag, &mutation) {
+                    return Response::Err(WireError::from_pcsi(&e));
+                }
+                inner.ledger.borrow_mut().record(id, req_id, tag);
+                (tag, false)
             }
-            tag
         };
-        if req_id != 0 {
-            inner.ledger.borrow_mut().record(id, req_id, tag);
-        }
-        match replicate(inner, id, tag, &mutation, req_id, &peers, need, false, ctx).await {
+        match replicate(inner, id, tag, &mutation, req_id, &peers, need, replay, ctx).await {
             ReplicateOutcome::Acked => return Response::Coordinated { tag },
+            // A replay's peers advanced past the recorded tag on a line
+            // that does not contain this request: success here would be
+            // a lie (the write loses LWW convergence). Surface a
+            // retryable failure (`got` is still 1: `Failed` breaks); the
+            // client's failover re-orders on the winning line.
+            ReplicateOutcome::Stale { .. } if replay => break,
             ReplicateOutcome::Stale { newest, holder } => {
                 floor = floor.max(newest);
                 // On success this replaces both the state *and* the
@@ -854,51 +836,63 @@ async fn coordinate(
                 // second local apply on a line that already has one.
                 let _ = catch_up(inner, id, holder).await;
             }
-            ReplicateOutcome::Failed { got } => {
-                last_got = got;
+            ReplicateOutcome::Failed { got: acked } => {
+                got = acked;
                 break;
             }
         }
     }
     Response::Err(WireError::QuorumUnavailable {
         needed: sync_replicas,
-        got: last_got,
+        got,
     })
 }
 
-/// Fans an ordered mutation to `peers` and waits for `need` acks.
-///
-/// What counts as an ack is deliberately narrow — a peer's reply is an
-/// ack only when it **proves** two things: the peer's state contains
-/// this request, AND the peer's state-tag is at least the ordered tag.
-/// The second half is what keeps the acked tag the maximum over every
-/// line that contains the request — a majority then holds tags `>=`
-/// the acked tag, so any later coordination that mints below it can
-/// never assemble its own ack majority (the sets intersect, and the
-/// intersection answers `Stale`). The qualifying replies:
-///
-/// * [`Response::Applied`] — it applied it just now (state `>=` tag);
-/// * [`Response::AlreadyApplied`] at a recorded tag `>=` the ordered
-///   tag — its ledger records the request on a line at or above ours;
-/// * [`Response::AlreadyApplied`] at a **lower** recorded tag — the
-///   peer holds the request on an older line (it acked a previous
-///   coordination of this request that later failed over). Both lines
-///   contain the request, but counting this alone once let an acked
-///   write live only on the coordinator: the next coordination on the
-///   behind peer minted *below* the acked tag and a quorum read
-///   surfaced the old value as a rollback. The coordinator therefore
-///   first pushes its full state (which contains the ordered tag) to
-///   the peer and counts the ack only when the push round-trips — the
-///   peer then provably holds state `>=` the ordered tag, installed or
-///   already newer;
-/// * in `replay` mode, [`Response::Stale`] at **exactly** the replayed
-///   tag — tags are minted once, so state at that tag *is* this
-///   mutation's apply (covers a peer whose ledger entry was evicted).
-///
-/// A `Stale` above the replayed tag is NOT an ack: the engine admits
-/// tag gaps, so the peer may have advanced via a different write and
-/// never applied this one. In fresh mode any `Stale` is evidence the
-/// coordinator ordered at a stale tag.
+/// What one reply to the `Apply` at the ordered tag proves, by
+/// [`ack_verdict`]. An ack must **prove** two things: the peer's state
+/// contains this request, AND its state-tag is at least the ordered tag.
+/// The second half keeps the acked tag the maximum over every line that
+/// contains the request — a majority then holds tags `>=` it, so a later
+/// coordination that mints below it can never assemble its own ack
+/// majority (the sets intersect, and the intersection answers `Stale`).
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// `Applied` (state `>=` tag just now); `AlreadyApplied` at a tag
+    /// `>=` ours (the ledger holds it on a line at or above ours); in
+    /// replay mode, `Stale` at **exactly** the replayed tag (tags are
+    /// minted once, so state at that tag *is* this mutation's apply —
+    /// covers a peer whose ledger entry was evicted).
+    Ack,
+    /// `AlreadyApplied` *below* ours: the peer holds the request on an
+    /// older line (it acked an earlier coordination that failed over).
+    /// Counting that alone once let an acked write live only on the
+    /// coordinator — the behind peer's next coordination minted below
+    /// it and a quorum read surfaced a rollback — so the coordinator
+    /// first pushes its state (which contains the ordered tag) and
+    /// counts the ack only when the push round-trips.
+    AckAfterPush,
+    /// Any other `Stale`: no ack — the engine admits tag gaps, so a peer
+    /// above the tag may have advanced via a different write — but in
+    /// fresh mode, evidence that the coordinator ordered at a stale tag.
+    Stale(Tag),
+    /// Anything else: an error or a transport failure.
+    No,
+}
+
+/// The ack rules as one table, row by row as [`Verdict`] states them.
+fn ack_verdict(reply: &Result<Response, PcsiError>, tag: Tag, replay: bool) -> Verdict {
+    match *reply {
+        Ok(Response::Applied) => Verdict::Ack,
+        Ok(Response::AlreadyApplied { tag: recorded }) if recorded >= tag => Verdict::Ack,
+        Ok(Response::AlreadyApplied { .. }) => Verdict::AckAfterPush,
+        Ok(Response::Stale { newest }) if replay && newest == tag => Verdict::Ack,
+        Ok(Response::Stale { newest }) => Verdict::Stale(newest),
+        _ => Verdict::No,
+    }
+}
+
+/// Fans an ordered mutation to `peers` and waits for `need` replies that
+/// [`ack_verdict`] counts as acks.
 #[allow(clippy::too_many_arguments)]
 async fn replicate(
     inner: &Rc<Inner>,
@@ -924,21 +918,11 @@ async fn replicate(
     );
     let task_inner = Rc::clone(inner);
     let classify = move |peer, reply| async move {
-        match reply {
-            Ok(Response::Applied) => Ok(()),
-            Ok(Response::AlreadyApplied { tag: recorded }) if recorded >= tag => Ok(()),
-            Ok(Response::AlreadyApplied { .. }) => {
-                // The peer holds this request on an older line. Its
-                // dedup refusal is correct, but before this reply
-                // may count toward the quorum the peer must be
-                // brought up to (at least) the ordered tag — see
-                // the ack rules above. Push the local state, which
-                // contains the ordered apply.
-                push_state_to(&task_inner, id, peer).await
-            }
-            Ok(Response::Stale { newest }) if replay && newest == tag => Ok(()),
-            Ok(Response::Stale { newest }) => Err(Some((newest, peer))),
-            _ => Err(None),
+        match ack_verdict(&reply, tag, replay) {
+            Verdict::Ack => Ok(()),
+            Verdict::AckAfterPush => push_state_to(&task_inner, id, peer).await,
+            Verdict::Stale(newest) => Err(Some((newest, peer))),
+            Verdict::No => Err(None),
         }
     };
     let peers = peers.iter().copied();
@@ -954,13 +938,9 @@ async fn replicate(
     };
     // The newest `Stale` evidence that arrived before the round was lost
     // names the catch-up source (the first reporter wins a tie).
-    let mut stale: Option<(Tag, NodeId)> = None;
-    for (newest, holder) in short.nacks.into_iter().flatten() {
-        if stale.is_none_or(|(t, _)| t < newest) {
-            stale = Some((newest, holder));
-        }
-    }
-    match stale {
+    let newer =
+        |seen: (Tag, NodeId), next: (Tag, NodeId)| if next.0 > seen.0 { next } else { seen };
+    match short.nacks.into_iter().flatten().reduce(newer) {
         Some((newest, holder)) => ReplicateOutcome::Stale { newest, holder },
         None => ReplicateOutcome::Failed {
             got: (short.got + 1) as u32,
@@ -968,13 +948,20 @@ async fn replicate(
     }
 }
 
+/// The full local state of `id`: the object and the ledger records
+/// describing it, read with no await between, so the records name only
+/// requests the bytes contain. Every full-state transfer ships this.
+fn state_of(inner: &Inner, id: ObjectId) -> Option<(StoredObject, Vec<(u64, Tag)>)> {
+    let object = inner.engine.borrow().get(id)?.clone();
+    Some((object, inner.ledger.borrow().snapshot(id)))
+}
+
 /// Installs a full object state plus the request ledger describing it.
 /// The ledger is replaced only when the state is — swapping one without
 /// the other would break the "records ⊆ current state line" invariant
 /// both dedup paths rely on.
 fn install_state(inner: &Inner, id: ObjectId, object: StoredObject, reqs: Vec<(u64, Tag)>) {
-    let installed = inner.engine.borrow_mut().sync_in(id, object);
-    if installed {
+    if inner.engine.borrow_mut().sync_in(id, object) {
         inner.ledger.borrow_mut().replace(id, reqs);
     }
 }
@@ -990,11 +977,9 @@ async fn push_state_to(
     id: ObjectId,
     peer: NodeId,
 ) -> Result<(), Option<(Tag, NodeId)>> {
-    let snapshot = inner.engine.borrow().get(id).cloned();
-    let Some(object) = snapshot else {
+    let Some((object, reqs)) = state_of(inner, id) else {
         return Err(None);
     };
-    let reqs = inner.ledger.borrow().snapshot(id);
     let frame = wire::encode_request(&Request::Push { id, object, reqs });
     match rpc(&inner.fabric, inner.node, peer, frame).await {
         Ok(Response::Applied) => Ok(()),
@@ -1124,6 +1109,129 @@ mod tests {
         for n in 3..6 {
             assert_eq!(l.lookup(id(n), n + 100), Some(tag(1, 0)));
         }
+    }
+
+    #[test]
+    fn ledger_never_records_or_finds_request_zero() {
+        let mut l = ReqLedger::default();
+        l.record(id(1), 0, tag(1, 0));
+        assert_eq!(l.lookup(id(1), 0), None);
+        assert!(l.by_object.is_empty() && l.by_idleness.is_empty());
+        l.record(id(1), 5, tag(2, 0));
+        l.record(id(1), 0, tag(3, 0));
+        assert_eq!(l.snapshot(id(1)), vec![(5, tag(2, 0))]);
+        // Not even a shipped record makes request 0 findable.
+        l.replace(id(2), vec![(0, tag(4, 1))]);
+        assert_eq!(l.lookup(id(2), 0), None);
+    }
+
+    /// Every reply kind, replay off and on, against the rules as
+    /// DESIGN §4.3 states them — written out, not derived.
+    #[test]
+    fn ack_table_covers_every_reply_kind() {
+        let ordered = tag(5, 1);
+        let (below, above) = (tag(4, 2), tag(5, 2));
+        let ok = |r: Response| Ok::<_, PcsiError>(r);
+        let data = Response::Data {
+            tag: ordered,
+            mutability: pcsi_core::Mutability::Mutable,
+            stable_len: 0,
+            data: Bytes::new(),
+        };
+        use Verdict::{Ack, AckAfterPush, No, Stale};
+        // (reply, verdict in fresh mode, verdict in replay mode)
+        let rows = [
+            (ok(Response::Applied), Ack, Ack),
+            (
+                ok(Response::AlreadyApplied { tag: below }),
+                AckAfterPush,
+                AckAfterPush,
+            ),
+            (ok(Response::AlreadyApplied { tag: ordered }), Ack, Ack),
+            (ok(Response::AlreadyApplied { tag: above }), Ack, Ack),
+            (
+                ok(Response::Stale { newest: below }),
+                Stale(below),
+                Stale(below),
+            ),
+            (ok(Response::Stale { newest: ordered }), Stale(ordered), Ack),
+            (
+                ok(Response::Stale { newest: above }),
+                Stale(above),
+                Stale(above),
+            ),
+            (ok(Response::Err(WireError::Other("x".into()))), No, No),
+            (ok(data), No, No),
+            (Err(PcsiError::Unreachable("n3 down".into())), No, No),
+        ];
+        for (reply, fresh, replay) in rows {
+            assert_eq!(ack_verdict(&reply, ordered, false), fresh, "{reply:?}");
+            assert_eq!(
+                ack_verdict(&reply, ordered, true),
+                replay,
+                "{reply:?} (replay)"
+            );
+        }
+    }
+
+    /// A `Fetch` ships the ledger describing the bytes it ships. An
+    /// apply that lands while the fetch queues on the device must not
+    /// ride along with bytes that predate it: a receiver installing such
+    /// a reply would answer `AlreadyApplied` for a request it lacks.
+    #[test]
+    fn fetch_ships_only_requests_its_bytes_contain() {
+        use crate::store::{ReplicatedStore, StoreConfig};
+        use pcsi_core::{Consistency, Mutability};
+        use pcsi_net::{LatencyModel, NetworkGeneration, Topology};
+
+        let mut sim = pcsi_sim::Sim::new(42);
+        let fabric = Fabric::new(
+            sim.handle(),
+            Topology::uniform(3, 3),
+            LatencyModel::deterministic(NetworkGeneration::Dc2021),
+        );
+        let config = StoreConfig {
+            anti_entropy: None,
+            cache_bytes: 0,
+            ..StoreConfig::default()
+        };
+        let nodes = fabric.topology().node_ids();
+        let store = ReplicatedStore::launch(fabric.clone(), nodes, config, &Telemetry::default());
+        let reply = sim.block_on(async move {
+            let (id, data) = (id(1), Bytes::from(vec![7u8; 4096]));
+            let client = store.client(NodeId(0));
+            let t1 = client
+                .put(
+                    id,
+                    data.clone(),
+                    Mutability::Mutable,
+                    Consistency::Linearizable,
+                )
+                .await
+                .unwrap();
+            let p = store.placement().replicas(id)[1];
+            let call = |req: &Request| rpc(&fabric, p, p, wire::encode_request(req));
+            let apply = call(&Request::Apply {
+                id,
+                tag: t1.next(9),
+                mutation: Mutation::WriteAt { offset: 0, data },
+                req_id: 777,
+            });
+            let h = fabric.handle().clone();
+            h.spawn_detached(async move {
+                let _ = apply.await;
+            });
+            h.sleep(Duration::from_nanos(500)).await;
+            call(&Request::Fetch { id }).await.unwrap()
+        });
+        let Response::Object { object, reqs } = reply else {
+            panic!("expected the object, got {reply:?}");
+        };
+        assert!(
+            reqs.iter().all(|&(_, t)| t <= object.tag),
+            "the object at {} ships {reqs:?}",
+            object.tag
+        );
     }
 
     /// The dedup table [`SeenCoordinates`] replaced, kept as the oracle:
@@ -1257,7 +1365,7 @@ mod tests {
                 } else {
                     old.insert(object, shipped);
                 }
-            } else {
+            } else if req_id != 0 {
                 new.record(object, req_id, tag(step, 0));
                 let reqs = old.entry(object).or_default();
                 match reqs.iter_mut().find(|(r, _)| *r == req_id) {

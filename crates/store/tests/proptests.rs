@@ -7,7 +7,7 @@ use proptest::test_runner::TestCaseError;
 use pcsi_core::{Mutability, ObjectId};
 use pcsi_net::Topology;
 use pcsi_store::engine::{MediaTier, Mutation, StorageEngine, StoredObject};
-use pcsi_store::version::{Tag, VersionVector};
+use pcsi_store::version::Tag;
 use pcsi_store::wire::{
     decode_request, decode_request_traced, decode_response, encode_request, encode_request_traced,
     encode_response, Request, Response, WireError,
@@ -292,34 +292,6 @@ proptest! {
             .map(|id| e.get(id).map(|o| o.data.len() as u64).unwrap_or(0))
             .sum();
         prop_assert_eq!(e.bytes_stored(), total);
-    }
-
-    /// Version vectors: merge is commutative, idempotent, and dominates
-    /// both inputs.
-    #[test]
-    fn version_vector_merge_laws(
-        a in proptest::collection::vec((0u32..8, 1u64..100), 0..8),
-        b in proptest::collection::vec((0u32..8, 1u64..100), 0..8),
-    ) {
-        let mk = |pairs: &[(u32, u64)]| {
-            let mut v = VersionVector::new();
-            for &(w, s) in pairs {
-                v.observe(Tag { seq: s, writer: w });
-            }
-            v
-        };
-        let va = mk(&a);
-        let vb = mk(&b);
-        let mut ab = va.clone();
-        ab.merge(&vb);
-        let mut ba = vb.clone();
-        ba.merge(&va);
-        prop_assert_eq!(&ab, &ba);
-        prop_assert!(ab.dominates(&va));
-        prop_assert!(ab.dominates(&vb));
-        let mut again = ab.clone();
-        again.merge(&vb);
-        prop_assert_eq!(again, ab);
     }
 
     /// Tag ordering is total and next() is strictly increasing.
