@@ -302,7 +302,12 @@ impl ReqLedger {
         if req_id == 0 {
             return;
         }
-        let reqs = self.by_object.entry(id).or_default();
+        // Nearly every object holds one record: size the first
+        // allocation for it (a first `push` reserves four).
+        let reqs = self
+            .by_object
+            .entry(id)
+            .or_insert_with(|| Vec::with_capacity(1));
         self.by_idleness.remove(&(newest_req(reqs), id));
         match reqs.iter_mut().find(|(r, _)| *r == req_id) {
             // A replay at the recorded tag is idempotent; a catch-up
@@ -776,8 +781,8 @@ async fn coordinate(
         // replace the line — must not be applied locally again: replay
         // replication at the recorded tag.
         let recorded = inner.ledger.borrow().lookup(id, req_id);
-        let (tag, replay) = match recorded {
-            Some(tag) => (tag, true),
+        let tag = match recorded {
+            Some(tag) => tag,
             None => {
                 // Re-check the freeze *after* every await since the
                 // entry check (the IO charge, catch-up rounds): the
@@ -801,7 +806,7 @@ async fn coordinate(
                         "attempt for {id:?} expired before ordering"
                     )));
                 }
-                // Order and apply locally. The media time was charged
+                // Order, then apply below. The media time was charged
                 // first: the tag read and the apply must not straddle an
                 // await, or two concurrent coordinations for the same
                 // object would both read the current tag and assign the
@@ -810,16 +815,21 @@ async fn coordinate(
                 // repair. `floor` keeps re-orders above any tag a peer
                 // reported via `Stale`, even when the catch-up fetch
                 // itself failed (or hit a tombstone).
-                let mut engine = inner.engine.borrow_mut();
-                let tag = engine.tag_of(id).max(floor).next(inner.node.0);
-                if let Err(e) = engine.apply(id, tag, &mutation) {
-                    return Response::Err(WireError::from_pcsi(&e));
-                }
-                inner.ledger.borrow_mut().record(id, req_id, tag);
-                (tag, false)
+                let newest = inner.engine.borrow().tag_of(id);
+                newest.max(floor).next(inner.node.0)
             }
         };
-        match replicate(inner, id, tag, &mutation, req_id, &peers, need, replay, ctx).await {
+        let replay = recorded.is_some();
+        // A fresh order applies locally from the frame the peers get, so
+        // every replica of the write keeps a view of one allocation.
+        let (frame, local) = wire::apply_frame(id, tag, &mutation, req_id, ctx);
+        if !replay {
+            if let Err(e) = inner.engine.borrow_mut().apply(id, tag, &local) {
+                return Response::Err(WireError::from_pcsi(&e));
+            }
+            inner.ledger.borrow_mut().record(id, req_id, tag);
+        }
+        match replicate(inner, id, tag, frame, &peers, need, replay).await {
             ReplicateOutcome::Acked => return Response::Coordinated { tag },
             // A replay's peers advanced past the recorded tag on a line
             // that does not contain this request: success here would be
@@ -891,31 +901,18 @@ fn ack_verdict(reply: &Result<Response, PcsiError>, tag: Tag, replay: bool) -> V
     }
 }
 
-/// Fans an ordered mutation to `peers` and waits for `need` replies that
+/// Fans the `Apply` frame of a mutation ordered at `tag` to `peers` — one
+/// frame for all of them — and waits for `need` replies that
 /// [`ack_verdict`] counts as acks.
-#[allow(clippy::too_many_arguments)]
 async fn replicate(
     inner: &Rc<Inner>,
     id: ObjectId,
     tag: Tag,
-    mutation: &Mutation,
-    req_id: u64,
+    frame: Bytes,
     peers: &[NodeId],
     need: usize,
     replay: bool,
-    ctx: Option<TraceContext>,
 ) -> ReplicateOutcome {
-    // The Apply frame is identical for every peer: encode (and clone the
-    // mutation into it) exactly once, then share the frozen bytes.
-    let frame = wire::encode_request_traced(
-        &Request::Apply {
-            id,
-            tag,
-            mutation: mutation.clone(),
-            req_id,
-        },
-        ctx,
-    );
     let task_inner = Rc::clone(inner);
     let classify = move |peer, reply| async move {
         match ack_verdict(&reply, tag, replay) {
@@ -1180,35 +1177,11 @@ mod tests {
     /// a reply would answer `AlreadyApplied` for a request it lacks.
     #[test]
     fn fetch_ships_only_requests_its_bytes_contain() {
-        use crate::store::{ReplicatedStore, StoreConfig};
-        use pcsi_core::{Consistency, Mutability};
-        use pcsi_net::{LatencyModel, NetworkGeneration, Topology};
-
         let mut sim = pcsi_sim::Sim::new(42);
-        let fabric = Fabric::new(
-            sim.handle(),
-            Topology::uniform(3, 3),
-            LatencyModel::deterministic(NetworkGeneration::Dc2021),
-        );
-        let config = StoreConfig {
-            anti_entropy: None,
-            cache_bytes: 0,
-            ..StoreConfig::default()
-        };
-        let nodes = fabric.topology().node_ids();
-        let store = ReplicatedStore::launch(fabric.clone(), nodes, config, &Telemetry::default());
+        let (fabric, store) = store_on_3x3(&sim);
         let reply = sim.block_on(async move {
             let (id, data) = (id(1), Bytes::from(vec![7u8; 4096]));
-            let client = store.client(NodeId(0));
-            let t1 = client
-                .put(
-                    id,
-                    data.clone(),
-                    Mutability::Mutable,
-                    Consistency::Linearizable,
-                )
-                .await
-                .unwrap();
+            let t1 = linearizable_put(&store, id, data.clone()).await;
             let p = store.placement().replicas(id)[1];
             let call = |req: &Request| rpc(&fabric, p, p, wire::encode_request(req));
             let apply = call(&Request::Apply {
@@ -1232,6 +1205,79 @@ mod tests {
             "the object at {} ships {reqs:?}",
             object.tag
         );
+    }
+
+    /// A store on a 3 × 3 topology with no background traffic.
+    fn store_on_3x3(sim: &pcsi_sim::Sim) -> (Fabric, crate::store::ReplicatedStore) {
+        use crate::store::{ReplicatedStore, StoreConfig};
+        use pcsi_net::{LatencyModel, NetworkGeneration, Topology};
+
+        let fabric = Fabric::new(
+            sim.handle(),
+            Topology::uniform(3, 3),
+            LatencyModel::deterministic(NetworkGeneration::Dc2021),
+        );
+        let config = StoreConfig {
+            anti_entropy: None,
+            cache_bytes: 0,
+            ..StoreConfig::default()
+        };
+        let nodes = fabric.topology().node_ids();
+        let store = ReplicatedStore::launch(fabric.clone(), nodes, config, &Telemetry::default());
+        (fabric, store)
+    }
+
+    /// A linearizable `put` of `data` from node 0.
+    async fn linearizable_put(
+        store: &crate::store::ReplicatedStore,
+        id: ObjectId,
+        data: Bytes,
+    ) -> Tag {
+        use pcsi_core::{Consistency, Mutability};
+        let client = store.client(NodeId(0));
+        let put = client.put(id, data, Mutability::Mutable, Consistency::Linearizable);
+        put.await.unwrap()
+    }
+
+    /// Every replica of a write keeps a view of the one `Apply` frame the
+    /// coordinator applied from and fanned out; a later write gives each
+    /// replica bytes of its own.
+    #[test]
+    fn replicas_of_a_put_share_one_payload_allocation() {
+        let mut sim = pcsi_sim::Sim::new(42);
+        let (fabric, store) = store_on_3x3(&sim);
+        sim.block_on(async move {
+            let id = id(1);
+            linearizable_put(&store, id, Bytes::from(vec![7u8; 4096])).await;
+            // The third replica applies after the majority acked.
+            let h = fabric.handle().clone();
+            h.sleep(Duration::from_millis(1)).await;
+            let held = || -> Vec<Bytes> {
+                let nodes = store.placement().replicas(id);
+                let replica = |n| store.replica_on(n).expect("a replica on every node");
+                let data = |n| replica(n).with_engine(|e| e.get(id).expect("applied").data.clone());
+                nodes.into_iter().map(data).collect()
+            };
+            let ptrs: Vec<_> = held().iter().map(|d| d.as_ptr()).collect();
+            assert_eq!(ptrs.len(), 3);
+            assert!(ptrs.iter().all(|&p| p == ptrs[0]), "{ptrs:?}");
+
+            let client = store.client(NodeId(0));
+            let head = Bytes::from_static(b"head");
+            let write = client.write_at(id, 0, head, pcsi_core::Consistency::Linearizable);
+            write.await.unwrap();
+            h.sleep(Duration::from_millis(1)).await;
+            let held = held();
+            let ptrs: BTreeSet<_> = held.iter().map(|d| d.as_ptr()).collect();
+            assert_eq!(
+                ptrs.len(),
+                3,
+                "copy-on-write gives each replica its own bytes"
+            );
+            for data in &held {
+                assert_eq!((&data[..4], data.len()), (&b"head"[..], 4096));
+            }
+        });
     }
 
     /// The dedup table [`SeenCoordinates`] replaced, kept as the oracle:

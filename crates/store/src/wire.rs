@@ -11,7 +11,8 @@
 //! replica states). The bytes are read and written by the workspace's
 //! one frame cursor, [`pcsi_proto::binary`]: frames are built in pooled
 //! buffers and payload fields decode as zero-copy views of the received
-//! frame. The streaming protocol's frames live in `pcsi_stream::frame`,
+//! frame; a frame whose payload a receiver may keep is finished exactly
+//! sized. The streaming protocol's frames live in `pcsi_stream::frame`,
 //! over the same cursor.
 
 use std::fmt;
@@ -468,7 +469,61 @@ pub fn encode_request_traced(req: &Request, ctx: Option<TraceContext>) -> Bytes 
         w.u8(TRACE_EXT_FLAG);
         w.raw(&ctx.encode());
     }
-    w.finish()
+    finish(
+        w,
+        matches!(
+            req,
+            Request::Apply { .. } | Request::Push { .. } | Request::Migrate { .. }
+        ),
+    )
+}
+
+/// Finishes a frame. A receiver may keep a payload field past the
+/// frame's life — an engine stores an applied or installed object's
+/// bytes, a cache admits a read's — and a kept view pins its whole
+/// buffer, which for a pooled frame may have grown far past the frame
+/// (up to the pool's 64 KiB cap). So a frame carrying such a payload
+/// moves into a buffer of exactly its length; the pooled one is recycled.
+fn finish(w: Writer, kept: bool) -> Bytes {
+    let frame = w.finish();
+    if kept {
+        Bytes::copy_from_slice(&frame)
+    } else {
+        frame
+    }
+}
+
+/// The [`Request::Apply`] frame that replicates `mutation` at `tag`, and
+/// the mutation again with its payload a view of the frame's own copy. A
+/// coordinator applies the returned mutation and fans the frame out, so
+/// every replica of the write keeps a view of one allocation.
+pub(crate) fn apply_frame(
+    id: ObjectId,
+    tag: Tag,
+    mutation: &Mutation,
+    req_id: u64,
+    ctx: Option<TraceContext>,
+) -> (Bytes, Mutation) {
+    let apply = Request::Apply {
+        id,
+        tag,
+        mutation: mutation.clone(),
+        req_id,
+    };
+    let frame = encode_request_traced(&apply, ctx);
+    let mut local = mutation.clone();
+    if let Mutation::PutFull { data, .. }
+    | Mutation::WriteAt { data, .. }
+    | Mutation::Append { data } = &mut local
+    {
+        // The payload is the request's last field, ahead of the
+        // optional trace extension.
+        let end = frame.len() - ctx.map_or(0, |_| 1 + TraceContext::WIRE_LEN);
+        let view = frame.slice(end - data.len()..end);
+        debug_assert_eq!(view, *data);
+        *data = view;
+    }
+    (frame, local)
 }
 
 fn write_request(w: &mut Writer, req: &Request) {
@@ -694,7 +749,10 @@ pub fn encode_response(resp: &Response) -> Bytes {
             write_wire_error(&mut w, e);
         }
     }
-    w.finish()
+    finish(
+        w,
+        matches!(resp, Response::Data { .. } | Response::Object { .. }),
+    )
 }
 
 fn write_wire_error(w: &mut Writer, e: &WireError) {
@@ -1040,6 +1098,50 @@ mod tests {
                     decode_response(&resp.slice(..cut)).is_err(),
                     "response cut {cut}"
                 );
+            }
+        }
+    }
+
+    /// `apply_frame` sends the bytes an `Apply` always encoded to, traced
+    /// or not, and hands back the same mutation with its payload a view
+    /// of that frame.
+    #[test]
+    fn apply_frame_is_the_apply_encoding_and_its_payload_a_view_of_it() {
+        use pcsi_trace::{SpanId, TraceId};
+
+        let data = Bytes::from_static(b"payload");
+        let mutations = [
+            Mutation::PutFull {
+                data: data.clone(),
+                mutability: Mutability::Mutable,
+            },
+            Mutation::WriteAt {
+                offset: 3,
+                data: data.clone(),
+            },
+            Mutation::Append { data },
+            Mutation::Delete,
+        ];
+        let traced = Some(TraceContext {
+            trace: TraceId(7),
+            parent: SpanId(8),
+        });
+        let tag = Tag { seq: 2, writer: 1 };
+        for (mutation, ctx) in mutations.iter().flat_map(|m| [(m, None), (m, traced)]) {
+            let (frame, local) = apply_frame(oid(1), tag, mutation, 9, ctx);
+            let apply = Request::Apply {
+                id: oid(1),
+                tag,
+                mutation: mutation.clone(),
+                req_id: 9,
+            };
+            assert_eq!(frame, encode_request_traced(&apply, ctx));
+            assert_eq!(&local, mutation);
+            if let Mutation::PutFull { data, .. }
+            | Mutation::WriteAt { data, .. }
+            | Mutation::Append { data } = &local
+            {
+                assert!(frame.as_ptr_range().contains(&data.as_ptr()), "{local:?}");
             }
         }
     }
