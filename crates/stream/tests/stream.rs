@@ -270,6 +270,126 @@ fn stalled_dead_subscriber_is_probed_and_reaped() {
     });
 }
 
+/// Microseconds after the call at which the fabric counted a dropped
+/// message, sampled every microsecond for `horizon`.
+async fn drop_instants(fabric: &Fabric, horizon: Duration) -> Vec<u64> {
+    let h = fabric.handle().clone();
+    let t0 = h.now();
+    let mut seen = fabric.messages_dropped();
+    let mut at = Vec::new();
+    while h.now() - t0 < horizon {
+        h.sleep(Duration::from_micros(1)).await;
+        let now = fabric.messages_dropped();
+        let us = (h.now() - t0).as_micros() as u64;
+        at.extend((seen..now).map(|_| us));
+        seen = now;
+    }
+    at
+}
+
+/// Every frame a lost fabric swallows is retransmitted 16 times, 200 µs
+/// after each 2 ms retransmission timeout (plus the sender's endpoint
+/// overhead, which the microsecond sampling shows as slow drift).
+const RETRY_SCHEDULE_US: [u64; 17] = [
+    1, 2201, 4401, 6601, 8802, 11002, 13202, 15403, 17603, 19803, 22003, 24204, 26404, 28604,
+    30805, 33005, 35205,
+];
+
+fn lose_everything(fabric: &Fabric) {
+    fabric.set_message_faults(MessageFaults {
+        drop: 1.0,
+        duplicate: 0.0,
+        delay_spike: 0.0,
+        spike: Duration::ZERO,
+    });
+}
+
+#[test]
+fn a_lost_push_is_retried_on_schedule_then_its_subscription_is_reaped() {
+    let (mut sim, fabric, publisher) = setup(9);
+    sim.block_on({
+        let fabric = fabric.clone();
+        let publisher = publisher.clone();
+        async move {
+            let _sub = open(&fabric, &publisher, 4).await;
+            lose_everything(&fabric);
+            let h = fabric.handle().clone();
+            publisher
+                .publish(obj(), Bytes::from_static(b"lost"), h.now().as_nanos())
+                .expect("publish");
+            let at = drop_instants(&fabric, Duration::from_millis(50)).await;
+            assert_eq!(at, RETRY_SCHEDULE_US);
+            assert_eq!(publisher.subscriber_count(obj()), 0);
+            assert_eq!(publisher.buffered_frames(), 0);
+        }
+    });
+}
+
+#[test]
+fn a_lost_grant_is_retried_on_schedule() {
+    let (mut sim, fabric, publisher) = setup(10);
+    sim.block_on({
+        let fabric = fabric.clone();
+        let publisher = publisher.clone();
+        async move {
+            // A window of 2 grants after every consumed event.
+            let sub = open(&fabric, &publisher, 2).await;
+            let h = fabric.handle().clone();
+            publisher
+                .publish(obj(), Bytes::from_static(b"one"), h.now().as_nanos())
+                .expect("publish");
+            h.sleep(Duration::from_millis(1)).await;
+            lose_everything(&fabric);
+            sub.next().await.expect("buffered event");
+            let at = drop_instants(&fabric, Duration::from_millis(50)).await;
+            assert_eq!(at, RETRY_SCHEDULE_US);
+            assert_eq!(publisher.subscriber_count(obj()), 1);
+        }
+    });
+}
+
+#[test]
+fn a_lost_close_is_retried_on_schedule() {
+    let (mut sim, fabric, publisher) = setup(11);
+    sim.block_on({
+        let fabric = fabric.clone();
+        let publisher = publisher.clone();
+        async move {
+            let sub = open(&fabric, &publisher, 4).await;
+            lose_everything(&fabric);
+            sub.cancel();
+            let at = drop_instants(&fabric, Duration::from_millis(50)).await;
+            assert_eq!(at, RETRY_SCHEDULE_US);
+            // The owner never heard: a close is best-effort.
+            assert_eq!(publisher.subscriber_count(obj()), 1);
+        }
+    });
+}
+
+#[test]
+fn a_killed_stalled_subscriber_is_reaped_at_the_pinned_instant() {
+    let (mut sim, fabric, publisher) = setup(12);
+    sim.block_on({
+        let fabric = fabric.clone();
+        let publisher = publisher.clone();
+        async move {
+            let sub = open(&fabric, &publisher, 2).await;
+            let h = fabric.handle().clone();
+            while publisher
+                .publish(obj(), Bytes::from_static(b"x"), h.now().as_nanos())
+                .is_ok()
+            {
+                h.sleep(Duration::from_micros(100)).await;
+            }
+            sub.kill();
+            while publisher.subscriber_count(obj()) > 0 {
+                h.sleep(Duration::from_micros(1)).await;
+            }
+            assert_eq!(h.now().as_nanos(), 2_705_209);
+        }
+    });
+}
+
 #[test]
 fn close_object_ends_streams_after_draining() {
     let (mut sim, fabric, publisher) = setup(6);
