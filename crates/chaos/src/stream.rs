@@ -242,7 +242,7 @@ async fn drive_stream(lab: Lab, seed: u64, cfg: StreamScenarioConfig) -> Report 
     // deleted object and no frames buffered anywhere — the other half
     // of the bounded-memory claim.
     let publisher = cloud.kernel.publisher();
-    if publisher.has_subscribers(fifo.id()) {
+    if publisher.subscriber_count(fifo.id()) > 0 {
         violations.push("owner still has subscribers after delete".to_owned());
     }
     if publisher.buffered_frames() != 0 {

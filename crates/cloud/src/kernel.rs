@@ -272,7 +272,8 @@ impl Kernel {
     /// accumulating for poppers, and backpressure comes from the slowest
     /// credit window. Otherwise it queues; a full queue refuses it with a
     /// retryable [`PcsiError::Overloaded`], or with `evict_oldest` makes
-    /// room. Returns the message's sequence number.
+    /// room. Returns the message's sequence number, one count per queue
+    /// in both modes; a refused message takes none.
     fn enqueue(
         &self,
         id: ObjectId,
@@ -280,19 +281,17 @@ impl Kernel {
         data: Bytes,
         evict_oldest: bool,
     ) -> Result<u64, PcsiError> {
-        let seq = if self.inner.publisher.has_subscribers(id) {
+        let seq = queue.next_seq();
+        if self.inner.publisher.subscriber_count(id) > 0 {
             let ts = self.inner.fabric.handle().now().as_nanos();
-            self.inner.publisher.publish(id, data, ts)?
-        } else {
-            let seq = queue.total_pushed();
-            if !evict_oldest {
-                queue.push(data)?;
-            } else if let Some(back) = queue.try_push(data)? {
-                queue.try_pop();
-                queue.try_push(back)?;
-            }
-            seq
-        };
+            self.inner.publisher.publish(id, seq, data, ts)?;
+            queue.count_streamed();
+        } else if !evict_oldest {
+            queue.push(data)?;
+        } else if let Some(back) = queue.try_push(data)? {
+            queue.try_pop();
+            queue.try_push(back)?;
+        }
         self.update_meta(id, |m| {
             m.size = queue.len() as u64;
             m.version += 1;
@@ -618,21 +617,9 @@ impl KernelClient {
     /// out instead of queueing for [`CloudInterface::pop`].
     pub async fn subscribe(&self, r: &Reference, window: u32) -> Result<Subscription, PcsiError> {
         self.op_on(Op::Subscribe, r, |this, _| async move {
-            let inner = this.inner();
-            let window = match window {
-                0 => pcsi_stream::DEFAULT_WINDOW,
-                w => w,
-            };
-            Subscription::open(
-                inner.fabric.clone(),
-                inner.publisher.alloc_sub(this.node),
-                this.node,
-                r.id(),
-                inner.store.placement().primary(r.id()),
-                window,
-                inner.telemetry.metrics.clone(),
-            )
-            .await
+            let home = this.inner().store.placement().primary(r.id());
+            let publisher = &this.inner().publisher;
+            publisher.subscribe(this.node, r.id(), home, window).await
         })
         .await
     }

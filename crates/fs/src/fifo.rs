@@ -32,7 +32,8 @@ struct FifoState {
     next_waiter: u64,
     closed: bool,
     capacity: Option<usize>,
-    total_pushed: u64,
+    /// Messages taken so far, queued or streamed: the next one's seq.
+    taken: u64,
 }
 
 impl FifoState {
@@ -88,7 +89,7 @@ impl FifoQueue {
                 next_waiter: 0,
                 closed: false,
                 capacity,
-                total_pushed: 0,
+                taken: 0,
             })),
         }
     }
@@ -108,7 +109,7 @@ impl FifoQueue {
             }
         }
         s.queue.push_back(msg);
-        s.total_pushed += 1;
+        s.taken += 1;
         s.wake_front();
         Ok(())
     }
@@ -130,7 +131,7 @@ impl FifoQueue {
             }
         }
         s.queue.push_back(msg);
-        s.total_pushed += 1;
+        s.taken += 1;
         s.wake_front();
         Ok(None)
     }
@@ -170,9 +171,17 @@ impl FifoQueue {
         self.len() == 0
     }
 
-    /// Total messages ever pushed (metrics).
-    pub fn total_pushed(&self) -> u64 {
-        self.state.borrow().total_pushed
+    /// The FIFO's one message sequence: the number the next message
+    /// gets, which is every message it has taken so far — queued, or
+    /// streamed past the queue (see [`FifoQueue::count_streamed`]).
+    pub fn next_seq(&self) -> u64 {
+        self.state.borrow().taken
+    }
+
+    /// Counts a message that a subscribed FIFO pushed to its subscribers
+    /// instead of queueing, so both modes number from one sequence.
+    pub fn count_streamed(&self) {
+        self.state.borrow_mut().taken += 1;
     }
 }
 
@@ -253,7 +262,7 @@ mod tests {
         for i in 0..5u8 {
             assert_eq!(f.try_pop().unwrap()[0], i);
         }
-        assert_eq!(f.total_pushed(), 5);
+        assert_eq!(f.next_seq(), 5);
     }
 
     #[test]

@@ -8,15 +8,17 @@ use bytes::Bytes;
 use pcsi_core::ObjectId;
 use pcsi_proto::binary::{DecodeError, Prefix::U32 as LEN, Reader, Writer};
 
-/// Why a subscription ended, carried in [`StreamFrame::Close`].
+/// Why a subscription ended, carried in [`StreamFrame::Close`] as its
+/// discriminant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum CloseReason {
     /// The subscriber cancelled voluntarily.
-    Cancelled,
+    Cancelled = 0,
     /// The streamed object was closed or deleted at the owner.
-    ObjectClosed,
+    ObjectClosed = 1,
     /// The owner gave up on an unreachable subscriber.
-    SubscriberLost,
+    SubscriberLost = 2,
 }
 
 /// Frames of the cross-node subscription protocol (PCSI streaming).
@@ -114,11 +116,7 @@ pub fn encode_stream_frame(frame: &StreamFrame) -> Bytes {
         StreamFrame::Close { sub, reason } => {
             w.u8(3);
             w.u64(*sub);
-            w.u8(match reason {
-                CloseReason::Cancelled => 0,
-                CloseReason::ObjectClosed => 1,
-                CloseReason::SubscriberLost => 2,
-            });
+            w.u8(*reason as u8);
         }
     }
     w.finish()

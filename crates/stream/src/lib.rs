@@ -18,15 +18,16 @@
 //! producer that outruns the slowest subscriber gets a retryable
 //! [`PcsiError::Overloaded`] instead of unbounded growth.
 //!
-//! ## Exactly-once inside the window
+//! ## One lifecycle
 //!
-//! Pushes ride [`pcsi_net::Fabric::call`], which can drop or duplicate under
-//! injected faults. The owner retries dropped pushes (frames are seq-
-//! numbered, so retries are idempotent) and the consumer drops frames it
-//! has already accepted, so a subscriber observes each seq exactly once
-//! and in order. Terminal failures (subscriber node down, handler gone,
-//! retry budget exhausted) cancel the subscription and release its
-//! credits and buffers on both sides.
+//! Every frame (subscribe, grant, close, push, stall probe) crosses the
+//! fabric through one retried call, and each is idempotent at its
+//! receiver: a repeated subscribe is accepted once, grants are
+//! cumulative, and consumers dedup pushes by seq, so each seq arrives
+//! exactly once and in order. A subscribe that still fails withdraws
+//! itself with a best-effort close; a push that fails for good cancels
+//! the subscription on both sides. A FIFO numbers queued and streamed
+//! messages from one sequence.
 //!
 //! ## Fan-out is `Bytes::clone`
 //!
@@ -35,7 +36,12 @@
 //! (into a pooled buffer, see `pcsi-bytes`) and the same frame bytes are
 //! shared by every subscriber's queue and every retransmit.
 
-use pcsi_net::Transport;
+use std::time::Duration;
+
+use bytes::Bytes;
+use pcsi_net::{Fabric, NetError, NodeId, Transport};
+
+use crate::frame::{decode_stream_reply, StreamReply};
 
 pub mod frame;
 pub mod publisher;
@@ -48,17 +54,12 @@ pub use subscription::{StreamEvent, Subscription};
 pub use frame::CloseReason;
 pub use pcsi_core::PcsiError;
 
-/// Credit window used when a subscriber passes `0`.
-pub const DEFAULT_WINDOW: u32 = 32;
+/// How many times a dropped frame is retransmitted before its sender
+/// gives up.
+const MAX_RETRIES: u32 = 16;
 
-/// How many times a dropped push is retried before the owner declares
-/// the subscriber lost and cancels the subscription.
-pub(crate) const MAX_RETRIES: u32 = 16;
-
-/// Transport pushes and control frames ride on. Streams are part of the
-/// provider's internal data plane, so they ride RDMA like FIFO
-/// transfers.
-pub(crate) const TRANSPORT: Transport = Transport::Rdma;
+/// Pause between retransmits of a dropped frame.
+const RETRY_BACKOFF: Duration = Duration::from_micros(200);
 
 /// How often a credit-stalled subscription probes its consumer for
 /// liveness. A subscriber that dies silently stops granting; with zero
@@ -67,11 +68,50 @@ pub(crate) const TRANSPORT: Transport = Transport::Rdma;
 /// retransmits the last pushed frame: a live consumer dedups it by seq
 /// (a cheap ack), a dead one fails the call and the subscription is
 /// reaped.
-pub const PROBE_INTERVAL: std::time::Duration = std::time::Duration::from_millis(2);
+pub const PROBE_INTERVAL: Duration = Duration::from_millis(2);
 
 /// Fabric service name for one subscription's push channel, bound on
 /// the consumer node. Keeping the subscription id in the *name* (not in
 /// push frames) is what makes fan-out encode-once.
 pub(crate) fn sub_service(sub: u64) -> String {
     format!("stream-sub:{sub:016x}")
+}
+
+/// The one way a stream frame crosses the fabric: `wire` from `from` to
+/// `service` on `to`, over RDMA (streams are the provider's internal
+/// data plane, like FIFO transfers). A dropped frame is retransmitted up
+/// to [`MAX_RETRIES`] times, [`RETRY_BACKOFF`] apart, while `go_on`
+/// holds (asked before every attempt); any other failure is final.
+/// `Ok` means the receiver accepted the frame.
+pub(crate) async fn retried_call(
+    fabric: &Fabric,
+    from: NodeId,
+    to: NodeId,
+    service: &str,
+    wire: &Bytes,
+    go_on: impl Fn() -> bool,
+) -> Result<(), PcsiError> {
+    let mut retries = 0;
+    loop {
+        if !go_on() {
+            return Err(PcsiError::Fault("stream frame withdrawn".into()));
+        }
+        match fabric
+            .call(from, to, service, Transport::Rdma, wire.clone())
+            .await
+        {
+            Ok(reply) => {
+                return match decode_stream_reply(&reply) {
+                    Ok(StreamReply::Ok) => Ok(()),
+                    Ok(StreamReply::Err(refused)) => Err(PcsiError::Fault(refused)),
+                    Err(garbled) => Err(PcsiError::Fault(garbled.to_string())),
+                }
+            }
+            Err(NetError::Dropped(..)) if retries < MAX_RETRIES => {
+                retries += 1;
+                fabric.handle().sleep(RETRY_BACKOFF).await;
+            }
+            Err(e) => return Err(PcsiError::Fault(e.to_string())),
+        }
+    }
 }

@@ -1,38 +1,37 @@
-//! Owner-side streaming: subscription registry, per-subscription
-//! bounded buffers, and the credit-gated pump that pushes frames
-//! through the fabric.
+//! Owner-side streaming: the one subscribe entry point, the
+//! subscription registry, per-subscription bounded buffers, and the
+//! credit-gated pump that pushes frames through the fabric.
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use fxhash::FxHashMap;
 use pcsi_core::{ObjectId, PcsiError};
 use pcsi_metrics::{Counter, Metrics};
-use pcsi_net::fabric::{CallCtx, NetError};
+use pcsi_net::fabric::CallCtx;
 use pcsi_net::{Fabric, NodeId};
 
 use crate::frame::{
-    decode_stream_frame, decode_stream_reply, encode_stream_frame, encode_stream_reply,
-    CloseReason, StreamFrame, StreamReply,
+    decode_stream_frame, encode_stream_frame, encode_stream_reply, CloseReason, StreamFrame,
+    StreamReply,
 };
-use crate::{sub_service, DEFAULT_WINDOW, MAX_RETRIES, PROBE_INTERVAL, TRANSPORT};
+use crate::{retried_call, sub_service, Subscription, PROBE_INTERVAL};
 
 /// Fabric service (bound on every node) that accepts subscribe, grant
 /// and close frames for objects homed there.
 pub(crate) const STREAM_SERVICE: &str = "pcsi-stream";
 
-/// Pause between retransmits of a dropped push.
-const RETRY_BACKOFF: Duration = Duration::from_micros(200);
+/// Credit window a subscriber gets when it asks for `0`.
+const DEFAULT_WINDOW: u32 = 32;
 
-/// One frame queued for one subscription. `wire` is shared — the same
-/// `Bytes` across all subscribers of the event and all retransmits.
+/// One frame queued for one subscription: a push, with its payload's
+/// length, or a close (`None`). `wire` is shared — the same `Bytes`
+/// across all subscribers of the event and all retransmits.
 struct PendingFrame {
     wire: Bytes,
-    payload_len: usize,
-    is_close: bool,
+    payload_len: Option<usize>,
 }
 
 struct SubState {
@@ -67,18 +66,20 @@ struct SubState {
 }
 
 impl SubState {
-    /// Credits remaining: the window minus frames in flight or sitting
-    /// unconsumed in the subscriber's buffer.
-    fn credits_left(&self) -> u64 {
-        u64::from(self.window).saturating_sub(self.sent.get() - self.acked.get())
+    /// The one stall rule: the next queued frame is a push and the
+    /// window is spent — every credit is in flight or sitting unconsumed
+    /// in the subscriber's buffer. Closes spend no credit, so teardown
+    /// never stalls. The pump stops here, `kick` does not restart it,
+    /// and the probe runs for as long as it holds.
+    fn stalled(&self) -> bool {
+        let unacked = self.sent.get().saturating_sub(self.acked.get());
+        unacked >= u64::from(self.window)
+            && self
+                .pending
+                .borrow()
+                .front()
+                .is_some_and(|f| f.payload_len.is_some())
     }
-}
-
-/// Per-object stream head: the global event sequence and who listens.
-#[derive(Default)]
-struct ObjectStream {
-    next_seq: Cell<u64>,
-    subs: RefCell<Vec<u64>>,
 }
 
 /// Lazily-resolved metric series. Registration happens on first
@@ -95,7 +96,8 @@ struct StreamSeries {
 struct Inner {
     fabric: Fabric,
     subs: RefCell<FxHashMap<u64, Rc<SubState>>>,
-    objects: RefCell<FxHashMap<ObjectId, Rc<ObjectStream>>>,
+    /// Who listens to each object.
+    objects: RefCell<FxHashMap<ObjectId, Vec<Rc<SubState>>>>,
     next_sub: Cell<u64>,
     metrics: Option<Metrics>,
     series: OnceCell<StreamSeries>,
@@ -138,35 +140,36 @@ impl Publisher {
         p
     }
 
-    /// Allocates a subscription id for a consumer on `node`. Allocation
-    /// is publisher-wide, so ids are unique per kernel and reproduce
-    /// deterministically per simulation.
-    pub fn alloc_sub(&self, node: NodeId) -> u64 {
+    /// Subscribes a consumer on `node` to `object`, homed on `home`: the
+    /// one way a subscription starts. `window` is the credit window (and
+    /// the consumer's buffer bound); `0` takes the default of 32 frames.
+    /// Subscription ids are allocated here, publisher-wide, so they are
+    /// unique per kernel and reproduce per simulation; the consumer's
+    /// latency series lands in this publisher's registry.
+    pub async fn subscribe(
+        &self,
+        node: NodeId,
+        object: ObjectId,
+        home: NodeId,
+        window: u32,
+    ) -> Result<Subscription, PcsiError> {
         let n = self.inner.next_sub.get();
         self.inner.next_sub.set(n + 1);
-        (u64::from(node.0) << 48) | n
+        let sub = (u64::from(node.0) << 48) | n;
+        let window = if window == 0 { DEFAULT_WINDOW } else { window };
+        let (fabric, metrics) = (self.inner.fabric.clone(), self.inner.metrics.clone());
+        Subscription::open(fabric, metrics, sub, node, object, home, window).await
     }
 
-    /// True when `id` has at least one live subscription — the signal
-    /// that flips a FIFO from pull mode to push fan-out.
-    pub fn has_subscribers(&self, id: ObjectId) -> bool {
-        self.inner
-            .objects
-            .borrow()
-            .get(&id)
-            .is_some_and(|o| !o.subs.borrow().is_empty())
-    }
-
-    /// Live subscription count for `id` (tests and reports).
+    /// Live subscription count for `id`. Nonzero flips a FIFO from pull
+    /// mode to push fan-out.
     pub fn subscriber_count(&self, id: ObjectId) -> usize {
-        self.inner
-            .objects
-            .borrow()
-            .get(&id)
-            .map_or(0, |o| o.subs.borrow().len())
+        self.inner.objects.borrow().get(&id).map_or(0, Vec::len)
     }
 
-    /// Fans one event out to every subscriber of `id`.
+    /// Fans event `seq` out to every subscriber of `id`. The sequence is
+    /// the caller's: the kernel numbers a FIFO's messages from one
+    /// counter, queued or streamed.
     ///
     /// The frame is encoded **once**; each subscription queues a clone
     /// of the same `Bytes`. Backpressure is all-or-nothing: if any
@@ -175,69 +178,49 @@ impl Publisher {
     /// [`PcsiError::Overloaded`] and no subscriber sees the event —
     /// credit flow control throttles the producer to the slowest
     /// consumer.
-    pub fn publish(&self, id: ObjectId, payload: Bytes, ts_ns: u64) -> Result<u64, PcsiError> {
-        let (seq, targets) = {
-            let objects = self.inner.objects.borrow();
-            let Some(obj) = objects.get(&id) else {
-                return Err(PcsiError::NotFound(id));
-            };
-            let subs = self.inner.subs.borrow();
-            let targets: Vec<Rc<SubState>> = obj
-                .subs
-                .borrow()
-                .iter()
-                .filter_map(|s| subs.get(s).cloned())
-                .collect();
-            for sub in &targets {
-                if sub.pending.borrow().len() >= sub.window as usize {
-                    return Err(PcsiError::Overloaded(format!(
-                        "stream backpressure: subscriber {:#x} is {} frames behind",
-                        sub.sub, sub.window
-                    )));
-                }
-            }
-            let seq = obj.next_seq.get();
-            obj.next_seq.set(seq + 1);
-            (seq, targets)
-        };
+    pub fn publish(
+        &self,
+        id: ObjectId,
+        seq: u64,
+        payload: Bytes,
+        ts_ns: u64,
+    ) -> Result<(), PcsiError> {
+        let targets = self.inner.objects.borrow().get(&id).cloned();
+        let targets = targets.ok_or(PcsiError::NotFound(id))?;
+        if let Some(full) = targets
+            .iter()
+            .find(|s| s.pending.borrow().len() >= s.window as usize)
+        {
+            return Err(PcsiError::Overloaded(format!(
+                "stream backpressure: subscriber {:#x} is {} frames behind",
+                full.sub, full.window
+            )));
+        }
+        let payload_len = payload.len();
         let wire = encode_stream_frame(&StreamFrame::Push {
             seq,
             ts_ns,
-            payload: payload.clone(),
+            payload,
         });
         for sub in targets {
-            sub.pending.borrow_mut().push_back(PendingFrame {
-                wire: wire.clone(),
-                payload_len: payload.len(),
-                is_close: false,
-            });
-            self.kick(&sub);
+            self.enqueue(&sub, wire.clone(), Some(payload_len));
         }
-        Ok(seq)
+        Ok(())
     }
 
     /// Ends every subscription on `id` (object deleted or closed). The
     /// close frame queues *behind* in-flight pushes, so subscribers
     /// drain everything already published before they see the end.
     pub fn close_object(&self, id: ObjectId) {
-        let sub_ids = match self.inner.objects.borrow_mut().remove(&id) {
-            Some(obj) => obj.subs.borrow().clone(),
-            None => return,
+        let Some(subs) = self.inner.objects.borrow_mut().remove(&id) else {
+            return;
         };
-        for sub_id in sub_ids {
-            let Some(sub) = self.inner.subs.borrow().get(&sub_id).cloned() else {
-                continue;
-            };
+        for sub in subs {
             let wire = encode_stream_frame(&StreamFrame::Close {
-                sub: sub_id,
+                sub: sub.sub,
                 reason: CloseReason::ObjectClosed,
             });
-            sub.pending.borrow_mut().push_back(PendingFrame {
-                wire,
-                payload_len: 0,
-                is_close: true,
-            });
-            self.kick(&sub);
+            self.enqueue(&sub, wire, None);
         }
     }
 
@@ -283,6 +266,11 @@ impl Publisher {
         encode_stream_reply(&reply)
     }
 
+    /// Admits a subscription. Idempotent: a subscribe retransmitted
+    /// after its reply was lost finds its own registration and is
+    /// accepted again. A zero window is malformed (the default is the
+    /// consumer side's to apply), and an id held for another consumer
+    /// or object is refused.
     fn register(
         &self,
         object: ObjectId,
@@ -291,9 +279,15 @@ impl Publisher {
         consumer: NodeId,
         home: NodeId,
     ) -> StreamReply {
-        let window = if window == 0 { DEFAULT_WINDOW } else { window };
-        if self.inner.subs.borrow().contains_key(&sub) {
-            return StreamReply::Err(format!("subscription {sub:#x} already exists"));
+        if window == 0 {
+            return StreamReply::Err("credit window must be ≥ 1".into());
+        }
+        if let Some(held) = self.inner.subs.borrow().get(&sub) {
+            return if (held.consumer, held.object) == (consumer, object) {
+                StreamReply::Ok
+            } else {
+                StreamReply::Err(format!("subscription {sub:#x} already exists"))
+            };
         }
         let state = Rc::new(SubState {
             sub,
@@ -310,15 +304,9 @@ impl Publisher {
             last_wire: RefCell::new(None),
             probing: Cell::new(false),
         });
-        self.inner.subs.borrow_mut().insert(sub, state);
-        self.inner
-            .objects
-            .borrow_mut()
-            .entry(object)
-            .or_default()
-            .subs
-            .borrow_mut()
-            .push(sub);
+        self.inner.subs.borrow_mut().insert(sub, Rc::clone(&state));
+        let mut objects = self.inner.objects.borrow_mut();
+        objects.entry(object).or_default().push(state);
         if let Some(s) = self.series() {
             s.subscriptions.incr();
         }
@@ -338,25 +326,31 @@ impl Publisher {
 
     /// Tears a subscription down and releases its buffers and credits.
     fn remove_sub(&self, sub: u64) {
-        let removed = self.inner.subs.borrow_mut().remove(&sub);
-        if let Some(state) = removed {
-            state.dead.set(true);
-            state.pending.borrow_mut().clear();
-            if let Some(obj) = self.inner.objects.borrow().get(&state.object) {
-                obj.subs.borrow_mut().retain(|&s| s != sub);
-            }
-            if let Some(s) = self.series() {
-                s.closes.incr();
-            }
+        let Some(state) = self.inner.subs.borrow_mut().remove(&sub) else {
+            return;
+        };
+        state.dead.set(true);
+        state.pending.borrow_mut().clear();
+        if let Some(subs) = self.inner.objects.borrow_mut().get_mut(&state.object) {
+            subs.retain(|s| s.sub != sub);
+        }
+        if let Some(s) = self.series() {
+            s.closes.incr();
         }
     }
 
-    /// Starts a pump task for `sub` unless one is already draining it.
+    /// Queues a frame behind what `sub` already holds and starts its
+    /// pump.
+    fn enqueue(&self, sub: &Rc<SubState>, wire: Bytes, payload_len: Option<usize>) {
+        let frame = PendingFrame { wire, payload_len };
+        sub.pending.borrow_mut().push_back(frame);
+        self.kick(sub);
+    }
+
+    /// Starts a pump task for `sub` unless one is already draining it
+    /// or it has nothing it may send.
     fn kick(&self, sub: &Rc<SubState>) {
-        if sub.pumping.get() || sub.dead.get() || sub.pending.borrow().is_empty() {
-            return;
-        }
-        if sub.credits_left() == 0 && !sub.pending.borrow().front().is_some_and(|f| f.is_close) {
+        if sub.pumping.get() || sub.dead.get() || sub.pending.borrow().is_empty() || sub.stalled() {
             return;
         }
         sub.pumping.set(true);
@@ -374,41 +368,33 @@ impl Publisher {
             if sub.dead.get() {
                 return;
             }
-            let frame = {
-                let mut pending = sub.pending.borrow_mut();
-                match pending.front() {
-                    None => {
-                        sub.pumping.set(false);
-                        return;
-                    }
-                    // Close frames spend no credit: teardown must not
-                    // deadlock on an exhausted window.
-                    Some(f) if !f.is_close && sub.credits_left() == 0 => {
-                        sub.pumping.set(false);
-                        if let Some(s) = self.series() {
-                            s.credit_stalls.incr();
-                        }
-                        self.ensure_probe(&sub);
-                        return;
-                    }
-                    Some(_) => pending.pop_front().expect("front checked"),
+            if sub.stalled() {
+                sub.pumping.set(false);
+                if let Some(s) = self.series() {
+                    s.credit_stalls.incr();
                 }
+                self.ensure_probe(&sub);
+                return;
+            }
+            let Some(frame) = sub.pending.borrow_mut().pop_front() else {
+                sub.pumping.set(false);
+                return;
             };
-            if !frame.is_close {
+            if frame.payload_len.is_some() {
                 sub.sent.set(sub.sent.get() + 1);
             }
-            if !self.push_one(&sub, &frame).await {
-                // push_one already tore the subscription down.
+            if !self.push(&sub, &frame.wire).await {
                 return;
             }
-            if frame.is_close {
+            let Some(len) = frame.payload_len else {
+                // The consumer has the close: the subscription is over.
                 self.remove_sub(sub.sub);
                 return;
-            }
-            *sub.last_wire.borrow_mut() = Some(frame.wire.clone());
+            };
+            *sub.last_wire.borrow_mut() = Some(frame.wire);
             if let Some(s) = self.series() {
                 s.frames.incr();
-                s.bytes.add(frame.payload_len as u64);
+                s.bytes.add(len as u64);
             }
         }
     }
@@ -417,9 +403,9 @@ impl Publisher {
     /// death. Every [`PROBE_INTERVAL`] the last pushed
     /// frame is retransmitted: a live consumer already accepted that
     /// seq, so its dedup path acknowledges without buffering; a dead
-    /// consumer fails the call and [`Publisher::push_one`] reaps the
-    /// subscription, releasing the producer it was backpressuring. The
-    /// probe stands down as soon as credits flow again.
+    /// consumer fails the call and the subscription is reaped,
+    /// releasing the producer it was backpressuring. The probe stands
+    /// down as soon as the subscription is no longer stalled.
     fn ensure_probe(&self, sub: &Rc<SubState>) {
         if sub.probing.get() || sub.dead.get() {
             return;
@@ -438,66 +424,29 @@ impl Publisher {
                 if sub.dead.get() {
                     return;
                 }
-                if sub.credits_left() > 0 || sub.pending.borrow().is_empty() {
+                if !sub.stalled() {
                     sub.probing.set(false);
                     this.kick(&sub);
                     return;
                 }
-                let probe = PendingFrame {
-                    wire: wire.clone(),
-                    payload_len: 0,
-                    is_close: false,
-                };
-                if !this.push_one(&sub, &probe).await {
-                    // push_one already reaped the subscription.
+                if !this.push(&sub, &wire).await {
                     return;
                 }
             }
         });
     }
 
-    /// Delivers one frame, retrying drops (idempotent: the consumer
-    /// dedups by seq). Returns false after tearing the subscription
-    /// down on terminal failure.
-    async fn push_one(&self, sub: &Rc<SubState>, frame: &PendingFrame) -> bool {
-        let fabric = self.inner.fabric.clone();
-        let handle = fabric.handle().clone();
-        let mut attempts = 0;
-        loop {
-            let outcome = fabric
-                .call(
-                    sub.home,
-                    sub.consumer,
-                    &sub.service,
-                    TRANSPORT,
-                    frame.wire.clone(),
-                )
-                .await;
-            match outcome {
-                Ok(reply) => match decode_stream_reply(&reply) {
-                    Ok(StreamReply::Ok) => return true,
-                    // The consumer refused the frame (or the reply was
-                    // garbled): protocol violation, kill the stream.
-                    _ => {
-                        self.remove_sub(sub.sub);
-                        return false;
-                    }
-                },
-                Err(NetError::Dropped(..)) => {
-                    attempts += 1;
-                    if attempts > MAX_RETRIES {
-                        self.remove_sub(sub.sub);
-                        return false;
-                    }
-                    handle.sleep(RETRY_BACKOFF).await;
-                }
-                // Subscriber crashed, got partitioned away, or unbound
-                // its service: release its credits and buffers.
-                Err(_) => {
-                    self.remove_sub(sub.sub);
-                    return false;
-                }
-            }
+    /// Sends one frame to `sub`'s consumer through the retried call.
+    /// A frame that does not get through, or that the consumer refuses
+    /// (a protocol violation), tears the subscription down: returns
+    /// whether it was accepted.
+    async fn push(&self, sub: &SubState, wire: &Bytes) -> bool {
+        let fabric = &self.inner.fabric;
+        let (from, to) = (sub.home, sub.consumer);
+        let accepted = retried_call(fabric, from, to, &sub.service, wire, || true).await;
+        if accepted.is_err() {
+            self.remove_sub(sub.sub);
         }
+        accepted.is_ok()
     }
 }

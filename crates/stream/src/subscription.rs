@@ -9,17 +9,13 @@ use bytes::Bytes;
 use pcsi_core::{ObjectId, PcsiError};
 use pcsi_fs::FifoQueue;
 use pcsi_metrics::{Histogram, Metrics};
-use pcsi_net::{Fabric, NetError, NodeId};
+use pcsi_net::{Fabric, NodeId};
 
 use crate::frame::{
-    decode_stream_frame, decode_stream_reply, encode_stream_frame, encode_stream_reply,
-    CloseReason, StreamFrame, StreamReply,
+    decode_stream_frame, encode_stream_frame, encode_stream_reply, CloseReason, StreamFrame,
+    StreamReply,
 };
-use crate::{publisher::STREAM_SERVICE, sub_service, TRANSPORT};
-
-/// Retries for lost control frames (grants, closes).
-const CONTROL_RETRIES: u32 = 16;
-const CONTROL_BACKOFF: Duration = Duration::from_micros(200);
+use crate::{publisher::STREAM_SERVICE, retried_call, sub_service};
 
 /// One consumed stream event.
 #[derive(Debug, Clone)]
@@ -51,9 +47,9 @@ struct SubInner {
     /// High-water mark of `buffer` (chaos asserts it stays ≤ window).
     peak: Cell<usize>,
     consumed: Cell<u64>,
-    /// Frames consumed since the last credit grant.
-    ungrant: Cell<u32>,
-    closed: Cell<bool>,
+    /// The consumed count the last credit grant reported.
+    granted: Cell<u64>,
+    /// Set once the subscription is over (closed, cancelled, killed).
     close_reason: Cell<Option<CloseReason>>,
     /// Dedup-dropped duplicate deliveries (fault observability).
     duplicates: Cell<u64>,
@@ -66,37 +62,30 @@ impl SubInner {
     /// Handles one frame arriving on the subscription's push service.
     fn on_frame(&self, frame: &Bytes) -> Bytes {
         let reply = match decode_stream_frame(frame) {
-            Ok(StreamFrame::Push { seq, .. }) => {
-                if self.closed.get() {
-                    StreamReply::Err("subscription closed".into())
-                } else {
-                    match self.expected.get() {
-                        // A retransmit or fault-duplicated delivery of a
-                        // frame we already accepted: acknowledge without
-                        // buffering, so the subscriber sees each seq once.
-                        Some(e) if seq < e => {
-                            self.duplicates.set(self.duplicates.get() + 1);
-                            StreamReply::Ok
-                        }
-                        // The pump is sequential, so a skipped seq can
-                        // only mean protocol breakage. Refuse: the owner
-                        // kills the stream rather than delivering a gap.
-                        Some(e) if seq > e => {
-                            StreamReply::Err(format!("seq gap: expected {e}, got {seq}"))
-                        }
-                        _ => match self.buffer.push(frame.clone()) {
-                            Ok(()) => {
-                                self.expected.set(Some(seq + 1));
-                                self.peak.set(self.peak.get().max(self.buffer.len()));
-                                StreamReply::Ok
-                            }
-                            // Over-window push: the owner spent credits
-                            // we never granted. Protocol breakage.
-                            Err(_) => StreamReply::Err("push exceeded the credit window".into()),
-                        },
-                    }
+            Ok(StreamFrame::Push { seq, .. }) => match self.expected.get() {
+                _ if self.closed() => StreamReply::Err("subscription closed".into()),
+                // A retransmit or fault-duplicated delivery of a frame we
+                // already accepted: acknowledge without buffering, so the
+                // subscriber sees each seq once.
+                Some(e) if seq < e => {
+                    self.duplicates.set(self.duplicates.get() + 1);
+                    StreamReply::Ok
                 }
-            }
+                // The pump is sequential, so a skipped seq can only mean
+                // protocol breakage. Refuse: the owner kills the stream
+                // rather than delivering a gap.
+                Some(e) if seq > e => StreamReply::Err(format!("seq gap: expected {e}, got {seq}")),
+                _ => match self.buffer.push(frame.clone()) {
+                    Ok(()) => {
+                        self.expected.set(Some(seq + 1));
+                        self.peak.set(self.peak.get().max(self.buffer.len()));
+                        StreamReply::Ok
+                    }
+                    // Over-window push: the owner spent credits we never
+                    // granted. Protocol breakage.
+                    Err(_) => StreamReply::Err("push exceeded the credit window".into()),
+                },
+            },
             Ok(StreamFrame::Close { reason, .. }) => {
                 self.shutdown(reason);
                 StreamReply::Ok
@@ -110,17 +99,21 @@ impl SubInner {
     /// Marks the subscription over and releases the push endpoint.
     /// Buffered frames stay consumable until drained.
     fn shutdown(&self, reason: CloseReason) {
-        if self.closed.get() {
+        if self.closed() {
             return;
         }
-        self.closed.set(true);
         self.close_reason.set(Some(reason));
         self.buffer.close();
         self.fabric.unbind(self.node, &self.service);
     }
+
+    fn closed(&self) -> bool {
+        self.close_reason.get().is_some()
+    }
 }
 
-/// A live subscription: call [`Subscription::next`] to consume events.
+/// A live subscription, opened by [`crate::Publisher::subscribe`]: call
+/// [`Subscription::next`] to consume events.
 ///
 /// Dropping the handle does **not** cancel the stream (frames keep
 /// arriving into the bounded buffer until credits run out); call
@@ -131,21 +124,19 @@ pub struct Subscription {
 }
 
 impl Subscription {
-    /// Opens a subscription: binds the consumer-side push service, then
-    /// sends `Subscribe` to the object's home node. `window` must be at
-    /// least 1 (callers resolve defaults before getting here).
-    pub async fn open(
+    /// Binds the consumer-side push service, then sends `Subscribe` to
+    /// the object's home node. A subscribe that gets no `Ok` cancels:
+    /// the owner may have registered it although every reply was lost,
+    /// and left there it would take the object's next append.
+    pub(crate) async fn open(
         fabric: Fabric,
+        metrics: Option<Metrics>,
         sub: u64,
         node: NodeId,
         object: ObjectId,
         home: NodeId,
         window: u32,
-        metrics: Option<Metrics>,
     ) -> Result<Subscription, PcsiError> {
-        if window == 0 {
-            return Err(PcsiError::BadPayload("credit window must be ≥ 1".into()));
-        }
         let inner = Rc::new(SubInner {
             fabric: fabric.clone(),
             sub,
@@ -157,49 +148,31 @@ impl Subscription {
             expected: Cell::new(None),
             peak: Cell::new(0),
             consumed: Cell::new(0),
-            ungrant: Cell::new(0),
-            closed: Cell::new(false),
+            granted: Cell::new(0),
             close_reason: Cell::new(None),
             duplicates: Cell::new(0),
             metrics,
             latency_series: OnceCell::new(),
         });
-        let handler = {
-            let inner = Rc::clone(&inner);
-            Rc::new(move |frame: Bytes, _ctx: pcsi_net::fabric::CallCtx| {
-                let inner = Rc::clone(&inner);
-                let fut: pcsi_sim::executor::LocalBoxFuture<Result<Bytes, NetError>> =
-                    Box::pin(async move { Ok(inner.on_frame(&frame)) });
-                fut
-            })
-        };
-        fabric.bind(node, &inner.service, handler);
+        let endpoint = Rc::clone(&inner);
+        fabric.bind(
+            node,
+            &inner.service,
+            Rc::new(move |frame, _| {
+                let endpoint = Rc::clone(&endpoint);
+                Box::pin(async move { Ok(endpoint.on_frame(&frame)) })
+            }),
+        );
 
         let wire = encode_stream_frame(&StreamFrame::Subscribe {
             id: object,
             sub,
             window,
         });
-        let outcome = fabric
-            .call(node, home, STREAM_SERVICE, TRANSPORT, wire)
-            .await;
-        match outcome {
-            Ok(reply) => match decode_stream_reply(&reply) {
-                Ok(StreamReply::Ok) => Ok(Subscription { inner }),
-                Ok(StreamReply::Err(e)) => {
-                    fabric.unbind(node, &inner.service);
-                    Err(PcsiError::Fault(e))
-                }
-                Err(e) => {
-                    fabric.unbind(node, &inner.service);
-                    Err(PcsiError::Fault(e.to_string()))
-                }
-            },
-            Err(e) => {
-                fabric.unbind(node, &inner.service);
-                Err(PcsiError::Fault(format!("subscribe failed: {e}")))
-            }
-        }
+        let subscribed = retried_call(&fabric, node, home, STREAM_SERVICE, &wire, || true).await;
+        let subscription = Subscription { inner };
+        subscribed.inspect_err(|_| subscription.cancel())?;
+        Ok(subscription)
     }
 
     /// Consumes the next event, waiting for one to arrive. Returns
@@ -217,27 +190,26 @@ impl Subscription {
         };
         let now = self.inner.fabric.handle().now().as_nanos();
         let latency = Duration::from_nanos(now.saturating_sub(ts_ns));
-        self.record_latency(latency);
-        self.inner.consumed.set(self.inner.consumed.get() + 1);
+        if let Some(m) = &self.inner.metrics {
+            let series = self
+                .inner
+                .latency_series
+                .get_or_init(|| m.histogram("stream.frame_latency_ns", &[]));
+            series.record_duration(latency);
+        }
+        let consumed = self.inner.consumed.get() + 1;
+        self.inner.consumed.set(consumed);
 
         // Replenish credits in half-window batches: frequent enough that
         // the producer rarely stalls, batched enough that grant traffic
         // stays a small fraction of push traffic. The grant carries the
         // cumulative consumed count, not the batch size — retransmitted
         // or duplicated grants are then idempotent at the owner.
-        let ungrant = self.inner.ungrant.get() + 1;
-        let threshold = (self.inner.window / 2).max(1);
-        if ungrant >= threshold && !self.inner.closed.get() {
-            self.inner.ungrant.set(0);
-            self.send_control(
-                StreamFrame::Grant {
-                    sub: self.inner.sub,
-                    consumed: self.inner.consumed.get(),
-                },
-                false,
-            );
-        } else {
-            self.inner.ungrant.set(ungrant);
+        let threshold = u64::from((self.inner.window / 2).max(1));
+        if consumed - self.inner.granted.get() >= threshold && !self.inner.closed() {
+            self.inner.granted.set(consumed);
+            let sub = self.inner.sub;
+            self.send_control(StreamFrame::Grant { sub, consumed }, false);
         }
 
         Some(StreamEvent {
@@ -252,7 +224,7 @@ impl Subscription {
     /// blocked [`Subscription::next`], and tells the owner to free its
     /// state (best-effort, retried like every control frame).
     pub fn cancel(&self) {
-        if self.inner.closed.get() {
+        if self.inner.closed() {
             return;
         }
         self.inner.shutdown(CloseReason::Cancelled);
@@ -273,49 +245,18 @@ impl Subscription {
         self.inner.shutdown(CloseReason::SubscriberLost);
     }
 
-    /// Fire-and-forget control frame to the owner, retried on drops.
+    /// Fire-and-forget control frame to the owner through the retried
+    /// call; unless `even_if_closed`, a close withdraws it.
     fn send_control(&self, frame: StreamFrame, even_if_closed: bool) {
         let inner = Rc::clone(&self.inner);
         let wire = encode_stream_frame(&frame);
-        let handle = self.inner.fabric.handle().clone();
         self.inner.fabric.handle().spawn_detached(async move {
-            let mut attempts = 0;
-            loop {
-                if inner.closed.get() && !even_if_closed {
-                    return;
-                }
-                let outcome = inner
-                    .fabric
-                    .call(
-                        inner.node,
-                        inner.home,
-                        STREAM_SERVICE,
-                        TRANSPORT,
-                        wire.clone(),
-                    )
-                    .await;
-                match outcome {
-                    Ok(_) => return,
-                    Err(NetError::Dropped(..)) => {
-                        attempts += 1;
-                        if attempts > CONTROL_RETRIES {
-                            return;
-                        }
-                        handle.sleep(CONTROL_BACKOFF).await;
-                    }
-                    Err(_) => return,
-                }
-            }
+            let go_on = || even_if_closed || !inner.closed();
+            let (fabric, from, to) = (&inner.fabric, inner.node, inner.home);
+            // Best-effort: the owner's reply, or its absence, changes
+            // nothing here.
+            let _ = retried_call(fabric, from, to, STREAM_SERVICE, &wire, go_on).await;
         });
-    }
-
-    fn record_latency(&self, latency: Duration) {
-        if let Some(m) = &self.inner.metrics {
-            self.inner
-                .latency_series
-                .get_or_init(|| m.histogram("stream.frame_latency_ns", &[]))
-                .record_duration(latency);
-        }
     }
 
     /// The credit window (also the receive-buffer bound).
@@ -342,7 +283,7 @@ impl Subscription {
     /// True once a close frame arrived or the subscription was
     /// cancelled (buffered events may remain consumable).
     pub fn is_closed(&self) -> bool {
-        self.inner.closed.get()
+        self.inner.closed()
     }
 
     /// Why the stream ended, once closed.

@@ -1,14 +1,19 @@
 //! End-to-end tests for the streaming layer over a bare fabric (no
 //! kernel): credit flow control, ordering, backpressure, fault
-//! tolerance, and crash semantics.
+//! tolerance, crash semantics, and the owner's checks on raw control
+//! frames. The producer numbers its events itself, as the kernel numbers
+//! a FIFO's messages.
 
 use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_core::{ObjectId, PcsiError};
-use pcsi_net::{Fabric, LatencyModel, MessageFaults, NetworkGeneration, NodeId, Topology};
+use pcsi_net::{
+    Fabric, LatencyModel, MessageFaults, NetworkGeneration, NodeId, Topology, Transport,
+};
 use pcsi_sim::Sim;
+use pcsi_stream::frame::{decode_stream_reply, encode_stream_frame, StreamFrame, StreamReply};
 use pcsi_stream::{Publisher, Subscription, PROBE_INTERVAL};
 
 fn setup(seed: u64) -> (Sim, Fabric, Publisher) {
@@ -29,9 +34,9 @@ fn obj() -> ObjectId {
     ObjectId::from_parts(9, 1)
 }
 
-async fn open(fabric: &Fabric, publisher: &Publisher, window: u32) -> Subscription {
-    let sub = publisher.alloc_sub(CONSUMER);
-    Subscription::open(fabric.clone(), sub, CONSUMER, obj(), HOME, window, None)
+async fn open(publisher: &Publisher, window: u32) -> Subscription {
+    publisher
+        .subscribe(CONSUMER, obj(), HOME, window)
         .await
         .expect("subscribe")
 }
@@ -43,11 +48,12 @@ fn events_arrive_in_order_with_positive_latency() {
         let fabric = fabric.clone();
         let publisher = publisher.clone();
         async move {
-            let sub = open(&fabric, &publisher, 8).await;
+            let sub = open(&publisher, 8).await;
             let h = fabric.handle().clone();
-            for i in 0..4u32 {
+            for i in 0..4u64 {
+                let event = Bytes::from(format!("event-{i}"));
                 publisher
-                    .publish(obj(), Bytes::from(format!("event-{i}")), h.now().as_nanos())
+                    .publish(obj(), i, event, h.now().as_nanos())
                     .expect("publish");
             }
             for want in 0..4u64 {
@@ -70,15 +76,16 @@ fn producer_gets_backpressure_when_consumer_stalls() {
         let publisher = publisher.clone();
         async move {
             let window = 2u32;
-            let sub = open(&fabric, &publisher, window).await;
+            let sub = open(&publisher, window).await;
             let h = fabric.handle().clone();
 
             // Never consume: credits exhaust, then owner buffers fill.
-            let mut accepted = 0u32;
+            let mut accepted = 0u64;
             let mut overloaded = false;
             for _ in 0..16 {
-                match publisher.publish(obj(), Bytes::from_static(b"x"), h.now().as_nanos()) {
-                    Ok(_) => accepted += 1,
+                let x = Bytes::from_static(b"x");
+                match publisher.publish(obj(), accepted, x, h.now().as_nanos()) {
+                    Ok(()) => accepted += 1,
                     Err(PcsiError::Overloaded(msg)) => {
                         assert!(msg.contains("backpressure"), "{msg}");
                         overloaded = true;
@@ -92,18 +99,19 @@ fn producer_gets_backpressure_when_consumer_stalls() {
             assert!(overloaded, "producer must hit backpressure");
             // In flight at the stall: ≤ window delivered (credits) plus
             // ≤ window owner-buffered.
-            assert!(accepted <= 2 * window, "accepted {accepted}");
+            assert!(accepted <= 2 * u64::from(window), "accepted {accepted}");
             assert!(sub.peak_buffered() <= window as usize);
 
             // Consuming replenishes credits and drains the backlog in
             // order, with nothing lost before the overload error.
-            for want in 0..u64::from(accepted) {
+            for want in 0..accepted {
                 let ev = sub.next().await.expect("drain");
                 assert_eq!(ev.seq, want);
             }
             // And the producer is admitted again.
+            let y = Bytes::from_static(b"y");
             assert!(publisher
-                .publish(obj(), Bytes::from_static(b"y"), h.now().as_nanos())
+                .publish(obj(), accepted, y, h.now().as_nanos())
                 .is_ok());
             sub.cancel();
         }
@@ -117,13 +125,14 @@ fn fan_out_delivers_every_event_to_every_subscriber() {
         let fabric = fabric.clone();
         let publisher = publisher.clone();
         async move {
-            let a = open(&fabric, &publisher, 8).await;
-            let b = open(&fabric, &publisher, 4).await;
+            let a = open(&publisher, 8).await;
+            let b = open(&publisher, 4).await;
             assert_eq!(publisher.subscriber_count(obj()), 2);
             let h = fabric.handle().clone();
-            for i in 0..6u32 {
+            for i in 0..6u64 {
+                let event = Bytes::from(format!("e{i}"));
                 publisher
-                    .publish(obj(), Bytes::from(format!("e{i}")), h.now().as_nanos())
+                    .publish(obj(), i, event, h.now().as_nanos())
                     .expect("publish");
                 h.sleep(Duration::from_micros(500)).await;
             }
@@ -149,7 +158,7 @@ fn drops_and_duplicates_never_lose_or_repeat_frames() {
         let fabric = fabric.clone();
         let publisher = publisher.clone();
         async move {
-            let sub = open(&fabric, &publisher, 16).await;
+            let sub = open(&publisher, 16).await;
             fabric.set_message_faults(MessageFaults {
                 drop: 0.10,
                 duplicate: 0.10,
@@ -174,9 +183,9 @@ fn drops_and_duplicates_never_lose_or_repeat_frames() {
             });
             for i in 0..total {
                 loop {
-                    match publisher.publish(obj(), Bytes::from(format!("m{i}")), h.now().as_nanos())
-                    {
-                        Ok(_) => break,
+                    let event = Bytes::from(format!("m{i}"));
+                    match publisher.publish(obj(), i, event, h.now().as_nanos()) {
+                        Ok(()) => break,
                         Err(PcsiError::Overloaded(_)) => h.sleep(Duration::from_millis(1)).await,
                         Err(e) => panic!("publish: {e}"),
                     }
@@ -202,17 +211,19 @@ fn killed_subscriber_releases_owner_state() {
         let fabric = fabric.clone();
         let publisher = publisher.clone();
         async move {
-            let sub = open(&fabric, &publisher, 4).await;
+            let sub = open(&publisher, 4).await;
             let h = fabric.handle().clone();
+            let one = Bytes::from_static(b"one");
             publisher
-                .publish(obj(), Bytes::from_static(b"one"), h.now().as_nanos())
+                .publish(obj(), 0, one, h.now().as_nanos())
                 .expect("publish");
             h.sleep(Duration::from_millis(1)).await;
 
             // The subscriber process dies without telling anyone.
             sub.kill();
+            let two = Bytes::from_static(b"two");
             publisher
-                .publish(obj(), Bytes::from_static(b"two"), h.now().as_nanos())
+                .publish(obj(), 1, two, h.now().as_nanos())
                 .expect("publish");
             h.sleep(Duration::from_millis(5)).await;
 
@@ -220,7 +231,6 @@ fn killed_subscriber_releases_owner_state() {
             // subscription: credits and buffers released.
             assert_eq!(publisher.subscriber_count(obj()), 0);
             assert_eq!(publisher.buffered_frames(), 0);
-            assert!(!publisher.has_subscribers(obj()));
         }
     });
 }
@@ -233,20 +243,24 @@ fn stalled_dead_subscriber_is_probed_and_reaped() {
         let publisher = publisher.clone();
         async move {
             let window = 2u32;
-            let sub = open(&fabric, &publisher, window).await;
+            let sub = open(&publisher, window).await;
             let h = fabric.handle().clone();
 
             // Exhaust the window and fill the owner buffer: the sub is
             // now credit-stalled, so no push will ever reach it again.
-            let mut queued = 0u32;
+            let mut queued = 0u64;
+            let x = Bytes::from_static(b"x");
             while publisher
-                .publish(obj(), Bytes::from_static(b"x"), h.now().as_nanos())
+                .publish(obj(), queued, x.clone(), h.now().as_nanos())
                 .is_ok()
             {
                 queued += 1;
                 h.sleep(Duration::from_micros(100)).await;
             }
-            assert!(queued >= window, "window plus owner buffer filled");
+            assert!(
+                queued >= u64::from(window),
+                "window plus owner buffer filled"
+            );
 
             // The subscriber dies silently. Without liveness probing the
             // owner would wait forever for a grant that cannot come and
@@ -254,8 +268,9 @@ fn stalled_dead_subscriber_is_probed_and_reaped() {
             sub.kill();
             let stalled_ns = h.now().as_nanos();
             loop {
-                match publisher.publish(obj(), Bytes::from_static(b"y"), h.now().as_nanos()) {
-                    Ok(_) => break,
+                let y = Bytes::from_static(b"y");
+                match publisher.publish(obj(), queued, y, h.now().as_nanos()) {
+                    Ok(()) => break,
                     Err(PcsiError::Overloaded(_)) => h.sleep(Duration::from_micros(200)).await,
                     Err(e) => panic!("publish: {e}"),
                 }
@@ -311,11 +326,12 @@ fn a_lost_push_is_retried_on_schedule_then_its_subscription_is_reaped() {
         let fabric = fabric.clone();
         let publisher = publisher.clone();
         async move {
-            let _sub = open(&fabric, &publisher, 4).await;
+            let _sub = open(&publisher, 4).await;
             lose_everything(&fabric);
             let h = fabric.handle().clone();
+            let lost = Bytes::from_static(b"lost");
             publisher
-                .publish(obj(), Bytes::from_static(b"lost"), h.now().as_nanos())
+                .publish(obj(), 0, lost, h.now().as_nanos())
                 .expect("publish");
             let at = drop_instants(&fabric, Duration::from_millis(50)).await;
             assert_eq!(at, RETRY_SCHEDULE_US);
@@ -333,10 +349,11 @@ fn a_lost_grant_is_retried_on_schedule() {
         let publisher = publisher.clone();
         async move {
             // A window of 2 grants after every consumed event.
-            let sub = open(&fabric, &publisher, 2).await;
+            let sub = open(&publisher, 2).await;
             let h = fabric.handle().clone();
+            let one = Bytes::from_static(b"one");
             publisher
-                .publish(obj(), Bytes::from_static(b"one"), h.now().as_nanos())
+                .publish(obj(), 0, one, h.now().as_nanos())
                 .expect("publish");
             h.sleep(Duration::from_millis(1)).await;
             lose_everything(&fabric);
@@ -355,7 +372,7 @@ fn a_lost_close_is_retried_on_schedule() {
         let fabric = fabric.clone();
         let publisher = publisher.clone();
         async move {
-            let sub = open(&fabric, &publisher, 4).await;
+            let sub = open(&publisher, 4).await;
             lose_everything(&fabric);
             sub.cancel();
             let at = drop_instants(&fabric, Duration::from_millis(50)).await;
@@ -373,12 +390,15 @@ fn a_killed_stalled_subscriber_is_reaped_at_the_pinned_instant() {
         let fabric = fabric.clone();
         let publisher = publisher.clone();
         async move {
-            let sub = open(&fabric, &publisher, 2).await;
+            let sub = open(&publisher, 2).await;
             let h = fabric.handle().clone();
+            let mut seq = 0;
+            let x = Bytes::from_static(b"x");
             while publisher
-                .publish(obj(), Bytes::from_static(b"x"), h.now().as_nanos())
+                .publish(obj(), seq, x.clone(), h.now().as_nanos())
                 .is_ok()
             {
+                seq += 1;
                 h.sleep(Duration::from_micros(100)).await;
             }
             sub.kill();
@@ -390,6 +410,118 @@ fn a_killed_stalled_subscriber_is_reaped_at_the_pinned_instant() {
     });
 }
 
+/// A subscribe whose every reply is lost must not leave the owner
+/// holding a subscription nobody consumes: it would take the FIFO's
+/// next append, which then reaches neither a subscriber nor `pop`.
+#[test]
+fn a_subscribe_that_fails_under_drops_leaves_no_ghost() {
+    let mut ghosts = Vec::new();
+    for seed in 0..64 {
+        let (mut sim, fabric, publisher) = setup(seed);
+        let ghost = sim.block_on({
+            let fabric = fabric.clone();
+            let publisher = publisher.clone();
+            async move {
+                fabric.set_message_faults(MessageFaults {
+                    drop: 0.5,
+                    duplicate: 0.0,
+                    delay_spike: 0.0,
+                    spike: Duration::ZERO,
+                });
+                let opened = publisher.subscribe(CONSUMER, obj(), HOME, 4).await;
+                fabric.clear_message_faults();
+                fabric.handle().sleep(Duration::from_millis(5)).await;
+                publisher.subscriber_count(obj()) != usize::from(opened.is_ok())
+            }
+        });
+        if ghost {
+            ghosts.push(seed);
+        }
+    }
+    assert_eq!(ghosts, Vec::<u64>::new(), "seeds that left a ghost");
+}
+
+/// Sends `frame` raw from `from` to the owner's control service.
+async fn control(fabric: &Fabric, from: NodeId, frame: StreamFrame) -> StreamReply {
+    let wire = encode_stream_frame(&frame);
+    let reply = fabric
+        .call(from, HOME, "pcsi-stream", Transport::Rdma, wire)
+        .await
+        .expect("a fault-free fabric delivers");
+    decode_stream_reply(&reply).expect("the owner's reply decodes")
+}
+
+fn subscribe(sub: u64, id: ObjectId, window: u32) -> StreamFrame {
+    StreamFrame::Subscribe { id, sub, window }
+}
+
+#[test]
+fn the_owner_refuses_a_subscribe_with_window_zero() {
+    let (mut sim, fabric, publisher) = setup(13);
+    sim.block_on(async move {
+        let reply = control(&fabric, CONSUMER, subscribe(42, obj(), 0)).await;
+        assert!(
+            matches!(reply, StreamReply::Err(ref e) if e.contains("window")),
+            "{reply:?}"
+        );
+        assert_eq!(publisher.subscriber_count(obj()), 0);
+    });
+}
+
+#[test]
+fn the_owner_refuses_a_sub_id_held_for_another_consumer_or_object() {
+    let (mut sim, fabric, publisher) = setup(7);
+    sim.block_on(async move {
+        let held = control(&fabric, CONSUMER, subscribe(42, obj(), 4)).await;
+        assert_eq!(held, StreamReply::Ok);
+        let other_node = control(&fabric, NodeId(2), subscribe(42, obj(), 4)).await;
+        let other_object = ObjectId::from_parts(9, 2);
+        let other_obj = control(&fabric, CONSUMER, subscribe(42, other_object, 4)).await;
+        for refused in [other_node, other_obj] {
+            assert!(matches!(refused, StreamReply::Err(ref e) if e.contains("already exists")));
+        }
+        assert_eq!(publisher.subscriber_count(obj()), 1);
+        assert_eq!(publisher.subscriber_count(other_object), 0);
+    });
+}
+
+#[test]
+fn the_owner_accepts_a_repeated_subscribe_from_its_consumer_once() {
+    let (mut sim, fabric, publisher) = setup(14);
+    sim.block_on(async move {
+        for _ in 0..2 {
+            let reply = control(&fabric, CONSUMER, subscribe(42, obj(), 4)).await;
+            assert_eq!(reply, StreamReply::Ok);
+        }
+        assert_eq!(publisher.subscriber_count(obj()), 1);
+    });
+}
+
+/// Regression: a grant reporting more frames than were ever sent made
+/// the owner's credit count underflow (a panic in debug builds).
+#[test]
+fn the_owner_survives_a_grant_past_what_it_sent() {
+    let (mut sim, fabric, publisher) = setup(15);
+    sim.block_on(async move {
+        assert_eq!(
+            control(&fabric, CONSUMER, subscribe(42, obj(), 4)).await,
+            StreamReply::Ok
+        );
+        let grant = StreamFrame::Grant {
+            sub: 42,
+            consumed: u64::MAX,
+        };
+        assert_eq!(control(&fabric, CONSUMER, grant).await, StreamReply::Ok);
+        let x = Bytes::from_static(b"x");
+        let ts = fabric.handle().now().as_nanos();
+        publisher.publish(obj(), 0, x, ts).expect("publish");
+        // No push endpoint is bound for the raw subscription: the push
+        // fails and the owner reaps it.
+        fabric.handle().sleep(Duration::from_millis(1)).await;
+        assert_eq!(publisher.subscriber_count(obj()), 0);
+    });
+}
+
 #[test]
 fn close_object_ends_streams_after_draining() {
     let (mut sim, fabric, publisher) = setup(6);
@@ -397,11 +529,12 @@ fn close_object_ends_streams_after_draining() {
         let fabric = fabric.clone();
         let publisher = publisher.clone();
         async move {
-            let sub = open(&fabric, &publisher, 8).await;
+            let sub = open(&publisher, 8).await;
             let h = fabric.handle().clone();
-            for i in 0..3u32 {
+            for i in 0..3u64 {
+                let event = Bytes::from(format!("tail-{i}"));
                 publisher
-                    .publish(obj(), Bytes::from(format!("tail-{i}")), h.now().as_nanos())
+                    .publish(obj(), i, event, h.now().as_nanos())
                     .expect("publish");
             }
             publisher.close_object(obj());
@@ -417,24 +550,6 @@ fn close_object_ends_streams_after_draining() {
                 Some(pcsi_stream::CloseReason::ObjectClosed)
             );
             assert_eq!(publisher.subscriber_count(obj()), 0);
-        }
-    });
-}
-
-#[test]
-fn subscribing_twice_with_same_id_is_rejected() {
-    let (mut sim, fabric, publisher) = setup(7);
-    sim.block_on({
-        let fabric = fabric.clone();
-        let publisher = publisher.clone();
-        async move {
-            let id = publisher.alloc_sub(CONSUMER);
-            let first =
-                Subscription::open(fabric.clone(), id, CONSUMER, obj(), HOME, 4, None).await;
-            assert!(first.is_ok());
-            let second =
-                Subscription::open(fabric.clone(), id, NodeId(2), obj(), HOME, 4, None).await;
-            assert!(second.is_err(), "duplicate sub id must be refused");
         }
     });
 }

@@ -372,7 +372,49 @@ fn deleting_a_subscribed_fifo_closes_the_stream() {
             assert!(sub.next().await.is_none());
             assert!(sub.is_closed());
             h.sleep(Duration::from_millis(2)).await;
-            assert!(!cloud.kernel.publisher().has_subscribers(fifo.id()));
+            assert_eq!(cloud.kernel.publisher().subscriber_count(fifo.id()), 0);
+        })
+    });
+}
+
+/// Regression: pull mode numbered a FIFO's messages by the queue's own
+/// count and push mode by the publisher's, so appends around a
+/// subscription returned `[0, 1, 2, 0, 3]` and the subscriber saw seq 0.
+#[test]
+fn a_fifo_numbers_queued_and_streamed_messages_from_one_sequence() {
+    with_cloud(18, |cloud| {
+        Box::pin(async move {
+            let h = cloud.fabric.handle().clone();
+            let producer = cloud.kernel.client(NodeId(0), "tenant-a");
+            let consumer = cloud.kernel.client(NodeId(4), "tenant-a");
+            let fifo = producer.create(CreateOptions::fifo()).await.unwrap();
+            let append = || producer.append(&fifo, Bytes::from_static(b"m"));
+            let mut seqs = Vec::new();
+            for _ in 0..3 {
+                seqs.push(append().await.unwrap());
+            }
+            for _ in 0..3 {
+                producer.pop(&fifo).await.unwrap();
+            }
+            let sub = consumer.subscribe(&fifo, 1).await.unwrap();
+            seqs.push(append().await.unwrap());
+            assert_eq!(sub.next().await.unwrap().seq, 3);
+            sub.cancel();
+            h.sleep(Duration::from_millis(1)).await;
+            seqs.push(append().await.unwrap());
+            assert_eq!(seqs, [0, 1, 2, 3, 4]);
+
+            // An append the subscriber's window refuses takes no number:
+            // one push in flight and one buffered fill a window of 1.
+            let sub = consumer.subscribe(&fifo, 1).await.unwrap();
+            seqs = vec![append().await.unwrap(), append().await.unwrap()];
+            assert!(matches!(append().await, Err(PcsiError::Overloaded(_))));
+            assert_eq!(sub.next().await.unwrap().seq, 5);
+            assert_eq!(sub.next().await.unwrap().seq, 6);
+            sub.cancel();
+            h.sleep(Duration::from_millis(1)).await;
+            seqs.push(append().await.unwrap());
+            assert_eq!(seqs, [5, 6, 7]);
         })
     });
 }
