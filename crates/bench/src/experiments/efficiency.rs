@@ -23,7 +23,7 @@ use pcsi_core::api::{CreateOptions, InvokeRequest};
 use pcsi_core::CloudInterface;
 use pcsi_faas::autoscale::AutoscaleConfig;
 use pcsi_faas::function::{FunctionImage, Variant, WorkModel};
-use pcsi_faas::registry::CostModel;
+use pcsi_faas::registry;
 use pcsi_faas::scheduler::PlacementPolicy;
 use pcsi_faas::TaskGraph;
 use pcsi_net::node::Resources;
@@ -157,18 +157,17 @@ pub fn run_mode(seed: u64, mode: Mode, burst_rps: f64, run_for: Duration) -> Mod
         let elapsed = h.now() - t_start;
 
         // Paid core-seconds.
-        let prices = CostModel::default();
-        let demand = Resources::cpu(CORES, 2 * CORES);
+        let rate = registry::rate(&Resources::cpu(CORES, 2 * CORES));
         let (cost, paid_core_s) = match mode {
             Mode::Scavenged => {
                 // Billed per held instance-time (the meter already saw it).
                 let usd = cloud.billing.invoice("svc-acct").compute - billed_before;
-                (usd, usd / (prices.rate(&demand) / f64::from(CORES)))
+                (usd, usd / (rate / f64::from(CORES)))
             }
             Mode::Dedicated => {
                 // The fleet is paid for wall time regardless of use.
                 let core_s = f64::from(CORES) * peak_instances as f64 * elapsed.as_secs_f64();
-                let usd = prices.rate(&demand) * peak_instances as f64 * elapsed.as_secs_f64();
+                let usd = rate * peak_instances as f64 * elapsed.as_secs_f64();
                 (usd, core_s)
             }
         };

@@ -4,11 +4,13 @@
 //! 0.18 USD/M via DynamoDB, and speculates "that a part of the cost
 //! difference comes from the cloud provider passing the cost of providing
 //! a RESTful web service interface on to the customer." The ledger here
-//! makes that mechanism explicit: every request is charged the *compute
-//! time the provider spent on it* (gateway parsing, marshaling, signature
-//! checks, storage I/O) at resource rates, plus a flat per-request fee.
-//! The REST path simply burns more provider CPU per operation — the 60×
-//! emerges rather than being hard-coded.
+//! makes that mechanism explicit: a web-service request is charged the
+//! *provider CPU it spent* (gateway parsing, marshaling, signature
+//! checks, routing) at resource rates, through one `Meter` that both
+//! sleeps that CPU and bills it, and a signed front door adds a flat
+//! per-request fee. Media time is latency, not a charge. The REST path
+//! simply burns more provider CPU per operation — the 60× emerges rather
+//! than being hard-coded.
 //!
 //! Prices are 2021-era public-cloud approximations, all in one place so
 //! calibration is auditable.
@@ -18,13 +20,44 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use pcsi_faas::registry::CostModel;
+use pcsi_faas::registry;
 use pcsi_net::node::Resources;
+use pcsi_sim::SimHandle;
 
 /// Flat request-routing fee per million API requests (front-door load
 /// balancer + metering), USD. Resource-seconds are priced by
-/// [`CostModel::default`].
+/// [`registry::usd`].
 const USD_PER_MILLION_REQUESTS: f64 = 0.20;
+
+/// One request's provider CPU. Every CPU sleep a baseline server charges
+/// goes through [`Meter::spend`], and [`Meter::bill`] charges their sum,
+/// so what a request is billed is the CPU virtual time saw it spend.
+pub(crate) struct Meter {
+    h: SimHandle,
+    spent: Duration,
+}
+
+impl Meter {
+    /// A meter that starts with `carried`: CPU a hop in front of this
+    /// server already spent on the request.
+    pub(crate) fn new(h: &SimHandle, carried: Duration) -> Meter {
+        Meter {
+            h: h.clone(),
+            spent: carried,
+        }
+    }
+
+    /// Spends `d` of CPU: sleeps it and adds it to the bill.
+    pub(crate) async fn spend(&mut self, d: Duration) {
+        self.h.sleep(d).await;
+        self.spent += d;
+    }
+
+    /// Charges `account` for everything spent, at one core.
+    pub(crate) fn bill(self, billing: &Billing, account: &str) {
+        billing.charge_compute(account, &Resources::cpu(1, 0), self.spent);
+    }
+}
 
 /// One tenant's accumulated charges, by category (USD).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -62,7 +95,7 @@ impl Billing {
 
     /// Charges `account` for holding `demand` for `d`.
     pub(crate) fn charge_compute(&self, account: &str, demand: &Resources, d: Duration) {
-        let usd = CostModel::default().charge(demand, d);
+        let usd = registry::usd(demand, d);
         self.entry(account, |inv| inv.compute += usd);
     }
 

@@ -28,9 +28,9 @@ use pcsi_obs::Telemetry;
 use pcsi_proto::binary::{DecodeError, Prefix::U32 as LEN, Reader, Writer};
 use pcsi_store::engine::{MediaTier, Mutation, StorageEngine};
 use pcsi_store::version::Tag;
-use pcsi_trace::{SpanHandle, Tracer};
+use pcsi_trace::{SpanHandle, TraceContext, Tracer};
 
-use crate::billing::Billing;
+use crate::billing::{Billing, Meter};
 
 /// Server CPU per NFS operation (binary protocol decode + handle lookup).
 pub(crate) const NFS_OP_CPU: Duration = Duration::from_micros(3);
@@ -225,10 +225,19 @@ struct ServerState {
 /// The deployed NFS-like server.
 #[derive(Clone)]
 pub struct NfsServer {
+    inner: Rc<Server>,
+}
+
+/// The server's node, what it serves with and its one mutable state:
+/// one value the fabric handler and every client share.
+struct Server {
     fabric: Fabric,
     node: NodeId,
-    state: Rc<RefCell<ServerState>>,
+    billing: Billing,
+    secret: Vec<u8>,
     tracer: Option<Tracer>,
+    metrics: Option<Metrics>,
+    state: RefCell<ServerState>,
 }
 
 impl NfsServer {
@@ -244,45 +253,31 @@ impl NfsServer {
         secret: &[u8],
         telemetry: &Telemetry,
     ) -> Self {
-        let state = Rc::new(RefCell::new(ServerState {
-            engine: StorageEngine::new(MediaTier::Nvme),
-            sessions: FxHashMap::default(),
-            handles: FxHashMap::default(),
-            names: FxHashMap::default(),
-            next_session: 1,
-            next_handle: 1,
-            next_file: 1,
-            next_tag: 1,
-        }));
-        let handler: RpcHandler = {
-            let state = Rc::clone(&state);
-            let fabric2 = fabric.clone();
-            let secret = secret.to_vec();
-            let (tracer, metrics) = (telemetry.tracer.clone(), telemetry.metrics.clone());
-            Rc::new(move |payload, ctx| {
-                let state = Rc::clone(&state);
-                let fabric2 = fabric2.clone();
-                let billing = billing.clone();
-                let secret = secret.clone();
-                let (tracer, metrics) = (tracer.clone(), metrics.clone());
-                Box::pin(async move {
-                    let span = pcsi_trace::child_of(&tracer, ctx.trace, "nfs.server");
-                    let reply = serve(
-                        &fabric2, &billing, &state, &secret, payload, &span, &metrics,
-                    )
-                    .await;
-                    span.finish();
-                    Ok(encode_reply(&reply))
-                })
-            })
-        };
-        fabric.bind(node, "nfs", handler);
-        NfsServer {
-            fabric,
+        let server = Rc::new(Server {
+            fabric: fabric.clone(),
             node,
-            state,
+            billing,
+            secret: secret.to_vec(),
             tracer: telemetry.tracer.clone(),
-        }
+            metrics: telemetry.metrics.clone(),
+            state: RefCell::new(ServerState {
+                engine: StorageEngine::new(MediaTier::Nvme),
+                sessions: FxHashMap::default(),
+                handles: FxHashMap::default(),
+                names: FxHashMap::default(),
+                next_session: 1,
+                next_handle: 1,
+                next_file: 1,
+                next_tag: 1,
+            }),
+        });
+        let inner = Rc::clone(&server);
+        let handler: RpcHandler = Rc::new(move |payload, ctx| {
+            let server = Rc::clone(&inner);
+            Box::pin(async move { Ok(encode_reply(&server.serve(payload, ctx.trace).await)) })
+        });
+        fabric.bind(node, "nfs", handler);
+        NfsServer { inner: server }
     }
 
     /// Mounts from `from`, returning a session-scoped client.
@@ -304,7 +299,7 @@ impl NfsServer {
             .await?;
         match reply {
             NfsReply::Mounted { session } => {
-                let mut s = self.state.borrow_mut();
+                let mut s = self.inner.state.borrow_mut();
                 s.sessions.insert(session, account.to_owned());
                 Ok(NfsClient {
                     server: self.clone(),
@@ -312,24 +307,27 @@ impl NfsServer {
                     session,
                 })
             }
-            NfsReply::Error { message, .. } => Err(PcsiError::AccessDenied {
-                id: ObjectId::NIL,
-                needed: pcsi_core::Rights::READ,
-                held: pcsi_core::Rights::NONE,
+            NfsReply::Error { message, .. } => {
+                let denied = PcsiError::AccessDenied {
+                    id: ObjectId::NIL,
+                    needed: pcsi_core::Rights::READ,
+                    held: pcsi_core::Rights::NONE,
+                };
+                Err(PcsiError::Fault(format!("{denied}: {message}")))
             }
-            .tap_msg(message)),
             other => Err(PcsiError::BadPayload(format!("unexpected reply {other:?}"))),
         }
     }
 
     async fn call(&self, from: NodeId, op: &NfsOp) -> Result<NfsReply, PcsiError> {
-        let span = pcsi_trace::child_or_root(&self.tracer, None, "nfs.request");
+        let inner = &self.inner;
+        let span = pcsi_trace::child_or_root(&inner.tracer, None, "nfs.request");
         let transport_span = span.span("nfs.transport");
-        let raw = self
+        let raw = inner
             .fabric
             .call_traced(
                 from,
-                self.node,
+                inner.node,
                 "nfs",
                 Transport::Tcp,
                 encode_op(op),
@@ -341,47 +339,6 @@ impl NfsServer {
         span.finish();
         decode_reply(&raw).map_err(|_| PcsiError::BadPayload("bad NFS reply".into()))
     }
-}
-
-/// Attaches context to an error (tiny local helper).
-trait TapMsg {
-    fn tap_msg(self, msg: String) -> PcsiError;
-}
-
-impl TapMsg for PcsiError {
-    fn tap_msg(self, msg: String) -> PcsiError {
-        PcsiError::Fault(format!("{self}: {msg}"))
-    }
-}
-
-async fn serve(
-    fabric: &Fabric,
-    billing: &Billing,
-    state: &Rc<RefCell<ServerState>>,
-    server_secret: &[u8],
-    payload: Bytes,
-    span: &SpanHandle,
-    metrics: &Option<Metrics>,
-) -> NfsReply {
-    let h = fabric.handle();
-    let started = h.now();
-    let Ok(op) = decode_op(&payload) else {
-        let reply = NfsReply::Error {
-            code: E_IO,
-            message: "malformed request".into(),
-        };
-        record_nfs_op(metrics, "-", &reply, h.now() - started);
-        return reply;
-    };
-    let name = match &op {
-        NfsOp::Mount { .. } => "mount",
-        NfsOp::Lookup { .. } => "lookup",
-        NfsOp::Read { .. } => "read",
-        NfsOp::Write { .. } => "write",
-    };
-    let reply = dispatch(fabric, billing, state, server_secret, op, span).await;
-    record_nfs_op(metrics, name, &reply, h.now() - started);
-    reply
 }
 
 /// Counts one served NFS operation and records its server-side latency.
@@ -397,170 +354,191 @@ fn record_nfs_op(metrics: &Option<Metrics>, op: &str, reply: &NfsReply, elapsed:
     }
 }
 
-async fn dispatch(
-    fabric: &Fabric,
-    billing: &Billing,
-    state: &Rc<RefCell<ServerState>>,
-    server_secret: &[u8],
-    op: NfsOp,
-    span: &SpanHandle,
-) -> NfsReply {
-    let h = fabric.handle();
-    match op {
-        NfsOp::Mount { secret } => {
-            // One-time authentication; subsequent ops ride the session.
-            let auth_span = span.span("nfs.auth");
-            h.sleep(MOUNT_CPU).await;
-            auth_span.finish();
-            if !pcsi_proto::hash::ct_eq(&secret, server_secret) {
-                return NfsReply::Error {
-                    code: E_AUTH,
-                    message: "bad credentials".into(),
-                };
-            }
-            let mut s = state.borrow_mut();
-            let session = s.next_session;
-            s.next_session += 1;
-            s.sessions.entry(session).or_insert_with(|| "nfs".into());
-            NfsReply::Mounted { session }
-        }
-        NfsOp::Lookup {
-            session,
-            name,
-            create,
-        } => {
-            let op_span = span.span("nfs.op");
-            h.sleep(NFS_OP_CPU).await;
-            op_span.finish();
-            let Some(account) = session_account(state, session) else {
-                return stale_session();
+impl Server {
+    async fn serve(&self, payload: Bytes, trace: Option<TraceContext>) -> NfsReply {
+        let span = pcsi_trace::child_of(&self.tracer, trace, "nfs.server");
+        let h = self.fabric.handle();
+        let started = h.now();
+        let Ok(op) = decode_op(&payload) else {
+            let reply = NfsReply::Error {
+                code: E_IO,
+                message: "malformed request".into(),
             };
-            billing.charge_compute(&account, &pcsi_net::node::Resources::cpu(1, 0), NFS_OP_CPU);
-            let mut s = state.borrow_mut();
-            if let Some(&handle) = s.names.get(&name) {
-                return NfsReply::Handle { handle };
+            record_nfs_op(&self.metrics, "-", &reply, h.now() - started);
+            return reply;
+        };
+        let name = match &op {
+            NfsOp::Mount { .. } => "mount",
+            NfsOp::Lookup { .. } => "lookup",
+            NfsOp::Read { .. } => "read",
+            NfsOp::Write { .. } => "write",
+        };
+        let reply = self.dispatch(op, &span).await;
+        record_nfs_op(&self.metrics, name, &reply, h.now() - started);
+        span.finish();
+        reply
+    }
+
+    async fn dispatch(&self, op: NfsOp, span: &SpanHandle) -> NfsReply {
+        let h = self.fabric.handle();
+        let mut meter = Meter::new(h, Duration::ZERO);
+        match op {
+            NfsOp::Mount { secret } => {
+                // One-time authentication; subsequent ops ride the session.
+                // Unbilled: the client records the session's account after
+                // the reply.
+                let auth_span = span.span("nfs.auth");
+                meter.spend(MOUNT_CPU).await;
+                auth_span.finish();
+                if !pcsi_proto::hash::ct_eq(&secret, &self.secret) {
+                    return NfsReply::Error {
+                        code: E_AUTH,
+                        message: "bad credentials".into(),
+                    };
+                }
+                let mut s = self.state.borrow_mut();
+                let session = s.next_session;
+                s.next_session += 1;
+                s.sessions.entry(session).or_insert_with(|| "nfs".into());
+                NfsReply::Mounted { session }
             }
-            if !create {
-                return NfsReply::Error {
-                    code: E_NOENT,
-                    message: name,
+            NfsOp::Lookup {
+                session,
+                name,
+                create,
+            } => {
+                if let Err(stale) = self.open_op(meter, session, span).await {
+                    return stale;
+                }
+                let mut s = self.state.borrow_mut();
+                if let Some(&handle) = s.names.get(&name) {
+                    return NfsReply::Handle { handle };
+                }
+                if !create {
+                    return NfsReply::Error {
+                        code: E_NOENT,
+                        message: name,
+                    };
+                }
+                let id = ObjectId::from_parts(0x4E46_5321, s.next_file); // "NFS!" realm.
+                s.next_file += 1;
+                let tag = Tag {
+                    seq: s.next_tag,
+                    writer: 0,
                 };
+                s.next_tag += 1;
+                s.engine
+                    .apply(
+                        id,
+                        tag,
+                        &Mutation::PutFull {
+                            data: Bytes::new(),
+                            mutability: Mutability::Mutable,
+                        },
+                    )
+                    .expect("create cannot violate mutability");
+                let handle = s.next_handle;
+                s.next_handle += 1;
+                s.handles.insert(handle, id);
+                s.names.insert(name, handle);
+                NfsReply::Handle { handle }
             }
-            let id = ObjectId::from_parts(0x4E46_5321, s.next_file); // "NFS!" realm.
-            s.next_file += 1;
-            let tag = Tag {
-                seq: s.next_tag,
-                writer: 0,
-            };
-            s.next_tag += 1;
-            s.engine
-                .apply(
-                    id,
-                    tag,
-                    &Mutation::PutFull {
-                        data: Bytes::new(),
-                        mutability: Mutability::Mutable,
+            NfsOp::Read {
+                session,
+                handle,
+                offset,
+                len,
+            } => {
+                if let Err(stale) = self.open_op(meter, session, span).await {
+                    return stale;
+                }
+                let (result, io_time) = {
+                    let s = self.state.borrow();
+                    let Some(&id) = s.handles.get(&handle) else {
+                        return NfsReply::Error {
+                            code: E_NOENT,
+                            message: format!("handle {handle}"),
+                        };
+                    };
+                    let result = s.engine.read(id, offset, len);
+                    let io = s
+                        .engine
+                        .tier()
+                        .io_time(result.as_ref().map(|d| d.len()).unwrap_or(0));
+                    (result, io)
+                };
+                let io_span = span.span("nfs.io");
+                h.sleep(io_time).await;
+                io_span.finish();
+                match result {
+                    Ok(data) => NfsReply::Data { data },
+                    Err(e) => NfsReply::Error {
+                        code: E_IO,
+                        message: e.to_string(),
                     },
-                )
-                .expect("create cannot violate mutability");
-            let handle = s.next_handle;
-            s.next_handle += 1;
-            s.handles.insert(handle, id);
-            s.names.insert(name, handle);
-            NfsReply::Handle { handle }
-        }
-        NfsOp::Read {
-            session,
-            handle,
-            offset,
-            len,
-        } => {
-            let op_span = span.span("nfs.op");
-            h.sleep(NFS_OP_CPU).await;
-            op_span.finish();
-            let Some(account) = session_account(state, session) else {
-                return stale_session();
-            };
-            billing.charge_compute(&account, &pcsi_net::node::Resources::cpu(1, 0), NFS_OP_CPU);
-            let (result, io_time) = {
-                let s = state.borrow();
+                }
+            }
+            NfsOp::Write {
+                session,
+                handle,
+                offset,
+                data,
+            } => {
+                if let Err(stale) = self.open_op(meter, session, span).await {
+                    return stale;
+                }
+                let io = {
+                    let s = self.state.borrow();
+                    s.engine.tier().io_time(data.len())
+                };
+                let io_span = span.span("nfs.io");
+                h.sleep(io).await;
+                io_span.finish();
+                let mut s = self.state.borrow_mut();
                 let Some(&id) = s.handles.get(&handle) else {
                     return NfsReply::Error {
                         code: E_NOENT,
                         message: format!("handle {handle}"),
                     };
                 };
-                let result = s.engine.read(id, offset, len);
-                let io = s
-                    .engine
-                    .tier()
-                    .io_time(result.as_ref().map(|d| d.len()).unwrap_or(0));
-                (result, io)
-            };
-            let io_span = span.span("nfs.io");
-            h.sleep(io_time).await;
-            io_span.finish();
-            match result {
-                Ok(data) => NfsReply::Data { data },
-                Err(e) => NfsReply::Error {
-                    code: E_IO,
-                    message: e.to_string(),
-                },
-            }
-        }
-        NfsOp::Write {
-            session,
-            handle,
-            offset,
-            data,
-        } => {
-            let op_span = span.span("nfs.op");
-            h.sleep(NFS_OP_CPU).await;
-            op_span.finish();
-            let Some(account) = session_account(state, session) else {
-                return stale_session();
-            };
-            billing.charge_compute(&account, &pcsi_net::node::Resources::cpu(1, 0), NFS_OP_CPU);
-            let io = {
-                let s = state.borrow();
-                s.engine.tier().io_time(data.len())
-            };
-            let io_span = span.span("nfs.io");
-            h.sleep(io).await;
-            io_span.finish();
-            let mut s = state.borrow_mut();
-            let Some(&id) = s.handles.get(&handle) else {
-                return NfsReply::Error {
-                    code: E_NOENT,
-                    message: format!("handle {handle}"),
+                let tag = Tag {
+                    seq: s.next_tag,
+                    writer: 0,
                 };
-            };
-            let tag = Tag {
-                seq: s.next_tag,
-                writer: 0,
-            };
-            s.next_tag += 1;
-            match s.engine.apply(id, tag, &Mutation::WriteAt { offset, data }) {
-                Ok(()) => NfsReply::Written {
-                    new_size: s.engine.get(id).map(|o| o.data.len() as u64).unwrap_or(0),
-                },
-                Err(e) => NfsReply::Error {
-                    code: E_IO,
-                    message: e.to_string(),
-                },
+                s.next_tag += 1;
+                match s.engine.apply(id, tag, &Mutation::WriteAt { offset, data }) {
+                    Ok(()) => NfsReply::Written {
+                        new_size: s.engine.get(id).map(|o| o.data.len() as u64).unwrap_or(0),
+                    },
+                    Err(e) => NfsReply::Error {
+                        code: E_IO,
+                        message: e.to_string(),
+                    },
+                }
             }
         }
     }
-}
 
-fn session_account(state: &Rc<RefCell<ServerState>>, session: u64) -> Option<String> {
-    state.borrow().sessions.get(&session).cloned()
-}
-
-fn stale_session() -> NfsReply {
-    NfsReply::Error {
-        code: E_SESSION,
-        message: "stale session".into(),
+    /// What every op on a session does first: spends the op's CPU under an
+    /// `nfs.op` span and bills it to the session's account. A stale session
+    /// is refused, unbilled.
+    async fn open_op(
+        &self,
+        mut meter: Meter,
+        session: u64,
+        span: &SpanHandle,
+    ) -> Result<(), NfsReply> {
+        let op_span = span.span("nfs.op");
+        meter.spend(NFS_OP_CPU).await;
+        op_span.finish();
+        let Some(account) = self.state.borrow().sessions.get(&session).cloned() else {
+            return Err(NfsReply::Error {
+                code: E_SESSION,
+                message: "stale session".into(),
+            });
+        };
+        meter.bill(&self.billing, &account);
+        Ok(())
     }
 }
 
@@ -761,6 +739,28 @@ mod tests {
             "{err:?}"
         );
         assert!(!intruder_billed, "a refused read was billed");
+    }
+
+    /// A session's account is billed its ops' CPU, found or not, and
+    /// nothing for the mount that opened it.
+    #[test]
+    fn an_account_is_billed_op_cpu_per_op_and_nothing_for_its_mount() {
+        let mut sim = Sim::new(13);
+        let (server, billing) = deploy(&sim);
+        let (at_mount, compute) = sim.block_on(async move {
+            let c = server.mount(NodeId(0), b"nfs-secret", "acct").await;
+            let at_mount = billing.invoice("acct");
+            let c = c.unwrap();
+            let fh = c.lookup("f", true).await.unwrap();
+            c.write(fh, 0, b"hello").await.unwrap();
+            c.read(fh, 0, 5).await.unwrap();
+            c.lookup("ghost", false).await.unwrap_err();
+            (at_mount, billing.invoice("acct").compute)
+        });
+        assert_eq!(at_mount, crate::billing::Invoice::default());
+        let one_core = pcsi_faas::registry::rate(&pcsi_net::node::Resources::cpu(1, 0));
+        let billed_ns = (compute / one_core * 1e9).round() as u128;
+        assert_eq!(billed_ns, 4 * NFS_OP_CPU.as_nanos());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! request re-authenticates), unmarshals JSON, performs the storage
 //! operation, and marshals a response. All of this *actually happens* —
 //! the byte-level codecs from `pcsi-proto` run on every request — and the
-//! provider CPU time each step consumes is charged to virtual time and to
-//! the caller's bill through the constants below.
+//! provider CPU time each step consumes, per the constants below, is spent
+//! on one meter (`crate::billing`): slept in virtual time and billed to
+//! the caller as one amount.
 //!
 //! ## CPU-time calibration
 //!
@@ -40,10 +41,11 @@ use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_proto::http::{Method, Request, Response};
 use pcsi_proto::sign::{sign_request, verify_request, Credentials, Scope};
 use pcsi_proto::{json, Value};
+use pcsi_sim::SimHandle;
 use pcsi_store::ReplicatedStore;
 use pcsi_trace::{SpanHandle, TraceContext, Tracer};
 
-use crate::billing::Billing;
+use crate::billing::{Billing, Meter};
 
 /// HTTP framing CPU per request.
 pub(crate) const HTTP_CPU: Duration = Duration::from_micros(50);
@@ -73,22 +75,44 @@ pub(crate) fn auth_cpu(bytes: usize) -> Duration {
     AUTH_CPU_FIXED + AUTH_CPU_PER_BYTE * (bytes as u32)
 }
 
-/// Total modeled provider CPU for one REST data-plane request.
-pub(crate) fn request_cpu(body_bytes: usize) -> Duration {
-    HTTP_CPU + marshal_cpu(body_bytes) + auth_cpu(body_bytes) + LB_CPU + ROUTING_CPU
+/// Stateless authentication, the step every signed front door shares:
+/// verifies `request` against `keys` at the current virtual time and
+/// charges the verified account the flat request fee. A refusal is the
+/// 403 to send; the signature check's CPU is the caller's to spend.
+pub(crate) fn admit(
+    h: &SimHandle,
+    billing: &Billing,
+    keys: &HashMap<String, Credentials>,
+    request: &Request,
+) -> Result<String, Response> {
+    let now_s = h.now().as_secs_f64() as u64 + 1_700_000_000;
+    let lookup = |id: &str| keys.get(id).cloned();
+    if let Err(e) = verify_request(request, lookup, &scope(), now_s, 3600) {
+        return Err(error_response(403, "AccessDenied", &e.to_string()));
+    }
+    let account = request.headers.get(pcsi_proto::sign::KEY_ID_HEADER);
+    let account = account.unwrap_or("anonymous").to_owned();
+    billing.charge_request(&account);
+    Ok(account)
 }
 
 /// The deployed REST service.
 #[derive(Clone)]
 pub struct RestGateway {
-    inner: Rc<Inner>,
+    inner: Rc<Gateway>,
 }
 
-struct Inner {
+/// The load balancer, the gateway behind it and what both serve with:
+/// one value the two fabric handlers and every client share.
+struct Gateway {
     fabric: Fabric,
+    store: ReplicatedStore,
+    billing: Billing,
+    keys: HashMap<String, Credentials>,
     door: FrontDoor,
-    tracer: Rc<RefCell<Option<Tracer>>>,
-    metrics: Rc<RefCell<Option<Metrics>>>,
+    node: NodeId,
+    tracer: RefCell<Option<Tracer>>,
+    metrics: RefCell<Option<Metrics>>,
 }
 
 /// Derives the storage object id for a REST resource path.
@@ -119,87 +143,33 @@ impl RestGateway {
         gateway_node: NodeId,
         keys: HashMap<String, Credentials>,
     ) -> Self {
-        let keys = Rc::new(keys);
-        let tracer: Rc<RefCell<Option<Tracer>>> = Rc::new(RefCell::new(None));
-        let metrics: Rc<RefCell<Option<Metrics>>> = Rc::new(RefCell::new(None));
-
-        // Gateway: the real work.
-        let gw_handler: RpcHandler = {
-            let fabric = fabric.clone();
-            let store = store.clone();
-            let billing = billing.clone();
-            let keys = Rc::clone(&keys);
-            let tracer = Rc::clone(&tracer);
-            let metrics = Rc::clone(&metrics);
-            Rc::new(move |payload, ctx| {
-                let fabric = fabric.clone();
-                let store = store.clone();
-                let billing = billing.clone();
-                let keys = Rc::clone(&keys);
-                let tracer = tracer.borrow().clone();
-                let metrics = metrics.borrow().clone();
-                Box::pin(async move {
-                    let resp = handle_request(
-                        &fabric,
-                        &store,
-                        &billing,
-                        &keys,
-                        gateway_node,
-                        payload,
-                        tracer,
-                        ctx.trace,
-                        metrics,
-                    )
-                    .await;
-                    Ok(Bytes::from(resp.encode()))
-                })
-            })
-        };
-        fabric.bind(gateway_node, "rest-gateway", gw_handler);
-
-        // Load balancer: charge its CPU and forward.
-        let lb_handler: RpcHandler = {
-            let fabric = fabric.clone();
-            let tracer = Rc::clone(&tracer);
-            Rc::new(move |payload, ctx| {
-                let fabric = fabric.clone();
-                let tracer = tracer.borrow().clone();
-                Box::pin(async move {
-                    let span = pcsi_trace::child_of(&tracer, ctx.trace, "rest.lb");
-                    fabric.handle().sleep(LB_CPU).await;
-                    // The forward hop is a nested transport span so the
-                    // balancer span's self time is purely its CPU.
-                    let fwd_span = span.span("rest.transport");
-                    let result = fabric
-                        .call_traced(
-                            lb_node,
-                            gateway_node,
-                            "rest-gateway",
-                            Transport::Tcp,
-                            payload,
-                            fwd_span.ctx(),
-                        )
-                        .await;
-                    fwd_span.finish();
-                    span.finish();
-                    result
-                })
-            })
-        };
-        fabric.bind(lb_node, "rest-lb", lb_handler);
-
-        RestGateway {
-            inner: Rc::new(Inner {
-                fabric,
-                door: FrontDoor {
-                    node: lb_node,
-                    service: "rest-lb",
-                    host: "api.sim-west-1.pcsi.cloud",
-                },
-                tracer,
-                metrics,
-            }),
-        }
+        let gateway = Rc::new(Gateway {
+            fabric: fabric.clone(),
+            store,
+            billing,
+            keys,
+            door: FrontDoor {
+                node: lb_node,
+                service: "rest-lb",
+                host: "api.sim-west-1.pcsi.cloud",
+            },
+            node: gateway_node,
+            tracer: RefCell::new(None),
+            metrics: RefCell::new(None),
+        });
+        let gw = Rc::clone(&gateway);
+        let handler: RpcHandler = Rc::new(move |payload, ctx| {
+            let gw = Rc::clone(&gw);
+            Box::pin(async move { Ok(Bytes::from(gw.handle(payload, ctx.trace).await.encode())) })
+        });
+        fabric.bind(gateway_node, "rest-gateway", handler);
+        let gw = Rc::clone(&gateway);
+        let handler: RpcHandler = Rc::new(move |payload, ctx| {
+            let gw = Rc::clone(&gw);
+            Box::pin(async move { gw.forward(payload, ctx.trace).await })
+        });
+        fabric.bind(lb_node, "rest-lb", handler);
+        RestGateway { inner: gateway }
     }
 
     /// Installs (or clears) the tracer used by the client, load
@@ -225,149 +195,149 @@ impl RestGateway {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-async fn handle_request(
-    fabric: &Fabric,
-    store: &ReplicatedStore,
-    billing: &Billing,
-    keys: &HashMap<String, Credentials>,
-    gateway_node: NodeId,
-    payload: Bytes,
-    tracer: Option<Tracer>,
-    trace: Option<TraceContext>,
-    metrics: Option<Metrics>,
-) -> Response {
-    let h = fabric.handle();
-    let started = h.now();
-    let mut span = pcsi_trace::child_of(&tracer, trace, "rest.gateway");
-
-    // 1. HTTP parse (+ later format): framing CPU.
-    let parse_span = span.span("rest.http_parse");
-    h.sleep(HTTP_CPU).await;
-    parse_span.finish();
-    let request = match Request::decode(&payload) {
-        Ok(r) => r,
-        Err(e) => {
-            let resp = Response::new(400).with_body(error_json("BadHttp", &e.to_string()));
-            record_request(&metrics, "-", &resp, h.now() - started, span.ctx());
-            return resp;
-        }
-    };
-    let method = request.method.as_str();
-
-    // 2. Stateless authentication: every request pays signature
-    //    verification (the real HMAC work runs here).
-    let auth_span = span.span("rest.auth");
-    h.sleep(auth_cpu(payload.len())).await;
-    let now_s = h.now().as_secs_f64() as u64 + 1_700_000_000;
-    let lookup = |id: &str| keys.get(id).cloned();
-    if let Err(e) = verify_request(&request, lookup, &scope(), now_s, 3600) {
-        let resp = Response::new(403).with_body(error_json("AccessDenied", &e.to_string()));
-        record_request(&metrics, method, &resp, h.now() - started, span.ctx());
-        return resp;
+impl Gateway {
+    /// The load balancer: spends its CPU on its own node and forwards.
+    async fn forward(
+        &self,
+        payload: Bytes,
+        trace: Option<TraceContext>,
+    ) -> Result<Bytes, pcsi_net::NetError> {
+        let span = pcsi_trace::child_of(&self.tracer.borrow(), trace, "rest.lb");
+        self.fabric.handle().sleep(LB_CPU).await;
+        // The forward hop is a nested transport span so the balancer
+        // span's self time is purely its CPU.
+        let fwd_span = span.span("rest.transport");
+        let result = self
+            .fabric
+            .call_traced(
+                self.door.node,
+                self.node,
+                "rest-gateway",
+                Transport::Tcp,
+                payload,
+                fwd_span.ctx(),
+            )
+            .await;
+        fwd_span.finish();
+        span.finish();
+        result
     }
-    auth_span.finish();
 
-    // 3. Routing / metering / logging.
-    let route_span = span.span("rest.route");
-    h.sleep(ROUTING_CPU).await;
-    let account = request
-        .headers
-        .get(pcsi_proto::sign::KEY_ID_HEADER)
-        .unwrap_or("anonymous")
-        .to_owned();
-    billing.charge_request(&account);
-    billing.charge_compute(
-        &account,
-        &pcsi_net::node::Resources::cpu(1, 0),
-        request_cpu(request.body.len()),
-    );
-    route_span.finish();
+    /// The gateway: the real work. Every CPU step is spent on one meter
+    /// that opens at what the balancer spent, and the verified account
+    /// is billed for the lot once the response is built.
+    async fn handle(&self, payload: Bytes, trace: Option<TraceContext>) -> Response {
+        let h = self.fabric.handle();
+        let started = h.now();
+        let metrics = self.metrics.borrow().clone();
+        let mut span = pcsi_trace::child_of(&self.tracer.borrow(), trace, "rest.gateway");
+        let mut meter = Meter::new(h, LB_CPU);
 
-    // 4. Dispatch by resource class.
-    let path = request.target.clone();
-    let client = store.client(gateway_node).traced(span.ctx());
-    let id = path_object_id(&path);
-    let result: Result<Response, PcsiError> = if path.starts_with("/kv/") {
+        // 1. HTTP parse (+ later format): framing CPU.
+        let parse_span = span.span("rest.http_parse");
+        meter.spend(HTTP_CPU).await;
+        parse_span.finish();
+        let request = match Request::decode(&payload) {
+            Ok(r) => r,
+            Err(e) => {
+                let resp = error_response(400, "BadHttp", &e.to_string());
+                record_request(&metrics, "-", &resp, h.now() - started, span.ctx());
+                return resp;
+            }
+        };
+        let method = request.method.as_str();
+
+        // 2. Stateless authentication: every request pays signature
+        //    verification (the real HMAC work runs here).
+        let auth_span = span.span("rest.auth");
+        meter.spend(auth_cpu(payload.len())).await;
+        let account = match admit(h, &self.billing, &self.keys, &request) {
+            Ok(account) => account,
+            Err(resp) => {
+                record_request(&metrics, method, &resp, h.now() - started, span.ctx());
+                return resp;
+            }
+        };
+        auth_span.finish();
+
+        // 3. Routing / metering / logging.
+        let route_span = span.span("rest.route");
+        meter.spend(ROUTING_CPU).await;
+        route_span.finish();
+
+        // 4. Dispatch by resource class.
+        let resp = match self.dispatch(&request, &span, &mut meter).await {
+            Ok(resp) => resp,
+            Err(PcsiError::NotFound(_)) => error_response(404, "NoSuchKey", &request.target),
+            Err(e) => error_response(500, "InternalError", &e.to_string()),
+        };
+        meter.bill(&self.billing, &account);
+        span.attr("status", u64::from(resp.status));
+        let ctx = span.ctx();
+        span.finish();
+        record_request(&metrics, method, &resp, h.now() - started, ctx);
+        resp
+    }
+
+    /// The storage operation `request` names: a JSON item under `/kv/`
+    /// (DynamoDB-like), raw bytes under `/objects/` (S3-like: no JSON
+    /// body, still HTTP + auth). JSON marshalling is spent on `meter`.
+    async fn dispatch(
+        &self,
+        request: &Request,
+        span: &SpanHandle,
+        meter: &mut Meter,
+    ) -> Result<Response, PcsiError> {
+        let path = &request.target;
+        let client = self.store.client(self.node).traced(span.ctx());
+        let id = path_object_id(path);
+        let kv = path.starts_with("/kv/");
+        if !kv && !path.starts_with("/objects/") {
+            return Ok(error_response(404, "NoSuchResource", path));
+        }
+        // Every PUT is a DynamoDB-style durable write (majority).
+        let put = |data| client.put(id, data, Mutability::Mutable, Consistency::Linearizable);
         match request.method {
-            Method::Put => {
+            Method::Put if kv => {
                 // JSON unmarshal of the item.
                 let marshal_span = span.span("rest.marshal");
-                h.sleep(marshal_cpu(request.body.len())).await;
+                meter.spend(marshal_cpu(request.body.len())).await;
                 marshal_span.finish();
-                match json::decode(&String::from_utf8_lossy(&request.body)) {
-                    Ok(item) => {
-                        let value = item
-                            .get("value")
-                            .and_then(Value::as_str)
-                            .and_then(json::base64_decode)
-                            .unwrap_or_default();
-                        // DynamoDB-style durable write (majority).
-                        client
-                            .put(
-                                id,
-                                Bytes::from(value),
-                                Mutability::Mutable,
-                                Consistency::Linearizable,
-                            )
-                            .await
-                            .map(|_| Response::new(200).with_body(&b"{\"ok\":true}"[..]))
-                    }
-                    Err(e) => {
-                        Ok(Response::new(400).with_body(error_json("BadJson", &e.to_string())))
-                    }
-                }
+                let item = match json::decode(&String::from_utf8_lossy(&request.body)) {
+                    Ok(item) => item,
+                    Err(e) => return Ok(error_response(400, "BadJson", &e.to_string())),
+                };
+                let value = item
+                    .get("value")
+                    .and_then(Value::as_str)
+                    .and_then(json::base64_decode)
+                    .unwrap_or_default();
+                put(Bytes::from(value)).await?;
+                Ok(Response::new(200).with_body(&b"{\"ok\":true}"[..]))
             }
-            Method::Get => match client.read_all(id, Consistency::Eventual).await {
-                Ok((_tag, data)) => {
-                    // JSON marshal of the response item.
-                    let marshal_span = span.span("rest.marshal");
-                    let value = Value::object([("value", Value::Str(json::base64_encode(&data)))]);
-                    let body = json::encode(&value);
-                    h.sleep(marshal_cpu(body.len())).await;
-                    marshal_span.finish();
-                    Ok(Response::new(200)
-                        .with_header("content-type", "application/json")
-                        .with_body(body.into_bytes()))
+            Method::Put => {
+                put(request.body.clone()).await?;
+                Ok(Response::new(201))
+            }
+            Method::Get => {
+                let (_tag, data) = client.read_all(id, Consistency::Eventual).await?;
+                if !kv {
+                    return Ok(Response::new(200).with_body(data));
                 }
-                Err(e) => Err(e),
-            },
+                // JSON marshal of the response item.
+                let marshal_span = span.span("rest.marshal");
+                let value = Value::object([("value", Value::Str(json::base64_encode(&data)))]);
+                let body = json::encode(&value);
+                meter.spend(marshal_cpu(body.len())).await;
+                marshal_span.finish();
+                Ok(Response::new(200)
+                    .with_header("content-type", "application/json")
+                    .with_body(body.into_bytes()))
+            }
             Method::Delete => client.delete(id).await.map(|_| Response::new(204)),
-            _ => Ok(Response::new(400).with_body(error_json("BadMethod", "unsupported"))),
+            _ => Ok(error_response(400, "BadMethod", "unsupported")),
         }
-    } else if path.starts_with("/objects/") {
-        // S3-like raw object API (no JSON body, still HTTP + auth).
-        match request.method {
-            Method::Put => client
-                .put(
-                    id,
-                    request.body.clone(),
-                    Mutability::Mutable,
-                    Consistency::Linearizable,
-                )
-                .await
-                .map(|_| Response::new(201)),
-            Method::Get => client
-                .read_all(id, Consistency::Eventual)
-                .await
-                .map(|(_tag, data)| Response::new(200).with_body(data)),
-            Method::Delete => client.delete(id).await.map(|_| Response::new(204)),
-            _ => Ok(Response::new(400).with_body(error_json("BadMethod", "unsupported"))),
-        }
-    } else {
-        Ok(Response::new(404).with_body(error_json("NoSuchResource", &path)))
-    };
-
-    let resp = match result {
-        Ok(resp) => resp,
-        Err(PcsiError::NotFound(_)) => Response::new(404).with_body(error_json("NoSuchKey", &path)),
-        Err(e) => Response::new(500).with_body(error_json("InternalError", &e.to_string())),
-    };
-    span.attr("status", u64::from(resp.status));
-    let ctx = span.ctx();
-    span.finish();
-    record_request(&metrics, method, &resp, h.now() - started, ctx);
-    resp
+    }
 }
 
 /// Counts one gateway request by method and status, and records the
@@ -394,12 +364,13 @@ fn record_request(
     }
 }
 
-pub(crate) fn error_json(code: &str, message: &str) -> Vec<u8> {
-    json::encode(&Value::object([
+/// A refusal: `status` with a JSON `{error, message}` body.
+pub(crate) fn error_response(status: u16, code: &str, message: &str) -> Response {
+    let body = json::encode(&Value::object([
         ("error", Value::from(code)),
         ("message", Value::from(message)),
-    ]))
-    .into_bytes()
+    ]));
+    Response::new(status).with_body(body.into_bytes())
 }
 
 /// Errors surfaced to REST clients.
@@ -658,6 +629,56 @@ mod tests {
             elapsed > Duration::from_micros(500),
             "REST GET took only {elapsed:?}"
         );
+    }
+
+    /// The provider CPU a traced request's spans show: the balancer's
+    /// self time plus the gateway's own CPU stages.
+    fn spent_ns(spans: &[pcsi_trace::Span]) -> u64 {
+        let ns = |s: &pcsi_trace::Span| s.end.saturating_since(s.start).as_nanos() as u64;
+        let span = |name| spans.iter().find(|s| s.name == name).expect(name);
+        let children = |of: &pcsi_trace::Span| {
+            let id = of.id;
+            spans.iter().filter(move |s| s.parent == Some(id))
+        };
+        let lb = span("rest.lb");
+        let stages = ["rest.http_parse", "rest.auth", "rest.route", "rest.marshal"];
+        let gateway = children(span("rest.gateway")).filter(|s| stages.contains(&s.name));
+        ns(lb) - children(lb).map(ns).sum::<u64>() + gateway.map(ns).sum::<u64>()
+    }
+
+    /// Every kind of request is billed, to the nanosecond, the CPU its
+    /// spans show the balancer and the gateway spending.
+    #[test]
+    fn each_request_is_billed_the_cpu_it_spent() {
+        let mut sim = Sim::new(11);
+        let (gw, billing) = deploy(&sim);
+        let tracer = Tracer::new(&sim.handle(), pcsi_trace::Sampling::Always, 4096);
+        gw.set_tracer(Some(tracer.clone()));
+        let one_core = pcsi_faas::registry::rate(&pcsi_net::node::Resources::cpu(1, 0));
+        let wrong = sim.block_on(async move {
+            let c = gw.client(NodeId(0), Credentials::new("AK1", b"secret1".to_vec()));
+            let item = Value::object([("value", Value::Str(json::base64_encode(&[7; 1024])))]);
+            let blob: Vec<u8> = (0..=255).collect();
+            let mut wrong = Vec::new();
+            for request in [
+                Request::new(Method::Put, "/kv/t/k").with_body(json::encode(&item).into_bytes()),
+                Request::new(Method::Get, "/kv/t/k"),
+                Request::new(Method::Delete, "/kv/t/k"),
+                Request::new(Method::Put, "/objects/b/o").with_body(blob),
+                Request::new(Method::Get, "/objects/b/o"),
+            ] {
+                let what = format!("{} {}", request.method.as_str(), request.target);
+                let before = billing.invoice("AK1").compute;
+                c.send(request).await.unwrap();
+                let billed = (billing.invoice("AK1").compute - before) / one_core * 1e9;
+                let (billed, spent) = (billed.round() as u64, spent_ns(&tracer.sink().take()));
+                if billed != spent {
+                    wrong.push(format!("{what}: billed {billed} ns, spent {spent} ns"));
+                }
+            }
+            wrong
+        });
+        assert!(wrong.is_empty(), "{wrong:#?}");
     }
 
     #[test]

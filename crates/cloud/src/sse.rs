@@ -22,19 +22,20 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_fs::FifoQueue;
 use pcsi_net::fabric::RpcHandler;
 use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_proto::http::{Method, Request, Response};
-use pcsi_proto::sign::{verify_request, Credentials};
+use pcsi_proto::sign::Credentials;
 use pcsi_proto::sse::{self, Event};
 use pcsi_trace::SpanHandle;
 
-use crate::billing::Billing;
+use crate::billing::{Billing, Meter};
 use crate::rest::{
-    auth_cpu, error_json, marshal_cpu, request_cpu, scope, signed_round_trip, FrontDoor, RestError,
+    admit, auth_cpu, error_response, marshal_cpu, signed_round_trip, FrontDoor, RestError,
     HTTP_CPU, LB_CPU, ROUTING_CPU,
 };
 
@@ -47,10 +48,6 @@ pub(crate) const SSE_SERVICE: &str = "sse-hub";
 /// Header carrying the subscriber's push endpoint (stands in for the
 /// long-lived TCP connection a real SSE client holds open).
 pub(crate) const ENDPOINT_HEADER: &str = "x-sse-endpoint";
-
-fn conn_service(conn: u64) -> String {
-    format!("sse-conn:{conn:016x}")
-}
 
 struct ConnState {
     node: NodeId,
@@ -66,7 +63,7 @@ struct ConnState {
 struct StreamState {
     next_id: u64,
     replay: VecDeque<(u64, Bytes)>,
-    conns: Vec<(u64, Rc<RefCell<ConnState>>)>,
+    conns: Vec<Rc<RefCell<ConnState>>>,
 }
 
 impl Default for StreamState {
@@ -83,8 +80,9 @@ struct Inner {
     fabric: Fabric,
     billing: Billing,
     door: FrontDoor,
-    keys: Rc<HashMap<String, Credentials>>,
+    keys: HashMap<String, Credentials>,
     streams: RefCell<HashMap<String, StreamState>>,
+    /// Numbers the push endpoint of each [`SseSubscriber::connect`].
     next_conn: Cell<u64>,
 }
 
@@ -113,7 +111,7 @@ impl SseHub {
                     service: SSE_SERVICE,
                     host: "streams.sim-west-1.pcsi.cloud",
                 },
-                keys: Rc::new(keys),
+                keys,
                 streams: RefCell::new(HashMap::new()),
                 next_conn: Cell::new(1),
             }),
@@ -144,72 +142,56 @@ impl SseHub {
         signed_round_trip(&inner.fabric, from, &inner.door, creds, request, &span).await
     }
 
+    /// Serves one request, every CPU step spent on one meter that bills
+    /// the verified account once the response is built.
     async fn handle(&self, payload: Bytes) -> Response {
-        let h = self.inner.fabric.handle().clone();
+        let inner = &self.inner;
+        let h = inner.fabric.handle();
+        let mut meter = Meter::new(h, Duration::ZERO);
         // HTTP parse + elided-LB forwarding + routing: the same
         // per-request tax the REST gateway pays.
-        h.sleep(HTTP_CPU + LB_CPU + ROUTING_CPU).await;
+        meter.spend(HTTP_CPU + LB_CPU + ROUTING_CPU).await;
         let request = match Request::decode(&payload) {
             Ok(r) => r,
-            Err(e) => return Response::new(400).with_body(error_json("BadHttp", &e.to_string())),
+            Err(e) => return error_response(400, "BadHttp", &e.to_string()),
         };
         // Stateless auth on every request, streaming or not.
-        h.sleep(auth_cpu(payload.len())).await;
-        let now_s = h.now().as_secs_f64() as u64 + 1_700_000_000;
-        let keys = Rc::clone(&self.inner.keys);
-        let lookup = |id: &str| keys.get(id).cloned();
-        if let Err(e) = verify_request(&request, lookup, &scope(), now_s, 3600) {
-            return Response::new(403).with_body(error_json("AccessDenied", &e.to_string()));
-        }
-        let account = request
-            .headers
-            .get(pcsi_proto::sign::KEY_ID_HEADER)
-            .unwrap_or("anonymous")
-            .to_owned();
-        self.inner.billing.charge_request(&account);
-        self.inner.billing.charge_compute(
-            &account,
-            &pcsi_net::node::Resources::cpu(1, 0),
-            request_cpu(request.body.len()),
-        );
-
-        let Some(stream) = request.target.strip_prefix("/streams/").map(str::to_owned) else {
-            return Response::new(404).with_body(error_json("NoSuchResource", &request.target));
+        meter.spend(auth_cpu(payload.len())).await;
+        let account = match admit(h, &inner.billing, &inner.keys, &request) {
+            Ok(account) => account,
+            Err(refusal) => return refusal,
         };
-        match request.method {
-            Method::Post => self.publish_event(&stream, &account, request.body).await,
-            Method::Get => self.subscribe(&stream, &request),
-            Method::Delete => self.disconnect(&stream, &request),
-            _ => Response::new(400).with_body(error_json("BadMethod", "unsupported")),
-        }
+        let resp = match request.target.strip_prefix("/streams/") {
+            None => error_response(404, "NoSuchResource", &request.target),
+            Some(stream) => match request.method {
+                Method::Post => self.publish_event(stream, request.body, &mut meter).await,
+                Method::Get => self.subscribe(stream, &request),
+                Method::Delete => self.disconnect(stream, &request),
+                _ => error_response(400, "BadMethod", "unsupported"),
+            },
+        };
+        meter.bill(&inner.billing, &account);
+        resp
     }
 
-    async fn publish_event(&self, stream: &str, account: &str, payload: Bytes) -> Response {
-        let h = self.inner.fabric.handle().clone();
-        let id;
-        let targets: Vec<Rc<RefCell<ConnState>>>;
-        {
+    async fn publish_event(&self, stream: &str, payload: Bytes, meter: &mut Meter) -> Response {
+        let (id, targets) = {
             let mut streams = self.inner.streams.borrow_mut();
             let state = streams.entry(stream.to_owned()).or_default();
-            id = state.next_id;
+            let id = state.next_id;
             state.next_id += 1;
             state.replay.push_back((id, payload.clone()));
             while state.replay.len() > REPLAY_BUFFER {
                 state.replay.pop_front();
             }
-            targets = state.conns.iter().map(|(_, c)| Rc::clone(c)).collect();
-        }
+            (id, state.conns.clone())
+        };
         // Frame and enqueue per connection: SSE shares nothing across
         // subscribers, so the hub pays marshaling CPU N times and each
         // copy is its own allocation.
         for conn in targets {
             let frame = Bytes::from(sse::encode_chunk(&Event::new(id, payload.clone()).encode()));
-            h.sleep(marshal_cpu(frame.len())).await;
-            self.inner.billing.charge_compute(
-                account,
-                &pcsi_net::node::Resources::cpu(1, 0),
-                marshal_cpu(frame.len()),
-            );
+            meter.spend(marshal_cpu(frame.len())).await;
             conn.borrow_mut().pending.push_back(frame);
             self.pump(&conn);
         }
@@ -271,13 +253,13 @@ impl SseHub {
     fn gc_dead_conns(&self) {
         let mut streams = self.inner.streams.borrow_mut();
         for state in streams.values_mut() {
-            state.conns.retain(|(_, c)| !c.borrow().dead);
+            state.conns.retain(|c| !c.borrow().dead);
         }
     }
 
     fn subscribe(&self, stream: &str, request: &Request) -> Response {
         let Some(service) = request.headers.get(ENDPOINT_HEADER).map(str::to_owned) else {
-            return Response::new(400).with_body(error_json("NoEndpoint", "missing endpoint"));
+            return error_response(400, "NoEndpoint", "missing endpoint");
         };
         let Some(node) = request
             .headers
@@ -285,15 +267,13 @@ impl SseHub {
             .and_then(|v| v.parse::<u32>().ok())
             .map(NodeId)
         else {
-            return Response::new(400).with_body(error_json("NoEndpoint", "missing node"));
+            return error_response(400, "NoEndpoint", "missing node");
         };
         let after: u64 = request
             .headers
             .get("last-event-id")
             .and_then(|v| v.parse().ok())
             .unwrap_or(0);
-        let conn_id = self.inner.next_conn.get();
-        self.inner.next_conn.set(conn_id + 1);
         let conn = Rc::new(RefCell::new(ConnState {
             node,
             service,
@@ -313,7 +293,7 @@ impl SseHub {
                         &Event::new(*id, payload.clone()).encode(),
                     )));
             }
-            state.conns.push((conn_id, Rc::clone(&conn)));
+            state.conns.push(Rc::clone(&conn));
         }
         self.pump(&conn);
         Response::new(200)
@@ -324,11 +304,11 @@ impl SseHub {
 
     fn disconnect(&self, stream: &str, request: &Request) -> Response {
         let Some(service) = request.headers.get(ENDPOINT_HEADER) else {
-            return Response::new(400).with_body(error_json("NoEndpoint", "missing endpoint"));
+            return error_response(400, "NoEndpoint", "missing endpoint");
         };
         let mut streams = self.inner.streams.borrow_mut();
         if let Some(state) = streams.get_mut(stream) {
-            state.conns.retain(|(_, c)| {
+            state.conns.retain(|c| {
                 let mut c = c.borrow_mut();
                 if c.service == service {
                     c.dead = true;
@@ -372,8 +352,12 @@ impl SseSubscriber {
         creds: Credentials,
         stream: &str,
     ) -> Result<SseSubscriber, RestError> {
-        let conn = hub.inner.next_conn.get() << 32 | u64::from(node.0);
-        let service = conn_service(conn);
+        // A fresh endpoint per connect, so two connects from one node in
+        // flight at once never bind one name; fixed width, so every GET
+        // carrying it is the same length.
+        let conn = hub.inner.next_conn.get();
+        hub.inner.next_conn.set(conn + 1);
+        let service = format!("sse-conn:{:016x}", conn << 32 | u64::from(node.0));
         // SSE applies no application-level flow control: the endpoint
         // buffer is unbounded, like the kernel socket buffer + browser
         // EventSource queue it models.
@@ -501,7 +485,6 @@ mod tests {
     use super::*;
     use pcsi_net::{LatencyModel, NetworkGeneration, Topology};
     use pcsi_sim::Sim;
-    use std::time::Duration;
 
     /// Live connections on `stream`.
     fn connection_count(hub: &SseHub, stream: &str) -> usize {
@@ -516,7 +499,7 @@ mod tests {
         streams
             .values()
             .flat_map(|s| s.conns.iter())
-            .map(|(_, c)| c.borrow().pending.len())
+            .map(|c| c.borrow().pending.len())
             .sum()
     }
 
@@ -652,5 +635,62 @@ mod tests {
             assert_eq!(connection_count(&hub, "s"), 0);
             assert_eq!(queued_frames(&hub), 0);
         });
+    }
+
+    /// Two connects from one node in flight at once bind two endpoints,
+    /// so one publish reaches each subscriber exactly once.
+    #[test]
+    fn concurrent_connects_from_one_node_each_get_every_event_once() {
+        let mut sim = Sim::new(26);
+        let (hub, _) = deploy(&sim);
+        let h = sim.handle();
+        sim.block_on(async move {
+            let connect = |hub: &SseHub| {
+                let hub = hub.clone();
+                async move { SseSubscriber::connect(&hub, NodeId(3), creds(), "s").await }
+            };
+            let subs = pcsi_sim::util::join_all([connect(&hub), connect(&hub)]).await;
+            let publisher = SsePublisher::new(&hub, NodeId(5), creds());
+            publisher.publish("s", b"x").await.unwrap();
+            h.sleep(Duration::from_millis(5)).await;
+            for sub in subs {
+                let sub = Rc::new(sub.unwrap());
+                assert_eq!(sub.queue.len(), 1, "frames at {}", sub.service);
+                let next = {
+                    let sub = Rc::clone(&sub);
+                    async move { sub.next().await.map(|ev| ev.id) }
+                };
+                let got = pcsi_sim::util::deadline(&h, Duration::from_millis(5), next).await;
+                assert_eq!(got, Some(Some(1)), "event at {}", sub.service);
+            }
+        });
+    }
+
+    /// The hub bills a publish what it spent: its admission (framing,
+    /// the elided balancer, routing and the signature check over the
+    /// request as it arrived) and one marshal per subscriber's frame.
+    #[test]
+    fn a_publish_bills_its_admission_and_one_marshal_per_frame() {
+        let mut sim = Sim::new(27);
+        let (hub, billing) = deploy(&sim);
+        let billed = sim.block_on({
+            let hub = hub.clone();
+            async move {
+                let _a = SseSubscriber::connect(&hub, NodeId(2), creds(), "s").await;
+                let _b = SseSubscriber::connect(&hub, NodeId(4), creds(), "s").await;
+                let before = billing.invoice("AK1").compute;
+                let publisher = SsePublisher::new(&hub, NodeId(5), creds());
+                publisher.publish("s", b"payload").await.unwrap();
+                billing.invoice("AK1").compute - before
+            }
+        });
+        let mut post = Request::new(Method::Post, "/streams/s").with_body(b"payload".to_vec());
+        post.headers.insert("host", hub.inner.door.host);
+        pcsi_proto::sign::sign_request(&mut post, &creds(), &crate::rest::scope(), 1_700_000_000);
+        let frame = sse::encode_chunk(&Event::new(1, Bytes::from_static(b"payload")).encode());
+        let admission = HTTP_CPU + LB_CPU + ROUTING_CPU + auth_cpu(post.encode().len());
+        let spent = admission + 2 * marshal_cpu(frame.len());
+        let one_core = pcsi_faas::registry::rate(&pcsi_net::node::Resources::cpu(1, 0));
+        assert_eq!((billed / one_core * 1e9).round() as u128, spent.as_nanos());
     }
 }

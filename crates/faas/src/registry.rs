@@ -27,46 +27,26 @@ pub enum Goal {
     Balanced,
 }
 
-/// USD per resource-second, the optimizer's price sheet.
-///
-/// Defaults approximate 2021 public-cloud prices (on-demand, us-west):
-/// ~$0.048/vCPU-h, ~$1.10/GPU-h, ~$2.40/TPU-h, ~$0.0065/GiB-h.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// USD per CPU-core-second.
-    pub(crate) cpu_core_s: f64,
-    /// USD per GPU-second.
-    pub(crate) gpu_s: f64,
-    /// USD per TPU-second.
-    pub(crate) tpu_s: f64,
-    /// USD per GiB-second of memory.
-    pub(crate) mem_gib_s: f64,
+// The price sheet, USD per resource-second: 2021 public-cloud on-demand
+// prices (us-west), ~$0.048/vCPU-h, ~$1.10/GPU-h, ~$2.40/TPU-h and
+// ~$0.0065/GiB-h.
+const CPU_CORE_S: f64 = 0.048 / 3600.0;
+const GPU_S: f64 = 1.10 / 3600.0;
+const TPU_S: f64 = 2.40 / 3600.0;
+const MEM_GIB_S: f64 = 0.0065 / 3600.0;
+
+/// USD per second of holding `demand`.
+pub fn rate(demand: &Resources) -> f64 {
+    f64::from(demand.cpu) * CPU_CORE_S
+        + f64::from(demand.gpu) * GPU_S
+        + f64::from(demand.tpu) * TPU_S
+        + f64::from(demand.mem_gib) * MEM_GIB_S
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            cpu_core_s: 0.048 / 3600.0,
-            gpu_s: 1.10 / 3600.0,
-            tpu_s: 2.40 / 3600.0,
-            mem_gib_s: 0.0065 / 3600.0,
-        }
-    }
-}
-
-impl CostModel {
-    /// USD per second of holding `demand`.
-    pub fn rate(&self, demand: &Resources) -> f64 {
-        f64::from(demand.cpu) * self.cpu_core_s
-            + f64::from(demand.gpu) * self.gpu_s
-            + f64::from(demand.tpu) * self.tpu_s
-            + f64::from(demand.mem_gib) * self.mem_gib_s
-    }
-
-    /// USD for holding `demand` for `d`.
-    pub fn charge(&self, demand: &Resources, d: Duration) -> f64 {
-        self.rate(demand) * d.as_secs_f64()
-    }
+/// USD for holding `demand` for `d`: what the optimizer estimates and
+/// the provider's meter bills.
+pub fn usd(demand: &Resources, d: Duration) -> f64 {
+    rate(demand) * d.as_secs_f64()
 }
 
 /// Expected latency and cost of running one invocation on a variant.
@@ -95,7 +75,7 @@ pub fn estimate(
     let latency = exec + cold + variant.backend.call_overhead();
     VariantEstimate {
         latency,
-        cost: CostModel::default().charge(&variant.demand, exec + cold),
+        cost: usd(&variant.demand, exec + cold),
     }
 }
 
@@ -248,7 +228,6 @@ mod tests {
 
     #[test]
     fn cost_model_rates() {
-        let m = CostModel::default();
         let cpu_only = Resources::cpu(4, 8);
         let with_gpu = Resources {
             cpu: 4,
@@ -256,8 +235,8 @@ mod tests {
             tpu: 0,
             mem_gib: 8,
         };
-        assert!(m.rate(&with_gpu) > m.rate(&cpu_only) * 4.0);
-        let hour = m.charge(&Resources::cpu(1, 0), Duration::from_secs(3600));
+        assert!(rate(&with_gpu) > rate(&cpu_only) * 4.0);
+        let hour = usd(&Resources::cpu(1, 0), Duration::from_secs(3600));
         assert!((hour - 0.048).abs() < 1e-9);
     }
 

@@ -21,7 +21,7 @@ use pcsi_cloud::CloudBuilder;
 use pcsi_core::api::{CreateOptions, InvokeRequest};
 use pcsi_core::CloudInterface;
 use pcsi_faas::function::{FunctionImage, WorkModel};
-use pcsi_faas::registry::CostModel;
+use pcsi_faas::registry;
 use pcsi_faas::AutoscaleConfig;
 use pcsi_net::node::Resources;
 use pcsi_net::NodeId;
@@ -149,8 +149,7 @@ fn main() {
 
     // Peak sizing: 159 rps x 100 ms x 2 cores = 32 cores busy; with
     // standard 2x headroom, provision 64 cores for the full minute.
-    let prices = CostModel::default();
-    let provisioned = prices.charge(&Resources::cpu(64, 128), Duration::from_secs(60));
+    let provisioned = registry::usd(&Resources::cpu(64, 128), Duration::from_secs(60));
     println!("\npeak-provisioned fleet for the same minute: ${provisioned:.6}");
     println!(
         "pay-per-use savings: {:.1}x (reactive), {:.1}x (predictive)",
