@@ -1449,6 +1449,95 @@ mod tests {
         });
     }
 
+    /// OPEN BUG, pinned — ROADMAP item 1, a third shape of its root cause.
+    /// A secondary applies an `Append` on top of whatever bytes it holds,
+    /// so a tag gap corrupts it: the primary acknowledges `r` at 2@A with
+    /// its fan-out lost, then `s` at 3@A lands on the secondaries on top of
+    /// `p`. All three replicas end at tag 3@A, so anti-entropy sees nothing
+    /// to repair, and the acknowledged `r` is gone from two of three
+    /// replicas for good. Item 1's fix turns this assertion round.
+    #[test]
+    fn open_bug_item_1_gap_applied_append_diverges() {
+        let mut sim = Sim::new(42);
+        let fabric = Fabric::new(
+            sim.handle(),
+            Topology::uniform(3, 3),
+            LatencyModel::deterministic(NetworkGeneration::Dc2021),
+        );
+        let store = ReplicatedStore::launch(
+            fabric.clone(),
+            fabric.topology().node_ids(),
+            StoreConfig {
+                n_replicas: 3,
+                tier: MediaTier::Dram,
+                anti_entropy: None,
+                inline_read_max: 64 * 1024,
+                cache_bytes: 0,
+                retry: RetryPolicy::none(),
+                ring_nodes: None,
+            },
+            &Telemetry::default(),
+        );
+        sim.block_on(async move {
+            let id = oid(42);
+            let replicas = store.placement().replicas(id);
+            let (a, b, c) = (replicas[0], replicas[1], replicas[2]);
+            let client_node = fabric
+                .topology()
+                .node_ids()
+                .into_iter()
+                .find(|n| !replicas.contains(n))
+                .unwrap();
+            store
+                .client(client_node)
+                .put(
+                    id,
+                    Bytes::from_static(b"p"),
+                    Mutability::AppendOnly,
+                    Consistency::Linearizable,
+                )
+                .await
+                .unwrap();
+            let lose_all = pcsi_net::MessageFaults {
+                drop: 1.0,
+                ..pcsi_net::MessageFaults::NONE
+            };
+            fabric.set_link_faults(a, b, lose_all);
+            fabric.set_link_faults(a, c, lose_all);
+            let r = raw_append(&fabric, client_node, a, id, b"r", 700).await;
+            let at = |seq| Tag { seq, writer: a.0 };
+            assert!(
+                matches!(r, Response::Coordinated { tag } if tag == at(2)),
+                "{r:?}"
+            );
+            fabric.clear_message_faults();
+            let s = raw_append(&fabric, client_node, a, id, b"s", 701).await;
+            assert!(
+                matches!(s, Response::Coordinated { tag } if tag == at(3)),
+                "{s:?}"
+            );
+            // Let the fan-out of `s` land before anti-entropy looks.
+            fabric.handle().sleep(Duration::from_millis(1)).await;
+            for _ in 0..8 {
+                for r in store.replicas() {
+                    r.anti_entropy_once().await;
+                }
+            }
+            let tag_on = |node: NodeId| {
+                store
+                    .replica_on(node)
+                    .unwrap()
+                    .with_engine(|e| e.get(id).map(|o| o.tag))
+            };
+            for node in [a, b, c] {
+                assert_eq!(tag_on(node), Some(at(3)), "tag on {node}");
+            }
+            assert_eq!(replica_bytes(&store, a, id), b"prs");
+            assert_eq!(replica_bytes(&store, b, id), b"ps", "r lost on {b}");
+            assert_eq!(replica_bytes(&store, c, id), b"ps", "r lost on {c}");
+        });
+    }
+
     /// 9 storage nodes with an 8-node initial ring: `NodeId(8)` runs a
     /// replica engine but holds no data until joined.
     fn deploy_with_standby(sim: &Sim) -> (Fabric, ReplicatedStore) {

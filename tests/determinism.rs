@@ -598,6 +598,22 @@ fn fingerprints_match_the_golden_values() {
             hex(run_scenario(0xC0FFEE, &plan(FaultPlan::Mixed)).fingerprint()),
         ),
         (
+            "chaos-none",
+            hex(run_scenario(0xC0FFEE, &plan(FaultPlan::None)).fingerprint()),
+        ),
+        (
+            "chaos-crash",
+            hex(run_scenario(0xC0FFEE, &plan(FaultPlan::CrashRestart)).fingerprint()),
+        ),
+        (
+            "chaos-partition",
+            hex(run_scenario(0xC0FFEE, &plan(FaultPlan::PartitionHeal)).fingerprint()),
+        ),
+        (
+            "chaos-message",
+            hex(run_scenario(0xC0FFEE, &plan(FaultPlan::MessageFaults)).fingerprint()),
+        ),
+        (
             "drops",
             hex(run_scenario(0x7E57, &plan(FaultPlan::Drops)).fingerprint()),
         ),
@@ -639,6 +655,10 @@ fn fingerprints_match_the_golden_values() {
 ///   deadline's expiry became timer events, so the task that awaits
 ///   them is polled once per message, not once per stage. Messages,
 ///   bytes, virtual time and every other field stayed.
+/// * `chaos-none`, `chaos-crash`, `chaos-partition` and `chaos-message`
+///   pin the four fault plans no other row ran, at `chaos`'s seed and
+///   shape. They were captured with no code change, so that a change to
+///   how a scenario is configured has every plan to hold still.
 /// * `stream` dates from the streaming PR that introduced the scenario:
 ///   drops plus a mid-stream subscriber kill over one FIFO's fan-out.
 /// * `obs` was re-captured in PR 17, which moved the scenario's latency
@@ -657,6 +677,10 @@ const GOLDENS: &[(&str, &str)] = &[
         r#"(4001897051, 11315, 462, 251658240, "cold 48 prewarm 3 preempt 0 steal 5 fail 0")"#,
     ),
     ("chaos", "0x6215d2ff8d01ad26"),
+    ("chaos-none", "0x35f041c09c4abe1c"),
+    ("chaos-crash", "0x420eca26c51774b3"),
+    ("chaos-partition", "0x11ee4bdf21a7fbe8"),
+    ("chaos-message", "0x0624233453044b5c"),
     ("drops", "0x27b4f910079ce5ca"),
     ("rebalance", "0x68ae1e506944bc56"),
     ("metrics", "0xaeff6bcd3a63d793"),
