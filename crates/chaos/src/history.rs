@@ -1,21 +1,15 @@
 //! Concurrent operation histories.
 //!
-//! A [`Recorder`] installs itself as the store's history tap and turns
-//! every client read/write on a *tracked* object into an [`Op`]: a
-//! register operation with its invoke/response interval in virtual
-//! time. Register values are `u64`s carried as 8 little-endian bytes,
-//! so workloads write [`encode_value`]d payloads and the recorder
-//! decodes what reads observed.
-
-use fxhash::FxHashSet;
-use std::cell::RefCell;
-use std::rc::Rc;
+//! An [`Op`] is one register operation a client made, with its
+//! invoke/response interval in virtual time. The client records it: it
+//! stamps `invoke` before the call and `response` after. Register values
+//! are `u64`s carried as 8 little-endian bytes, so workloads write
+//! [`encode_value`]d payloads and decode what reads observed.
 
 use bytes::Bytes;
 use pcsi_core::ObjectId;
 use pcsi_net::NodeId;
 use pcsi_sim::SimTime;
-use pcsi_store::{ReplicatedStore, TapEvent};
 
 /// Encodes a register value as its 8-byte little-endian payload.
 pub fn encode_value(v: u64) -> Bytes {
@@ -80,106 +74,6 @@ impl Op {
             self.invoke.as_nanos(),
             self.response.as_nanos()
         )
-    }
-}
-
-struct RecorderInner {
-    tracked: FxHashSet<ObjectId>,
-    ops: Vec<Op>,
-}
-
-/// Records client operations on tracked objects from the store's
-/// history tap. Cheap to clone; all clones share the history.
-#[derive(Clone)]
-pub struct Recorder {
-    inner: Rc<RefCell<RecorderInner>>,
-}
-
-impl Recorder {
-    /// Creates a recorder and installs it as `store`'s history tap.
-    pub fn install(store: &ReplicatedStore) -> Recorder {
-        let recorder = Recorder {
-            inner: Rc::new(RefCell::new(RecorderInner {
-                tracked: FxHashSet::default(),
-                ops: Vec::new(),
-            })),
-        };
-        let sink = recorder.clone();
-        store.set_history_tap(Some(Rc::new(move |event| sink.observe(event))));
-        recorder
-    }
-
-    /// Starts recording operations on `id`.
-    pub fn track(&self, id: ObjectId) {
-        self.inner.borrow_mut().tracked.insert(id);
-    }
-
-    /// Returns the history recorded so far, in completion order.
-    pub fn take(&self) -> Vec<Op> {
-        std::mem::take(&mut self.inner.borrow_mut().ops)
-    }
-
-    fn observe(&self, event: &TapEvent) {
-        let mut inner = self.inner.borrow_mut();
-        let op = match event {
-            TapEvent::Read {
-                origin,
-                id,
-                invoke,
-                response,
-                outcome,
-                ..
-            } if inner.tracked.contains(id) => {
-                let value = match outcome {
-                    // A non-register payload (partial read) observed
-                    // nothing decodable; skip rather than misreport.
-                    Ok((_tag, data)) => match decode_value(data) {
-                        Some(v) => Some(v),
-                        None => return,
-                    },
-                    Err(_) => None,
-                };
-                Op {
-                    client: *origin,
-                    object: *id,
-                    kind: OpKind::Read { value },
-                    invoke: *invoke,
-                    response: *response,
-                }
-            }
-            TapEvent::Mutate {
-                origin,
-                id,
-                op,
-                payload,
-                invoke,
-                response,
-                outcome,
-                ..
-            } if inner.tracked.contains(id) => {
-                // Only whole-register writes participate in the
-                // register history; anything else on a tracked object
-                // (delete, append, …) is a workload bug.
-                if *op != "put" && *op != "write_at" {
-                    return;
-                }
-                let Some(value) = decode_value(payload) else {
-                    return;
-                };
-                Op {
-                    client: *origin,
-                    object: *id,
-                    kind: OpKind::Write {
-                        value,
-                        ok: outcome.is_ok(),
-                    },
-                    invoke: *invoke,
-                    response: *response,
-                }
-            }
-            _ => return,
-        };
-        inner.ops.push(op);
     }
 }
 

@@ -10,9 +10,9 @@
 //!   partition/heal, message-level faults (drop, duplicate, delay
 //!   spikes), or a mix — against a full [`pcsi_cloud::CloudBuilder`]
 //!   stack while client workers hammer the store,
-//! * [`history`] records every client operation as an
-//!   invoke/response interval in virtual time via the store's history
-//!   tap,
+//! * [`history`] is what the workers record: every client operation
+//!   as an invoke/response interval in virtual time, stamped by the
+//!   client around its own call,
 //! * [`checker`] validates the recorded history: a Wing–Gong-style
 //!   linearizability search for `Linearizable` objects, plus
 //!   replica-convergence and reads-observe-writes checks for
@@ -40,8 +40,8 @@ pub mod scenario;
 pub mod stream;
 
 pub use checker::{check_converged, check_linearizable, check_reads_observe_writes, Violation};
-pub use history::{decode_value, encode_value, Op, OpKind, Recorder};
+pub use history::{decode_value, encode_value, Op, OpKind};
 pub use obs::run_obs_scenario;
 pub use report::Report;
 pub use scenario::{run_scenario, sweep_seeds, FaultPlan, ScenarioConfig};
-pub use stream::{run_stream_scenario, StreamScenarioConfig};
+pub use stream::run_stream_scenario;

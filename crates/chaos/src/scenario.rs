@@ -5,14 +5,15 @@
 //! a set of register objects through the kernel while a fault driver
 //! executes a seeded schedule (crashes, partitions, message faults),
 //! then heals everything, drives anti-entropy to quiescence, and runs
-//! the [`crate::checker`] suite over the recorded history.
+//! the [`crate::checker`] suite over the history the workers recorded.
 //!
 //! Everything — the fault schedule, the worker interleaving, the
 //! network jitter — derives from the one seed, so a failing seed
 //! reproduces byte-identically: re-running it yields the same
 //! [`Report::render`] output, byte for byte.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -27,10 +28,12 @@ use pcsi_store::{ReplicatedStore, RetryPolicy, StoreConfig};
 use pcsi_trace::{render_trace, AttrValue, Sampling};
 
 use crate::checker::{check_converged, check_linearizable, check_reads_observe_writes};
-use crate::history::{encode_value, Op, Recorder};
+use crate::history::{decode_value, encode_value, Op, OpKind};
 use crate::report::{net_line, Faults, Report};
 
-/// What kind of faults the seeded schedule injects.
+/// What kind of faults the seeded schedule injects. Each plan also fixes
+/// the scenario's shape: 4 workers × 24 ops over 2 linearizable and 2
+/// eventual registers, except [`FaultPlan::StaleReads`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPlan {
     /// No faults: a healthy cluster (baseline for the checkers).
@@ -64,29 +67,40 @@ pub enum FaultPlan {
     /// over a history that straddles the epoch change: freezes, moves
     /// and stale-epoch rejections must all be invisible to clients.
     Rebalance,
+    /// A deliberate freshness bug the linearizability checker must
+    /// reject: the fault driver keeps partitioning away the last replica
+    /// of the one linearizable register, and a saboteur co-located with
+    /// it reads the register through the *eventual* (closest-replica)
+    /// path, bypassing the read quorum. 3 workers × 20 ops, all on that
+    /// register.
+    StaleReads,
 }
 
-/// Scenario shape. The seed controls every random choice; the config
-/// controls the sizes.
+/// Which seeded driver breaks the deployment.
+enum Schedule {
+    /// Every ~0.8–3 ms one of these actions (none: a healthy run).
+    Random(&'static [Action]),
+    /// 5% drops plus a crashing primary.
+    Drops,
+    /// 5% drops, a mid-run join of `spare`, and crashes during the moves.
+    Rebalance { spare: NodeId },
+    /// The target's last replica partitioned away, again and again.
+    StaleReads,
+}
+
+#[derive(Clone, Copy)]
+enum Action {
+    Crash,
+    Partition,
+    Messages,
+}
+
+/// Which plan and whether to trace: everything else a scenario does
+/// follows from the plan and the seed.
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// Fault schedule kind.
     pub plan: FaultPlan,
-    /// Concurrent client workers.
-    pub workers: usize,
-    /// Operations each worker issues.
-    pub ops_per_worker: usize,
-    /// Registers created at `Consistency::Linearizable`.
-    pub lin_objects: usize,
-    /// Registers created at `Consistency::Eventual`.
-    pub ev_objects: usize,
-    /// Deliberately break freshness: a reader co-located with a
-    /// partitioned-away replica reads the first linearizable register
-    /// through the *eventual* (closest-replica) path, bypassing the
-    /// read quorum. The linearizability checker must reject the
-    /// resulting history. Implies a targeted partition schedule
-    /// regardless of `plan`, and workers hammer only that register.
-    pub inject_stale_reads: bool,
     /// Trace sampling for the run. The default is [`Sampling::Off`],
     /// which leaves the run bit-for-bit identical to an untraced build;
     /// with sampling on, a checker violation's report carries the
@@ -98,11 +112,6 @@ impl Default for ScenarioConfig {
     fn default() -> Self {
         ScenarioConfig {
             plan: FaultPlan::Mixed,
-            workers: 4,
-            ops_per_worker: 24,
-            lin_objects: 2,
-            ev_objects: 2,
-            inject_stale_reads: false,
             sampling: Sampling::Off,
         }
     }
@@ -139,17 +148,27 @@ fn sweep_width(chaos_seeds: Option<&str>, default_n: usize) -> usize {
 /// workers actually observed: the fault-recovery layer should mask
 /// transient faults, so under [`FaultPlan::Drops`] it must be zero.
 pub fn run_scenario(seed: u64, cfg: &ScenarioConfig) -> Report {
-    let cfg = cfg.clone();
-    let retry = if matches!(cfg.plan, FaultPlan::Drops | FaultPlan::Rebalance) {
-        RetryPolicy::tight()
-    } else {
-        RetryPolicy::default()
-    };
-    // The rebalance schedule deploys with the last node held out of the
+    use Action::{Crash, Messages, Partition};
+    // The builder's default topology, restated here for the node list:
+    // the rebalance schedule deploys with the last node held out of the
     // placement ring — the warm standby the fault driver joins mid-run.
-    // (The builder's default topology, restated here for the node list.)
     let all_nodes = Topology::heterogeneous(2, 4).node_ids();
-    let spare = (cfg.plan == FaultPlan::Rebalance).then(|| *all_nodes.last().unwrap());
+    let spare = *all_nodes.last().expect("the topology has nodes");
+    let (retry, schedule) = match cfg.plan {
+        FaultPlan::None => (RetryPolicy::default(), Schedule::Random(&[])),
+        FaultPlan::CrashRestart => (RetryPolicy::default(), Schedule::Random(&[Crash])),
+        FaultPlan::PartitionHeal => (RetryPolicy::default(), Schedule::Random(&[Partition])),
+        FaultPlan::MessageFaults => (RetryPolicy::default(), Schedule::Random(&[Messages])),
+        FaultPlan::Mixed => (
+            RetryPolicy::default(),
+            Schedule::Random(&[Crash, Partition, Messages]),
+        ),
+        FaultPlan::Drops => (RetryPolicy::tight(), Schedule::Drops),
+        FaultPlan::Rebalance => (RetryPolicy::tight(), Schedule::Rebalance { spare }),
+        FaultPlan::StaleReads => (RetryPolicy::default(), Schedule::StaleReads),
+    };
+    let ring_nodes = matches!(schedule, Schedule::Rebalance { .. })
+        .then(|| all_nodes.iter().copied().filter(|&n| n != spare).collect());
     let builder = CloudBuilder::new()
         .tracing(cfg.sampling)
         .metrics(true)
@@ -158,24 +177,31 @@ pub fn run_scenario(seed: u64, cfg: &ScenarioConfig) -> Report {
             // quiescence point is explicit and bounded.
             anti_entropy: None,
             retry,
-            ring_nodes: spare.map(|s| all_nodes.iter().copied().filter(|&n| n != s).collect()),
+            ring_nodes,
             ..StoreConfig::default()
         });
-    Lab::run(seed, builder, move |lab| drive(lab, seed, cfg, spare))
+    let plan = cfg.plan;
+    Lab::run(seed, builder, move |lab| drive(lab, seed, plan, schedule))
 }
 
-async fn drive(lab: Lab, seed: u64, cfg: ScenarioConfig, spare: Option<NodeId>) -> Report {
+async fn drive(lab: Lab, seed: u64, plan: FaultPlan, schedule: Schedule) -> Report {
     let (cloud, h) = (&lab.cloud, &lab.h);
     let store = cloud.store.clone();
     let fabric = cloud.fabric.clone();
     let nodes = fabric.topology().node_ids();
-    let recorder = Recorder::install(&store);
+    // The plan's shape: workers × ops each, over linearizable +
+    // eventual registers.
+    let (workers, ops_per_worker, lin_objects, ev_objects): (usize, usize, usize, usize) =
+        match plan {
+            FaultPlan::StaleReads => (3, 20, 1, 0),
+            _ => (4, 24, 2, 2),
+        };
 
     // Register objects, all initialized to value 0.
     let creator = cloud.kernel.client(NodeId(0), "chaos");
     let mut objects: Vec<(pcsi_core::Reference, Consistency)> = Vec::new();
-    for i in 0..cfg.lin_objects + cfg.ev_objects {
-        let consistency = if i < cfg.lin_objects {
+    for i in 0..lin_objects + ev_objects {
+        let consistency = if i < lin_objects {
             Consistency::Linearizable
         } else {
             Consistency::Eventual
@@ -188,11 +214,10 @@ async fn drive(lab: Lab, seed: u64, cfg: ScenarioConfig, spare: Option<NodeId>) 
             )
             .await
             .expect("object creation on a healthy cluster");
-        recorder.track(obj.id());
         objects.push((obj, consistency));
     }
     let target: ObjectId = objects[0].0.id();
-    // The injection scenarios partition the target's last replica away
+    // The stale-read schedule partitions the target's last replica away
     // (the primary is the first, so majority writes keep succeeding).
     // The drop schedule instead crashes the primary itself, forcing
     // client failovers.
@@ -205,59 +230,92 @@ async fn drive(lab: Lab, seed: u64, cfg: ScenarioConfig, spare: Option<NodeId>) 
     let faults = Faults::new(h, &fabric);
     let stop = Rc::new(Cell::new(false));
     let driver = {
-        let store2 = store.clone();
+        let store = store.clone();
         let faults = faults.clone();
         let stop = stop.clone();
-        let plan = cfg.plan;
         let nodes = nodes.clone();
-        let inject = cfg.inject_stale_reads;
         h.spawn(async move {
-            if inject {
-                drive_targeted_partitions(&faults, laggard, &stop).await;
-            } else if plan == FaultPlan::Drops {
-                drive_drops(&faults, primary, &stop).await;
-            } else if plan == FaultPlan::Rebalance {
-                let spare = spare.expect("rebalance plan always picks a spare");
-                drive_rebalance(&store2, &faults, spare, &stop).await;
-            } else {
-                drive_faults(&faults, plan, &nodes, &stop).await;
+            let rng = faults.h.rng().stream("chaos-fault-schedule");
+            match schedule {
+                Schedule::Random(actions) => {
+                    drive_faults(&faults, &rng, actions, &nodes, &stop).await
+                }
+                Schedule::Drops => {
+                    faults.drops(0.05);
+                    let crash = || {
+                        faults.crash(primary);
+                        primary
+                    };
+                    let gaps = (1_500_000..3_000_000, 1_000_000..2_500_000);
+                    fault_then_undo(&faults, &rng, &stop, gaps, crash, |n| faults.restart(n)).await;
+                    faults.heal_all();
+                }
+                Schedule::Rebalance { spare } => {
+                    drive_rebalance(&store, &faults, &rng, spare, &stop).await;
+                }
+                Schedule::StaleReads => {
+                    let isolate = || {
+                        faults.isolate(laggard);
+                        laggard
+                    };
+                    let gaps = (400_000..1_200_000, 2_000_000..5_000_000);
+                    fault_then_undo(&faults, &rng, &stop, gaps, isolate, |_| {
+                        faults.heal_partitions();
+                    })
+                    .await;
+                    faults.heal_all();
+                }
             }
         })
     };
 
-    // Client workers hammer the registers through the kernel, counting
-    // every operation failure they actually observe.
+    // Client workers hammer the registers through the kernel. Each
+    // stamps its operation's invocation before the kernel call and its
+    // response after it, records the operation, and counts every failure
+    // it actually observes.
+    let history: Rc<RefCell<Vec<Op>>> = Rc::default();
     let client_errors: Rc<Cell<u64>> = Rc::default();
-    let mut workers = Vec::new();
-    for w in 0..cfg.workers {
+    let mut tasks = Vec::new();
+    for w in 0..workers {
         let rng = h.rng().stream_indexed("chaos-worker", w as u64);
         let node = nodes[rng.gen_range(0..nodes.len() as u64) as usize];
         let client = cloud.kernel.client(node, "chaos");
         let refs: Vec<pcsi_core::Reference> = objects.iter().map(|(r, _)| r.clone()).collect();
         let h2 = h.clone();
-        let ops_per_worker = cfg.ops_per_worker;
-        let inject = cfg.inject_stale_reads;
+        let history = history.clone();
         let errs = client_errors.clone();
         let faults = faults.clone();
-        let drops = cfg.plan == FaultPlan::Drops;
-        workers.push(h.spawn(async move {
+        let drops = plan == FaultPlan::Drops;
+        tasks.push(h.spawn(async move {
             for i in 0..ops_per_worker {
                 h2.sleep(Duration::from_nanos(rng.gen_range(100_000..900_000)))
                     .await;
                 let flips = faults.flips(node);
-                // In injection mode every worker hammers the target
-                // register so the stale window is guaranteed traffic.
-                let obj = if inject {
-                    &refs[0]
-                } else {
-                    &refs[rng.gen_range(0..refs.len() as u64) as usize]
+                let obj = match &refs[..] {
+                    [only] => only,
+                    refs => &refs[rng.gen_range(0..refs.len() as u64) as usize],
                 };
-                let failed = if rng.bool(0.5) {
+                let invoke = h2.now();
+                let kind = if rng.bool(0.5) {
                     let value = ((w as u64 + 1) << 32) | (i as u64 + 1);
-                    client.write(obj, 0, encode_value(value)).await.is_err()
+                    let ok = client.write(obj, 0, encode_value(value)).await.is_ok();
+                    Some(OpKind::Write { value, ok })
                 } else {
-                    client.read(obj, 0, 8).await.is_err()
+                    read_kind(client.read(obj, 0, 8).await.ok().as_deref())
                 };
+                let failed = matches!(
+                    kind,
+                    Some(OpKind::Write { ok: false, .. } | OpKind::Read { value: None })
+                );
+                if let Some(kind) = kind {
+                    history.borrow_mut().push(Op {
+                        client: node,
+                        object: obj.id(),
+                        kind,
+                        invoke,
+                        response: h2.now(),
+                    });
+                }
                 // A client on a crashed machine is down with it. The
                 // simulator keeps its task running, and each attempt it
                 // makes fails on the spot at its own dead NIC, spending
@@ -277,21 +335,32 @@ async fn drive(lab: Lab, seed: u64, cfg: ScenarioConfig, spare: Option<NodeId>) 
     // The freshness saboteur: reads the linearizable target through
     // the eventual (closest-replica) path from the node the fault
     // driver keeps partitioning away — a read-quorum bypass.
-    if cfg.inject_stale_reads {
+    if plan == FaultPlan::StaleReads {
         let reader = store.client(laggard);
         let rng = h.rng().stream("chaos-bug-reader");
         let h2 = h.clone();
-        workers.push(h.spawn(async move {
+        let history = history.clone();
+        tasks.push(h.spawn(async move {
             for _ in 0..16 {
                 h2.sleep(Duration::from_nanos(rng.gen_range(300_000..900_000)))
                     .await;
-                let _ = reader.read(target, 0, 8, Consistency::Eventual).await;
+                let invoke = h2.now();
+                let read = reader.read(target, 0, 8, Consistency::Eventual).await;
+                if let Some(kind) = read_kind(read.ok().map(|(_, data)| data).as_deref()) {
+                    history.borrow_mut().push(Op {
+                        client: laggard,
+                        object: target,
+                        kind,
+                        invoke,
+                        response: h2.now(),
+                    });
+                }
             }
         }));
     }
 
-    for worker in workers {
-        worker.await;
+    for task in tasks {
+        task.await;
     }
     stop.set(true);
     driver.await;
@@ -311,7 +380,7 @@ async fn drive(lab: Lab, seed: u64, cfg: ScenarioConfig, spare: Option<NodeId>) 
     }
 
     // Check the contract.
-    let ops = recorder.take();
+    let ops = history.take();
     let mut violations = Vec::new();
     for (obj, consistency) in &objects {
         let id = obj.id();
@@ -372,7 +441,7 @@ async fn drive(lab: Lab, seed: u64, cfg: ScenarioConfig, spare: Option<NodeId>) 
         client_errors.get()
     ));
     Report {
-        title: format!("chaos scenario seed={seed} plan={:?}", cfg.plan),
+        title: format!("chaos scenario seed={seed} plan={plan:?}"),
         seed,
         faults: faults.log(),
         body,
@@ -381,13 +450,28 @@ async fn drive(lab: Lab, seed: u64, cfg: ScenarioConfig, spare: Option<NodeId>) 
     }
 }
 
-/// The general seeded fault schedule: every ~0.8–3 ms pick an action
-/// for the plan, keeping at most one node crashed and one partitioned
-/// at a time (so linearizable quorums usually stay available). On
-/// stop, everything heals.
-async fn drive_faults(faults: &Faults, plan: FaultPlan, nodes: &[NodeId], stop: &Rc<Cell<bool>>) {
+/// What a register read observed, given the bytes it returned (`None`:
+/// it failed and observed nothing). A payload that is not a register
+/// value is left out of the history.
+fn read_kind(data: Option<&[u8]>) -> Option<OpKind> {
+    match data {
+        Some(data) => decode_value(data).map(|v| OpKind::Read { value: Some(v) }),
+        None => Some(OpKind::Read { value: None }),
+    }
+}
+
+/// The general seeded fault schedule: every ~0.8–3 ms pick one of
+/// `actions`, keeping at most one node crashed and one partitioned at a
+/// time (so linearizable quorums usually stay available). On stop,
+/// everything heals.
+async fn drive_faults(
+    faults: &Faults,
+    rng: &DetRng,
+    actions: &[Action],
+    nodes: &[NodeId],
+    stop: &Cell<bool>,
+) {
     let (h, fabric) = (&faults.h, &faults.fabric);
-    let rng = h.rng().stream("chaos-fault-schedule");
     let mut downed: Option<NodeId> = None;
     let mut partitioned = false;
     let mut faults_on = false;
@@ -397,33 +481,29 @@ async fn drive_faults(faults: &Faults, plan: FaultPlan, nodes: &[NodeId], stop: 
         if stop.get() {
             break;
         }
-        let action = match plan {
-            FaultPlan::None => continue,
-            FaultPlan::CrashRestart => 0,
-            FaultPlan::PartitionHeal => 1,
-            FaultPlan::MessageFaults => 2,
-            FaultPlan::Mixed => rng.gen_range(0..3),
-            FaultPlan::Drops => unreachable!("Drops runs its own driver"),
-            FaultPlan::Rebalance => unreachable!("Rebalance runs its own driver"),
+        let action = match *actions {
+            [] => continue,
+            [only] => only,
+            _ => actions[rng.gen_range(0..actions.len() as u64) as usize],
         };
         match action {
-            0 => match downed.take() {
+            Action::Crash => match downed.take() {
                 Some(node) => faults.restart(node),
                 None => {
-                    let node = pick(&rng, nodes);
+                    let node = pick(rng, nodes);
                     faults.crash(node);
                     downed = Some(node);
                 }
             },
-            1 => {
+            Action::Partition => {
                 if partitioned {
                     faults.heal_partitions();
                 } else {
-                    faults.isolate(pick(&rng, nodes));
+                    faults.isolate(pick(rng, nodes));
                 }
                 partitioned = !partitioned;
             }
-            _ => {
+            Action::Messages => {
                 if faults_on {
                     fabric.clear_message_faults();
                     faults.note("clear-message-faults");
@@ -450,30 +530,29 @@ async fn drive_faults(faults: &Faults, plan: FaultPlan, nodes: &[NodeId], stop: 
     faults.heal_all();
 }
 
-/// The drop schedule: 5% of all fabric messages vanish for the entire
-/// run, and on top of that the target register's primary repeatedly
-/// crashes and restarts. Every worker operation therefore races lost
-/// requests, lost responses, lost replication traffic, and a dead
-/// coordinator — the exact conditions the client recovery layer
-/// (deadlines, retries, failover) exists to mask. On stop the drops
-/// clear and the primary restarts, so quiescence runs on a healthy
-/// fabric.
-async fn drive_drops(faults: &Faults, primary: NodeId, stop: &Rc<Cell<bool>>) {
+/// The loop every targeted schedule runs: until `stop`, wait a draw
+/// from `gap` (ns), `fault` a node, hold it a draw from `hold`, then
+/// `undo` the fault on that node. The schedule heals what is left.
+async fn fault_then_undo(
+    faults: &Faults,
+    rng: &DetRng,
+    stop: &Cell<bool>,
+    (gap, hold): (Range<u64>, Range<u64>),
+    fault: impl Fn() -> NodeId,
+    undo: impl Fn(NodeId),
+) {
     let h = &faults.h;
-    let rng = h.rng().stream("chaos-fault-schedule");
-    faults.drops(0.05);
     while !stop.get() {
-        h.sleep(Duration::from_nanos(rng.gen_range(1_500_000..3_000_000)))
+        h.sleep(Duration::from_nanos(rng.gen_range(gap.clone())))
             .await;
         if stop.get() {
             break;
         }
-        faults.crash(primary);
-        h.sleep(Duration::from_nanos(rng.gen_range(1_000_000..2_500_000)))
+        let node = fault();
+        h.sleep(Duration::from_nanos(rng.gen_range(hold.clone())))
             .await;
-        faults.restart(primary);
+        undo(node);
     }
-    faults.heal_all();
 }
 
 /// The rebalance schedule: 5% fabric-wide drops for the whole run;
@@ -487,11 +566,11 @@ async fn drive_drops(faults: &Faults, primary: NodeId, stop: &Rc<Cell<bool>>) {
 async fn drive_rebalance(
     store: &ReplicatedStore,
     faults: &Faults,
+    rng: &DetRng,
     spare: NodeId,
     stop: &Rc<Cell<bool>>,
 ) {
     let (h, fabric) = (&faults.h, &faults.fabric);
-    let rng = h.rng().stream("chaos-fault-schedule");
     faults.drops(0.05);
     h.sleep(Duration::from_nanos(rng.gen_range(1_000_000..2_000_000)))
         .await;
@@ -505,7 +584,6 @@ async fn drive_rebalance(
     // reachable.
     let killer = {
         let faults = faults.clone();
-        let h2 = h.clone();
         let stop = stop.clone();
         let rng = h.rng().stream("chaos-rebalance-killer");
         let candidates: Vec<NodeId> = fabric
@@ -515,18 +593,13 @@ async fn drive_rebalance(
             .filter(|&n| n != spare)
             .collect();
         h.spawn(async move {
-            while !stop.get() {
-                h2.sleep(Duration::from_nanos(rng.gen_range(800_000..2_000_000)))
-                    .await;
-                if stop.get() {
-                    break;
-                }
+            let crash = || {
                 let victim = pick(&rng, &candidates);
                 faults.crash(victim);
-                h2.sleep(Duration::from_nanos(rng.gen_range(600_000..1_500_000)))
-                    .await;
-                faults.restart(victim);
-            }
+                victim
+            };
+            let gaps = (800_000..2_000_000, 600_000..1_500_000);
+            fault_then_undo(&faults, &rng, &stop, gaps, crash, |n| faults.restart(n)).await;
         })
     };
 
@@ -554,27 +627,6 @@ async fn drive_rebalance(
         "drain-complete epoch={}",
         store.placement().epoch()
     ));
-}
-
-/// The injection schedule: repeatedly partition exactly `laggard`
-/// away so its local replica of the target register goes stale while
-/// majority writes proceed — the window the freshness saboteur reads
-/// in.
-async fn drive_targeted_partitions(faults: &Faults, laggard: NodeId, stop: &Rc<Cell<bool>>) {
-    let h = &faults.h;
-    let rng = h.rng().stream("chaos-fault-schedule");
-    while !stop.get() {
-        h.sleep(Duration::from_nanos(rng.gen_range(400_000..1_200_000)))
-            .await;
-        if stop.get() {
-            break;
-        }
-        faults.isolate(laggard);
-        h.sleep(Duration::from_nanos(rng.gen_range(2_000_000..5_000_000)))
-            .await;
-        faults.heal_partitions();
-    }
-    faults.heal_all();
 }
 
 fn pick(rng: &DetRng, nodes: &[NodeId]) -> NodeId {

@@ -35,46 +35,28 @@ use pcsi_stream::{CloseReason, Subscription};
 
 use crate::report::{net_line, Faults, Report};
 
-/// Shape of one streaming chaos run. The seed controls every random
-/// choice (consumer nodes, windows, pacing, kill timing); the config
-/// controls the sizes.
-#[derive(Debug, Clone)]
-pub struct StreamScenarioConfig {
-    /// Concurrent subscriptions on the one FIFO.
-    pub subscribers: usize,
-    /// Events the producer appends.
-    pub events: u64,
-    /// Kill one subscriber (silently, no close) halfway through.
-    pub kill_one: bool,
-    /// Fabric-wide message drop probability while the stream runs.
-    pub drop: f64,
-}
+/// Concurrent subscriptions on the one FIFO.
+const SUBSCRIBERS: usize = 3;
+/// Events the producer appends.
+const EVENTS: u64 = 48;
+/// Fabric-wide message drop probability while the stream runs.
+const DROP: f64 = 0.05;
 
-impl Default for StreamScenarioConfig {
-    fn default() -> Self {
-        StreamScenarioConfig {
-            subscribers: 3,
-            events: 48,
-            kill_one: true,
-            drop: 0.05,
-        }
-    }
-}
-
-/// Runs one seeded streaming scenario end to end. The body reports the
+/// Runs one seeded streaming scenario end to end: the seed controls
+/// every random choice (consumer nodes, windows, pacing), and one
+/// subscriber is killed silently halfway through. The body reports the
 /// producer (`published N stalls M`: appends that landed, and times it
 /// hit `Overloaded` — credit backpressure, or a dead subscriber not yet
 /// reaped) and one `sub …` line per subscription: consumer node, credit
 /// window (also the buffer bound the run asserts), events consumed,
 /// receive-buffer high-water mark, duplicates the seq dedup discarded,
 /// whether the schedule killed it, and its terminal close reason.
-pub fn run_stream_scenario(seed: u64, cfg: &StreamScenarioConfig) -> Report {
-    let cfg = cfg.clone();
+pub fn run_stream_scenario(seed: u64) -> Report {
     let builder = CloudBuilder::new().metrics(true);
-    Lab::run(seed, builder, move |lab| drive_stream(lab, seed, cfg))
+    Lab::run(seed, builder, move |lab| drive_stream(lab, seed))
 }
 
-async fn drive_stream(lab: Lab, seed: u64, cfg: StreamScenarioConfig) -> Report {
+async fn drive_stream(lab: Lab, seed: u64) -> Report {
     let (cloud, h) = (&lab.cloud, &lab.h);
     let fabric = cloud.fabric.clone();
     let nodes = fabric.topology().node_ids();
@@ -95,7 +77,7 @@ async fn drive_stream(lab: Lab, seed: u64, cfg: StreamScenarioConfig) -> Report 
     // actually exercised, not just theoretically possible.
     let rng = h.rng().stream("stream-chaos");
     let mut subs: Vec<(NodeId, Rc<Subscription>)> = Vec::new();
-    for _ in 0..cfg.subscribers {
+    for _ in 0..SUBSCRIBERS {
         let node = nodes[rng.gen_range(1..nodes.len() as u64) as usize];
         let window = [2u32, 4, 8][rng.gen_range(0..3) as usize];
         let client = cloud.kernel.client(node, "stream-chaos");
@@ -130,28 +112,26 @@ async fn drive_stream(lab: Lab, seed: u64, cfg: StreamScenarioConfig) -> Report 
     // Faults go live only after the subscriptions exist: the schedule
     // targets the stream, not its setup.
     fabric.set_message_faults(MessageFaults {
-        drop: cfg.drop,
+        drop: DROP,
         duplicate: 0.0,
         delay_spike: 0.10,
         spike: Duration::from_micros(300),
     });
     faults.note(format_args!(
-        "message-faults drop={:.3} spike=0.100/300us",
-        cfg.drop
+        "message-faults drop={DROP:.3} spike=0.100/300us"
     ));
 
     // The producer appends through the kernel with Overloaded-retry;
     // halfway through, one subscriber dies silently.
-    let kill_at = cfg.kill_one.then_some(cfg.events / 2);
-    let killed_idx = cfg.kill_one.then_some(subs.len() - 1);
+    let killed_idx = SUBSCRIBERS - 1;
     let pace = h.rng().stream("stream-chaos-producer");
     let mut published = 0u64;
     let mut stalls = 0u64;
-    for i in 0..cfg.events {
-        if Some(i) == kill_at {
-            let (node, sub) = &subs[killed_idx.expect("kill_at implies killed_idx")];
+    for i in 0..EVENTS {
+        if i == EVENTS / 2 {
+            let (node, sub) = &subs[killed_idx];
             sub.kill();
-            faults.note(format_args!("kill subscriber {} on {node}", subs.len() - 1));
+            faults.note(format_args!("kill subscriber {killed_idx} on {node}"));
         }
         let payload = Bytes::from(format!("event {i} from seed {seed}"));
         loop {
@@ -194,7 +174,7 @@ async fn drive_stream(lab: Lab, seed: u64, cfg: StreamScenarioConfig) -> Report 
     for (i, consumer) in consumers.into_iter().enumerate() {
         let seqs = consumer.await;
         let (node, sub) = &subs[i];
-        let killed = Some(i) == killed_idx;
+        let killed = i == killed_idx;
         let want: Vec<u64> = (0..published).collect();
         if killed {
             // A dead subscriber saw a clean prefix: in order, no gap,

@@ -5,9 +5,7 @@
 //! and reject a deliberately injected freshness bug — with the failing
 //! seed printed and byte-identically reproducible.
 
-use pcsi_chaos::{
-    run_scenario, run_stream_scenario, sweep_seeds, FaultPlan, ScenarioConfig, StreamScenarioConfig,
-};
+use pcsi_chaos::{run_scenario, run_stream_scenario, sweep_seeds, FaultPlan, ScenarioConfig};
 use pcsi_trace::Sampling;
 
 #[test]
@@ -196,12 +194,7 @@ fn checker_rejects_injected_stale_reads_and_the_seed_reproduces() {
     // (closest-replica) path from a partitioned-away replica — a
     // read-quorum freshness bypass the checker must catch.
     let cfg = ScenarioConfig {
-        plan: FaultPlan::PartitionHeal,
-        workers: 3,
-        ops_per_worker: 20,
-        lin_objects: 1,
-        ev_objects: 0,
-        inject_stale_reads: true,
+        plan: FaultPlan::StaleReads,
         ..ScenarioConfig::default()
     };
     let mut failing = None;
@@ -240,12 +233,7 @@ fn violation_reports_carry_a_span_tree_when_traced() {
     // operation on the violating object — the timeline a human debugs
     // from.
     let cfg = ScenarioConfig {
-        plan: FaultPlan::PartitionHeal,
-        workers: 3,
-        ops_per_worker: 20,
-        lin_objects: 1,
-        ev_objects: 0,
-        inject_stale_reads: true,
+        plan: FaultPlan::StaleReads,
         sampling: Sampling::Always,
     };
     let mut failing = None;
@@ -372,10 +360,9 @@ fn streaming_sweep_survives_drops_and_subscriber_kill() {
     // drained. The schedule must also provably have fired: messages
     // dropped, credit backpressure hit, and retransmit dedup exercised
     // somewhere across the sweep.
-    let cfg = StreamScenarioConfig::default();
     let (mut dropped, mut stalls, mut dups) = (0u64, 0u64, 0u64);
     for &seed in &sweep_seeds(0x57F0_0000, 16) {
-        let report = run_stream_scenario(seed, &cfg);
+        let report = run_stream_scenario(seed);
         assert!(
             report.ok(),
             "seed {seed} violated the streaming contract:\n{}",
@@ -406,12 +393,11 @@ fn streaming_sweep_survives_drops_and_subscriber_kill() {
 
 #[test]
 fn streaming_scenario_reproduces_byte_identically() {
-    let cfg = StreamScenarioConfig::default();
-    let a = run_stream_scenario(0x57F0_1234, &cfg);
-    let b = run_stream_scenario(0x57F0_1234, &cfg);
+    let a = run_stream_scenario(0x57F0_1234);
+    let b = run_stream_scenario(0x57F0_1234);
     assert_eq!(a.render(), b.render());
     assert_eq!(a.fingerprint(), b.fingerprint());
-    let c = run_stream_scenario(0x57F0_1235, &cfg);
+    let c = run_stream_scenario(0x57F0_1235);
     assert_ne!(
         a.fingerprint(),
         c.fingerprint(),

@@ -29,7 +29,7 @@ use pcsi_trace::{AttrValue, SpanHandle, TraceContext};
 use crate::engine::{MediaTier, Mutation};
 use crate::quorum::{self, rpc};
 use crate::recovery::{Attempt, Recovery};
-use crate::store::{ReplicatedStore, TapEvent};
+use crate::store::ReplicatedStore;
 use crate::version::Tag;
 use crate::wire::{self, Request, Response};
 
@@ -182,14 +182,13 @@ impl StoreClient {
         mutation: Mutation,
         sync_replicas: u32,
     ) -> Result<Tag, PcsiError> {
-        let (op, payload) = match &mutation {
-            Mutation::PutFull { data, .. } => ("put", data.clone()),
-            Mutation::WriteAt { data, .. } => ("write_at", data.clone()),
-            Mutation::Append { data } => ("append", data.clone()),
-            Mutation::SetMutability { .. } => ("set_mutability", Bytes::new()),
-            Mutation::Delete => ("delete", Bytes::new()),
+        let op = match &mutation {
+            Mutation::PutFull { .. } => "put",
+            Mutation::WriteAt { .. } => "write_at",
+            Mutation::Append { .. } => "append",
+            Mutation::SetMutability { .. } => "set_mutability",
+            Mutation::Delete => "delete",
         };
-        let invoke = self.store.inner.fabric.handle().now();
         let req_id = self.store.inner.next_req_id.get() + 1;
         self.store.inner.next_req_id.set(req_id);
         let mut span = self.op_span("store.mutate");
@@ -203,16 +202,6 @@ impl StoreClient {
             span.attr("error", "true");
         }
         span.finish();
-        self.store.emit_tap(|| TapEvent::Mutate {
-            origin: self.origin,
-            id,
-            op,
-            payload,
-            sync_replicas,
-            invoke,
-            response: self.store.inner.fabric.handle().now(),
-            outcome: result.as_ref().map(|&t| t).map_err(|e| e.to_string()),
-        });
         result
     }
 
@@ -304,7 +293,6 @@ impl StoreClient {
         len: u64,
         consistency: Consistency,
     ) -> Result<(Tag, Bytes), PcsiError> {
-        let invoke = self.store.inner.fabric.handle().now();
         let mut span = self.op_span("store.read");
         span.attr(
             "consistency",
@@ -319,19 +307,6 @@ impl StoreClient {
             span.attr("error", "true");
         }
         span.finish();
-        self.store.emit_tap(|| TapEvent::Read {
-            origin: self.origin,
-            id,
-            consistency,
-            offset,
-            len,
-            invoke,
-            response: self.store.inner.fabric.handle().now(),
-            outcome: match &result {
-                Ok((tag, data)) => Ok((*tag, data.clone())),
-                Err(e) => Err(e.to_string()),
-            },
-        });
         result
     }
 

@@ -14,8 +14,8 @@
 //! * [`placement::Placement`] — consistent hashing over virtual nodes,
 //!   replica sets spread across racks (fault domains),
 //! * [`store::ReplicatedStore`] — the deployed store: launches the
-//!   replicas, owns the per-node caches, the recovery counters and the
-//!   history tap, and hands out per-origin clients,
+//!   replicas, owns the per-node caches and the recovery counters, and
+//!   hands out per-origin clients,
 //! * [`store::StoreClient`] (`client.rs`) — the read and write paths:
 //!   mutations are serialized by each object's primary and replicated
 //!   synchronously to a majority (linearizable) or asynchronously
@@ -65,5 +65,5 @@ pub use engine::{MediaTier, StorageEngine, StoredObject};
 pub use placement::Placement;
 pub use replica::ReplicaNode;
 pub use retry::{RetryPolicy, RetryStats};
-pub use store::{CacheStats, ReplicatedStore, StoreClient, StoreConfig, TapEvent};
+pub use store::{CacheStats, ReplicatedStore, StoreClient, StoreConfig};
 pub use version::Tag;

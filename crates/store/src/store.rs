@@ -15,11 +15,10 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use pcsi_core::{Consistency, Mutability, ObjectId};
+use pcsi_core::{Mutability, ObjectId};
 use pcsi_metrics::Counter;
 use pcsi_net::{Fabric, NodeId};
 use pcsi_obs::Telemetry;
-use pcsi_sim::SimTime;
 
 use crate::cache::ObjectCache;
 use crate::client::Served;
@@ -84,57 +83,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// One client-side store operation as observed at its boundary: the
-/// invocation and response instants in virtual time plus the outcome.
-/// Emitted through the `HistoryTap` for consistency checking — the
-/// chaos harness records these into a concurrent history and runs a
-/// linearizability checker over it.
-#[derive(Debug, Clone)]
-pub enum TapEvent {
-    /// A client read (cache hits included).
-    Read {
-        /// Node the operation originated from.
-        origin: NodeId,
-        /// Object read.
-        id: ObjectId,
-        /// Consistency level the read was issued at.
-        consistency: Consistency,
-        /// Range start.
-        offset: u64,
-        /// Range length.
-        len: u64,
-        /// Invocation instant.
-        invoke: SimTime,
-        /// Response instant.
-        response: SimTime,
-        /// Served `(tag, data)` or the error rendered as a string.
-        outcome: Result<(Tag, Bytes), String>,
-    },
-    /// A client mutation routed through the object's primary.
-    Mutate {
-        /// Node the operation originated from.
-        origin: NodeId,
-        /// Object mutated.
-        id: ObjectId,
-        /// Mutation kind (`"put"`, `"write_at"`, `"append"`,
-        /// `"set_mutability"`, `"delete"`).
-        op: &'static str,
-        /// Payload bytes of the mutation (empty for payload-free ops).
-        payload: Bytes,
-        /// Synchronous acknowledgements the mutation waited for.
-        sync_replicas: u32,
-        /// Invocation instant.
-        invoke: SimTime,
-        /// Response instant.
-        response: SimTime,
-        /// Acknowledged tag or the error rendered as a string.
-        outcome: Result<Tag, String>,
-    },
-}
-
-/// Observer invoked once per completed client operation.
-pub(crate) type HistoryTap = Rc<dyn Fn(&TapEvent)>;
-
 /// The deployed storage system.
 #[derive(Clone)]
 pub struct ReplicatedStore {
@@ -149,8 +97,6 @@ pub(crate) struct StoreInner {
     /// One mutability-aware cache per client node, created lazily.
     /// Clients are handed out per call, so the cache state lives here.
     pub(crate) caches: RefCell<FxHashMap<NodeId, ObjectCache>>,
-    /// Optional per-operation observer (chaos harness history recording).
-    pub(crate) tap: RefCell<Option<HistoryTap>>,
     /// Store-unique [`Request::Coordinate`] id allocator. The fabric can
     /// duplicate messages and clients retry, so every coordination
     /// carries an id coordinators deduplicate on.
@@ -224,7 +170,6 @@ impl ReplicatedStore {
             replicas,
             config,
             caches: RefCell::new(FxHashMap::default()),
-            tap: RefCell::new(None),
             next_req_id: Cell::new(0),
             retries: Counter::new(),
             failovers: Counter::new(),
@@ -239,22 +184,6 @@ impl ReplicatedStore {
         }
         ReplicatedStore {
             inner: Rc::new(inner),
-        }
-    }
-
-    /// Installs (or removes) the per-operation history tap. The tap sees
-    /// every client read and mutation with its invoke/response interval;
-    /// it must not issue store operations itself.
-    pub fn set_history_tap(&self, tap: Option<HistoryTap>) {
-        *self.inner.tap.borrow_mut() = tap;
-    }
-
-    pub(crate) fn emit_tap(&self, make: impl FnOnce() -> TapEvent) {
-        // Clone the Rc out of the cell first so the observer runs with
-        // no borrow held.
-        let tap = self.inner.tap.borrow().clone();
-        if let Some(tap) = tap {
-            tap(&make());
         }
     }
 
@@ -366,7 +295,7 @@ mod tests {
     use crate::engine::Mutation;
     use crate::replica::{STORE_SERVICE, STORE_TRANSPORT};
     use crate::wire::{self, Request, Response};
-    use pcsi_core::PcsiError;
+    use pcsi_core::{Consistency, PcsiError};
     use pcsi_net::{LatencyModel, NetworkGeneration, Topology};
     use pcsi_sim::util::Pacer;
     use pcsi_sim::Sim;

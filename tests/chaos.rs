@@ -60,11 +60,6 @@ fn eventual_convergence_survives_seeded_fault_sweeps() {
                 seed,
                 &ScenarioConfig {
                     plan,
-                    workers: 4,
-                    ops_per_worker: 20,
-                    lin_objects: 1,
-                    ev_objects: 3,
-                    inject_stale_reads: false,
                     ..ScenarioConfig::default()
                 },
             );

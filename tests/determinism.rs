@@ -625,10 +625,7 @@ fn fingerprints_match_the_golden_values() {
             "metrics",
             hex(pcsi_metrics::fingerprint(&snapshot.unwrap())),
         ),
-        (
-            "stream",
-            hex(run_stream_scenario(0x57BEA7, &Default::default()).fingerprint()),
-        ),
+        ("stream", hex(run_stream_scenario(0x57BEA7).fingerprint())),
         (
             "obs",
             hex(pcsi_chaos::run_obs_scenario(0x0B5E).fingerprint()),
