@@ -350,12 +350,22 @@ impl WindowDiff {
     }
 }
 
-enum RuleWindows {
+/// What one rule checks each tick: its kind's parameters and the
+/// windows they difference, in one value.
+enum Check {
     Latency {
+        hist: Selector,
+        target_num: u64,
+        target_den: u64,
+        threshold_ns: u64,
         total: WindowDiff,
         le: WindowDiff,
     },
     Burn {
+        err: Selector,
+        total: Selector,
+        budget_ppm: u64,
+        rate_milli: u64,
         err_fast: WindowDiff,
         total_fast: WindowDiff,
         err_slow: WindowDiff,
@@ -363,9 +373,124 @@ enum RuleWindows {
     },
 }
 
+impl Check {
+    /// The check for `kind` evaluated every `interval`: window durations
+    /// become whole ticks, rounding up.
+    fn new(kind: RuleKind, interval: Duration) -> Check {
+        match kind {
+            RuleKind::Latency {
+                hist,
+                target_num,
+                target_den,
+                threshold_ns,
+                window,
+            } => {
+                let w = ticks_for(window, interval);
+                Check::Latency {
+                    hist,
+                    target_num,
+                    target_den,
+                    threshold_ns,
+                    total: WindowDiff::new(w),
+                    le: WindowDiff::new(w),
+                }
+            }
+            RuleKind::Burn {
+                err,
+                total,
+                budget_ppm,
+                rate_milli,
+                fast,
+                slow,
+            } => Check::Burn {
+                err,
+                total,
+                budget_ppm,
+                rate_milli,
+                err_fast: WindowDiff::new(ticks_for(fast, interval)),
+                total_fast: WindowDiff::new(ticks_for(fast, interval)),
+                err_slow: WindowDiff::new(ticks_for(slow, interval)),
+                total_slow: WindowDiff::new(ticks_for(slow, interval)),
+            },
+        }
+    }
+
+    /// Pushes this tick's cumulative readings and returns whether the
+    /// rule is breached, the evidence, and (for a breached latency rule)
+    /// the worst offending exemplar.
+    fn eval(&mut self, metrics: &Metrics) -> (bool, String, Option<Exemplar>) {
+        match self {
+            Check::Latency {
+                hist,
+                target_num,
+                target_den,
+                threshold_ns,
+                total,
+                le,
+            } => {
+                let series = metrics.find_histogram(&hist.family, &hist.label_refs());
+                let (cum_total, cum_le) = match &series {
+                    Some(h) => (h.count(), h.count_le(*threshold_ns)),
+                    None => (0, 0),
+                };
+                let total_w = total.push(cum_total);
+                let le_w = le.push(cum_le);
+                // Breach: over the window, the fraction of samples at
+                // or below the threshold fell short of the target.
+                let breached = total_w > 0
+                    && (le_w as u128) * (*target_den as u128)
+                        < (*target_num as u128) * (total_w as u128);
+                let detail = format!(
+                    "ok={le_w}/{total_w} target={target_num}/{target_den} le={threshold_ns}ns"
+                );
+                let exemplar = if breached {
+                    series.as_ref().and_then(|h| h.exemplar_ge(*threshold_ns))
+                } else {
+                    None
+                };
+                (breached, detail, exemplar)
+            }
+            Check::Burn {
+                err,
+                total,
+                budget_ppm,
+                rate_milli,
+                err_fast,
+                total_fast,
+                err_slow,
+                total_slow,
+            } => {
+                let cum_err = metrics
+                    .find_counter(&err.family, &err.label_refs())
+                    .map_or(0, |c| c.get());
+                let cum_total = metrics
+                    .find_counter(&total.family, &total.label_refs())
+                    .map_or(0, |c| c.get());
+                let ef = err_fast.push(cum_err);
+                let tf = total_fast.push(cum_total);
+                let es = err_slow.push(cum_err);
+                let ts = total_slow.push(cum_total);
+                // burn = (err/total)/budget; breach when burn ≥ rate
+                // over both windows: err·10⁹ ≥ rate_milli·budget_ppm·total.
+                let burns = |e: u64, t: u64| {
+                    // Only an absurd rate × budget can overflow; it
+                    // then never burns.
+                    let need = (*rate_milli as u128 * *budget_ppm as u128).checked_mul(t as u128);
+                    t > 0 && need.is_some_and(|need| (e as u128) * 1_000_000_000 >= need)
+                };
+                let breached = burns(ef, tf) && burns(es, ts);
+                let detail = format!(
+                    "fast={ef}/{tf} slow={es}/{ts} budget_ppm={budget_ppm} rate_milli={rate_milli}"
+                );
+                (breached, detail, None)
+            }
+        }
+    }
+}
+
 struct RuleRuntime {
-    rule: SloRule,
-    windows: RuleWindows,
+    name: String,
+    check: Check,
     machine: AlertMachine,
 }
 
@@ -427,28 +552,10 @@ impl SloEngine {
     pub fn new(rules: Vec<SloRule>, interval: Duration) -> Self {
         let rules = rules
             .into_iter()
-            .map(|rule| {
-                let windows = match &rule.kind {
-                    RuleKind::Latency { window, .. } => {
-                        let w = ticks_for(*window, interval);
-                        RuleWindows::Latency {
-                            total: WindowDiff::new(w),
-                            le: WindowDiff::new(w),
-                        }
-                    }
-                    RuleKind::Burn { fast, slow, .. } => RuleWindows::Burn {
-                        err_fast: WindowDiff::new(ticks_for(*fast, interval)),
-                        total_fast: WindowDiff::new(ticks_for(*fast, interval)),
-                        err_slow: WindowDiff::new(ticks_for(*slow, interval)),
-                        total_slow: WindowDiff::new(ticks_for(*slow, interval)),
-                    },
-                };
-                let machine = AlertMachine::new(rule.for_ticks, rule.clear_ticks);
-                RuleRuntime {
-                    rule,
-                    windows,
-                    machine,
-                }
+            .map(|rule| RuleRuntime {
+                machine: AlertMachine::new(rule.for_ticks, rule.clear_ticks),
+                check: Check::new(rule.kind, interval),
+                name: rule.name,
             })
             .collect();
         SloEngine { rules, tick: 0 }
@@ -462,86 +569,12 @@ impl SloEngine {
         let tick = self.tick;
         let mut out = Vec::new();
         for rt in &mut self.rules {
-            let (breached, detail, exemplar) = match (&rt.rule.kind, &mut rt.windows) {
-                (
-                    RuleKind::Latency {
-                        hist,
-                        target_num,
-                        target_den,
-                        threshold_ns,
-                        ..
-                    },
-                    RuleWindows::Latency { total, le },
-                ) => {
-                    let series = metrics.find_histogram(&hist.family, &hist.label_refs());
-                    let (cum_total, cum_le) = match &series {
-                        Some(h) => (h.count(), h.count_le(*threshold_ns)),
-                        None => (0, 0),
-                    };
-                    let total_w = total.push(cum_total);
-                    let le_w = le.push(cum_le);
-                    // Breach: over the window, the fraction of samples at
-                    // or below the threshold fell short of the target.
-                    let breached = total_w > 0
-                        && (le_w as u128) * (*target_den as u128)
-                            < (*target_num as u128) * (total_w as u128);
-                    let detail = format!(
-                        "ok={le_w}/{total_w} target={target_num}/{target_den} le={threshold_ns}ns"
-                    );
-                    let exemplar = if breached {
-                        series.as_ref().and_then(|h| h.exemplar_ge(*threshold_ns))
-                    } else {
-                        None
-                    };
-                    (breached, detail, exemplar)
-                }
-                (
-                    RuleKind::Burn {
-                        err,
-                        total,
-                        budget_ppm,
-                        rate_milli,
-                        ..
-                    },
-                    RuleWindows::Burn {
-                        err_fast,
-                        total_fast,
-                        err_slow,
-                        total_slow,
-                    },
-                ) => {
-                    let cum_err = metrics
-                        .find_counter(&err.family, &err.label_refs())
-                        .map_or(0, |c| c.get());
-                    let cum_total = metrics
-                        .find_counter(&total.family, &total.label_refs())
-                        .map_or(0, |c| c.get());
-                    let ef = err_fast.push(cum_err);
-                    let tf = total_fast.push(cum_total);
-                    let es = err_slow.push(cum_err);
-                    let ts = total_slow.push(cum_total);
-                    // burn = (err/total)/budget; breach when burn ≥ rate
-                    // over both windows: err·10⁹ ≥ rate_milli·budget_ppm·total.
-                    let burns = |e: u64, t: u64| {
-                        // Only an absurd rate × budget can overflow; it
-                        // then never burns.
-                        let need =
-                            (*rate_milli as u128 * *budget_ppm as u128).checked_mul(t as u128);
-                        t > 0 && need.is_some_and(|need| (e as u128) * 1_000_000_000 >= need)
-                    };
-                    let breached = burns(ef, tf) && burns(es, ts);
-                    let detail = format!(
-                        "fast={ef}/{tf} slow={es}/{ts} budget_ppm={budget_ppm} rate_milli={rate_milli}"
-                    );
-                    (breached, detail, None)
-                }
-                _ => unreachable!("windows always match their rule kind"),
-            };
+            let (breached, detail, exemplar) = rt.check.eval(metrics);
             if let Some(phase) = rt.machine.step(breached) {
                 out.push(AlertTransition {
                     tick,
                     t_ns: now_ns,
-                    rule: rt.rule.name.clone(),
+                    rule: rt.name.clone(),
                     phase,
                     detail,
                     exemplar,
