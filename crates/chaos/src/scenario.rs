@@ -247,7 +247,10 @@ async fn drive(lab: Lab, seed: u64, plan: FaultPlan, schedule: Schedule) -> Repo
                         primary
                     };
                     let gaps = (1_500_000..3_000_000, 1_000_000..2_500_000);
-                    fault_then_undo(&faults, &rng, &stop, gaps, crash, |n| faults.restart(n)).await;
+                    fault_then_undo(&faults, &rng, &stop, gaps, crash, |n| {
+                        faults.restart(n);
+                    })
+                    .await;
                     faults.heal_all();
                 }
                 Schedule::Rebalance { spare } => {
@@ -291,6 +294,7 @@ async fn drive(lab: Lab, seed: u64, plan: FaultPlan, schedule: Schedule) -> Repo
                 h2.sleep(Duration::from_nanos(rng.gen_range(100_000..900_000)))
                     .await;
                 let flips = faults.flips(node);
+                // One register (`StaleReads`) is picked without a draw.
                 let obj = match &refs[..] {
                     [only] => only,
                     refs => &refs[rng.gen_range(0..refs.len() as u64) as usize],

@@ -79,37 +79,43 @@ impl Selector {
     }
 }
 
+/// `pQ(hist) < threshold over window`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LatencyRule {
+    /// Histogram series to watch.
+    pub(crate) hist: Selector,
+    /// Quantile as an exact rational (p99.9 → 999/1000).
+    pub(crate) target_num: u64,
+    /// Denominator of the quantile rational.
+    pub(crate) target_den: u64,
+    /// Latency threshold in nanoseconds.
+    pub(crate) threshold_ns: u64,
+    /// Trailing evaluation window.
+    pub(crate) window: Duration,
+}
+
+/// `burn(err / total) budget B fast F slow S rate R`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BurnRule {
+    /// Error-count counter series.
+    pub(crate) err: Selector,
+    /// Total-count counter series.
+    pub(crate) total: Selector,
+    /// Error budget in parts-per-million (1% = 10_000 ppm).
+    pub(crate) budget_ppm: u64,
+    /// Burn-rate threshold in milli-units (4× = 4000).
+    pub(crate) rate_milli: u64,
+    /// Fast (paging) window.
+    pub(crate) fast: Duration,
+    /// Slow (confirmation) window.
+    pub(crate) slow: Duration,
+}
+
 /// What a rule watches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum RuleKind {
-    /// `pQ(hist) < threshold over window`.
-    Latency {
-        /// Histogram series to watch.
-        hist: Selector,
-        /// Quantile as an exact rational (p99.9 → 999/1000).
-        target_num: u64,
-        /// Denominator of the quantile rational.
-        target_den: u64,
-        /// Latency threshold in nanoseconds.
-        threshold_ns: u64,
-        /// Trailing evaluation window.
-        window: Duration,
-    },
-    /// `burn(err / total) budget B fast F slow S rate R`.
-    Burn {
-        /// Error-count counter series.
-        err: Selector,
-        /// Total-count counter series.
-        total: Selector,
-        /// Error budget in parts-per-million (1% = 10_000 ppm).
-        budget_ppm: u64,
-        /// Burn-rate threshold in milli-units (4× = 4000).
-        rate_milli: u64,
-        /// Fast (paging) window.
-        fast: Duration,
-        /// Slow (confirmation) window.
-        slow: Duration,
-    },
+    Latency(LatencyRule),
+    Burn(BurnRule),
 }
 
 /// One parsed SLO rule.
@@ -234,14 +240,14 @@ impl SloRule {
             if budget_ppm == 0 {
                 return Err(format!("rule {name}: budget must be > 0"));
             }
-            let kind = RuleKind::Burn {
+            let kind = RuleKind::Burn(BurnRule {
                 err: Selector::parse(err_s)?,
                 total: Selector::parse(total_s)?,
                 budget_ppm,
                 rate_milli: rate_milli.unwrap_or(1_000),
                 fast: fast.ok_or_else(|| format!("rule {name}: missing 'fast <dur>'"))?,
                 slow: slow.ok_or_else(|| format!("rule {name}: missing 'slow <dur>'"))?,
-            };
+            });
             (kind, opts)
         } else if let Some(q) = head.strip_prefix('p') {
             let (qnum, qden) = parse_decimal(q, "quantile")?;
@@ -276,14 +282,14 @@ impl SloRule {
                     }
                 }
             }
-            let kind = RuleKind::Latency {
+            let kind = RuleKind::Latency(LatencyRule {
                 hist: Selector::parse(inside)?,
                 target_num,
                 target_den,
                 threshold_ns: threshold_ns
                     .ok_or_else(|| format!("rule {name}: missing '< <dur>'"))?,
                 window: window.ok_or_else(|| format!("rule {name}: missing 'over <dur>'"))?,
-            };
+            });
             (kind, opts)
         } else {
             return Err(format!(
@@ -354,18 +360,12 @@ impl WindowDiff {
 /// windows they difference, in one value.
 enum Check {
     Latency {
-        hist: Selector,
-        target_num: u64,
-        target_den: u64,
-        threshold_ns: u64,
+        rule: LatencyRule,
         total: WindowDiff,
         le: WindowDiff,
     },
     Burn {
-        err: Selector,
-        total: Selector,
-        budget_ppm: u64,
-        rate_milli: u64,
+        rule: BurnRule,
         err_fast: WindowDiff,
         total_fast: WindowDiff,
         err_slow: WindowDiff,
@@ -378,40 +378,22 @@ impl Check {
     /// become whole ticks, rounding up.
     fn new(kind: RuleKind, interval: Duration) -> Check {
         match kind {
-            RuleKind::Latency {
-                hist,
-                target_num,
-                target_den,
-                threshold_ns,
-                window,
-            } => {
-                let w = ticks_for(window, interval);
-                Check::Latency {
-                    hist,
-                    target_num,
-                    target_den,
-                    threshold_ns,
-                    total: WindowDiff::new(w),
-                    le: WindowDiff::new(w),
+            RuleKind::Latency(rule) => {
+                let w = ticks_for(rule.window, interval);
+                let (total, le) = (WindowDiff::new(w), WindowDiff::new(w));
+                Check::Latency { rule, total, le }
+            }
+            RuleKind::Burn(rule) => {
+                let fast = ticks_for(rule.fast, interval);
+                let slow = ticks_for(rule.slow, interval);
+                Check::Burn {
+                    rule,
+                    err_fast: WindowDiff::new(fast),
+                    total_fast: WindowDiff::new(fast),
+                    err_slow: WindowDiff::new(slow),
+                    total_slow: WindowDiff::new(slow),
                 }
             }
-            RuleKind::Burn {
-                err,
-                total,
-                budget_ppm,
-                rate_milli,
-                fast,
-                slow,
-            } => Check::Burn {
-                err,
-                total,
-                budget_ppm,
-                rate_milli,
-                err_fast: WindowDiff::new(ticks_for(fast, interval)),
-                total_fast: WindowDiff::new(ticks_for(fast, interval)),
-                err_slow: WindowDiff::new(ticks_for(slow, interval)),
-                total_slow: WindowDiff::new(ticks_for(slow, interval)),
-            },
         }
     }
 
@@ -420,14 +402,14 @@ impl Check {
     /// the worst offending exemplar.
     fn eval(&mut self, metrics: &Metrics) -> (bool, String, Option<Exemplar>) {
         match self {
-            Check::Latency {
-                hist,
-                target_num,
-                target_den,
-                threshold_ns,
-                total,
-                le,
-            } => {
+            Check::Latency { rule, total, le } => {
+                let LatencyRule {
+                    hist,
+                    target_num,
+                    target_den,
+                    threshold_ns,
+                    ..
+                } = rule;
                 let series = metrics.find_histogram(&hist.family, &hist.label_refs());
                 let (cum_total, cum_le) = match &series {
                     Some(h) => (h.count(), h.count_le(*threshold_ns)),
@@ -451,15 +433,19 @@ impl Check {
                 (breached, detail, exemplar)
             }
             Check::Burn {
-                err,
-                total,
-                budget_ppm,
-                rate_milli,
+                rule,
                 err_fast,
                 total_fast,
                 err_slow,
                 total_slow,
             } => {
+                let BurnRule {
+                    err,
+                    total,
+                    budget_ppm,
+                    rate_milli,
+                    ..
+                } = rule;
                 let cum_err = metrics
                     .find_counter(&err.family, &err.label_refs())
                     .map_or(0, |c| c.get());
@@ -597,13 +583,13 @@ mod tests {
         assert_eq!(r.for_ticks, 2);
         assert_eq!(r.clear_ticks, 3);
         match r.kind {
-            RuleKind::Latency {
+            RuleKind::Latency(LatencyRule {
                 hist,
                 target_num,
                 target_den,
                 threshold_ns,
                 window,
-            } => {
+            }) => {
                 assert_eq!(hist.family, "rest.request_ns");
                 assert!(hist.labels.is_empty());
                 assert_eq!((target_num, target_den), (99, 100));
@@ -618,13 +604,13 @@ mod tests {
     fn parses_fractional_quantiles_and_labels() {
         let r = SloRule::parse("hot: p99.9(k.op_ns{op=\"read\"}) < 50us over 2s").unwrap();
         match r.kind {
-            RuleKind::Latency {
+            RuleKind::Latency(LatencyRule {
                 hist,
                 target_num,
                 target_den,
                 threshold_ns,
                 ..
-            } => {
+            }) => {
                 assert_eq!(hist.labels, vec![("op".to_string(), "read".to_string())]);
                 assert_eq!((target_num, target_den), (999, 1000));
                 assert_eq!(threshold_ns, 50_000);
@@ -641,14 +627,14 @@ mod tests {
         )
         .unwrap();
         match r.kind {
-            RuleKind::Burn {
+            RuleKind::Burn(BurnRule {
                 err,
                 total,
                 budget_ppm,
                 rate_milli,
                 fast,
                 slow,
-            } => {
+            }) => {
                 assert_eq!(err.family, "kernel.errors");
                 assert_eq!(total.family, "kernel.ops");
                 assert_eq!(budget_ppm, 1_000);
