@@ -380,39 +380,46 @@ mod tests {
     #[test]
     fn matches_a_reference_heap_on_random_schedules() {
         use crate::rng::DetRng;
-        // Differential test: the wheel must agree with a sorted-vec
-        // reference on arbitrary interleavings of inserts and pops.
+        use std::collections::BTreeMap;
+        // Differential test: the wheel must agree with a map keyed by
+        // `(deadline, registration seq)` on arbitrary interleavings of
+        // inserts and pops, firing the same registration each time.
         for seed in 0..8u64 {
             let rng = DetRng::seeded(seed);
+            let log = Arc::new(Mutex::new(Vec::new()));
             let mut w = TimerWheel::new();
-            let mut reference: Vec<(u64, u64)> = Vec::new();
+            let mut reference: BTreeMap<(u64, u64), u64> = BTreeMap::new();
             let mut anchor = 0u64;
-            let mut order = 0u64;
+            let mut seq = 0u64;
             for _ in 0..2_000 {
                 if rng.bool(0.6) || reference.is_empty() {
-                    // Bias toward near deadlines, with occasional far
-                    // ones to exercise cascades and overflow.
-                    let span: u64 = if rng.bool(0.05) {
-                        rng.gen_range(1 << 30..1 << 38)
-                    } else {
-                        rng.gen_range(0..200_000)
+                    // Bias toward near deadlines, many of them equal, with
+                    // occasional far ones to exercise cascades and overflow.
+                    let span: u64 = match rng.gen_range(0..20) {
+                        0 => rng.gen_range(1 << 30..1 << 38),
+                        1..=6 => rng.gen_range(0..4) * 64,
+                        _ => rng.gen_range(0..200_000),
                     };
                     let d = anchor + span;
-                    w.insert(d, noop());
-                    reference.push((d, order));
-                    order += 1;
+                    let id = 1_000 + seq;
+                    w.insert(d, rec(id, &log));
+                    reference.insert((d, seq), id);
+                    seq += 1;
                 } else {
-                    let got = w.pop().map(|(d, _)| d);
-                    reference.sort_unstable();
-                    let want = reference.remove(0);
-                    assert_eq!(got, Some(want.0), "seed {seed}");
-                    anchor = want.0;
+                    let (d, fire) = w.pop().expect("reference is not empty");
+                    fire.fire();
+                    let ((want, _), id) = reference.pop_first().expect("checked");
+                    assert_eq!(d, want, "seed {seed}");
+                    assert_eq!(log.lock().unwrap().pop(), Some(id), "seed {seed}");
+                    anchor = want;
                 }
             }
             // Drain the rest.
-            reference.sort_unstable();
-            for (d, _) in reference {
-                assert_eq!(w.pop().map(|(dl, _)| dl), Some(d), "seed {seed}");
+            for ((want, _), id) in reference {
+                let (d, fire) = w.pop().expect("reference is not empty");
+                fire.fire();
+                assert_eq!(d, want, "seed {seed}");
+                assert_eq!(log.lock().unwrap().pop(), Some(id), "seed {seed}");
             }
             assert!(w.pop().is_none());
         }

@@ -1,11 +1,34 @@
 //! Property-based tests for the simulation kernel.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use pcsi_sim::Sim;
+use pcsi_sim::{Sim, SimHandle, SimTime, TimerEvent};
+
+/// Logs `(instant, token)` each time it fires.
+struct Log(SimHandle, Rc<RefCell<Vec<(u64, u64)>>>);
+
+impl TimerEvent for Log {
+    fn fire(self: Rc<Self>, token: u64) {
+        self.1.borrow_mut().push((self.0.now().as_nanos(), token));
+    }
+}
+
+/// An instant `offset` after `now`, drawn from one of four shapes:
+/// due now, a few shared instants (ties), anywhere near, and beyond the
+/// timer wheel's 2^36 ns horizon.
+fn instant(now: u64, shape: u64, offset: u64) -> u64 {
+    now + match shape {
+        0 => 0,
+        1 => offset % 4 * 64,
+        2 => offset,
+        _ => (1 << 36) + offset,
+    }
+}
 
 proptest! {
     /// The executor is deterministic: an arbitrary forest of sleeping,
@@ -94,5 +117,40 @@ proptest! {
         for _ in 0..8 {
             prop_assert_eq!(a_x.u64(), b_x.u64());
         }
+    }
+
+    /// Events fire in `(instant, registration order)`, checked against
+    /// a map keyed by both, on random schedules made against a moving
+    /// clock: the root schedules a few events, then sleeps, so
+    /// registrations interleave with fires.
+    #[test]
+    fn events_fire_in_instant_then_registration_order(
+        steps in proptest::collection::vec(
+            (0usize..4, 0u64..4, 0u64..200_000, 0u64..100_000),
+            1..60,
+        ),
+    ) {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let event = Rc::new(Log(h.clone(), Rc::clone(&log)));
+        let reference = sim.block_on(async move {
+            let mut reference = BTreeMap::new();
+            let mut seq = 0u64;
+            for (count, shape, offset, nap) in steps {
+                for i in 0..count as u64 {
+                    let at = instant(h.now().as_nanos(), (shape + i) % 4, offset * (i + 1));
+                    h.schedule(SimTime::from_nanos(at), event.clone(), seq);
+                    reference.insert((at, seq), seq);
+                    seq += 1;
+                }
+                h.sleep(Duration::from_nanos(nap)).await;
+            }
+            let last = reference.keys().next_back().map_or(0, |&(at, _)| at);
+            h.sleep_until(SimTime::from_nanos(last + 1)).await;
+            reference
+        });
+        let want: Vec<(u64, u64)> = reference.into_iter().map(|((at, _), token)| (at, token)).collect();
+        prop_assert_eq!(log.borrow().clone(), want);
     }
 }
