@@ -22,7 +22,7 @@ use std::time::Duration;
 use crate::rng::RngStreams;
 use crate::sync::oneshot;
 use crate::time::SimTime;
-use crate::wheel::{Fire, TimerEvent, TimerWheel};
+use crate::wheel::{Fire, TimerEvent, TimerId, TimerWheel};
 
 /// A non-`Send` boxed future, the unit of spawning in the simulator.
 pub type LocalBoxFuture<T> = Pin<Box<dyn Future<Output = T> + 'static>>;
@@ -320,7 +320,7 @@ impl Drop for Sim {
             // Teardowns and futures' destructors call back into `inner`
             // (to spawn, to read the clock): release it first.
             drop(inner);
-            if teardowns.is_empty() && tasks.is_empty() && timers.is_empty() {
+            if teardowns.is_empty() && tasks.is_empty() && timers.len() == 0 {
                 return;
             }
             teardowns.into_iter().for_each(|f| f());
@@ -355,6 +355,11 @@ impl SimHandle {
     /// The number of live (spawned, not yet finished) tasks.
     pub fn live_tasks(&self) -> usize {
         self.inner.borrow().live_tasks
+    }
+
+    /// Timers and events scheduled and not yet fired or cancelled.
+    pub fn pending_timers(&self) -> usize {
+        self.inner.borrow().timers.len()
     }
 
     /// The simulation's named RNG streams.
@@ -421,12 +426,20 @@ impl SimHandle {
     /// order among the timers and events of that instant. An `at` that
     /// is not in the future means now: the event fires once the tasks
     /// that are runnable now have run, before the clock moves.
-    pub fn schedule(&self, at: SimTime, event: Rc<dyn TimerEvent>, token: u64) {
+    pub fn schedule(&self, at: SimTime, event: Rc<dyn TimerEvent>, token: u64) -> TimerId {
         let mut inner = self.inner.borrow_mut();
         let at = at.max(inner.now);
         inner
             .timers
-            .insert(at.as_nanos(), Fire::Event(event, token));
+            .insert(at.as_nanos(), Fire::Event(event, token))
+    }
+
+    /// Unschedules the event `id` names and drops it at once. A no-op
+    /// for an event that already fired or was cancelled.
+    pub fn cancel(&self, id: TimerId) {
+        let event = self.inner.borrow_mut().timers.cancel(id);
+        // Outside the borrow: the event's destructor may call back in.
+        drop(event);
     }
 
     /// Returns a future that completes `d` later in virtual time.

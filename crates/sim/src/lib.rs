@@ -11,7 +11,7 @@
 //! * virtual-time **timers** ([`SimHandle::sleep`],
 //!   [`SimHandle::sleep_until`], [`util::deadline`]) and **events**
 //!   that run at an instant without a task being polled for them
-//!   ([`SimHandle::schedule`], [`TimerEvent`]),
+//!   ([`SimHandle::schedule`], [`SimHandle::cancel`], [`TimerEvent`]),
 //! * a waker-based **channel** ([`sync::mpsc`]), and
 //! * named, seeded **random-number streams** ([`rng`]) so that two runs with
 //!   the same seed produce byte-identical results regardless of the order in
@@ -47,4 +47,4 @@ mod wheel;
 pub use executor::{JoinHandle, LocalBoxFuture, Sim, SimHandle};
 pub use rng::{DetRng, RngStreams, ZipfParams};
 pub use time::SimTime;
-pub use wheel::TimerEvent;
+pub use wheel::{TimerEvent, TimerId};

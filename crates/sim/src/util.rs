@@ -177,8 +177,11 @@ pub async fn deadline<T: 'static>(
                 // that poll registered: a future done in exactly `dur`
                 // by such a timer wins the tie, by a later one loses it.
                 let expiry = Rc::new(Expiry(tx.clone()));
-                h.schedule(h.now() + dur, expiry, 0);
-                fut.await
+                let id = h.schedule(h.now() + dur, expiry, 0);
+                let out = fut.await;
+                // The expiry would wake nobody now: drop it and its channel.
+                h.cancel(id);
+                out
             }
         };
         let _ = tx.send(Some(out));

@@ -1,13 +1,9 @@
 //! Hierarchical timer wheel backing the executor's clock.
 //!
-//! The executor used to keep pending timers in a `BinaryHeap`, paying
-//! `O(log n)` per registration and per fire — and the fabric registers
-//! a timer for every message hop, so the heap ops were a measurable
-//! slice of every simulated RPC. The wheel replaces them with `O(1)`
-//! inserts and near-`O(1)` pops while firing in exactly the same
-//! `(deadline, registration order)` sequence, so schedules (and
-//! therefore every fingerprint in the repository) are bit-for-bit
-//! unchanged.
+//! The fabric registers a timer for every message hop, so timers are on
+//! the path of every simulated RPC: the wheel inserts and cancels in
+//! `O(1)`, pops in near-`O(1)`, and fires in `(deadline, registration
+//! order)`.
 //!
 //! # Layout
 //!
@@ -35,6 +31,13 @@
 //! anchor there, strictly before any later registration can append to
 //! the same slot — so equal deadlines always fire in registration
 //! order without any comparison or sort.
+//!
+//! Each timer is one slab node; slots and overflow buckets hold `u32`
+//! indices. A node the wheel reaches is freed for the next registration
+//! (steady-state churn allocates nothing). A cancel drops the node's
+//! action in `O(1)`, and the node waits until a cascade or pop frees it.
+//! A [`TimerId`] carries the node's generation, which moves on each
+//! free, so a stale id never cancels the next tenant.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
@@ -62,6 +65,13 @@ pub trait TimerEvent {
     fn fire(self: Rc<Self>, token: u64);
 }
 
+/// Names a scheduled event for [`SimHandle::cancel`](crate::SimHandle::cancel).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TimerId {
+    index: u32,
+    gen: u32,
+}
+
 /// What a pending timer does when it is due.
 pub(crate) enum Fire {
     /// Wakes a sleeping task.
@@ -79,10 +89,13 @@ impl Fire {
     }
 }
 
-/// One pending timer.
-struct Entry {
+/// One slab entry, pending from `insert` until the wheel reaches it.
+#[derive(Default)]
+struct Node {
     deadline: u64,
-    fire: Fire,
+    /// `None` once cancelled, and while the node is free.
+    fire: Option<Fire>,
+    gen: u32,
 }
 
 /// A hierarchical timer wheel firing in deadline order, with ties
@@ -90,19 +103,22 @@ struct Entry {
 pub(crate) struct TimerWheel {
     /// Deadline of the most recently popped timer (virtual now).
     anchor: u64,
-    /// `levels[L][slot]` holds entries whose deadline differs from the
-    /// anchor most significantly in bit range `6L..6(L+1)`.
-    levels: [[VecDeque<Entry>; 1 << SLOT_BITS]; LEVELS],
+    /// `levels[L][slot]` holds the nodes whose deadline differs from
+    /// the anchor most significantly in bit range `6L..6(L+1)`.
+    levels: [[VecDeque<u32>; 1 << SLOT_BITS]; LEVELS],
     /// Per-level slot-occupancy bitmaps.
     occupied: [u64; LEVELS],
     /// Deadlines beyond the wheel's `2^36` ns horizon, keyed by
     /// deadline; each bucket is in registration order.
-    overflow: BTreeMap<u64, VecDeque<Fire>>,
-    len: usize,
+    overflow: BTreeMap<u64, Vec<u32>>,
+    nodes: Vec<Node>,
+    free: Vec<u32>,
+    /// Pending timers, cancelled ones not counted.
+    live: usize,
     /// Spare buffer swapped into a slot being cascaded, so steady-state
     /// cascades recycle one allocation instead of freeing and
     /// reallocating slot storage.
-    scratch: VecDeque<Entry>,
+    scratch: VecDeque<u32>,
 }
 
 impl TimerWheel {
@@ -112,44 +128,77 @@ impl TimerWheel {
             levels: std::array::from_fn(|_| std::array::from_fn(|_| VecDeque::new())),
             occupied: [0; LEVELS],
             overflow: BTreeMap::new(),
-            len: 0,
+            nodes: Vec::new(),
+            free: Vec::new(),
+            live: 0,
             scratch: VecDeque::new(),
         }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+    pub(crate) fn len(&self) -> usize {
+        self.live
     }
 
     /// Registers a timer to fire at `deadline`. `deadline` must not be
     /// in the past (the executor never moves `now` above the anchor).
-    pub(crate) fn insert(&mut self, deadline: u64, fire: Fire) {
+    pub(crate) fn insert(&mut self, deadline: u64, fire: Fire) -> TimerId {
         debug_assert!(deadline >= self.anchor, "timer registered in the past");
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.nodes.push(Node::default());
+            u32::try_from(self.nodes.len() - 1).expect("under 2^32 timers pending")
+        });
+        let node = &mut self.nodes[index as usize];
+        (node.deadline, node.fire) = (deadline, Some(fire));
+        let gen = node.gen;
         if (deadline ^ self.anchor) >> WHEEL_BITS != 0 {
-            self.overflow.entry(deadline).or_default().push_back(fire);
+            self.overflow.entry(deadline).or_default().push(index);
         } else {
-            self.file(Entry { deadline, fire });
+            self.file(index);
         }
-        self.len += 1;
+        self.live += 1;
+        TimerId { index, gen }
     }
 
-    /// Files an in-horizon entry into its level and slot.
-    fn file(&mut self, e: Entry) {
-        let x = e.deadline ^ self.anchor;
+    /// Takes a pending timer's action out of its node, for the caller
+    /// to drop. `None` if the timer already fired or was cancelled.
+    pub(crate) fn cancel(&mut self, id: TimerId) -> Option<Fire> {
+        let node = self.nodes.get_mut(id.index as usize)?;
+        let fire = node.fire.take_if(|_| node.gen == id.gen)?;
+        self.live -= 1;
+        Some(fire)
+    }
+
+    /// Files an in-horizon node into its level and slot, or frees it.
+    fn file(&mut self, index: u32) {
+        let node = &self.nodes[index as usize];
+        if node.fire.is_none() {
+            self.release(index);
+            return;
+        }
+        let x = node.deadline ^ self.anchor;
         let level = if x == 0 {
             0
         } else {
             (63 - x.leading_zeros()) / SLOT_BITS
         } as usize;
-        let slot = ((e.deadline >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.levels[level][slot].push_back(e);
+        let slot = ((node.deadline >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
+        self.levels[level][slot].push_back(index);
         self.occupied[level] |= 1 << slot;
     }
 
+    /// Frees a node the wheel has reached, returning its action if any.
+    fn release(&mut self, index: u32) -> Option<Fire> {
+        let node = &mut self.nodes[index as usize];
+        node.gen = node.gen.wrapping_add(1);
+        self.free.push(index);
+        node.fire.take()
+    }
+
     /// Removes and returns the earliest pending timer (registration
-    /// order among equals), advancing the anchor to its deadline.
+    /// order among equals), advancing the anchor to its deadline and
+    /// freeing cancelled nodes on the way; with none live, at once `None`.
     pub(crate) fn pop(&mut self) -> Option<(u64, Fire)> {
-        if self.len == 0 {
+        if self.live == 0 {
             return None;
         }
         loop {
@@ -161,7 +210,7 @@ impl TimerWheel {
                 let (&first, _) = self
                     .overflow
                     .first_key_value()
-                    .expect("len > 0 with an empty wheel implies overflow entries");
+                    .expect("a live timer with an empty wheel is in overflow");
                 self.anchor = first;
             }
             // Pull overflow buckets that the anchor's window now covers
@@ -173,26 +222,31 @@ impl TimerWheel {
                     break;
                 }
                 let bucket = self.overflow.remove(&k).expect("checked first key");
-                for fire in bucket {
-                    self.file(Entry { deadline: k, fire });
+                for index in bucket {
+                    self.file(index);
                 }
             }
 
-            let level = (0..LEVELS)
-                .find(|&l| self.occupied[l] != 0)
-                .expect("wheel non-empty after overflow drain");
+            let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
+                // The overflow bucket just pulled was all cancelled.
+                continue;
+            };
             let slot = self.occupied[level].trailing_zeros() as usize;
             if level == 0 {
                 // A level-0 slot holds exactly equal deadlines in
                 // registration order; the front is the global minimum.
                 let q = &mut self.levels[0][slot];
-                let e = q.pop_front().expect("occupied bit set on empty slot");
+                let index = q.pop_front().expect("occupied bit set on empty slot");
                 if q.is_empty() {
                     self.occupied[0] &= !(1 << slot);
                 }
-                self.anchor = e.deadline;
-                self.len -= 1;
-                return Some((e.deadline, e.fire));
+                let deadline = self.nodes[index as usize].deadline;
+                self.anchor = deadline;
+                if let Some(fire) = self.release(index) {
+                    self.live -= 1;
+                    return Some((deadline, fire));
+                }
+                continue;
             }
             // Cascade: advance the anchor to the slot's window base and
             // re-file its entries one or more levels down.
@@ -202,8 +256,8 @@ impl TimerWheel {
             let span = SLOT_BITS * (level as u32 + 1);
             self.anchor = (self.anchor & !((1u64 << span) - 1))
                 | ((slot as u64) << (SLOT_BITS * level as u32));
-            for e in drained.drain(..) {
-                self.file(e);
+            for index in drained.drain(..) {
+                self.file(index);
             }
             self.scratch = drained;
         }
@@ -354,7 +408,7 @@ mod tests {
         assert_eq!(w.pop().map(|(d, _)| d), Some(49_999));
         assert_eq!(w.pop().map(|(d, _)| d), Some(50_000));
         assert!(w.pop().is_none());
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
     }
 
     #[test]
@@ -383,16 +437,20 @@ mod tests {
         use std::collections::BTreeMap;
         // Differential test: the wheel must agree with a map keyed by
         // `(deadline, registration seq)` on arbitrary interleavings of
-        // inserts and pops, firing the same registration each time.
+        // inserts, pops and cancels, firing the same registration each
+        // time. Cancels hit pending timers and stale ids alike: timers
+        // that fired, were cancelled, or whose node a later timer reuses.
         for seed in 0..8u64 {
             let rng = DetRng::seeded(seed);
             let log = Arc::new(Mutex::new(Vec::new()));
             let mut w = TimerWheel::new();
             let mut reference: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+            let mut issued: Vec<(TimerId, (u64, u64))> = Vec::new();
             let mut anchor = 0u64;
             let mut seq = 0u64;
             for _ in 0..2_000 {
-                if rng.bool(0.6) || reference.is_empty() {
+                let roll = rng.gen_range(0..10);
+                if roll < 5 || reference.is_empty() {
                     // Bias toward near deadlines, many of them equal, with
                     // occasional far ones to exercise cascades and overflow.
                     let span: u64 = match rng.gen_range(0..20) {
@@ -402,9 +460,13 @@ mod tests {
                     };
                     let d = anchor + span;
                     let id = 1_000 + seq;
-                    w.insert(d, rec(id, &log));
+                    issued.push((w.insert(d, rec(id, &log)), (d, seq)));
                     reference.insert((d, seq), id);
                     seq += 1;
+                } else if roll < 7 {
+                    let (id, key) = issued[rng.gen_range(0..issued.len() as u64) as usize];
+                    let pending = reference.remove(&key).is_some();
+                    assert_eq!(w.cancel(id).is_some(), pending, "seed {seed}");
                 } else {
                     let (d, fire) = w.pop().expect("reference is not empty");
                     fire.fire();
@@ -413,6 +475,7 @@ mod tests {
                     assert_eq!(log.lock().unwrap().pop(), Some(id), "seed {seed}");
                     anchor = want;
                 }
+                assert_eq!(w.len(), reference.len(), "seed {seed}");
             }
             // Drain the rest.
             for ((want, _), id) in reference {
@@ -423,5 +486,94 @@ mod tests {
             }
             assert!(w.pop().is_none());
         }
+    }
+
+    /// An event that holds a counted reference, to watch when it drops.
+    struct Held(#[allow(dead_code)] Rc<()>);
+    impl TimerEvent for Held {
+        fn fire(self: Rc<Self>, _token: u64) {}
+    }
+
+    #[test]
+    fn cancel_drops_the_event_at_once_and_a_stale_id_is_a_no_op() {
+        let token = Rc::new(());
+        let mut w = TimerWheel::new();
+        let id = w.insert(1 << 20, Fire::Event(Rc::new(Held(Rc::clone(&token))), 0));
+        assert_eq!(Rc::strong_count(&token), 2);
+        drop(w.cancel(id).expect("pending"));
+        assert_eq!(
+            Rc::strong_count(&token),
+            1,
+            "freed before the wheel gets there"
+        );
+        assert_eq!(w.len(), 0);
+        assert!(w.cancel(id).is_none(), "cancelled twice");
+
+        // The node is freed once a pop reaches it; a later timer reuses
+        // it, and the first id no longer names it.
+        let fired = w.insert(5, noop());
+        assert_eq!(w.pop().map(|(d, _)| d), Some(5));
+        assert!(w.cancel(fired).is_none(), "already fired");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let reused = w.insert(7, rec(9, &log));
+        assert_eq!(reused.index, fired.index, "the free node is reused");
+        assert!(w.cancel(fired).is_none() && w.cancel(id).is_none());
+        assert_eq!(drain(&mut w), vec![7]);
+        assert_eq!(*log.lock().unwrap(), vec![9]);
+    }
+
+    #[test]
+    fn cancelling_an_overflow_timer_skips_it() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut w = TimerWheel::new();
+        let d = (1 << 40) + 3;
+        let far = w.insert(d, rec(0, &log));
+        w.insert(d, rec(1, &log));
+        let farther = w.insert(d + (1 << 37), rec(2, &log));
+        w.insert(d + (1 << 38), rec(3, &log));
+        assert!(w.cancel(far).is_some() && w.cancel(farther).is_some());
+        assert_eq!(drain(&mut w), vec![d, d + (1 << 38)]);
+        assert_eq!(*log.lock().unwrap(), vec![1, 3]);
+    }
+
+    #[test]
+    fn cancelling_everything_leaves_nothing_to_pop() {
+        let mut w = TimerWheel::new();
+        let ids: Vec<_> = [3, 3, 900, 1 << 25, (1 << 36) + 1]
+            .into_iter()
+            .map(|d| w.insert(d, noop()))
+            .collect();
+        for id in ids {
+            assert!(w.cancel(id).is_some());
+        }
+        assert_eq!(w.len(), 0);
+        assert!(w.pop().is_none());
+        // The anchor did not move: a timer due at zero still files.
+        w.insert(0, noop());
+        assert_eq!(drain(&mut w), vec![0]);
+    }
+
+    #[test]
+    fn a_cascade_that_meets_only_cancelled_nodes_fires_nothing() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut w = TimerWheel::new();
+        // Three level-2 timers in one slot, all cancelled, ahead of a
+        // live one two slots up: the cascade frees them and moves on.
+        let doomed: Vec<_> = [(1 << 13) + 5, (1 << 13) + 5, (1 << 13) + 700]
+            .into_iter()
+            .map(|d| w.insert(d, rec(0, &log)))
+            .collect();
+        w.insert(3 << 13, rec(1, &log));
+        for id in doomed {
+            assert!(w.cancel(id).is_some());
+        }
+        assert_eq!(drain(&mut w), vec![3 << 13]);
+        assert_eq!(*log.lock().unwrap(), vec![1]);
+        // All four nodes are free again: the next four reuse them.
+        let before = w.nodes.len();
+        for d in 0..4 {
+            w.insert((3 << 13) + d, noop());
+        }
+        assert_eq!(w.nodes.len(), before);
     }
 }

@@ -121,12 +121,13 @@ proptest! {
 
     /// Events fire in `(instant, registration order)`, checked against
     /// a map keyed by both, on random schedules made against a moving
-    /// clock: the root schedules a few events, then sleeps, so
-    /// registrations interleave with fires.
+    /// clock: each step cancels a few earlier events (pending, fired or
+    /// already cancelled), schedules a few, then sleeps, so
+    /// registrations and cancels interleave with fires.
     #[test]
     fn events_fire_in_instant_then_registration_order(
         steps in proptest::collection::vec(
-            (0usize..4, 0u64..4, 0u64..200_000, 0u64..100_000),
+            (0usize..4, 0u64..4, 0u64..200_000, 0u64..100_000, 0u64..3),
             1..60,
         ),
     ) {
@@ -134,23 +135,42 @@ proptest! {
         let h = sim.handle();
         let log = Rc::new(RefCell::new(Vec::new()));
         let event = Rc::new(Log(h.clone(), Rc::clone(&log)));
-        let reference = sim.block_on(async move {
+        let (got, want) = sim.block_on(async move {
             let mut reference = BTreeMap::new();
-            let mut seq = 0u64;
-            for (count, shape, offset, nap) in steps {
+            let mut issued = Vec::new();
+            let mut want = Vec::new();
+            let mut pop_fired = |reference: &mut BTreeMap<(u64, u64), u64>| {
+                for _ in 0..log.borrow().len() - want.len() {
+                    let ((at, _), token) = reference.pop_first().expect("no more fired than scheduled");
+                    want.push((at, token));
+                }
+            };
+            for (count, shape, offset, nap, cancels) in steps {
+                for k in 0..cancels.min(issued.len() as u64) {
+                    let (id, key) = issued[((offset + k * 7_919) % issued.len() as u64) as usize];
+                    let pending = reference.remove(&key).is_some();
+                    let before = h.pending_timers();
+                    h.cancel(id);
+                    assert_eq!(h.pending_timers() + usize::from(pending), before);
+                }
                 for i in 0..count as u64 {
+                    let seq = issued.len() as u64;
                     let at = instant(h.now().as_nanos(), (shape + i) % 4, offset * (i + 1));
-                    h.schedule(SimTime::from_nanos(at), event.clone(), seq);
+                    let id = h.schedule(SimTime::from_nanos(at), event.clone(), seq);
                     reference.insert((at, seq), seq);
-                    seq += 1;
+                    issued.push((id, (at, seq)));
                 }
                 h.sleep(Duration::from_nanos(nap)).await;
+                // What fired leaves the reference, in the reference's
+                // order: cancelling it later is a stale id.
+                pop_fired(&mut reference);
             }
             let last = reference.keys().next_back().map_or(0, |&(at, _)| at);
             h.sleep_until(SimTime::from_nanos(last + 1)).await;
-            reference
+            pop_fired(&mut reference);
+            let got = log.borrow().clone();
+            (got, want)
         });
-        let want: Vec<(u64, u64)> = reference.into_iter().map(|((at, _), token)| (at, token)).collect();
-        prop_assert_eq!(log.borrow().clone(), want);
+        prop_assert_eq!(got, want);
     }
 }

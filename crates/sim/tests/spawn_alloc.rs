@@ -1,16 +1,19 @@
 //! Spawning is on the path of every simulated RPC, so what it takes from
 //! the heap is pinned: a task moving into a slot another has left
 //! allocates its boxed future and nothing else (the slot keeps its
-//! waker), and a `deadline` is one task and one event, not two tasks. A
+//! waker), and a `deadline` is one task and one event, not two tasks,
+//! and a race the future wins leaves no timer pending. A
 //! counting global allocator (per thread, so the harness's own threads
 //! do not leak into the count) holds them to it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 use std::time::Duration;
 
+use pcsi_sim::sync::mpsc;
 use pcsi_sim::util::deadline;
-use pcsi_sim::{Sim, SimHandle};
+use pcsi_sim::{Sim, SimHandle, SimTime, TimerEvent};
 
 struct CountingAlloc;
 
@@ -44,10 +47,21 @@ fn allocs() -> u64 {
 const FUTURE_DONE: Duration = Duration::from_nanos(10);
 const TIMEOUT: Duration = Duration::from_nanos(50);
 
+/// Wakes the warm-up when due.
+struct Ping(mpsc::Sender<()>);
+
+impl TimerEvent for Ping {
+    fn fire(self: Rc<Self>, _token: u64) {
+        let _ = self.0.send(());
+    }
+}
+
 /// Leaves the simulator with nothing left to grow at virtual time zero:
 /// both buffers of the ready queue, the task table with a free slot in
-/// it, and the two timer-wheel slots the measured `deadline` files into
-/// (two parked sleepers hold them).
+/// it, the two timer-wheel slots the measured `deadline` files into
+/// (two parked sleepers hold them), and three free timer nodes, one per
+/// timer the race registers (its expiry, and the future's sleep on each
+/// of its two polls): three events due now fire before the clock moves.
 async fn warm_up(h: &SimHandle) {
     for d in [FUTURE_DONE, TIMEOUT] {
         let h2 = h.clone();
@@ -56,6 +70,14 @@ async fn warm_up(h: &SimHandle) {
     for _ in 0..4 {
         h.spawn(async {}).await;
     }
+    let (tx, mut rx) = mpsc::channel();
+    for _ in 0..3 {
+        h.schedule(h.now(), Rc::new(Ping(tx.clone())), 0);
+    }
+    for _ in 0..3 {
+        rx.recv().await;
+    }
+    assert_eq!(h.now(), SimTime::ZERO);
 }
 
 #[test]
@@ -97,4 +119,27 @@ fn a_deadline_the_future_wins_is_four_blocks() {
     // The race channel, its queue's first push, the future's box, the
     // expiry event. No second task, and the first one's slot had a waker.
     assert_eq!(n, 4);
+}
+
+#[test]
+fn a_deadline_the_future_wins_leaves_no_timer_behind() {
+    let mut sim = Sim::new(1);
+    let h = sim.handle();
+    let (before, during, after) = sim.block_on(async move {
+        let before = h.pending_timers();
+        // A task's result, so the sleep is polled once and registers
+        // once (polled twice, a sleep leaves a spurious wake behind).
+        let h2 = h.clone();
+        let task = h.spawn(async move {
+            h2.sleep(FUTURE_DONE).await;
+            h2.pending_timers()
+        });
+        let out = deadline(&h, TIMEOUT, task).await;
+        (before, out, h.pending_timers())
+    });
+    assert_eq!(during, Some(1), "the expiry, while the race is on");
+    assert_eq!(
+        after, before,
+        "the expiry is cancelled when the future wins"
+    );
 }
