@@ -559,6 +559,9 @@ async fn fault_then_undo(
     }
 }
 
+/// Virtual time the healed fabric gets to finish the rebalance drain.
+const DRAIN_BUDGET: Duration = Duration::from_secs(10);
+
 /// The rebalance schedule: 5% fabric-wide drops for the whole run;
 /// after the workers build some history on the reduced ring, the spare
 /// node joins and a paced drain migrates every affected shard — while
@@ -622,7 +625,14 @@ async fn drive_rebalance(
 
     // Finish any moves the faulty window left behind, on a healthy
     // fabric, so quiescence and the checkers run against the new ring.
+    // A drain still stuck after the budget is logged instead of retried
+    // forever; the report then lacks `drain-complete`.
+    let since = h.now();
     while !store.placement().pending_moves().is_empty() {
+        if h.now() - since >= DRAIN_BUDGET {
+            faults.note("drain-stalled");
+            return;
+        }
         if store.drain_moves(None).await.is_err() {
             h.sleep(Duration::from_millis(1)).await;
         }

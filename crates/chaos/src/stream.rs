@@ -41,6 +41,10 @@ const SUBSCRIBERS: usize = 3;
 const EVENTS: u64 = 48;
 /// Fabric-wide message drop probability while the stream runs.
 const DROP: f64 = 0.05;
+/// Virtual time one append may spend retrying before the run reports a
+/// stall and the producer stops: a livelock ends in a report, not a
+/// hang.
+const APPEND_BUDGET: Duration = Duration::from_secs(2);
 
 /// Runs one seeded streaming scenario end to end: the seed controls
 /// every random choice (consumer nodes, windows, pacing), and one
@@ -127,36 +131,43 @@ async fn drive_stream(lab: Lab, seed: u64) -> Report {
     let pace = h.rng().stream("stream-chaos-producer");
     let mut published = 0u64;
     let mut stalls = 0u64;
-    for i in 0..EVENTS {
+    'events: for i in 0..EVENTS {
         if i == EVENTS / 2 {
             let (node, sub) = &subs[killed_idx];
             sub.kill();
             faults.note(format_args!("kill subscriber {killed_idx} on {node}"));
         }
         let payload = Bytes::from(format!("event {i} from seed {seed}"));
+        let since = h.now();
         loop {
-            match producer.append(&fifo, payload.clone()).await {
-                Ok(_) => break,
+            let backoff = match producer.append(&fifo, payload.clone()).await {
+                // Only an append that landed was given a seq.
+                Ok(_) => {
+                    published += 1;
+                    break;
+                }
                 // Credit backpressure, or a dead subscriber the owner
                 // has not probed out yet: wait and retry.
                 Err(PcsiError::Overloaded(_)) => {
                     stalls += 1;
-                    h.sleep(Duration::from_micros(pace.gen_range(100..400)))
-                        .await;
+                    pace.gen_range(100..400)
                 }
                 // The FIFO transfer to the object's home rode the faulty
                 // fabric: transient, nothing was published.
-                Err(PcsiError::Fault(_)) => {
-                    h.sleep(Duration::from_micros(pace.gen_range(100..400)))
-                        .await;
-                }
+                Err(PcsiError::Fault(_)) => pace.gen_range(100..400),
                 Err(e) => {
                     violations.push(format!("append {i} failed terminally: {e}"));
                     break;
                 }
+            };
+            if h.now() - since >= APPEND_BUDGET {
+                violations.push(format!(
+                    "append {i} stalled: no success in {APPEND_BUDGET:?} of retries"
+                ));
+                break 'events;
             }
+            h.sleep(Duration::from_micros(backoff)).await;
         }
-        published += 1;
         h.sleep(Duration::from_micros(pace.gen_range(50..250)))
             .await;
     }

@@ -391,6 +391,30 @@ fn streaming_sweep_survives_drops_and_subscriber_kill() {
     );
 }
 
+/// ROADMAP item 3(d): at this seed the subscriber killed mid-stream is
+/// never reaped, so the owner refuses every append with `Overloaded`
+/// and the producer's retry loop used to spin forever (200,000 stalls
+/// by virtual t = 94 s, no end in host time). Each append's retries
+/// now have a virtual-time budget, so the run ends with a report that
+/// names the stall. The fix of the unreaped subscriber turns this
+/// assertion round (`report.ok()`, and the seed joins the sweep).
+#[test]
+fn open_bug_item_3_stream_livelock_reports_instead_of_hanging() {
+    let seed = 11068130722171;
+    let report = run_stream_scenario(seed);
+    assert!(!report.ok(), "seed {seed} passes now: item 3(d) is fixed?");
+    // The dead subscriber's window is what the owner still holds.
+    assert_eq!(
+        report.violations,
+        [
+            "append 32 stalled: no success in 2s of retries",
+            "owner still buffers 9 frames after delete",
+        ],
+        "seed {seed}:\n{}",
+        report.render()
+    );
+}
+
 #[test]
 fn streaming_scenario_reproduces_byte_identically() {
     let a = run_stream_scenario(0x57F0_1234);
