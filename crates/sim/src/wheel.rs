@@ -69,7 +69,7 @@ pub trait TimerEvent {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimerId {
     index: u32,
-    gen: u32,
+    gen: u64,
 }
 
 /// What a pending timer does when it is due.
@@ -95,7 +95,7 @@ struct Node {
     deadline: u64,
     /// `None` once cancelled, and while the node is free.
     fire: Option<Fire>,
-    gen: u32,
+    gen: u64,
 }
 
 /// A hierarchical timer wheel firing in deadline order, with ties
@@ -189,7 +189,7 @@ impl TimerWheel {
     /// Frees a node the wheel has reached, returning its action if any.
     fn release(&mut self, index: u32) -> Option<Fire> {
         let node = &mut self.nodes[index as usize];
-        node.gen = node.gen.wrapping_add(1);
+        node.gen += 1;
         self.free.push(index);
         node.fire.take()
     }
