@@ -18,15 +18,16 @@ impl TimerEvent for Log {
     }
 }
 
-/// An instant `offset` after `now`, drawn from one of four shapes:
-/// due now, a few shared instants (ties), anywhere near, and beyond the
-/// timer wheel's 2^36 ns horizon.
+/// An instant not before `now`, of one of four shapes: due now, one of
+/// three instants on a 4,096 ns grid (shared across steps, so equal
+/// deadlines reach the wheel's upper levels and cascade), anywhere
+/// near, and beyond the timer wheel's 2^36 ns horizon.
 fn instant(now: u64, shape: u64, offset: u64) -> u64 {
-    now + match shape {
-        0 => 0,
-        1 => offset % 4 * 64,
-        2 => offset,
-        _ => (1 << 36) + offset,
+    match shape {
+        0 => now,
+        1 => ((now >> 12) + 1 + offset % 3) << 12,
+        2 => now + offset,
+        _ => now + (1 << 36) + offset,
     }
 }
 
@@ -155,7 +156,7 @@ proptest! {
                 }
                 for i in 0..count as u64 {
                     let seq = issued.len() as u64;
-                    let at = instant(h.now().as_nanos(), (shape + i) % 4, offset * (i + 1));
+                    let at = instant(h.now().as_nanos(), shape, offset * (i + 1));
                     let id = h.schedule(SimTime::from_nanos(at), event.clone(), seq);
                     reference.insert((at, seq), seq);
                     issued.push((id, (at, seq)));

@@ -1,10 +1,10 @@
 //! Spawning is on the path of every simulated RPC, so what it takes from
 //! the heap is pinned: a task moving into a slot another has left
 //! allocates its boxed future and nothing else (the slot keeps its
-//! waker), and a `deadline` is one task and one event, not two tasks,
-//! and a race the future wins leaves no timer pending. A
-//! counting global allocator (per thread, so the harness's own threads
-//! do not leak into the count) holds them to it.
+//! waker), and a `deadline` is one task and one event, not two tasks.
+//! A counting global allocator (per thread, so the harness's own
+//! threads do not leak into the count) holds them to it. A race the
+//! future wins leaves no timer pending.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
