@@ -391,28 +391,30 @@ fn streaming_sweep_survives_drops_and_subscriber_kill() {
     );
 }
 
-/// ROADMAP item 3(d): at this seed the subscriber killed mid-stream is
-/// never reaped, so the owner refuses every append with `Overloaded`
-/// and the producer's retry loop used to spin forever (200,000 stalls
-/// by virtual t = 94 s, no end in host time). Each append's retries
-/// now have a virtual-time budget, so the run ends with a report that
-/// names the stall. The fix of the unreaped subscriber turns this
-/// assertion round (`report.ok()`, and the seed joins the sweep).
+/// Seeds at which the subscriber killed mid-stream used to go unreaped
+/// (the first seven from a sweep at `0xA11_0000_0000`, the rest from
+/// the CI sweep's base): its pump had spent the window and run dry, the
+/// next append stalled it without starting the liveness probe, and the
+/// owner refused every later append with `Overloaded` until the
+/// producer's retry budget ran out. Every stall now starts the probe.
 #[test]
-fn open_bug_item_3_stream_livelock_reports_instead_of_hanging() {
-    let seed = 11068130722171;
-    let report = run_stream_scenario(seed);
-    assert!(!report.ok(), "seed {seed} passes now: item 3(d) is fixed?");
-    // The dead subscriber's window is what the owner still holds.
-    assert_eq!(
-        report.violations,
-        [
-            "append 32 stalled: no success in 2s of retries",
-            "owner still buffers 9 frames after delete",
-        ],
-        "seed {seed}:\n{}",
-        report.render()
-    );
+fn a_subscriber_killed_after_its_pump_ran_dry_is_reaped() {
+    for seed in [
+        11068130722171,
+        11068130722472,
+        11068130723679,
+        11068130723717,
+        11068130723801,
+        11068130724753,
+        11068130725068,
+        1475346797,
+        1475347858,
+        1475348410,
+        1475349640,
+    ] {
+        let report = run_stream_scenario(seed);
+        assert!(report.ok(), "seed {seed}:\n{}", report.render());
+    }
 }
 
 #[test]

@@ -69,8 +69,8 @@ impl SubState {
     /// The one stall rule: the next queued frame is a push and the
     /// window is spent — every credit is in flight or sitting unconsumed
     /// in the subscriber's buffer. Closes spend no credit, so teardown
-    /// never stalls. The pump stops here, `kick` does not restart it,
-    /// and the probe runs for as long as it holds.
+    /// never stalls. The pump stops here, `kick` starts the probe
+    /// instead of a pump, and the probe runs for as long as it holds.
     fn stalled(&self) -> bool {
         let unacked = self.sent.get().saturating_sub(self.acked.get());
         unacked >= u64::from(self.window)
@@ -348,9 +348,17 @@ impl Publisher {
     }
 
     /// Starts a pump task for `sub` unless one is already draining it
-    /// or it has nothing it may send.
+    /// or it has nothing to send; a stalled `sub` gets the probe
+    /// instead. Every way into a stall passes here: the pump hands over
+    /// when it spends the window with a push still queued, and a
+    /// `publish` can find the window spent by a pump that already ran
+    /// dry. A dead subscriber grants nothing, so only the probe reaps it.
     fn kick(&self, sub: &Rc<SubState>) {
-        if sub.pumping.get() || sub.dead.get() || sub.pending.borrow().is_empty() || sub.stalled() {
+        if sub.pumping.get() || sub.dead.get() || sub.pending.borrow().is_empty() {
+            return;
+        }
+        if sub.stalled() {
+            self.ensure_probe(sub);
             return;
         }
         sub.pumping.set(true);
@@ -373,7 +381,7 @@ impl Publisher {
                 if let Some(s) = self.series() {
                     s.credit_stalls.incr();
                 }
-                self.ensure_probe(&sub);
+                self.kick(&sub);
                 return;
             }
             let Some(frame) = sub.pending.borrow_mut().pop_front() else {

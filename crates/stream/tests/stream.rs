@@ -410,6 +410,45 @@ fn a_killed_stalled_subscriber_is_reaped_at_the_pinned_instant() {
     });
 }
 
+/// The longest one retried call can take on a lossless fabric that
+/// stopped answering: the last retransmit's instant above plus its 2 ms
+/// timeout and the endpoint overhead.
+const RETRIED_CALL_BUDGET: Duration = Duration::from_micros(RETRY_SCHEDULE_US[16] + 2_200);
+
+/// A consumer takes a whole window and grants nothing, so the pump runs
+/// dry with every credit spent and exits unstalled. The stall starts at
+/// the next `publish`, not in the pump, and must start the probe all the
+/// same: nothing else ever reaps a subscriber that died meanwhile.
+#[test]
+fn a_stall_entered_at_publish_is_probed_and_reaped() {
+    let (mut sim, fabric, publisher) = setup(13);
+    sim.block_on({
+        let fabric = fabric.clone();
+        let publisher = publisher.clone();
+        async move {
+            let window = 3u32;
+            let sub = open(&publisher, window).await;
+            let h = fabric.handle().clone();
+            let x = Bytes::from_static(b"x");
+            for seq in 0..u64::from(window) {
+                publisher
+                    .publish(obj(), seq, x.clone(), h.now().as_nanos())
+                    .expect("publish");
+            }
+            h.sleep(Duration::from_millis(1)).await;
+            assert_eq!(sub.peak_buffered(), window as usize, "window delivered");
+
+            sub.kill();
+            publisher
+                .publish(obj(), u64::from(window), x, h.now().as_nanos())
+                .expect("publish");
+            h.sleep(PROBE_INTERVAL + RETRIED_CALL_BUDGET).await;
+            assert_eq!(publisher.subscriber_count(obj()), 0);
+            assert_eq!(publisher.buffered_frames(), 0);
+        }
+    });
+}
+
 /// A subscribe whose every reply is lost must not leave the owner
 /// holding a subscription nobody consumes: it would take the FIFO's
 /// next append, which then reaches neither a subscriber nor `pop`.
