@@ -12,8 +12,10 @@
 
 use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
-use pcsi_core::{CloudInterface, Consistency, Rights};
+use pcsi_core::CloudInterface;
 use pcsi_net::NodeId;
+
+use super::sweep::{self, Iface, Names, FETCH};
 
 /// E8 results.
 #[derive(Debug, Clone)]
@@ -46,42 +48,24 @@ impl Results {
 pub fn run(seed: u64, ops: u32) -> Results {
     let builder = CloudBuilder::new().deterministic_network();
     Lab::run(seed, builder, move |lab| async move {
-        let cloud = &lab.cloud;
-        let payload = vec![0xC4u8; 1024];
-        let client_node = NodeId(0);
-
-        // PCSI: bind once (create returns the capability), then read.
-        let kc = cloud.kernel.client(client_node, "e8");
-        let obj = kc
-            .create(
-                CreateOptions::regular()
-                    .with_consistency(Consistency::Eventual)
-                    .with_initial(payload.clone()),
-            )
-            .await
-            .unwrap();
-        let read_ref = obj.attenuate(Rights::READ).unwrap();
-        let pcsi = lab.time(ops, |_| kc.read(&read_ref, 0, 1024)).await;
-
-        // Raw store read of the *same object* (identical replica
-        // placement), bypassing the interface entirely — the floor the
-        // interface taxes are measured against.
-        let store_client = cloud.store.client(client_node);
-        let raw = lab
-            .time(ops, |_| {
-                store_client.read(obj.id(), 0, 1024, Consistency::Eventual)
-            })
-            .await;
-
-        // REST: every request re-authenticates.
-        let rc = lab.rest().client(client_node, Lab::credential());
-        rc.kv_put("e8", "obj", &payload).await.unwrap();
-        let rest_h = lab.time(ops, |_| rc.kv_get("e8", "obj")).await;
+        // PCSI reads through the reference its create returned; the raw
+        // store reads the same objects (identical replica placement),
+        // bypassing the interface: the floor the taxes are measured
+        // against. REST re-authenticates every request.
+        let names = Names {
+            table: "e8",
+            key: "obj",
+            key_id: "AK1",
+        };
+        let order = [Iface::Pcsi, Iface::Raw, Iface::Rest];
+        let swept = sweep::sweep(&lab, names, FETCH, ops, &order).await;
+        let mean = |i: usize| swept.timed[i].hist.mean() as f64;
 
         // GC scenario: a tenant tree plus ephemeral intermediates whose
         // references were dropped.
+        let cloud = &lab.cloud;
+        let kc = cloud.kernel.client(NodeId(0), "e8");
         let root = kc.create(CreateOptions::directory()).await.unwrap();
-        let mut kept = 0usize;
         let mut dropped = 0usize;
         for i in 0..40u32 {
             let o = kc
@@ -90,20 +74,18 @@ pub fn run(seed: u64, ops: u32) -> Results {
                 .unwrap();
             if i % 4 == 0 {
                 kc.link(&root, &format!("keep-{i}"), &o).await.unwrap();
-                kept += 1;
             } else {
                 dropped += 1; // Reference forgotten: unreachable.
             }
         }
         let before = cloud.kernel.live_objects();
-        let reclaimed = cloud.kernel.run_gc(&[root.clone(), obj.clone()]);
+        let reclaimed = cloud.kernel.run_gc(&[vec![root], swept.objects].concat());
         assert_eq!(reclaimed, dropped);
-        let _ = kept;
 
         Results {
-            raw_read_ns: raw.mean() as f64,
-            pcsi_read_ns: pcsi.mean() as f64,
-            rest_read_ns: rest_h.mean() as f64,
+            raw_read_ns: mean(1),
+            pcsi_read_ns: mean(0),
+            rest_read_ns: mean(2),
             gc_objects: before,
             gc_reclaimed: reclaimed,
         }

@@ -9,12 +9,21 @@
 //! the hardware. That divergence is the paper's opening argument.
 
 use pcsi_cloud::{CloudBuilder, Lab};
-use pcsi_core::api::CreateOptions;
-use pcsi_core::{CloudInterface, Consistency};
-use pcsi_net::{NetworkGeneration, NodeId};
+use pcsi_net::NetworkGeneration;
 use pcsi_trace::Sampling;
 
 use super::stages::{self, StageBreakdown};
+use super::sweep::{self, Iface, Names, FETCH};
+
+/// E9's REST item.
+const NAMES: Names = Names {
+    table: "t",
+    key: "k",
+    key_id: "AK1",
+};
+
+/// The interfaces in the order E9 sets them up, with their labels.
+const IFACES: [(Iface, &str); 2] = [(Iface::Pcsi, "PCSI-native"), (Iface::Rest, "signed REST")];
 
 /// One generation × interface measurement.
 #[derive(Debug, Clone)]
@@ -45,38 +54,18 @@ pub fn run(seed: u64, ops: u32) -> Vec<Point> {
         let builder = CloudBuilder::new()
             .network(generation)
             .deterministic_network();
-        let (pcsi_ns, rest_ns) = Lab::run(seed, builder, move |lab| async move {
-            let payload = vec![9u8; 1024];
-
-            let kc = lab.cloud.kernel.client(NodeId(0), "e9");
-            let obj = kc
-                .create(
-                    CreateOptions::regular()
-                        .with_consistency(Consistency::Eventual)
-                        .with_initial(payload.clone()),
-                )
-                .await
-                .unwrap();
-            let pcsi = lab.time(ops, |_| kc.read(&obj, 0, 1024)).await;
-
-            let rc = lab.rest().client(NodeId(0), Lab::credential());
-            rc.kv_put("t", "k", &payload).await.unwrap();
-            let rest = lab.time(ops, |_| rc.kv_get("t", "k")).await;
-            (pcsi.mean() as f64, rest.mean() as f64)
+        let timed = Lab::run(seed, builder, move |lab| async move {
+            let order = IFACES.map(|(iface, _)| iface);
+            sweep::sweep(&lab, NAMES, FETCH, ops, &order).await.timed
         });
-        let rtt_ns = generation.rtt().as_nanos() as f64;
-        out.push(Point {
-            generation,
-            interface: "PCSI-native",
-            mean_ns: pcsi_ns,
-            rtt_ns,
-        });
-        out.push(Point {
-            generation,
-            interface: "signed REST",
-            mean_ns: rest_ns,
-            rtt_ns,
-        });
+        for ((_, interface), t) in IFACES.into_iter().zip(timed) {
+            out.push(Point {
+                generation,
+                interface,
+                mean_ns: t.hist.mean() as f64,
+                rtt_ns: generation.rtt().as_nanos() as f64,
+            });
+        }
     }
     out
 }
@@ -105,47 +94,21 @@ pub fn breakdowns(seed: u64) -> Vec<BreakdownPoint> {
             .network(generation)
             .deterministic_network()
             .tracing(Sampling::Always);
-        let (rest_stages, pcsi_stages) = Lab::run(seed, builder, |lab| async move {
-            let tracer = lab.cloud.tracer.clone().expect("tracing enabled");
-            let payload = vec![9u8; 1024];
-
-            let kc = lab.cloud.kernel.client(NodeId(0), "e9");
-            let obj = kc
-                .create(
-                    CreateOptions::regular()
-                        .with_consistency(Consistency::Eventual)
-                        .with_initial(payload.clone()),
-                )
-                .await
-                .unwrap();
-            // One warm-up read, then the measured one.
-            kc.read(&obj, 0, 1024).await.unwrap();
-            kc.read(&obj, 0, 1024).await.unwrap();
-
-            let rc = lab.rest().client(NodeId(0), Lab::credential());
-            rc.kv_put("t", "k", &payload).await.unwrap();
-            rc.kv_get("t", "k").await.unwrap();
-            rc.kv_get("t", "k").await.unwrap();
-
-            let spans = tracer.sink().snapshot();
-            let rest_trace = stages::last_root(&spans, "rest.request").expect("a traced REST GET");
-            let pcsi_trace =
-                stages::last_root(&spans, "kernel.read").expect("a traced kernel read");
-            (
-                StageBreakdown::of(&spans, rest_trace),
-                StageBreakdown::of(&spans, pcsi_trace),
-            )
+        let traced = Lab::run(seed, builder, |lab| async move {
+            let mut traced = Vec::new();
+            for (iface, _) in IFACES {
+                traced.push(sweep::traced_fetch(&lab, NAMES, iface).await);
+            }
+            traced
         });
-        out.push(BreakdownPoint {
-            generation,
-            interface: "signed REST",
-            stages: rest_stages,
-        });
-        out.push(BreakdownPoint {
-            generation,
-            interface: "PCSI-native",
-            stages: pcsi_stages,
-        });
+        // Reported REST first.
+        for ((_, interface), stages) in IFACES.into_iter().zip(traced).rev() {
+            out.push(BreakdownPoint {
+                generation,
+                interface,
+                stages,
+            });
+        }
     }
     out
 }

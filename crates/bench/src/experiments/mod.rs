@@ -12,6 +12,7 @@ pub mod rest_vs_nfs;
 pub mod shard_scaling;
 pub mod stages;
 pub mod streaming;
+pub mod sweep;
 pub mod table1;
 pub mod ycsb;
 

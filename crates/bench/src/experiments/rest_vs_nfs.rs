@@ -12,13 +12,18 @@
 use std::time::Duration;
 
 use pcsi_cloud::{CloudBuilder, Lab};
-use pcsi_core::api::CreateOptions;
-use pcsi_core::{CloudInterface, Consistency};
-use pcsi_metrics::{Histogram, Quantiles};
-use pcsi_net::NodeId;
+use pcsi_metrics::Quantiles;
 use pcsi_trace::Sampling;
 
-use super::stages::{self, StageBreakdown};
+use super::stages::StageBreakdown;
+use super::sweep::{self, Iface, Names, FETCH};
+
+/// E2's REST item.
+const NAMES: Names = Names {
+    table: "bench",
+    key: "obj-1k",
+    key_id: "AK1",
+};
 
 /// Results for one interface.
 #[derive(Debug, Clone)]
@@ -63,55 +68,25 @@ pub fn run(seed: u64, fetches: u32) -> Results {
         seed,
         CloudBuilder::new().metrics(true),
         move |lab| async move {
-            let billing = lab.cloud.billing.clone();
-            let payload = vec![0x5Au8; 1024];
-            let client_node = NodeId(0);
-
-            // --- NFS ---
-            let mount = lab
-                .nfs()
-                .mount(client_node, Lab::NFS_SECRET, "nfs")
+            let order = [Iface::Nfs, Iface::Rest, Iface::Pcsi];
+            let t = sweep::sweep(&lab, NAMES, FETCH, fetches, &order)
                 .await
-                .unwrap();
-            let fh = mount.lookup("bench-1k", true).await.unwrap();
-            mount.write(fh, 0, &payload).await.unwrap();
-            let nfs_hist = lab.time(fetches, |_| mount.read(fh, 0, 1024)).await;
-
-            // --- REST ---
-            let rc = lab.rest().client(client_node, Lab::credential());
-            rc.kv_put("bench", "obj-1k", &payload).await.unwrap();
-            let rest_reqs_before = billing.request_count("AK1");
-            let rest_cost_before = billing.invoice("AK1").compute;
-            let rest_hist = lab.time(fetches, |_| rc.kv_get("bench", "obj-1k")).await;
-            let rest_reqs = billing.request_count("AK1") - rest_reqs_before;
-            // Compute-metered provider cost only: the flat API-metering fee
-            // (0.20 USD/M, REST-only) is reported separately by the report
-            // binary; the paper's 60x is about work per request.
-            let rest_cost = billing.invoice("AK1").compute - rest_cost_before;
-
-            // --- PCSI-native ---
-            let kc = lab.cloud.kernel.client(client_node, "pcsi");
-            let obj = kc
-                .create(
-                    CreateOptions::regular()
-                        .with_consistency(Consistency::Eventual)
-                        .with_initial(payload.clone()),
-                )
-                .await
-                .unwrap();
-            let pcsi_hist = lab.time(fetches, |_| kc.read(&obj, 0, 1024)).await;
-
-            // Cost accounting. NFS: per-op compute metered at the server.
-            // PCSI: we meter the replica-side CPU analogously (binary decode +
-            // handle work ~ the same 3 us class as NFS; charge it explicitly
-            // so the comparison is apples-to-apples).
-            let nfs_cost = billing.invoice("nfs").compute;
+                .timed;
+            // Cost accounting. NFS: per-op compute metered at the server,
+            // mount and setup included. REST: compute-metered provider cost
+            // only: the flat API-metering fee (0.20 USD/M, REST-only) is
+            // reported separately by the report binary; the paper's 60x is
+            // about work per request. PCSI: we meter the replica-side CPU
+            // analogously (binary decode + handle work ~ the same 3 us class
+            // as NFS; charge it explicitly so the comparison is
+            // apples-to-apples).
+            let nfs_cost = lab.cloud.billing.invoice(sweep::ACCOUNT).compute;
             let pcsi_per_op = Duration::from_micros(2); // Capability table hit + dispatch.
             let pcsi_cost = pcsi_per_op.as_secs_f64() * (0.048 / 3600.0) * f64::from(fetches);
 
-            let per_m = |total: f64, n: f64| total / n * 1e6;
-            let result = |label, hist: &Histogram, usd_per_million| {
-                let q = hist.quantiles();
+            let per_m = |total: f64, n: u32| total / f64::from(n) * 1e6;
+            let result = |label, timed: &sweep::Timed, usd_per_million| {
+                let q = timed.hist.quantiles();
                 InterfaceResult {
                     label,
                     mean_ns: q.mean as f64,
@@ -122,18 +97,14 @@ pub fn run(seed: u64, fetches: u32) -> Results {
             Results {
                 nfs: result(
                     "NFS-like stateful protocol",
-                    &nfs_hist,
-                    per_m(nfs_cost, f64::from(fetches + 2)),
+                    &t[0],
+                    per_m(nfs_cost, fetches + 2),
                 ),
-                rest: result(
-                    "DynamoDB-like REST",
-                    &rest_hist,
-                    per_m(rest_cost, rest_reqs as f64),
-                ),
+                rest: result("DynamoDB-like REST", &t[1], per_m(t[1].usd, fetches)),
                 pcsi: result(
                     "PCSI-native (reference + binary)",
-                    &pcsi_hist,
-                    per_m(pcsi_cost, f64::from(fetches)),
+                    &t[2],
+                    per_m(pcsi_cost, fetches),
                 ),
             }
         },
@@ -158,42 +129,10 @@ pub struct StageResults {
 pub fn stage_breakdown(seed: u64) -> StageResults {
     let builder = CloudBuilder::new().tracing(Sampling::Always);
     Lab::run(seed, builder, |lab| async move {
-        let tracer = lab.cloud.tracer.clone().expect("tracing enabled");
-        let payload = vec![0x5Au8; 1024];
-        let client_node = NodeId(0);
-
-        let mount = lab
-            .nfs()
-            .mount(client_node, Lab::NFS_SECRET, "nfs")
-            .await
-            .unwrap();
-        let fh = mount.lookup("bench-1k", true).await.unwrap();
-        mount.write(fh, 0, &payload).await.unwrap();
-        mount.read(fh, 0, 1024).await.unwrap();
-
-        let rc = lab.rest().client(client_node, Lab::credential());
-        rc.kv_put("bench", "obj-1k", &payload).await.unwrap();
-        rc.kv_get("bench", "obj-1k").await.unwrap();
-        rc.kv_get("bench", "obj-1k").await.unwrap();
-
-        let kc = lab.cloud.kernel.client(client_node, "pcsi");
-        let obj = kc
-            .create(
-                CreateOptions::regular()
-                    .with_consistency(Consistency::Eventual)
-                    .with_initial(payload.clone()),
-            )
-            .await
-            .unwrap();
-        kc.read(&obj, 0, 1024).await.unwrap();
-        kc.read(&obj, 0, 1024).await.unwrap();
-
-        let spans = tracer.sink().snapshot();
-        let pick = |name: &str| stages::last_root(&spans, name).expect("traced request");
         StageResults {
-            nfs: StageBreakdown::of(&spans, pick("nfs.request")),
-            rest: StageBreakdown::of(&spans, pick("rest.request")),
-            pcsi: StageBreakdown::of(&spans, pick("kernel.read")),
+            nfs: sweep::traced_fetch(&lab, NAMES, Iface::Nfs).await,
+            rest: sweep::traced_fetch(&lab, NAMES, Iface::Rest).await,
+            pcsi: sweep::traced_fetch(&lab, NAMES, Iface::Pcsi).await,
         }
     })
 }
@@ -201,7 +140,7 @@ pub fn stage_breakdown(seed: u64) -> StageResults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::DEFAULT_SEED;
+    use crate::experiments::{stages, DEFAULT_SEED};
 
     #[test]
     fn stage_breakdown_explains_the_gap() {

@@ -7,13 +7,13 @@
 //! from E2/E8 holds across mixes and skew, which is the generalization
 //! the §2.1 argument needs.
 
-use bytes::Bytes;
 use pcsi_cloud::workload::ZipfKeys;
 use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
-use pcsi_core::{CloudInterface, Consistency, Reference};
+use pcsi_core::{CloudInterface, Reference};
 use pcsi_net::NodeId;
-use pcsi_proto::sign::Credentials;
+
+use super::sweep::{self, Iface, Names};
 
 /// Number of keys in the table.
 pub const KEYS: u64 = 200;
@@ -67,88 +67,34 @@ pub struct Cell {
     pub p99_ns: f64,
 }
 
-/// Runs all mixes on both interfaces with `ops` operations each.
+/// Runs all mixes on both interfaces with `ops` operations each: PCSI
+/// with one eventual object per key (the DynamoDB-default equivalent),
+/// then REST on the same store. The key id is on the wire, so this
+/// experiment keeps the two-letter one its numbers were published with.
 pub fn run(seed: u64, ops: u32) -> Vec<Cell> {
+    let names = Names {
+        table: "ycsb",
+        key: "k",
+        key_id: "AK",
+    };
     let mut out = Vec::new();
     for mix in Mix::ALL {
-        let (pcsi, rest) = Lab::run(seed, CloudBuilder::new(), move |lab| async move {
-            let h = &lab.h;
-            let value = vec![0x42u8; VALUE];
-
-            // PCSI: one object per key, eventual consistency (the
-            // DynamoDB-default equivalent), references bound once.
-            let kc = lab.cloud.kernel.client(NodeId(0), "ycsb");
-            let mut refs: Vec<Reference> = Vec::with_capacity(KEYS as usize);
-            for _ in 0..KEYS {
-                refs.push(
-                    kc.create(
-                        CreateOptions::regular()
-                            .with_consistency(Consistency::Eventual)
-                            .with_initial(value.clone()),
-                    )
-                    .await
-                    .unwrap(),
-                );
-            }
-
-            let zipf = ZipfKeys::new(h.rng().stream("ycsb-keys"), KEYS, 0.99);
-            let coin = h.rng().stream("ycsb-mix");
-            let pcsi_hist = lab
-                .time(ops, |_| {
-                    let obj = &refs[zipf.next_key() as usize];
-                    let is_read = coin.bool(mix.read_fraction());
-                    let (kc, value) = (&kc, &value);
-                    async move {
-                        if is_read {
-                            kc.read(obj, 0, VALUE as u64).await.map(drop)
-                        } else {
-                            kc.write(obj, 0, Bytes::from(value.clone())).await.map(drop)
-                        }
-                    }
-                })
-                .await;
-
-            // REST on the same store. The key id is on the wire, so this
-            // experiment keeps the two-letter one its numbers were
-            // published with.
-            let creds = Credentials::new("AK", b"k".to_vec());
-            let rc = lab.rest_as(&creds).client(NodeId(0), creds);
-            for k in 0..KEYS {
-                rc.kv_put("ycsb", &format!("k{k}"), &value).await.unwrap();
-            }
-            let zipf = ZipfKeys::new(h.rng().stream("ycsb-keys-rest"), KEYS, 0.99);
-            let coin = h.rng().stream("ycsb-mix-rest");
-            let rest_hist = lab
-                .time(ops, |_| {
-                    let name = format!("k{}", zipf.next_key());
-                    let is_read = coin.bool(mix.read_fraction());
-                    let (rc, value) = (&rc, &value);
-                    async move {
-                        if is_read {
-                            rc.kv_get("ycsb", &name).await.map(drop)
-                        } else {
-                            rc.kv_put("ycsb", &name, value).await
-                        }
-                    }
-                })
-                .await;
-            (
-                (pcsi_hist.mean() as f64, pcsi_hist.quantile(0.99) as f64),
-                (rest_hist.mean() as f64, rest_hist.quantile(0.99) as f64),
-            )
+        let load = sweep::Mix {
+            keys: KEYS,
+            read_fraction: mix.read_fraction(),
+        };
+        let timed = Lab::run(seed, CloudBuilder::new(), move |lab| async move {
+            let order = [Iface::Pcsi, Iface::Rest];
+            sweep::sweep(&lab, names, load, ops, &order).await.timed
         });
-        out.push(Cell {
-            mix,
-            interface: "PCSI-native",
-            mean_ns: pcsi.0,
-            p99_ns: pcsi.1,
-        });
-        out.push(Cell {
-            mix,
-            interface: "signed REST",
-            mean_ns: rest.0,
-            p99_ns: rest.1,
-        });
+        for (interface, t) in ["PCSI-native", "signed REST"].into_iter().zip(timed) {
+            out.push(Cell {
+                mix,
+                interface,
+                mean_ns: t.hist.mean() as f64,
+                p99_ns: t.hist.quantile(0.99) as f64,
+            });
+        }
     }
     out
 }
