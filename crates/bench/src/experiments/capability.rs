@@ -15,7 +15,7 @@ use pcsi_core::api::CreateOptions;
 use pcsi_core::CloudInterface;
 use pcsi_net::NodeId;
 
-use super::sweep::{self, Iface, Names, FETCH};
+use super::sweep::{self, Iface, FETCH};
 
 /// E8 results.
 #[derive(Debug, Clone)]
@@ -52,13 +52,8 @@ pub fn run(seed: u64, ops: u32) -> Results {
         // store reads the same objects (identical replica placement),
         // bypassing the interface: the floor the taxes are measured
         // against. REST re-authenticates every request.
-        let names = Names {
-            table: "e8",
-            key: "obj",
-            key_id: "AK1",
-        };
         let order = [Iface::Pcsi, Iface::Raw, Iface::Rest];
-        let swept = sweep::sweep(&lab, names, FETCH, ops, &order).await;
+        let swept = sweep::sweep(&lab, FETCH, ops, &order).await;
         let mean = |i: usize| swept.timed[i].hist.mean() as f64;
 
         // GC scenario: a tenant tree plus ephemeral intermediates whose

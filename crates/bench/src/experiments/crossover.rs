@@ -13,14 +13,7 @@ use pcsi_net::NetworkGeneration;
 use pcsi_trace::Sampling;
 
 use super::stages::{self, StageBreakdown};
-use super::sweep::{self, Iface, Names, FETCH};
-
-/// E9's REST item.
-const NAMES: Names = Names {
-    table: "t",
-    key: "k",
-    key_id: "AK1",
-};
+use super::sweep::{self, Iface, FETCH};
 
 /// The interfaces in the order E9 sets them up, with their labels.
 const IFACES: [(Iface, &str); 2] = [(Iface::Pcsi, "PCSI-native"), (Iface::Rest, "signed REST")];
@@ -56,7 +49,7 @@ pub fn run(seed: u64, ops: u32) -> Vec<Point> {
             .deterministic_network();
         let timed = Lab::run(seed, builder, move |lab| async move {
             let order = IFACES.map(|(iface, _)| iface);
-            sweep::sweep(&lab, NAMES, FETCH, ops, &order).await.timed
+            sweep::sweep(&lab, FETCH, ops, &order).await.timed
         });
         for ((_, interface), t) in IFACES.into_iter().zip(timed) {
             out.push(Point {
@@ -97,7 +90,7 @@ pub fn breakdowns(seed: u64) -> Vec<BreakdownPoint> {
         let traced = Lab::run(seed, builder, |lab| async move {
             let mut traced = Vec::new();
             for (iface, _) in IFACES {
-                traced.push(sweep::traced_fetch(&lab, NAMES, iface).await);
+                traced.push(sweep::traced_fetch(&lab, iface).await);
             }
             traced
         });

@@ -16,14 +16,7 @@ use pcsi_metrics::Quantiles;
 use pcsi_trace::Sampling;
 
 use super::stages::StageBreakdown;
-use super::sweep::{self, Iface, Names, FETCH};
-
-/// E2's REST item.
-const NAMES: Names = Names {
-    table: "bench",
-    key: "obj-1k",
-    key_id: "AK1",
-};
+use super::sweep::{self, Iface, FETCH};
 
 /// Results for one interface.
 #[derive(Debug, Clone)]
@@ -69,18 +62,14 @@ pub fn run(seed: u64, fetches: u32) -> Results {
         CloudBuilder::new().metrics(true),
         move |lab| async move {
             let order = [Iface::Nfs, Iface::Rest, Iface::Pcsi];
-            let t = sweep::sweep(&lab, NAMES, FETCH, fetches, &order)
-                .await
-                .timed;
-            // Cost accounting. NFS: per-op compute metered at the server,
-            // mount and setup included. REST: compute-metered provider cost
-            // only: the flat API-metering fee (0.20 USD/M, REST-only) is
-            // reported separately by the report binary; the paper's 60x is
-            // about work per request. PCSI: we meter the replica-side CPU
-            // analogously (binary decode + handle work ~ the same 3 us class
-            // as NFS; charge it explicitly so the comparison is
-            // apples-to-apples).
-            let nfs_cost = lab.cloud.billing.invoice(sweep::ACCOUNT).compute;
+            let t = sweep::sweep(&lab, FETCH, fetches, &order).await.timed;
+            // Cost: the compute billed over the fetches. NFS meters it at
+            // the server; REST too, without the flat API-metering fee
+            // (0.20 USD/M, REST-only) the report binary shows apart: the
+            // paper's 60x is about work per request. PCSI: we meter the
+            // replica-side CPU analogously (binary decode + handle work ~
+            // the same 3 us class as NFS; charge it explicitly so the
+            // comparison is apples-to-apples).
             let pcsi_per_op = Duration::from_micros(2); // Capability table hit + dispatch.
             let pcsi_cost = pcsi_per_op.as_secs_f64() * (0.048 / 3600.0) * f64::from(fetches);
 
@@ -98,7 +87,7 @@ pub fn run(seed: u64, fetches: u32) -> Results {
                 nfs: result(
                     "NFS-like stateful protocol",
                     &t[0],
-                    per_m(nfs_cost, fetches + 2),
+                    per_m(t[0].usd, fetches),
                 ),
                 rest: result("DynamoDB-like REST", &t[1], per_m(t[1].usd, fetches)),
                 pcsi: result(
@@ -130,9 +119,9 @@ pub fn stage_breakdown(seed: u64) -> StageResults {
     let builder = CloudBuilder::new().tracing(Sampling::Always);
     Lab::run(seed, builder, |lab| async move {
         StageResults {
-            nfs: sweep::traced_fetch(&lab, NAMES, Iface::Nfs).await,
-            rest: sweep::traced_fetch(&lab, NAMES, Iface::Rest).await,
-            pcsi: sweep::traced_fetch(&lab, NAMES, Iface::Pcsi).await,
+            nfs: sweep::traced_fetch(&lab, Iface::Nfs).await,
+            rest: sweep::traced_fetch(&lab, Iface::Rest).await,
+            pcsi: sweep::traced_fetch(&lab, Iface::Pcsi).await,
         }
     })
 }

@@ -1,11 +1,7 @@
-//! The one interface sweep behind E2, E8, E9 and YCSB: §2.1's
-//! measurement, a 1 KB fetch through NFS, signed REST and PCSI (and the
-//! raw store under PCSI), set up and timed one way.
-//!
-//! [`sweep`] sets each interface up inside the caller's [`Lab`], in the
-//! caller's order, and times `ops` operations of a [`Mix`] on it;
-//! [`traced_fetch`] splits the second of two fetches into stages. The
-//! network is whatever the caller's `CloudBuilder` built.
+//! The one interface sweep behind E2, E8, E9 and YCSB: §2.1's 1 KB
+//! fetch through NFS, signed REST and PCSI, and the raw store under
+//! PCSI, set up and timed one way. The network is whatever the caller's
+//! `CloudBuilder` built.
 
 use bytes::Bytes;
 use pcsi_cloud::nfs::NfsClient;
@@ -16,7 +12,6 @@ use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency, Reference};
 use pcsi_metrics::Histogram;
 use pcsi_net::NodeId;
-use pcsi_proto::sign::Credentials;
 use pcsi_store::StoreClient;
 
 use super::stages::{self, StageBreakdown};
@@ -26,7 +21,9 @@ const CLIENT: NodeId = NodeId(0);
 /// Bytes per value: §2.1's 1 KB object.
 const VALUE: u64 = 1024;
 /// The NFS mount's and the kernel client's billing account.
-pub const ACCOUNT: &str = "bench";
+const ACCOUNT: &str = "bench";
+/// The REST table every item lives in.
+const TABLE: &str = "bench";
 
 /// An interface the sweep drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,19 +36,6 @@ pub enum Iface {
     Pcsi,
     /// The replicated store under the kernel, on PCSI's objects.
     Raw,
-}
-
-impl Iface {
-    /// The root span of one fetch, and the suffix of the interface's
-    /// key-choice streams.
-    fn names(self) -> (&'static str, &'static str) {
-        match self {
-            Iface::Nfs => ("nfs.request", "-nfs"),
-            Iface::Rest => ("rest.request", "-rest"),
-            Iface::Pcsi => ("kernel.read", ""),
-            Iface::Raw => ("store.read", "-raw"),
-        }
-    }
 }
 
 /// Operations over `keys` Zipf-popular keys, `read_fraction` of them
@@ -70,19 +54,6 @@ pub const FETCH: Mix = Mix {
     read_fraction: 1.0,
 };
 
-/// The names an experiment's numbers were published with. REST's item
-/// and key id ride every signed request, so they move its latency; the
-/// table also prefixes the key-choice streams.
-#[derive(Debug, Clone, Copy)]
-pub struct Names {
-    /// REST table.
-    pub table: &'static str,
-    /// REST item: the key itself for one key, else `{key}{index}`.
-    pub key: &'static str,
-    /// REST key id.
-    pub key_id: &'static str,
-}
-
 /// One interface's timed operations.
 pub struct Timed {
     /// Their virtual-time latencies.
@@ -91,49 +62,41 @@ pub struct Timed {
     pub usd: f64,
 }
 
-/// What [`sweep`] timed, in the caller's order, and the PCSI objects it
-/// made.
+/// What [`sweep`] timed, in the caller's order, and the objects PCSI
+/// and the raw store read.
 pub struct Swept {
     /// One entry per interface.
     pub timed: Vec<Timed>,
-    /// The objects PCSI and the raw store read, one per key.
+    /// One PCSI object per key.
     pub objects: Vec<Reference>,
 }
 
 /// One interface, set up on its keys.
 enum Target {
     Nfs(NfsClient, Vec<u64>),
-    Rest(RestClient, &'static str, Vec<String>),
+    Rest(RestClient, Vec<String>),
     Pcsi(KernelClient, Vec<Reference>),
     Raw(StoreClient, Vec<Reference>),
 }
 
 /// Sets each of `ifaces` up on `mix.keys` keys in `lab`, in order, and
-/// times `ops` operations of `mix` on it.
-pub async fn sweep(lab: &Lab, names: Names, mix: Mix, ops: u32, ifaces: &[Iface]) -> Swept {
+/// times the same `ops` operations of `mix` on it.
+pub async fn sweep(lab: &Lab, mix: Mix, ops: u32, ifaces: &[Iface]) -> Swept {
+    let zipf = ZipfKeys::new(lab.h.rng().stream("sweep-keys"), mix.keys, 0.99);
+    let coin = lab.h.rng().stream("sweep-mix");
+    let plan: Vec<_> = (0..ops)
+        .map(|_| (zipf.next_key() as usize, coin.bool(mix.read_fraction)))
+        .collect();
     let (mut timed, mut objects) = (Vec::new(), Vec::new());
     for &iface in ifaces {
-        let target = setup(lab, names, iface, mix.keys, &mut objects).await;
-        let stream = |what| {
-            let suffix = iface.names().1;
-            lab.h
-                .rng()
-                .stream(&format!("{}-{what}{suffix}", names.table))
+        let target = setup(lab, iface, mix.keys, &mut objects).await;
+        let account = match iface {
+            Iface::Rest => Lab::credential().key_id,
+            _ => ACCOUNT.into(),
         };
-        let (zipf, coin) = (ZipfKeys::new(stream("keys"), mix.keys, 0.99), stream("mix"));
-        let account = if iface == Iface::Rest {
-            names.key_id
-        } else {
-            ACCOUNT
-        };
-        let billed = || lab.cloud.billing.invoice(account).compute;
+        let billed = || lab.cloud.billing.invoice(&account).compute;
         let before = billed();
-        let hist = lab
-            .time(ops, |_| {
-                let read = coin.bool(mix.read_fraction);
-                target.op(zipf.next_key() as usize, read)
-            })
-            .await;
+        let hist = lab.time(ops, |i| target.op(plan[i as usize])).await;
         let usd = billed() - before;
         timed.push(Timed { hist, usd });
     }
@@ -142,35 +105,25 @@ pub async fn sweep(lab: &Lab, names: Names, mix: Mix, ops: u32, ifaces: &[Iface]
 
 /// Sets `iface` up on one key in `lab`, whose cloud traces every
 /// request, fetches it twice, and splits the second fetch into stages.
-pub async fn traced_fetch(lab: &Lab, names: Names, iface: Iface) -> StageBreakdown {
-    let target = setup(lab, names, iface, 1, &mut Vec::new()).await;
-    for _ in 0..if iface == Iface::Nfs { 1 } else { 2 } {
-        target.op(0, true).await.unwrap();
+pub async fn traced_fetch(lab: &Lab, iface: Iface) -> StageBreakdown {
+    let target = setup(lab, iface, 1, &mut Vec::new()).await;
+    for _ in 0..2 {
+        target.op((0, true)).await.unwrap();
     }
-    let spans = lab
-        .cloud
-        .tracer
-        .as_ref()
-        .expect("tracing on")
-        .sink()
-        .snapshot();
-    let root = stages::last_root(&spans, iface.names().0).expect("a traced fetch");
-    StageBreakdown::of(&spans, root)
-}
-
-fn value() -> Bytes {
-    Bytes::from(vec![0x5A; VALUE as usize])
+    let root = match iface {
+        Iface::Nfs => "nfs.request",
+        Iface::Rest => "rest.request",
+        Iface::Pcsi => "kernel.read",
+        Iface::Raw => "store.read",
+    };
+    let tracer = lab.cloud.tracer.as_ref().expect("tracing");
+    let spans = tracer.sink().snapshot();
+    StageBreakdown::of(&spans, stages::last_root(&spans, root).expect("a fetch"))
 }
 
 /// Sets `iface` up on `keys` keys. PCSI and the raw store share
 /// `objects`: whichever comes first creates them.
-async fn setup(
-    lab: &Lab,
-    names: Names,
-    iface: Iface,
-    keys: u64,
-    objects: &mut Vec<Reference>,
-) -> Target {
+async fn setup(lab: &Lab, iface: Iface, keys: u64, objects: &mut Vec<Reference>) -> Target {
     let kc = lab.cloud.kernel.client(CLIENT, ACCOUNT);
     if matches!(iface, Iface::Pcsi | Iface::Raw) && objects.is_empty() {
         for _ in 0..keys {
@@ -178,44 +131,44 @@ async fn setup(
             objects.push(kc.create(eventual.with_initial(value())).await.unwrap());
         }
     }
-    let item = |k| match keys {
-        1 => names.key.to_owned(),
-        _ => format!("{}{k}", names.key),
-    };
+    let names: Vec<String> = (0..keys).map(|k| format!("k{k}")).collect();
     match iface {
         Iface::Nfs => {
-            let mount = lab.nfs().mount(CLIENT, Lab::NFS_SECRET, ACCOUNT);
-            let mount = mount.await.unwrap();
+            let mount = lab.nfs().mount(CLIENT, Lab::NFS_SECRET, ACCOUNT).await;
+            let mount = mount.unwrap();
             let mut files = Vec::new();
-            for k in 0..keys {
-                files.push(mount.lookup(&item(k), true).await.unwrap());
-                mount.write(files[k as usize], 0, &value()).await.unwrap();
+            for name in &names {
+                let file = mount.lookup(name, true).await.unwrap();
+                mount.write(file, 0, &value()).await.unwrap();
+                files.push(file);
             }
             Target::Nfs(mount, files)
         }
         Iface::Rest => {
-            let creds = Credentials::new(names.key_id, b"k".to_vec());
-            let rc = lab.rest_as(&creds).client(CLIENT, creds);
-            let items: Vec<String> = (0..keys).map(item).collect();
-            for i in &items {
-                rc.kv_put(names.table, i, &value()).await.unwrap();
+            let rc = lab.rest().client(CLIENT, Lab::credential());
+            for name in &names {
+                rc.kv_put(TABLE, name, &value()).await.unwrap();
             }
-            Target::Rest(rc, names.table, items)
+            Target::Rest(rc, names)
         }
         Iface::Pcsi => Target::Pcsi(kc, objects.clone()),
         Iface::Raw => Target::Raw(lab.cloud.store.client(CLIENT), objects.clone()),
     }
 }
 
+fn value() -> Bytes {
+    Bytes::from(vec![0x5A; VALUE as usize])
+}
+
 impl Target {
-    /// Reads or overwrites key `k`.
-    async fn op(&self, k: usize, read: bool) -> Result<(), String> {
+    /// Reads key `k`, or overwrites it.
+    async fn op(&self, (k, read): (usize, bool)) -> Result<(), String> {
         let eventual = Consistency::Eventual;
         match (self, read) {
             (Target::Nfs(m, f), true) => done(m.read(f[k], 0, VALUE).await),
             (Target::Nfs(m, f), false) => done(m.write(f[k], 0, &value()).await),
-            (Target::Rest(rc, t, i), true) => done(rc.kv_get(t, &i[k]).await),
-            (Target::Rest(rc, t, i), false) => done(rc.kv_put(t, &i[k], &value()).await),
+            (Target::Rest(rc, n), true) => done(rc.kv_get(TABLE, &n[k]).await),
+            (Target::Rest(rc, n), false) => done(rc.kv_put(TABLE, &n[k], &value()).await),
             (Target::Pcsi(kc, o), true) => done(kc.read(&o[k], 0, VALUE).await),
             (Target::Pcsi(kc, o), false) => done(kc.write(&o[k], 0, value()).await),
             (Target::Raw(sc, o), true) => done(sc.read(o[k].id(), 0, VALUE, eventual).await),

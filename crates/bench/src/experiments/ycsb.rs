@@ -13,7 +13,7 @@ use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Reference};
 use pcsi_net::NodeId;
 
-use super::sweep::{self, Iface, Names};
+use super::sweep::{self, Iface};
 
 /// Number of keys in the table.
 pub const KEYS: u64 = 200;
@@ -69,14 +69,8 @@ pub struct Cell {
 
 /// Runs all mixes on both interfaces with `ops` operations each: PCSI
 /// with one eventual object per key (the DynamoDB-default equivalent),
-/// then REST on the same store. The key id is on the wire, so this
-/// experiment keeps the two-letter one its numbers were published with.
+/// then REST on the same store.
 pub fn run(seed: u64, ops: u32) -> Vec<Cell> {
-    let names = Names {
-        table: "ycsb",
-        key: "k",
-        key_id: "AK",
-    };
     let mut out = Vec::new();
     for mix in Mix::ALL {
         let load = sweep::Mix {
@@ -85,7 +79,7 @@ pub fn run(seed: u64, ops: u32) -> Vec<Cell> {
         };
         let timed = Lab::run(seed, CloudBuilder::new(), move |lab| async move {
             let order = [Iface::Pcsi, Iface::Rest];
-            sweep::sweep(&lab, names, load, ops, &order).await.timed
+            sweep::sweep(&lab, load, ops, &order).await.timed
         });
         for (interface, t) in ["PCSI-native", "signed REST"].into_iter().zip(timed) {
             out.push(Cell {
