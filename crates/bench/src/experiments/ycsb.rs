@@ -67,9 +67,9 @@ pub struct Cell {
     pub p99_ns: f64,
 }
 
-/// Runs all mixes on both interfaces with `ops` operations each: PCSI
-/// with one eventual object per key (the DynamoDB-default equivalent),
-/// then REST on the same store.
+/// Runs all mixes on both interfaces, the same `ops` operations on
+/// each: PCSI with one eventual object per key (the DynamoDB-default
+/// equivalent), then REST on the same store.
 pub fn run(seed: u64, ops: u32) -> Vec<Cell> {
     let mut out = Vec::new();
     for mix in Mix::ALL {
