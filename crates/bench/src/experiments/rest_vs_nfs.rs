@@ -63,13 +63,13 @@ pub fn run(seed: u64, fetches: u32) -> Results {
         move |lab| async move {
             let order = [Iface::Nfs, Iface::Rest, Iface::Pcsi];
             let t = sweep::sweep(&lab, FETCH, fetches, &order).await.timed;
-            // Cost: the compute billed over the fetches. NFS meters it at
-            // the server; REST too, without the flat API-metering fee
-            // (0.20 USD/M, REST-only) the report binary shows apart: the
-            // paper's 60x is about work per request. PCSI: we meter the
-            // replica-side CPU analogously (binary decode + handle work ~
-            // the same 3 us class as NFS; charge it explicitly so the
-            // comparison is apples-to-apples).
+            // Cost: the compute each server billed over the timed fetches.
+            // REST's leaves out the flat API-metering fee (0.20 USD/M,
+            // REST-only), which the report binary shows apart: the paper's
+            // 60x is about work per request. Nothing meters PCSI's
+            // replica-side CPU, so it is charged explicitly (binary decode
+            // + handle work ~ the same 3 us class as NFS) to keep the
+            // comparison apples-to-apples.
             let pcsi_per_op = Duration::from_micros(2); // Capability table hit + dispatch.
             let pcsi_cost = pcsi_per_op.as_secs_f64() * (0.048 / 3600.0) * f64::from(fetches);
 

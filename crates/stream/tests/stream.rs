@@ -410,9 +410,9 @@ fn a_killed_stalled_subscriber_is_reaped_at_the_pinned_instant() {
     });
 }
 
-/// The longest one retried call can take on a lossless fabric that
-/// stopped answering: the last retransmit's instant above plus its 2 ms
-/// timeout and the endpoint overhead.
+/// The longest one retried call can take: the last retransmit's instant
+/// above plus one more retransmission interval, which covers that
+/// attempt's 2 ms timeout and the endpoint overhead.
 const RETRIED_CALL_BUDGET: Duration = Duration::from_micros(RETRY_SCHEDULE_US[16] + 2_200);
 
 /// A consumer takes a whole window and grants nothing, so the pump runs
