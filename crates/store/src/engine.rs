@@ -8,6 +8,7 @@
 //! DRAM-vs-NVMe-vs-disk effects.
 
 use fxhash::FxHashMap;
+use std::collections::hash_map;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -80,6 +81,14 @@ impl StoredObject {
             stable_len,
         }
     }
+
+    /// `len` bytes at `offset`, clamped to the object's size.
+    pub(crate) fn slice(&self, offset: u64, len: u64) -> Bytes {
+        let size = self.data.len() as u64;
+        let start = offset.min(size) as usize;
+        let end = offset.saturating_add(len).min(size) as usize;
+        self.data.slice(start..end)
+    }
 }
 
 /// The mutations replicas apply. Produced by the primary, shipped to
@@ -119,16 +128,44 @@ pub enum Mutation {
 /// a hostile `WriteAt` offset cannot turn into a multi-gigabyte resize.
 pub(crate) const MAX_OBJECT_BYTES: u64 = 1 << 32;
 
+/// Request records kept per object. A single client request retries for
+/// at most one operation's deadline, so the dedup window only needs to
+/// cover the requests that can still be in flight — not all history.
+const LEDGER_PER_OBJECT: usize = 32;
+
+/// Everything a node holds for one object, so the bytes, the delete that
+/// may have superseded them and the requests they contain change together.
+#[derive(Debug, Default)]
+struct Entry {
+    /// The live replica state, absent once deleted or evicted.
+    live: Option<StoredObject>,
+    /// Tag at which the object was deleted. Mutations and anti-entropy
+    /// pulls at or below it are ignored, so a straggling replica cannot
+    /// resurrect a deleted object here.
+    tombstone: Option<Tag>,
+    /// `(req_id, tag)` of each client request the current state line
+    /// contains, oldest first, at most [`LEDGER_PER_OBJECT`]. Every
+    /// record being on that line is what lets a coordinator replay a
+    /// recorded request and a secondary answer `AlreadyApplied` instead
+    /// of applying it again at a fresh tag (DESIGN §4.3), so a full-state
+    /// install ([`StorageEngine::sync_in`]) **replaces** them: the local
+    /// records described a line that was just discarded.
+    reqs: Vec<(u64, Tag)>,
+}
+
+impl Entry {
+    /// The newest tag this entry has seen, live or deleted.
+    fn newest(&self) -> Option<Tag> {
+        self.live.as_ref().map(|o| o.tag).max(self.tombstone)
+    }
+}
+
 /// A node-local object store; all methods are synchronous state changes,
 /// timing is charged by the caller via [`MediaTier::io_time`].
 #[derive(Debug)]
 pub struct StorageEngine {
     tier: MediaTier,
-    objects: FxHashMap<ObjectId, StoredObject>,
-    /// Tombstones: tag at which each object was deleted. Mutations and
-    /// anti-entropy pulls at or below the tombstone tag are ignored, so a
-    /// straggling replica cannot resurrect a deleted object here.
-    tombstones: FxHashMap<ObjectId, Tag>,
+    entries: FxHashMap<ObjectId, Entry>,
     bytes_stored: u64,
 }
 
@@ -137,8 +174,7 @@ impl StorageEngine {
     pub fn new(tier: MediaTier) -> Self {
         StorageEngine {
             tier,
-            objects: FxHashMap::default(),
-            tombstones: FxHashMap::default(),
+            entries: FxHashMap::default(),
             bytes_stored: 0,
         }
     }
@@ -155,16 +191,15 @@ impl StorageEngine {
 
     /// Returns the full stored object, if present.
     pub fn get(&self, id: ObjectId) -> Option<&StoredObject> {
-        self.objects.get(&id)
+        self.entries.get(&id)?.live.as_ref()
     }
 
     /// Reads `len` bytes at `offset`, clamped to the object's size.
     pub fn read(&self, id: ObjectId, offset: u64, len: u64) -> Result<Bytes, PcsiError> {
-        let obj = self.objects.get(&id).ok_or(PcsiError::NotFound(id))?;
-        let size = obj.data.len() as u64;
-        let start = offset.min(size) as usize;
-        let end = offset.saturating_add(len).min(size) as usize;
-        Ok(obj.data.slice(start..end))
+        Ok(self
+            .get(id)
+            .ok_or(PcsiError::NotFound(id))?
+            .slice(offset, len))
     }
 
     /// The tag of the newest applied mutation ([`Tag::ZERO`] if never
@@ -173,9 +208,10 @@ impl StorageEngine {
     /// recreate gets a tag above the tombstone instead of being silently
     /// swallowed by it.
     pub(crate) fn tag_of(&self, id: ObjectId) -> Tag {
-        let live = self.objects.get(&id).map(|o| o.tag).unwrap_or(Tag::ZERO);
-        let dead = self.tombstones.get(&id).copied().unwrap_or(Tag::ZERO);
-        live.max(dead)
+        self.entries
+            .get(&id)
+            .and_then(Entry::newest)
+            .unwrap_or(Tag::ZERO)
     }
 
     /// Applies `mutation` under `tag`, enforcing mutability rules.
@@ -183,15 +219,16 @@ impl StorageEngine {
     /// Applying is idempotent by tag: a mutation at or below the stored
     /// tag is ignored (duplicate delivery during retries/anti-entropy).
     pub fn apply(&mut self, id: ObjectId, tag: Tag, mutation: &Mutation) -> Result<(), PcsiError> {
-        if let Some(existing) = self.objects.get(&id) {
-            if tag <= existing.tag {
-                return Ok(()); // Stale or duplicate.
-            }
-        }
-        if let Some(&death) = self.tombstones.get(&id) {
-            if tag <= death {
-                return Ok(()); // Mutation from before the delete.
-            }
+        let entry = match self.entries.entry(id) {
+            hash_map::Entry::Occupied(entry) => entry.into_mut(),
+            // Only a put or a delete starts an entry.
+            hash_map::Entry::Vacant(slot) => match mutation {
+                Mutation::PutFull { .. } | Mutation::Delete => slot.insert(Entry::default()),
+                _ => return Err(PcsiError::NotFound(id)),
+            },
+        };
+        if entry.newest().is_some_and(|newest| tag <= newest) {
+            return Ok(()); // Stale, duplicate, or from before the delete.
         }
         match mutation {
             Mutation::PutFull { data, mutability } => {
@@ -199,7 +236,7 @@ impl StorageEngine {
                 // immutable or append-only object cannot be overwritten
                 // by a later put (clients cache immutable bytes on the
                 // strength of this).
-                if let Some(existing) = self.objects.get(&id) {
+                if let Some(existing) = &entry.live {
                     if !existing.mutability.allows_write() {
                         return Err(PcsiError::MutabilityViolation {
                             id,
@@ -207,15 +244,14 @@ impl StorageEngine {
                             op: "write",
                         });
                     }
+                    self.bytes_stored -= existing.data.len() as u64;
                 }
-                self.account_remove(id);
                 self.bytes_stored += data.len() as u64;
-                self.objects
-                    .insert(id, StoredObject::new(data.clone(), tag, *mutability));
+                entry.live = Some(StoredObject::new(data.clone(), tag, *mutability));
                 Ok(())
             }
             Mutation::WriteAt { offset, data } => {
-                let obj = self.objects.get_mut(&id).ok_or(PcsiError::NotFound(id))?;
+                let obj = entry.live.as_mut().ok_or(PcsiError::NotFound(id))?;
                 if !obj.mutability.allows_write() {
                     return Err(PcsiError::MutabilityViolation {
                         id,
@@ -250,7 +286,7 @@ impl StorageEngine {
                 Ok(())
             }
             Mutation::Append { data } => {
-                let obj = self.objects.get_mut(&id).ok_or(PcsiError::NotFound(id))?;
+                let obj = entry.live.as_mut().ok_or(PcsiError::NotFound(id))?;
                 if !obj.mutability.allows_append() {
                     return Err(PcsiError::MutabilityViolation {
                         id,
@@ -272,65 +308,128 @@ impl StorageEngine {
                 Ok(())
             }
             Mutation::SetMutability { to } => {
-                let obj = self.objects.get_mut(&id).ok_or(PcsiError::NotFound(id))?;
+                let obj = entry.live.as_mut().ok_or(PcsiError::NotFound(id))?;
                 obj.mutability = obj.mutability.transition_to(*to)?;
                 obj.tag = tag;
                 Ok(())
             }
             Mutation::Delete => {
-                self.account_remove(id);
-                self.objects.remove(&id);
-                self.tombstones.insert(id, tag);
+                if let Some(gone) = entry.live.take() {
+                    self.bytes_stored -= gone.data.len() as u64;
+                }
+                entry.tombstone = Some(tag);
                 Ok(())
             }
         }
     }
 
-    /// Removes an object without tag checks (GC path).
-    pub(crate) fn evict(&mut self, id: ObjectId) {
-        self.account_remove(id);
-        self.objects.remove(&id);
+    /// The tag `req_id` was applied at on the current state line of
+    /// `id`, if recorded. `req_id` 0 is a request without identity:
+    /// never recorded, never found.
+    pub(crate) fn recorded(&self, id: ObjectId, req_id: u64) -> Option<Tag> {
+        if req_id == 0 {
+            return None;
+        }
+        let reqs = &self.entries.get(&id)?.reqs;
+        reqs.iter()
+            .find(|&&(r, _)| r == req_id)
+            .map(|&(_, tag)| tag)
     }
 
-    /// Installs a full replica state (anti-entropy pull), keeping the
-    /// newest tag. Returns whether the incoming state was installed —
-    /// callers tracking per-object request ledgers must swap theirs in
-    /// exactly when the state they describe is.
-    pub(crate) fn sync_in(&mut self, id: ObjectId, incoming: StoredObject) -> bool {
-        if let Some(&death) = self.tombstones.get(&id) {
-            if incoming.tag <= death {
-                return false;
+    /// Records that the current state line of `id` contains `req_id` at
+    /// `tag`. An object this node holds nothing of records nothing.
+    pub(crate) fn record(&mut self, id: ObjectId, req_id: u64, tag: Tag) {
+        let Some(entry) = self.entries.get_mut(&id).filter(|_| req_id != 0) else {
+            return;
+        };
+        let reqs = &mut entry.reqs;
+        match reqs.iter_mut().find(|(r, _)| *r == req_id) {
+            // A replay at the recorded tag is idempotent; a catch-up
+            // re-order moved the request to a newer tag on this line.
+            Some(record) => record.1 = record.1.max(tag),
+            None => {
+                // Nearly every object holds one record: size the first
+                // allocation for it (a first `push` reserves four).
+                if reqs.capacity() == 0 {
+                    reqs.reserve_exact(1);
+                }
+                reqs.push((req_id, tag));
             }
         }
-        match self.objects.get(&id) {
-            Some(existing) if existing.tag >= incoming.tag => false,
-            _ => {
-                self.account_remove(id);
-                self.bytes_stored += incoming.data.len() as u64;
-                self.objects.insert(id, incoming);
-                true
-            }
+        if reqs.len() > LEDGER_PER_OBJECT {
+            // Records are appended in apply order, so the front is the
+            // oldest — the one least likely to still be retried.
+            reqs.remove(0);
+        }
+    }
+
+    /// The live state of `id` and the records of the requests it
+    /// contains: what a full-state transfer ships.
+    pub(crate) fn state(&self, id: ObjectId) -> Option<(StoredObject, Vec<(u64, Tag)>)> {
+        let entry = self.entries.get(&id)?;
+        Some((entry.live.clone()?, entry.reqs.clone()))
+    }
+
+    /// Removes an object's live state and request records without tag
+    /// checks (GC path), keeping a tombstone. Returns whether there was
+    /// live state to remove.
+    pub(crate) fn evict(&mut self, id: ObjectId) -> bool {
+        let Some(entry) = self.entries.get_mut(&id) else {
+            return false;
+        };
+        let gone = entry.live.take();
+        self.bytes_stored -= gone.as_ref().map_or(0, |o| o.data.len() as u64);
+        entry.reqs = Vec::new();
+        if entry.tombstone.is_none() {
+            self.entries.remove(&id);
+        }
+        gone.is_some()
+    }
+
+    /// Installs a full replica state (anti-entropy pull, read repair,
+    /// migration) with the records of the requests it contains, when
+    /// its tag is newer than everything this node has seen of `id`.
+    /// The records **replace** the local ones, never merge with them.
+    /// With `tombstone`, the state is a delete at `incoming.tag` and its
+    /// bytes are ignored.
+    pub(crate) fn sync_in(
+        &mut self,
+        id: ObjectId,
+        incoming: StoredObject,
+        mut reqs: Vec<(u64, Tag)>,
+        tombstone: bool,
+    ) {
+        let entry = self.entries.entry(id).or_default();
+        if entry.newest().is_some_and(|newest| incoming.tag <= newest) {
+            return;
+        }
+        reqs.drain(..reqs.len().saturating_sub(LEDGER_PER_OBJECT));
+        entry.reqs = reqs;
+        if let Some(gone) = entry.live.take() {
+            self.bytes_stored -= gone.data.len() as u64;
+        }
+        if tombstone {
+            entry.tombstone = Some(incoming.tag);
+        } else {
+            self.bytes_stored += incoming.data.len() as u64;
+            entry.live = Some(incoming);
         }
     }
 
     /// Iterates `(id, tag)` pairs (anti-entropy inventory).
     pub fn inventory(&self) -> Vec<(ObjectId, Tag)> {
-        let mut v: Vec<_> = self.objects.iter().map(|(id, o)| (*id, o.tag)).collect();
+        let live = self
+            .entries
+            .iter()
+            .filter_map(|(id, e)| Some((*id, e.live.as_ref()?.tag)));
+        let mut v: Vec<_> = live.collect();
         v.sort_unstable();
         v
     }
 
     /// All object ids present (GC sweep input).
     pub fn ids(&self) -> Vec<ObjectId> {
-        let mut v: Vec<_> = self.objects.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    fn account_remove(&mut self, id: ObjectId) {
-        if let Some(o) = self.objects.get(&id) {
-            self.bytes_stored -= o.data.len() as u64;
-        }
+        self.inventory().into_iter().map(|(id, _)| id).collect()
     }
 }
 
@@ -540,6 +639,8 @@ mod tests {
                 Tag { seq: 5, writer: 2 },
                 Mutability::Mutable,
             ),
+            vec![],
+            false,
         );
         assert_eq!(&e.read(id(1), 0, 10).unwrap()[..], b"newer");
         // An older incoming state is ignored.
@@ -550,6 +651,8 @@ mod tests {
                 Tag { seq: 2, writer: 9 },
                 Mutability::Mutable,
             ),
+            vec![],
+            false,
         );
         assert_eq!(&e.read(id(1), 0, 10).unwrap()[..], b"newer");
         assert_eq!(e.bytes_stored(), 5);
@@ -580,6 +683,8 @@ mod tests {
                 Tag { seq: 4, writer: 2 },
                 Mutability::Mutable,
             ),
+            vec![],
+            false,
         );
         assert!(e.get(id(1)).is_none());
     }
@@ -683,5 +788,127 @@ mod tests {
         assert!(inv.windows(2).all(|w| w[0].0 <= w[1].0));
         assert_eq!(e.tag_of(id(3)).seq, 1);
         assert_eq!(e.tag_of(id(99)), Tag::ZERO);
+    }
+
+    fn tag(seq: u64, writer: u32) -> Tag {
+        Tag { seq, writer }
+    }
+
+    fn object(data: &'static [u8], tag: Tag) -> StoredObject {
+        StoredObject::new(Bytes::from_static(data), tag, Mutability::Mutable)
+    }
+
+    #[test]
+    fn records_and_replaces() {
+        let mut e = StorageEngine::new(MediaTier::Dram);
+        put(&mut e, 1, b"v1", Mutability::Mutable);
+        e.record(id(1), 10, tag(3, 0));
+        assert_eq!(e.recorded(id(1), 10), Some(tag(3, 0)));
+        assert_eq!(e.recorded(id(1), 11), None);
+        assert_eq!(e.recorded(id(2), 10), None);
+        // An object this node holds nothing of records nothing.
+        e.record(id(2), 10, tag(3, 0));
+        assert_eq!(e.recorded(id(2), 10), None);
+        // A full-state install replaces, never merges: records from the
+        // losing line must not survive next to the winner's.
+        e.sync_in(
+            id(1),
+            object(b"v9", tag(9, 2)),
+            vec![(20, tag(9, 2))],
+            false,
+        );
+        assert_eq!(e.recorded(id(1), 10), None);
+        assert_eq!(e.recorded(id(1), 20), Some(tag(9, 2)));
+        assert_eq!(e.state(id(1)).unwrap().1, vec![(20, tag(9, 2))]);
+        // An install the local state outranks leaves the records alone.
+        e.sync_in(
+            id(1),
+            object(b"v4", tag(4, 2)),
+            vec![(30, tag(4, 2))],
+            false,
+        );
+        assert_eq!(e.recorded(id(1), 30), None);
+        assert_eq!(e.recorded(id(1), 20), Some(tag(9, 2)));
+        // Installing with no records leaves none.
+        e.sync_in(id(1), object(b"v10", tag(10, 2)), vec![], false);
+        assert_eq!(e.state(id(1)).unwrap().1, vec![]);
+    }
+
+    #[test]
+    fn re_recording_keeps_the_newer_tag() {
+        let mut e = StorageEngine::new(MediaTier::Dram);
+        put(&mut e, 1, b"v1", Mutability::Mutable);
+        e.record(id(1), 10, tag(3, 0));
+        // A catch-up re-order moved the request to a newer tag.
+        e.record(id(1), 10, tag(5, 1));
+        assert_eq!(e.recorded(id(1), 10), Some(tag(5, 1)));
+        e.record(id(1), 10, tag(4, 0));
+        assert_eq!(e.recorded(id(1), 10), Some(tag(5, 1)));
+        assert_eq!(e.state(id(1)).unwrap().1.len(), 1);
+    }
+
+    #[test]
+    fn records_are_capped_per_object_on_record_and_install() {
+        let mut e = StorageEngine::new(MediaTier::Dram);
+        put(&mut e, 1, b"v1", Mutability::Mutable);
+        for r in 1..=(LEDGER_PER_OBJECT as u64 + 8) {
+            e.record(id(1), r, tag(r + 1, 0));
+        }
+        assert_eq!(e.state(id(1)).unwrap().1.len(), LEDGER_PER_OBJECT);
+        // The oldest records fell off the front; the newest survive.
+        assert_eq!(e.recorded(id(1), 8), None);
+        assert_eq!(e.recorded(id(1), 9), Some(tag(10, 0)));
+        // An oversized shipped list is trimmed the same way.
+        let big: Vec<(u64, Tag)> = (1..=(LEDGER_PER_OBJECT as u64 + 4))
+            .map(|r| (r, tag(r + 1, 1)))
+            .collect();
+        e.sync_in(id(2), object(b"v", tag(1, 1)), big, false);
+        assert_eq!(e.state(id(2)).unwrap().1.len(), LEDGER_PER_OBJECT);
+        assert_eq!(e.recorded(id(2), 4), None);
+        assert_eq!(e.recorded(id(2), 5), Some(tag(6, 1)));
+    }
+
+    #[test]
+    fn request_zero_is_never_recorded_or_found() {
+        let mut e = StorageEngine::new(MediaTier::Dram);
+        put(&mut e, 1, b"v1", Mutability::Mutable);
+        e.record(id(1), 0, tag(1, 0));
+        assert_eq!(e.recorded(id(1), 0), None);
+        e.record(id(1), 5, tag(2, 0));
+        e.record(id(1), 0, tag(3, 0));
+        assert_eq!(e.state(id(1)).unwrap().1, vec![(5, tag(2, 0))]);
+        // Not even a shipped record makes request 0 findable.
+        e.sync_in(id(2), object(b"v", tag(4, 1)), vec![(0, tag(4, 1))], false);
+        assert_eq!(e.recorded(id(2), 0), None);
+    }
+
+    /// A delete keeps the object's records with its tombstone, a
+    /// tombstone install replaces them, and GC eviction drops them along
+    /// with the bytes (and the whole entry when nothing was deleted).
+    #[test]
+    fn a_delete_keeps_the_records_and_eviction_drops_them() {
+        let mut e = StorageEngine::new(MediaTier::Dram);
+        put(&mut e, 1, b"v1", Mutability::Mutable);
+        e.record(id(1), 10, tag(1, 0));
+        e.apply(id(1), tag(2, 0), &Mutation::Delete).unwrap();
+        e.record(id(1), 11, tag(2, 0));
+        assert_eq!(e.recorded(id(1), 10), Some(tag(1, 0)));
+        assert_eq!(e.recorded(id(1), 11), Some(tag(2, 0)));
+        assert!(e.state(id(1)).is_none(), "a deleted object ships nothing");
+        e.sync_in(id(1), object(b"", tag(5, 3)), vec![(12, tag(4, 3))], true);
+        assert_eq!(e.recorded(id(1), 11), None);
+        assert_eq!(e.recorded(id(1), 12), Some(tag(4, 3)));
+        assert_eq!(e.tag_of(id(1)), tag(5, 3));
+        assert!(e.get(id(1)).is_none());
+        // Eviction keeps the tombstone but not the records.
+        e.evict(id(1));
+        assert_eq!(e.recorded(id(1), 12), None);
+        assert_eq!(e.tag_of(id(1)), tag(5, 3));
+        put(&mut e, 2, b"v2", Mutability::Mutable);
+        e.record(id(2), 13, tag(1, 0));
+        e.evict(id(2));
+        assert_eq!(e.recorded(id(2), 13), None);
+        assert_eq!((e.tag_of(id(2)), e.bytes_stored()), (Tag::ZERO, 0));
+        assert!(e.entries.len() == 1, "the evicted live-only entry is gone");
     }
 }

@@ -72,10 +72,7 @@ pub fn sweep(store: &ReplicatedStore, unreachable: &[ObjectId]) -> usize {
     for replica in store.replicas() {
         replica.with_engine(|engine| {
             for &id in unreachable {
-                if engine.get(id).is_some() {
-                    engine.evict(id);
-                    evictions += 1;
-                }
+                evictions += usize::from(engine.evict(id));
             }
         });
     }

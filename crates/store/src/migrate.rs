@@ -23,11 +23,7 @@ impl ReplicatedStore {
     pub(crate) fn all_object_ids(&self) -> Vec<ObjectId> {
         let mut ids: Vec<ObjectId> = Vec::new();
         for r in &self.inner.replicas {
-            ids.extend(
-                r.with_engine(|e| e.inventory())
-                    .into_iter()
-                    .map(|(id, _)| id),
-            );
+            ids.extend(r.with_engine(|e| e.ids()));
         }
         ids.sort_unstable();
         ids.dedup();
@@ -140,16 +136,9 @@ impl ReplicatedStore {
     /// error the freeze lifts and the pin stays — writes resume on the
     /// old owners and the move retries later.
     pub(crate) async fn migrate_object(&self, id: ObjectId) -> Result<bool, PcsiError> {
-        // Claim before freezing (no await between): a second drain
-        // unfreezing this object mid-snapshot would readmit writes the
-        // first drain's snapshot cannot see.
-        let Some(old) = self.inner.placement.move_old_set(id) else {
+        let Some(old) = self.inner.placement.freeze_move(id) else {
             return Ok(false);
         };
-        if !self.inner.migrating.borrow_mut().insert(id) {
-            return Ok(false);
-        }
-        self.inner.placement.freeze(id);
         let result = self.migrate_frozen(id, &old).await;
         match &result {
             Ok(()) => {
@@ -164,7 +153,6 @@ impl ReplicatedStore {
             }
             Err(_) => self.inner.placement.unfreeze(id),
         }
-        self.inner.migrating.borrow_mut().remove(&id);
         result.map(|()| true)
     }
 
@@ -247,38 +235,30 @@ impl ReplicatedStore {
             // Never written on any reachable old owner: nothing to move.
             return Ok(());
         }
-        let (snapshot, reqs) = best.unwrap_or_else(|| {
+        let nothing = || {
             (
-                StoredObject {
-                    data: Bytes::new(),
-                    tag: Tag::ZERO,
-                    mutability: Mutability::Mutable,
-                    stable_len: 0,
-                },
-                Vec::new(),
+                StoredObject::new(Bytes::new(), Tag::ZERO, Mutability::Mutable),
+                vec![],
             )
-        });
+        };
+        let (mut sealed, reqs) = best.unwrap_or_else(nothing);
+        if deleted {
+            // A tombstone install ships no bytes.
+            sealed.data = Bytes::new();
+            sealed.stable_len = 0;
+        }
         let mut seal_seq = max_seen.seq + 1;
         for _ in 0..MAX_SEAL_ROUNDS {
             let epoch = self.inner.placement.epoch();
             let targets = self.inner.placement.ring_replicas(id);
-            let sealed = StoredObject {
-                data: if deleted {
-                    Bytes::new()
-                } else {
-                    snapshot.data.clone()
-                },
-                tag: Tag {
-                    seq: seal_seq,
-                    writer: u32::MAX,
-                },
-                mutability: snapshot.mutability,
-                stable_len: if deleted { 0 } else { snapshot.stable_len },
+            sealed.tag = Tag {
+                seq: seal_seq,
+                writer: u32::MAX,
             };
             let frame = wire::encode_request(&Request::Migrate {
                 epoch,
                 id,
-                object: sealed,
+                object: sealed.clone(),
                 reqs: reqs.clone(),
                 tombstone: deleted,
             });

@@ -331,24 +331,18 @@ impl Placement {
         ids
     }
 
-    /// The pinned old replica set of an object mid-migration.
-    pub(crate) fn move_old_set(&self, id: ObjectId) -> Option<Vec<NodeId>> {
-        let st = self.inner.state.borrow();
-        st.moves.get(&id).map(|mv| mv.old.clone())
-    }
-
-    /// Blocks coordinate/apply for a mid-move object while its state is
-    /// snapshotted and installed on the new owners.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the object has no pending move.
-    pub(crate) fn freeze(&self, id: ObjectId) {
+    /// Claims a pending move for one migration driver: blocks
+    /// coordinate/apply for the object while its state is snapshotted and
+    /// installed on the new owners, and returns the pinned old replica
+    /// set. `None` when no move is pending or another driver already
+    /// froze it: a freeze window belongs to exactly one driver, since a
+    /// second one unfreezing mid-snapshot would readmit writes the first
+    /// one's snapshot cannot see.
+    pub(crate) fn freeze_move(&self, id: ObjectId) -> Option<Vec<NodeId>> {
         let mut st = self.inner.state.borrow_mut();
-        st.moves
-            .get_mut(&id)
-            .expect("freeze without a pending move")
-            .frozen = true;
+        let mv = st.moves.get_mut(&id).filter(|mv| !mv.frozen)?;
+        mv.frozen = true;
+        Some(mv.old.clone())
     }
 
     /// Re-admits writes for a mid-move object (no-op if the move is gone).
@@ -576,7 +570,7 @@ mod tests {
             if moved.contains(&id) {
                 // Pinned: still the old owners (data has not moved yet).
                 assert_eq!(clone.replicas(id), before[i]);
-                assert_eq!(p.move_old_set(id).unwrap(), before[i]);
+                assert_eq!(p.freeze_move(id).unwrap(), before[i]);
                 p.complete_move(id);
                 // Flipped: the pre-join set must not resurface.
                 assert_eq!(clone.replicas(id), p.ring_replicas(id));
@@ -626,11 +620,13 @@ mod tests {
         let moved = p.begin_join(&topo, nodes[11], &ids);
         let id = moved[0];
         assert!(!p.is_frozen(id));
-        p.freeze(id);
+        assert!(p.freeze_move(id).is_some());
         assert!(p.is_frozen(id));
+        // A second driver finds the move claimed.
+        assert_eq!(p.freeze_move(id), None);
         p.unfreeze(id);
         assert!(!p.is_frozen(id));
-        p.freeze(id);
+        assert!(p.freeze_move(id).is_some());
         p.complete_move(id);
         // Completion clears the freeze along with the pin.
         assert!(!p.is_frozen(id));

@@ -16,9 +16,9 @@
 //! the original replication message was lost to a crash or partition.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashSet;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -56,9 +56,6 @@ struct Inner {
     engine: RefCell<StorageEngine>,
     /// The coordinate dedup table. See [`SeenCoordinates`].
     seen_coordinates: RefCell<SeenCoordinates>,
-    /// Which client requests the local state provably contains — the
-    /// exactly-once ledger. See [`ReqLedger`].
-    ledger: RefCell<ReqLedger>,
     /// When the node's storage device is next idle. [`charge_io`] queues
     /// FIFO behind this, so concurrent operations on one node contend for
     /// its media bandwidth instead of overlapping for free — without it a
@@ -99,7 +96,6 @@ impl ReplicaNode {
             placement,
             engine: RefCell::new(StorageEngine::new(tier)),
             seen_coordinates: RefCell::default(),
-            ledger: RefCell::new(ReqLedger::default()),
             io_free_at: Cell::new(SimTime::ZERO),
             coordinated: Counter::new(),
             applied: Counter::new(),
@@ -150,7 +146,8 @@ impl ReplicaNode {
         self.inner.coordinated.get()
     }
 
-    /// Objects installed by read-repair pushes.
+    /// Read-repair pushes received, whether installed or refused as no
+    /// newer than the local state.
     pub fn repaired_count(&self) -> u64 {
         self.inner.repaired.get()
     }
@@ -183,8 +180,8 @@ impl ReplicaNode {
 
 /// Completed coordinate-dedup entries kept per replica before the
 /// oldest are evicted. An evicted request that is retried falls through
-/// to [`coordinate`], whose [`ReqLedger`] lookup still replays it
-/// honestly instead of re-ordering.
+/// to [`coordinate`], whose lookup of the engine's request records still
+/// replays it honestly instead of re-ordering.
 const SEEN_COORDINATES_CAP: usize = 4096;
 
 /// Coordinate dedup table: which `req_id`s are executing right now, and
@@ -232,123 +229,6 @@ impl SeenCoordinates {
             if self.completed.len() > SEEN_COORDINATES_CAP {
                 self.completed.pop_first();
             }
-        }
-    }
-}
-
-/// Ledger entries kept per object. A single client request retries for
-/// at most one operation's deadline, so the dedup window only needs to
-/// cover the requests that can still be in flight — not all history.
-const LEDGER_PER_OBJECT: usize = 32;
-
-/// Objects tracked in the ledger before the longest-idle one (smallest
-/// newest `req_id`) is dropped.
-const LEDGER_OBJECTS: usize = 4096;
-
-/// Per-object record of which client requests (`req_id`) the replica's
-/// **current state** for that object contains, and the tag each was
-/// applied at.
-///
-/// The invariant — every recorded request is part of the history line
-/// of the bytes currently stored — is what makes the exactly-once
-/// machinery honest:
-///
-/// * a coordinator *replays* a recorded request at its recorded tag
-///   instead of ordering it again;
-/// * a secondary answers [`Response::AlreadyApplied`] for a recorded
-///   request instead of applying it a second time at a fresh tag;
-/// * a replication ack may be inferred from a peer's state **only**
-///   through this ledger (or an exactly-equal tag) — never from
-///   `newest >= tag`, because the engine admits tag gaps: a peer whose
-///   tag advanced via a *different* write never applied this request.
-///
-/// To preserve the invariant across full-state transfer, the ledger is
-/// read with the bytes as one value ([`state_of`]) and **replaced, not
-/// merged** whenever `sync_in` installs an incoming object: the incoming
-/// records describe the incoming state line; the local records described
-/// a line that was just discarded.
-#[derive(Default)]
-struct ReqLedger {
-    by_object: FxHashMap<ObjectId, Vec<(u64, Tag)>>,
-    /// `(newest req_id, object)` for every tracked object. Client
-    /// req_ids are allocated monotonically, so the first key is the
-    /// object idle longest — found without scanning `by_object`, and
-    /// unique, so eviction never depends on hash-map iteration order.
-    by_idleness: BTreeSet<(u64, ObjectId)>,
-}
-
-/// The idleness key of an object's records (see [`ReqLedger`]).
-fn newest_req(reqs: &[(u64, Tag)]) -> u64 {
-    reqs.iter().map(|&(r, _)| r).max().unwrap_or(0)
-}
-
-impl ReqLedger {
-    /// The tag `req_id` was applied at on the current state line, if
-    /// recorded. `req_id` 0 is a request without identity: never recorded,
-    /// never found.
-    fn lookup(&self, id: ObjectId, req_id: u64) -> Option<Tag> {
-        if req_id == 0 {
-            return None;
-        }
-        self.by_object
-            .get(&id)?
-            .iter()
-            .find(|&&(r, _)| r == req_id)
-            .map(|&(_, tag)| tag)
-    }
-
-    /// Records that the current state line contains `req_id` at `tag`.
-    fn record(&mut self, id: ObjectId, req_id: u64, tag: Tag) {
-        if req_id == 0 {
-            return;
-        }
-        // Nearly every object holds one record: size the first
-        // allocation for it (a first `push` reserves four).
-        let reqs = self
-            .by_object
-            .entry(id)
-            .or_insert_with(|| Vec::with_capacity(1));
-        self.by_idleness.remove(&(newest_req(reqs), id));
-        match reqs.iter_mut().find(|(r, _)| *r == req_id) {
-            // A replay at the recorded tag is idempotent; a catch-up
-            // re-order moved the request to a newer tag on this line.
-            Some(entry) => entry.1 = entry.1.max(tag),
-            None => reqs.push((req_id, tag)),
-        }
-        if reqs.len() > LEDGER_PER_OBJECT {
-            // Entries are appended in apply order, so the front is the
-            // oldest — the one least likely to still be retried.
-            reqs.remove(0);
-        }
-        self.by_idleness.insert((newest_req(reqs), id));
-        self.evict_idle_objects();
-    }
-
-    /// Replaces the object's records with the ledger shipped alongside
-    /// an installed full-state transfer.
-    fn replace(&mut self, id: ObjectId, mut reqs: Vec<(u64, Tag)>) {
-        if reqs.len() > LEDGER_PER_OBJECT {
-            reqs.drain(..reqs.len() - LEDGER_PER_OBJECT);
-        }
-        if let Some(old) = self.by_object.remove(&id) {
-            self.by_idleness.remove(&(newest_req(&old), id));
-        }
-        if !reqs.is_empty() {
-            self.by_idleness.insert((newest_req(&reqs), id));
-            self.by_object.insert(id, reqs);
-        }
-        self.evict_idle_objects();
-    }
-
-    /// The records to ship with a full-state transfer of `id`.
-    fn snapshot(&self, id: ObjectId) -> Vec<(u64, Tag)> {
-        self.by_object.get(&id).cloned().unwrap_or_default()
-    }
-
-    fn evict_idle_objects(&mut self) {
-        while self.by_object.len() > LEDGER_OBJECTS {
-            let (_, idle) = self.by_idleness.pop_first().expect("one key per object");
-            self.by_object.remove(&idle);
         }
     }
 }
@@ -435,7 +315,7 @@ async fn handle(inner: Rc<Inner>, payload: Bytes, call_ctx: CallCtx) -> Bytes {
             // coordinator re-orders the same client request at a fresh
             // higher tag, and a replica that already applied it must not
             // apply it again (Append is not idempotent).
-            let duplicate = inner.ledger.borrow().lookup(id, req_id);
+            let duplicate = inner.engine.borrow().recorded(id, req_id);
             if inner.placement.is_frozen(id) {
                 frozen(id)
             } else if !effective_member(&inner, id) {
@@ -458,7 +338,7 @@ async fn handle(inner: Rc<Inner>, payload: Bytes, call_ctx: CallCtx) -> Bytes {
                     Response::Err(WireError::from_pcsi(&e))
                 } else {
                     inner.applied.incr();
-                    inner.ledger.borrow_mut().record(id, req_id, tag);
+                    engine.record(id, req_id, tag);
                     Response::Applied
                 }
             }
@@ -489,20 +369,25 @@ async fn handle(inner: Rc<Inner>, payload: Bytes, call_ctx: CallCtx) -> Bytes {
         Request::TagOf { id } => Response::TagIs {
             tag: inner.engine.borrow().tag_of(id),
         },
-        Request::Fetch { id } => match state_of(&inner, id) {
-            Some((object, reqs)) => {
-                charge_io(&inner, object.data.len()).await;
-                inner.fetched.incr();
-                Response::Object { object, reqs }
+        Request::Fetch { id } => {
+            // Read before the IO charge: no engine borrow may live
+            // across an await.
+            let state = inner.engine.borrow().state(id);
+            match state {
+                Some((object, reqs)) => {
+                    charge_io(&inner, object.data.len()).await;
+                    inner.fetched.incr();
+                    Response::Object { object, reqs }
+                }
+                None => Response::Absent,
             }
-            None => Response::Absent,
-        },
+        }
         Request::Inventory => Response::InventoryIs {
             entries: inner.engine.borrow().inventory(),
         },
         Request::Push { id, object, reqs } => {
             charge_io(&inner, object.data.len()).await;
-            install_state(&inner, id, object, reqs);
+            inner.engine.borrow_mut().sync_in(id, object, reqs, false);
             inner.repaired.incr();
             Response::Applied
         }
@@ -577,19 +462,14 @@ fn migrate_install(
     if newest > object.tag {
         return Response::Stale { newest };
     }
-    if tombstone {
-        // The move found a majority-committed delete newer than any live
-        // state it fetched: land the tombstone itself (at the seal tag)
-        // so a stale old owner can never resurrect the object through
-        // anti-entropy inventory pulls.
-        let _ = inner
-            .engine
-            .borrow_mut()
-            .apply(id, object.tag, &Mutation::Delete);
-        inner.ledger.borrow_mut().replace(id, reqs);
-    } else {
-        install_state(inner, id, object, reqs);
-    }
+    // With `tombstone` the move found a majority-committed delete newer
+    // than any live state it fetched: the tombstone itself lands (at the
+    // seal tag), so a stale old owner can never resurrect the object
+    // through anti-entropy inventory pulls.
+    inner
+        .engine
+        .borrow_mut()
+        .sync_in(id, object, reqs, tombstone);
     inner.migrated_in.incr();
     Response::Applied
 }
@@ -607,11 +487,11 @@ async fn read_local(
     inline_limit: u64,
     absent_as_tag: bool,
 ) -> Response {
-    let snapshot = {
-        let engine = inner.engine.borrow();
-        engine.get(id).map(|o| (o.tag, o.mutability, o.stable_len))
-    };
-    let Some((tag, mutability, stable_len)) = snapshot else {
+    let found = inner.engine.borrow().get(id).map(|o| {
+        let data = o.slice(offset, len);
+        (o.tag, o.mutability, o.stable_len, data)
+    });
+    let Some((tag, mutability, stable_len, data)) = found else {
         return if absent_as_tag {
             // Report the tombstone-aware tag: a deleted object's death
             // tag must outrank any stale replica's live tag in the
@@ -623,22 +503,16 @@ async fn read_local(
             Response::Err(WireError::NotFound(id))
         };
     };
-    let result = inner.engine.borrow().read(id, offset, len);
-    match result {
-        Ok(data) => {
-            if data.len() as u64 > inline_limit {
-                return Response::TagIs { tag };
-            }
-            charge_io(inner, data.len()).await;
-            inner.reads.incr();
-            Response::Data {
-                tag,
-                mutability,
-                stable_len,
-                data,
-            }
-        }
-        Err(e) => Response::Err(WireError::from_pcsi(&e)),
+    if data.len() as u64 > inline_limit {
+        return Response::TagIs { tag };
+    }
+    charge_io(inner, data.len()).await;
+    inner.reads.incr();
+    Response::Data {
+        tag,
+        mutability,
+        stable_len,
+        data,
     }
 }
 
@@ -727,9 +601,9 @@ const MAX_CATCHUP_ROUNDS: u32 = 3;
 /// evidence the coordinator pulls the newest state, re-orders above it,
 /// and retries ([`MAX_CATCHUP_ROUNDS`] times).
 ///
-/// When the local [`ReqLedger`] shows the request is already contained
-/// in this node's current state (it coordinated it before, or applied
-/// its fan-out), the coordination **replays** replication at the
+/// When the engine's request records show the request is already
+/// contained in this node's current state (it coordinated it before, or
+/// applied its fan-out), the coordination **replays** replication at the
 /// recorded tag instead of ordering again. A replay that finds peers
 /// advanced past the recorded tag *without* holding the request does
 /// not fabricate success: their history line does not contain the
@@ -780,7 +654,7 @@ async fn coordinate(
         // of this loop applied it and the catch-up pull failed to
         // replace the line — must not be applied locally again: replay
         // replication at the recorded tag.
-        let recorded = inner.ledger.borrow().lookup(id, req_id);
+        let recorded = inner.engine.borrow().recorded(id, req_id);
         let tag = match recorded {
             Some(tag) => tag,
             None => {
@@ -824,10 +698,11 @@ async fn coordinate(
         // every replica of the write keeps a view of one allocation.
         let (frame, local) = wire::apply_frame(id, tag, &mutation, req_id, ctx);
         if !replay {
-            if let Err(e) = inner.engine.borrow_mut().apply(id, tag, &local) {
+            let mut engine = inner.engine.borrow_mut();
+            if let Err(e) = engine.apply(id, tag, &local) {
                 return Response::Err(WireError::from_pcsi(&e));
             }
-            inner.ledger.borrow_mut().record(id, req_id, tag);
+            engine.record(id, req_id, tag);
         }
         match replicate(inner, id, tag, frame, &peers, need, replay).await {
             ReplicateOutcome::Acked => return Response::Coordinated { tag },
@@ -945,25 +820,7 @@ async fn replicate(
     }
 }
 
-/// The full local state of `id`: the object and the ledger records
-/// describing it, read with no await between, so the records name only
-/// requests the bytes contain. Every full-state transfer ships this.
-fn state_of(inner: &Inner, id: ObjectId) -> Option<(StoredObject, Vec<(u64, Tag)>)> {
-    let object = inner.engine.borrow().get(id)?.clone();
-    Some((object, inner.ledger.borrow().snapshot(id)))
-}
-
-/// Installs a full object state plus the request ledger describing it.
-/// The ledger is replaced only when the state is — swapping one without
-/// the other would break the "records ⊆ current state line" invariant
-/// both dedup paths rely on.
-fn install_state(inner: &Inner, id: ObjectId, object: StoredObject, reqs: Vec<(u64, Tag)>) {
-    if inner.engine.borrow_mut().sync_in(id, object) {
-        inner.ledger.borrow_mut().replace(id, reqs);
-    }
-}
-
-/// Pushes the full local state of `id` (object plus request ledger) to
+/// Pushes the full local state of `id` (object plus request records) to
 /// `peer`, returning `Ok(())` only when the peer acknowledged the push.
 /// The peer installs it newest-wins, so a successful round-trip proves
 /// the peer's state-tag is at least the local tag at snapshot time —
@@ -974,7 +831,7 @@ async fn push_state_to(
     id: ObjectId,
     peer: NodeId,
 ) -> Result<(), Option<(Tag, NodeId)>> {
-    let Some((object, reqs)) = state_of(inner, id) else {
+    let Some((object, reqs)) = inner.engine.borrow().state(id) else {
         return Err(None);
     };
     let frame = wire::encode_request(&Request::Push { id, object, reqs });
@@ -993,7 +850,7 @@ async fn catch_up(inner: &Rc<Inner>, id: ObjectId, holder: NodeId) -> Result<(),
     let reply = rpc(&inner.fabric, inner.node, holder, frame).await?;
     if let Response::Object { object, reqs } = reply {
         charge_io(inner, object.data.len()).await;
-        install_state(inner, id, object, reqs);
+        inner.engine.borrow_mut().sync_in(id, object, reqs, false);
         inner.synced_in.incr();
     }
     Ok(())
@@ -1039,6 +896,7 @@ async fn anti_entropy_round(inner: &Rc<Inner>) {
 mod tests {
     use super::*;
     use pcsi_sim::rng::DetRng;
+    use std::collections::BTreeSet;
 
     fn id(n: u64) -> ObjectId {
         ObjectId::from_parts(7, n)
@@ -1046,80 +904,6 @@ mod tests {
 
     fn tag(seq: u64, writer: u32) -> Tag {
         Tag { seq, writer }
-    }
-
-    #[test]
-    fn ledger_records_and_replaces() {
-        let mut l = ReqLedger::default();
-        l.record(id(1), 10, tag(3, 0));
-        assert_eq!(l.lookup(id(1), 10), Some(tag(3, 0)));
-        assert_eq!(l.lookup(id(1), 11), None);
-        assert_eq!(l.lookup(id(2), 10), None);
-        // Re-recording keeps the newest tag (catch-up re-order moved it).
-        l.record(id(1), 10, tag(5, 1));
-        assert_eq!(l.lookup(id(1), 10), Some(tag(5, 1)));
-        l.record(id(1), 10, tag(4, 0));
-        assert_eq!(l.lookup(id(1), 10), Some(tag(5, 1)));
-        // A full-state install replaces, never merges: records from the
-        // losing line must not survive next to the winner's.
-        l.replace(id(1), vec![(20, tag(9, 2))]);
-        assert_eq!(l.lookup(id(1), 10), None);
-        assert_eq!(l.lookup(id(1), 20), Some(tag(9, 2)));
-        // Replacing with an empty ledger drops the object entirely.
-        l.replace(id(1), vec![]);
-        assert_eq!(l.snapshot(id(1)), vec![]);
-    }
-
-    #[test]
-    fn ledger_caps_records_per_object() {
-        let mut l = ReqLedger::default();
-        for r in 0..(LEDGER_PER_OBJECT as u64 + 8) {
-            l.record(id(1), r, tag(r + 1, 0));
-        }
-        assert_eq!(l.snapshot(id(1)).len(), LEDGER_PER_OBJECT);
-        // The oldest records fell off the front; the newest survive.
-        assert_eq!(l.lookup(id(1), 0), None);
-        assert_eq!(l.lookup(id(1), 7), None);
-        assert_eq!(l.lookup(id(1), 8), Some(tag(9, 0)));
-        // An oversized shipped ledger is trimmed the same way.
-        let big: Vec<(u64, Tag)> = (0..(LEDGER_PER_OBJECT as u64 + 4))
-            .map(|r| (r, tag(r + 1, 1)))
-            .collect();
-        l.replace(id(2), big);
-        assert_eq!(l.snapshot(id(2)).len(), LEDGER_PER_OBJECT);
-        assert_eq!(l.lookup(id(2), 3), None);
-        assert_eq!(l.lookup(id(2), 4), Some(tag(5, 1)));
-    }
-
-    #[test]
-    fn ledger_evicts_longest_idle_objects() {
-        let mut l = ReqLedger::default();
-        // req_ids are monotone across the client population, so object
-        // insertion order here matches idleness order.
-        for n in 0..(LEDGER_OBJECTS as u64 + 3) {
-            l.record(id(n), n + 100, tag(1, 0));
-        }
-        assert_eq!(l.by_object.len(), LEDGER_OBJECTS);
-        for n in 0..3 {
-            assert_eq!(l.lookup(id(n), n + 100), None, "object {n} evicted");
-        }
-        for n in 3..6 {
-            assert_eq!(l.lookup(id(n), n + 100), Some(tag(1, 0)));
-        }
-    }
-
-    #[test]
-    fn ledger_never_records_or_finds_request_zero() {
-        let mut l = ReqLedger::default();
-        l.record(id(1), 0, tag(1, 0));
-        assert_eq!(l.lookup(id(1), 0), None);
-        assert!(l.by_object.is_empty() && l.by_idleness.is_empty());
-        l.record(id(1), 5, tag(2, 0));
-        l.record(id(1), 0, tag(3, 0));
-        assert_eq!(l.snapshot(id(1)), vec![(5, tag(2, 0))]);
-        // Not even a shipped record makes request 0 findable.
-        l.replace(id(2), vec![(0, tag(4, 1))]);
-        assert_eq!(l.lookup(id(2), 0), None);
     }
 
     /// Every reply kind, replay off and on, against the rules as
@@ -1205,6 +989,56 @@ mod tests {
             "the object at {} ships {reqs:?}",
             object.tag
         );
+    }
+
+    /// A replica answers for a request its state contains however many
+    /// other objects it wrote since: the records live in the object's own
+    /// engine entry, so no cross-object cap can push them out. A
+    /// failed-over coordinator re-sends the request at a fresh higher
+    /// tag, and `Append` is not idempotent.
+    #[test]
+    fn a_request_on_an_idle_object_is_not_applied_twice() {
+        let mut sim = pcsi_sim::Sim::new(42);
+        let (fabric, store) = store_on_3x3(&sim);
+        let (first, reply, held) = sim.block_on(async move {
+            let x = id(1);
+            let t1 = linearizable_put(&store, x, Bytes::from_static(b"x")).await;
+            let p = store.placement().replicas(x)[1];
+            let call = |req: &Request| rpc(&fabric, p, p, wire::encode_request(req));
+            let append = |tag| Request::Apply {
+                id: x,
+                tag,
+                mutation: Mutation::Append {
+                    data: Bytes::from_static(b"a"),
+                },
+                req_id: 777,
+            };
+            let first = t1.next(9);
+            assert_eq!(call(&append(first)).await.unwrap(), Response::Applied);
+            // 4,097 writes to other objects p replicates, each a newer
+            // request than 777.
+            let others = (2..)
+                .map(id)
+                .filter(|&o| store.placement().is_replica(o, p));
+            for (req_id, other) in (1_000..).zip(others.take(4_097)) {
+                let put = Request::Apply {
+                    id: other,
+                    tag: Tag { seq: 1, writer: 9 },
+                    mutation: Mutation::PutFull {
+                        data: Bytes::from_static(b"o"),
+                        mutability: pcsi_core::Mutability::Mutable,
+                    },
+                    req_id,
+                };
+                assert_eq!(call(&put).await.unwrap(), Response::Applied);
+            }
+            let retry = call(&append(first.next(5))).await.unwrap();
+            let replica = store.replica_on(p).expect("a replica on every node");
+            let held = replica.with_engine(|e| e.read(x, 0, u64::MAX).unwrap());
+            (first, retry, held)
+        });
+        assert_eq!(reply, Response::AlreadyApplied { tag: first });
+        assert_eq!(&held[..], b"xa");
     }
 
     /// A store on a 3 × 3 topology with no background traffic.
@@ -1369,66 +1203,5 @@ mod tests {
         }
         assert_eq!(new.completed.len(), SEEN_COORDINATES_CAP);
         assert!(!running.is_empty(), "no in-flight claim at the end");
-    }
-
-    /// The ledger victim search the `by_idleness` index replaced, kept
-    /// as the oracle: rescan every object's records per eviction.
-    fn evict_idle_objects_by_scan(by_object: &mut FxHashMap<ObjectId, Vec<(u64, Tag)>>) {
-        while by_object.len() > LEDGER_OBJECTS {
-            let idle = by_object
-                .iter()
-                .map(|(&id, reqs)| (reqs.iter().map(|&(r, _)| r).max().unwrap_or(0), id))
-                .min()
-                .map(|(_, id)| id)
-                .expect("non-empty");
-            by_object.remove(&idle);
-        }
-    }
-
-    #[test]
-    fn ledger_evicts_the_victims_the_scan_evicted() {
-        let mut new = ReqLedger::default();
-        let mut old: FxHashMap<ObjectId, Vec<(u64, Tag)>> = FxHashMap::default();
-        let rng = DetRng::seeded(15);
-        let objects = 3 * LEDGER_OBJECTS as u64;
-        for step in 1..=(4 * objects) {
-            // Skewed towards recently introduced objects, so old ones go
-            // idle; req_ids mostly grow, with retries of older ones.
-            // One step in eight hits a hot object, overflowing its records.
-            let object = match rng.gen_range(0..8) {
-                0 => id(objects + rng.gen_range(0..16)),
-                _ => id((step / 2).saturating_sub(rng.gen_range(0..6_000)) % objects),
-            };
-            let req_id = step.saturating_sub(rng.gen_range(0..64));
-            if rng.u64().is_multiple_of(16) {
-                // A full-state install: shipped records, sometimes none.
-                let shipped: Vec<(u64, Tag)> = (0..rng.gen_range(0..3))
-                    .map(|i| (req_id + i, tag(step, 1)))
-                    .collect();
-                new.replace(object, shipped.clone());
-                if shipped.is_empty() {
-                    old.remove(&object);
-                } else {
-                    old.insert(object, shipped);
-                }
-            } else if req_id != 0 {
-                new.record(object, req_id, tag(step, 0));
-                let reqs = old.entry(object).or_default();
-                match reqs.iter_mut().find(|(r, _)| *r == req_id) {
-                    Some(entry) => entry.1 = entry.1.max(tag(step, 0)),
-                    None => reqs.push((req_id, tag(step, 0))),
-                }
-                if reqs.len() > LEDGER_PER_OBJECT {
-                    reqs.remove(0);
-                }
-            }
-            evict_idle_objects_by_scan(&mut old);
-            assert_eq!(new.by_object.len(), new.by_idleness.len());
-            if step % 64 == 0 || new.by_object.len() != old.len() {
-                assert!(new.by_object == old, "diverged at step {step}");
-            }
-        }
-        assert!(new.by_object == old);
-        assert_eq!(old.len(), LEDGER_OBJECTS);
     }
 }

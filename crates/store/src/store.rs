@@ -10,7 +10,6 @@
 
 use fxhash::FxHashMap;
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -106,11 +105,6 @@ pub(crate) struct StoreInner {
     pub(crate) retries: Counter,
     pub(crate) failovers: Counter,
     pub(crate) timeouts: Counter,
-    /// Objects a migration driver is currently moving. A freeze window
-    /// must belong to exactly one driver — a second drain unfreezing an
-    /// object mid-snapshot would readmit writes the first driver's
-    /// snapshot cannot see — so concurrent drains skip claimed objects.
-    pub(crate) migrating: RefCell<BTreeSet<ObjectId>>,
     /// The deployment's telemetry. With a registry, the always-on cells
     /// above (and every lazily created cache's) are published as named
     /// series; nothing is double-counted. Client operations open spans
@@ -174,7 +168,6 @@ impl ReplicatedStore {
             retries: Counter::new(),
             failovers: Counter::new(),
             timeouts: Counter::new(),
-            migrating: RefCell::new(BTreeSet::new()),
             telemetry: telemetry.clone(),
         };
         if let Some(m) = &telemetry.metrics {
