@@ -416,18 +416,18 @@ impl StorageEngine {
         }
     }
 
-    /// Iterates `(id, tag)` pairs (anti-entropy inventory).
+    /// The `(id, tag)` pair of every live object, unsorted: in engine
+    /// order (the anti-entropy inventory).
     pub fn inventory(&self) -> Vec<(ObjectId, Tag)> {
         let live = self
             .entries
             .iter()
             .filter_map(|(id, e)| Some((*id, e.live.as_ref()?.tag)));
-        let mut v: Vec<_> = live.collect();
-        v.sort_unstable();
-        v
+        live.collect()
     }
 
-    /// All object ids present (GC sweep input).
+    /// All object ids present, unsorted: in engine order (the input of
+    /// `all_object_ids`, which sorts).
     pub fn ids(&self) -> Vec<ObjectId> {
         self.inventory().into_iter().map(|(id, _)| id).collect()
     }
@@ -779,13 +779,12 @@ mod tests {
     }
 
     #[test]
-    fn inventory_sorted_and_complete() {
+    fn inventory_is_complete() {
         let mut e = StorageEngine::new(MediaTier::Dram);
-        put(&mut e, 3, b"c", Mutability::Mutable);
-        put(&mut e, 1, b"a", Mutability::Mutable);
-        let inv = e.inventory();
-        assert_eq!(inv.len(), 2);
-        assert!(inv.windows(2).all(|w| w[0].0 <= w[1].0));
+        let c = put(&mut e, 3, b"c", Mutability::Mutable);
+        let a = put(&mut e, 1, b"a", Mutability::Mutable);
+        let inv: std::collections::BTreeSet<_> = e.inventory().into_iter().collect();
+        assert_eq!(inv, [(id(1), a), (id(3), c)].into());
         assert_eq!(e.tag_of(id(3)).seq, 1);
         assert_eq!(e.tag_of(id(99)), Tag::ZERO);
     }

@@ -13,8 +13,9 @@
 //! replica set changed to its old owners until a background migration
 //! calls [`Placement::complete_move`]. All clones of a `Placement` share
 //! one ring (`Rc` inner), so replicas, clients, and the kernel observe a
-//! topology change at the same instant. Nothing derived from the ring is
-//! remembered between lookups, so nothing can go stale across a change.
+//! topology change at the same instant. The one thing derived from the
+//! ring, the replica set of every arc, is rebuilt with the ring under the
+//! same borrow, so no set can outlive the ring it was walked on.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -42,17 +43,18 @@ struct RingState {
     epoch: u64,
     /// Current ring members with their racks, sorted by node id.
     members: Vec<(NodeId, u32)>,
-    /// Distinct racks among `members`: the most replicas the
-    /// rack-distinct pass of [`RingState::select`] can pick.
-    n_racks: usize,
     /// Sorted vnode points: (point, node, rack).
     ring: Vec<(u64, NodeId, u32)>,
+    /// The replica set of every arc, primary first: `n_replicas` node ids
+    /// per vnode, the set of an object whose point falls at or before
+    /// that vnode (and after the previous one).
+    sets: Vec<NodeId>,
     /// In-flight migrations: object -> pinned old owners.
     moves: FxHashMap<ObjectId, MoveState>,
 }
 
 impl RingState {
-    fn rebuild_ring(&mut self) {
+    fn rebuild_ring(&mut self, n_replicas: usize) {
         self.ring.clear();
         for &(n, rack) in &self.members {
             for v in 0..VNODES_PER_NODE {
@@ -64,33 +66,23 @@ impl RingState {
         let mut racks: Vec<u32> = self.members.iter().map(|&(_, rack)| rack).collect();
         racks.sort_unstable();
         racks.dedup();
-        self.n_racks = racks.len();
+        self.sets.clear();
+        for arc in 0..self.ring.len() {
+            self.sets
+                .extend(ring_walk(&self.ring, arc, n_replicas, racks.len()));
+        }
     }
 
     /// The ring-derived replica set (ignores move pins), primary first:
-    /// the first node seen of each rack on a clockwise walk from the
-    /// object's point, then — only when racks < replicas — the remaining
-    /// nodes in first-appearance order. Both are tests on the vnodes
-    /// already walked, so a lookup keeps no state, allocates nothing and
-    /// ends at its last pick: a handful of vnodes, not the ring.
+    /// a binary search for the object's arc, then the first `n_replicas`
+    /// of that arc's set in the table [`RingState::rebuild_ring`] built
+    /// (a shorter walk picks a prefix of a longer one).
     fn select(&self, id: ObjectId, n_replicas: usize) -> impl Iterator<Item = NodeId> + '_ {
-        debug_assert!(n_replicas <= self.members.len());
+        let stride = self.sets.len() / self.ring.len();
+        debug_assert!(n_replicas <= stride);
         let h = object_point(id);
-        let ring = self.ring.as_slice();
-        let start = ring.partition_point(|&(p, _, _)| p < h);
-        let walk = move || ring[start..].iter().chain(&ring[..start]);
-        let distinct = n_replicas.min(self.n_racks);
-        let rack_firsts = walk()
-            .enumerate()
-            .filter(move |&(i, v)| walk().take(i).all(|seen| seen.2 != v.2))
-            .take(distinct);
-        let fill = walk()
-            .enumerate()
-            .filter(move |&(i, v)| {
-                walk().take(i).all(|seen| seen.1 != v.1) && walk().take(i).any(|seen| seen.2 == v.2)
-            })
-            .take(n_replicas - distinct);
-        rack_firsts.chain(fill).map(|(_, v)| v.1)
+        let arc = self.ring.partition_point(|&(p, _, _)| p < h) % self.ring.len();
+        self.sets[arc * stride..][..n_replicas].iter().copied()
     }
 
     /// The *effective* replica set, primary first: the pinned old owners
@@ -139,11 +131,11 @@ impl Placement {
         let mut state = RingState {
             epoch: 1,
             members,
-            n_racks: 0,
             ring: Vec::new(),
+            sets: Vec::new(),
             moves: FxHashMap::default(),
         };
-        state.rebuild_ring();
+        state.rebuild_ring(n_replicas);
         Placement {
             inner: Rc::new(PlacementInner {
                 n_replicas,
@@ -267,7 +259,7 @@ impl Placement {
             .collect();
         st.members.push((node, rack));
         st.members.sort_unstable_by_key(|&(n, _)| n);
-        st.rebuild_ring();
+        st.rebuild_ring(n_replicas);
         st.epoch += 1;
         Self::pin_changed(&mut st, old_sets, n_replicas)
     }
@@ -297,7 +289,7 @@ impl Placement {
             .map(|&id| (id, st.select(id, n_replicas).collect()))
             .collect();
         st.members.retain(|&(n, _)| n != node);
-        st.rebuild_ring();
+        st.rebuild_ring(n_replicas);
         st.epoch += 1;
         Self::pin_changed(&mut st, old_sets, n_replicas)
     }
@@ -365,6 +357,32 @@ impl Placement {
         let mut st = self.inner.state.borrow_mut();
         st.moves.remove(&id);
     }
+}
+
+/// The replica set of an object whose clockwise walk starts at vnode
+/// `start`, primary first: the first node seen of each rack, then — only
+/// when racks < replicas — the remaining nodes in first-appearance order.
+/// Both are tests on the vnodes already walked, so the walk ends at its
+/// last pick: a handful of vnodes, not the ring.
+fn ring_walk(
+    ring: &[(u64, NodeId, u32)],
+    start: usize,
+    n_replicas: usize,
+    n_racks: usize,
+) -> impl Iterator<Item = NodeId> + '_ {
+    let walk = move || ring[start..].iter().chain(&ring[..start]);
+    let distinct = n_replicas.min(n_racks);
+    let rack_firsts = walk()
+        .enumerate()
+        .filter(move |&(i, v)| walk().take(i).all(|seen| seen.2 != v.2))
+        .take(distinct);
+    let fill = walk()
+        .enumerate()
+        .filter(move |&(i, v)| {
+            walk().take(i).all(|seen| seen.1 != v.1) && walk().take(i).any(|seen| seen.2 == v.2)
+        })
+        .take(n_replicas - distinct);
+    rack_firsts.chain(fill).map(|(_, v)| v.1)
 }
 
 /// Ring point of a vnode.

@@ -872,21 +872,27 @@ async fn anti_entropy_round(inner: &Rc<Inner>) {
 
     let frame = wire::encode_request(&Request::Inventory);
     // Peer down or partitioned: try next round.
-    let Ok(Response::InventoryIs { entries }) = rpc(&inner.fabric, inner.node, peer, frame).await
+    let Ok(Response::InventoryIs { mut entries }) =
+        rpc(&inner.fabric, inner.node, peer, frame).await
     else {
         return;
     };
 
-    for (id, peer_tag) in entries {
-        // Only track objects this node replicates.
-        if !effective_member(inner, id) {
-            continue;
-        }
-        let local_tag = inner.engine.borrow().tag_of(id);
-        if peer_tag <= local_tag {
-            continue;
-        }
-        if catch_up(inner, id, peer).await.is_err() {
+    // Only objects this node replicates, and only where the peer is newer.
+    let behind = |&(id, peer_tag): &(ObjectId, Tag)| {
+        effective_member(inner, id) && peer_tag > inner.engine.borrow().tag_of(id)
+    };
+    // The peer lists in its engine's order. One pass finds the first id
+    // this node is behind on; a round with none pulls and sorts nothing.
+    // Pulls go in id order from there: every entry below that id would
+    // fail `behind` at this same instant, before any await.
+    let Some(first) = entries.iter().filter(|e| behind(e)).map(|e| e.0).min() else {
+        return;
+    };
+    entries.sort_unstable();
+    let from = entries.partition_point(|e| e.0 < first);
+    for entry in &entries[from..] {
+        if behind(entry) && catch_up(inner, entry.0, peer).await.is_err() {
             return;
         }
     }
@@ -1039,6 +1045,71 @@ mod tests {
         });
         assert_eq!(reply, Response::AlreadyApplied { tag: first });
         assert_eq!(&held[..], b"xa");
+    }
+
+    /// The requester pulls in id order whatever order the responder
+    /// lists in: a peer's engine lists unsorted, and the round sorts
+    /// only when it has something to pull.
+    #[test]
+    fn anti_entropy_pulls_in_id_order_whatever_the_inventory_order() {
+        use pcsi_core::Mutability;
+        use pcsi_net::{LatencyModel, NetworkGeneration, Topology};
+
+        let mut sim = pcsi_sim::Sim::new(42);
+        let fabric = Fabric::new(
+            sim.handle(),
+            Topology::uniform(3, 1),
+            LatencyModel::deterministic(NetworkGeneration::Dc2021),
+        );
+        let nodes = fabric.topology().node_ids();
+        let placement = Placement::new(fabric.topology(), nodes, 3);
+        let replica = ReplicaNode::start(
+            fabric.clone(),
+            placement,
+            NodeId(0),
+            MediaTier::Dram,
+            &Telemetry::default(),
+        );
+        let object = |tag| StoredObject::new(Bytes::from_static(b"v"), tag, Mutability::Mutable);
+        // Node 0's tag per object against the peers' seq 5: older (1, 5,
+        // 8), equal (2, 7), newer (4), absent (3, 6).
+        let held = [(1, 3), (2, 5), (4, 9), (5, 1), (7, 5), (8, 4)];
+        replica.with_engine(|e| {
+            for (n, seq) in held {
+                e.sync_in(id(n), object(tag(seq, 1)), Vec::new(), false);
+            }
+        });
+        let mut listed: Vec<(ObjectId, Tag)> = (1..=8).map(|n| (id(n), tag(5, 1))).collect();
+        listed.sort_unstable_by(|a, b| b.cmp(a));
+        let fetched = Rc::new(RefCell::new(Vec::new()));
+        for peer in [NodeId(1), NodeId(2)] {
+            let (listed, fetched) = (listed.clone(), Rc::clone(&fetched));
+            let fake: RpcHandler = Rc::new(move |payload, _| {
+                let response = match wire::decode_request(&payload).unwrap() {
+                    Request::Inventory => Response::InventoryIs {
+                        entries: listed.clone(),
+                    },
+                    Request::Fetch { id } => {
+                        fetched.borrow_mut().push(id);
+                        Response::Object {
+                            object: object(tag(5, 1)),
+                            reqs: Vec::new(),
+                        }
+                    }
+                    other => panic!("a fake peer got {other:?}"),
+                };
+                Box::pin(async move { Ok(wire::encode_response(&response)) })
+            });
+            fabric.bind(peer, STORE_SERVICE, fake);
+        }
+        let round = replica.clone();
+        sim.block_on(async move { round.anti_entropy_once().await });
+        let mut behind: Vec<ObjectId> = [1, 3, 5, 6, 8].map(id).into();
+        behind.sort_unstable();
+        assert_eq!(*fetched.borrow(), behind);
+        for (n, _) in listed {
+            assert!(replica.with_engine(|e| e.tag_of(n)) >= tag(5, 1), "{n:?}");
+        }
     }
 
     /// A store on a 3 × 3 topology with no background traffic.

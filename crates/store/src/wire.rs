@@ -186,7 +186,7 @@ pub enum Response {
     Absent,
     /// Inventory listing.
     InventoryIs {
-        /// Sorted `(id, tag)` pairs.
+        /// `(id, tag)` pairs in the responder's engine order, not sorted.
         entries: Vec<(ObjectId, Tag)>,
     },
     /// The receiver already holds state at least as new as the tag the
@@ -696,7 +696,11 @@ fn read_request(r: &mut Reader) -> Result<Request, CodecError> {
 
 /// Encodes a response.
 pub fn encode_response(resp: &Response) -> Bytes {
-    let mut w = Writer::with_capacity(64);
+    let mut w = Writer::with_capacity(match resp {
+        // Op, count, then a 16-byte id and a 12-byte tag per entry.
+        Response::InventoryIs { entries } => 5 + 28 * entries.len(),
+        _ => 64,
+    });
     match resp {
         Response::Coordinated { tag } => {
             w.u8(0);
