@@ -144,3 +144,22 @@ where
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::strategy::any;
+
+    /// A case's inputs are a pure function of the test's name, the case
+    /// number and the rejections so far: pinning the first draw of
+    /// cases 0 and 1 pins the seeding of every proptest in the workspace.
+    #[test]
+    fn case_streams_are_pinned() {
+        let mut firsts = Vec::new();
+        run("demo_name", &(any::<u64>(),), |(v,)| {
+            firsts.push(v);
+            Ok(())
+        });
+        assert_eq!(firsts[..2], [7316478667447041701, 2328780387915633360]);
+    }
+}

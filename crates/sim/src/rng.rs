@@ -382,4 +382,97 @@ mod tests {
             assert!((10..20).contains(&x));
         }
     }
+
+    /// Every method's first draws on a fresh stream, in one order: four
+    /// `u64`, two narrow and one wide `gen_range`, two `f64`, four
+    /// `bool`, one `exp`, one `lognormal`, then 13 bytes. Floats are
+    /// compared by their bits.
+    fn first_draws(r: &DetRng) -> (Vec<u64>, [u8; 13]) {
+        let mut v: Vec<u64> = (0..4).map(|_| r.u64()).collect();
+        v.extend((0..2).map(|_| r.gen_range(10..1_000)));
+        v.push(r.gen_range(3..u64::MAX));
+        v.extend((0..2).map(|_| r.f64().to_bits()));
+        v.extend((0..4).map(|_| u64::from(r.bool(0.5))));
+        v.push(r.exp(100.0).to_bits());
+        v.push(r.lognormal(10.0, 0.5).to_bits());
+        let mut bytes = [0u8; 13];
+        r.fill_bytes(&mut bytes);
+        (v, bytes)
+    }
+
+    /// Known answers: every stream, golden and benchmark digest rests on
+    /// these draws, so a change to the generator, its seeding or a
+    /// method's use of it fails here first.
+    #[test]
+    fn first_draws_are_pinned() {
+        let s = RngStreams::new(0xC0FFEE);
+        let cases: [(DetRng, [u64; 15], [u8; 13]); 3] = [
+            (
+                s.stream("net-faults"),
+                [
+                    6653319581312869208,
+                    1090435950247373154,
+                    6000449483224947247,
+                    5053190232928079818,
+                    0x5a,
+                    0x392,
+                    0x1c0890ae78924987,
+                    0x3fd657f00ca65a70,
+                    0x3fed28996fc3a633,
+                    1,
+                    0,
+                    0,
+                    0,
+                    0x405890c1e0101d34,
+                    0x402abd6fad76f7d8,
+                ],
+                [109, 40, 221, 154, 80, 142, 81, 94, 61, 241, 31, 209, 145],
+            ),
+            (
+                s.stream_indexed("worker", 3),
+                [
+                    0xe41bcc0457f1420e,
+                    0xf3830aac902473f4,
+                    0x5a5c627af4b1ae93,
+                    0xb072e685a32e0cb3,
+                    0x3b3,
+                    0x2b4,
+                    0x1959acee04069752,
+                    0x3fec5921a18ce117,
+                    0x3fe106bc3b1b78dd,
+                    1,
+                    0,
+                    1,
+                    1,
+                    0x406c4da645ce4c4f,
+                    0x401829c6518c112e,
+                ],
+                [222, 222, 200, 42, 170, 247, 75, 179, 163, 226, 241, 194, 93],
+            ),
+            (
+                DetRng::seeded(42),
+                [
+                    12343323003495711280,
+                    1641377365623878930,
+                    16068605123119461831,
+                    10057471241892641806,
+                    0x356,
+                    0x1a5,
+                    0x669b14c594520876,
+                    0x3fd48725f5faa8c4,
+                    0x3fd678c3e17dcf94,
+                    1,
+                    0,
+                    0,
+                    0,
+                    0x4072c77d3e2f25de,
+                    0x402f4a09489c8fc2,
+                ],
+                [28, 12, 219, 16, 189, 251, 127, 147, 220, 37, 193, 36, 173],
+            ),
+        ];
+        for (r, words, bytes) in cases {
+            assert_eq!(first_draws(&r), (words.to_vec(), bytes));
+        }
+    }
 }
