@@ -84,6 +84,8 @@ where
 
 #[cfg(test)]
 mod tests {
+    use pcsi_sim::DetRng;
+
     use super::*;
     use crate::strategy::any;
 
@@ -91,7 +93,7 @@ mod tests {
     fn vec_respects_size_range() {
         let strat = vec(any::<u8>(), 3..7);
         for seed in 0..50 {
-            let v = strat.sample(&mut TestRng::new(seed)).unwrap();
+            let v = strat.sample(&mut TestRng(DetRng::seeded(seed))).unwrap();
             assert!((3..7).contains(&v.len()), "len {}", v.len());
         }
     }
@@ -99,7 +101,7 @@ mod tests {
     #[test]
     fn empty_range_start_is_used() {
         let strat = vec(any::<u8>(), 0..1);
-        let v = strat.sample(&mut TestRng::new(1)).unwrap();
+        let v = strat.sample(&mut TestRng(DetRng::seeded(1))).unwrap();
         assert!(v.is_empty());
     }
 
@@ -107,7 +109,7 @@ mod tests {
     fn btree_map_hits_target_size_with_wide_keyspace() {
         let strat = btree_map(any::<u64>(), any::<bool>(), 5..6);
         for seed in 0..20 {
-            let m = strat.sample(&mut TestRng::new(seed)).unwrap();
+            let m = strat.sample(&mut TestRng(DetRng::seeded(seed))).unwrap();
             assert_eq!(m.len(), 5);
         }
     }

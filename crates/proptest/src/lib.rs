@@ -1,4 +1,5 @@
-//! Vendored, dependency-free subset of the `proptest` crate.
+//! Vendored subset of the `proptest` crate that draws its cases from
+//! `pcsi-sim`.
 //!
 //! The build environment has no network access to crates.io, so the
 //! workspace ships the slice of the proptest API its test suites use:

@@ -169,10 +169,12 @@ impl Strategy for &'static str {
 
 #[cfg(test)]
 mod tests {
+    use pcsi_sim::DetRng;
+
     use super::*;
 
     fn gen(pattern: &'static str, seed: u64) -> String {
-        let mut rng = TestRng::new(seed);
+        let mut rng = TestRng(DetRng::seeded(seed));
         pattern.sample(&mut rng).unwrap()
     }
 

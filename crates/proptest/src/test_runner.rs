@@ -1,33 +1,29 @@
 //! Case generation and execution for the `proptest!` macro.
 
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use pcsi_sim::{DetRng, RngStreams};
 
 use crate::strategy::Strategy;
 
 /// The RNG handed to strategies while sampling a case.
 ///
-/// Seeded deterministically from the test name and case number, so a
-/// failing case reproduces on every run.
-pub struct TestRng(StdRng);
+/// A [`DetRng`] stream named after the test and seeded by the case
+/// number, so a failing case reproduces on every run.
+pub struct TestRng(pub(crate) DetRng);
 
 impl TestRng {
-    /// Creates a generator for one sampling attempt.
-    pub fn new(seed: u64) -> Self {
-        TestRng(StdRng::seed_from_u64(seed))
-    }
-
     /// Next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
-        self.0.next_u64()
+        self.0.u64()
     }
 
     /// Uniform draw in `[0, 1)`.
     pub fn unit_f64(&mut self) -> f64 {
-        (self.0.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.0.f64()
     }
 
-    /// Uniform `usize` in `[low, high)`.
+    /// Uniform `usize` in `[low, high)`: one draw reduced modulo the
+    /// width, not [`DetRng::gen_range`]'s two, since every collection
+    /// size of every case rests on it.
     ///
     /// # Panics
     ///
@@ -35,20 +31,6 @@ impl TestRng {
     pub fn usize_in(&mut self, low: usize, high: usize) -> usize {
         assert!(low < high, "empty range {low}..{high}");
         low + (self.next_u64() % (high - low) as u64) as usize
-    }
-}
-
-impl RngCore for TestRng {
-    fn next_u32(&mut self) -> u32 {
-        self.0.next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0.next_u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.0.fill_bytes(dest);
     }
 }
 
@@ -73,22 +55,6 @@ impl TestCaseError {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// 64 cases unless `PROPTEST_CASES` says otherwise; a value that is set
 /// but is not a count panics, so a typo cannot shrink a sweep silently.
 fn case_count() -> u32 {
@@ -110,12 +76,11 @@ where
     F: FnMut(S::Value) -> Result<(), TestCaseError>,
 {
     let cases = case_count();
-    let base = fnv1a(name.as_bytes());
     let mut rejects: u64 = 0;
     let mut case: u32 = 0;
     while case < cases {
-        let seed = splitmix64(base ^ u64::from(case) ^ (rejects << 32));
-        let mut rng = TestRng::new(seed);
+        let seed = u64::from(case) ^ (rejects << 32);
+        let mut rng = TestRng(RngStreams::new(seed).stream(name));
         let value = match strategy.sample(&mut rng) {
             Some(v) => v,
             None => {

@@ -5,6 +5,12 @@
 //! contents, replica jitter, ...) draws from its own stream, seeded by a
 //! stable function of `(simulation seed, stream name)`. Adding a new
 //! component then cannot perturb the draws an existing component sees.
+//!
+//! Every stream is one xoshiro256++ generator (Blackman and Vigna). A
+//! stream seeded with `s` starts from the state whose word `i` is
+//! [`splitmix64`]`(s + i·0x9E37_79B9_7F4A_7C15)`, `i = 0..3`; a named
+//! stream's `s` is `splitmix64(seed ^ fnv1a(name))`. Every draw in the
+//! workspace goes through [`DetRng`]'s methods.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -12,11 +18,8 @@ use std::rc::Rc;
 
 use fxhash::FxHashMap;
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-
-/// SplitMix64 finalizer; mixes seed material into a well-distributed u64.
-fn splitmix64(mut x: u64) -> u64 {
+/// The SplitMix64 mixer: spreads seed material over all 64 bits.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -33,6 +36,34 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The xoshiro256++ state behind one stream.
+struct Xoshiro([u64; 4]);
+
+impl Xoshiro {
+    fn seeded(seed: u64) -> Self {
+        let s: [u64; 4] = std::array::from_fn(|i| {
+            splitmix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64)))
+        });
+        // The all-zero state is xoshiro's one fixed point, but SplitMix64
+        // is a bijection: at most one of four distinct inputs maps to 0.
+        debug_assert_ne!(s, [0; 4]);
+        Xoshiro(s)
+    }
+
+    fn next(&mut self) -> u64 {
+        let s = &mut self.0;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+}
+
 /// The collection of named RNG streams owned by a simulation.
 ///
 /// Cloning is cheap and shares state: two clones asking for the same stream
@@ -41,7 +72,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[derive(Clone)]
 pub struct RngStreams {
     seed: u64,
-    streams: Rc<RefCell<FxHashMap<String, Rc<RefCell<StdRng>>>>>,
+    streams: Rc<RefCell<FxHashMap<String, Rc<RefCell<Xoshiro>>>>>,
 }
 
 impl RngStreams {
@@ -72,7 +103,7 @@ impl RngStreams {
             };
         }
         let s = splitmix64(self.seed ^ fnv1a(name.as_bytes()));
-        let rng = Rc::new(RefCell::new(StdRng::seed_from_u64(s)));
+        let rng = Rc::new(RefCell::new(Xoshiro::seeded(s)));
         map.insert(name.to_owned(), Rc::clone(&rng));
         DetRng { inner: rng }
     }
@@ -93,13 +124,11 @@ impl std::fmt::Debug for RngStreams {
     }
 }
 
-/// A handle to one deterministic stream.
-///
-/// Implements [`RngCore`], so it works with every `rand` API, and offers
-/// inherent helpers for the distributions the workload generators need.
+/// A handle to one deterministic stream, with the distributions the
+/// workload generators need.
 #[derive(Clone)]
 pub struct DetRng {
-    inner: Rc<RefCell<StdRng>>,
+    inner: Rc<RefCell<Xoshiro>>,
 }
 
 impl DetRng {
@@ -107,27 +136,32 @@ impl DetRng {
     /// unit tests.
     pub fn seeded(seed: u64) -> Self {
         DetRng {
-            inner: Rc::new(RefCell::new(StdRng::seed_from_u64(splitmix64(seed)))),
+            inner: Rc::new(RefCell::new(Xoshiro::seeded(splitmix64(seed)))),
         }
     }
 
     /// Next raw 64-bit draw.
     pub fn u64(&self) -> u64 {
-        self.inner.borrow_mut().next_u64()
+        self.inner.borrow_mut().next()
     }
 
-    /// Uniform draw from `range`.
+    /// Uniform draw from `range`: two draws, the first as the high word
+    /// of a 128-bit numerator, reduced modulo the range's width (the bias
+    /// is below 2^-64).
     ///
     /// # Panics
     ///
     /// Panics if the range is empty.
     pub fn gen_range(&self, range: Range<u64>) -> u64 {
-        self.inner.borrow_mut().gen_range(range)
+        assert!(range.start < range.end, "gen_range: empty range");
+        let mut g = self.inner.borrow_mut();
+        let wide = (u128::from(g.next()) << 64) | u128::from(g.next());
+        range.start + (wide % u128::from(range.end - range.start)) as u64
     }
 
-    /// Uniform draw in `[0, 1)`.
+    /// Uniform draw in `[0, 1)`: the top 53 bits of one draw.
     pub fn f64(&self) -> f64 {
-        self.inner.borrow_mut().gen::<f64>()
+        (self.u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bernoulli draw with success probability `p` (clamped to `[0, 1]`).
@@ -188,27 +222,13 @@ impl DetRng {
         &items[self.gen_range(0..items.len() as u64) as usize]
     }
 
-    /// Fills `buf` with pseudo-random bytes.
+    /// Fills `buf` with pseudo-random bytes: one little-endian draw per
+    /// 8 bytes, the last one truncated.
     pub fn fill_bytes(&self, buf: &mut [u8]) {
-        self.inner.borrow_mut().fill_bytes(buf);
-    }
-}
-
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.borrow_mut().next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.inner.borrow_mut().next_u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.borrow_mut().fill_bytes(dest);
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.borrow_mut().try_fill_bytes(dest)
+        let mut g = self.inner.borrow_mut();
+        for chunk in buf.chunks_mut(8) {
+            chunk.copy_from_slice(&g.next().to_le_bytes()[..chunk.len()]);
+        }
     }
 }
 
@@ -377,10 +397,13 @@ mod tests {
     #[test]
     fn gen_range_bounds() {
         let r = DetRng::seeded(9);
+        let mut seen = [false; 10];
         for _ in 0..1000 {
             let x = r.gen_range(10..20);
             assert!((10..20).contains(&x));
+            seen[(x - 10) as usize] = true;
         }
+        assert!(seen.iter().all(|&s| s), "range not covered: {seen:?}");
     }
 
     /// Every method's first draws on a fresh stream, in one order: four

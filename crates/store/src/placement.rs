@@ -23,6 +23,7 @@ use std::rc::Rc;
 use fxhash::FxHashMap;
 use pcsi_core::ObjectId;
 use pcsi_net::{NodeId, Topology};
+use pcsi_sim::rng::splitmix64;
 
 /// Virtual nodes contributed to the ring by each member.
 pub(crate) const VNODES_PER_NODE: u32 = 64;
@@ -387,20 +388,12 @@ fn ring_walk(
 
 /// Ring point of a vnode.
 fn vnode_point(node: NodeId, vnode: u32) -> u64 {
-    splitmix((u64::from(node.0) << 32) | u64::from(vnode))
+    splitmix64((u64::from(node.0) << 32) | u64::from(vnode))
 }
 
 /// Ring point of an object.
 fn object_point(id: ObjectId) -> u64 {
-    splitmix((id.as_u128() as u64) ^ ((id.as_u128() >> 64) as u64))
-}
-
-/// SplitMix64 finalizer.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    splitmix64((id.as_u128() as u64) ^ ((id.as_u128() >> 64) as u64))
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use pcsi_core::{ObjectId, PcsiError};
 use pcsi_metrics::{Counter, Histogram};
-use pcsi_net::fabric::{CallCtx, RpcHandler};
+use pcsi_net::fabric::RpcHandler;
 use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_obs::Telemetry;
 use pcsi_sim::SimTime;
@@ -122,9 +122,9 @@ impl ReplicaNode {
         let inner = Rc::new(inner);
         let handler: RpcHandler = {
             let inner = Rc::clone(&inner);
-            Rc::new(move |payload, ctx| {
+            Rc::new(move |payload, _| {
                 let inner = Rc::clone(&inner);
-                Box::pin(async move { Ok(handle(inner, payload, ctx).await) })
+                Box::pin(async move { Ok(handle(inner, payload).await) })
             })
         };
         fabric.bind(node, STORE_SERVICE, handler);
@@ -263,17 +263,15 @@ fn request_span_name(req: &Request) -> &'static str {
     }
 }
 
-async fn handle(inner: Rc<Inner>, payload: Bytes, call_ctx: CallCtx) -> Bytes {
+async fn handle(inner: Rc<Inner>, payload: Bytes) -> Bytes {
     let (request, wire_ctx) = match wire::decode_request_traced(&payload) {
         Ok(r) => r,
         Err(e) => {
             return wire::encode_response(&Response::Err(WireError::Other(e.to_string())));
         }
     };
-    // The store protocol carries the context in its own envelope; the
-    // fabric-level context covers callers that route through `call_traced`.
-    let trace_ctx = wire_ctx.or(call_ctx.trace);
-    let mut span = pcsi_trace::child_of(&inner.tracer, trace_ctx, request_span_name(&request));
+    // The store protocol carries the context in its own envelope.
+    let mut span = pcsi_trace::child_of(&inner.tracer, wire_ctx, request_span_name(&request));
     span.attr("node", u64::from(inner.node.0));
     let child_ctx = span.ctx();
     let response = match request {

@@ -620,17 +620,6 @@ pub fn trace_duration_ns(spans: &[Span], trace: TraceId) -> u64 {
         .unwrap_or(0)
 }
 
-/// FNV-1a over a rendered trace (or any string) — the trace fingerprint
-/// used by the determinism suite.
-pub fn fingerprint(rendered: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in rendered.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,12 +691,7 @@ mod tests {
         let rb = render_spans(&b);
         let rc = render_spans(&c);
         assert_eq!(ra, rb);
-        assert_eq!(fingerprint(&ra), fingerprint(&rb));
-        assert_ne!(
-            fingerprint(&ra),
-            fingerprint(&rc),
-            "different seeds must yield different ids"
-        );
+        assert_ne!(ra, rc, "different seeds must yield different ids");
     }
 
     #[test]

@@ -401,7 +401,7 @@ fn metrics_snapshots_fingerprint_identically_per_seed() {
 #[test]
 fn trace_fingerprints_are_deterministic_under_faults() {
     use pcsi_net::MessageFaults;
-    use pcsi_trace::{fingerprint, render_spans, Sampling};
+    use pcsi_trace::{render_spans, Sampling};
 
     fn traced_run(seed: u64) -> (String, u64) {
         let mut sim = Sim::new(seed);
@@ -446,12 +446,10 @@ fn trace_fingerprints_are_deterministic_under_faults() {
         "retried ops must carry backoff spans:\n{render_a}"
     );
     let (render_b, _) = traced_run(0xF00D);
-    assert_eq!(fingerprint(&render_a), fingerprint(&render_b));
     assert_eq!(render_a, render_b, "traces must replay byte-identically");
     let (render_c, _) = traced_run(0xF00E);
     assert_ne!(
-        fingerprint(&render_a),
-        fingerprint(&render_c),
+        render_a, render_c,
         "different seeds must produce different traces"
     );
 }
