@@ -6,12 +6,12 @@
 use bytes::Bytes;
 use pcsi_cloud::nfs::NfsClient;
 use pcsi_cloud::rest::RestClient;
-use pcsi_cloud::workload::ZipfKeys;
 use pcsi_cloud::{KernelClient, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency, Reference};
 use pcsi_metrics::Histogram;
 use pcsi_net::NodeId;
+use pcsi_sim::ZipfParams;
 use pcsi_store::StoreClient;
 
 use super::stages::{self, StageBreakdown};
@@ -82,10 +82,11 @@ enum Target {
 /// Sets each of `ifaces` up on `mix.keys` keys in `lab`, in order, and
 /// times the same `ops` operations of `mix` on it.
 pub async fn sweep(lab: &Lab, mix: Mix, ops: u32, ifaces: &[Iface]) -> Swept {
-    let zipf = ZipfKeys::new(lab.h.rng().stream("sweep-keys"), mix.keys, 0.99);
+    let keys = lab.h.rng().stream("sweep-keys");
+    let zipf = ZipfParams::new(mix.keys, 0.99);
     let coin = lab.h.rng().stream("sweep-mix");
     let plan: Vec<_> = (0..ops)
-        .map(|_| (zipf.next_key() as usize, coin.bool(mix.read_fraction)))
+        .map(|_| (keys.zipf_from(&zipf) as usize, coin.bool(mix.read_fraction)))
         .collect();
     let (mut timed, mut objects) = (Vec::new(), Vec::new());
     for &iface in ifaces {

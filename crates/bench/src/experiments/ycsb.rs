@@ -7,11 +7,11 @@
 //! from E2/E8 holds across mixes and skew, which is the generalization
 //! the §2.1 argument needs.
 
-use pcsi_cloud::workload::ZipfKeys;
 use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Reference};
 use pcsi_net::NodeId;
+use pcsi_sim::ZipfParams;
 
 use super::sweep::{self, Iface};
 
@@ -124,12 +124,13 @@ pub fn run_immutable(seed: u64, ops: u32) -> ImmutableCell {
             );
         }
 
-        let zipf = ZipfKeys::new(lab.h.rng().stream("ycsb-keys-im"), KEYS, 0.99);
+        let keys = lab.h.rng().stream("ycsb-keys-im");
+        let zipf = ZipfParams::new(KEYS, 0.99);
         let stats0 = cloud.store.cache_stats();
         let msgs0 = cloud.fabric.message_count();
         let hist = lab
             .time(ops, |_| {
-                kc.read(&refs[zipf.next_key() as usize], 0, VALUE as u64)
+                kc.read(&refs[keys.zipf_from(&zipf) as usize], 0, VALUE as u64)
             })
             .await;
         let stats1 = cloud.store.cache_stats();

@@ -162,30 +162,6 @@ pub async fn drive_open_loop(
     stats
 }
 
-/// A Zipf key popularity generator over `n` keys.
-#[derive(Clone)]
-pub struct ZipfKeys {
-    rng: DetRng,
-    params: pcsi_sim::ZipfParams,
-}
-
-impl ZipfKeys {
-    /// Creates a generator (`theta` 0 = uniform, 0.99 = YCSB default).
-    /// The sampler constants are computed once here, so per-key draws
-    /// stay cheap in request loops.
-    pub fn new(rng: DetRng, n: u64, theta: f64) -> Self {
-        ZipfKeys {
-            rng,
-            params: pcsi_sim::ZipfParams::new(n, theta),
-        }
-    }
-
-    /// Samples a key rank in `[0, n)`.
-    pub fn next_key(&self) -> u64 {
-        self.rng.zipf_from(&self.params)
-    }
-}
-
 /// Boxes a request closure's future (helper to keep call sites tidy).
 pub fn boxed<F>(fut: F) -> LocalBoxFuture<Result<(), String>>
 where
@@ -314,18 +290,5 @@ mod tests {
         let loose = stats.slo_attainment(Duration::from_millis(50));
         assert!((0.35..0.65).contains(&tight), "tight {tight}");
         assert!(loose > 0.95, "loose {loose}");
-    }
-
-    #[test]
-    fn zipf_keys_skew() {
-        let z = ZipfKeys::new(DetRng::seeded(1), 1000, 0.99);
-        let mut head = 0;
-        for _ in 0..10_000 {
-            if z.next_key() < 10 {
-                head += 1;
-            }
-        }
-        // With theta=.99 the top-10 keys draw a large share.
-        assert!(head > 2_000, "head {head}");
     }
 }

@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
-use pcsi_core::{Mutability, ObjectId, Rights};
+use pcsi_core::{Mutability, ObjectId, PcsiError, Rights};
 use pcsi_faas::{FunctionImage, Variant, WorkModel};
 use pcsi_fs::{DirEntry, Directory};
 use pcsi_proto::binary::{self, Prefix, Writer};
@@ -111,13 +111,15 @@ fn frames() -> Vec<(&'static str, Bytes, Vec<usize>)> {
     let inventory = wire::encode_response(&Response::InventoryIs {
         entries: vec![(ObjectId::from_parts(2, 1), tag)],
     });
-    let refused = wire::encode_response(&Response::Err(wire::WireError::Other("boom".into())));
+    let refused = wire::encode_response(&Response::Err(PcsiError::Fault("boom".into())));
     let event = frame::encode_stream_frame(&StreamFrame::Push {
         seq: 1,
         ts_ns: 2,
         payload: Bytes::from_static(b"event"),
     });
-    let reply = frame::encode_stream_reply(&StreamReply::Err("no such subscription".into()));
+    let reply = frame::encode_stream_reply(&StreamReply::Err(PcsiError::Fault(
+        "no such subscription".into(),
+    )));
     let mut image = FunctionImage::simple("f", WorkModel::fixed(Default::default()), 1);
     image.variants.push(Variant::wasm(1));
     let mut dir = Directory::new();

@@ -4,8 +4,26 @@
 //! variants are the "errno" set of the system. Unlike POSIX errno, errors
 //! carry enough structure to be actionable programmatically (which object,
 //! which rights were missing, which transition was rejected).
+//!
+//! An error crosses a PCSI-native wire (a replica's reply, a stream
+//! receiver's refusal) in the one form [`PcsiError::encode`] writes, a
+//! code byte and its fields, all integers little-endian:
+//!
+//! ```text
+//! error := 0x00 id                      NotFound
+//!        | 0x01 id level text           MutabilityViolation
+//!        | 0x02 level level             InvalidMutabilityTransition
+//!        | 0x03 u32 u32                 QuorumUnavailable (needed, got)
+//!        | 0x04 text                    Fault
+//!        | 0x05 text                    BadPayload
+//! id    := u128
+//! level := u8 (see Mutability::encode)
+//! text  := u32(len) utf8-bytes
+//! ```
 
 use std::fmt;
+
+use pcsi_proto::binary::{DecodeError, Prefix::U32 as LEN, Reader, Writer};
 
 use crate::id::ObjectId;
 use crate::mutability::Mutability;
@@ -134,6 +152,80 @@ impl PcsiError {
                 | PcsiError::Overloaded(_)
                 | PcsiError::Fault(_)
         )
+    }
+
+    /// Writes the error's wire form (module docs). The six variants a
+    /// peer sends have a code of their own and arrive as themselves.
+    /// Every other variant (`AccessDenied`, `WrongKind`, `AlreadyExists`,
+    /// `NameNotFound`, `Timeout`, `Unreachable`, `FunctionFailed`,
+    /// `NoViableVariant`, `Overloaded`, `InvalidReference`) is written
+    /// as a `Fault` with its display text: no replica or stream
+    /// receiver answers with one.
+    pub fn encode(&self, w: &mut Writer) {
+        match self {
+            PcsiError::NotFound(id) => {
+                w.u8(0);
+                w.u128(id.as_u128());
+            }
+            PcsiError::MutabilityViolation { id, level, op } => {
+                w.u8(1);
+                w.u128(id.as_u128());
+                level.encode(w);
+                w.str(LEN, op);
+            }
+            PcsiError::InvalidMutabilityTransition { from, to } => {
+                w.u8(2);
+                from.encode(w);
+                to.encode(w);
+            }
+            PcsiError::QuorumUnavailable { needed, got } => {
+                w.u8(3);
+                w.u32(*needed as u32);
+                w.u32(*got as u32);
+            }
+            PcsiError::Fault(msg) => {
+                w.u8(4);
+                w.str(LEN, msg);
+            }
+            PcsiError::BadPayload(msg) => {
+                w.u8(5);
+                w.str(LEN, msg);
+            }
+            other => {
+                w.u8(4);
+                w.str(LEN, &other.to_string());
+            }
+        }
+    }
+
+    /// Reads an error written by [`PcsiError::encode`]. A violation's
+    /// operation comes back as `"write"`, `"append"` or `"resize"`, and
+    /// as `"mutate"` for any other text.
+    pub fn decode(r: &mut Reader) -> Result<PcsiError, DecodeError> {
+        Ok(match r.u8()? {
+            0 => PcsiError::NotFound(ObjectId::from_u128(r.u128()?)),
+            1 => PcsiError::MutabilityViolation {
+                id: ObjectId::from_u128(r.u128()?),
+                level: Mutability::decode(r)?,
+                op: match r.str(LEN)?.as_str() {
+                    "write" => "write",
+                    "append" => "append",
+                    "resize" => "resize",
+                    _ => "mutate",
+                },
+            },
+            2 => PcsiError::InvalidMutabilityTransition {
+                from: Mutability::decode(r)?,
+                to: Mutability::decode(r)?,
+            },
+            3 => PcsiError::QuorumUnavailable {
+                needed: r.u32()? as usize,
+                got: r.u32()? as usize,
+            },
+            4 => PcsiError::Fault(r.str(LEN)?),
+            5 => PcsiError::BadPayload(r.str(LEN)?),
+            b => return Err(DecodeError::BadTag(b)),
+        })
     }
 }
 

@@ -20,6 +20,8 @@
 
 use std::fmt;
 
+use pcsi_proto::binary::{DecodeError, Reader, Writer};
+
 use crate::error::PcsiError;
 
 /// The four mutability levels of Figure 1.
@@ -97,6 +99,25 @@ impl Mutability {
         matches!(self, Mutability::Mutable | Mutability::AppendOnly)
     }
 
+    /// Writes the level as its one wire byte, `0` to `3` in the order of
+    /// [`Mutability::ALL`]: the form every binary protocol carries it in.
+    pub fn encode(self, w: &mut Writer) {
+        w.u8(match self {
+            Mutability::Mutable => 0,
+            Mutability::FixedSize => 1,
+            Mutability::AppendOnly => 2,
+            Mutability::Immutable => 3,
+        });
+    }
+
+    /// Reads a level written by [`Mutability::encode`].
+    pub fn decode(r: &mut Reader) -> Result<Mutability, DecodeError> {
+        match r.u8()? {
+            b @ 0..=3 => Ok(Mutability::ALL[usize::from(b)]),
+            b => Err(DecodeError::BadTag(b)),
+        }
+    }
+
     /// The canonical paper spelling (`MUTABLE`, `APPEND_ONLY`, ...).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -150,6 +171,21 @@ mod tests {
         assert!(!FixedSize.can_transition_to(AppendOnly));
         assert!(!AppendOnly.can_transition_to(FixedSize));
         assert!(!Immutable.can_transition_to(Mutable));
+    }
+
+    #[test]
+    fn wire_byte_is_the_position_in_all() {
+        for (i, m) in Mutability::ALL.into_iter().enumerate() {
+            let mut w = Writer::with_capacity(1);
+            m.encode(&mut w);
+            let frame = w.finish();
+            assert_eq!(&frame[..], [i as u8]);
+            assert_eq!(Mutability::decode(&mut Reader::new(&frame)), Ok(m));
+        }
+        assert_eq!(
+            Mutability::decode(&mut Reader::over(&[4])),
+            Err(DecodeError::BadTag(4))
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub(crate) fn rpc(
             .await
             .map_err(net_to_pcsi)?;
         match wire::decode_response(&raw) {
-            Ok(Response::Err(e)) => Err(e.into_pcsi()),
+            Ok(Response::Err(e)) => Err(e),
             Ok(resp) => Ok(resp),
             Err(e) => Err(PcsiError::BadPayload(e.to_string())),
         }

@@ -35,7 +35,7 @@ use crate::engine::{MediaTier, Mutation, StorageEngine, StoredObject};
 use crate::placement::Placement;
 use crate::quorum::{gather, rpc};
 use crate::version::Tag;
-use crate::wire::{self, Request, Response, WireError};
+use crate::wire::{self, Request, Response};
 
 /// Service name replicas bind on the fabric.
 pub(crate) const STORE_SERVICE: &str = "pcsi-store";
@@ -267,7 +267,9 @@ async fn handle(inner: Rc<Inner>, payload: Bytes) -> Bytes {
     let (request, wire_ctx) = match wire::decode_request_traced(&payload) {
         Ok(r) => r,
         Err(e) => {
-            return wire::encode_response(&Response::Err(WireError::Other(e.to_string())));
+            return wire::encode_response(&Response::Err(PcsiError::Fault(format!(
+                "storage wire codec error: {e}"
+            ))));
         }
     };
     // The store protocol carries the context in its own envelope.
@@ -317,7 +319,7 @@ async fn handle(inner: Rc<Inner>, payload: Bytes) -> Bytes {
             if inner.placement.is_frozen(id) {
                 frozen(id)
             } else if !effective_member(&inner, id) {
-                Response::Err(WireError::Other(format!(
+                Response::Err(PcsiError::Fault(format!(
                     "node {} no longer replicates {id:?}",
                     inner.node
                 )))
@@ -333,7 +335,7 @@ async fn handle(inner: Rc<Inner>, payload: Bytes) -> Bytes {
                     // invisible to every read quorum.
                     Response::Stale { newest }
                 } else if let Err(e) = engine.apply(id, tag, &mutation) {
-                    Response::Err(WireError::from_pcsi(&e))
+                    Response::Err(e)
                 } else {
                     inner.applied.incr();
                     engine.record(id, req_id, tag);
@@ -412,7 +414,7 @@ fn effective_member(inner: &Inner, id: ObjectId) -> bool {
 
 /// The retryable rejection for a request routed under a stale replica set.
 fn stale_route(inner: &Inner, id: ObjectId) -> Response {
-    Response::Err(WireError::Other(format!(
+    Response::Err(PcsiError::Fault(format!(
         "node {} no longer replicates {id:?} (epoch {})",
         inner.node,
         inner.placement.epoch()
@@ -421,7 +423,7 @@ fn stale_route(inner: &Inner, id: ObjectId) -> Response {
 
 /// The retryable refusal for an object frozen mid-migration.
 fn frozen(id: ObjectId) -> Response {
-    Response::Err(WireError::Other(format!(
+    Response::Err(PcsiError::Fault(format!(
         "{id:?} is frozen for shard migration"
     )))
 }
@@ -498,7 +500,7 @@ async fn read_local(
                 tag: inner.engine.borrow().tag_of(id),
             }
         } else {
-            Response::Err(WireError::NotFound(id))
+            Response::Err(PcsiError::NotFound(id))
         };
     };
     if data.len() as u64 > inline_limit {
@@ -619,7 +621,7 @@ async fn coordinate(
     ctx: Option<TraceContext>,
 ) -> Response {
     if attempt_expired(inner, expires_ns) {
-        return Response::Err(WireError::Other(format!(
+        return Response::Err(PcsiError::Fault(format!(
             "attempt for {id:?} expired before coordination started"
         )));
     }
@@ -628,7 +630,7 @@ async fn coordinate(
     }
     let replicas = inner.placement.replicas(id);
     if !replicas.contains(&inner.node) {
-        return Response::Err(WireError::Other(format!(
+        return Response::Err(PcsiError::Fault(format!(
             "node {} does not replicate {id:?} (replicas are {replicas:?})",
             inner.node
         )));
@@ -674,7 +676,7 @@ async fn coordinate(
                 // and newest-tag-wins anti-entropy would surface as a
                 // rollback of those writes.
                 if attempt_expired(inner, expires_ns) {
-                    return Response::Err(WireError::Other(format!(
+                    return Response::Err(PcsiError::Fault(format!(
                         "attempt for {id:?} expired before ordering"
                     )));
                 }
@@ -698,7 +700,7 @@ async fn coordinate(
         if !replay {
             let mut engine = inner.engine.borrow_mut();
             if let Err(e) = engine.apply(id, tag, &local) {
-                return Response::Err(WireError::from_pcsi(&e));
+                return Response::Err(e);
             }
             engine.record(id, req_id, tag);
         }
@@ -725,9 +727,9 @@ async fn coordinate(
             }
         }
     }
-    Response::Err(WireError::QuorumUnavailable {
-        needed: sync_replicas,
-        got,
+    Response::Err(PcsiError::QuorumUnavailable {
+        needed: sync_replicas as usize,
+        got: got as usize,
     })
 }
 
@@ -945,7 +947,7 @@ mod tests {
                 Stale(above),
                 Stale(above),
             ),
-            (ok(Response::Err(WireError::Other("x".into()))), No, No),
+            (ok(Response::Err(PcsiError::Fault("x".into()))), No, No),
             (ok(data), No, No),
             (Err(PcsiError::Unreachable("n3 down".into())), No, No),
         ];
@@ -1247,7 +1249,7 @@ mod tests {
             if running.len() > rng.gen_range(0..48) as usize {
                 let req_id = running.swap_remove(rng.gen_range(0..running.len() as u64) as usize);
                 let resp = if rng.u64().is_multiple_of(5) {
-                    Response::Err(WireError::Other("quorum".into()))
+                    Response::Err(PcsiError::Fault("quorum".into()))
                 } else {
                     completions += 1;
                     Response::Coordinated {

@@ -6,16 +6,16 @@
 //! paper says providers need at minimum (§2.1). Keeping it byte-accurate
 //! also makes message sizes feed the fabric's bandwidth model honestly.
 //!
-//! This module owns the frames — [`Request`], [`Response`],
-//! [`WireError`] and the store's field types (ids, tags, mutations, full
-//! replica states). The bytes are read and written by the workspace's
-//! one frame cursor, [`pcsi_proto::binary`]: frames are built in pooled
-//! buffers and payload fields decode as zero-copy views of the received
-//! frame; a frame whose payload a receiver may keep is finished exactly
-//! sized. The streaming protocol's frames live in `pcsi_stream::frame`,
-//! over the same cursor.
-
-use std::fmt;
+//! This module owns the frames — [`Request`], [`Response`] and the
+//! store's field types (ids, tags, mutations, full replica states). A
+//! [`Response::Err`] carries the [`PcsiError`] itself, in the one error
+//! codec `pcsi-core` owns ([`PcsiError::encode`]), as does a mutability
+//! byte ([`Mutability::encode`]). The bytes are read and written by the
+//! workspace's one frame cursor, [`pcsi_proto::binary`]: frames are
+//! built in pooled buffers and payload fields decode as zero-copy views
+//! of the received frame; a frame whose payload a receiver may keep is
+//! finished exactly sized. The streaming protocol's frames live in
+//! `pcsi_stream::frame`, over the same cursor.
 
 use bytes::Bytes;
 use pcsi_core::{Mutability, ObjectId, PcsiError};
@@ -215,112 +215,7 @@ pub enum Response {
         current: u64,
     },
     /// A PCSI-level error.
-    Err(WireError),
-}
-
-/// Errors carried across the wire with enough structure to reconstruct
-/// the interesting [`PcsiError`] variants.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireError {
-    /// Object unknown.
-    NotFound(ObjectId),
-    /// Mutation violates the object's mutability level.
-    MutabilityViolation {
-        /// Target object.
-        id: ObjectId,
-        /// Current level.
-        level: Mutability,
-        /// Rejected operation.
-        op: String,
-    },
-    /// Figure-1 transition rejected.
-    InvalidTransition {
-        /// Current level.
-        from: Mutability,
-        /// Requested level.
-        to: Mutability,
-    },
-    /// Not enough replicas reachable.
-    QuorumUnavailable {
-        /// Acks needed.
-        needed: u32,
-        /// Acks obtained.
-        got: u32,
-    },
-    /// Anything else.
-    Other(String),
-}
-
-impl WireError {
-    /// Converts a [`PcsiError`] for transmission.
-    pub(crate) fn from_pcsi(e: &PcsiError) -> WireError {
-        match e {
-            PcsiError::NotFound(id) => WireError::NotFound(*id),
-            PcsiError::MutabilityViolation { id, level, op } => WireError::MutabilityViolation {
-                id: *id,
-                level: *level,
-                op: (*op).to_owned(),
-            },
-            PcsiError::InvalidMutabilityTransition { from, to } => WireError::InvalidTransition {
-                from: *from,
-                to: *to,
-            },
-            PcsiError::QuorumUnavailable { needed, got } => WireError::QuorumUnavailable {
-                needed: *needed as u32,
-                got: *got as u32,
-            },
-            other => WireError::Other(other.to_string()),
-        }
-    }
-
-    /// Reconstructs a [`PcsiError`] on the client side.
-    pub fn into_pcsi(self) -> PcsiError {
-        match self {
-            WireError::NotFound(id) => PcsiError::NotFound(id),
-            WireError::MutabilityViolation { id, level, op } => PcsiError::MutabilityViolation {
-                id,
-                level,
-                op: leak_op(&op),
-            },
-            WireError::InvalidTransition { from, to } => {
-                PcsiError::InvalidMutabilityTransition { from, to }
-            }
-            WireError::QuorumUnavailable { needed, got } => PcsiError::QuorumUnavailable {
-                needed: needed as usize,
-                got: got as usize,
-            },
-            WireError::Other(msg) => PcsiError::Fault(msg),
-        }
-    }
-}
-
-/// Maps known operation names back to the `'static` strings
-/// [`PcsiError::MutabilityViolation`] carries.
-fn leak_op(op: &str) -> &'static str {
-    match op {
-        "write" => "write",
-        "append" => "append",
-        "resize" => "resize",
-        _ => "mutate",
-    }
-}
-
-/// Codec failure (corrupt or truncated message).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodecError(pub String);
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "storage wire codec error: {}", self.0)
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-impl From<DecodeError> for CodecError {
-    fn from(e: DecodeError) -> Self {
-        CodecError(e.to_string())
-    }
+    Err(PcsiError),
 }
 
 // ---- the store's field types over the shared cursor ----------------------
@@ -334,20 +229,11 @@ fn write_tag(w: &mut Writer, t: Tag) {
     w.u32(t.writer);
 }
 
-fn write_mutability(w: &mut Writer, m: Mutability) {
-    w.u8(match m {
-        Mutability::Mutable => 0,
-        Mutability::FixedSize => 1,
-        Mutability::AppendOnly => 2,
-        Mutability::Immutable => 3,
-    });
-}
-
 fn write_mutation(w: &mut Writer, m: &Mutation) {
     match m {
         Mutation::PutFull { data, mutability } => {
             w.u8(0);
-            write_mutability(w, *mutability);
+            mutability.encode(w);
             w.bytes(LEN, data);
         }
         Mutation::WriteAt { offset, data } => {
@@ -361,7 +247,7 @@ fn write_mutation(w: &mut Writer, m: &Mutation) {
         }
         Mutation::SetMutability { to } => {
             w.u8(3);
-            write_mutability(w, *to);
+            to.encode(w);
         }
         Mutation::Delete => w.u8(4),
     }
@@ -370,7 +256,7 @@ fn write_mutation(w: &mut Writer, m: &Mutation) {
 /// A full replica state and the request ledger that travels with it.
 fn write_state(w: &mut Writer, object: &StoredObject, reqs: &[(u64, Tag)]) {
     write_tag(w, object.tag);
-    write_mutability(w, object.mutability);
+    object.mutability.encode(w);
     w.u64(object.stable_len);
     w.bytes(LEN, &object.data);
     w.count(LEN, reqs.len());
@@ -380,31 +266,21 @@ fn write_state(w: &mut Writer, object: &StoredObject, reqs: &[(u64, Tag)]) {
     }
 }
 
-fn read_id(r: &mut Reader) -> Result<ObjectId, CodecError> {
+fn read_id(r: &mut Reader) -> Result<ObjectId, DecodeError> {
     Ok(ObjectId::from_u128(r.u128()?))
 }
 
-fn read_tag(r: &mut Reader) -> Result<Tag, CodecError> {
+fn read_tag(r: &mut Reader) -> Result<Tag, DecodeError> {
     Ok(Tag {
         seq: r.u64()?,
         writer: r.u32()?,
     })
 }
 
-fn read_mutability(r: &mut Reader) -> Result<Mutability, CodecError> {
-    Ok(match r.u8()? {
-        0 => Mutability::Mutable,
-        1 => Mutability::FixedSize,
-        2 => Mutability::AppendOnly,
-        3 => Mutability::Immutable,
-        b => return Err(CodecError(format!("bad mutability byte {b}"))),
-    })
-}
-
-fn read_mutation(r: &mut Reader) -> Result<Mutation, CodecError> {
+fn read_mutation(r: &mut Reader) -> Result<Mutation, DecodeError> {
     Ok(match r.u8()? {
         0 => {
-            let mutability = read_mutability(r)?;
+            let mutability = Mutability::decode(r)?;
             Mutation::PutFull {
                 data: r.bytes(LEN)?,
                 mutability,
@@ -418,16 +294,16 @@ fn read_mutation(r: &mut Reader) -> Result<Mutation, CodecError> {
             data: r.bytes(LEN)?,
         },
         3 => Mutation::SetMutability {
-            to: read_mutability(r)?,
+            to: Mutability::decode(r)?,
         },
         4 => Mutation::Delete,
-        b => return Err(CodecError(format!("bad mutation kind {b}"))),
+        b => return Err(DecodeError::BadTag(b)),
     })
 }
 
-fn read_state(r: &mut Reader) -> Result<(StoredObject, Vec<(u64, Tag)>), CodecError> {
+fn read_state(r: &mut Reader) -> Result<(StoredObject, Vec<(u64, Tag)>), DecodeError> {
     let tag = read_tag(r)?;
-    let mutability = read_mutability(r)?;
+    let mutability = Mutability::decode(r)?;
     let stable_len = r.u64()?;
     let data = r.bytes(LEN)?;
     // A ledger entry is a `u64` request id and a 12-byte tag.
@@ -604,7 +480,7 @@ fn write_request(w: &mut Writer, req: &Request) {
 
 /// Decodes a request. Payload fields come back as zero-copy views of
 /// `buf`'s backing buffer.
-pub fn decode_request(buf: &Bytes) -> Result<Request, CodecError> {
+pub fn decode_request(buf: &Bytes) -> Result<Request, DecodeError> {
     let mut r = Reader::new(buf);
     let req = read_request(&mut r)?;
     r.finish()?;
@@ -615,7 +491,7 @@ pub fn decode_request(buf: &Bytes) -> Result<Request, CodecError> {
 /// without the extension (including every pre-extension frame) decode
 /// with `None`; a present extension must be exactly
 /// `[1][16 context bytes]` or the frame is rejected.
-pub fn decode_request_traced(buf: &Bytes) -> Result<(Request, Option<TraceContext>), CodecError> {
+pub fn decode_request_traced(buf: &Bytes) -> Result<(Request, Option<TraceContext>), DecodeError> {
     let mut r = Reader::new(buf);
     let req = read_request(&mut r)?;
     if r.remaining() == 0 {
@@ -623,15 +499,15 @@ pub fn decode_request_traced(buf: &Bytes) -> Result<(Request, Option<TraceContex
     }
     match r.u8()? {
         TRACE_EXT_FLAG => {}
-        b => return Err(CodecError(format!("bad trace extension flag {b}"))),
+        b => return Err(DecodeError::BadTag(b)),
     }
-    let ctx = TraceContext::decode(r.take(TraceContext::WIRE_LEN)?)
-        .ok_or_else(|| CodecError("short trace extension".to_string()))?;
+    let ctx =
+        TraceContext::decode(r.take(TraceContext::WIRE_LEN)?).ok_or(DecodeError::Truncated)?;
     r.finish()?;
     Ok((req, Some(ctx)))
 }
 
-fn read_request(r: &mut Reader) -> Result<Request, CodecError> {
+fn read_request(r: &mut Reader) -> Result<Request, DecodeError> {
     Ok(match r.u8()? {
         0 => {
             let id = read_id(r)?;
@@ -676,7 +552,7 @@ fn read_request(r: &mut Reader) -> Result<Request, CodecError> {
             let tombstone = match r.u8()? {
                 0 => false,
                 1 => true,
-                b => return Err(CodecError(format!("bad tombstone flag {b}"))),
+                b => return Err(DecodeError::BadTag(b)),
             };
             let id = read_id(r)?;
             let (object, reqs) = read_state(r)?;
@@ -688,7 +564,7 @@ fn read_request(r: &mut Reader) -> Result<Request, CodecError> {
                 tombstone,
             }
         }
-        b => return Err(CodecError(format!("bad request op {b}"))),
+        b => return Err(DecodeError::BadTag(b)),
     })
 }
 
@@ -715,7 +591,7 @@ pub fn encode_response(resp: &Response) -> Bytes {
         } => {
             w.u8(2);
             write_tag(&mut w, *tag);
-            write_mutability(&mut w, *mutability);
+            mutability.encode(&mut w);
             w.u64(*stable_len);
             w.bytes(LEN, data);
         }
@@ -750,7 +626,7 @@ pub fn encode_response(resp: &Response) -> Bytes {
         }
         Response::Err(e) => {
             w.u8(7);
-            write_wire_error(&mut w, e);
+            e.encode(&mut w);
         }
     }
     finish(
@@ -759,59 +635,9 @@ pub fn encode_response(resp: &Response) -> Bytes {
     )
 }
 
-fn write_wire_error(w: &mut Writer, e: &WireError) {
-    match e {
-        WireError::NotFound(id) => {
-            w.u8(0);
-            write_id(w, *id);
-        }
-        WireError::MutabilityViolation { id, level, op } => {
-            w.u8(1);
-            write_id(w, *id);
-            write_mutability(w, *level);
-            w.str(LEN, op);
-        }
-        WireError::InvalidTransition { from, to } => {
-            w.u8(2);
-            write_mutability(w, *from);
-            write_mutability(w, *to);
-        }
-        WireError::QuorumUnavailable { needed, got } => {
-            w.u8(3);
-            w.u32(*needed);
-            w.u32(*got);
-        }
-        WireError::Other(msg) => {
-            w.u8(4);
-            w.str(LEN, msg);
-        }
-    }
-}
-
-fn read_wire_error(r: &mut Reader) -> Result<WireError, CodecError> {
-    Ok(match r.u8()? {
-        0 => WireError::NotFound(read_id(r)?),
-        1 => WireError::MutabilityViolation {
-            id: read_id(r)?,
-            level: read_mutability(r)?,
-            op: r.str(LEN)?,
-        },
-        2 => WireError::InvalidTransition {
-            from: read_mutability(r)?,
-            to: read_mutability(r)?,
-        },
-        3 => WireError::QuorumUnavailable {
-            needed: r.u32()?,
-            got: r.u32()?,
-        },
-        4 => WireError::Other(r.str(LEN)?),
-        b => return Err(CodecError(format!("bad error code {b}"))),
-    })
-}
-
 /// Decodes a response. Payload fields come back as zero-copy views of
 /// `buf`'s backing buffer.
-pub fn decode_response(buf: &Bytes) -> Result<Response, CodecError> {
+pub fn decode_response(buf: &Bytes) -> Result<Response, DecodeError> {
     let mut r = Reader::new(buf);
     let resp = match r.u8()? {
         0 => Response::Coordinated {
@@ -820,7 +646,7 @@ pub fn decode_response(buf: &Bytes) -> Result<Response, CodecError> {
         1 => Response::Applied,
         2 => Response::Data {
             tag: read_tag(&mut r)?,
-            mutability: read_mutability(&mut r)?,
+            mutability: Mutability::decode(&mut r)?,
             stable_len: r.u64()?,
             data: r.bytes(LEN)?,
         },
@@ -841,7 +667,7 @@ pub fn decode_response(buf: &Bytes) -> Result<Response, CodecError> {
             }
             Response::InventoryIs { entries }
         }
-        7 => Response::Err(read_wire_error(&mut r)?),
+        7 => Response::Err(PcsiError::decode(&mut r)?),
         8 => Response::Stale {
             newest: read_tag(&mut r)?,
         },
@@ -849,7 +675,7 @@ pub fn decode_response(buf: &Bytes) -> Result<Response, CodecError> {
             tag: read_tag(&mut r)?,
         },
         10 => Response::WrongEpoch { current: r.u64()? },
-        b => return Err(CodecError(format!("bad response op {b}"))),
+        b => return Err(DecodeError::BadTag(b)),
     };
     r.finish()?;
     Ok(resp)
@@ -1026,18 +852,19 @@ mod tests {
                     (oid(2), Tag { seq: 4, writer: 2 }),
                 ],
             },
-            Response::Err(WireError::NotFound(oid(9))),
-            Response::Err(WireError::MutabilityViolation {
+            Response::Err(PcsiError::NotFound(oid(9))),
+            Response::Err(PcsiError::MutabilityViolation {
                 id: oid(10),
                 level: Mutability::Immutable,
-                op: "write".into(),
+                op: "write",
             }),
-            Response::Err(WireError::InvalidTransition {
+            Response::Err(PcsiError::InvalidMutabilityTransition {
                 from: Mutability::Immutable,
                 to: Mutability::Mutable,
             }),
-            Response::Err(WireError::QuorumUnavailable { needed: 2, got: 1 }),
-            Response::Err(WireError::Other("boom".into())),
+            Response::Err(PcsiError::QuorumUnavailable { needed: 2, got: 1 }),
+            Response::Err(PcsiError::Fault("boom".into())),
+            Response::Err(PcsiError::BadPayload("offset overflows".into())),
             Response::Stale {
                 newest: Tag { seq: 12, writer: 4 },
             },
@@ -1157,9 +984,11 @@ mod tests {
         assert!(decode_request(&Bytes::from(wire)).is_err());
     }
 
+    /// The six variants a peer sends arrive as themselves; any other
+    /// crosses as a `Fault` carrying its display text.
     #[test]
-    fn pcsi_error_conversion_roundtrip() {
-        let errors = vec![
+    fn pcsi_errors_roundtrip() {
+        let carried = vec![
             PcsiError::NotFound(oid(1)),
             PcsiError::MutabilityViolation {
                 id: oid(2),
@@ -1171,15 +1000,21 @@ mod tests {
                 to: Mutability::AppendOnly,
             },
             PcsiError::QuorumUnavailable { needed: 3, got: 1 },
+            PcsiError::Fault("node 2 no longer replicates".into()),
+            PcsiError::BadPayload("write range overflows at offset 9".into()),
         ];
-        for e in errors {
-            let back = WireError::from_pcsi(&e).into_pcsi();
-            assert_eq!(back, e, "{e:?}");
+        let arrives = |e: PcsiError| {
+            let Response::Err(back) = decode_response(&encode_response(&Response::Err(e))).unwrap()
+            else {
+                panic!("not an error reply");
+            };
+            back
+        };
+        for e in carried {
+            assert_eq!(arrives(e.clone()), e);
         }
-        // Unstructured errors degrade to Fault with the message preserved.
-        let misc = PcsiError::Timeout;
         assert_eq!(
-            WireError::from_pcsi(&misc).into_pcsi(),
+            arrives(PcsiError::Timeout),
             PcsiError::Fault("operation timed out".into())
         );
     }
@@ -1189,6 +1024,15 @@ mod tests {
         assert!(decode_request(&Bytes::from_static(&[99])).is_err());
         assert!(decode_response(&Bytes::from_static(&[99])).is_err());
         assert!(decode_response(&Bytes::new()).is_err());
+        // An unknown error code or mutability byte is a bad tag.
+        assert_eq!(
+            decode_response(&Bytes::from_static(&[7, 6])),
+            Err(DecodeError::BadTag(6))
+        );
+        assert_eq!(
+            decode_response(&Bytes::from_static(&[7, 2, 4, 0])),
+            Err(DecodeError::BadTag(4))
+        );
     }
 
     /// The bytes these frames had before the codec moved onto the shared
@@ -1229,5 +1073,36 @@ mod tests {
             hex(&encode_response(&resp)),
             "0204000000000000000100000003030000000000000003000000616263"
         );
+        // Error replies, one per code a replica sent before `BadPayload`
+        // had its own.
+        let errors = [
+            (
+                PcsiError::NotFound(oid(9)),
+                "0700d8edfe497683973b0200000000000000",
+            ),
+            (
+                PcsiError::MutabilityViolation {
+                    id: oid(10),
+                    level: Mutability::Immutable,
+                    op: "write",
+                },
+                "070161821fd95904a927020000000000000003050000007772697465",
+            ),
+            (
+                PcsiError::InvalidMutabilityTransition {
+                    from: Mutability::Immutable,
+                    to: Mutability::Mutable,
+                },
+                "07020300",
+            ),
+            (
+                PcsiError::QuorumUnavailable { needed: 2, got: 1 },
+                "07030200000001000000",
+            ),
+            (PcsiError::Fault("boom".into()), "070404000000626f6f6d"),
+        ];
+        for (e, pinned) in errors {
+            assert_eq!(hex(&encode_response(&Response::Err(e))), pinned);
+        }
     }
 }

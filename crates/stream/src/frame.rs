@@ -2,10 +2,11 @@
 //! one frame cursor ([`pcsi_proto::binary`]): push frames are built in
 //! pooled buffers and a decoded payload is a zero-copy view of the
 //! received frame. They travel on their own fabric services, so their
-//! op codes are their own.
+//! op codes are their own; a refusal carries its [`PcsiError`] in the
+//! one error codec `pcsi-core` owns ([`PcsiError::encode`]).
 
 use bytes::Bytes;
-use pcsi_core::ObjectId;
+use pcsi_core::{ObjectId, PcsiError};
 use pcsi_proto::binary::{DecodeError, Prefix::U32 as LEN, Reader, Writer};
 
 /// Why a subscription ended, carried in [`StreamFrame::Close`] as its
@@ -78,15 +79,11 @@ pub enum StreamFrame {
 pub enum StreamReply {
     /// Accepted.
     Ok,
-    /// Rejected (unknown object, wrong kind, unknown subscription...),
-    /// with the reason as text.
-    Err(String),
+    /// Rejected (unknown object, wrong kind, unknown subscription...).
+    /// Every refusal a receiver sends is a [`PcsiError::Fault`] naming
+    /// the reason.
+    Err(PcsiError),
 }
-
-/// Follows a rejection's op byte: the store wire's code for a free-text
-/// error, the only kind these replies carry. It stays so reply frames
-/// are the bytes peers already speak.
-const ERR_TEXT: u8 = 4;
 
 /// Encodes a stream frame.
 pub fn encode_stream_frame(frame: &StreamFrame) -> Bytes {
@@ -161,10 +158,9 @@ pub fn encode_stream_reply(reply: &StreamReply) -> Bytes {
     let mut w = Writer::with_capacity(64);
     match reply {
         StreamReply::Ok => w.u8(0),
-        StreamReply::Err(msg) => {
+        StreamReply::Err(e) => {
             w.u8(1);
-            w.u8(ERR_TEXT);
-            w.str(LEN, msg);
+            e.encode(&mut w);
         }
     }
     w.finish()
@@ -175,10 +171,7 @@ pub fn decode_stream_reply(buf: &Bytes) -> Result<StreamReply, DecodeError> {
     let mut r = Reader::new(buf);
     let reply = match r.u8()? {
         0 => StreamReply::Ok,
-        1 => match r.u8()? {
-            ERR_TEXT => StreamReply::Err(r.str(LEN)?),
-            b => return Err(DecodeError::BadTag(b)),
-        },
+        1 => StreamReply::Err(PcsiError::decode(&mut r)?),
         b => return Err(DecodeError::BadTag(b)),
     };
     r.finish()?;
@@ -207,7 +200,7 @@ mod tests {
             hex(&encode_stream_frame(&push)),
             "02290000000000000015cd5b0700000000050000006576656e74"
         );
-        let refused = StreamReply::Err("no such subscription".into());
+        let refused = StreamReply::Err(PcsiError::Fault("no such subscription".into()));
         assert_eq!(
             hex(&encode_stream_reply(&refused)),
             "0104140000006e6f207375636820737562736372697074696f6e"
@@ -259,8 +252,8 @@ mod tests {
     fn stream_replies_roundtrip() {
         let replies = vec![
             StreamReply::Ok,
-            StreamReply::Err(String::new()),
-            StreamReply::Err("no such subscription".into()),
+            StreamReply::Err(PcsiError::Fault(String::new())),
+            StreamReply::Err(PcsiError::Fault("no such subscription".into())),
         ];
         for rep in replies {
             let wire = encode_stream_reply(&rep);
@@ -317,8 +310,13 @@ mod tests {
         .to_vec();
         wire.push(0);
         assert!(decode_stream_frame(&Bytes::from(wire)).is_err());
-        // Replies: bad op, an error code other than text, trailing bytes.
+        // Replies: bad op, an unknown error code, a truncated error,
+        // trailing bytes.
         assert!(decode_stream_reply(&Bytes::from_static(&[9])).is_err());
+        assert_eq!(
+            decode_stream_reply(&Bytes::from_static(&[1, 6])),
+            Err(DecodeError::BadTag(6))
+        );
         assert!(decode_stream_reply(&Bytes::from_static(&[1, 0, 0, 0, 0, 0])).is_err());
         let mut rep = encode_stream_reply(&StreamReply::Ok).to_vec();
         rep.push(0);

@@ -103,7 +103,7 @@ pub(crate) async fn retried_call(
             Ok(reply) => {
                 return match decode_stream_reply(&reply) {
                     Ok(StreamReply::Ok) => Ok(()),
-                    Ok(StreamReply::Err(refused)) => Err(PcsiError::Fault(refused)),
+                    Ok(StreamReply::Err(refused)) => Err(refused),
                     Err(garbled) => Err(PcsiError::Fault(garbled.to_string())),
                 }
             }

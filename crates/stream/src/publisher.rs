@@ -258,10 +258,10 @@ impl Publisher {
                 self.remove_sub(sub);
                 StreamReply::Ok
             }
-            Ok(StreamFrame::Push { .. }) => {
-                StreamReply::Err("push frames flow owner→consumer only".into())
-            }
-            Err(e) => StreamReply::Err(e.to_string()),
+            Ok(StreamFrame::Push { .. }) => StreamReply::Err(PcsiError::Fault(
+                "push frames flow owner→consumer only".into(),
+            )),
+            Err(e) => StreamReply::Err(PcsiError::Fault(e.to_string())),
         };
         encode_stream_reply(&reply)
     }
@@ -280,13 +280,15 @@ impl Publisher {
         home: NodeId,
     ) -> StreamReply {
         if window == 0 {
-            return StreamReply::Err("credit window must be ≥ 1".into());
+            return StreamReply::Err(PcsiError::Fault("credit window must be ≥ 1".into()));
         }
         if let Some(held) = self.inner.subs.borrow().get(&sub) {
             return if (held.consumer, held.object) == (consumer, object) {
                 StreamReply::Ok
             } else {
-                StreamReply::Err(format!("subscription {sub:#x} already exists"))
+                StreamReply::Err(PcsiError::Fault(format!(
+                    "subscription {sub:#x} already exists"
+                )))
             };
         }
         let state = Rc::new(SubState {
@@ -315,7 +317,7 @@ impl Publisher {
 
     fn grant(&self, sub: u64, consumed: u64) -> StreamReply {
         let Some(state) = self.inner.subs.borrow().get(&sub).cloned() else {
-            return StreamReply::Err(format!("no subscription {sub:#x}"));
+            return StreamReply::Err(PcsiError::Fault(format!("no subscription {sub:#x}")));
         };
         // Monotone: a stale, reordered, or retransmitted report can
         // only be ignored, never double-counted.

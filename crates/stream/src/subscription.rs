@@ -63,7 +63,9 @@ impl SubInner {
     fn on_frame(&self, frame: &Bytes) -> Bytes {
         let reply = match decode_stream_frame(frame) {
             Ok(StreamFrame::Push { seq, .. }) => match self.expected.get() {
-                _ if self.closed() => StreamReply::Err("subscription closed".into()),
+                _ if self.closed() => {
+                    StreamReply::Err(PcsiError::Fault("subscription closed".into()))
+                }
                 // A retransmit or fault-duplicated delivery of a frame we
                 // already accepted: acknowledge without buffering, so the
                 // subscriber sees each seq once.
@@ -74,7 +76,9 @@ impl SubInner {
                 // The pump is sequential, so a skipped seq can only mean
                 // protocol breakage. Refuse: the owner kills the stream
                 // rather than delivering a gap.
-                Some(e) if seq > e => StreamReply::Err(format!("seq gap: expected {e}, got {seq}")),
+                Some(e) if seq > e => StreamReply::Err(PcsiError::Fault(format!(
+                    "seq gap: expected {e}, got {seq}"
+                ))),
                 _ => match self.buffer.push(frame.clone()) {
                     Ok(()) => {
                         self.expected.set(Some(seq + 1));
@@ -83,15 +87,19 @@ impl SubInner {
                     }
                     // Over-window push: the owner spent credits we never
                     // granted. Protocol breakage.
-                    Err(_) => StreamReply::Err("push exceeded the credit window".into()),
+                    Err(_) => {
+                        StreamReply::Err(PcsiError::Fault("push exceeded the credit window".into()))
+                    }
                 },
             },
             Ok(StreamFrame::Close { reason, .. }) => {
                 self.shutdown(reason);
                 StreamReply::Ok
             }
-            Ok(_) => StreamReply::Err("only push/close frames flow to consumers".into()),
-            Err(e) => StreamReply::Err(e.to_string()),
+            Ok(_) => StreamReply::Err(PcsiError::Fault(
+                "only push/close frames flow to consumers".into(),
+            )),
+            Err(e) => StreamReply::Err(PcsiError::Fault(e.to_string())),
         };
         encode_stream_reply(&reply)
     }

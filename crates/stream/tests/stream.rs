@@ -500,7 +500,7 @@ fn the_owner_refuses_a_subscribe_with_window_zero() {
     sim.block_on(async move {
         let reply = control(&fabric, CONSUMER, subscribe(42, obj(), 0)).await;
         assert!(
-            matches!(reply, StreamReply::Err(ref e) if e.contains("window")),
+            matches!(reply, StreamReply::Err(PcsiError::Fault(ref e)) if e.contains("window")),
             "{reply:?}"
         );
         assert_eq!(publisher.subscriber_count(obj()), 0);
@@ -517,7 +517,9 @@ fn the_owner_refuses_a_sub_id_held_for_another_consumer_or_object() {
         let other_object = ObjectId::from_parts(9, 2);
         let other_obj = control(&fabric, CONSUMER, subscribe(42, other_object, 4)).await;
         for refused in [other_node, other_obj] {
-            assert!(matches!(refused, StreamReply::Err(ref e) if e.contains("already exists")));
+            assert!(
+                matches!(refused, StreamReply::Err(PcsiError::Fault(ref e)) if e.contains("already exists"))
+            );
         }
         assert_eq!(publisher.subscriber_count(obj()), 1);
         assert_eq!(publisher.subscriber_count(other_object), 0);

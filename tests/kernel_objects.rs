@@ -162,6 +162,35 @@ fn fixed_size_objects_update_in_place_but_never_grow() {
     });
 }
 
+/// A write the store refuses as malformed ends at the first reply, as
+/// the fatal error it is: the replica's `BadPayload` crosses the wire as
+/// itself, not as a retryable fault the client fails over on.
+#[test]
+fn an_absurd_write_offset_is_refused_at_once() {
+    for consistency in [Consistency::Linearizable, Consistency::Eventual] {
+        with_cloud(7, move |cloud| {
+            Box::pin(async move {
+                let c = cloud.kernel.client(NodeId(0), "tenant-a");
+                let r = c
+                    .create(
+                        CreateOptions::regular()
+                            .with_consistency(consistency)
+                            .with_initial(&b"x"[..]),
+                    )
+                    .await
+                    .unwrap();
+                let before = cloud.store.retry_stats();
+                let refused = c.write(&r, 1 << 40, Bytes::from_static(b"y")).await;
+                assert!(
+                    matches!(refused, Err(PcsiError::BadPayload(_))),
+                    "{consistency:?}: {refused:?}"
+                );
+                assert_eq!(cloud.store.retry_stats(), before, "{consistency:?}");
+            })
+        });
+    }
+}
+
 #[test]
 fn immutable_objects_get_cached_reads() {
     with_cloud(4, |cloud| {
