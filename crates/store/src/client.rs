@@ -546,3 +546,673 @@ impl StoreClient {
         self.read(id, 0, u64::MAX, consistency).await
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use super::*;
+    use crate::testkit::{self, linearizable_put, oid};
+    use crate::{RetryPolicy, StoreConfig};
+    use pcsi_net::{LatencyModel, Topology};
+    use pcsi_sim::Sim;
+
+    #[test]
+    fn put_then_linearizable_read_roundtrips() {
+        let mut sim = Sim::new(42);
+        let (_fabric, store) = testkit::deploy(&sim, testkit::cached());
+        let out = sim.block_on(async move {
+            let c = store.client(NodeId(0));
+            linearizable_put(&c, oid(1), Bytes::from_static(b"hello")).await;
+            c.read_all(oid(1), Consistency::Linearizable).await.unwrap()
+        });
+        assert_eq!(&out.1[..], b"hello");
+        assert_eq!(out.0.seq, 1);
+    }
+
+    #[test]
+    fn linearizable_read_sees_latest_write_from_any_node() {
+        let mut sim = Sim::new(42);
+        let (_fabric, store) = testkit::deploy(&sim, testkit::cached());
+        sim.block_on(async move {
+            let writer = store.client(NodeId(0));
+            let reader = store.client(NodeId(8));
+            for i in 0..10u8 {
+                linearizable_put(&writer, oid(1), Bytes::from(vec![i])).await;
+                let (_, data) = reader
+                    .read_all(oid(1), Consistency::Linearizable)
+                    .await
+                    .unwrap();
+                assert_eq!(data[0], i, "stale linearizable read at i = {i}");
+            }
+        });
+    }
+
+    #[test]
+    fn eventual_write_is_faster_than_linearizable() {
+        let mut sim = Sim::new(42);
+        let (fabric, store) = testkit::deploy(&sim, testkit::cached());
+        let h = fabric.handle().clone();
+        let (lin, ev) = sim.block_on(async move {
+            // Same object both times so the placement (and therefore the
+            // client -> primary distance) is identical; client is not a
+            // replica so both consistency levels pay the same first hop.
+            let id = oid(1);
+            let c = store.client(testkit::outsider(&store, id));
+            let t0 = h.now();
+            linearizable_put(&c, id, Bytes::from_static(b"a")).await;
+            let lin = h.now() - t0;
+            let t1 = h.now();
+            c.put(
+                id,
+                Bytes::from_static(b"b"),
+                Mutability::Mutable,
+                Consistency::Eventual,
+            )
+            .await
+            .unwrap();
+            (lin, h.now() - t1)
+        });
+        assert!(
+            lin.as_nanos() > ev.as_nanos() * 13 / 10,
+            "linearizable {lin:?} vs eventual {ev:?}"
+        );
+    }
+
+    #[test]
+    fn eventual_read_can_be_stale_then_converges() {
+        let mut sim = Sim::new(42);
+        let (fabric, store) = testkit::deploy(&sim, testkit::cached());
+        let h = fabric.handle().clone();
+        sim.block_on({
+            let store = store.clone();
+            async move {
+                let c = store.client(NodeId(0));
+                let id = oid(7);
+                for v in [&b"v1"[..], b"v2"] {
+                    let data = Bytes::from_static(v);
+                    let put = c.put(id, data, Mutability::Mutable, Consistency::Eventual);
+                    put.await.unwrap();
+                }
+                // A reader sitting next to a secondary may see v1 or v2
+                // immediately after the ack; after anti-entropy rounds it
+                // must see v2 everywhere.
+                testkit::anti_entropy(&store, 1).await;
+                h.sleep(Duration::from_millis(5)).await;
+                for node in [0u32, 3, 6, 8] {
+                    let (tag, data) = store
+                        .client(NodeId(node))
+                        .read_all(id, Consistency::Eventual)
+                        .await
+                        .unwrap();
+                    assert_eq!(&data[..], b"v2", "node {node} still stale");
+                    assert_eq!(tag.seq, 2);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn linearizable_write_fails_without_majority() {
+        let mut sim = Sim::new(42);
+        let (fabric, store) = testkit::deploy(&sim, testkit::cached());
+        let err = sim.block_on({
+            let store = store.clone();
+            async move {
+                let id = oid(3);
+                let replicas = store.placement().replicas(id);
+                // Crash both secondaries: majority (2 of 3) unreachable.
+                fabric.set_node_down(replicas[1], true);
+                fabric.set_node_down(replicas[2], true);
+                store
+                    .client(NodeId(0))
+                    .put(
+                        id,
+                        Bytes::from_static(b"x"),
+                        Mutability::Mutable,
+                        Consistency::Linearizable,
+                    )
+                    .await
+                    .unwrap_err()
+            }
+        });
+        assert!(
+            matches!(err, PcsiError::QuorumUnavailable { .. }),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn eventual_write_survives_secondary_crashes() {
+        let mut sim = Sim::new(42);
+        let (fabric, store) = testkit::deploy(&sim, testkit::cached());
+        let ok = sim.block_on({
+            let store = store.clone();
+            async move {
+                let id = oid(4);
+                let replicas = store.placement().replicas(id);
+                let client_node = testkit::outsider(&store, id);
+                fabric.set_node_down(replicas[1], true);
+                fabric.set_node_down(replicas[2], true);
+                store
+                    .client(client_node)
+                    .put(
+                        id,
+                        Bytes::from_static(b"x"),
+                        Mutability::Mutable,
+                        Consistency::Eventual,
+                    )
+                    .await
+                    .is_ok()
+            }
+        });
+        assert!(ok);
+    }
+
+    #[test]
+    fn linearizable_read_tolerates_one_crash() {
+        let mut sim = Sim::new(42);
+        let (fabric, store) = testkit::deploy(&sim, testkit::cached());
+        let data = sim.block_on({
+            let store = store.clone();
+            async move {
+                let id = oid(5);
+                let c = store.client(NodeId(0));
+                linearizable_put(&c, id, Bytes::from_static(b"resilient")).await;
+                let replicas = store.placement().replicas(id);
+                fabric.set_node_down(replicas[0], true); // Even the primary.
+                c.read_all(id, Consistency::Linearizable).await.unwrap().1
+            }
+        });
+        assert_eq!(&data[..], b"resilient");
+    }
+
+    #[test]
+    fn missing_object_reported_not_found() {
+        let mut sim = Sim::new(42);
+        let (_fabric, store) = testkit::deploy(&sim, testkit::cached());
+        let (lin, ev) = sim.block_on(async move {
+            let c = store.client(NodeId(1));
+            let lin = c.read_all(oid(99), Consistency::Linearizable).await;
+            let ev = c.read_all(oid(99), Consistency::Eventual).await;
+            (lin, ev)
+        });
+        assert!(matches!(lin, Err(PcsiError::NotFound(_))), "{lin:?}");
+        assert!(matches!(ev, Err(PcsiError::NotFound(_))), "{ev:?}");
+    }
+
+    #[test]
+    fn delete_propagates_and_tombstones() {
+        let mut sim = Sim::new(42);
+        let config = StoreConfig {
+            anti_entropy: Some(Duration::from_millis(50)),
+            ..testkit::cached()
+        };
+        let (_fabric, store) = testkit::deploy(&sim, config);
+        sim.block_on({
+            let store = store.clone();
+            async move {
+                let c = store.client(NodeId(0));
+                let id = oid(6);
+                linearizable_put(&c, id, Bytes::from_static(b"temp")).await;
+                c.delete(id).await.unwrap();
+                let r = c.read_all(id, Consistency::Linearizable).await;
+                assert!(matches!(r, Err(PcsiError::NotFound(_))));
+                // Anti-entropy must not resurrect it.
+                testkit::anti_entropy(&store, 1).await;
+                let r = c.read_all(id, Consistency::Eventual).await;
+                assert!(matches!(r, Err(PcsiError::NotFound(_))));
+            }
+        });
+    }
+
+    #[test]
+    fn append_only_workflow_through_store() {
+        let mut sim = Sim::new(42);
+        let (_fabric, store) = testkit::deploy(&sim, testkit::cached());
+        sim.block_on(async move {
+            let c = store.client(NodeId(2));
+            let id = oid(8);
+            c.put(
+                id,
+                Bytes::from_static(b""),
+                Mutability::AppendOnly,
+                Consistency::Linearizable,
+            )
+            .await
+            .unwrap();
+            c.append(id, Bytes::from_static(b"one,"), Consistency::Linearizable)
+                .await
+                .unwrap();
+            c.append(id, Bytes::from_static(b"two"), Consistency::Linearizable)
+                .await
+                .unwrap();
+            let err = c
+                .write_at(id, 0, Bytes::from_static(b"X"), Consistency::Linearizable)
+                .await
+                .unwrap_err();
+            assert!(matches!(err, PcsiError::MutabilityViolation { .. }));
+            let (_, data) = c.read_all(id, Consistency::Linearizable).await.unwrap();
+            assert_eq!(&data[..], b"one,two");
+            // Seal it and verify writes of any kind now fail.
+            c.set_mutability(id, Mutability::Immutable, Consistency::Linearizable)
+                .await
+                .unwrap();
+            let err = c
+                .append(id, Bytes::from_static(b"!"), Consistency::Linearizable)
+                .await
+                .unwrap_err();
+            assert!(matches!(err, PcsiError::MutabilityViolation { .. }));
+        });
+    }
+
+    #[test]
+    fn one_rtt_read_is_faster_than_two_phase() {
+        // Same cluster and workload, with only the inline threshold
+        // toggled: the one-RTT quorum read must beat tag-quorum-then-read.
+        let lat = |inline_read_max: u64| {
+            let mut sim = Sim::new(42);
+            let config = StoreConfig {
+                inline_read_max,
+                ..testkit::config()
+            };
+            let (fabric, store) = testkit::deploy(&sim, config);
+            let h = fabric.handle().clone();
+            sim.block_on(async move {
+                // Read from a node holding no replica: the two-phase
+                // path's second hop is then a real cross-fabric RTT.
+                let c = store.client(testkit::outsider(&store, oid(1)));
+                linearizable_put(&c, oid(1), Bytes::from(vec![7u8; 1024])).await;
+                let t0 = h.now();
+                c.read_all(oid(1), Consistency::Linearizable).await.unwrap();
+                h.now() - t0
+            })
+        };
+        let one_rtt = lat(64 * 1024);
+        let two_phase = lat(0);
+        assert!(
+            one_rtt.as_nanos() * 13 / 10 < two_phase.as_nanos(),
+            "one-RTT {one_rtt:?} should clearly beat two-phase {two_phase:?}"
+        );
+    }
+
+    #[test]
+    fn large_objects_fall_back_to_directed_read() {
+        let mut sim = Sim::new(42);
+        let (_fabric, store) = testkit::deploy(&sim, testkit::cached());
+        sim.block_on(async move {
+            let c = store.client(NodeId(0));
+            // Larger than the 64 KiB inline limit.
+            let big = vec![9u8; 100 * 1024];
+            linearizable_put(&c, oid(2), Bytes::from(big.clone())).await;
+            let (tag, data) = c.read_all(oid(2), Consistency::Linearizable).await.unwrap();
+            assert_eq!(tag.seq, 1);
+            assert_eq!(data.len(), big.len());
+        });
+    }
+
+    #[test]
+    fn delete_invalidates_cached_copies() {
+        let mut sim = Sim::new(42);
+        let (_fabric, store) = testkit::deploy(&sim, testkit::cached());
+        sim.block_on(async move {
+            let c = store.client(NodeId(0));
+            c.put(
+                oid(4),
+                Bytes::from_static(b"short lived"),
+                Mutability::Immutable,
+                Consistency::Linearizable,
+            )
+            .await
+            .unwrap();
+            c.read_all(oid(4), Consistency::Linearizable).await.unwrap();
+            c.delete(oid(4)).await.unwrap();
+            let r = c.read_all(oid(4), Consistency::Linearizable).await;
+            assert!(matches!(r, Err(PcsiError::NotFound(_))), "{r:?}");
+        });
+    }
+
+    #[test]
+    fn quorum_read_repairs_stale_replica() {
+        let mut sim = Sim::new(44);
+        let (fabric, store) = testkit::deploy(&sim, testkit::cached()); // No anti-entropy.
+        let h = fabric.handle().clone();
+        sim.block_on({
+            let store = store.clone();
+            async move {
+                let c = store.client(NodeId(0));
+                let id = oid(5);
+                let replicas = store.placement().replicas(id);
+                linearizable_put(&c, id, Bytes::from_static(b"v1")).await;
+                h.sleep(Duration::from_millis(5)).await;
+                // Isolate one secondary, write v2 past it, then heal.
+                let lagging = replicas[2];
+                let others: Vec<NodeId> = fabric
+                    .topology()
+                    .node_ids()
+                    .into_iter()
+                    .filter(|&n| n != lagging)
+                    .collect();
+                fabric.partition(&[lagging], &others);
+                linearizable_put(&c, id, Bytes::from_static(b"v2")).await;
+                fabric.heal_partitions();
+                // Quorum reads observe the lagging replica's old tag and
+                // push it the new state — no anti-entropy involved. Read
+                // from a client co-located with the laggard so its (old)
+                // reply is always part of the first majority.
+                let reader = store.client(lagging);
+                for _ in 0..5 {
+                    let (tag, data) = reader
+                        .read_all(id, Consistency::Linearizable)
+                        .await
+                        .unwrap();
+                    assert_eq!(tag.seq, 2);
+                    assert_eq!(&data[..], b"v2");
+                    h.sleep(Duration::from_millis(2)).await;
+                }
+                let repaired: u64 = store.replicas().iter().map(|r| r.repaired_count()).sum();
+                assert!(repaired > 0, "read repair should have fired");
+                let local = store
+                    .replica_on(lagging)
+                    .unwrap()
+                    .with_engine(|e| e.read(id, 0, 100).map(|b| b.to_vec()));
+                assert_eq!(local.unwrap(), b"v2");
+            }
+        });
+    }
+
+    #[test]
+    fn writes_fail_over_past_a_crashed_primary() {
+        // The primary of the object is down, but a majority of replicas
+        // is alive: the recovery layer must route the coordination to
+        // the next replica in placement order instead of surfacing an
+        // error to the client.
+        let mut sim = Sim::new(42);
+        let (fabric, store) = testkit::deploy(&sim, testkit::cached());
+        sim.block_on({
+            let store = store.clone();
+            async move {
+                let id = oid(30);
+                let replicas = store.placement().replicas(id);
+                let c = store.client(testkit::outsider(&store, id));
+                linearizable_put(&c, id, Bytes::from_static(b"v1")).await;
+                fabric.set_node_down(replicas[0], true);
+                let tag = c
+                    .write_at(id, 0, Bytes::from_static(b"v2"), Consistency::Linearizable)
+                    .await
+                    .expect("a live majority must absorb the write");
+                assert_eq!(tag.writer, replicas[1].0, "ordered by the failover target");
+                let stats = store.retry_stats();
+                assert!(stats.failovers >= 1, "failover never fired: {stats:?}");
+                assert!(
+                    stats.retries >= 1,
+                    "per-target retries never fired: {stats:?}"
+                );
+                let (read_tag, data) = c.read_all(id, Consistency::Linearizable).await.unwrap();
+                assert_eq!(read_tag, tag);
+                assert_eq!(&data[..], b"v2");
+            }
+        });
+    }
+
+    #[test]
+    fn dropped_messages_time_out_and_fail_over() {
+        // Every message on the client <-> primary link vanishes. With a
+        // per-attempt deadline below the fabric's retransmit timeout,
+        // each attempt against the primary surfaces as a client-side
+        // timeout — the path that finally generates `PcsiError::Timeout`
+        // — and the write still succeeds via failover.
+        let mut sim = Sim::new(42);
+        let config = StoreConfig {
+            retry: RetryPolicy {
+                attempt_timeout: Some(Duration::from_millis(1)),
+                ..RetryPolicy::default()
+            },
+            ..testkit::config()
+        };
+        let (fabric, store) = testkit::deploy(&sim, config);
+        sim.block_on({
+            let store = store.clone();
+            async move {
+                let id = oid(31);
+                let replicas = store.placement().replicas(id);
+                let client_node = testkit::outsider(&store, id);
+                testkit::drop_link(&fabric, client_node, replicas[0]);
+                let c = store.client(client_node);
+                let tag = c
+                    .put(
+                        id,
+                        Bytes::from_static(b"survives"),
+                        Mutability::Mutable,
+                        Consistency::Linearizable,
+                    )
+                    .await
+                    .expect("a dropped link to the primary must not fail the write");
+                assert_eq!(tag.writer, replicas[1].0);
+                let stats = store.retry_stats();
+                assert!(stats.timeouts >= 1, "attempts never timed out: {stats:?}");
+                assert!(stats.failovers >= 1, "failover never fired: {stats:?}");
+                let (_, data) = c.read_all(id, Consistency::Linearizable).await.unwrap();
+                assert_eq!(&data[..], b"survives");
+            }
+        });
+    }
+
+    #[test]
+    fn ambiguous_delete_failure_invalidates_caches() {
+        // A delete that errs ambiguously may still have landed a
+        // tombstone server-side (here: the full-set ack fails because
+        // one Apply is dropped, but a majority did apply). The cache
+        // must be invalidated on that ambiguous failure too — otherwise
+        // a cached "immutable" copy serves deleted bytes forever.
+        let mut sim = Sim::new(42);
+        let config = StoreConfig {
+            // Single-shot so the ambiguous verdict surfaces directly.
+            retry: RetryPolicy::none(),
+            ..testkit::cached()
+        };
+        let (fabric, store) = testkit::deploy(&sim, config);
+        sim.block_on({
+            let store = store.clone();
+            async move {
+                let id = oid(32);
+                let replicas = store.placement().replicas(id);
+                let c = store.client(testkit::outsider(&store, id));
+                c.put(
+                    id,
+                    Bytes::from_static(b"doomed"),
+                    Mutability::Immutable,
+                    Consistency::Linearizable,
+                )
+                .await
+                .unwrap();
+                // Cache the immutable object on the client's node.
+                c.read_all(id, Consistency::Linearizable).await.unwrap();
+                // Lose the replication traffic to the last replica: the
+                // tombstone lands on a majority, but the full-set delete
+                // ack fails — an ambiguous outcome for the client.
+                testkit::drop_link(&fabric, replicas[0], replicas[2]);
+                let err = c.delete(id).await.unwrap_err();
+                assert!(
+                    err.is_retryable(),
+                    "delete verdict must be ambiguous: {err:?}"
+                );
+                fabric.clear_message_faults();
+                // The cached copy must be gone: the next read goes to the
+                // quorum and observes the tombstone instead of serving
+                // the deleted bytes from cache.
+                let r = c.read_all(id, Consistency::Linearizable).await;
+                assert!(
+                    matches!(r, Err(PcsiError::NotFound(_))),
+                    "cache served a deleted object: {r:?}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn partition_isolates_minority_and_heals() {
+        let mut sim = Sim::new(43);
+        let config = StoreConfig {
+            anti_entropy: Some(Duration::from_millis(50)),
+            ..testkit::cached()
+        };
+        let (fabric, store) = testkit::deploy(&sim, config);
+        let h = fabric.handle().clone();
+        sim.block_on({
+            let store = store.clone();
+            async move {
+                let c = store.client(NodeId(0));
+                let id = oid(9);
+                let replicas = store.placement().replicas(id);
+                linearizable_put(&c, id, Bytes::from_static(b"v1")).await;
+                // Partition one secondary away from everyone.
+                let isolated = replicas[2];
+                let others: Vec<NodeId> = fabric
+                    .topology()
+                    .node_ids()
+                    .into_iter()
+                    .filter(|&n| n != isolated)
+                    .collect();
+                fabric.partition(&[isolated], &others);
+                // Majority writes still succeed.
+                linearizable_put(&c, id, Bytes::from_static(b"v2")).await;
+                // Heal; anti-entropy catches the straggler up.
+                fabric.heal_partitions();
+                h.sleep(Duration::from_millis(400)).await;
+                let local = store
+                    .replica_on(isolated)
+                    .unwrap()
+                    .with_engine(|e| e.read(id, 0, 100).map(|b| b.to_vec()));
+                assert_eq!(local.unwrap(), b"v2");
+            }
+        });
+    }
+
+    /// One-RTT linearizable reads under a partition: a lagging replica's
+    /// stale tag must never win the read quorum, and once the partition
+    /// heals, quorum reads that observe the laggard must read-repair it —
+    /// with anti-entropy disabled, repair is the *only* way it can catch up.
+    #[test]
+    fn one_rtt_reads_stay_fresh_and_repair_stale_replicas() {
+        for seed in [606u64, 707] {
+            let mut sim = Sim::new(seed);
+            let h = sim.handle();
+            // Raw store, jittered fabric. Anti-entropy off and caching off
+            // so every read exercises the one-RTT quorum protocol and any
+            // convergence we see is attributable to read repair alone.
+            let fabric = testkit::fabric(&sim, Topology::uniform(3, 3), LatencyModel::new);
+            let config = StoreConfig {
+                // Single-shot: this test pins down the raw one-RTT
+                // read/repair protocol, not the recovery layer.
+                retry: RetryPolicy::none(),
+                ..testkit::config()
+            };
+            let store = testkit::launch(&fabric, config, &pcsi_obs::Telemetry::default());
+            sim.block_on(async move {
+                let id = ObjectId::from_parts(9, 1);
+                let replicas = store.placement().replicas(id);
+                let laggard = replicas[2];
+                let writer = store.client(testkit::outsider(&store, id));
+
+                let mut acked: Tag =
+                    linearizable_put(&writer, id, Bytes::from(vec![0u8; 64])).await;
+                let mut acked_val = 0u8;
+
+                for round in 1..=40u32 {
+                    // Cut the third replica off mid-run; majority writes keep
+                    // succeeding while it silently goes stale.
+                    if round == 10 {
+                        let others: Vec<NodeId> = fabric
+                            .topology()
+                            .node_ids()
+                            .into_iter()
+                            .filter(|&n| n != laggard)
+                            .collect();
+                        fabric.partition(&[laggard], &others);
+                    }
+                    if round == 25 {
+                        fabric.heal_partitions();
+                    }
+
+                    // Stop writing once the partition heals: post-heal writes
+                    // would converge the laggard through ordinary replication,
+                    // and we want read repair to be the only path back.
+                    if round < 25 {
+                        let value = (round % 251) as u8;
+                        match writer
+                            .write_at(
+                                id,
+                                0,
+                                Bytes::from(vec![value; 64]),
+                                Consistency::Linearizable,
+                            )
+                            .await
+                        {
+                            Ok(tag) => {
+                                acked = tag;
+                                acked_val = value;
+                            }
+                            Err(e) => assert!(
+                                matches!(
+                                    e,
+                                    PcsiError::QuorumUnavailable { .. } | PcsiError::Fault(_)
+                                ),
+                                "seed {seed} round {round}: unexpected write error {e:?}"
+                            ),
+                        }
+                    }
+
+                    // Read from a client co-located with the laggard: its
+                    // (possibly stale) local reply always lands in the first
+                    // majority, which is exactly the case one-RTT reads must
+                    // survive — and after healing, the case that triggers
+                    // read repair.
+                    match store
+                        .client(laggard)
+                        .read_all(id, Consistency::Linearizable)
+                        .await
+                    {
+                        Ok((tag, data)) => {
+                            assert!(
+                                tag >= acked,
+                                "seed {seed} round {round}: one-RTT read returned tag {tag:?} \
+                                 older than last acked write {acked:?}"
+                            );
+                            assert_eq!(
+                                data[0], acked_val,
+                                "seed {seed} round {round}: stale payload"
+                            );
+                        }
+                        Err(e) => assert!(
+                            matches!(e, PcsiError::QuorumUnavailable { .. } | PcsiError::Fault(_)),
+                            "seed {seed} round {round}: unexpected read error {e:?}"
+                        ),
+                    }
+                    h.sleep(Duration::from_millis(2)).await;
+                }
+
+                // Quorum reads observed the laggard's stale tags after the
+                // heal, so read repair must have pushed state to it.
+                let repaired: u64 = store.replicas().iter().map(|r| r.repaired_count()).sum();
+                assert!(repaired > 0, "seed {seed}: no read repair happened");
+                h.sleep(Duration::from_millis(5)).await;
+                let (tag, val) = store.replica_on(laggard).unwrap().with_engine(|e| {
+                    let tag = e.get(id).map(|o| o.tag);
+                    let val = e.read(id, 0, 1).map(|b| b[0]);
+                    (tag, val)
+                });
+                assert_eq!(
+                    tag,
+                    Some(acked),
+                    "seed {seed}: laggard tag did not converge"
+                );
+                assert_eq!(
+                    val.ok(),
+                    Some(acked_val),
+                    "seed {seed}: laggard value did not converge"
+                );
+            });
+        }
+    }
+}

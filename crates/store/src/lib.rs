@@ -58,6 +58,7 @@ mod recovery;
 pub mod replica;
 pub mod retry;
 pub mod store;
+mod testkit;
 pub mod version;
 pub mod wire;
 

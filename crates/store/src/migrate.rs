@@ -47,15 +47,6 @@ impl ReplicatedStore {
             .begin_join(self.inner.fabric.topology(), node, &ids)
     }
 
-    /// Removes `node` from the placement ring and pins every object whose
-    /// replica set changes; returns the pinned ids. The departing node
-    /// keeps serving its pinned objects until they migrate, so call
-    /// [`ReplicatedStore::drain_moves`] before taking it down.
-    pub(crate) fn begin_decommission(&self, node: NodeId) -> Vec<ObjectId> {
-        let ids = self.all_object_ids();
-        self.inner.placement.begin_leave(node, &ids)
-    }
-
     /// Joins `node` and migrates every affected object before returning
     /// the number of objects moved.
     pub async fn join_node(&self, node: NodeId) -> Result<usize, PcsiError> {
@@ -63,11 +54,14 @@ impl ReplicatedStore {
         self.drain_moves(None).await
     }
 
-    /// Decommissions `node` and migrates every affected object off it
-    /// before returning the number of objects moved. The node is safe to
-    /// take down once this returns.
+    /// Removes `node` from the placement ring, pinning every object whose
+    /// replica set changes (the departing node keeps serving those until
+    /// they move), and migrates every affected object off it before
+    /// returning the number of objects moved. The node is safe to take
+    /// down once this returns.
     pub async fn decommission_node(&self, node: NodeId) -> Result<usize, PcsiError> {
-        self.begin_decommission(node);
+        let ids = self.all_object_ids();
+        self.inner.placement.begin_leave(node, &ids);
         self.drain_moves(None).await
     }
 
@@ -339,3 +333,245 @@ const MAX_STALLED_ROUNDS: u32 = 512;
 
 /// Back-off between fruitless drain rounds.
 const DRAIN_RETRY_DELAY: Duration = Duration::from_millis(2);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::{self, oid, replica_bytes};
+    use crate::StoreConfig;
+    use pcsi_core::Consistency;
+    use pcsi_net::{LatencyModel, Topology};
+    use pcsi_obs::Telemetry;
+    use pcsi_sim::Sim;
+
+    /// 9 storage nodes with an 8-node initial ring: `NodeId(8)` runs a
+    /// replica engine but holds no data until joined.
+    fn standby() -> StoreConfig {
+        StoreConfig {
+            ring_nodes: Some((0..8).map(NodeId).collect()),
+            ..testkit::config()
+        }
+    }
+
+    #[test]
+    fn join_migrates_data_and_flips_routing() {
+        let mut sim = Sim::new(42);
+        let (_fabric, store) = testkit::deploy(&sim, standby());
+        sim.block_on({
+            let store = store.clone();
+            async move {
+                let spare = NodeId(8);
+                assert!(!store.placement().is_member(spare));
+                let c = store.client(NodeId(0));
+                for n in 0..50u64 {
+                    testkit::linearizable_put(&c, oid(n), Bytes::from(vec![n as u8; 64])).await;
+                }
+                let epoch_before = store.placement().epoch();
+                let moved = store.join_node(spare).await.unwrap();
+                assert!(moved >= 1, "a 50-object join moved nothing");
+                assert!(store.placement().is_member(spare));
+                assert_eq!(store.placement().epoch(), epoch_before + 1);
+                assert!(store.placement().pending_moves().is_empty());
+                // The joiner owns (and physically holds) part of the space.
+                let owns = (0..50u64)
+                    .filter(|&n| store.placement().replicas(oid(n)).contains(&spare))
+                    .count();
+                assert!(owns >= 1, "the joiner took over no replica sets");
+                assert!(
+                    store
+                        .replica_on(spare)
+                        .unwrap()
+                        .with_engine(|e| !e.ids().is_empty()),
+                    "no sealed snapshot landed on the joiner"
+                );
+                // Every object still reads back correctly — including the
+                // migrated ones, served by their new owners.
+                for n in 0..50u64 {
+                    let (_, data) = c.read_all(oid(n), Consistency::Linearizable).await.unwrap();
+                    assert_eq!(&data[..], &vec![n as u8; 64][..], "object {n} corrupted");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn a_stalled_drain_says_why_and_journals_it() {
+        let mut sim = Sim::new(42);
+        let telemetry = Telemetry {
+            journal: Some(pcsi_obs::Journal::new(&sim.handle(), 64)),
+            ..Telemetry::default()
+        };
+        let fabric = testkit::fabric(&sim, Topology::uniform(3, 3), LatencyModel::deterministic);
+        let store = testkit::launch(&fabric, standby(), &telemetry);
+        let stalled = sim.block_on({
+            let store = store.clone();
+            async move {
+                let spare = NodeId(8);
+                let c = store.client(NodeId(0));
+                for n in 0..50u64 {
+                    testkit::linearizable_put(&c, oid(n), Bytes::from(vec![n as u8; 64])).await;
+                }
+                // The joiner never gets to talk to the old owners, so the
+                // objects it is to pull as first new owner cannot move.
+                let others: Vec<NodeId> = (0..8).map(NodeId).collect();
+                fabric.partition(&[spare], &others);
+                store.join_node(spare).await
+            }
+        });
+        let msg = stalled.expect_err("the drain must give up").to_string();
+        assert!(msg.contains("shard migration stalled"), "{msg}");
+        assert!(msg.contains("quorum unavailable: needed 2, got 0"), "{msg}");
+        assert!(!store.placement().pending_moves().is_empty());
+        // One record, on the failure path only, carrying the same cause.
+        let journal = telemetry.journal.expect("built above");
+        let records: Vec<_> = journal
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == "migration_stalled")
+            .collect();
+        assert_eq!(records.len(), 1, "{}", journal.render());
+        assert_eq!(records[0].layer, "store");
+        assert!(msg.ends_with(&records[0].detail), "{msg}");
+    }
+
+    #[test]
+    fn decommission_moves_data_off_the_departing_node() {
+        let mut sim = Sim::new(42);
+        let (fabric, store) = testkit::deploy(&sim, testkit::cached());
+        sim.block_on({
+            let store = store.clone();
+            async move {
+                let c = store.client(NodeId(0));
+                for n in 0..50u64 {
+                    testkit::linearizable_put(&c, oid(n), Bytes::from(vec![n as u8; 64])).await;
+                }
+                let leaving = NodeId(3);
+                store.decommission_node(leaving).await.unwrap();
+                assert!(!store.placement().is_member(leaving));
+                assert!(store.placement().pending_moves().is_empty());
+                for n in 0..50u64 {
+                    assert!(
+                        !store.placement().replicas(oid(n)).contains(&leaving),
+                        "object {n} still routed at the decommissioned node"
+                    );
+                }
+                // The node can now actually go away without data loss.
+                fabric.set_node_down(leaving, true);
+                for n in 0..50u64 {
+                    let (_, data) = c.read_all(oid(n), Consistency::Linearizable).await.unwrap();
+                    assert_eq!(&data[..], &vec![n as u8; 64][..], "object {n} lost");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn migration_preserves_a_partially_replicated_delete() {
+        // A delete lands on a majority but one replica keeps stale live
+        // bytes (its replication message was dropped). Migrating the
+        // object off the tombstoned primary must move the *delete*, not
+        // resurrect the stale survivor's data — and anti-entropy
+        // afterwards must not bring it back either.
+        let mut sim = Sim::new(42);
+        let config = StoreConfig {
+            retry: crate::RetryPolicy::none(),
+            ..testkit::config()
+        };
+        let (fabric, store) = testkit::deploy(&sim, config);
+        sim.block_on({
+            let store = store.clone();
+            async move {
+                let id = oid(60);
+                let replicas = store.placement().replicas(id);
+                let c = store.client(testkit::outsider(&store, id));
+                testkit::linearizable_put(&c, id, Bytes::from_static(b"doomed")).await;
+                // Drop the delete's replication to the last replica: the
+                // tombstone lands on a majority, the straggler keeps the
+                // live bytes.
+                testkit::drop_link(&fabric, replicas[0], replicas[2]);
+                let err = c.delete(id).await.unwrap_err();
+                assert!(err.is_retryable(), "delete should be ambiguous: {err:?}");
+                fabric.clear_message_faults();
+                assert_eq!(replica_bytes(&store, replicas[2], id), b"doomed");
+                // Move the object off its (tombstoned) primary.
+                store.decommission_node(replicas[0]).await.unwrap();
+                let r = c.read_all(id, Consistency::Linearizable).await;
+                assert!(
+                    matches!(r, Err(PcsiError::NotFound(_))),
+                    "migration resurrected a deleted object: {r:?}"
+                );
+                // The stale survivor must not resurrect it later either.
+                testkit::anti_entropy(&store, 8).await;
+                let r = c.read_all(id, Consistency::Linearizable).await;
+                assert!(
+                    matches!(r, Err(PcsiError::NotFound(_))),
+                    "anti-entropy resurrected a deleted object: {r:?}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn writes_issued_during_a_migration_land_exactly_once() {
+        // Client appends race a join's drain loop: every acknowledged
+        // append must appear exactly once in the final bytes, no matter
+        // how the freeze windows interleave with the writes.
+        let mut sim = Sim::new(7);
+        let (fabric, store) = testkit::deploy(&sim, standby());
+        let h = fabric.handle().clone();
+        sim.block_on({
+            let store = store.clone();
+            async move {
+                let c = store.client(NodeId(0));
+                let id = oid(70);
+                c.put(
+                    id,
+                    Bytes::new(),
+                    Mutability::AppendOnly,
+                    Consistency::Linearizable,
+                )
+                .await
+                .unwrap();
+                for n in 0..20u64 {
+                    let data = Bytes::from(vec![n as u8; 256]);
+                    testkit::linearizable_put(&c, oid(100 + n), data).await;
+                }
+                // Background writer: one appender racing the drain.
+                let writer = {
+                    let store = store.clone();
+                    let h = h.clone();
+                    async move {
+                        let c = store.client(NodeId(4));
+                        let mut acked = Vec::new();
+                        for i in 0..30u8 {
+                            let payload = Bytes::from(vec![i]);
+                            if c.append(id, payload.clone(), Consistency::Linearizable)
+                                .await
+                                .is_ok()
+                            {
+                                acked.push(i);
+                            }
+                            h.sleep(Duration::from_micros(200)).await;
+                        }
+                        acked
+                    }
+                };
+                let writer_task = h.spawn(writer);
+                let pacer = Pacer::new(h.clone(), Duration::from_micros(500));
+                store.begin_join(NodeId(8));
+                store.drain_moves(Some(&pacer)).await.unwrap();
+                let acked = writer_task.await;
+                // Quiesce: every replica of the final set converges.
+                testkit::anti_entropy(&store, 8).await;
+                let (_, data) = c.read_all(id, Consistency::Linearizable).await.unwrap();
+                for &b in &acked {
+                    let count = data.iter().filter(|&&x| x == b).count();
+                    assert_eq!(
+                        count, 1,
+                        "acked append {b} appears {count} times in {data:?}"
+                    );
+                }
+            }
+        });
+    }
+}

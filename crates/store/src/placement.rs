@@ -248,21 +248,14 @@ impl Placement {
         objects: &[ObjectId],
     ) -> Vec<ObjectId> {
         let rack = topology.spec(node).rack;
-        let mut st = self.inner.state.borrow_mut();
-        assert!(
-            !st.members.iter().any(|&(n, _)| n == node),
-            "node {node:?} already in ring"
-        );
-        let n_replicas = self.inner.n_replicas;
-        let old_sets: Vec<(ObjectId, Vec<NodeId>)> = objects
-            .iter()
-            .map(|&id| (id, st.select(id, n_replicas).collect()))
-            .collect();
-        st.members.push((node, rack));
-        st.members.sort_unstable_by_key(|&(n, _)| n);
-        st.rebuild_ring(n_replicas);
-        st.epoch += 1;
-        Self::pin_changed(&mut st, old_sets, n_replicas)
+        self.change_members(objects, |members| {
+            assert!(
+                !members.iter().any(|&(n, _)| n == node),
+                "node {node:?} already in ring"
+            );
+            members.push((node, rack));
+            members.sort_unstable_by_key(|&(n, _)| n);
+        })
     }
 
     /// Removes `node` from the ring, bumps the epoch, and pins every
@@ -275,31 +268,36 @@ impl Placement {
     /// Panics if `node` is not a member or removal would leave fewer
     /// members than the replication factor.
     pub fn begin_leave(&self, node: NodeId, objects: &[ObjectId]) -> Vec<ObjectId> {
+        let n_replicas = self.inner.n_replicas;
+        self.change_members(objects, |members| {
+            assert!(
+                members.iter().any(|&(n, _)| n == node),
+                "node {node:?} not in ring"
+            );
+            assert!(
+                members.len() > n_replicas,
+                "removing {node:?} leaves fewer members than the replication factor"
+            );
+            members.retain(|&(n, _)| n != node);
+        })
+    }
+
+    /// One membership change: snapshots the sets of `objects`, `edit`s the
+    /// members, rebuilds the ring, bumps the epoch, pins what moved.
+    fn change_members(
+        &self,
+        objects: &[ObjectId],
+        edit: impl FnOnce(&mut Vec<(NodeId, u32)>),
+    ) -> Vec<ObjectId> {
         let mut st = self.inner.state.borrow_mut();
         let n_replicas = self.inner.n_replicas;
-        assert!(
-            st.members.iter().any(|&(n, _)| n == node),
-            "node {node:?} not in ring"
-        );
-        assert!(
-            st.members.len() > n_replicas,
-            "removing {node:?} leaves fewer members than the replication factor"
-        );
         let old_sets: Vec<(ObjectId, Vec<NodeId>)> = objects
             .iter()
             .map(|&id| (id, st.select(id, n_replicas).collect()))
             .collect();
-        st.members.retain(|&(n, _)| n != node);
+        edit(&mut st.members);
         st.rebuild_ring(n_replicas);
         st.epoch += 1;
-        Self::pin_changed(&mut st, old_sets, n_replicas)
-    }
-
-    fn pin_changed(
-        st: &mut RingState,
-        old_sets: Vec<(ObjectId, Vec<NodeId>)>,
-        n_replicas: usize,
-    ) -> Vec<ObjectId> {
         let mut pinned = Vec::new();
         for (id, old) in old_sets {
             // An object already mid-move keeps its original pin: the data

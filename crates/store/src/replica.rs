@@ -901,7 +901,12 @@ async fn anti_entropy_round(inner: &Rc<Inner>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{self, linearizable_put, oid, raw_append, replica_bytes};
+    use crate::{RetryPolicy, StoreConfig};
+    use pcsi_core::{Consistency, Mutability};
+    use pcsi_net::{LatencyModel, Topology};
     use pcsi_sim::rng::DetRng;
+    use pcsi_sim::Sim;
     use std::collections::BTreeSet;
 
     fn id(n: u64) -> ObjectId {
@@ -910,6 +915,15 @@ mod tests {
 
     fn tag(seq: u64, writer: u32) -> Tag {
         Tag { seq, writer }
+    }
+
+    /// The store the white-box tests below were written against:
+    /// [`testkit::config`] on NVMe.
+    fn nvme() -> StoreConfig {
+        StoreConfig {
+            tier: MediaTier::Nvme,
+            ..testkit::config()
+        }
     }
 
     /// Every reply kind, replay off and on, against the rules as
@@ -967,11 +981,11 @@ mod tests {
     /// a reply would answer `AlreadyApplied` for a request it lacks.
     #[test]
     fn fetch_ships_only_requests_its_bytes_contain() {
-        let mut sim = pcsi_sim::Sim::new(42);
-        let (fabric, store) = store_on_3x3(&sim);
+        let mut sim = Sim::new(42);
+        let (fabric, store) = testkit::deploy(&sim, nvme());
         let reply = sim.block_on(async move {
             let (id, data) = (id(1), Bytes::from(vec![7u8; 4096]));
-            let t1 = linearizable_put(&store, id, data.clone()).await;
+            let t1 = linearizable_put(&store.client(NodeId(0)), id, data.clone()).await;
             let p = store.placement().replicas(id)[1];
             let call = |req: &Request| rpc(&fabric, p, p, wire::encode_request(req));
             let apply = call(&Request::Apply {
@@ -1004,11 +1018,11 @@ mod tests {
     /// tag, and `Append` is not idempotent.
     #[test]
     fn a_request_on_an_idle_object_is_not_applied_twice() {
-        let mut sim = pcsi_sim::Sim::new(42);
-        let (fabric, store) = store_on_3x3(&sim);
+        let mut sim = Sim::new(42);
+        let (fabric, store) = testkit::deploy(&sim, nvme());
         let (first, reply, held) = sim.block_on(async move {
             let x = id(1);
-            let t1 = linearizable_put(&store, x, Bytes::from_static(b"x")).await;
+            let t1 = linearizable_put(&store.client(NodeId(0)), x, Bytes::from_static(b"x")).await;
             let p = store.placement().replicas(x)[1];
             let call = |req: &Request| rpc(&fabric, p, p, wire::encode_request(req));
             let append = |tag| Request::Apply {
@@ -1032,7 +1046,7 @@ mod tests {
                     tag: Tag { seq: 1, writer: 9 },
                     mutation: Mutation::PutFull {
                         data: Bytes::from_static(b"o"),
-                        mutability: pcsi_core::Mutability::Mutable,
+                        mutability: Mutability::Mutable,
                     },
                     req_id,
                 };
@@ -1052,15 +1066,8 @@ mod tests {
     /// only when it has something to pull.
     #[test]
     fn anti_entropy_pulls_in_id_order_whatever_the_inventory_order() {
-        use pcsi_core::Mutability;
-        use pcsi_net::{LatencyModel, NetworkGeneration, Topology};
-
-        let mut sim = pcsi_sim::Sim::new(42);
-        let fabric = Fabric::new(
-            sim.handle(),
-            Topology::uniform(3, 1),
-            LatencyModel::deterministic(NetworkGeneration::Dc2021),
-        );
+        let mut sim = Sim::new(42);
+        let fabric = testkit::fabric(&sim, Topology::uniform(3, 1), LatencyModel::deterministic);
         let nodes = fabric.topology().node_ids();
         let placement = Placement::new(fabric.topology(), nodes, 3);
         let replica = ReplicaNode::start(
@@ -1112,48 +1119,17 @@ mod tests {
         }
     }
 
-    /// A store on a 3 × 3 topology with no background traffic.
-    fn store_on_3x3(sim: &pcsi_sim::Sim) -> (Fabric, crate::store::ReplicatedStore) {
-        use crate::store::{ReplicatedStore, StoreConfig};
-        use pcsi_net::{LatencyModel, NetworkGeneration, Topology};
-
-        let fabric = Fabric::new(
-            sim.handle(),
-            Topology::uniform(3, 3),
-            LatencyModel::deterministic(NetworkGeneration::Dc2021),
-        );
-        let config = StoreConfig {
-            anti_entropy: None,
-            cache_bytes: 0,
-            ..StoreConfig::default()
-        };
-        let nodes = fabric.topology().node_ids();
-        let store = ReplicatedStore::launch(fabric.clone(), nodes, config, &Telemetry::default());
-        (fabric, store)
-    }
-
-    /// A linearizable `put` of `data` from node 0.
-    async fn linearizable_put(
-        store: &crate::store::ReplicatedStore,
-        id: ObjectId,
-        data: Bytes,
-    ) -> Tag {
-        use pcsi_core::{Consistency, Mutability};
-        let client = store.client(NodeId(0));
-        let put = client.put(id, data, Mutability::Mutable, Consistency::Linearizable);
-        put.await.unwrap()
-    }
-
     /// Every replica of a write keeps a view of the one `Apply` frame the
     /// coordinator applied from and fanned out; a later write gives each
     /// replica bytes of its own.
     #[test]
     fn replicas_of_a_put_share_one_payload_allocation() {
-        let mut sim = pcsi_sim::Sim::new(42);
-        let (fabric, store) = store_on_3x3(&sim);
+        let mut sim = Sim::new(42);
+        let (fabric, store) = testkit::deploy(&sim, nvme());
         sim.block_on(async move {
             let id = id(1);
-            linearizable_put(&store, id, Bytes::from(vec![7u8; 4096])).await;
+            let client = store.client(NodeId(0));
+            linearizable_put(&client, id, Bytes::from(vec![7u8; 4096])).await;
             // The third replica applies after the majority acked.
             let h = fabric.handle().clone();
             h.sleep(Duration::from_millis(1)).await;
@@ -1167,9 +1143,8 @@ mod tests {
             assert_eq!(ptrs.len(), 3);
             assert!(ptrs.iter().all(|&p| p == ptrs[0]), "{ptrs:?}");
 
-            let client = store.client(NodeId(0));
             let head = Bytes::from_static(b"head");
-            let write = client.write_at(id, 0, head, pcsi_core::Consistency::Linearizable);
+            let write = client.write_at(id, 0, head, Consistency::Linearizable);
             write.await.unwrap();
             h.sleep(Duration::from_millis(1)).await;
             let held = held();
@@ -1274,5 +1249,239 @@ mod tests {
         }
         assert_eq!(new.completed.len(), SEEN_COORDINATES_CAP);
         assert!(!running.is_empty(), "no in-flight claim at the end");
+    }
+
+    #[test]
+    fn failover_reorder_does_not_double_apply() {
+        // Regression for the exactly-once hole: a coordination succeeds
+        // server-side at the primary (its fan-out reached one secondary)
+        // but the ack to the client is lost. The client fails over; the
+        // failover target never saw the request and re-orders it at a
+        // fresh higher tag. Replicas that already applied it must answer
+        // `AlreadyApplied` instead of applying the non-idempotent append
+        // a second time — before the fix they deduplicated only by tag,
+        // and the fresh tag sailed past that check.
+        let mut sim = Sim::new(42);
+        let config = StoreConfig {
+            retry: RetryPolicy {
+                attempt_timeout: None,
+                op_deadline: None,
+                attempts_per_target: 1,
+                failover: true,
+                base_backoff: Duration::from_micros(10),
+                max_backoff: Duration::from_micros(10),
+                jitter: 0.0,
+            },
+            ..testkit::config()
+        };
+        let (fabric, store) = testkit::deploy(&sim, config);
+        sim.block_on({
+            let store = store.clone();
+            let fabric = fabric.clone();
+            async move {
+                let id = oid(40);
+                let replicas = store.placement().replicas(id);
+                let (a, b) = (replicas[0], replicas[1]);
+                let client_node = testkit::outsider(&store, id);
+                let c = store.client(client_node);
+                c.put(
+                    id,
+                    Bytes::from_static(b"base"),
+                    Mutability::AppendOnly,
+                    Consistency::Linearizable,
+                )
+                .await
+                .unwrap();
+                // The primary cannot reach the failover target, so the
+                // target will not learn of the append from the fan-out.
+                fabric.partition(&[a], &[b]);
+                // Once the primary has received the append (and before
+                // it can reply), cut it off from the client: the
+                // coordination still completes server-side (the third
+                // replica acks the majority) but the client sees an
+                // ambiguous transport error and fails over.
+                let watcher = {
+                    let ra = store.replica_on(a).unwrap().clone();
+                    let fabric = fabric.clone();
+                    let h = fabric.handle().clone();
+                    async move {
+                        while ra.coordinated_count() < 2 {
+                            h.sleep(Duration::from_micros(1)).await;
+                        }
+                        fabric.partition(&[client_node], &[a]);
+                    }
+                };
+                drop(fabric.handle().spawn(watcher));
+                let tag = c
+                    .append(id, Bytes::from_static(b"x"), Consistency::Linearizable)
+                    .await
+                    .expect("failover must absorb the lost-ack append");
+                assert_eq!(tag.writer, b.0, "re-ordered by the failover target");
+                assert!(store.retry_stats().failovers >= 1);
+                fabric.heal_partitions();
+                testkit::until_replicas_agree(&store, &replicas, id, b"basex").await;
+                for &node in &replicas {
+                    assert_eq!(
+                        replica_bytes(&store, node, id),
+                        b"basex",
+                        "append applied exactly once on {node} after failover re-order",
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn replay_does_not_ack_peers_ahead_without_the_request() {
+        // Regression for the unsound replay ack: the primary applies a
+        // write locally but loses its whole fan-out; while the client
+        // backs off, two unrelated writes land on the other replicas
+        // through a different coordinator. The retried coordination
+        // replays at the recorded tag and finds both peers *ahead* of it
+        // — on a history line that does not contain the write. Before
+        // the fix `Stale { newest >= tag }` counted as an ack, so the
+        // replay reported success while the write existed only on the
+        // primary's losing line and silently vanished at convergence.
+        let mut sim = Sim::new(42);
+        let config = StoreConfig {
+            retry: RetryPolicy {
+                attempt_timeout: None,
+                op_deadline: None,
+                attempts_per_target: 2,
+                failover: true,
+                // A fixed, jitter-free backoff wide enough for the
+                // concurrent writes to land inside it.
+                base_backoff: Duration::from_millis(5),
+                max_backoff: Duration::from_millis(5),
+                jitter: 0.0,
+            },
+            ..testkit::config()
+        };
+        let (fabric, store) = testkit::deploy(&sim, config);
+        sim.block_on({
+            let store = store.clone();
+            let fabric = fabric.clone();
+            async move {
+                let id = oid(41);
+                let replicas = store.placement().replicas(id);
+                let (a, b, c_node) = (replicas[0], replicas[1], replicas[2]);
+                let client_node = testkit::outsider(&store, id);
+                let client = store.client(client_node);
+                client
+                    .put(
+                        id,
+                        Bytes::from_static(b"p"),
+                        Mutability::AppendOnly,
+                        Consistency::Linearizable,
+                    )
+                    .await
+                    .unwrap();
+                // Isolate the primary from its peers (the client still
+                // reaches it): attempt 1 applies locally, loses the
+                // fan-out, and surfaces QuorumUnavailable.
+                fabric.partition(&[a], &[b, c_node]);
+                // During the client's backoff: land two writes on the
+                // rest of the set through replica B, then heal — the
+                // retry's replay now finds its peers ahead of the
+                // recorded tag without holding the request.
+                let racer = {
+                    let store = store.clone();
+                    let fabric = fabric.clone();
+                    let h = fabric.handle().clone();
+                    async move {
+                        while store.retry_stats().retries < 1 {
+                            h.sleep(Duration::from_micros(5)).await;
+                        }
+                        let r1 = raw_append(&fabric, client_node, b, id, b"a", 900).await;
+                        assert!(matches!(r1, Response::Coordinated { .. }), "{r1:?}");
+                        let r2 = raw_append(&fabric, client_node, b, id, b"b", 901).await;
+                        assert!(matches!(r2, Response::Coordinated { .. }), "{r2:?}");
+                        fabric.heal_partitions();
+                    }
+                };
+                drop(fabric.handle().spawn(racer));
+                let tag = client
+                    .append(id, Bytes::from_static(b"x"), Consistency::Linearizable)
+                    .await
+                    .expect("failover must land the append on the winning line");
+                // The replay against the primary must NOT have claimed
+                // success at the recorded tag; the write lands re-ordered
+                // by the failover target, above the concurrent writes.
+                assert_eq!(tag.writer, b.0, "ordered by the failover target");
+                assert!(tag.seq >= 4, "ordered above the concurrent writes: {tag}");
+                let stats = store.retry_stats();
+                assert!(stats.retries >= 2 && stats.failovers >= 1, "{stats:?}");
+                testkit::until_replicas_agree(&store, &replicas, id, b"pabx").await;
+                for &node in &replicas {
+                    assert_eq!(
+                        replica_bytes(&store, node, id),
+                        b"pabx",
+                        "acknowledged append must survive convergence on {node}",
+                    );
+                }
+            }
+        });
+    }
+
+    /// OPEN BUG, pinned — ROADMAP item 1, a third shape of its root cause.
+    /// A secondary applies an `Append` on top of whatever bytes it holds,
+    /// so a tag gap corrupts it: the primary acknowledges `r` at 2@A with
+    /// its fan-out lost, then `s` at 3@A lands on the secondaries on top of
+    /// `p`. All three replicas end at tag 3@A, so anti-entropy sees nothing
+    /// to repair, and the acknowledged `r` is gone from two of three
+    /// replicas for good. Item 1's fix turns this assertion round.
+    #[test]
+    fn open_bug_item_1_gap_applied_append_diverges() {
+        let mut sim = Sim::new(42);
+        let config = StoreConfig {
+            retry: RetryPolicy::none(),
+            ..testkit::config()
+        };
+        let (fabric, store) = testkit::deploy(&sim, config);
+        sim.block_on(async move {
+            let id = oid(42);
+            let replicas = store.placement().replicas(id);
+            let (a, b, c) = (replicas[0], replicas[1], replicas[2]);
+            let client_node = testkit::outsider(&store, id);
+            store
+                .client(client_node)
+                .put(
+                    id,
+                    Bytes::from_static(b"p"),
+                    Mutability::AppendOnly,
+                    Consistency::Linearizable,
+                )
+                .await
+                .unwrap();
+            testkit::drop_link(&fabric, a, b);
+            testkit::drop_link(&fabric, a, c);
+            let r = raw_append(&fabric, client_node, a, id, b"r", 700).await;
+            let at = |seq| Tag { seq, writer: a.0 };
+            assert!(
+                matches!(r, Response::Coordinated { tag } if tag == at(2)),
+                "{r:?}"
+            );
+            fabric.clear_message_faults();
+            let s = raw_append(&fabric, client_node, a, id, b"s", 701).await;
+            assert!(
+                matches!(s, Response::Coordinated { tag } if tag == at(3)),
+                "{s:?}"
+            );
+            // Let the fan-out of `s` land before anti-entropy looks.
+            fabric.handle().sleep(Duration::from_millis(1)).await;
+            testkit::anti_entropy(&store, 8).await;
+            let tag_on = |node: NodeId| {
+                store
+                    .replica_on(node)
+                    .unwrap()
+                    .with_engine(|e| e.get(id).map(|o| o.tag))
+            };
+            for node in [a, b, c] {
+                assert_eq!(tag_on(node), Some(at(3)), "tag on {node}");
+            }
+            assert_eq!(replica_bytes(&store, a, id), b"prs");
+            assert_eq!(replica_bytes(&store, b, id), b"ps", "r lost on {b}");
+            assert_eq!(replica_bytes(&store, c, id), b"ps", "r lost on {c}");
+        });
     }
 }

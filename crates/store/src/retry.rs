@@ -76,7 +76,8 @@ impl RetryPolicy {
     /// Single-shot policy: no deadline, no retry, no failover. Restores
     /// the pre-recovery behavior for tests that assert on raw transport
     /// failures.
-    pub fn none() -> Self {
+    #[cfg(test)]
+    pub(crate) fn none() -> Self {
         RetryPolicy {
             attempt_timeout: None,
             op_deadline: None,

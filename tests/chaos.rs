@@ -3,9 +3,10 @@
 //! The consistency contract under crashes, partitions and message-level
 //! faults: linearizable histories must linearize, eventual objects must
 //! converge once the network heals. The seeded sweeps here delegate to
-//! the `pcsi-chaos` harness — `CHAOS_SEEDS` widens them — while the
-//! remaining hand-built scenarios pin down mechanisms (read repair,
-//! failover) the generic checkers don't isolate.
+//! the `pcsi-chaos` harness — `CHAOS_SEEDS` widens them — while the one
+//! hand-built scenario pins down a mechanism the generic checkers don't
+//! isolate: invocations failing over off a crashed node. The store's
+//! own fault scenarios (read repair, write failover) are its unit tests.
 
 use std::time::Duration;
 
@@ -13,7 +14,7 @@ use bytes::Bytes;
 use pcsi_chaos::{run_scenario, sweep_seeds, FaultPlan, ScenarioConfig};
 use pcsi_cloud::CloudBuilder;
 use pcsi_core::api::CreateOptions;
-use pcsi_core::{CloudInterface, Consistency, PcsiError};
+use pcsi_core::CloudInterface;
 use pcsi_net::NodeId;
 use pcsi_sim::Sim;
 
@@ -88,160 +89,6 @@ fn alert_fidelity_survives_seeded_fault_sweeps() {
             "seed {seed} violated alert fidelity:\n{}",
             report.render()
         );
-    }
-}
-
-/// One-RTT linearizable reads under a partition: a lagging replica's
-/// stale tag must never win the read quorum, and once the partition
-/// heals, quorum reads that observe the laggard must read-repair it —
-/// with anti-entropy disabled, repair is the *only* way it can catch up.
-#[test]
-fn one_rtt_reads_stay_fresh_and_repair_stale_replicas() {
-    use pcsi_core::{Mutability, ObjectId};
-    use pcsi_net::{Fabric, LatencyModel, NetworkGeneration, Topology};
-    use pcsi_store::{MediaTier, ReplicatedStore, RetryPolicy, StoreConfig, Tag};
-
-    for seed in [606u64, 707] {
-        let mut sim = Sim::new(seed);
-        let h = sim.handle();
-        sim.block_on(async move {
-            // Raw store, jittered fabric. Anti-entropy off and caching off
-            // so every read exercises the one-RTT quorum protocol and any
-            // convergence we see is attributable to read repair alone.
-            let fabric = Fabric::new(
-                h.clone(),
-                Topology::uniform(3, 3),
-                LatencyModel::new(NetworkGeneration::Dc2021),
-            );
-            let store = ReplicatedStore::launch(
-                fabric.clone(),
-                fabric.topology().node_ids(),
-                StoreConfig {
-                    n_replicas: 3,
-                    tier: MediaTier::Dram,
-                    anti_entropy: None,
-                    inline_read_max: 64 * 1024,
-                    cache_bytes: 0,
-                    // Single-shot: this test pins down the raw one-RTT
-                    // read/repair protocol, not the recovery layer.
-                    retry: RetryPolicy::none(),
-                    ring_nodes: None,
-                },
-                &pcsi_obs::Telemetry::default(),
-            );
-            let id = ObjectId::from_parts(9, 1);
-            let replicas = store.placement().replicas(id);
-            let laggard = replicas[2];
-            let outsider = fabric
-                .topology()
-                .node_ids()
-                .into_iter()
-                .find(|n| !replicas.contains(n))
-                .unwrap();
-            let writer = store.client(outsider);
-
-            let mut acked: Tag = writer
-                .put(
-                    id,
-                    Bytes::from(vec![0u8; 64]),
-                    Mutability::Mutable,
-                    Consistency::Linearizable,
-                )
-                .await
-                .unwrap();
-            let mut acked_val = 0u8;
-
-            for round in 1..=40u32 {
-                // Cut the third replica off mid-run; majority writes keep
-                // succeeding while it silently goes stale.
-                if round == 10 {
-                    let others: Vec<NodeId> = fabric
-                        .topology()
-                        .node_ids()
-                        .into_iter()
-                        .filter(|&n| n != laggard)
-                        .collect();
-                    fabric.partition(&[laggard], &others);
-                }
-                if round == 25 {
-                    fabric.heal_partitions();
-                }
-
-                // Stop writing once the partition heals: post-heal writes
-                // would converge the laggard through ordinary replication,
-                // and we want read repair to be the only path back.
-                if round < 25 {
-                    let value = (round % 251) as u8;
-                    match writer
-                        .write_at(
-                            id,
-                            0,
-                            Bytes::from(vec![value; 64]),
-                            Consistency::Linearizable,
-                        )
-                        .await
-                    {
-                        Ok(tag) => {
-                            acked = tag;
-                            acked_val = value;
-                        }
-                        Err(e) => assert!(
-                            matches!(e, PcsiError::QuorumUnavailable { .. } | PcsiError::Fault(_)),
-                            "seed {seed} round {round}: unexpected write error {e:?}"
-                        ),
-                    }
-                }
-
-                // Read from a client co-located with the laggard: its
-                // (possibly stale) local reply always lands in the first
-                // majority, which is exactly the case one-RTT reads must
-                // survive — and after healing, the case that triggers
-                // read repair.
-                match store
-                    .client(laggard)
-                    .read_all(id, Consistency::Linearizable)
-                    .await
-                {
-                    Ok((tag, data)) => {
-                        assert!(
-                            tag >= acked,
-                            "seed {seed} round {round}: one-RTT read returned tag {tag:?} \
-                             older than last acked write {acked:?}"
-                        );
-                        assert_eq!(
-                            data[0], acked_val,
-                            "seed {seed} round {round}: stale payload"
-                        );
-                    }
-                    Err(e) => assert!(
-                        matches!(e, PcsiError::QuorumUnavailable { .. } | PcsiError::Fault(_)),
-                        "seed {seed} round {round}: unexpected read error {e:?}"
-                    ),
-                }
-                h.sleep(Duration::from_millis(2)).await;
-            }
-
-            // Quorum reads observed the laggard's stale tags after the
-            // heal, so read repair must have pushed state to it.
-            let repaired: u64 = store.replicas().iter().map(|r| r.repaired_count()).sum();
-            assert!(repaired > 0, "seed {seed}: no read repair happened");
-            h.sleep(Duration::from_millis(5)).await;
-            let (tag, val) = store.replica_on(laggard).unwrap().with_engine(|e| {
-                let tag = e.get(id).map(|o| o.tag);
-                let val = e.read(id, 0, 1).map(|b| b[0]);
-                (tag, val)
-            });
-            assert_eq!(
-                tag,
-                Some(acked),
-                "seed {seed}: laggard tag did not converge"
-            );
-            assert_eq!(
-                val.ok(),
-                Some(acked_val),
-                "seed {seed}: laggard value did not converge"
-            );
-        });
     }
 }
 
