@@ -22,10 +22,11 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::{Consistency, Mutability, ObjectId};
-use pcsi_net::{Fabric, LatencyModel, NetworkGeneration, NodeId, Topology};
+use pcsi_net::{NodeId, Topology};
 use pcsi_sim::util::Pacer;
-use pcsi_sim::{Sim, SimHandle};
+use pcsi_sim::SimHandle;
 use pcsi_store::{ReplicatedStore, StoreConfig};
 
 /// Storage nodes in the initial placement ring.
@@ -37,6 +38,8 @@ const WORKERS: usize = 64;
 const VALUE_BYTES: usize = 4096;
 const PHASE: Duration = Duration::from_millis(20);
 const PACE: Duration = Duration::from_micros(150);
+/// Virtual time the drain may take before the run panics.
+const DRAIN_BUDGET: Duration = Duration::from_secs(10);
 
 /// The scaling experiment's outcome (all time on the virtual clock).
 #[derive(Debug, Clone)]
@@ -94,33 +97,22 @@ fn p99_ns(lat_ns: &mut [u64]) -> f64 {
 
 /// Runs the whole scale-out story and returns the measured windows.
 pub fn run(seed: u64) -> ShardScalingResult {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move { drive(h).await })
-}
-
-async fn drive(h: SimHandle) -> ShardScalingResult {
     let topo = Topology::uniform(4, 3);
-    let fabric = Fabric::new(
-        h.clone(),
-        topo,
-        LatencyModel::deterministic(NetworkGeneration::Dc2021),
-    );
-    let nodes = fabric.topology().node_ids();
+    let nodes = topo.node_ids();
     assert_eq!(nodes.len(), RING_AFTER);
-    let ring: Vec<NodeId> = nodes[..RING_BEFORE].to_vec();
-    let store = ReplicatedStore::launch(
-        fabric.clone(),
-        nodes.clone(),
-        StoreConfig {
+    let builder = CloudBuilder::new()
+        .topology(topo)
+        .deterministic_network()
+        .store(StoreConfig {
             anti_entropy: None,
             cache_bytes: 0,
-            ring_nodes: Some(ring),
+            ring_nodes: Some(nodes[..RING_BEFORE].to_vec()),
             ..StoreConfig::default()
-        },
-        &pcsi_cloud::Telemetry::default(),
-    );
+        });
+    Lab::run(seed, builder, |lab| drive(lab.h, lab.cloud.store, nodes))
+}
 
+async fn drive(h: SimHandle, store: ReplicatedStore, nodes: Vec<NodeId>) -> ShardScalingResult {
     // One private object per worker: contention-free writes, so the
     // measured ceiling is the storage gates, not tag races.
     let mut objects = Vec::with_capacity(WORKERS);
@@ -217,7 +209,9 @@ async fn drive(h: SimHandle) -> ShardScalingResult {
         store.begin_join(joiner);
     }
     let mut moved = 0usize;
+    let since = h.now();
     while !store.placement().pending_moves().is_empty() {
+        assert!(h.now() - since < DRAIN_BUDGET, "the drain stalled");
         match store.drain_moves(Some(&pacer)).await {
             Ok(n) => moved += n,
             // Retryable stall (never expected on a healthy fabric).

@@ -164,6 +164,9 @@ async fn pcsi_mean(lab: &Lab, subscribers: usize, events: u32, pace: Duration, t
     hist.mean() as f64
 }
 
+/// Virtual time one append may spend retrying before the run panics.
+const APPEND_BUDGET: Duration = Duration::from_secs(2);
+
 /// Appends with retry on backpressure/transient transfer faults — the
 /// same loop a real producer runs (the bench fabric injects no faults,
 /// so in practice this never spins).
@@ -173,10 +176,12 @@ async fn append_retrying(
     fifo: &pcsi_core::Reference,
     payload: Bytes,
 ) {
+    let since = h.now();
     loop {
         match producer.append(fifo, payload.clone()).await {
             Ok(_) => return,
             Err(PcsiError::Overloaded(_) | PcsiError::Fault(_)) => {
+                assert!(h.now() - since < APPEND_BUDGET, "an append stalled");
                 h.sleep(Duration::from_micros(50)).await;
             }
             Err(e) => panic!("append failed terminally: {e}"),

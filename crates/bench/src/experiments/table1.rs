@@ -16,6 +16,7 @@
 use std::time::Instant;
 
 use bytes::Bytes;
+use pcsi_cloud::{Cloud, CloudBuilder, Lab};
 use pcsi_core::{Consistency, Mutability, ObjectId};
 use pcsi_faas::isolation::Backend;
 use pcsi_net::{Fabric, LatencyModel, NetworkGeneration, NodeId, Topology, Transport};
@@ -24,7 +25,7 @@ use pcsi_proto::sign::{sign_request, verify_request, Credentials, Scope};
 use pcsi_proto::{json, Value};
 use pcsi_sim::Sim;
 use pcsi_store::engine::Mutation;
-use pcsi_store::{wire, MediaTier, ReplicatedStore, StoreConfig, Tag};
+use pcsi_store::{wire, MediaTier, StoreConfig, Tag};
 
 /// One Table-1 row.
 #[derive(Debug, Clone)]
@@ -101,27 +102,19 @@ pub fn simulated_rtt(generation: NetworkGeneration, seed: u64) -> f64 {
 /// only and the read pays a second, directed round trip.
 /// Client caching is disabled so the number isolates protocol cost.
 pub fn linearizable_read_ns(seed: u64, one_rtt: bool) -> f64 {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let fabric = Fabric::new(
-            h.clone(),
-            Topology::uniform(3, 3),
-            LatencyModel::deterministic(NetworkGeneration::Dc2021),
-        );
-        let store = ReplicatedStore::launch(
-            fabric.clone(),
-            fabric.topology().node_ids(),
-            StoreConfig {
-                n_replicas: 3,
-                tier: MediaTier::Dram,
-                anti_entropy: None,
-                inline_read_max: if one_rtt { 64 * 1024 } else { 0 },
-                cache_bytes: 0,
-                ..StoreConfig::default()
-            },
-            &pcsi_cloud::Telemetry::default(),
-        );
+    let builder = CloudBuilder::new()
+        .topology(Topology::uniform(3, 3))
+        .deterministic_network()
+        .store(StoreConfig {
+            n_replicas: 3,
+            tier: MediaTier::Dram,
+            anti_entropy: None,
+            inline_read_max: if one_rtt { 64 * 1024 } else { 0 },
+            cache_bytes: 0,
+            ..StoreConfig::default()
+        });
+    Lab::run(seed, builder, |Lab { cloud, h, .. }| async move {
+        let Cloud { fabric, store, .. } = cloud;
         let id = ObjectId::from_parts(1, 1);
         let replicas = store.placement().replicas(id);
         let outsider = fabric

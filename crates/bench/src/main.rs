@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # pcsi-bench — the experiment harness and its `report` binary
 //!
 //! Regenerates every table and figure of "The RESTless Cloud". One module

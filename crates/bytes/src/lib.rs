@@ -7,6 +7,7 @@
 //! into [`Bytes`]. Semantics match the upstream crate for this subset;
 //! anything not used by the workspace is intentionally absent.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::borrow::Borrow;

@@ -392,15 +392,15 @@ pub struct Cloud {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcsi_sim::Sim;
+    use crate::lab::Lab;
 
     #[test]
     fn default_build_deploys_everything() {
-        let sim = Sim::new(1);
-        let cloud = CloudBuilder::new().build(&sim.handle());
-        assert_eq!(cloud.fabric.topology().len(), 2 * 4 + 4 + 4);
-        assert_eq!(cloud.store.replicas().len(), cloud.fabric.topology().len());
-        assert_eq!(cloud.kernel.live_objects(), 0);
+        Lab::run(1, CloudBuilder::new(), |Lab { cloud, .. }| async move {
+            assert_eq!(cloud.fabric.topology().len(), 2 * 4 + 4 + 4);
+            assert_eq!(cloud.store.replicas().len(), cloud.fabric.topology().len());
+            assert_eq!(cloud.kernel.live_objects(), 0);
+        });
     }
 
     #[test]
@@ -409,10 +409,8 @@ mod tests {
         use pcsi_core::{CloudInterface, Consistency, Mutability, ObjectKind};
         use pcsi_net::NodeId;
 
-        let mut sim = Sim::new(3);
-        let h = sim.handle();
-        sim.block_on(async move {
-            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+        let builder = CloudBuilder::new().deterministic_network();
+        Lab::run(3, builder, |Lab { cloud, h, .. }| async move {
             let c = cloud.kernel.client(NodeId(0), "t");
             let mk = |class: &str| CreateOptions {
                 kind: ObjectKind::Device(class.into()),
@@ -462,18 +460,15 @@ mod tests {
         use pcsi_core::CloudInterface;
         use pcsi_net::NodeId;
 
-        let mut sim = Sim::new(9);
-        let h = sim.handle();
-        sim.block_on(async move {
-            let topo = Topology::uniform(2, 3);
-            let nodes = topo.node_ids();
-            let spare = *nodes.last().unwrap();
-            let ring: Vec<NodeId> = nodes[..nodes.len() - 1].to_vec();
-            let cloud = CloudBuilder::new()
-                .topology(topo)
-                .deterministic_network()
-                .storage_ring(ring.clone())
-                .build(&h);
+        let topo = Topology::uniform(2, 3);
+        let nodes = topo.node_ids();
+        let spare = *nodes.last().unwrap();
+        let ring: Vec<NodeId> = nodes[..nodes.len() - 1].to_vec();
+        let builder = CloudBuilder::new()
+            .topology(topo)
+            .deterministic_network()
+            .storage_ring(ring.clone());
+        Lab::run(9, builder, move |Lab { cloud, .. }| async move {
             let mut members = cloud.store.placement().storage_nodes();
             members.sort();
             assert_eq!(members, ring);
@@ -516,20 +511,17 @@ mod tests {
         use pcsi_core::CloudInterface;
         use pcsi_net::NodeId;
 
-        let mut sim = Sim::new(4);
-        let h = sim.handle();
-        sim.block_on(async move {
-            let cloud = CloudBuilder::new()
-                .deterministic_network()
-                .observability(ObsConfig {
-                    rules: vec![
-                        "write-p50: p50(kernel.op_ns{op=\"write\"}) < 1ns over 10ms for 1 clear 1"
-                            .into(),
-                    ],
-                    interval: Duration::from_millis(5),
-                    ..ObsConfig::default()
-                })
-                .build(&h);
+        let builder = CloudBuilder::new()
+            .deterministic_network()
+            .observability(ObsConfig {
+                rules: vec![
+                    "write-p50: p50(kernel.op_ns{op=\"write\"}) < 1ns over 10ms for 1 clear 1"
+                        .into(),
+                ],
+                interval: Duration::from_millis(5),
+                ..ObsConfig::default()
+            });
+        Lab::run(4, builder, |Lab { cloud, h, .. }| async move {
             let c = cloud.kernel.client(NodeId(0), "t");
             let r = c
                 .create(CreateOptions::regular().with_initial(vec![0u8; 8]))
@@ -550,17 +542,17 @@ mod tests {
 
     #[test]
     fn builder_options_apply() {
-        let sim = Sim::new(1);
-        let cloud = CloudBuilder::new()
+        let builder = CloudBuilder::new()
             .topology(Topology::uniform(1, 3))
             .network(NetworkGeneration::FastEmerging)
             .deterministic_network()
-            .placement(PlacementPolicy::LoadBalance)
-            .build(&sim.handle());
-        assert_eq!(cloud.fabric.topology().len(), 3);
-        assert_eq!(
-            cloud.fabric.latency().generation(),
-            NetworkGeneration::FastEmerging
-        );
+            .placement(PlacementPolicy::LoadBalance);
+        Lab::run(1, builder, |Lab { cloud, .. }| async move {
+            assert_eq!(cloud.fabric.topology().len(), 3);
+            assert_eq!(
+                cloud.fabric.latency().generation(),
+                NetworkGeneration::FastEmerging
+            );
+        });
     }
 }

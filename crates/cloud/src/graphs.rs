@@ -223,9 +223,9 @@ impl GraphExecutor {
 mod tests {
     use super::*;
     use crate::build::CloudBuilder;
+    use crate::lab::Lab;
     use pcsi_core::api::CreateOptions;
     use pcsi_faas::function::WorkModel;
-    use pcsi_sim::Sim;
     use std::rc::Rc;
     use std::time::Duration;
 
@@ -239,10 +239,8 @@ mod tests {
 
     #[test]
     fn linear_graph_threads_bodies_through() {
-        let mut sim = Sim::new(61);
-        let h = sim.handle();
-        let out = sim.block_on(async move {
-            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+        let builder = CloudBuilder::new().deterministic_network();
+        let out = Lab::run(61, builder, |Lab { cloud, .. }| async move {
             for name in ["a", "b", "c"] {
                 let tag = name.to_owned();
                 cloud.kernel.register_body(
@@ -286,10 +284,8 @@ mod tests {
 
     #[test]
     fn diamond_graph_concatenates_in_dep_order() {
-        let mut sim = Sim::new(62);
-        let h = sim.handle();
-        let out = sim.block_on(async move {
-            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+        let builder = CloudBuilder::new().deterministic_network();
+        let out = Lab::run(62, builder, |Lab { cloud, .. }| async move {
             for name in ["src", "left", "right", "join"] {
                 let tag = format!("[{name}]");
                 cloud.kernel.register_body(
@@ -324,10 +320,8 @@ mod tests {
 
     #[test]
     fn stages_can_use_explicit_state() {
-        let mut sim = Sim::new(63);
-        let h = sim.handle();
-        let stored = sim.block_on(async move {
-            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+        let builder = CloudBuilder::new().deterministic_network();
+        let stored = Lab::run(63, builder, |Lab { cloud, .. }| async move {
             cloud.kernel.register_body(
                 "persist",
                 Rc::new(|ctx| {
@@ -368,10 +362,8 @@ mod tests {
 
     #[test]
     fn missing_function_is_reported() {
-        let mut sim = Sim::new(64);
-        let h = sim.handle();
-        let err = sim.block_on(async move {
-            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+        let builder = CloudBuilder::new().deterministic_network();
+        let err = Lab::run(64, builder, |Lab { cloud, .. }| async move {
             let client = cloud.kernel.client(NodeId(0), "t");
             let graph = TaskGraph::linear(&["ghost"]);
             let exec = GraphExecutor {
@@ -385,10 +377,8 @@ mod tests {
 
     #[test]
     fn namespace_resolution_builds_executor() {
-        let mut sim = Sim::new(65);
-        let h = sim.handle();
-        let out = sim.block_on(async move {
-            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+        let builder = CloudBuilder::new().deterministic_network();
+        let out = Lab::run(65, builder, |Lab { cloud, .. }| async move {
             cloud.kernel.register_body(
                 "hello",
                 Rc::new(|_ctx| Box::pin(async move { Ok(Bytes::from_static(b"hi")) })),
@@ -440,10 +430,8 @@ mod tests {
     #[test]
     fn a_stage_needs_invoke_rights() {
         use pcsi_core::Rights;
-        let mut sim = Sim::new(66);
-        let h = sim.handle();
-        let (err, ran) = sim.block_on(async move {
-            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+        let builder = CloudBuilder::new().deterministic_network();
+        let (err, ran) = Lab::run(66, builder, |Lab { cloud, .. }| async move {
             let client = cloud.kernel.client(NodeId(0), "t");
             let readable = Rights::READ | Rights::GRANT;
             let root = namespace(&cloud, &client, &["a", "b"], 1, readable).await;
@@ -471,13 +459,8 @@ mod tests {
     /// and counted as one `invoke` op.
     #[test]
     fn a_graph_run_is_billed_and_counted() {
-        let mut sim = Sim::new(67);
-        let h = sim.handle();
-        let (billed, ops, out) = sim.block_on(async move {
-            let cloud = CloudBuilder::new()
-                .deterministic_network()
-                .metrics(true)
-                .build(&h);
+        let builder = CloudBuilder::new().deterministic_network().metrics(true);
+        let (billed, ops, out) = Lab::run(67, builder, |Lab { cloud, .. }| async move {
             let client = cloud.kernel.client(NodeId(0), "tenant");
             let all = pcsi_core::Rights::ALL;
             let root = namespace(&cloud, &client, &["a", "b", "c"], 1, all).await;
@@ -506,13 +489,10 @@ mod tests {
     /// the 8-core TPU nodes is such a case: 5 cores warm, 5 more asked.)
     #[test]
     fn a_warm_group_stays_on_its_node() {
-        let mut sim = Sim::new(68);
-        let h = sim.handle();
-        let runs = sim.block_on(async move {
-            let cloud = CloudBuilder::new()
-                .deterministic_network()
-                .topology(pcsi_net::Topology::uniform(1, 3))
-                .build(&h);
+        let builder = CloudBuilder::new()
+            .deterministic_network()
+            .topology(pcsi_net::Topology::uniform(1, 3));
+        let runs = Lab::run(68, builder, |Lab { cloud, .. }| async move {
             let client = cloud.kernel.client(NodeId(0), "t");
             // Two 12-core stages: 24 of a node's 32 cores, so a second
             // copy of the group fits on no node that holds the first.

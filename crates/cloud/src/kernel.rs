@@ -931,7 +931,7 @@ impl CloudInterface for KernelClient {
 }
 
 /// What the operations above share. `create_impl` and `resolve` take the
-/// client by value: [`KernelClient::op`] hands them the clone that runs
+/// client by value: `KernelClient::op` hands them the clone that runs
 /// under the span just opened, and the body's future owns it.
 impl KernelClient {
     async fn create_impl(self, opts: CreateOptions) -> Result<Reference, PcsiError> {
@@ -1073,8 +1073,8 @@ impl DataPlane for KernelClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lab::Lab;
     use crate::CloudBuilder;
-    use pcsi_sim::Sim;
 
     /// DESIGN §4.11's table is this module's [`OPS`], row for row.
     #[test]
@@ -1103,10 +1103,8 @@ mod tests {
     /// ring's capacity.
     #[test]
     fn a_full_system_fifo_stays_at_its_capacity() {
-        let mut sim = Sim::new(7);
-        let h = sim.handle();
-        sim.block_on(async move {
-            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+        let builder = CloudBuilder::new().deterministic_network();
+        Lab::run(7, builder, |Lab { cloud, .. }| async move {
             let ring = cloud.kernel.create_system_fifo(4);
             for i in 0..300u32 {
                 let line = Bytes::from(i.to_le_bytes().to_vec());

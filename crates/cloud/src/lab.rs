@@ -1,15 +1,16 @@
 //! One fixture for everything that stands a cloud up to measure or
-//! break it: the experiment harness, the chaos scenarios, the
-//! integration tests and the examples.
-//!
-//! [`Lab::run`] owns the simulation preamble (a `Sim` per run, the
-//! cloud built inside the root task so spawn order never depends on the
-//! caller), [`Lab::rest`] / [`Lab::nfs`] / [`Lab::sse`] deploy the
+//! break it: [`Lab::run`] owns the simulation preamble (a `Sim` per run,
+//! the cloud built inside the root task so spawn order never depends on
+//! the caller) for the experiments, the chaos scenarios, the tests and
+//! the examples; [`Lab::rest`] / [`Lab::nfs`] / [`Lab::sse`] deploy the
 //! web-service baselines where every comparison in the paper puts them,
-//! wired to the cloud's own tracer and registry, and [`Lab::time`] is
-//! the one virtual-clock stopwatch. The lab draws no randomness and
-//! spawns nothing of its own: a run through it is event-for-event the
-//! run its caller would have assembled by hand.
+//! wired to the cloud's own tracer and registry; [`Lab::time`] is the
+//! one virtual-clock stopwatch. The lab draws no randomness and spawns
+//! nothing of its own: a run through it is event-for-event the run its
+//! caller would have assembled by hand. Three stand-ups stay by hand:
+//! `tests/functions.rs`' two `dropping_the_sim_*` tests drop the `Sim`
+//! themselves, and `tests/determinism.rs`' `run_with` shares a `match`
+//! with a traced deploy the builder cannot make (no tracer when off).
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -49,9 +50,19 @@ impl Lab {
         T: 'static,
         Fut: Future<Output = T> + 'static,
     {
+        Lab::run_polled(seed, builder, f).0
+    }
+
+    /// [`Lab::run`], also returning how many task polls the run took.
+    pub fn run_polled<T, F, Fut>(seed: u64, builder: CloudBuilder, f: F) -> (T, u64)
+    where
+        T: 'static,
+        F: FnOnce(Lab) -> Fut + 'static,
+        Fut: Future<Output = T> + 'static,
+    {
         let mut sim = Sim::new(seed);
         let h = sim.handle();
-        sim.block_on(async move {
+        let out = sim.block_on(async move {
             let lab = Lab {
                 cloud: builder.build(&h),
                 h,
@@ -59,7 +70,8 @@ impl Lab {
                 nfs: OnceCell::new(),
             };
             f(lab).await
-        })
+        });
+        (out, sim.poll_count())
     }
 
     /// The key every baseline accepts and [`Lab::rest`]'s callers sign

@@ -369,15 +369,13 @@ pub async fn compare_strategies(
 mod tests {
     use super::*;
     use crate::build::CloudBuilder;
-    use pcsi_sim::Sim;
+    use crate::lab::Lab;
 
     /// Shared scenario: 8-node CPU pool + GPU rack + TPU rack, 64 MiB
     /// weights, 1 MiB uploads.
     fn scenario(requests: u64) -> Vec<PipelineReport> {
-        let mut sim = Sim::new(21);
-        let h = sim.handle();
-        sim.block_on(async move {
-            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+        let builder = CloudBuilder::new().deterministic_network();
+        Lab::run(21, builder, move |Lab { cloud, .. }| async move {
             compare_strategies(&cloud, NodeId(0), 64 << 20, 32 << 20, 2, requests)
                 .await
                 .unwrap()
@@ -415,10 +413,8 @@ mod tests {
 
     #[test]
     fn tpu_swap_speeds_up_without_app_changes() {
-        let mut sim = Sim::new(22);
-        let h = sim.handle();
-        let (gpu_mean, tpu_mean) = sim.block_on(async move {
-            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+        let builder = CloudBuilder::new().deterministic_network();
+        let (gpu_mean, tpu_mean) = Lab::run(22, builder, |Lab { cloud, .. }| async move {
             let mut app = ModelServing::deploy(&cloud, NodeId(0), 16 << 20)
                 .await
                 .unwrap();
@@ -445,10 +441,8 @@ mod tests {
     /// that node holds the accelerator the named variant demands.
     #[test]
     fn the_planner_finds_the_accelerator_node() {
-        let mut sim = Sim::new(23);
-        let h = sim.handle();
-        sim.block_on(async move {
-            let cloud = CloudBuilder::new().deterministic_network().build(&h);
+        let builder = CloudBuilder::new().deterministic_network();
+        Lab::run(23, builder, |Lab { cloud, .. }| async move {
             let mut app = ModelServing::deploy(&cloud, NodeId(0), 16 << 20)
                 .await
                 .unwrap();

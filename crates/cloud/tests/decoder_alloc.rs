@@ -9,9 +9,6 @@
 //! baseline's decoders are private to `pcsi_cloud::nfs`; they are the
 //! same `u32`-prefixed fields and have their forged-length test there.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use bytes::Bytes;
 use pcsi_core::{Mutability, ObjectId, PcsiError, Rights};
 use pcsi_faas::{FunctionImage, Variant, WorkModel};
@@ -25,28 +22,10 @@ use pcsi_stream::frame::{self, StreamFrame, StreamReply};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter is
-// a plain thread-local `Cell` and never allocates. `realloc` is the
-// trait's default, which goes through `alloc` and is counted there.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+use counting_alloc::bytes;
 
 /// A decoder by name; `true` when it accepted the input.
 type Decoder = (&'static str, fn(&Bytes) -> bool);
@@ -76,9 +55,9 @@ const FLAT: u64 = 1024;
 fn decode_within_bound(input: &Bytes) -> Result<Vec<&'static str>, TestCaseError> {
     let mut accepted = Vec::new();
     for (name, decode) in DECODERS {
-        let before = BYTES.with(Cell::get);
+        let before = bytes();
         let ok = decode(input);
-        let taken = BYTES.with(Cell::get) - before;
+        let taken = bytes() - before;
         prop_assert!(
             taken <= FLAT + PER_INPUT_BYTE * input.len() as u64,
             "{} took {} heap bytes for {} input bytes",
@@ -193,7 +172,7 @@ fn a_value_cannot_reserve_by_declaring() {
     // The bound is not vacuous: an honest array of nulls costs what it
     // holds, which is more than the flat allowance.
     let honest = binary::encode(&Value::array((0..4096).map(|_| Value::Null)));
-    let before = BYTES.with(Cell::get);
+    let before = bytes();
     binary::decode(&honest).expect("an honest array decodes");
-    assert!(BYTES.with(Cell::get) - before > FLAT);
+    assert!(bytes() - before > FLAT);
 }

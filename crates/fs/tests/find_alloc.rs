@@ -4,39 +4,13 @@
 //! thread, so the harness's own threads do not leak into the count)
 //! holds it to it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use pcsi_core::{ObjectId, Rights};
 use pcsi_fs::{DirEntry, Directory};
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter is
-// a plain thread-local `Cell` and never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
-}
+use counting_alloc::allocs_during;
 
 #[test]
 fn find_does_not_allocate() {

@@ -19,6 +19,7 @@
 //! a closed-world simulation every key is our own, so that trade is
 //! free.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::{HashMap, HashSet};

@@ -43,6 +43,7 @@ pub use journal::{Event, Journal, JournalExt};
 pub use slo::{AlertTransition, SloEngine, SloRule, WindowDiff};
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -76,7 +77,7 @@ pub struct ObsConfig {
     /// Evaluation tick interval (virtual time). Windows round up to
     /// whole ticks.
     pub interval: Duration,
-    /// Retained-event bound for the journal ring.
+    /// Retained-event bound for the journal ring and the alert log.
     pub journal_capacity: usize,
 }
 
@@ -93,14 +94,15 @@ impl Default for ObsConfig {
 struct ObsInner {
     journal: Journal,
     engine: RefCell<SloEngine>,
-    /// Every rendered transition line, in order — the alert log
-    /// determinism tests fingerprint, and the bytes appended to the
-    /// `alerts` FIFO.
-    log: RefCell<Vec<String>>,
+    /// The newest `log_capacity` rendered transition lines, in order —
+    /// the alert log determinism tests fingerprint, and the bytes
+    /// appended to the `alerts` FIFO.
+    log: RefCell<VecDeque<String>>,
+    log_capacity: usize,
 }
 
 /// A cheap-to-clone handle to the installed control plane. Holds the
-/// journal, the SLO engine and the append-only alert transition log;
+/// journal, the SLO engine and the bounded alert transition log;
 /// the cloud layer drives [`Obs::tick`] from a virtual-clock task and
 /// forwards the returned lines to the `alerts` FIFO.
 #[derive(Clone)]
@@ -118,7 +120,8 @@ impl Obs {
             inner: Rc::new(ObsInner {
                 journal: Journal::new(handle, config.journal_capacity),
                 engine: RefCell::new(SloEngine::new(rules?, config.interval)),
-                log: RefCell::new(Vec::new()),
+                log: RefCell::new(VecDeque::new()),
+                log_capacity: config.journal_capacity,
             }),
         })
     }
@@ -142,22 +145,21 @@ impl Obs {
                 "alert",
                 format!("rule={} phase={}", t.rule, t.phase.name()),
             );
-            self.inner.log.borrow_mut().push(line.clone());
+            let mut log = self.inner.log.borrow_mut();
+            log.push_back(line.clone());
+            if log.len() > self.inner.log_capacity {
+                log.pop_front();
+            }
             lines.push(line);
         }
         lines
     }
 
-    /// The full alert transition log, one rendered line per transition,
-    /// newline-terminated (empty string if nothing ever transitioned).
+    /// The newest [`ObsConfig::journal_capacity`] alert transitions, one
+    /// rendered line each, newline-terminated (empty if none).
     pub fn alert_log(&self) -> String {
         let log = self.inner.log.borrow();
-        if log.is_empty() {
-            return String::new();
-        }
-        let mut out = log.join("\n");
-        out.push('\n');
-        out
+        log.iter().map(|line| format!("{line}\n")).collect()
     }
 }
 
@@ -200,6 +202,30 @@ mod tests {
             .render()
             .contains("layer=obs kind=alert rule=burn phase=firing"));
         assert_eq!(obs.alert_log(), format!("{}\n", lines[0]));
+    }
+
+    /// The alert log keeps what the journal can: a rule that flaps
+    /// forever leaves the newest `journal_capacity` transitions.
+    #[test]
+    fn the_alert_log_keeps_the_newest_transitions() {
+        let sim = Sim::new(11);
+        let m = Metrics::new();
+        let cfg = ObsConfig {
+            rules: vec!["burn: burn(svc.errors / svc.ops) budget 1% fast 1s slow 1s rate 2".into()],
+            journal_capacity: 2,
+            ..ObsConfig::default()
+        };
+        let obs = Obs::new(&sim.handle(), &cfg).unwrap();
+        let (errs, ops) = (m.counter("svc.errors", &[]), m.counter("svc.ops", &[]));
+        let mut lines = Vec::new();
+        // Errors, none, errors: firing, resolved, firing.
+        for tick in 1..=3u64 {
+            ops.add(100);
+            errs.add(if tick == 2 { 0 } else { 10 });
+            lines.extend(obs.tick(&m, tick * 1_000_000_000));
+        }
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert_eq!(obs.alert_log(), format!("{}\n{}\n", lines[1], lines[2]));
     }
 
     #[test]

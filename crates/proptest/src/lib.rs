@@ -14,6 +14,7 @@
 //! seeded deterministically from the test name so failures reproduce
 //! across runs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collection;

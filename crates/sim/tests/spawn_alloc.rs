@@ -6,8 +6,6 @@
 //! threads do not leak into the count) holds them to it. A race the
 //! future wins leaves no timer pending.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -15,31 +13,10 @@ use pcsi_sim::sync::mpsc;
 use pcsi_sim::util::deadline;
 use pcsi_sim::{Sim, SimHandle, SimTime, TimerEvent};
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter is
-// a plain thread-local `Cell` and never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
+use counting_alloc::allocs;
 
 // Both within the timer wheel's first 64 ns, where a timer is filed
 // once and fired from where it lies: no cascade moves it to a slot that

@@ -96,9 +96,9 @@ pub(crate) struct StoreInner {
     /// One mutability-aware cache per client node, created lazily.
     /// Clients are handed out per call, so the cache state lives here.
     pub(crate) caches: RefCell<FxHashMap<NodeId, ObjectCache>>,
-    /// Store-unique [`Request::Coordinate`] id allocator. The fabric can
-    /// duplicate messages and clients retry, so every coordination
-    /// carries an id coordinators deduplicate on.
+    /// Store-unique id allocator for [`crate::wire::Request::Coordinate`].
+    /// The fabric can duplicate messages and clients retry, so every
+    /// coordination carries an id coordinators deduplicate on.
     pub(crate) next_req_id: Cell<u64>,
     /// Fault-recovery counters, aggregated across every client of this
     /// store.

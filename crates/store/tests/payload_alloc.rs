@@ -11,8 +11,6 @@
 //! shared `Apply` frame, the first test read 13,663 live bytes per 4 KiB
 //! object (3.3 ×) and the second 32,834 bytes behind the 64 B entry.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
@@ -22,29 +20,10 @@ use pcsi_obs::Telemetry;
 use pcsi_sim::Sim;
 use pcsi_store::{ReplicatedStore, StoreConfig};
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter is
-// a plain thread-local `Cell` and never allocates. `realloc` is the
-// trait's default, an `alloc` and a `dealloc` through this impl.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = LIVE.try_with(|n| n.set(n.get() + layout.size() as i64));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as i64));
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+use counting_alloc::live;
 
 /// Live bytes on this thread with the `bytes` buffer pool emptied first:
 /// a pooled buffer is free memory the allocator still counts. A buffer
@@ -52,9 +31,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// empty pool hands out a buffer that owns nothing.
 fn retained() -> i64 {
     loop {
-        let before = LIVE.with(Cell::get);
+        let before = live();
         drop(BytesMut::with_capacity(0));
-        if LIVE.with(Cell::get) == before {
+        if live() == before {
             return before;
         }
     }

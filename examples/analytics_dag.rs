@@ -16,13 +16,12 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_cloud::graphs::{GraphExecutor, StageBinding};
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Rights};
 use pcsi_faas::function::{FunctionImage, WorkModel};
 use pcsi_faas::graph::TaskGraph;
 use pcsi_net::NodeId;
-use pcsi_sim::Sim;
 
 const SHARDS: [&str; 3] = [
     "the cloud is a computer the cloud is restless",
@@ -31,10 +30,8 @@ const SHARDS: [&str; 3] = [
 ];
 
 fn main() {
-    let mut sim = Sim::new(314);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new().build(&h);
+    let builder = CloudBuilder::new();
+    Lab::run(314, builder, |Lab { cloud, h, .. }| async move {
         let client = cloud.kernel.client(NodeId(0), "analytics");
 
         // Function bodies: map counts words of its input shard and emits

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_cloud::workload::{boxed, drive_open_loop, RateShape};
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::{CreateOptions, InvokeRequest};
 use pcsi_core::CloudInterface;
 use pcsi_faas::function::{FunctionImage, WorkModel};
@@ -25,7 +25,6 @@ use pcsi_faas::registry;
 use pcsi_faas::AutoscaleConfig;
 use pcsi_net::node::Resources;
 use pcsi_net::NodeId;
-use pcsi_sim::Sim;
 
 struct Outcome {
     ok: u64,
@@ -38,23 +37,20 @@ struct Outcome {
 }
 
 fn run(predictive: bool) -> Outcome {
-    let mut sim = Sim::new(99);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let mut builder = CloudBuilder::new().keep_alive(Duration::from_secs(2));
-        if predictive {
-            // EWMA estimators scan every 100 ms over a 2 s window and
-            // boot instances ahead of the observed arrival rate; the
-            // scavenged capacity class and work stealing come along.
-            builder = builder
-                .autoscale(AutoscaleConfig {
-                    interval: Duration::from_millis(100),
-                    window: Duration::from_secs(2),
-                    ..AutoscaleConfig::enabled()
-                })
-                .preemption(true);
-        }
-        let cloud = builder.build(&h);
+    let mut builder = CloudBuilder::new().keep_alive(Duration::from_secs(2));
+    if predictive {
+        // EWMA estimators scan every 100 ms over a 2 s window and boot
+        // instances ahead of the observed arrival rate; the scavenged
+        // capacity class and work stealing come along.
+        builder = builder
+            .autoscale(AutoscaleConfig {
+                interval: Duration::from_millis(100),
+                window: Duration::from_secs(2),
+                ..AutoscaleConfig::enabled()
+            })
+            .preemption(true);
+    }
+    Lab::run(99, builder, |Lab { cloud, h, .. }| async move {
         cloud.kernel.register_body(
             "api-handler",
             Rc::new(|ctx| {

@@ -10,18 +10,14 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency};
 use pcsi_metrics::Histogram;
 use pcsi_net::NodeId;
-use pcsi_sim::Sim;
 
 fn main() {
-    let mut sim = Sim::new(77);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new().build(&h);
+    Lab::run(77, CloudBuilder::new(), |Lab { cloud, h, .. }| async move {
         println!(
             "{:<14} {:>14} {:>14} {:>12}",
             "consistency", "write p50", "read p50", "stale reads"

@@ -13,17 +13,14 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, PcsiError, Rights};
 use pcsi_net::NodeId;
-use pcsi_sim::Sim;
 
 fn main() {
-    let mut sim = Sim::new(2026);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new().build(&h);
+    let builder = CloudBuilder::new();
+    Lab::run(2026, builder, |Lab { cloud, h, .. }| async move {
         let producer = cloud.kernel.client(NodeId(0), "log-tail");
 
         println!("== streaming log tail: one FIFO, two live subscribers");

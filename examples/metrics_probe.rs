@@ -10,17 +10,14 @@
 //! Run with: `cargo run --example metrics_probe`
 
 use bytes::Bytes;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency, Mutability, ObjectKind};
 use pcsi_net::NodeId;
-use pcsi_sim::Sim;
 
 fn main() {
-    let mut sim = Sim::new(2026);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new().metrics(true).build(&h);
+    let builder = CloudBuilder::new().metrics(true);
+    Lab::run(2026, builder, |Lab { cloud, .. }| async move {
         let client = cloud.kernel.client(NodeId(0), "probe");
 
         // Some traffic so the snapshot has something to say: a few

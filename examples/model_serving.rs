@@ -14,18 +14,14 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_cloud::pipelines::compare_strategies;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::{CreateOptions, InvokeRequest};
 use pcsi_core::{CloudInterface, Consistency, Mutability, ObjectKind, Rights};
 use pcsi_faas::function::{FunctionImage, WorkModel};
 use pcsi_net::NodeId;
-use pcsi_sim::Sim;
 
 fn main() {
-    let mut sim = Sim::new(7);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new().build(&h);
+    Lab::run(7, CloudBuilder::new(), |Lab { cloud, h, .. }| async move {
         let client = cloud.kernel.client(NodeId(0), "figure-2");
 
         println!("== Figure 2, literally: socket -> ingest -> NN -> FIFO -> post\n");

@@ -11,20 +11,17 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::{CreateOptions, InvokeRequest};
 use pcsi_core::{CloudInterface, Consistency, Mutability, Rights};
 use pcsi_faas::function::{FunctionImage, WorkModel};
 use pcsi_net::NodeId;
-use pcsi_sim::Sim;
 
 fn main() {
-    let mut sim = Sim::new(2026);
-    let h = sim.handle();
-    sim.block_on(async move {
-        // A heterogeneous cluster: compute racks + a GPU rack + a TPU
-        // rack, 2021-era network, 3-way replicated NVMe storage.
-        let cloud = CloudBuilder::new().build(&h);
+    // A heterogeneous cluster: compute racks + a GPU rack + a TPU rack,
+    // 2021-era network, 3-way replicated NVMe storage.
+    let builder = CloudBuilder::new();
+    Lab::run(2026, builder, |Lab { cloud, h, .. }| async move {
         let client = cloud.kernel.client(NodeId(0), "quickstart");
 
         println!("== 1. State: objects and capability references");

@@ -15,39 +15,34 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use pcsi_cloud::{CloudBuilder, ObsConfig};
+use pcsi_cloud::{CloudBuilder, Lab, ObsConfig};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency};
 use pcsi_net::{MessageFaults, NodeId, Topology};
 use pcsi_obs::exemplar_trace;
-use pcsi_sim::Sim;
 use pcsi_store::{RetryPolicy, StoreConfig};
 use pcsi_trace::Sampling;
 
 fn main() {
-    let mut sim = Sim::new(2026);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new()
-            .topology(Topology::uniform(2, 3))
-            .tracing(Sampling::Always)
-            .metrics(true)
-            .observability(ObsConfig {
-                rules: vec![
-                    "write-p99: p99(kernel.op_ns{op=\"write\"}) < 2ms over 15ms for 2 clear 3"
-                        .into(),
-                    "failover-burn: burn(store.failovers / kernel.ops{op=\"write\"}) budget 5% \
-                     fast 10ms slow 25ms rate 1 for 2 clear 3"
-                        .into(),
-                ],
-                interval: Duration::from_millis(5),
-                ..ObsConfig::default()
-            })
-            .store(StoreConfig {
-                retry: RetryPolicy::tight(),
-                ..StoreConfig::default()
-            })
-            .build(&h);
+    let builder = CloudBuilder::new()
+        .topology(Topology::uniform(2, 3))
+        .tracing(Sampling::Always)
+        .metrics(true)
+        .observability(ObsConfig {
+            rules: vec![
+                "write-p99: p99(kernel.op_ns{op=\"write\"}) < 2ms over 15ms for 2 clear 3".into(),
+                "failover-burn: burn(store.failovers / kernel.ops{op=\"write\"}) budget 5% \
+                 fast 10ms slow 25ms rate 1 for 2 clear 3"
+                    .into(),
+            ],
+            interval: Duration::from_millis(5),
+            ..ObsConfig::default()
+        })
+        .store(StoreConfig {
+            retry: RetryPolicy::tight(),
+            ..StoreConfig::default()
+        });
+    Lab::run(2026, builder, |Lab { cloud, h, .. }| async move {
         let alerts = cloud.alerts.clone().expect("observability is on");
 
         println!("== SLO watch: two rules, alerts tailed as a file");

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # restless — The RESTless Cloud, reproduced in Rust
 //!

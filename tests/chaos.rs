@@ -12,11 +12,10 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_chaos::{run_scenario, sweep_seeds, FaultPlan, ScenarioConfig};
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::CloudInterface;
 use pcsi_net::NodeId;
-use pcsi_sim::Sim;
 
 /// Seeded crash/restart and partition/heal schedules while workers
 /// hammer linearizable registers through the full kernel stack: every
@@ -100,10 +99,8 @@ fn invocations_fail_over_when_a_warm_node_crashes() {
     use pcsi_faas::function::{FunctionImage, WorkModel};
     use std::rc::Rc;
 
-    let mut sim = Sim::new(505);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let cloud = CloudBuilder::new().deterministic_network().build(&h);
+    let builder = CloudBuilder::new().deterministic_network();
+    Lab::run(505, builder, |Lab { cloud, .. }| async move {
         cloud.kernel.register_body(
             "svc",
             Rc::new(|ctx| {

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_cloud::workload::{boxed, drive_open_loop, RateShape};
-use pcsi_cloud::CloudBuilder;
+use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::{CreateOptions, InvokeRequest};
 use pcsi_core::{CloudInterface, Consistency};
 use pcsi_faas::function::{FunctionImage, WorkModel};
@@ -90,7 +90,8 @@ fn deploy_traced(
 /// Like [`run`], but optionally deploys with an explicit tracer (see
 /// [`deploy_traced`]) and also returns how many trace ids the tracer
 /// drew, plus — with `metrics` on — the rendered end-of-run metrics
-/// snapshot.
+/// snapshot. Its builder arm shares a `match` with [`deploy_traced`], so
+/// it stands the cloud up by hand rather than through `Lab::run`.
 fn run_with(
     seed: u64,
     sampling: Option<pcsi_trace::Sampling>,
@@ -404,10 +405,8 @@ fn trace_fingerprints_are_deterministic_under_faults() {
     use pcsi_trace::{render_spans, Sampling};
 
     fn traced_run(seed: u64) -> (String, u64) {
-        let mut sim = Sim::new(seed);
-        let h = sim.handle();
-        sim.block_on(async move {
-            let cloud = CloudBuilder::new().tracing(Sampling::Always).build(&h);
+        let builder = CloudBuilder::new().tracing(Sampling::Always);
+        Lab::run(seed, builder, |Lab { cloud, .. }| async move {
             let c = cloud.kernel.client(NodeId(0), "trc");
             let lin = c
                 .create(
@@ -462,19 +461,16 @@ fn trace_fingerprints_are_deterministic_under_faults() {
 #[test]
 fn autoscaled_diurnal_runs_fingerprint_identically() {
     fn run_autoscaled(seed: u64) -> (u64, u64, u64, u64, String) {
-        let mut sim = Sim::new(seed);
-        let h = sim.handle();
-        let fp = sim.block_on(async move {
-            let cloud = CloudBuilder::new()
-                .placement(pcsi_faas::PlacementPolicy::Scavenge)
-                .preemption(true)
-                .keep_alive(Duration::from_secs(1))
-                .autoscale(pcsi_faas::AutoscaleConfig {
-                    interval: Duration::from_millis(100),
-                    window: Duration::from_secs(2),
-                    ..pcsi_faas::AutoscaleConfig::enabled()
-                })
-                .build(&h);
+        let builder = CloudBuilder::new()
+            .placement(pcsi_faas::PlacementPolicy::Scavenge)
+            .preemption(true)
+            .keep_alive(Duration::from_secs(1))
+            .autoscale(pcsi_faas::AutoscaleConfig {
+                interval: Duration::from_millis(100),
+                window: Duration::from_secs(2),
+                ..pcsi_faas::AutoscaleConfig::enabled()
+            });
+        let (fp, polls) = Lab::run_polled(seed, builder, |Lab { cloud, h, .. }| async move {
             cloud.kernel.register_body(
                 "mix",
                 Rc::new(|ctx| {
@@ -531,7 +527,7 @@ fn autoscaled_diurnal_runs_fingerprint_identically() {
                 ),
             )
         });
-        (fp.0, sim.poll_count(), fp.1, fp.2, fp.3)
+        (fp.0, polls, fp.1, fp.2, fp.3)
     }
 
     let a = run_autoscaled(0x00A5_CA1E);
