@@ -378,12 +378,18 @@ pub fn token_serving(seed: u64, tokens: u32) -> TokenServingResult {
             server.delete(&fifo).await.expect("delete");
         });
         let mut pcsi_ttft_ns = 0.0;
-        while let Some(ev) = sub.next().await {
-            if ev.seq == 0 {
-                pcsi_ttft_ns = (h.now().as_nanos() - t_start.as_nanos()) as f64;
+        let mut pcsi_total_ns = 0.0;
+        for i in 0..tokens {
+            let _ev = sub.next().await.expect("stream open");
+            let elapsed = (h.now().as_nanos() - t_start.as_nanos()) as f64;
+            if i == 0 {
+                pcsi_ttft_ns = elapsed;
             }
+            pcsi_total_ns = elapsed;
         }
-        let pcsi_total_ns = (h.now().as_nanos() - t_start.as_nanos()) as f64;
+        // Stamped at the last token, as on the SSE side; the FIFO's close
+        // (after the producer's delete) is drained but not timed.
+        while sub.next().await.is_some() {}
         producer.await;
 
         // SSE: same compute cadence, delivery via the hub.
