@@ -13,7 +13,9 @@
 //! forwarding), while the PCSI path rides the hardware down to the
 //! microsecond network.
 //!
-//! Two scenario measurements ride along:
+//! Every measurement opens, tails, publishes to and closes its streams
+//! through one seam, [`Feed`] and [`Tail`], so the transports differ only
+//! inside it. Two scenario measurements ride along:
 //!
 //! * [`metrics_delta`] — the "metrics as a streamed file" scenario: a
 //!   producer tails the deployment's metrics registry and publishes
@@ -30,12 +32,12 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use pcsi_cloud::sse::{SsePublisher, SseSubscriber};
-use pcsi_cloud::{CloudBuilder, Lab};
+use pcsi_cloud::sse::{SseHub, SsePublisher, SseSubscriber};
+use pcsi_cloud::{CloudBuilder, Kernel, KernelClient, Lab};
 use pcsi_core::api::CreateOptions;
-use pcsi_core::{CloudInterface, PcsiError, Rights};
+use pcsi_core::{CloudInterface, PcsiError, Reference, Rights};
 use pcsi_metrics::Histogram;
-use pcsi_net::NetworkGeneration;
+use pcsi_net::{NetworkGeneration, NodeId};
 use pcsi_sim::SimHandle;
 
 /// Subscriber count for the fan-out measurement.
@@ -78,10 +80,13 @@ pub fn run(seed: u64, events: u32) -> Vec<StreamPoint> {
             // Pace publishes a few RTTs apart so each event's latency is
             // delivery time, not queueing behind its predecessors.
             let pace = generation.rtt().max(Duration::from_micros(20)) * 4;
-            let pcsi_event_ns = pcsi_mean(&lab, 1, events, pace, "e10-p1").await;
-            let pcsi_fanout_ns = pcsi_mean(&lab, FAN_OUT, events, pace, "e10-pn").await;
-            let sse_event_ns = sse_mean(&lab, 1, events, pace, "e10-s1").await;
-            let sse_fanout_ns = sse_mean(&lab, FAN_OUT, events, pace, "e10-sn").await;
+            let mean = |transport, subscribers, name| {
+                mean_latency(&lab, transport, subscribers, events, pace, name)
+            };
+            let pcsi_event_ns = mean(Transport::Pcsi, 1, "e10-p1").await;
+            let pcsi_fanout_ns = mean(Transport::Pcsi, FAN_OUT, "e10-pn").await;
+            let sse_event_ns = mean(Transport::Sse, 1, "e10-s1").await;
+            let sse_fanout_ns = mean(Transport::Sse, FAN_OUT, "e10-sn").await;
             StreamPoint {
                 generation,
                 rtt_ns: generation.rtt().as_nanos() as f64,
@@ -96,144 +101,177 @@ pub fn run(seed: u64, events: u32) -> Vec<StreamPoint> {
     out
 }
 
-/// Events carry the producer's virtual-time stamp in-band so both
+/// The producer's virtual-time stamp an event carries in-band, so both
 /// transports are measured by the same clock at the same two points.
-fn stamp(h: &SimHandle, i: u32) -> String {
-    format!("{} event-{i}", h.now().as_nanos())
-}
-
 fn unstamp(payload: &[u8]) -> u64 {
-    std::str::from_utf8(payload)
-        .ok()
-        .and_then(|s| s.split_whitespace().next())
-        .and_then(|s| s.parse().ok())
+    let text = std::str::from_utf8(payload).expect("a stamped event is text");
+    let stamp = text.split(' ').next().unwrap_or_default();
+    stamp
+        .parse()
         .expect("payload carries the producer timestamp")
 }
 
-/// Rounds each transport measurement averages over: every round gets a
-/// fresh FIFO (a fresh placement draw) / SSE stream and a rotated
-/// consumer set, so rack geometry is sampled instead of drawn once.
+/// The two transports E10 prices.
+#[derive(Clone, Copy)]
+enum Transport {
+    /// A kernel FIFO, pushed to credit-based subscriptions.
+    Pcsi,
+    /// A stream on an SSE hub: signed REST POST in, chunked HTTP out.
+    Sse,
+}
+
+/// The producer's end of one stream: every E10 measurement opens, tails,
+/// publishes to and closes its streams through it.
+struct Feed {
+    h: SimHandle,
+    /// The PCSI kernel account, or the SSE stream's name.
+    name: String,
+    /// Where the stream lives: the FIFO's placement primary, the hub's node.
+    home: NodeId,
+    via: Via,
+}
+
+enum Via {
+    /// The kernel, the producer's client and the FIFO.
+    Fifo(Kernel, KernelClient, Reference),
+    /// The hub and the producer's publisher.
+    Sse(SseHub, SsePublisher),
+}
+
+/// A consumer's end of a [`Feed`].
+enum Tail {
+    Pcsi(pcsi_stream::Subscription),
+    Sse(SseSubscriber),
+}
+
+impl Feed {
+    /// Opens stream `name`, produced from the first node: a fresh FIFO (a
+    /// fresh placement draw) under kernel account `name`, or stream `name`
+    /// on an SSE hub on a node that rotates with `round` to mirror it.
+    async fn open(lab: &Lab, transport: Transport, round: usize, name: &str) -> Feed {
+        let nodes = lab.cloud.fabric.topology().node_ids();
+        let (home, via) = match transport {
+            Transport::Pcsi => {
+                let producer = lab.cloud.kernel.client(nodes[0], name);
+                let fifo = producer.create(CreateOptions::fifo()).await.expect("fifo");
+                let home = lab.cloud.store.placement().primary(fifo.id());
+                (home, Via::Fifo(lab.cloud.kernel.clone(), producer, fifo))
+            }
+            Transport::Sse => {
+                let home = nodes[1 + (round % (nodes.len() - 1))];
+                let hub = lab.sse(home);
+                let out = SsePublisher::new(&hub, nodes[0], Lab::credential());
+                (home, Via::Sse(hub, out))
+            }
+        };
+        let (h, name) = (lab.h.clone(), name.to_owned());
+        Feed { h, name, home, via }
+    }
+
+    /// A consumer on `node`: a READ-only subscription with `window`
+    /// credits, or an SSE connection (SSE has no flow control).
+    async fn tail(&self, node: NodeId, window: u32) -> Tail {
+        match &self.via {
+            Via::Fifo(kernel, _, fifo) => {
+                let read = fifo.attenuate(Rights::READ).expect("attenuate to READ");
+                let client = kernel.client(node, &self.name);
+                Tail::Pcsi(client.subscribe(&read, window).await.expect("subscribe"))
+            }
+            Via::Sse(hub, _) => {
+                let sub = SseSubscriber::connect(hub, node, Lab::credential(), &self.name);
+                Tail::Sse(sub.await.expect("sse connect"))
+            }
+        }
+    }
+
+    /// Publishes one event. An append retries on backpressure and transient
+    /// faults for up to 2 s of virtual time (the bench injects no faults).
+    async fn publish(&self, payload: Bytes) {
+        let (h, since, budget) = (&self.h, self.h.now(), Duration::from_secs(2));
+        match &self.via {
+            Via::Fifo(_, producer, fifo) => {
+                while let Err(e) = producer.append(fifo, payload.clone()).await {
+                    let retryable = matches!(e, PcsiError::Overloaded(_) | PcsiError::Fault(_));
+                    assert!(retryable, "append failed terminally: {e}");
+                    assert!(h.now() - since < budget, "an append stalled");
+                    h.sleep(Duration::from_micros(50)).await;
+                }
+            }
+            Via::Sse(_, out) => {
+                out.publish(&self.name, &payload).await.expect("publish");
+            }
+        }
+    }
+
+    /// Ends the stream: deleting the FIFO closes every subscription. An
+    /// SSE stream has no end; its tails disconnect.
+    async fn close(self) {
+        if let Via::Fifo(_, producer, fifo) = self.via {
+            producer.delete(&fifo).await.expect("delete");
+        }
+    }
+}
+
+impl Tail {
+    /// The next event's payload; the stream must still be open.
+    async fn next(&self) -> Bytes {
+        match self {
+            Tail::Pcsi(sub) => sub.next().await.expect("stream open").payload,
+            Tail::Sse(sub) => sub.next().await.expect("stream open").data,
+        }
+    }
+
+    /// Ends the consumer under its transport's protocol: a subscription
+    /// drains to the FIFO's close, an SSE connection disconnects.
+    async fn finish(self) {
+        match self {
+            Tail::Pcsi(sub) => while sub.next().await.is_some() {},
+            Tail::Sse(sub) => sub.disconnect().await,
+        }
+    }
+}
+
+/// Rounds per mean: each opens a fresh feed and rotates the consumer set,
+/// so rack geometry is sampled instead of drawn once.
 const ROUNDS: usize = 4;
 
 /// Mean per-event latency over [`ROUNDS`] × `events` publishes to
-/// `subscribers` kernel subscriptions on distinct consumer nodes.
-async fn pcsi_mean(lab: &Lab, subscribers: usize, events: u32, pace: Duration, tag: &str) -> f64 {
-    let (cloud, h) = (&lab.cloud, &lab.h);
-    let nodes = cloud.fabric.topology().node_ids();
-    let producer = cloud.kernel.client(nodes[0], tag);
-    let hist = Rc::new(Histogram::new());
-    for round in 0..ROUNDS {
-        let fifo = producer
-            .create(CreateOptions::fifo())
-            .await
-            .expect("fifo creation");
-        let tail = fifo.attenuate(Rights::READ).expect("attenuate to READ");
-        // Consumers never share a node with the producer or the FIFO's
-        // home (placement primary) — every delivery crosses the fabric,
-        // matching the SSE side where consumers never sit on the hub.
-        let home = cloud.store.placement().primary(fifo.id());
-        let pool: Vec<_> = nodes
-            .iter()
-            .copied()
-            .filter(|n| *n != home && *n != nodes[0])
-            .collect();
-        let mut consumers = Vec::new();
-        for i in 0..subscribers {
-            let node = pool[(i + round) % pool.len()];
-            let client = cloud.kernel.client(node, tag);
-            let sub = client.subscribe(&tail, 32).await.expect("subscribe");
-            let hist = Rc::clone(&hist);
-            let h2 = h.clone();
-            consumers.push(h.spawn(async move {
-                while let Some(ev) = sub.next().await {
-                    let t0 = unstamp(&ev.payload);
-                    hist.record_duration(Duration::from_nanos(h2.now().as_nanos() - t0));
-                }
-            }));
-        }
-        for i in 0..events {
-            let payload = Bytes::from(stamp(h, i));
-            append_retrying(h, &producer, &fifo, payload).await;
-            h.sleep(pace).await;
-        }
-        producer.delete(&fifo).await.expect("delete");
-        for c in consumers {
-            c.await;
-        }
-    }
-    hist.mean() as f64
-}
-
-/// Virtual time one append may spend retrying before the run panics.
-const APPEND_BUDGET: Duration = Duration::from_secs(2);
-
-/// Appends with retry on backpressure/transient transfer faults — the
-/// same loop a real producer runs (the bench fabric injects no faults,
-/// so in practice this never spins).
-async fn append_retrying(
-    h: &SimHandle,
-    producer: &pcsi_cloud::KernelClient,
-    fifo: &pcsi_core::Reference,
-    payload: Bytes,
-) {
-    let since = h.now();
-    loop {
-        match producer.append(fifo, payload.clone()).await {
-            Ok(_) => return,
-            Err(PcsiError::Overloaded(_) | PcsiError::Fault(_)) => {
-                assert!(h.now() - since < APPEND_BUDGET, "an append stalled");
-                h.sleep(Duration::from_micros(50)).await;
-            }
-            Err(e) => panic!("append failed terminally: {e}"),
-        }
-    }
-}
-
-/// Mean per-event latency over [`ROUNDS`] × `events` publishes to
-/// `subscribers` SSE connections on distinct consumer nodes. The hub
-/// rotates across nodes round-by-round, mirroring the placement draws
-/// the FIFO side samples.
-async fn sse_mean(lab: &Lab, subscribers: usize, events: u32, pace: Duration, stream: &str) -> f64 {
+/// `subscribers` tails on distinct consumer nodes.
+async fn mean_latency(
+    lab: &Lab,
+    transport: Transport,
+    subscribers: usize,
+    events: u32,
+    pace: Duration,
+    name: &str,
+) -> f64 {
     let h = &lab.h;
     let nodes = lab.cloud.fabric.topology().node_ids();
     let hist = Rc::new(Histogram::new());
     for round in 0..ROUNDS {
-        let hub_node = nodes[1 + (round % (nodes.len() - 1))];
-        let hub = lab.sse(hub_node);
-        // Mirror the PCSI side: consumers never sit on the hub or the
-        // producer, so every delivery crosses the fabric.
-        let pool: Vec<_> = nodes
-            .iter()
-            .copied()
-            .filter(|n| *n != hub_node && *n != nodes[0])
-            .collect();
-        let stream = format!("{stream}-{round}");
+        let feed = Feed::open(lab, transport, round, &format!("{name}-{round}")).await;
+        // Consumers keep off the producer and the feed's home, so every
+        // delivery crosses the fabric.
+        let mut pool = nodes[1..].to_vec();
+        pool.retain(|&n| n != feed.home);
         let mut consumers = Vec::new();
         for i in 0..subscribers {
-            let node = pool[(i + round) % pool.len()];
-            let sub = SseSubscriber::connect(&hub, node, Lab::credential(), &stream)
-                .await
-                .expect("sse connect");
-            let hist = Rc::clone(&hist);
-            let h2 = h.clone();
+            let tail = feed.tail(pool[(i + round) % pool.len()], 32).await;
+            let (hist, h2) = (Rc::clone(&hist), h.clone());
             consumers.push(h.spawn(async move {
                 for _ in 0..events {
-                    let ev = sub.next().await.expect("stream open until disconnect");
-                    let t0 = unstamp(&ev.data);
+                    let t0 = unstamp(&tail.next().await);
                     hist.record_duration(Duration::from_nanos(h2.now().as_nanos() - t0));
                 }
-                sub.disconnect().await;
+                tail.finish().await;
             }));
         }
-        let publisher = SsePublisher::new(&hub, nodes[0], Lab::credential());
         for i in 0..events {
-            let payload = stamp(h, i);
-            publisher
-                .publish(&stream, payload.as_bytes())
-                .await
-                .expect("sse publish");
+            let stamped = format!("{} event-{i}", h.now().as_nanos());
+            feed.publish(Bytes::from(stamped)).await;
             h.sleep(pace).await;
         }
+        feed.close().await;
         for c in consumers {
             c.await;
         }
@@ -269,28 +307,17 @@ pub fn metrics_delta(seed: u64, ticks: u32) -> MetricsDeltaResult {
         let (cloud, h) = (&lab.cloud, &lab.h);
         let metrics = cloud.metrics.clone().expect("metrics enabled");
         let nodes = cloud.fabric.topology().node_ids();
-
-        let producer = cloud.kernel.client(nodes[0], "e10-metrics");
-        let fifo = producer
-            .create(CreateOptions::fifo())
-            .await
-            .expect("fifo creation");
-        let tail = fifo.attenuate(Rights::READ).expect("attenuate to READ");
-        let consumer_client = cloud.kernel.client(nodes[3], "e10-metrics");
-        let sub = consumer_client
-            .subscribe(&tail, 32)
-            .await
-            .expect("subscribe");
+        let feed = Feed::open(&lab, Transport::Pcsi, 0, "e10-metrics").await;
+        let tail = feed.tail(nodes[3], 32).await;
         let consumer = h.spawn(async move {
             // The consumer holds only the reconstructed text, never the
             // registry: metrics-as-a-streamed-file.
             let mut state = String::new();
-            while let Some(ev) = sub.next().await {
-                let frame = std::str::from_utf8(&ev.payload)
-                    .expect("delta frames are text")
-                    .to_owned();
-                state = pcsi_metrics::apply_delta(&state, &frame);
+            for _ in 0..ticks {
+                let frame = String::from_utf8(tail.next().await.to_vec());
+                state = pcsi_metrics::apply_delta(&state, &frame.expect("delta frames are text"));
             }
+            tail.finish().await;
             state
         });
 
@@ -314,11 +341,11 @@ pub fn metrics_delta(seed: u64, ticks: u32) -> MetricsDeltaResult {
             let frame = pcsi_metrics::delta(&prev, &cur);
             delta_bytes += frame.len() as u64;
             full_bytes += cur.len() as u64;
-            append_retrying(h, &producer, &fifo, Bytes::from(frame)).await;
+            feed.publish(Bytes::from(frame)).await;
             prev = cur;
             h.sleep(Duration::from_millis(1)).await;
         }
-        producer.delete(&fifo).await.expect("delete");
+        feed.close().await;
         let reconstructed = consumer.await == prev;
         MetricsDeltaResult {
             mean_delta_bytes: delta_bytes as f64 / f64::from(ticks.max(1)),
@@ -347,79 +374,12 @@ pub struct TokenServingResult {
 /// the 2021 network. Token compute cadence is identical (1 ms/token),
 /// so TTFT and total-time differences are pure delivery overhead.
 pub fn token_serving(seed: u64, tokens: u32) -> TokenServingResult {
-    const TOKEN_COMPUTE: Duration = Duration::from_millis(1);
     let builder = CloudBuilder::new()
         .network(NetworkGeneration::Dc2021)
         .deterministic_network();
     Lab::run(seed, builder, move |lab| async move {
-        let (cloud, h) = (&lab.cloud, &lab.h);
-        let nodes = cloud.fabric.topology().node_ids();
-
-        // PCSI: the server streams tokens into a FIFO the client tails.
-        let server = cloud.kernel.client(nodes[0], "e10-model");
-        let fifo = server
-            .create(CreateOptions::fifo())
-            .await
-            .expect("fifo creation");
-        let tail = fifo.attenuate(Rights::READ).expect("attenuate to READ");
-        // Keep the client off the FIFO's home so tokens cross the
-        // fabric, as they do on the SSE side.
-        let home = cloud.store.placement().primary(fifo.id());
-        let client_node = if home == nodes[4] { nodes[5] } else { nodes[4] };
-        let client = cloud.kernel.client(client_node, "e10-model");
-        let sub = client.subscribe(&tail, 64).await.expect("subscribe");
-        let t_start = h.now();
-        let h2 = h.clone();
-        let producer = h.spawn(async move {
-            for i in 0..tokens {
-                h2.sleep(TOKEN_COMPUTE).await;
-                append_retrying(&h2, &server, &fifo, Bytes::from(format!("tok{i}"))).await;
-            }
-            server.delete(&fifo).await.expect("delete");
-        });
-        let mut pcsi_ttft_ns = 0.0;
-        let mut pcsi_total_ns = 0.0;
-        for i in 0..tokens {
-            let _ev = sub.next().await.expect("stream open");
-            let elapsed = (h.now().as_nanos() - t_start.as_nanos()) as f64;
-            if i == 0 {
-                pcsi_ttft_ns = elapsed;
-            }
-            pcsi_total_ns = elapsed;
-        }
-        // Stamped at the last token, as on the SSE side; the FIFO's close
-        // (after the producer's delete) is drained but not timed.
-        while sub.next().await.is_some() {}
-        producer.await;
-
-        // SSE: same compute cadence, delivery via the hub.
-        let hub = lab.sse(nodes[1]);
-        let sub = SseSubscriber::connect(&hub, nodes[4], Lab::credential(), "model")
-            .await
-            .expect("sse connect");
-        let publisher = SsePublisher::new(&hub, nodes[0], Lab::credential());
-        let t_start = h.now();
-        let h2 = h.clone();
-        let producer = h.spawn(async move {
-            for i in 0..tokens {
-                h2.sleep(TOKEN_COMPUTE).await;
-                publisher
-                    .publish("model", format!("tok{i}").as_bytes())
-                    .await
-                    .expect("sse publish");
-            }
-        });
-        let mut sse_ttft_ns = 0.0;
-        for i in 0..tokens {
-            let _ev = sub.next().await.expect("stream open");
-            if i == 0 {
-                sse_ttft_ns = (h.now().as_nanos() - t_start.as_nanos()) as f64;
-            }
-        }
-        let sse_total_ns = (h.now().as_nanos() - t_start.as_nanos()) as f64;
-        producer.await;
-        sub.disconnect().await;
-
+        let (pcsi_ttft_ns, pcsi_total_ns) = serve(&lab, Transport::Pcsi, "e10-model", tokens).await;
+        let (sse_ttft_ns, sse_total_ns) = serve(&lab, Transport::Sse, "model", tokens).await;
         TokenServingResult {
             tokens,
             pcsi_ttft_ns,
@@ -428,6 +388,36 @@ pub fn token_serving(seed: u64, tokens: u32) -> TokenServingResult {
             sse_total_ns,
         }
     })
+}
+
+/// Streams `tokens` tokens, one per millisecond of compute, to a client
+/// off the stream's home, so tokens cross the fabric. Returns the time to
+/// the first and to the last token (ns), each stamped on receipt.
+async fn serve(lab: &Lab, transport: Transport, name: &str, tokens: u32) -> (f64, f64) {
+    let h = &lab.h;
+    let nodes = lab.cloud.fabric.topology().node_ids();
+    let feed = Feed::open(lab, transport, 0, name).await;
+    let client = nodes[4 + usize::from(feed.home == nodes[4])];
+    let tail = feed.tail(client, 64).await;
+    let t_start = h.now();
+    let h2 = h.clone();
+    let producer = h.spawn(async move {
+        for i in 0..tokens {
+            h2.sleep(Duration::from_millis(1)).await;
+            feed.publish(Bytes::from(format!("tok{i}"))).await;
+        }
+        feed.close().await;
+    });
+    let elapsed_ns = || (h.now() - t_start).as_nanos() as f64;
+    tail.next().await;
+    let ttft_ns = elapsed_ns();
+    for _ in 1..tokens {
+        tail.next().await;
+    }
+    let total_ns = elapsed_ns();
+    producer.await;
+    tail.finish().await;
+    (ttft_ns, total_ns)
 }
 
 /// The full E10 bundle the report prints.
