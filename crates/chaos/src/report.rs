@@ -150,13 +150,32 @@ impl Faults {
         self.note(format_args!("restart {node}"));
     }
 
+    /// Sets the fabric-wide message faults. The note gives the drop rate,
+    /// and the duplicate rate and the delay spike only when they are on.
+    pub(crate) fn messages(&self, f: MessageFaults) {
+        self.fabric.set_message_faults(f);
+        let mut line = format!("message-faults drop={:.3}", f.drop);
+        if f.duplicate > 0.0 {
+            line += &format!(" dup={:.3}", f.duplicate);
+        }
+        if f.delay_spike > 0.0 {
+            line += &format!(" spike={:.3}/{}us", f.delay_spike, f.spike.as_micros());
+        }
+        self.note(line);
+    }
+
+    /// Clears the fabric-wide message faults.
+    pub(crate) fn clear_messages(&self) {
+        self.fabric.clear_message_faults();
+        self.note("clear-message-faults");
+    }
+
     /// Drops every fabric message with probability `p`, nothing else.
     pub(crate) fn drops(&self, p: f64) {
-        self.fabric.set_message_faults(MessageFaults {
+        self.messages(MessageFaults {
             drop: p,
             ..MessageFaults::NONE
         });
-        self.note(format_args!("message-faults drop={p:.3}"));
     }
 
     /// Cuts `node` off from every other node.

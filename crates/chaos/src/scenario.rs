@@ -475,7 +475,7 @@ async fn drive_faults(
     nodes: &[NodeId],
     stop: &Cell<bool>,
 ) {
-    let (h, fabric) = (&faults.h, &faults.fabric);
+    let h = &faults.h;
     let mut downed: Option<NodeId> = None;
     let mut partitioned = false;
     let mut faults_on = false;
@@ -509,23 +509,14 @@ async fn drive_faults(
             }
             Action::Messages => {
                 if faults_on {
-                    fabric.clear_message_faults();
-                    faults.note("clear-message-faults");
+                    faults.clear_messages();
                 } else {
-                    let mix = MessageFaults {
+                    faults.messages(MessageFaults {
                         drop: 0.02 + 0.06 * rng.f64(),
                         duplicate: 0.05,
                         delay_spike: 0.10,
                         spike: Duration::from_micros(200 + rng.gen_range(0..400)),
-                    };
-                    fabric.set_message_faults(mix);
-                    faults.note(format_args!(
-                        "message-faults drop={:.3} dup={:.3} spike={:.3}/{}us",
-                        mix.drop,
-                        mix.duplicate,
-                        mix.delay_spike,
-                        mix.spike.as_micros()
-                    ));
+                    });
                 }
                 faults_on = !faults_on;
             }

@@ -115,15 +115,12 @@ async fn drive_stream(lab: Lab, seed: u64) -> Report {
 
     // Faults go live only after the subscriptions exist: the schedule
     // targets the stream, not its setup.
-    fabric.set_message_faults(MessageFaults {
+    faults.messages(MessageFaults {
         drop: DROP,
         duplicate: 0.0,
         delay_spike: 0.10,
         spike: Duration::from_micros(300),
     });
-    faults.note(format_args!(
-        "message-faults drop={DROP:.3} spike=0.100/300us"
-    ));
 
     // The producer appends through the kernel with Overloaded-retry;
     // halfway through, one subscriber dies silently.
