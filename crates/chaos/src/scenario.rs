@@ -125,22 +125,8 @@ impl Default for ScenarioConfig {
 ///
 /// Panics if `CHAOS_SEEDS` is set to something that is not a count.
 pub fn sweep_seeds(base: u64, default_n: usize) -> Vec<u64> {
-    let n = sweep_width(std::env::var("CHAOS_SEEDS").ok().as_deref(), default_n);
+    let n = pcsi_sim::rng::sweep_width("CHAOS_SEEDS", default_n);
     (0..n as u64).map(|i| base + i).collect()
-}
-
-/// The sweep width for a `CHAOS_SEEDS` value: `default_n` when unset. A
-/// set value that does not parse is a typo in the invocation; falling
-/// back to the small default would turn a CI sweep into a smoke test that
-/// still prints green, so it panics instead.
-fn sweep_width(chaos_seeds: Option<&str>, default_n: usize) -> usize {
-    match chaos_seeds {
-        None => default_n,
-        Some(s) => s
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("CHAOS_SEEDS={s:?} is not a seed count")),
-    }
 }
 
 /// Runs one seeded scenario end to end and returns its report. The
@@ -636,28 +622,4 @@ async fn drive_rebalance(
 
 fn pick(rng: &DetRng, nodes: &[NodeId]) -> NodeId {
     nodes[rng.gen_range(0..nodes.len() as u64) as usize]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::sweep_width;
-
-    #[test]
-    fn sweep_width_is_the_default_only_when_unset() {
-        assert_eq!(sweep_width(None, 6), 6);
-        assert_eq!(sweep_width(Some("128"), 6), 128);
-        assert_eq!(sweep_width(Some(" 128 "), 6), 128);
-    }
-
-    #[test]
-    #[should_panic(expected = "CHAOS_SEEDS=\"12x\" is not a seed count")]
-    fn sweep_width_rejects_a_typo() {
-        sweep_width(Some("12x"), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "CHAOS_SEEDS=\"\" is not a seed count")]
-    fn sweep_width_rejects_an_empty_value() {
-        sweep_width(Some(""), 6);
-    }
 }

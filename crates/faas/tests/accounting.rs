@@ -51,18 +51,6 @@ impl DataPlane for NoData {
     }
 }
 
-/// 16 seeds unless `FAAS_SEEDS` says otherwise; a value that is set but
-/// is not a count panics, so a typo cannot shrink a sweep silently.
-fn seed_count() -> u64 {
-    match std::env::var("FAAS_SEEDS") {
-        Err(_) => 16,
-        Ok(s) => s
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("FAAS_SEEDS={s:?} is not a seed count")),
-    }
-}
-
 /// One full scenario on one seed; panics (with the seed in the message)
 /// if allocation does not balance to zero at quiescence.
 fn run_seed(seed: u64) {
@@ -230,7 +218,8 @@ fn run_seed(seed: u64) {
 
 #[test]
 fn allocation_balances_to_zero_across_interleavings() {
-    for s in 0..seed_count() {
+    // 16 seeds unless `FAAS_SEEDS` says otherwise.
+    for s in 0..pcsi_sim::rng::sweep_width("FAAS_SEEDS", 16) as u64 {
         run_seed(0xFAA5_0000 + s);
     }
 }

@@ -55,18 +55,6 @@ impl TestCaseError {
     }
 }
 
-/// 64 cases unless `PROPTEST_CASES` says otherwise; a value that is set
-/// but is not a count panics, so a typo cannot shrink a sweep silently.
-fn case_count() -> u32 {
-    match std::env::var("PROPTEST_CASES") {
-        Err(_) => 64,
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("PROPTEST_CASES={v:?} is not a case count")),
-    }
-}
-
 /// Runs `body` against `cases` sampled inputs; panics on the first
 /// failing case with its case number (inputs reproduce from the test
 /// name, so no explicit seed needs reporting).
@@ -75,11 +63,12 @@ where
     S: Strategy,
     F: FnMut(S::Value) -> Result<(), TestCaseError>,
 {
-    let cases = case_count();
+    // 64 cases unless `PROPTEST_CASES` says otherwise.
+    let cases = pcsi_sim::rng::sweep_width("PROPTEST_CASES", 64);
     let mut rejects: u64 = 0;
-    let mut case: u32 = 0;
+    let mut case = 0;
     while case < cases {
-        let seed = u64::from(case) ^ (rejects << 32);
+        let seed = case as u64 ^ (rejects << 32);
         let mut rng = TestRng(RngStreams::new(seed).stream(name));
         let value = match strategy.sample(&mut rng) {
             Some(v) => v,

@@ -294,6 +294,25 @@ impl ZipfParams {
     }
 }
 
+/// The width of a seeded sweep (seeds or cases) the environment variable
+/// `var` sets: `default` when it is unset. A set value that does not
+/// parse is a typo in the invocation; falling back to the small default
+/// would turn a CI sweep into a smoke test that still prints green, so
+/// it panics instead.
+pub fn sweep_width(var: &str, default: usize) -> usize {
+    parse_width(var, std::env::var(var).ok().as_deref(), default)
+}
+
+fn parse_width(var: &str, value: Option<&str>, default: usize) -> usize {
+    match value {
+        None => default,
+        Some(s) => s
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{var}={s:?} is not a count")),
+    }
+}
+
 fn zeta_approx(n: f64, theta: f64) -> f64 {
     if (theta - 1.0).abs() < 1e-9 {
         n.ln() + 0.577_215_664_901_532_9
@@ -305,6 +324,25 @@ fn zeta_approx(n: f64, theta: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sweep_width_is_the_default_only_when_unset() {
+        assert_eq!(parse_width("SEEDS", None, 6), 6);
+        assert_eq!(parse_width("SEEDS", Some("128"), 6), 128);
+        assert_eq!(parse_width("SEEDS", Some(" 128 "), 6), 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "SEEDS=\"12x\" is not a count")]
+    fn sweep_width_rejects_a_typo() {
+        parse_width("SEEDS", Some("12x"), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "SEEDS=\"\" is not a count")]
+    fn sweep_width_rejects_an_empty_value() {
+        parse_width("SEEDS", Some(""), 6);
+    }
 
     #[test]
     fn indexed_streams_are_independent_and_stable() {
