@@ -32,7 +32,7 @@ use pcsi_faas::runtime::Runtime;
 use pcsi_fs::device::{DeviceHandler, DeviceRegistry};
 use pcsi_fs::{DirEntry, Directory, FifoQueue};
 use pcsi_net::{Fabric, NodeId, Transport};
-use pcsi_obs::{JournalExt, Telemetry};
+use pcsi_obs::Telemetry;
 use pcsi_sim::executor::LocalBoxFuture;
 use pcsi_sim::SimTime;
 use pcsi_store::{gc, ReplicatedStore};
@@ -156,8 +156,9 @@ struct Inner {
     /// FaaS runtime were built with. Every `CloudInterface` op opens a
     /// root span on the tracer (the context flows down through the store
     /// and the runtime) and records a per-op count and latency histogram
-    /// in the registry; control-plane transitions — deletes,
-    /// revocations, GC sweeps — append typed records to the journal.
+    /// in the registry; two control-plane transitions, a revocation and
+    /// a GC sweep that collects something, append typed records to the
+    /// journal (a delete appends none).
     telemetry: Telemetry,
     /// Resolved `kernel.ops`/`kernel.op_ns` series per [`Op`], filled on
     /// the op's first use, so the per-op hot path skips the registry's
@@ -328,10 +329,9 @@ impl Kernel {
         object.meta.generation += 1;
         let generation = object.meta.generation;
         drop(objects);
-        self.inner
-            .telemetry
-            .journal
-            .with(|j| j.append("kernel", "revoke", format!("id={id:?} gen={generation}")));
+        if let Some(j) = &self.inner.telemetry.journal {
+            j.append("kernel", "revoke", format!("id={id:?} gen={generation}"));
+        }
         Ok(Reference::mint(id, Rights::ALL, generation))
     }
 
@@ -371,10 +371,9 @@ impl Kernel {
             self.inner.store.invalidate_cached(*id);
         }
         if !dead.is_empty() {
-            self.inner
-                .telemetry
-                .journal
-                .with(|j| j.append("kernel", "gc", format!("collected={}", dead.len())));
+            if let Some(j) = &self.inner.telemetry.journal {
+                j.append("kernel", "gc", format!("collected={}", dead.len()));
+            }
         }
         dead.len()
     }

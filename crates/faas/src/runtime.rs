@@ -40,7 +40,7 @@ use pcsi_core::PcsiError;
 use pcsi_metrics::{Counter, Gauge, Histogram};
 use pcsi_net::node::Resources;
 use pcsi_net::NodeId;
-use pcsi_obs::{Journal, JournalExt, Telemetry};
+use pcsi_obs::{Journal, Telemetry};
 use pcsi_sim::{SimHandle, SimTime};
 use pcsi_trace::Tracer;
 
@@ -495,13 +495,13 @@ impl Runtime {
         let started = self.inner.handle.now();
         if cold_start {
             self.inner.cold_starts.incr();
-            self.inner.journal.with(|j| {
+            if let Some(j) = &self.inner.journal {
                 j.append(
                     "faas",
                     "cold_start",
                     format!("fn={} variant={} node={}", image.name, variant.name, node.0),
                 );
-            });
+            }
             let boot = lease.instance.backend.cold_start();
             if let Some(h) = &self.inner.hists {
                 h.cold_start_ns.record_duration(boot);
@@ -699,13 +699,13 @@ impl Inner {
         };
         self.cluster.release(victim.node, &victim.demand);
         self.preemptions.incr();
-        self.journal.with(|j| {
+        if let Some(j) = &self.journal {
             j.append(
                 "faas",
                 "preemption",
                 format!("fn={function} variant={variant} node={}", victim.node.0),
             );
-        });
+        }
         true
     }
 

@@ -68,7 +68,8 @@ struct JournalInner {
 /// A cheap-to-clone handle to the shared event journal. Components hold
 /// an `Option<Journal>` exactly like an `Option<Metrics>`: absence *is*
 /// the disabled state, and the per-event cost when disabled is a `None`
-/// check (see [`JournalExt::with`]).
+/// check (`if let Some(j) = &journal`), with the detail formatted inside
+/// it.
 #[derive(Clone)]
 pub struct Journal {
     inner: Rc<JournalInner>,
@@ -156,22 +157,6 @@ impl Journal {
             out.push('\n');
         }
         out
-    }
-}
-
-/// Closure-deferred call-site sugar for `Option<Journal>` holders,
-/// mirroring `pcsi_metrics::MetricsExt`: detail formatting inside the
-/// closure costs nothing when the journal is absent.
-pub trait JournalExt {
-    /// Runs `f` against the journal if there is one.
-    fn with(&self, f: impl FnOnce(&Journal));
-}
-
-impl JournalExt for Option<Journal> {
-    fn with(&self, f: impl FnOnce(&Journal)) {
-        if let Some(j) = self {
-            f(j);
-        }
     }
 }
 

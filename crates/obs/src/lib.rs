@@ -39,7 +39,7 @@ mod journal;
 mod slo;
 
 pub use alert::{AlertMachine, AlertState, Phase};
-pub use journal::{Event, Journal, JournalExt};
+pub use journal::{Event, Journal};
 pub use slo::{AlertTransition, SloEngine, SloRule, WindowDiff};
 
 use std::cell::RefCell;

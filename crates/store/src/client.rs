@@ -23,7 +23,6 @@
 use bytes::Bytes;
 use pcsi_core::{Consistency, Mutability, ObjectId, PcsiError};
 use pcsi_net::NodeId;
-use pcsi_obs::JournalExt;
 use pcsi_trace::{AttrValue, SpanHandle, TraceContext};
 
 use crate::engine::{MediaTier, Mutation};
@@ -237,9 +236,9 @@ impl StoreClient {
             let target = *self.store.placement().replicas(id).get(step)?;
             if step > 0 {
                 inner.failovers.incr();
-                inner.telemetry.journal.with(|j| {
+                if let Some(j) = &inner.telemetry.journal {
                     j.append("store", "failover", format!("id={id:?} target={step}"));
-                });
+                }
             }
             Some(target)
         };

@@ -8,7 +8,6 @@ use std::time::Duration;
 use bytes::Bytes;
 use pcsi_core::{Mutability, ObjectId, PcsiError};
 use pcsi_net::{Fabric, NodeId};
-use pcsi_obs::JournalExt;
 use pcsi_sim::util::{deadline, join_all, Pacer};
 
 use crate::engine::StoredObject;
@@ -113,9 +112,9 @@ impl ReplicatedStore {
                         self.inner.placement.pending_moves().len(),
                     );
                     let err = PcsiError::Fault(format!("shard migration stalled: {stalled}"));
-                    self.inner.telemetry.journal.with(|j| {
+                    if let Some(j) = &self.inner.telemetry.journal {
                         j.append("store", "migration_stalled", stalled);
-                    });
+                    }
                     return Err(err);
                 }
                 handle.sleep(DRAIN_RETRY_DELAY).await;
@@ -137,13 +136,13 @@ impl ReplicatedStore {
         match &result {
             Ok(()) => {
                 self.inner.placement.complete_move(id);
-                self.inner.telemetry.journal.with(|j| {
+                if let Some(j) = &self.inner.telemetry.journal {
                     j.append(
                         "store",
                         "migration",
                         format!("id={id:?} old_owners={}", old.len()),
                     );
-                });
+                }
             }
             Err(_) => self.inner.placement.unfreeze(id),
         }
