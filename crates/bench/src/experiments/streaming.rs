@@ -41,7 +41,7 @@ use pcsi_net::{NetworkGeneration, NodeId};
 use pcsi_sim::SimHandle;
 
 /// Subscriber count for the fan-out measurement.
-pub const FAN_OUT: usize = 8;
+const FAN_OUT: usize = 8;
 
 /// Per-event delivery latency at one network generation, both
 /// transports, 1 subscriber and [`FAN_OUT`] subscribers.
@@ -70,7 +70,7 @@ impl StreamPoint {
 }
 
 /// Measures both transports at every generation.
-pub fn run(seed: u64, events: u32) -> Vec<StreamPoint> {
+fn run(seed: u64, events: u32) -> Vec<StreamPoint> {
     let mut out = Vec::new();
     for generation in NetworkGeneration::ALL {
         let builder = CloudBuilder::new()
@@ -301,7 +301,7 @@ impl MetricsDeltaResult {
 
 /// Streams the deployment's own metrics registry as line-diffs through
 /// a FIFO subscription; the consumer reconstructs every snapshot.
-pub fn metrics_delta(seed: u64, ticks: u32) -> MetricsDeltaResult {
+fn metrics_delta(seed: u64, ticks: u32) -> MetricsDeltaResult {
     let builder = CloudBuilder::new().deterministic_network().metrics(true);
     Lab::run(seed, builder, move |lab| async move {
         let (cloud, h) = (&lab.cloud, &lab.h);
@@ -373,7 +373,7 @@ pub struct TokenServingResult {
 /// Streams one model response token-by-token over both transports on
 /// the 2021 network. Token compute cadence is identical (1 ms/token),
 /// so TTFT and total-time differences are pure delivery overhead.
-pub fn token_serving(seed: u64, tokens: u32) -> TokenServingResult {
+fn token_serving(seed: u64, tokens: u32) -> TokenServingResult {
     let builder = CloudBuilder::new()
         .network(NetworkGeneration::Dc2021)
         .deterministic_network();
@@ -397,6 +397,7 @@ async fn serve(lab: &Lab, transport: Transport, name: &str, tokens: u32) -> (f64
     let h = &lab.h;
     let nodes = lab.cloud.fabric.topology().node_ids();
     let feed = Feed::open(lab, transport, 0, name).await;
+    // The client is node 4, or node 5 when the stream lives on node 4.
     let client = nodes[4 + usize::from(feed.home == nodes[4])];
     let tail = feed.tail(client, 64).await;
     let t_start = h.now();
@@ -433,7 +434,7 @@ pub struct StreamingResult {
 
 impl StreamingResult {
     /// The point for one generation.
-    pub fn point(&self, generation: NetworkGeneration) -> &StreamPoint {
+    fn point(&self, generation: NetworkGeneration) -> &StreamPoint {
         self.points
             .iter()
             .find(|p| p.generation == generation)

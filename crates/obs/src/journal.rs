@@ -68,8 +68,7 @@ struct JournalInner {
 /// A cheap-to-clone handle to the shared event journal. Components hold
 /// an `Option<Journal>` exactly like an `Option<Metrics>`: absence *is*
 /// the disabled state, and the per-event cost when disabled is a `None`
-/// check (`if let Some(j) = &journal`), with the detail formatted inside
-/// it.
+/// check: producers format the detail inside `if let Some(j) = &journal`.
 #[derive(Clone)]
 pub struct Journal {
     inner: Rc<JournalInner>,
