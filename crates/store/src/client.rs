@@ -8,17 +8,12 @@
 //! | mutation             | primary + sync majority                 | primary only, async rest|
 //! | read                 | one-RTT quorum read (newest of majority)| closest replica         |
 //!
-//! Mutations always pass through the object's primary, which gives every
-//! object a total mutation order regardless of consistency level (the
-//! menu controls *acknowledgement* and *read* behaviour, not ordering).
-//!
-//! Linearizable reads fan the read itself to every replica and take the
-//! newest tag among the first majority of replies — one fabric round
-//! trip, correct because any write-majority intersects any read-majority.
-//! Payloads above [`crate::StoreConfig::inline_read_max`] degrade to a tag
-//! report plus a directed read (a second round trip). A quorum read
-//! that observes divergent tags pushes the newest state to the stale
-//! replicas in the background (read repair).
+//! A mutation goes to the object's primary first and to the next replica
+//! on failover. Linearizable reads fan out to every replica and take the
+//! newest tag among the first majority of replies: one round trip, plus a
+//! directed read for payloads above
+//! [`crate::StoreConfig::inline_read_max`] and a write-back when the
+//! replies disagree.
 
 use bytes::Bytes;
 use pcsi_core::{Consistency, Mutability, ObjectId, PcsiError};
@@ -148,12 +143,9 @@ impl StoreClient {
     pub async fn delete(&self, id: ObjectId) -> Result<Tag, PcsiError> {
         let n = self.store.placement().replication_factor() as u32;
         let result = self.mutate_with_acks(id, Mutation::Delete, n).await;
-        // Invalidate caches on success — and on *ambiguous* failure: a
-        // timeout or unreachable peer may hide a tombstone that was
-        // applied server-side with the ack lost in flight, and a cache
-        // still serving the deleted object's "immutable" bytes would
-        // never learn otherwise. Only a definitive server-side rejection
-        // proves the delete had no effect.
+        // Invalidate caches on success and on an *ambiguous* failure,
+        // which may hide a tombstone that landed: only a definitive
+        // rejection proves the delete had no effect.
         let ambiguous = matches!(&result, Err(e) if e.is_retryable());
         if result.is_ok() || ambiguous {
             self.store.invalidate_cached(id);
@@ -161,7 +153,7 @@ impl StoreClient {
         result
     }
 
-    /// Routes a mutation through the object's primary.
+    /// Writes through the object's replicas, the primary first.
     pub(crate) async fn mutate(
         &self,
         id: ObjectId,
@@ -217,8 +209,9 @@ impl StoreClient {
     }
 
     /// Drives one coordination to completion: the failover steps walk
-    /// the replica set in placement order (any replica may coordinate;
-    /// `req_id` dedup and stale-tag rejection keep the order single).
+    /// the replica set in placement order (any replica may coordinate:
+    /// a linearizable write is a ballot round, and the `req_id` recorded
+    /// with the state keeps a retried request from applying twice).
     async fn coordinate(
         &self,
         id: ObjectId,
@@ -247,11 +240,8 @@ impl StoreClient {
             if a.step > 0 {
                 a.span.attr("failover", a.step as u64);
             }
-            // Stamp the attempt's absolute expiry into the request: the
-            // coordinator refuses to order past it, so an abandoned
-            // attempt can never mint a fresh tag after this client has
-            // moved on (and possibly acknowledged the operation through
-            // another coordinator).
+            // The attempt's absolute expiry: the coordinator orders
+            // nothing for an attempt this client has moved on from.
             let expires_ns = a
                 .deadline
                 .map_or(0, |d| (inner.fabric.handle().now() + d).as_nanos());
@@ -380,20 +370,13 @@ impl StoreClient {
         }
     }
 
-    /// One-RTT linearizable read: fan the read itself to every replica
-    /// and take the newest tag among the first majority of replies. Any
-    /// write-majority intersects any read-majority, so the newest tag
-    /// seen is at least the last acknowledged write's. Replies above the
-    /// inline limit degrade to a tag report, after which the newest
-    /// replica is read directly: two round trips.
-    ///
-    /// When the quorum replies *disagree*, the newest value is known to
-    /// be at fewer than a majority — a concurrent write may still be in
-    /// flight. Returning it immediately would let a later read miss it
-    /// (the classic regular-but-not-atomic register anomaly), so the
-    /// read first **writes back**: it pushes the newest state until a
-    /// majority durably holds it (ABD's second phase). The agreeing
-    /// fast path stays one round trip.
+    /// One-RTT linearizable read: the newest tag among the first majority
+    /// of replies is at least the last acknowledged write's (any two
+    /// majorities intersect). Replies above the inline limit degrade to a
+    /// tag report and the newest replica is read directly. When the
+    /// replies *disagree*, the newest value may sit on fewer than a
+    /// majority, so the read first **writes it back** (ABD's second
+    /// phase) lest a later read miss it.
     async fn read_one_rtt(
         &self,
         id: ObjectId,
@@ -422,26 +405,19 @@ impl StoreClient {
             })
             .await?;
 
-        // Newest tag wins; on a tie prefer a reply that carried bytes.
-        let mut best = 0usize;
-        for i in 1..replies.len() {
-            let (a, b) = (&replies[best], &replies[i]);
-            if b.tag > a.tag || (b.tag == a.tag && b.served.is_some() && a.served.is_none()) {
-                best = i;
-            }
-        }
+        // Newest tag wins; on a tie the first reply that carried bytes.
+        let key = |r: &QuorumReply| (r.tag, r.served.is_some());
+        let best = (0..replies.len()).rev().max_by_key(|&i| key(&replies[i]));
+        let best = best.expect("a quorum replied");
         let best_tag = replies[best].tag;
         if best_tag == Tag::ZERO {
             return Err(PcsiError::NotFound(id));
         }
-        let holders = replies.iter().filter(|r| r.tag == best_tag).count();
-        if holders < need {
-            let known: Vec<NodeId> = replies
-                .iter()
-                .filter(|r| r.tag == best_tag)
-                .map(|r| r.node)
-                .collect();
-            self.write_back(id, replies[best].node, &known, need - holders, ctx)
+        let holders = replies.iter().filter(|r| r.tag == best_tag);
+        let known: Vec<NodeId> = holders.map(|r| r.node).collect();
+        if known.len() < need {
+            let source = (replies[best].node, best_tag);
+            self.write_back(id, source, &known, need - known.len(), ctx)
                 .await?;
         }
         let best_node = replies[best].node;
@@ -453,17 +429,18 @@ impl StoreClient {
         }
     }
 
-    /// ABD write-back (doubles as read repair): fetches the newest state
-    /// from `source` and pushes it to every replica not already known to
-    /// hold it, returning once `need_acks` pushes succeeded — at which
-    /// point a majority durably holds the value and any later read
-    /// quorum must observe it. `sync_in` tag checks on the receivers
-    /// make stale or duplicate pushes harmless; the remaining pushes
-    /// finish detached.
+    /// ABD write-back (doubles as read repair): fetches the state at
+    /// `tag` from `source` and pushes it to every replica not already
+    /// known to hold it, returning once `need_acks` pushes succeeded — at which
+    /// point a majority holds the value and any later read quorum must
+    /// observe it. A receiver takes the push only above its own tag and
+    /// its promise, and one that holds a newer state does not count: it
+    /// may be a line the value never reached. Stale or duplicate pushes
+    /// are harmless; the remaining pushes finish detached.
     async fn write_back(
         &self,
         id: ObjectId,
-        source: NodeId,
+        (source, tag): (NodeId, Tag),
         known: &[NodeId],
         need_acks: usize,
         ctx: Option<TraceContext>,
@@ -471,10 +448,12 @@ impl StoreClient {
         let fetch = wire::encode_request_traced(&Request::Fetch { id }, ctx);
         let fabric = &self.store.inner.fabric;
         let (object, reqs) = match rpc(fabric, self.origin, source, fetch).await {
-            Ok(Response::Object { object, reqs }) => (object, reqs),
+            // Only the state the read returns may be written back: one
+            // the source moved past may have been lost with its round.
+            Ok(Response::Object { object, reqs }) if object.tag == tag => (object, reqs),
             // The object vanished between the read and the fetch —
             // a racing delete; surface it as such.
-            Ok(Response::Absent) => return Err(PcsiError::NotFound(id)),
+            Ok(Response::TagIs { .. }) => return Err(PcsiError::NotFound(id)),
             _ => {
                 return Err(PcsiError::QuorumUnavailable {
                     needed: need_acks,

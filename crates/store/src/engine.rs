@@ -128,9 +128,8 @@ pub enum Mutation {
 /// a hostile `WriteAt` offset cannot turn into a multi-gigabyte resize.
 pub(crate) const MAX_OBJECT_BYTES: u64 = 1 << 32;
 
-/// Request records kept per object. A single client request retries for
-/// at most one operation's deadline, so the dedup window only needs to
-/// cover the requests that can still be in flight — not all history.
+/// Request records kept per object: a request retries for at most one
+/// operation's deadline, so only recent ones can come back.
 const LEDGER_PER_OBJECT: usize = 32;
 
 /// Everything a node holds for one object, so the bytes, the delete that
@@ -144,13 +143,13 @@ struct Entry {
     /// resurrect a deleted object here.
     tombstone: Option<Tag>,
     /// `(req_id, tag)` of each client request the current state line
-    /// contains, oldest first, at most [`LEDGER_PER_OBJECT`]. Every
-    /// record being on that line is what lets a coordinator replay a
-    /// recorded request and a secondary answer `AlreadyApplied` instead
-    /// of applying it again at a fresh tag (DESIGN §4.3), so a full-state
-    /// install ([`StorageEngine::sync_in`]) **replaces** them: the local
-    /// records described a line that was just discarded.
+    /// contains, oldest first, at most [`LEDGER_PER_OBJECT`]: a round's
+    /// proposer applies a request only to a state whose records lack it
+    /// (DESIGN §4.3), so a full-state install ([`StorageEngine::sync_in`])
+    /// **replaces** them with the installed line's.
     reqs: Vec<(u64, Tag)>,
+    /// The ballot promised to a round (DESIGN §4.3; `crate::round`).
+    promised: Tag,
 }
 
 impl Entry {
@@ -212,6 +211,20 @@ impl StorageEngine {
             .get(&id)
             .and_then(Entry::newest)
             .unwrap_or(Tag::ZERO)
+    }
+
+    /// The newest tag this node accepted for `id` and the ballot it
+    /// promised, or `None` when it holds nothing of `id`.
+    pub(crate) fn ballots(&self, id: ObjectId) -> Option<(Tag, Tag)> {
+        let entry = self.entries.get(&id)?;
+        Some((entry.newest().unwrap_or(Tag::ZERO), entry.promised))
+    }
+
+    /// Promises `id`'s next accept to no ballot below `ballot`. Promises
+    /// only rise.
+    pub(crate) fn promise(&mut self, id: ObjectId, ballot: Tag) {
+        let entry = self.entries.entry(id).or_default();
+        entry.promised = entry.promised.max(ballot);
     }
 
     /// Applies `mutation` under `tag`, enforcing mutability rules.
@@ -344,8 +357,7 @@ impl StorageEngine {
         };
         let reqs = &mut entry.reqs;
         match reqs.iter_mut().find(|(r, _)| *r == req_id) {
-            // A replay at the recorded tag is idempotent; a catch-up
-            // re-order moved the request to a newer tag on this line.
+            // A round that re-accepted the state moved it to a newer tag.
             Some(record) => record.1 = record.1.max(tag),
             None => {
                 // Nearly every object holds one record: size the first

@@ -16,17 +16,15 @@
 //! * [`store::ReplicatedStore`] — the deployed store: launches the
 //!   replicas, owns the per-node caches and the recovery counters, and
 //!   hands out per-origin clients,
-//! * [`store::StoreClient`] (`client.rs`) — the read and write paths:
-//!   mutations are serialized by each object's primary and replicated
-//!   synchronously to a majority (linearizable) or asynchronously
-//!   (eventual); linearizable reads are **one fabric round trip**, with
-//!   payloads above [`store::StoreConfig::inline_read_max`] falling back
-//!   to a tag quorum plus a directed read; quorum reads that observe
-//!   divergent tags **read-repair** the stale replicas; eventual reads
-//!   hit the closest replica,
+//! * [`store::StoreClient`] (`client.rs`) — the read and write paths: a
+//!   linearizable write is a ballot round accepted by a majority, an
+//!   eventual one is replicated asynchronously; linearizable reads are
+//!   **one fabric round trip** (large payloads add a directed read) and
+//!   write divergent tags back; eventual reads hit the closest replica,
 //! * `quorum.rs` — the one RPC round trip and the one quorum gather
 //!   (frame to N replicas, go on at `need` acks) everything above shares,
 //! * `recovery.rs` — the one driver executing the [`retry`] policy,
+//! * `round.rs` — a linearizable write's ballot round as pure decisions,
 //! * `migrate.rs` — live rebalancing: join, decommission, paced drain,
 //! * `cache::ObjectCache` — node-local caching integrated into every
 //!   [`store::StoreClient`] read, exploiting the Figure-1 mutability
@@ -38,14 +36,10 @@
 //!   graph (unreachable objects are reclaimed, §3.2),
 //! * [`version`] — the write [`Tag`] that orders mutations.
 //!
-//! Failure handling scope: replica crashes and partitions are tolerated on
-//! the read path (any majority / any replica) and masked on the write path
-//! by the client-side fault-recovery driver: per-attempt deadlines,
-//! bounded seeded-jitter retries, and failover of the
-//! coordination to the next replica in placement order (safe because
-//! coordinations are deduplicated by `req_id` and stale-tag applies are
-//! rejected, so any write majority still enforces a single order). Writes
-//! fail only when no majority is reachable for the whole retry budget.
+//! Replica crashes and partitions are masked by the client's recovery
+//! driver: deadlines, seeded-jitter retries, and failover to the next
+//! replica, which the ballot round makes safe. Writes fail only when no
+//! majority is reachable for the whole retry budget.
 
 mod cache;
 mod client;
@@ -57,6 +51,7 @@ mod quorum;
 mod recovery;
 pub mod replica;
 pub mod retry;
+mod round;
 pub mod store;
 mod testkit;
 pub mod version;

@@ -149,72 +149,49 @@ impl ReplicatedStore {
         result.map(|()| true)
     }
 
-    /// The move itself, run with `id` frozen.
-    ///
-    /// Exactly-once survives the move because the request ledger travels
-    /// with the bytes: a client retrying a pre-move write replays against
-    /// the new owners and is answered `AlreadyApplied` at its recorded
-    /// tag instead of being applied twice.
-    ///
-    /// The installed copy is *sealed* one sequence number above the
-    /// newest tag any reachable old owner reported (writer `u32::MAX`
-    /// wins ties), so an uncommitted line a failed coordination left
-    /// behind orders below the moved state and anti-entropy cannot
-    /// resurrect lost-race bytes over it. A receiver holding an even
-    /// newer tag answers [`Response::Stale`] and the driver re-seals
-    /// above that.
-    ///
-    /// A committed delete survives the move the same way: an old owner
-    /// whose tombstone tag exceeds every live tag turns the move into a
-    /// tombstone install, so the delete cannot be undone by a stale
-    /// minority holder feeding anti-entropy after the flip.
+    /// The move itself, run with `id` frozen. The request records travel
+    /// with the bytes, so a retried pre-move write finds its record on
+    /// the new owners. The copy is *sealed* one sequence number above the
+    /// newest tag any reachable old owner reported, writer `u32::MAX`:
+    /// an uncommitted line a failed coordination left behind orders below
+    /// it, a receiver holding a newer tag answers [`Response::Stale`] and
+    /// the driver re-seals above that, and each old owner's snapshot
+    /// promised the seal's lowest ballot. A delete newer than every live
+    /// tag moves as a tombstone, so no stale holder can resurrect it.
     async fn migrate_frozen(&self, id: ObjectId, old: &[NodeId]) -> Result<(), PcsiError> {
         let majority = self.inner.placement.majority();
         // The object's first new owner pulls: the transfer is charged
         // from the network position of the node that will own the data.
         let from = self.inner.placement.ring_replicas(id)[0];
-        let tag_frame = wire::encode_request(&Request::TagOf { id });
-        let fetch_frame = wire::encode_request(&Request::Fetch { id });
-        // Snapshot every reachable old owner — a majority must answer,
+        // Snapshot every reachable old owner: a majority must answer,
         // and asking all of them lets the seal cover zombie tags on
-        // reachable minorities too. TagOf runs *before* Fetch on each
-        // node so a `reported > live` surplus can only mean a tombstone
-        // (writes are frozen; anti-entropy can only raise the live tag).
+        // reachable minorities too.
+        let frame = wire::encode_request(&Request::Fetch { id });
         let fabric = &self.inner.fabric;
-        let replies = join_all(old.iter().map(|&n| {
-            let tag = timed_rpc(fabric, from, n, tag_frame.clone());
-            let state = timed_rpc(fabric, from, n, fetch_frame.clone());
-            async move { (tag.await, state.await) }
-        }))
-        .await;
+        let snapshots = old
+            .iter()
+            .map(|&n| timed_rpc(fabric, from, n, frame.clone()));
         let mut heard = 0usize;
         let mut best: Option<(StoredObject, Vec<(u64, Tag)>)> = None;
         // Newest tag seen anywhere reachable (zombies and tombstones
-        // included) — the seal floor.
-        let mut max_seen = Tag::ZERO;
-        // Newest committed-delete tag among the old owners.
-        let mut tombstone = Tag::ZERO;
-        for (tag, state) in replies {
-            let reported = match tag {
-                Ok(Response::TagIs { tag }) => tag,
-                _ => continue,
-            };
-            let live = match state {
+        // included) — the seal floor — and newest committed delete.
+        let (mut max_seen, mut tombstone) = (Tag::ZERO, Tag::ZERO);
+        for reply in join_all(snapshots).await {
+            match reply {
                 Ok(Response::Object { object, reqs }) => {
-                    let t = object.tag;
-                    if best.as_ref().is_none_or(|(b, _)| t > b.tag) {
+                    max_seen = max_seen.max(object.tag);
+                    if best.as_ref().is_none_or(|(b, _)| object.tag > b.tag) {
                         best = Some((object, reqs));
                     }
-                    t
                 }
-                Ok(Response::Absent) => Tag::ZERO,
+                // A tag without a state: a tombstone's (or none, at zero).
+                Ok(Response::TagIs { tag }) => {
+                    max_seen = max_seen.max(tag);
+                    tombstone = tombstone.max(tag);
+                }
                 _ => continue,
-            };
-            heard += 1;
-            max_seen = max_seen.max(reported).max(live);
-            if reported > live {
-                tombstone = tombstone.max(reported);
             }
+            heard += 1;
         }
         if heard < majority {
             return Err(PcsiError::QuorumUnavailable {
@@ -228,13 +205,8 @@ impl ReplicatedStore {
             // Never written on any reachable old owner: nothing to move.
             return Ok(());
         }
-        let nothing = || {
-            (
-                StoredObject::new(Bytes::new(), Tag::ZERO, Mutability::Mutable),
-                vec![],
-            )
-        };
-        let (mut sealed, reqs) = best.unwrap_or_else(nothing);
+        let nothing = StoredObject::new(Bytes::new(), Tag::ZERO, Mutability::Mutable);
+        let (mut sealed, reqs) = best.unwrap_or((nothing, vec![]));
         if deleted {
             // A tombstone install ships no bytes.
             sealed.data = Bytes::new();

@@ -37,11 +37,9 @@ pub(crate) fn rpc(
     }
 }
 
-/// Honest transport-error taxonomy. A single failed RPC says nothing
-/// about the quorum as a whole, so it must *not* masquerade as
-/// [`PcsiError::QuorumUnavailable`] — that variant is reserved for
-/// genuine quorum math. An unreachable peer maps to its own retryable
-/// variant (a deadline is the caller's, raced around the [`rpc`]).
+/// Transport errors: one failed RPC says nothing about a quorum, so it
+/// is never [`PcsiError::QuorumUnavailable`]; an unreachable peer maps
+/// to its own retryable variant (deadlines are the caller's).
 fn net_to_pcsi(e: NetError) -> PcsiError {
     match &e {
         NetError::NodeDown(_) | NetError::Partitioned(_, _) | NetError::Dropped(_, _) => {

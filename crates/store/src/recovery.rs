@@ -48,15 +48,13 @@ impl Recovery<'_> {
     /// Drives one operation to completion, iterating *failover step ×
     /// attempts per target* (the full contract is DESIGN §4.3).
     ///
-    /// `next_step(step)` names the step's target, or `None` when the
-    /// caller has none left; it runs before the step's first backoff.
-    /// `attempt` builds one try as a `'static` future: under a deadline
-    /// it runs on a task of its own, raced against a timer, and an
-    /// abandoned try keeps running detached — requests must be
-    /// idempotent or deduplicated. A non-retryable error ends the
-    /// operation at once; once attempts or budget run out, a verdict
-    /// computed from replies beats the transport noise of whichever
-    /// attempt came last.
+    /// `next_step(step)` names the step's target (`None`: no more), before
+    /// the step's first backoff. `attempt` builds one try as a `'static`
+    /// future, raced against its deadline on a task of its own; an
+    /// abandoned try runs on detached, so requests must be idempotent or
+    /// carry a request id. A non-retryable error ends the operation; when
+    /// attempts or budget run out, a verdict computed from replies beats
+    /// the transport noise of the last attempt.
     pub(crate) async fn run<S, T, Fut>(
         &self,
         mut next_step: impl FnMut(usize) -> Option<S>,

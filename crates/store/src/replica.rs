@@ -1,39 +1,32 @@
-//! The storage replica service.
-//!
-//! One [`ReplicaNode`] runs on every storage node. It owns the node's
-//! [`StorageEngine`], serves the [`crate::wire`] protocol over the fabric,
-//! and plays two roles:
-//!
-//! * **primary** for objects whose replica set it heads: it orders
-//!   mutations (assigns [`Tag`]s), applies them locally, and replicates
-//!   them to the secondaries — synchronously up to the requested ack count
-//!   (majority for linearizable objects), asynchronously beyond that;
-//! * **secondary** for the rest: it applies replicated mutations and
-//!   answers reads, tag queries and anti-entropy pulls.
-//!
-//! A background anti-entropy task periodically reconciles with a random
-//! peer so asynchronously replicated (eventual) writes converge even when
-//! the original replication message was lost to a crash or partition.
+//! The storage replica service: one [`ReplicaNode`] per storage node
+//! owns the node's [`StorageEngine`] and serves the [`crate::wire`]
+//! protocol. It coordinates the writes clients send it (a linearizable
+//! one is a ballot round, `round.rs`; an eventual one is fanned out
+//! without waiting), accepts and promises as a replica, serves reads, and
+//! runs anti-entropy with a random peer so replicas converge after lost
+//! messages.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-
-use fxhash::FxHashSet;
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
+use fxhash::FxHashMap;
+
 use bytes::Bytes;
-use pcsi_core::{ObjectId, PcsiError};
+use pcsi_core::{Mutability, ObjectId, PcsiError};
 use pcsi_metrics::{Counter, Histogram};
 use pcsi_net::fabric::RpcHandler;
 use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_obs::Telemetry;
+use pcsi_sim::sync::mpsc;
 use pcsi_sim::SimTime;
 use pcsi_trace::{TraceContext, Tracer};
 
 use crate::engine::{MediaTier, Mutation, StorageEngine, StoredObject};
 use crate::placement::Placement;
 use crate::quorum::{gather, rpc};
+use crate::round::{accept, highest, plan, verdict, Accept, Ballots, Verdict};
 use crate::version::Tag;
 use crate::wire::{self, Request, Response};
 
@@ -54,14 +47,11 @@ struct Inner {
     fabric: Fabric,
     placement: Placement,
     engine: RefCell<StorageEngine>,
-    /// The coordinate dedup table. See [`SeenCoordinates`].
-    seen_coordinates: RefCell<SeenCoordinates>,
-    /// When the node's storage device is next idle. [`charge_io`] queues
-    /// FIFO behind this, so concurrent operations on one node contend for
-    /// its media bandwidth instead of overlapping for free — without it a
-    /// single node would serve unbounded parallel IO and adding nodes
-    /// could never raise aggregate throughput. Uncontended operations see
-    /// exactly the seed's latency (the gate is never in the future).
+    /// The coordinations queued behind the one running, per object. See
+    /// [`Turn`].
+    turns: RefCell<FxHashMap<ObjectId, VecDeque<mpsc::Sender<()>>>>,
+    /// When the node's storage device is next idle: [`charge_io`] queues
+    /// behind it, so one node's operations contend for its bandwidth.
     io_free_at: Cell<SimTime>,
     coordinated: Counter,
     applied: Counter,
@@ -70,19 +60,15 @@ struct Inner {
     synced_in: Counter,
     repaired: Counter,
     migrated_in: Counter,
-    /// Synchronous-ack quorum sizes observed per coordination round
-    /// (this node included). Recorded only when metrics are on.
+    /// Acks per won round, this node included (with metrics on).
     quorum_acks: Option<Histogram>,
-    /// Optional tracer shared with the store's clients: server-side
-    /// spans nest under the client attempt whose context rode the wire.
+    /// The store's tracer: server spans nest under the client's attempt.
     tracer: Option<Tracer>,
 }
 
 impl ReplicaNode {
-    /// Creates the replica and binds its service on the fabric. The
-    /// protocol counters are always-on cells; with metrics on they are
-    /// published as per-node series and the quorum-ack-size histogram
-    /// records. Server-side spans record into the telemetry's tracer.
+    /// Creates the replica and binds its service on the fabric; with
+    /// metrics on, its counters are published as per-node series.
     pub(crate) fn start(
         fabric: Fabric,
         placement: Placement,
@@ -95,7 +81,7 @@ impl ReplicaNode {
             fabric: fabric.clone(),
             placement,
             engine: RefCell::new(StorageEngine::new(tier)),
-            seen_coordinates: RefCell::default(),
+            turns: RefCell::default(),
             io_free_at: Cell::new(SimTime::ZERO),
             coordinated: Counter::new(),
             applied: Counter::new(),
@@ -141,7 +127,7 @@ impl ReplicaNode {
         f(&mut self.inner.engine.borrow_mut())
     }
 
-    /// Mutations this node ordered as primary.
+    /// Mutations this node was asked to coordinate.
     pub fn coordinated_count(&self) -> u64 {
         self.inner.coordinated.get()
     }
@@ -178,67 +164,51 @@ impl ReplicaNode {
     }
 }
 
-/// Completed coordinate-dedup entries kept per replica before the
-/// oldest are evicted. An evicted request that is retried falls through
-/// to [`coordinate`], whose lookup of the engine's request records still
-/// replays it honestly instead of re-ordering.
-const SEEN_COORDINATES_CAP: usize = 4096;
-
-/// Coordinate dedup table: which `req_id`s are executing right now, and
-/// the tag of the **success** response of those that completed. The fabric
-/// delivers at-least-once (duplicate injection) and clients retry, so a
-/// re-delivered coordination must replay the response rather than order
-/// the mutation a second time. Failed coordinations are *forgotten* so a
-/// retry re-executes. `completed` is bounded at [`SEEN_COORDINATES_CAP`],
-/// oldest `req_id` evicted first; an in-flight claim lives in its own set
-/// and is never evicted — dropping one would let a concurrent duplicate
-/// re-execute the coordination while the original still runs.
-#[derive(Default)]
-struct SeenCoordinates {
-    in_flight: FxHashSet<u64>,
-    completed: BTreeMap<u64, Tag>,
+/// This node's rounds on one object take turns, so each builds on the
+/// state the last one left and a duplicate finds its original's record.
+/// Dropping the turn hands it to the next round queued behind.
+struct Turn<'a> {
+    inner: &'a Inner,
+    id: ObjectId,
 }
 
-/// What a [`Request::Coordinate`] arrival finds in the dedup table.
-#[derive(Debug, PartialEq)]
-enum Claim {
-    /// First arrival: the caller now owns the execution.
-    Claimed,
-    /// The original is still executing; wait for it.
-    InFlight,
-    /// The original succeeded: [`Response::Coordinated`] at this tag.
-    Replay(Tag),
-}
-
-impl SeenCoordinates {
-    fn claim(&mut self, req_id: u64) -> Claim {
-        if let Some(&tag) = self.completed.get(&req_id) {
-            Claim::Replay(tag)
-        } else if self.in_flight.insert(req_id) {
-            Claim::Claimed
-        } else {
-            Claim::InFlight
-        }
-    }
-
-    /// Releases the claim on `req_id`, recording `resp` if it succeeded.
-    fn finish(&mut self, req_id: u64, resp: &Response) {
-        self.in_flight.remove(&req_id);
-        if let Response::Coordinated { tag } = resp {
-            self.completed.insert(req_id, *tag);
-            if self.completed.len() > SEEN_COORDINATES_CAP {
-                self.completed.pop_first();
+impl<'a> Turn<'a> {
+    async fn take(inner: &'a Inner, id: ObjectId) -> Turn<'a> {
+        let queued = inner.turns.borrow_mut().get_mut(&id).map(|queue| {
+            let (tx, rx) = mpsc::channel();
+            queue.push_back(tx);
+            rx
+        });
+        match queued {
+            Some(mut rx) => {
+                rx.recv().await;
+            }
+            None => {
+                inner.turns.borrow_mut().insert(id, VecDeque::new());
             }
         }
+        Turn { inner, id }
     }
 }
 
-/// Charges the engine's media time for an operation touching `bytes`,
-/// queuing FIFO behind any IO already in flight on this node. The device
-/// is a serial resource: an uncontended operation pays exactly
-/// `io_time(bytes)` (identical to the seed), while concurrent operations
-/// on one node back up behind each other — which is what lets a scaling
-/// experiment observe aggregate throughput grow with node count.
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        let mut turns = self.inner.turns.borrow_mut();
+        if let Some(queue) = turns.get_mut(&self.id) {
+            // A waiter whose coordination was dropped no longer listens.
+            while let Some(next) = queue.pop_front() {
+                if next.send(()).is_ok() {
+                    return;
+                }
+            }
+        }
+        turns.remove(&self.id);
+    }
+}
+
+/// Charges the media time of an operation touching `bytes`, FIFO behind
+/// the IO already in flight on this node: the device is serial, so an
+/// uncontended operation pays exactly `io_time(bytes)`.
 async fn charge_io(inner: &Inner, bytes: usize) {
     let t = inner.engine.borrow().tier().io_time(bytes);
     let h = inner.fabric.handle();
@@ -254,8 +224,8 @@ fn request_span_name(req: &Request) -> &'static str {
     match req {
         Request::Coordinate { .. } => "replica.coordinate",
         Request::Apply { .. } => "replica.apply",
+        Request::Prepare { .. } => "replica.prepare",
         Request::Read { .. } | Request::ReadWithTag { .. } => "replica.read",
-        Request::TagOf { .. } => "replica.tag_of",
         Request::Fetch { .. } => "replica.fetch",
         Request::Inventory => "replica.inventory",
         Request::Push { .. } => "replica.push",
@@ -284,70 +254,44 @@ async fn handle(inner: Rc<Inner>, payload: Bytes) -> Bytes {
             req_id,
             expires_ns,
         } => {
-            coordinate_dedup(
-                &inner,
-                req_id,
-                id,
-                mutation,
-                sync_replicas,
-                expires_ns,
-                child_ctx,
-            )
-            .await
+            let write = (id, mutation, req_id);
+            coordinate(&inner, write, sync_replicas, expires_ns, child_ctx).await
         }
         Request::Apply {
             id,
             tag,
+            base,
+            round,
             mutation,
             req_id,
         } => {
             charge_io(&inner, mutation_bytes(&mutation)).await;
-            // Post-IO, pre-apply gates (no awaits below, so neither can
-            // go stale between check and apply):
-            //
-            // * a frozen object is mid-migration-snapshot — acking an
-            //   apply now would commit a write the snapshot cannot see;
-            // * a node outside the effective replica set is a post-flip
-            //   old owner — its ack would count toward a quorum no
-            //   future reader consults.
-            //
-            // Exactly-once by req_id, before any tag math: a failed-over
-            // coordinator re-orders the same client request at a fresh
-            // higher tag, and a replica that already applied it must not
-            // apply it again (Append is not idempotent).
-            let duplicate = inner.engine.borrow().recorded(id, req_id);
-            if inner.placement.is_frozen(id) {
-                frozen(id)
-            } else if !effective_member(&inner, id) {
-                Response::Err(PcsiError::Fault(format!(
-                    "node {} no longer replicates {id:?}",
-                    inner.node
-                )))
-            } else if let Some(recorded) = duplicate {
-                Response::AlreadyApplied { tag: recorded }
+            // An eventual write is held to nothing: the newest tag wins.
+            let held = held(&inner, id, round);
+            let floor = if round { held.floor() } else { Tag::ZERO };
+            offer(&inner, id, (held.accepted, floor), (tag, base), |engine| {
+                engine.apply(id, tag, &mutation)?;
+                inner.applied.incr();
+                engine.record(id, req_id, tag);
+                Ok(())
+            })
+        }
+        Request::Prepare { id, ballot, have } => {
+            // A promise takes the state held, on the rule an accept does.
+            let held = held(&inner, id, true);
+            if let Some(refusal) = gate(&inner, id) {
+                refusal
+            } else if accept(held.accepted, held.floor(), ballot, held.accepted) != Accept::Take {
+                let newest = held.accepted.max(held.floor());
+                Response::Stale { newest }
             } else {
-                let mut engine = inner.engine.borrow_mut();
-                let newest = engine.tag_of(id);
-                if tag <= newest {
-                    // Refuse to ack a stale-tagged apply. A coordinator
-                    // that restarted behind the replica set would
-                    // otherwise collect acks for writes that are
-                    // invisible to every read quorum.
-                    Response::Stale { newest }
-                } else if let Err(e) = engine.apply(id, tag, &mutation) {
-                    Response::Err(e)
-                } else {
-                    inner.applied.incr();
-                    engine.record(id, req_id, tag);
-                    Response::Applied
-                }
+                inner.engine.borrow_mut().promise(id, ballot);
+                report(&inner, id, have).await
             }
         }
         Request::Read { id, offset, len } => {
-            // Stale-routing rejection: a post-flip old owner must not
-            // serve (possibly stale) data for an object it no longer
-            // replicates; the retryable error sends the client back to
-            // recompute the replica set under the current epoch.
+            // A post-flip old owner serves nothing: the retryable error
+            // sends the client back to the current replica set.
             if effective_member(&inner, id) {
                 read_local(&inner, id, offset, len, u64::MAX, false).await
             } else {
@@ -366,30 +310,38 @@ async fn handle(inner: Rc<Inner>, payload: Bytes) -> Bytes {
                 stale_route(&inner, id)
             }
         }
-        Request::TagOf { id } => Response::TagIs {
-            tag: inner.engine.borrow().tag_of(id),
-        },
         Request::Fetch { id } => {
-            // Read before the IO charge: no engine borrow may live
-            // across an await.
-            let state = inner.engine.borrow().state(id);
-            match state {
-                Some((object, reqs)) => {
-                    charge_io(&inner, object.data.len()).await;
-                    inner.fetched.incr();
-                    Response::Object { object, reqs }
-                }
-                None => Response::Absent,
+            // A frozen object's fetch is a migration's snapshot: the
+            // seal's lowest ballot is promised to it, so a write after a
+            // failed move prepares above any seal that move left behind.
+            let tag = inner.engine.borrow().tag_of(id);
+            if inner.placement.is_frozen(id) && tag != Tag::ZERO {
+                inner.engine.borrow_mut().promise(id, tag.next(u32::MAX));
             }
+            let reply = report(&inner, id, Tag::ZERO).await;
+            if matches!(reply, Response::Object { .. }) {
+                inner.fetched.incr();
+            }
+            reply
         }
         Request::Inventory => Response::InventoryIs {
             entries: inner.engine.borrow().inventory(),
         },
         Request::Push { id, object, reqs } => {
             charge_io(&inner, object.data.len()).await;
-            inner.engine.borrow_mut().sync_in(id, object, reqs, false);
             inner.repaired.incr();
-            Response::Applied
+            // Held to the promise alone.
+            let (held, tag) = (held(&inner, id, false), object.tag);
+            offer(
+                &inner,
+                id,
+                (held.accepted, held.promised),
+                (tag, held.accepted),
+                |engine| {
+                    engine.sync_in(id, object, reqs, false);
+                    Ok(())
+                },
+            )
         }
         Request::Migrate {
             epoch,
@@ -412,6 +364,56 @@ fn effective_member(inner: &Inner, id: ObjectId) -> bool {
     inner.placement.is_replica(id, inner.node)
 }
 
+/// A promise's report of the state `id` holds: whole when it is live and
+/// newer than `have`, else its tag (a tombstone's, or zero).
+async fn report(inner: &Inner, id: ObjectId, have: Tag) -> Response {
+    let state = inner.engine.borrow().state(id);
+    match state.filter(|(object, _)| object.tag > have) {
+        Some((object, reqs)) => {
+            charge_io(inner, object.data.len()).await;
+            Response::Object { object, reqs }
+        }
+        None => Response::TagIs {
+            tag: inner.engine.borrow().tag_of(id),
+        },
+    }
+}
+
+/// An acceptor's answer to a state offered at `ballot` on `base`, by
+/// [`accept`] against `accepted` and `floor`; `take` installs it. No
+/// await runs between the checks and `take`.
+fn offer(
+    inner: &Inner,
+    id: ObjectId,
+    (accepted, floor): (Tag, Tag),
+    (ballot, base): (Tag, Tag),
+    take: impl FnOnce(&mut StorageEngine) -> Result<(), PcsiError>,
+) -> Response {
+    if let Some(refusal) = gate(inner, id) {
+        return refusal;
+    }
+    match accept(accepted, floor, ballot, base) {
+        Accept::Have => Response::Applied,
+        Accept::Take => match take(&mut inner.engine.borrow_mut()) {
+            Ok(()) => Response::Applied,
+            Err(e) => Response::Err(e),
+        },
+        Accept::Refuse(newest) => Response::Stale { newest },
+    }
+}
+
+/// The refusal of a round's message, or of a push, while `id` is frozen
+/// mid-migration (an ack would commit a write the snapshot cannot see)
+/// or here outside its effective replica set (a post-flip old owner,
+/// whose ack no future quorum consults).
+fn gate(inner: &Inner, id: ObjectId) -> Option<Response> {
+    if inner.placement.is_frozen(id) {
+        Some(frozen(id))
+    } else {
+        (!effective_member(inner, id)).then(|| stale_route(inner, id))
+    }
+}
+
 /// The retryable rejection for a request routed under a stale replica set.
 fn stale_route(inner: &Inner, id: ObjectId) -> Response {
     Response::Err(PcsiError::Fault(format!(
@@ -428,21 +430,12 @@ fn frozen(id: ObjectId) -> Response {
     )))
 }
 
-/// Installs a migration snapshot on a new owner.
-///
-/// The install is gated three ways:
-///
-/// * the sender's topology epoch must match ours ([`Response::WrongEpoch`]
-///   otherwise) — a driver that raced a further topology change must
-///   recompute its target set;
-/// * this node must be a *ring* owner of the object (not an effective
-///   owner: mid-move the effective set is still the old one);
-/// * the local newest tag must not exceed the incoming seal. A newer
-///   local tag means either a zombie line (a never-acknowledged local
-///   apply the snapshot fetch could not see) or, for a late duplicate
-///   frame, state the flipped object has legitimately moved past. Both
-///   answer [`Response::Stale`]: the driver re-seals above the reported
-///   tag and re-sends, erasing zombies without ever regressing state.
+/// Installs a migration's seal on a new owner: only under the sender's
+/// topology epoch ([`Response::WrongEpoch`] otherwise), only on a *ring*
+/// owner, and only when no newer tag is held here ([`Response::Stale`]:
+/// a zombie line, or a late duplicate; the driver re-seals above it).
+/// The seal is an accepted ballot that promises the next one to the new
+/// primary, whose first write after the flip then needs no prepare.
 fn migrate_install(
     inner: &Inner,
     epoch: u64,
@@ -466,19 +459,18 @@ fn migrate_install(
     // than any live state it fetched: the tombstone itself lands (at the
     // seal tag), so a stale old owner can never resurrect the object
     // through anti-entropy inventory pulls.
-    inner
-        .engine
-        .borrow_mut()
-        .sync_in(id, object, reqs, tombstone);
+    let seal = object.tag;
+    let primary = inner.placement.ring_replicas(id)[0];
+    let mut engine = inner.engine.borrow_mut();
+    engine.sync_in(id, object, reqs, tombstone);
+    engine.promise(id, seal.next(primary.0));
     inner.migrated_in.incr();
     Response::Applied
 }
 
-/// Serves a local read. For one-RTT quorum reads (`absent_as_tag`), an
-/// absent object answers [`Response::TagIs`] with [`Tag::ZERO`] so the
-/// reply still counts toward the quorum, and payloads larger than
-/// `inline_limit` degrade to a bare tag report (the client then issues a
-/// directed read to the newest replica).
+/// Serves a local read. For a one-RTT quorum read (`absent_as_tag`) an
+/// absent object answers its tag (a tombstone's, else zero) so the reply
+/// still counts, and a payload above `inline_limit` degrades to its tag.
 async fn read_local(
     inner: &Rc<Inner>,
     id: ObjectId,
@@ -526,104 +518,41 @@ fn mutation_bytes(m: &Mutation) -> usize {
     }
 }
 
-/// At-most-once execution of [`Request::Coordinate`]. The first arrival
-/// of a `req_id` claims it and runs [`coordinate`]; any duplicate
-/// delivery either replays the recorded success response or, while the
-/// original is still in flight, waits for it to finish. Without this a
-/// network-duplicated coordination would be ordered twice at a fresh
-/// tag, silently reverting any write that landed in between. A *failed*
-/// coordination is removed from the table so a client retry re-executes
-/// instead of replaying the failure.
-async fn coordinate_dedup(
-    inner: &Rc<Inner>,
-    req_id: u64,
-    id: ObjectId,
-    mutation: Mutation,
-    sync_replicas: u32,
-    expires_ns: u64,
-    ctx: Option<TraceContext>,
-) -> Response {
-    loop {
-        let claim = inner.seen_coordinates.borrow_mut().claim(req_id);
-        match claim {
-            Claim::Claimed => break,
-            Claim::Replay(tag) => return Response::Coordinated { tag },
-            Claim::InFlight => {
-                inner.fabric.handle().sleep(Duration::from_micros(50)).await;
-            }
-        }
-    }
-    let resp = coordinate(inner, id, mutation, sync_replicas, req_id, expires_ns, ctx).await;
-    inner.seen_coordinates.borrow_mut().finish(req_id, &resp);
-    resp
+/// The refusal of an attempt whose expiry (`expires_ns`, 0: none) has
+/// passed: its client has moved on, maybe to another coordinator.
+fn expired(inner: &Inner, id: ObjectId, expires_ns: u64, when: &str) -> Option<Response> {
+    let past = expires_ns != 0 && inner.fabric.handle().now().as_nanos() > expires_ns;
+    let refusal = || PcsiError::Fault(format!("attempt for {id:?} expired {when}"));
+    past.then(|| Response::Err(refusal()))
 }
 
-/// Whether a [`Request::Coordinate`] attempt's absolute expiry has
-/// passed (`expires_ns == 0` means no expiry). Simulated clocks are
-/// global, so the coordinator can evaluate the client's deadline
-/// exactly.
-fn attempt_expired(inner: &Rc<Inner>, expires_ns: u64) -> bool {
-    expires_ns != 0 && inner.fabric.handle().now().as_nanos() > expires_ns
+/// `id`'s ballots here. For a `round`, an object this node holds
+/// nothing of has promised its first ballot to its placement primary,
+/// so a fresh object's first write needs no prepare.
+fn held(inner: &Inner, id: ObjectId, round: bool) -> Ballots {
+    let stored = inner.engine.borrow().ballots(id);
+    let (accepted, promised) = match stored {
+        Some(ballots) => ballots,
+        None if round => (Tag::ZERO, Tag::ZERO.next(inner.placement.primary(id).0)),
+        None => (Tag::ZERO, Tag::ZERO),
+    };
+    Ballots { accepted, promised }
 }
 
-/// How the synchronous part of a replication round ended.
-enum ReplicateOutcome {
-    /// Enough acks collected.
-    Acked,
-    /// A peer holds state newer than the ordered tag — this coordinator
-    /// is behind (e.g. it restarted after writes failed over past it).
-    Stale {
-        /// The newest tag reported.
-        newest: Tag,
-        /// The peer that reported it (catch-up source).
-        holder: NodeId,
-    },
-    /// Not enough reachable peers acked.
-    Failed {
-        /// Acks obtained, this node included.
-        got: u32,
-    },
-}
-
-/// Rounds of stale-tag catch-up a coordinator attempts before giving up
-/// and letting the client's retry budget drive further progress.
-const MAX_CATCHUP_ROUNDS: u32 = 3;
-
-/// Coordinator-side mutation ordering and replication.
-///
-/// Historically only the placement-order primary coordinated; with
-/// client-side failover *any replica of the object* may be asked to. A
-/// failed-over coordinator may be behind the rest of the set (it missed
-/// applies while down), which is caught two ways: secondaries refuse
-/// stale-tagged applies with [`Response::Stale`] — and since at most a
-/// minority of replicas can be behind an acknowledged write, a stale
-/// coordination can never assemble a majority of acks — and on such
-/// evidence the coordinator pulls the newest state, re-orders above it,
-/// and retries ([`MAX_CATCHUP_ROUNDS`] times).
-///
-/// When the engine's request records show the request is already
-/// contained in this node's current state (it coordinated it before, or
-/// applied its fan-out), the coordination **replays** replication at the
-/// recorded tag instead of ordering again. A replay that finds peers
-/// advanced past the recorded tag *without* holding the request does
-/// not fabricate success: their history line does not contain the
-/// write, so acking would let it silently vanish under LWW
-/// convergence. The honest outcome is a retryable quorum failure — the
-/// client's failover then re-orders the request on the winning line,
-/// where [`Response::AlreadyApplied`] dedup keeps it exactly-once.
+/// Coordinates the client write `(id, mutation, req_id)` here, the
+/// primary or, after a failover, any replica. A linearizable one
+/// (`sync_replicas` a majority or more) is a ballot round; an
+/// eventual one is ordered on this node's state and fanned out without
+/// waiting.
 async fn coordinate(
     inner: &Rc<Inner>,
-    id: ObjectId,
-    mutation: Mutation,
+    (id, mutation, req_id): (ObjectId, Mutation, u64),
     sync_replicas: u32,
-    req_id: u64,
     expires_ns: u64,
     ctx: Option<TraceContext>,
 ) -> Response {
-    if attempt_expired(inner, expires_ns) {
-        return Response::Err(PcsiError::Fault(format!(
-            "attempt for {id:?} expired before coordination started"
-        )));
+    if let Some(refusal) = expired(inner, id, expires_ns, "before coordination started") {
+        return refusal;
     }
     if inner.placement.is_frozen(id) {
         return frozen(id);
@@ -636,202 +565,212 @@ async fn coordinate(
         )));
     }
     inner.coordinated.incr();
-
-    let peers: Vec<NodeId> = replicas
-        .iter()
-        .copied()
-        .filter(|&n| n != inner.node)
-        .collect();
+    let peers: Vec<NodeId> = replicas.into_iter().filter(|&n| n != inner.node).collect();
     let need = (sync_replicas.saturating_sub(1) as usize).min(peers.len());
-
     charge_io(inner, mutation_bytes(&mutation)).await;
-
-    let mut floor = Tag::ZERO;
-    let mut got = 1u32;
-    for _round in 0..=MAX_CATCHUP_ROUNDS {
-        // A request this node's current state already contains — it
-        // ordered it before, applied its fan-out, or a previous round
-        // of this loop applied it and the catch-up pull failed to
-        // replace the line — must not be applied locally again: replay
-        // replication at the recorded tag.
-        let recorded = inner.engine.borrow().recorded(id, req_id);
-        let tag = match recorded {
-            Some(tag) => tag,
-            None => {
-                // Re-check the freeze *after* every await since the
-                // entry check (the IO charge, catch-up rounds): the
-                // check and the local apply share no await, so a
-                // mutation can never be minted inside a migration's
-                // freeze window — the snapshot fetch would miss it, and
-                // its tag would survive as a zombie line above the seal.
-                if inner.placement.is_frozen(id) {
-                    return frozen(id);
-                }
-                // Never mint a fresh tag for an attempt the client has
-                // already abandoned (its deadline passed in IO queues or
-                // catch-up rounds): it may have succeeded through another
-                // coordinator and issued *later* acknowledged writes, and
-                // minting now would put this mutation above all of them
-                // on this node alone — a zombie line that quorum reads
-                // and newest-tag-wins anti-entropy would surface as a
-                // rollback of those writes.
-                if attempt_expired(inner, expires_ns) {
-                    return Response::Err(PcsiError::Fault(format!(
-                        "attempt for {id:?} expired before ordering"
-                    )));
-                }
-                // Order, then apply below. The media time was charged
-                // first: the tag read and the apply must not straddle an
-                // await, or two concurrent coordinations for the same
-                // object would both read the current tag and assign the
-                // *same* tag to different mutations — replicas then
-                // diverge at equal tags, which anti-entropy can never
-                // repair. `floor` keeps re-orders above any tag a peer
-                // reported via `Stale`, even when the catch-up fetch
-                // itself failed (or hit a tombstone).
-                let newest = inner.engine.borrow().tag_of(id);
-                newest.max(floor).next(inner.node.0)
+    let (me, write) = (inner.node.0, (id, &mutation, req_id));
+    if need == 0 {
+        // A request this node's state holds is done.
+        if let Some(tag) = inner.engine.borrow().recorded(id, req_id) {
+            return Response::Coordinated { tag };
+        }
+        let held = held(inner, id, false);
+        let (ballot, base) = (held.accepted.max(held.promised).next(me), held.accepted);
+        return match order(inner, write, (ballot, base), false, expires_ns, ctx) {
+            Ok(frame) => {
+                let _ = replicate(inner, (id, ballot), frame, &peers, 0).await;
+                Response::Coordinated { tag: ballot }
             }
+            Err(refusal) => refusal,
         };
-        let replay = recorded.is_some();
-        // A fresh order applies locally from the frame the peers get, so
-        // every replica of the write keeps a view of one allocation.
-        let (frame, local) = wire::apply_frame(id, tag, &mutation, req_id, ctx);
-        if !replay {
-            let mut engine = inner.engine.borrow_mut();
-            if let Err(e) = engine.apply(id, tag, &local) {
-                return Response::Err(e);
-            }
-            engine.record(id, req_id, tag);
+    }
+    let _turn = Turn::take(inner, id).await;
+    // A coordination queued past its expiry does no work.
+    if let Some(refusal) = expired(inner, id, expires_ns, "before its turn") {
+        return refusal;
+    }
+    let mut got = 1;
+    let raise = |newest| inner.engine.borrow_mut().promise(id, newest);
+    // A skipped prepare, or a prepare, that lost to a higher ballot is
+    // tried once more, prepared above it.
+    for _ in 0..2 {
+        let held = held(inner, id, true);
+        let (ballot, skip) = plan(held, me);
+        // A request the won state here holds is done.
+        if let Some(tag) = inner.engine.borrow().recorded(id, req_id).filter(|_| skip) {
+            return Response::Coordinated { tag };
         }
-        match replicate(inner, id, tag, frame, &peers, need, replay).await {
-            ReplicateOutcome::Acked => return Response::Coordinated { tag },
-            // A replay's peers advanced past the recorded tag on a line
-            // that does not contain this request: success here would be
-            // a lie (the write loses LWW convergence). Surface a
-            // retryable failure (`got` is still 1: `Failed` breaks); the
-            // client's failover re-orders on the winning line.
-            ReplicateOutcome::Stale { .. } if replay => break,
-            ReplicateOutcome::Stale { newest, holder } => {
-                floor = floor.max(newest);
-                // On success this replaces both the state *and* the
-                // ledger line, clearing this round's local record so the
-                // next round re-orders fresh; on failure the record
-                // stays and the next round replays instead — never a
-                // second local apply on a line that already has one.
-                let _ = catch_up(inner, id, holder).await;
+        let quorum = inner.placement.majority() - 1;
+        if !skip {
+            match prepare(inner, id, (ballot, held.accepted), &peers, quorum).await {
+                Ok(()) => {}
+                Err(Some(newest)) => {
+                    raise(newest);
+                    continue;
+                }
+                Err(None) => break,
             }
-            ReplicateOutcome::Failed { got: acked } => {
+        }
+        // The mutation applies only to a state that lacks the request;
+        // one that holds it is re-accepted unchanged: a transition to its
+        // own mutability level, or a delete of a deleted object.
+        let (base, same) = {
+            let engine = inner.engine.borrow();
+            let same = engine.recorded(id, req_id).map(|_| match engine.get(id) {
+                Some(object) => Mutation::SetMutability {
+                    to: object.mutability,
+                },
+                None => Mutation::Delete,
+            });
+            (engine.tag_of(id), same)
+        };
+        let write = (id, same.as_ref().unwrap_or(&mutation), req_id);
+        let frame = match order(inner, write, (ballot, base), true, expires_ns, ctx) {
+            Ok(frame) => frame,
+            Err(refusal) => return refusal,
+        };
+        match replicate(inner, (id, ballot), frame, &peers, need).await {
+            Ok(()) => {
+                // Every ack promised this node's next ballot with the state
+                // at `ballot`: unless this node promised another since, its
+                // next write skips the prepare.
+                let mut engine = inner.engine.borrow_mut();
+                if matches!(engine.ballots(id), Some((a, p)) if a == ballot && p <= ballot) {
+                    engine.promise(id, ballot.next(me));
+                }
+                return Response::Coordinated { tag: ballot };
+            }
+            Err((acked, lost)) => {
                 got = acked;
-                break;
+                match lost {
+                    Some(newest) => raise(newest),
+                    None => break,
+                }
             }
         }
     }
-    Response::Err(PcsiError::QuorumUnavailable {
-        needed: sync_replicas as usize,
-        got: got as usize,
-    })
+    let needed = need + 1;
+    Response::Err(PcsiError::QuorumUnavailable { needed, got })
 }
 
-/// What one reply to the `Apply` at the ordered tag proves, by
-/// [`ack_verdict`]. An ack must **prove** two things: the peer's state
-/// contains this request, AND its state-tag is at least the ordered tag.
-/// The second half keeps the acked tag the maximum over every line that
-/// contains the request — a majority then holds tags `>=` it, so a later
-/// coordination that mints below it can never assemble its own ack
-/// majority (the sets intersect, and the intersection answers `Stale`).
-#[derive(Debug, PartialEq)]
-enum Verdict {
-    /// `Applied` (state `>=` tag just now); `AlreadyApplied` at a tag
-    /// `>=` ours (the ledger holds it on a line at or above ours); in
-    /// replay mode, `Stale` at **exactly** the replayed tag (tags are
-    /// minted once, so state at that tag *is* this mutation's apply —
-    /// covers a peer whose ledger entry was evicted).
-    Ack,
-    /// `AlreadyApplied` *below* ours: the peer holds the request on an
-    /// older line (it acked an earlier coordination that failed over).
-    /// Counting that alone once let an acked write live only on the
-    /// coordinator — the behind peer's next coordination minted below
-    /// it and a quorum read surfaced a rollback — so the coordinator
-    /// first pushes its state (which contains the ordered tag) and
-    /// counts the ack only when the push round-trips.
-    AckAfterPush,
-    /// Any other `Stale`: no ack — the engine admits tag gaps, so a peer
-    /// above the tag may have advanced via a different write — but in
-    /// fresh mode, evidence that the coordinator ordered at a stale tag.
-    Stale(Tag),
-    /// Anything else: an error or a transport failure.
-    No,
-}
-
-/// The ack rules as one table, row by row as [`Verdict`] states them.
-fn ack_verdict(reply: &Result<Response, PcsiError>, tag: Tag, replay: bool) -> Verdict {
-    match *reply {
-        Ok(Response::Applied) => Verdict::Ack,
-        Ok(Response::AlreadyApplied { tag: recorded }) if recorded >= tag => Verdict::Ack,
-        Ok(Response::AlreadyApplied { .. }) => Verdict::AckAfterPush,
-        Ok(Response::Stale { newest }) if replay && newest == tag => Verdict::Ack,
-        Ok(Response::Stale { newest }) => Verdict::Stale(newest),
-        _ => Verdict::No,
-    }
-}
-
-/// Fans the `Apply` frame of a mutation ordered at `tag` to `peers` — one
-/// frame for all of them — and waits for `need` replies that
-/// [`ack_verdict`] counts as acks.
-async fn replicate(
+/// A round's first phase: `ballot` promised by `need` peers, then by
+/// this node, which adopts the highest state the promises reported
+/// (CASPaxos's prepare, DESIGN §4.3). Nothing awaits between the last
+/// promise, the adoption and the caller's local accept. `Err` carries
+/// the newest ballot a refusal named, if one did.
+async fn prepare(
     inner: &Rc<Inner>,
     id: ObjectId,
-    tag: Tag,
+    (ballot, have): (Tag, Tag),
+    peers: &[NodeId],
+    need: usize,
+) -> Result<(), Option<Tag>> {
+    let frame = wire::encode_request(&Request::Prepare { id, ballot, have });
+    let classify = move |_, reply| {
+        std::future::ready(match reply {
+            Ok(Response::Object { object, reqs }) => Ok((object.tag, Some((object, reqs)))),
+            // A newer tag without a state is a tombstone.
+            Ok(Response::TagIs { tag }) => Ok((tag, None)),
+            Ok(Response::Stale { newest }) => Err(Some(newest)),
+            _ => Err(None),
+        })
+    };
+    let targets = peers.iter().copied();
+    let mut promises = gather(&inner.fabric, inner.node, targets, frame, need, classify)
+        .await
+        .map_err(|short| short.nacks.into_iter().flatten().max())?;
+    let own = held(inner, id, true);
+    if accept(own.accepted, own.floor(), ballot, own.accepted) != Accept::Take {
+        return Err(Some(own.accepted.max(own.floor())));
+    }
+    let tags: Vec<Tag> = promises.iter().map(|p| p.0).collect();
+    let mut engine = inner.engine.borrow_mut();
+    if let Some(i) = highest(own.accepted, &tags) {
+        let (tag, state) = promises.swap_remove(i);
+        let tombstone = || {
+            (
+                StoredObject::new(Bytes::new(), tag, Mutability::Mutable),
+                vec![],
+            )
+        };
+        let ((object, reqs), dead) = state.map_or_else(|| (tombstone(), true), |s| (s, false));
+        engine.sync_in(id, object, reqs, dead);
+    }
+    engine.promise(id, ballot);
+    Ok(())
+}
+
+/// Orders `mutation` at `ballot` on `base` here, the local accept, once
+/// the freeze and the attempt's expiry are checked again: a mutation
+/// ordered in a migration's freeze window would be missed by the
+/// snapshot and survive as a zombie above the seal. Returns the `Apply`
+/// frame for the peers, whose payload the local state keeps a view of.
+fn order(
+    inner: &Inner,
+    (id, mutation, req_id): (ObjectId, &Mutation, u64),
+    (ballot, base): (Tag, Tag),
+    round: bool,
+    expires_ns: u64,
+    ctx: Option<TraceContext>,
+) -> Result<Bytes, Response> {
+    if inner.placement.is_frozen(id) {
+        return Err(frozen(id));
+    }
+    if let Some(refusal) = expired(inner, id, expires_ns, "before ordering") {
+        return Err(refusal);
+    }
+    let (frame, local) = wire::apply_frame((id, ballot, base), round, mutation, req_id, ctx);
+    let mut engine = inner.engine.borrow_mut();
+    engine.apply(id, ballot, &local).map_err(Response::Err)?;
+    engine.record(id, req_id, ballot);
+    Ok(frame)
+}
+
+/// Fans the `Apply` frame of the state at `ballot` out to `peers` and
+/// waits for `need` acks ([`verdict`]); replication past `need` goes on
+/// detached. A peer behind, or whose reply was lost, is repaired by a
+/// push of the whole state and then counts. `Err` carries the acks (this
+/// node included) and the newest ballot a refusal named.
+async fn replicate(
+    inner: &Rc<Inner>,
+    (id, ballot): (ObjectId, Tag),
     frame: Bytes,
     peers: &[NodeId],
     need: usize,
-    replay: bool,
-) -> ReplicateOutcome {
+) -> Result<(), (usize, Option<Tag>)> {
     let task_inner = Rc::clone(inner);
     let classify = move |peer, reply| async move {
-        match ack_verdict(&reply, tag, replay) {
+        match verdict(&reply, ballot) {
             Verdict::Ack => Ok(()),
-            Verdict::AckAfterPush => push_state_to(&task_inner, id, peer).await,
-            Verdict::Stale(newest) => Err(Some((newest, peer))),
+            Verdict::Repair => repair(&task_inner, id, ballot, peer).await,
+            Verdict::Lost(newest) => Err(Some(newest)),
             Verdict::No => Err(None),
         }
     };
-    let peers = peers.iter().copied();
-    // Replication past `need` continues in the background (detached tasks).
-    let short = match gather(&inner.fabric, inner.node, peers, frame, need, classify).await {
+    let targets = peers.iter().copied();
+    let short = match gather(&inner.fabric, inner.node, targets, frame, need, classify).await {
         Ok(acks) => {
             if let Some(h) = &inner.quorum_acks {
                 h.record((acks.len() + 1) as u64);
             }
-            return ReplicateOutcome::Acked;
+            return Ok(());
         }
         Err(short) => short,
     };
-    // The newest `Stale` evidence that arrived before the round was lost
-    // names the catch-up source (the first reporter wins a tie).
-    let newer =
-        |seen: (Tag, NodeId), next: (Tag, NodeId)| if next.0 > seen.0 { next } else { seen };
-    match short.nacks.into_iter().flatten().reduce(newer) {
-        Some((newest, holder)) => ReplicateOutcome::Stale { newest, holder },
-        None => ReplicateOutcome::Failed {
-            got: (short.got + 1) as u32,
-        },
-    }
+    Err((short.got + 1, short.nacks.into_iter().flatten().max()))
 }
 
-/// Pushes the full local state of `id` (object plus request records) to
-/// `peer`, returning `Ok(())` only when the peer acknowledged the push.
-/// The peer installs it newest-wins, so a successful round-trip proves
-/// the peer's state-tag is at least the local tag at snapshot time —
-/// the guarantee [`replicate`] needs before counting a behind peer's
-/// [`Response::AlreadyApplied`] as a quorum ack.
-async fn push_state_to(
+/// Pushes this node's state of `id` to `peer` if it is still the state
+/// at `ballot` (`Ok` when the peer took it): the full-state transfer to
+/// a peer that could not apply a delta.
+async fn repair(
     inner: &Rc<Inner>,
     id: ObjectId,
+    ballot: Tag,
     peer: NodeId,
-) -> Result<(), Option<(Tag, NodeId)>> {
-    let Some((object, reqs)) = inner.engine.borrow().state(id) else {
+) -> Result<(), Option<Tag>> {
+    let state = inner.engine.borrow().state(id);
+    let Some((object, reqs)) = state.filter(|(object, _)| object.tag == ballot) else {
         return Err(None);
     };
     let frame = wire::encode_request(&Request::Push { id, object, reqs });
@@ -841,10 +780,11 @@ async fn push_state_to(
     }
 }
 
-/// Pulls the newest state of `id` from `holder` into the local engine
-/// (best effort — a coordinator's tag floor guarantees progress even
-/// when this fails). `Err` means the fetch itself failed, not that
-/// `holder` had nothing to give.
+/// Pulls the state of `id` from `holder` into the local engine if it is
+/// newer (best effort: anti-entropy). The newest tag wins whatever this
+/// node promised, so replicas converge once rounds stop (DESIGN §4.3).
+/// `Err` means the fetch itself failed, not that `holder` had nothing
+/// to give.
 async fn catch_up(inner: &Rc<Inner>, id: ObjectId, holder: NodeId) -> Result<(), PcsiError> {
     let frame = wire::encode_request(&Request::Fetch { id });
     let reply = rpc(&inner.fabric, inner.node, holder, frame).await?;
@@ -878,15 +818,24 @@ async fn anti_entropy_round(inner: &Rc<Inner>) {
         return;
     };
 
-    // Only objects this node replicates, and only where the peer is newer.
-    let behind = |&(id, peer_tag): &(ObjectId, Tag)| {
-        effective_member(inner, id) && peer_tag > inner.engine.borrow().tag_of(id)
+    // Only objects both replicate (this node effectively), and only
+    // where they differ: this node pulls what the peer has newer and
+    // pushes what the peer has older, so a replica that missed the last
+    // write catches up from either side of the exchange.
+    let tag_here = |id| inner.engine.borrow().tag_of(id);
+    let behind =
+        |&(id, peer_tag): &(ObjectId, Tag)| effective_member(inner, id) && peer_tag > tag_here(id);
+    let ahead = |&(id, peer_tag): &(ObjectId, Tag)| {
+        effective_member(inner, id)
+            && peer_tag < tag_here(id)
+            && inner.placement.is_replica(id, peer)
     };
     // The peer lists in its engine's order. One pass finds the first id
-    // this node is behind on; a round with none pulls and sorts nothing.
-    // Pulls go in id order from there: every entry below that id would
-    // fail `behind` at this same instant, before any await.
-    let Some(first) = entries.iter().filter(|e| behind(e)).map(|e| e.0).min() else {
+    // the two differ on; a round with none moves and sorts nothing.
+    // Exchanges go in id order from there: every entry below that id
+    // would match neither rule at this same instant, before any await.
+    let differ = |e: &(ObjectId, Tag)| behind(e) || ahead(e);
+    let Some(first) = entries.iter().filter(|e| differ(e)).map(|e| e.0).min() else {
         return;
     };
     entries.sort_unstable();
@@ -894,6 +843,9 @@ async fn anti_entropy_round(inner: &Rc<Inner>) {
     for entry in &entries[from..] {
         if behind(entry) && catch_up(inner, entry.0, peer).await.is_err() {
             return;
+        }
+        if ahead(entry) {
+            let _ = repair(inner, entry.0, tag_here(entry.0), peer).await;
         }
     }
 }
@@ -905,7 +857,6 @@ mod tests {
     use crate::{RetryPolicy, StoreConfig};
     use pcsi_core::{Consistency, Mutability};
     use pcsi_net::{LatencyModel, Topology};
-    use pcsi_sim::rng::DetRng;
     use pcsi_sim::Sim;
     use std::collections::BTreeSet;
 
@@ -926,59 +877,10 @@ mod tests {
         }
     }
 
-    /// Every reply kind, replay off and on, against the rules as
-    /// DESIGN §4.3 states them — written out, not derived.
-    #[test]
-    fn ack_table_covers_every_reply_kind() {
-        let ordered = tag(5, 1);
-        let (below, above) = (tag(4, 2), tag(5, 2));
-        let ok = |r: Response| Ok::<_, PcsiError>(r);
-        let data = Response::Data {
-            tag: ordered,
-            mutability: pcsi_core::Mutability::Mutable,
-            stable_len: 0,
-            data: Bytes::new(),
-        };
-        use Verdict::{Ack, AckAfterPush, No, Stale};
-        // (reply, verdict in fresh mode, verdict in replay mode)
-        let rows = [
-            (ok(Response::Applied), Ack, Ack),
-            (
-                ok(Response::AlreadyApplied { tag: below }),
-                AckAfterPush,
-                AckAfterPush,
-            ),
-            (ok(Response::AlreadyApplied { tag: ordered }), Ack, Ack),
-            (ok(Response::AlreadyApplied { tag: above }), Ack, Ack),
-            (
-                ok(Response::Stale { newest: below }),
-                Stale(below),
-                Stale(below),
-            ),
-            (ok(Response::Stale { newest: ordered }), Stale(ordered), Ack),
-            (
-                ok(Response::Stale { newest: above }),
-                Stale(above),
-                Stale(above),
-            ),
-            (ok(Response::Err(PcsiError::Fault("x".into()))), No, No),
-            (ok(data), No, No),
-            (Err(PcsiError::Unreachable("n3 down".into())), No, No),
-        ];
-        for (reply, fresh, replay) in rows {
-            assert_eq!(ack_verdict(&reply, ordered, false), fresh, "{reply:?}");
-            assert_eq!(
-                ack_verdict(&reply, ordered, true),
-                replay,
-                "{reply:?} (replay)"
-            );
-        }
-    }
-
     /// A `Fetch` ships the ledger describing the bytes it ships. An
     /// apply that lands while the fetch queues on the device must not
     /// ride along with bytes that predate it: a receiver installing such
-    /// a reply would answer `AlreadyApplied` for a request it lacks.
+    /// a reply would record a request its bytes lack.
     #[test]
     fn fetch_ships_only_requests_its_bytes_contain() {
         let mut sim = Sim::new(42);
@@ -991,6 +893,8 @@ mod tests {
             let apply = call(&Request::Apply {
                 id,
                 tag: t1.next(9),
+                base: t1,
+                round: true,
                 mutation: Mutation::WriteAt { offset: 0, data },
                 req_id: 777,
             });
@@ -1014,27 +918,27 @@ mod tests {
     /// A replica answers for a request its state contains however many
     /// other objects it wrote since: the records live in the object's own
     /// engine entry, so no cross-object cap can push them out. A
-    /// failed-over coordinator re-sends the request at a fresh higher
-    /// tag, and `Append` is not idempotent.
+    /// duplicated or retried coordination finds the record and re-sends
+    /// the tag, and `Append` is not idempotent.
     #[test]
     fn a_request_on_an_idle_object_is_not_applied_twice() {
         let mut sim = Sim::new(42);
         let (fabric, store) = testkit::deploy(&sim, nvme());
-        let (first, reply, held) = sim.block_on(async move {
+        let (first, retry, held) = sim.block_on(async move {
             let x = id(1);
-            let t1 = linearizable_put(&store.client(NodeId(0)), x, Bytes::from_static(b"x")).await;
+            linearizable_put(&store.client(NodeId(0)), x, Bytes::from_static(b"x")).await;
             let p = store.placement().replicas(x)[1];
             let call = |req: &Request| rpc(&fabric, p, p, wire::encode_request(req));
-            let append = |tag| Request::Apply {
+            let append = Request::Coordinate {
                 id: x,
-                tag,
                 mutation: Mutation::Append {
                     data: Bytes::from_static(b"a"),
                 },
+                sync_replicas: 2,
                 req_id: 777,
+                expires_ns: 0,
             };
-            let first = t1.next(9);
-            assert_eq!(call(&append(first)).await.unwrap(), Response::Applied);
+            let first = call(&append).await.unwrap();
             // 4,097 writes to other objects p replicates, each a newer
             // request than 777.
             let others = (2..)
@@ -1044,6 +948,8 @@ mod tests {
                 let put = Request::Apply {
                     id: other,
                     tag: Tag { seq: 1, writer: 9 },
+                    base: Tag::ZERO,
+                    round: false,
                     mutation: Mutation::PutFull {
                         data: Bytes::from_static(b"o"),
                         mutability: Mutability::Mutable,
@@ -1052,18 +958,19 @@ mod tests {
                 };
                 assert_eq!(call(&put).await.unwrap(), Response::Applied);
             }
-            let retry = call(&append(first.next(5))).await.unwrap();
+            let retry = call(&append).await.unwrap();
             let replica = store.replica_on(p).expect("a replica on every node");
             let held = replica.with_engine(|e| e.read(x, 0, u64::MAX).unwrap());
             (first, retry, held)
         });
-        assert_eq!(reply, Response::AlreadyApplied { tag: first });
+        assert!(matches!(first, Response::Coordinated { .. }), "{first:?}");
+        assert_eq!(retry, first);
         assert_eq!(&held[..], b"xa");
     }
 
     /// The requester pulls in id order whatever order the responder
     /// lists in: a peer's engine lists unsorted, and the round sorts
-    /// only when it has something to pull.
+    /// only when the two differ. What this node holds newer it pushes.
     #[test]
     fn anti_entropy_pulls_in_id_order_whatever_the_inventory_order() {
         let mut sim = Sim::new(42);
@@ -1088,9 +995,13 @@ mod tests {
         });
         let mut listed: Vec<(ObjectId, Tag)> = (1..=8).map(|n| (id(n), tag(5, 1))).collect();
         listed.sort_unstable_by(|a, b| b.cmp(a));
-        let fetched = Rc::new(RefCell::new(Vec::new()));
+        let (fetched, pushed) = (
+            Rc::new(RefCell::new(Vec::new())),
+            Rc::new(RefCell::new(Vec::new())),
+        );
         for peer in [NodeId(1), NodeId(2)] {
-            let (listed, fetched) = (listed.clone(), Rc::clone(&fetched));
+            let (listed, fetched, pushed) =
+                (listed.clone(), Rc::clone(&fetched), Rc::clone(&pushed));
             let fake: RpcHandler = Rc::new(move |payload, _| {
                 let response = match wire::decode_request(&payload).unwrap() {
                     Request::Inventory => Response::InventoryIs {
@@ -1103,6 +1014,10 @@ mod tests {
                             reqs: Vec::new(),
                         }
                     }
+                    Request::Push { id, .. } => {
+                        pushed.borrow_mut().push(id);
+                        Response::Applied
+                    }
                     other => panic!("a fake peer got {other:?}"),
                 };
                 Box::pin(async move { Ok(wire::encode_response(&response)) })
@@ -1114,6 +1029,7 @@ mod tests {
         let mut behind: Vec<ObjectId> = [1, 3, 5, 6, 8].map(id).into();
         behind.sort_unstable();
         assert_eq!(*fetched.borrow(), behind);
+        assert_eq!(*pushed.borrow(), [id(4)]);
         for (n, _) in listed {
             assert!(replica.with_engine(|e| e.tag_of(n)) >= tag(5, 1), "{n:?}");
         }
@@ -1160,107 +1076,15 @@ mod tests {
         });
     }
 
-    /// The dedup table [`SeenCoordinates`] replaced, kept as the oracle:
-    /// one map (`None` = in flight) whose completed entries are counted
-    /// by walking it after every coordination.
-    #[derive(Default)]
-    struct WalkedTable(BTreeMap<u64, Option<Response>>);
-
-    impl WalkedTable {
-        fn claim(&mut self, req_id: u64) -> Claim {
-            match self.0.get(&req_id) {
-                Some(Some(Response::Coordinated { tag })) => Claim::Replay(*tag),
-                Some(Some(other)) => panic!("recorded a failure: {other:?}"),
-                Some(None) => Claim::InFlight,
-                None => {
-                    self.0.insert(req_id, None);
-                    Claim::Claimed
-                }
-            }
-        }
-
-        fn finish(&mut self, req_id: u64, resp: &Response) {
-            let seen = &mut self.0;
-            if matches!(resp, Response::Coordinated { .. }) {
-                seen.insert(req_id, Some(resp.clone()));
-            } else {
-                seen.remove(&req_id);
-            }
-            let completed = seen.values().filter(|v| v.is_some()).count();
-            for _ in SEEN_COORDINATES_CAP..completed {
-                let oldest = seen
-                    .iter()
-                    .find(|(_, v)| v.is_some())
-                    .map(|(&r, _)| r)
-                    .expect("completed count > 0");
-                seen.remove(&oldest);
-            }
-        }
-    }
-
-    #[test]
-    fn seen_coordinates_keeps_what_the_walked_table_kept() {
-        let (mut new, mut old) = (SeenCoordinates::default(), WalkedTable::default());
-        let rng = DetRng::seeded(14);
-        let mut running: Vec<u64> = Vec::new();
-        let (mut completions, mut steps) = (0, 0);
-        let mut next_req = 1u64;
-        while completions < 3 * SEEN_COORDINATES_CAP {
-            // Arrivals: mostly fresh requests, some duplicates of old
-            // ones (completed, evicted or still running).
-            let req_id = if rng.u64().is_multiple_of(4) {
-                rng.gen_range(1..next_req + 1)
-            } else {
-                next_req += 1;
-                next_req
-            };
-            let claim = new.claim(req_id);
-            assert_eq!(claim, old.claim(req_id), "req {req_id}");
-            if claim == Claim::Claimed {
-                running.push(req_id);
-            }
-            // Departures: keep a few dozen claims in flight, finish a
-            // random one, one in five as a failure.
-            if running.len() > rng.gen_range(0..48) as usize {
-                let req_id = running.swap_remove(rng.gen_range(0..running.len() as u64) as usize);
-                let resp = if rng.u64().is_multiple_of(5) {
-                    Response::Err(PcsiError::Fault("quorum".into()))
-                } else {
-                    completions += 1;
-                    Response::Coordinated {
-                        tag: tag(req_id, 0),
-                    }
-                };
-                new.finish(req_id, &resp);
-                old.finish(req_id, &resp);
-            }
-            assert!(new.completed.len() <= SEEN_COORDINATES_CAP);
-            steps += 1;
-            // Every step: same size, same next victim. Periodically (and
-            // on any doubt): the same surviving keys.
-            let same_size = new.in_flight.len() + new.completed.len() == old.0.len();
-            let oldest = old.0.iter().find(|(_, v)| v.is_some()).map(|(r, _)| r);
-            if steps % 64 == 0 || !same_size || new.completed.keys().next() != oldest {
-                let mut survivors: Vec<u64> = new.in_flight.iter().copied().collect();
-                survivors.extend(new.completed.keys());
-                survivors.sort_unstable();
-                assert!(survivors.iter().eq(old.0.keys()), "after req {req_id}");
-            }
-        }
-        assert_eq!(new.completed.len(), SEEN_COORDINATES_CAP);
-        assert!(!running.is_empty(), "no in-flight claim at the end");
-    }
-
     #[test]
     fn failover_reorder_does_not_double_apply() {
         // Regression for the exactly-once hole: a coordination succeeds
         // server-side at the primary (its fan-out reached one secondary)
         // but the ack to the client is lost. The client fails over; the
-        // failover target never saw the request and re-orders it at a
-        // fresh higher tag. Replicas that already applied it must answer
-        // `AlreadyApplied` instead of applying the non-idempotent append
-        // a second time — before the fix they deduplicated only by tag,
-        // and the fresh tag sailed past that check.
+        // failover target never saw the request. Its round's prepare
+        // finds the request in the records of the state a replica
+        // accepted and re-accepts that state instead of applying the
+        // non-idempotent append a second time.
         let mut sim = Sim::new(42);
         let config = StoreConfig {
             retry: RetryPolicy {
@@ -1404,13 +1228,14 @@ mod tests {
                     .append(id, Bytes::from_static(b"x"), Consistency::Linearizable)
                     .await
                     .expect("failover must land the append on the winning line");
-                // The replay against the primary must NOT have claimed
-                // success at the recorded tag; the write lands re-ordered
-                // by the failover target, above the concurrent writes.
-                assert_eq!(tag.writer, b.0, "ordered by the failover target");
+                // The retry must NOT claim success at the tag of its lost
+                // first attempt. It prepares, learns the concurrent
+                // writes from the promises and appends on top of them:
+                // the primary itself now orders it, where the replay rule
+                // could only fail and hand it to a failover target.
                 assert!(tag.seq >= 4, "ordered above the concurrent writes: {tag}");
                 let stats = store.retry_stats();
-                assert!(stats.retries >= 2 && stats.failovers >= 1, "{stats:?}");
+                assert!(stats.retries >= 1, "{stats:?}");
                 testkit::until_replicas_agree(&store, &replicas, id, b"pabx").await;
                 for &node in &replicas {
                     assert_eq!(
@@ -1423,15 +1248,15 @@ mod tests {
         });
     }
 
-    /// OPEN BUG, pinned — ROADMAP item 1, a third shape of its root cause.
-    /// A secondary applies an `Append` on top of whatever bytes it holds,
-    /// so a tag gap corrupts it: the primary acknowledges `r` at 2@A with
-    /// its fan-out lost, then `s` at 3@A lands on the secondaries on top of
-    /// `p`. All three replicas end at tag 3@A, so anti-entropy sees nothing
-    /// to repair, and the acknowledged `r` is gone from two of three
-    /// replicas for good. Item 1's fix turns this assertion round.
+    /// ROADMAP item 1's third shape, closed. The primary orders `r`
+    /// with its fan-out lost, then `s` on top of it. Every `Apply` names
+    /// its base, so the secondaries, which missed `r`, refuse the delta
+    /// of `s` instead of appending it to the wrong bytes; a full-state
+    /// transfer repairs them and, after anti-entropy, all three hold
+    /// `prs`. Before, all three ended at one tag with `r` lost on two of
+    /// them, and anti-entropy saw nothing to repair.
     #[test]
-    fn open_bug_item_1_gap_applied_append_diverges() {
+    fn a_gap_applied_append_is_refused_and_repaired() {
         let mut sim = Sim::new(42);
         let config = StoreConfig {
             retry: RetryPolicy::none(),
@@ -1456,32 +1281,28 @@ mod tests {
             testkit::drop_link(&fabric, a, b);
             testkit::drop_link(&fabric, a, c);
             let r = raw_append(&fabric, client_node, a, id, b"r", 700).await;
-            let at = |seq| Tag { seq, writer: a.0 };
-            assert!(
-                matches!(r, Response::Coordinated { tag } if tag == at(2)),
-                "{r:?}"
-            );
+            let Response::Coordinated { tag: r_tag } = r else {
+                panic!("{r:?}")
+            };
             fabric.clear_message_faults();
             let s = raw_append(&fabric, client_node, a, id, b"s", 701).await;
-            assert!(
-                matches!(s, Response::Coordinated { tag } if tag == at(3)),
-                "{s:?}"
-            );
-            // Let the fan-out of `s` land before anti-entropy looks.
-            fabric.handle().sleep(Duration::from_millis(1)).await;
-            testkit::anti_entropy(&store, 8).await;
-            let tag_on = |node: NodeId| {
-                store
-                    .replica_on(node)
-                    .unwrap()
-                    .with_engine(|e| e.get(id).map(|o| o.tag))
+            let Response::Coordinated { tag: s_tag } = s else {
+                panic!("{s:?}")
             };
-            for node in [a, b, c] {
-                assert_eq!(tag_on(node), Some(at(3)), "tag on {node}");
+            assert!(s_tag > r_tag, "{s_tag} after {r_tag}");
+            // The fan-out of `s` lands (and repairs what it cannot
+            // apply) before anti-entropy looks; no replica ever holds the
+            // gap-applied `ps`.
+            for _ in 0..100 {
+                fabric.handle().sleep(Duration::from_micros(10)).await;
+                for node in [b, c] {
+                    assert_ne!(replica_bytes(&store, node, id), b"ps", "{node} took a gap");
+                }
             }
-            assert_eq!(replica_bytes(&store, a, id), b"prs");
-            assert_eq!(replica_bytes(&store, b, id), b"ps", "r lost on {b}");
-            assert_eq!(replica_bytes(&store, c, id), b"ps", "r lost on {c}");
+            testkit::until_replicas_agree(&store, &replicas, id, b"prs").await;
+            for node in [a, b, c] {
+                assert_eq!(replica_bytes(&store, node, id), b"prs", "on {node}");
+            }
         });
     }
 }

@@ -12,8 +12,8 @@
 //!   jitter is drawn from the dedicated `"store-retry"` RNG stream, so
 //!   the same seed reproduces the same retry schedule;
 //! * once the per-target attempt budget is exhausted the client **fails
-//!   over** to the next replica in placement order — safe because every
-//!   retry carries the same `req_id` and coordinators deduplicate on it;
+//!   over** to the next replica in placement order, with the same
+//!   `req_id`, which keeps the write from applying twice;
 //! * an overall **operation deadline** bounds the total time spent.
 //!
 //! All jitter draws happen only when a retry actually sleeps: a healthy

@@ -1,21 +1,14 @@
-//! The storage replication protocol codec.
+//! The storage replication protocol codec: a compact binary format (the
+//! "non-REST implementation of existing APIs" of §2.1) whose byte counts
+//! feed the fabric's bandwidth model.
 //!
-//! Replica traffic is encoded with a compact binary format (fixed-width
-//! ids and tags, varint-free u32 lengths) rather than the JSON/HTTP
-//! stack — this *is* the "non-REST implementation of existing APIs" the
-//! paper says providers need at minimum (§2.1). Keeping it byte-accurate
-//! also makes message sizes feed the fabric's bandwidth model honestly.
-//!
-//! This module owns the frames — [`Request`], [`Response`] and the
-//! store's field types (ids, tags, mutations, full replica states). A
-//! [`Response::Err`] carries the [`PcsiError`] itself, in the one error
-//! codec `pcsi-core` owns ([`PcsiError::encode`]), as does a mutability
-//! byte ([`Mutability::encode`]). The bytes are read and written by the
-//! workspace's one frame cursor, [`pcsi_proto::binary`]: frames are
-//! built in pooled buffers and payload fields decode as zero-copy views
-//! of the received frame; a frame whose payload a receiver may keep is
-//! finished exactly sized. The streaming protocol's frames live in
-//! `pcsi_stream::frame`, over the same cursor.
+//! This module owns the frames, [`Request`] and [`Response`], and the
+//! store's field types. A [`Response::Err`] carries the [`PcsiError`] in
+//! `pcsi-core`'s codec ([`PcsiError::encode`]), a mutability its byte
+//! ([`Mutability::encode`]). Bytes go through the workspace's one frame
+//! cursor, [`pcsi_proto::binary`]: frames are built in pooled buffers,
+//! payloads decode as views of the frame, and a frame whose payload a
+//! receiver may keep is finished exactly sized.
 
 use bytes::Bytes;
 use pcsi_core::{Mutability, ObjectId, PcsiError};
@@ -28,46 +21,58 @@ use crate::version::Tag;
 /// Requests understood by a replica node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Client → primary: order and replicate a mutation.
-    ///
-    /// `sync_replicas` is how many replicas (including the primary) must
-    /// have applied the mutation before the primary acknowledges:
-    /// majority for linearizable objects, 1 for eventual objects.
+    /// Client → replica: coordinate a mutation.
     Coordinate {
         /// Target object.
         id: ObjectId,
-        /// The mutation to order.
+        /// The mutation.
         mutation: Mutation,
-        /// Acks required before success is reported.
+        /// Replicas (the coordinator included) that must hold the write
+        /// before success: a majority or more runs a ballot round, 1 an
+        /// eventual write.
         sync_replicas: u32,
-        /// Store-unique request id. The network is at-least-once (the
-        /// fabric can duplicate messages), so the primary deduplicates on
-        /// this id and replays the recorded response instead of ordering
-        /// the mutation twice.
+        /// Store-unique request id, the same on every retry and failover
+        /// of one client operation. Replicas record it with the state
+        /// that contains it, and a coordinator applies the mutation only
+        /// to a state whose records lack it: a duplicate or a retry
+        /// re-accepts the state holding it instead of applying it twice.
         req_id: u64,
-        /// Absolute virtual-time expiry of this *attempt* in
-        /// nanoseconds, or 0 for "never". Set from the client's
-        /// per-attempt deadline: past it the client has provably
-        /// abandoned the attempt, so the coordinator must not order the
-        /// mutation at a fresh tag — a slow coordination that mints
-        /// after the client already succeeded through another
-        /// coordinator would resurrect the mutation on top of later
-        /// acknowledged writes.
+        /// Absolute virtual-time expiry of this attempt (ns, 0 for none).
+        /// Past it the client has moved on and may have succeeded
+        /// elsewhere, so the coordinator must not order the mutation.
         expires_ns: u64,
     },
-    /// Primary → secondary: apply an ordered mutation.
+    /// Coordinator → replica: accept at `tag` the state `mutation` makes
+    /// of the one at `base`. A replica applies it only on exactly `base`
+    /// and, in a `round`, at or above its promise; anything else gets
+    /// [`Response::Stale`], no ack, and a [`Request::Push`] of the whole
+    /// state if it is merely behind.
     Apply {
         /// Target object.
         id: ObjectId,
-        /// Tag assigned by the primary.
+        /// The ballot: the tag the state gets.
         tag: Tag,
+        /// The tag of the state the mutation applies to.
+        base: Tag,
+        /// An accept of a linearizable round, held to the promise; an
+        /// eventual write's fan-out is not (the newest tag wins).
+        round: bool,
         /// The mutation.
         mutation: Mutation,
-        /// `req_id` of the coordination that ordered this mutation, or
-        /// `0` for internal traffic with no client request behind it.
-        /// Secondaries record it so a failed-over retry of the same
-        /// client request replays instead of re-ordering.
+        /// The coordination's `req_id` (0: none), recorded with the state.
         req_id: u64,
+    },
+    /// Coordinator → replica: a round's first phase. Promise `ballot` and
+    /// report the state held: whole ([`Response::Object`]) when live and
+    /// newer than `have`, else its tag ([`Response::TagIs`]; newer than
+    /// `have`, a tombstone). [`Response::Stale`] if it cannot promise.
+    Prepare {
+        /// Target object.
+        id: ObjectId,
+        /// The ballot to promise.
+        ballot: Tag,
+        /// The newest tag the coordinator holds.
+        have: Tag,
     },
     /// Read a byte range.
     Read {
@@ -78,23 +83,20 @@ pub enum Request {
         /// Max bytes to return.
         len: u64,
     },
-    /// Report the newest tag held for an object (version quorum).
-    TagOf {
-        /// Target object.
-        id: ObjectId,
-    },
-    /// Fetch the full replica state of an object (anti-entropy pull,
-    /// read repair).
+    /// Fetch the replica state (anti-entropy, write-back, a migration's
+    /// snapshot): whole ([`Response::Object`]) when live, else its tag
+    /// ([`Response::TagIs`]: a tombstone's, or zero). A frozen object's
+    /// fetch also promises the seal's lowest ballot, one sequence number
+    /// above the tag held with writer `u32::MAX`.
     Fetch {
         /// Target object.
         id: ObjectId,
     },
     /// List `(id, tag)` inventory (anti-entropy exchange).
     Inventory,
-    /// One-RTT quorum read: report the newest local tag and, when the
-    /// requested range fits `inline_limit`, the bytes themselves. A
-    /// reply above the limit degrades to [`Response::TagIs`] and the
-    /// client falls back to a directed [`Request::Read`].
+    /// One-RTT quorum read: the newest local tag and, within
+    /// `inline_limit`, the bytes (else [`Response::TagIs`] and the client
+    /// reads the newest replica with [`Request::Read`]).
     ReadWithTag {
         /// Target object.
         id: ObjectId,
@@ -105,26 +107,23 @@ pub enum Request {
         /// Largest payload the replica may inline into the reply.
         inline_limit: u64,
     },
-    /// Install a full object state (read repair push). The receiver
-    /// keeps whichever tag is newest, exactly like an anti-entropy pull,
-    /// so stale or duplicate pushes are harmless.
+    /// Install a full object state at its tag (a read's write-back, a
+    /// coordinator's repair). The receiver takes it when the tag is
+    /// newer than its state and not below its promise, and answers
+    /// [`Response::Applied`] then and when it holds exactly that tag,
+    /// [`Response::Stale`] otherwise.
     Push {
         /// Target object.
         id: ObjectId,
         /// The state to install.
         object: StoredObject,
-        /// The sender's request ledger for the object: `(req_id, tag)`
-        /// of every client request contained in `object`'s history.
-        /// Installed alongside the state so exactly-once dedup survives
-        /// state transfer.
+        /// `(req_id, tag)` of the client requests `object` contains,
+        /// installed with it.
         reqs: Vec<(u64, Tag)>,
     },
-    /// Migration driver → new owner: install a frozen object snapshot as
-    /// part of a shard move. Semantically a [`Request::Push`] (newest tag
-    /// wins, ledger installed alongside), but tagged with the topology
-    /// epoch the driver computed the target set under: a receiver on a
-    /// different epoch rejects with [`Response::WrongEpoch`] so a stale
-    /// driver can never install state under an outdated ring.
+    /// Migration driver → new owner: install a shard move's sealed
+    /// snapshot, under the topology epoch the driver routed by (a
+    /// receiver on another answers [`Response::WrongEpoch`]).
     Migrate {
         /// Topology epoch the sender routed under.
         epoch: u64,
@@ -132,13 +131,10 @@ pub enum Request {
         id: ObjectId,
         /// The sealed snapshot to install.
         object: StoredObject,
-        /// The old owners' request ledger for the object (see
-        /// [`Request::Push::reqs`]).
+        /// The snapshot's request records (see [`Request::Push::reqs`]).
         reqs: Vec<(u64, Tag)>,
-        /// The move found a committed delete newer than any live state:
-        /// install a tombstone at `object.tag` (whose `data` is empty)
-        /// instead of live state, so stale old owners cannot resurrect
-        /// the object after the flip.
+        /// Install a tombstone at `object.tag` instead: the move found a
+        /// committed delete newer than any live state.
         tombstone: bool,
     },
 }
@@ -146,7 +142,7 @@ pub enum Request {
 /// Replies from a replica node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Mutation ordered and durably applied at the required replicas.
+    /// The write holds at the required replicas.
     Coordinated {
         /// The tag the mutation received.
         tag: Tag,
@@ -157,12 +153,10 @@ pub enum Response {
     Data {
         /// Tag of the state served.
         tag: Tag,
-        /// Mutability level of the object — lets clients decide whether
-        /// the bytes are safe to cache node-locally.
+        /// Mutability level: whether the bytes may be cached node-locally.
         mutability: Mutability,
-        /// Stable-prefix length. The engine keeps this equal to the full
-        /// object size after every mutation, so clients can both detect
-        /// complete reads and bound append-only prefix caching.
+        /// Stable-prefix length (the object's size): bounds append-only
+        /// prefix caching.
         stable_len: u64,
         /// The bytes.
         data: Bytes,
@@ -176,40 +170,24 @@ pub enum Response {
     Object {
         /// The replica state.
         object: StoredObject,
-        /// The sender's request ledger for the object (see
-        /// [`Request::Push::reqs`]). A receiver installing `object` must
-        /// install these too, or a later failed-over retry of a request
-        /// contained in the state would be re-applied.
+        /// Its request records (see [`Request::Push::reqs`]).
         reqs: Vec<(u64, Tag)>,
     },
-    /// The object is not present on this replica.
-    Absent,
     /// Inventory listing.
     InventoryIs {
         /// `(id, tag)` pairs in the responder's engine order, not sorted.
         entries: Vec<(ObjectId, Tag)>,
     },
-    /// The receiver already holds state at least as new as the tag the
-    /// sender tried to apply. Not an ack: a coordinator collecting
-    /// replication acks must treat this as evidence it ordered at a
-    /// stale tag (e.g. a restarted primary that missed failover writes)
-    /// and catch up before retrying.
+    /// A refusal, never an ack. To an `Apply`, `Prepare` or `Push`:
+    /// `newest` is the higher of the tag accepted and the ballot
+    /// promised; at or below the sender's ballot the receiver is behind
+    /// or on another line (a `Push` repairs it), above it the ballot lost.
+    /// To a `Migrate`: the receiver holds a tag above the seal.
     Stale {
-        /// The receiver's newest local tag.
+        /// The receiver's newest accepted or promised tag.
         newest: Tag,
     },
-    /// The receiver's current state already contains the request the
-    /// sender tried to apply (matched by `req_id` in its ledger), so it
-    /// was not applied again. Counts as a replication ack: the peer
-    /// provably holds the mutation, exactly once.
-    AlreadyApplied {
-        /// The tag the receiver recorded the request at (may differ
-        /// from the sender's tag after a failover re-order).
-        tag: Tag,
-    },
-    /// The sender's [`Request::Migrate`] carried a topology epoch that
-    /// does not match the receiver's ring. The install was refused; the
-    /// driver must recompute the target set under the current epoch.
+    /// A [`Request::Migrate`] under another topology epoch was refused.
     WrongEpoch {
         /// The receiver's current topology epoch.
         current: u64,
@@ -275,6 +253,14 @@ fn read_tag(r: &mut Reader) -> Result<Tag, DecodeError> {
         seq: r.u64()?,
         writer: r.u32()?,
     })
+}
+
+fn read_bool(r: &mut Reader) -> Result<bool, DecodeError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        b => Err(DecodeError::BadTag(b)),
+    }
 }
 
 fn read_mutation(r: &mut Reader) -> Result<Mutation, DecodeError> {
@@ -369,13 +355,14 @@ fn finish(w: Writer, kept: bool) -> Bytes {
     }
 }
 
-/// The [`Request::Apply`] frame that replicates `mutation` at `tag`, and
-/// the mutation again with its payload a view of the frame's own copy. A
-/// coordinator applies the returned mutation and fans the frame out, so
-/// every replica of the write keeps a view of one allocation.
+/// The [`Request::Apply`] frame that replicates `mutation` at `tag` on
+/// `base`, and the mutation again with its payload a view of the frame's
+/// own copy. A coordinator applies the returned mutation and fans the
+/// frame out, so every replica of the write keeps a view of one
+/// allocation.
 pub(crate) fn apply_frame(
-    id: ObjectId,
-    tag: Tag,
+    (id, tag, base): (ObjectId, Tag, Tag),
+    round: bool,
     mutation: &Mutation,
     req_id: u64,
     ctx: Option<TraceContext>,
@@ -383,11 +370,13 @@ pub(crate) fn apply_frame(
     let apply = Request::Apply {
         id,
         tag,
+        base,
+        round,
         mutation: mutation.clone(),
         req_id,
     };
-    let frame = encode_request_traced(&apply, ctx);
     let mut local = mutation.clone();
+    let frame = encode_request_traced(&apply, ctx);
     if let Mutation::PutFull { data, .. }
     | Mutation::WriteAt { data, .. }
     | Mutation::Append { data } = &mut local
@@ -421,12 +410,16 @@ fn write_request(w: &mut Writer, req: &Request) {
         Request::Apply {
             id,
             tag,
+            base,
+            round,
             mutation,
             req_id,
         } => {
             w.u8(1);
             write_id(w, *id);
             write_tag(w, *tag);
+            write_tag(w, *base);
+            w.u8(u8::from(*round));
             w.u64(*req_id);
             write_mutation(w, mutation);
         }
@@ -435,10 +428,6 @@ fn write_request(w: &mut Writer, req: &Request) {
             write_id(w, *id);
             w.u64(*offset);
             w.u64(*len);
-        }
-        Request::TagOf { id } => {
-            w.u8(3);
-            write_id(w, *id);
         }
         Request::Fetch { id } => {
             w.u8(4);
@@ -474,6 +463,12 @@ fn write_request(w: &mut Writer, req: &Request) {
             w.u8(u8::from(*tombstone));
             write_id(w, *id);
             write_state(w, object, reqs);
+        }
+        Request::Prepare { id, ballot, have } => {
+            w.u8(9);
+            write_id(w, *id);
+            write_tag(w, *ballot);
+            write_tag(w, *have);
         }
     }
 }
@@ -525,6 +520,8 @@ fn read_request(r: &mut Reader) -> Result<Request, DecodeError> {
         1 => Request::Apply {
             id: read_id(r)?,
             tag: read_tag(r)?,
+            base: read_tag(r)?,
+            round: read_bool(r)?,
             req_id: r.u64()?,
             mutation: read_mutation(r)?,
         },
@@ -533,7 +530,6 @@ fn read_request(r: &mut Reader) -> Result<Request, DecodeError> {
             offset: r.u64()?,
             len: r.u64()?,
         },
-        3 => Request::TagOf { id: read_id(r)? },
         4 => Request::Fetch { id: read_id(r)? },
         5 => Request::Inventory,
         6 => Request::ReadWithTag {
@@ -549,11 +545,7 @@ fn read_request(r: &mut Reader) -> Result<Request, DecodeError> {
         }
         8 => {
             let epoch = r.u64()?;
-            let tombstone = match r.u8()? {
-                0 => false,
-                1 => true,
-                b => return Err(DecodeError::BadTag(b)),
-            };
+            let tombstone = read_bool(r)?;
             let id = read_id(r)?;
             let (object, reqs) = read_state(r)?;
             Request::Migrate {
@@ -564,6 +556,11 @@ fn read_request(r: &mut Reader) -> Result<Request, DecodeError> {
                 tombstone,
             }
         }
+        9 => Request::Prepare {
+            id: read_id(r)?,
+            ballot: read_tag(r)?,
+            have: read_tag(r)?,
+        },
         b => return Err(DecodeError::BadTag(b)),
     })
 }
@@ -603,7 +600,6 @@ pub fn encode_response(resp: &Response) -> Bytes {
             w.u8(4);
             write_state(&mut w, object, reqs);
         }
-        Response::Absent => w.u8(5),
         Response::InventoryIs { entries } => {
             w.u8(6);
             w.count(LEN, entries.len());
@@ -615,10 +611,6 @@ pub fn encode_response(resp: &Response) -> Bytes {
         Response::Stale { newest } => {
             w.u8(8);
             write_tag(&mut w, *newest);
-        }
-        Response::AlreadyApplied { tag } => {
-            w.u8(9);
-            write_tag(&mut w, *tag);
         }
         Response::WrongEpoch { current } => {
             w.u8(10);
@@ -657,7 +649,6 @@ pub fn decode_response(buf: &Bytes) -> Result<Response, DecodeError> {
             let (object, reqs) = read_state(&mut r)?;
             Response::Object { object, reqs }
         }
-        5 => Response::Absent,
         6 => {
             // An inventory entry is a 16-byte id and a 12-byte tag.
             let n = r.count(LEN, 28)?;
@@ -670,9 +661,6 @@ pub fn decode_response(buf: &Bytes) -> Result<Response, DecodeError> {
         7 => Response::Err(PcsiError::decode(&mut r)?),
         8 => Response::Stale {
             newest: read_tag(&mut r)?,
-        },
-        9 => Response::AlreadyApplied {
-            tag: read_tag(&mut r)?,
         },
         10 => Response::WrongEpoch { current: r.u64()? },
         b => return Err(DecodeError::BadTag(b)),
@@ -749,6 +737,8 @@ mod tests {
             Request::Apply {
                 id: oid(2),
                 tag: Tag { seq: 9, writer: 3 },
+                base: Tag { seq: 8, writer: 3 },
+                round: true,
                 mutation: Mutation::WriteAt {
                     offset: 4,
                     data: Bytes::from_static(b"x"),
@@ -760,7 +750,6 @@ mod tests {
                 offset: 0,
                 len: 1024,
             },
-            Request::TagOf { id: oid(4) },
             Request::Fetch { id: oid(5) },
             Request::Inventory,
             Request::Coordinate {
@@ -773,6 +762,8 @@ mod tests {
             Request::Apply {
                 id: oid(7),
                 tag: Tag { seq: 1, writer: 0 },
+                base: Tag::ZERO,
+                round: false,
                 mutation: Mutation::SetMutability {
                     to: Mutability::Immutable,
                 },
@@ -781,10 +772,17 @@ mod tests {
             Request::Apply {
                 id: oid(8),
                 tag: Tag { seq: 2, writer: 1 },
+                base: Tag { seq: 1, writer: 4 },
+                round: true,
                 mutation: Mutation::Append {
                     data: Bytes::from_static(b"entry"),
                 },
                 req_id: u64::MAX,
+            },
+            Request::Prepare {
+                id: oid(12),
+                ballot: Tag { seq: 7, writer: 2 },
+                have: Tag { seq: 5, writer: 1 },
             },
             Request::ReadWithTag {
                 id: oid(9),
@@ -845,7 +843,6 @@ mod tests {
                 },
                 reqs: vec![(3, Tag { seq: 3, writer: 1 })],
             },
-            Response::Absent,
             Response::InventoryIs {
                 entries: vec![
                     (oid(1), Tag { seq: 1, writer: 0 }),
@@ -867,9 +864,6 @@ mod tests {
             Response::Err(PcsiError::BadPayload("offset overflows".into())),
             Response::Stale {
                 newest: Tag { seq: 12, writer: 4 },
-            },
-            Response::AlreadyApplied {
-                tag: Tag { seq: 6, writer: 2 },
             },
         ];
         for resp in resps {
@@ -957,12 +951,14 @@ mod tests {
             trace: TraceId(7),
             parent: SpanId(8),
         });
-        let tag = Tag { seq: 2, writer: 1 };
+        let (tag, base) = (Tag { seq: 2, writer: 1 }, Tag { seq: 1, writer: 1 });
         for (mutation, ctx) in mutations.iter().flat_map(|m| [(m, None), (m, traced)]) {
-            let (frame, local) = apply_frame(oid(1), tag, mutation, 9, ctx);
+            let (frame, local) = apply_frame((oid(1), tag, base), true, mutation, 9, ctx);
             let apply = Request::Apply {
                 id: oid(1),
                 tag,
+                base,
+                round: true,
                 mutation: mutation.clone(),
                 req_id: 9,
             };

@@ -114,20 +114,32 @@ fn arb_request() -> impl Strategy<Value = Request> {
                     expires_ns,
                 }
             }),
-        (arb_id(), arb_tag(), arb_wire_mutation(), any::<u64>()).prop_map(
-            |(id, tag, mutation, req_id)| Request::Apply {
-                id,
-                tag,
-                mutation,
-                req_id,
-            }
-        ),
+        (
+            (arb_id(), arb_tag(), arb_tag()),
+            any::<bool>(),
+            arb_wire_mutation(),
+            any::<u64>()
+        )
+            .prop_map(|((id, tag, base), round, mutation, req_id)| {
+                Request::Apply {
+                    id,
+                    tag,
+                    base,
+                    round,
+                    mutation,
+                    req_id,
+                }
+            }),
+        (arb_id(), arb_tag(), arb_tag()).prop_map(|(id, ballot, have)| Request::Prepare {
+            id,
+            ballot,
+            have
+        }),
         (arb_id(), any::<u64>(), any::<u64>()).prop_map(|(id, offset, len)| Request::Read {
             id,
             offset,
             len
         }),
-        arb_id().prop_map(|id| Request::TagOf { id }),
         arb_id().prop_map(|id| Request::Fetch { id }),
         Just(Request::Inventory),
         (arb_id(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
@@ -209,11 +221,9 @@ fn arb_response() -> impl Strategy<Value = Response> {
         ),
         arb_tag().prop_map(|tag| Response::TagIs { tag }),
         (arb_object(), arb_reqs()).prop_map(|(object, reqs)| Response::Object { object, reqs }),
-        Just(Response::Absent),
         proptest::collection::vec((arb_id(), arb_tag()), 0..12)
             .prop_map(|entries| Response::InventoryIs { entries }),
         arb_tag().prop_map(|newest| Response::Stale { newest }),
-        arb_tag().prop_map(|tag| Response::AlreadyApplied { tag }),
         any::<u64>().prop_map(|current| Response::WrongEpoch { current }),
         arb_wire_error().prop_map(Response::Err),
     ]
