@@ -469,8 +469,11 @@ pub fn shape_holds(r: &StreamingResult) -> Result<(), String> {
             fast.sse_tax()
         ));
     }
-    // Fan-out costs more than a single subscriber on both paths, but
-    // stays the same order of magnitude (no 8x collapse).
+    // The x8 fan-out's mean per-event latency lies within [0.5x, 10x] of
+    // the 1-subscriber mean: this holds the lower bound, the test
+    // `fanout_scales_with_subscribers_not_collapse` the upper. Neither
+    // says fan-out costs more (the transcript has x8 below 1-subscriber
+    // at every generation); the control that must fail is ROADMAP 6(c)'s.
     for p in &r.points {
         if p.pcsi_fanout_ns < 0.5 * p.pcsi_event_ns {
             return Err(format!(
@@ -525,8 +528,9 @@ mod tests {
     fn fanout_scales_with_subscribers_not_collapse() {
         let points = run(DEFAULT_SEED, 8);
         for p in &points {
-            // Eight encode-once pushes cost more than one, but the mean
-            // per-event latency stays within an order of magnitude.
+            // The upper bound of the [0.5x, 10x] band `shape_holds`
+            // checks the lower bound of: the x8 mean per-event latency
+            // stays within an order of magnitude of the 1-subscriber one.
             assert!(
                 p.pcsi_fanout_ns < 10.0 * p.pcsi_event_ns,
                 "{}: fan-out {:.0}ns vs single {:.0}ns",
