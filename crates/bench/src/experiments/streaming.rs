@@ -469,11 +469,9 @@ pub fn shape_holds(r: &StreamingResult) -> Result<(), String> {
             fast.sse_tax()
         ));
     }
-    // The x8 fan-out's mean per-event latency lies within [0.5x, 10x] of
-    // the 1-subscriber mean: this holds the lower bound, the test
-    // `fanout_scales_with_subscribers_not_collapse` the upper. Neither
-    // says fan-out costs more (the transcript has x8 below 1-subscriber
-    // at every generation); the control that must fail is ROADMAP 6(c)'s.
+    // The x8 fan-out's mean lies within [0.5x, 10x] of the 1-subscriber
+    // mean: the lower bound here, the upper in a test. Neither says that
+    // fan-out costs more; the control that must fail is ROADMAP 6(c)'s.
     for p in &r.points {
         if p.pcsi_fanout_ns < 0.5 * p.pcsi_event_ns {
             return Err(format!(

@@ -600,8 +600,9 @@ async fn coordinate(
         if let Some(tag) = inner.engine.borrow().recorded(id, req_id).filter(|_| skip) {
             return Response::Coordinated { tag };
         }
-        let quorum = inner.placement.majority() - 1;
         if !skip {
+            // A majority's promises, though a delete accepts at all.
+            let quorum = inner.placement.majority() - 1;
             match prepare(inner, id, (ballot, held.accepted), &peers, quorum).await {
                 Ok(()) => {}
                 Err(Some(newest)) => {
@@ -796,7 +797,7 @@ async fn catch_up(inner: &Rc<Inner>, id: ObjectId, holder: NodeId) -> Result<(),
     Ok(())
 }
 
-/// One pull-based anti-entropy exchange with a random peer.
+/// One push-pull anti-entropy exchange with a random peer.
 async fn anti_entropy_round(inner: &Rc<Inner>) {
     let peers: Vec<NodeId> = inner
         .placement
