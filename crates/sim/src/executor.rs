@@ -15,7 +15,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
@@ -42,20 +42,8 @@ struct ReadyQueue {
 }
 
 impl ReadyQueue {
-    fn push(&self, id: TaskId) {
-        self.queue
-            .lock()
-            .expect("ready queue poisoned")
-            .push_back(id);
-    }
-
-    /// Swaps the queued batch out into `into` (which must be empty),
-    /// leaving the queue empty. One lock per batch instead of one per
-    /// task; FIFO order is preserved because the batch is processed
-    /// front-to-back before the next swap.
-    fn take_batch(&self, into: &mut VecDeque<TaskId>) {
-        debug_assert!(into.is_empty());
-        std::mem::swap(&mut *self.queue.lock().expect("ready queue poisoned"), into);
+    fn queue(&self) -> MutexGuard<'_, VecDeque<TaskId>> {
+        self.queue.lock().expect("ready queue poisoned")
     }
 }
 
@@ -82,7 +70,7 @@ impl Wake for TaskWaker {
 
     fn wake_by_ref(self: &Arc<Self>) {
         if !self.queued.swap(true, Ordering::AcqRel) {
-            self.ready.push(self.id);
+            self.ready.queue().push_back(self.id);
         }
     }
 }
@@ -158,8 +146,6 @@ pub struct Sim {
     inner: Rc<RefCell<Inner>>,
     ready: Arc<ReadyQueue>,
     rng: RngStreams,
-    /// Reusable batch buffer for [`Sim::drain_ready`].
-    scratch: VecDeque<TaskId>,
 }
 
 impl Sim {
@@ -169,7 +155,6 @@ impl Sim {
             inner: Rc::new(RefCell::new(Inner::new())),
             ready: Arc::new(ReadyQueue::default()),
             rng: RngStreams::new(seed),
-            scratch: VecDeque::new(),
         }
     }
 
@@ -220,17 +205,13 @@ impl Sim {
 
     /// Polls runnable tasks until the ready queue is empty.
     fn drain_ready(&mut self) {
-        let mut batch = std::mem::take(&mut self.scratch);
         loop {
-            self.ready.take_batch(&mut batch);
-            if batch.is_empty() {
-                break;
-            }
-            while let Some(id) = batch.pop_front() {
-                self.poll_task(id);
-            }
+            // Unlocked again before the poll, which may wake tasks.
+            let Some(id) = self.ready.queue().pop_front() else {
+                return;
+            };
+            self.poll_task(id);
         }
-        self.scratch = batch;
     }
 
     /// Advances the clock to the earliest timer and fires it: wakes the
@@ -357,6 +338,12 @@ impl SimHandle {
         self.inner.borrow().live_tasks
     }
 
+    /// Whether a task other than the one being polled waits to run at
+    /// this instant.
+    pub(crate) fn others_runnable(&self) -> bool {
+        !self.ready.queue().is_empty()
+    }
+
     /// Timers and events scheduled and not yet fired or cancelled.
     pub fn pending_timers(&self) -> usize {
         self.inner.borrow().timers.len()
@@ -419,7 +406,7 @@ impl SimHandle {
             waker_obj,
         }));
         drop(inner);
-        self.ready.push(id);
+        self.ready.queue().push_back(id);
     }
 
     /// Fires `event` with `token` at the instant `at`, in registration
@@ -444,10 +431,7 @@ impl SimHandle {
 
     /// Returns a future that completes `d` later in virtual time.
     pub fn sleep(&self, d: Duration) -> Sleep {
-        Sleep {
-            inner: Rc::clone(&self.inner),
-            deadline: self.now() + d,
-        }
+        self.sleep_until(self.now() + d)
     }
 
     /// Returns a future that completes at the absolute instant `at`
@@ -456,6 +440,7 @@ impl SimHandle {
         Sleep {
             inner: Rc::clone(&self.inner),
             deadline: at,
+            timer: None,
         }
     }
 }
@@ -472,26 +457,47 @@ impl fmt::Debug for SimHandle {
 ///
 /// Holds only the executor core (not a full [`SimHandle`]): sleeps are
 /// created on every RPC delivery, so construction and drop stay at one
-/// refcount bump.
+/// refcount bump. A pending sleep files one wheel node, however often it
+/// is polled: a poll from another task (a race or a gather handing its
+/// work off) moves the node's waker there, and the node keeps its place
+/// in the firing order. Dropping a pending sleep cancels its node.
 pub struct Sleep {
     inner: Rc<RefCell<Inner>>,
     deadline: SimTime,
+    /// The node filed at the first pending poll.
+    timer: Option<TimerId>,
 }
 
 impl Future for Sleep {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut inner = self.inner.borrow_mut();
-        if inner.now >= self.deadline {
-            Poll::Ready(())
-        } else {
-            // Re-registering on every poll is harmless: stale entries fire a
-            // spurious wake and the deadline check above absorbs it.
-            inner
-                .timers
-                .insert(self.deadline.as_nanos(), Fire::Wake(cx.waker().clone()));
-            Poll::Pending
+        let this = self.get_mut();
+        let mut inner = this.inner.borrow_mut();
+        if inner.now >= this.deadline {
+            // Woken by something else at the instant its node is due:
+            // the node would wake the task once more for nothing.
+            if let Some(id) = this.timer.take() {
+                inner.timers.cancel(id);
+            }
+            return Poll::Ready(());
+        }
+        match this.timer.and_then(|id| inner.timers.waker_mut(id)) {
+            Some(waker) => waker.clone_from(cx.waker()),
+            None => {
+                let wake = Fire::Wake(cx.waker().clone());
+                this.timer = Some(inner.timers.insert(this.deadline.as_nanos(), wake));
+            }
+        }
+        Poll::Pending
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        // A `Sim` unwinding out of a poll may hold the cell.
+        if let (Some(id), Ok(mut inner)) = (self.timer, self.inner.try_borrow_mut()) {
+            inner.timers.cancel(id);
         }
     }
 }
@@ -792,6 +798,57 @@ mod tests {
         };
         assert_eq!(run(99), run(99));
         assert_ne!(run(99).0, run(100).0);
+    }
+
+    /// Polls `sleep` once from the task awaiting this.
+    async fn poll_once(sleep: &mut Sleep) -> Poll<()> {
+        std::future::poll_fn(|cx| Poll::Ready(Pin::new(&mut *sleep).poll(cx))).await
+    }
+
+    #[test]
+    fn a_pending_sleep_files_one_timer_however_often_polled_and_none_once_dropped() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let (filed, dropped) = sim.block_on(async move {
+            let mut nap = h.sleep(Duration::from_micros(10));
+            for _ in 0..3 {
+                assert!(poll_once(&mut nap).await.is_pending());
+            }
+            let filed = h.pending_timers();
+            drop(nap);
+            (filed, h.pending_timers())
+        });
+        assert_eq!((filed, dropped), (1, 0));
+    }
+
+    /// A race or a gather hands a pending sleep to another task; when it
+    /// is due, the task that polled it first is not polled for it.
+    #[test]
+    fn a_sleep_moved_to_another_task_wakes_only_that_task() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let stash = Rc::new(RefCell::new(None));
+        sim.block_on({
+            let (h, stash) = (h.clone(), Rc::clone(&stash));
+            async move {
+                let (h2, first) = (h.clone(), Rc::clone(&stash));
+                h.spawn_detached(async move {
+                    let mut nap = h2.sleep(Duration::from_micros(10));
+                    assert!(poll_once(&mut nap).await.is_pending());
+                    *first.borrow_mut() = Some(nap);
+                    std::future::pending::<()>().await;
+                });
+                h.sleep(Duration::from_nanos(1)).await;
+                let nap = stash.borrow_mut().take().expect("the first task ran");
+                h.spawn_detached(nap);
+                h.sleep(Duration::from_nanos(1)).await;
+            }
+        });
+        let before = sim.poll_count();
+        sim.block_on(async move { h.sleep(Duration::from_micros(20)).await });
+        // The root's two polls and the second task's one: no wake is left
+        // behind for the first task.
+        assert_eq!(sim.poll_count() - before, 3);
     }
 
     #[test]

@@ -4,17 +4,15 @@
 //! combinators used by protocol code (`join_all`, `deadline`, `Pacer`)
 //! live here.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::future::{poll_fn, Future};
-use std::pin::{pin, Pin};
 use std::rc::Rc;
-use std::task::{Context, Poll};
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use crate::executor::{LocalBoxFuture, SimHandle};
-use crate::sync::mpsc;
 use crate::time::SimTime;
-use crate::wheel::TimerEvent;
+use crate::wheel::{TimerEvent, TimerId};
 
 /// Deterministic virtual-time rate gate.
 ///
@@ -96,115 +94,124 @@ impl Pacer {
 /// });
 /// assert_eq!(out, vec![0, 1, 2]);
 /// ```
-pub fn join_all<T, F>(futures: impl IntoIterator<Item = F>) -> JoinAll<T>
+pub async fn join_all<T, F>(futures: impl IntoIterator<Item = F>) -> Vec<T>
 where
     F: Future<Output = T> + 'static,
     T: 'static,
 {
-    JoinAll {
-        futures: futures
-            .into_iter()
-            .map(|f| Some(Box::pin(f) as LocalBoxFuture<T>))
-            .collect(),
-        outputs: Vec::new(),
-    }
+    let futures = futures.into_iter().enumerate();
+    let mut futures: Vec<_> = futures
+        .map(|(i, f)| Box::pin(async move { (i, f.await) }) as LocalBoxFuture<_>)
+        .collect();
+    let mut outputs: Vec<Option<T>> = futures.iter().map(|_| None).collect();
+    poll_fn(|cx| poll_each(&mut futures, cx, |(i, out)| outputs[i] = Some(out))).await;
+    outputs
+        .into_iter()
+        .map(|out| out.expect("joined"))
+        .collect()
 }
 
-/// Future returned by [`join_all`].
-pub struct JoinAll<T> {
-    futures: Vec<Option<LocalBoxFuture<T>>>,
-    outputs: Vec<Option<T>>,
-}
-
-// `JoinAll` never pins its outputs; the inner futures are heap-pinned boxes.
-impl<T> Unpin for JoinAll<T> {}
-
-impl<T> Future for JoinAll<T> {
-    type Output = Vec<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Vec<T>> {
-        let this = self.get_mut();
-        if this.outputs.is_empty() {
-            this.outputs.resize_with(this.futures.len(), || None);
-        }
-        let mut done = true;
-        for (slot, out) in this.futures.iter_mut().zip(this.outputs.iter_mut()) {
-            if let Some(fut) = slot {
-                match fut.as_mut().poll(cx) {
-                    Poll::Ready(v) => {
-                        *out = Some(v);
-                        *slot = None;
-                    }
-                    Poll::Pending => done = false,
-                }
-            }
-        }
-        if done {
-            Poll::Ready(
-                this.outputs
-                    .iter_mut()
-                    .map(|o| o.take().expect("join_all output missing"))
-                    .collect(),
-            )
-        } else {
-            Poll::Pending
-        }
+/// Polls each future of `futures` in order, hands the output of each
+/// one that finishes to `done` and drops it; `Ready` once none is left.
+/// The loop under [`join_all`], for callers that act on outputs as they
+/// come.
+pub fn poll_each<T>(
+    futures: &mut Vec<LocalBoxFuture<T>>,
+    cx: &mut Context<'_>,
+    mut done: impl FnMut(T),
+) -> Poll<()> {
+    futures.retain_mut(|f| f.as_mut().poll(cx).map(&mut done).is_pending());
+    if futures.is_empty() {
+        Poll::Ready(())
+    } else {
+        Poll::Pending
     }
 }
 
 /// Races `fut` against a timer: `Some(output)` if the future completes
 /// within `dur`, `None` otherwise.
 ///
-/// On timeout the future is **not** cancelled — it was spawned as its own
-/// task and keeps running detached. Callers racing an RPC must therefore
-/// treat a `None` as *ambiguous* (the request may still take effect) and
-/// lean on request-level idempotence when retrying.
+/// The future is polled in the caller's task, first where a task spawned
+/// now would be: behind every task already runnable. Its expiry is an
+/// event scheduled after that poll, so behind any timer the poll
+/// registered: a future done in exactly `dur` by such a timer wins the
+/// tie, by a later one loses it. A winner cancels the expiry.
+///
+/// On timeout the future is **not** cancelled: it moves to a detached
+/// task and keeps running. Callers racing an RPC must therefore treat a
+/// `None` as *ambiguous* (the request may still take effect) and lean on
+/// request-level idempotence when retrying. Only the expiry hands the
+/// future off: dropping a pending `deadline` drops the future and
+/// cancels the expiry. No caller does; each awaits its race to the end.
 pub async fn deadline<T: 'static>(
     handle: &SimHandle,
     dur: Duration,
     fut: impl Future<Output = T> + 'static,
 ) -> Option<T> {
-    let (tx, mut rx) = mpsc::channel();
-    let h = handle.clone();
-    // The future reports through the channel; no JoinHandle needed.
-    handle.spawn_detached(async move {
-        let mut fut = pin!(fut);
-        let first = poll_fn(|cx| Poll::Ready(fut.as_mut().poll(cx))).await;
-        let out = match first {
-            Poll::Ready(out) => out,
-            Poll::Pending => {
-                // Registered after the first poll, so behind any timer
-                // that poll registered: a future done in exactly `dur`
-                // by such a timer wins the tie, by a later one loses it.
-                let expiry = Rc::new(Expiry(tx.clone()));
-                let id = h.schedule(h.now() + dur, expiry, 0);
-                let out = fut.await;
-                // The expiry would wake nobody now: drop it and its channel.
-                h.cancel(id);
-                out
+    let mut fut: LocalBoxFuture<T> = Box::pin(fut);
+    let (mut first, mut armed) = (true, None::<Armed>);
+    let won = poll_fn(|cx| {
+        if std::mem::take(&mut first) && handle.others_runnable() {
+            cx.waker().wake_by_ref();
+            return Poll::Pending;
+        }
+        // Checked first: a future done by a timer behind the expiry lost
+        // the race when the expiry fired.
+        let waker = armed.as_ref().map(|Armed(.., expiry)| &expiry.0);
+        if waker.is_some_and(|w| w.borrow().is_none()) {
+            return Poll::Ready(None);
+        }
+        if let Poll::Ready(out) = fut.as_mut().poll(cx) {
+            return Poll::Ready(Some(out));
+        }
+        match waker {
+            Some(w) => w
+                .borrow_mut()
+                .as_mut()
+                .expect("unfired")
+                .clone_from(cx.waker()),
+            None => {
+                let expiry = Rc::new(Expiry(RefCell::new(Some(cx.waker().clone()))));
+                let id = handle.schedule(handle.now() + dur, expiry.clone(), 0);
+                armed = Some(Armed(handle, id, expiry));
             }
-        };
-        let _ = tx.send(Some(out));
-    });
-    match rx.recv().await {
-        Some(first) => first,
-        None => unreachable!("deadline: the future vanished"),
+        }
+        Poll::Pending
+    })
+    .await;
+    if won.is_none() {
+        handle.spawn_detached(async move {
+            fut.await;
+        });
+    }
+    won
+}
+
+/// The timer's side of a [`deadline`] race: wakes the racing task, and
+/// leaves `None` behind to say the race is lost.
+struct Expiry(RefCell<Option<Waker>>);
+
+impl TimerEvent for Expiry {
+    fn fire(self: Rc<Self>, _token: u64) {
+        if let Some(waker) = self.0.take() {
+            waker.wake();
+        }
     }
 }
 
-/// The timer's side of a [`deadline`] race: `None` down the channel.
-struct Expiry<T>(mpsc::Sender<Option<T>>);
+/// A scheduled [`Expiry`], cancelled when the race ends without it.
+struct Armed<'a>(&'a SimHandle, TimerId, Rc<Expiry>);
 
-impl<T> TimerEvent for Expiry<T> {
-    fn fire(self: Rc<Self>, _token: u64) {
-        // The receiver is gone if the future won.
-        let _ = self.0.send(None);
+impl Drop for Armed<'_> {
+    fn drop(&mut self) {
+        self.0.cancel(self.1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::mpsc;
     use crate::Sim;
 
     #[test]
@@ -295,6 +302,24 @@ mod tests {
             got,
             vec![(Some(1), 10), (None, 30), (Some(1), 30), (None, 30)]
         );
+    }
+
+    /// A race started while another task is runnable first polls its
+    /// future behind that task, where a spawned task's first poll is.
+    #[test]
+    fn deadline_first_polls_its_future_behind_the_runnable_tasks() {
+        let mut sim = Sim::new(0);
+        let h = sim.handle();
+        let order = sim.block_on(async move {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let task = Rc::clone(&log);
+            h.spawn_detached(async move { task.borrow_mut().push("task") });
+            let race = Rc::clone(&log);
+            let fut = async move { race.borrow_mut().push("future") };
+            deadline(&h, Duration::from_micros(1), fut).await;
+            log.take()
+        });
+        assert_eq!(order, ["task", "future"]);
     }
 
     #[test]

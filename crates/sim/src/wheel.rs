@@ -168,6 +168,17 @@ impl TimerWheel {
         Some(fire)
     }
 
+    /// The waker of a pending sleep's timer, to replace in place: the
+    /// timer keeps its place in the firing order. `None` if it fired or
+    /// was cancelled.
+    pub(crate) fn waker_mut(&mut self, id: TimerId) -> Option<&mut Waker> {
+        let node = self.nodes.get_mut(id.index as usize)?;
+        match &mut node.fire {
+            Some(Fire::Wake(waker)) if node.gen == id.gen => Some(waker),
+            _ => None,
+        }
+    }
+
     /// Files an in-horizon node into its level and slot, or frees it.
     fn file(&mut self, index: u32) {
         let node = &self.nodes[index as usize];

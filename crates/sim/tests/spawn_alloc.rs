@@ -1,7 +1,8 @@
 //! Spawning is on the path of every simulated RPC, so what it takes from
 //! the heap is pinned: a task moving into a slot another has left
 //! allocates its boxed future and nothing else (the slot keeps its
-//! waker), and a `deadline` is one task and one event, not two tasks.
+//! waker), and a `deadline` spawns no task: it is the future's box and
+//! one event.
 //! A counting global allocator (per thread, so the harness's own
 //! threads do not leak into the count) holds them to it. A race the
 //! future wins leaves no timer pending.
@@ -35,10 +36,10 @@ impl TimerEvent for Ping {
 
 /// Leaves the simulator with nothing left to grow at virtual time zero:
 /// both buffers of the ready queue, the task table with a free slot in
-/// it, the two timer-wheel slots the measured `deadline` files into
-/// (two parked sleepers hold them), and three free timer nodes, one per
-/// timer the race registers (its expiry, and the future's sleep on each
-/// of its two polls): three events due now fire before the clock moves.
+/// it, the two timer-wheel slots the measured sleep and `deadline` file
+/// into (two parked sleepers hold them), and two free timer nodes, one
+/// per timer the race registers (the future's sleep and its expiry): two
+/// events due now fire before the clock moves.
 async fn warm_up(h: &SimHandle) {
     for d in [FUTURE_DONE, TIMEOUT] {
         let h2 = h.clone();
@@ -48,10 +49,10 @@ async fn warm_up(h: &SimHandle) {
         h.spawn(async {}).await;
     }
     let (tx, mut rx) = mpsc::channel();
-    for _ in 0..3 {
+    for _ in 0..2 {
         h.schedule(h.now(), Rc::new(Ping(tx.clone())), 0);
     }
-    for _ in 0..3 {
+    for _ in 0..2 {
         rx.recv().await;
     }
     assert_eq!(h.now(), SimTime::ZERO);
@@ -78,7 +79,7 @@ fn a_task_moving_into_a_used_slot_allocates_its_future_only() {
 }
 
 #[test]
-fn a_deadline_the_future_wins_is_four_blocks() {
+fn a_deadline_the_future_wins_is_two_blocks() {
     let mut sim = Sim::new(1);
     let h = sim.handle();
     let (out, n) = sim.block_on(async move {
@@ -93,9 +94,9 @@ fn a_deadline_the_future_wins_is_four_blocks() {
         (out, allocs() - before)
     });
     assert_eq!(out, Some(7));
-    // The race channel, its queue's first push, the future's box, the
-    // expiry event. No second task, and the first one's slot had a waker.
-    assert_eq!(n, 4);
+    // The future's box and the expiry event: the future is polled in
+    // the caller's task, and no channel carries its output.
+    assert_eq!(n, 2);
 }
 
 #[test]
@@ -104,14 +105,14 @@ fn a_deadline_the_future_wins_leaves_no_timer_behind() {
     let h = sim.handle();
     let (before, during, after) = sim.block_on(async move {
         let before = h.pending_timers();
-        // A task's result, so the sleep is polled once and registers
-        // once (polled twice, a sleep leaves a spurious wake behind).
+        // The sleep files one node however often it is polled, and it
+        // has fired by the time the future reads the count.
         let h2 = h.clone();
-        let task = h.spawn(async move {
+        let out = deadline(&h, TIMEOUT, async move {
             h2.sleep(FUTURE_DONE).await;
             h2.pending_timers()
-        });
-        let out = deadline(&h, TIMEOUT, task).await;
+        })
+        .await;
         (before, out, h.pending_timers())
     });
     assert_eq!(during, Some(1), "the expiry, while the race is on");

@@ -2,13 +2,15 @@
 //! Every message the store sends is an [`rpc`]; every "ask N replicas,
 //! go on at `need` acks" round is a [`gather`].
 
-use std::future::Future;
+use std::future::{poll_fn, Future};
+use std::task::Poll;
 
 use bytes::Bytes;
 use pcsi_core::PcsiError;
 use pcsi_net::fabric::NetError;
 use pcsi_net::{Fabric, NodeId};
-use pcsi_sim::sync::mpsc;
+use pcsi_sim::util::poll_each;
+use pcsi_sim::LocalBoxFuture;
 
 use crate::replica::{STORE_SERVICE, STORE_TRANSPORT};
 use crate::wire::{self, Response};
@@ -73,11 +75,14 @@ pub(crate) struct Shortfall<N> {
 /// first `need` acks, or the [`Shortfall`] as soon as `need` is out of
 /// reach (DESIGN §4.1).
 ///
-/// One detached task is spawned per target, in the order `targets`
-/// yields them (callers pass placement order). Each does one [`rpc`],
-/// then its own clone of `classify` decides ack (`Ok`) or not (`Err`)
-/// from `(node, reply)` — and may itself await. Tasks still in flight at the return finish
-/// detached: their effects land, their verdicts are dropped.
+/// Each target gets one boxed call, in the order `targets` yields them
+/// (callers pass placement order): one [`rpc`], then its own clone of
+/// `classify` decides ack (`Ok`) or not (`Err`) from `(node, reply)` —
+/// and may itself await. The awaiting task polls the calls and counts
+/// their verdicts as they complete. At the decision, the calls still in
+/// flight move to one detached task: their effects land, their verdicts
+/// are dropped. Only the decision hands them off; dropping a pending
+/// gather drops its calls. No caller does; each awaits its gather.
 pub(crate) async fn gather<A, N, C, Fut>(
     fabric: &Fabric,
     from: NodeId,
@@ -92,27 +97,38 @@ where
     C: FnOnce(NodeId, Result<Response, PcsiError>) -> Fut + Clone + 'static,
     Fut: Future<Output = Result<A, N>> + 'static,
 {
-    let (tx, mut rx) = mpsc::channel::<Result<A, N>>();
-    let mut total = 0;
-    for node in targets {
-        total += 1;
-        let (tx, classify) = (tx.clone(), classify.clone());
-        // One encode for the whole round: each send bumps a refcount.
-        let call = rpc(fabric, from, node, frame.clone());
-        fabric.handle().spawn_detached(async move {
-            let _ = tx.send(classify(node, call.await).await);
-        });
-    }
-    drop(tx);
-
+    let mut calls: Vec<LocalBoxFuture<Result<A, N>>> = targets
+        .into_iter()
+        .map(|node| {
+            // One encode for the whole round: each send bumps a refcount.
+            let (call, classify) = (rpc(fabric, from, node, frame.clone()), classify.clone());
+            Box::pin(async move { classify(node, call.await).await }) as _
+        })
+        .collect();
+    let total = calls.len();
     let (mut acks, mut nacks) = (Vec::with_capacity(need), Vec::new());
-    while decided(total, need, acks.len(), nacks.len()).is_none() {
-        match rx.recv().await {
-            Some(Ok(ack)) => acks.push(ack),
-            Some(Err(nack)) => nacks.push(nack),
-            // The simulation is tearing its tasks down.
-            None => break,
-        }
+    let open =
+        |acks: &Vec<_>, nacks: &Vec<_>| decided(total, need, acks.len(), nacks.len()).is_none();
+    // Decided before it starts (`need` 0), a round sends nothing until
+    // the caller has gone on.
+    if open(&acks, &nacks) {
+        poll_fn(|cx| {
+            let _ = poll_each(&mut calls, cx, |verdict| match verdict {
+                _ if !open(&acks, &nacks) => {}
+                Ok(ack) => acks.push(ack),
+                Err(nack) => nacks.push(nack),
+            });
+            if open(&acks, &nacks) {
+                Poll::Pending
+            } else {
+                Poll::Ready(())
+            }
+        })
+        .await;
+    }
+    if !calls.is_empty() {
+        let stragglers = poll_fn(move |cx| poll_each(&mut calls, cx, drop));
+        fabric.handle().spawn_detached(stragglers);
     }
     if acks.len() >= need {
         Ok(acks)
@@ -125,6 +141,94 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{self, linearizable_put, oid, replica_bytes};
+    use pcsi_core::Consistency;
+    use pcsi_net::MessageFaults;
+    use pcsi_sim::Sim;
+    use std::time::Duration;
+
+    /// A write's round decides at the first peer's ack; the Apply to the
+    /// other peer, held 1 ms on its link, is still in flight then. It
+    /// lands from the detached task once the simulation quiesces.
+    #[test]
+    fn the_third_replica_holds_a_write_the_round_no_longer_awaits() {
+        let mut sim = Sim::new(42);
+        let (fabric, store) = testkit::deploy(&sim, testkit::config());
+        let h = fabric.handle().clone();
+        let (id, data) = (oid(1), Bytes::from_static(b"late"));
+        let replicas = store.placement().replicas(id);
+        let spike = MessageFaults {
+            delay_spike: 1.0,
+            spike: Duration::from_millis(1),
+            ..MessageFaults::NONE
+        };
+        fabric.set_link_faults(replicas[0], replicas[2], spike);
+        let client = store.client(testkit::outsider(&store, id));
+        let put = data.clone();
+        sim.block_on(async move { linearizable_put(&client, id, put).await });
+        assert!(
+            replica_bytes(&store, replicas[2], id).is_empty(),
+            "in flight"
+        );
+        sim.block_on(async move { h.sleep(Duration::from_millis(5)).await });
+        assert_eq!(replica_bytes(&store, replicas[2], id), data);
+    }
+
+    /// The Apply to one peer is lost; the round decides without it. The
+    /// lost call ends after the retransmit timeout, long after the write
+    /// returned, and its repair push still reaches the peer.
+    #[test]
+    fn a_repair_push_that_starts_after_the_decision_lands() {
+        let mut sim = Sim::new(42);
+        let (fabric, store) = testkit::deploy(&sim, testkit::config());
+        let h = fabric.handle().clone();
+        let (id, data) = (oid(1), Bytes::from_static(b"repaired"));
+        let replicas = store.placement().replicas(id);
+        testkit::drop_link(&fabric, replicas[0], replicas[2]);
+        let client = store.client(testkit::outsider(&store, id));
+        let put = data.clone();
+        sim.block_on(async move { linearizable_put(&client, id, put).await });
+        assert!(replica_bytes(&store, replicas[2], id).is_empty(), "lost");
+        fabric.clear_message_faults();
+        sim.block_on(async move { h.sleep(Duration::from_millis(5)).await });
+        assert_eq!(replica_bytes(&store, replicas[2], id), data);
+    }
+
+    /// Task polls of one fault-free linearizable write (its straggler
+    /// included) and one one-RTT linearizable read, from a client outside
+    /// the replica set. A round's calls and an attempt's deadline are
+    /// polled in the task that awaits them: each spawned no task of its
+    /// own and sent no reply down a channel.
+    #[test]
+    fn a_write_and_a_one_rtt_read_take_pinned_polls() {
+        let mut sim = Sim::new(42);
+        let (fabric, store) = testkit::deploy(&sim, testkit::config());
+        let h = fabric.handle().clone();
+        let id = oid(1);
+        let client = store.client(testkit::outsider(&store, id));
+        let polls = |sim: &mut Sim, op| {
+            let before = sim.poll_count();
+            sim.block_on(op);
+            sim.poll_count() - before
+        };
+        let write = {
+            let (client, h) = (client.clone(), h.clone());
+            async move {
+                linearizable_put(&client, id, Bytes::from_static(b"x")).await;
+                h.sleep(Duration::from_millis(1)).await;
+            }
+        };
+        let read = async move {
+            client
+                .read_all(id, Consistency::Linearizable)
+                .await
+                .unwrap();
+            h.sleep(Duration::from_millis(1)).await;
+        };
+        let write = polls(&mut sim, Box::pin(write) as LocalBoxFuture<()>);
+        let read = polls(&mut sim, Box::pin(read));
+        assert_eq!((write, read), (12, 12));
+    }
 
     /// Every `total <= 5`, `need <= total` and every arrival order of
     /// ok/fail replies, fed through the loop the gather runs: the rule
