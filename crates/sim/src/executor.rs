@@ -338,9 +338,9 @@ impl SimHandle {
         self.inner.borrow().live_tasks
     }
 
-    /// Whether a task other than the one being polled waits to run at
-    /// this instant.
-    pub(crate) fn others_runnable(&self) -> bool {
+    /// Whether a task is queued to run at this instant, ahead of any
+    /// woken from now on (the task being polled, once it woke itself).
+    pub(crate) fn tasks_are_queued(&self) -> bool {
         !self.ready.queue().is_empty()
     }
 

@@ -151,7 +151,7 @@ pub async fn deadline<T: 'static>(
     let mut fut: LocalBoxFuture<T> = Box::pin(fut);
     let (mut first, mut armed) = (true, None::<Armed>);
     let won = poll_fn(|cx| {
-        if std::mem::take(&mut first) && handle.others_runnable() {
+        if std::mem::take(&mut first) && handle.tasks_are_queued() {
             cx.waker().wake_by_ref();
             return Poll::Pending;
         }
@@ -165,11 +165,7 @@ pub async fn deadline<T: 'static>(
             return Poll::Ready(Some(out));
         }
         match waker {
-            Some(w) => w
-                .borrow_mut()
-                .as_mut()
-                .expect("unfired")
-                .clone_from(cx.waker()),
+            Some(w) => *w.borrow_mut() = Some(cx.waker().clone()),
             None => {
                 let expiry = Rc::new(Expiry(RefCell::new(Some(cx.waker().clone()))));
                 let id = handle.schedule(handle.now() + dur, expiry.clone(), 0);
