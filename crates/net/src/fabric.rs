@@ -146,11 +146,31 @@ pub struct CallCtx {
 /// An RPC handler bound to a `(node, service)` pair.
 pub type RpcHandler = Rc<dyn Fn(Bytes, CallCtx) -> LocalBoxFuture<Result<Bytes, NetError>>>;
 
+/// A handler whose reply names the instant it leaves the server.
+type TimedHandler =
+    Rc<dyn Fn(Bytes, CallCtx) -> LocalBoxFuture<Result<(Bytes, SimTime), NetError>>>;
+
+/// A bound handler: its replies leave at once, or at the instant they name.
+#[derive(Clone)]
+enum Service {
+    Now(RpcHandler),
+    Timed(TimedHandler),
+}
+
+impl Service {
+    async fn serve(&self, payload: Bytes, ctx: CallCtx) -> Result<(Bytes, SimTime), NetError> {
+        match self {
+            Service::Now(handler) => Ok((handler(payload, ctx).await?, SimTime::ZERO)),
+            Service::Timed(handler) => handler(payload, ctx).await,
+        }
+    }
+}
+
 struct State {
     /// Handlers by node, then service name, so the per-call lookup is
     /// two borrowed-key probes — no `(NodeId, String)` tuple (and no
     /// `String` allocation) per RPC.
-    services: FxHashMap<NodeId, FxHashMap<String, RpcHandler>>,
+    services: FxHashMap<NodeId, FxHashMap<String, Service>>,
     down: FxHashSet<NodeId>,
     /// Symmetric set of blocked node pairs (stored with a <= b).
     blocked: FxHashSet<(NodeId, NodeId)>,
@@ -198,12 +218,13 @@ struct Message {
     to: NodeId,
     bytes: usize,
     transport: Transport,
+    leaves: SimTime,
 }
 
 /// What a message does next, once the wait before it is over.
 #[derive(Clone, Copy)]
 enum Stage {
-    /// Reachability, the counters, the fault draws.
+    /// Reachability, the counters, the fault draws, once it leaves.
     Start,
     /// The sender's endpoint overhead.
     Send,
@@ -358,13 +379,19 @@ impl Fabric {
     /// Binds `handler` as `service` on `node`, replacing any previous
     /// binding.
     pub fn bind(&self, node: NodeId, service: &str, handler: RpcHandler) {
-        self.inner
-            .state
-            .borrow_mut()
-            .services
-            .entry(node)
-            .or_default()
-            .insert(service.to_owned(), handler);
+        self.bind_service(node, service, Service::Now(handler));
+    }
+
+    /// Like [`Fabric::bind`], for a handler whose reply names the instant it
+    /// leaves the server: its hop starts then, with no task woken to start it.
+    pub fn bind_timed(&self, node: NodeId, service: &str, handler: TimedHandler) {
+        self.bind_service(node, service, Service::Timed(handler));
+    }
+
+    fn bind_service(&self, node: NodeId, name: &str, service: Service) {
+        let mut s = self.inner.state.borrow_mut();
+        let table = s.services.entry(node).or_default();
+        table.insert(name.to_owned(), service);
     }
 
     /// Removes a service binding; later calls to it fail with
@@ -444,15 +471,16 @@ impl Fabric {
     }
 
     /// One message's worth of delay — transport overhead, egress
-    /// queueing, propagation — or the fault that ends it. Local messages
-    /// skip the NIC entirely. The awaiting task is polled twice: to
-    /// start the message and to collect its outcome.
+    /// queueing, propagation — or the fault that ends it, once it
+    /// `leaves`. Local messages skip the NIC entirely. The awaiting task
+    /// is polled twice: to start the message and to collect its outcome.
     fn deliver(
         &self,
         from: NodeId,
         to: NodeId,
         bytes: usize,
         transport: Transport,
+        leaves: SimTime,
     ) -> Delivery<'_> {
         Delivery {
             fabric: &self.inner,
@@ -461,6 +489,7 @@ impl Fabric {
                 to,
                 bytes,
                 transport,
+                leaves,
             },
             slot: None,
         }
@@ -486,12 +515,12 @@ impl Fabric {
         transport: Transport,
     ) -> Result<Duration, NetError> {
         let start = self.inner.handle.now();
-        self.deliver(from, to, bytes, transport).await?;
+        self.deliver(from, to, bytes, transport, start).await?;
         Ok(self.inner.handle.now() - start)
     }
 
     /// Performs an RPC: request delivery, handler execution, response
-    /// delivery.
+    /// delivery from the instant the reply leaves the server.
     pub async fn call(
         &self,
         from: NodeId,
@@ -530,8 +559,10 @@ impl Fabric {
         // not depend on handler behavior.
         let faults = self.inner.faults_for(from, to);
         let duplicate = faults.duplicate > 0.0 && self.inner.faults_rng.bool(faults.duplicate);
+        let ctx = CallCtx { from, to, trace };
 
-        self.deliver(from, to, req_len, transport).await?;
+        let now = self.inner.handle.now();
+        self.deliver(from, to, req_len, transport, now).await?;
 
         let handler = {
             let s = self.inner.state.borrow();
@@ -550,22 +581,22 @@ impl Fabric {
             // deliveries charge the full wire length (`req_len`
             // includes trace-context bytes the payload alone lacks).
             let dup_payload = payload.clone();
-            let dup_handler = Rc::clone(&handler);
+            let dup_handler = handler.clone();
             self.inner.handle.spawn_detached(async move {
                 // The duplicate takes its own trip through the fabric
                 // (and may itself be dropped or delayed) before the
-                // handler re-executes; its response goes nowhere.
-                if fabric.deliver(from, to, req_len, transport).await.is_ok() {
-                    let _ = dup_handler(dup_payload, CallCtx { from, to, trace }).await;
+                // handler re-executes; its reply goes nowhere.
+                let arrived = fabric.deliver(from, to, req_len, transport, now).await;
+                if arrived.is_ok() {
+                    let _ = dup_handler.serve(dup_payload, ctx).await;
                 }
             });
         }
 
-        let response = handler(payload, CallCtx { from, to, trace }).await?;
-
-        let resp_len = response.len();
-        self.deliver(to, from, resp_len, transport).await?;
-        Ok(response)
+        let (frame, leaves) = handler.serve(payload, ctx).await?;
+        let len = frame.len();
+        self.deliver(to, from, len, transport, leaves).await?;
+        Ok(frame)
     }
 }
 
@@ -608,10 +639,12 @@ impl FabricInner {
             to,
             bytes,
             transport,
+            ..
         } = msg;
         loop {
             let now = self.handle.now();
             let (until, next) = match stage {
+                Stage::Start if msg.leaves > now => (msg.leaves, Stage::Start),
                 Stage::Start => {
                     if let Err(e) = self.check_reachable(from, to) {
                         return Step::Done(Err(e));
@@ -902,10 +935,11 @@ mod tests {
     }
 
     /// One generated message: when it starts, its endpoints, its size,
-    /// its transport, and the size of the reply that follows it back
-    /// (if any). Driven the way `call_traced` drives a request: the
-    /// duplicate coin first, the detached second copy after arrival.
-    type Msg = (u64, u32, u32, usize, bool, Option<usize>);
+    /// its transport, and the size and service time (ns) of the reply
+    /// that follows it back (if any). Driven the way `call_traced` drives
+    /// a request: the duplicate coin first, the detached second copy
+    /// after arrival, the reply leaving once its service time is over.
+    type Msg = (u64, u32, u32, usize, bool, Option<(usize, u64)>);
     /// One generated flip of the fabric's fault state: when, which
     /// kind, two nodes, a probability and a spike length.
     type Flip = (u64, u8, u32, u32, f64, u64);
@@ -924,19 +958,25 @@ mod tests {
         end: u64,
     }
 
-    fn run_schedule(seed: u64, msgs: &[Msg], flips: &[Flip], oracle: bool) -> (Outcome, u64) {
+    /// Runs a schedule on the state machine or on the oracle; returns
+    /// what it left, its polls, and whether some reply waited out a
+    /// service time.
+    fn run_schedule(seed: u64, msgs: &[Msg], flips: &[Flip], oracle: bool) -> (Outcome, u64, bool) {
+        /// The oracle is the handler that slept out its service time
+        /// before its reply started.
         async fn deliver(
             f: &Fabric,
             oracle: bool,
-            from: NodeId,
-            to: NodeId,
+            (from, to): (NodeId, NodeId),
             bytes: usize,
             transport: Transport,
+            leaves: SimTime,
         ) -> Result<(), NetError> {
             if oracle {
+                f.handle().sleep_until(leaves).await;
                 f.deliver_oracle(from, to, bytes, transport).await
             } else {
-                f.deliver(from, to, bytes, transport).await
+                f.deliver(from, to, bytes, transport, leaves).await
             }
         }
 
@@ -947,8 +987,9 @@ mod tests {
             Topology::uniform(2, 2),
             LatencyModel::new(NetworkGeneration::Dc2021),
         );
+        let waited = Rc::new(std::cell::Cell::new(false));
         let (finished, duplicates) = sim.block_on({
-            let fabric = fabric.clone();
+            let (fabric, waited) = (fabric.clone(), Rc::clone(&waited));
             let (msgs, flips) = (msgs.to_vec(), flips.to_vec());
             async move {
                 for (at, kind, a, b, p, spike) in flips {
@@ -979,7 +1020,7 @@ mod tests {
                 let mut joins = Vec::new();
                 for (at, from, to, bytes, rdma, reply) in msgs {
                     let (fabric, h2) = (fabric.clone(), h.clone());
-                    let duplicates = Rc::clone(&duplicates);
+                    let (duplicates, waited) = (Rc::clone(&duplicates), Rc::clone(&waited));
                     let (from, to) = (NodeId(from), NodeId(to));
                     let transport = if rdma {
                         Transport::Rdma
@@ -991,17 +1032,23 @@ mod tests {
                         let faults = fabric.inner.faults_for(from, to);
                         let duplicate = faults.duplicate > 0.0
                             && fabric.inner.faults_rng.bool(faults.duplicate);
-                        let mut out = deliver(&fabric, oracle, from, to, bytes, transport).await;
+                        let now = h2.now();
+                        let mut out =
+                            deliver(&fabric, oracle, (from, to), bytes, transport, now).await;
                         if out.is_ok() && duplicate {
                             let (fabric, h3) = (fabric.clone(), h2.clone());
                             h2.spawn_detached(async move {
                                 let out =
-                                    deliver(&fabric, oracle, from, to, bytes, transport).await;
+                                    deliver(&fabric, oracle, (from, to), bytes, transport, now)
+                                        .await;
                                 duplicates.borrow_mut().push((h3.now().as_nanos(), out));
                             });
                         }
-                        if let (Ok(()), Some(reply)) = (&out, reply) {
-                            out = deliver(&fabric, oracle, to, from, reply, transport).await;
+                        if let (Ok(()), Some((reply, service))) = (&out, reply) {
+                            waited.set(waited.get() || service > 0);
+                            let leaves = h2.now() + Duration::from_nanos(service);
+                            out = deliver(&fabric, oracle, (to, from), reply, transport, leaves)
+                                .await;
                         }
                         (h2.now().as_nanos(), out)
                     }));
@@ -1033,17 +1080,18 @@ mod tests {
             next_draws: (inner.faults_rng.u64(), inner.jitter_rng.u64()),
             end: sim.handle().now().as_nanos(),
         };
-        (outcome, sim.poll_count())
+        (outcome, sim.poll_count(), waited.get())
     }
 
     proptest::proptest! {
         /// The state machine against the code it replaced: overlapping
         /// messages over every hop class and both transports, jitter
         /// on, faults armed per link and fabric-wide, nodes and
-        /// partitions flipped mid-flight. Every message finishes at the
-        /// same instant with the same result, every counter, egress
-        /// queue and RNG stream ends in the same state, and no schedule
-        /// costs more polls than it did.
+        /// partitions flipped mid-flight, replies leaving after a service
+        /// time. Every message finishes at the same instant with the same
+        /// result, every counter, egress queue and RNG stream ends in the
+        /// same state, no schedule costs more polls than it did, and one
+        /// where a reply waited costs fewer.
         #[test]
         fn the_state_machine_delivers_exactly_what_the_sleeping_task_did(
             seed in proptest::prelude::any::<u64>(),
@@ -1060,7 +1108,7 @@ mod tests {
                     proptest::prelude::any::<bool>(),
                     proptest::prop_oneof![
                         proptest::strategy::Just(None),
-                        (0usize..100_000).prop_map(Some),
+                        (0usize..100_000, 0u64..50_000).prop_map(Some),
                     ],
                 ),
                 1..65,
@@ -1070,10 +1118,11 @@ mod tests {
                 0..10,
             ),
         ) {
-            let (new, new_polls) = run_schedule(seed, &msgs, &flips, false);
-            let (old, old_polls) = run_schedule(seed, &msgs, &flips, true);
+            let (new, new_polls, waited) = run_schedule(seed, &msgs, &flips, false);
+            let (old, old_polls, _) = run_schedule(seed, &msgs, &flips, true);
             proptest::prop_assert_eq!(&new, &old);
             proptest::prop_assert!(new_polls <= old_polls, "{new_polls} > {old_polls}");
+            proptest::prop_assert!(!waited || new_polls < old_polls, "a reply waited: {new_polls}");
         }
     }
 
@@ -1162,6 +1211,62 @@ mod tests {
         }
     }
 
+    /// A reply that leaves after a service time starts its hop then:
+    /// its server, set down during the wait, fails the call with
+    /// `NodeDown` at the leave instant, as a handler that slept the wait
+    /// out did.
+    #[test]
+    fn a_reply_is_checked_for_reachability_at_its_leave_instant() {
+        const SERVICE: Duration = Duration::from_micros(30);
+        /// Notes the request's arrival, sets the server down a third of
+        /// the way into its service time, and returns when it ends.
+        fn serve(fabric: &Fabric, arrived: &std::cell::Cell<SimTime>) -> SimTime {
+            let h = fabric.handle().clone();
+            arrived.set(h.now());
+            let fabric = fabric.clone();
+            h.spawn_detached(async move {
+                fabric.handle().sleep(SERVICE / 3).await;
+                fabric.set_node_down(NodeId(2), true);
+            });
+            h.now() + SERVICE
+        }
+        let run = |sleeps: bool| {
+            let mut sim = Sim::new(3);
+            let fabric = build(&sim, NetworkGeneration::Dc2021);
+            let arrived = Rc::new(std::cell::Cell::new(SimTime::ZERO));
+            let (f, a) = (fabric.clone(), Rc::clone(&arrived));
+            if sleeps {
+                let slept: RpcHandler = Rc::new(move |payload, _| {
+                    let leaves = serve(&f, &a);
+                    let h = f.handle().clone();
+                    Box::pin(async move {
+                        h.sleep_until(leaves).await;
+                        Ok(payload)
+                    })
+                });
+                fabric.bind(NodeId(2), "serve", slept);
+            } else {
+                let booked: TimedHandler = Rc::new(move |payload, _| {
+                    let leaves = serve(&f, &a);
+                    Box::pin(async move { Ok((payload, leaves)) })
+                });
+                fabric.bind_timed(NodeId(2), "serve", booked);
+            }
+            let h = sim.handle();
+            let result = sim.block_on(async move {
+                let reply = fabric
+                    .call(NodeId(0), NodeId(2), "serve", Transport::Tcp, Bytes::new())
+                    .await;
+                (reply, h.now())
+            });
+            (result, arrived.get())
+        };
+        let ((reply, at), arrived) = run(false);
+        assert_eq!(reply, Err(NetError::NodeDown(NodeId(2))));
+        assert_eq!(at, arrived + SERVICE);
+        assert_eq!(run(true), ((reply, at), arrived));
+    }
+
     #[test]
     fn a_delivery_dropped_mid_hop_stops_at_its_next_stage_and_frees_its_slot() {
         let mut sim = Sim::new(1);
@@ -1171,7 +1276,7 @@ mod tests {
             let fabric = fabric.clone();
             async move {
                 let mut delivery =
-                    Box::pin(fabric.deliver(NodeId(0), NodeId(2), 4096, Transport::Tcp));
+                    Box::pin(fabric.deliver(NodeId(0), NodeId(2), 4096, Transport::Tcp, h.now()));
                 std::future::poll_fn(|cx| {
                     assert!(delivery.as_mut().poll(cx).is_pending());
                     Poll::Ready(())

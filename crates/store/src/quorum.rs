@@ -195,10 +195,12 @@ mod tests {
     }
 
     /// Task polls of one fault-free linearizable write (its straggler
-    /// included) and one one-RTT linearizable read, from a client outside
-    /// the replica set. A round's calls and an attempt's deadline are
-    /// polled in the task that awaits them: each spawned no task of its
-    /// own and sent no reply down a channel.
+    /// included), one one-RTT linearizable read and one eventual read,
+    /// from a client outside the replica set. A round's calls and an
+    /// attempt's deadline are polled in the task that awaits them: each
+    /// spawned no task of its own and sent no reply down a channel. A
+    /// replica's reply leaves when its media time is done, with no wake
+    /// of the reading task in between.
     #[test]
     fn a_write_and_a_one_rtt_read_take_pinned_polls() {
         let mut sim = Sim::new(42);
@@ -218,16 +220,17 @@ mod tests {
                 h.sleep(Duration::from_millis(1)).await;
             }
         };
-        let read = async move {
-            client
-                .read_all(id, Consistency::Linearizable)
-                .await
-                .unwrap();
-            h.sleep(Duration::from_millis(1)).await;
+        let read = |consistency| {
+            let (client, h) = (client.clone(), h.clone());
+            async move {
+                client.read_all(id, consistency).await.unwrap();
+                h.sleep(Duration::from_millis(1)).await;
+            }
         };
         let write = polls(&mut sim, Box::pin(write) as LocalBoxFuture<()>);
-        let read = polls(&mut sim, Box::pin(read));
-        assert_eq!((write, read), (12, 12));
+        let read_one_rtt = polls(&mut sim, Box::pin(read(Consistency::Linearizable)));
+        let read_eventual = polls(&mut sim, Box::pin(read(Consistency::Eventual)));
+        assert_eq!((write, read_one_rtt, read_eventual), (12, 9, 4));
     }
 
     /// Every `total <= 5`, `need <= total` and every arrival order of

@@ -16,7 +16,6 @@ use fxhash::FxHashMap;
 use bytes::Bytes;
 use pcsi_core::{Mutability, ObjectId, PcsiError};
 use pcsi_metrics::{Counter, Histogram};
-use pcsi_net::fabric::RpcHandler;
 use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_obs::Telemetry;
 use pcsi_sim::sync::mpsc;
@@ -50,7 +49,7 @@ struct Inner {
     /// The coordinations queued behind the one running, per object. See
     /// [`Turn`].
     turns: RefCell<FxHashMap<ObjectId, VecDeque<mpsc::Sender<()>>>>,
-    /// When the node's storage device is next idle: [`charge_io`] queues
+    /// When the node's storage device is next idle: [`book_io`] queues
     /// behind it, so one node's operations contend for its bandwidth.
     io_free_at: Cell<SimTime>,
     coordinated: Counter,
@@ -106,14 +105,15 @@ impl ReplicaNode {
             inner.quorum_acks = Some(m.histogram("replica.quorum_acks", &labels));
         }
         let inner = Rc::new(inner);
-        let handler: RpcHandler = {
-            let inner = Rc::clone(&inner);
+        let handler = Rc::clone(&inner);
+        fabric.bind_timed(
+            node,
+            STORE_SERVICE,
             Rc::new(move |payload, _| {
-                let inner = Rc::clone(&inner);
+                let inner = Rc::clone(&handler);
                 Box::pin(async move { Ok(handle(inner, payload).await) })
-            })
-        };
-        fabric.bind(node, STORE_SERVICE, handler);
+            }),
+        );
         ReplicaNode { inner }
     }
 
@@ -206,17 +206,20 @@ impl Drop for Turn<'_> {
     }
 }
 
-/// Charges the media time of an operation touching `bytes`, FIFO behind
-/// the IO already in flight on this node: the device is serial, so an
-/// uncontended operation pays exactly `io_time(bytes)`.
-async fn charge_io(inner: &Inner, bytes: usize) {
+/// Books the media time of an operation touching `bytes` on this node's
+/// serial device, FIFO behind the IO already booked, and returns when it
+/// is done: an uncontended operation ends `io_time(bytes)` from now.
+fn book_io(inner: &Inner, bytes: usize) -> SimTime {
     let t = inner.engine.borrow().tier().io_time(bytes);
-    let h = inner.fabric.handle();
-    let now = h.now();
-    let start = inner.io_free_at.get().max(now);
-    let end = start + t;
+    let end = inner.io_free_at.get().max(inner.fabric.handle().now()) + t;
     inner.io_free_at.set(end);
-    h.sleep_until(end).await;
+    end
+}
+
+/// Sleeps out [`book_io`]'s media time, where state changes after the IO.
+async fn charge_io(inner: &Inner, bytes: usize) {
+    let end = book_io(inner, bytes);
+    inner.fabric.handle().sleep_until(end).await;
 }
 
 /// The server-side span name for a request kind.
@@ -233,19 +236,23 @@ fn request_span_name(req: &Request) -> &'static str {
     }
 }
 
-async fn handle(inner: Rc<Inner>, payload: Bytes) -> Bytes {
+async fn handle(inner: Rc<Inner>, payload: Bytes) -> (Bytes, SimTime) {
     let (request, wire_ctx) = match wire::decode_request_traced(&payload) {
         Ok(r) => r,
         Err(e) => {
-            return wire::encode_response(&Response::Err(PcsiError::Fault(format!(
-                "storage wire codec error: {e}"
-            ))));
+            let e = PcsiError::Fault(format!("storage wire codec error: {e}"));
+            return (wire::encode_response(&Response::Err(e)), SimTime::ZERO);
         }
     };
     // The store protocol carries the context in its own envelope.
     let mut span = pcsi_trace::child_of(&inner.tracer, wire_ctx, request_span_name(&request));
     span.attr("node", u64::from(inner.node.0));
     let child_ctx = span.ctx();
+    let mut leaves = SimTime::ZERO;
+    let mut served = |(response, io_done)| {
+        leaves = io_done;
+        response
+    };
     let response = match request {
         Request::Coordinate {
             id,
@@ -286,14 +293,14 @@ async fn handle(inner: Rc<Inner>, payload: Bytes) -> Bytes {
                 Response::Stale { newest }
             } else {
                 inner.engine.borrow_mut().promise(id, ballot);
-                report(&inner, id, have).await
+                served(report(&inner, id, have))
             }
         }
         Request::Read { id, offset, len } => {
             // A post-flip old owner serves nothing: the retryable error
             // sends the client back to the current replica set.
             if effective_member(&inner, id) {
-                read_local(&inner, id, offset, len, u64::MAX, false).await
+                served(read_local(&inner, id, offset, len, u64::MAX, false))
             } else {
                 stale_route(&inner, id)
             }
@@ -305,7 +312,7 @@ async fn handle(inner: Rc<Inner>, payload: Bytes) -> Bytes {
             inline_limit,
         } => {
             if effective_member(&inner, id) {
-                read_local(&inner, id, offset, len, inline_limit, true).await
+                served(read_local(&inner, id, offset, len, inline_limit, true))
             } else {
                 stale_route(&inner, id)
             }
@@ -318,7 +325,7 @@ async fn handle(inner: Rc<Inner>, payload: Bytes) -> Bytes {
             if inner.placement.is_frozen(id) && tag != Tag::ZERO {
                 inner.engine.borrow_mut().promise(id, tag.next(u32::MAX));
             }
-            let reply = report(&inner, id, Tag::ZERO).await;
+            let reply = served(report(&inner, id, Tag::ZERO));
             if matches!(reply, Response::Object { .. }) {
                 inner.fetched.incr();
             }
@@ -354,8 +361,8 @@ async fn handle(inner: Rc<Inner>, payload: Bytes) -> Bytes {
             migrate_install(&inner, epoch, id, object, reqs, tombstone)
         }
     };
-    span.finish();
-    wire::encode_response(&response)
+    span.finish_at(leaves);
+    (wire::encode_response(&response), leaves)
 }
 
 /// True when this node is in the *effective* replica set of `id` (the
@@ -365,17 +372,19 @@ fn effective_member(inner: &Inner, id: ObjectId) -> bool {
 }
 
 /// A promise's report of the state `id` holds: whole when it is live and
-/// newer than `have`, else its tag (a tombstone's, or zero).
-async fn report(inner: &Inner, id: ObjectId, have: Tag) -> Response {
+/// newer than `have`, else its tag (a tombstone's, or zero). With the
+/// instant its read of the media is done (past when it reads none).
+fn report(inner: &Inner, id: ObjectId, have: Tag) -> (Response, SimTime) {
     let state = inner.engine.borrow().state(id);
     match state.filter(|(object, _)| object.tag > have) {
         Some((object, reqs)) => {
-            charge_io(inner, object.data.len()).await;
-            Response::Object { object, reqs }
+            let done = book_io(inner, object.data.len());
+            (Response::Object { object, reqs }, done)
         }
-        None => Response::TagIs {
-            tag: inner.engine.borrow().tag_of(id),
-        },
+        None => {
+            let tag = inner.engine.borrow().tag_of(id);
+            (Response::TagIs { tag }, SimTime::ZERO)
+        }
     }
 }
 
@@ -468,23 +477,24 @@ fn migrate_install(
     Response::Applied
 }
 
-/// Serves a local read. For a one-RTT quorum read (`absent_as_tag`) an
+/// Serves a local read, with the instant its media time is done (past
+/// when it reads none). For a one-RTT quorum read (`absent_as_tag`) an
 /// absent object answers its tag (a tombstone's, else zero) so the reply
 /// still counts, and a payload above `inline_limit` degrades to its tag.
-async fn read_local(
-    inner: &Rc<Inner>,
+fn read_local(
+    inner: &Inner,
     id: ObjectId,
     offset: u64,
     len: u64,
     inline_limit: u64,
     absent_as_tag: bool,
-) -> Response {
+) -> (Response, SimTime) {
     let found = inner.engine.borrow().get(id).map(|o| {
         let data = o.slice(offset, len);
         (o.tag, o.mutability, o.stable_len, data)
     });
     let Some((tag, mutability, stable_len, data)) = found else {
-        return if absent_as_tag {
+        let reply = if absent_as_tag {
             // Report the tombstone-aware tag: a deleted object's death
             // tag must outrank any stale replica's live tag in the
             // quorum max, otherwise a one-RTT read could resurrect it.
@@ -494,18 +504,20 @@ async fn read_local(
         } else {
             Response::Err(PcsiError::NotFound(id))
         };
+        return (reply, SimTime::ZERO);
     };
     if data.len() as u64 > inline_limit {
-        return Response::TagIs { tag };
+        return (Response::TagIs { tag }, SimTime::ZERO);
     }
-    charge_io(inner, data.len()).await;
+    let done = book_io(inner, data.len());
     inner.reads.incr();
-    Response::Data {
+    let reply = Response::Data {
         tag,
         mutability,
         stable_len,
         data,
-    }
+    };
+    (reply, done)
 }
 
 /// Approximate payload size of a mutation, for IO accounting.
@@ -857,6 +869,7 @@ mod tests {
     use crate::testkit::{self, linearizable_put, oid, raw_append, replica_bytes};
     use crate::{RetryPolicy, StoreConfig};
     use pcsi_core::{Consistency, Mutability};
+    use pcsi_net::fabric::RpcHandler;
     use pcsi_net::{LatencyModel, Topology};
     use pcsi_sim::Sim;
     use std::collections::BTreeSet;
@@ -1305,5 +1318,35 @@ mod tests {
                 assert_eq!(replica_bytes(&store, node, id), b"prs", "on {node}");
             }
         });
+    }
+
+    /// An uncontended read's server span lasts exactly its media time:
+    /// it ends when the reply leaves the replica.
+    #[test]
+    fn an_uncontended_reads_replica_span_lasts_its_media_time() {
+        let mut sim = Sim::new(5);
+        let fabric = testkit::fabric(&sim, Topology::uniform(3, 3), LatencyModel::deterministic);
+        let tracer = Tracer::new(&sim.handle(), pcsi_trace::Sampling::Always, 256);
+        let telemetry = Telemetry {
+            tracer: Some(tracer.clone()),
+            ..Telemetry::default()
+        };
+        let store = testkit::launch(&fabric, nvme(), &telemetry);
+        let (id, data) = (id(1), Bytes::from(vec![7u8; 4096]));
+        let client = store.client(testkit::outsider(&store, id));
+        let h = fabric.handle().clone();
+        let sink = tracer.sink().clone();
+        sim.block_on(async move {
+            linearizable_put(&client, id, data).await;
+            // The write's straggling IO is long done.
+            h.sleep(Duration::from_millis(1)).await;
+            sink.take();
+            client.read_all(id, Consistency::Eventual).await.unwrap();
+        });
+        let spans = tracer.sink().take();
+        let read = spans.iter().find(|s| s.name == "replica.read");
+        let read = read.expect("the replica's read span");
+        let served = read.end.saturating_since(read.start);
+        assert_eq!(served, MediaTier::Nvme.io_time(4096));
     }
 }

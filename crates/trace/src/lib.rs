@@ -437,12 +437,17 @@ impl SpanHandle {
 
     /// Ends the span now and records it.
     pub fn finish(mut self) {
-        self.finish_inner();
+        self.finish_inner(SimTime::ZERO);
     }
 
-    fn finish_inner(&mut self) {
+    /// Ends the span at `end` (now if that has passed) and records it.
+    pub fn finish_at(mut self, end: SimTime) {
+        self.finish_inner(end);
+    }
+
+    fn finish_inner(&mut self, end: SimTime) {
         if let Some(live) = self.0.take() {
-            let end = live.tracer.inner.handle.now();
+            let end = end.max(live.tracer.inner.handle.now());
             live.tracer.inner.sink.push(Span {
                 trace: live.trace,
                 id: live.id,
@@ -459,7 +464,7 @@ impl SpanHandle {
 
 impl Drop for SpanHandle {
     fn drop(&mut self) {
-        self.finish_inner();
+        self.finish_inner(SimTime::ZERO);
     }
 }
 
