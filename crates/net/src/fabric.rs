@@ -157,15 +157,6 @@ enum Service {
     Timed(TimedHandler),
 }
 
-impl Service {
-    async fn serve(&self, payload: Bytes, ctx: CallCtx) -> Result<(Bytes, SimTime), NetError> {
-        match self {
-            Service::Now(handler) => Ok((handler(payload, ctx).await?, SimTime::ZERO)),
-            Service::Timed(handler) => handler(payload, ctx).await,
-        }
-    }
-}
-
 struct State {
     /// Handlers by node, then service name, so the per-call lookup is
     /// two borrowed-key probes — no `(NodeId, String)` tuple (and no
@@ -588,12 +579,18 @@ impl Fabric {
                 // handler re-executes; its reply goes nowhere.
                 let arrived = fabric.deliver(from, to, req_len, transport, now).await;
                 if arrived.is_ok() {
-                    let _ = dup_handler.serve(dup_payload, ctx).await;
+                    match dup_handler {
+                        Service::Now(handler) => drop(handler(dup_payload, ctx).await),
+                        Service::Timed(handler) => drop(handler(dup_payload, ctx).await),
+                    }
                 }
             });
         }
 
-        let (frame, leaves) = handler.serve(payload, ctx).await?;
+        let (frame, leaves) = match handler {
+            Service::Now(handler) => (handler(payload, ctx).await?, SimTime::ZERO),
+            Service::Timed(handler) => handler(payload, ctx).await?,
+        };
         let len = frame.len();
         self.deliver(to, from, len, transport, leaves).await?;
         Ok(frame)
