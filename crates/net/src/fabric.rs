@@ -157,11 +157,40 @@ enum Service {
     Timed(TimedHandler),
 }
 
+impl Service {
+    /// Calls the handler; its future is not polled yet.
+    fn serve(&self, payload: Bytes, ctx: CallCtx) -> Serving {
+        match self {
+            Service::Now(handler) => Serving::Now(handler(payload, ctx)),
+            Service::Timed(handler) => Serving::Timed(handler(payload, ctx)),
+        }
+    }
+}
+
+/// A handler's future: the reply's frame and the instant it leaves the
+/// server (a bare frame leaves at once).
+enum Serving {
+    Now(LocalBoxFuture<Result<Bytes, NetError>>),
+    Timed(LocalBoxFuture<Result<(Bytes, SimTime), NetError>>),
+}
+
+impl Future for Serving {
+    type Output = Result<(Bytes, SimTime), NetError>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        match self.get_mut() {
+            Serving::Now(f) => f.as_mut().poll(cx).map_ok(|frame| (frame, SimTime::ZERO)),
+            Serving::Timed(f) => f.as_mut().poll(cx),
+        }
+    }
+}
+
 struct State {
     /// Handlers by node, then service name, so the per-call lookup is
-    /// two borrowed-key probes — no `(NodeId, String)` tuple (and no
-    /// `String` allocation) per RPC.
-    services: FxHashMap<NodeId, FxHashMap<String, Service>>,
+    /// two borrowed-key probes — no `(NodeId, String)` tuple per RPC. A
+    /// call carries the table's name to its arrival, so only a call to a
+    /// name that is not bound allocates one.
+    services: FxHashMap<NodeId, FxHashMap<Rc<str>, Service>>,
     down: FxHashSet<NodeId>,
     /// Symmetric set of blocked node pairs (stored with a <= b).
     blocked: FxHashSet<(NodeId, NodeId)>,
@@ -175,9 +204,9 @@ struct State {
     /// `deliver` makes zero fault-RNG draws, so enabling the machinery
     /// costs nothing for fault-free runs.
     faults_armed: bool,
-    /// Messages in flight, by slab slot: a slot is taken when a message
-    /// first has to wait and is the token of the events that move it.
-    /// The slots on `free_hops` hold whatever their last message left.
+    /// Messages in flight and calls being served, by slab slot: a slot
+    /// is taken at a delivery's first poll and is the token of the
+    /// events that move it. The slots on `free_hops` hold no call.
     hops: Vec<Hop>,
     free_hops: Vec<usize>,
 }
@@ -225,7 +254,7 @@ enum Stage {
     Propagate,
     /// Reachability again, then the receiver's endpoint overhead.
     Receive,
-    /// Delivered.
+    /// Delivered; a request is served.
     Arrive,
     /// Lost: the sender has sat out the retransmission timeout.
     GiveUp,
@@ -238,7 +267,7 @@ enum Step {
     Done(Result<(), NetError>),
 }
 
-/// One message in flight.
+/// One message in flight, or the call it belongs to.
 struct Hop {
     msg: Message,
     /// What the pending event does.
@@ -246,8 +275,29 @@ struct Hop {
     /// The task awaiting the delivery; `None` once it has dropped the
     /// future, and the message then stops at its next stage.
     waiter: Option<Waker>,
-    /// Set on arrival or failure, for the woken task to collect.
-    outcome: Option<Result<(), NetError>>,
+    /// Set on arrival or failure, for the woken task to collect: the
+    /// reply's frame, or an empty one for a message that is no call.
+    outcome: Option<Result<Bytes, NetError>>,
+    /// The RPC, when the message is one.
+    call: Option<Call>,
+}
+
+/// An RPC request as it leaves the caller.
+struct Request {
+    /// The service it names, looked up when it arrives.
+    service: Rc<str>,
+    payload: Bytes,
+    ctx: CallCtx,
+    /// Whether the duplicate coin, flipped at send, said to run it twice.
+    duplicate: bool,
+}
+
+/// Where an RPC is: its request on the way, its handler pending, or its
+/// reply on the way back.
+enum Call {
+    Request(Request),
+    Serving(Serving),
+    Reply(Bytes),
 }
 
 /// The shared message fabric. Cheap to clone.
@@ -311,14 +361,21 @@ impl Fabric {
             }),
         };
         // A bound handler owns its service, which owns a clone of this
-        // fabric: a cycle no reference count unwinds. The end of the
-        // simulation empties the table, outside the borrow because a
-        // handler's destructor may unbind.
+        // fabric, and so may a pending handler's future in the slab: a
+        // cycle no reference count unwinds. The end of the simulation
+        // empties the table and takes those futures, leaving their slots
+        // for the calls' own drops, and drops both outside the borrow
+        // because a destructor may unbind.
         let weak = Rc::downgrade(&fabric.inner);
         fabric.inner.handle.on_sim_drop(move || {
             if let Some(inner) = weak.upgrade() {
-                let services = std::mem::take(&mut inner.state.borrow_mut().services);
-                drop(services);
+                let mut s = inner.state.borrow_mut();
+                let services = std::mem::take(&mut s.services);
+                let serving: Vec<_> = (s.hops.iter_mut())
+                    .filter_map(|hop| hop.call.take_if(|c| matches!(c, Call::Serving(_))))
+                    .collect();
+                drop(s);
+                drop((services, serving));
             }
         });
         fabric
@@ -382,7 +439,7 @@ impl Fabric {
     fn bind_service(&self, node: NodeId, name: &str, service: Service) {
         let mut s = self.inner.state.borrow_mut();
         let table = s.services.entry(node).or_default();
-        table.insert(name.to_owned(), service);
+        table.insert(Rc::from(name), service);
     }
 
     /// Removes a service binding; later calls to it fail with
@@ -464,7 +521,8 @@ impl Fabric {
     /// One message's worth of delay — transport overhead, egress
     /// queueing, propagation — or the fault that ends it, once it
     /// `leaves`. Local messages skip the NIC entirely. The awaiting task
-    /// is polled twice: to start the message and to collect its outcome.
+    /// is polled to start the message and to collect its outcome; its
+    /// output is an empty frame. A call sets the delivery's request.
     fn deliver(
         &self,
         from: NodeId,
@@ -482,6 +540,7 @@ impl Fabric {
                 transport,
                 leaves,
             },
+            request: None,
             slot: None,
         }
     }
@@ -511,7 +570,10 @@ impl Fabric {
     }
 
     /// Performs an RPC: request delivery, handler execution, response
-    /// delivery from the instant the reply leaves the server.
+    /// delivery from the instant the reply leaves the server. The request's
+    /// arrival runs the handler, and a handler that answers at once starts
+    /// the reply there too: the caller is polled to send the request and to
+    /// collect the reply, and for a pending handler's own wakes.
     pub async fn call(
         &self,
         from: NodeId,
@@ -550,50 +612,24 @@ impl Fabric {
         // not depend on handler behavior.
         let faults = self.inner.faults_for(from, to);
         let duplicate = faults.duplicate > 0.0 && self.inner.faults_rng.bool(faults.duplicate);
-        let ctx = CallCtx { from, to, trace };
+        let service = {
+            let s = self.inner.state.borrow();
+            let bound = s
+                .services
+                .get(&to)
+                .and_then(|table| table.get_key_value(service));
+            bound.map_or_else(|| Rc::from(service), |(name, _)| Rc::clone(name))
+        };
 
         let now = self.inner.handle.now();
-        self.deliver(from, to, req_len, transport, now).await?;
-
-        let handler = {
-            let s = self.inner.state.borrow();
-            s.services
-                .get(&to)
-                .and_then(|svcs| svcs.get(service))
-                .cloned()
-                .ok_or_else(|| NetError::NoService(service.to_owned()))?
-        };
-
-        if duplicate {
-            self.inner.duplicated.incr();
-            let fabric = self.clone();
-            // The duplicate shares the request frame: `Bytes::clone` is
-            // a refcount bump on the same backing buffer, and both
-            // deliveries charge the full wire length (`req_len`
-            // includes trace-context bytes the payload alone lacks).
-            let dup_payload = payload.clone();
-            let dup_handler = handler.clone();
-            self.inner.handle.spawn_detached(async move {
-                // The duplicate takes its own trip through the fabric
-                // (and may itself be dropped or delayed) before the
-                // handler re-executes; its reply goes nowhere.
-                let arrived = fabric.deliver(from, to, req_len, transport, now).await;
-                if arrived.is_ok() {
-                    match dup_handler {
-                        Service::Now(handler) => drop(handler(dup_payload, ctx).await),
-                        Service::Timed(handler) => drop(handler(dup_payload, ctx).await),
-                    }
-                }
-            });
-        }
-
-        let (frame, leaves) = match handler {
-            Service::Now(handler) => (handler(payload, ctx).await?, SimTime::ZERO),
-            Service::Timed(handler) => handler(payload, ctx).await?,
-        };
-        let len = frame.len();
-        self.deliver(to, from, len, transport, leaves).await?;
-        Ok(frame)
+        let mut call = self.deliver(from, to, req_len, transport, now);
+        call.request = Some(Request {
+            service,
+            payload,
+            ctx: CallCtx { from, to, trace },
+            duplicate,
+        });
+        call.await
     }
 }
 
@@ -714,90 +750,194 @@ impl FabricInner {
         }
         (now, Stage::Send)
     }
+
+    /// Moves the hop in `slot` on from its pending stage until it has to
+    /// wait or its outcome is set; true once it is set. A request that
+    /// arrives is served here, so its event is where the handler runs.
+    fn step(self: &Rc<Self>, slot: usize) -> bool {
+        let (msg, stage) = {
+            let s = self.state.borrow();
+            (s.hops[slot].msg, s.hops[slot].next)
+        };
+        let arrived = match self.advance(msg, stage) {
+            Step::Wait(until, next) => {
+                self.state.borrow_mut().hops[slot].next = next;
+                self.handle
+                    .schedule(until, Rc::clone(self) as _, slot as u64);
+                return false;
+            }
+            Step::Done(arrived) => arrived,
+        };
+        let mut s = self.state.borrow_mut();
+        let hop = &mut s.hops[slot];
+        let outcome = match (arrived, hop.call.take()) {
+            (Ok(()), Some(Call::Request(request))) => {
+                drop(s);
+                return self.arrive(slot, msg, request);
+            }
+            (Ok(()), Some(Call::Reply(frame))) => Ok(frame),
+            (Ok(()), _) => Ok(Bytes::new()),
+            (Err(e), _) => Err(e),
+        };
+        hop.outcome = Some(outcome);
+        true
+    }
+
+    /// A request has arrived: the service it names is looked up now, its
+    /// duplicate starts if the coin said so, and the handler is polled
+    /// once with the caller's waker, before anything else is scheduled.
+    fn arrive(self: &Rc<Self>, slot: usize, msg: Message, request: Request) -> bool {
+        let (payload, ctx) = (request.payload, request.ctx);
+        let found = match self.state.borrow().services.get(&msg.to) {
+            Some(table) => table.get(&*request.service).cloned(),
+            None => None,
+        };
+        let Some(handler) = found else {
+            let e = NetError::NoService(request.service.to_string());
+            self.state.borrow_mut().hops[slot].outcome = Some(Err(e));
+            return true;
+        };
+        if request.duplicate {
+            self.duplicated.incr();
+            // The duplicate shares the request frame: `Bytes::clone` is
+            // a refcount bump on the same backing buffer, and both
+            // deliveries charge the full wire length (`msg.bytes`
+            // includes trace-context bytes the payload alone lacks).
+            let (inner, dup, dup_payload) = (Rc::clone(self), handler.clone(), payload.clone());
+            self.handle.spawn_detached(async move {
+                // The duplicate takes its own trip through the fabric
+                // (and may itself be dropped or delayed) from the instant
+                // the request left, before the handler re-executes; its
+                // reply goes nowhere.
+                let fabric = Fabric { inner };
+                let arrived =
+                    fabric.deliver(msg.from, msg.to, msg.bytes, msg.transport, msg.leaves);
+                if arrived.await.is_ok() {
+                    drop(dup.serve(dup_payload, ctx).await);
+                }
+            });
+        }
+        let waker = self.state.borrow().hops[slot].waiter.clone();
+        let waker = waker.expect("an arriving request has a caller");
+        let serving = handler.serve(payload, ctx);
+        self.serve(slot, serving, &mut Context::from_waker(&waker))
+    }
+
+    /// Polls the handler of the call in `slot`: parks its future there
+    /// while it is pending, starts the reply at its leave instant once it
+    /// answers. True once the call's outcome is set.
+    fn serve(self: &Rc<Self>, slot: usize, mut serving: Serving, cx: &mut Context<'_>) -> bool {
+        let Poll::Ready(answer) = Pin::new(&mut serving).poll(cx) else {
+            self.state.borrow_mut().hops[slot].call = Some(Call::Serving(serving));
+            return false;
+        };
+        // Outside the borrow: the finished future's destructor may call in.
+        drop(serving);
+        let mut s = self.state.borrow_mut();
+        let hop = &mut s.hops[slot];
+        match answer {
+            Ok((frame, leaves)) => {
+                hop.msg = Message {
+                    from: hop.msg.to,
+                    to: hop.msg.from,
+                    bytes: frame.len(),
+                    transport: hop.msg.transport,
+                    leaves,
+                };
+                hop.next = Stage::Start;
+                hop.call = Some(Call::Reply(frame));
+                drop(s);
+                self.step(slot)
+            }
+            Err(e) => {
+                hop.outcome = Some(Err(e));
+                true
+            }
+        }
+    }
+
+    /// The awaiting task polls the call in `slot` again: its waker is
+    /// kept, and a pending handler is polled. True once the outcome is set.
+    fn resume(self: &Rc<Self>, slot: usize, cx: &mut Context<'_>) -> bool {
+        let mut s = self.state.borrow_mut();
+        let hop = &mut s.hops[slot];
+        if hop.outcome.is_some() {
+            return true;
+        }
+        if !hop.waiter.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
+            hop.waiter = Some(cx.waker().clone());
+        }
+        match hop.call.take_if(|c| matches!(c, Call::Serving(_))) {
+            Some(Call::Serving(serving)) => {
+                drop(s);
+                self.serve(slot, serving, cx)
+            }
+            // Woken for something else the task awaits.
+            _ => false,
+        }
+    }
 }
 
 /// A message's timer: moves the hop in slot `token` on from the stage it
-/// was waiting for.
+/// was waiting for, and wakes the caller once the outcome is set.
 impl TimerEvent for FabricInner {
     fn fire(self: Rc<Self>, token: u64) {
         let slot = token as usize;
-        let (msg, stage) = {
-            let mut s = self.state.borrow_mut();
-            let hop = &mut s.hops[slot];
-            if hop.waiter.is_none() {
-                s.free_hops.push(slot);
-                return;
-            }
-            (hop.msg, hop.next)
-        };
-        match self.advance(msg, stage) {
-            Step::Wait(until, next) => {
-                self.state.borrow_mut().hops[slot].next = next;
-                self.handle.schedule(until, Rc::clone(&self) as _, token);
-            }
-            Step::Done(outcome) => {
-                let waiter = {
-                    let mut s = self.state.borrow_mut();
-                    let hop = &mut s.hops[slot];
-                    hop.outcome = Some(outcome);
-                    hop.waiter.take()
-                };
-                if let Some(waiter) = waiter {
-                    waiter.wake();
-                }
+        let mut s = self.state.borrow_mut();
+        if s.hops[slot].waiter.is_none() {
+            // The call was dropped: its request or reply goes no further.
+            s.hops[slot].call = None;
+            s.free_hops.push(slot);
+            return;
+        }
+        drop(s);
+        if self.step(slot) {
+            let waiter = self.state.borrow_mut().hops[slot].waiter.take();
+            if let Some(waiter) = waiter {
+                waiter.wake();
             }
         }
     }
 }
 
-/// Future of [`Fabric::deliver`]. Lazy: the message starts at the first
-/// poll.
+/// Future of [`Fabric::deliver`], and of a call when it carries a
+/// request. Lazy: the message starts at the first poll.
 struct Delivery<'a> {
     fabric: &'a Rc<FabricInner>,
     msg: Message,
-    /// The hop's slab slot while the message is in flight.
+    /// The call's request, until the first poll parks it with the hop.
+    request: Option<Request>,
+    /// The hop's slab slot while the message or call is under way.
     slot: Option<usize>,
 }
 
 impl Future for Delivery<'_> {
-    type Output = Result<(), NetError>;
+    type Output = Result<Bytes, NetError>;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let fabric = self.fabric;
-        let Some(slot) = self.slot else {
-            return match fabric.advance(self.msg, Stage::Start) {
-                Step::Done(outcome) => Poll::Ready(outcome),
-                Step::Wait(until, next) => {
-                    let slot = fabric.state.borrow_mut().park(Hop {
-                        msg: self.msg,
-                        next,
-                        waiter: Some(cx.waker().clone()),
-                        outcome: None,
-                    });
-                    self.slot = Some(slot);
-                    fabric
-                        .handle
-                        .schedule(until, Rc::clone(fabric) as _, slot as u64);
-                    Poll::Pending
-                }
-            };
-        };
-        let mut s = fabric.state.borrow_mut();
-        let hop = &mut s.hops[slot];
-        match hop.outcome.take() {
-            Some(outcome) => {
-                s.free_hops.push(slot);
-                self.slot = None;
-                Poll::Ready(outcome)
-            }
+        let (slot, done) = match self.slot {
+            Some(slot) => (slot, fabric.resume(slot, cx)),
             None => {
-                // Woken for something else the task awaits.
-                if !hop.waiter.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
-                    hop.waiter = Some(cx.waker().clone());
-                }
-                Poll::Pending
+                let slot = fabric.state.borrow_mut().park(Hop {
+                    msg: self.msg,
+                    next: Stage::Start,
+                    waiter: Some(cx.waker().clone()),
+                    outcome: None,
+                    call: self.request.take().map(Call::Request),
+                });
+                self.slot = Some(slot);
+                (slot, fabric.step(slot))
             }
+        };
+        if !done {
+            return Poll::Pending;
         }
+        self.slot = None;
+        let mut s = fabric.state.borrow_mut();
+        s.free_hops.push(slot);
+        let outcome = s.hops[slot].outcome.take();
+        Poll::Ready(outcome.expect("a done hop has its outcome"))
     }
 }
 
@@ -806,12 +946,18 @@ impl Drop for Delivery<'_> {
         let Some(slot) = self.slot else { return };
         let mut s = self.fabric.state.borrow_mut();
         let hop = &mut s.hops[slot];
-        if hop.outcome.is_some() {
+        // A pending handler has no event to come: it goes now, and its
+        // slot with it.
+        let serving = hop.call.take_if(|c| matches!(c, Call::Serving(_)));
+        if hop.outcome.take().is_some() || serving.is_some() {
             s.free_hops.push(slot);
         } else {
             // The pending event finds no waiter and frees the slot.
             hop.waiter = None;
         }
+        // Outside the borrow: the handler's destructor may call in.
+        drop(s);
+        drop(serving);
     }
 }
 
@@ -929,6 +1075,64 @@ mod tests {
             h.sleep(transport.endpoint_overhead()).await;
             Ok(())
         }
+
+        /// The RPC this fabric made before a request's arrival served it:
+        /// the caller, woken by the arrival, looked the service up, ran
+        /// the handler in its own poll and sent the reply. The oracle the
+        /// call is held to.
+        async fn call_oracle(
+            &self,
+            from: NodeId,
+            to: NodeId,
+            service: &str,
+            transport: Transport,
+            payload: Bytes,
+            trace: Option<pcsi_trace::TraceContext>,
+        ) -> Result<Bytes, NetError> {
+            let req_len = payload.len()
+                + trace
+                    .map(|_| pcsi_trace::TraceContext::WIRE_LEN)
+                    .unwrap_or(0);
+            let faults = self.inner.faults_for(from, to);
+            let duplicate = faults.duplicate > 0.0 && self.inner.faults_rng.bool(faults.duplicate);
+            let ctx = CallCtx { from, to, trace };
+
+            let now = self.inner.handle.now();
+            self.deliver(from, to, req_len, transport, now).await?;
+
+            let handler = {
+                let s = self.inner.state.borrow();
+                s.services
+                    .get(&to)
+                    .and_then(|svcs| svcs.get(service))
+                    .cloned()
+                    .ok_or_else(|| NetError::NoService(service.to_owned()))?
+            };
+
+            if duplicate {
+                self.inner.duplicated.incr();
+                let fabric = self.clone();
+                let dup_payload = payload.clone();
+                let dup_handler = handler.clone();
+                self.inner.handle.spawn_detached(async move {
+                    let arrived = fabric.deliver(from, to, req_len, transport, now).await;
+                    if arrived.is_ok() {
+                        match dup_handler {
+                            Service::Now(handler) => drop(handler(dup_payload, ctx).await),
+                            Service::Timed(handler) => drop(handler(dup_payload, ctx).await),
+                        }
+                    }
+                });
+            }
+
+            let (frame, leaves) = match handler {
+                Service::Now(handler) => (handler(payload, ctx).await?, SimTime::ZERO),
+                Service::Timed(handler) => handler(payload, ctx).await?,
+            };
+            let len = frame.len();
+            self.deliver(to, from, len, transport, leaves).await?;
+            Ok(frame)
+        }
     }
 
     /// One generated message: when it starts, its endpoints, its size,
@@ -942,17 +1146,69 @@ mod tests {
     type Flip = (u64, u8, u32, u32, f64, u64);
 
     /// What a schedule leaves behind: per message the instant it
-    /// finished and how (the detached duplicates apart), then the
-    /// message / byte / dropped / delayed counters, the egress queues,
-    /// the next draw of both RNG streams and the end of time.
+    /// finished and how (the detached duplicates apart), and the state
+    /// the fabric ends in.
     #[derive(Debug, PartialEq)]
     struct Outcome {
         finished: Vec<(u64, Result<(), NetError>)>,
         duplicates: Vec<(u64, Result<(), NetError>)>,
-        counters: [u64; 4],
+        ends: Ends,
+    }
+
+    /// The message / byte / dropped / delayed / duplicated counters, the
+    /// egress queues, the next draw of both RNG streams and the end of
+    /// time.
+    #[derive(Debug, PartialEq)]
+    struct Ends {
+        counters: [u64; 5],
         egress_busy_until: Vec<SimTime>,
         next_draws: (u64, u64),
         end: u64,
+    }
+
+    impl Ends {
+        fn of(fabric: &Fabric) -> Ends {
+            let inner = &fabric.inner;
+            Ends {
+                counters: [
+                    inner.messages.get(),
+                    inner.bytes.get(),
+                    inner.dropped.get(),
+                    inner.delayed.get(),
+                    inner.duplicated.get(),
+                ],
+                egress_busy_until: inner.state.borrow().egress_busy_until.clone(),
+                next_draws: (inner.faults_rng.u64(), inner.jitter_rng.u64()),
+                end: inner.handle.now().as_nanos(),
+            }
+        }
+    }
+
+    /// Sets fault state at `at`, as generated: down, up, partition, heal,
+    /// per-link drop / duplicate / spike, fabric-wide faults, or clear.
+    fn flip_faults(fabric: &Fabric, (at, kind, a, b, p, spike): Flip) {
+        let (fabric, h) = (fabric.clone(), fabric.handle().clone());
+        let (a, b) = (NodeId(a), NodeId(b));
+        h.clone().spawn_detached(async move {
+            h.sleep_until(SimTime::from_nanos(at)).await;
+            let faults = |drop, duplicate, delay_spike| MessageFaults {
+                drop,
+                duplicate,
+                delay_spike,
+                spike: Duration::from_nanos(spike),
+            };
+            match kind {
+                0 => fabric.set_node_down(a, true),
+                1 => fabric.set_node_down(a, false),
+                2 => fabric.partition(&[a], &[b]),
+                3 => fabric.heal_partitions(),
+                4 => fabric.set_link_faults(a, b, faults(p, 0.0, 0.0)),
+                5 => fabric.set_link_faults(a, b, faults(0.0, p, 0.0)),
+                6 => fabric.set_link_faults(a, b, faults(0.0, 0.0, p)),
+                7 => fabric.set_message_faults(faults(p / 2.0, p / 2.0, p)),
+                _ => fabric.clear_message_faults(),
+            }
+        });
     }
 
     /// Runs a schedule on the state machine or on the oracle; returns
@@ -973,7 +1229,9 @@ mod tests {
                 f.handle().sleep_until(leaves).await;
                 f.deliver_oracle(from, to, bytes, transport).await
             } else {
-                f.deliver(from, to, bytes, transport, leaves).await
+                f.deliver(from, to, bytes, transport, leaves)
+                    .await
+                    .map(drop)
             }
         }
 
@@ -989,29 +1247,8 @@ mod tests {
             let (fabric, waited) = (fabric.clone(), Rc::clone(&waited));
             let (msgs, flips) = (msgs.to_vec(), flips.to_vec());
             async move {
-                for (at, kind, a, b, p, spike) in flips {
-                    let (fabric, h2) = (fabric.clone(), h.clone());
-                    let (a, b) = (NodeId(a), NodeId(b));
-                    h.spawn_detached(async move {
-                        h2.sleep_until(SimTime::from_nanos(at)).await;
-                        let faults = |drop, duplicate, delay_spike| MessageFaults {
-                            drop,
-                            duplicate,
-                            delay_spike,
-                            spike: Duration::from_nanos(spike),
-                        };
-                        match kind {
-                            0 => fabric.set_node_down(a, true),
-                            1 => fabric.set_node_down(a, false),
-                            2 => fabric.partition(&[a], &[b]),
-                            3 => fabric.heal_partitions(),
-                            4 => fabric.set_link_faults(a, b, faults(p, 0.0, 0.0)),
-                            5 => fabric.set_link_faults(a, b, faults(0.0, p, 0.0)),
-                            6 => fabric.set_link_faults(a, b, faults(0.0, 0.0, p)),
-                            7 => fabric.set_message_faults(faults(p / 2.0, p / 2.0, p)),
-                            _ => fabric.clear_message_faults(),
-                        }
-                    });
+                for flip in flips {
+                    flip_faults(&fabric, flip);
                 }
                 let duplicates = Rc::new(RefCell::new(Vec::new()));
                 let mut joins = Vec::new();
@@ -1063,19 +1300,11 @@ mod tests {
         if !oracle {
             assert_eq!(fabric.hops_in_flight(), 0, "a slab slot leaked");
         }
-        let inner = &fabric.inner;
+        let ends = Ends::of(&fabric);
         let outcome = Outcome {
             finished,
             duplicates,
-            counters: [
-                inner.messages.get(),
-                inner.bytes.get(),
-                inner.dropped.get(),
-                inner.delayed.get(),
-            ],
-            egress_busy_until: inner.state.borrow().egress_busy_until.clone(),
-            next_draws: (inner.faults_rng.u64(), inner.jitter_rng.u64()),
-            end: sim.handle().now().as_nanos(),
+            ends,
         };
         (outcome, sim.poll_count(), waited.get())
     }
@@ -1120,6 +1349,204 @@ mod tests {
             proptest::prop_assert_eq!(&new, &old);
             proptest::prop_assert!(new_polls <= old_polls, "{new_polls} > {old_polls}");
             proptest::prop_assert!(!waited || new_polls < old_polls, "a reply waited: {new_polls}");
+        }
+    }
+
+    /// One generated call: when, its endpoints, its request size, its
+    /// transport, and the service shape it names with its reply's size
+    /// and service time (ns).
+    type CallSpec = (u64, u32, u32, usize, bool, (u8, usize, u64));
+    /// One handler run: when, on which node, which shape and binding,
+    /// and its request's size.
+    type Run = (u64, u32, u8, u32, usize);
+    /// The service names of the three handler shapes: answers at once,
+    /// names its leave instant, sleeps its service time out.
+    const SHAPES: [&str; 3] = ["now", "timed", "sleepy"];
+
+    /// Binds shape `shape` as binding `version` on `node`. The handler
+    /// logs its run and reads the reply's size and service time from the
+    /// request's first 16 bytes.
+    fn bind_shape(
+        fabric: &Fabric,
+        node: NodeId,
+        shape: u8,
+        version: u32,
+        log: &Rc<RefCell<Vec<Run>>>,
+    ) {
+        let (h, log) = (fabric.handle().clone(), Rc::clone(log));
+        let run = move |payload: &Bytes, ctx: CallCtx| {
+            let now = h.now();
+            let entry = (now.as_nanos(), ctx.to.0, shape, version, payload.len());
+            log.borrow_mut().push(entry);
+            let word = |i: usize| u64::from_le_bytes(payload[i..i + 8].try_into().unwrap());
+            let frame = Bytes::from(vec![0u8; word(0) as usize]);
+            (frame, now + Duration::from_nanos(word(8)), h.clone())
+        };
+        let name = SHAPES[usize::from(shape)];
+        match shape {
+            0 => fabric.bind(
+                node,
+                name,
+                Rc::new(move |p, ctx| {
+                    let (frame, ..) = run(&p, ctx);
+                    Box::pin(async move { Ok(frame) })
+                }),
+            ),
+            1 => fabric.bind_timed(
+                node,
+                name,
+                Rc::new(move |p, ctx| {
+                    let (frame, leaves, _) = run(&p, ctx);
+                    Box::pin(async move { Ok((frame, leaves)) })
+                }),
+            ),
+            _ => fabric.bind(
+                node,
+                name,
+                Rc::new(move |p, ctx| {
+                    let (frame, leaves, h) = run(&p, ctx);
+                    Box::pin(async move {
+                        h.sleep_until(leaves).await;
+                        Ok(frame)
+                    })
+                }),
+            ),
+        }
+    }
+
+    /// What a call schedule leaves behind: per call the instant it
+    /// finished and its reply's size or error, every handler run in
+    /// order (duplicates included), and the state the fabric ends in.
+    #[derive(Debug, PartialEq)]
+    struct CallOutcome {
+        finished: Vec<(u64, Result<usize, NetError>)>,
+        runs: Vec<Run>,
+        ends: Ends,
+    }
+
+    /// Runs a call schedule through `call` or through the oracle, with
+    /// fault flips (kinds 0..=8, as `flip_faults`) and, for kinds 9 and
+    /// 10, an unbind or a rebind of shape `b % 3` on node `a`; returns what
+    /// it left and its polls.
+    fn run_calls(
+        seed: u64,
+        calls: &[CallSpec],
+        flips: &[Flip],
+        oracle: bool,
+    ) -> (CallOutcome, u64) {
+        let mut sim = Sim::new(seed);
+        let h = sim.handle();
+        let fabric = Fabric::new(
+            sim.handle(),
+            Topology::uniform(2, 2),
+            LatencyModel::new(NetworkGeneration::Dc2021),
+        );
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for node in 0..4 {
+            for shape in 0..3 {
+                bind_shape(&fabric, NodeId(node), shape, 0, &log);
+            }
+        }
+        for (version, &flip) in (1..).zip(flips) {
+            let (at, kind, a, b, ..) = flip;
+            let (fabric, h2, log) = (fabric.clone(), h.clone(), Rc::clone(&log));
+            let (node, shape) = (NodeId(a), (b % 3) as u8);
+            match kind {
+                9 | 10 => h.spawn_detached(async move {
+                    h2.sleep_until(SimTime::from_nanos(at)).await;
+                    match kind {
+                        9 => fabric.unbind(node, SHAPES[usize::from(shape)]),
+                        _ => bind_shape(&fabric, node, shape, version, &log),
+                    }
+                }),
+                _ => flip_faults(&fabric, flip),
+            }
+        }
+        let finished = sim.block_on({
+            let (fabric, calls) = (fabric.clone(), calls.to_vec());
+            async move {
+                let mut joins = Vec::new();
+                for (at, from, to, bytes, rdma, (shape, reply, service)) in calls {
+                    let (fabric, h2) = (fabric.clone(), h.clone());
+                    let mut payload = vec![0u8; bytes.max(16)];
+                    payload[..8].copy_from_slice(&(reply as u64).to_le_bytes());
+                    payload[8..16].copy_from_slice(&service.to_le_bytes());
+                    let transport = if rdma {
+                        Transport::Rdma
+                    } else {
+                        Transport::Tcp
+                    };
+                    joins.push(h.spawn(async move {
+                        h2.sleep_until(SimTime::from_nanos(at)).await;
+                        let (from, to) = (NodeId(from), NodeId(to));
+                        let (name, payload) = (SHAPES[usize::from(shape)], Bytes::from(payload));
+                        let reply = if oracle {
+                            fabric
+                                .call_oracle(from, to, name, transport, payload, None)
+                                .await
+                        } else {
+                            fabric.call(from, to, name, transport, payload).await
+                        };
+                        (h2.now().as_nanos(), reply.map(|frame| frame.len()))
+                    }));
+                }
+                let mut finished = Vec::new();
+                for join in joins {
+                    finished.push(join.await);
+                }
+                // Past any duplicate's spike, service time and timeout.
+                h.sleep(Duration::from_millis(20)).await;
+                finished
+            }
+        });
+        assert_eq!(fabric.hops_in_flight(), 0, "a slab slot leaked");
+        let outcome = CallOutcome {
+            finished,
+            runs: log.take(),
+            ends: Ends::of(&fabric),
+        };
+        (outcome, sim.poll_count())
+    }
+
+    proptest::proptest! {
+        /// A call against the body it replaced, where the caller ran the
+        /// handler after the request's arrival woke it: overlapping calls
+        /// to handlers that answer at once, name a leave instant or sleep,
+        /// over every hop class and both transports, with faults, nodes
+        /// and partitions flipped and services unbound and rebound
+        /// mid-flight. Every call finishes at the same instant with the
+        /// same reply, every handler runs at the same instant in the same
+        /// order, the fabric ends in the same state, no schedule costs
+        /// more polls, and one where a handler ran costs fewer.
+        #[test]
+        fn a_call_served_in_its_arrival_event_does_what_the_woken_caller_did(
+            seed in proptest::prelude::any::<u64>(),
+            calls in proptest::collection::vec(
+                (
+                    0u64..400_000,
+                    0u32..4,
+                    0u32..4,
+                    proptest::prop_oneof![
+                        proptest::strategy::Just(16usize),
+                        16usize..2_000,
+                        50_000usize..400_000,
+                    ],
+                    proptest::prelude::any::<bool>(),
+                    (0u8..3, 0usize..100_000, 0u64..50_000),
+                ),
+                1..49,
+            ),
+            flips in proptest::collection::vec(
+                (0u64..600_000, 0u8..11, 0u32..4, 0u32..4, 0.0f64..1.0, 0u64..300_000),
+                0..10,
+            ),
+        ) {
+            let (new, new_polls) = run_calls(seed, &calls, &flips, false);
+            let (old, old_polls) = run_calls(seed, &calls, &flips, true);
+            proptest::prop_assert_eq!(&new, &old);
+            proptest::prop_assert!(new_polls <= old_polls, "{new_polls} > {old_polls}");
+            let served = !new.runs.is_empty();
+            proptest::prop_assert!(!served || new_polls < old_polls, "a handler ran: {new_polls}");
         }
     }
 
@@ -1298,10 +1725,29 @@ mod tests {
         let mut sim = Sim::new(1);
         let fabric = build(&sim, NetworkGeneration::Dc2021);
         fabric.bind(NodeId(2), "echo", echo_handler());
+        // A handler that holds the fabric and an `Rc` while it sleeps.
+        let held = Rc::new(RefCell::new(std::rc::Weak::new()));
+        let (f, w) = (fabric.clone(), Rc::clone(&held));
+        let hold: RpcHandler = Rc::new(move |payload, _| {
+            let (fabric, owned) = (f.clone(), Rc::new(()));
+            *w.borrow_mut() = Rc::downgrade(&owned);
+            Box::pin(async move {
+                fabric.handle().sleep(Duration::from_secs(1)).await;
+                drop(owned);
+                Ok(payload)
+            })
+        });
+        fabric.bind(NodeId(0), "hold", hold);
         let h = sim.handle();
         sim.block_on({
             let fabric = fabric.clone();
             async move {
+                let holding = fabric.clone();
+                h.spawn_detached(async move {
+                    let call =
+                        holding.call(NodeId(0), NodeId(0), "hold", Transport::Tcp, Bytes::new());
+                    let _ = call.await;
+                });
                 for to in 1..4 {
                     let fabric = fabric.clone();
                     h.spawn_detached(async move {
@@ -1318,14 +1764,119 @@ mod tests {
                 h.sleep(Duration::from_micros(7)).await;
             }
         });
-        assert_eq!(fabric.hops_in_flight(), 4);
+        // Three transfers, the echo's request and the pending `hold`.
+        assert_eq!(fabric.hops_in_flight(), 5);
+        assert!(held.borrow().upgrade().is_some());
         // The wheel holds the fabric through four events and a
-        // deadline's expiry, the task table through five futures.
+        // deadline's expiry, the task table through six futures, the
+        // slab through the pending handler.
         let alive = Rc::downgrade(&fabric.inner);
         drop(fabric);
         assert!(alive.upgrade().is_some());
         drop(sim);
         assert!(alive.upgrade().is_none());
+        assert!(held.borrow().upgrade().is_none());
+    }
+
+    /// The service is looked up when the request arrives: one unbound
+    /// while its request is in flight fails the call with `NoService`
+    /// there, and one rebound reaches the new handler.
+    #[test]
+    fn a_service_unbound_or_rebound_in_flight_is_seen_at_arrival() {
+        fn answer(text: &'static str) -> RpcHandler {
+            Rc::new(move |_, _| Box::pin(async move { Ok(Bytes::from_static(text.as_bytes())) }))
+        }
+        let run = |flip: fn(&Fabric)| {
+            let mut sim = Sim::new(1);
+            let fabric = build(&sim, NetworkGeneration::Dc2021);
+            fabric.bind(NodeId(2), "svc", answer("old"));
+            let h = sim.handle();
+            sim.block_on(async move {
+                let call = fabric.call(NodeId(0), NodeId(2), "svc", Transport::Tcp, Bytes::new());
+                let mut call = Box::pin(call);
+                std::future::poll_fn(|cx| {
+                    assert!(call.as_mut().poll(cx).is_pending());
+                    Poll::Ready(())
+                })
+                .await;
+                // Mid-way through the request's ~110 µs.
+                h.sleep(Duration::from_micros(50)).await;
+                flip(&fabric);
+                call.await
+            })
+        };
+        let unbound = run(|f| f.unbind(NodeId(2), "svc"));
+        assert_eq!(unbound, Err(NetError::NoService("svc".into())));
+        let rebound = run(|f| f.bind(NodeId(2), "svc", answer("new")));
+        assert_eq!(rebound, Ok(Bytes::from_static(b"new")));
+    }
+
+    /// A call dropped while its handler is pending drops the handler's
+    /// future at that instant and frees its slot.
+    #[test]
+    fn a_call_dropped_while_its_handler_is_pending_drops_the_handler_at_once() {
+        /// Notes the instant it is dropped.
+        struct Guard(SimHandle, Rc<std::cell::Cell<Option<SimTime>>>);
+        impl Drop for Guard {
+            fn drop(&mut self) {
+                self.1.set(Some(self.0.now()));
+            }
+        }
+        let mut sim = Sim::new(1);
+        let fabric = build(&sim, NetworkGeneration::Dc2021);
+        let dropped = Rc::new(std::cell::Cell::new(None));
+        let (h, d) = (sim.handle(), Rc::clone(&dropped));
+        let slow: RpcHandler = Rc::new(move |payload, _| {
+            let (h, guard) = (h.clone(), Guard(h.clone(), Rc::clone(&d)));
+            Box::pin(async move {
+                h.sleep(Duration::from_millis(1)).await;
+                drop(guard);
+                Ok(payload)
+            })
+        });
+        fabric.bind(NodeId(2), "slow", slow);
+        let h = sim.handle();
+        let (pending, at) = sim.block_on({
+            let (fabric, dropped) = (fabric.clone(), Rc::clone(&dropped));
+            async move {
+                let call = fabric.call(NodeId(0), NodeId(2), "slow", Transport::Tcp, Bytes::new());
+                let mut call = Box::pin(call);
+                std::future::poll_fn(|cx| {
+                    assert!(call.as_mut().poll(cx).is_pending());
+                    Poll::Ready(())
+                })
+                .await;
+                // Past the request's arrival, inside the handler's sleep.
+                h.sleep(Duration::from_micros(300)).await;
+                let pending = (fabric.hops_in_flight(), dropped.get());
+                drop(call);
+                assert_eq!(fabric.hops_in_flight(), 0);
+                (pending, h.now())
+            }
+        });
+        assert_eq!(pending, (1, None));
+        assert_eq!(dropped.get(), Some(at));
+    }
+
+    /// The caller is polled to send the request and to collect the reply;
+    /// the woken caller that ran the handler was polled once more.
+    #[test]
+    fn an_rpc_to_an_echo_handler_costs_its_caller_two_polls() {
+        let polls = |oracle: bool| {
+            let mut sim = Sim::new(1);
+            let fabric = build(&sim, NetworkGeneration::Dc2021);
+            fabric.bind(NodeId(2), "echo", echo_handler());
+            let reply = sim.block_on(async move {
+                let (from, to, hi) = (NodeId(0), NodeId(2), Bytes::from_static(b"hi"));
+                match oracle {
+                    true => (fabric.call_oracle(from, to, "echo", Transport::Tcp, hi, None)).await,
+                    false => fabric.call(from, to, "echo", Transport::Tcp, hi).await,
+                }
+            });
+            assert_eq!(reply, Ok(Bytes::from_static(b"hi")));
+            sim.poll_count()
+        };
+        assert_eq!((polls(false), polls(true)), (2, 3));
     }
 
     #[test]

@@ -200,7 +200,8 @@ mod tests {
     /// attempt's deadline are polled in the task that awaits them: each
     /// spawned no task of its own and sent no reply down a channel. A
     /// replica's reply leaves when its media time is done, with no wake
-    /// of the reading task in between.
+    /// of the reading task in between, and each request is served in its
+    /// arrival event, with no wake of the calling task for it.
     #[test]
     fn a_write_and_a_one_rtt_read_take_pinned_polls() {
         let mut sim = Sim::new(42);
@@ -230,7 +231,7 @@ mod tests {
         let write = polls(&mut sim, Box::pin(write) as LocalBoxFuture<()>);
         let read_one_rtt = polls(&mut sim, Box::pin(read(Consistency::Linearizable)));
         let read_eventual = polls(&mut sim, Box::pin(read(Consistency::Eventual)));
-        assert_eq!((write, read_one_rtt, read_eventual), (12, 9, 4));
+        assert_eq!((write, read_one_rtt, read_eventual), (9, 6, 3));
     }
 
     /// Every `total <= 5`, `need <= total` and every arrival order of
