@@ -582,8 +582,7 @@ impl Fabric {
         transport: Transport,
         payload: Bytes,
     ) -> Result<Bytes, NetError> {
-        self.call_traced(from, to, service, transport, payload, None)
-            .await
+        (self.send(from, to, service, transport, payload, None)).await
     }
 
     /// Like [`Fabric::call`], but carries a trace context to the
@@ -600,10 +599,21 @@ impl Fabric {
         payload: Bytes,
         trace: Option<pcsi_trace::TraceContext>,
     ) -> Result<Bytes, NetError> {
-        let req_len = payload.len()
-            + trace
-                .map(|_| pcsi_trace::TraceContext::WIRE_LEN)
-                .unwrap_or(0);
+        (self.send(from, to, service, transport, payload, trace)).await
+    }
+
+    /// A call's delivery, its request sent now. Not `async`: what it
+    /// works out is not kept in the call's future.
+    fn send(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        service: &str,
+        transport: Transport,
+        payload: Bytes,
+        trace: Option<pcsi_trace::TraceContext>,
+    ) -> Delivery<'_> {
+        let req_len = payload.len() + trace.map_or(0, |_| pcsi_trace::TraceContext::WIRE_LEN);
 
         // Seeded duplicate injection: with probability `duplicate` the
         // request is delivered twice and the handler runs twice, the
@@ -614,10 +624,7 @@ impl Fabric {
         let duplicate = faults.duplicate > 0.0 && self.inner.faults_rng.bool(faults.duplicate);
         let service = {
             let s = self.inner.state.borrow();
-            let bound = s
-                .services
-                .get(&to)
-                .and_then(|table| table.get_key_value(service));
+            let bound = s.services.get(&to).and_then(|t| t.get_key_value(service));
             bound.map_or_else(|| Rc::from(service), |(name, _)| Rc::clone(name))
         };
 
@@ -629,7 +636,7 @@ impl Fabric {
             ctx: CallCtx { from, to, trace },
             duplicate,
         });
-        call.await
+        call
     }
 }
 
