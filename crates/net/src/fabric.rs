@@ -282,6 +282,16 @@ struct Hop {
     call: Option<Call>,
 }
 
+impl Hop {
+    /// The call's pending handler future, taken out of the slot.
+    fn take_serving(&mut self) -> Option<Serving> {
+        match self.call.take_if(|c| matches!(c, Call::Serving(_))) {
+            Some(Call::Serving(serving)) => Some(serving),
+            _ => None,
+        }
+    }
+}
+
 /// An RPC request as it leaves the caller.
 struct Request {
     /// The service it names, looked up when it arrives.
@@ -371,9 +381,7 @@ impl Fabric {
             if let Some(inner) = weak.upgrade() {
                 let mut s = inner.state.borrow_mut();
                 let services = std::mem::take(&mut s.services);
-                let serving: Vec<_> = (s.hops.iter_mut())
-                    .filter_map(|hop| hop.call.take_if(|c| matches!(c, Call::Serving(_))))
-                    .collect();
+                let serving: Vec<_> = s.hops.iter_mut().filter_map(Hop::take_serving).collect();
                 drop(s);
                 drop((services, serving));
             }
@@ -582,7 +590,7 @@ impl Fabric {
         transport: Transport,
         payload: Bytes,
     ) -> Result<Bytes, NetError> {
-        (self.send(from, to, service, transport, payload, None)).await
+        self.send(from, to, service, transport, payload, None).await
     }
 
     /// Like [`Fabric::call`], but carries a trace context to the
@@ -599,7 +607,8 @@ impl Fabric {
         payload: Bytes,
         trace: Option<pcsi_trace::TraceContext>,
     ) -> Result<Bytes, NetError> {
-        (self.send(from, to, service, transport, payload, trace)).await
+        self.send(from, to, service, transport, payload, trace)
+            .await
     }
 
     /// A call's delivery, its request sent now. Not `async`: what it
@@ -844,13 +853,8 @@ impl FabricInner {
         let hop = &mut s.hops[slot];
         match answer {
             Ok((frame, leaves)) => {
-                hop.msg = Message {
-                    from: hop.msg.to,
-                    to: hop.msg.from,
-                    bytes: frame.len(),
-                    transport: hop.msg.transport,
-                    leaves,
-                };
+                let m = &mut hop.msg;
+                (m.from, m.to, m.bytes, m.leaves) = (m.to, m.from, frame.len(), leaves);
                 hop.next = Stage::Start;
                 hop.call = Some(Call::Reply(frame));
                 drop(s);
@@ -874,14 +878,12 @@ impl FabricInner {
         if !hop.waiter.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
             hop.waiter = Some(cx.waker().clone());
         }
-        match hop.call.take_if(|c| matches!(c, Call::Serving(_))) {
-            Some(Call::Serving(serving)) => {
-                drop(s);
-                self.serve(slot, serving, cx)
-            }
-            // Woken for something else the task awaits.
-            _ => false,
-        }
+        // Otherwise woken for something else the task awaits.
+        let Some(serving) = hop.take_serving() else {
+            return false;
+        };
+        drop(s);
+        self.serve(slot, serving, cx)
     }
 }
 
@@ -955,7 +957,7 @@ impl Drop for Delivery<'_> {
         let hop = &mut s.hops[slot];
         // A pending handler has no event to come: it goes now, and its
         // slot with it.
-        let serving = hop.call.take_if(|c| matches!(c, Call::Serving(_)));
+        let serving = hop.take_serving();
         if hop.outcome.take().is_some() || serving.is_some() {
             s.free_hops.push(slot);
         } else {
