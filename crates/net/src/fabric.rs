@@ -205,7 +205,7 @@ struct State {
     /// costs nothing for fault-free runs.
     faults_armed: bool,
     /// Messages in flight and calls being served, by slab slot: a slot
-    /// is taken at a delivery's first poll and is the token of the
+    /// is taken when a delivery is made and is the token of the
     /// events that move it. The slots on `free_hops` hold no call.
     hops: Vec<Hop>,
     free_hops: Vec<usize>,
@@ -272,8 +272,9 @@ struct Hop {
     msg: Message,
     /// What the pending event does.
     next: Stage,
-    /// The task awaiting the delivery; `None` once it has dropped the
-    /// future, and the message then stops at its next stage.
+    /// The task awaiting the delivery, from its first poll; `None` before
+    /// it, and once the task has dropped the future (the message then
+    /// stops at its next stage).
     waiter: Option<Waker>,
     /// Set on arrival or failure, for the woken task to collect: the
     /// reply's frame, or an empty one for a message that is no call.
@@ -528,9 +529,11 @@ impl Fabric {
 
     /// One message's worth of delay — transport overhead, egress
     /// queueing, propagation — or the fault that ends it, once it
-    /// `leaves`. Local messages skip the NIC entirely. The awaiting task
-    /// is polled to start the message and to collect its outcome; its
-    /// output is an empty frame. A call sets the delivery's request.
+    /// `leaves`. Local messages skip the NIC entirely. The message, with
+    /// the request a call sends, waits in a slab slot for the delivery's
+    /// first poll to start it; the awaiting task is polled to start it
+    /// and to collect its outcome, an empty frame for a message that is
+    /// no call.
     fn deliver(
         &self,
         from: NodeId,
@@ -538,9 +541,9 @@ impl Fabric {
         bytes: usize,
         transport: Transport,
         leaves: SimTime,
+        request: Option<Request>,
     ) -> Delivery<'_> {
-        Delivery {
-            fabric: &self.inner,
+        let slot = self.inner.state.borrow_mut().park(Hop {
             msg: Message {
                 from,
                 to,
@@ -548,8 +551,14 @@ impl Fabric {
                 transport,
                 leaves,
             },
-            request: None,
-            slot: None,
+            next: Stage::Start,
+            waiter: None,
+            outcome: None,
+            call: request.map(Call::Request),
+        });
+        Delivery {
+            fabric: &self.inner,
+            slot: Some(slot),
         }
     }
 
@@ -573,7 +582,8 @@ impl Fabric {
         transport: Transport,
     ) -> Result<Duration, NetError> {
         let start = self.inner.handle.now();
-        self.deliver(from, to, bytes, transport, start).await?;
+        self.deliver(from, to, bytes, transport, start, None)
+            .await?;
         Ok(self.inner.handle.now() - start)
     }
 
@@ -637,15 +647,14 @@ impl Fabric {
             bound.map_or_else(|| Rc::from(service), |(name, _)| Rc::clone(name))
         };
 
-        let now = self.inner.handle.now();
-        let mut call = self.deliver(from, to, req_len, transport, now);
-        call.request = Some(Request {
+        let request = Request {
             service,
             payload,
             ctx: CallCtx { from, to, trace },
             duplicate,
-        });
-        call
+        };
+        let now = self.inner.handle.now();
+        self.deliver(from, to, req_len, transport, now, Some(request))
     }
 }
 
@@ -826,8 +835,8 @@ impl FabricInner {
                 // the request left, before the handler re-executes; its
                 // reply goes nowhere.
                 let fabric = Fabric { inner };
-                let arrived =
-                    fabric.deliver(msg.from, msg.to, msg.bytes, msg.transport, msg.leaves);
+                let (from, to, bytes) = (msg.from, msg.to, msg.bytes);
+                let arrived = fabric.deliver(from, to, bytes, msg.transport, msg.leaves, None);
                 if arrived.await.is_ok() {
                     drop(dup.serve(dup_payload, ctx).await);
                 }
@@ -867,16 +876,23 @@ impl FabricInner {
         }
     }
 
-    /// The awaiting task polls the call in `slot` again: its waker is
-    /// kept, and a pending handler is polled. True once the outcome is set.
+    /// The awaiting task polls the message in `slot`: the first poll
+    /// starts it, a later one keeps the task's waker and polls a pending
+    /// handler. True once the outcome is set.
     fn resume(self: &Rc<Self>, slot: usize, cx: &mut Context<'_>) -> bool {
         let mut s = self.state.borrow_mut();
         let hop = &mut s.hops[slot];
         if hop.outcome.is_some() {
             return true;
         }
+        // A message parked by `deliver` has no waiter until its first poll.
+        let started = hop.waiter.is_some();
         if !hop.waiter.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
             hop.waiter = Some(cx.waker().clone());
+        }
+        if !started {
+            drop(s);
+            return self.step(slot);
         }
         // Otherwise woken for something else the task awaits.
         let Some(serving) = hop.take_serving() else {
@@ -909,14 +925,11 @@ impl TimerEvent for FabricInner {
     }
 }
 
-/// Future of [`Fabric::deliver`], and of a call when it carries a
-/// request. Lazy: the message starts at the first poll.
+/// Future of [`Fabric::deliver`]. Lazy: the message starts at the
+/// first poll.
 struct Delivery<'a> {
     fabric: &'a Rc<FabricInner>,
-    msg: Message,
-    /// The call's request, until the first poll parks it with the hop.
-    request: Option<Request>,
-    /// The hop's slab slot while the message or call is under way.
+    /// The hop's slab slot until its outcome is collected.
     slot: Option<usize>,
 }
 
@@ -924,26 +937,12 @@ impl Future for Delivery<'_> {
     type Output = Result<Bytes, NetError>;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let fabric = self.fabric;
-        let (slot, done) = match self.slot {
-            Some(slot) => (slot, fabric.resume(slot, cx)),
-            None => {
-                let slot = fabric.state.borrow_mut().park(Hop {
-                    msg: self.msg,
-                    next: Stage::Start,
-                    waiter: Some(cx.waker().clone()),
-                    outcome: None,
-                    call: self.request.take().map(Call::Request),
-                });
-                self.slot = Some(slot);
-                (slot, fabric.step(slot))
-            }
-        };
-        if !done {
+        let slot = self.slot.expect("a delivery is not polled once done");
+        if !self.fabric.resume(slot, cx) {
             return Poll::Pending;
         }
         self.slot = None;
-        let mut s = fabric.state.borrow_mut();
+        let mut s = self.fabric.state.borrow_mut();
         s.free_hops.push(slot);
         let outcome = s.hops[slot].outcome.take();
         Poll::Ready(outcome.expect("a done hop has its outcome"))
@@ -955,14 +954,15 @@ impl Drop for Delivery<'_> {
         let Some(slot) = self.slot else { return };
         let mut s = self.fabric.state.borrow_mut();
         let hop = &mut s.hops[slot];
-        // A pending handler has no event to come: it goes now, and its
-        // slot with it.
         let serving = hop.take_serving();
-        if hop.outcome.take().is_some() || serving.is_some() {
-            s.free_hops.push(slot);
-        } else {
+        if serving.is_none() && hop.outcome.is_none() && hop.waiter.is_some() {
             // The pending event finds no waiter and frees the slot.
             hop.waiter = None;
+        } else {
+            // Done, never started, or its handler pending (no event is
+            // to come for it): the slot goes now.
+            (hop.outcome, hop.call) = (None, None);
+            s.free_hops.push(slot);
         }
         // Outside the borrow: the handler's destructor may call in.
         drop(s);
@@ -1107,7 +1107,8 @@ mod tests {
             let ctx = CallCtx { from, to, trace };
 
             let now = self.inner.handle.now();
-            self.deliver(from, to, req_len, transport, now).await?;
+            self.deliver(from, to, req_len, transport, now, None)
+                .await?;
 
             let handler = {
                 let s = self.inner.state.borrow();
@@ -1124,7 +1125,9 @@ mod tests {
                 let dup_payload = payload.clone();
                 let dup_handler = handler.clone();
                 self.inner.handle.spawn_detached(async move {
-                    let arrived = fabric.deliver(from, to, req_len, transport, now).await;
+                    let arrived = fabric
+                        .deliver(from, to, req_len, transport, now, None)
+                        .await;
                     if arrived.is_ok() {
                         match dup_handler {
                             Service::Now(handler) => drop(handler(dup_payload, ctx).await),
@@ -1139,7 +1142,7 @@ mod tests {
                 Service::Timed(handler) => handler(payload, ctx).await?,
             };
             let len = frame.len();
-            self.deliver(to, from, len, transport, leaves).await?;
+            self.deliver(to, from, len, transport, leaves, None).await?;
             Ok(frame)
         }
     }
@@ -1238,7 +1241,7 @@ mod tests {
                 f.handle().sleep_until(leaves).await;
                 f.deliver_oracle(from, to, bytes, transport).await
             } else {
-                f.deliver(from, to, bytes, transport, leaves)
+                f.deliver(from, to, bytes, transport, leaves, None)
                     .await
                     .map(drop)
             }
@@ -1708,8 +1711,9 @@ mod tests {
         sim.block_on({
             let fabric = fabric.clone();
             async move {
-                let mut delivery =
-                    Box::pin(fabric.deliver(NodeId(0), NodeId(2), 4096, Transport::Tcp, h.now()));
+                let delivery =
+                    fabric.deliver(NodeId(0), NodeId(2), 4096, Transport::Tcp, h.now(), None);
+                let mut delivery = Box::pin(delivery);
                 std::future::poll_fn(|cx| {
                     assert!(delivery.as_mut().poll(cx).is_pending());
                     Poll::Ready(())
