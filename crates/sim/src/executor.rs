@@ -457,13 +457,14 @@ impl fmt::Debug for SimHandle {
 ///
 /// Holds only the executor core (not a full [`SimHandle`]), so
 /// construction and drop stay at one refcount bump. Work a task waits
-/// out sleeps (think times, backoffs, a write's media time); a message's
-/// hops and a reply's wait to leave its server are timer events on the
-/// fabric ([`SimHandle::schedule`]) and wake no task. A pending sleep
-/// files one wheel node, however often it is polled: a poll from another
-/// task (a race or a gather handing its work off) moves the node's waker
-/// there, and the node keeps its place in the firing order. Dropping a
-/// pending sleep cancels its node.
+/// out sleeps (think times, backoffs, a write's media time, a handler's
+/// own waits); a message's hops, a reply's wait to leave its server and
+/// a request's arrival, whose event runs the handler, are timer events
+/// on the fabric ([`SimHandle::schedule`]) and wake no task. A pending
+/// sleep files one wheel node, however often it is polled: a poll from
+/// another task (a race or a gather handing its work off) moves the
+/// node's waker there, and the node keeps its place in the firing
+/// order. Dropping a pending sleep cancels its node.
 pub struct Sleep {
     inner: Rc<RefCell<Inner>>,
     deadline: SimTime,
