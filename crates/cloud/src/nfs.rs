@@ -22,7 +22,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use pcsi_core::{Mutability, ObjectId, PcsiError};
 use pcsi_metrics::Metrics;
-use pcsi_net::fabric::RpcHandler;
+use pcsi_net::fabric::CallCtx;
 use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_obs::Telemetry;
 use pcsi_proto::binary::{DecodeError, Prefix::U32 as LEN, Reader, Writer};
@@ -272,9 +272,9 @@ impl NfsServer {
             }),
         });
         let inner = Rc::clone(&server);
-        let handler: RpcHandler = Rc::new(move |payload, ctx| {
+        let handler = Rc::new(move |payload, ctx: CallCtx| {
             let server = Rc::clone(&inner);
-            Box::pin(async move { Ok(encode_reply(&server.serve(payload, ctx.trace).await)) })
+            async move { Ok(encode_reply(&server.serve(payload, ctx.trace).await)) }
         });
         fabric.bind(node, "nfs", handler);
         NfsServer { inner: server }

@@ -36,7 +36,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use pcsi_core::{Consistency, Mutability, ObjectId, PcsiError};
 use pcsi_metrics::Metrics;
-use pcsi_net::fabric::RpcHandler;
+use pcsi_net::fabric::CallCtx;
 use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_proto::http::{Method, Request, Response};
 use pcsi_proto::sign::{sign_request, verify_request, Credentials, Scope};
@@ -158,15 +158,15 @@ impl RestGateway {
             metrics: RefCell::new(None),
         });
         let gw = Rc::clone(&gateway);
-        let handler: RpcHandler = Rc::new(move |payload, ctx| {
+        let handler = Rc::new(move |payload, ctx: CallCtx| {
             let gw = Rc::clone(&gw);
-            Box::pin(async move { Ok(Bytes::from(gw.handle(payload, ctx.trace).await.encode())) })
+            async move { Ok(Bytes::from(gw.handle(payload, ctx.trace).await.encode())) }
         });
         fabric.bind(gateway_node, "rest-gateway", handler);
         let gw = Rc::clone(&gateway);
-        let handler: RpcHandler = Rc::new(move |payload, ctx| {
+        let handler = Rc::new(move |payload, ctx: CallCtx| {
             let gw = Rc::clone(&gw);
-            Box::pin(async move { gw.forward(payload, ctx.trace).await })
+            async move { gw.forward(payload, ctx.trace).await }
         });
         fabric.bind(lb_node, "rest-lb", handler);
         RestGateway { inner: gateway }

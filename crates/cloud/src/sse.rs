@@ -26,7 +26,6 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_fs::FifoQueue;
-use pcsi_net::fabric::RpcHandler;
 use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_proto::http::{Method, Request, Response};
 use pcsi_proto::sign::Credentials;
@@ -116,14 +115,14 @@ impl SseHub {
                 next_conn: Cell::new(1),
             }),
         };
-        let handler: RpcHandler = {
+        let handler = {
             let hub = hub.clone();
             Rc::new(move |payload, _ctx| {
                 let hub = hub.clone();
-                Box::pin(async move {
+                async move {
                     let resp = hub.handle(payload).await;
                     Ok(Bytes::from(resp.encode()))
-                })
+                }
             })
         };
         fabric.bind(hub_node, SSE_SERVICE, handler);
@@ -362,16 +361,11 @@ impl SseSubscriber {
         // buffer is unbounded, like the kernel socket buffer + browser
         // EventSource queue it models.
         let queue = FifoQueue::unbounded();
-        let handler: RpcHandler = {
+        let handler = {
             let queue = queue.clone();
-            Rc::new(move |frame: Bytes, _ctx| {
-                let queue = queue.clone();
-                let fut: pcsi_sim::executor::LocalBoxFuture<Result<Bytes, pcsi_net::NetError>> =
-                    Box::pin(async move {
-                        let _ = queue.push(frame);
-                        Ok(Bytes::new())
-                    });
-                fut
+            Rc::new(move |frame, _ctx| {
+                let _ = queue.push(frame);
+                std::future::ready(Ok(Bytes::new()))
             })
         };
         hub.inner.fabric.bind(node, &service, handler);

@@ -23,7 +23,6 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use pcsi_metrics::{Counter, Histogram, Metrics};
-use pcsi_sim::executor::LocalBoxFuture;
 use pcsi_sim::{SimHandle, SimTime, TimerEvent};
 
 use crate::latency::LatencyModel;
@@ -143,54 +142,54 @@ pub struct CallCtx {
     pub trace: Option<pcsi_trace::TraceContext>,
 }
 
-/// An RPC handler bound to a `(node, service)` pair.
-pub type RpcHandler = Rc<dyn Fn(Bytes, CallCtx) -> LocalBoxFuture<Result<Bytes, NetError>>>;
-
-/// A handler whose reply names the instant it leaves the server.
-type TimedHandler =
-    Rc<dyn Fn(Bytes, CallCtx) -> LocalBoxFuture<Result<(Bytes, SimTime), NetError>>>;
-
-/// A bound handler: its replies leave at once, or at the instant they name.
-#[derive(Clone)]
-enum Service {
-    Now(RpcHandler),
-    Timed(TimedHandler),
+/// A handler's answer: the reply's frame and the instant it leaves the
+/// server, where its hop starts. A bare frame leaves at once.
+#[derive(Debug)]
+pub struct Reply {
+    /// The reply's payload.
+    pub frame: Bytes,
+    /// When the reply leaves; an instant already past means now.
+    pub leaves: SimTime,
 }
 
-impl Service {
-    /// Calls the handler; its future is not polled yet.
-    fn serve(&self, payload: Bytes, ctx: CallCtx) -> Serving {
-        match self {
-            Service::Now(handler) => Serving::Now(handler(payload, ctx)),
-            Service::Timed(handler) => Serving::Timed(handler(payload, ctx)),
+impl From<Bytes> for Reply {
+    fn from(frame: Bytes) -> Reply {
+        Reply {
+            frame,
+            leaves: SimTime::ZERO,
         }
     }
 }
 
-/// A handler's future: the reply's frame and the instant it leaves the
-/// server (a bare frame leaves at once).
-enum Serving {
-    Now(LocalBoxFuture<Result<Bytes, NetError>>),
-    Timed(LocalBoxFuture<Result<(Bytes, SimTime), NetError>>),
+/// A handler's own future, polled for its [`Reply`] whatever its output
+/// type: the box the fabric keeps holds that future and nothing else.
+trait Answer {
+    fn poll_reply(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Result<Reply, NetError>>;
 }
 
-impl Future for Serving {
-    type Output = Result<(Bytes, SimTime), NetError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match self.get_mut() {
-            Serving::Now(f) => f.as_mut().poll(cx).map_ok(|frame| (frame, SimTime::ZERO)),
-            Serving::Timed(f) => f.as_mut().poll(cx),
-        }
+impl<F, R> Answer for F
+where
+    F: Future<Output = Result<R, NetError>>,
+    R: Into<Reply>,
+{
+    fn poll_reply(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Result<Reply, NetError>> {
+        self.poll(cx).map_ok(Into::into)
     }
 }
+
+/// A pending handler future.
+type Answering = Pin<Box<dyn Answer>>;
+
+/// A handler bound to a `(node, service)` pair; calling it does not poll
+/// its future yet.
+type Handler = Rc<dyn Fn(Bytes, CallCtx) -> Answering>;
 
 struct State {
     /// Handlers by node, then service name, so the per-call lookup is
     /// two borrowed-key probes — no `(NodeId, String)` tuple per RPC. A
     /// call carries the table's name to its arrival, so only a call to a
     /// name that is not bound allocates one.
-    services: FxHashMap<NodeId, FxHashMap<Rc<str>, Service>>,
+    services: FxHashMap<NodeId, FxHashMap<Rc<str>, Handler>>,
     down: FxHashSet<NodeId>,
     /// Symmetric set of blocked node pairs (stored with a <= b).
     blocked: FxHashSet<(NodeId, NodeId)>,
@@ -285,7 +284,7 @@ struct Hop {
 
 impl Hop {
     /// The call's pending handler future, taken out of the slot.
-    fn take_serving(&mut self) -> Option<Serving> {
+    fn take_serving(&mut self) -> Option<Answering> {
         match self.call.take_if(|c| matches!(c, Call::Serving(_))) {
             Some(Call::Serving(serving)) => Some(serving),
             _ => None,
@@ -307,7 +306,7 @@ struct Request {
 /// reply on the way back.
 enum Call {
     Request(Request),
-    Serving(Serving),
+    Serving(Answering),
     Reply(Bytes),
 }
 
@@ -434,21 +433,20 @@ impl Fabric {
     }
 
     /// Binds `handler` as `service` on `node`, replacing any previous
-    /// binding.
-    pub fn bind(&self, node: NodeId, service: &str, handler: RpcHandler) {
-        self.bind_service(node, service, Service::Now(handler));
-    }
-
-    /// Like [`Fabric::bind`], for a handler whose reply names the instant it
-    /// leaves the server: its hop starts then, with no task woken to start it.
-    pub fn bind_timed(&self, node: NodeId, service: &str, handler: TimedHandler) {
-        self.bind_service(node, service, Service::Timed(handler));
-    }
-
-    fn bind_service(&self, node: NodeId, name: &str, service: Service) {
+    /// binding. The handler answers a bare frame, which leaves at once,
+    /// or a [`Reply`] naming the instant it leaves the server: its hop
+    /// starts then, with no task woken to start it.
+    pub fn bind<H, F, R>(&self, node: NodeId, service: &str, handler: Rc<H>)
+    where
+        H: Fn(Bytes, CallCtx) -> F + ?Sized + 'static,
+        F: Future<Output = Result<R, NetError>> + 'static,
+        R: Into<Reply>,
+    {
+        let handler: Handler =
+            Rc::new(move |payload, ctx| -> Answering { Box::pin(handler(payload, ctx)) });
         let mut s = self.inner.state.borrow_mut();
         let table = s.services.entry(node).or_default();
-        table.insert(Rc::from(name), service);
+        table.insert(Rc::from(service), handler);
     }
 
     /// Removes a service binding; later calls to it fail with
@@ -838,21 +836,22 @@ impl FabricInner {
                 let (from, to, bytes) = (msg.from, msg.to, msg.bytes);
                 let arrived = fabric.deliver(from, to, bytes, msg.transport, msg.leaves, None);
                 if arrived.await.is_ok() {
-                    drop(dup.serve(dup_payload, ctx).await);
+                    let mut answer = dup(dup_payload, ctx);
+                    drop(std::future::poll_fn(|cx| answer.as_mut().poll_reply(cx)).await);
                 }
             });
         }
         let waker = self.state.borrow().hops[slot].waiter.clone();
         let waker = waker.expect("an arriving request has a caller");
-        let serving = handler.serve(payload, ctx);
+        let serving = handler(payload, ctx);
         self.serve(slot, serving, &mut Context::from_waker(&waker))
     }
 
     /// Polls the handler of the call in `slot`: parks its future there
     /// while it is pending, starts the reply at its leave instant once it
     /// answers. True once the call's outcome is set.
-    fn serve(self: &Rc<Self>, slot: usize, mut serving: Serving, cx: &mut Context<'_>) -> bool {
-        let Poll::Ready(answer) = Pin::new(&mut serving).poll(cx) else {
+    fn serve(self: &Rc<Self>, slot: usize, mut serving: Answering, cx: &mut Context<'_>) -> bool {
+        let Poll::Ready(answer) = serving.as_mut().poll_reply(cx) else {
             self.state.borrow_mut().hops[slot].call = Some(Call::Serving(serving));
             return false;
         };
@@ -861,7 +860,7 @@ impl FabricInner {
         let mut s = self.state.borrow_mut();
         let hop = &mut s.hops[slot];
         match answer {
-            Ok((frame, leaves)) => {
+            Ok(Reply { frame, leaves }) => {
                 let m = &mut hop.msg;
                 (m.from, m.to, m.bytes, m.leaves) = (m.to, m.from, frame.len(), leaves);
                 hop.next = Stage::Start;
@@ -985,8 +984,15 @@ mod tests {
     use pcsi_sim::Sim;
     use proptest::strategy::Strategy as _;
 
-    fn echo_handler() -> RpcHandler {
-        Rc::new(|payload, _ctx| Box::pin(async move { Ok(payload) }))
+    /// Binds an echo as `service` on `node`, written as
+    /// `benchmark/src/probes.rs` writes its own: a change to `bind`'s
+    /// bounds that stops that expression compiling fails here first.
+    fn bind_echo(fabric: &Fabric, node: NodeId, service: &str) {
+        fabric.bind(
+            node,
+            service,
+            Rc::new(|payload, _ctx| Box::pin(async move { Ok(payload) })),
+        );
     }
 
     /// A TCP call to `echo`, given up on after `within` — the way the
@@ -1129,18 +1135,15 @@ mod tests {
                         .deliver(from, to, req_len, transport, now, None)
                         .await;
                     if arrived.is_ok() {
-                        match dup_handler {
-                            Service::Now(handler) => drop(handler(dup_payload, ctx).await),
-                            Service::Timed(handler) => drop(handler(dup_payload, ctx).await),
-                        }
+                        let mut answer = dup_handler(dup_payload, ctx);
+                        drop(std::future::poll_fn(|cx| answer.as_mut().poll_reply(cx)).await);
                     }
                 });
             }
 
-            let (frame, leaves) = match handler {
-                Service::Now(handler) => (handler(payload, ctx).await?, SimTime::ZERO),
-                Service::Timed(handler) => handler(payload, ctx).await?,
-            };
+            let mut answer = handler(payload, ctx);
+            let Reply { frame, leaves } =
+                std::future::poll_fn(|cx| answer.as_mut().poll_reply(cx)).await?;
             let len = frame.len();
             self.deliver(to, from, len, transport, leaves, None).await?;
             Ok(frame)
@@ -1401,15 +1404,15 @@ mod tests {
                 name,
                 Rc::new(move |p, ctx| {
                     let (frame, ..) = run(&p, ctx);
-                    Box::pin(async move { Ok(frame) })
+                    std::future::ready(Ok(frame))
                 }),
             ),
-            1 => fabric.bind_timed(
+            1 => fabric.bind(
                 node,
                 name,
                 Rc::new(move |p, ctx| {
                     let (frame, leaves, _) = run(&p, ctx);
-                    Box::pin(async move { Ok((frame, leaves)) })
+                    std::future::ready(Ok(Reply { frame, leaves }))
                 }),
             ),
             _ => fabric.bind(
@@ -1417,10 +1420,10 @@ mod tests {
                 name,
                 Rc::new(move |p, ctx| {
                     let (frame, leaves, h) = run(&p, ctx);
-                    Box::pin(async move {
+                    async move {
                         h.sleep_until(leaves).await;
                         Ok(frame)
-                    })
+                    }
                 }),
             ),
         }
@@ -1607,7 +1610,7 @@ mod tests {
                 LatencyModel::new(NetworkGeneration::Dc2021),
             );
             for node in 0..4 {
-                fabric.bind(NodeId(node), "echo", echo_handler());
+                bind_echo(&fabric, NodeId(node), "echo");
             }
             let h = sim.handle();
             let in_flight_mid_run = sim.block_on({
@@ -1672,21 +1675,21 @@ mod tests {
             let arrived = Rc::new(std::cell::Cell::new(SimTime::ZERO));
             let (f, a) = (fabric.clone(), Rc::clone(&arrived));
             if sleeps {
-                let slept: RpcHandler = Rc::new(move |payload, _| {
+                let slept = Rc::new(move |payload, _| {
                     let leaves = serve(&f, &a);
                     let h = f.handle().clone();
-                    Box::pin(async move {
+                    async move {
                         h.sleep_until(leaves).await;
                         Ok(payload)
-                    })
+                    }
                 });
                 fabric.bind(NodeId(2), "serve", slept);
             } else {
-                let booked: TimedHandler = Rc::new(move |payload, _| {
+                let booked = Rc::new(move |frame, _| {
                     let leaves = serve(&f, &a);
-                    Box::pin(async move { Ok((payload, leaves)) })
+                    async move { Ok(Reply { frame, leaves }) }
                 });
-                fabric.bind_timed(NodeId(2), "serve", booked);
+                fabric.bind(NodeId(2), "serve", booked);
             }
             let h = sim.handle();
             let result = sim.block_on(async move {
@@ -1737,18 +1740,18 @@ mod tests {
     fn dropping_the_sim_frees_a_fabric_with_deliveries_in_flight() {
         let mut sim = Sim::new(1);
         let fabric = build(&sim, NetworkGeneration::Dc2021);
-        fabric.bind(NodeId(2), "echo", echo_handler());
+        bind_echo(&fabric, NodeId(2), "echo");
         // A handler that holds the fabric and an `Rc` while it sleeps.
         let held = Rc::new(RefCell::new(std::rc::Weak::new()));
         let (f, w) = (fabric.clone(), Rc::clone(&held));
-        let hold: RpcHandler = Rc::new(move |payload, _| {
+        let hold = Rc::new(move |payload, _| {
             let (fabric, owned) = (f.clone(), Rc::new(()));
             *w.borrow_mut() = Rc::downgrade(&owned);
-            Box::pin(async move {
+            async move {
                 fabric.handle().sleep(Duration::from_secs(1)).await;
                 drop(owned);
                 Ok(payload)
-            })
+            }
         });
         fabric.bind(NodeId(0), "hold", hold);
         let h = sim.handle();
@@ -1796,13 +1799,18 @@ mod tests {
     /// there, and one rebound reaches the new handler.
     #[test]
     fn a_service_unbound_or_rebound_in_flight_is_seen_at_arrival() {
-        fn answer(text: &'static str) -> RpcHandler {
-            Rc::new(move |_, _| Box::pin(async move { Ok(Bytes::from_static(text.as_bytes())) }))
+        fn answer(fabric: &Fabric, text: &'static str) {
+            let frame = Bytes::from_static(text.as_bytes());
+            fabric.bind(
+                NodeId(2),
+                "svc",
+                Rc::new(move |_, _| std::future::ready(Ok(frame.clone()))),
+            );
         }
         let run = |flip: fn(&Fabric)| {
             let mut sim = Sim::new(1);
             let fabric = build(&sim, NetworkGeneration::Dc2021);
-            fabric.bind(NodeId(2), "svc", answer("old"));
+            answer(&fabric, "old");
             let h = sim.handle();
             sim.block_on(async move {
                 let call = fabric.call(NodeId(0), NodeId(2), "svc", Transport::Tcp, Bytes::new());
@@ -1820,7 +1828,7 @@ mod tests {
         };
         let unbound = run(|f| f.unbind(NodeId(2), "svc"));
         assert_eq!(unbound, Err(NetError::NoService("svc".into())));
-        let rebound = run(|f| f.bind(NodeId(2), "svc", answer("new")));
+        let rebound = run(|f| answer(f, "new"));
         assert_eq!(rebound, Ok(Bytes::from_static(b"new")));
     }
 
@@ -1839,13 +1847,13 @@ mod tests {
         let fabric = build(&sim, NetworkGeneration::Dc2021);
         let dropped = Rc::new(std::cell::Cell::new(None));
         let (h, d) = (sim.handle(), Rc::clone(&dropped));
-        let slow: RpcHandler = Rc::new(move |payload, _| {
+        let slow = Rc::new(move |payload, _| {
             let (h, guard) = (h.clone(), Guard(h.clone(), Rc::clone(&d)));
-            Box::pin(async move {
+            async move {
                 h.sleep(Duration::from_millis(1)).await;
                 drop(guard);
                 Ok(payload)
-            })
+            }
         });
         fabric.bind(NodeId(2), "slow", slow);
         let h = sim.handle();
@@ -1878,7 +1886,7 @@ mod tests {
         let polls = |oracle: bool| {
             let mut sim = Sim::new(1);
             let fabric = build(&sim, NetworkGeneration::Dc2021);
-            fabric.bind(NodeId(2), "echo", echo_handler());
+            bind_echo(&fabric, NodeId(2), "echo");
             let reply = sim.block_on(async move {
                 let (from, to, hi) = (NodeId(0), NodeId(2), Bytes::from_static(b"hi"));
                 match oracle {
@@ -1896,7 +1904,7 @@ mod tests {
     fn rpc_roundtrip_echoes() {
         let mut sim = Sim::new(1);
         let fabric = build(&sim, NetworkGeneration::Dc2021);
-        fabric.bind(NodeId(2), "echo", echo_handler());
+        bind_echo(&fabric, NodeId(2), "echo");
         let out = sim.block_on({
             let fabric = fabric.clone();
             async move {
@@ -1919,7 +1927,7 @@ mod tests {
     fn unbind_removes_the_service() {
         let mut sim = Sim::new(1);
         let fabric = build(&sim, NetworkGeneration::Dc2021);
-        fabric.bind(NodeId(2), "ephemeral", echo_handler());
+        bind_echo(&fabric, NodeId(2), "ephemeral");
         // Unbinding an unknown name is a no-op.
         fabric.unbind(NodeId(3), "ephemeral");
         fabric.unbind(NodeId(2), "never-bound");
@@ -1956,7 +1964,7 @@ mod tests {
     fn cross_rack_rpc_costs_about_one_rtt_plus_sockets() {
         let mut sim = Sim::new(1);
         let fabric = build(&sim, NetworkGeneration::Dc2021);
-        fabric.bind(NodeId(2), "echo", echo_handler());
+        bind_echo(&fabric, NodeId(2), "echo");
         let h = sim.handle();
         let elapsed = sim.block_on({
             let fabric = fabric.clone();
@@ -1986,7 +1994,7 @@ mod tests {
     fn rdma_is_cheaper_than_tcp() {
         let mut sim = Sim::new(1);
         let fabric = build(&sim, NetworkGeneration::FastEmerging);
-        fabric.bind(NodeId(2), "echo", echo_handler());
+        bind_echo(&fabric, NodeId(2), "echo");
         let h = sim.handle();
         let (tcp, rdma) = sim.block_on({
             let fabric = fabric.clone();
@@ -2014,7 +2022,7 @@ mod tests {
     fn local_delivery_skips_the_network() {
         let mut sim = Sim::new(1);
         let fabric = build(&sim, NetworkGeneration::Dc2005);
-        fabric.bind(NodeId(0), "echo", echo_handler());
+        bind_echo(&fabric, NodeId(0), "echo");
         let h = sim.handle();
         let elapsed = sim.block_on({
             let fabric = fabric.clone();
@@ -2077,7 +2085,7 @@ mod tests {
     fn downed_node_unreachable_until_recovery() {
         let mut sim = Sim::new(1);
         let fabric = build(&sim, NetworkGeneration::Dc2021);
-        fabric.bind(NodeId(1), "echo", echo_handler());
+        bind_echo(&fabric, NodeId(1), "echo");
         let out = sim.block_on({
             let fabric = fabric.clone();
             async move {
@@ -2101,8 +2109,8 @@ mod tests {
     fn partition_blocks_both_directions_and_heals() {
         let mut sim = Sim::new(1);
         let fabric = build(&sim, NetworkGeneration::Dc2021);
-        fabric.bind(NodeId(0), "echo", echo_handler());
-        fabric.bind(NodeId(3), "echo", echo_handler());
+        bind_echo(&fabric, NodeId(0), "echo");
+        bind_echo(&fabric, NodeId(3), "echo");
         let results = sim.block_on({
             let fabric = fabric.clone();
             async move {
@@ -2131,7 +2139,7 @@ mod tests {
     fn certain_drop_surfaces_after_the_retransmit_timeout() {
         let mut sim = Sim::new(7);
         let fabric = build(&sim, NetworkGeneration::Dc2021);
-        fabric.bind(NodeId(2), "echo", echo_handler());
+        bind_echo(&fabric, NodeId(2), "echo");
         let h = sim.handle();
         let (err, elapsed) = sim.block_on({
             let fabric = fabric.clone();
@@ -2193,7 +2201,7 @@ mod tests {
     fn delay_spike_slows_the_message_down() {
         let mut sim = Sim::new(7);
         let fabric = build(&sim, NetworkGeneration::Dc2021);
-        fabric.bind(NodeId(2), "echo", echo_handler());
+        bind_echo(&fabric, NodeId(2), "echo");
         let h = sim.handle();
         let (clean, spiked) = sim.block_on({
             let fabric = fabric.clone();
@@ -2229,8 +2237,8 @@ mod tests {
     fn per_link_faults_override_the_default_and_clear_restores() {
         let mut sim = Sim::new(7);
         let fabric = build(&sim, NetworkGeneration::Dc2021);
-        fabric.bind(NodeId(2), "echo", echo_handler());
-        fabric.bind(NodeId(3), "echo", echo_handler());
+        bind_echo(&fabric, NodeId(2), "echo");
+        bind_echo(&fabric, NodeId(3), "echo");
         let results = sim.block_on({
             let fabric = fabric.clone();
             async move {
@@ -2261,7 +2269,7 @@ mod tests {
         let run = |seed: u64| {
             let mut sim = Sim::new(seed);
             let fabric = build(&sim, NetworkGeneration::Dc2021);
-            fabric.bind(NodeId(2), "echo", echo_handler());
+            bind_echo(&fabric, NodeId(2), "echo");
             let h = sim.handle();
             let outcomes = sim.block_on({
                 let fabric = fabric.clone();
@@ -2306,7 +2314,7 @@ mod tests {
     fn a_call_raced_against_a_deadline_times_out_or_passes_through() {
         let mut sim = Sim::new(3);
         let fabric = build(&sim, NetworkGeneration::Dc2021);
-        fabric.bind(NodeId(2), "echo", echo_handler());
+        bind_echo(&fabric, NodeId(2), "echo");
         let (fast, slow) = sim.block_on({
             let fabric = fabric.clone();
             async move {

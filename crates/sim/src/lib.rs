@@ -12,7 +12,7 @@
 //!   [`SimHandle::sleep_until`], [`util::deadline`]) and **events**
 //!   that run at an instant without a task being polled for them
 //!   ([`SimHandle::schedule`], [`SimHandle::cancel`], [`TimerEvent`]),
-//! * a waker-based **channel** ([`sync::mpsc`]), and
+//! * a waker-based one-shot **channel** ([`sync::oneshot`]), and
 //! * named, seeded **random-number streams** ([`rng`]) so that two runs with
 //!   the same seed produce byte-identical results regardless of the order in
 //!   which components were constructed.

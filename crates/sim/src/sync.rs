@@ -4,5 +4,4 @@
 //! the virtual-time executor purely through the standard waker protocol, so
 //! they would work under any single-threaded executor.
 
-pub mod mpsc;
-pub(crate) mod oneshot;
+pub mod oneshot;

@@ -1,6 +1,7 @@
 //! Single-value, single-use channel.
 //!
-//! The building block for [`crate::JoinHandle`].
+//! The building block for [`crate::JoinHandle`], and a hand-off from one
+//! task to another that waits for it.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -11,7 +12,7 @@ use std::task::{Context, Poll, Waker};
 
 /// Error returned when the counterpart endpoint was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Closed;
+pub struct Closed;
 
 impl fmt::Display for Closed {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -29,7 +30,7 @@ struct Shared<T> {
 }
 
 /// Creates a connected sender/receiver pair.
-pub(crate) fn channel<T>() -> (Sender<T>, Receiver<T>) {
+pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Rc::new(RefCell::new(Shared {
         value: None,
         waker: None,
@@ -45,13 +46,13 @@ pub(crate) fn channel<T>() -> (Sender<T>, Receiver<T>) {
 }
 
 /// The sending half; consumed by [`Sender::send`].
-pub(crate) struct Sender<T> {
+pub struct Sender<T> {
     shared: Rc<RefCell<Shared<T>>>,
 }
 
 impl<T> Sender<T> {
     /// Delivers `value`; returns it back if the receiver is gone.
-    pub(crate) fn send(self, value: T) -> Result<(), T> {
+    pub fn send(self, value: T) -> Result<(), T> {
         let mut s = self.shared.borrow_mut();
         if !s.rx_alive {
             return Err(value);
@@ -76,7 +77,7 @@ impl<T> Drop for Sender<T> {
 }
 
 /// The receiving half; awaiting it yields the sent value.
-pub(crate) struct Receiver<T> {
+pub struct Receiver<T> {
     shared: Rc<RefCell<Shared<T>>>,
 }
 

@@ -207,7 +207,7 @@ impl Drop for Armed<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::mpsc;
+    use crate::sync::oneshot;
     use crate::Sim;
 
     #[test]
@@ -322,7 +322,7 @@ mod tests {
     fn deadline_loser_keeps_running_detached() {
         let mut sim = Sim::new(0);
         let h = sim.handle();
-        let (done_tx, mut done_rx) = mpsc::channel();
+        let (done_tx, done_rx) = oneshot::channel();
         let out = sim.block_on({
             let h = h.clone();
             async move {
@@ -334,7 +334,7 @@ mod tests {
                 .await;
                 assert!(timed.is_none());
                 // The loser still completes after its own sleep elapses.
-                done_rx.recv().await
+                done_rx.await.ok()
             }
         });
         assert_eq!(out, Some(42));

@@ -7,10 +7,11 @@
 //! threads do not leak into the count) holds them to it. A race the
 //! future wins leaves no timer pending.
 
+use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use pcsi_sim::sync::mpsc;
+use pcsi_sim::sync::oneshot;
 use pcsi_sim::util::deadline;
 use pcsi_sim::{Sim, SimHandle, SimTime, TimerEvent};
 
@@ -26,11 +27,13 @@ const FUTURE_DONE: Duration = Duration::from_nanos(10);
 const TIMEOUT: Duration = Duration::from_nanos(50);
 
 /// Wakes the warm-up when due.
-struct Ping(mpsc::Sender<()>);
+struct Ping(Cell<Option<oneshot::Sender<()>>>);
 
 impl TimerEvent for Ping {
     fn fire(self: Rc<Self>, _token: u64) {
-        let _ = self.0.send(());
+        if let Some(tx) = self.0.take() {
+            let _ = tx.send(());
+        }
     }
 }
 
@@ -48,12 +51,14 @@ async fn warm_up(h: &SimHandle) {
     for _ in 0..4 {
         h.spawn(async {}).await;
     }
-    let (tx, mut rx) = mpsc::channel();
+    let mut pongs = Vec::new();
     for _ in 0..2 {
-        h.schedule(h.now(), Rc::new(Ping(tx.clone())), 0);
+        let (tx, rx) = oneshot::channel();
+        h.schedule(h.now(), Rc::new(Ping(Cell::new(Some(tx)))), 0);
+        pongs.push(rx);
     }
-    for _ in 0..2 {
-        rx.recv().await;
+    for rx in pongs {
+        let _ = rx.await;
     }
     assert_eq!(h.now(), SimTime::ZERO);
 }

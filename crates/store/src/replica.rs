@@ -16,9 +16,10 @@ use fxhash::FxHashMap;
 use bytes::Bytes;
 use pcsi_core::{Mutability, ObjectId, PcsiError};
 use pcsi_metrics::{Counter, Histogram};
+use pcsi_net::fabric::Reply;
 use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_obs::Telemetry;
-use pcsi_sim::sync::mpsc;
+use pcsi_sim::sync::oneshot;
 use pcsi_sim::SimTime;
 use pcsi_trace::{TraceContext, Tracer};
 
@@ -48,7 +49,7 @@ struct Inner {
     engine: RefCell<StorageEngine>,
     /// The coordinations queued behind the one running, per object. See
     /// [`Turn`].
-    turns: RefCell<FxHashMap<ObjectId, VecDeque<mpsc::Sender<()>>>>,
+    turns: RefCell<FxHashMap<ObjectId, VecDeque<oneshot::Sender<()>>>>,
     /// When the node's storage device is next idle: [`book_io`] queues
     /// behind it, so one node's operations contend for its bandwidth.
     io_free_at: Cell<SimTime>,
@@ -106,12 +107,12 @@ impl ReplicaNode {
         }
         let inner = Rc::new(inner);
         let handler = Rc::clone(&inner);
-        fabric.bind_timed(
+        fabric.bind(
             node,
             STORE_SERVICE,
             Rc::new(move |payload, _| {
                 let inner = Rc::clone(&handler);
-                Box::pin(async move { Ok(handle(inner, payload).await) })
+                async move { Ok(handle(inner, payload).await) }
             }),
         );
         ReplicaNode { inner }
@@ -175,13 +176,13 @@ struct Turn<'a> {
 impl<'a> Turn<'a> {
     async fn take(inner: &'a Inner, id: ObjectId) -> Turn<'a> {
         let queued = inner.turns.borrow_mut().get_mut(&id).map(|queue| {
-            let (tx, rx) = mpsc::channel();
+            let (tx, rx) = oneshot::channel();
             queue.push_back(tx);
             rx
         });
         match queued {
-            Some(mut rx) => {
-                rx.recv().await;
+            Some(rx) => {
+                let _ = rx.await;
             }
             None => {
                 inner.turns.borrow_mut().insert(id, VecDeque::new());
@@ -236,12 +237,12 @@ fn request_span_name(req: &Request) -> &'static str {
     }
 }
 
-async fn handle(inner: Rc<Inner>, payload: Bytes) -> (Bytes, SimTime) {
+async fn handle(inner: Rc<Inner>, payload: Bytes) -> Reply {
     let (request, wire_ctx) = match wire::decode_request_traced(&payload) {
         Ok(r) => r,
         Err(e) => {
             let e = PcsiError::Fault(format!("storage wire codec error: {e}"));
-            return (wire::encode_response(&Response::Err(e)), SimTime::ZERO);
+            return wire::encode_response(&Response::Err(e)).into();
         }
     };
     // The store protocol carries the context in its own envelope.
@@ -362,7 +363,10 @@ async fn handle(inner: Rc<Inner>, payload: Bytes) -> (Bytes, SimTime) {
         }
     };
     span.finish_at(leaves);
-    (wire::encode_response(&response), leaves)
+    Reply {
+        frame: wire::encode_response(&response),
+        leaves,
+    }
 }
 
 /// True when this node is in the *effective* replica set of `id` (the
@@ -869,10 +873,10 @@ mod tests {
     use crate::testkit::{self, linearizable_put, oid, raw_append, replica_bytes};
     use crate::{RetryPolicy, StoreConfig};
     use pcsi_core::{Consistency, Mutability};
-    use pcsi_net::fabric::RpcHandler;
     use pcsi_net::{LatencyModel, Topology};
     use pcsi_sim::Sim;
     use std::collections::BTreeSet;
+    use std::future::Future;
 
     fn id(n: u64) -> ObjectId {
         ObjectId::from_parts(7, n)
@@ -1016,7 +1020,7 @@ mod tests {
         for peer in [NodeId(1), NodeId(2)] {
             let (listed, fetched, pushed) =
                 (listed.clone(), Rc::clone(&fetched), Rc::clone(&pushed));
-            let fake: RpcHandler = Rc::new(move |payload, _| {
+            let fake = Rc::new(move |payload: Bytes, _| {
                 let response = match wire::decode_request(&payload).unwrap() {
                     Request::Inventory => Response::InventoryIs {
                         entries: listed.clone(),
@@ -1034,7 +1038,7 @@ mod tests {
                     }
                     other => panic!("a fake peer got {other:?}"),
                 };
-                Box::pin(async move { Ok(wire::encode_response(&response)) })
+                std::future::ready(Ok(wire::encode_response(&response)))
             });
             fabric.bind(peer, STORE_SERVICE, fake);
         }
@@ -1348,5 +1352,37 @@ mod tests {
         let read = read.expect("the replica's read span");
         let served = read.end.saturating_since(read.start);
         assert_eq!(served, MediaTier::Nvme.io_time(4096));
+    }
+
+    /// Rounds on one object take turns in the order they queued. A
+    /// queued round whose future is dropped is passed over: the turn
+    /// goes to the next one behind it, and the object's queue is gone
+    /// once the last turn ends.
+    #[test]
+    fn a_turn_passes_over_a_dropped_waiter_to_the_next() {
+        let mut sim = Sim::new(42);
+        let (_fabric, store) = testkit::deploy(&sim, testkit::config());
+        let replica = store.replica_on(NodeId(0)).expect("a replica").clone();
+        sim.block_on(async move {
+            let (inner, x) = (&*replica.inner, id(1));
+            let queued = || inner.turns.borrow().get(&x).map(VecDeque::len);
+            let a = Turn::take(inner, x).await;
+            let mut b = Box::pin(Turn::take(inner, x));
+            let mut c = Box::pin(Turn::take(inner, x));
+            std::future::poll_fn(|cx| {
+                assert!(b.as_mut().poll(cx).is_pending(), "B waits behind A");
+                assert!(c.as_mut().poll(cx).is_pending(), "C waits behind A");
+                std::task::Poll::Ready(())
+            })
+            .await;
+            assert_eq!(queued(), Some(2));
+            drop(b);
+            drop(a);
+            // Ready at once: A's drop handed C the turn.
+            let c = c.await;
+            assert_eq!(queued(), Some(0), "C holds the turn, nothing queued");
+            drop(c);
+            assert_eq!(queued(), None);
+        });
     }
 }

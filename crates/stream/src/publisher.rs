@@ -131,10 +131,7 @@ impl Publisher {
             fabric.bind(
                 node,
                 STREAM_SERVICE,
-                Rc::new(move |frame, ctx| {
-                    let p = p2.clone();
-                    Box::pin(async move { Ok(p.handle_control(&frame, ctx)) })
-                }),
+                Rc::new(move |frame, ctx| std::future::ready(Ok(p2.handle_control(&frame, ctx)))),
             );
         }
         p

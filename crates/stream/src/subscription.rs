@@ -166,10 +166,7 @@ impl Subscription {
         fabric.bind(
             node,
             &inner.service,
-            Rc::new(move |frame, _| {
-                let endpoint = Rc::clone(&endpoint);
-                Box::pin(async move { Ok(endpoint.on_frame(&frame)) })
-            }),
+            Rc::new(move |frame, _| std::future::ready(Ok(endpoint.on_frame(&frame)))),
         );
 
         let wire = encode_stream_frame(&StreamFrame::Subscribe {
