@@ -19,7 +19,7 @@ use pcsi_store::ReplicatedStore;
 use crate::history::{Op, OpKind};
 
 /// The checker can bitset at most this many ops per object.
-pub const MAX_OPS_PER_OBJECT: usize = 128;
+pub(crate) const MAX_OPS_PER_OBJECT: usize = 128;
 
 /// A contract violation found in a history (or in replica state).
 #[derive(Debug, Clone)]

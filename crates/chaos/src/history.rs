@@ -4,7 +4,7 @@
 //! invoke/response interval in virtual time. The client records it: it
 //! stamps `invoke` before the call and `response` after. Register values
 //! are `u64`s carried as 8 little-endian bytes, so workloads write
-//! [`encode_value`]d payloads and decode what reads observed.
+//! encoded payloads and decode what reads observed.
 
 use bytes::Bytes;
 use pcsi_core::ObjectId;
@@ -12,12 +12,12 @@ use pcsi_net::NodeId;
 use pcsi_sim::SimTime;
 
 /// Encodes a register value as its 8-byte little-endian payload.
-pub fn encode_value(v: u64) -> Bytes {
+pub(crate) fn encode_value(v: u64) -> Bytes {
     Bytes::from(v.to_le_bytes().to_vec())
 }
 
 /// Decodes a register payload; `None` unless it is exactly 8 bytes.
-pub fn decode_value(data: &[u8]) -> Option<u64> {
+pub(crate) fn decode_value(data: &[u8]) -> Option<u64> {
     let bytes: [u8; 8] = data.try_into().ok()?;
     Some(u64::from_le_bytes(bytes))
 }

@@ -40,7 +40,7 @@ pub mod scenario;
 pub mod stream;
 
 pub use checker::{check_converged, check_linearizable, check_reads_observe_writes, Violation};
-pub use history::{decode_value, encode_value, Op, OpKind};
+pub use history::{Op, OpKind};
 pub use obs::run_obs_scenario;
 pub use report::Report;
 pub use scenario::{run_scenario, sweep_seeds, FaultPlan, ScenarioConfig};

@@ -540,6 +540,72 @@ mod tests {
         });
     }
 
+    /// The `events` device's `since N` cursor, read through the kernel
+    /// from a journal that has wrapped: the header counts what was
+    /// appended and dropped, and only retained records after `N` come
+    /// back. A write that is not a cursor is refused.
+    #[test]
+    fn the_events_cursor_serves_the_retained_tail_of_a_wrapped_journal() {
+        use pcsi_core::api::CreateOptions;
+        use pcsi_core::{CloudInterface, Consistency, Mutability, ObjectKind, PcsiError};
+        use pcsi_net::NodeId;
+
+        let builder = CloudBuilder::new()
+            .deterministic_network()
+            .observability(ObsConfig {
+                journal_capacity: 4,
+                ..ObsConfig::default()
+            });
+        Lab::run(5, builder, |Lab { cloud, .. }| async move {
+            let c = cloud.kernel.client(NodeId(0), "t");
+            let events = c
+                .create(CreateOptions {
+                    kind: ObjectKind::Device("events".into()),
+                    mutability: Mutability::Mutable,
+                    consistency: Consistency::Eventual,
+                    initial: bytes::Bytes::new(),
+                    fifo_capacity: None,
+                })
+                .await
+                .unwrap();
+            let journal = cloud.obs.as_ref().unwrap().journal();
+            for i in 0..10 {
+                journal.append("test", "tick", format!("i={i}"));
+            }
+            let appended = journal.appended();
+            let read_since = |after: u64| {
+                let (c, events) = (&c, &events);
+                async move {
+                    let cursor = bytes::Bytes::from(format!("since {after}"));
+                    c.write(events, 0, cursor).await.unwrap();
+                    let text = c.read(events, 0, 1 << 20).await.unwrap();
+                    String::from_utf8(text.to_vec()).unwrap()
+                }
+            };
+            let header = format!(
+                "# obs.events capacity=4 appended={appended} dropped={}",
+                appended - 4
+            );
+            // Seqs `appended - 4 ..` are retained (i=6..=9).
+            for (after, want) in [(appended - 8, 6..10), (appended - 3, 8..10)] {
+                let text = read_since(after).await;
+                let mut lines = text.lines();
+                assert_eq!(lines.next(), Some(header.as_str()), "{text}");
+                let details: Vec<&str> = lines.map(|l| l.rsplit(' ').next().unwrap()).collect();
+                let want: Vec<String> = want.map(|i| format!("i={i}")).collect();
+                assert_eq!(details, want, "since {after}: {text}");
+                assert!(text.contains(&format!("event seq={} ", appended - 1)));
+            }
+            let refused = c
+                .write(&events, 0, bytes::Bytes::from_static(b"since -1"))
+                .await;
+            assert!(
+                matches!(refused, Err(PcsiError::BadPayload(_))),
+                "{refused:?}"
+            );
+        });
+    }
+
     #[test]
     fn builder_options_apply() {
         let builder = CloudBuilder::new()

@@ -246,7 +246,7 @@ impl NfsServer {
     /// operation (`nfs.ops{op=…}` / `nfs.errors{op=…}`) and records
     /// server-side latency (`nfs.op_ns{op=…}`); with a tracer, client
     /// and server open spans.
-    pub fn deploy(
+    pub(crate) fn deploy(
         fabric: Fabric,
         billing: Billing,
         node: NodeId,

@@ -30,6 +30,7 @@ use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_proto::http::{Method, Request, Response};
 use pcsi_proto::sign::Credentials;
 use pcsi_proto::sse::{self, Event};
+use pcsi_sim::Ring;
 use pcsi_trace::SpanHandle;
 
 use crate::billing::{Billing, Meter};
@@ -60,16 +61,16 @@ struct ConnState {
 }
 
 struct StreamState {
-    next_id: u64,
-    replay: VecDeque<(u64, Bytes)>,
+    /// The newest encoded events. Ids start at 1 (`Last-Event-ID` 0
+    /// means "from the start"), so event id `n` is record `n - 1`.
+    replay: Ring<Bytes>,
     conns: Vec<Rc<RefCell<ConnState>>>,
 }
 
 impl Default for StreamState {
     fn default() -> Self {
         StreamState {
-            next_id: 1, // Last-Event-ID 0 means "from the start"
-            replay: VecDeque::new(),
+            replay: Ring::new(REPLAY_BUFFER),
             conns: Vec::new(),
         }
     }
@@ -95,7 +96,7 @@ impl SseHub {
     /// Deploys the hub on `hub_node`. The load balancer of the full REST
     /// stack is elided (subscribers hold one long-lived connection, not
     /// per-request routing), but its CPU is still charged per request.
-    pub fn deploy(
+    pub(crate) fn deploy(
         fabric: Fabric,
         billing: Billing,
         hub_node: NodeId,
@@ -174,22 +175,21 @@ impl SseHub {
     }
 
     async fn publish_event(&self, stream: &str, payload: Bytes, meter: &mut Meter) -> Response {
+        let mut event = Bytes::new();
         let (id, targets) = {
             let mut streams = self.inner.streams.borrow_mut();
             let state = streams.entry(stream.to_owned()).or_default();
-            let id = state.next_id;
-            state.next_id += 1;
-            state.replay.push_back((id, payload.clone()));
-            while state.replay.len() > REPLAY_BUFFER {
-                state.replay.pop_front();
-            }
-            (id, state.conns.clone())
+            let seq = state.replay.push(|seq| {
+                event = Bytes::from(Event::new(seq + 1, payload).encode());
+                event.clone()
+            });
+            (seq + 1, state.conns.clone())
         };
         // Frame and enqueue per connection: SSE shares nothing across
         // subscribers, so the hub pays marshaling CPU N times and each
         // copy is its own allocation.
         for conn in targets {
-            let frame = Bytes::from(sse::encode_chunk(&Event::new(id, payload.clone()).encode()));
+            let frame = Bytes::from(sse::encode_chunk(&event));
             meter.spend(marshal_cpu(frame.len())).await;
             conn.borrow_mut().pending.push_back(frame);
             self.pump(&conn);
@@ -273,27 +273,22 @@ impl SseHub {
             .get("last-event-id")
             .and_then(|v| v.parse().ok())
             .unwrap_or(0);
-        let conn = Rc::new(RefCell::new(ConnState {
-            node,
-            service,
-            pending: VecDeque::new(),
-            pumping: false,
-            dead: false,
-        }));
-        {
+        let conn = {
             let mut streams = self.inner.streams.borrow_mut();
             let state = streams.entry(stream.to_owned()).or_default();
-            // Replay everything after the subscriber's last seen id that
-            // the bounded buffer still holds.
-            for (id, payload) in state.replay.iter().filter(|(id, _)| *id > after) {
-                conn.borrow_mut()
-                    .pending
-                    .push_back(Bytes::from(sse::encode_chunk(
-                        &Event::new(*id, payload.clone()).encode(),
-                    )));
-            }
+            // Replay every event after the subscriber's last seen id
+            // (records from number `after` on) the buffer still holds.
+            let replay = state.replay.since(after).into_iter();
+            let conn = Rc::new(RefCell::new(ConnState {
+                node,
+                service,
+                pending: replay.map(|e| Bytes::from(sse::encode_chunk(&e))).collect(),
+                pumping: false,
+                dead: false,
+            }));
             state.conns.push(Rc::clone(&conn));
-        }
+            conn
+        };
         self.pump(&conn);
         Response::new(200)
             .with_header("content-type", "text/event-stream")

@@ -127,7 +127,7 @@ impl Gauge {
 pub(crate) const MAX_EXEMPLARS: usize = 64;
 
 /// One retained `(trace, value)` sample for a histogram bucket — the
-/// join key from a metric back into the `TraceSink` (see `pcsi-obs`).
+/// join key from a metric back into the tracer's span sink (see `pcsi-obs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Exemplar {
     /// Lower edge of the bucket this exemplar represents.

@@ -1,4 +1,4 @@
-//! The structured event journal: a bounded, seeded-id log of typed
+//! The structured event journal: a [`Ring`] of seeded-id, typed
 //! records appended by the kernel, store, faas and chaos layers.
 //!
 //! The journal is the "what happened" complement to the metrics
@@ -11,35 +11,33 @@
 //! workspace FNV-1a constants; `tests/determinism.rs` pins renders per
 //! seed.
 
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::rc::Rc;
 
-use pcsi_sim::{DetRng, SimHandle};
+use pcsi_sim::{DetRng, Ring, SimHandle};
 
 /// One journal record. `layer`/`kind` are static taxonomy (`store` /
 /// `failover`, `faas` / `cold_start`, ...); `detail` is free-form
 /// `k=v`-style text built by the call site inside the enabled branch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
+#[derive(Clone)]
+struct Event {
     /// Monotone per-journal sequence number (0-based, never reused).
-    pub(crate) seq: u64,
+    seq: u64,
     /// Virtual time of the append, nanoseconds.
-    pub(crate) t_ns: u64,
+    t_ns: u64,
     /// Seeded id from the `"obs-events"` stream — stable per seed, and
     /// usable as a correlation key across renders.
-    pub(crate) id: u64,
+    id: u64,
     /// Which subsystem appended the record.
-    pub layer: &'static str,
+    layer: &'static str,
     /// The record type within the layer.
-    pub kind: &'static str,
+    kind: &'static str,
     /// Free-form detail text (no newlines).
-    pub detail: String,
+    detail: String,
 }
 
 impl Event {
     /// The one-line byte-stable rendering of this record.
-    pub(crate) fn render(&self) -> String {
+    fn render(&self) -> String {
         let Event {
             seq,
             t_ns,
@@ -59,10 +57,7 @@ impl Event {
 struct JournalInner {
     handle: SimHandle,
     ids: DetRng,
-    capacity: usize,
-    events: RefCell<VecDeque<Event>>,
-    appended: Cell<u64>,
-    dropped: Cell<u64>,
+    events: Ring<Event>,
 }
 
 /// A cheap-to-clone handle to the shared event journal. Components hold
@@ -83,10 +78,7 @@ impl Journal {
             inner: Rc::new(JournalInner {
                 handle: handle.clone(),
                 ids: handle.rng().stream("obs-events"),
-                capacity: capacity.max(1),
-                events: RefCell::new(VecDeque::new()),
-                appended: Cell::new(0),
-                dropped: Cell::new(0),
+                events: Ring::new(capacity),
             }),
         }
     }
@@ -96,37 +88,25 @@ impl Journal {
     /// dropped (and counted).
     pub fn append(&self, layer: &'static str, kind: &'static str, detail: impl Into<String>) {
         let i = &self.inner;
-        let seq = i.appended.get();
-        i.appended.set(seq + 1);
-        let ev = Event {
+        i.events.push(|seq| Event {
             seq,
             t_ns: i.handle.now().as_nanos(),
             id: i.ids.u64(),
             layer,
             kind,
             detail: detail.into(),
-        };
-        let mut events = i.events.borrow_mut();
-        if events.len() == i.capacity {
-            events.pop_front();
-            i.dropped.set(i.dropped.get() + 1);
-        }
-        events.push_back(ev);
+        });
     }
 
-    /// Total records ever appended (including since-evicted ones).
+    /// Total records ever appended, evicted ones included (the journal
+    /// never takes from its ring).
     pub fn appended(&self) -> u64 {
-        self.inner.appended.get()
+        self.dropped() + self.inner.events.len() as u64
     }
 
     /// Records evicted by the capacity bound.
     pub fn dropped(&self) -> u64 {
-        self.inner.dropped.get()
-    }
-
-    /// A copy of the retained records, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.inner.events.borrow().iter().cloned().collect()
+        self.inner.events.dropped()
     }
 
     /// Renders the full journal: a header line with the bookkeeping
@@ -139,19 +119,14 @@ impl Journal {
     /// `events` device serves so a tailing client resends nothing. Pass
     /// `None` for the full journal.
     pub fn render_since(&self, after: Option<u64>) -> String {
-        let i = &self.inner;
+        let events = &self.inner.events;
         let mut out = format!(
             "# obs.events capacity={} appended={} dropped={}\n",
-            i.capacity,
-            i.appended.get(),
-            i.dropped.get()
+            events.capacity(),
+            self.appended(),
+            self.dropped()
         );
-        for ev in i.events.borrow().iter() {
-            if let Some(a) = after {
-                if ev.seq <= a {
-                    continue;
-                }
-            }
+        for ev in events.since(after.map_or(0, |a| a.saturating_add(1))) {
             out.push_str(&ev.render());
             out.push('\n');
         }

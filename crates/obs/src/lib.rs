@@ -15,9 +15,11 @@
 //!   [`AlertMachine`] (pending→firing→resolved with deterministic
 //!   hysteresis) and each transition is appended to a per-namespace
 //!   `alerts` FIFO — alerts are literally files, tailed with a plain
-//!   PR 9 `subscribe()`.
-//! * **Event journal** ([`Journal`]): a bounded, seeded-id log of typed
-//!   records from the kernel, store, faas and chaos layers, rendered
+//!   PR 9 `subscribe()`. [`Obs::alert_log`] keeps the newest
+//!   transitions in a [`pcsi_sim::Ring`] and renders them on read.
+//! * **Event journal** ([`Journal`]): a seeded-id log of typed records
+//!   from the kernel, store, faas and chaos layers in a bounded
+//!   [`pcsi_sim::Ring`] (the one ring the tracer's sink is too), rendered
 //!   byte-stably, fingerprint-able like metrics, exposed as the
 //!   `events` device and streamable as deltas
 //!   ([`Journal::render_since`]).
@@ -39,17 +41,16 @@ mod journal;
 mod slo;
 
 pub use alert::{AlertMachine, AlertState, Phase};
-pub use journal::{Event, Journal};
+pub use journal::Journal;
 pub use slo::{AlertTransition, SloEngine, SloRule, WindowDiff};
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
 use pcsi_metrics::{Exemplar, Metrics};
-use pcsi_sim::SimHandle;
-use pcsi_trace::{render_trace, TraceId, TraceSink, Tracer};
+use pcsi_sim::{Ring, SimHandle};
+use pcsi_trace::{render_trace, Span, TraceId, Tracer};
 
 /// The telemetry handles of one deployment, handed to every layer's
 /// constructor. A `None` handle *is* the disabled state: the layer
@@ -77,7 +78,7 @@ pub struct ObsConfig {
     /// Evaluation tick interval (virtual time). Windows round up to
     /// whole ticks.
     pub interval: Duration,
-    /// Retained-event bound for the journal ring and the alert log.
+    /// Retained-record bound for the journal and for the alert log.
     pub journal_capacity: usize,
 }
 
@@ -94,11 +95,8 @@ impl Default for ObsConfig {
 struct ObsInner {
     journal: Journal,
     engine: RefCell<SloEngine>,
-    /// The newest `log_capacity` rendered transition lines, in order —
-    /// the alert log determinism tests fingerprint, and the bytes
-    /// appended to the `alerts` FIFO.
-    log: RefCell<VecDeque<String>>,
-    log_capacity: usize,
+    /// The newest transitions, rendered on read ([`Obs::alert_log`]).
+    log: Ring<AlertTransition>,
 }
 
 /// A cheap-to-clone handle to the installed control plane. Holds the
@@ -120,8 +118,7 @@ impl Obs {
             inner: Rc::new(ObsInner {
                 journal: Journal::new(handle, config.journal_capacity),
                 engine: RefCell::new(SloEngine::new(rules?, config.interval)),
-                log: RefCell::new(VecDeque::new()),
-                log_capacity: config.journal_capacity,
+                log: Ring::new(config.journal_capacity),
             }),
         })
     }
@@ -139,18 +136,13 @@ impl Obs {
         let transitions = self.inner.engine.borrow_mut().tick(metrics, now_ns);
         let mut lines = Vec::with_capacity(transitions.len());
         for t in transitions {
-            let line = t.render();
+            lines.push(t.render());
             self.inner.journal.append(
                 "obs",
                 "alert",
                 format!("rule={} phase={}", t.rule, t.phase.name()),
             );
-            let mut log = self.inner.log.borrow_mut();
-            log.push_back(line.clone());
-            if log.len() > self.inner.log_capacity {
-                log.pop_front();
-            }
-            lines.push(line);
+            self.inner.log.push(|_| t);
         }
         lines
     }
@@ -158,15 +150,15 @@ impl Obs {
     /// The newest [`ObsConfig::journal_capacity`] alert transitions, one
     /// rendered line each, newline-terminated (empty if none).
     pub fn alert_log(&self) -> String {
-        let log = self.inner.log.borrow();
-        log.iter().map(|line| format!("{line}\n")).collect()
+        let log = self.inner.log.snapshot();
+        log.iter().map(|t| format!("{}\n", t.render())).collect()
     }
 }
 
 /// Joins a histogram exemplar back to its rendered span tree: the
 /// "p99 offender → trace tree" step. Returns `None` when the sink no
 /// longer retains any span of that trace (bounded ring).
-pub fn exemplar_trace(sink: &TraceSink, exemplar: &Exemplar) -> Option<String> {
+pub fn exemplar_trace(sink: &Ring<Span>, exemplar: &Exemplar) -> Option<String> {
     let spans = sink.snapshot();
     let trace = TraceId(exemplar.trace);
     if !spans.iter().any(|s| s.trace == trace) {

@@ -12,7 +12,9 @@
 //!   [`SimHandle::sleep_until`], [`util::deadline`]) and **events**
 //!   that run at an instant without a task being polled for them
 //!   ([`SimHandle::schedule`], [`SimHandle::cancel`], [`TimerEvent`]),
-//! * a waker-based one-shot **channel** ([`sync::oneshot`]), and
+//! * a waker-based one-shot **channel** ([`sync::oneshot`]),
+//! * the one bounded, sequence-numbered **record ring** ([`Ring`]) that
+//!   spans, journal events, alert transitions and SSE replay keep, and
 //! * named, seeded **random-number streams** ([`rng`]) so that two runs with
 //!   the same seed produce byte-identical results regardless of the order in
 //!   which components were constructed.
@@ -38,6 +40,7 @@
 //! ```
 
 pub mod executor;
+mod ring;
 pub mod rng;
 pub mod sync;
 pub mod time;
@@ -45,6 +48,7 @@ pub mod util;
 mod wheel;
 
 pub use executor::{JoinHandle, LocalBoxFuture, Sim, SimHandle};
+pub use ring::Ring;
 pub use rng::{DetRng, RngStreams, ZipfParams};
 pub use time::SimTime;
 pub use wheel::{TimerEvent, TimerId};

@@ -8,7 +8,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use fxhash::FxHashMap;
@@ -167,10 +170,14 @@ impl ReplicaNode {
 
 /// This node's rounds on one object take turns, so each builds on the
 /// state the last one left and a duplicate finds its original's record.
-/// Dropping the turn hands it to the next round queued behind.
+/// Dropping the turn hands it to the next round queued behind. A queued
+/// round holds its turn from the moment it is handed over, so one
+/// dropped before it claims the turn passes it on too.
 struct Turn<'a> {
     inner: &'a Inner,
     id: ObjectId,
+    /// Where the turn arrives while this round waits for it.
+    queued: Option<oneshot::Receiver<()>>,
 }
 
 impl<'a> Turn<'a> {
@@ -180,20 +187,27 @@ impl<'a> Turn<'a> {
             queue.push_back(tx);
             rx
         });
-        match queued {
-            Some(rx) => {
-                let _ = rx.await;
-            }
-            None => {
-                inner.turns.borrow_mut().insert(id, VecDeque::new());
-            }
+        if queued.is_none() {
+            inner.turns.borrow_mut().insert(id, VecDeque::new());
         }
-        Turn { inner, id }
+        let mut turn = Turn { inner, id, queued };
+        if let Some(rx) = &mut turn.queued {
+            let _ = rx.await;
+            turn.queued = None;
+        }
+        turn
     }
 }
 
 impl Drop for Turn<'_> {
     fn drop(&mut self) {
+        if let Some(mut rx) = self.queued.take() {
+            // Dropped while queued: pass on only a turn handed over.
+            let noop = &mut Context::from_waker(Waker::noop());
+            if !matches!(Pin::new(&mut rx).poll(noop), Poll::Ready(Ok(()))) {
+                return;
+            }
+        }
         let mut turns = self.inner.turns.borrow_mut();
         if let Some(queue) = turns.get_mut(&self.id) {
             // A waiter whose coordination was dropped no longer listens.
@@ -1339,12 +1353,12 @@ mod tests {
         let (id, data) = (id(1), Bytes::from(vec![7u8; 4096]));
         let client = store.client(testkit::outsider(&store, id));
         let h = fabric.handle().clone();
-        let sink = tracer.sink().clone();
+        let t = tracer.clone();
         sim.block_on(async move {
             linearizable_put(&client, id, data).await;
             // The write's straggling IO is long done.
             h.sleep(Duration::from_millis(1)).await;
-            sink.take();
+            t.sink().take();
             client.read_all(id, Consistency::Eventual).await.unwrap();
         });
         let spans = tracer.sink().take();
@@ -1379,6 +1393,36 @@ mod tests {
             drop(b);
             drop(a);
             // Ready at once: A's drop handed C the turn.
+            let c = c.await;
+            assert_eq!(queued(), Some(0), "C holds the turn, nothing queued");
+            drop(c);
+            assert_eq!(queued(), None);
+        });
+    }
+
+    /// A queued round handed the turn and dropped before it claims it
+    /// passes the turn on: A holds, B and C queue, A's drop hands B the
+    /// turn, B is dropped unpolled, and C gets the turn.
+    #[test]
+    fn a_waiter_dropped_after_the_handover_passes_the_turn_on() {
+        let mut sim = Sim::new(42);
+        let (_fabric, store) = testkit::deploy(&sim, testkit::config());
+        let replica = store.replica_on(NodeId(0)).expect("a replica").clone();
+        sim.block_on(async move {
+            let (inner, x) = (&*replica.inner, id(1));
+            let queued = || inner.turns.borrow().get(&x).map(VecDeque::len);
+            let a = Turn::take(inner, x).await;
+            let mut b = Box::pin(Turn::take(inner, x));
+            let mut c = Box::pin(Turn::take(inner, x));
+            std::future::poll_fn(|cx| {
+                assert!(b.as_mut().poll(cx).is_pending(), "B waits behind A");
+                assert!(c.as_mut().poll(cx).is_pending(), "C waits behind A");
+                std::task::Poll::Ready(())
+            })
+            .await;
+            drop(a);
+            assert_eq!(queued(), Some(1), "A's drop handed B the turn");
+            drop(b);
             let c = c.await;
             assert_eq!(queued(), Some(0), "C holds the turn, nothing queued");
             drop(c);

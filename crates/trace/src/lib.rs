@@ -13,8 +13,9 @@
 //!
 //! * [`Tracer`] — per-deployment handle; opens root spans (subject to the
 //!   [`Sampling`] knob) and child spans (always recorded once the root
-//!   sampled), writing finished spans into a bounded ring-buffer
-//!   [`TraceSink`].
+//!   sampled), writing finished spans into its sink, a bounded
+//!   [`pcsi_sim::Ring`] of [`Span`] (the one ring the journal, the
+//!   alert log and SSE replay keep too).
 //! * [`TraceContext`] — the compact `(trace id, parent span id)` pair
 //!   that crosses nodes. It rides `pcsi_net::Fabric` calls and the store
 //!   wire envelope; its [`TraceContext::WIRE_LEN`] bytes are charged to
@@ -37,11 +38,10 @@
 //! draws nothing at all.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use pcsi_sim::rng::DetRng;
-use pcsi_sim::{SimHandle, SimTime};
+use pcsi_sim::{Ring, SimHandle, SimTime};
 
 /// Name of the RNG stream trace/span ids (and ratio-sampling decisions)
 /// are drawn from. Dedicated, so tracing can never perturb the draws any
@@ -170,7 +170,7 @@ pub struct Span {
     pub end: SimTime,
     /// Recorded attributes, in insertion order.
     pub attrs: Vec<(&'static str, AttrValue)>,
-    /// Sink insertion sequence; tie-breaks rendering order.
+    /// Sequence number in the sink's [`Ring`]; tie-breaks rendering order.
     pub seq: u64,
 }
 
@@ -181,66 +181,11 @@ impl Span {
     }
 }
 
-struct SinkInner {
-    spans: RefCell<VecDeque<Span>>,
-    capacity: usize,
-    seq: Cell<u64>,
-    dropped: Cell<u64>,
-}
-
-/// Bounded ring buffer of finished spans. When full, the oldest span is
-/// evicted (and counted) — tracing must never grow without bound in a
-/// long simulation.
-#[derive(Clone)]
-pub struct TraceSink {
-    inner: Rc<SinkInner>,
-}
-
-impl TraceSink {
-    /// Creates a sink holding at most `capacity` spans.
-    pub(crate) fn new(capacity: usize) -> TraceSink {
-        TraceSink {
-            inner: Rc::new(SinkInner {
-                spans: RefCell::new(VecDeque::new()),
-                capacity: capacity.max(1),
-                seq: Cell::new(0),
-                dropped: Cell::new(0),
-            }),
-        }
-    }
-
-    fn push(&self, mut span: Span) {
-        let mut spans = self.inner.spans.borrow_mut();
-        span.seq = self.inner.seq.get();
-        self.inner.seq.set(span.seq + 1);
-        if spans.len() == self.inner.capacity {
-            spans.pop_front();
-            self.inner.dropped.set(self.inner.dropped.get() + 1);
-        }
-        spans.push_back(span);
-    }
-
-    /// All recorded spans, in completion order.
-    pub fn snapshot(&self) -> Vec<Span> {
-        self.inner.spans.borrow().iter().cloned().collect()
-    }
-
-    /// Drains and returns all recorded spans.
-    pub fn take(&self) -> Vec<Span> {
-        self.inner.spans.borrow_mut().drain(..).collect()
-    }
-
-    /// Number of spans evicted by the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.inner.dropped.get()
-    }
-}
-
 struct TracerInner {
     handle: SimHandle,
     sampling: Sampling,
     rng: RefCell<Option<DetRng>>,
-    sink: TraceSink,
+    sink: Ring<Span>,
     id_draws: Cell<u64>,
 }
 
@@ -263,14 +208,14 @@ impl Tracer {
                 handle: handle.clone(),
                 sampling,
                 rng: RefCell::new(None),
-                sink: TraceSink::new(capacity),
+                sink: Ring::new(capacity),
                 id_draws: Cell::new(0),
             }),
         }
     }
 
-    /// The sink finished spans are recorded into.
-    pub fn sink(&self) -> &TraceSink {
+    /// The sink finished spans are recorded into, in finishing order.
+    pub fn sink(&self) -> &Ring<Span> {
         &self.inner.sink
     }
 
@@ -280,18 +225,13 @@ impl Tracer {
         self.inner.id_draws.get()
     }
 
-    fn draw(&self) -> u64 {
+    /// One draw from the `"trace-ids"` stream (an id, or a sampling
+    /// decision), counted.
+    fn draw<T>(&self, draw: impl FnOnce(&DetRng) -> T) -> T {
         let mut rng = self.inner.rng.borrow_mut();
         let rng = rng.get_or_insert_with(|| self.inner.handle.rng().stream(TRACE_RNG_STREAM));
         self.inner.id_draws.set(self.inner.id_draws.get() + 1);
-        rng.u64()
-    }
-
-    fn draw_decision(&self) -> f64 {
-        let mut rng = self.inner.rng.borrow_mut();
-        let rng = rng.get_or_insert_with(|| self.inner.handle.rng().stream(TRACE_RNG_STREAM));
-        self.inner.id_draws.set(self.inner.id_draws.get() + 1);
-        rng.f64()
+        draw(rng)
     }
 
     /// Opens a root span, subject to the sampling knob. Off (or an
@@ -300,13 +240,13 @@ impl Tracer {
         let sampled = match self.inner.sampling {
             Sampling::Off => false,
             Sampling::Always => true,
-            Sampling::Ratio(p) => self.draw_decision() < p.clamp(0.0, 1.0),
+            Sampling::Ratio(p) => self.draw(DetRng::f64) < p.clamp(0.0, 1.0),
         };
         if !sampled {
             return SpanHandle(None);
         }
-        let trace = TraceId(self.draw());
-        let id = SpanId(self.draw());
+        let trace = TraceId(self.draw(DetRng::u64));
+        let id = SpanId(self.draw(DetRng::u64));
         self.open(trace, id, None, name)
     }
 
@@ -314,7 +254,7 @@ impl Tracer {
     /// decision was made at the root: a context exists only for a
     /// sampled trace, so children always record.
     fn child(&self, ctx: TraceContext, name: &'static str) -> SpanHandle {
-        let id = SpanId(self.draw());
+        let id = SpanId(self.draw(DetRng::u64));
         self.open(ctx.trace, id, Some(ctx.parent), name)
     }
 
@@ -325,14 +265,19 @@ impl Tracer {
         parent: Option<SpanId>,
         name: &'static str,
     ) -> SpanHandle {
+        let start = self.inner.handle.now();
         SpanHandle(Some(Box::new(LiveSpan {
             tracer: self.clone(),
-            trace,
-            id,
-            parent,
-            name,
-            start: self.inner.handle.now(),
-            attrs: Vec::new(),
+            span: Span {
+                trace,
+                id,
+                parent,
+                name,
+                start,
+                end: start,
+                attrs: Vec::new(),
+                seq: 0,
+            },
         })))
     }
 }
@@ -376,14 +321,11 @@ pub fn child_or_root(
     }
 }
 
+/// An open span: its record, whose `end` and `seq` are set as it is
+/// recorded.
 struct LiveSpan {
     tracer: Tracer,
-    trace: TraceId,
-    id: SpanId,
-    parent: Option<SpanId>,
-    name: &'static str,
-    start: SimTime,
-    attrs: Vec<(&'static str, AttrValue)>,
+    span: Span,
 }
 
 /// An open span. Disabled handles (sampling off, no incoming context)
@@ -403,8 +345,8 @@ impl SpanHandle {
     /// request sends no context bytes.
     pub fn ctx(&self) -> Option<TraceContext> {
         self.0.as_ref().map(|s| TraceContext {
-            trace: s.trace,
-            parent: s.id,
+            trace: s.span.trace,
+            parent: s.span.id,
         })
     }
 
@@ -412,7 +354,7 @@ impl SpanHandle {
     /// allocate; disabled handles do nothing.
     pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
         if let Some(s) = self.0.as_mut() {
-            s.attrs.push((key, value.into()));
+            s.span.attrs.push((key, value.into()));
         }
     }
 
@@ -422,7 +364,7 @@ impl SpanHandle {
     pub fn attr_with(&mut self, key: &'static str, value: impl FnOnce() -> AttrValue) {
         if let Some(s) = self.0.as_mut() {
             let v = value();
-            s.attrs.push((key, v));
+            s.span.attrs.push((key, v));
         }
     }
 
@@ -447,17 +389,9 @@ impl SpanHandle {
 
     fn finish_inner(&mut self, end: SimTime) {
         if let Some(live) = self.0.take() {
-            let end = end.max(live.tracer.inner.handle.now());
-            live.tracer.inner.sink.push(Span {
-                trace: live.trace,
-                id: live.id,
-                parent: live.parent,
-                name: live.name,
-                start: live.start,
-                end,
-                attrs: live.attrs,
-                seq: 0,
-            });
+            let LiveSpan { tracer, span } = *live;
+            let end = end.max(tracer.inner.handle.now());
+            tracer.inner.sink.push(|seq| Span { end, seq, ..span });
         }
     }
 }
@@ -471,7 +405,11 @@ impl Drop for SpanHandle {
 impl std::fmt::Debug for SpanHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.0 {
-            Some(s) => write!(f, "SpanHandle({:?}/{:?} {})", s.trace, s.id, s.name),
+            Some(s) => write!(
+                f,
+                "SpanHandle({:?}/{:?} {})",
+                s.span.trace, s.span.id, s.span.name
+            ),
             None => f.write_str("SpanHandle(disabled)"),
         }
     }
