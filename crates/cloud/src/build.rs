@@ -43,13 +43,15 @@ pub(crate) const ALERTS_FIFO_CAPACITY: usize = 256;
 ///   deployment's registry (a marker comment when metrics are off), so a
 ///   function can observe the system with a plain file read through its
 ///   capability-scoped namespace,
-/// * `events` — read returns the rendered structured event journal (a
-///   marker comment when observability is off). Seek-then-read for
-///   deltas: writing `since N` arms a one-shot cursor, and the next
-///   read returns only records with sequence numbers above `N` — how a
-///   tailing client resends nothing.
+/// * `events` — a read at offset `N` returns the rendered structured
+///   event journal from sequence number `N` on (a marker comment when
+///   observability is off): offset 0 is the whole journal, and a tailing
+///   client reads at the header's `appended` count to get only what is
+///   new. The cursor is the reader's own offset, so every reader tails
+///   independently. Writes are discarded.
 fn register_standard_devices(kernel: &Kernel, handle: &SimHandle, telemetry: &Telemetry) {
     use bytes::Bytes;
+    use pcsi_fs::device::DeviceOp;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -74,15 +76,17 @@ fn register_standard_devices(kernel: &Kernel, handle: &SimHandle, telemetry: &Te
     let log: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
     kernel.register_device(
         "log",
-        Rc::new(move |input: Bytes| {
+        Rc::new(move |op| {
             let mut l = log.borrow_mut();
-            if input.is_empty() {
-                return Ok(Bytes::from(l.clone()));
+            match op {
+                DeviceOp::Read { .. } => Ok(Bytes::from(l.clone())),
+                DeviceOp::Write(input) => {
+                    if l.len() + input.len() <= 64 * 1024 {
+                        l.extend_from_slice(&input);
+                    }
+                    Ok(Bytes::new())
+                }
             }
-            if l.len() + input.len() <= 64 * 1024 {
-                l.extend_from_slice(&input);
-            }
-            Ok(Bytes::new())
         }),
     );
 
@@ -99,31 +103,14 @@ fn register_standard_devices(kernel: &Kernel, handle: &SimHandle, telemetry: &Te
     );
 
     // Like `metrics`, the class exists either way so namespaces look
-    // identical; only the journal's presence differs. Kernel device
-    // reads carry no payload, so the delta form is seek-then-read: a
-    // write of `since N` arms a one-shot cursor the next read consumes.
+    // identical; only the journal's presence differs.
     let journal = telemetry.journal.clone();
-    let cursor: Rc<std::cell::Cell<Option<u64>>> = Rc::new(std::cell::Cell::new(None));
     kernel.register_device(
         "events",
-        Rc::new(move |input: Bytes| {
-            let Some(j) = &journal else {
-                return Ok(Bytes::from_static(b"# pcsi-obs disabled\n"));
-            };
-            if !input.is_empty() {
-                let after = std::str::from_utf8(&input)
-                    .ok()
-                    .and_then(|s| s.trim().strip_prefix("since "))
-                    .and_then(|n| n.trim().parse::<u64>().ok())
-                    .ok_or_else(|| {
-                        pcsi_core::PcsiError::BadPayload(
-                            "events device accepts only `since <seq>`".into(),
-                        )
-                    })?;
-                cursor.set(Some(after));
-                return Ok(Bytes::new());
-            }
-            Ok(Bytes::from(j.render_since(cursor.take())))
+        Rc::new(move |op| match (&journal, op) {
+            (_, DeviceOp::Write(_)) => Ok(Bytes::new()),
+            (None, DeviceOp::Read { .. }) => Ok(Bytes::from_static(b"# pcsi-obs disabled\n")),
+            (Some(j), DeviceOp::Read { offset }) => Ok(Bytes::from(j.render_since(offset))),
         }),
     );
 }
@@ -540,14 +527,43 @@ mod tests {
         });
     }
 
-    /// The `events` device's `since N` cursor, read through the kernel
-    /// from a journal that has wrapped: the header counts what was
-    /// appended and dropped, and only retained records after `N` come
-    /// back. A write that is not a cursor is refused.
-    #[test]
-    fn the_events_cursor_serves_the_retained_tail_of_a_wrapped_journal() {
+    /// A read of the `events` device object `events` at `offset`, as text.
+    async fn events_at(
+        c: &crate::KernelClient,
+        events: &pcsi_core::Reference,
+        offset: u64,
+    ) -> String {
+        use pcsi_core::CloudInterface;
+        let text = c.read(events, offset, 1 << 20).await.unwrap();
+        String::from_utf8(text.to_vec()).unwrap()
+    }
+
+    /// Creates an `events` device object through `c`.
+    async fn open_events(c: &crate::KernelClient) -> pcsi_core::Reference {
         use pcsi_core::api::CreateOptions;
-        use pcsi_core::{CloudInterface, Consistency, Mutability, ObjectKind, PcsiError};
+        use pcsi_core::{CloudInterface, Consistency, Mutability, ObjectKind};
+        let opts = CreateOptions {
+            kind: ObjectKind::Device("events".into()),
+            mutability: Mutability::Mutable,
+            consistency: Consistency::Eventual,
+            initial: bytes::Bytes::new(),
+            fifo_capacity: None,
+        };
+        c.create(opts).await.unwrap()
+    }
+
+    /// The `detail` field of each record line of an `events` read.
+    fn details(text: &str) -> Vec<&str> {
+        let records = text.lines().skip(1);
+        records.map(|l| l.rsplit(' ').next().unwrap()).collect()
+    }
+
+    /// The `events` device served from a read's offset, through the
+    /// kernel, from a journal that has wrapped: the header counts what
+    /// was appended and dropped, and only retained records numbered from
+    /// the offset on come back.
+    #[test]
+    fn an_events_read_serves_the_retained_tail_from_its_offset() {
         use pcsi_net::NodeId;
 
         let builder = CloudBuilder::new()
@@ -558,51 +574,68 @@ mod tests {
             });
         Lab::run(5, builder, |Lab { cloud, .. }| async move {
             let c = cloud.kernel.client(NodeId(0), "t");
-            let events = c
-                .create(CreateOptions {
-                    kind: ObjectKind::Device("events".into()),
-                    mutability: Mutability::Mutable,
-                    consistency: Consistency::Eventual,
-                    initial: bytes::Bytes::new(),
-                    fifo_capacity: None,
-                })
-                .await
-                .unwrap();
+            let events = open_events(&c).await;
             let journal = cloud.obs.as_ref().unwrap().journal();
             for i in 0..10 {
                 journal.append("test", "tick", format!("i={i}"));
             }
             let appended = journal.appended();
-            let read_since = |after: u64| {
-                let (c, events) = (&c, &events);
-                async move {
-                    let cursor = bytes::Bytes::from(format!("since {after}"));
-                    c.write(events, 0, cursor).await.unwrap();
-                    let text = c.read(events, 0, 1 << 20).await.unwrap();
-                    String::from_utf8(text.to_vec()).unwrap()
-                }
-            };
             let header = format!(
                 "# obs.events capacity=4 appended={appended} dropped={}",
                 appended - 4
             );
             // Seqs `appended - 4 ..` are retained (i=6..=9).
-            for (after, want) in [(appended - 8, 6..10), (appended - 3, 8..10)] {
-                let text = read_since(after).await;
-                let mut lines = text.lines();
-                assert_eq!(lines.next(), Some(header.as_str()), "{text}");
-                let details: Vec<&str> = lines.map(|l| l.rsplit(' ').next().unwrap()).collect();
+            for (from, want) in [(0, 6..10), (appended - 7, 6..10), (appended - 2, 8..10)] {
+                let text = events_at(&c, &events, from).await;
+                assert_eq!(text.lines().next(), Some(header.as_str()), "{text}");
                 let want: Vec<String> = want.map(|i| format!("i={i}")).collect();
-                assert_eq!(details, want, "since {after}: {text}");
+                assert_eq!(details(&text), want, "from {from}: {text}");
                 assert!(text.contains(&format!("event seq={} ", appended - 1)));
             }
-            let refused = c
-                .write(&events, 0, bytes::Bytes::from_static(b"since -1"))
-                .await;
-            assert!(
-                matches!(refused, Err(PcsiError::BadPayload(_))),
-                "{refused:?}"
+            assert!(details(&events_at(&c, &events, appended).await).is_empty());
+        });
+    }
+
+    /// Two clients tail the journal through `events` objects of their
+    /// own, their reads interleaved: each read carries its own cursor,
+    /// so each client gets exactly the records since its last read.
+    #[test]
+    fn interleaved_events_readers_each_get_their_own_delta() {
+        use pcsi_net::NodeId;
+
+        let builder = CloudBuilder::new()
+            .deterministic_network()
+            .observability(ObsConfig::default());
+        Lab::run(6, builder, |Lab { cloud, .. }| async move {
+            let (a, b) = (
+                cloud.kernel.client(NodeId(0), "a"),
+                cloud.kernel.client(NodeId(1), "b"),
             );
+            let (events_a, events_b) = (open_events(&a).await, open_events(&b).await);
+            let journal = cloud.obs.as_ref().unwrap().journal();
+            let tick = |names: &[&str]| {
+                for name in names {
+                    journal.append("test", "tick", *name);
+                }
+            };
+            // Each reader's cursor: the next sequence number it has not read.
+            let (mut at_a, mut at_b) = (journal.appended(), journal.appended());
+            let tail = |c, events, at: &mut u64| {
+                let from = *at;
+                *at = journal.appended();
+                async move { events_at(c, events, from).await }
+            };
+            tick(&["x1", "x2"]);
+            assert_eq!(details(&tail(&a, &events_a, &mut at_a).await), ["x1", "x2"]);
+            tick(&["y1"]);
+            assert_eq!(
+                details(&tail(&b, &events_b, &mut at_b).await),
+                ["x1", "x2", "y1"]
+            );
+            assert_eq!(details(&tail(&a, &events_a, &mut at_a).await), ["y1"]);
+            tick(&["z1"]);
+            assert_eq!(details(&tail(&b, &events_b, &mut at_b).await), ["z1"]);
+            assert_eq!(details(&tail(&a, &events_a, &mut at_a).await), ["z1"]);
         });
     }
 

@@ -29,7 +29,7 @@ use pcsi_core::{
 use pcsi_faas::function::{DataPlane, FunctionImage};
 use pcsi_faas::registry::Goal;
 use pcsi_faas::runtime::Runtime;
-use pcsi_fs::device::{DeviceHandler, DeviceRegistry};
+use pcsi_fs::device::{DeviceHandler, DeviceOp, DeviceRegistry};
 use pcsi_fs::{DirEntry, Directory, FifoQueue};
 use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_obs::Telemetry;
@@ -202,7 +202,7 @@ impl Kernel {
                 billing,
                 alloc: RefCell::new(IdAllocator::new(realm)),
                 objects: RefCell::new(FxHashMap::default()),
-                devices: RefCell::new(DeviceRegistry::new()),
+                devices: RefCell::new(DeviceRegistry::default()),
                 publisher,
                 goal,
                 telemetry: telemetry.clone(),
@@ -784,7 +784,8 @@ impl CloudInterface for KernelClient {
         self.op_on(Op::Read, r, |this, object| async move {
             match &object.meta.kind {
                 ObjectKind::Device(class) => {
-                    this.inner().devices.borrow().dispatch(class, Bytes::new())
+                    let op = DeviceOp::Read { offset };
+                    this.inner().devices.borrow().dispatch(class, op)
                 }
                 _ => {
                     this.read_with_fallback(r.id(), offset, len, object.meta.consistency)
@@ -800,7 +801,8 @@ impl CloudInterface for KernelClient {
             match (&object.queue, &object.meta.kind) {
                 (Some(queue), _) => this.enqueue(r.id(), queue, data).await.map(drop),
                 (None, ObjectKind::Device(class)) => {
-                    this.inner().devices.borrow().dispatch(class, data)?;
+                    let op = DeviceOp::Write(data);
+                    this.inner().devices.borrow().dispatch(class, op)?;
                     Ok(())
                 }
                 (None, _) => {

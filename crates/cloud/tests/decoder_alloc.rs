@@ -30,11 +30,8 @@ use counting_alloc::bytes;
 /// A decoder by name; `true` when it accepted the input.
 type Decoder = (&'static str, fn(&Bytes) -> bool);
 
-const DECODERS: [Decoder; 9] = [
+const DECODERS: [Decoder; 8] = [
     ("store request", |b| wire::decode_request(b).is_ok()),
-    ("store traced request", |b| {
-        wire::decode_request_traced(b).is_ok()
-    }),
     ("store response", |b| wire::decode_response(b).is_ok()),
     ("stream frame", |b| frame::decode_stream_frame(b).is_ok()),
     ("stream reply", |b| frame::decode_stream_reply(b).is_ok()),

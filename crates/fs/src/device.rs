@@ -13,8 +13,21 @@ use std::rc::Rc;
 use bytes::Bytes;
 use pcsi_core::PcsiError;
 
-/// A device service handler: input bytes in, output bytes out.
-pub type DeviceHandler = Rc<dyn Fn(Bytes) -> Result<Bytes, PcsiError>>;
+/// The object operation a device handler serves.
+#[derive(Debug)]
+pub enum DeviceOp {
+    /// A read at `offset`; each class says what its offsets mean.
+    Read {
+        /// The read's offset.
+        offset: u64,
+    },
+    /// A write of these bytes.
+    Write(Bytes),
+}
+
+/// A device service handler: the operation in, the read's bytes out (a
+/// write's output is discarded).
+pub type DeviceHandler = Rc<dyn Fn(DeviceOp) -> Result<Bytes, PcsiError>>;
 
 /// The registry mapping device class names to handlers.
 #[derive(Clone, Default)]
@@ -23,11 +36,6 @@ pub struct DeviceRegistry {
 }
 
 impl DeviceRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Registers (or replaces) the handler for a device class.
     pub fn register(&mut self, class: &str, handler: DeviceHandler) {
         self.handlers.insert(class.to_owned(), handler);
@@ -45,10 +53,10 @@ impl DeviceRegistry {
         v
     }
 
-    /// Invokes the handler for `class`.
-    pub fn dispatch(&self, class: &str, input: Bytes) -> Result<Bytes, PcsiError> {
+    /// Invokes the handler for `class` on `op`.
+    pub fn dispatch(&self, class: &str, op: DeviceOp) -> Result<Bytes, PcsiError> {
         match self.handlers.get(class) {
-            Some(h) => h(input),
+            Some(h) => h(op),
             None => Err(PcsiError::NameNotFound(format!("device class {class:?}"))),
         }
     }
@@ -68,53 +76,59 @@ mod tests {
 
     #[test]
     fn register_and_dispatch() {
-        let mut reg = DeviceRegistry::new();
+        let mut reg = DeviceRegistry::default();
         reg.register(
             "upper",
-            Rc::new(|input: Bytes| {
-                Ok(Bytes::from(
+            Rc::new(|op| match op {
+                DeviceOp::Write(input) => Ok(Bytes::from(
                     String::from_utf8_lossy(&input).to_uppercase().into_bytes(),
-                ))
+                )),
+                DeviceOp::Read { offset } => Ok(Bytes::from(offset.to_string())),
             }),
         );
         assert!(reg.has("upper"));
         assert_eq!(
-            reg.dispatch("upper", Bytes::from_static(b"abc")).unwrap(),
+            reg.dispatch("upper", DeviceOp::Write(Bytes::from_static(b"abc")))
+                .unwrap(),
             Bytes::from_static(b"ABC")
+        );
+        assert_eq!(
+            reg.dispatch("upper", DeviceOp::Read { offset: 7 }).unwrap(),
+            Bytes::from_static(b"7")
         );
     }
 
     #[test]
     fn unknown_class_errors() {
-        let reg = DeviceRegistry::new();
+        let reg = DeviceRegistry::default();
         assert!(matches!(
-            reg.dispatch("ghost", Bytes::new()),
+            reg.dispatch("ghost", DeviceOp::Read { offset: 0 }),
             Err(PcsiError::NameNotFound(_))
         ));
     }
 
     #[test]
     fn handler_errors_propagate() {
-        let mut reg = DeviceRegistry::new();
+        let mut reg = DeviceRegistry::default();
         reg.register(
             "fails",
             Rc::new(|_| Err(PcsiError::Fault("device offline".into()))),
         );
         assert!(matches!(
-            reg.dispatch("fails", Bytes::new()),
+            reg.dispatch("fails", DeviceOp::Read { offset: 0 }),
             Err(PcsiError::Fault(_))
         ));
     }
 
     #[test]
     fn classes_sorted_and_replace_works() {
-        let mut reg = DeviceRegistry::new();
-        reg.register("zeta", Rc::new(Ok));
-        reg.register("alpha", Rc::new(Ok));
+        let mut reg = DeviceRegistry::default();
+        reg.register("zeta", Rc::new(|_| Ok(Bytes::new())));
+        reg.register("alpha", Rc::new(|_| Ok(Bytes::new())));
         assert_eq!(reg.classes(), vec!["alpha", "zeta"]);
         reg.register("zeta", Rc::new(|_| Ok(Bytes::from_static(b"v2"))));
         assert_eq!(
-            reg.dispatch("zeta", Bytes::new()).unwrap(),
+            reg.dispatch("zeta", DeviceOp::Read { offset: 0 }).unwrap(),
             Bytes::from_static(b"v2")
         );
     }

@@ -112,13 +112,14 @@ impl Journal {
     /// Renders the full journal: a header line with the bookkeeping
     /// totals, then one line per retained record, oldest first.
     pub fn render(&self) -> String {
-        self.render_since(None)
+        self.render_since(0)
     }
 
-    /// Renders only records with `seq > after` — the delta form the
-    /// `events` device serves so a tailing client resends nothing. Pass
-    /// `None` for the full journal.
-    pub fn render_since(&self, after: Option<u64>) -> String {
+    /// Renders like [`Journal::render`], but only the retained records
+    /// numbered `from` or later: what the `events` device serves a read
+    /// at offset `from`, so a tailing client that reads at the header's
+    /// `appended` count is sent nothing twice.
+    pub fn render_since(&self, from: u64) -> String {
         let events = &self.inner.events;
         let mut out = format!(
             "# obs.events capacity={} appended={} dropped={}\n",
@@ -126,7 +127,7 @@ impl Journal {
             self.appended(),
             self.dropped()
         );
-        for ev in events.since(after.map_or(0, |a| a.saturating_add(1))) {
+        for ev in events.since(from) {
             out.push_str(&ev.render());
             out.push('\n');
         }
@@ -191,9 +192,9 @@ mod tests {
         let j = Journal::new(&h, 8);
         j.append("chaos", "drop_spike", "p=5%");
         j.append("chaos", "heal", "");
-        let tail = j.render_since(Some(0));
+        let tail = j.render_since(1);
         assert!(!tail.contains("seq=0 "), "{tail}");
         assert!(tail.contains("seq=1 "), "{tail}");
-        assert_eq!(j.render_since(None), j.render());
+        assert_eq!(j.render_since(0), j.render());
     }
 }

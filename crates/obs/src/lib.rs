@@ -21,8 +21,8 @@
 //!   from the kernel, store, faas and chaos layers in a bounded
 //!   [`pcsi_sim::Ring`] (the one ring the tracer's sink is too), rendered
 //!   byte-stably, fingerprint-able like metrics, exposed as the
-//!   `events` device and streamable as deltas
-//!   ([`Journal::render_since`]).
+//!   `events` device, where a read's offset is the first sequence
+//!   number it serves ([`Journal::render_since`]).
 //! * **Exemplars** ([`pcsi_metrics::Exemplar`]): when tracing is on,
 //!   histogram buckets retain the latest `(trace_id, value)` sample, so
 //!   a firing latency alert carries its p99 offender and

@@ -104,7 +104,7 @@ impl Writer {
 
     /// Appends `b` as it is.
     #[inline]
-    pub fn raw(&mut self, b: &[u8]) {
+    fn raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
 
@@ -180,7 +180,7 @@ impl<'a> Reader<'a> {
 
     /// Bytes not yet read.
     #[inline]
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 

@@ -245,17 +245,14 @@ impl StoreClient {
             let expires_ns = a
                 .deadline
                 .map_or(0, |d| (inner.fabric.handle().now() + d).as_nanos());
-            let frame = wire::encode_request_traced(
-                &Request::Coordinate {
-                    id,
-                    mutation: mutation.clone(),
-                    sync_replicas,
-                    req_id,
-                    expires_ns,
-                },
-                a.span.ctx(),
-            );
-            let call = rpc(&inner.fabric, self.origin, *a.target, frame);
+            let frame = wire::encode_request(&Request::Coordinate {
+                id,
+                mutation: mutation.clone(),
+                sync_replicas,
+                req_id,
+                expires_ns,
+            });
+            let call = rpc(&inner.fabric, self.origin, *a.target, frame, a.span.ctx());
             async move {
                 match call.await? {
                     Response::Coordinated { tag } => Ok(tag),
@@ -385,17 +382,14 @@ impl StoreClient {
         ctx: Option<TraceContext>,
     ) -> Result<Served, PcsiError> {
         let need = self.store.placement().majority();
-        let frame = wire::encode_request_traced(
-            &Request::ReadWithTag {
-                id,
-                offset,
-                len,
-                inline_limit: self.store.inner.config.inline_read_max,
-            },
-            ctx,
-        );
+        let frame = wire::encode_request(&Request::ReadWithTag {
+            id,
+            offset,
+            len,
+            inline_limit: self.store.inner.config.inline_read_max,
+        });
         let mut replies = self
-            .gather(id, &[], frame, need, |node, reply| {
+            .gather(id, &[], (frame, ctx), need, |node, reply| {
                 let (tag, served) = match reply.map(Served::from_data) {
                     Ok(Ok(served)) => (served.tag, Some(served)),
                     Ok(Err(Response::TagIs { tag })) => (tag, None),
@@ -445,9 +439,9 @@ impl StoreClient {
         need_acks: usize,
         ctx: Option<TraceContext>,
     ) -> Result<(), PcsiError> {
-        let fetch = wire::encode_request_traced(&Request::Fetch { id }, ctx);
+        let fetch = wire::encode_request(&Request::Fetch { id });
         let fabric = &self.store.inner.fabric;
-        let (object, reqs) = match rpc(fabric, self.origin, source, fetch).await {
+        let (object, reqs) = match rpc(fabric, self.origin, source, fetch, ctx).await {
             // Only the state the read returns may be written back: one
             // the source moved past may have been lost with its round.
             Ok(Response::Object { object, reqs }) if object.tag == tag => (object, reqs),
@@ -464,8 +458,8 @@ impl StoreClient {
         // Encode the push once — it embeds the full object payload, so
         // re-encoding (and deep-cloning the object) per peer would cost
         // O(replicas × object size).
-        let push = wire::encode_request_traced(&Request::Push { id, object, reqs }, ctx);
-        self.gather(id, known, push, need_acks, |_, reply| match reply {
+        let push = wire::encode_request(&Request::Push { id, object, reqs });
+        self.gather(id, known, (push, ctx), need_acks, |_, reply| match reply {
             Ok(Response::Applied) => Ok(()),
             _ => Err(()),
         })
@@ -473,14 +467,15 @@ impl StoreClient {
         Ok(())
     }
 
-    /// One quorum round from this client: `frame` goes to every replica
-    /// of `id` outside `skip`, in placement order, and the first `need`
-    /// replies `ack` accepts come back — or the quorum failure.
+    /// One quorum round from this client: `frame`, traced by its context,
+    /// goes to every replica of `id` outside `skip`, in placement order,
+    /// and the first `need` replies `ack` accepts come back — or the
+    /// quorum failure.
     async fn gather<A: 'static>(
         &self,
         id: ObjectId,
         skip: &[NodeId],
-        frame: Bytes,
+        frame: (Bytes, Option<TraceContext>),
         need: usize,
         ack: impl Fn(NodeId, Result<Response, PcsiError>) -> Result<A, ()> + Clone + 'static,
     ) -> Result<Vec<A>, PcsiError> {
@@ -509,9 +504,9 @@ impl StoreClient {
         len: u64,
         ctx: Option<TraceContext>,
     ) -> Result<Served, PcsiError> {
-        let frame = wire::encode_request_traced(&Request::Read { id, offset, len }, ctx);
+        let frame = wire::encode_request(&Request::Read { id, offset, len });
         let fabric = &self.store.inner.fabric;
-        Served::from_data(rpc(fabric, self.origin, replica, frame).await?)
+        Served::from_data(rpc(fabric, self.origin, replica, frame, ctx).await?)
             .map_err(|other| PcsiError::Fault(format!("unexpected response {other:?}")))
     }
 
@@ -827,6 +822,53 @@ mod tests {
             assert_eq!(tag.seq, 1);
             assert_eq!(data.len(), big.len());
         });
+    }
+
+    /// A trace context crosses a hop in the fabric's call, not in the
+    /// frame: a traced directed read moves exactly the context's
+    /// `TraceContext::WIRE_LEN` bytes more than the same read untraced,
+    /// and the replica's span is a child of the attempt that sent it.
+    #[test]
+    fn a_traced_read_pays_the_context_once_and_nests_under_its_attempt() {
+        use pcsi_obs::Telemetry;
+        use pcsi_trace::{Sampling, Tracer};
+
+        let read = |sampling| {
+            let mut sim = Sim::new(42);
+            let fabric =
+                testkit::fabric(&sim, Topology::uniform(3, 3), LatencyModel::deterministic);
+            let tracer = Tracer::new(&sim.handle(), sampling, 256);
+            let telemetry = Telemetry {
+                tracer: Some(tracer.clone()),
+                ..Telemetry::default()
+            };
+            let store = testkit::launch(&fabric, testkit::config(), &telemetry);
+            let client = store.client(testkit::outsider(&store, oid(1)));
+            let (f, h, t) = (fabric.clone(), fabric.handle().clone(), tracer.clone());
+            let moved = sim.block_on(async move {
+                linearizable_put(&client, oid(1), Bytes::from_static(b"traced")).await;
+                // The write's straggling Apply is long done.
+                h.sleep(Duration::from_millis(1)).await;
+                t.sink().take();
+                let before = f.bytes_moved();
+                client
+                    .read_all(oid(1), Consistency::Eventual)
+                    .await
+                    .unwrap();
+                f.bytes_moved() - before
+            });
+            (moved, tracer.sink().take())
+        };
+        let (plain, none) = read(Sampling::Off);
+        let (traced, spans) = read(Sampling::Always);
+        assert!(none.is_empty());
+        assert_eq!(traced - plain, TraceContext::WIRE_LEN as u64);
+        let span = |name| spans.iter().find(|s| s.name == name).expect(name);
+        let (attempt, served) = (span("store.attempt"), span("replica.read"));
+        assert_eq!(
+            (served.trace, served.parent),
+            (attempt.trace, Some(attempt.id))
+        );
     }
 
     #[test]

@@ -285,7 +285,7 @@ fn timed_rpc(
     to: NodeId,
     frame: Bytes,
 ) -> impl Future<Output = Result<Response, PcsiError>> + 'static {
-    let (handle, call) = (fabric.handle().clone(), rpc(fabric, from, to, frame));
+    let (handle, call) = (fabric.handle().clone(), rpc(fabric, from, to, frame, None));
     async move {
         let raced = deadline(&handle, MIGRATE_RPC_TIMEOUT, call).await;
         raced.unwrap_or(Err(PcsiError::Timeout))

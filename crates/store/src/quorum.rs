@@ -11,24 +11,27 @@ use pcsi_net::fabric::NetError;
 use pcsi_net::{Fabric, NodeId};
 use pcsi_sim::util::poll_each;
 use pcsi_sim::LocalBoxFuture;
+use pcsi_trace::TraceContext;
 
 use crate::replica::{STORE_SERVICE, STORE_TRANSPORT};
 use crate::wire::{self, Response};
 
 /// One encoded request/response round trip over the fabric, decoded and
-/// error-mapped. A wire-level
-/// [`Response::Err`] surfaces as the [`PcsiError`] it carries. The future
-/// borrows nothing, so fan-out tasks can own it.
+/// error-mapped: the store's one call site. A trace context rides the
+/// fabric's call beside the frame (`CallCtx::trace`), which charges its
+/// bytes. A wire-level [`Response::Err`] surfaces as the [`PcsiError`] it
+/// carries. The future borrows nothing, so fan-out tasks can own it.
 pub(crate) fn rpc(
     fabric: &Fabric,
     from: NodeId,
     to: NodeId,
     frame: Bytes,
+    ctx: Option<TraceContext>,
 ) -> impl Future<Output = Result<Response, PcsiError>> + 'static {
     let fabric = fabric.clone();
     async move {
         let raw = fabric
-            .call(from, to, STORE_SERVICE, STORE_TRANSPORT, frame)
+            .call_traced(from, to, STORE_SERVICE, STORE_TRANSPORT, frame, ctx)
             .await
             .map_err(net_to_pcsi)?;
         match wire::decode_response(&raw) {
@@ -71,9 +74,9 @@ pub(crate) struct Shortfall<N> {
     pub(crate) nacks: Vec<N>,
 }
 
-/// Sends `frame` from `from` to every node of `targets` and returns the
-/// first `need` acks, or the [`Shortfall`] as soon as `need` is out of
-/// reach (DESIGN §4.1).
+/// Sends `frame`, traced by `ctx`, from `from` to every node of
+/// `targets` and returns the first `need` acks, or the [`Shortfall`] as
+/// soon as `need` is out of reach (DESIGN §4.1).
 ///
 /// Each target gets one boxed call, in the order `targets` yields them
 /// (callers pass placement order): one [`rpc`], then its own clone of
@@ -83,14 +86,17 @@ pub(crate) struct Shortfall<N> {
 /// flight move to one detached task: their effects land, their verdicts
 /// are dropped. Only the decision hands them off; dropping a pending
 /// gather drops its calls. No caller does; each awaits its gather.
-pub(crate) async fn gather<A, N, C, Fut>(
+/// The calls are built before the round's future is: it keeps them, not
+/// the frame, its context or `classify`, across its awaits (a
+/// coordinator's future, boxed per request, holds its rounds').
+pub(crate) fn gather<A, N, C, Fut>(
     fabric: &Fabric,
     from: NodeId,
     targets: impl IntoIterator<Item = NodeId>,
-    frame: Bytes,
+    (frame, ctx): (Bytes, Option<TraceContext>),
     need: usize,
     classify: C,
-) -> Result<Vec<A>, Shortfall<N>>
+) -> impl Future<Output = Result<Vec<A>, Shortfall<N>>> + 'static
 where
     A: 'static,
     N: 'static,
@@ -101,40 +107,44 @@ where
         .into_iter()
         .map(|node| {
             // One encode for the whole round: each send bumps a refcount.
-            let (call, classify) = (rpc(fabric, from, node, frame.clone()), classify.clone());
+            let call = rpc(fabric, from, node, frame.clone(), ctx);
+            let classify = classify.clone();
             Box::pin(async move { classify(node, call.await).await }) as _
         })
         .collect();
-    let total = calls.len();
-    let (mut acks, mut nacks) = (Vec::with_capacity(need), Vec::new());
-    let open =
-        |acks: &Vec<_>, nacks: &Vec<_>| decided(total, need, acks.len(), nacks.len()).is_none();
-    // Decided before it starts (`need` 0), a round sends nothing until
-    // the caller has gone on.
-    if open(&acks, &nacks) {
-        poll_fn(|cx| {
-            let _ = poll_each(&mut calls, cx, |verdict| match verdict {
-                _ if !open(&acks, &nacks) => {}
-                Ok(ack) => acks.push(ack),
-                Err(nack) => nacks.push(nack),
-            });
-            if open(&acks, &nacks) {
-                Poll::Pending
-            } else {
-                Poll::Ready(())
-            }
-        })
-        .await;
-    }
-    if !calls.is_empty() {
-        let stragglers = poll_fn(move |cx| poll_each(&mut calls, cx, drop));
-        fabric.handle().spawn_detached(stragglers);
-    }
-    if acks.len() >= need {
-        Ok(acks)
-    } else {
-        let got = acks.len();
-        Err(Shortfall { got, nacks })
+    let handle = fabric.handle().clone();
+    async move {
+        let total = calls.len();
+        let (mut acks, mut nacks) = (Vec::with_capacity(need), Vec::new());
+        let open =
+            |acks: &Vec<_>, nacks: &Vec<_>| decided(total, need, acks.len(), nacks.len()).is_none();
+        // Decided before it starts (`need` 0), a round sends nothing until
+        // the caller has gone on.
+        if open(&acks, &nacks) {
+            poll_fn(|cx| {
+                let _ = poll_each(&mut calls, cx, |verdict| match verdict {
+                    _ if !open(&acks, &nacks) => {}
+                    Ok(ack) => acks.push(ack),
+                    Err(nack) => nacks.push(nack),
+                });
+                if open(&acks, &nacks) {
+                    Poll::Pending
+                } else {
+                    Poll::Ready(())
+                }
+            })
+            .await;
+        }
+        if !calls.is_empty() {
+            let stragglers = poll_fn(move |cx| poll_each(&mut calls, cx, drop));
+            handle.spawn_detached(stragglers);
+        }
+        if acks.len() >= need {
+            Ok(acks)
+        } else {
+            let got = acks.len();
+            Err(Shortfall { got, nacks })
+        }
     }
 }
 

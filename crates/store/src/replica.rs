@@ -19,7 +19,7 @@ use fxhash::FxHashMap;
 use bytes::Bytes;
 use pcsi_core::{Mutability, ObjectId, PcsiError};
 use pcsi_metrics::{Counter, Histogram};
-use pcsi_net::fabric::Reply;
+use pcsi_net::fabric::{CallCtx, NetError, Reply};
 use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_obs::Telemetry;
 use pcsi_sim::sync::oneshot;
@@ -113,10 +113,7 @@ impl ReplicaNode {
         fabric.bind(
             node,
             STORE_SERVICE,
-            Rc::new(move |payload, _| {
-                let inner = Rc::clone(&handler);
-                async move { Ok(handle(inner, payload).await) }
-            }),
+            Rc::new(move |payload, ctx: CallCtx| handle(Rc::clone(&handler), payload, ctx.trace)),
         );
         ReplicaNode { inner }
     }
@@ -251,16 +248,21 @@ fn request_span_name(req: &Request) -> &'static str {
     }
 }
 
-async fn handle(inner: Rc<Inner>, payload: Bytes) -> Reply {
-    let (request, wire_ctx) = match wire::decode_request_traced(&payload) {
+/// Serves one store request, its span a child of the caller's `ctx`.
+/// Never a transport error: a bad frame is answered with one.
+async fn handle(
+    inner: Rc<Inner>,
+    payload: Bytes,
+    ctx: Option<TraceContext>,
+) -> Result<Reply, NetError> {
+    let request = match wire::decode_request(&payload) {
         Ok(r) => r,
         Err(e) => {
             let e = PcsiError::Fault(format!("storage wire codec error: {e}"));
-            return wire::encode_response(&Response::Err(e)).into();
+            return Ok(wire::encode_response(&Response::Err(e)).into());
         }
     };
-    // The store protocol carries the context in its own envelope.
-    let mut span = pcsi_trace::child_of(&inner.tracer, wire_ctx, request_span_name(&request));
+    let mut span = pcsi_trace::child_of(&inner.tracer, ctx, request_span_name(&request));
     span.attr("node", u64::from(inner.node.0));
     let child_ctx = span.ctx();
     let mut leaves = SimTime::ZERO;
@@ -377,10 +379,10 @@ async fn handle(inner: Rc<Inner>, payload: Bytes) -> Reply {
         }
     };
     span.finish_at(leaves);
-    Reply {
+    Ok(Reply {
         frame: wire::encode_response(&response),
         leaves,
-    }
+    })
 }
 
 /// True when this node is in the *effective* replica set of `id` (the
@@ -606,9 +608,9 @@ async fn coordinate(
         }
         let held = held(inner, id, false);
         let (ballot, base) = (held.accepted.max(held.promised).next(me), held.accepted);
-        return match order(inner, write, (ballot, base), false, expires_ns, ctx) {
+        return match order(inner, write, (ballot, base), false, expires_ns) {
             Ok(frame) => {
-                let _ = replicate(inner, (id, ballot), frame, &peers, 0).await;
+                let _ = replicate(inner, (id, ballot), (frame, ctx), &peers, 0).await;
                 Response::Coordinated { tag: ballot }
             }
             Err(refusal) => refusal,
@@ -656,11 +658,11 @@ async fn coordinate(
             (engine.tag_of(id), same)
         };
         let write = (id, same.as_ref().unwrap_or(&mutation), req_id);
-        let frame = match order(inner, write, (ballot, base), true, expires_ns, ctx) {
+        let frame = match order(inner, write, (ballot, base), true, expires_ns) {
             Ok(frame) => frame,
             Err(refusal) => return refusal,
         };
-        match replicate(inner, (id, ballot), frame, &peers, need).await {
+        match replicate(inner, (id, ballot), (frame, ctx), &peers, need).await {
             Ok(()) => {
                 // Every ack promised this node's next ballot with the state
                 // at `ballot`: unless this node promised another since, its
@@ -707,9 +709,16 @@ async fn prepare(
         })
     };
     let targets = peers.iter().copied();
-    let mut promises = gather(&inner.fabric, inner.node, targets, frame, need, classify)
-        .await
-        .map_err(|short| short.nacks.into_iter().flatten().max())?;
+    let mut promises = gather(
+        &inner.fabric,
+        inner.node,
+        targets,
+        (frame, None),
+        need,
+        classify,
+    )
+    .await
+    .map_err(|short| short.nacks.into_iter().flatten().max())?;
     let own = held(inner, id, true);
     if accept(own.accepted, own.floor(), ballot, own.accepted) != Accept::Take {
         return Err(Some(own.accepted.max(own.floor())));
@@ -742,7 +751,6 @@ fn order(
     (ballot, base): (Tag, Tag),
     round: bool,
     expires_ns: u64,
-    ctx: Option<TraceContext>,
 ) -> Result<Bytes, Response> {
     if inner.placement.is_frozen(id) {
         return Err(frozen(id));
@@ -750,22 +758,22 @@ fn order(
     if let Some(refusal) = expired(inner, id, expires_ns, "before ordering") {
         return Err(refusal);
     }
-    let (frame, local) = wire::apply_frame((id, ballot, base), round, mutation, req_id, ctx);
+    let (frame, local) = wire::apply_frame((id, ballot, base), round, mutation, req_id);
     let mut engine = inner.engine.borrow_mut();
     engine.apply(id, ballot, &local).map_err(Response::Err)?;
     engine.record(id, req_id, ballot);
     Ok(frame)
 }
 
-/// Fans the `Apply` frame of the state at `ballot` out to `peers` and
-/// waits for `need` acks ([`verdict`]); replication past `need` goes on
+/// Fans the `Apply` frame of the state at `ballot`, traced by the
+/// coordination's context, out to `peers` and waits for `need` acks ([`verdict`]); replication past `need` goes on
 /// detached. A peer behind, or whose reply was lost, is repaired by a
 /// push of the whole state and then counts. `Err` carries the acks (this
 /// node included) and the newest ballot a refusal named.
 async fn replicate(
     inner: &Rc<Inner>,
     (id, ballot): (ObjectId, Tag),
-    frame: Bytes,
+    frame: (Bytes, Option<TraceContext>),
     peers: &[NodeId],
     need: usize,
 ) -> Result<(), (usize, Option<Tag>)> {
@@ -805,7 +813,7 @@ async fn repair(
         return Err(None);
     };
     let frame = wire::encode_request(&Request::Push { id, object, reqs });
-    match rpc(&inner.fabric, inner.node, peer, frame).await {
+    match rpc(&inner.fabric, inner.node, peer, frame, None).await {
         Ok(Response::Applied) => Ok(()),
         _ => Err(None),
     }
@@ -818,7 +826,7 @@ async fn repair(
 /// to give.
 async fn catch_up(inner: &Rc<Inner>, id: ObjectId, holder: NodeId) -> Result<(), PcsiError> {
     let frame = wire::encode_request(&Request::Fetch { id });
-    let reply = rpc(&inner.fabric, inner.node, holder, frame).await?;
+    let reply = rpc(&inner.fabric, inner.node, holder, frame, None).await?;
     if let Response::Object { object, reqs } = reply {
         charge_io(inner, object.data.len()).await;
         inner.engine.borrow_mut().sync_in(id, object, reqs, false);
@@ -844,7 +852,7 @@ async fn anti_entropy_round(inner: &Rc<Inner>) {
     let frame = wire::encode_request(&Request::Inventory);
     // Peer down or partitioned: try next round.
     let Ok(Response::InventoryIs { mut entries }) =
-        rpc(&inner.fabric, inner.node, peer, frame).await
+        rpc(&inner.fabric, inner.node, peer, frame, None).await
     else {
         return;
     };
@@ -921,7 +929,7 @@ mod tests {
             let (id, data) = (id(1), Bytes::from(vec![7u8; 4096]));
             let t1 = linearizable_put(&store.client(NodeId(0)), id, data.clone()).await;
             let p = store.placement().replicas(id)[1];
-            let call = |req: &Request| rpc(&fabric, p, p, wire::encode_request(req));
+            let call = |req: &Request| rpc(&fabric, p, p, wire::encode_request(req), None);
             let apply = call(&Request::Apply {
                 id,
                 tag: t1.next(9),
@@ -960,7 +968,7 @@ mod tests {
             let x = id(1);
             linearizable_put(&store.client(NodeId(0)), x, Bytes::from_static(b"x")).await;
             let p = store.placement().replicas(x)[1];
-            let call = |req: &Request| rpc(&fabric, p, p, wire::encode_request(req));
+            let call = |req: &Request| rpc(&fabric, p, p, wire::encode_request(req), None);
             let append = Request::Coordinate {
                 id: x,
                 mutation: Mutation::Append {

@@ -108,7 +108,7 @@ pub(crate) struct StoreInner {
     /// The deployment's telemetry. With a registry, the always-on cells
     /// above (and every lazily created cache's) are published as named
     /// series; nothing is double-counted. Client operations open spans
-    /// on the tracer, and the context rides the wire envelope so replica
+    /// on the tracer, and the context rides each fabric call so replica
     /// spans nest under the client attempt that caused them. Failovers
     /// and object migrations append typed records to the journal.
     pub(crate) telemetry: Telemetry,

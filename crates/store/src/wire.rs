@@ -13,7 +13,6 @@
 use bytes::Bytes;
 use pcsi_core::{Mutability, ObjectId, PcsiError};
 use pcsi_proto::binary::{DecodeError, Prefix::U32 as LEN, Reader, Writer};
-use pcsi_trace::TraceContext;
 
 use crate::engine::{Mutation, StoredObject};
 use crate::version::Tag;
@@ -309,28 +308,11 @@ fn read_state(r: &mut Reader) -> Result<(StoredObject, Vec<(u64, Tag)>), DecodeE
 
 // ---- request ----
 
-/// Flag byte introducing the optional trailing [`TraceContext`]
-/// extension on an encoded request. Exactly one value is valid, so a
-/// stray trailing byte still fails decoding.
-const TRACE_EXT_FLAG: u8 = 1;
-
-/// Encodes a request.
+/// Encodes a request. A trace context is not part of the frame: it
+/// rides the fabric's call beside it.
 pub fn encode_request(req: &Request) -> Bytes {
-    encode_request_traced(req, None)
-}
-
-/// Encodes a request with an optional trailing trace-context extension:
-/// `[flag = 1][trace id u64][parent span u64]`, 17 bytes. Absent
-/// context encodes exactly like [`encode_request`], so old-format
-/// frames and untraced frames are the same bytes — and a traced frame
-/// honestly pays its extra wire bytes in virtual time.
-pub fn encode_request_traced(req: &Request, ctx: Option<TraceContext>) -> Bytes {
     let mut w = Writer::with_capacity(64);
     write_request(&mut w, req);
-    if let Some(ctx) = ctx {
-        w.u8(TRACE_EXT_FLAG);
-        w.raw(&ctx.encode());
-    }
     finish(
         w,
         matches!(
@@ -365,7 +347,6 @@ pub(crate) fn apply_frame(
     round: bool,
     mutation: &Mutation,
     req_id: u64,
-    ctx: Option<TraceContext>,
 ) -> (Bytes, Mutation) {
     let apply = Request::Apply {
         id,
@@ -376,15 +357,13 @@ pub(crate) fn apply_frame(
         req_id,
     };
     let mut local = mutation.clone();
-    let frame = encode_request_traced(&apply, ctx);
+    let frame = encode_request(&apply);
     if let Mutation::PutFull { data, .. }
     | Mutation::WriteAt { data, .. }
     | Mutation::Append { data } = &mut local
     {
-        // The payload is the request's last field, ahead of the
-        // optional trace extension.
-        let end = frame.len() - ctx.map_or(0, |_| 1 + TraceContext::WIRE_LEN);
-        let view = frame.slice(end - data.len()..end);
+        // The payload is the request's last field.
+        let view = frame.slice(frame.len() - data.len()..);
         debug_assert_eq!(view, *data);
         *data = view;
     }
@@ -480,26 +459,6 @@ pub fn decode_request(buf: &Bytes) -> Result<Request, DecodeError> {
     let req = read_request(&mut r)?;
     r.finish()?;
     Ok(req)
-}
-
-/// Decodes a request plus its optional trailing trace context. Frames
-/// without the extension (including every pre-extension frame) decode
-/// with `None`; a present extension must be exactly
-/// `[1][16 context bytes]` or the frame is rejected.
-pub fn decode_request_traced(buf: &Bytes) -> Result<(Request, Option<TraceContext>), DecodeError> {
-    let mut r = Reader::new(buf);
-    let req = read_request(&mut r)?;
-    if r.remaining() == 0 {
-        return Ok((req, None));
-    }
-    match r.u8()? {
-        TRACE_EXT_FLAG => {}
-        b => return Err(DecodeError::BadTag(b)),
-    }
-    let ctx =
-        TraceContext::decode(r.take(TraceContext::WIRE_LEN)?).ok_or(DecodeError::Truncated)?;
-    r.finish()?;
-    Ok((req, Some(ctx)))
 }
 
 fn read_request(r: &mut Reader) -> Result<Request, DecodeError> {
@@ -675,50 +634,6 @@ mod tests {
 
     fn oid(n: u64) -> ObjectId {
         ObjectId::from_parts(2, n)
-    }
-
-    #[test]
-    fn traced_requests_roundtrip_and_untraced_frames_still_decode() {
-        use pcsi_trace::{SpanId, TraceId};
-
-        let req = Request::Read {
-            id: oid(7),
-            offset: 8,
-            len: 16,
-        };
-        let ctx = TraceContext {
-            trace: TraceId(0xDEAD_BEEF),
-            parent: SpanId(0x1234_5678),
-        };
-
-        // Traced frame round-trips both halves.
-        let traced = encode_request_traced(&req, Some(ctx));
-        assert_eq!(
-            traced.len(),
-            encode_request(&req).len() + 1 + TraceContext::WIRE_LEN
-        );
-        assert_eq!(
-            decode_request_traced(&traced).unwrap(),
-            (req.clone(), Some(ctx))
-        );
-
-        // Untraced encoding is byte-identical to the pre-extension
-        // format, and both decoders accept it.
-        let plain = encode_request_traced(&req, None);
-        assert_eq!(plain, encode_request(&req));
-        assert_eq!(decode_request_traced(&plain).unwrap(), (req.clone(), None));
-        assert_eq!(decode_request(&plain).unwrap(), req);
-
-        // The strict decoder rejects the extension as trailing bytes.
-        assert!(decode_request(&traced).is_err());
-
-        // A bad flag byte or short context is rejected.
-        let mut bad_flag = plain.to_vec();
-        bad_flag.push(2);
-        assert!(decode_request_traced(&Bytes::from(bad_flag)).is_err());
-        let mut short = plain.to_vec();
-        short.extend_from_slice(&[TRACE_EXT_FLAG, 0, 0, 0]);
-        assert!(decode_request_traced(&Bytes::from(short)).is_err());
     }
 
     #[test]
@@ -927,13 +842,11 @@ mod tests {
         }
     }
 
-    /// `apply_frame` sends the bytes an `Apply` always encoded to, traced
-    /// or not, and hands back the same mutation with its payload a view
-    /// of that frame.
+    /// `apply_frame` sends the bytes an `Apply` always encoded to, and
+    /// hands back the same mutation with its payload a view of that
+    /// frame.
     #[test]
     fn apply_frame_is_the_apply_encoding_and_its_payload_a_view_of_it() {
-        use pcsi_trace::{SpanId, TraceId};
-
         let data = Bytes::from_static(b"payload");
         let mutations = [
             Mutation::PutFull {
@@ -947,13 +860,9 @@ mod tests {
             Mutation::Append { data },
             Mutation::Delete,
         ];
-        let traced = Some(TraceContext {
-            trace: TraceId(7),
-            parent: SpanId(8),
-        });
         let (tag, base) = (Tag { seq: 2, writer: 1 }, Tag { seq: 1, writer: 1 });
-        for (mutation, ctx) in mutations.iter().flat_map(|m| [(m, None), (m, traced)]) {
-            let (frame, local) = apply_frame((oid(1), tag, base), true, mutation, 9, ctx);
+        for mutation in &mutations {
+            let (frame, local) = apply_frame((oid(1), tag, base), true, mutation, 9);
             let apply = Request::Apply {
                 id: oid(1),
                 tag,
@@ -962,7 +871,7 @@ mod tests {
                 mutation: mutation.clone(),
                 req_id: 9,
             };
-            assert_eq!(frame, encode_request_traced(&apply, ctx));
+            assert_eq!(frame, encode_request(&apply));
             assert_eq!(&local, mutation);
             if let Mutation::PutFull { data, .. }
             | Mutation::WriteAt { data, .. }
@@ -1036,7 +945,6 @@ mod tests {
     #[test]
     fn frames_encode_to_the_pinned_bytes() {
         use pcsi_proto::hash::hex;
-        use pcsi_trace::{SpanId, TraceId};
 
         let req = Request::Coordinate {
             id: oid(1),
@@ -1048,16 +956,10 @@ mod tests {
             req_id: 7,
             expires_ns: 9,
         };
-        let plain = "00e2b7bfde784a30220200000000000000020000000700000000000000\
-                     090000000000000000020500000068656c6c6f";
-        assert_eq!(hex(&encode_request(&req)), plain);
-        let ctx = TraceContext {
-            trace: TraceId(0xDEAD_BEEF),
-            parent: SpanId(0x1234_5678),
-        };
         assert_eq!(
-            hex(&encode_request_traced(&req, Some(ctx))),
-            format!("{plain}01efbeadde000000007856341200000000")
+            hex(&encode_request(&req)),
+            "00e2b7bfde784a30220200000000000000020000000700000000000000\
+             090000000000000000020500000068656c6c6f"
         );
         let resp = Response::Data {
             tag: Tag { seq: 4, writer: 1 },

@@ -9,11 +9,9 @@ use pcsi_net::Topology;
 use pcsi_store::engine::{MediaTier, Mutation, StorageEngine, StoredObject};
 use pcsi_store::version::Tag;
 use pcsi_store::wire::{
-    decode_request, decode_request_traced, decode_response, encode_request, encode_request_traced,
-    encode_response, Request, Response,
+    decode_request, decode_response, encode_request, encode_response, Request, Response,
 };
 use pcsi_store::Placement;
-use pcsi_trace::{SpanId, TraceContext, TraceId};
 
 fn oid(n: u64) -> ObjectId {
     ObjectId::from_parts(11, n % 16 + 1)
@@ -172,16 +170,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
     ]
 }
 
-fn arb_trace_ctx() -> impl Strategy<Value = Option<TraceContext>> {
-    prop_oneof![
-        Just(None),
-        (any::<u64>(), any::<u64>()).prop_map(|(t, p)| Some(TraceContext {
-            trace: TraceId(t),
-            parent: SpanId(p),
-        })),
-    ]
-}
-
 /// The six [`PcsiError`] variants a replica sends, each of which crosses
 /// the wire as itself.
 fn arb_wire_error() -> impl Strategy<Value = PcsiError> {
@@ -244,9 +232,6 @@ fn op_len(buf: &[u8]) -> usize {
 fn decode_all_consuming_everything(buf: &Bytes) -> Result<(), TestCaseError> {
     if let Ok(req) = decode_request(buf) {
         prop_assert_eq!(encode_request(&req).len(), buf.len());
-    }
-    if let Ok((req, ctx)) = decode_request_traced(buf) {
-        prop_assert_eq!(encode_request_traced(&req, ctx).len(), buf.len());
     }
     if let Ok(resp) = decode_response(buf) {
         let mut len = encode_response(&resp).len();
@@ -365,48 +350,6 @@ proptest! {
         }
     }
 
-    /// The traced envelope round-trips any request with and without a
-    /// context, and an untraced envelope is byte-identical to the plain
-    /// codec — old frames and new frames are the same bytes.
-    #[test]
-    fn wire_traced_requests_roundtrip(req in arb_request(), ctx in arb_trace_ctx()) {
-        let wire = encode_request_traced(&req, ctx);
-        let (back, back_ctx) = decode_request_traced(&wire).unwrap();
-        prop_assert_eq!(back, req.clone());
-        prop_assert_eq!(back_ctx, ctx);
-        if ctx.is_none() {
-            prop_assert_eq!(wire, encode_request(&req));
-        } else {
-            // The context rides behind the plain body, so a decoder that
-            // has never heard of tracing still reads the request itself.
-            prop_assert_eq!(
-                wire.len(),
-                encode_request(&req).len() + 1 + TraceContext::WIRE_LEN
-            );
-        }
-    }
-
-    /// Truncating a traced frame is detected at every cut point except
-    /// one: cutting exactly at the plain-body boundary yields a valid
-    /// pre-tracing frame, which must decode as the request with no
-    /// context — that is the compatibility guarantee, not a hole.
-    #[test]
-    fn wire_traced_truncation_always_detected(req in arb_request()) {
-        let ctx = TraceContext { trace: TraceId(7), parent: SpanId(9) };
-        let wire = encode_request_traced(&req, Some(ctx));
-        let plain_len = encode_request(&req).len();
-        for cut in 0..wire.len() {
-            let decoded = decode_request_traced(&wire.slice(..cut));
-            if cut == plain_len {
-                let (back, none) = decoded.unwrap();
-                prop_assert_eq!(back, req.clone());
-                prop_assert_eq!(none, None);
-            } else {
-                prop_assert!(decoded.is_err(), "cut {} decoded", cut);
-            }
-        }
-    }
-
     /// Trailing garbage after a valid response is rejected.
     #[test]
     fn wire_response_trailing_bytes_detected(resp in arb_response(), junk in any::<u8>()) {
@@ -416,7 +359,7 @@ proptest! {
     }
 
     /// Arbitrary bytes — what a confused or hostile peer can put on the
-    /// store service — never panic any of the three decoders, and
+    /// store service — never panic either decoder, and
     /// whatever does decode accounts for every input byte.
     #[test]
     fn wire_decoders_are_total_on_arbitrary_bytes(
@@ -425,22 +368,17 @@ proptest! {
         decode_all_consuming_everything(&Bytes::from(raw))?;
     }
 
-    /// One corrupted byte anywhere in a valid frame of any of the three
-    /// kinds: every decoder still returns, and a frame that still
-    /// decodes (as anything) is consumed whole.
+    /// One corrupted byte anywhere in a valid frame of either kind:
+    /// both decoders still return, and a frame that still decodes (as
+    /// anything) is consumed whole.
     #[test]
     fn wire_decoders_survive_single_byte_corruption(
         req in arb_request(),
-        ctx in arb_trace_ctx(),
         resp in arb_response(),
         at in any::<u64>(),
         to in any::<u8>(),
     ) {
-        for wire in [
-            encode_request(&req),
-            encode_request_traced(&req, ctx),
-            encode_response(&resp),
-        ] {
+        for wire in [encode_request(&req), encode_response(&resp)] {
             let mut bytes = wire.to_vec();
             let at = (at % bytes.len() as u64) as usize;
             bytes[at] = to;

@@ -17,9 +17,9 @@
 //!   [`pcsi_sim::Ring`] of [`Span`] (the one ring the journal, the
 //!   alert log and SSE replay keep too).
 //! * [`TraceContext`] — the compact `(trace id, parent span id)` pair
-//!   that crosses nodes. It rides `pcsi_net::Fabric` calls and the store
-//!   wire envelope; its [`TraceContext::WIRE_LEN`] bytes are charged to
-//!   virtual time like any other payload bytes.
+//!   that crosses nodes. It rides `pcsi_net::Fabric` calls beside the
+//!   payload, whatever the protocol; its [`TraceContext::WIRE_LEN`] bytes
+//!   are charged to virtual time like any other payload bytes.
 //! * [`SpanHandle`] — an open span. Finishing (explicitly or on drop)
 //!   stamps the end time and records the span. A *disabled* handle is a
 //!   `None` all the way down: **zero RNG draws, zero allocations, zero
@@ -67,31 +67,9 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    /// Encoded size in bytes; what a traced message additionally pays on
-    /// the wire.
+    /// Size in bytes of the two ids; what a traced message additionally
+    /// pays on the wire.
     pub const WIRE_LEN: usize = 16;
-
-    /// Little-endian `trace || parent`.
-    pub fn encode(&self) -> [u8; Self::WIRE_LEN] {
-        let mut out = [0u8; Self::WIRE_LEN];
-        out[..8].copy_from_slice(&self.trace.0.to_le_bytes());
-        out[8..].copy_from_slice(&self.parent.0.to_le_bytes());
-        out
-    }
-
-    /// Inverse of [`TraceContext::encode`]; `None` unless exactly
-    /// [`TraceContext::WIRE_LEN`] bytes.
-    pub fn decode(bytes: &[u8]) -> Option<TraceContext> {
-        if bytes.len() != Self::WIRE_LEN {
-            return None;
-        }
-        let trace = u64::from_le_bytes(bytes[..8].try_into().ok()?);
-        let parent = u64::from_le_bytes(bytes[8..].try_into().ok()?);
-        Some(TraceContext {
-            trace: TraceId(trace),
-            parent: SpanId(parent),
-        })
-    }
 }
 
 /// How many root spans get traced.
@@ -697,18 +675,6 @@ mod tests {
         });
         assert_eq!(tracer.sink().snapshot().len(), 8);
         assert_eq!(tracer.sink().dropped(), 12);
-    }
-
-    #[test]
-    fn context_roundtrips_on_the_wire() {
-        let ctx = TraceContext {
-            trace: TraceId(0xdead_beef_0bad_cafe),
-            parent: SpanId(42),
-        };
-        let bytes = ctx.encode();
-        assert_eq!(bytes.len(), TraceContext::WIRE_LEN);
-        assert_eq!(TraceContext::decode(&bytes), Some(ctx));
-        assert_eq!(TraceContext::decode(&bytes[..15]), None);
     }
 
     #[test]

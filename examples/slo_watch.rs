@@ -5,7 +5,7 @@
 //! `subscribe()` while a fault window (primary crash + message drops)
 //! pushes both rules through pending → firing → resolved. Along the
 //! way it reads the structured event journal through the `events`
-//! device (including an incremental `since N` delta read) and joins the
+//! device (including a delta read at an offset) and joins the
 //! firing latency alert's histogram exemplar back to its rendered span
 //! tree.
 //!
@@ -119,8 +119,9 @@ fn main() {
         cloud.fabric.clear_message_faults();
         h.sleep(Duration::from_millis(50)).await;
 
-        // The journal, through the `events` device file — a full read,
-        // then seek-then-read for the delta form.
+        // The journal, through the `events` device file: a read at
+        // offset 0 is the whole journal, a read at sequence number N only
+        // the records from N on.
         let events = client
             .create(CreateOptions {
                 kind: pcsi_core::ObjectKind::Device("events".into()),
@@ -138,14 +139,19 @@ fn main() {
         for line in text.lines().skip(1 + total.saturating_sub(3)) {
             println!("   {line}");
         }
-        let since = total as u64 - 2;
-        client
-            .write(&events, 0, Bytes::from(format!("since {since}")))
-            .await
-            .expect("arm the delta cursor");
-        let delta = client.read(&events, 0, 1 << 20).await.unwrap();
+        // Records are numbered from 0 for good: the header's `appended`
+        // count is the next one, so this read serves the newest two.
+        let appended = text
+            .split(" appended=")
+            .nth(1)
+            .and_then(|t| t.split(' ').next());
+        let from = appended
+            .and_then(|n| n.parse::<u64>().ok())
+            .expect("a header")
+            - 2;
+        let delta = client.read(&events, from, 1 << 20).await.unwrap();
         println!(
-            "   (`since {since}` returned {} lines)",
+            "   (a read at offset {from} returned {} lines)",
             String::from_utf8_lossy(&delta).lines().count() - 1
         );
 

@@ -9,6 +9,7 @@ use bytes::Bytes;
 use pcsi_cloud::{CloudBuilder, Lab};
 use pcsi_core::api::CreateOptions;
 use pcsi_core::{CloudInterface, Consistency, Mutability, ObjectKind, PcsiError, Rights};
+use pcsi_fs::device::DeviceOp;
 use pcsi_net::NodeId;
 
 /// The deployment every test here runs on: the default cloud
@@ -419,10 +420,11 @@ fn device_objects_route_to_system_services() {
     Lab::run(7, builder(), |Lab { cloud, .. }| async move {
         cloud.kernel.register_device(
             "echo-upper",
-            std::rc::Rc::new(|input: Bytes| {
-                Ok(Bytes::from(
+            std::rc::Rc::new(|op| match op {
+                DeviceOp::Write(input) => Ok(Bytes::from(
                     String::from_utf8_lossy(&input).to_uppercase().into_bytes(),
-                ))
+                )),
+                DeviceOp::Read { .. } => Ok(Bytes::new()),
             }),
         );
         let c = cloud.kernel.client(NodeId(0), "tenant-a");
@@ -737,7 +739,7 @@ fn every_op_on_every_kind_admits_or_refuses_as_the_table_says() {
     Lab::run(18, builder(), |Lab { cloud, .. }| async move {
         cloud
             .kernel
-            .register_device("null", std::rc::Rc::new(|_input: Bytes| Ok(Bytes::new())));
+            .register_device("null", std::rc::Rc::new(|_op| Ok(Bytes::new())));
         cloud.kernel.register_body(
             "noop",
             std::rc::Rc::new(|_ctx| Box::pin(async { Ok(Bytes::new()) })),
