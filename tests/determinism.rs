@@ -698,7 +698,7 @@ const GOLDENS: &[(&str, &str)] = &[
     ("rebalance", "0x410526c5797bb0a3"),
     ("metrics", "0x6e0ccf1108bf57cf"),
     ("stream", "0x0c03c8ff8361a885"),
-    ("obs", "0x250c91fb93f1d422"),
+    ("obs", "0x486ed7d324c06a3f"),
 ];
 
 /// Checks each `(name, value)` against its [`GOLDENS`] row and reports
