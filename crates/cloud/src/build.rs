@@ -596,6 +596,30 @@ mod tests {
         });
     }
 
+    /// A device read honours its length like any other read: the
+    /// rendered journal comes back cut to the bytes asked for.
+    #[test]
+    fn a_device_read_returns_at_most_len_bytes() {
+        use pcsi_core::CloudInterface;
+        use pcsi_net::NodeId;
+
+        let builder = CloudBuilder::new()
+            .deterministic_network()
+            .observability(ObsConfig::default());
+        Lab::run(7, builder, |Lab { cloud, .. }| async move {
+            let c = cloud.kernel.client(NodeId(0), "t");
+            let events = open_events(&c).await;
+            let journal = cloud.obs.as_ref().unwrap().journal();
+            journal.append("test", "tick", "i=0");
+            let whole = events_at(&c, &events, 0).await;
+            assert!(whole.len() > 16, "{whole}");
+            for len in [0, 1, 16] {
+                let cut = c.read(&events, 0, len).await.unwrap();
+                assert_eq!(&cut[..], &whole.as_bytes()[..len as usize]);
+            }
+        });
+    }
+
     /// Two clients tail the journal through `events` objects of their
     /// own, their reads interleaved: each read carries its own cursor,
     /// so each client gets exactly the records since its last read.

@@ -785,7 +785,10 @@ impl CloudInterface for KernelClient {
             match &object.meta.kind {
                 ObjectKind::Device(class) => {
                     let op = DeviceOp::Read { offset };
-                    this.inner().devices.borrow().dispatch(class, op)
+                    let out = this.inner().devices.borrow().dispatch(class, op)?;
+                    // The handler renders whole: a read takes its first `len` bytes.
+                    let len = usize::try_from(len).unwrap_or(usize::MAX);
+                    Ok(out.slice(..out.len().min(len)))
                 }
                 _ => {
                     this.read_with_fallback(r.id(), offset, len, object.meta.consistency)

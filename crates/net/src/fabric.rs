@@ -142,22 +142,54 @@ pub struct CallCtx {
     pub trace: Option<pcsi_trace::TraceContext>,
 }
 
-/// A handler's answer: the reply's frame and the instant it leaves the
-/// server, where its hop starts. A bare frame leaves at once.
-#[derive(Debug)]
+/// A handler's answer: the reply's frame, or what builds it, and the
+/// instant it leaves the server, where its hop starts. A bare frame
+/// leaves at once.
 pub struct Reply {
-    /// The reply's payload.
-    pub frame: Bytes,
+    frame: Frame,
     /// When the reply leaves; an instant already past means now.
-    pub leaves: SimTime,
+    leaves: SimTime,
+}
+
+/// A reply's frame, built by the handler or at the leave instant.
+enum Frame {
+    Built(Bytes),
+    Later(Box<dyn FnOnce() -> Bytes>),
+}
+
+impl Reply {
+    /// A reply of `frame` that leaves at `leaves`: a server's work that
+    /// changes no state, such as a read's media time, rides its hop.
+    pub fn at(leaves: SimTime, frame: Bytes) -> Reply {
+        let frame = Frame::Built(frame);
+        Reply { frame, leaves }
+    }
+
+    /// A reply that leaves at `leaves`, its frame built by `build` then,
+    /// in the event that starts its hop: a state change that waits on
+    /// the server's work runs there, with no task woken for it. A call
+    /// dropped before `leaves` drops `build` unrun.
+    pub fn later(leaves: SimTime, build: impl FnOnce() -> Bytes + 'static) -> Reply {
+        let frame = Frame::Later(Box::new(build));
+        Reply { frame, leaves }
+    }
+
+    /// The frame, a deferred one built at its leave instant: how a reply
+    /// no hop carries, a duplicate's, is run out.
+    async fn settle(self, handle: &SimHandle) -> Bytes {
+        match self.frame {
+            Frame::Built(frame) => frame,
+            Frame::Later(build) => {
+                handle.sleep_until(self.leaves).await;
+                build()
+            }
+        }
+    }
 }
 
 impl From<Bytes> for Reply {
     fn from(frame: Bytes) -> Reply {
-        Reply {
-            frame,
-            leaves: SimTime::ZERO,
-        }
+        Reply::at(SimTime::ZERO, frame)
     }
 }
 
@@ -307,7 +339,7 @@ struct Request {
 enum Call {
     Request(Request),
     Serving(Answering),
-    Reply(Bytes),
+    Reply(Frame),
 }
 
 /// The shared message fabric. Cheap to clone.
@@ -371,19 +403,20 @@ impl Fabric {
             }),
         };
         // A bound handler owns its service, which owns a clone of this
-        // fabric, and so may a pending handler's future in the slab: a
-        // cycle no reference count unwinds. The end of the simulation
-        // empties the table and takes those futures, leaving their slots
-        // for the calls' own drops, and drops both outside the borrow
-        // because a destructor may unbind.
+        // fabric, and so may a pending handler's future or a deferred
+        // reply's builder in the slab: a cycle no reference count
+        // unwinds. The end of the simulation empties the table and takes
+        // the slab's calls, leaving their slots for the calls' own drops,
+        // and drops both outside the borrow because a destructor may
+        // unbind.
         let weak = Rc::downgrade(&fabric.inner);
         fabric.inner.handle.on_sim_drop(move || {
             if let Some(inner) = weak.upgrade() {
                 let mut s = inner.state.borrow_mut();
                 let services = std::mem::take(&mut s.services);
-                let serving: Vec<_> = s.hops.iter_mut().filter_map(Hop::take_serving).collect();
+                let calls: Vec<_> = s.hops.iter_mut().filter_map(|h| h.call.take()).collect();
                 drop(s);
-                drop((services, serving));
+                drop((services, calls));
             }
         });
         fabric
@@ -606,7 +639,9 @@ impl Fabric {
     /// [`pcsi_trace::TraceContext::WIRE_LEN`] bytes ride the request and
     /// are charged to virtual time like any other payload bytes, so a
     /// traced message is honestly a little bigger than an untraced one.
-    pub async fn call_traced(
+    /// Not `async`: the request is sent now, so the call's future holds
+    /// its delivery and none of these arguments.
+    pub fn call_traced(
         &self,
         from: NodeId,
         to: NodeId,
@@ -614,9 +649,8 @@ impl Fabric {
         transport: Transport,
         payload: Bytes,
         trace: Option<pcsi_trace::TraceContext>,
-    ) -> Result<Bytes, NetError> {
+    ) -> impl Future<Output = Result<Bytes, NetError>> + '_ {
         self.send(from, to, service, transport, payload, trace)
-            .await
     }
 
     /// A call's delivery, its request sent now. Not `async`: what it
@@ -778,10 +812,13 @@ impl FabricInner {
     /// wait or its outcome is set; true once it is set. A request that
     /// arrives is served here, so its event is where the handler runs.
     fn step(self: &Rc<Self>, slot: usize) -> bool {
-        let (msg, stage) = {
+        let (mut msg, stage) = {
             let s = self.state.borrow();
             (s.hops[slot].msg, s.hops[slot].next)
         };
+        if matches!(stage, Stage::Start) && msg.leaves <= self.handle.now() {
+            self.build_reply(slot, &mut msg);
+        }
         let arrived = match self.advance(msg, stage) {
             Step::Wait(until, next) => {
                 self.state.borrow_mut().hops[slot].next = next;
@@ -798,12 +835,31 @@ impl FabricInner {
                 drop(s);
                 return self.arrive(slot, msg, request);
             }
-            (Ok(()), Some(Call::Reply(frame))) => Ok(frame),
+            (Ok(()), Some(Call::Reply(Frame::Built(frame)))) => Ok(frame),
             (Ok(()), _) => Ok(Bytes::new()),
             (Err(e), _) => Err(e),
         };
         hop.outcome = Some(outcome);
         true
+    }
+
+    /// Builds the deferred frame of the reply in `slot`, if it has one,
+    /// outside the state borrow: its leave instant has come. The message
+    /// takes the frame's length before any counter is charged.
+    fn build_reply(&self, slot: usize, msg: &mut Message) {
+        let mut s = self.state.borrow_mut();
+        let call = &mut s.hops[slot].call;
+        let Some(Call::Reply(Frame::Later(build))) =
+            call.take_if(|c| matches!(c, Call::Reply(Frame::Later(_))))
+        else {
+            return;
+        };
+        drop(s);
+        let frame = build();
+        msg.bytes = frame.len();
+        let mut s = self.state.borrow_mut();
+        let hop = &mut s.hops[slot];
+        (hop.msg.bytes, hop.call) = (msg.bytes, Some(Call::Reply(Frame::Built(frame))));
     }
 
     /// A request has arrived: the service it names is looked up now, its
@@ -837,7 +893,11 @@ impl FabricInner {
                 let arrived = fabric.deliver(from, to, bytes, msg.transport, msg.leaves, None);
                 if arrived.await.is_ok() {
                     let mut answer = dup(dup_payload, ctx);
-                    drop(std::future::poll_fn(|cx| answer.as_mut().poll_reply(cx)).await);
+                    let answered = std::future::poll_fn(|cx| answer.as_mut().poll_reply(cx)).await;
+                    drop(answer);
+                    if let Ok(reply) = answered {
+                        reply.settle(&fabric.inner.handle).await;
+                    }
                 }
             });
         }
@@ -861,8 +921,13 @@ impl FabricInner {
         let hop = &mut s.hops[slot];
         match answer {
             Ok(Reply { frame, leaves }) => {
+                // A deferred frame's length is known once it is built.
+                let bytes = match &frame {
+                    Frame::Built(frame) => frame.len(),
+                    Frame::Later(_) => 0,
+                };
                 let m = &mut hop.msg;
-                (m.from, m.to, m.bytes, m.leaves) = (m.to, m.from, frame.len(), leaves);
+                (m.from, m.to, m.bytes, m.leaves) = (m.to, m.from, bytes, leaves);
                 hop.next = Stage::Start;
                 hop.call = Some(Call::Reply(frame));
                 drop(s);
@@ -909,9 +974,13 @@ impl TimerEvent for FabricInner {
         let slot = token as usize;
         let mut s = self.state.borrow_mut();
         if s.hops[slot].waiter.is_none() {
-            // The call was dropped: its request or reply goes no further.
-            s.hops[slot].call = None;
+            // The call was dropped: its request or reply goes no further,
+            // and a deferred reply's builder is dropped unrun, outside the
+            // borrow (its destructor may call in).
+            let call = s.hops[slot].call.take();
             s.free_hops.push(slot);
+            drop(s);
+            drop(call);
             return;
         }
         drop(s);
@@ -1136,14 +1205,18 @@ mod tests {
                         .await;
                     if arrived.is_ok() {
                         let mut answer = dup_handler(dup_payload, ctx);
-                        drop(std::future::poll_fn(|cx| answer.as_mut().poll_reply(cx)).await);
+                        let answered = std::future::poll_fn(|cx| answer.as_mut().poll_reply(cx));
+                        if let Ok(reply) = answered.await {
+                            reply.settle(&fabric.inner.handle).await;
+                        }
                     }
                 });
             }
 
             let mut answer = handler(payload, ctx);
-            let Reply { frame, leaves } =
-                std::future::poll_fn(|cx| answer.as_mut().poll_reply(cx)).await?;
+            let reply = std::future::poll_fn(|cx| answer.as_mut().poll_reply(cx)).await?;
+            let leaves = reply.leaves;
+            let frame = reply.settle(&self.inner.handle).await;
             let len = frame.len();
             self.deliver(to, from, len, transport, leaves, None).await?;
             Ok(frame)
@@ -1374,13 +1447,14 @@ mod tests {
     /// One handler run: when, on which node, which shape and binding,
     /// and its request's size.
     type Run = (u64, u32, u8, u32, usize);
-    /// The service names of the three handler shapes: answers at once,
-    /// names its leave instant, sleeps its service time out.
-    const SHAPES: [&str; 3] = ["now", "timed", "sleepy"];
+    /// The service names of the four handler shapes: answers at once,
+    /// names its leave instant, sleeps its service time out, builds its
+    /// frame at its leave instant.
+    const SHAPES: [&str; 4] = ["now", "timed", "sleepy", "later"];
 
     /// Binds shape `shape` as binding `version` on `node`. The handler
     /// logs its run and reads the reply's size and service time from the
-    /// request's first 16 bytes.
+    /// request's first 16 bytes; a deferred frame logs its build too.
     fn bind_shape(
         fabric: &Fabric,
         node: NodeId,
@@ -1389,41 +1463,58 @@ mod tests {
         log: &Rc<RefCell<Vec<Run>>>,
     ) {
         let (h, log) = (fabric.handle().clone(), Rc::clone(log));
-        let run = move |payload: &Bytes, ctx: CallCtx| {
-            let now = h.now();
-            let entry = (now.as_nanos(), ctx.to.0, shape, version, payload.len());
+        let note = move |h: &SimHandle, len: usize| {
+            let entry = (h.now().as_nanos(), node.0, shape, version, len);
             log.borrow_mut().push(entry);
-            let word = |i: usize| u64::from_le_bytes(payload[i..i + 8].try_into().unwrap());
-            let frame = Bytes::from(vec![0u8; word(0) as usize]);
-            (frame, now + Duration::from_nanos(word(8)), h.clone())
+        };
+        let run = {
+            let note = note.clone();
+            move |payload: &Bytes| {
+                note(&h, payload.len());
+                let word = |i: usize| u64::from_le_bytes(payload[i..i + 8].try_into().unwrap());
+                let frame = Bytes::from(vec![0u8; word(0) as usize]);
+                (frame, h.now() + Duration::from_nanos(word(8)), h.clone())
+            }
         };
         let name = SHAPES[usize::from(shape)];
         match shape {
             0 => fabric.bind(
                 node,
                 name,
-                Rc::new(move |p, ctx| {
-                    let (frame, ..) = run(&p, ctx);
+                Rc::new(move |p, _| {
+                    let (frame, ..) = run(&p);
                     std::future::ready(Ok(frame))
                 }),
             ),
             1 => fabric.bind(
                 node,
                 name,
-                Rc::new(move |p, ctx| {
-                    let (frame, leaves, _) = run(&p, ctx);
-                    std::future::ready(Ok(Reply { frame, leaves }))
+                Rc::new(move |p, _| {
+                    let (frame, leaves, _) = run(&p);
+                    std::future::ready(Ok(Reply::at(leaves, frame)))
+                }),
+            ),
+            2 => fabric.bind(
+                node,
+                name,
+                Rc::new(move |p, _| {
+                    let (frame, leaves, h) = run(&p);
+                    async move {
+                        h.sleep_until(leaves).await;
+                        Ok(frame)
+                    }
                 }),
             ),
             _ => fabric.bind(
                 node,
                 name,
-                Rc::new(move |p, ctx| {
-                    let (frame, leaves, h) = run(&p, ctx);
-                    async move {
-                        h.sleep_until(leaves).await;
-                        Ok(frame)
-                    }
+                Rc::new(move |p, _| {
+                    let ((frame, leaves, h), note) = (run(&p), note.clone());
+                    let build = move || {
+                        note(&h, frame.len());
+                        frame
+                    };
+                    std::future::ready(Ok(Reply::later(leaves, build)))
                 }),
             ),
         }
@@ -1441,7 +1532,7 @@ mod tests {
 
     /// Runs a call schedule through `call` or through the oracle, with
     /// fault flips (kinds 0..=8, as `flip_faults`) and, for kinds 9 and
-    /// 10, an unbind or a rebind of shape `b % 3` on node `a`; returns what
+    /// 10, an unbind or a rebind of shape `b % 4` on node `a`; returns what
     /// it left and its polls.
     fn run_calls(
         seed: u64,
@@ -1458,14 +1549,14 @@ mod tests {
         );
         let log = Rc::new(RefCell::new(Vec::new()));
         for node in 0..4 {
-            for shape in 0..3 {
+            for shape in 0..4 {
                 bind_shape(&fabric, NodeId(node), shape, 0, &log);
             }
         }
         for (version, &flip) in (1..).zip(flips) {
             let (at, kind, a, b, ..) = flip;
             let (fabric, h2, log) = (fabric.clone(), h.clone(), Rc::clone(&log));
-            let (node, shape) = (NodeId(a), (b % 3) as u8);
+            let (node, shape) = (NodeId(a), (b % 4) as u8);
             match kind {
                 9 | 10 => h.spawn_detached(async move {
                     h2.sleep_until(SimTime::from_nanos(at)).await;
@@ -1526,11 +1617,12 @@ mod tests {
     proptest::proptest! {
         /// A call against the body it replaced, where the caller ran the
         /// handler after the request's arrival woke it: overlapping calls
-        /// to handlers that answer at once, name a leave instant or sleep,
-        /// over every hop class and both transports, with faults, nodes
-        /// and partitions flipped and services unbound and rebound
-        /// mid-flight. Every call finishes at the same instant with the
-        /// same reply, every handler runs at the same instant in the same
+        /// to handlers that answer at once, name a leave instant, sleep or
+        /// build their frame at their leave instant, over every hop class
+        /// and both transports, with faults, nodes and partitions flipped
+        /// and services unbound and rebound mid-flight. Every call finishes
+        /// at the same instant with the same reply, every handler runs and
+        /// every deferred frame is built at the same instant in the same
         /// order, the fabric ends in the same state, no schedule costs
         /// more polls, and one where a handler ran costs fewer.
         #[test]
@@ -1547,7 +1639,7 @@ mod tests {
                         50_000usize..400_000,
                     ],
                     proptest::prelude::any::<bool>(),
-                    (0u8..3, 0usize..100_000, 0u64..50_000),
+                    (0u8..4, 0usize..100_000, 0u64..50_000),
                 ),
                 1..49,
             ),
@@ -1687,7 +1779,7 @@ mod tests {
             } else {
                 let booked = Rc::new(move |frame, _| {
                     let leaves = serve(&f, &a);
-                    async move { Ok(Reply { frame, leaves }) }
+                    async move { Ok(Reply::at(leaves, frame)) }
                 });
                 fabric.bind(NodeId(2), "serve", booked);
             }
@@ -1704,6 +1796,136 @@ mod tests {
         assert_eq!(reply, Err(NetError::NodeDown(NodeId(2))));
         assert_eq!(at, arrived + SERVICE);
         assert_eq!(run(true), ((reply, at), arrived));
+    }
+
+    /// The arrivals of a deferred-reply service's requests and the
+    /// builds of its frames, in order.
+    type Log = Rc<RefCell<Vec<(&'static str, SimTime)>>>;
+
+    /// Binds `defer` on node 2: it notes each request's arrival and
+    /// answers `Reply::later`, leaving `SERVICE` later with a frame that
+    /// notes its build. With `sleeps` it sleeps the service time out and
+    /// answers the frame instead.
+    fn bind_deferred(fabric: &Fabric, sleeps: bool) -> Log {
+        const SERVICE: Duration = Duration::from_micros(30);
+        let log: Log = Rc::default();
+        let (h, l) = (fabric.handle().clone(), Rc::clone(&log));
+        let defer = Rc::new(move |_, _| {
+            let (h, l) = (h.clone(), Rc::clone(&l));
+            l.borrow_mut().push(("arrived", h.now()));
+            let (leaves, clock) = (h.now() + SERVICE, h.clone());
+            let build = move || {
+                l.borrow_mut().push(("built", clock.now()));
+                Bytes::from_static(b"built")
+            };
+            async move {
+                if sleeps {
+                    h.sleep_until(leaves).await;
+                    return Ok(Reply::from(build()));
+                }
+                Ok(Reply::later(leaves, build))
+            }
+        });
+        fabric.bind(NodeId(2), "defer", defer);
+        log
+    }
+
+    /// A deferred reply's frame is built once, at its leave instant, in
+    /// the event that starts its hop: the caller is polled to send and to
+    /// collect, and once more when the handler sleeps to that instant.
+    #[test]
+    fn a_deferred_reply_is_built_once_at_its_leave_instant_without_a_wake() {
+        let run = |sleeps: bool| {
+            let mut sim = Sim::new(1);
+            let fabric = build(&sim, NetworkGeneration::Dc2021);
+            let log = bind_deferred(&fabric, sleeps);
+            let reply = sim.block_on(async move {
+                let call = fabric.call(NodeId(0), NodeId(2), "defer", Transport::Tcp, Bytes::new());
+                call.await
+            });
+            assert_eq!(reply, Ok(Bytes::from_static(b"built")));
+            (log.take(), sim.poll_count())
+        };
+        let ((log, polls), (slept, sleeping_polls)) = (run(false), run(true));
+        let [("arrived", arrived), ("built", built)] = log[..] else {
+            panic!("{log:?}");
+        };
+        assert_eq!(built, arrived + Duration::from_micros(30));
+        assert_eq!(log, slept);
+        assert_eq!((polls, sleeping_polls), (2, 3));
+    }
+
+    /// A duplicated request's copy answers its own deferred reply, which
+    /// the detached copy runs out: each frame is built once, at its own
+    /// copy's leave instant.
+    #[test]
+    fn a_duplicated_request_builds_each_copys_deferred_reply_at_its_own_instant() {
+        let mut sim = Sim::new(7);
+        let fabric = build(&sim, NetworkGeneration::Dc2021);
+        let log = bind_deferred(&fabric, false);
+        let certain = MessageFaults {
+            duplicate: 1.0,
+            ..MessageFaults::NONE
+        };
+        fabric.set_link_faults(NodeId(0), NodeId(2), certain);
+        let h = sim.handle();
+        let reply = sim.block_on({
+            let fabric = fabric.clone();
+            async move {
+                let call = fabric.call(NodeId(0), NodeId(2), "defer", Transport::Tcp, Bytes::new());
+                let reply = call.await;
+                // Past the copy's arrival and its service time.
+                h.sleep(Duration::from_millis(5)).await;
+                reply
+            }
+        });
+        assert_eq!(reply, Ok(Bytes::from_static(b"built")));
+        assert_eq!(fabric.messages_duplicated(), 1);
+        let log = log.take();
+        let of = |kind, wait| -> Vec<_> {
+            let entries = log.iter().filter(|e| e.0 == kind);
+            entries.map(|e| e.1 + wait).collect()
+        };
+        let arrivals = of("arrived", Duration::ZERO);
+        assert_eq!(arrivals.len(), 2, "{log:?}");
+        assert_ne!(arrivals[0], arrivals[1], "the copy takes its own trip");
+        assert_eq!(
+            of("built", Duration::ZERO),
+            of("arrived", Duration::from_micros(30))
+        );
+        assert_eq!(fabric.hops_in_flight(), 0);
+    }
+
+    /// A call dropped before its deferred reply leaves drops the builder
+    /// unrun; the reply's event then frees the slot.
+    #[test]
+    fn a_call_dropped_before_its_reply_leaves_never_builds_the_frame() {
+        let mut sim = Sim::new(1);
+        let fabric = build(&sim, NetworkGeneration::Dc2021);
+        let log = bind_deferred(&fabric, false);
+        let h = sim.handle();
+        let in_flight = sim.block_on({
+            let fabric = fabric.clone();
+            async move {
+                let call = fabric.call(NodeId(0), NodeId(2), "defer", Transport::Tcp, Bytes::new());
+                let mut call = Box::pin(call);
+                std::future::poll_fn(|cx| {
+                    assert!(call.as_mut().poll(cx).is_pending());
+                    Poll::Ready(())
+                })
+                .await;
+                // Past the request's ~110 µs, inside the service time.
+                h.sleep(Duration::from_micros(120)).await;
+                drop(call);
+                let in_flight = fabric.hops_in_flight();
+                h.sleep(Duration::from_micros(30)).await;
+                in_flight
+            }
+        });
+        assert_eq!(in_flight, 1, "the pending reply's event holds the slot");
+        assert_eq!(fabric.hops_in_flight(), 0);
+        let log = log.take();
+        assert!(matches!(log[..], [("arrived", _)]), "{log:?}");
     }
 
     #[test]

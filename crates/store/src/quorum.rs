@@ -153,9 +153,25 @@ mod tests {
     use super::*;
     use crate::testkit::{self, linearizable_put, oid, replica_bytes};
     use pcsi_core::Consistency;
-    use pcsi_net::MessageFaults;
+    use pcsi_net::{MessageFaults, NodeId};
     use pcsi_sim::Sim;
     use std::time::Duration;
+
+    /// An `rpc` future holds its frame and trace context once, as its
+    /// own captures: the fabric's call it awaits holds only its delivery.
+    /// `gather` boxes one such future per target.
+    #[test]
+    fn an_rpc_future_holds_its_trace_context_once() {
+        let sim = Sim::new(42);
+        let (fabric, _store) = testkit::deploy(&sim, testkit::config());
+        let ctx = TraceContext {
+            trace: pcsi_trace::TraceId(1),
+            parent: pcsi_trace::SpanId(2),
+        };
+        let call = rpc(&fabric, NodeId(0), NodeId(1), Bytes::new(), Some(ctx));
+        let size = std::mem::size_of_val(&call);
+        assert!(size <= 152, "an rpc future is {size} B");
+    }
 
     /// A write's round decides at the first peer's ack; the Apply to the
     /// other peer, held 1 ms on its link, is still in flight then. It
@@ -211,7 +227,9 @@ mod tests {
     /// spawned no task of its own and sent no reply down a channel. A
     /// replica's reply leaves when its media time is done, with no wake
     /// of the reading task in between, and each request is served in its
-    /// arrival event, with no wake of the calling task for it.
+    /// arrival event, with no wake of the calling task for it. A peer's
+    /// `Apply` changes its state in its reply's leave event, with no wake
+    /// of the coordinating task for its media time.
     #[test]
     fn a_write_and_a_one_rtt_read_take_pinned_polls() {
         let mut sim = Sim::new(42);
@@ -241,7 +259,7 @@ mod tests {
         let write = polls(&mut sim, Box::pin(write) as LocalBoxFuture<()>);
         let read_one_rtt = polls(&mut sim, Box::pin(read(Consistency::Linearizable)));
         let read_eventual = polls(&mut sim, Box::pin(read(Consistency::Eventual)));
-        assert_eq!((write, read_one_rtt, read_eventual), (9, 6, 3));
+        assert_eq!((write, read_one_rtt, read_eventual), (7, 6, 3));
     }
 
     /// Every `total <= 5`, `need <= total` and every arrival order of

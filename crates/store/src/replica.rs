@@ -24,7 +24,7 @@ use pcsi_net::{Fabric, NodeId, Transport};
 use pcsi_obs::Telemetry;
 use pcsi_sim::sync::oneshot;
 use pcsi_sim::SimTime;
-use pcsi_trace::{TraceContext, Tracer};
+use pcsi_trace::{SpanHandle, TraceContext, Tracer};
 
 use crate::engine::{MediaTier, Mutation, StorageEngine, StoredObject};
 use crate::placement::Placement;
@@ -228,10 +228,22 @@ fn book_io(inner: &Inner, bytes: usize) -> SimTime {
     end
 }
 
-/// Sleeps out [`book_io`]'s media time, where state changes after the IO.
+/// Sleeps out [`book_io`]'s media time, where state changes after the IO
+/// and the caller's work goes on after it.
 async fn charge_io(inner: &Inner, bytes: usize) {
     let end = book_io(inner, bytes);
     inner.fabric.handle().sleep_until(end).await;
+}
+
+/// The reply of a handler whose state changes once its IO, booked to end
+/// at `end`, is done: `change` runs then, in the event that starts the
+/// reply's hop (no task is woken for it), and the span ends with it.
+fn after_io(span: SpanHandle, end: SimTime, change: impl FnOnce() -> Response + 'static) -> Reply {
+    Reply::later(end, move || {
+        let response = change();
+        span.finish();
+        wire::encode_response(&response)
+    })
 }
 
 /// The server-side span name for a request kind.
@@ -289,16 +301,18 @@ async fn handle(
             mutation,
             req_id,
         } => {
-            charge_io(&inner, mutation_bytes(&mutation)).await;
-            // An eventual write is held to nothing: the newest tag wins.
-            let held = held(&inner, id, round);
-            let floor = if round { held.floor() } else { Tag::ZERO };
-            offer(&inner, id, (held.accepted, floor), (tag, base), |engine| {
-                engine.apply(id, tag, &mutation)?;
-                inner.applied.incr();
-                engine.record(id, req_id, tag);
-                Ok(())
-            })
+            let end = book_io(&inner, mutation_bytes(&mutation));
+            return Ok(after_io(span, end, move || {
+                // An eventual write is held to nothing: the newest tag wins.
+                let held = held(&inner, id, round);
+                let floor = if round { held.floor() } else { Tag::ZERO };
+                offer(&inner, id, (held.accepted, floor), (tag, base), |engine| {
+                    engine.apply(id, tag, &mutation)?;
+                    inner.applied.incr();
+                    engine.record(id, req_id, tag);
+                    Ok(())
+                })
+            }));
         }
         Request::Prepare { id, ballot, have } => {
             // A promise takes the state held, on the rule an accept does.
@@ -352,20 +366,22 @@ async fn handle(
             entries: inner.engine.borrow().inventory(),
         },
         Request::Push { id, object, reqs } => {
-            charge_io(&inner, object.data.len()).await;
-            inner.repaired.incr();
-            // Held to the promise alone.
-            let (held, tag) = (held(&inner, id, false), object.tag);
-            offer(
-                &inner,
-                id,
-                (held.accepted, held.promised),
-                (tag, held.accepted),
-                |engine| {
-                    engine.sync_in(id, object, reqs, false);
-                    Ok(())
-                },
-            )
+            let end = book_io(&inner, object.data.len());
+            return Ok(after_io(span, end, move || {
+                inner.repaired.incr();
+                // Held to the promise alone.
+                let (held, tag) = (held(&inner, id, false), object.tag);
+                offer(
+                    &inner,
+                    id,
+                    (held.accepted, held.promised),
+                    (tag, held.accepted),
+                    |engine| {
+                        engine.sync_in(id, object, reqs, false);
+                        Ok(())
+                    },
+                )
+            }));
         }
         Request::Migrate {
             epoch,
@@ -374,15 +390,14 @@ async fn handle(
             reqs,
             tombstone,
         } => {
-            charge_io(&inner, object.data.len()).await;
-            migrate_install(&inner, epoch, id, object, reqs, tombstone)
+            let end = book_io(&inner, object.data.len());
+            return Ok(after_io(span, end, move || {
+                migrate_install(&inner, epoch, id, object, reqs, tombstone)
+            }));
         }
     };
     span.finish_at(leaves);
-    Ok(Reply {
-        frame: wire::encode_response(&response),
-        leaves,
-    })
+    Ok(Reply::at(leaves, wire::encode_response(&response)))
 }
 
 /// True when this node is in the *effective* replica set of `id` (the
@@ -915,6 +930,35 @@ mod tests {
             tier: MediaTier::Nvme,
             ..testkit::config()
         }
+    }
+
+    /// A peer's `Apply` changes its state in its reply's leave event, the
+    /// instant its IO ends: its engine lacks the write 1 ns before that
+    /// instant and holds it at it.
+    #[test]
+    fn a_peers_apply_lands_at_the_instant_its_io_ends() {
+        let mut sim = Sim::new(42);
+        let (_fabric, store) = testkit::deploy(&sim, nvme());
+        let x = id(1);
+        let peer = store.placement().replicas(x)[1];
+        let h = sim.handle();
+        let held = sim.block_on(async move {
+            let client = store.client(testkit::outsider(&store, x));
+            h.spawn_detached(async move {
+                linearizable_put(&client, x, Bytes::from_static(b"x")).await;
+            });
+            // The peer has booked no IO before the `Apply` arrives.
+            let booked = || store.replica_on(peer).unwrap().inner.io_free_at.get();
+            while booked() == SimTime::ZERO {
+                h.sleep(Duration::from_micros(1)).await;
+            }
+            let end = booked();
+            h.sleep_until(SimTime::from_nanos(end.as_nanos() - 1)).await;
+            let before = replica_bytes(&store, peer, x);
+            h.sleep_until(end).await;
+            (before, replica_bytes(&store, peer, x))
+        });
+        assert_eq!(held, (vec![], b"x".to_vec()));
     }
 
     /// A `Fetch` ships the ledger describing the bytes it ships. An
