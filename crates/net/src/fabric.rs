@@ -1976,16 +1976,37 @@ mod tests {
             }
         });
         fabric.bind(NodeId(0), "hold", hold);
+        // A reply whose builder holds the fabric and an `Rc` until it leaves.
+        let deferred = Rc::new(RefCell::new(std::rc::Weak::new()));
+        let (f, w) = (fabric.clone(), Rc::clone(&deferred));
+        let defer = Rc::new(move |_, _| {
+            let (fabric, owned) = (f.clone(), Rc::new(()));
+            *w.borrow_mut() = Rc::downgrade(&owned);
+            let leaves = fabric.handle().now() + Duration::from_secs(1);
+            let build = move || {
+                drop((fabric, owned));
+                Bytes::new()
+            };
+            std::future::ready(Ok(Reply::later(leaves, build)))
+        });
+        fabric.bind(NodeId(0), "defer", defer);
         let h = sim.handle();
         sim.block_on({
             let fabric = fabric.clone();
             async move {
-                let holding = fabric.clone();
-                h.spawn_detached(async move {
-                    let call =
-                        holding.call(NodeId(0), NodeId(0), "hold", Transport::Tcp, Bytes::new());
-                    let _ = call.await;
-                });
+                for service in ["hold", "defer"] {
+                    let holding = fabric.clone();
+                    h.spawn_detached(async move {
+                        let call = holding.call(
+                            NodeId(0),
+                            NodeId(0),
+                            service,
+                            Transport::Tcp,
+                            Bytes::new(),
+                        );
+                        let _ = call.await;
+                    });
+                }
                 for to in 1..4 {
                     let fabric = fabric.clone();
                     h.spawn_detached(async move {
@@ -2002,18 +2023,21 @@ mod tests {
                 h.sleep(Duration::from_micros(7)).await;
             }
         });
-        // Three transfers, the echo's request and the pending `hold`.
-        assert_eq!(fabric.hops_in_flight(), 5);
+        // Three transfers, the echo's request, the pending `hold` and the
+        // deferred reply.
+        assert_eq!(fabric.hops_in_flight(), 6);
         assert!(held.borrow().upgrade().is_some());
-        // The wheel holds the fabric through four events and a
-        // deadline's expiry, the task table through six futures, the
-        // slab through the pending handler.
+        assert!(deferred.borrow().upgrade().is_some());
+        // The wheel holds the fabric through five events and a
+        // deadline's expiry, the task table through seven futures, the
+        // slab through the pending handler and the reply's builder.
         let alive = Rc::downgrade(&fabric.inner);
         drop(fabric);
         assert!(alive.upgrade().is_some());
         drop(sim);
         assert!(alive.upgrade().is_none());
         assert!(held.borrow().upgrade().is_none());
+        assert!(deferred.borrow().upgrade().is_none());
     }
 
     /// The service is looked up when the request arrives: one unbound
