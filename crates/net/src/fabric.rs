@@ -303,10 +303,10 @@ struct Hop {
     msg: Message,
     /// What the pending event does.
     next: Stage,
-    /// The task awaiting the delivery, from its first poll; `None` before
-    /// it, and once the task has dropped the future (the message then
-    /// stops at its next stage).
-    waiter: Option<Waker>,
+    /// Who takes the outcome, from the first poll or the detach; `None`
+    /// before either, and once the task has dropped the future (the
+    /// message then stops at its next stage).
+    waiter: Option<Waiter>,
     /// Set on arrival or failure, for the woken task to collect: the
     /// reply's frame, or an empty one for a message that is no call.
     outcome: Option<Result<Bytes, NetError>>,
@@ -324,13 +324,21 @@ impl Hop {
     }
 }
 
+/// Who takes a hop's outcome.
+enum Waiter {
+    /// The task awaiting the delivery, woken once the outcome is set.
+    Task(Waker),
+    /// A detached call's continuation, run in the event that sets it.
+    Detached(Box<dyn FnOnce(Result<Bytes, NetError>)>),
+}
+
 /// An RPC request as it leaves the caller.
 struct Request {
     /// The service it names, looked up when it arrives.
     service: Rc<str>,
     payload: Bytes,
     ctx: CallCtx,
-    /// Whether the duplicate coin, flipped at send, said to run it twice.
+    /// Whether the duplicate coin, flipped at its start, said run twice.
     duplicate: bool,
 }
 
@@ -368,6 +376,8 @@ struct FabricInner {
     /// Per-message payload-size histogram; recorded only once a metrics
     /// registry is bound (the counters above are always-on cells).
     msg_bytes: OnceCell<Histogram>,
+    /// Wakes no task: a detached call's handler is first polled with it.
+    idle: Waker,
 }
 
 impl Fabric {
@@ -400,21 +410,23 @@ impl Fabric {
                 msg_bytes: OnceCell::new(),
                 faults_rng,
                 jitter_rng,
+                idle: pcsi_sim::executor::noop_waker(),
             }),
         };
         // A bound handler owns its service, which owns a clone of this
-        // fabric, and so may a pending handler's future or a deferred
-        // reply's builder in the slab: a cycle no reference count
-        // unwinds. The end of the simulation empties the table and takes
-        // the slab's calls, leaving their slots for the calls' own drops,
-        // and drops both outside the borrow because a destructor may
-        // unbind.
+        // fabric, and so may a pending handler's future, a deferred
+        // reply's builder or a detached call's continuation in the slab:
+        // a cycle no reference count unwinds. The end of the simulation
+        // empties the table and takes the slab's calls and waiters,
+        // leaving their slots for the calls' own drops, and drops both
+        // outside the borrow because a destructor may unbind.
         let weak = Rc::downgrade(&fabric.inner);
         fabric.inner.handle.on_sim_drop(move || {
             if let Some(inner) = weak.upgrade() {
                 let mut s = inner.state.borrow_mut();
                 let services = std::mem::take(&mut s.services);
-                let calls: Vec<_> = s.hops.iter_mut().filter_map(|h| h.call.take()).collect();
+                let hops = s.hops.iter_mut();
+                let calls: Vec<_> = hops.map(|h| (h.call.take(), h.waiter.take())).collect();
                 drop(s);
                 drop((services, calls));
             }
@@ -573,7 +585,7 @@ impl Fabric {
         transport: Transport,
         leaves: SimTime,
         request: Option<Request>,
-    ) -> Delivery<'_> {
+    ) -> Delivery {
         let slot = self.inner.state.borrow_mut().park(Hop {
             msg: Message {
                 from,
@@ -588,16 +600,9 @@ impl Fabric {
             call: request.map(Call::Request),
         });
         Delivery {
-            fabric: &self.inner,
+            fabric: Rc::clone(&self.inner),
             slot: Some(slot),
         }
-    }
-
-    /// Messages that hold a slab slot.
-    #[cfg(test)]
-    fn hops_in_flight(&self) -> usize {
-        let s = self.inner.state.borrow();
-        s.hops.len() - s.free_hops.len()
     }
 
     /// Moves `bytes` from `from` to `to`, returning the transfer time.
@@ -631,7 +636,8 @@ impl Fabric {
         transport: Transport,
         payload: Bytes,
     ) -> Result<Bytes, NetError> {
-        self.send(from, to, service, transport, payload, None).await
+        self.call_traced(from, to, service, transport, payload, None)
+            .await
     }
 
     /// Like [`Fabric::call`], but carries a trace context to the
@@ -639,8 +645,8 @@ impl Fabric {
     /// [`pcsi_trace::TraceContext::WIRE_LEN`] bytes ride the request and
     /// are charged to virtual time like any other payload bytes, so a
     /// traced message is honestly a little bigger than an untraced one.
-    /// Not `async`: the request is sent now, so the call's future holds
-    /// its delivery and none of these arguments.
+    /// Not `async`: the request waits in the fabric from now, so the
+    /// call's future holds its delivery and none of these arguments.
     pub fn call_traced(
         &self,
         from: NodeId,
@@ -649,30 +655,8 @@ impl Fabric {
         transport: Transport,
         payload: Bytes,
         trace: Option<pcsi_trace::TraceContext>,
-    ) -> impl Future<Output = Result<Bytes, NetError>> + '_ {
-        self.send(from, to, service, transport, payload, trace)
-    }
-
-    /// A call's delivery, its request sent now. Not `async`: what it
-    /// works out is not kept in the call's future.
-    fn send(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        service: &str,
-        transport: Transport,
-        payload: Bytes,
-        trace: Option<pcsi_trace::TraceContext>,
-    ) -> Delivery<'_> {
+    ) -> Delivery {
         let req_len = payload.len() + trace.map_or(0, |_| pcsi_trace::TraceContext::WIRE_LEN);
-
-        // Seeded duplicate injection: with probability `duplicate` the
-        // request is delivered twice and the handler runs twice, the
-        // second response discarded — at-least-once delivery. The coin
-        // is flipped before the first delivery so the draw sequence does
-        // not depend on handler behavior.
-        let faults = self.inner.faults_for(from, to);
-        let duplicate = faults.duplicate > 0.0 && self.inner.faults_rng.bool(faults.duplicate);
         let service = {
             let s = self.inner.state.borrow();
             let bound = s.services.get(&to).and_then(|t| t.get_key_value(service));
@@ -683,7 +667,7 @@ impl Fabric {
             service,
             payload,
             ctx: CallCtx { from, to, trace },
-            duplicate,
+            duplicate: false,
         };
         let now = self.inner.handle.now();
         self.deliver(from, to, req_len, transport, now, Some(request))
@@ -817,7 +801,7 @@ impl FabricInner {
             (s.hops[slot].msg, s.hops[slot].next)
         };
         if matches!(stage, Stage::Start) && msg.leaves <= self.handle.now() {
-            self.build_reply(slot, &mut msg);
+            self.leave(slot, &mut msg);
         }
         let arrived = match self.advance(msg, stage) {
             Step::Wait(until, next) => {
@@ -843,12 +827,18 @@ impl FabricInner {
         true
     }
 
-    /// Builds the deferred frame of the reply in `slot`, if it has one,
-    /// outside the state borrow: its leave instant has come. The message
-    /// takes the frame's length before any counter is charged.
-    fn build_reply(&self, slot: usize, msg: &mut Message) {
+    /// The message in `slot` leaves. A request flips its duplicate coin
+    /// first (at-least-once delivery: it is delivered and served twice,
+    /// the second reply dropped), so the draw sequence does not depend on
+    /// handler behavior. A reply's deferred frame is built, outside the
+    /// state borrow, and its length taken before any counter is charged.
+    fn leave(&self, slot: usize, msg: &mut Message) {
+        let faults = self.faults_for(msg.from, msg.to);
         let mut s = self.state.borrow_mut();
         let call = &mut s.hops[slot].call;
+        if let Some(Call::Request(request)) = call {
+            request.duplicate = faults.duplicate > 0.0 && self.faults_rng.bool(faults.duplicate);
+        }
         let Some(Call::Reply(Frame::Later(build))) =
             call.take_if(|c| matches!(c, Call::Reply(Frame::Later(_))))
         else {
@@ -901,18 +891,22 @@ impl FabricInner {
                 }
             });
         }
-        let waker = self.state.borrow().hops[slot].waiter.clone();
-        let waker = waker.expect("an arriving request has a caller");
+        let waker = match &self.state.borrow().hops[slot].waiter {
+            Some(Waiter::Task(waker)) => waker.clone(),
+            _ => self.idle.clone(),
+        };
         let serving = handler(payload, ctx);
         self.serve(slot, serving, &mut Context::from_waker(&waker))
     }
 
     /// Polls the handler of the call in `slot`: parks its future there
-    /// while it is pending, starts the reply at its leave instant once it
-    /// answers. True once the call's outcome is set.
+    /// while it is pending (a detached call's goes to a task of its own),
+    /// starts the reply at its leave instant once it answers. True once
+    /// the call's outcome is set.
     fn serve(self: &Rc<Self>, slot: usize, mut serving: Answering, cx: &mut Context<'_>) -> bool {
         let Poll::Ready(answer) = serving.as_mut().poll_reply(cx) else {
             self.state.borrow_mut().hops[slot].call = Some(Call::Serving(serving));
+            self.drive(slot);
             return false;
         };
         // Outside the borrow: the finished future's destructor may call in.
@@ -940,6 +934,45 @@ impl FabricInner {
         }
     }
 
+    /// A detached call whose handler is pending, if the call in `slot` is
+    /// one, is awaited by a task of its own: it polls the handler to its
+    /// end and hands the continuation the outcome.
+    fn drive(self: &Rc<Self>, slot: usize) {
+        let mut s = self.state.borrow_mut();
+        let hop = &mut s.hops[slot];
+        let pending = matches!(hop.call, Some(Call::Serving(_)));
+        let detached = |w: &mut Waiter| pending && matches!(w, Waiter::Detached(_));
+        let Some(Waiter::Detached(then)) = hop.waiter.take_if(detached) else {
+            return;
+        };
+        hop.waiter = Some(Waiter::Task(self.idle.clone()));
+        drop(s);
+        let call = Delivery {
+            fabric: Rc::clone(self),
+            slot: Some(slot),
+        };
+        self.handle.spawn_detached(async move { then(call.await) });
+    }
+
+    /// The hop in `slot` has its outcome: its task is woken to collect it,
+    /// or the slot is freed and a detached call's continuation takes it.
+    fn settle(&self, slot: usize) {
+        let mut s = self.state.borrow_mut();
+        match s.hops[slot].waiter.take() {
+            Some(Waiter::Task(waker)) => {
+                drop(s);
+                waker.wake();
+            }
+            Some(Waiter::Detached(then)) => {
+                let outcome = s.hops[slot].outcome.take();
+                s.free_hops.push(slot);
+                drop(s);
+                then(outcome.expect("a settled hop has its outcome"));
+            }
+            None => {}
+        }
+    }
+
     /// The awaiting task polls the message in `slot`: the first poll
     /// starts it, a later one keeps the task's waker and polls a pending
     /// handler. True once the outcome is set.
@@ -951,8 +984,8 @@ impl FabricInner {
         }
         // A message parked by `deliver` has no waiter until its first poll.
         let started = hop.waiter.is_some();
-        if !hop.waiter.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
-            hop.waiter = Some(cx.waker().clone());
+        if !matches!(&hop.waiter, Some(Waiter::Task(w)) if w.will_wake(cx.waker())) {
+            hop.waiter = Some(Waiter::Task(cx.waker().clone()));
         }
         if !started {
             drop(s);
@@ -968,7 +1001,7 @@ impl FabricInner {
 }
 
 /// A message's timer: moves the hop in slot `token` on from the stage it
-/// was waiting for, and wakes the caller once the outcome is set.
+/// was waiting for, and settles it once the outcome is set.
 impl TimerEvent for FabricInner {
     fn fire(self: Rc<Self>, token: u64) {
         let slot = token as usize;
@@ -985,23 +1018,40 @@ impl TimerEvent for FabricInner {
         }
         drop(s);
         if self.step(slot) {
-            let waiter = self.state.borrow_mut().hops[slot].waiter.take();
-            if let Some(waiter) = waiter {
-                waiter.wake();
-            }
+            self.settle(slot);
         }
     }
 }
 
-/// Future of [`Fabric::deliver`]. Lazy: the message starts at the
-/// first poll.
-struct Delivery<'a> {
-    fabric: &'a Rc<FabricInner>,
+/// A message or call on its way ([`Fabric::call_traced`]), awaited or
+/// detached. Lazy: it starts at the first poll, or at the detach.
+pub struct Delivery {
+    fabric: Rc<FabricInner>,
     /// The hop's slab slot until its outcome is collected.
     slot: Option<usize>,
 }
 
-impl Future for Delivery<'_> {
+impl Delivery {
+    /// Gives the call up without cancelling it: it finishes in the
+    /// fabric's timer events, and `then` takes the outcome in the event
+    /// that sets it (now, if it is set). A handler pending now or at the
+    /// arrival is polled to its end by a task of its own.
+    pub fn detach(mut self, then: impl FnOnce(Result<Bytes, NetError>) + 'static) {
+        let (inner, then) = (&self.fabric, Waiter::Detached(Box::new(then)));
+        let slot = self.slot.take().expect("a delivery is detached once");
+        let mut s = inner.state.borrow_mut();
+        let started = s.hops[slot].waiter.replace(then).is_some();
+        let done = s.hops[slot].outcome.is_some();
+        drop(s);
+        if done || (!started && inner.step(slot)) {
+            inner.settle(slot);
+        } else {
+            inner.drive(slot);
+        }
+    }
+}
+
+impl Future for Delivery {
     type Output = Result<Bytes, NetError>;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -1017,7 +1067,7 @@ impl Future for Delivery<'_> {
     }
 }
 
-impl Drop for Delivery<'_> {
+impl Drop for Delivery {
     fn drop(&mut self) {
         let Some(slot) = self.slot else { return };
         let mut s = self.fabric.state.borrow_mut();
@@ -1052,6 +1102,14 @@ mod tests {
     use crate::latency::NetworkGeneration;
     use pcsi_sim::Sim;
     use proptest::strategy::Strategy as _;
+
+    impl Fabric {
+        /// Messages that hold a slab slot.
+        fn hops_in_flight(&self) -> usize {
+            let s = self.inner.state.borrow();
+            s.hops.len() - s.free_hops.len()
+        }
+    }
 
     /// Binds an echo as `service` on `node`, written as
     /// `benchmark/src/probes.rs` writes its own: a change to `bind`'s
@@ -1990,10 +2048,23 @@ mod tests {
             std::future::ready(Ok(Reply::later(leaves, build)))
         });
         fabric.bind(NodeId(0), "defer", defer);
+        // A detached call whose continuation holds the fabric and an `Rc`.
+        let detached = Rc::new(RefCell::new(std::rc::Weak::new()));
         let h = sim.handle();
         sim.block_on({
-            let fabric = fabric.clone();
+            let (fabric, w) = (fabric.clone(), Rc::clone(&detached));
             async move {
+                let (holding, owned) = (fabric.clone(), Rc::new(()));
+                *w.borrow_mut() = Rc::downgrade(&owned);
+                let call = fabric.call_traced(
+                    NodeId(1),
+                    NodeId(2),
+                    "echo",
+                    Transport::Tcp,
+                    Bytes::new(),
+                    None,
+                );
+                call.detach(move |_| drop((holding, owned)));
                 for service in ["hold", "defer"] {
                     let holding = fabric.clone();
                     h.spawn_detached(async move {
@@ -2023,14 +2094,15 @@ mod tests {
                 h.sleep(Duration::from_micros(7)).await;
             }
         });
-        // Three transfers, the echo's request, the pending `hold` and the
-        // deferred reply.
-        assert_eq!(fabric.hops_in_flight(), 6);
+        // Three transfers, the echo's and the detached call's requests, the
+        // pending `hold` and the deferred reply.
+        assert_eq!(fabric.hops_in_flight(), 7);
         assert!(held.borrow().upgrade().is_some());
         assert!(deferred.borrow().upgrade().is_some());
-        // The wheel holds the fabric through five events and a
-        // deadline's expiry, the task table through seven futures, the
-        // slab through the pending handler and the reply's builder.
+        assert!(detached.borrow().upgrade().is_some());
+        // The wheel holds the fabric through six events and a deadline's
+        // expiry, the task table through seven futures, the slab through
+        // the pending handler, the reply's builder and the continuation.
         let alive = Rc::downgrade(&fabric.inner);
         drop(fabric);
         assert!(alive.upgrade().is_some());
@@ -2038,6 +2110,7 @@ mod tests {
         assert!(alive.upgrade().is_none());
         assert!(held.borrow().upgrade().is_none());
         assert!(deferred.borrow().upgrade().is_none());
+        assert!(detached.borrow().upgrade().is_none());
     }
 
     /// The service is looked up when the request arrives: one unbound
@@ -2123,6 +2196,164 @@ mod tests {
         });
         assert_eq!(pending, (1, None));
         assert_eq!(dropped.get(), Some(at));
+    }
+
+    /// What calls came to, and when.
+    type Outcomes = Vec<(SimTime, Result<Bytes, NetError>)>;
+
+    /// What a detached call's `then` was handed.
+    type Taken = Rc<RefCell<Outcomes>>;
+
+    /// Arms a fresh fabric before a call.
+    type Setup = fn(&Fabric);
+
+    /// Appends each outcome it is handed to `taken`, with its instant.
+    fn taker(h: &SimHandle, taken: &Taken) -> impl FnOnce(Result<Bytes, NetError>) + 'static {
+        let (h, taken) = (h.clone(), Rc::clone(taken));
+        move |out| taken.borrow_mut().push((h.now(), out))
+    }
+
+    /// A call of node 2's echo from node 0, on a fresh fabric `setup` has
+    /// armed: awaited, detached at once, or never made (`None`). Returns
+    /// what the call came to and when, and the run's task polls and
+    /// messages, once the run is quiet.
+    fn echo_run(detach: Option<bool>, setup: Setup) -> (Outcomes, u64, u64) {
+        let mut sim = Sim::new(7);
+        let fabric = build(&sim, NetworkGeneration::Dc2021);
+        bind_echo(&fabric, NodeId(2), "echo");
+        setup(&fabric);
+        let taken = Taken::default();
+        let h = sim.handle();
+        sim.block_on({
+            let (fabric, take) = (fabric.clone(), taker(&h, &taken));
+            async move {
+                let hi = Bytes::from_static(b"hi");
+                let call =
+                    fabric.call_traced(NodeId(0), NodeId(2), "echo", Transport::Tcp, hi, None);
+                match detach {
+                    Some(true) => call.detach(take),
+                    Some(false) => take(call.await),
+                    None => drop(call),
+                }
+                h.sleep(Duration::from_millis(10)).await;
+            }
+        });
+        assert_eq!(fabric.hops_in_flight(), 0);
+        (taken.take(), sim.poll_count(), fabric.message_count())
+    }
+
+    /// A detached call is polled by no task: its request and reply move
+    /// in timer events, `then` takes the reply in the event that delivers
+    /// it, and the two count as messages just as an awaited call's.
+    #[test]
+    fn a_detached_call_costs_no_poll_and_counts_its_messages_as_an_awaited_one() {
+        let none = |_: &Fabric| {};
+        let (awaited, _, awaited_msgs) = echo_run(Some(false), none);
+        let (taken, polls, msgs) = echo_run(Some(true), none);
+        let (_, no_call_polls, _) = echo_run(None, none);
+        assert!(
+            matches!(&taken[..], [(_, Ok(hi))] if hi[..] == b"hi"[..]),
+            "{taken:?}"
+        );
+        assert_eq!(taken, awaited);
+        assert_eq!((msgs, awaited_msgs), (2, 2));
+        assert_eq!(polls, no_call_polls, "a poll after the detach");
+    }
+
+    /// A detached call that fails hands `then` the error once, in the
+    /// event that sets it: its target set down mid-flight (the request's
+    /// receive), or a certain drop (the sender's give-up).
+    #[test]
+    fn a_detached_calls_then_takes_an_error_once_in_its_event() {
+        let plans: [(Setup, NetError); 2] = [
+            (
+                |f| {
+                    let fabric = f.clone();
+                    f.handle().spawn_detached(async move {
+                        fabric.handle().sleep(Duration::from_micros(50)).await;
+                        fabric.set_node_down(NodeId(2), true);
+                    });
+                },
+                NetError::NodeDown(NodeId(2)),
+            ),
+            (
+                |f| {
+                    f.set_message_faults(MessageFaults {
+                        drop: 1.0,
+                        ..MessageFaults::NONE
+                    })
+                },
+                NetError::Dropped(NodeId(0), NodeId(2)),
+            ),
+        ];
+        for (setup, error) in plans {
+            let (awaited, _, awaited_msgs) = echo_run(Some(false), setup);
+            let (taken, polls, msgs) = echo_run(Some(true), setup);
+            let (_, no_call_polls, _) = echo_run(None, setup);
+            assert!(
+                matches!(&taken[..], [(_, Err(e))] if *e == error),
+                "{taken:?}"
+            );
+            assert_eq!((taken, msgs), (awaited, awaited_msgs));
+            assert_eq!(polls, no_call_polls, "{error}: a poll after the detach");
+        }
+    }
+
+    /// A detached call's handler that is pending, at its arrival or at
+    /// the detach, is polled to its end by a task of its own: the reply
+    /// comes when an awaited call's does.
+    #[test]
+    fn a_detached_calls_pending_handler_runs_to_its_end() {
+        // `None` awaits the call; `Some(after)` detaches it `after` it
+        // started, or before it did for zero.
+        let run = |detach: Option<Duration>| {
+            let mut sim = Sim::new(1);
+            let fabric = build(&sim, NetworkGeneration::Dc2021);
+            let h = sim.handle();
+            let slow = Rc::new(move |payload, _| {
+                let h = h.clone();
+                async move {
+                    h.sleep(Duration::from_millis(1)).await;
+                    Ok(payload)
+                }
+            });
+            fabric.bind(NodeId(2), "slow", slow);
+            let taken = Taken::default();
+            let h = sim.handle();
+            sim.block_on({
+                let (fabric, take) = (fabric.clone(), taker(&h, &taken));
+                async move {
+                    let hi = Bytes::from_static(b"hi");
+                    let mut call =
+                        fabric.call_traced(NodeId(0), NodeId(2), "slow", Transport::Tcp, hi, None);
+                    match detach {
+                        None => take((&mut call).await),
+                        Some(after) if after.is_zero() => call.detach(take),
+                        Some(after) => {
+                            std::future::poll_fn(|cx| {
+                                assert!(Pin::new(&mut call).poll(cx).is_pending());
+                                Poll::Ready(())
+                            })
+                            .await;
+                            h.sleep(after).await;
+                            call.detach(take);
+                        }
+                    }
+                    h.sleep(Duration::from_millis(10)).await;
+                }
+            });
+            assert_eq!(fabric.hops_in_flight(), 0);
+            taken.take()
+        };
+        let awaited = run(None);
+        assert!(
+            matches!(&awaited[..], [(_, Ok(hi))] if hi[..] == b"hi"[..]),
+            "{awaited:?}"
+        );
+        assert_eq!(run(Some(Duration::ZERO)), awaited, "pending at its arrival");
+        // Past the request's ~110 µs, inside the handler's sleep.
+        let late = run(Some(Duration::from_micros(300)));
+        assert_eq!(late, awaited, "pending at the detach");
     }
 
     /// The caller is polled to send the request and to collect the reply;

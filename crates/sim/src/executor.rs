@@ -182,7 +182,7 @@ impl Sim {
         let h = self.handle();
         let join = h.spawn(root);
         let mut join = Box::pin(join);
-        let waker = Waker::from(Arc::new(NoopWaker));
+        let waker = noop_waker();
 
         loop {
             self.drain_ready();
@@ -311,8 +311,13 @@ impl Drop for Sim {
     }
 }
 
-/// No-op waker used when polling the root join handle directly: progress is
-/// always driven by the ready queue and timers, so the root needs no wake.
+/// A waker that wakes no task, for a poll no task owns: the root join
+/// handle's (progress is driven by the ready queue and timers), or a
+/// detached call's handler polled in its arrival event.
+pub fn noop_waker() -> Waker {
+    Waker::from(Arc::new(NoopWaker))
+}
+
 struct NoopWaker;
 
 impl Wake for NoopWaker {

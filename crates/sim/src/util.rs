@@ -7,7 +7,7 @@
 use std::cell::{Cell, RefCell};
 use std::future::{poll_fn, Future};
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Poll, Waker};
 use std::time::Duration;
 
 use crate::executor::{LocalBoxFuture, SimHandle};
@@ -104,28 +104,20 @@ where
         .map(|(i, f)| Box::pin(async move { (i, f.await) }) as LocalBoxFuture<_>)
         .collect();
     let mut outputs: Vec<Option<T>> = futures.iter().map(|_| None).collect();
-    poll_fn(|cx| poll_each(&mut futures, cx, |(i, out)| outputs[i] = Some(out))).await;
+    poll_fn(|cx| {
+        let mut done = |(i, out)| outputs[i] = Some(out);
+        futures.retain_mut(|f| f.as_mut().poll(cx).map(&mut done).is_pending());
+        if futures.is_empty() {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    })
+    .await;
     outputs
         .into_iter()
         .map(|out| out.expect("joined"))
         .collect()
-}
-
-/// Polls each future of `futures` in order, hands the output of each
-/// one that finishes to `done` and drops it; `Ready` once none is left.
-/// The loop under [`join_all`], for callers that act on outputs as they
-/// come.
-pub fn poll_each<T>(
-    futures: &mut Vec<LocalBoxFuture<T>>,
-    cx: &mut Context<'_>,
-    mut done: impl FnMut(T),
-) -> Poll<()> {
-    futures.retain_mut(|f| f.as_mut().poll(cx).map(&mut done).is_pending());
-    if futures.is_empty() {
-        Poll::Ready(())
-    } else {
-        Poll::Pending
-    }
 }
 
 /// Races `fut` against a timer: `Some(output)` if the future completes

@@ -21,7 +21,7 @@ use pcsi_net::NodeId;
 use pcsi_trace::{AttrValue, SpanHandle, TraceContext};
 
 use crate::engine::{MediaTier, Mutation};
-use crate::quorum::{self, rpc};
+use crate::quorum::{self, rpc, Classified};
 use crate::recovery::{Attempt, Recovery};
 use crate::store::ReplicatedStore;
 use crate::version::Tag;
@@ -477,7 +477,7 @@ impl StoreClient {
         skip: &[NodeId],
         frame: (Bytes, Option<TraceContext>),
         need: usize,
-        ack: impl Fn(NodeId, Result<Response, PcsiError>) -> Result<A, ()> + Clone + 'static,
+        ack: impl Fn(NodeId, Result<Response, PcsiError>) -> Result<A, ()> + 'static,
     ) -> Result<Vec<A>, PcsiError> {
         let targets = self
             .store
@@ -487,7 +487,7 @@ impl StoreClient {
             .filter(|n| !skip.contains(n));
         let fabric = &self.store.inner.fabric;
         quorum::gather(fabric, self.origin, targets, frame, need, move |n, r| {
-            std::future::ready(ack(n, r))
+            Classified::Now(ack(n, r))
         })
         .await
         .map_err(|short| PcsiError::QuorumUnavailable {

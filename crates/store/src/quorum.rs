@@ -3,14 +3,15 @@
 //! go on at `need` acks" round is a [`gather`].
 
 use std::future::{poll_fn, Future};
-use std::task::Poll;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll};
 
 use bytes::Bytes;
 use pcsi_core::PcsiError;
-use pcsi_net::fabric::NetError;
+use pcsi_net::fabric::{Delivery, NetError};
 use pcsi_net::{Fabric, NodeId};
-use pcsi_sim::util::poll_each;
-use pcsi_sim::LocalBoxFuture;
+use pcsi_sim::{LocalBoxFuture, SimHandle};
 use pcsi_trace::TraceContext;
 
 use crate::replica::{STORE_SERVICE, STORE_TRANSPORT};
@@ -20,25 +21,36 @@ use crate::wire::{self, Response};
 /// error-mapped: the store's one call site. A trace context rides the
 /// fabric's call beside the frame (`CallCtx::trace`), which charges its
 /// bytes. A wire-level [`Response::Err`] surfaces as the [`PcsiError`] it
-/// carries. The future borrows nothing, so fan-out tasks can own it.
+/// carries. The call starts at its first poll; it borrows nothing, so
+/// fan-out tasks can own it.
 pub(crate) fn rpc(
     fabric: &Fabric,
     from: NodeId,
     to: NodeId,
     frame: Bytes,
     ctx: Option<TraceContext>,
-) -> impl Future<Output = Result<Response, PcsiError>> + 'static {
-    let fabric = fabric.clone();
-    async move {
-        let raw = fabric
-            .call_traced(from, to, STORE_SERVICE, STORE_TRANSPORT, frame, ctx)
-            .await
-            .map_err(net_to_pcsi)?;
-        match wire::decode_response(&raw) {
-            Ok(Response::Err(e)) => Err(e),
-            Ok(resp) => Ok(resp),
-            Err(e) => Err(PcsiError::BadPayload(e.to_string())),
-        }
+) -> Rpc {
+    let call = fabric.call_traced(from, to, STORE_SERVICE, STORE_TRANSPORT, frame, ctx);
+    Rpc(Some(call))
+}
+
+/// An [`rpc`]'s future; a detached one holds nothing.
+pub(crate) struct Rpc(Option<Delivery>);
+
+impl Future for Rpc {
+    type Output = Result<Response, PcsiError>;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let call = self.0.as_mut().expect("a detached rpc is not polled");
+        Pin::new(call).poll(cx).map(decode)
+    }
+}
+
+fn decode(raw: Result<Bytes, NetError>) -> Result<Response, PcsiError> {
+    match wire::decode_response(&raw.map_err(net_to_pcsi)?) {
+        Ok(Response::Err(e)) => Err(e),
+        Ok(resp) => Ok(resp),
+        Err(e) => Err(PcsiError::BadPayload(e.to_string())),
     }
 }
 
@@ -74,22 +86,44 @@ pub(crate) struct Shortfall<N> {
     pub(crate) nacks: Vec<N>,
 }
 
+/// A reply's verdict, ack (`Ok`) or not (`Err`), or follow-up work that
+/// decides it (a repair push).
+pub(crate) enum Classified<A, N> {
+    Now(Result<A, N>),
+    Then(LocalBoxFuture<Result<A, N>>),
+}
+
+/// One target's part of a round: its call, then its follow-up work.
+enum Leg<A, N> {
+    Call(NodeId, Rpc),
+    Then(LocalBoxFuture<Result<A, N>>),
+}
+
+/// What a round's legs share: its classifier, and the handle that spawns
+/// a detached call's follow-up work.
+struct Round<C: ?Sized> {
+    handle: SimHandle,
+    classify: C,
+}
+
+type Classify<A, N> = dyn Fn(NodeId, Result<Response, PcsiError>) -> Classified<A, N>;
+
 /// Sends `frame`, traced by `ctx`, from `from` to every node of
 /// `targets` and returns the first `need` acks, or the [`Shortfall`] as
 /// soon as `need` is out of reach (DESIGN §4.1).
 ///
-/// Each target gets one boxed call, in the order `targets` yields them
-/// (callers pass placement order): one [`rpc`], then its own clone of
-/// `classify` decides ack (`Ok`) or not (`Err`) from `(node, reply)` —
-/// and may itself await. The awaiting task polls the calls and counts
-/// their verdicts as they complete. At the decision, the calls still in
-/// flight move to one detached task: their effects land, their verdicts
-/// are dropped. Only the decision hands them off; dropping a pending
-/// gather drops its calls. No caller does; each awaits its gather.
-/// The calls are built before the round's future is: it keeps them, not
-/// the frame, its context or `classify`, across its awaits (a
-/// coordinator's future, boxed per request, holds its rounds').
-pub(crate) fn gather<A, N, C, Fut>(
+/// Each target gets one [`rpc`], started at the round's first poll in
+/// the order `targets` yields them (callers pass placement order), and
+/// `classify` judges its reply from `(node, reply)`, at once or by
+/// follow-up work the awaiting task polls. At the decision the calls
+/// still out are detached: the fabric's event that delivers a late
+/// reply classifies it. Work in flight, and the calls of a round decided
+/// before it started, go to one task. Only the decision hands them off;
+/// dropping a pending gather drops its calls. No caller does. The calls
+/// are built before the round's future is: it keeps them, not the frame
+/// or its context, across its awaits (a coordinator's future, boxed per
+/// request, holds its rounds').
+pub(crate) fn gather<A, N, C>(
     fabric: &Fabric,
     from: NodeId,
     targets: impl IntoIterator<Item = NodeId>,
@@ -100,21 +134,17 @@ pub(crate) fn gather<A, N, C, Fut>(
 where
     A: 'static,
     N: 'static,
-    C: FnOnce(NodeId, Result<Response, PcsiError>) -> Fut + Clone + 'static,
-    Fut: Future<Output = Result<A, N>> + 'static,
+    C: Fn(NodeId, Result<Response, PcsiError>) -> Classified<A, N> + 'static,
 {
-    let mut calls: Vec<LocalBoxFuture<Result<A, N>>> = targets
+    let mut legs: Vec<Leg<A, N>> = targets
         .into_iter()
-        .map(|node| {
-            // One encode for the whole round: each send bumps a refcount.
-            let call = rpc(fabric, from, node, frame.clone(), ctx);
-            let classify = classify.clone();
-            Box::pin(async move { classify(node, call.await).await }) as _
-        })
+        // One encode for the whole round: each send bumps a refcount.
+        .map(|node| Leg::Call(node, rpc(fabric, from, node, frame.clone(), ctx)))
         .collect();
     let handle = fabric.handle().clone();
+    let round: Rc<Round<Classify<A, N>>> = Rc::new(Round { handle, classify });
     async move {
-        let total = calls.len();
+        let total = legs.len();
         let (mut acks, mut nacks) = (Vec::with_capacity(need), Vec::new());
         let open =
             |acks: &Vec<_>, nacks: &Vec<_>| decided(total, need, acks.len(), nacks.len()).is_none();
@@ -122,28 +152,80 @@ where
         // the caller has gone on.
         if open(&acks, &nacks) {
             poll_fn(|cx| {
-                let _ = poll_each(&mut calls, cx, |verdict| match verdict {
+                let _ = round.poll(&mut legs, cx, false, |verdict| match verdict {
                     _ if !open(&acks, &nacks) => {}
                     Ok(ack) => acks.push(ack),
                     Err(nack) => nacks.push(nack),
                 });
                 if open(&acks, &nacks) {
-                    Poll::Pending
-                } else {
-                    Poll::Ready(())
+                    return Poll::Pending;
                 }
+                // Decided: the calls still out are detached.
+                let _ = round.poll(&mut legs, cx, true, drop);
+                Poll::Ready(())
             })
             .await;
         }
-        if !calls.is_empty() {
-            let stragglers = poll_fn(move |cx| poll_each(&mut calls, cx, drop));
-            handle.spawn_detached(stragglers);
+        if !legs.is_empty() {
+            let handle = round.handle.clone();
+            handle.spawn_detached(poll_fn(move |cx| round.poll(&mut legs, cx, true, drop)));
         }
         if acks.len() >= need {
             Ok(acks)
         } else {
             let got = acks.len();
             Err(Shortfall { got, nacks })
+        }
+    }
+}
+
+impl<A: 'static, N: 'static> Round<Classify<A, N>> {
+    /// Polls each leg in order, handing `done` each verdict; a reply's
+    /// follow-up work is polled on in its place. Past the decision
+    /// (`detaching`), a call pending once sent is detached, not kept.
+    fn poll(
+        self: &Rc<Self>,
+        legs: &mut Vec<Leg<A, N>>,
+        cx: &mut Context<'_>,
+        detaching: bool,
+        mut done: impl FnMut(Result<A, N>),
+    ) -> Poll<()> {
+        legs.retain_mut(|leg| loop {
+            let verdict = match leg {
+                Leg::Call(node, call) => match Pin::new(&mut *call).poll(cx) {
+                    Poll::Ready(reply) => match (self.classify)(*node, reply) {
+                        Classified::Now(verdict) => verdict,
+                        Classified::Then(work) => {
+                            *leg = Leg::Then(work);
+                            continue;
+                        }
+                    },
+                    Poll::Pending if detaching => {
+                        // A late reply's follow-up work is spawned in its
+                        // event, where a task awaiting it would be woken.
+                        let (round, node) = (Rc::clone(self), *node);
+                        let call = call.0.take().expect("an rpc is detached once");
+                        call.detach(move |reply| {
+                            if let Classified::Then(work) = (round.classify)(node, decode(reply)) {
+                                round.handle.spawn_detached(async move { drop(work.await) });
+                            }
+                        });
+                        return false;
+                    }
+                    Poll::Pending => return true,
+                },
+                Leg::Then(work) => match work.as_mut().poll(cx) {
+                    Poll::Ready(verdict) => verdict,
+                    Poll::Pending => return true,
+                },
+            };
+            done(verdict);
+            return false;
+        });
+        if legs.is_empty() {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
         }
     }
 }
@@ -220,6 +302,36 @@ mod tests {
         assert_eq!(replica_bytes(&store, replicas[2], id), data);
     }
 
+    /// A round decided before it starts (`need` 0) sends nothing in its
+    /// deciding poll: its calls go out from one task, behind every task
+    /// runnable at the decision.
+    #[test]
+    fn a_need_zero_rounds_sends_start_behind_the_tasks_runnable_at_its_decision() {
+        let mut sim = Sim::new(42);
+        let (fabric, _store) = testkit::deploy(&sim, testkit::config());
+        let h = fabric.handle().clone();
+        let counts = sim.block_on(async move {
+            let before = fabric.message_count();
+            let counting = fabric.clone();
+            let runnable = h.spawn(async move { counting.message_count() });
+            let frame = wire::encode_request(&crate::wire::Request::Inventory);
+            let targets = [NodeId(1), NodeId(2)];
+            let ack = |_, _| Classified::Now(Ok::<(), ()>(()));
+            let round = gather(&fabric, NodeId(0), targets, (frame, None), 0, ack);
+            assert!(round.await.is_ok_and(|acks| acks.is_empty()));
+            let at_decision = fabric.message_count() - before;
+            let seen_by_runnable = runnable.await - before;
+            h.sleep(Duration::from_millis(1)).await;
+            (
+                at_decision,
+                seen_by_runnable,
+                fabric.message_count() - before,
+            )
+        });
+        // Both requests and their replies, once the round's task ran.
+        assert_eq!(counts, (0, 0, 4));
+    }
+
     /// Task polls of one fault-free linearizable write (its straggler
     /// included), one one-RTT linearizable read and one eventual read,
     /// from a client outside the replica set. A round's calls and an
@@ -229,7 +341,8 @@ mod tests {
     /// of the reading task in between, and each request is served in its
     /// arrival event, with no wake of the calling task for it. A peer's
     /// `Apply` changes its state in its reply's leave event, with no wake
-    /// of the coordinating task for its media time.
+    /// of the coordinating task for its media time. A round's late reply
+    /// is classified in the fabric's event, with no task woken for it.
     #[test]
     fn a_write_and_a_one_rtt_read_take_pinned_polls() {
         let mut sim = Sim::new(42);
@@ -259,7 +372,7 @@ mod tests {
         let write = polls(&mut sim, Box::pin(write) as LocalBoxFuture<()>);
         let read_one_rtt = polls(&mut sim, Box::pin(read(Consistency::Linearizable)));
         let read_eventual = polls(&mut sim, Box::pin(read(Consistency::Eventual)));
-        assert_eq!((write, read_one_rtt, read_eventual), (7, 6, 3));
+        assert_eq!((write, read_one_rtt, read_eventual), (5, 4, 3));
     }
 
     /// Every `total <= 5`, `need <= total` and every arrival order of

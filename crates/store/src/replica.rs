@@ -28,7 +28,7 @@ use pcsi_trace::{SpanHandle, TraceContext, Tracer};
 
 use crate::engine::{MediaTier, Mutation, StorageEngine, StoredObject};
 use crate::placement::Placement;
-use crate::quorum::{gather, rpc};
+use crate::quorum::{gather, rpc, Classified};
 use crate::round::{accept, highest, plan, verdict, Accept, Ballots, Verdict};
 use crate::version::Tag;
 use crate::wire::{self, Request, Response};
@@ -715,7 +715,7 @@ async fn prepare(
 ) -> Result<(), Option<Tag>> {
     let frame = wire::encode_request(&Request::Prepare { id, ballot, have });
     let classify = move |_, reply| {
-        std::future::ready(match reply {
+        Classified::Now(match reply {
             Ok(Response::Object { object, reqs }) => Ok((object.tag, Some((object, reqs)))),
             // A newer tag without a state is a tombstone.
             Ok(Response::TagIs { tag }) => Ok((tag, None)),
@@ -792,14 +792,12 @@ async fn replicate(
     peers: &[NodeId],
     need: usize,
 ) -> Result<(), (usize, Option<Tag>)> {
-    let task_inner = Rc::clone(inner);
-    let classify = move |peer, reply| async move {
-        match verdict(&reply, ballot) {
-            Verdict::Ack => Ok(()),
-            Verdict::Repair => repair(&task_inner, id, ballot, peer).await,
-            Verdict::Lost(newest) => Err(Some(newest)),
-            Verdict::No => Err(None),
-        }
+    let own = Rc::clone(inner);
+    let classify = move |peer, reply| match verdict(&reply, ballot) {
+        Verdict::Ack => Classified::Now(Ok(())),
+        Verdict::Repair => Classified::Then(Box::pin(repair(Rc::clone(&own), id, ballot, peer))),
+        Verdict::Lost(newest) => Classified::Now(Err(Some(newest))),
+        Verdict::No => Classified::Now(Err(None)),
     };
     let targets = peers.iter().copied();
     let short = match gather(&inner.fabric, inner.node, targets, frame, need, classify).await {
@@ -818,7 +816,7 @@ async fn replicate(
 /// at `ballot` (`Ok` when the peer took it): the full-state transfer to
 /// a peer that could not apply a delta.
 async fn repair(
-    inner: &Rc<Inner>,
+    inner: Rc<Inner>,
     id: ObjectId,
     ballot: Tag,
     peer: NodeId,
@@ -899,7 +897,7 @@ async fn anti_entropy_round(inner: &Rc<Inner>) {
             return;
         }
         if ahead(entry) {
-            let _ = repair(inner, entry.0, tag_here(entry.0), peer).await;
+            let _ = repair(Rc::clone(inner), entry.0, tag_here(entry.0), peer).await;
         }
     }
 }
