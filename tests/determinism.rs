@@ -683,11 +683,11 @@ fn fingerprints_match_the_golden_values() {
 const GOLDENS: &[(&str, &str)] = &[
     (
         "mixed",
-        r#"(3043445297, 8882, 8956, 460254, 620, 247463936, "5.979504589381e-4|cache 0/1705/0|retry 0/0/0")"#,
+        r#"(3043445297, 8882, 6829, 460254, 620, 247463936, "5.979504589381e-4|cache 0/1705/0|retry 0/0/0")"#,
     ),
     (
         "autoscaled",
-        r#"(4001897051, 5128, 462, 251658240, "cold 48 prewarm 3 preempt 0 steal 5 fail 0")"#,
+        r#"(4001897051, 4202, 462, 251658240, "cold 48 prewarm 3 preempt 0 steal 5 fail 0")"#,
     ),
     ("chaos", "0x4974f8f7c0e92302"),
     ("chaos-none", "0xc9de70e71e7e232c"),
