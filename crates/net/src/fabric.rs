@@ -307,8 +307,9 @@ struct Hop {
     /// before either, and once the task has dropped the future (the
     /// message then stops at its next stage).
     waiter: Option<Waiter>,
-    /// Set on arrival or failure, for the woken task to collect: the
-    /// reply's frame, or an empty one for a message that is no call.
+    /// Set on arrival or failure, for the woken task or the continuation
+    /// to take: the reply's frame, or an empty one for a message that is
+    /// no call.
     outcome: Option<Result<Bytes, NetError>>,
     /// The RPC, when the message is one.
     call: Option<Call>,
@@ -603,6 +604,13 @@ impl Fabric {
             fabric: Rc::clone(&self.inner),
             slot: Some(slot),
         }
+    }
+
+    /// Messages that hold a slab slot.
+    #[cfg(test)]
+    fn hops_in_flight(&self) -> usize {
+        let s = self.inner.state.borrow();
+        s.hops.len() - s.free_hops.len()
     }
 
     /// Moves `bytes` from `from` to `to`, returning the transfer time.
@@ -1034,8 +1042,9 @@ pub struct Delivery {
 impl Delivery {
     /// Gives the call up without cancelling it: it finishes in the
     /// fabric's timer events, and `then` takes the outcome in the event
-    /// that sets it (now, if it is set). A handler pending now or at the
-    /// arrival is polled to its end by a task of its own.
+    /// that sets it (now, if it is set). A handler pending now or at its
+    /// arrival is polled to its end by a task of its own, which hands
+    /// `then` the outcome.
     pub fn detach(mut self, then: impl FnOnce(Result<Bytes, NetError>) + 'static) {
         let (inner, then) = (&self.fabric, Waiter::Detached(Box::new(then)));
         let slot = self.slot.take().expect("a delivery is detached once");
@@ -1102,14 +1111,6 @@ mod tests {
     use crate::latency::NetworkGeneration;
     use pcsi_sim::Sim;
     use proptest::strategy::Strategy as _;
-
-    impl Fabric {
-        /// Messages that hold a slab slot.
-        fn hops_in_flight(&self) -> usize {
-            let s = self.inner.state.borrow();
-            s.hops.len() - s.free_hops.len()
-        }
-    }
 
     /// Binds an echo as `service` on `node`, written as
     /// `benchmark/src/probes.rs` writes its own: a change to `bind`'s
