@@ -792,10 +792,10 @@ async fn replicate(
     peers: &[NodeId],
     need: usize,
 ) -> Result<(), (usize, Option<Tag>)> {
-    let own = Rc::clone(inner);
+    let owned = Rc::clone(inner);
     let classify = move |peer, reply| match verdict(&reply, ballot) {
         Verdict::Ack => Classified::Now(Ok(())),
-        Verdict::Repair => Classified::Then(Box::pin(repair(Rc::clone(&own), id, ballot, peer))),
+        Verdict::Repair => Classified::Then(Box::pin(repair(Rc::clone(&owned), id, ballot, peer))),
         Verdict::Lost(newest) => Classified::Now(Err(Some(newest))),
         Verdict::No => Classified::Now(Err(None)),
     };
